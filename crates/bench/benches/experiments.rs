@@ -509,10 +509,10 @@ fn bench_e17_federated(c: &mut Criterion) {
     let mut g = c.benchmark_group("e17_federated");
     let ctx = CryptoCtx::new();
     let directory = Arc::new(PdpDirectory::new());
-    // 2 clustered domains, 3-replica majority shards, batched PEPs.
-    let vo = clustered_healthcare_vo(2, 8, &ctx, directory, true, true);
+    // 2 clustered domains, 3-replica majority shards.
+    let vo = clustered_healthcare_vo(2, 8, &ctx, directory, true);
     let d0 = &vo.domains[0];
-    // One enforcement through the clustered, batched decision path.
+    // One enforcement through the clustered decision path.
     let mut i = 0u64;
     g.bench_function("clustered_pep_enforce", |b| {
         b.iter(|| {

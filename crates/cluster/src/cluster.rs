@@ -1,6 +1,6 @@
 //! The cluster facade: router + replica groups + directory + metrics.
 
-use crate::fanout::{FanoutPool, HedgeConfig, SchedulerConfig};
+use crate::fanout::{FanoutPool, SchedulerConfig};
 use crate::metrics::ClusterMetrics;
 use crate::quorum::QuorumMode;
 use crate::replica::{DecisionBackend, FanoutPlan, GroupOutcome, ReplicaGroup, ReplicaPhase};
@@ -35,8 +35,6 @@ pub struct ClusterBuilder {
     vnodes: usize,
     shards: Vec<Vec<Arc<dyn DecisionBackend>>>,
     directory: Option<Arc<PdpDirectory>>,
-    pool: Option<Arc<FanoutPool>>,
-    hedge: Option<HedgeConfig>,
     scheduler: Option<SchedulerConfig>,
     resync: bool,
     telemetry: Option<Arc<Telemetry>>,
@@ -53,8 +51,6 @@ impl ClusterBuilder {
             vnodes: crate::shard::DEFAULT_VNODES,
             shards: Vec::new(),
             directory: None,
-            pool: None,
-            hedge: None,
             scheduler: None,
             resync: false,
             telemetry: None,
@@ -99,33 +95,16 @@ impl ClusterBuilder {
     }
 
     /// Configures the decision scheduler — the single dispatch knob
-    /// bundle. The cluster builds its own [`FanoutPool`] of
+    /// bundle. The cluster builds its own worker pool of
     /// `config.workers` threads (instrumented with the builder's
     /// telemetry, when any), enables hedging when `config.hedge` is
     /// set, and — under [`QuorumMode::Majority`] with
     /// `config.adaptive_fanout` — dispatches only quorum-width replicas
     /// per query, escalating to EWMA-ranked backups on budget overrun
-    /// or a contested vote. Without a scheduler (or the deprecated
-    /// [`ClusterBuilder::parallel`]), queries evaluate sequentially on
-    /// the caller's thread.
+    /// or a contested vote. Without a scheduler, queries evaluate
+    /// sequentially on the caller's thread.
     pub fn scheduler(mut self, config: SchedulerConfig) -> Self {
         self.scheduler = Some(config);
-        self
-    }
-
-    /// Serves fan-out queries from a caller-owned `pool` instead of
-    /// sequentially on the caller's thread.
-    #[deprecated(note = "use scheduler(SchedulerConfig::new(workers))")]
-    pub fn parallel(mut self, pool: Arc<FanoutPool>) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// Enables hedged requests for [`QuorumMode::FirstHealthy`]
-    /// decisions served through a parallel pool.
-    #[deprecated(note = "use scheduler(SchedulerConfig::new(workers).with_hedge(config))")]
-    pub fn hedge(mut self, config: HedgeConfig) -> Self {
-        self.hedge = Some(config);
         self
     }
 
@@ -145,11 +124,9 @@ impl ClusterBuilder {
     /// Attaches a telemetry registry + tracer: the cluster records
     /// decision latency, query/unavailability/hedge counters, per-stage
     /// spans (`cluster_decide` / `route` / `fanout` / `quorum_wait` /
-    /// `replica_decide`) and per-replica compute histograms into it.
-    /// The fan-out pool is shared and constructed by the caller, so its
-    /// queue-wait instrumentation is attached separately
-    /// ([`FanoutPool::with_telemetry`]), normally with the same
-    /// registry.
+    /// `replica_decide`) and per-replica compute histograms into it,
+    /// and the scheduler's pool its per-lane job counts and queue-wait
+    /// histograms.
     pub fn telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
         self.telemetry = Some(telemetry);
         self
@@ -160,13 +137,13 @@ impl ClusterBuilder {
     /// consulted, majority combine) purely to *observe* divergence,
     /// recording [`ClusterMetrics::audit_queries`] and
     /// [`ClusterMetrics::audit_disagreements`]. This closes the blind
-    /// spot documented on [`ClusterMetrics::disagreements`]: under
-    /// `.parallel()` the quorum short-circuit can hide a divergent
-    /// replica forever. The audit verdict never replaces the served
-    /// response and its sub-queries are not counted in
+    /// spot documented on [`ClusterMetrics::disagreements`]: under a
+    /// scheduler the quorum short-circuit can hide a divergent replica
+    /// forever. The audit verdict never replaces the served response
+    /// and its sub-queries are not counted in
     /// [`ClusterMetrics::replica_queries`]. `0` (the default) disables
-    /// sampling; the sampler only runs when a parallel pool is
-    /// configured — the sequential path already observes every vote.
+    /// sampling; the sampler only runs when a scheduler is configured
+    /// — the sequential path already observes every vote.
     pub fn audit_every(mut self, n: usize) -> Self {
         self.audit_every = n;
         self
@@ -205,35 +182,21 @@ impl ClusterBuilder {
                 }
             }
         }
-        // A caller-owned pool (the deprecated `parallel` path) wins
-        // over the scheduler's worker count; either way the scheduler's
-        // hedging/adaptive settings apply, with an explicitly set
-        // `hedge` kept for compatibility.
-        let pool = self.pool.or_else(|| {
-            self.scheduler.as_ref().map(|cfg| {
-                let pool = FanoutPool::for_scheduler(cfg);
-                Arc::new(match &telemetry {
-                    Some(t) => pool.with_telemetry(t),
-                    None => pool,
-                })
-            })
+        let scheduler = self.scheduler.map(|config| {
+            let pool = FanoutPool::new(config.workers);
+            let pool = match &telemetry {
+                Some(t) => pool.with_telemetry(t),
+                None => pool,
+            };
+            (pool, config)
         });
-        let hedge = self
-            .hedge
-            .or_else(|| self.scheduler.as_ref().and_then(|cfg| cfg.hedge));
-        let adaptive = self
-            .scheduler
-            .as_ref()
-            .is_some_and(|cfg| cfg.adaptive_fanout);
         PdpCluster {
             router: ShardRouter::with_vnodes(groups.len(), self.vnodes),
             name: self.name,
             groups,
             directory,
             quorum: self.quorum,
-            pool,
-            hedge,
-            adaptive,
+            scheduler,
             resync: self.resync,
             audit_every: self.audit_every,
             telemetry: telemetry.map(ClusterTelemetry::new),
@@ -278,9 +241,9 @@ pub struct PdpCluster {
     groups: Vec<ReplicaGroup>,
     directory: Arc<PdpDirectory>,
     quorum: QuorumMode,
-    pool: Option<Arc<FanoutPool>>,
-    hedge: Option<HedgeConfig>,
-    adaptive: bool,
+    /// The worker pool and its dispatch settings; `None` evaluates
+    /// sequentially on the caller's thread.
+    scheduler: Option<(FanoutPool, SchedulerConfig)>,
     resync: bool,
     audit_every: usize,
     telemetry: Option<ClusterTelemetry>,
@@ -449,24 +412,25 @@ impl PdpCluster {
                 .as_ref()
                 .map(|t| t.telemetry.tracer().span("fanout"));
             let _in_fanout = fanout.as_ref().map(|s| s.enter());
-            match &self.pool {
-                Some(pool) => group.query_planned(
+            match &self.scheduler {
+                Some((pool, config)) => group.query_planned(
                     &self.directory,
                     self.quorum,
                     request,
                     now_ms,
                     &FanoutPlan {
                         pool,
-                        hedge: self.hedge.as_ref(),
-                        adaptive: self.adaptive,
+                        hedge: config.hedge.as_ref(),
+                        adaptive: config.adaptive_fanout,
                         class,
                     },
                 ),
                 None => group.query(&self.directory, self.quorum, request, now_ms),
             }
         };
-        self.account(group, &outcome);
-        self.maybe_audit(group, request, now_ms, outcome.response.is_some());
+        if self.account(group, &outcome) {
+            self.audit(group, request, now_ms);
+        }
         if let Some(t) = &self.telemetry {
             t.queries.inc();
             if outcome.response.is_none() {
@@ -484,11 +448,19 @@ impl PdpCluster {
         }
     }
 
-    fn account(&self, group: &ReplicaGroup, outcome: &GroupOutcome) {
+    /// Books one served query; returns whether its audit replay is due
+    /// ([`ClusterBuilder::audit_every`]). "Due" is decided under the
+    /// same lock acquisition that numbers the query, so concurrent
+    /// deciders can neither skip a due audit nor run one twice.
+    fn account(&self, group: &ReplicaGroup, outcome: &GroupOutcome) -> bool {
+        let adaptive = self
+            .scheduler
+            .as_ref()
+            .is_some_and(|(_, config)| config.adaptive_fanout);
         let mut m = self.metrics.lock();
         m.queries += 1;
         m.replica_queries += outcome.replicas_queried as u64;
-        if self.adaptive && self.quorum.fans_out() {
+        if adaptive && self.quorum.fans_out() {
             // Eligible replicas the adaptive quorum never had to query.
             m.fanout_saved += outcome.healthy.saturating_sub(outcome.replicas_queried) as u64;
         }
@@ -511,32 +483,19 @@ impl PdpCluster {
                 }
             }
         }
+        self.audit_every != 0
+            && self.scheduler.is_some()
+            && outcome.response.is_some()
+            && m.queries.is_multiple_of(self.audit_every as u64)
     }
 
     /// The periodic divergence sampler ([`ClusterBuilder::audit_every`]):
-    /// replays every `n`th served query on the sequential path, whose
-    /// combiner sees every in-sync replica's vote, and records what the
-    /// parallel short-circuit may have hidden. Observational only — the
-    /// served response is never revised, and the replay's sub-queries
-    /// stay out of the fan-out cost counters.
-    fn maybe_audit(
-        &self,
-        group: &ReplicaGroup,
-        request: &RequestContext,
-        now_ms: u64,
-        served: bool,
-    ) {
-        if self.audit_every == 0 || self.pool.is_none() || !served {
-            return;
-        }
-        let due = self
-            .metrics
-            .lock()
-            .queries
-            .is_multiple_of(self.audit_every as u64);
-        if !due {
-            return;
-        }
+    /// replays a served query on the sequential path, whose combiner
+    /// sees every in-sync replica's vote, and records what the pooled
+    /// short-circuit may have hidden. Observational only — the served
+    /// response is never revised, and the replay's sub-queries stay out
+    /// of the fan-out cost counters.
+    fn audit(&self, group: &ReplicaGroup, request: &RequestContext, now_ms: u64) {
         // Majority, not the configured mode: FirstHealthy would consult
         // a single replica and could never observe a disagreement.
         let audit = group.query(&self.directory, QuorumMode::Majority, request, now_ms);
@@ -570,7 +529,9 @@ mod tests {
     use crate::replica::StaticBackend;
     use dacs_policy::policy::Decision;
 
-    fn permit_cluster(shards: usize, replicas: usize, quorum: QuorumMode) -> PdpCluster {
+    /// A builder over `shards` × `replicas` always-permit backends
+    /// named `s{shard}-r{replica}`.
+    fn permit_builder(shards: usize, replicas: usize, quorum: QuorumMode) -> ClusterBuilder {
         let mut builder = ClusterBuilder::new("test-cluster").quorum(quorum);
         for s in 0..shards {
             builder = builder.shard(
@@ -582,7 +543,11 @@ mod tests {
                     .collect(),
             );
         }
-        builder.build()
+        builder
+    }
+
+    fn permit_cluster(shards: usize, replicas: usize, quorum: QuorumMode) -> PdpCluster {
+        permit_builder(shards, replicas, quorum).build()
     }
 
     #[test]
@@ -632,20 +597,9 @@ mod tests {
     #[test]
     fn parallel_cluster_decides_and_counts_like_sequential() {
         let sequential = permit_cluster(2, 3, QuorumMode::Majority);
-        let parallel = {
-            let mut builder = ClusterBuilder::new("par").quorum(QuorumMode::Majority);
-            for s in 0..2 {
-                builder = builder.shard(
-                    (0..3)
-                        .map(|r| {
-                            Arc::new(StaticBackend::new(format!("s{s}-r{r}"), Decision::Permit))
-                                as Arc<dyn DecisionBackend>
-                        })
-                        .collect(),
-                );
-            }
-            builder.scheduler(SchedulerConfig::new(4)).build()
-        };
+        let parallel = permit_builder(2, 3, QuorumMode::Majority)
+            .scheduler(SchedulerConfig::new(4))
+            .build();
         for i in 0..20 {
             let req = RequestContext::basic(format!("u{i}"), format!("res/{}", i % 4), "read");
             let s = sequential.decide(&req, i);
@@ -668,18 +622,9 @@ mod tests {
     /// and the savings land in [`ClusterMetrics::fanout_saved`].
     #[test]
     fn adaptive_scheduler_queries_only_quorum_width_and_counts_savings() {
-        let mut builder = ClusterBuilder::new("adaptive")
-            .quorum(QuorumMode::Majority)
-            .scheduler(SchedulerConfig::new(4).with_adaptive_fanout(true));
-        builder = builder.shard(
-            (0..5)
-                .map(|r| {
-                    Arc::new(StaticBackend::new(format!("a-r{r}"), Decision::Permit))
-                        as Arc<dyn DecisionBackend>
-                })
-                .collect(),
-        );
-        let cluster = builder.build();
+        let cluster = permit_builder(1, 5, QuorumMode::Majority)
+            .scheduler(SchedulerConfig::new(4).with_adaptive_fanout(true))
+            .build();
         for i in 0..10 {
             let req = RequestContext::basic(format!("u{i}"), "ehr/1", "read");
             let out = cluster.decide(&req, i);
@@ -805,7 +750,7 @@ mod tests {
         assert!((m.hedge_rate() - 1.0).abs() < 1e-9);
     }
 
-    /// Satellite (ISSUE 6): under `.parallel()` a majority quorum
+    /// Satellite (ISSUE 6): under a scheduler a majority quorum
     /// short-circuits on the two fast Permits and cancels the slow
     /// divergent replica, so `disagreements` stays a silent zero. The
     /// periodic audit sampler replays on the sequential path — which
@@ -842,6 +787,34 @@ mod tests {
             m.audit_disagreements, 2,
             "the audit path observes the divergent replica every time"
         );
+    }
+
+    /// Regression (ISSUE 12): whether an audit is due is decided under
+    /// the lock acquisition that numbers the query, so concurrent
+    /// deciders sample exactly every `n`th query — none skipped, none
+    /// replayed twice.
+    #[test]
+    fn concurrent_deciders_audit_exactly_every_nth_query() {
+        let cluster = permit_builder(1, 3, QuorumMode::Majority)
+            .scheduler(SchedulerConfig::new(4))
+            .audit_every(10)
+            .build();
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let (cluster, barrier) = (&cluster, &barrier);
+                scope.spawn(move || {
+                    let req = RequestContext::basic(format!("u{t}"), "ehr/1", "read");
+                    barrier.wait();
+                    for i in 0..250 {
+                        assert!(cluster.decide(&req, i).response.is_some());
+                    }
+                });
+            }
+        });
+        let m = cluster.metrics();
+        assert_eq!(m.queries, 1_000);
+        assert_eq!(m.audit_queries, 100);
     }
 
     /// Regression (ISSUE 3): with `.resync(true)`, a replica returning

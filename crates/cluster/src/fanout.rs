@@ -6,16 +6,16 @@
 //!
 //! Four pieces cooperate:
 //!
-//! * [`FanoutPool`] — worker threads fed from three runqueues, one per
+//! * the worker pool (`FanoutPool`, built by the cluster from its
+//!   [`SchedulerConfig`]) — threads fed from three runqueues, one per
 //!   [`Priority`] lane (Interactive / Default / Bulk). The pop rule is
 //!   deadline-aware strict priority: an overdue job (its
 //!   [`DecisionClass::deadline_us`] has elapsed) runs first whatever
 //!   its lane, otherwise Interactive overtakes Default overtakes Bulk,
-//!   with a small anti-starvation quota (every
-//!   [`FanoutPool::YIELD_EVERY`]th pop services the lowest non-empty
-//!   lane) so a hot interactive lane cannot park bulk work forever.
-//!   One pool serves a whole cluster; per-query thread spawning would
-//!   dominate sub-millisecond decisions.
+//!   with a small anti-starvation quota (every 16th pop services the
+//!   lowest non-empty lane) so a hot interactive lane cannot park bulk
+//!   work forever. One pool serves a whole cluster; per-query thread
+//!   spawning would dominate sub-millisecond decisions.
 //! * [`CancelToken`] — a shared flag set the moment a quorum verdict
 //!   is reached. Queued jobs that have not started observe it at
 //!   dequeue and return immediately; *running* jobs observe it inside
@@ -33,14 +33,16 @@
 //! # Examples
 //!
 //! ```
-//! use dacs_cluster::FanoutPool;
-//! use std::sync::Arc;
+//! use dacs_cluster::{HedgeConfig, SchedulerConfig};
 //!
-//! // One pool serves every shard of a cluster; workers are joined on
-//! // drop. Typically sized at replicas-per-shard + a little headroom
-//! // so one slow replica cannot starve the next query's fan-out.
-//! let pool = Arc::new(FanoutPool::new(4));
-//! assert_eq!(pool.workers(), 4);
+//! // One pool serves every shard of a cluster; workers are joined when
+//! // the cluster drops. Typically sized at replicas-per-shard + a
+//! // little headroom so one slow replica cannot starve the next
+//! // query's fan-out.
+//! let config = SchedulerConfig::new(4)
+//!     .with_hedge(HedgeConfig::default())
+//!     .with_adaptive_fanout(true);
+//! assert_eq!(config.workers, 4);
 //! ```
 
 use dacs_pdp::{DecisionClass, PdpDirectory, Priority};
@@ -63,10 +65,6 @@ pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
 /// mid-flight. Cloning shares the token.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
-
-/// The token's pre-scheduler name, kept for source compatibility.
-#[deprecated(note = "renamed to CancelToken")]
-pub type CancelFlag = CancelToken;
 
 impl CancelToken {
     /// Creates a fresh, uncancelled token.
@@ -97,12 +95,14 @@ impl CancelToken {
 /// own EWMA would instead grant a consistently slow replica a
 /// consistently generous budget and never hedge it.
 ///
-/// Once the budget elapses without an answer, one hedge query is
-/// dispatched to the lowest-EWMA healthy replica not yet queried, up to
-/// `max_hedges` times per decision; the first answer (primary or hedge)
-/// wins. Under adaptive quorum-width fan-out the same budget arms the
-/// backup escalation timer: a needed vote that overruns it pulls the
-/// next-best undispatched replica into the quorum.
+/// Once the budget elapses without an answer — and every job already
+/// dispatched is evaluating, not still queued on a backlogged pool —
+/// one hedge query is dispatched to the lowest-EWMA eligible replica
+/// not yet queried, up to `max_hedges` times per decision, in every
+/// quorum mode: under first-healthy the first answer (primary or
+/// hedge) wins; under adaptive quorum-width fan-out a needed vote that
+/// overruns the budget pulls the next-best undispatched replica into
+/// the quorum.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct HedgeConfig {
     /// Budget as a multiple of the backup replica's EWMA latency.
@@ -231,9 +231,8 @@ struct PoolTelemetry {
 /// Within a lane, jobs are dequeued in submission order, so callers
 /// dispatch to their likely-fastest replicas first. Dropping the pool
 /// closes the queues and joins every worker after the backlog drains.
-pub struct FanoutPool {
+pub(crate) struct FanoutPool {
     shared: Arc<Shared>,
-    workers: usize,
     handles: parking_lot::Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -270,15 +269,8 @@ impl FanoutPool {
             .collect();
         FanoutPool {
             shared,
-            workers,
             handles: parking_lot::Mutex::new(handles),
         }
-    }
-
-    /// Builds the pool a [`SchedulerConfig`] asks for (hedging and
-    /// adaptive fan-out live on the cluster, not the pool).
-    pub fn for_scheduler(config: &SchedulerConfig) -> Self {
-        FanoutPool::new(config.workers)
     }
 
     /// Attaches observability (builder style): every job increments
@@ -304,13 +296,9 @@ impl FanoutPool {
         self
     }
 
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Jobs currently waiting in the runqueues (not yet started).
-    pub fn backlog(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn backlog(&self) -> usize {
         let state = lock(&self.shared.state);
         state.lanes.iter().map(|q| q.len()).sum()
     }
@@ -407,7 +395,7 @@ fn select_next_job(state: &mut SchedState, now: Instant) -> Option<LaneJob> {
 /// Jobs run under `catch_unwind` so a panicking backend costs one
 /// answer (the collector sees the job's channel sender drop), not a
 /// worker: without it, N panics would silently drain an N-worker pool
-/// and every later parallel decision would report unavailable.
+/// and every later pooled decision would report unavailable.
 fn worker_loop(shared: Arc<Shared>) {
     loop {
         let lane_job = {
@@ -650,7 +638,7 @@ mod tests {
             .with_adaptive_fanout(true);
         assert_eq!(cfg.workers, 3);
         assert!(cfg.adaptive_fanout);
-        assert_eq!(FanoutPool::for_scheduler(&cfg).workers(), 3);
+        assert_eq!(cfg.hedge, Some(HedgeConfig::default()));
     }
 
     proptest! {

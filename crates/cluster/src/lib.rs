@@ -18,8 +18,8 @@
 //! * [`quorum`] — the combination rules: `FirstHealthy` (fast, trusts
 //!   one replica), `Majority` (outvotes a minority of wrong replicas)
 //!   and `UnanimousFailClosed` (any disagreement denies).
-//! * [`fanout`] — the decision scheduler: a [`FanoutPool`] of worker
-//!   threads fed from per-[`Priority`] runqueues with deadline-aware
+//! * [`fanout`] — the decision scheduler: a pool of worker threads
+//!   fed from per-[`Priority`] runqueues with deadline-aware
 //!   pop, so replica queries run concurrently (quorum latency ≈ max
 //!   instead of sum) and bulk work can never queue ahead of
 //!   interactive decisions. Verdict-driven cancellation
@@ -72,14 +72,11 @@ mod cluster;
 
 pub use batch::{BatchSubmitter, Ticket};
 pub use cluster::{ClusterBuilder, ClusterOutcome, PdpCluster};
-pub use fanout::{CancelToken, FanoutPool, HedgeConfig, SchedulerConfig};
+pub use fanout::{CancelToken, HedgeConfig, SchedulerConfig};
 pub use metrics::ClusterMetrics;
 pub use quorum::QuorumMode;
 pub use replica::{DecisionBackend, GroupOutcome, ReplicaGroup, ReplicaPhase, StaticBackend};
 pub use shard::ShardRouter;
-
-#[allow(deprecated)]
-pub use fanout::CancelFlag;
 
 // Re-exported so cluster users can speak epochs without naming the PAP
 // layer directly; `Priority`/`DecisionClass` so scheduler users can

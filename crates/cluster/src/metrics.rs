@@ -18,13 +18,14 @@ pub struct ClusterMetrics {
     pub degraded: u64,
     /// Queries whose healthy replicas disagreed on the decision.
     ///
-    /// On the parallel fan-out path this is a *lower bound*: the quorum
-    /// short-circuits the moment the verdict is known and cancels the
-    /// stragglers, so a divergent answer that would only have arrived
-    /// after the short-circuit point is never observed. A cluster with
-    /// one slow, permanently wrong replica can therefore report zero
-    /// disagreements under `.parallel()` while the sequential path
-    /// would flag every query. When divergence monitoring matters,
+    /// On the pooled fan-out path (a cluster built with
+    /// [`crate::ClusterBuilder::scheduler`]) this is a *lower bound*:
+    /// the quorum short-circuits the moment the verdict is known and
+    /// cancels the stragglers, so a divergent answer that would only
+    /// have arrived after the short-circuit point is never observed. A
+    /// cluster with one slow, permanently wrong replica can therefore
+    /// report zero disagreements under a scheduler while the
+    /// sequential path would flag every query. When divergence monitoring matters,
     /// enable the built-in sampler
     /// ([`crate::ClusterBuilder::audit_every`]): every Nth query is
     /// replayed on the non-short-circuiting sequential path and its
@@ -35,16 +36,16 @@ pub struct ClusterMetrics {
     /// Queries forced to a fail-closed deny by the quorum rule.
     ///
     /// Like [`ClusterMetrics::disagreements`], a lower bound on the
-    /// parallel path: a deny that arrives first under
+    /// pooled path: a deny that arrives first under
     /// `UnanimousFailClosed` ends the query as a plain deny before any
     /// conflicting permit can be observed.
     pub fail_closed_denies: u64,
-    /// Hedge queries dispatched after a primary replica overran its
-    /// latency budget (first-healthy mode under a
-    /// [`crate::HedgeConfig`]).
+    /// Hedge queries dispatched after the replicas in flight overran
+    /// the latency budget of a [`crate::HedgeConfig`] (first-healthy
+    /// racing and adaptive-majority escalation alike).
     pub hedges: u64,
     /// Decisions whose winning answer came from a hedge query rather
-    /// than the primary replica.
+    /// than an initially dispatched replica.
     pub hedge_wins: u64,
     /// Completed replica re-syncs: a recovering replica finished its
     /// catch-up replay and was readmitted to quorum counting
@@ -69,7 +70,7 @@ pub struct ClusterMetrics {
     /// [`ClusterMetrics::disagreements`], this is exact over the
     /// sampled queries — the audit path observes every vote — so a
     /// nonzero value here with zero `disagreements` is the signature of
-    /// a divergent replica hiding behind the parallel short-circuit.
+    /// a divergent replica hiding behind the pooled short-circuit.
     pub audit_disagreements: u64,
     /// Batches flushed by a [`crate::BatchSubmitter`].
     pub batches: u64,

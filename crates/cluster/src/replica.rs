@@ -1,14 +1,16 @@
 //! Replica groups: `k` decision backends serving one shard, with
 //! directory-driven health tracking and quorum combination.
 //!
-//! A group answers a query two ways: [`ReplicaGroup::query`] evaluates
+//! A group answers a query two ways. [`ReplicaGroup::query`] evaluates
 //! replicas sequentially on the caller's thread (simple, deterministic,
-//! latency = sum of replicas), while [`ReplicaGroup::query_parallel`]
-//! dispatches every healthy replica onto a [`FanoutPool`] and combines
-//! answers *incrementally* as they arrive — majority short-circuits as
-//! soon as a majority agrees, unanimity short-circuits on the first
-//! deny, and first-healthy optionally hedges the primary replica after
-//! its latency budget.
+//! latency = sum of replicas) — the reference every other path is
+//! tested against and audits replay on. A cluster built with
+//! `ClusterBuilder::scheduler` instead dispatches replicas onto its
+//! worker pool and combines answers *incrementally* as they arrive, in
+//! one collector loop: majority settles as soon as a majority agrees
+//! (dispatching only quorum width under adaptive fan-out), unanimity
+//! settles on the first deny, and first-healthy optionally hedges the
+//! primary replica after its latency budget.
 
 use crate::fanout::{CancelToken, FanoutAnswer, FanoutPool, HedgeConfig};
 use crate::quorum::{self, QuorumMode};
@@ -18,8 +20,8 @@ use dacs_policy::policy::Decision;
 use dacs_policy::request::RequestContext;
 use dacs_telemetry::{Histogram, SpanCtx, Telemetry, Tracer};
 use parking_lot::RwLock;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -27,7 +29,7 @@ use std::time::{Duration, Instant};
 ///
 /// [`Pdp`] is the production backend; experiments wrap it (or replace
 /// it) to model stale, Byzantine or crashed replicas. Backends must be
-/// thread-safe: the parallel fan-out evaluates them from pool workers.
+/// thread-safe: the pooled fan-out evaluates them from pool workers.
 pub trait DecisionBackend: Send + Sync {
     /// The backend's endpoint name (registered in the [`PdpDirectory`]).
     fn name(&self) -> &str;
@@ -143,8 +145,8 @@ impl DecisionBackend for StaticBackend {
 pub struct GroupOutcome {
     /// The combined response; `None` when no replica was healthy.
     pub response: Option<Response>,
-    /// Replicas actually queried (dispatched, for the parallel path —
-    /// a cancelled straggler still counts as dispatched work).
+    /// Replicas actually queried (dispatched, for the pooled path — a
+    /// cancelled straggler still counts as dispatched work).
     pub replicas_queried: usize,
     /// Quorum-eligible replicas at query time: healthy *and* in sync
     /// with the group's policy epoch. (Without resync enabled this is
@@ -157,32 +159,46 @@ pub struct GroupOutcome {
     /// (0 when none were excluded).
     pub max_epoch_lag: u64,
     /// Whether healthy replicas disagreed on the decision. The
-    /// short-circuiting parallel path reports disagreement only among
+    /// short-circuiting pooled path reports disagreement only among
     /// the answers it actually waited for.
     pub disagreement: bool,
     /// Whether the quorum forced a fail-closed deny.
     pub fail_closed: bool,
-    /// Hedge queries dispatched for this decision: first-healthy under
-    /// a [`HedgeConfig`], plus budget-overrun backup escalations under
-    /// adaptive fan-out. Full-width fan-out never hedges.
+    /// Hedge queries dispatched for this decision: replicas pulled in
+    /// because the wait overran a [`HedgeConfig`] budget. Replicas
+    /// pulled in because a vote was contested or lost are needed
+    /// voters, not hedges.
     pub hedges: usize,
     /// Whether a hedge query supplied the winning answer.
     pub hedge_won: bool,
 }
 
 impl GroupOutcome {
-    /// The "no healthy replica" outcome (an availability gap).
-    fn unavailable(healthy: usize) -> GroupOutcome {
+    /// No answer from `eligible` voters and nothing queried: the
+    /// availability-gap outcome, and the base every other outcome
+    /// updates.
+    fn unanswered(eligible: usize) -> GroupOutcome {
         GroupOutcome {
             response: None,
             replicas_queried: 0,
-            healthy,
+            healthy: eligible,
             stale_excluded: 0,
             max_epoch_lag: 0,
             disagreement: false,
             fail_closed: false,
             hedges: 0,
             hedge_won: false,
+        }
+    }
+
+    /// `verdict` reached by querying `queried` of `eligible` voters.
+    fn decided(verdict: quorum::Verdict, queried: usize, eligible: usize) -> GroupOutcome {
+        GroupOutcome {
+            response: Some(verdict.response),
+            replicas_queried: queried,
+            disagreement: verdict.disagreement,
+            fail_closed: verdict.fail_closed,
+            ..GroupOutcome::unanswered(eligible)
         }
     }
 }
@@ -231,7 +247,7 @@ struct GroupTelemetry {
     /// Per-replica evaluation time (the "replica compute" stage).
     replica_us: Arc<Histogram>,
     /// Collector wait from dispatch completion to verdict (the "quorum
-    /// wait" stage; parallel paths only).
+    /// wait" stage; pooled path only).
     quorum_wait_us: Arc<Histogram>,
 }
 
@@ -245,7 +261,6 @@ impl GroupTelemetry {
 /// span from the pool worker: the tracer, the compute histogram, the
 /// parent span captured on the *dispatching* thread (worker threads
 /// have no entered context), and the job's role for the span note.
-#[derive(Clone)]
 struct DispatchTelemetry {
     tracer: Tracer,
     replica_us: Arc<Histogram>,
@@ -253,8 +268,8 @@ struct DispatchTelemetry {
     role: &'static str,
 }
 
-/// Records the collector's wait time on drop, so every return path of
-/// an incremental fan-out feeds the quorum-wait histogram.
+/// Records the collector's wait time on drop, so every exit of the
+/// fan-out collector feeds the quorum-wait histogram.
 struct WaitTimer {
     start: Instant,
     histogram: Arc<Histogram>,
@@ -275,21 +290,101 @@ struct Roster<'a> {
     max_epoch_lag: u64,
 }
 
-/// How one parallel query should be dispatched: the pool to run on,
-/// the hedging policy, whether fan-out is adaptive (quorum-width), and
-/// the query's scheduling class. Built by the cluster from its
+/// How one pooled query should be dispatched: the pool to run on, the
+/// hedging policy, whether fan-out is adaptive (quorum-width), and the
+/// query's scheduling class. Built by the cluster from its
 /// `SchedulerConfig` plus the caller's [`DecisionClass`].
 pub(crate) struct FanoutPlan<'a> {
     /// The worker pool jobs are submitted to.
     pub pool: &'a FanoutPool,
-    /// Tail-latency hedging (first-healthy) / escalation budget
-    /// (adaptive fan-out); `None` disables both.
+    /// The budget-overrun escalation policy; `None` disables it.
     pub hedge: Option<&'a HedgeConfig>,
     /// Dispatch only quorum-width replicas under majority, escalating
     /// to backups on overrun or a contested vote.
     pub adaptive: bool,
     /// The scheduling lane and deadline the query's jobs carry.
     pub class: DecisionClass,
+}
+
+/// One dispatched replica query, run on a pool worker. Dropping it —
+/// after evaluating, skipped at dequeue, mid-panic, or discarded unrun
+/// by a closing pool — sends its answer, so every dispatched job
+/// answers exactly once and the collector can neither miscount its
+/// outstanding votes nor block on one that will never arrive. A `None`
+/// response is a withdrawn vote, not an answer.
+struct FanoutJob {
+    directory: Arc<PdpDirectory>,
+    replica: Arc<dyn DecisionBackend>,
+    request: RequestContext,
+    now_ms: u64,
+    cancel: CancelToken,
+    /// Bumped the moment the job begins evaluating: the collector uses
+    /// it to tell a slow replica (worth hedging) from a job still stuck
+    /// in the pool queue (a hedge would just queue behind it).
+    started: Arc<AtomicUsize>,
+    telemetry: Option<DispatchTelemetry>,
+    tx: Sender<FanoutAnswer>,
+    index: usize,
+    response: Option<Response>,
+}
+
+impl Drop for FanoutJob {
+    fn drop(&mut self) {
+        let _ = self.tx.send((self.index, self.response.take()));
+    }
+}
+
+impl FanoutJob {
+    /// Re-checks the cancel token at start time, hands it to the
+    /// backend for mid-flight abandonment, and records the replica's
+    /// latency in the directory.
+    fn run(mut self) {
+        let name = self.replica.name();
+        if self.cancel.is_cancelled() {
+            // Record the skip as a zero-duration span so traces account
+            // for every dispatched job — a cancelled straggler shows up
+            // closed, not leaked.
+            if let Some(t) = &self.telemetry {
+                let mut span = t.tracer.span_under(t.parent, "replica_decide");
+                span.set_note(format!("cancelled:{name}"));
+                span.finish();
+            }
+            return;
+        }
+        self.started.fetch_add(1, Ordering::Release);
+        let mut span = self.telemetry.as_ref().map(|t| {
+            let mut s = t.tracer.span_under(t.parent, "replica_decide");
+            s.set_note(format!("{}:{name}", t.role));
+            s
+        });
+        let start = Instant::now();
+        // A panicking backend is a withdrawn vote, not a dead worker.
+        let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.replica
+                .decide_cancellable(&self.request, self.now_ms, &self.cancel)
+        }))
+        .ok()
+        .flatten();
+        match &response {
+            Some(_) => {
+                // Only completed evaluations feed the EWMA: an
+                // abandoned one's elapsed time measures the cancel
+                // point, not the replica.
+                let elapsed_us = start.elapsed().as_micros() as u64;
+                self.directory.record_latency_us(name, elapsed_us);
+                if let Some(t) = &self.telemetry {
+                    t.replica_us.record(elapsed_us);
+                }
+            }
+            None => {
+                if let Some(s) = span.as_mut() {
+                    s.set_note(format!("cancelled:{name}"));
+                }
+            }
+        }
+        drop(span);
+        self.response = response;
+    }
 }
 
 impl ReplicaGroup {
@@ -311,10 +406,10 @@ impl ReplicaGroup {
     /// Attaches observability (builder style; `ClusterBuilder` does
     /// this for every group when the cluster has telemetry): each
     /// replica evaluation gets a `replica_decide` span — noted with
-    /// the replica name and, on the parallel path, its role
-    /// (`primary:`/`hedge:`) or cancellation — plus the
-    /// `dacs_replica_decide_us` compute histogram, and parallel
-    /// collectors record `quorum_wait` spans and the
+    /// the replica name and, on the pooled path, its role
+    /// (`primary:`/`replica:`/`hedge:`) or cancellation — plus the
+    /// `dacs_replica_decide_us` compute histogram, and the pooled
+    /// collector records `quorum_wait` spans and the
     /// `dacs_quorum_wait_us` histogram.
     pub fn with_telemetry(mut self, telemetry: &Arc<Telemetry>) -> Self {
         let r = telemetry.registry();
@@ -448,31 +543,38 @@ impl ReplicaGroup {
         self.roster(directory).eligible
     }
 
-    /// Whether a set of `eligible` survivors is a minority of the
-    /// configured group. Unanimity is only meaningful over a majority:
-    /// a minority partition might consist entirely of stale or
-    /// Byzantine replicas, so it may not decide — fail closed without
-    /// spending any evaluations. The count is of *eligible* (healthy,
-    /// in-sync) replicas: a stale replica cannot prop a partition over
-    /// the floor.
-    fn minority_partition(&self, eligible: usize) -> bool {
-        eligible * 2 <= self.replicas.len()
-    }
-
-    /// The fail-closed outcome for a minority partition under
-    /// [`QuorumMode::UnanimousFailClosed`].
-    fn fail_closed_floor(eligible: usize) -> GroupOutcome {
-        GroupOutcome {
-            response: Some(Response::decision(Decision::Deny)),
-            replicas_queried: 0,
-            healthy: eligible,
-            stale_excluded: 0,
-            max_epoch_lag: 0,
-            disagreement: false,
-            fail_closed: true,
-            hedges: 0,
-            hedge_won: false,
-        }
+    /// Runs `serve` over the replicas that may vote right now and
+    /// stamps the roster's exclusion counts on its outcome — unless the
+    /// eligible set cannot decide under `mode` at all: nobody eligible
+    /// is an availability gap, and a set that is a minority of the
+    /// configured group may not decide under
+    /// [`QuorumMode::UnanimousFailClosed`] — it might consist entirely
+    /// of stale or Byzantine replicas, so the group fails closed
+    /// without spending any evaluations. The count is of *eligible*
+    /// (healthy, in-sync) replicas: a stale replica cannot prop a
+    /// partition over the floor.
+    fn over_roster(
+        &self,
+        directory: &PdpDirectory,
+        mode: QuorumMode,
+        serve: impl FnOnce(&[&Arc<dyn DecisionBackend>]) -> GroupOutcome,
+    ) -> GroupOutcome {
+        let roster = self.roster(directory);
+        let e = roster.eligible.len();
+        let mut outcome = if e == 0 {
+            GroupOutcome::unanswered(0)
+        } else if mode == QuorumMode::UnanimousFailClosed && e * 2 <= self.replicas.len() {
+            GroupOutcome {
+                response: Some(Response::decision(Decision::Deny)),
+                fail_closed: true,
+                ..GroupOutcome::unanswered(e)
+            }
+        } else {
+            serve(&roster.eligible)
+        };
+        outcome.stale_excluded = roster.stale_excluded;
+        outcome.max_epoch_lag = roster.max_epoch_lag;
+        outcome
     }
 
     /// Fans `request` out to the group's quorum-eligible replicas
@@ -482,9 +584,9 @@ impl ReplicaGroup {
     /// — its stale vote is excluded, counted in
     /// [`GroupOutcome::stale_excluded`].
     ///
-    /// Latency is the *sum* of replica latencies for fan-out modes; use
-    /// [`ReplicaGroup::query_parallel`] to bound it by the slowest
-    /// replica the quorum still needs.
+    /// Latency is the *sum* of replica latencies for fan-out modes; a
+    /// cluster built with `ClusterBuilder::scheduler` bounds it by the
+    /// slowest replica the quorum still needs.
     pub fn query(
         &self,
         directory: &PdpDirectory,
@@ -492,84 +594,40 @@ impl ReplicaGroup {
         request: &RequestContext,
         now_ms: u64,
     ) -> GroupOutcome {
-        let roster = self.roster(directory);
-        let eligible = &roster.eligible;
-        let mut outcome = if eligible.is_empty() {
-            GroupOutcome::unavailable(0)
-        } else if mode == QuorumMode::UnanimousFailClosed && self.minority_partition(eligible.len())
-        {
-            Self::fail_closed_floor(eligible.len())
-        } else {
-            let queried: Vec<&Arc<dyn DecisionBackend>> = if mode.fans_out() {
-                eligible.clone()
+        self.over_roster(directory, mode, |eligible| {
+            let queried = if mode.fans_out() {
+                eligible
             } else {
-                vec![eligible[0]]
+                &eligible[..1]
             };
             let responses: Vec<Response> = queried
                 .iter()
                 .map(|r| self.timed_decide(directory, r, request, now_ms))
                 .collect();
-            let verdict = quorum::combine(mode, &responses);
-            GroupOutcome {
-                response: Some(verdict.response),
-                replicas_queried: queried.len(),
-                healthy: eligible.len(),
-                stale_excluded: 0,
-                max_epoch_lag: 0,
-                disagreement: verdict.disagreement,
-                fail_closed: verdict.fail_closed,
-                hedges: 0,
-                hedge_won: false,
-            }
-        };
-        outcome.stale_excluded = roster.stale_excluded;
-        outcome.max_epoch_lag = roster.max_epoch_lag;
-        outcome
+            GroupOutcome::decided(
+                quorum::combine(mode, &responses),
+                queried.len(),
+                eligible.len(),
+            )
+        })
     }
 
-    /// Fans `request` out to the group's healthy replicas *concurrently*
-    /// on `pool` and combines the answers incrementally:
+    /// Fans `request` out to the group's eligible replicas on the
+    /// plan's pool and combines the answers incrementally, per the
+    /// rule table on the collector. The moment a verdict is reached the
+    /// fan-out's [`CancelToken`] is set, so jobs still queued on the
+    /// pool are skipped and running cancellation-aware backends abandon
+    /// mid-flight. Every answer that does arrive feeds the replica's
+    /// EWMA latency estimate in `directory`.
     ///
-    /// * [`QuorumMode::Majority`] returns as soon as any decision holds
-    ///   a strict majority of the dispatched set;
-    /// * [`QuorumMode::UnanimousFailClosed`] returns on the first deny
-    ///   or disagreement (the combined decision can only be deny);
-    /// * [`QuorumMode::FirstHealthy`] queries the first healthy replica
-    ///   and, when `hedge` is set and the replica overruns its latency
-    ///   budget, races a hedge query against it.
-    ///
-    /// The moment a verdict is reached the fan-out's [`CancelToken`] is
-    /// set, so jobs still queued on the pool are skipped and running
-    /// cancellation-aware backends abandon mid-flight. Every answer
-    /// that does arrive feeds the replica's EWMA latency estimate in
-    /// `directory`.
-    pub fn query_parallel(
-        &self,
-        directory: &Arc<PdpDirectory>,
-        mode: QuorumMode,
-        request: &RequestContext,
-        now_ms: u64,
-        pool: &FanoutPool,
-        hedge: Option<&HedgeConfig>,
-    ) -> GroupOutcome {
-        self.query_planned(
-            directory,
-            mode,
-            request,
-            now_ms,
-            &FanoutPlan {
-                pool,
-                hedge,
-                adaptive: false,
-                class: DecisionClass::default(),
-            },
-        )
-    }
-
-    /// [`ReplicaGroup::query_parallel`] with the full dispatch plan:
-    /// scheduling class, hedging, and (for [`QuorumMode::Majority`])
-    /// adaptive quorum-width fan-out. Unanimity always dispatches the
-    /// full width — every eligible replica's vote is needed anyway.
+    /// Decision-equivalent to [`ReplicaGroup::query`]: a majority
+    /// winner holds `⌊e/2⌋+1` votes — an absolute majority of *all*
+    /// eligible replicas, which no straggler can overturn — a
+    /// unanimity short-circuit fires only once the combined decision
+    /// can only be deny, and when nothing settles early the same
+    /// [`quorum::combine`] runs over the same answers in configured
+    /// replica order. What changes is cost: adaptive agreement settles
+    /// at quorum width, saving `e − ⌊e/2⌋ − 1` evaluations per query.
     pub(crate) fn query_planned(
         &self,
         directory: &Arc<PdpDirectory>,
@@ -578,29 +636,22 @@ impl ReplicaGroup {
         now_ms: u64,
         plan: &FanoutPlan<'_>,
     ) -> GroupOutcome {
-        let roster = self.roster(directory);
-        let eligible = &roster.eligible;
-        let mut outcome = if eligible.is_empty() {
-            GroupOutcome::unavailable(0)
-        } else if mode == QuorumMode::UnanimousFailClosed && self.minority_partition(eligible.len())
-        {
-            Self::fail_closed_floor(eligible.len())
-        } else {
-            match mode {
-                QuorumMode::FirstHealthy => {
-                    self.race_first_healthy(directory, eligible, request, now_ms, plan)
-                }
-                QuorumMode::Majority if plan.adaptive && eligible.len() > 1 => {
-                    self.fan_out_adaptive(directory, eligible, request, now_ms, plan)
-                }
-                QuorumMode::Majority | QuorumMode::UnanimousFailClosed => {
-                    self.fan_out_incremental(directory, mode, eligible, request, now_ms, plan)
-                }
+        self.over_roster(directory, mode, |eligible| {
+            if mode == QuorumMode::FirstHealthy && plan.hedge.is_none() {
+                // Without hedging there is nothing to race: a pool
+                // round-trip (dispatch, channel, cross-thread handoff)
+                // would be pure overhead on a single-replica query, so
+                // evaluate inline exactly like the sequential path.
+                let verdict = quorum::Verdict {
+                    response: self.timed_decide(directory, eligible[0], request, now_ms),
+                    disagreement: false,
+                    fail_closed: false,
+                };
+                GroupOutcome::decided(verdict, 1, eligible.len())
+            } else {
+                self.collect(directory, mode, eligible, request, now_ms, plan)
             }
-        };
-        outcome.stale_excluded = roster.stale_excluded;
-        outcome.max_epoch_lag = roster.max_epoch_lag;
-        outcome
+        })
     }
 
     /// Evaluates one replica inline on the caller's thread: times it,
@@ -630,317 +681,147 @@ impl ReplicaGroup {
         response
     }
 
-    /// The dispatch-side telemetry capture for one fan-out job: the
-    /// parent span is read from the *caller's* thread-local context so
-    /// worker-thread replica spans nest under the right enforcement.
-    fn dispatch_telemetry(&self, role: &'static str) -> Option<DispatchTelemetry> {
-        self.telemetry.as_ref().map(|t| DispatchTelemetry {
-            tracer: t.tracer().clone(),
-            replica_us: Arc::clone(&t.replica_us),
-            parent: dacs_telemetry::current(),
-            role,
-        })
-    }
-
-    /// Dispatches one replica query onto the pool, on the plan's
-    /// scheduling lane. The job re-checks the cancel token at start
-    /// time, hands it to the backend for mid-flight abandonment,
-    /// records the replica's latency in the directory, and reports back
-    /// on `tx` — *always*: a skipped, abandoned or panicked evaluation
-    /// sends `(index, None)` so the collector's outstanding-answer
-    /// accounting stays exact. `started`, when given, is raised the
-    /// moment the job begins evaluating — the hedging collector uses it
-    /// to distinguish a slow replica (worth hedging) from a job still
-    /// stuck in the pool queue (hedging would just queue behind it).
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch(
-        directory: &Arc<PdpDirectory>,
-        replica: &Arc<dyn DecisionBackend>,
-        request: &RequestContext,
-        now_ms: u64,
-        plan: &FanoutPlan<'_>,
-        cancel: &CancelToken,
-        tx: &Sender<FanoutAnswer>,
-        index: usize,
-        started: Option<Arc<AtomicBool>>,
-        telemetry: Option<DispatchTelemetry>,
-    ) {
-        let directory = Arc::clone(directory);
-        let replica = Arc::clone(replica);
-        let request = request.clone();
-        let cancel = cancel.clone();
-        let tx = tx.clone();
-        let job: crate::fanout::Job = Box::new(move || {
-            if cancel.is_cancelled() {
-                // Record the skip as a zero-duration span so traces
-                // account for every dispatched job — a cancelled
-                // straggler shows up closed, not leaked.
-                if let Some(t) = &telemetry {
-                    let mut span = t.tracer.span_under(t.parent, "replica_decide");
-                    span.set_note(format!("cancelled:{}", replica.name()));
-                    span.finish();
-                }
-                let _ = tx.send((index, None));
-                return;
-            }
-            if let Some(flag) = &started {
-                flag.store(true, Ordering::Release);
-            }
-            let mut span = telemetry.as_ref().map(|t| {
-                let mut s = t.tracer.span_under(t.parent, "replica_decide");
-                s.set_note(format!("{}:{}", t.role, replica.name()));
-                s
-            });
-            let start = Instant::now();
-            // A panicking backend must still answer (with None), or the
-            // collector would conflate "evaluation lost" with
-            // "evaluation pending" and block on a vote that will never
-            // arrive.
-            let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                replica.decide_cancellable(&request, now_ms, &cancel)
-            }))
-            .ok()
-            .flatten();
-            match &response {
-                Some(_) => {
-                    // Only completed evaluations feed the EWMA: an
-                    // abandoned one's elapsed time measures the cancel
-                    // point, not the replica.
-                    let elapsed_us = start.elapsed().as_micros() as u64;
-                    directory.record_latency_us(replica.name(), elapsed_us);
-                    if let Some(t) = &telemetry {
-                        t.replica_us.record(elapsed_us);
-                    }
-                }
-                None => {
-                    if let Some(s) = span.as_mut() {
-                        s.set_note(format!("cancelled:{}", replica.name()));
-                    }
-                }
-            }
-            drop(span);
-            let _ = tx.send((index, response));
-        });
-        plan.pool.submit_classed(job, plan.class);
-    }
-
-    /// Indices `from..healthy.len()` sorted by ascending directory
+    /// Indices into `eligible` in dispatch order: the first `pinned`
+    /// stay in configured order, the rest sort by ascending directory
     /// EWMA latency; unmeasured replicas sort first — probing them is
     /// how they earn an estimate.
     fn ewma_order(
         directory: &PdpDirectory,
-        healthy: &[&Arc<dyn DecisionBackend>],
-        from: usize,
+        eligible: &[&Arc<dyn DecisionBackend>],
+        pinned: usize,
     ) -> Vec<usize> {
-        let mut order: Vec<usize> = (from..healthy.len()).collect();
-        order.sort_by(|&a, &b| {
-            let ewma = |i: usize| directory.latency_ewma_us(healthy[i].name()).unwrap_or(0.0);
+        let mut order: Vec<usize> = (0..eligible.len()).collect();
+        order[pinned..].sort_by(|&a, &b| {
+            let ewma = |i: usize| directory.latency_ewma_us(eligible[i].name()).unwrap_or(0.0);
             ewma(a).total_cmp(&ewma(b))
         });
         order
     }
 
-    /// Adaptive quorum-width fan-out for [`QuorumMode::Majority`]:
-    /// dispatch only the `⌊e/2⌋+1` likely-fastest replicas (the
-    /// smallest set that can decide), and escalate one backup at a time
-    /// when a dispatched vote overruns its latency budget (counted as a
-    /// hedge), is lost, or the dispatched set answers without reaching
-    /// an absolute majority (a contested vote — not a hedge, a needed
-    /// voter).
-    ///
-    /// Decision-equivalent to the full-width path: a winner here holds
-    /// ≥ `⌊e/2⌋+1` votes — an absolute majority of *all* eligible
-    /// replicas, which no set of straggler answers can overturn — and
-    /// when no absolute majority emerges, escalation continues until
-    /// every eligible replica has answered, at which point the same
-    /// [`quorum::combine`] runs over the same full answer set. What
-    /// changes is cost: agreement settles at quorum width, saving
-    /// `e − ⌊e/2⌋ − 1` evaluations per query.
-    fn fan_out_adaptive(
-        &self,
-        directory: &Arc<PdpDirectory>,
-        healthy: &[&Arc<dyn DecisionBackend>],
-        request: &RequestContext,
-        now_ms: u64,
-        plan: &FanoutPlan<'_>,
-    ) -> GroupOutcome {
-        let eligible = healthy.len();
-        let needed = eligible / 2 + 1;
-        let order = Self::ewma_order(directory, healthy, 0);
-        let cancel = CancelToken::new();
-        let (tx, rx) = channel::<FanoutAnswer>();
-        // Dropping our sender once the last replica is dispatched lets
-        // `recv` disconnect (instead of deadlocking) if jobs are lost
-        // to a shutting-down pool.
-        let mut tx = Some(tx);
-        let dispatch_telemetry = self.dispatch_telemetry("replica");
-        let mut dispatched = 0usize;
-        let mut dispatch_next = |dispatched: &mut usize| {
-            let Some(sender) = tx.as_ref() else { return };
-            Self::dispatch(
-                directory,
-                healthy[order[*dispatched]],
-                request,
-                now_ms,
-                plan,
-                &cancel,
-                sender,
-                order[*dispatched],
-                None,
-                dispatch_telemetry.clone(),
-            );
-            *dispatched += 1;
-            if *dispatched == eligible {
-                tx = None;
-            }
+    /// Whether the answers so far (newest last) already fix the
+    /// combined verdict under `mode`, whatever the stragglers say.
+    /// Returns the verdict with the eligible-index of the replica whose
+    /// response it carries (`None` for a synthesized fail-closed deny).
+    fn settled(
+        mode: QuorumMode,
+        needed: usize,
+        received: &[(usize, Response)],
+    ) -> Option<(Option<usize>, quorum::Verdict)> {
+        let (index, newest) = received.last()?;
+        let disagreement = received.iter().any(|(_, r)| r.decision != newest.decision);
+        let verdict = |response: &Response, fail_closed| quorum::Verdict {
+            response: response.clone(),
+            disagreement,
+            fail_closed,
         };
-        for _ in 0..needed {
-            dispatch_next(&mut dispatched);
-        }
-        let _quorum_wait = self.telemetry.as_ref().map(|t| {
-            (
-                t.tracer().span("quorum_wait"),
-                WaitTimer {
-                    start: Instant::now(),
-                    histogram: Arc::clone(&t.quorum_wait_us),
-                },
-            )
-        });
-
-        let mut received: Vec<(usize, Response)> = Vec::with_capacity(eligible);
-        let mut answered = 0usize;
-        let mut hedges = 0usize;
-        loop {
-            // While undispatched backups remain and hedging is
-            // configured, wait no longer than the next backup's budget
-            // before pulling it in; otherwise block for the votes
-            // already in flight.
-            let answer = match (plan.hedge, dispatched < eligible) {
-                (Some(cfg), true) => {
-                    let backup = healthy[order[dispatched]].name();
-                    let budget = Duration::from_micros(cfg.budget_us(directory, backup));
-                    match rx.recv_timeout(budget) {
-                        Ok(answer) => Some(answer),
-                        Err(RecvTimeoutError::Timeout) => {
-                            dispatch_next(&mut dispatched);
-                            hedges += 1;
-                            continue;
-                        }
-                        Err(RecvTimeoutError::Disconnected) => None,
-                    }
-                }
-                _ => rx.recv().ok(),
-            };
-            let Some((index, response)) = answer else {
-                break;
-            };
-            answered += 1;
-            if let Some(response) = response {
-                let disagreement = received
-                    .iter()
-                    .any(|(_, r)| r.decision != response.decision);
-                received.push((index, response));
-                let decision = received.last().expect("just pushed").1.decision;
-                let votes = received
-                    .iter()
-                    .filter(|(_, r)| r.decision == decision)
-                    .count();
-                if votes >= needed {
-                    cancel.cancel();
-                    // Deterministic tie-break, matching the sequential
-                    // combiner: obligations come from the lowest-index
-                    // replica voting for the winning decision.
-                    let winner = received
+        match mode {
+            QuorumMode::FirstHealthy => Some((Some(*index), verdict(newest, false))),
+            QuorumMode::Majority => {
+                let votes = || {
+                    received
                         .iter()
-                        .filter(|(_, r)| r.decision == decision)
-                        .min_by_key(|(i, _)| *i)
-                        .expect("winning vote exists")
-                        .1
-                        .clone();
-                    return GroupOutcome {
-                        response: Some(winner),
-                        replicas_queried: dispatched,
-                        healthy: eligible,
-                        stale_excluded: 0,
-                        max_epoch_lag: 0,
-                        disagreement,
-                        fail_closed: false,
-                        hedges,
-                        hedge_won: false,
-                    };
+                        .filter(|(_, r)| r.decision == newest.decision)
+                };
+                if votes().count() < needed {
+                    return None;
                 }
+                // Deterministic tie-break, matching the sequential
+                // combiner: the winning decision's response (and
+                // obligations) come from the lowest-index replica that
+                // voted for it, not from whichever answer happened to
+                // arrive first.
+                let (winner, response) = votes().min_by_key(|(i, _)| *i)?;
+                Some((Some(*winner), verdict(response, false)))
             }
-            if answered == dispatched {
-                if dispatched < eligible {
-                    // Contested (or lost) votes: the dispatched set
-                    // cannot settle the majority, so the next-best
-                    // backup becomes a needed voter.
-                    dispatch_next(&mut dispatched);
-                } else {
-                    break;
-                }
+            // Any deny or any disagreement makes the combined decision
+            // deny regardless of the stragglers. `fail_closed` marks
+            // only forced denies (disagreement), not genuine all-deny
+            // verdicts — matching the sequential combiner.
+            QuorumMode::UnanimousFailClosed if disagreement => {
+                Some((None, verdict(&Response::decision(Decision::Deny), true)))
             }
-        }
-        if received.is_empty() {
-            return GroupOutcome::unavailable(eligible);
-        }
-        // Every eligible replica answered without an absolute majority:
-        // combine the full set in configured replica order, exactly as
-        // the full-width path would.
-        received.sort_by_key(|(i, _)| *i);
-        let responses: Vec<Response> = received.into_iter().map(|(_, r)| r).collect();
-        let verdict = quorum::combine(QuorumMode::Majority, &responses);
-        GroupOutcome {
-            response: Some(verdict.response),
-            replicas_queried: dispatched,
-            healthy: eligible,
-            stale_excluded: 0,
-            max_epoch_lag: 0,
-            disagreement: verdict.disagreement,
-            fail_closed: verdict.fail_closed,
-            hedges,
-            hedge_won: false,
+            QuorumMode::UnanimousFailClosed => {
+                (newest.decision == Decision::Deny).then(|| (Some(*index), verdict(newest, false)))
+            }
         }
     }
 
-    /// Parallel fan-out for the quorum modes, with incremental
-    /// combination and short-circuit cancellation.
-    fn fan_out_incremental(
+    /// The one pooled fan-out collector: dispatch an initial width of
+    /// replicas, receive answers until [`ReplicaGroup::settled`] fixes
+    /// the verdict, escalating one replica at a time. The only
+    /// per-mode inputs are data:
+    ///
+    /// | mode | dispatch order | initial width | settles when |
+    /// |------|----------------|---------------|--------------|
+    /// | `FirstHealthy` (hedged) | `eligible[0]`, then ascending EWMA | 1 | any answer arrives |
+    /// | `Majority` | ascending EWMA | `⌊e/2⌋+1` adaptive, `e` otherwise | one decision holds `⌊e/2⌋+1` votes |
+    /// | `UnanimousFailClosed` | ascending EWMA | `e` | a deny or a disagreement arrives |
+    ///
+    /// Escalation is the same for every row: the next replica in order
+    /// is dispatched at once when everything in flight has answered
+    /// without settling (a contested or lost vote — a needed voter, not
+    /// a hedge), and, under a [`HedgeConfig`], when the wait outlasts
+    /// that replica's latency budget while every dispatched job is
+    /// already evaluating (a hedge, at most `max_hedges` per query).
+    /// When every eligible replica has answered without settling,
+    /// whatever arrived is combined in configured replica order,
+    /// exactly as the sequential path would.
+    fn collect(
         &self,
         directory: &Arc<PdpDirectory>,
         mode: QuorumMode,
-        healthy: &[&Arc<dyn DecisionBackend>],
+        eligible: &[&Arc<dyn DecisionBackend>],
         request: &RequestContext,
         now_ms: u64,
         plan: &FanoutPlan<'_>,
     ) -> GroupOutcome {
-        // Dispatch in ascending-EWMA order: likely-fast replicas are
-        // dequeued first, so the short-circuit point arrives as early
-        // as possible and slow stragglers are the ones left queued for
-        // the cancel token to skip. Unmeasured replicas sort first —
-        // probing them is how they earn an estimate.
-        let order = Self::ewma_order(directory, healthy, 0);
+        let e = eligible.len();
+        let (pinned, initial, role) = match mode {
+            QuorumMode::FirstHealthy => (1, 1, "primary"),
+            QuorumMode::Majority if plan.adaptive => (0, e / 2 + 1, "replica"),
+            // Unanimity needs every eligible replica's vote anyway.
+            QuorumMode::Majority | QuorumMode::UnanimousFailClosed => (0, e, "replica"),
+        };
+        // Ascending-EWMA dispatch puts likely-fast replicas at the head
+        // of the pool queue, so the settle point arrives as early as
+        // possible and slow stragglers are the ones left queued for the
+        // cancel token to skip.
+        let order = Self::ewma_order(directory, eligible, pinned);
         let cancel = CancelToken::new();
         let (tx, rx) = channel::<FanoutAnswer>();
-        let dispatch_telemetry = self.dispatch_telemetry("replica");
-        for &i in &order {
-            Self::dispatch(
-                directory,
-                healthy[i],
-                request,
+        let started = Arc::new(AtomicUsize::new(0));
+        let mut dispatched = 0usize;
+        let dispatch_next = |dispatched: &mut usize, role: &'static str| {
+            let index = order[*dispatched];
+            let job = FanoutJob {
+                directory: Arc::clone(directory),
+                replica: Arc::clone(eligible[index]),
+                request: request.clone(),
                 now_ms,
-                plan,
-                &cancel,
-                &tx,
-                i,
-                None,
-                dispatch_telemetry.clone(),
-            );
+                cancel: cancel.clone(),
+                started: Arc::clone(&started),
+                // The parent span is read from the *caller's*
+                // thread-local context so worker-thread replica spans
+                // nest under the right enforcement.
+                telemetry: self.telemetry.as_ref().map(|t| DispatchTelemetry {
+                    tracer: t.tracer().clone(),
+                    replica_us: Arc::clone(&t.replica_us),
+                    parent: dacs_telemetry::current(),
+                    role,
+                }),
+                tx: tx.clone(),
+                index,
+                response: None,
+            };
+            plan.pool
+                .submit_classed(Box::new(move || job.run()), plan.class);
+            *dispatched += 1;
+        };
+        for _ in 0..initial {
+            dispatch_next(&mut dispatched, role);
         }
-        drop(tx);
-        let dispatched = order.len();
         // Everything below is quorum assembly: span + histogram cover
-        // the wait from last dispatch to whichever return path fires.
+        // the wait from the initial dispatch to whichever exit fires.
         let _quorum_wait = self.telemetry.as_ref().map(|t| {
             (
                 t.tracer().span("quorum_wait"),
@@ -951,252 +832,75 @@ impl ReplicaGroup {
             )
         });
 
-        // Answers as (healthy-index, response): the index keeps winner
+        // Answers as (eligible-index, response): the index keeps winner
         // selection deterministic in *configured* replica order even
         // though arrival order is a thread-scheduling race.
-        let mut received: Vec<(usize, Response)> = Vec::with_capacity(dispatched);
-        let outcome =
-            |response: Response, disagreement: bool, fail_closed: bool, cancel: &CancelToken| {
-                cancel.cancel();
-                GroupOutcome {
-                    response: Some(response),
-                    replicas_queried: dispatched,
-                    healthy: healthy.len(),
-                    stale_excluded: 0,
-                    max_epoch_lag: 0,
-                    disagreement,
-                    fail_closed,
-                    hedges: 0,
-                    hedge_won: false,
-                }
-            };
-        let needed = dispatched / 2 + 1;
+        let mut received: Vec<(usize, Response)> = Vec::with_capacity(e);
+        let mut hedged: Vec<usize> = Vec::new();
         let mut answered = 0usize;
-        while let Ok((index, response)) = rx.recv() {
-            answered += 1;
-            let Some(response) = response else {
-                // A lost vote (panicked or abandoned evaluation): no
-                // ballot to count, but the outstanding set shrinks.
-                if answered == dispatched {
-                    break;
-                }
-                continue;
-            };
-            let disagreement = received
-                .iter()
-                .any(|(_, r)| r.decision != response.decision);
-            received.push((index, response));
-            let response = &received.last().expect("just pushed").1;
-            match mode {
-                QuorumMode::Majority => {
-                    let votes = received
-                        .iter()
-                        .filter(|(_, r)| r.decision == response.decision)
-                        .count();
-                    if votes >= needed {
-                        // Deterministic tie-break, matching the
-                        // sequential combiner: the winning decision's
-                        // response (and obligations) come from the
-                        // lowest-index replica that voted for it, not
-                        // from whichever answer happened to arrive
-                        // first.
-                        let winner = received
-                            .iter()
-                            .filter(|(_, r)| r.decision == response.decision)
-                            .min_by_key(|(i, _)| *i)
-                            .expect("winning vote exists")
-                            .1
-                            .clone();
-                        return outcome(winner, disagreement, false, &cancel);
-                    }
-                }
-                QuorumMode::UnanimousFailClosed => {
-                    // Any deny or any disagreement makes the combined
-                    // decision deny regardless of the stragglers, so
-                    // stop waiting. `fail_closed` marks only forced
-                    // denies (disagreement), not genuine all-deny
-                    // verdicts — matching the sequential combiner.
-                    if disagreement {
-                        return outcome(Response::decision(Decision::Deny), true, true, &cancel);
-                    }
-                    if response.decision == Decision::Deny {
-                        let deny = response.clone();
-                        return outcome(deny, false, false, &cancel);
-                    }
-                }
-                QuorumMode::FirstHealthy => unreachable!("handled by race_first_healthy"),
-            }
-            if answered == dispatched {
-                break;
-            }
-        }
-        if received.is_empty() {
-            // Every job was lost (worker panic / pool shutdown): an
-            // availability gap, not a decision.
-            return GroupOutcome::unavailable(healthy.len());
-        }
-        // No short-circuit fired: combine whatever arrived (the full
-        // set, unless jobs were lost to a panicking backend) in
-        // configured replica order, so obligation selection matches the
-        // sequential path.
-        received.sort_by_key(|(i, _)| *i);
-        let responses: Vec<Response> = received.into_iter().map(|(_, r)| r).collect();
-        let verdict = quorum::combine(mode, &responses);
-        GroupOutcome {
-            response: Some(verdict.response),
-            replicas_queried: dispatched,
-            healthy: healthy.len(),
-            stale_excluded: 0,
-            max_epoch_lag: 0,
-            disagreement: verdict.disagreement,
-            fail_closed: verdict.fail_closed,
-            hedges: 0,
-            hedge_won: false,
-        }
-    }
-
-    /// First-healthy with optional hedging: query `healthy[0]`; if it
-    /// overruns its budget, race hedge queries against it (next-best
-    /// replicas by EWMA), first answer wins.
-    fn race_first_healthy(
-        &self,
-        directory: &Arc<PdpDirectory>,
-        healthy: &[&Arc<dyn DecisionBackend>],
-        request: &RequestContext,
-        now_ms: u64,
-        plan: &FanoutPlan<'_>,
-    ) -> GroupOutcome {
-        let Some(cfg) = plan.hedge else {
-            // Without hedging there is nothing to race: a pool
-            // round-trip (dispatch, channel, cross-thread handoff)
-            // would be pure overhead on a single-replica query, so
-            // evaluate inline exactly like the sequential path.
-            let response = self.timed_decide(directory, healthy[0], request, now_ms);
-            return GroupOutcome {
-                response: Some(response),
-                replicas_queried: 1,
-                healthy: healthy.len(),
-                stale_excluded: 0,
-                max_epoch_lag: 0,
-                disagreement: false,
-                fail_closed: false,
-                hedges: 0,
-                hedge_won: false,
-            };
-        };
-
-        let cancel = CancelToken::new();
-        let (tx, rx) = channel::<FanoutAnswer>();
-        let primary_started = Arc::new(AtomicBool::new(false));
-        Self::dispatch(
-            directory,
-            healthy[0],
-            request,
-            now_ms,
-            plan,
-            &cancel,
-            &tx,
-            0,
-            Some(Arc::clone(&primary_started)),
-            self.dispatch_telemetry("primary"),
-        );
-        let _quorum_wait = self.telemetry.as_ref().map(|t| {
-            (
-                t.tracer().span("quorum_wait"),
-                WaitTimer {
-                    start: Instant::now(),
-                    histogram: Arc::clone(&t.quorum_wait_us),
-                },
-            )
-        });
-
-        let mut hedges = 0usize;
-        let finish = |winner: usize, response: Response, hedges: usize| {
-            cancel.cancel();
-            GroupOutcome {
-                response: Some(response),
-                replicas_queried: 1 + hedges,
-                healthy: healthy.len(),
-                stale_excluded: 0,
-                max_epoch_lag: 0,
-                disagreement: false,
-                fail_closed: false,
-                hedges,
-                hedge_won: winner != 0,
-            }
-        };
-        // Hedge candidates: the other healthy replicas, fastest
-        // (lowest EWMA) first.
-        let mut candidates = Self::ewma_order(directory, healthy, 1)
-            .into_iter()
-            .take(cfg.max_hedges)
-            .peekable();
-        // Dropped once no further hedge can be dispatched, so `recv`
-        // disconnects (instead of deadlocking) if every in-flight job
-        // is lost.
-        let mut tx = Some(tx);
-        let mut hedging = true;
-        let mut outstanding = 1usize;
-        loop {
-            let answer = if hedging && candidates.peek().is_some() {
-                // Budget anchored to this backup's expected latency:
-                // once the primary has been silent that long, a
-                // duplicate evaluation is the cheaper bet.
-                let backup = healthy[*candidates.peek().expect("peeked")].name();
-                let budget = Duration::from_micros(cfg.budget_us(directory, backup));
-                match rx.recv_timeout(budget) {
-                    Ok(answer) => Some(answer),
-                    Err(RecvTimeoutError::Timeout) => {
-                        // Only hedge a replica that is actually
-                        // evaluating. If the primary job is still stuck
-                        // in the pool queue, the pool itself is the
-                        // bottleneck — a hedge would queue behind the
-                        // very same backlog, adding load at the worst
-                        // moment for zero latency benefit. Wait instead.
-                        if !primary_started.load(Ordering::Acquire) {
-                            hedging = false;
-                            continue;
-                        }
-                        let candidate = candidates.next().expect("peeked");
-                        if let Some(sender) = tx.as_ref() {
-                            Self::dispatch(
-                                directory,
-                                healthy[candidate],
-                                request,
-                                now_ms,
-                                plan,
-                                &cancel,
-                                sender,
-                                candidate,
-                                None,
-                                self.dispatch_telemetry("hedge"),
-                            );
-                            hedges += 1;
-                            outstanding += 1;
+        let verdict = loop {
+            // While a hedge is still allowed, wait no longer than the
+            // next backup's budget — anchored to *its* expected
+            // latency: once the replicas in flight have been silent
+            // that long, a duplicate evaluation is the cheaper bet.
+            let budget = plan
+                .hedge
+                .filter(|cfg| dispatched < e && hedged.len() < cfg.max_hedges)
+                .map(|cfg| cfg.budget_us(directory, eligible[order[dispatched]].name()));
+            let answer = match budget {
+                Some(budget_us) => match rx.recv_timeout(Duration::from_micros(budget_us)) {
+                    Ok(answer) => answer,
+                    Err(_) => {
+                        // Only hedge replicas that are actually
+                        // evaluating. While a dispatched job is still
+                        // stuck in the pool queue, the pool itself is
+                        // the bottleneck — a hedge would queue behind
+                        // the very same backlog, adding load at the
+                        // worst moment for zero latency benefit.
+                        if started.load(Ordering::Acquire) == dispatched {
+                            hedged.push(order[dispatched]);
+                            dispatch_next(&mut dispatched, "hedge");
                         }
                         continue;
                     }
-                    Err(RecvTimeoutError::Disconnected) => None,
-                }
-            } else {
-                tx = None;
-                rx.recv().ok()
+                },
+                None => rx
+                    .recv()
+                    .expect("the collector holds a sender; every job answers"),
             };
-            match answer {
-                Some((winner, Some(response))) => return finish(winner, response, hedges),
-                Some((_, None)) => {
-                    // A lost evaluation (panicked or abandoned). If
-                    // nothing is left in flight and no hedge can cover,
-                    // the query has no answer; otherwise the next
-                    // budget expiry (or the surviving replica) resolves
-                    // it.
-                    outstanding -= 1;
-                    if outstanding == 0 && !(hedging && candidates.peek().is_some()) {
-                        return GroupOutcome::unavailable(healthy.len());
-                    }
+            answered += 1;
+            if let (index, Some(response)) = answer {
+                received.push((index, response));
+                if let Some(verdict) = Self::settled(mode, e / 2 + 1, &received) {
+                    cancel.cancel();
+                    break Some(verdict);
                 }
-                None => return GroupOutcome::unavailable(healthy.len()),
             }
+            if answered == dispatched {
+                if dispatched == e {
+                    break None;
+                }
+                // Contested or lost votes: what is in flight cannot
+                // settle, so the next-best replica becomes a needed
+                // voter.
+                dispatch_next(&mut dispatched, "replica");
+            }
+        };
+        let (winner, verdict) = match verdict {
+            Some(settled) => settled,
+            // Every job was lost (panicking backends): an availability
+            // gap, not a decision.
+            None if received.is_empty() => return GroupOutcome::unanswered(e),
+            None => {
+                received.sort_by_key(|(i, _)| *i);
+                let responses: Vec<Response> = received.into_iter().map(|(_, r)| r).collect();
+                (None, quorum::combine(mode, &responses))
+            }
+        };
+        GroupOutcome {
+            hedges: hedged.len(),
+            hedge_won: winner.is_some_and(|w| hedged.contains(&w)),
+            ..GroupOutcome::decided(verdict, dispatched, e)
         }
     }
 }
@@ -1294,17 +998,6 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn group(decisions: &[Decision]) -> (ReplicaGroup, PdpDirectory) {
-        let directory = PdpDirectory::new();
-        let mut replicas: Vec<Arc<dyn DecisionBackend>> = Vec::new();
-        for (i, d) in decisions.iter().enumerate() {
-            let name = format!("r{i}");
-            directory.register(&name, "cluster");
-            replicas.push(Arc::new(StaticBackend::new(name, *d)));
-        }
-        (ReplicaGroup::new(replicas), directory)
-    }
-
     #[test]
     fn first_healthy_queries_exactly_one() {
         let (g, dir) = group(&[Decision::Permit, Decision::Permit, Decision::Permit]);
@@ -1377,32 +1070,53 @@ mod tests {
         FanoutPool::new(4)
     }
 
-    fn arc_group(decisions: &[Decision]) -> (ReplicaGroup, Arc<PdpDirectory>) {
-        let (g, dir) = group(decisions);
-        (g, Arc::new(dir))
+    fn plan<'a>(
+        pool: &'a FanoutPool,
+        hedge: Option<&'a HedgeConfig>,
+        adaptive: bool,
+    ) -> FanoutPlan<'a> {
+        FanoutPlan {
+            pool,
+            hedge,
+            adaptive,
+            class: DecisionClass::default(),
+        }
     }
 
-    #[test]
-    fn parallel_matches_sequential_on_every_mode() {
-        let pool = pool();
-        for mode in QuorumMode::ALL {
-            for decisions in [
-                &[Decision::Permit, Decision::Permit, Decision::Permit][..],
-                &[Decision::Permit, Decision::Deny, Decision::Permit][..],
-                &[Decision::Deny, Decision::Deny, Decision::Deny][..],
-            ] {
-                let (g, dir) = arc_group(decisions);
-                let req = RequestContext::new();
-                let seq = g.query(&dir, mode, &req, 0);
-                let par = g.query_parallel(&dir, mode, &req, 0, &pool, None);
-                assert_eq!(
-                    seq.response.as_ref().map(|r| r.decision),
-                    par.response.as_ref().map(|r| r.decision),
-                    "{mode} over {decisions:?}"
-                );
-                assert_eq!(seq.healthy, par.healthy);
-            }
+    /// A replica whose every evaluation panics: a lost vote.
+    struct Panicky(String);
+
+    impl DecisionBackend for Panicky {
+        fn name(&self) -> &str {
+            &self.0
         }
+        fn decide(&self, _request: &RequestContext, _now_ms: u64) -> Response {
+            panic!("replica bug");
+        }
+    }
+
+    fn group(decisions: &[Decision]) -> (ReplicaGroup, Arc<PdpDirectory>) {
+        lossy_group(decisions, None)
+    }
+
+    /// One static backend `r{i}` per decision, registered healthy, with
+    /// replica `lost` (if any) swapped for a [`Panicky`].
+    fn lossy_group(
+        decisions: &[Decision],
+        lost: Option<usize>,
+    ) -> (ReplicaGroup, Arc<PdpDirectory>) {
+        let directory = Arc::new(PdpDirectory::new());
+        let mut replicas: Vec<Arc<dyn DecisionBackend>> = Vec::new();
+        for (i, d) in decisions.iter().enumerate() {
+            let name = format!("r{i}");
+            directory.register(&name, "cluster");
+            replicas.push(if lost == Some(i) {
+                Arc::new(Panicky(name))
+            } else {
+                Arc::new(StaticBackend::new(name, *d))
+            });
+        }
+        (ReplicaGroup::new(replicas), directory)
     }
 
     #[test]
@@ -1424,13 +1138,12 @@ mod tests {
         let g = ReplicaGroup::new(replicas);
         let pool = pool();
         let start = Instant::now();
-        let out = g.query_parallel(
+        let out = g.query_planned(
             &directory,
             QuorumMode::Majority,
             &RequestContext::new(),
             0,
-            &pool,
-            None,
+            &plan(&pool, None, false),
         );
         let elapsed = start.elapsed();
         assert_eq!(out.response.unwrap().decision, Decision::Permit);
@@ -1460,13 +1173,12 @@ mod tests {
         let g = ReplicaGroup::new(replicas);
         let pool = pool();
         let start = Instant::now();
-        let out = g.query_parallel(
+        let out = g.query_planned(
             &directory,
             QuorumMode::UnanimousFailClosed,
             &RequestContext::new(),
             0,
-            &pool,
-            None,
+            &plan(&pool, None, false),
         );
         assert_eq!(out.response.unwrap().decision, Decision::Deny);
         assert!(
@@ -1504,13 +1216,12 @@ mod tests {
         ]);
         let pool = pool();
         for i in 0..25 {
-            let out = g.query_parallel(
+            let out = g.query_planned(
                 &directory,
                 QuorumMode::Majority,
                 &RequestContext::new(),
                 i,
-                &pool,
-                None,
+                &plan(&pool, None, false),
             );
             let response = out.response.unwrap();
             assert_eq!(response.decision, Decision::Permit);
@@ -1525,17 +1236,16 @@ mod tests {
     #[test]
     fn parallel_unanimity_refuses_minority_partitions() {
         // The healthy-majority floor holds on the parallel path too.
-        let (g, dir) = arc_group(&[Decision::Permit, Decision::Permit, Decision::Permit]);
+        let (g, dir) = group(&[Decision::Permit, Decision::Permit, Decision::Permit]);
         dir.mark_down("r0");
         dir.mark_down("r1");
         let pool = pool();
-        let out = g.query_parallel(
+        let out = g.query_planned(
             &dir,
             QuorumMode::UnanimousFailClosed,
             &RequestContext::new(),
             0,
-            &pool,
-            None,
+            &plan(&pool, None, false),
         );
         assert_eq!(out.response.unwrap().decision, Decision::Deny);
         assert!(out.fail_closed);
@@ -1544,36 +1254,18 @@ mod tests {
 
     #[test]
     fn parallel_majority_survives_a_panicking_replica() {
-        struct Panicky(String);
-        impl DecisionBackend for Panicky {
-            fn name(&self) -> &str {
-                &self.0
-            }
-            fn decide(&self, _request: &RequestContext, _now_ms: u64) -> Response {
-                panic!("replica bug");
-            }
-        }
-        let directory = Arc::new(PdpDirectory::new());
-        for name in ["r0", "r1", "r2"] {
-            directory.register(name, "cluster");
-        }
-        let g = ReplicaGroup::new(vec![
-            Arc::new(Panicky("r0".into())) as Arc<dyn DecisionBackend>,
-            Arc::new(StaticBackend::new("r1", Decision::Permit)) as Arc<dyn DecisionBackend>,
-            Arc::new(StaticBackend::new("r2", Decision::Permit)) as Arc<dyn DecisionBackend>,
-        ]);
+        let (g, directory) = lossy_group(&[Decision::Permit; 3], Some(0));
         let pool = pool();
         // The panicking replica's answer is simply lost; the two
         // healthy permits still form a majority — repeatedly, because
         // the panic must not cost a pool worker.
         for i in 0..8 {
-            let out = g.query_parallel(
+            let out = g.query_planned(
                 &directory,
                 QuorumMode::Majority,
                 &RequestContext::new(),
                 i,
-                &pool,
-                None,
+                &plan(&pool, None, false),
             );
             assert_eq!(out.response.unwrap().decision, Decision::Permit);
         }
@@ -1581,17 +1273,16 @@ mod tests {
 
     #[test]
     fn parallel_all_down_is_unavailable() {
-        let (g, dir) = arc_group(&[Decision::Permit, Decision::Permit]);
+        let (g, dir) = group(&[Decision::Permit, Decision::Permit]);
         dir.mark_down("r0");
         dir.mark_down("r1");
         let pool = pool();
-        let out = g.query_parallel(
+        let out = g.query_planned(
             &dir,
             QuorumMode::Majority,
             &RequestContext::new(),
             0,
-            &pool,
-            None,
+            &plan(&pool, None, false),
         );
         assert_eq!(out.response, None);
         assert_eq!(out.replicas_queried, 0);
@@ -1599,19 +1290,18 @@ mod tests {
 
     #[test]
     fn parallel_queries_feed_the_latency_ewma() {
-        let (g, dir) = arc_group(&[Decision::Permit, Decision::Permit, Decision::Permit]);
+        let (g, dir) = group(&[Decision::Permit, Decision::Permit, Decision::Permit]);
         let pool = pool();
         for names_missing in [true, false] {
             if names_missing {
                 assert_eq!(dir.latency_ewma_us("r0"), None);
             }
-            g.query_parallel(
+            g.query_planned(
                 &dir,
                 QuorumMode::UnanimousFailClosed,
                 &RequestContext::new(),
                 0,
-                &pool,
-                None,
+                &plan(&pool, None, false),
             );
         }
         // Unanimity waits for every replica, so all three got timed.
@@ -1646,13 +1336,12 @@ mod tests {
             max_hedges: 1,
         };
         let start = Instant::now();
-        let out = g.query_parallel(
+        let out = g.query_planned(
             &directory,
             QuorumMode::FirstHealthy,
             &RequestContext::new(),
             0,
-            &pool,
-            Some(&cfg),
+            &plan(&pool, Some(&cfg), false),
         );
         // …but the hedge's answer arrives first and wins.
         assert_eq!(out.response.unwrap().decision, Decision::Permit);
@@ -1667,7 +1356,7 @@ mod tests {
 
     #[test]
     fn fast_primary_never_hedges() {
-        let (g, dir) = arc_group(&[Decision::Permit, Decision::Deny]);
+        let (g, dir) = group(&[Decision::Permit, Decision::Deny]);
         let pool = pool();
         // Generous budget so a loaded test machine cannot trip it.
         let cfg = HedgeConfig {
@@ -1675,13 +1364,12 @@ mod tests {
             ..HedgeConfig::default()
         };
         for _ in 0..5 {
-            let out = g.query_parallel(
+            let out = g.query_planned(
                 &dir,
                 QuorumMode::FirstHealthy,
                 &RequestContext::new(),
                 0,
-                &pool,
-                Some(&cfg),
+                &plan(&pool, Some(&cfg), false),
             );
             assert_eq!(out.response.unwrap().decision, Decision::Permit);
             assert_eq!(out.hedges, 0);
@@ -1693,16 +1381,15 @@ mod tests {
     #[test]
     fn hedging_needs_a_second_replica() {
         // A single-replica group under hedging just waits.
-        let (g, dir) = arc_group(&[Decision::Permit]);
+        let (g, dir) = group(&[Decision::Permit]);
         let pool = pool();
         let cfg = HedgeConfig::default();
-        let out = g.query_parallel(
+        let out = g.query_planned(
             &dir,
             QuorumMode::FirstHealthy,
             &RequestContext::new(),
             0,
-            &pool,
-            Some(&cfg),
+            &plan(&pool, Some(&cfg), false),
         );
         assert_eq!(out.response.unwrap().decision, Decision::Permit);
         assert_eq!(out.hedges, 0);
@@ -1804,13 +1491,12 @@ mod tests {
         g.mark_syncing("r1");
         g.mark_syncing("r2");
         let pool = pool();
-        let out = g.query_parallel(
+        let out = g.query_planned(
             &directory,
             QuorumMode::Majority,
             &RequestContext::new(),
             0,
-            &pool,
-            None,
+            &plan(&pool, None, false),
         );
         assert_eq!(out.response.unwrap().decision, Decision::Deny);
         assert_eq!(out.stale_excluded, 2);
@@ -1818,28 +1504,19 @@ mod tests {
         assert_eq!(out.replicas_queried, 1, "stale replicas not dispatched");
     }
 
-    fn adaptive_plan(pool: &FanoutPool) -> FanoutPlan<'_> {
-        FanoutPlan {
-            pool,
-            hedge: None,
-            adaptive: true,
-            class: DecisionClass::default(),
-        }
-    }
-
     #[test]
     fn adaptive_majority_dispatches_only_quorum_width_on_agreement() {
         // Five agreeing replicas: the quorum needs ⌊5/2⌋+1 = 3 votes,
         // so adaptive fan-out must leave two replicas unqueried.
         let decisions = [Decision::Permit; 5];
-        let (g, dir) = arc_group(&decisions);
+        let (g, dir) = group(&decisions);
         let pool = pool();
         let out = g.query_planned(
             &dir,
             QuorumMode::Majority,
             &RequestContext::new(),
             0,
-            &adaptive_plan(&pool),
+            &plan(&pool, None, true),
         );
         assert_eq!(out.response.unwrap().decision, Decision::Permit);
         assert_eq!(out.replicas_queried, 3, "only the quorum width dispatched");
@@ -1853,14 +1530,14 @@ mod tests {
         // holds an absolute majority of the three eligible replicas, so
         // the third must be pulled in as a needed voter — and the final
         // decision must match what full-width dispatch would say.
-        let (g, dir) = arc_group(&[Decision::Deny, Decision::Permit, Decision::Permit]);
+        let (g, dir) = group(&[Decision::Deny, Decision::Permit, Decision::Permit]);
         let pool = pool();
         let out = g.query_planned(
             &dir,
             QuorumMode::Majority,
             &RequestContext::new(),
             0,
-            &adaptive_plan(&pool),
+            &plan(&pool, None, true),
         );
         assert_eq!(out.response.unwrap().decision, Decision::Permit);
         assert_eq!(out.replicas_queried, 3, "escalated to the full width");
@@ -1896,19 +1573,13 @@ mod tests {
             min_budget_us: 2_000,
             max_hedges: 1,
         };
-        let plan = FanoutPlan {
-            pool: &pool,
-            hedge: Some(&cfg),
-            adaptive: true,
-            class: DecisionClass::default(),
-        };
         let start = Instant::now();
         let out = g.query_planned(
             &directory,
             QuorumMode::Majority,
             &RequestContext::new(),
             0,
-            &plan,
+            &plan(&pool, Some(&cfg), true),
         );
         assert_eq!(out.response.unwrap().decision, Decision::Permit);
         assert_eq!(out.hedges, 1, "the backup was a budget-overrun hedge");
@@ -1920,14 +1591,85 @@ mod tests {
         );
     }
 
+    /// Chosen behaviour: the hedge cap binds every mode. Under adaptive
+    /// majority with `max_hedges: 0`, a quorum member that overruns its
+    /// budget a hundred times over is waited for, not hedged. (The
+    /// sleep is only the slow replica; nothing asserts on elapsed time.)
+    #[test]
+    fn hedge_cap_bounds_budget_escalations_under_adaptive_majority() {
+        let directory = Arc::new(PdpDirectory::new());
+        for (name, ewma) in [("r0", 10), ("r1", 20), ("r2", 30)] {
+            directory.register(name, "cluster");
+            directory.record_latency_us(name, ewma);
+        }
+        let g = ReplicaGroup::new(vec![
+            Arc::new(StaticBackend::new("r0", Decision::Permit)) as Arc<dyn DecisionBackend>,
+            Arc::new(SlowBackend::new(
+                "r1",
+                Decision::Permit,
+                Duration::from_millis(20),
+            )),
+            Arc::new(StaticBackend::new("r2", Decision::Permit)),
+        ]);
+        let pool = pool();
+        let cfg = HedgeConfig {
+            max_hedges: 0,
+            ..HedgeConfig::default()
+        };
+        let out = g.query_planned(
+            &directory,
+            QuorumMode::Majority,
+            &RequestContext::new(),
+            0,
+            &plan(&pool, Some(&cfg), true),
+        );
+        assert_eq!(out.response.unwrap().decision, Decision::Permit);
+        assert_eq!(out.hedges, 0, "max_hedges: 0 forbids budget escalation");
+        assert_eq!(out.replicas_queried, 2, "the backup was never asked");
+    }
+
+    /// Chosen behaviour: in every mode a hedge fires only while all
+    /// dispatched jobs are evaluating. With the single worker held by a
+    /// blocker, the adaptive quorum's jobs sit in the pool queue through
+    /// many budget expiries and no backup is pulled in behind them.
+    #[test]
+    fn jobs_still_queued_are_never_hedged() {
+        let pool = FanoutPool::new(1);
+        pool.submit(Box::new(|| std::thread::sleep(Duration::from_millis(20))));
+        let (g, dir) = group(&[Decision::Permit; 3]);
+        let cfg = HedgeConfig {
+            budget_multiplier: 1.0,
+            min_budget_us: 1_000,
+            max_hedges: 1,
+        };
+        let out = g.query_planned(
+            &dir,
+            QuorumMode::Majority,
+            &RequestContext::new(),
+            0,
+            &plan(&pool, Some(&cfg), true),
+        );
+        assert_eq!(out.response.unwrap().decision, Decision::Permit);
+        assert_eq!(out.hedges, 0, "a hedge would only queue behind the backlog");
+        assert_eq!(out.replicas_queried, 2);
+    }
+
     proptest! {
-        /// Decision equivalence: for any vote pattern, adaptive
-        /// quorum-width fan-out answers exactly what the full-width
-        /// sequential combiner answers, while never dispatching fewer
-        /// than quorum width or more than every eligible replica.
+        /// Decision equivalence for the one collector: for any vote
+        /// pattern, under every quorum mode, full-width or adaptive,
+        /// with or without one lost vote (a panicking backend), the
+        /// pooled path answers exactly what the sequential reference
+        /// answers over the same votes — a lost vote counting as that
+        /// replica marked down — while never dispatching fewer than
+        /// quorum width or more than every eligible replica. A lost
+        /// vote is replaced at once as a needed voter in every mode
+        /// (the chosen behaviour for a lost first-healthy primary): the
+        /// hedge budget here is one no run can overrun, so any hedge
+        /// would be a lost vote miscounted.
         #[test]
         fn adaptive_fanout_matches_full_dispatch(
             codes in prop::collection::vec(0u8..4, 3..8),
+            lost in 0usize..12,
         ) {
             let decisions: Vec<Decision> = codes
                 .iter()
@@ -1938,27 +1680,48 @@ mod tests {
                     _ => Decision::Indeterminate,
                 })
                 .collect();
-            let (g, dir) = arc_group(&decisions);
+            let eligible = decisions.len();
+            let lost = (lost < eligible).then_some(lost);
             let pool = FanoutPool::new(4);
+            let patient = HedgeConfig {
+                min_budget_us: 60_000_000,
+                ..HedgeConfig::default()
+            };
             let req = RequestContext::new();
-            let seq = g.query(&dir, QuorumMode::Majority, &req, 0);
-            let adp = g.query_planned(
-                &dir,
-                QuorumMode::Majority,
-                &req,
-                0,
-                &adaptive_plan(&pool),
-            );
-            prop_assert_eq!(
-                seq.response.as_ref().map(|r| r.decision),
-                adp.response.as_ref().map(|r| r.decision),
-                "vote pattern {:?}",
-                decisions
-            );
-            prop_assert_eq!(seq.fail_closed, adp.fail_closed);
-            let quorum_width = decisions.len() / 2 + 1;
-            prop_assert!(adp.replicas_queried >= quorum_width);
-            prop_assert!(adp.replicas_queried <= decisions.len());
+            for mode in QuorumMode::ALL {
+                let (reference, dir) = group(&decisions);
+                if let Some(i) = lost {
+                    dir.mark_down(&format!("r{i}"));
+                }
+                let seq = reference.query(&dir, mode, &req, 0);
+                for adaptive in [false, true] {
+                    // A fresh group per run: one run's EWMA samples
+                    // must not reorder the next run's dispatch.
+                    let (g, dir) = lossy_group(&decisions, lost);
+                    let out =
+                        g.query_planned(&dir, mode, &req, 0, &plan(&pool, Some(&patient), adaptive));
+                    prop_assert_eq!(
+                        seq.response.as_ref().map(|r| r.decision),
+                        out.response.as_ref().map(|r| r.decision),
+                        "{} adaptive={} lost={:?} over {:?}",
+                        mode,
+                        adaptive,
+                        lost,
+                        decisions
+                    );
+                    if mode == QuorumMode::UnanimousFailClosed {
+                        // A deny that arrives first ends the query
+                        // before the disagreement can be observed.
+                        prop_assert!(seq.fail_closed || !out.fail_closed);
+                    } else {
+                        prop_assert_eq!(seq.fail_closed, out.fail_closed);
+                    }
+                    let quorum_width = if mode.fans_out() { eligible / 2 + 1 } else { 1 };
+                    prop_assert!(out.replicas_queried >= quorum_width);
+                    prop_assert!(out.replicas_queried <= eligible);
+                    prop_assert_eq!(out.hedges, 0);
+                }
+            }
         }
     }
 

@@ -981,9 +981,9 @@ enum FanoutStrategy {
     /// `ReplicaGroup::query`: replicas polled one after another on the
     /// caller's thread (latency = sum of replicas).
     Sequential,
-    /// `ReplicaGroup::query_parallel`: all replicas concurrently, with
-    /// incremental quorum short-circuiting (latency ≈ the slowest
-    /// replica the quorum still needs).
+    /// `ClusterBuilder::scheduler`: all replicas concurrently on the
+    /// cluster's pool, with incremental quorum short-circuiting
+    /// (latency ≈ the slowest replica the quorum still needs).
     Parallel,
     /// First-healthy with EWMA-budgeted hedged requests racing a slow
     /// primary.
@@ -1380,7 +1380,6 @@ fn e17_vo(
                     .resync(resync),
             )
             .cluster_topology(1, 3)
-            .batched(true)
             // A real PEP-side batch window: sequential flows pay the
             // window and flush solo, but concurrent enforcements (the
             // coalescing burst below, or any multi-client PEP) meet
@@ -1639,8 +1638,8 @@ pub fn e17_federated_cluster(requests: usize) -> Table {
 
 /// A compact clustered run with full decision tracing, for telemetry
 /// artifacts and the observability acceptance tests: one E17-style
-/// domain (majority 1×3 shard, parallel fan-out, batched PEP with a
-/// decision cache, re-sync gating) serves `requests` enforcements
+/// domain (majority 1×3 shard, pooled fan-out, PEP with a decision
+/// cache, re-sync gating) serves `requests` enforcements
 /// under mid-run replica churn and a policy update, so the trace
 /// carries cache hits *and* misses, fan-outs, cancellations and a
 /// syndication catch-up.
@@ -1663,7 +1662,6 @@ pub fn traced_cluster_run(requests: usize) -> (Arc<dacs_telemetry::Telemetry>, V
                 .resync(true),
         )
         .cluster_topology(1, 3)
-        .batched(true)
         .pep_cache(CacheConfig {
             capacity: 256,
             ttl_ms: 1_000_000,
@@ -2037,19 +2035,17 @@ fn e19_tally(
 /// is static, so ground truth is precomputed per subject×resource and
 /// checked lock-free in the flood threads too).
 ///
-/// The function *asserts*, not just prints, the three tentpole
-/// invariants:
+/// Lane isolation itself — saturated interactive p50 and p99 staying
+/// near their unloaded counterparts, where a FIFO pool would add the
+/// full bulk backlog to *every* decision — is a wall-clock comparison:
+/// the table reports both phases and `bench_gate` judges the
+/// interactive p99 rows against the baseline. The function *asserts*,
+/// not just prints, the two invariants that hold on logic alone:
 ///
-/// 1. **Lane isolation** — saturated interactive p50 and p99 stay
-///    within 2× their unloaded counterparts (plus small absolute
-///    guards that absorb yield pops and wake-up jitter at µs scale). A
-///    FIFO pool fails both by the full bulk backlog on *every*
-///    decision; the strict-priority pop keeps the interactive delay
-///    bounded by the job already in service.
-/// 2. **Adaptive fan-out** — replica sub-queries per decision never
+/// 1. **Adaptive fan-out** — replica sub-queries per decision never
 ///    exceed the quorum width (3 of 5 under majority) plus hedged
 ///    escalations, and `fanout_saved` shows replicas actually skipped.
-/// 3. **Correctness under load** — zero false permits and zero false
+/// 2. **Correctness under load** — zero false permits and zero false
 ///    denies across both phases, flood included.
 pub fn e19_scheduler_saturation(requests: usize) -> Table {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -2210,23 +2206,7 @@ pub fn e19_scheduler_saturation(requests: usize) -> Table {
         false_denies.load(Ordering::Relaxed).to_string(),
     ]);
 
-    // Invariant 1: lane isolation. A FIFO pool makes every interactive
-    // decision wait behind the whole bulk backlog; the priority lanes
-    // bound the extra delay to the job already in service plus the
-    // occasional anti-starvation yield. The median is the sharp
-    // discriminator (a FIFO delay lands on *every* decision); the p99
-    // carries a wider absolute guard because at µs scale the tail of a
-    // flood run is dominated by constant costs — yield pops and caller
-    // wake-up jitter — that no lane policy can remove.
-    assert!(
-        loaded_p50 <= unloaded_p50 * 2 + 200,
-        "interactive p50 {loaded_p50}µs under the bulk flood vs {unloaded_p50}µs unloaded — lanes not isolating",
-    );
-    assert!(
-        loaded_p99 <= unloaded_p99 * 2 + 600,
-        "interactive p99 {loaded_p99}µs under the bulk flood vs {unloaded_p99}µs unloaded — lanes not isolating",
-    );
-    // Invariant 2: adaptive fan-out. Every decision dispatches at most
+    // Invariant 1: adaptive fan-out. Every decision dispatches at most
     // the quorum width; anything beyond that must be an accounted
     // hedge/escalation, and skipped replicas show up in fanout_saved.
     assert!(
@@ -2240,7 +2220,7 @@ pub fn e19_scheduler_saturation(requests: usize) -> Table {
         m2.fanout_saved > 0,
         "adaptive fan-out never skipped a replica"
     );
-    // Invariant 3: correctness under load, flood included.
+    // Invariant 2: correctness under load, flood included.
     assert_eq!(
         false_permits.load(Ordering::Relaxed),
         0,
@@ -2655,25 +2635,15 @@ mod tests {
         let sequential = row("sequential");
         let parallel = row("parallel");
         let hedged = row("hedged");
-        // The acceptance bar: with one injected slow replica, the
-        // parallel and hedged p99 sit strictly below the sequential
-        // p99 (which pays the 2 ms replica on every fan-out).
+        // The logic half of the acceptance bar: the sequential p99
+        // pays the 2 ms replica (a sleep is a lower bound, whatever the
+        // host load). That the parallel and hedged p99 sit below it is
+        // a wall-clock comparison, judged by the harness + `bench_gate`
+        // (its e15 `lat p99` rows), not by `cargo test`.
         let p99 = |r: &Vec<String>| -> u64 { r[3].parse().unwrap() };
         assert!(
             p99(&sequential) >= 2_000,
             "sequential p99 must include the slow replica: {}",
-            p99(&sequential)
-        );
-        assert!(
-            p99(&parallel) < p99(&sequential),
-            "parallel p99 {} !< sequential p99 {}",
-            p99(&parallel),
-            p99(&sequential)
-        );
-        assert!(
-            p99(&hedged) < p99(&sequential),
-            "hedged p99 {} !< sequential p99 {}",
-            p99(&hedged),
             p99(&sequential)
         );
         // Hedges fire only on the hedged strategy, and only while the
@@ -2863,10 +2833,11 @@ mod tests {
         );
     }
 
-    /// The E19 acceptance bar rides inside the experiment itself (it
-    /// asserts lane isolation, the adaptive fan-out bound, and zero
-    /// false permits/denies); this test runs it at smoke scale and
-    /// checks the table shape plus the visible flood accounting.
+    /// The logic half of the E19 acceptance bar rides inside the
+    /// experiment itself (it asserts the adaptive fan-out bound and
+    /// zero false permits/denies; the lane-isolation latency rows are
+    /// `bench_gate`'s); this test runs it at smoke scale and checks
+    /// the table shape plus the visible flood accounting.
     #[test]
     fn e19_interactive_lane_survives_bulk_flood() {
         let t = e19_scheduler_saturation(64);
@@ -3036,11 +3007,11 @@ mod tests {
         // single-core box that hand-off can preempt the enforcing
         // thread between the decide and source_decide spans.
         sequential_level("decide", &["source_decide"], 12_000);
-        // The batched path routes at submit time, so the source hop
-        // still decomposes into routing + fan-out. Its bookkeeping
-        // allowance is wider: the batcher flush sorts, canonicalizes
-        // and coalesces between those two hops (heavy in debug builds).
-        sequential_level("source_decide", &["route", "fanout"], 15_000);
+        // A single decision goes straight to the cluster, whose
+        // umbrella span decomposes into routing + fan-out (metrics
+        // accounting sits between the fan-out and the umbrella's end).
+        sequential_level("source_decide", &["cluster_decide"], 12_000);
+        sequential_level("cluster_decide", &["route", "fanout"], 15_000);
 
         // Concurrency level: replica spans overlap, so they don't sum
         // — instead the quorum wait must nest inside its fan-out and

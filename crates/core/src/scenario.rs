@@ -98,16 +98,13 @@ pub fn healthcare_vo(n: usize, users_per_domain: usize, ctx: &CryptoCtx) -> Vo {
 /// VO-wide discovery and failover see every domain's replicas), replica
 /// PAPs hanging as leaves off each domain's syndication tree.
 ///
-/// `resync` enables epoch-gated recovery (`ClusterBuilder::resync`);
-/// `batched` routes PEP enforcement through the per-shard
-/// `BatchSubmitter` so the measured flows exercise batching end to end.
+/// `resync` enables epoch-gated recovery (`ClusterBuilder::resync`).
 pub fn clustered_healthcare_vo(
     n: usize,
     users_per_domain: usize,
     ctx: &CryptoCtx,
     directory: Arc<PdpDirectory>,
     resync: bool,
-    batched: bool,
 ) -> Vo {
     let mut domains = Vec::with_capacity(n);
     for d in 0..n {
@@ -121,7 +118,6 @@ pub fn clustered_healthcare_vo(
                     .resync(resync),
             )
             .cluster_topology(1, 3)
-            .batched(batched)
             .seed(d as u64 + 1);
         let builder = healthcare_users(builder, &name, users_per_domain);
         domains.push(builder.build(ctx));

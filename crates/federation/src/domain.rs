@@ -12,7 +12,7 @@
 //! recovering from a crash is excluded from quorums until its
 //! catch-up replay ([`Domain::catch_up_replica`]) completes.
 
-use dacs_capability::{CapabilityAuthority, CapabilityKey, CapabilityToken};
+use dacs_capability::{CapabilityAuthority, CapabilityKey};
 use dacs_cluster::{
     BatchSubmitter, ClusterBuilder, ClusterOutcome, DecisionBackend, PdpCluster, ReplicaPhase,
 };
@@ -31,51 +31,27 @@ use rand::SeedableRng;
 use std::sync::Arc;
 
 /// Routes a PEP's decision queries through a domain's [`PdpCluster`] —
-/// quorum fan-out, directory-driven failover and (optionally)
-/// per-shard batching — instead of a single engine.
+/// quorum fan-out, directory-driven failover and per-shard batching —
+/// instead of a single engine. Single decisions go straight to the
+/// cluster, or through the group-commit window when one is set;
+/// multi-query [`DecisionSource::decide_batch`] rounds always flush as
+/// one [`BatchSubmitter`] batch.
 ///
 /// An unavailable shard (no eligible replica) maps to an
 /// `Indeterminate` response, which the PEP denies fail-safe: a domain
 /// whose cluster cannot answer never silently grants.
 pub struct ClusteredDecisionSource {
     cluster: Arc<PdpCluster>,
-    batched: bool,
     window: Option<crate::window::BatchWindow>,
-    authority: Option<Arc<CapabilityAuthority>>,
 }
 
 impl ClusteredDecisionSource {
-    /// Wraps a cluster as a PEP decision source (unbatched).
+    /// Wraps a cluster as a PEP decision source.
     pub fn new(cluster: Arc<PdpCluster>) -> Self {
         ClusteredDecisionSource {
             cluster,
-            batched: false,
             window: None,
-            authority: None,
         }
-    }
-
-    /// Mints a signed capability token alongside every unconditional
-    /// quorum permit (builder style), enabling the PEP's fast path.
-    /// The epoch is captured *before* the quorum runs, so a policy
-    /// push interleaving with the decision leaves the token born
-    /// stale — it can only under-grant, never over-grant.
-    pub fn with_capability(mut self, authority: Arc<CapabilityAuthority>) -> Self {
-        self.authority = Some(authority);
-        self
-    }
-
-    /// Routes even single-decision queries through a
-    /// [`BatchSubmitter`] flush (builder style), so ordinary
-    /// [`Pep::serve`] calls exercise the batching path end to end.
-    /// Multi-query [`DecisionSource::decide_batch`] rounds always
-    /// batch, whatever this flag says. Without a
-    /// [`ClusteredDecisionSource::with_batch_window_us`] window each
-    /// single decision still flushes alone (a batch of one); the
-    /// window is what lets *concurrent* enforcements share a flush.
-    pub fn with_batching(mut self, enabled: bool) -> Self {
-        self.batched = enabled;
-        self
     }
 
     /// Holds single-decision queries in a group-commit
@@ -91,6 +67,14 @@ impl ClusteredDecisionSource {
     /// The cluster behind this source.
     pub fn cluster(&self) -> &Arc<PdpCluster> {
         &self.cluster
+    }
+
+    /// The source-hop span; entered by the caller so the cluster's (or
+    /// the batcher's) route/fan-out spans nest under it.
+    fn span(&self) -> Option<dacs_telemetry::Span> {
+        self.cluster
+            .telemetry()
+            .map(|t| t.tracer().span("source_decide"))
     }
 
     fn to_response(outcome: ClusterOutcome) -> Response {
@@ -114,21 +98,11 @@ impl DecisionSource for ClusteredDecisionSource {
         now_ms: u64,
         class: DecisionClass,
     ) -> Response {
-        // Entered, so the cluster's route/fan-out spans (and the
-        // batcher's, on the batched path) nest under the source hop.
-        let span = self
-            .cluster
-            .telemetry()
-            .map(|t| t.tracer().span("source_decide"));
+        let span = self.span();
         let _entered = span.as_ref().map(|s| s.enter());
-        let outcome = if let Some(window) = &self.window {
-            window.decide(&self.cluster, request, now_ms, class)
-        } else if self.batched {
-            let mut batch = BatchSubmitter::new(&self.cluster);
-            batch.submit_classed(request.clone(), class);
-            batch.flush(now_ms).pop().expect("one ticket, one outcome")
-        } else {
-            self.cluster.decide_classed(request, now_ms, class)
+        let outcome = match &self.window {
+            Some(window) => window.decide(&self.cluster, request, now_ms, class),
+            None => self.cluster.decide_classed(request, now_ms, class),
         };
         Self::to_response(outcome)
     }
@@ -143,10 +117,7 @@ impl DecisionSource for ClusteredDecisionSource {
         now_ms: u64,
         class: DecisionClass,
     ) -> Vec<Response> {
-        let span = self
-            .cluster
-            .telemetry()
-            .map(|t| t.tracer().span("source_decide"));
+        let span = self.span();
         let _entered = span.as_ref().map(|s| s.enter());
         let mut batch = BatchSubmitter::new(&self.cluster);
         for request in requests {
@@ -157,65 +128,6 @@ impl DecisionSource for ClusteredDecisionSource {
             .into_iter()
             .map(Self::to_response)
             .collect()
-    }
-
-    fn decide_with_grant(
-        &self,
-        request: &RequestContext,
-        now_ms: u64,
-    ) -> (Response, Option<CapabilityToken>) {
-        self.decide_with_grant_classed(request, now_ms, DecisionClass::default())
-    }
-
-    fn decide_with_grant_classed(
-        &self,
-        request: &RequestContext,
-        now_ms: u64,
-        class: DecisionClass,
-    ) -> (Response, Option<CapabilityToken>) {
-        match &self.authority {
-            None => (self.decide_classed(request, now_ms, class), None),
-            Some(authority) => {
-                let epoch = authority.current_epoch();
-                let response = self.decide_classed(request, now_ms, class);
-                let token = authority.grant_for(request, &response, now_ms, epoch);
-                (response, token)
-            }
-        }
-    }
-
-    fn decide_batch_with_grants(
-        &self,
-        requests: &[RequestContext],
-        now_ms: u64,
-    ) -> Vec<(Response, Option<CapabilityToken>)> {
-        self.decide_batch_with_grants_classed(requests, now_ms, DecisionClass::default())
-    }
-
-    fn decide_batch_with_grants_classed(
-        &self,
-        requests: &[RequestContext],
-        now_ms: u64,
-        class: DecisionClass,
-    ) -> Vec<(Response, Option<CapabilityToken>)> {
-        match &self.authority {
-            None => self
-                .decide_batch_classed(requests, now_ms, class)
-                .into_iter()
-                .map(|r| (r, None))
-                .collect(),
-            Some(authority) => {
-                let epoch = authority.current_epoch();
-                self.decide_batch_classed(requests, now_ms, class)
-                    .into_iter()
-                    .zip(requests)
-                    .map(|(response, request)| {
-                        let token = authority.grant_for(request, &response, now_ms, epoch);
-                        (response, token)
-                    })
-                    .collect()
-            }
-        }
     }
 }
 
@@ -284,7 +196,6 @@ impl Domain {
             cluster: None,
             shards: 1,
             replicas_per_shard: 3,
-            batched: false,
             batch_window_us: None,
             telemetry: None,
             capability_ttl_ms: None,
@@ -293,7 +204,9 @@ impl Domain {
 
     /// The decision service the domain's PEP enforces through: the
     /// single [`Pdp`] engine, or the [`ClusteredDecisionSource`] when
-    /// the domain was built with [`DomainBuilder::clustered`]. Rebuilt
+    /// the domain was built with [`DomainBuilder::clustered`] — either
+    /// one inside a [`MintingSource`] when the domain was built with
+    /// [`DomainBuilder::capability`]. Rebuilt
     /// PEPs (e.g. ones that must trust a VO capability service) should
     /// bind to this, never to [`Domain::pdp`] directly, or they would
     /// silently bypass the cluster.
@@ -459,7 +372,6 @@ pub struct DomainBuilder {
     cluster: Option<ClusterBuilder>,
     shards: usize,
     replicas_per_shard: usize,
-    batched: bool,
     batch_window_us: Option<u64>,
     telemetry: Option<Arc<dacs_telemetry::Telemetry>>,
     capability_ttl_ms: Option<u64>,
@@ -551,30 +463,21 @@ impl DomainBuilder {
         self
     }
 
-    /// Routes the PEP's per-request decisions through the cluster's
-    /// [`BatchSubmitter`] (default off), so the measured VO flows
-    /// exercise the batching path end to end. Ignored without
-    /// [`DomainBuilder::clustered`].
-    pub fn batched(mut self, enabled: bool) -> Self {
-        self.batched = enabled;
-        self
-    }
-
     /// Holds each single-decision enforcement in a group-commit
     /// [`crate::window::BatchWindow`] for `window_us` microseconds, so
     /// concurrent enforcements from independent callers flush as one
-    /// real batch (identical requests coalesce, per-shard slices stay
-    /// back-to-back) instead of the batches-of-one
-    /// [`DomainBuilder::batched`] alone produces. Implies the batched
-    /// routing; `0` disables the window again. Ignored without
-    /// [`DomainBuilder::clustered`].
+    /// real [`BatchSubmitter`] batch (identical requests coalesce,
+    /// per-shard slices stay back-to-back). Without a window single
+    /// enforcements go straight to the cluster; `0` disables the window
+    /// again. Ignored without [`DomainBuilder::clustered`].
     pub fn batch_window_us(mut self, window_us: u64) -> Self {
         self.batch_window_us = Some(window_us);
         self
     }
 
-    /// Enables the signed-capability fast path (opt-in, like
-    /// [`DomainBuilder::batched`]): the decision service mints an
+    /// Enables the signed-capability fast path (opt-in): the decision
+    /// service — single engine or cluster, wrapped in a
+    /// [`MintingSource`] either way — mints an
     /// HMAC-signed token with every unconditional permit, the PEP
     /// caches and verifies tokens locally for `ttl_ms`, and every
     /// [`Domain::propagate_policy`] advances the authority's epoch so
@@ -631,97 +534,93 @@ impl DomainBuilder {
             Arc::new(authority)
         });
 
-        let (pap, pdp, cluster, syndication, replica_leaves, source): DecisionPlane = match self
-            .cluster
-        {
-            None => {
-                let pap = Arc::new(Pap::new(format!("pap.{name}")));
-                for policy in self.policies {
-                    pap.submit("domain-bootstrap", policy, 0)
-                        .expect("bootstrap submission cannot be denied");
-                }
-                pap.install_set(root);
-                let mut pdp = Pdp::new(format!("pdp.{name}"), pap.clone(), root_elem, pips);
-                if let Some(cfg) = self.pdp_cache {
-                    pdp = pdp.with_cache(cfg);
-                }
-                let pdp = Arc::new(pdp);
-                let source: Arc<dyn DecisionSource> = match &capability {
-                    Some(authority) => Arc::new(MintingSource::new(pdp.clone(), authority.clone())),
-                    None => pdp.clone(),
-                };
-                (pap, pdp, None, None, Vec::new(), source)
-            }
-            Some(template) => {
-                assert!(self.shards >= 1, "a clustered domain needs shards");
-                assert!(self.replicas_per_shard >= 1, "shards need replicas");
-                // The domain authority is the syndication root; every
-                // replica PDP reads a leaf PAP below it.
-                let mut tree = SyndicationTree::new(format!("pap.{name}"));
-                if let Some(t) = &self.telemetry {
-                    tree = tree.with_telemetry(t);
-                }
-                let pap = tree.node(0).pap.clone();
-                pap.install_set(root.clone());
-                let mut builder = template.named(name.clone());
-                if let Some(t) = &self.telemetry {
-                    builder = builder.telemetry(Arc::clone(t));
-                }
-                let mut replica_leaves = Vec::new();
-                for s in 0..self.shards {
-                    let mut replicas: Vec<Arc<dyn DecisionBackend>> =
-                        Vec::with_capacity(self.replicas_per_shard);
-                    for r in 0..self.replicas_per_shard {
-                        let replica_name = format!("pdp.{name}.s{s}r{r}");
-                        let leaf = tree.add_child(0, replica_name.clone(), None);
-                        tree.node(leaf).pap.install_set(root.clone());
-                        let mut pdp = Pdp::new(
-                            replica_name.clone(),
-                            tree.node(leaf).pap.clone(),
-                            root_elem.clone(),
-                            pips.clone(),
-                        );
-                        if let Some(cfg) = self.pdp_cache {
-                            pdp = pdp.with_cache(cfg);
-                        }
-                        replicas.push(Arc::new(pdp));
-                        replica_leaves.push((replica_name, leaf));
+        let (pap, pdp, cluster, syndication, replica_leaves, source): DecisionPlane =
+            match self.cluster {
+                None => {
+                    let pap = Arc::new(Pap::new(format!("pap.{name}")));
+                    for policy in self.policies {
+                        pap.submit("domain-bootstrap", policy, 0)
+                            .expect("bootstrap submission cannot be denied");
                     }
-                    builder = builder.shard(replicas);
+                    pap.install_set(root);
+                    let mut pdp = Pdp::new(format!("pdp.{name}"), pap.clone(), root_elem, pips);
+                    if let Some(cfg) = self.pdp_cache {
+                        pdp = pdp.with_cache(cfg);
+                    }
+                    let pdp = Arc::new(pdp);
+                    (pap, pdp.clone(), None, None, Vec::new(), pdp)
                 }
-                // Bootstrap policies flow through the tree so the root
-                // and every replica share content *and* epoch stamps.
-                for policy in self.policies {
-                    tree.propagate(policy, 0);
+                Some(template) => {
+                    assert!(self.shards >= 1, "a clustered domain needs shards");
+                    assert!(self.replicas_per_shard >= 1, "shards need replicas");
+                    // The domain authority is the syndication root; every
+                    // replica PDP reads a leaf PAP below it.
+                    let mut tree = SyndicationTree::new(format!("pap.{name}"));
+                    if let Some(t) = &self.telemetry {
+                        tree = tree.with_telemetry(t);
+                    }
+                    let pap = tree.node(0).pap.clone();
+                    pap.install_set(root.clone());
+                    let mut builder = template.named(name.clone());
+                    if let Some(t) = &self.telemetry {
+                        builder = builder.telemetry(Arc::clone(t));
+                    }
+                    let mut replica_leaves = Vec::new();
+                    for s in 0..self.shards {
+                        let mut replicas: Vec<Arc<dyn DecisionBackend>> =
+                            Vec::with_capacity(self.replicas_per_shard);
+                        for r in 0..self.replicas_per_shard {
+                            let replica_name = format!("pdp.{name}.s{s}r{r}");
+                            let leaf = tree.add_child(0, replica_name.clone(), None);
+                            tree.node(leaf).pap.install_set(root.clone());
+                            let mut pdp = Pdp::new(
+                                replica_name.clone(),
+                                tree.node(leaf).pap.clone(),
+                                root_elem.clone(),
+                                pips.clone(),
+                            );
+                            if let Some(cfg) = self.pdp_cache {
+                                pdp = pdp.with_cache(cfg);
+                            }
+                            replicas.push(Arc::new(pdp));
+                            replica_leaves.push((replica_name, leaf));
+                        }
+                        builder = builder.shard(replicas);
+                    }
+                    // Bootstrap policies flow through the tree so the root
+                    // and every replica share content *and* epoch stamps.
+                    for policy in self.policies {
+                        tree.propagate(policy, 0);
+                    }
+                    let cluster = Arc::new(builder.build());
+                    // The reference engine on the root PAP: uncached, so
+                    // it always reflects the authority's latest policies
+                    // (ground truth for experiments and tests).
+                    let pdp = Arc::new(Pdp::new(
+                        format!("pdp.{name}"),
+                        pap.clone(),
+                        root_elem,
+                        pips,
+                    ));
+                    let source = Arc::new(
+                        ClusteredDecisionSource::new(cluster.clone())
+                            .with_batch_window_us(self.batch_window_us.unwrap_or(0)),
+                    );
+                    (
+                        pap,
+                        pdp,
+                        Some(cluster),
+                        Some(Mutex::new(tree)),
+                        replica_leaves,
+                        source,
+                    )
                 }
-                let cluster = Arc::new(builder.build());
-                // The reference engine on the root PAP: uncached, so
-                // it always reflects the authority's latest policies
-                // (ground truth for experiments and tests).
-                let pdp = Arc::new(Pdp::new(
-                    format!("pdp.{name}"),
-                    pap.clone(),
-                    root_elem,
-                    pips,
-                ));
-                let mut clustered_source =
-                    ClusteredDecisionSource::new(cluster.clone()).with_batching(self.batched);
-                if let Some(us) = self.batch_window_us {
-                    clustered_source = clustered_source.with_batch_window_us(us);
-                }
-                if let Some(authority) = &capability {
-                    clustered_source = clustered_source.with_capability(authority.clone());
-                }
-                let source = Arc::new(clustered_source);
-                (
-                    pap,
-                    pdp,
-                    Some(cluster),
-                    Some(Mutex::new(tree)),
-                    replica_leaves,
-                    source,
-                )
-            }
+            };
+
+        // The one place tokens are minted, whatever the decision plane.
+        let source: Arc<dyn DecisionSource> = match &capability {
+            Some(authority) => Arc::new(MintingSource::new(source, authority.clone())),
+            None => source,
         };
 
         // The bootstrap pushes above already advanced the domain epoch;
@@ -774,7 +673,7 @@ impl DomainBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dacs_pep::{EnforceOptions, EnforceRequest};
+    use dacs_pep::EnforceRequest;
     use dacs_policy::policy::Decision;
     use dacs_policy::request::RequestContext;
 
@@ -835,7 +734,7 @@ policy "gate" deny-unless-permit {
 }
 "#;
 
-    fn clustered_domain(ctx: &CryptoCtx, resync: bool, batched: bool) -> Domain {
+    fn clustered_domain(ctx: &CryptoCtx, resync: bool) -> Domain {
         Domain::builder("ward")
             .policy_dsl(DOCTOR_GATE)
             .subject_attr("dr-grey@ward", "role", "doctor")
@@ -844,14 +743,14 @@ policy "gate" deny-unless-permit {
                     .quorum(dacs_cluster::QuorumMode::Majority)
                     .resync(resync),
             )
-            .batched(batched)
+            .telemetry(Arc::new(dacs_telemetry::Telemetry::new()))
             .build(ctx)
     }
 
     #[test]
     fn clustered_builder_backs_the_pep_with_a_quorum() {
         let ctx = CryptoCtx::new();
-        let domain = clustered_domain(&ctx, false, false);
+        let domain = clustered_domain(&ctx, false);
         assert!(domain.is_clustered());
         let names = domain.replica_names();
         assert_eq!(
@@ -873,7 +772,7 @@ policy "gate" deny-unless-permit {
         let m = cluster.metrics();
         assert_eq!(m.queries, 1, "enforcement rode the cluster");
         assert_eq!(m.replica_queries, 3, "majority fans out to every replica");
-        assert_eq!(m.batches, 0, "unbatched source skips the batcher");
+        assert_eq!(m.batches, 0, "a single decision skips the batcher");
 
         // One replica down: the quorum degrades but still answers; all
         // down: fail-safe deny, never a silent grant.
@@ -887,24 +786,18 @@ policy "gate" deny-unless-permit {
         assert!(!denied.allowed);
         assert!(denied.reason.unwrap().contains("no eligible replica"));
         assert_eq!(cluster.metrics().unavailable, 1);
-    }
-
-    #[test]
-    fn batched_flag_routes_enforcement_through_the_batcher() {
-        let ctx = CryptoCtx::new();
-        let domain = clustered_domain(&ctx, false, true);
-        let req = RequestContext::basic("dr-grey@ward", "ehr/1", "read");
-        assert!(domain.pep.serve(EnforceRequest::of(&req, 0)).allowed);
-        let m = domain.cluster.as_ref().unwrap().metrics();
-        assert_eq!(m.batches, 1);
-        assert_eq!(m.batched_queries, 1);
-        // A real multi-request batch coalesces duplicates.
-        let reqs = vec![req.clone(), req.clone(), req];
-        let results = domain.pep.serve_batch(&reqs, 1, EnforceOptions::default());
-        assert!(results.iter().all(|r| r.allowed));
-        let m = domain.cluster.as_ref().unwrap().metrics();
-        assert_eq!(m.batches, 2);
-        assert_eq!(m.coalesced, 2, "two duplicates rode one evaluation");
+        // The blackout's fail-safe denial shows in the registry too —
+        // the exposition and the stats snapshot count in one place.
+        let stats = domain.pep.stats();
+        assert_eq!(stats.failsafe_denials, 1);
+        assert_eq!(
+            cluster
+                .telemetry()
+                .expect("telemetry attached")
+                .registry()
+                .counter_value("dacs_pep_failsafe_denials_total"),
+            Some(stats.failsafe_denials)
+        );
     }
 
     /// The batches-of-one fix: with a group-commit window, concurrent
@@ -1080,7 +973,7 @@ policy "gate" deny-unless-permit {
     #[test]
     fn replica_lifecycle_flows_through_the_domain_syndication_tree() {
         let ctx = CryptoCtx::new();
-        let domain = clustered_domain(&ctx, true, false);
+        let domain = clustered_domain(&ctx, true);
         let names = domain.replica_names();
         let req = RequestContext::basic("dr-grey@ward", "ehr/1", "read");
         assert!(domain.pep.serve(EnforceRequest::of(&req, 0)).allowed);

@@ -132,8 +132,7 @@ pub struct EnforceRequest<'a> {
 }
 
 impl<'a> EnforceRequest<'a> {
-    /// A default-lane enforcement of `context` at `now_ms` — the
-    /// drop-in spelling for the old `enforce(request, now_ms)` calls.
+    /// A default-lane enforcement of `context` at `now_ms`.
     pub fn of(context: &'a RequestContext, now_ms: u64) -> Self {
         EnforceRequest {
             context,
@@ -216,11 +215,9 @@ pub trait DecisionSource: Send + Sync {
 
     /// Serves one decision and, when the source mints capabilities, a
     /// signed token the caller may verify locally on later requests.
-    /// The default mints nothing; minting sources (a
-    /// `ClusteredDecisionSource` with an authority attached, or
-    /// [`MintingSource`] for a single engine) override it, capturing
-    /// the policy epoch *before* deciding so an interleaved policy
-    /// push leaves the token born stale — deny-biased, never
+    /// The default mints nothing; [`MintingSource`] overrides it,
+    /// capturing the policy epoch *before* deciding so an interleaved
+    /// policy push leaves the token born stale — deny-biased, never
     /// permit-biased.
     fn decide_with_grant(
         &self,
@@ -302,10 +299,9 @@ impl DecisionSource for Pdp {
     }
 }
 
-/// Wraps any decision source with a [`CapabilityAuthority`] so
-/// unconditional permits come back with a signed capability token —
-/// the single-engine counterpart of a cluster source with an authority
-/// attached.
+/// Wraps any decision source — a single engine or a clustered service
+/// — with a [`CapabilityAuthority`] so unconditional permits come back
+/// with a signed capability token: the one place tokens are minted.
 pub struct MintingSource {
     inner: Arc<dyn DecisionSource>,
     authority: Arc<CapabilityAuthority>,
@@ -332,12 +328,7 @@ impl DecisionSource for MintingSource {
         request: &RequestContext,
         now_ms: u64,
     ) -> (Response, Option<CapabilityToken>) {
-        // Epoch before the decision: a push that interleaves makes the
-        // token stale-on-arrival instead of fresh-but-wrong.
-        let epoch = self.authority.current_epoch();
-        let response = self.inner.decide(request, now_ms);
-        let token = self.authority.grant_for(request, &response, now_ms, epoch);
-        (response, token)
+        self.decide_with_grant_classed(request, now_ms, DecisionClass::default())
     }
 
     fn decide_batch_with_grants(
@@ -345,16 +336,7 @@ impl DecisionSource for MintingSource {
         requests: &[RequestContext],
         now_ms: u64,
     ) -> Vec<(Response, Option<CapabilityToken>)> {
-        let epoch = self.authority.current_epoch();
-        self.inner
-            .decide_batch(requests, now_ms)
-            .into_iter()
-            .zip(requests)
-            .map(|(response, request)| {
-                let token = self.authority.grant_for(request, &response, now_ms, epoch);
-                (response, token)
-            })
-            .collect()
+        self.decide_batch_with_grants_classed(requests, now_ms, DecisionClass::default())
     }
 
     fn decide_classed(
@@ -381,6 +363,8 @@ impl DecisionSource for MintingSource {
         now_ms: u64,
         class: DecisionClass,
     ) -> (Response, Option<CapabilityToken>) {
+        // Epoch before the decision: a push that interleaves makes the
+        // token stale-on-arrival instead of fresh-but-wrong.
         let epoch = self.authority.current_epoch();
         let response = self.inner.decide_classed(request, now_ms, class);
         let token = self.authority.grant_for(request, &response, now_ms, epoch);
@@ -636,11 +620,11 @@ struct PepTelemetry {
     cache_hits: Arc<Counter>,
     failsafe_denials: Arc<Counter>,
     enforce_us: Arc<Histogram>,
+    enforce_batch_us: Arc<Histogram>,
 }
 
 /// Builds a [`Pep`] in one fluent pass — the single construction
-/// entry point replacing the deprecated [`Pep::new`] + `with_*`
-/// chain.
+/// entry point.
 ///
 /// ```
 /// # use dacs_pep::{Pep, LogObligationHandler};
@@ -732,18 +716,27 @@ impl PepBuilder {
         self
     }
 
-    /// Attaches observability: enforcement root spans decomposed into
-    /// `cache`/`decide`/`obligations` children, plus `dacs_pep_*`
-    /// counters and the enforcement latency histogram.
+    /// Attaches observability: every [`Pep::serve`]/[`Pep::serve_batch`]
+    /// call opens a root trace span decomposed into
+    /// `cache`/`decide`/`obligations` children (deeper layers — cluster
+    /// routing, quorum fan-out, per-replica evaluation — attach their
+    /// own spans underneath `decide` through the shared handle), and
+    /// the registry gains `dacs_pep_*` counters plus the enforcement
+    /// latency histograms.
     pub fn telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
         self.telemetry = Some(telemetry);
         self
     }
 
-    /// Enables the signed-capability fast path: minted tokens are
-    /// cached (bounded by `capacity`) and verified locally on later
-    /// enforcements of the same request, skipping the decision source
-    /// entirely on hits.
+    /// Enables the signed-capability fast path: the decision source's
+    /// unconditional permits come back with an HMAC-signed token (see
+    /// [`DecisionSource::decide_with_grant`]), cached here and verified
+    /// locally — MAC, binding, expiry, epoch — on later enforcements of
+    /// the same request, skipping the decision source entirely on hits.
+    /// A token that fails *any* check is evicted and the request falls
+    /// back to the source, so the fast path can deny-and-retry but never
+    /// permit what the source would deny. `capacity` bounds the token
+    /// cache; the TTL is the authority's.
     pub fn capability_fastpath(
         mut self,
         authority: Arc<CapabilityAuthority>,
@@ -787,6 +780,7 @@ impl PepBuilder {
                 cache_hits: r.counter("dacs_pep_cache_hits_total"),
                 failsafe_denials: r.counter("dacs_pep_failsafe_denials_total"),
                 enforce_us: r.histogram("dacs_pep_enforce_us"),
+                enforce_batch_us: r.histogram("dacs_pep_enforce_batch_us"),
                 telemetry,
             }
         });
@@ -852,106 +846,6 @@ impl Pep {
         PepBuilder::new(name)
     }
 
-    /// Creates an enforcement point bound to a decision source (pull
-    /// model): a single [`Pdp`] engine (an `Arc<Pdp>` coerces), or a
-    /// clustered decision service.
-    #[deprecated(note = "use Pep::builder(name).audience(..).source(..).crypto(..).build()")]
-    pub fn new(
-        name: impl Into<String>,
-        audience: impl Into<String>,
-        source: Arc<dyn DecisionSource>,
-        crypto: CryptoCtx,
-    ) -> Self {
-        Pep {
-            name: name.into(),
-            audience: audience.into(),
-            source,
-            handlers: HashMap::new(),
-            cache: None,
-            crypto,
-            trusted_issuers: HashMap::new(),
-            deny_not_applicable: true,
-            audit: AuditRing::new(DEFAULT_AUDIT_CAPACITY),
-            stats: AtomicEnforcementStats::default(),
-            telemetry: None,
-            capability: None,
-        }
-    }
-
-    /// Registers an obligation handler (builder style).
-    #[deprecated(note = "use PepBuilder::handler")]
-    pub fn with_handler(mut self, handler: Arc<dyn ObligationHandler>) -> Self {
-        self.handlers
-            .insert(handler.obligation_id().to_owned(), handler);
-        self
-    }
-
-    /// Enables the PEP-side decision cache (builder style).
-    #[deprecated(note = "use PepBuilder::cache")]
-    pub fn with_cache(mut self, config: CacheConfig) -> Self {
-        self.cache = Some(HashedRequestCache::new(config.capacity, config.ttl_ms));
-        self
-    }
-
-    /// Trusts a capability issuer (builder style).
-    #[deprecated(note = "use PepBuilder::trusted_issuer")]
-    pub fn with_trusted_issuer(mut self, name: impl Into<String>, key: PublicKey) -> Self {
-        self.trusted_issuers.insert(name.into(), key);
-        self
-    }
-
-    /// Attaches observability (builder style): every
-    /// [`Pep::enforce`]/[`Pep::enforce_batch`] call opens a root trace
-    /// span decomposed into `cache`/`decide`/`obligations` children
-    /// (deeper layers — cluster routing, quorum fan-out, per-replica
-    /// evaluation — attach their own spans underneath `decide` through
-    /// the shared handle), and the registry gains `dacs_pep_*`
-    /// counters plus the enforcement latency histogram.
-    #[deprecated(note = "use PepBuilder::telemetry")]
-    pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
-        let r = telemetry.registry();
-        self.telemetry = Some(PepTelemetry {
-            enforcements: r.counter("dacs_pep_enforcements_total"),
-            cache_hits: r.counter("dacs_pep_cache_hits_total"),
-            failsafe_denials: r.counter("dacs_pep_failsafe_denials_total"),
-            enforce_us: r.histogram("dacs_pep_enforce_us"),
-            telemetry,
-        });
-        self
-    }
-
-    /// Enables the signed-capability fast path (builder style): the
-    /// decision source's unconditional permits come back with an
-    /// HMAC-signed token (see [`DecisionSource::decide_with_grant`]),
-    /// cached here and verified locally — MAC, binding, expiry, epoch —
-    /// on later enforcements of the same request, skipping the
-    /// decision source entirely on hits. A token that fails *any*
-    /// check is evicted and the request falls back to the source, so
-    /// the fast path can deny-and-retry but never permit what the
-    /// source would deny. `capacity` bounds the token cache; the TTL is
-    /// the authority's.
-    #[deprecated(note = "use PepBuilder::capability_fastpath")]
-    pub fn with_capability_fastpath(
-        mut self,
-        authority: Arc<CapabilityAuthority>,
-        capacity: usize,
-    ) -> Self {
-        let ttl = authority.ttl_ms();
-        self.capability = Some(PepCapability {
-            authority,
-            tokens: HashedRequestCache::new(capacity, ttl),
-        });
-        self
-    }
-
-    /// Treats NotApplicable as permit (open enforcement, for ablation
-    /// only; default is fail-safe deny).
-    #[deprecated(note = "use PepBuilder::open_not_applicable")]
-    pub fn with_open_not_applicable(mut self) -> Self {
-        self.deny_not_applicable = false;
-        self
-    }
-
     /// The PEP's name.
     pub fn name(&self) -> &str {
         &self.name
@@ -985,12 +879,6 @@ impl Pep {
         result
     }
 
-    /// Pull-model enforcement with the pre-redesign signature.
-    #[deprecated(note = "use serve(EnforceRequest::of(request, now_ms))")]
-    pub fn enforce(&self, request: &RequestContext, now_ms: u64) -> EnforcementResult {
-        self.serve(EnforceRequest::of(request, now_ms))
-    }
-
     /// Pull-model enforcement of a whole batch: decisions for every
     /// request are fetched in one [`DecisionSource::decide_batch_classed`]
     /// round (a single coalesced flush on a clustered source, with
@@ -1022,79 +910,61 @@ impl Pep {
         };
         // Token phase: requests with a locally verifiable capability
         // token never reach the cache or the decision source.
-        let mut pending: Vec<usize> = Vec::new();
+        let mut pending: Vec<usize> = (0..requests.len()).collect();
         if self.capability.is_some() {
             let mut token_span = root.as_ref().map(|p| p.child("token"));
             let mut hits = 0u64;
-            for (i, request) in requests.iter().enumerate() {
-                match self.token_fastpath(request, hashes[i], now_ms, None) {
+            pending.retain(
+                |&i| match self.token_fastpath(&requests[i], hashes[i], now_ms, None) {
                     Some(resp) => {
                         hits += 1;
                         responses[i] = Some(resp);
+                        false
                     }
-                    None => pending.push(i),
-                }
-            }
+                    None => true,
+                },
+            );
             if let Some(s) = token_span.as_mut() {
                 s.set_note(format!("hits:{hits}"));
             }
-        } else {
-            pending = (0..requests.len()).collect();
         }
-        match &self.cache {
-            Some(cache) => {
-                let mut miss_idx: Vec<usize> = Vec::new();
-                {
-                    let mut cache_span = root.as_ref().map(|p| p.child("cache"));
-                    let mut hits = 0u64;
-                    // All lookups complete before any miss-path insert,
-                    // so duplicate requests within one batch miss
-                    // together and coalesce in the decision source —
-                    // the same semantics the single-lock pass had.
-                    for &i in &pending {
-                        match cache.get(hashes[i], &requests[i], now_ms) {
-                            Some(resp) => {
-                                hits += 1;
-                                responses[i] = Some(resp);
-                            }
-                            None => miss_idx.push(i),
-                        }
-                    }
-                    if hits > 0 {
-                        self.stats.cache_hits.fetch_add(hits, Ordering::Relaxed);
-                        if let Some(t) = &self.telemetry {
-                            t.cache_hits.add(hits);
-                        }
-                    }
-                    if let Some(s) = cache_span.as_mut() {
-                        s.set_note(format!("hits:{hits}"));
-                    }
+        if let Some(cache) = &self.cache {
+            let mut cache_span = root.as_ref().map(|p| p.child("cache"));
+            let mut hits = 0u64;
+            // All lookups complete before any miss-path insert, so
+            // duplicate requests within one batch miss together and
+            // coalesce in the decision source — the same semantics the
+            // single-lock pass had.
+            pending.retain(|&i| match cache.get(hashes[i], &requests[i], now_ms) {
+                Some(resp) => {
+                    hits += 1;
+                    responses[i] = Some(resp);
+                    false
                 }
-                if !miss_idx.is_empty() {
-                    let span = root.as_ref().map(|p| p.child("decide"));
-                    let _guard = span.as_ref().map(|s| s.enter());
-                    let misses: Vec<RequestContext> =
-                        miss_idx.iter().map(|&i| requests[i].clone()).collect();
-                    let answers = self.query_source_batch(&misses, now_ms, class);
-                    debug_assert_eq!(answers.len(), misses.len(), "one answer per query");
-                    for (&i, resp) in miss_idx.iter().zip(answers) {
-                        cache.insert(hashes[i], &requests[i], resp.clone(), now_ms);
-                        responses[i] = Some(resp);
-                    }
+                None => true,
+            });
+            if hits > 0 {
+                self.stats.cache_hits.fetch_add(hits, Ordering::Relaxed);
+                if let Some(t) = &self.telemetry {
+                    t.cache_hits.add(hits);
                 }
             }
-            None => {
-                if !pending.is_empty() {
-                    let span = root.as_ref().map(|p| p.child("decide"));
-                    let _guard = span.as_ref().map(|s| s.enter());
-                    let misses: Vec<RequestContext> =
-                        pending.iter().map(|&i| requests[i].clone()).collect();
-                    let answers = self.query_source_batch(&misses, now_ms, class);
-                    debug_assert_eq!(answers.len(), misses.len(), "one answer per query");
-                    for (&i, resp) in pending.iter().zip(answers) {
-                        responses[i] = Some(resp);
-                    }
+            if let Some(s) = cache_span.as_mut() {
+                s.set_note(format!("hits:{hits}"));
+            }
+        }
+        if !pending.is_empty() {
+            let span = root.as_ref().map(|p| p.child("decide"));
+            let _guard = span.as_ref().map(|s| s.enter());
+            let misses: Vec<RequestContext> =
+                pending.iter().map(|&i| requests[i].clone()).collect();
+            let answers = self.query_source_batch(&misses, now_ms, class);
+            debug_assert_eq!(answers.len(), misses.len(), "one answer per query");
+            for (&i, resp) in pending.iter().zip(answers) {
+                if let Some(cache) = &self.cache {
+                    cache.insert(hashes[i], &requests[i], resp.clone(), now_ms);
                 }
+                responses[i] = Some(resp);
             }
         }
         let results = {
@@ -1108,23 +978,10 @@ impl Pep {
                 .collect()
         };
         if let (Some(t), Some(root)) = (self.telemetry.as_ref(), root) {
-            t.telemetry
-                .registry()
-                .histogram("dacs_pep_enforce_batch_us")
-                .record(root.elapsed_us());
+            t.enforce_batch_us.record(root.elapsed_us());
             root.finish();
         }
         results
-    }
-
-    /// Batch enforcement with the pre-redesign signature.
-    #[deprecated(note = "use serve_batch(requests, now_ms, EnforceOptions::default())")]
-    pub fn enforce_batch(
-        &self,
-        requests: &[RequestContext],
-        now_ms: u64,
-    ) -> Vec<EnforcementResult> {
-        self.serve_batch(requests, now_ms, EnforceOptions::default())
     }
 
     /// Explicitly flushes the PEP-side decision cache. The policy
@@ -1217,19 +1074,6 @@ impl Pep {
                 self.conclude(request, synthetic, now_ms)
             }
         }
-    }
-
-    /// Push-model enforcement with the pre-redesign signature.
-    #[deprecated(
-        note = "use serve_with_capability(EnforceRequest::of(request, now_ms), capability)"
-    )]
-    pub fn enforce_with_capability(
-        &self,
-        request: &RequestContext,
-        capability: &SignedAssertion,
-        now_ms: u64,
-    ) -> EnforcementResult {
-        self.serve_with_capability(EnforceRequest::of(request, now_ms), capability)
     }
 
     /// Attempts the capability fast path: a cached token for exactly
@@ -1368,17 +1212,14 @@ impl Pep {
             if let Some(s) = cache_span.as_mut() {
                 s.set_note("miss");
             }
-            drop(cache_span);
-            let span = parent.map(|p| p.child("decide"));
-            let _guard = span.as_ref().map(|s| s.enter());
-            let resp = self.query_source(request, hash, now_ms, class);
-            cache.insert(hash, request, resp.clone(), now_ms);
-            resp
-        } else {
-            let span = parent.map(|p| p.child("decide"));
-            let _guard = span.as_ref().map(|s| s.enter());
-            self.query_source(request, hash, now_ms, class)
         }
+        let span = parent.map(|p| p.child("decide"));
+        let _guard = span.as_ref().map(|s| s.enter());
+        let resp = self.query_source(request, hash, now_ms, class);
+        if let Some(cache) = &self.cache {
+            cache.insert(hash, request, resp.clone(), now_ms);
+        }
+        resp
     }
 
     fn conclude(
@@ -1438,7 +1279,7 @@ impl Pep {
         } else if response.decision == Decision::Deny {
             self.stats.denied.fetch_add(1, Ordering::Relaxed);
         } else {
-            self.stats.failsafe_denials.fetch_add(1, Ordering::Relaxed);
+            self.count_failsafe_denial();
         }
         self.record(request, grant, now_ms);
         EnforcementResult {
@@ -1455,16 +1296,22 @@ impl Pep {
         now_ms: u64,
         reason: String,
     ) -> EnforcementResult {
-        self.stats.failsafe_denials.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = &self.telemetry {
-            t.failsafe_denials.inc();
-        }
+        self.count_failsafe_denial();
         self.record(request, false, now_ms);
         EnforcementResult {
             allowed: false,
             decision: Decision::Indeterminate,
             fulfilled: Vec::new(),
             reason: Some(reason),
+        }
+    }
+
+    /// The one place a fail-safe denial is counted, so the stats
+    /// snapshot and the registry cannot drift apart.
+    fn count_failsafe_denial(&self) {
+        self.stats.failsafe_denials.fetch_add(1, Ordering::Relaxed);
+        if let Some(t) = &self.telemetry {
+            t.failsafe_denials.inc();
         }
     }
 

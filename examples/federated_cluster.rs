@@ -22,7 +22,7 @@ use std::sync::Arc;
 fn main() {
     let ctx = CryptoCtx::new();
     let directory = Arc::new(PdpDirectory::new());
-    let vo = clustered_healthcare_vo(3, 8, &ctx, directory.clone(), true, true);
+    let vo = clustered_healthcare_vo(3, 8, &ctx, directory.clone(), true);
     let mut fnet = FlowNet::build(&vo, 42, LinkSpec::lan(), LinkSpec::wan());
 
     println!("=== VO-wide discovery through the shared directory ===");
@@ -100,15 +100,14 @@ fn main() {
     let m = d0.cluster.as_ref().unwrap().metrics();
     println!(
         "\n=== domain-0 cluster metrics ===\n\
-         queries {}, batches {} (every enforcement rode the batcher),\n\
-         degraded {}, resyncs {}, stale votes avoided {}, peak epoch lag {}",
-        m.queries, m.batches, m.degraded, m.resyncs, m.stale_decisions_avoided, m.epoch_lag_max
+         queries {}, degraded {}, resyncs {}, stale votes avoided {}, peak epoch lag {}",
+        m.queries, m.degraded, m.resyncs, m.stale_decisions_avoided, m.epoch_lag_max
     );
 
-    // The flows above are sequential, so each batch held one query. A
-    // PEP-side batch window shows its worth under concurrency: eight
-    // clients enforcing at once meet inside the window and flush as
-    // one real batch through the quorum.
+    // The flows above are sequential single decisions, which go
+    // straight to the quorum. A PEP-side batch window shows its worth
+    // under concurrency: eight clients enforcing at once meet inside
+    // the window and flush as one real batch through the quorum.
     println!("\n=== PEP-side batch window: concurrent enforcements coalesce ===");
     let telemetry = Arc::new(dacs::telemetry::Telemetry::new());
     let mut builder = Domain::builder("batch-demo")

@@ -23,7 +23,7 @@ fn fnet(vo: &Vo) -> FlowNet {
 }
 
 /// Pull, agent and push flows against clustered domains: every
-/// enforcement routes through the quorum (and the batcher), audit
+/// enforcement routes through the quorum, audit
 /// records cover every enforcement, and the shared directory exposes
 /// every domain's replicas to ordinary discovery.
 #[test]
@@ -31,7 +31,7 @@ fn pull_agent_and_push_flows_ride_clustered_domains() {
     let ctx = CryptoCtx::new();
     let directory = Arc::new(PdpDirectory::new());
     let vo = with_shared_cas(
-        clustered_healthcare_vo(2, 8, &ctx, directory.clone(), true, true),
+        clustered_healthcare_vo(2, 8, &ctx, directory.clone(), true),
         3_600_000,
     );
     let mut net = fnet(&vo);
@@ -99,12 +99,13 @@ fn pull_agent_and_push_flows_ride_clustered_domains() {
     );
     assert!(push.allowed);
 
-    // All three enforcements rode domain-0's cluster, through the
-    // batcher, and each produced exactly one audit record.
+    // All three enforcements rode domain-0's cluster — single
+    // decisions, so straight to the quorum with no batch flush — and
+    // each produced exactly one audit record.
     let cluster = vo.domains[0].cluster.as_ref().expect("clustered");
     let m = cluster.metrics();
     assert_eq!(m.queries, 3, "pull + agent + push overlay");
-    assert_eq!(m.batches, 3, "batched PEP routes singles through flushes");
+    assert_eq!(m.batches, 0, "single decisions skip the batcher");
     assert_eq!(m.unavailable, 0);
     assert_eq!(vo.domains[0].pep.audit_log().len(), 3);
 
@@ -136,7 +137,7 @@ fn pull_agent_and_push_flows_ride_clustered_domains() {
 fn chinese_wall_enforced_across_clustered_domains() {
     let ctx = CryptoCtx::new();
     let directory = Arc::new(PdpDirectory::new());
-    let mut vo = clustered_healthcare_vo(3, 6, &ctx, directory, true, false);
+    let mut vo = clustered_healthcare_vo(3, 6, &ctx, directory, true);
     vo.add_conflict_class(ConflictClass {
         name: "rivals".into(),
         domains: ["domain-0".to_string(), "domain-1".to_string()]
@@ -209,7 +210,6 @@ fn churn_domain(ctx: &CryptoCtx, name: &str, directory: Arc<PdpDirectory>, seed:
                 .directory(directory)
                 .resync(true),
         )
-        .batched(true)
         .seed(seed);
     for u in 0..4 {
         builder = builder.subject_attr(&format!("user-{u}@{name}"), "role", "doctor");
@@ -389,15 +389,15 @@ fn recovering_replica_syncs_before_rejoining_each_domains_quorum() {
 }
 
 /// Regression pinning batch-aware PEP semantics: decisions and
-/// obligations via the batched path are identical to unbatched
-/// enforcement, and a deny inside a coalesced batch never leaks as a
-/// permit to a neighboring query.
+/// obligations via the batched path (`serve_batch`, one
+/// `BatchSubmitter` flush) are identical to unbatched enforcement
+/// (`serve`, straight to the quorum), and a deny inside a coalesced
+/// batch never leaks as a permit to a neighboring query.
 #[test]
 fn batched_enforcement_matches_unbatched_and_denies_never_leak() {
     let ctx = CryptoCtx::new();
-    let unbatched_vo =
-        clustered_healthcare_vo(1, 8, &ctx, Arc::new(PdpDirectory::new()), true, false);
-    let batched_vo = clustered_healthcare_vo(1, 8, &ctx, Arc::new(PdpDirectory::new()), true, true);
+    let unbatched_vo = clustered_healthcare_vo(1, 8, &ctx, Arc::new(PdpDirectory::new()), true);
+    let batched_vo = clustered_healthcare_vo(1, 8, &ctx, Arc::new(PdpDirectory::new()), true);
     let unbatched = &unbatched_vo.domains[0];
     let batched = &batched_vo.domains[0];
 
@@ -410,9 +410,11 @@ fn batched_enforcement_matches_unbatched_and_denies_never_leak() {
         RequestContext::basic("mallory@domain-0", "records/2", "write"),
         RequestContext::basic("user-0@domain-0", "shared/1", "read"),
     ];
-    for (t, request) in requests.iter().enumerate() {
+    let flushed = batched
+        .pep
+        .serve_batch(&requests, 0, EnforceOptions::default());
+    for ((t, request), b) in requests.iter().enumerate().zip(flushed) {
         let a = unbatched.pep.serve(EnforceRequest::of(request, t as u64));
-        let b = batched.pep.serve(EnforceRequest::of(request, t as u64));
         assert_eq!(a.allowed, b.allowed, "{request:?}");
         assert_eq!(a.decision, b.decision, "{request:?}");
         assert_eq!(a.fulfilled, b.fulfilled, "obligations must match");
