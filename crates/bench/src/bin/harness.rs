@@ -17,7 +17,10 @@
 //! clustered scenario (`traced_cluster_run`) once and write,
 //! respectively, the Prometheus-style text exposition of its metric
 //! registry and the JSON dump of its span trace — the per-stage
-//! latency artifacts CI uploads next to the trajectory.
+//! latency artifacts CI uploads next to the trajectory. `--trace` also
+//! prints, per sequential parent stage, the share of its time that no
+//! child span accounts for (the decomposition figure `cargo test`
+//! leaves to this run).
 //!
 //! `--capability-telemetry PATH` runs the capability-enabled clustered
 //! scenario (`capability_telemetry_run`) and writes its registry text:
@@ -172,6 +175,12 @@ fn main() {
         }
         if let Some(path) = trace_path {
             write_or_die(&path, &telemetry.tracer().dump_json(), "JSON trace");
+            for (stage, parents, share) in exp::unaccounted_shares(&telemetry.tracer().snapshot()) {
+                eprintln!(
+                    "traced run: {stage}: {:.1}% of {parents} spans' time unaccounted by children",
+                    share * 100.0
+                );
+            }
         }
     }
     if let Some(path) = capability_telemetry_path {

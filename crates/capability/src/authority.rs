@@ -7,7 +7,7 @@ use dacs_pap::PolicyEpoch;
 use dacs_policy::eval::Response;
 use dacs_policy::policy::Decision;
 use dacs_policy::request::RequestContext;
-use dacs_telemetry::{Counter, Histogram, Telemetry};
+use dacs_telemetry::{Histogram, Telemetry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -24,13 +24,15 @@ pub struct AuthorityStats {
     pub rejected_stale_epoch: u64,
 }
 
-/// Telemetry handles pre-resolved at construction so the verify hot
-/// path never takes the registry's name lock.
-struct AuthorityTelemetry {
-    minted: Arc<Counter>,
-    verified: Arc<Counter>,
-    rejected: Arc<Counter>,
-    verify_us: Arc<Histogram>,
+dacs_telemetry::counter_block! {
+    /// [`AuthorityStats`] as relaxed atomics: the one place the
+    /// counters live, shared with the registry's read-through samples.
+    struct AtomicAuthorityStats: AuthorityStats {
+        minted => "dacs_capability_minted_total",
+        verified => "dacs_capability_verified_total",
+        rejected => "dacs_capability_rejected_total",
+        rejected_stale_epoch => "dacs_capability_rejected_stale_epoch_total",
+    }
 }
 
 /// Mints and verifies capability tokens under the domain's current
@@ -45,11 +47,9 @@ pub struct CapabilityAuthority {
     key: CapabilityKey,
     ttl_ms: u64,
     epoch: AtomicU64,
-    minted: AtomicU64,
-    verified: AtomicU64,
-    rejected: AtomicU64,
-    rejected_stale_epoch: AtomicU64,
-    telemetry: Option<AuthorityTelemetry>,
+    stats: Arc<AtomicAuthorityStats>,
+    /// Verify latency, timed only with telemetry attached.
+    verify_us: Option<Arc<Histogram>>,
 }
 
 impl CapabilityAuthority {
@@ -60,24 +60,19 @@ impl CapabilityAuthority {
             key,
             ttl_ms,
             epoch: AtomicU64::new(0),
-            minted: AtomicU64::new(0),
-            verified: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            rejected_stale_epoch: AtomicU64::new(0),
-            telemetry: None,
+            stats: Arc::default(),
+            verify_us: None,
         }
     }
 
-    /// Attaches mint/verify/reject counters and the verify-latency
-    /// histogram to `telemetry` (builder style): `dacs_capability_*`.
+    /// Exposes every [`AuthorityStats`] field to `telemetry`'s
+    /// registry and starts timing verifications into its
+    /// `dacs_capability_verify_us` histogram (builder style).
     pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
         let r = telemetry.registry();
-        self.telemetry = Some(AuthorityTelemetry {
-            minted: r.counter("dacs_capability_minted_total"),
-            verified: r.counter("dacs_capability_verified_total"),
-            rejected: r.counter("dacs_capability_rejected_total"),
-            verify_us: r.histogram("dacs_capability_verify_us"),
-        });
+        let stats = Arc::clone(&self.stats);
+        r.expose(move || stats.snapshot().samples());
+        self.verify_us = Some(r.histogram("dacs_capability_verify_us"));
         self
     }
 
@@ -112,10 +107,7 @@ impl CapabilityAuthority {
         now_ms: u64,
         epoch: PolicyEpoch,
     ) -> CapabilityToken {
-        self.minted.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = &self.telemetry {
-            t.minted.inc();
-        }
+        self.stats.minted.fetch_add(1, Ordering::Relaxed);
         CapabilityToken::mint(
             &self.key,
             subject,
@@ -166,7 +158,7 @@ impl CapabilityAuthority {
     }
 
     /// Verifies a presented token against a request at the authority's
-    /// current epoch, recording stats and telemetry.
+    /// current epoch, recording stats.
     ///
     /// # Errors
     ///
@@ -179,7 +171,10 @@ impl CapabilityAuthority {
         action: &str,
         now_ms: u64,
     ) -> Result<(), TokenError> {
-        let started = std::time::Instant::now();
+        let timed = self
+            .verify_us
+            .as_ref()
+            .map(|h| (h, std::time::Instant::now()));
         let result = token.verify(
             &self.key,
             subject,
@@ -190,35 +185,26 @@ impl CapabilityAuthority {
         );
         match &result {
             Ok(()) => {
-                self.verified.fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = &self.telemetry {
-                    t.verified.inc();
-                }
+                self.stats.verified.fetch_add(1, Ordering::Relaxed);
             }
             Err(e) => {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
+                self.stats.rejected.fetch_add(1, Ordering::Relaxed);
                 if matches!(e, TokenError::StaleEpoch { .. }) {
-                    self.rejected_stale_epoch.fetch_add(1, Ordering::Relaxed);
-                }
-                if let Some(t) = &self.telemetry {
-                    t.rejected.inc();
+                    self.stats
+                        .rejected_stale_epoch
+                        .fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
-        if let Some(t) = &self.telemetry {
-            t.verify_us.record(started.elapsed().as_micros() as u64);
+        if let Some((h, started)) = timed {
+            h.record(started.elapsed().as_micros() as u64);
         }
         result
     }
 
     /// Snapshot of the mint/verify counters.
     pub fn stats(&self) -> AuthorityStats {
-        AuthorityStats {
-            minted: self.minted.load(Ordering::Relaxed),
-            verified: self.verified.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            rejected_stale_epoch: self.rejected_stale_epoch.load(Ordering::Relaxed),
-        }
+        self.stats.snapshot()
     }
 }
 

@@ -1,15 +1,15 @@
 //! The cluster facade: router + replica groups + directory + metrics.
 
 use crate::fanout::{FanoutPool, SchedulerConfig};
-use crate::metrics::ClusterMetrics;
+use crate::metrics::{add_rare, AtomicClusterMetrics, ClusterMetrics};
 use crate::quorum::QuorumMode;
 use crate::replica::{DecisionBackend, FanoutPlan, GroupOutcome, ReplicaGroup, ReplicaPhase};
 use crate::shard::ShardRouter;
 use dacs_pdp::{DecisionClass, HealthState, PdpDirectory};
 use dacs_policy::eval::Response;
 use dacs_policy::request::RequestContext;
-use dacs_telemetry::{Counter, Histogram, Telemetry};
-use parking_lot::Mutex;
+use dacs_telemetry::{Histogram, Telemetry};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -122,10 +122,11 @@ impl ClusterBuilder {
     }
 
     /// Attaches a telemetry registry + tracer: the cluster records
-    /// decision latency, query/unavailability/hedge counters, per-stage
-    /// spans (`cluster_decide` / `route` / `fanout` / `quorum_wait` /
-    /// `replica_decide`) and per-replica compute histograms into it,
-    /// and the scheduler's pool its per-lane job counts and queue-wait
+    /// decision latency, per-stage spans (`cluster_decide` / `route` /
+    /// `fanout` / `quorum_wait` / `replica_decide`) and per-replica
+    /// compute histograms into it, the registry reads every
+    /// [`ClusterMetrics`] field through as `dacs_cluster_*`, and the
+    /// scheduler's pool records its per-lane job counts and queue-wait
     /// histograms.
     pub fn telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
         self.telemetry = Some(telemetry);
@@ -190,6 +191,7 @@ impl ClusterBuilder {
             };
             (pool, config)
         });
+        let metrics = Arc::new(AtomicClusterMetrics::default());
         PdpCluster {
             router: ShardRouter::with_vnodes(groups.len(), self.vnodes),
             name: self.name,
@@ -199,20 +201,19 @@ impl ClusterBuilder {
             scheduler,
             resync: self.resync,
             audit_every: self.audit_every,
-            telemetry: telemetry.map(ClusterTelemetry::new),
-            metrics: Mutex::new(ClusterMetrics::default()),
+            telemetry: telemetry.map(|t| ClusterTelemetry::new(t, &metrics)),
+            metrics,
         }
     }
 }
 
-/// The cluster's pre-resolved telemetry handles, so the hot decide
-/// path never takes the registry's name-lookup locks.
+/// The timing half of the cluster's observability — tracer and
+/// histograms, pre-resolved so the hot decide path never takes the
+/// registry's name-lookup locks. Event counters are not here: they
+/// live in [`AtomicClusterMetrics`] and the registry reads them
+/// through.
 struct ClusterTelemetry {
     telemetry: Arc<Telemetry>,
-    queries: Arc<Counter>,
-    unavailable: Arc<Counter>,
-    hedges: Arc<Counter>,
-    hedge_wins: Arc<Counter>,
     decide_us: Arc<Histogram>,
     /// Queries per batch flush — the coalescing proof: values > 1 mean
     /// concurrent enforcements actually rode one flush.
@@ -220,13 +221,11 @@ struct ClusterTelemetry {
 }
 
 impl ClusterTelemetry {
-    fn new(telemetry: Arc<Telemetry>) -> Self {
+    fn new(telemetry: Arc<Telemetry>, metrics: &Arc<AtomicClusterMetrics>) -> Self {
         let r = telemetry.registry();
+        let metrics = Arc::clone(metrics);
+        r.expose(move || metrics.snapshot().samples());
         ClusterTelemetry {
-            queries: r.counter("dacs_cluster_queries_total"),
-            unavailable: r.counter("dacs_cluster_unavailable_total"),
-            hedges: r.counter("dacs_cluster_hedges_total"),
-            hedge_wins: r.counter("dacs_cluster_hedge_wins_total"),
             decide_us: r.histogram("dacs_cluster_decide_us"),
             batch_size: r.histogram("dacs_batch_size"),
             telemetry,
@@ -247,7 +246,7 @@ pub struct PdpCluster {
     resync: bool,
     audit_every: usize,
     telemetry: Option<ClusterTelemetry>,
-    metrics: Mutex<ClusterMetrics>,
+    metrics: Arc<AtomicClusterMetrics>,
 }
 
 impl PdpCluster {
@@ -329,7 +328,7 @@ impl PdpCluster {
             .unwrap_or(false);
         if caught_up {
             group.mark_in_sync(replica);
-            self.metrics.lock().resyncs += 1;
+            self.metrics.resyncs.fetch_add(1, Ordering::Relaxed);
         }
         caught_up
     }
@@ -432,12 +431,6 @@ impl PdpCluster {
             self.audit(group, request, now_ms);
         }
         if let Some(t) = &self.telemetry {
-            t.queries.inc();
-            if outcome.response.is_none() {
-                t.unavailable.inc();
-            }
-            t.hedges.add(outcome.hedges as u64);
-            t.hedge_wins.add(outcome.hedge_won as u64);
             t.decide_us.record(start.elapsed().as_micros() as u64);
         }
         ClusterOutcome {
@@ -449,44 +442,49 @@ impl PdpCluster {
     }
 
     /// Books one served query; returns whether its audit replay is due
-    /// ([`ClusterBuilder::audit_every`]). "Due" is decided under the
-    /// same lock acquisition that numbers the query, so concurrent
-    /// deciders can neither skip a due audit nor run one twice.
+    /// ([`ClusterBuilder::audit_every`]). The `fetch_add` that counts
+    /// the query also numbers it, and "due" is decided from that
+    /// number, so concurrent deciders can neither skip a due audit nor
+    /// run one twice. A common query pays for `queries`,
+    /// `replica_queries` and the `epoch_lag_last` store; the rest move
+    /// only when they have something to add.
     fn account(&self, group: &ReplicaGroup, outcome: &GroupOutcome) -> bool {
         let adaptive = self
             .scheduler
             .as_ref()
             .is_some_and(|(_, config)| config.adaptive_fanout);
-        let mut m = self.metrics.lock();
-        m.queries += 1;
-        m.replica_queries += outcome.replicas_queried as u64;
+        let m = &*self.metrics;
+        let number = m.queries.fetch_add(1, Ordering::Relaxed) + 1;
+        m.replica_queries
+            .fetch_add(outcome.replicas_queried as u64, Ordering::Relaxed);
         if adaptive && self.quorum.fans_out() {
             // Eligible replicas the adaptive quorum never had to query.
-            m.fanout_saved += outcome.healthy.saturating_sub(outcome.replicas_queried) as u64;
+            let saved = outcome.healthy.saturating_sub(outcome.replicas_queried);
+            add_rare(&m.fanout_saved, saved as u64);
         }
-        m.hedges += outcome.hedges as u64;
-        m.hedge_wins += outcome.hedge_won as u64;
-        m.stale_decisions_avoided += outcome.stale_excluded as u64;
-        m.epoch_lag_last = outcome.max_epoch_lag;
-        m.epoch_lag_max = m.epoch_lag_max.max(outcome.max_epoch_lag);
+        add_rare(&m.hedges, outcome.hedges as u64);
+        add_rare(&m.hedge_wins, outcome.hedge_won as u64);
+        add_rare(&m.stale_decisions_avoided, outcome.stale_excluded as u64);
+        m.epoch_lag_last
+            .store(outcome.max_epoch_lag, Ordering::Relaxed);
+        if outcome.max_epoch_lag != 0 {
+            m.epoch_lag_max
+                .fetch_max(outcome.max_epoch_lag, Ordering::Relaxed);
+        }
         match &outcome.response {
-            None => m.unavailable += 1,
+            None => {
+                m.unavailable.fetch_add(1, Ordering::Relaxed);
+            }
             Some(_) => {
-                if outcome.healthy < group.len() {
-                    m.degraded += 1;
-                }
-                if outcome.disagreement {
-                    m.disagreements += 1;
-                }
-                if outcome.fail_closed {
-                    m.fail_closed_denies += 1;
-                }
+                add_rare(&m.degraded, (outcome.healthy < group.len()) as u64);
+                add_rare(&m.disagreements, outcome.disagreement as u64);
+                add_rare(&m.fail_closed_denies, outcome.fail_closed as u64);
             }
         }
         self.audit_every != 0
             && self.scheduler.is_some()
             && outcome.response.is_some()
-            && m.queries.is_multiple_of(self.audit_every as u64)
+            && number.is_multiple_of(self.audit_every as u64)
     }
 
     /// The periodic divergence sampler ([`ClusterBuilder::audit_every`]):
@@ -499,19 +497,16 @@ impl PdpCluster {
         // Majority, not the configured mode: FirstHealthy would consult
         // a single replica and could never observe a disagreement.
         let audit = group.query(&self.directory, QuorumMode::Majority, request, now_ms);
-        let mut m = self.metrics.lock();
-        m.audit_queries += 1;
-        if audit.disagreement {
-            m.audit_disagreements += 1;
-        }
+        self.metrics.audit_queries.fetch_add(1, Ordering::Relaxed);
+        add_rare(&self.metrics.audit_disagreements, audit.disagreement as u64);
     }
 
     pub(crate) fn note_batch(&self, submitted: usize, coalesced: usize) {
-        let mut m = self.metrics.lock();
-        m.batches += 1;
-        m.batched_queries += submitted as u64;
-        m.coalesced += coalesced as u64;
-        drop(m);
+        let m = &*self.metrics;
+        m.batches.fetch_add(1, Ordering::Relaxed);
+        m.batched_queries
+            .fetch_add(submitted as u64, Ordering::Relaxed);
+        add_rare(&m.coalesced, coalesced as u64);
         if let Some(t) = &self.telemetry {
             t.batch_size.record(submitted as u64);
         }
@@ -519,7 +514,7 @@ impl PdpCluster {
 
     /// Snapshot of the cluster counters.
     pub fn metrics(&self) -> ClusterMetrics {
-        *self.metrics.lock()
+        self.metrics.snapshot()
     }
 }
 

@@ -1,5 +1,7 @@
 //! Cluster-level dependability accounting.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 /// Work and dependability counters for one [`crate::PdpCluster`].
 ///
 /// `availability()` and `degraded_rate()` are the two numbers the
@@ -121,6 +123,42 @@ impl ClusterMetrics {
             return 0.0;
         }
         self.hedges as f64 / self.queries as f64
+    }
+}
+
+dacs_telemetry::counter_block! {
+    /// [`ClusterMetrics`] as relaxed atomics: the one place the
+    /// cluster's counters live (the two epoch-lag fields are gauges).
+    /// Concurrent deciders bump them without a shared lock;
+    /// [`crate::PdpCluster::metrics`] and, with telemetry attached, the
+    /// registry both read this block.
+    pub(crate) struct AtomicClusterMetrics: ClusterMetrics {
+        queries => "dacs_cluster_queries_total",
+        replica_queries => "dacs_cluster_replica_queries_total",
+        unavailable => "dacs_cluster_unavailable_total",
+        degraded => "dacs_cluster_degraded_total",
+        disagreements => "dacs_cluster_disagreements_total",
+        fail_closed_denies => "dacs_cluster_fail_closed_denies_total",
+        hedges => "dacs_cluster_hedges_total",
+        hedge_wins => "dacs_cluster_hedge_wins_total",
+        resyncs => "dacs_cluster_resyncs_total",
+        stale_decisions_avoided => "dacs_cluster_stale_decisions_avoided_total",
+        epoch_lag_last => "dacs_cluster_epoch_lag_last",
+        epoch_lag_max => "dacs_cluster_epoch_lag_max",
+        audit_queries => "dacs_cluster_audit_queries_total",
+        audit_disagreements => "dacs_cluster_audit_disagreements_total",
+        batches => "dacs_cluster_batches_total",
+        batched_queries => "dacs_cluster_batched_queries_total",
+        coalesced => "dacs_cluster_coalesced_total",
+        fanout_saved => "dacs_cluster_fanout_saved_total",
+    }
+}
+
+/// Adds `n` to a counter that rarely moves, skipping the atomic
+/// operation on the common zero.
+pub(crate) fn add_rare(counter: &AtomicU64, n: u64) {
+    if n != 0 {
+        counter.fetch_add(n, Ordering::Relaxed);
     }
 }
 

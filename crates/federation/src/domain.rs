@@ -18,10 +18,11 @@ use dacs_cluster::{
 };
 use dacs_crypto::sign::{CryptoCtx, SigningKey};
 use dacs_pap::{Pap, PolicyEpoch, SyndicationTree};
-use dacs_pdp::{CacheConfig, DecisionClass, Pdp};
+use dacs_pdp::{CacheConfig, DecisionClass, Pdp, PdpMetrics};
 use dacs_pep::{DecisionSource, LogObligationHandler, MintingSource, NotifyObligationHandler, Pep};
-use dacs_pip::{EnvironmentProvider, PipRegistry, RbacProvider, StaticAttributes};
-use dacs_policy::eval::Response;
+use dacs_pip::{EnvironmentProvider, PipRegistry, PipStats, RbacProvider, StaticAttributes};
+use dacs_policy::eval::{EvalMetrics, Response};
+use dacs_policy::expr::ExprStats;
 use dacs_policy::policy::{CombiningAlg, Policy, PolicyElement, PolicyId, PolicySet};
 use dacs_policy::request::RequestContext;
 use dacs_rbac::Rbac;
@@ -346,6 +347,65 @@ pub fn home_domain(subject: &str) -> Option<&str> {
     subject.rsplit_once('@').map(|(_, d)| d)
 }
 
+/// Exposes every [`PdpMetrics`] field of `pdp` (evaluation work
+/// flattened) as `dacs_pdp_*`; a domain's PDPs share the names, so the
+/// registry reports their sum; without a registry there is nothing to
+/// do. The destructuring is exhaustive on purpose: a new field that is
+/// not exposed fails to compile.
+fn expose_pdp(registry: Option<&dacs_telemetry::Registry>, pdp: &Arc<Pdp>) {
+    let Some(registry) = registry else { return };
+    let pdp = Arc::clone(pdp);
+    registry.expose(move || {
+        let PdpMetrics {
+            decisions,
+            cache_hits,
+            eval:
+                EvalMetrics {
+                    rules_evaluated,
+                    policies_evaluated,
+                    policy_sets_evaluated,
+                    targets_checked,
+                    expr:
+                        ExprStats {
+                            functions_applied,
+                            attribute_lookups,
+                        },
+                },
+        } = pdp.metrics();
+        vec![
+            ("dacs_pdp_decisions_total", decisions),
+            ("dacs_pdp_cache_hits_total", cache_hits),
+            ("dacs_pdp_rules_evaluated_total", rules_evaluated),
+            ("dacs_pdp_policies_evaluated_total", policies_evaluated),
+            (
+                "dacs_pdp_policy_sets_evaluated_total",
+                policy_sets_evaluated,
+            ),
+            ("dacs_pdp_targets_checked_total", targets_checked),
+            ("dacs_pdp_functions_applied_total", functions_applied),
+            ("dacs_pdp_attribute_lookups_total", attribute_lookups),
+        ]
+    });
+}
+
+/// Exposes the PIP chain's [`PipStats`] and its caching providers'
+/// summed hit/miss counters as `dacs_pip_*` (exhaustive destructuring,
+/// as in [`expose_pdp`]).
+fn expose_pips(registry: Option<&dacs_telemetry::Registry>, pips: &Arc<PipRegistry>) {
+    let Some(registry) = registry else { return };
+    let pips = Arc::clone(pips);
+    registry.expose(move || {
+        let PipStats { lookups, resolved } = pips.stats();
+        let dacs_pip::CacheStats { hits, misses } = pips.cache_stats();
+        vec![
+            ("dacs_pip_lookups_total", lookups),
+            ("dacs_pip_resolved_total", resolved),
+            ("dacs_pip_cache_hits_total", hits),
+            ("dacs_pip_cache_misses_total", misses),
+        ]
+    });
+}
+
 /// The decision-plane parts [`DomainBuilder::build`] assembles: the
 /// root PAP, the reference PDP, the optional cluster with its
 /// syndication tree and replica-leaf map, and the decision source the
@@ -489,12 +549,15 @@ impl DomainBuilder {
     }
 
     /// Threads a telemetry registry + tracer through the whole decision
-    /// path: the PEP (enforcement counters, latency histograms, root
-    /// spans), the cluster (route/fan-out/quorum spans, per-replica
-    /// compute) and — for a clustered domain — the syndication tree
-    /// (push/catch-up counters, epoch and offline-lag gauges). One
-    /// registry per domain keeps per-domain breakdowns separable; share
-    /// one `Arc` across domains to aggregate instead.
+    /// path: the PEP (latency histograms, root spans), the cluster
+    /// (route/fan-out/quorum spans, per-replica compute) and — for a
+    /// clustered domain — the syndication tree (push/catch-up counters,
+    /// epoch and offline-lag gauges). The registry also reads every
+    /// counter the PEP, its caches, the cluster, the capability
+    /// authority, the PDPs and the PIP chain already keep in their own
+    /// stats structs, so the exposition is complete without a second
+    /// count. One registry per domain keeps per-domain breakdowns
+    /// separable; share one `Arc` across domains to aggregate instead.
     pub fn telemetry(mut self, telemetry: Arc<dacs_telemetry::Telemetry>) -> Self {
         self.telemetry = Some(telemetry);
         self
@@ -523,6 +586,8 @@ impl DomainBuilder {
             pips.add(Arc::new(RbacProvider::new(r.clone())));
         }
         let pips = Arc::new(pips);
+        let registry = self.telemetry.as_deref().map(|t| t.registry());
+        expose_pips(registry, &pips);
         let root_elem = PolicyElement::PolicySetRef(root_id);
 
         let mut rng = StdRng::seed_from_u64(self.seed);
@@ -548,6 +613,7 @@ impl DomainBuilder {
                         pdp = pdp.with_cache(cfg);
                     }
                     let pdp = Arc::new(pdp);
+                    expose_pdp(registry, &pdp);
                     (pap, pdp.clone(), None, None, Vec::new(), pdp)
                 }
                 Some(template) => {
@@ -582,7 +648,9 @@ impl DomainBuilder {
                             if let Some(cfg) = self.pdp_cache {
                                 pdp = pdp.with_cache(cfg);
                             }
-                            replicas.push(Arc::new(pdp));
+                            let pdp = Arc::new(pdp);
+                            expose_pdp(registry, &pdp);
+                            replicas.push(pdp);
                             replica_leaves.push((replica_name, leaf));
                         }
                         builder = builder.shard(replicas);
@@ -602,6 +670,7 @@ impl DomainBuilder {
                         root_elem,
                         pips,
                     ));
+                    expose_pdp(registry, &pdp);
                     let source = Arc::new(
                         ClusteredDecisionSource::new(cluster.clone())
                             .with_batch_window_us(self.batch_window_us.unwrap_or(0)),

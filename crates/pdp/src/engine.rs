@@ -6,9 +6,9 @@ use crate::cache::{CacheStats, HashedRequestCache};
 use dacs_pap::Pap;
 use dacs_pip::{PipRegistry, ResolvingSource};
 use dacs_policy::eval::{EvalMetrics, Evaluator, Response};
+use dacs_policy::expr::ExprStats;
 use dacs_policy::policy::PolicyElement;
 use dacs_policy::request::RequestContext;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -21,6 +21,61 @@ pub struct PdpMetrics {
     pub cache_hits: u64,
     /// Aggregate evaluation work.
     pub eval: EvalMetrics,
+}
+
+/// [`PdpMetrics`] as relaxed atomics: the one place the counters live.
+#[derive(Default)]
+struct AtomicPdpMetrics {
+    decisions: AtomicU64,
+    cache_hits: AtomicU64,
+    rules_evaluated: AtomicU64,
+    policies_evaluated: AtomicU64,
+    policy_sets_evaluated: AtomicU64,
+    targets_checked: AtomicU64,
+    functions_applied: AtomicU64,
+    attribute_lookups: AtomicU64,
+}
+
+impl AtomicPdpMetrics {
+    /// Folds one evaluation's work counters in: six relaxed adds.
+    fn absorb(&self, eval: &EvalMetrics) {
+        let EvalMetrics {
+            rules_evaluated,
+            policies_evaluated,
+            policy_sets_evaluated,
+            targets_checked,
+            expr:
+                ExprStats {
+                    functions_applied,
+                    attribute_lookups,
+                },
+        } = *eval;
+        let add = |counter: &AtomicU64, n: u64| counter.fetch_add(n, Ordering::Relaxed);
+        add(&self.rules_evaluated, rules_evaluated);
+        add(&self.policies_evaluated, policies_evaluated);
+        add(&self.policy_sets_evaluated, policy_sets_evaluated);
+        add(&self.targets_checked, targets_checked);
+        add(&self.functions_applied, functions_applied);
+        add(&self.attribute_lookups, attribute_lookups);
+    }
+
+    fn snapshot(&self) -> PdpMetrics {
+        let get = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        PdpMetrics {
+            decisions: get(&self.decisions),
+            cache_hits: get(&self.cache_hits),
+            eval: EvalMetrics {
+                rules_evaluated: get(&self.rules_evaluated),
+                policies_evaluated: get(&self.policies_evaluated),
+                policy_sets_evaluated: get(&self.policy_sets_evaluated),
+                targets_checked: get(&self.targets_checked),
+                expr: ExprStats {
+                    functions_applied: get(&self.functions_applied),
+                    attribute_lookups: get(&self.attribute_lookups),
+                },
+            },
+        }
+    }
 }
 
 /// Decision cache configuration.
@@ -36,11 +91,9 @@ pub struct CacheConfig {
 ///
 /// The read path is concurrent: the decision cache is a striped
 /// [`HashedRequestCache`] keyed by the request's 64-bit canonical hash
-/// (full-context verify on hit), and the hot counters are plain
-/// relaxed atomics, so `decide` takes no global lock on a cache hit —
-/// only the one stripe the key maps to. `EvalMetrics` aggregation
-/// stays behind a mutex, but that lock is touched only on the miss
-/// path, where a full policy evaluation dwarfs it.
+/// (full-context verify on hit), and every counter is a plain relaxed
+/// atomic, so `decide` takes no global lock — only the one cache
+/// stripe the key maps to.
 pub struct Pdp {
     name: String,
     pap: Arc<Pap>,
@@ -53,9 +106,7 @@ pub struct Pdp {
     /// late-arriving stale insert is bounded by the TTL exactly as a
     /// post-flush insert under the old global lock was.
     cache_epoch: AtomicU64,
-    decisions: AtomicU64,
-    cache_hits: AtomicU64,
-    eval: Mutex<EvalMetrics>,
+    metrics: AtomicPdpMetrics,
 }
 
 impl Pdp {
@@ -74,9 +125,7 @@ impl Pdp {
             pips,
             cache: None,
             cache_epoch: AtomicU64::new(0),
-            decisions: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            eval: Mutex::new(EvalMetrics::default()),
+            metrics: AtomicPdpMetrics::default(),
         }
     }
 
@@ -96,6 +145,11 @@ impl Pdp {
         &self.pap
     }
 
+    /// The PIP chain this PDP resolves attributes through.
+    pub fn pips(&self) -> &Arc<PipRegistry> {
+        &self.pips
+    }
+
     /// The policy epoch this PDP decides on: its PAP's position in the
     /// global syndication timeline. A replica group compares this
     /// against its maximum to decide quorum eligibility — a recovering
@@ -111,7 +165,7 @@ impl Pdp {
     /// within an epoch, cached decisions may be up to `ttl_ms` stale
     /// with respect to *attribute* changes — the trade-off E6 measures.
     pub fn decide(&self, request: &RequestContext, now_ms: u64) -> Response {
-        self.decisions.fetch_add(1, Ordering::Relaxed);
+        self.metrics.decisions.fetch_add(1, Ordering::Relaxed);
 
         let hash = self
             .cache
@@ -126,7 +180,7 @@ impl Pdp {
                 self.cache_epoch.store(current, Ordering::Relaxed);
             }
             if let Some(resp) = cache.get(hash, request, now_ms) {
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
                 return resp;
             }
         }
@@ -134,7 +188,7 @@ impl Pdp {
         let source = ResolvingSource::new(request, &self.pips, now_ms);
         let mut evaluator = Evaluator::with_source(self.pap.as_ref(), request, &source);
         let response = evaluator.evaluate_element(&self.root);
-        self.eval.lock().absorb(&evaluator.metrics);
+        self.metrics.absorb(&evaluator.metrics);
 
         if let Some(cache) = &self.cache {
             cache.insert(hash, request, response.clone(), now_ms);
@@ -154,11 +208,7 @@ impl Pdp {
     /// independently, so a snapshot taken while other threads decide is
     /// consistent per counter but not a cross-counter instant.
     pub fn metrics(&self) -> PdpMetrics {
-        PdpMetrics {
-            decisions: self.decisions.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            eval: *self.eval.lock(),
-        }
+        self.metrics.snapshot()
     }
 
     /// Decision-cache statistics, if caching is enabled.

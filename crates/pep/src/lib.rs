@@ -37,10 +37,10 @@ use dacs_pdp::{CacheConfig, CacheStats, DecisionClass, HashedRequestCache, Pdp, 
 use dacs_policy::eval::Response;
 use dacs_policy::policy::{Decision, Obligation};
 use dacs_policy::request::RequestContext;
-use dacs_telemetry::{Counter, Histogram, Span, Telemetry};
+use dacs_telemetry::{Histogram, Registry, Span, Telemetry};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Scheduling metadata for an enforcement, separated from the access
@@ -527,38 +527,63 @@ pub struct EnforcementStats {
     pub audit_dropped: u64,
 }
 
-/// [`EnforcementStats`] as independent relaxed atomics, so concurrent
-/// enforcement threads bump counters without sharing a lock. Each
-/// counter is monotonic and never torn (u64 atomics); a
-/// [`AtomicEnforcementStats::snapshot`] taken mid-traffic is exact per
-/// counter but not a cross-counter instant — same contract as the PDP's
-/// metrics and the telemetry registry.
-#[derive(Default)]
-struct AtomicEnforcementStats {
-    allowed: AtomicU64,
-    denied: AtomicU64,
-    failsafe_denials: AtomicU64,
-    obligation_failures: AtomicU64,
-    cache_hits: AtomicU64,
-    token_hits: AtomicU64,
-    tokens_minted: AtomicU64,
-    token_rejects: AtomicU64,
-    audit_dropped: AtomicU64,
+/// Exposition names of a PEP-side cache's [`CacheStats`], in field
+/// order.
+type CacheNames = [&'static str; 4];
+
+const DECISION_CACHE_NAMES: CacheNames = [
+    "dacs_pep_decision_cache_hits_total",
+    "dacs_pep_decision_cache_misses_total",
+    "dacs_pep_decision_cache_evictions_total",
+    "dacs_pep_decision_cache_expirations_total",
+];
+
+const TOKEN_CACHE_NAMES: CacheNames = [
+    "dacs_pep_token_cache_hits_total",
+    "dacs_pep_token_cache_misses_total",
+    "dacs_pep_token_cache_evictions_total",
+    "dacs_pep_token_cache_expirations_total",
+];
+
+/// Exposes a striped cache's [`CacheStats`] — which live per stripe,
+/// under the lock the data needs anyway — by reading `stats()` through.
+/// The destructuring is exhaustive on purpose: a new field that is not
+/// exposed fails to compile.
+fn expose_cache<V: Clone + Send + 'static>(
+    registry: &Registry,
+    names: CacheNames,
+    cache: &Arc<HashedRequestCache<V>>,
+) {
+    let cache = Arc::clone(cache);
+    registry.expose(move || {
+        let CacheStats {
+            hits,
+            misses,
+            evictions,
+            expirations,
+        } = cache.stats();
+        names
+            .into_iter()
+            .zip([hits, misses, evictions, expirations])
+            .collect()
+    });
 }
 
-impl AtomicEnforcementStats {
-    fn snapshot(&self) -> EnforcementStats {
-        EnforcementStats {
-            allowed: self.allowed.load(Ordering::Relaxed),
-            denied: self.denied.load(Ordering::Relaxed),
-            failsafe_denials: self.failsafe_denials.load(Ordering::Relaxed),
-            obligation_failures: self.obligation_failures.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            token_hits: self.token_hits.load(Ordering::Relaxed),
-            tokens_minted: self.tokens_minted.load(Ordering::Relaxed),
-            token_rejects: self.token_rejects.load(Ordering::Relaxed),
-            audit_dropped: self.audit_dropped.load(Ordering::Relaxed),
-        }
+dacs_telemetry::counter_block! {
+    /// [`EnforcementStats`] as independent relaxed atomics — the one
+    /// place these counters live — so concurrent enforcement threads
+    /// bump them without sharing a lock. [`Pep::stats`] and, with
+    /// telemetry attached, the registry both read this block.
+    struct AtomicEnforcementStats: EnforcementStats {
+        allowed => "dacs_pep_allowed_total",
+        denied => "dacs_pep_denied_total",
+        failsafe_denials => "dacs_pep_failsafe_denials_total",
+        obligation_failures => "dacs_pep_obligation_failures_total",
+        cache_hits => "dacs_pep_cache_hits_total",
+        token_hits => "dacs_pep_token_hits_total",
+        tokens_minted => "dacs_pep_tokens_minted_total",
+        token_rejects => "dacs_pep_token_rejects_total",
+        audit_dropped => "dacs_pep_audit_dropped_total",
     }
 }
 
@@ -609,16 +634,16 @@ pub const DEFAULT_AUDIT_CAPACITY: usize = 65_536;
 /// cross-hit — even under a hash collision.
 struct PepCapability {
     authority: Arc<CapabilityAuthority>,
-    tokens: HashedRequestCache<CapabilityToken>,
+    tokens: Arc<HashedRequestCache<CapabilityToken>>,
 }
 
-/// Telemetry handles pre-resolved at construction so the enforcement
-/// hot path never takes the registry's name lock.
+/// The timing half of observability — the tracer and the latency
+/// histograms, pre-resolved at construction so the enforcement hot
+/// path never takes the registry's name lock. Event counters are not
+/// here: they live in [`AtomicEnforcementStats`] and the registry
+/// reads them through.
 struct PepTelemetry {
     telemetry: Arc<Telemetry>,
-    enforcements: Arc<Counter>,
-    cache_hits: Arc<Counter>,
-    failsafe_denials: Arc<Counter>,
     enforce_us: Arc<Histogram>,
     enforce_batch_us: Arc<Histogram>,
 }
@@ -721,8 +746,9 @@ impl PepBuilder {
     /// `cache`/`decide`/`obligations` children (deeper layers — cluster
     /// routing, quorum fan-out, per-replica evaluation — attach their
     /// own spans underneath `decide` through the shared handle), and
-    /// the registry gains `dacs_pep_*` counters plus the enforcement
-    /// latency histograms.
+    /// the registry gains the enforcement latency histograms and reads
+    /// every field of [`EnforcementStats`] and of both caches'
+    /// [`CacheStats`] through as `dacs_pep_*` counters.
     pub fn telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
         self.telemetry = Some(telemetry);
         self
@@ -773,22 +799,39 @@ impl PepBuilder {
     /// Panics if no decision source was bound.
     pub fn build(self) -> Pep {
         let source = self.source.expect("PepBuilder needs a decision source");
-        let telemetry = self.telemetry.map(|telemetry| {
-            let r = telemetry.registry();
-            PepTelemetry {
-                enforcements: r.counter("dacs_pep_enforcements_total"),
-                cache_hits: r.counter("dacs_pep_cache_hits_total"),
-                failsafe_denials: r.counter("dacs_pep_failsafe_denials_total"),
-                enforce_us: r.histogram("dacs_pep_enforce_us"),
-                enforce_batch_us: r.histogram("dacs_pep_enforce_batch_us"),
-                telemetry,
-            }
-        });
+        let stats = Arc::new(AtomicEnforcementStats::default());
+        let cache = self
+            .cache
+            .map(|cfg| Arc::new(HashedRequestCache::new(cfg.capacity, cfg.ttl_ms)));
         let capability = self.capability.map(|(authority, capacity)| {
             let ttl = authority.ttl_ms();
             PepCapability {
                 authority,
-                tokens: HashedRequestCache::new(capacity, ttl),
+                tokens: Arc::new(HashedRequestCache::new(capacity, ttl)),
+            }
+        });
+        let telemetry = self.telemetry.map(|telemetry| {
+            let r = telemetry.registry();
+            let exposed = Arc::clone(&stats);
+            r.expose(move || {
+                let stats = exposed.snapshot();
+                let mut samples = stats.samples();
+                // Derived, not counted a second time: every `serve*`
+                // entry point ends in exactly one of the three.
+                let enforcements = stats.allowed + stats.denied + stats.failsafe_denials;
+                samples.push(("dacs_pep_enforcements_total", enforcements));
+                samples
+            });
+            if let Some(cache) = &cache {
+                expose_cache(r, DECISION_CACHE_NAMES, cache);
+            }
+            if let Some(cap) = &capability {
+                expose_cache(r, TOKEN_CACHE_NAMES, &cap.tokens);
+            }
+            PepTelemetry {
+                enforce_us: r.histogram("dacs_pep_enforce_us"),
+                enforce_batch_us: r.histogram("dacs_pep_enforce_batch_us"),
+                telemetry,
             }
         });
         Pep {
@@ -796,14 +839,12 @@ impl PepBuilder {
             audience: self.audience,
             source,
             handlers: self.handlers,
-            cache: self
-                .cache
-                .map(|cfg| HashedRequestCache::new(cfg.capacity, cfg.ttl_ms)),
+            cache,
             crypto: self.crypto.unwrap_or_default(),
             trusted_issuers: self.trusted_issuers,
             deny_not_applicable: self.deny_not_applicable,
             audit: AuditRing::new(self.audit_capacity),
-            stats: AtomicEnforcementStats::default(),
+            stats,
             telemetry,
             capability,
         }
@@ -826,7 +867,7 @@ pub struct Pep {
     audience: String,
     source: Arc<dyn DecisionSource>,
     handlers: HashMap<String, Arc<dyn ObligationHandler>>,
-    cache: Option<HashedRequestCache<dacs_policy::eval::Response>>,
+    cache: Option<Arc<HashedRequestCache<dacs_policy::eval::Response>>>,
     crypto: CryptoCtx,
     /// Trusted capability issuers: name → verification key.
     trusted_issuers: HashMap<String, PublicKey>,
@@ -835,7 +876,7 @@ pub struct Pep {
     /// ablation).
     deny_not_applicable: bool,
     audit: AuditRing,
-    stats: AtomicEnforcementStats,
+    stats: Arc<AtomicEnforcementStats>,
     telemetry: Option<PepTelemetry>,
     capability: Option<PepCapability>,
 }
@@ -860,10 +901,10 @@ impl Pep {
         } = request;
         let class = request.class();
         let hash = self.request_hash(context);
-        let root = self.telemetry.as_ref().map(|t| {
-            t.enforcements.inc();
-            t.telemetry.tracer().root("pep_enforce")
-        });
+        let root = self
+            .telemetry
+            .as_ref()
+            .map(|t| t.telemetry.tracer().root("pep_enforce"));
         let response = match self.token_fastpath(context, hash, now_ms, root.as_ref()) {
             Some(response) => response,
             None => self.decide_traced(context, hash, now_ms, root.as_ref(), class),
@@ -893,10 +934,10 @@ impl Pep {
         options: EnforceOptions,
     ) -> Vec<EnforcementResult> {
         let class = options.class();
-        let root = self.telemetry.as_ref().map(|t| {
-            t.enforcements.add(requests.len() as u64);
-            t.telemetry.tracer().root("pep_enforce_batch")
-        });
+        let root = self
+            .telemetry
+            .as_ref()
+            .map(|t| t.telemetry.tracer().root("pep_enforce_batch"));
         let mut responses: Vec<Option<Response>> = vec![None; requests.len()];
         // One canonical hash per request serves the token phase, the
         // cache phase and the miss-path inserts alike.
@@ -945,9 +986,6 @@ impl Pep {
             });
             if hits > 0 {
                 self.stats.cache_hits.fetch_add(hits, Ordering::Relaxed);
-                if let Some(t) = &self.telemetry {
-                    t.cache_hits.add(hits);
-                }
             }
             if let Some(s) = cache_span.as_mut() {
                 s.set_note(format!("hits:{hits}"));
@@ -1201,9 +1239,6 @@ impl Pep {
             let mut cache_span = parent.map(|p| p.child("cache"));
             if let Some(resp) = cache.get(hash, request, now_ms) {
                 self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(t) = &self.telemetry {
-                    t.cache_hits.inc();
-                }
                 if let Some(s) = cache_span.as_mut() {
                     s.set_note("hit");
                 }
@@ -1279,7 +1314,7 @@ impl Pep {
         } else if response.decision == Decision::Deny {
             self.stats.denied.fetch_add(1, Ordering::Relaxed);
         } else {
-            self.count_failsafe_denial();
+            self.stats.failsafe_denials.fetch_add(1, Ordering::Relaxed);
         }
         self.record(request, grant, now_ms);
         EnforcementResult {
@@ -1296,22 +1331,13 @@ impl Pep {
         now_ms: u64,
         reason: String,
     ) -> EnforcementResult {
-        self.count_failsafe_denial();
+        self.stats.failsafe_denials.fetch_add(1, Ordering::Relaxed);
         self.record(request, false, now_ms);
         EnforcementResult {
             allowed: false,
             decision: Decision::Indeterminate,
             fulfilled: Vec::new(),
             reason: Some(reason),
-        }
-    }
-
-    /// The one place a fail-safe denial is counted, so the stats
-    /// snapshot and the registry cannot drift apart.
-    fn count_failsafe_denial(&self) {
-        self.stats.failsafe_denials.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = &self.telemetry {
-            t.failsafe_denials.inc();
         }
     }
 
@@ -1356,7 +1382,7 @@ impl Pep {
     /// `hits + misses` equals the number of cache lookups (token-hit
     /// requests never reach the cache).
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(HashedRequestCache::stats)
+        self.cache.as_ref().map(|cache| cache.stats())
     }
 
     /// Capability token cache statistics, if the fast path is enabled.
@@ -1387,6 +1413,14 @@ mod tests {
     }
 
     fn world(policy_src: &str, with_log_handler: bool) -> World {
+        world_with(policy_src, with_log_handler, None)
+    }
+
+    fn world_with(
+        policy_src: &str,
+        with_log_handler: bool,
+        telemetry: Option<Arc<Telemetry>>,
+    ) -> World {
         let ctx = CryptoCtx::new();
         let mut rng = StdRng::seed_from_u64(7);
         let cas_key = SigningKey::generate_sim(ctx.registry(), &mut rng);
@@ -1413,6 +1447,9 @@ mod tests {
             .trusted_issuer("cas.vo", cas_key.public_key());
         if with_log_handler {
             pep = pep.handler(log.clone());
+        }
+        if let Some(t) = telemetry {
+            pep = pep.telemetry(t);
         }
         World {
             pep: pep.build(),
@@ -1613,6 +1650,69 @@ policy "gate" first-applicable {
             .pep
             .serve_with_capability(EnforceRequest::of(&req, 10), &cap);
         assert!(!r.allowed);
+    }
+
+    /// ISSUE 13 bugfix: the push model used to bypass
+    /// `dacs_pep_enforcements_total` (it was bumped in `serve` and
+    /// `serve_batch` only). Derived from the three verdict counters,
+    /// it now moves on every entry point — granted, locally denied and
+    /// each fail-safe refusal alike.
+    #[test]
+    fn push_model_enforcements_reach_the_registry() {
+        let overlay = r#"
+policy "gate" first-applicable {
+  rule "sealed" deny {
+    target { resource "id" == "ehr/sealed"; }
+  }
+  rule "vault" permit {
+    target { resource "id" == "ehr/vault"; }
+    condition is-in("top", attr!(subject, "clearance"))
+  }
+}
+"#;
+        let telemetry = Arc::new(Telemetry::new());
+        let w = world_with(overlay, true, Some(telemetry.clone()));
+        let enforcements = || {
+            telemetry
+                .registry()
+                .counter_value("dacs_pep_enforcements_total")
+                .expect("exposed at build time")
+        };
+        let bob = RequestContext::basic("bob", "ehr/1", "read");
+        w.pep.serve(EnforceRequest::of(&bob, 1));
+        w.pep
+            .serve_batch(&[bob.clone(), bob.clone()], 2, EnforceOptions::default());
+        assert_eq!(enforcements(), 3);
+
+        let good = capability(&w, "bob", 1000, "hospital-b");
+        let mut rogue = capability(&w, "bob", 1000, "hospital-b");
+        rogue.assertion.issuer = "cas.rogue".into();
+        let expired = capability(&w, "bob", 5, "hospital-b");
+        let basic = |resource: &str, action: &str| RequestContext::basic("bob", resource, action);
+        // (request, capability, granted?) — one row per way out of
+        // `serve_with_capability`.
+        let rows = [
+            (basic("ehr/1", "read"), &good, true),
+            (basic("ehr/sealed", "read"), &good, false), // local Deny
+            (basic("ehr/vault", "read"), &good, false),  // local Indeterminate
+            (basic("ehr/1", "read"), &rogue, false),     // untrusted issuer
+            (basic("ehr/1", "read"), &expired, false),   // validity window
+            (RequestContext::new(), &good, false),       // no identifiers
+            (basic("ehr/1", "write"), &good, false),     // insufficient scope
+        ];
+        for (i, (request, cap, granted)) in rows.iter().enumerate() {
+            let r = w
+                .pep
+                .serve_with_capability(EnforceRequest::of(request, 10), cap);
+            assert_eq!(r.allowed, *granted, "row {i}: {:?}", r.reason);
+            assert_eq!(enforcements(), 4 + i as u64, "row {i} moved the counter");
+        }
+        let stats = w.pep.stats();
+        assert_eq!(
+            enforcements(),
+            stats.allowed + stats.denied + stats.failsafe_denials
+        );
+        assert_eq!((stats.allowed, stats.denied), (1, 1));
     }
 
     #[test]

@@ -31,6 +31,7 @@ use dacs_policy::request::RequestContext;
 use dacs_rbac::Rbac;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A source of attribute values the PDP can consult.
@@ -47,6 +48,12 @@ pub trait AttributeProvider: Send + Sync {
         request: &RequestContext,
         now_ms: u64,
     ) -> Option<Vec<AttrValue>>;
+
+    /// Hit/miss counters, for providers that cache (the default does
+    /// not). [`PipRegistry::cache_stats`] sums them over a chain.
+    fn cache_stats(&self) -> Option<CacheStats> {
+        None
+    }
 }
 
 /// Administrator-provisioned attributes for subjects and resources.
@@ -283,7 +290,8 @@ pub struct CachingProvider {
     inner: Arc<dyn AttributeProvider>,
     ttl_ms: u64,
     cache: Mutex<AttrCache>,
-    stats: Mutex<CacheStats>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 /// Cached lookups: `(attribute, subject) → (expiry_ms, resolved bag)`.
@@ -296,13 +304,17 @@ impl CachingProvider {
             inner,
             ttl_ms,
             cache: Mutex::new(HashMap::new()),
-            stats: Mutex::new(CacheStats::default()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
     }
 
     /// Current statistics.
     pub fn stats(&self) -> CacheStats {
-        *self.stats.lock()
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+        }
     }
 
     /// Drops every cached entry (explicit invalidation).
@@ -339,17 +351,21 @@ impl AttributeProvider for CachingProvider {
             let cache = self.cache.lock();
             if let Some((expiry, bag)) = cache.get(&key) {
                 if now_ms < *expiry {
-                    self.stats.lock().hits += 1;
+                    self.hits.fetch_add(1, Ordering::Relaxed);
                     return bag.clone();
                 }
             }
         }
-        self.stats.lock().misses += 1;
+        self.misses.fetch_add(1, Ordering::Relaxed);
         let fresh = self.inner.provide(id, request, now_ms);
         self.cache
             .lock()
             .insert(key, (now_ms + self.ttl_ms, fresh.clone()));
         fresh
+    }
+
+    fn cache_stats(&self) -> Option<CacheStats> {
+        Some(self.stats())
     }
 }
 
@@ -366,7 +382,8 @@ pub struct PipStats {
 #[derive(Default)]
 pub struct PipRegistry {
     providers: Vec<Arc<dyn AttributeProvider>>,
-    stats: Mutex<PipStats>,
+    lookups: AtomicU64,
+    resolved: AtomicU64,
 }
 
 impl PipRegistry {
@@ -387,12 +404,10 @@ impl PipRegistry {
         request: &RequestContext,
         now_ms: u64,
     ) -> Option<Vec<AttrValue>> {
-        let mut stats = self.stats.lock();
-        stats.lookups += 1;
-        drop(stats);
+        self.lookups.fetch_add(1, Ordering::Relaxed);
         for p in &self.providers {
             if let Some(bag) = p.provide(id, request, now_ms) {
-                self.stats.lock().resolved += 1;
+                self.resolved.fetch_add(1, Ordering::Relaxed);
                 return Some(bag);
             }
         }
@@ -401,7 +416,21 @@ impl PipRegistry {
 
     /// Current statistics.
     pub fn stats(&self) -> PipStats {
-        *self.stats.lock()
+        PipStats {
+            lookups: self.lookups.load(Ordering::Relaxed),
+            resolved: self.resolved.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Hit/miss counters summed over the chain's caching providers
+    /// (zero when none caches).
+    pub fn cache_stats(&self) -> CacheStats {
+        let mut total = CacheStats::default();
+        for stats in self.providers.iter().filter_map(|p| p.cache_stats()) {
+            total.hits += stats.hits;
+            total.misses += stats.misses;
+        }
+        total
     }
 
     /// Number of providers.
@@ -579,6 +608,51 @@ mod tests {
         let st = reg.stats();
         assert_eq!(st.lookups, 3);
         assert_eq!(st.resolved, 2);
+    }
+
+    /// Eight threads resolve through one registry at once; quiesced,
+    /// `lookups` is the calls made and `resolved` the calls that
+    /// returned `Some` — nothing lost, nothing double-booked — and the
+    /// chain's cache counters add up to the lookups that reached it.
+    #[test]
+    fn concurrent_resolves_count_every_lookup_once() {
+        const THREADS: usize = 8;
+        const CALLS: usize = 500;
+        let s = Arc::new(StaticAttributes::new());
+        s.add_subject_attr("alice", "dept", "radiology");
+        let mut reg = PipRegistry::new();
+        reg.add(Arc::new(CachingProvider::new(s, 1_000_000)));
+        let start = std::sync::Barrier::new(THREADS);
+        let some: usize = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (reg, start) = (&reg, &start);
+                    scope.spawn(move || {
+                        let request = req();
+                        start.wait();
+                        (0..CALLS)
+                            .filter(|i| {
+                                // Threads disagree on which calls hit a
+                                // known attribute, so the mix interleaves.
+                                let name = if (i + t) % 3 == 0 { "unknown" } else { "dept" };
+                                reg.resolve(&AttributeId::subject(name), &request, 0)
+                                    .is_some()
+                            })
+                            .count()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        let st = reg.stats();
+        assert_eq!(st.lookups, (THREADS * CALLS) as u64);
+        assert_eq!(st.resolved, some as u64);
+        assert!(
+            some > 0 && some < THREADS * CALLS,
+            "both outcomes exercised"
+        );
+        let cache = reg.cache_stats();
+        assert_eq!(cache.hits + cache.misses, st.lookups);
     }
 
     #[test]

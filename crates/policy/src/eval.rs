@@ -89,18 +89,6 @@ pub struct EvalMetrics {
     pub expr: ExprStats,
 }
 
-impl EvalMetrics {
-    /// Merges another metrics record into this one.
-    pub fn absorb(&mut self, other: &EvalMetrics) {
-        self.rules_evaluated += other.rules_evaluated;
-        self.policies_evaluated += other.policies_evaluated;
-        self.policy_sets_evaluated += other.policy_sets_evaluated;
-        self.targets_checked += other.targets_checked;
-        self.expr.functions_applied += other.expr.functions_applied;
-        self.expr.attribute_lookups += other.expr.attribute_lookups;
-    }
-}
-
 /// Evaluation status accompanying a decision.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Status {

@@ -7,7 +7,9 @@
 //!   [`Histogram`]s behind atomics. Recording a sample is a couple of
 //!   relaxed atomic adds; no samples are stored, yet `p50/p95/p99/p999`
 //!   come back within ~1.6% relative error (32 linear sub-buckets per
-//!   power-of-two octave). [`Registry::render_text`] emits a
+//!   power-of-two octave). Counters a component already keeps in its
+//!   stats struct are read through ([`Registry::expose`]), never
+//!   counted a second time. [`Registry::render_text`] emits a
 //!   Prometheus-style text exposition.
 //! * [`Tracer`] — per-enforcement traces. A root [`Span`] stamps the
 //!   enforcement with a trace id; timed child spans record every hop
@@ -21,7 +23,9 @@
 //!   [`Tracer::dump_json`] always shows closed spans.
 //!
 //! Every instrumented component takes an `Option<Arc<Telemetry>>`;
-//! `None` keeps the hot path free of telemetry work entirely.
+//! `None` keeps the hot path free of timing work — spans and latency
+//! histograms, the parts that read the wall clock. Event counters are
+//! the components' own and count either way.
 //!
 //! The span hierarchy, metric names, and the exposition/trace-dump
 //! formats are documented in the repository's `ARCHITECTURE.md`

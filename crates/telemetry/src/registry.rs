@@ -51,6 +51,44 @@ impl Gauge {
     }
 }
 
+/// Declares the one place a component's event counters live: `$block`,
+/// a relaxed-atomic mirror of its public stats struct `$stats`, with
+/// `$block::snapshot() -> $stats` and `$stats::samples()`, which pairs
+/// every field with its exposition name for [`Registry::expose`]. Both
+/// name every field of `$stats` (a struct literal, an exhaustive
+/// destructuring), so a field added to the stats struct and not listed
+/// here — not counted, not exposed — fails to compile.
+#[macro_export]
+macro_rules! counter_block {
+    ($(#[$meta:meta])* $vis:vis struct $block:ident: $stats:ident {
+        $($field:ident => $name:literal),* $(,)?
+    }) => {
+        $(#[$meta])*
+        #[derive(Default)]
+        $vis struct $block {
+            $($vis $field: ::std::sync::atomic::AtomicU64),*
+        }
+
+        impl $block {
+            /// The counters now: exact per counter, not a cross-counter
+            /// instant while other threads count.
+            $vis fn snapshot(&self) -> $stats {
+                $stats {
+                    $($field: self.$field.load(::std::sync::atomic::Ordering::Relaxed)),*
+                }
+            }
+        }
+
+        impl $stats {
+            /// Every field under its exposition name.
+            $vis fn samples(self) -> Vec<(&'static str, u64)> {
+                let $stats { $($field),* } = self;
+                vec![$(($name, $field)),*]
+            }
+        }
+    };
+}
+
 /// Number of linear sub-buckets per power-of-two octave: 2^5.
 const SUB_BITS: u32 = 5;
 /// Sub-bucket count (32).
@@ -147,6 +185,16 @@ impl Histogram {
     }
 }
 
+/// One component instance's read-through samples: every field of its
+/// stats struct under its exposition name, read at call time.
+struct Exposed(Box<dyn Fn() -> Vec<(&'static str, u64)> + Send + Sync>);
+
+impl std::fmt::Debug for Exposed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Exposed")
+    }
+}
+
 /// A lock-cheap registry of named metrics.
 ///
 /// Lookup takes a read lock on a name→`Arc` map; hot paths should
@@ -154,11 +202,18 @@ impl Histogram {
 /// Prometheus convention (`dacs_cluster_decide_us`); registration is
 /// implicit on first use and a name permanently denotes one metric
 /// kind.
+///
+/// Counters a component already keeps in its own stats struct are not
+/// copied in: the component [`Registry::expose`]s a sample function
+/// and the registry reads that storage through on every
+/// [`Registry::counter_value`], [`Registry::gauge_value`] and
+/// [`Registry::render_text`].
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
     gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
     histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
+    exposed: RwLock<Vec<Exposed>>,
 }
 
 fn get_or_create<T: Default>(map: &RwLock<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
@@ -192,14 +247,59 @@ impl Registry {
         get_or_create(&self.histograms, name)
     }
 
-    /// The value of a counter if it has been touched.
-    pub fn counter_value(&self, name: &str) -> Option<u64> {
-        self.counters.read().get(name).map(|c| c.get())
+    /// Exposes a component's own counters without copying them: on
+    /// every read the registry calls `samples`, which returns each
+    /// field of the component's stats struct under its metric name.
+    /// A name ending in `_total` is a counter and any other name a
+    /// gauge; when several instances expose the same name (two PEPs on
+    /// one shared handle) counters read as their sum and gauges as
+    /// their maximum. The component keeps counting whether or not it
+    /// is exposed — this adds a reader, not a second store.
+    pub fn expose(&self, samples: impl Fn() -> Vec<(&'static str, u64)> + Send + Sync + 'static) {
+        self.exposed.write().push(Exposed(Box::new(samples)));
     }
 
-    /// The value of a gauge if it has been touched.
+    /// Every counter (or every gauge) by name: the registry's own plus
+    /// the exposed samples, same-name values folded — counters sum,
+    /// gauges take the maximum.
+    fn scalars(&self, counters: bool) -> BTreeMap<String, u64> {
+        fn owned<T>(
+            map: &RwLock<BTreeMap<String, Arc<T>>>,
+            get: impl Fn(&T) -> u64,
+        ) -> BTreeMap<String, u64> {
+            let map = map.read();
+            map.iter().map(|(n, m)| (n.clone(), get(m))).collect()
+        }
+        let mut folded = if counters {
+            owned(&self.counters, Counter::get)
+        } else {
+            owned(&self.gauges, Gauge::get)
+        };
+        for Exposed(samples) in self.exposed.read().iter() {
+            for (name, value) in samples() {
+                // The Prometheus `_total` suffix marks a counter.
+                if name.ends_with("_total") != counters {
+                    continue;
+                }
+                let slot = folded.entry(name.to_string()).or_insert(0);
+                *slot = if counters {
+                    *slot + value
+                } else {
+                    (*slot).max(value)
+                };
+            }
+        }
+        folded
+    }
+
+    /// The value of a counter if it has been touched or exposed.
+    pub fn counter_value(&self, name: &str) -> Option<u64> {
+        self.scalars(true).get(name).copied()
+    }
+
+    /// The value of a gauge if it has been touched or exposed.
     pub fn gauge_value(&self, name: &str) -> Option<u64> {
-        self.gauges.read().get(name).map(|g| g.get())
+        self.scalars(false).get(name).copied()
     }
 
     /// Prometheus-style text exposition of every registered metric.
@@ -218,17 +318,12 @@ impl Registry {
     /// (`dacs_sched_`) as a standalone bench artifact.
     pub fn render_text_filtered(&self, prefix: &str) -> String {
         let mut out = String::new();
-        for (name, c) in self.counters.read().iter() {
-            if !name.starts_with(prefix) {
-                continue;
+        for (kind, counters) in [("counter", true), ("gauge", false)] {
+            for (name, value) in self.scalars(counters) {
+                if name.starts_with(prefix) {
+                    out.push_str(&format!("# TYPE {name} {kind}\n{name} {value}\n"));
+                }
             }
-            out.push_str(&format!("# TYPE {name} counter\n{name} {}\n", c.get()));
-        }
-        for (name, g) in self.gauges.read().iter() {
-            if !name.starts_with(prefix) {
-                continue;
-            }
-            out.push_str(&format!("# TYPE {name} gauge\n{name} {}\n", g.get()));
         }
         for (name, h) in self.histograms.read().iter() {
             if !name.starts_with(prefix) {
@@ -268,6 +363,58 @@ mod tests {
         assert_eq!(r.counter_value("dacs_x_total"), Some(5));
         assert_eq!(r.gauge_value("dacs_lag"), Some(9));
         assert_eq!(r.counter_value("missing"), None);
+    }
+
+    #[test]
+    fn exposed_samples_read_through_and_fold_across_instances() {
+        let r = Registry::new();
+        let a = Arc::new(AtomicU64::new(2));
+        let b = Arc::new(AtomicU64::new(5));
+        for cell in [&a, &b] {
+            let cell = Arc::clone(cell);
+            r.expose(move || {
+                let v = cell.load(Ordering::Relaxed);
+                vec![("dacs_x_total", v), ("dacs_x_lag", v)]
+            });
+        }
+        r.counter("dacs_x_total").inc(); // an owned counter of the same name joins the sum
+        assert_eq!(r.counter_value("dacs_x_total"), Some(8));
+        assert_eq!(r.gauge_value("dacs_x_lag"), Some(5));
+        assert_eq!(r.counter_value("dacs_x_lag"), None, "a gauge name");
+        // Read through, not copied: the next read sees the new value.
+        a.fetch_add(4, Ordering::Relaxed);
+        assert_eq!(r.counter_value("dacs_x_total"), Some(12));
+        assert_eq!(r.gauge_value("dacs_x_lag"), Some(6));
+        let text = r.render_text();
+        assert!(text.contains("# TYPE dacs_x_total counter\ndacs_x_total 12\n"));
+        assert!(text.contains("# TYPE dacs_x_lag gauge\ndacs_x_lag 6\n"));
+    }
+
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    struct DoorStats {
+        opened: u64,
+        ajar: u64,
+    }
+
+    crate::counter_block! {
+        /// The door's counters.
+        struct DoorCounters: DoorStats {
+            opened => "dacs_door_opened_total",
+            ajar => "dacs_door_ajar",
+        }
+    }
+
+    #[test]
+    fn counter_block_mirrors_and_names_every_field() {
+        let block = Arc::new(DoorCounters::default());
+        block.opened.fetch_add(3, Ordering::Relaxed);
+        block.ajar.store(1, Ordering::Relaxed);
+        assert_eq!(block.snapshot(), DoorStats { opened: 3, ajar: 1 });
+        let r = Registry::new();
+        let exposed = Arc::clone(&block);
+        r.expose(move || exposed.snapshot().samples());
+        assert_eq!(r.counter_value("dacs_door_opened_total"), Some(3));
+        assert_eq!(r.gauge_value("dacs_door_ajar"), Some(1));
     }
 
     #[test]

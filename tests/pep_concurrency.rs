@@ -7,9 +7,15 @@
 //! contention — a torn counter, a double-counted request, or a request
 //! lost between the stripes breaks a sum, not a tolerance.
 //!
+//! The same counters are the only ones there are (ISSUE 13): a last
+//! case checks that attaching telemetry changes no count, and that
+//! instances sharing one handle stay separate while the registry
+//! reports their sum.
+//!
 //! [`Pep`]: dacs::pep::Pep
 
 use dacs::capability::{CapabilityAuthority, CapabilityKey};
+use dacs::cluster::{ClusterBuilder, DecisionBackend, PdpCluster};
 use dacs::crypto::sign::CryptoCtx;
 use dacs::pap::Pap;
 use dacs::pdp::{CacheConfig, Pdp};
@@ -18,6 +24,7 @@ use dacs::pip::PipRegistry;
 use dacs::policy::dsl::parse_policy;
 use dacs::policy::policy::{PolicyElement, PolicyId};
 use dacs::policy::request::RequestContext;
+use dacs::telemetry::Telemetry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -187,5 +194,94 @@ fn eight_threads_share_token_and_decision_caches() {
     assert!(
         stats.token_hits > allowed / 2,
         "token path hit-starved: {stats:?}"
+    );
+}
+
+/// The first `threads` request streams replayed on one thread, so two
+/// PEPs given the same replay see the same interleaving.
+fn replay(pep: &Pep, threads: usize) {
+    for t in 0..threads {
+        for i in 0..REQUESTS_PER_THREAD {
+            let (request, expect_permit) = request_for(t, i);
+            let response = pep.serve(EnforceRequest::of(&request, i as u64));
+            assert_eq!(response.allowed, expect_permit);
+        }
+    }
+}
+
+/// Telemetry is a reader of the counters, not a second set of them: a
+/// PEP built with a handle counts exactly what one built without it
+/// counts for the same requests; two PEPs (and two clusters) sharing
+/// one handle each keep their own `stats()` / `metrics()`, and the
+/// registry reports the sum.
+#[test]
+fn shared_telemetry_sums_instances_and_changes_no_count() {
+    let telemetry = Arc::new(Telemetry::new());
+    let cached_pep = |telemetry: Option<&Arc<Telemetry>>| {
+        let builder = Pep::builder("pep.conc")
+            .source(build_pdp())
+            .cache(CacheConfig {
+                capacity: 4096,
+                ttl_ms: u64::MAX / 2,
+            });
+        match telemetry {
+            Some(t) => builder.telemetry(Arc::clone(t)).build(),
+            None => builder.build(),
+        }
+    };
+    let (plain, a, b) = (
+        cached_pep(None),
+        cached_pep(Some(&telemetry)),
+        cached_pep(Some(&telemetry)),
+    );
+    replay(&plain, 2);
+    replay(&a, 2);
+    replay(&b, 1);
+    assert_eq!(a.stats(), plain.stats(), "telemetry changed a count");
+    assert_eq!(a.cache_stats(), plain.cache_stats());
+    assert_ne!(a.stats(), b.stats(), "instances stay separate");
+
+    let registry = telemetry.registry();
+    let (sa, sb) = (a.stats(), b.stats());
+    let (ca, cb) = (a.cache_stats().unwrap(), b.cache_stats().unwrap());
+    for (name, sum) in [
+        (
+            "dacs_pep_enforcements_total",
+            (2 + 1) * REQUESTS_PER_THREAD as u64,
+        ),
+        ("dacs_pep_allowed_total", sa.allowed + sb.allowed),
+        ("dacs_pep_denied_total", sa.denied + sb.denied),
+        ("dacs_pep_cache_hits_total", sa.cache_hits + sb.cache_hits),
+        ("dacs_pep_decision_cache_hits_total", ca.hits + cb.hits),
+        (
+            "dacs_pep_decision_cache_misses_total",
+            ca.misses + cb.misses,
+        ),
+    ] {
+        assert_eq!(registry.counter_value(name), Some(sum), "{name}");
+    }
+
+    let cluster = || -> PdpCluster {
+        ClusterBuilder::new("conc")
+            .shard(vec![build_pdp() as Arc<dyn DecisionBackend>])
+            .telemetry(Arc::clone(&telemetry))
+            .build()
+    };
+    let (x, y) = (cluster(), cluster());
+    for i in 0..10 {
+        let (request, _) = request_for(0, i);
+        x.decide(&request, 0);
+        if i < 4 {
+            y.decide(&request, 0);
+        }
+    }
+    assert_eq!((x.metrics().queries, y.metrics().queries), (10, 4));
+    assert_eq!(
+        registry.counter_value("dacs_cluster_queries_total"),
+        Some(14)
+    );
+    assert_eq!(
+        registry.counter_value("dacs_cluster_replica_queries_total"),
+        Some(x.metrics().replica_queries + y.metrics().replica_queries)
     );
 }
