@@ -8,7 +8,9 @@ use dacs_cluster::{
     BatchSubmitter, ClusterBuilder, DecisionBackend, HedgeConfig, QuorumMode, SchedulerConfig,
     StaticBackend,
 };
-use dacs_core::scenario::{clustered_healthcare_vo, healthcare_vo, with_shared_cas};
+use dacs_core::scenario::{
+    alternating_lockdown_gate, clustered_healthcare_vo, healthcare_vo, with_shared_cas,
+};
 use dacs_crypto::sign::{CryptoCtx, SigningKey};
 use dacs_federation::{
     issue_capability_flow, push_flow, request_flow, FlowKind, FlowNet, SizeModel,
@@ -28,6 +30,7 @@ use dacs_trust::{chain_scenario, negotiate, Strategy};
 use dacs_wire::security::SecureChannel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::hint::black_box;
 use std::sync::Arc;
 
 fn bench_substrates(c: &mut Criterion) {
@@ -167,6 +170,33 @@ policy "gate" first-applicable {
             let mut ev = Evaluator::new(&store, &request);
             ev.evaluate_policy(&policy)
         })
+    });
+    // One target match of the shape every quarantine policy makes:
+    // a prefix pattern against a resource id under another prefix.
+    g.bench_function("glob_prefix_match", |b| {
+        b.iter(|| {
+            dacs_policy::glob::glob_match(black_box("aux-7/*"), black_box("records/42"))
+                | dacs_policy::glob::glob_match(black_box("records/*"), black_box("records/42"))
+        })
+    });
+    // The repo benchmark's domain shape through `Pdp::decide`, not a
+    // bare `Evaluator`: the lockdown gate, sixteen quarantine policies
+    // whose targets do not match, the role from the PIP.
+    let mut domain =
+        dacs_federation::Domain::builder("q").policy(alternating_lockdown_gate("q", 0));
+    for k in 0..16 {
+        domain = domain.policy_dsl(&format!(
+            r#"policy "aux-{k}" deny-overrides {{
+                 rule "quarantine" deny {{ target {{ resource "id" ~= "aux-{k}/*"; }} }}
+               }}"#
+        ));
+    }
+    let domain = domain
+        .subject_attr("user-1@q", "role", "doctor")
+        .build(&CryptoCtx::new());
+    let doctor = RequestContext::basic("user-1@q", "records/42", "read");
+    g.bench_function("pdp_decide_17_policies", |b| {
+        b.iter(|| domain.pdp.decide(black_box(&doctor), 0))
     });
     // Combining algorithm throughput (E4).
     for alg in [

@@ -37,11 +37,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// to the same resource on one shard — exactly the repetition a decision
 /// cache exploits — while still spreading distinct resources.
 pub fn routing_key(request: &RequestContext) -> String {
-    format!(
-        "{}\u{1f}{}",
-        request.subject_id().unwrap_or(""),
-        request.resource_id().unwrap_or("")
-    )
+    let subject = request.subject_id().unwrap_or("");
+    let resource = request.resource_id().unwrap_or("");
+    // Sized up front: one allocation per routed request, no regrowth.
+    let mut key = String::with_capacity(subject.len() + 1 + resource.len());
+    key.push_str(subject);
+    key.push('\u{1f}');
+    key.push_str(resource);
+    key
 }
 
 /// Maps routing keys onto `shards` replica groups via a consistent ring.

@@ -5,10 +5,11 @@
 use crate::cache::{CacheStats, HashedRequestCache};
 use dacs_pap::Pap;
 use dacs_pip::{PipRegistry, ResolvingSource};
-use dacs_policy::eval::{EvalMetrics, Evaluator, Response};
+use dacs_policy::eval::{resolve_references, EvalMetrics, Evaluator, Response};
 use dacs_policy::expr::ExprStats;
 use dacs_policy::policy::PolicyElement;
 use dacs_policy::request::RequestContext;
+use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -87,17 +88,44 @@ pub struct CacheConfig {
     pub ttl_ms: u64,
 }
 
+/// The PDP's root with every reference resolved against the PAP as it
+/// stood at mutation epoch `epoch` or later.
+struct Snapshot {
+    epoch: u64,
+    root: PolicyElement,
+}
+
+impl Snapshot {
+    /// Resolves `root` against `pap`. `epoch` must have been read from
+    /// `pap` before this call.
+    fn take(pap: &Pap, root: &PolicyElement, epoch: u64) -> Self {
+        Snapshot {
+            epoch,
+            root: resolve_references(root, pap),
+        }
+    }
+}
+
 /// A Policy Decision Point bound to one PAP and one PIP registry.
 ///
 /// The read path is concurrent: the decision cache is a striped
 /// [`HashedRequestCache`] keyed by the request's 64-bit canonical hash
 /// (full-context verify on hit), and every counter is a plain relaxed
 /// atomic, so `decide` takes no global lock — only the one cache
-/// stripe the key maps to.
+/// stripe the key maps to, and a shared read of the snapshot pointer.
+///
+/// Evaluation walks a per-epoch resolved snapshot of the root
+/// ([`resolve_references`]), not the PAP: `decide` reads the PAP's mutation epoch once, uses the held
+/// snapshot when its label matches and re-resolves the root otherwise.
+/// The epoch is read *before* resolving, so a snapshot is never older
+/// than its label; every PAP mutation bumps the epoch before it
+/// returns, so a `decide` that starts after a mutation returned sees a
+/// label mismatch and can never evaluate the pre-mutation tree.
 pub struct Pdp {
     name: String,
     pap: Arc<Pap>,
     root: PolicyElement,
+    snapshot: RwLock<Arc<Snapshot>>,
     pips: Arc<PipRegistry>,
     cache: Option<HashedRequestCache<Response>>,
     /// PAP epoch the cache was valid for; a mismatch flushes it.
@@ -118,10 +146,12 @@ impl Pdp {
         root: PolicyElement,
         pips: Arc<PipRegistry>,
     ) -> Self {
+        let snapshot = RwLock::new(Arc::new(Snapshot::take(&pap, &root, pap.epoch())));
         Pdp {
             name: name.into(),
             pap,
             root,
+            snapshot,
             pips,
             cache: None,
             cache_epoch: AtomicU64::new(0),
@@ -167,6 +197,9 @@ impl Pdp {
     pub fn decide(&self, request: &RequestContext, now_ms: u64) -> Response {
         self.metrics.decisions.fetch_add(1, Ordering::Relaxed);
 
+        // One read serves the cache's validity check and the
+        // snapshot's; it comes first so neither is newer than it.
+        let epoch = self.pap.epoch();
         let hash = self
             .cache
             .as_ref()
@@ -174,10 +207,9 @@ impl Pdp {
             .unwrap_or(0);
 
         if let Some(cache) = &self.cache {
-            let current = self.pap.epoch();
-            if self.cache_epoch.load(Ordering::Relaxed) != current {
+            if self.cache_epoch.load(Ordering::Relaxed) != epoch {
                 cache.invalidate_all();
-                self.cache_epoch.store(current, Ordering::Relaxed);
+                self.cache_epoch.store(epoch, Ordering::Relaxed);
             }
             if let Some(resp) = cache.get(hash, request, now_ms) {
                 self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -185,15 +217,37 @@ impl Pdp {
             }
         }
 
+        let snapshot = self.snapshot_at(epoch);
         let source = ResolvingSource::new(request, &self.pips, now_ms);
+        // The PAP stays the store for what the snapshot left as a
+        // reference (dangling or cyclic).
         let mut evaluator = Evaluator::with_source(self.pap.as_ref(), request, &source);
-        let response = evaluator.evaluate_element(&self.root);
+        let response = evaluator.evaluate_element(&snapshot.root);
         self.metrics.absorb(&evaluator.metrics);
 
         if let Some(cache) = &self.cache {
             cache.insert(hash, request, response.clone(), now_ms);
         }
         response
+    }
+
+    /// The snapshot to evaluate for a `decide` that read `epoch`: the
+    /// held one when its label matches, a fresh one otherwise. A fresh
+    /// snapshot replaces the held one unless that is already newer (a
+    /// concurrent `decide` that read a later epoch got there first).
+    fn snapshot_at(&self, epoch: u64) -> Arc<Snapshot> {
+        {
+            let held = self.snapshot.read();
+            if held.epoch == epoch {
+                return held.clone();
+            }
+        }
+        let fresh = Arc::new(Snapshot::take(&self.pap, &self.root, epoch));
+        let mut held = self.snapshot.write();
+        if held.epoch < epoch {
+            *held = fresh.clone();
+        }
+        fresh
     }
 
     /// Explicitly flushes the decision cache (used when attribute

@@ -30,6 +30,7 @@ use dacs_policy::expr::AttributeSource;
 use dacs_policy::request::RequestContext;
 use dacs_rbac::Rbac;
 use parking_lot::{Mutex, RwLock};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -447,11 +448,15 @@ impl PipRegistry {
 /// Adapts (request, registry, clock) into an [`AttributeSource`] for the
 /// evaluation engine: request attributes win; otherwise the registry is
 /// consulted lazily and the result memoized for the request's duration.
+///
+/// One evaluation runs on one thread (`AttributeSource` is not `Sync`)
+/// and asks for a handful of attributes, so the memo is a `RefCell`ed
+/// vector scanned linearly — no lock, no hashing.
 pub struct ResolvingSource<'a> {
     request: &'a RequestContext,
     registry: &'a PipRegistry,
     now_ms: u64,
-    memo: Mutex<HashMap<AttributeId, Option<Vec<AttrValue>>>>,
+    memo: RefCell<Vec<(AttributeId, Option<Vec<AttrValue>>)>>,
 }
 
 impl<'a> ResolvingSource<'a> {
@@ -461,21 +466,21 @@ impl<'a> ResolvingSource<'a> {
             request,
             registry,
             now_ms,
-            memo: Mutex::new(HashMap::new()),
+            memo: RefCell::new(Vec::new()),
         }
     }
 }
 
 impl AttributeSource for ResolvingSource<'_> {
     fn attribute_bag(&self, id: &AttributeId) -> Option<Vec<AttrValue>> {
-        if self.request.contains(id) {
-            return Some(self.request.bag(id).to_vec());
+        if let Some(bag) = self.request.attribute_bag(id) {
+            return Some(bag);
         }
-        if let Some(cached) = self.memo.lock().get(id) {
+        if let Some((_, cached)) = self.memo.borrow().iter().find(|(known, _)| known == id) {
             return cached.clone();
         }
         let resolved = self.registry.resolve(id, self.request, self.now_ms);
-        self.memo.lock().insert(id.clone(), resolved.clone());
+        self.memo.borrow_mut().push((id.clone(), resolved.clone()));
         resolved
     }
 }

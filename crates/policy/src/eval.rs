@@ -74,6 +74,87 @@ impl PolicyStore for InMemoryStore {
     }
 }
 
+/// Returns `root` with every reachable `PolicyRef` / `PolicySetRef`
+/// replaced inline by the body `store` holds for it now, so that
+/// evaluating the result makes no store lookup.
+///
+/// [`Evaluator`] reaches a referenced body through the same
+/// `evaluate_policy` / `evaluate_policy_set` it uses for an inline one,
+/// so the resolved tree yields the response — and the work counters —
+/// the reference walk would against the same store contents. A
+/// reference the store cannot resolve, and a `PolicySetRef` back into a
+/// set that is still being expanded (a cycle), stay references: the
+/// evaluator meets them exactly as it does today, as `Indeterminate`
+/// or at its nesting limit. Expansion therefore terminates: every
+/// nested expansion is of a stored set not already open.
+///
+/// # Examples
+///
+/// ```
+/// use dacs_policy::eval::{resolve_references, InMemoryStore};
+/// use dacs_policy::policy::{CombiningAlg, Policy, PolicyElement, PolicyId, PolicySet};
+///
+/// let mut store = InMemoryStore::new();
+/// store.add_policy(Policy::new("p", CombiningAlg::DenyOverrides));
+/// store.add_policy_set(
+///     PolicySet::new("root", CombiningAlg::DenyOverrides)
+///         .with_policy_ref("p")
+///         .with_policy_ref("missing"),
+/// );
+/// let root = PolicyElement::PolicySetRef(PolicyId::new("root"));
+/// let PolicyElement::PolicySet(resolved) = resolve_references(&root, &store) else {
+///     panic!("the root set resolves inline");
+/// };
+/// assert!(matches!(resolved.elements[0], PolicyElement::Policy(_)));
+/// assert!(matches!(resolved.elements[1], PolicyElement::PolicyRef(_)));
+/// ```
+pub fn resolve_references(root: &PolicyElement, store: &dyn PolicyStore) -> PolicyElement {
+    resolve_element(root, store, &mut Vec::new())
+}
+
+/// `open` holds the stored sets whose expansion encloses `element`.
+fn resolve_element(
+    element: &PolicyElement,
+    store: &dyn PolicyStore,
+    open: &mut Vec<PolicyId>,
+) -> PolicyElement {
+    match element {
+        PolicyElement::Policy(_) => element.clone(),
+        PolicyElement::PolicySet(set) => {
+            PolicyElement::PolicySet(Box::new(resolve_set(set, store, open)))
+        }
+        PolicyElement::PolicyRef(id) => match store.policy(id) {
+            Some(policy) => PolicyElement::Policy(Policy::clone(&policy)),
+            None => element.clone(),
+        },
+        PolicyElement::PolicySetRef(id) => match store.policy_set(id) {
+            Some(set) if !open.contains(id) => {
+                open.push(id.clone());
+                let resolved = resolve_set(&set, store, open);
+                open.pop();
+                PolicyElement::PolicySet(Box::new(resolved))
+            }
+            _ => element.clone(),
+        },
+    }
+}
+
+fn resolve_set(set: &PolicySet, store: &dyn PolicyStore, open: &mut Vec<PolicyId>) -> PolicySet {
+    PolicySet {
+        id: set.id.clone(),
+        version: set.version,
+        target: set.target.clone(),
+        elements: set
+            .elements
+            .iter()
+            .map(|child| resolve_element(child, store, open))
+            .collect(),
+        policy_combining: set.policy_combining,
+        obligations: set.obligations.clone(),
+        issuer: set.issuer.clone(),
+    }
+}
+
 /// Work counters for one evaluation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EvalMetrics {
@@ -289,12 +370,11 @@ impl<'a> Evaluator<'a> {
     fn evaluate_only_one_applicable(&mut self, set: &PolicySet) -> Response {
         let mut applicable: Option<usize> = None;
         for (i, element) in set.elements.iter().enumerate() {
-            let target = match self.element_target(element) {
-                Ok(t) => t,
+            let matched = match self.match_element_target(element) {
+                Ok(m) => m,
                 Err(msg) => return Response::indeterminate(msg),
             };
-            self.metrics.targets_checked += 1;
-            match target.evaluate(self.request) {
+            match matched {
                 MatchResult::Match => {
                     if applicable.is_some() {
                         return Response::indeterminate(format!(
@@ -319,20 +399,20 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn element_target(&self, element: &PolicyElement) -> Result<Target, String> {
+    /// Matches a child's own target where it lives — inline, or in the
+    /// store's `Arc` for the duration of the call.
+    fn match_element_target(&mut self, element: &PolicyElement) -> Result<MatchResult, String> {
         match element {
-            PolicyElement::Policy(p) => Ok(p.target.clone()),
-            PolicyElement::PolicySet(ps) => Ok(ps.target.clone()),
-            PolicyElement::PolicyRef(id) => self
-                .store
-                .policy(id)
-                .map(|p| p.target.clone())
-                .ok_or_else(|| format!("unresolved policy reference {id}")),
-            PolicyElement::PolicySetRef(id) => self
-                .store
-                .policy_set(id)
-                .map(|ps| ps.target.clone())
-                .ok_or_else(|| format!("unresolved policy set reference {id}")),
+            PolicyElement::Policy(p) => Ok(self.check_target(&p.target)),
+            PolicyElement::PolicySet(ps) => Ok(self.check_target(&ps.target)),
+            PolicyElement::PolicyRef(id) => match self.store.policy(id) {
+                Some(p) => Ok(self.check_target(&p.target)),
+                None => Err(format!("unresolved policy reference {id}")),
+            },
+            PolicyElement::PolicySetRef(id) => match self.store.policy_set(id) {
+                Some(ps) => Ok(self.check_target(&ps.target)),
+                None => Err(format!("unresolved policy set reference {id}")),
+            },
         }
     }
 

@@ -1,6 +1,8 @@
 //! Glob pattern matching (`*` and `?`) used by targets and string
 //! functions — e.g. resource hierarchies such as `ehr/records/*`.
 
+use std::str::Chars;
+
 /// Matches `text` against `pattern`, where `*` matches any (possibly
 /// empty) substring and `?` matches exactly one character.
 ///
@@ -16,31 +18,38 @@
 /// assert!(!glob_match("ehr/*", "lab/1"));
 /// ```
 pub fn glob_match(pattern: &str, text: &str) -> bool {
-    let p: Vec<char> = pattern.chars().collect();
-    let t: Vec<char> = text.chars().collect();
-    // Classic iterative matcher with single-star backtracking.
-    let (mut pi, mut ti) = (0usize, 0usize);
-    let mut star: Option<(usize, usize)> = None; // (pattern idx after '*', text idx)
-    while ti < t.len() {
-        if pi < p.len() && (p[pi] == '?' || p[pi] == t[ti]) {
-            pi += 1;
-            ti += 1;
-        } else if pi < p.len() && p[pi] == '*' {
-            star = Some((pi + 1, ti));
-            pi += 1;
-        } else if let Some((sp, st)) = star {
-            // Backtrack: let the last '*' swallow one more character.
-            pi = sp;
-            ti = st + 1;
-            star = Some((sp, st + 1));
-        } else {
-            return false;
+    // Classic iterative matcher with single-star backtracking, walking
+    // both strings in place: a `Chars` is two pointers, so saving a
+    // position is a copy and nothing is collected.
+    let mut p = pattern.chars();
+    let mut t = text.chars();
+    // (pattern just after the last '*', text where that '*' ends so far)
+    let mut star: Option<(Chars<'_>, Chars<'_>)> = None;
+    loop {
+        let mut t_rest = t.clone();
+        let Some(tc) = t_rest.next() else { break };
+        let mut p_rest = p.clone();
+        match p_rest.next() {
+            Some(pc) if pc == '?' || pc == tc => {
+                p = p_rest;
+                t = t_rest;
+            }
+            Some('*') => {
+                star = Some((p_rest.clone(), t.clone()));
+                p = p_rest;
+            }
+            _ => match &mut star {
+                // Backtrack: let the last '*' swallow one more character.
+                Some((after_star, swallowed_to)) => {
+                    swallowed_to.next();
+                    p = after_star.clone();
+                    t = swallowed_to.clone();
+                }
+                None => return false,
+            },
         }
     }
-    while pi < p.len() && p[pi] == '*' {
-        pi += 1;
-    }
-    pi == p.len()
+    p.all(|c| c == '*')
 }
 
 /// Conservatively decides whether two glob patterns could match a common
@@ -68,6 +77,76 @@ pub fn globs_may_overlap(a: &str, b: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The matcher as it was before it walked in place: both strings
+    /// collected into `Vec<char>` and indexed. Kept as the oracle the
+    /// in-place matcher is differentially tested against.
+    fn glob_match_reference(pattern: &str, text: &str) -> bool {
+        let p: Vec<char> = pattern.chars().collect();
+        let t: Vec<char> = text.chars().collect();
+        let (mut pi, mut ti) = (0usize, 0usize);
+        let mut star: Option<(usize, usize)> = None; // (pattern idx after '*', text idx)
+        while ti < t.len() {
+            if pi < p.len() && (p[pi] == '?' || p[pi] == t[ti]) {
+                pi += 1;
+                ti += 1;
+            } else if pi < p.len() && p[pi] == '*' {
+                star = Some((pi + 1, ti));
+                pi += 1;
+            } else if let Some((sp, st)) = star {
+                pi = sp;
+                ti = st + 1;
+                star = Some((sp, st + 1));
+            } else {
+                return false;
+            }
+        }
+        while pi < p.len() && p[pi] == '*' {
+            pi += 1;
+        }
+        pi == p.len()
+    }
+
+    proptest! {
+        /// Small alphabets so that patterns and texts collide often:
+        /// one-, two- and three-byte scalars, `?` opposite a multi-byte
+        /// char, runs of `*` inside and at the end of the pattern, a
+        /// literal `*` in the text, and empty strings on either side.
+        #[test]
+        fn in_place_matcher_agrees_with_char_vector_reference(
+            pattern in "[ab*?é日/]{0,7}[*]{0,3}",
+            texts in prop::collection::vec("[ab*é日/]{0,9}", 1..48),
+        ) {
+            for text in &texts {
+                prop_assert_eq!(
+                    glob_match(&pattern, text),
+                    glob_match_reference(&pattern, text),
+                    "pattern {:?} text {:?}", pattern, text
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_matcher_agrees_on_the_named_edge_cases() {
+        let patterns = [
+            "", "*", "**", "***", "?", "??", "a**", "**a", "a*?*", "é", "?é", "日?", "*日*", "a*",
+            "*a", "a?c*", "*?",
+        ];
+        let texts = [
+            "", "*", "**", "*a", "a*", "a", "é", "日", "aé", "é日", "日é日", "a*c", "abc", "aébc日",
+        ];
+        for pattern in patterns {
+            for text in texts {
+                assert_eq!(
+                    glob_match(pattern, text),
+                    glob_match_reference(pattern, text),
+                    "pattern {pattern:?} text {text:?}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn literal_match() {

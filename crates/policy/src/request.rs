@@ -84,21 +84,27 @@ impl RequestContext {
 
     /// First string value of `subject.id`, if present.
     pub fn subject_id(&self) -> Option<&str> {
-        self.first_str(&AttributeId::subject(ID_ATTR))
+        self.first_str(Category::Subject, ID_ATTR)
     }
 
     /// First string value of `resource.id`, if present.
     pub fn resource_id(&self) -> Option<&str> {
-        self.first_str(&AttributeId::resource(ID_ATTR))
+        self.first_str(Category::Resource, ID_ATTR)
     }
 
     /// First string value of `action.id`, if present.
     pub fn action_id(&self) -> Option<&str> {
-        self.first_str(&AttributeId::action(ID_ATTR))
+        self.first_str(Category::Action, ID_ATTR)
     }
 
-    fn first_str(&self, id: &AttributeId) -> Option<&str> {
-        self.bag(id).iter().find_map(AttrValue::as_str)
+    /// Scans the handful of entries a context holds rather than
+    /// building an owned `AttributeId` (a `String`) to index the map:
+    /// these accessors sit on every serving path.
+    fn first_str(&self, category: Category, name: &str) -> Option<&str> {
+        self.attrs
+            .iter()
+            .find(|(id, _)| id.category == category && id.name == name)
+            .and_then(|(_, bag)| bag.iter().find_map(AttrValue::as_str))
     }
 
     /// Iterates over all (id, bag) entries in deterministic order.

@@ -1,0 +1,459 @@
+//! Snapshot coherence of `Pdp::decide`, against one oracle.
+//!
+//! The PDP evaluates a per-epoch resolved copy of its root instead of
+//! walking references through the PAP. The oracle is the reference
+//! walk itself — `Evaluator::with_source(pap, ..).evaluate_element(&root)`
+//! — and every `Response` (decision, obligations, status text) and
+//! every work counter must equal it after any sequence of PAP
+//! mutations, with and without a decision cache. Fixed cases pin what
+//! the resolver leaves as a reference (dangling, cyclic), and a
+//! two-thread case pins the coherence rule: a `decide` that starts
+//! after a mutation returned never sees the tree from before it.
+
+use dacs::core::scenario::alternating_lockdown_gate;
+use dacs::pap::{Pap, PolicyEpoch};
+use dacs::pdp::{CacheConfig, Pdp};
+use dacs::pep::{EnforceRequest, Pep};
+use dacs::pip::{PipRegistry, ResolvingSource, StaticAttributes};
+use dacs::policy::dsl::parse_policy;
+use dacs::policy::eval::{EvalMetrics, Evaluator, Response, Status};
+use dacs::policy::policy::{CombiningAlg, Decision, Policy, PolicyElement, PolicyId, PolicySet};
+use dacs::policy::request::RequestContext;
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+
+const ROOT: &str = "root";
+const INNER: &str = "inner";
+const POLICY_IDS: [&str; 5] = ["p0", "p1", "p2", "p3", "p4"];
+
+fn root_element() -> PolicyElement {
+    PolicyElement::PolicySetRef(PolicyId::new(ROOT))
+}
+
+/// A PIP that knows `role` for two of the three subjects the request
+/// pool uses, so conditions on it permit, deny and come up empty.
+fn pips() -> Arc<PipRegistry> {
+    let statics = Arc::new(StaticAttributes::new());
+    statics.add_subject_attr("alice", "role", "doctor");
+    statics.add_subject_attr("bob", "role", "auditor");
+    let mut registry = PipRegistry::new();
+    registry.add(statics);
+    Arc::new(registry)
+}
+
+fn request_pool() -> Vec<RequestContext> {
+    let mut pool = Vec::new();
+    for subject in ["alice", "bob", "carol"] {
+        for resource in ["records/1", "aux/9", "lab/3"] {
+            for action in ["read", "write"] {
+                pool.push(RequestContext::basic(subject, resource, action));
+            }
+        }
+    }
+    pool
+}
+
+/// The reference walk: what `Pdp::decide` must return right now.
+fn oracle(
+    pap: &Pap,
+    pips: &PipRegistry,
+    root: &PolicyElement,
+    request: &RequestContext,
+    now_ms: u64,
+) -> (Response, EvalMetrics) {
+    let source = ResolvingSource::new(request, pips, now_ms);
+    let mut evaluator = Evaluator::with_source(pap, request, &source);
+    let response = evaluator.evaluate_element(root);
+    (response, evaluator.metrics)
+}
+
+fn pick(rng: &mut StdRng, options: &[&'static str]) -> &'static str {
+    options[rng.gen_range(0..options.len())]
+}
+
+/// The six work counters of an evaluation, for subtraction.
+fn counts(m: EvalMetrics) -> [u64; 6] {
+    [
+        m.policies_evaluated,
+        m.policy_sets_evaluated,
+        m.rules_evaluated,
+        m.targets_checked,
+        m.expr.functions_applied,
+        m.expr.attribute_lookups,
+    ]
+}
+
+/// A policy drawn from a small grammar: every rule-combining
+/// algorithm (the invalid `only-one-applicable` included), glob and
+/// match-all targets, PIP-backed conditions, a condition on an
+/// attribute nobody provides (an evaluation error), and obligations
+/// at rule and policy level.
+fn random_policy(rng: &mut StdRng, id: &str) -> Policy {
+    let alg = CombiningAlg::ALL[rng.gen_range(0..CombiningAlg::ALL.len())];
+    let mut src = format!("policy \"{id}\" {alg} {{\n");
+    if rng.gen_bool(0.6) {
+        let glob = pick(rng, &["records/*", "aux/*", "*", "l?b/*", "records/?"]);
+        src += &format!("  target {{ resource \"id\" ~= \"{glob}\"; }}\n");
+    }
+    for r in 0..rng.gen_range(0..4) {
+        let effect = pick(rng, &["permit", "deny"]);
+        src += &format!("  rule \"r{r}\" {effect} {{\n");
+        if rng.gen_bool(0.5) {
+            let action = pick(rng, &["read", "write"]);
+            src += &format!("    target {{ action \"id\" == \"{action}\"; }}\n");
+        }
+        match rng.gen_range(0..5) {
+            0 | 1 => {
+                let role = pick(rng, &["doctor", "auditor"]);
+                src += &format!("    condition is-in(\"{role}\", attr(subject, \"role\"))\n");
+            }
+            2 => src += "    condition eq(attr!(subject, \"clearance\"), \"top\")\n",
+            _ => {}
+        }
+        if rng.gen_bool(0.4) {
+            src += &format!(
+                "    obligation \"log-{id}\" on {effect} {{ \"who\" = attr(subject, \"id\"); }}\n"
+            );
+        }
+        src += "  }\n";
+    }
+    if rng.gen_bool(0.3) {
+        let on = pick(rng, &["permit", "deny"]);
+        src += &format!(
+            "  obligation \"audit-{id}\" on {on} {{ \"what\" = attr(resource, \"id\"); }}\n"
+        );
+    }
+    src += "}\n";
+    parse_policy(&src).unwrap_or_else(|e| panic!("generated policy parses: {e}\n{src}"))
+}
+
+/// A stored set: references to a random subset of the policy ids
+/// (some never submitted, some removed — dangling), sometimes an
+/// inline policy, and at most one set reference: the root's goes to
+/// `inner`, `inner`'s back to the root or to itself. One back-edge
+/// keeps the cyclic walk a chain — the reference walk follows a cycle
+/// to its nesting limit, so two would make the *oracle* exponential.
+fn random_set(rng: &mut StdRng, id: &str) -> PolicySet {
+    let alg = CombiningAlg::ALL[rng.gen_range(0..CombiningAlg::ALL.len())];
+    let mut set = PolicySet::new(id, alg);
+    for policy in POLICY_IDS {
+        if rng.gen_bool(0.5) {
+            set = set.with_policy_ref(policy);
+        }
+    }
+    if rng.gen_bool(0.2) {
+        set = set.with_policy(random_policy(rng, "inline"));
+    }
+    if rng.gen_bool(0.5) {
+        let target = if id == ROOT || rng.gen_bool(0.3) {
+            INNER
+        } else {
+            ROOT
+        };
+        set.elements
+            .push(PolicyElement::PolicySetRef(PolicyId::new(target)));
+    }
+    set
+}
+
+/// One random mutation of `pap`. Refused operations (rollback to a
+/// version that does not exist, removing an absent policy) are part
+/// of the schedule: they must leave the PDP coherent too.
+fn mutate(rng: &mut StdRng, pap: &Pap, stamp: &mut u64, now_ms: u64) {
+    let id = POLICY_IDS[rng.gen_range(0..POLICY_IDS.len())];
+    match rng.gen_range(0..6) {
+        0 | 1 => {
+            pap.submit("admin", random_policy(rng, id), now_ms)
+                .expect("no admin policy installed");
+        }
+        2 => {
+            let _ = pap.rollback("admin", &PolicyId::new(id), rng.gen_range(0..4), now_ms);
+        }
+        3 => {
+            let _ = pap.remove("admin", &PolicyId::new(id), now_ms);
+        }
+        4 => {
+            *stamp += 1;
+            pap.apply_syndicated_stamped(
+                "parent",
+                random_policy(rng, id),
+                PolicyEpoch(*stamp),
+                now_ms,
+            );
+        }
+        _ => {
+            let set = if rng.gen_bool(0.5) { ROOT } else { INNER };
+            pap.install_set(random_set(rng, set));
+        }
+    }
+}
+
+fn run_schedule(seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let pap = Arc::new(Pap::new("pap.snapshot"));
+    let pips = pips();
+    let root = root_element();
+    let requests = request_pool();
+    let mut stamp = 0u64;
+    // Populate before the PDPs exist: their first snapshot then holds
+    // resolved bodies, so a PDP that kept it past a mutation would
+    // answer from stale content rather than look the references up.
+    for id in POLICY_IDS {
+        pap.submit("admin", random_policy(&mut rng, id), 0).unwrap();
+    }
+    pap.install_set(random_set(&mut rng, INNER));
+    pap.install_set(random_set(&mut rng, ROOT));
+    let plain = Pdp::new("pdp.plain", pap.clone(), root.clone(), pips.clone());
+    let cached =
+        Pdp::new("pdp.cached", pap.clone(), root.clone(), pips.clone()).with_cache(CacheConfig {
+            capacity: 64,
+            ttl_ms: u64::MAX / 2,
+        });
+
+    for step in 0..160u64 {
+        if rng.gen_bool(0.4) {
+            mutate(&mut rng, &pap, &mut stamp, step);
+            continue;
+        }
+        let request = &requests[rng.gen_range(0..requests.len())];
+        let (expected, work) = oracle(&pap, &pips, &root, request, step);
+
+        let before = counts(plain.metrics().eval);
+        let got = plain.decide(request, step);
+        assert_eq!(
+            got, expected,
+            "seed {seed} step {step}: uncached {request:?}"
+        );
+        // The snapshot removes look-ups, not evaluation work.
+        let spent: Vec<u64> = counts(plain.metrics().eval)
+            .iter()
+            .zip(before)
+            .map(|(after, before)| after - before)
+            .collect();
+        assert_eq!(
+            spent,
+            counts(work),
+            "seed {seed} step {step}: work counters diverged from the reference walk"
+        );
+
+        // Attributes never change here, so within one epoch a cached
+        // response is the oracle's too; across epochs the cache must
+        // have been flushed and the snapshot rebuilt.
+        assert_eq!(
+            cached.decide(request, step),
+            expected,
+            "seed {seed} step {step}: cached {request:?}"
+        );
+    }
+}
+
+proptest! {
+    #[test]
+    fn decide_equals_the_reference_walk_under_random_pap_schedules(seed in any::<u64>()) {
+        run_schedule(seed);
+    }
+}
+
+fn permit_all(id: &str) -> Policy {
+    parse_policy(&format!(
+        r#"policy "{id}" deny-unless-permit {{ rule "ok" permit {{ }} }}"#
+    ))
+    .expect("static DSL")
+}
+
+/// A PDP over a fresh PAP holding `sets`, rooted at `ROOT`.
+fn pdp_over(sets: Vec<PolicySet>, policies: Vec<Policy>) -> (Arc<Pap>, Arc<Pdp>) {
+    let pap = Arc::new(Pap::new("pap.fixed"));
+    for policy in policies {
+        pap.submit("admin", policy, 0).expect("no admin policy");
+    }
+    for set in sets {
+        pap.install_set(set);
+    }
+    let pdp = Arc::new(Pdp::new("pdp.fixed", pap.clone(), root_element(), pips()));
+    (pap, pdp)
+}
+
+fn assert_matches_oracle(pap: &Pap, pdp: &Pdp, request: &RequestContext) -> Response {
+    let (expected, _) = oracle(pap, pdp.pips(), &root_element(), request, 0);
+    let got = pdp.decide(request, 0);
+    assert_eq!(got, expected);
+    got
+}
+
+#[test]
+fn dangling_policy_ref_stays_a_reference_and_is_indeterminate() {
+    let root = PolicySet::new(ROOT, CombiningAlg::DenyOverrides)
+        .with_policy_ref("present")
+        .with_policy_ref("absent");
+    let (pap, pdp) = pdp_over(vec![root], vec![permit_all("present")]);
+    let request = RequestContext::basic("alice", "records/1", "read");
+
+    let response = assert_matches_oracle(&pap, &pdp, &request);
+    assert_eq!(response.decision, Decision::Indeterminate);
+    assert_eq!(
+        response.status,
+        Status::Error("unresolved policy reference absent".into())
+    );
+
+    // Submitting the missing policy is a mutation like any other: the
+    // next decide resolves it.
+    pap.submit("admin", permit_all("absent"), 1).unwrap();
+    let response = assert_matches_oracle(&pap, &pdp, &request);
+    assert_eq!(response.decision, Decision::Permit);
+}
+
+#[test]
+fn self_referencing_set_terminates_is_indeterminate_and_the_pep_denies() {
+    let mut root = PolicySet::new(ROOT, CombiningAlg::DenyOverrides).with_policy_ref("present");
+    root.elements
+        .push(PolicyElement::PolicySetRef(PolicyId::new(ROOT)));
+    // Building the PDP resolves the root: it must return.
+    let (pap, pdp) = pdp_over(vec![root], vec![permit_all("present")]);
+    let request = RequestContext::basic("alice", "records/1", "read");
+
+    let response = assert_matches_oracle(&pap, &pdp, &request);
+    assert_eq!(response.decision, Decision::Indeterminate);
+    assert_eq!(
+        response.status,
+        Status::Error("policy nesting depth exceeded".into())
+    );
+
+    let pep = Pep::builder("pep.fixed").source(pdp).build();
+    let outcome = pep.serve(EnforceRequest::of(&request, 0));
+    assert!(!outcome.allowed, "Indeterminate must fail safe");
+    assert_eq!(pep.stats().failsafe_denials, 1);
+}
+
+#[test]
+fn mutually_referencing_sets_terminate_and_match_the_reference_walk() {
+    let mut root = PolicySet::new(ROOT, CombiningAlg::PermitOverrides).with_policy_ref("present");
+    root.elements
+        .push(PolicyElement::PolicySetRef(PolicyId::new(INNER)));
+    let mut inner = PolicySet::new(INNER, CombiningAlg::DenyUnlessPermit);
+    inner
+        .elements
+        .push(PolicyElement::PolicySetRef(PolicyId::new(ROOT)));
+    let (pap, pdp) = pdp_over(vec![root, inner], vec![permit_all("present")]);
+    for request in request_pool() {
+        assert_matches_oracle(&pap, &pdp, &request);
+    }
+}
+
+#[test]
+fn nested_policy_set_ref_resolves_through_both_levels() {
+    let mut root = PolicySet::new(ROOT, CombiningAlg::FirstApplicable);
+    root.elements
+        .push(PolicyElement::PolicySetRef(PolicyId::new(INNER)));
+    let inner = PolicySet::new(INNER, CombiningAlg::DenyOverrides).with_policy_ref("gate");
+    let (pap, pdp) = pdp_over(vec![root, inner], vec![alternating_lockdown_gate("d", 0)]);
+    // The gate's id is "d-gate": `inner` dangles until it is renamed.
+    let doctor = RequestContext::basic("alice", "records/1", "read");
+    assert_eq!(
+        assert_matches_oracle(&pap, &pdp, &doctor).decision,
+        Decision::Indeterminate
+    );
+    pap.install_set(PolicySet::new(INNER, CombiningAlg::DenyOverrides).with_policy_ref("d-gate"));
+    assert_eq!(
+        assert_matches_oracle(&pap, &pdp, &doctor).decision,
+        Decision::Permit
+    );
+    let auditor = RequestContext::basic("bob", "records/1", "read");
+    assert_eq!(
+        assert_matches_oracle(&pap, &pdp, &auditor).decision,
+        Decision::Deny
+    );
+    // A new gate version two references deep flips the verdict at once.
+    pap.submit("admin", alternating_lockdown_gate("d", 1), 1)
+        .unwrap();
+    assert_eq!(
+        assert_matches_oracle(&pap, &pdp, &doctor).decision,
+        Decision::Deny
+    );
+}
+
+/// The writer alternates the lockdown gate; after each `submit`
+/// returns it releases the reader (a channel send), which decides on
+/// an uncached and a cached PDP and must see exactly the new version's
+/// verdict, then hands the turn back. A third thread decides freely
+/// throughout, so snapshot rebuilds race with the writer and with the
+/// released reader; whichever version it catches, the verdict is a
+/// clean Permit or Deny. No sleeps, no clock: only the writer's return
+/// orders the reader.
+#[test]
+fn a_decide_that_starts_after_submit_returned_sees_the_new_verdict() {
+    const VERSIONS: u64 = 400;
+    let root = PolicySet::new(ROOT, CombiningAlg::DenyOverrides)
+        .with_policy_ref("d-gate")
+        .with_policy_ref("aux");
+    let aux = parse_policy(
+        r#"policy "aux" deny-overrides {
+             rule "quarantine" deny { target { resource "id" ~= "aux/*"; } }
+           }"#,
+    )
+    .unwrap();
+    let (pap, plain) = pdp_over(vec![root], vec![alternating_lockdown_gate("d", 0), aux]);
+    let cached =
+        Pdp::new("pdp.cached", pap.clone(), root_element(), pips()).with_cache(CacheConfig {
+            capacity: 16,
+            ttl_ms: u64::MAX / 2,
+        });
+    let doctor = RequestContext::basic("alice", "records/1", "read");
+    let verdict_of = |version: u64| {
+        if version.is_multiple_of(2) {
+            Decision::Permit
+        } else {
+            Decision::Deny
+        }
+    };
+
+    let (released, turn) = mpsc::channel::<u64>();
+    let (done, resume) = mpsc::channel::<()>();
+    let writing = AtomicBool::new(true);
+    let (pap, plain, cached, doctor, writing) = (&pap, &plain, &cached, &doctor, &writing);
+
+    // Each thread owns its channel ends, so a failed assertion on one
+    // side hangs up on the other instead of leaving it blocked.
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            for version in 1..=VERSIONS {
+                pap.submit("admin", alternating_lockdown_gate("d", version), version)
+                    .unwrap();
+                if released.send(version).is_err() || resume.recv().is_err() {
+                    break;
+                }
+            }
+            writing.store(false, Ordering::SeqCst);
+        });
+        s.spawn(move || {
+            for version in turn.iter() {
+                for pdp in [plain.as_ref(), cached] {
+                    let response = pdp.decide(doctor, version);
+                    assert_eq!(
+                        response.decision,
+                        verdict_of(version),
+                        "{} decided on a tree older than gate v{version}",
+                        pdp.name()
+                    );
+                    assert_eq!(response.status, Status::Ok);
+                }
+                if done.send(()).is_err() {
+                    break;
+                }
+            }
+        });
+        s.spawn(move || {
+            while writing.load(Ordering::SeqCst) {
+                let response = plain.decide(doctor, 0);
+                assert!(
+                    matches!(response.decision, Decision::Permit | Decision::Deny),
+                    "a racing decide saw a torn tree: {response:?}"
+                );
+                assert_eq!(response.status, Status::Ok);
+            }
+        });
+    });
+}
