@@ -3,12 +3,13 @@
 use crate::fanout::{FanoutPool, SchedulerConfig};
 use crate::metrics::{add_rare, AtomicClusterMetrics, ClusterMetrics};
 use crate::quorum::QuorumMode;
-use crate::replica::{DecisionBackend, FanoutPlan, GroupOutcome, ReplicaGroup, ReplicaPhase};
+use crate::replica::{DecisionBackend, FanoutPlan, GroupOutcome, ReplicaGroup};
 use crate::shard::ShardRouter;
-use dacs_pdp::{DecisionClass, HealthState, PdpDirectory};
+use dacs_pdp::{DecisionClass, PdpDirectory, ReplicaPhase};
 use dacs_policy::eval::Response;
 use dacs_policy::request::RequestContext;
 use dacs_telemetry::{Histogram, Telemetry};
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -32,7 +33,6 @@ pub struct ClusterOutcome {
 pub struct ClusterBuilder {
     name: String,
     quorum: QuorumMode,
-    vnodes: usize,
     shards: Vec<Vec<Arc<dyn DecisionBackend>>>,
     directory: Option<Arc<PdpDirectory>>,
     scheduler: Option<SchedulerConfig>,
@@ -48,7 +48,6 @@ impl ClusterBuilder {
         ClusterBuilder {
             name: name.into(),
             quorum: QuorumMode::Majority,
-            vnodes: crate::shard::DEFAULT_VNODES,
             shards: Vec::new(),
             directory: None,
             scheduler: None,
@@ -72,12 +71,6 @@ impl ClusterBuilder {
     /// Sets the quorum mode (default [`QuorumMode::Majority`]).
     pub fn quorum(mut self, mode: QuorumMode) -> Self {
         self.quorum = mode;
-        self
-    }
-
-    /// Sets the virtual-point count per shard on the hash ring.
-    pub fn vnodes(mut self, vnodes: usize) -> Self {
-        self.vnodes = vnodes;
         self
     }
 
@@ -150,8 +143,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Finishes the cluster, registering every replica as healthy in
-    /// the directory.
+    /// Finishes the cluster, registering every replica the directory
+    /// does not already know as healthy. A shared directory may know an
+    /// endpoint from PEP discovery; the cluster then holds that record,
+    /// so discovery round-robin never sees a duplicate.
     ///
     /// # Panics
     ///
@@ -166,21 +161,21 @@ impl ClusterBuilder {
             .shards
             .into_iter()
             .map(|replicas| {
-                let group = ReplicaGroup::new(replicas);
+                let registered = replicas.into_iter().map(|backend| {
+                    let endpoint = directory.register(backend.name(), &self.name);
+                    (backend, endpoint)
+                });
+                let group = ReplicaGroup::new(registered.collect());
                 match &telemetry {
                     Some(t) => group.with_telemetry(t),
                     None => group,
                 }
             })
             .collect();
-        for group in &groups {
-            for replica in group.replica_names() {
-                // A shared directory may already know this endpoint from
-                // PEP discovery; re-registering would duplicate it and
-                // skew discovery round-robin toward the duplicate.
-                if !directory.contains(&replica) {
-                    directory.register(replica, &self.name);
-                }
+        let mut slots = HashMap::new();
+        for (shard, group) in groups.iter().enumerate() {
+            for (slot, replica) in group.replica_names().into_iter().enumerate() {
+                slots.entry(replica).or_insert((shard, slot));
             }
         }
         let scheduler = self.scheduler.map(|config| {
@@ -193,9 +188,10 @@ impl ClusterBuilder {
         });
         let metrics = Arc::new(AtomicClusterMetrics::default());
         PdpCluster {
-            router: ShardRouter::with_vnodes(groups.len(), self.vnodes),
+            router: ShardRouter::new(groups.len()),
             name: self.name,
             groups,
+            slots,
             directory,
             quorum: self.quorum,
             scheduler,
@@ -238,6 +234,9 @@ pub struct PdpCluster {
     name: String,
     router: ShardRouter,
     groups: Vec<ReplicaGroup>,
+    /// Replica name → (shard, slot): where the lifecycle calls find a
+    /// replica's group and record.
+    slots: HashMap<String, (usize, usize)>,
     directory: Arc<PdpDirectory>,
     quorum: QuorumMode,
     /// The worker pool and its dispatch settings; `None` evaluates
@@ -288,25 +287,18 @@ impl PdpCluster {
     /// dispatch and quorum counting until
     /// [`PdpCluster::complete_resync`] confirms its catch-up replay
     /// finished. A replica that is already current rejoins immediately.
+    /// Either way the return is one store into the replica's record: a
+    /// decide that starts after this call returns sees the final phase.
     pub fn mark_up(&self, replica: &str) {
-        // Gate first, then re-admit to the directory: the instant the
-        // directory reports the replica healthy, concurrent deciders
-        // build their rosters from it — the sync flag must already be
-        // correct or a stale vote slips into that window.
-        if self.resync {
-            if let Some(group) = self.group_of(replica) {
-                let behind = group
-                    .replica_epoch(replica)
-                    .map(|e| e < group.max_policy_epoch())
-                    .unwrap_or(false);
-                if behind {
-                    group.mark_syncing(replica);
-                } else {
-                    group.mark_in_sync(replica);
-                }
-            }
-        }
-        self.directory.mark_up(replica);
+        let Some((group, slot)) = self.slot_of(replica) else {
+            return self.directory.mark_up(replica);
+        };
+        let phase = if self.resync && group.lags(slot) {
+            ReplicaPhase::Syncing
+        } else {
+            ReplicaPhase::Healthy
+        };
+        group.endpoint(slot).set_phase(phase);
     }
 
     /// Attempts to readmit a `Syncing` replica: succeeds (and counts a
@@ -314,41 +306,35 @@ impl PdpCluster {
     /// has caught up to its group's maximum — i.e. after the
     /// `SyndicationTree::catch_up` replay into the replica's PAP.
     /// Returns `false` while the replica is still behind (or unknown);
-    /// a replica that was never syncing is a successful no-op.
+    /// a replica that is not syncing is a successful no-op.
     pub fn complete_resync(&self, replica: &str) -> bool {
-        let Some(group) = self.group_of(replica) else {
+        let Some((group, slot)) = self.slot_of(replica) else {
             return false;
         };
-        if group.is_in_sync(replica) {
+        let endpoint = group.endpoint(slot);
+        if endpoint.phase() != ReplicaPhase::Syncing {
             return true;
         }
-        let caught_up = group
-            .replica_epoch(replica)
-            .map(|e| e >= group.max_policy_epoch())
-            .unwrap_or(false);
-        if caught_up {
-            group.mark_in_sync(replica);
+        let caught_up = !group.lags(slot);
+        // Conditional on still being `Syncing`: a crash that raced the
+        // catch-up is not overwritten.
+        if caught_up && endpoint.advance_phase(ReplicaPhase::Syncing, ReplicaPhase::Healthy) {
             self.metrics.resyncs.fetch_add(1, Ordering::Relaxed);
         }
         caught_up
     }
 
     /// The replica's position in the recovery lifecycle
-    /// (`Healthy / Suspect / Crashed / Syncing`), or `None` if no group
-    /// contains it.
+    /// (`Healthy / Crashed / Syncing`), or `None` if no group contains
+    /// it.
     pub fn replica_phase(&self, replica: &str) -> Option<ReplicaPhase> {
-        let group = self.group_of(replica)?;
-        let health = self.directory.health(replica)?;
-        Some(match health {
-            HealthState::Crashed => ReplicaPhase::Crashed,
-            HealthState::Suspect => ReplicaPhase::Suspect,
-            HealthState::Healthy if !group.is_in_sync(replica) => ReplicaPhase::Syncing,
-            HealthState::Healthy => ReplicaPhase::Healthy,
-        })
+        let (group, slot) = self.slot_of(replica)?;
+        Some(group.endpoint(slot).phase())
     }
 
-    fn group_of(&self, replica: &str) -> Option<&ReplicaGroup> {
-        self.groups.iter().find(|g| g.contains(replica))
+    fn slot_of(&self, replica: &str) -> Option<(&ReplicaGroup, usize)> {
+        let &(shard, slot) = self.slots.get(replica)?;
+        Some((&self.groups[shard], slot))
     }
 
     /// The telemetry registry + tracer attached at build time
@@ -413,7 +399,6 @@ impl PdpCluster {
             let _in_fanout = fanout.as_ref().map(|s| s.enter());
             match &self.scheduler {
                 Some((pool, config)) => group.query_planned(
-                    &self.directory,
                     self.quorum,
                     request,
                     now_ms,
@@ -424,7 +409,7 @@ impl PdpCluster {
                         class,
                     },
                 ),
-                None => group.query(&self.directory, self.quorum, request, now_ms),
+                None => group.query(self.quorum, request, now_ms),
             }
         };
         if self.account(group, &outcome) {
@@ -496,7 +481,7 @@ impl PdpCluster {
     fn audit(&self, group: &ReplicaGroup, request: &RequestContext, now_ms: u64) {
         // Majority, not the configured mode: FirstHealthy would consult
         // a single replica and could never observe a disagreement.
-        let audit = group.query(&self.directory, QuorumMode::Majority, request, now_ms);
+        let audit = group.query(QuorumMode::Majority, request, now_ms);
         self.metrics.audit_queries.fetch_add(1, Ordering::Relaxed);
         add_rare(&self.metrics.audit_disagreements, audit.disagreement as u64);
     }
@@ -903,6 +888,229 @@ mod tests {
         let out = cluster.decide(&RequestContext::basic("bob", "x", "read"), 0);
         assert_eq!(out.response.unwrap().decision, Decision::Permit);
         assert_eq!(cluster.metrics().stale_decisions_avoided, 0);
+    }
+
+    /// The reference the lifecycle is checked against: one replica is
+    /// a phase and a policy epoch, and the four calls below are all
+    /// that may change the phase.
+    #[derive(Clone, Copy)]
+    struct ModelReplica {
+        phase: ReplicaPhase,
+        epoch: u64,
+    }
+
+    fn model_lags(group: &[ModelReplica], r: usize) -> bool {
+        group.iter().any(|other| other.epoch > group[r].epoch)
+    }
+
+    fn model_mark_up(group: &mut [ModelReplica], r: usize) {
+        group[r].phase = if model_lags(group, r) {
+            ReplicaPhase::Syncing
+        } else {
+            ReplicaPhase::Healthy
+        };
+    }
+
+    /// Returns what `complete_resync` answers.
+    fn model_complete_resync(group: &mut [ModelReplica], r: usize) -> bool {
+        if group[r].phase != ReplicaPhase::Syncing {
+            return true;
+        }
+        let caught_up = !model_lags(group, r);
+        if caught_up {
+            group[r].phase = ReplicaPhase::Healthy;
+        }
+        caught_up
+    }
+
+    proptest::proptest! {
+        /// Satellite (ISSUE 16): under any schedule of crash, return,
+        /// policy push and catch-up on two `resync(true)` clusters that
+        /// share one directory, every replica's phase — read through
+        /// the cluster *and* through the directory, which are one
+        /// record — follows the reference state machine, and every
+        /// decision counts exactly the voters and exclusions the
+        /// reference predicts.
+        #[test]
+        fn lifecycle_follows_the_reference_state_machine(
+            schedule in proptest::collection::vec((0u8..5, 0usize..6, 0u8..8), 1..120),
+        ) {
+            use crate::replica::EpochBackend;
+            let directory = Arc::new(PdpDirectory::new());
+            let mut backends = Vec::new();
+            let clusters: Vec<PdpCluster> = ["a", "b"]
+                .iter()
+                .map(|c| {
+                    let shard: Vec<Arc<EpochBackend>> = (0..3)
+                        .map(|r| Arc::new(EpochBackend::new(format!("{c}-r{r}"), Decision::Permit, 1)))
+                        .collect();
+                    backends.push(shard.clone());
+                    ClusterBuilder::new(*c)
+                        .resync(true)
+                        .directory(Arc::clone(&directory))
+                        .shard(shard.into_iter().map(|b| b as Arc<dyn DecisionBackend>).collect())
+                        .build()
+                })
+                .collect();
+            let healthy = ModelReplica { phase: ReplicaPhase::Healthy, epoch: 1 };
+            let mut model = [[healthy; 3]; 2];
+            let mut resyncs = [0u64; 2];
+            let request = RequestContext::basic("alice", "ehr/1", "read");
+            for (step, &(op, target, mask)) in schedule.iter().enumerate() {
+                let (c, r) = (target / 3, target % 3);
+                let (cluster, group) = (&clusters[c], &mut model[c]);
+                let name = format!("{}-r{r}", cluster.name());
+                match op {
+                    0 => {
+                        cluster.mark_down(&name);
+                        group[r].phase = ReplicaPhase::Crashed;
+                    }
+                    1 => {
+                        cluster.mark_up(&name);
+                        model_mark_up(group, r);
+                    }
+                    2 => {
+                        // A push reaches the replicas that are up and
+                        // that this round's mask selects.
+                        let epoch = group.iter().map(|m| m.epoch).max().unwrap() + 1;
+                        for (i, m) in group.iter_mut().enumerate() {
+                            if m.phase != ReplicaPhase::Crashed && mask & (1 << i) != 0 {
+                                m.epoch = epoch;
+                                backends[c][i].set_epoch(epoch);
+                            }
+                        }
+                    }
+                    3 => {
+                        let was_syncing = group[r].phase == ReplicaPhase::Syncing;
+                        let answer = model_complete_resync(group, r);
+                        proptest::prop_assert_eq!(cluster.complete_resync(&name), answer, "step {}", step);
+                        resyncs[c] += (was_syncing && answer) as u64;
+                    }
+                    _ => {
+                        let voters = group.iter().filter(|m| m.phase == ReplicaPhase::Healthy).count();
+                        let stale = group.iter().filter(|m| m.phase == ReplicaPhase::Syncing).count();
+                        let before = cluster.metrics();
+                        let out = cluster.decide(&request, step as u64);
+                        let after = cluster.metrics();
+                        proptest::prop_assert_eq!(out.response.is_none(), voters == 0, "step {}", step);
+                        proptest::prop_assert_eq!(out.replicas_queried, voters, "step {}", step);
+                        proptest::prop_assert_eq!(out.degraded, voters != 0 && voters < 3, "step {}", step);
+                        proptest::prop_assert_eq!(
+                            after.stale_decisions_avoided - before.stale_decisions_avoided,
+                            stale as u64,
+                            "step {}", step
+                        );
+                        proptest::prop_assert_eq!(
+                            after.unavailable - before.unavailable,
+                            (voters == 0) as u64,
+                            "step {}", step
+                        );
+                    }
+                }
+                for (cluster, group) in clusters.iter().zip(&model) {
+                    for (i, m) in group.iter().enumerate() {
+                        let name = format!("{}-r{i}", cluster.name());
+                        proptest::prop_assert_eq!(cluster.replica_phase(&name), Some(m.phase), "{} at step {}", &name, step);
+                        proptest::prop_assert_eq!(directory.health(&name), Some(m.phase), "{} at step {}", &name, step);
+                    }
+                }
+            }
+            for (cluster, expected) in clusters.iter().zip(resyncs) {
+                proptest::prop_assert_eq!(cluster.metrics().resyncs, expected);
+            }
+        }
+    }
+
+    /// Satellite (ISSUE 16): the return of a stale replica is one store
+    /// into its record, so there is no window in which it is routable.
+    /// A decide that starts after `mark_up` returned never counts its
+    /// vote until `complete_resync` has returned true, and discovery
+    /// never hands it to a PEP meanwhile — the two-variable version
+    /// (directory health, then a separate sync flag) answered
+    /// "healthy" to discovery throughout. No sleeps and no clock: the
+    /// lifecycle thread holds each gated window open until both
+    /// observers have checked inside it.
+    #[test]
+    fn a_returning_stale_replica_is_never_routable_before_its_resync_completes() {
+        use crate::replica::EpochBackend;
+        use dacs_pdp::Binding;
+        use std::sync::atomic::{AtomicBool, AtomicU64};
+        let fresh: Vec<Arc<EpochBackend>> = ["g-r0", "g-r1"]
+            .iter()
+            .map(|n| Arc::new(EpochBackend::new(*n, Decision::Deny, 1)))
+            .collect();
+        let stale = Arc::new(EpochBackend::new("g-stale", Decision::Permit, 1));
+        let cluster = ClusterBuilder::new("gate")
+            .resync(true)
+            .shard(vec![
+                fresh[0].clone() as Arc<dyn DecisionBackend>,
+                fresh[1].clone() as Arc<dyn DecisionBackend>,
+                stale.clone() as Arc<dyn DecisionBackend>,
+            ])
+            .build();
+        // The round whose gated window is open, 0 while none is.
+        let (gated, done) = (AtomicU64::new(0), AtomicBool::new(false));
+        let (decides, resolves, violations) =
+            (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
+        // Runs `routes_to_stale` until the lifecycle finishes. A call
+        // with the same round's window open on both sides ran wholly
+        // inside it, so it is counted in `checked` and must not have
+        // seen the stale replica; the lifecycle thread keeps each
+        // window open until both observers have counted one.
+        // Violations are tallied, not panicked on: a dead observer
+        // would park the lifecycle thread instead of failing the test.
+        let observe = |checked: &AtomicU64, routes_to_stale: &dyn Fn() -> bool| {
+            while !done.load(Ordering::SeqCst) {
+                let before = gated.load(Ordering::SeqCst);
+                let routed = routes_to_stale();
+                if before != 0 && before == gated.load(Ordering::SeqCst) {
+                    violations.fetch_add(routed as u64, Ordering::SeqCst);
+                    checked.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+        };
+        let request = RequestContext::basic("alice", "ehr/1", "read");
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                observe(&decides, &|| {
+                    // The two fresh replicas deny; three voters or a
+                    // permit mean the stale one was counted.
+                    let out = cluster.decide(&request, 0);
+                    out.replicas_queried != 2
+                        || out.response.map(|r| r.decision) != Some(Decision::Deny)
+                })
+            });
+            scope.spawn(|| {
+                observe(&resolves, &|| {
+                    let pick = cluster.directory().resolve(&Binding::Discovery, "gate");
+                    pick.as_deref() == Some("g-stale")
+                })
+            });
+            for round in 2..200u64 {
+                cluster.mark_down("g-stale");
+                fresh.iter().for_each(|f| f.set_epoch(round));
+                cluster.mark_up("g-stale");
+                let seen = (
+                    decides.load(Ordering::SeqCst),
+                    resolves.load(Ordering::SeqCst),
+                );
+                gated.store(round, Ordering::SeqCst);
+                while decides.load(Ordering::SeqCst) == seen.0
+                    || resolves.load(Ordering::SeqCst) == seen.1
+                {
+                    std::thread::yield_now();
+                }
+                let refused = !cluster.complete_resync("g-stale");
+                gated.store(0, Ordering::SeqCst);
+                violations.fetch_add(!refused as u64, Ordering::SeqCst);
+                stale.set_epoch(round);
+                violations.fetch_add(!cluster.complete_resync("g-stale") as u64, Ordering::SeqCst);
+            }
+            done.store(true, Ordering::SeqCst);
+        });
+        assert_eq!(violations.load(Ordering::SeqCst), 0);
+        assert!(decides.load(Ordering::SeqCst) >= 198 && resolves.load(Ordering::SeqCst) >= 198);
+        assert_eq!(cluster.metrics().resyncs, 198);
     }
 
     /// Polls the tracer until `pred` holds over the closed-span

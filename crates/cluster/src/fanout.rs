@@ -24,7 +24,7 @@
 //!   answer nobody will read.
 //! * [`HedgeConfig`] — the tail-latency policy: when a replica has not
 //!   answered within its latency budget (derived from the per-replica
-//!   EWMA kept in [`dacs_pdp::PdpDirectory`]), a hedge query is
+//!   EWMA kept in its [`dacs_pdp::PdpEndpoint`] record), a hedge query is
 //!   dispatched to the next-best replica and the first answer wins.
 //! * [`SchedulerConfig`] — the single knob bundle
 //!   `ClusterBuilder::scheduler` consumes: worker count, hedging, and
@@ -45,7 +45,7 @@
 //! assert_eq!(config.workers, 4);
 //! ```
 
-use dacs_pdp::{DecisionClass, PdpDirectory, Priority};
+use dacs_pdp::{DecisionClass, PdpEndpoint, Priority};
 use dacs_telemetry::{Counter, Histogram, Telemetry};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -86,9 +86,9 @@ impl CancelToken {
 /// When and how to hedge a slow replica query (tail-latency insurance).
 ///
 /// The wait budget is anchored to the replica we would hedge *to*:
-/// `budget_multiplier ×` the backup's EWMA latency from the
-/// [`PdpDirectory`], floored at `min_budget_us` (which also applies
-/// while the backup has no recorded samples). The rationale is
+/// `budget_multiplier ×` the EWMA latency in the backup's
+/// [`PdpEndpoint`] record, floored at `min_budget_us` (which also
+/// applies while the backup has no recorded samples). The rationale is
 /// cost/benefit — once the primary has been silent for several times
 /// what a backup would need to answer, paying one duplicate evaluation
 /// beats waiting out the primary's tail. Anchoring to the *primary's*
@@ -125,11 +125,14 @@ impl Default for HedgeConfig {
 }
 
 impl HedgeConfig {
-    /// The wait budget (µs) before hedging to `backup`, given the
-    /// directory's current EWMA estimate of the backup's latency.
-    pub fn budget_us(&self, directory: &PdpDirectory, backup: &str) -> u64 {
-        match directory.latency_ewma_us(backup) {
-            Some(ewma) => ((ewma * self.budget_multiplier) as u64).max(self.min_budget_us),
+    /// The wait budget (µs) before hedging to `backup`, given its
+    /// current EWMA latency estimate.
+    pub fn budget_us(&self, backup: &PdpEndpoint) -> u64 {
+        match backup.latency_ewma_ns() {
+            Some(ewma_ns) => {
+                let budget_us = ewma_ns as f64 * self.budget_multiplier / 1_000.0;
+                (budget_us as u64).max(self.min_budget_us)
+            }
             None => self.min_budget_us,
         }
     }
@@ -617,18 +620,19 @@ mod tests {
 
     #[test]
     fn hedge_budget_follows_ewma_with_floor() {
-        let directory = PdpDirectory::new();
+        let directory = dacs_pdp::PdpDirectory::new();
+        let (r0, r1) = (directory.register("r0", "c"), directory.register("r1", "c"));
         let cfg = HedgeConfig {
             budget_multiplier: 3.0,
             min_budget_us: 100,
             max_hedges: 1,
         };
         // No sample yet: the floor applies.
-        assert_eq!(cfg.budget_us(&directory, "r0"), 100);
-        directory.record_latency_us("r0", 10);
-        assert_eq!(cfg.budget_us(&directory, "r0"), 100, "floored");
-        directory.record_latency_us("r1", 400);
-        assert_eq!(cfg.budget_us(&directory, "r1"), 1_200);
+        assert_eq!(cfg.budget_us(&r0), 100);
+        r0.record_latency_ns(10_000);
+        assert_eq!(cfg.budget_us(&r0), 100, "floored");
+        r1.record_latency_ns(400_000);
+        assert_eq!(cfg.budget_us(&r1), 1_200);
     }
 
     #[test]

@@ -33,8 +33,10 @@
 //!
 //! Health tracking and failover integrate with the existing
 //! [`dacs_pdp::PdpDirectory`] (`mark_down` / `mark_up`): every replica
-//! registers there, and the cluster routes around endpoints the
-//! directory reports unhealthy.
+//! registers there, the group keeps the [`dacs_pdp::PdpEndpoint`]
+//! record registration returns, and the cluster routes around
+//! endpoints whose record is not `Healthy` — the directory and the
+//! cluster read one store.
 //!
 //! # Examples
 //!
@@ -75,10 +77,11 @@ pub use cluster::{ClusterBuilder, ClusterOutcome, PdpCluster};
 pub use fanout::{CancelToken, HedgeConfig, SchedulerConfig};
 pub use metrics::ClusterMetrics;
 pub use quorum::QuorumMode;
-pub use replica::{DecisionBackend, GroupOutcome, ReplicaGroup, ReplicaPhase, StaticBackend};
+pub use replica::{DecisionBackend, GroupOutcome, ReplicaGroup, StaticBackend};
 pub use shard::ShardRouter;
 
 // Re-exported so cluster users can speak epochs without naming the PAP
 // layer directly; `Priority`/`DecisionClass` so scheduler users can
-// classify queries without a direct `dacs-pdp` import.
-pub use dacs_pdp::{DecisionClass, PolicyEpoch, Priority};
+// classify queries, and `ReplicaPhase` so lifecycle users can name a
+// phase, without a direct `dacs-pdp` import.
+pub use dacs_pdp::{DecisionClass, PolicyEpoch, Priority, ReplicaPhase};

@@ -9,22 +9,20 @@
 //!
 //! # Replica lifecycle: who may vote at all
 //!
-//! Quorum counting is over *eligible* replicas: healthy per the
-//! directory **and** in sync with the group's policy epoch. The
-//! lifecycle (see [`crate::ReplicaPhase`]):
+//! Quorum counting is over *eligible* replicas: those whose shared
+//! directory record is in the `Healthy` phase — up, and not held back
+//! behind the group's policy epoch. The lifecycle (see
+//! [`crate::ReplicaPhase`]):
 //!
 //! ```text
-//! Healthy ──missed probe──▶ Suspect ──declared dead──▶ Crashed
-//!    ▲                         │                          │
-//!    │                     (recovers,                 (returns,
-//!    │                      epoch current)             epoch behind)
-//!    ├─────────────────────────┘                          ▼
-//!    └──catch-up complete (epoch == group max)──────── Syncing
+//! Healthy ──crash / partition──▶ Crashed
+//!    ▲  ▲                           │
+//!    │  └──returns, epoch current───┤
+//!    │                              │ returns, epoch behind
+//!    └──catch-up complete──── Syncing ◀┘
 //! ```
 //!
 //! * `Healthy` — dispatched to and counted.
-//! * `Suspect` — missed a health probe; excluded from new dispatch but
-//!   not yet declared dead.
 //! * `Crashed` — down. While down it misses policy pushes and its
 //!   [`dacs_pdp::PolicyEpoch`] freezes.
 //! * `Syncing` — back up, but its epoch lags the group maximum: it is
@@ -42,8 +40,8 @@
 //! # Semantics: mode × partition state
 //!
 //! For a group configured with `n` replicas of which `e` are currently
-//! *eligible* (healthy per the directory ∧ in sync with the group's
-//! maximum policy epoch), the combined outcome is:
+//! *eligible* (phase `Healthy`: up ∧ in sync with the group's maximum
+//! policy epoch), the combined outcome is:
 //!
 //! | mode | `e = 0` | minority eligible (`2e ≤ n`) | majority eligible (`2e > n`) |
 //! |------|---------|------------------------------|------------------------------|

@@ -1,6 +1,13 @@
 //! Replica groups: `k` decision backends serving one shard, with
 //! directory-driven health tracking and quorum combination.
 //!
+//! Each replica slot pairs its backend with the shared
+//! [`PdpEndpoint`] record the directory handed out at registration:
+//! lifecycle phase and latency estimate are read and written through
+//! the slot, so the decision paths take no lock and look no name up —
+//! and a `mark_down` through the directory is seen by the very next
+//! roster, because it is the same record.
+//!
 //! A group answers a query two ways. [`ReplicaGroup::query`] evaluates
 //! replicas sequentially on the caller's thread (simple, deterministic,
 //! latency = sum of replicas) — the reference every other path is
@@ -14,12 +21,11 @@
 
 use crate::fanout::{CancelToken, FanoutAnswer, FanoutPool, HedgeConfig};
 use crate::quorum::{self, QuorumMode};
-use dacs_pdp::{DecisionClass, Pdp, PdpDirectory, PolicyEpoch};
+use dacs_pdp::{DecisionClass, Pdp, PdpEndpoint, PolicyEpoch, ReplicaPhase};
 use dacs_policy::eval::Response;
 use dacs_policy::policy::Decision;
 use dacs_policy::request::RequestContext;
 use dacs_telemetry::{Histogram, SpanCtx, Telemetry, Tracer};
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
@@ -31,7 +37,8 @@ use std::time::{Duration, Instant};
 /// it) to model stale, Byzantine or crashed replicas. Backends must be
 /// thread-safe: the pooled fan-out evaluates them from pool workers.
 pub trait DecisionBackend: Send + Sync {
-    /// The backend's endpoint name (registered in the [`PdpDirectory`]).
+    /// The backend's endpoint name (registered in the
+    /// [`dacs_pdp::PdpDirectory`]).
     fn name(&self) -> &str;
     /// Serves one decision query.
     fn decide(&self, request: &RequestContext, now_ms: u64) -> Response;
@@ -71,46 +78,6 @@ impl DecisionBackend for Pdp {
     }
     fn policy_epoch(&self) -> PolicyEpoch {
         Pdp::policy_epoch(self)
-    }
-}
-
-/// A replica's position in the recovery lifecycle, combining directory
-/// health with the group's epoch-sync gate:
-///
-/// ```text
-/// Healthy ──missed probe──▶ Suspect ──declared dead──▶ Crashed
-///    ▲                         │                          │
-///    │                     (recovers,                 (returns,
-///    │                      epoch current)             epoch behind)
-///    ├─────────────────────────┘                          ▼
-///    └───────catch-up complete (epoch == group max)─── Syncing
-/// ```
-///
-/// Only `Healthy` replicas are dispatched to and counted in quorums; a
-/// `Syncing` replica is alive but excluded until it has replayed the
-/// policy updates it missed (`SyndicationTree::catch_up`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ReplicaPhase {
-    /// Serving and quorum-eligible.
-    Healthy,
-    /// Missed a health probe; excluded from new dispatch.
-    Suspect,
-    /// Declared down.
-    Crashed,
-    /// Back up, but its policy epoch lags the group maximum: excluded
-    /// from quorum counting until catch-up completes.
-    Syncing,
-}
-
-impl ReplicaPhase {
-    /// Short display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ReplicaPhase::Healthy => "healthy",
-            ReplicaPhase::Suspect => "suspect",
-            ReplicaPhase::Crashed => "crashed",
-            ReplicaPhase::Syncing => "syncing",
-        }
     }
 }
 
@@ -215,30 +182,37 @@ impl GroupOutcome {
 /// use std::sync::Arc;
 ///
 /// let directory = PdpDirectory::new();
-/// let mut replicas: Vec<Arc<dyn DecisionBackend>> = Vec::new();
+/// let mut replicas = Vec::new();
 /// for (name, decision) in [
 ///     ("r0", Decision::Permit),
 ///     ("r1", Decision::Permit),
 ///     ("r2", Decision::Deny), // stale replica
 /// ] {
-///     directory.register(name, "demo");
-///     replicas.push(Arc::new(StaticBackend::new(name, decision)));
+///     let backend: Arc<dyn DecisionBackend> = Arc::new(StaticBackend::new(name, decision));
+///     // Registration hands out the record the group keeps.
+///     replicas.push((backend, directory.register(name, "demo")));
 /// }
 /// let group = ReplicaGroup::new(replicas);
 /// let request = RequestContext::basic("alice", "ehr/1", "read");
-/// let out = group.query(&directory, QuorumMode::Majority, &request, 0);
+/// let out = group.query(QuorumMode::Majority, &request, 0);
 /// // The fresh majority outvotes the stale replica.
 /// assert_eq!(out.response.unwrap().decision, Decision::Permit);
 /// assert!(out.disagreement);
+/// // The directory is the authority on health: same record.
+/// directory.mark_down("r2");
+/// assert!(!group.query(QuorumMode::Majority, &request, 1).disagreement);
 /// ```
 pub struct ReplicaGroup {
-    replicas: Vec<Arc<dyn DecisionBackend>>,
-    /// Per-replica sync gate, indexed like `replicas`. `false` marks a
-    /// replica in the `Syncing` phase: alive, but excluded from
-    /// dispatch and quorum counting until it catches up to the group's
-    /// maximum policy epoch.
-    in_sync: RwLock<Vec<bool>>,
+    replicas: Vec<Arc<Replica>>,
     telemetry: Option<GroupTelemetry>,
+}
+
+/// One replica slot: the backend that decides and the directory's
+/// shared record of it. Behind one `Arc` so a fan-out job takes both
+/// with a single clone.
+struct Replica {
+    backend: Arc<dyn DecisionBackend>,
+    endpoint: Arc<PdpEndpoint>,
 }
 
 /// Pre-resolved telemetry handles for the group's query paths.
@@ -285,7 +259,7 @@ impl Drop for WaitTimer {
 /// The per-query eligibility snapshot: who may vote, who was excluded
 /// as stale, and how far behind the worst straggler is.
 struct Roster<'a> {
-    eligible: Vec<&'a Arc<dyn DecisionBackend>>,
+    eligible: Vec<&'a Arc<Replica>>,
     stale_excluded: usize,
     max_epoch_lag: u64,
 }
@@ -313,8 +287,7 @@ pub(crate) struct FanoutPlan<'a> {
 /// outstanding votes nor block on one that will never arrive. A `None`
 /// response is a withdrawn vote, not an answer.
 struct FanoutJob {
-    directory: Arc<PdpDirectory>,
-    replica: Arc<dyn DecisionBackend>,
+    replica: Arc<Replica>,
     request: RequestContext,
     now_ms: u64,
     cancel: CancelToken,
@@ -336,10 +309,10 @@ impl Drop for FanoutJob {
 
 impl FanoutJob {
     /// Re-checks the cancel token at start time, hands it to the
-    /// backend for mid-flight abandonment, and records the replica's
-    /// latency in the directory.
+    /// backend for mid-flight abandonment, and feeds the replica's
+    /// latency estimate.
     fn run(mut self) {
-        let name = self.replica.name();
+        let name = self.replica.endpoint.name();
         if self.cancel.is_cancelled() {
             // Record the skip as a zero-duration span so traces account
             // for every dispatched job — a cancelled straggler shows up
@@ -361,6 +334,7 @@ impl FanoutJob {
         // A panicking backend is a withdrawn vote, not a dead worker.
         let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.replica
+                .backend
                 .decide_cancellable(&self.request, self.now_ms, &self.cancel)
         }))
         .ok()
@@ -370,10 +344,12 @@ impl FanoutJob {
                 // Only completed evaluations feed the EWMA: an
                 // abandoned one's elapsed time measures the cancel
                 // point, not the replica.
-                let elapsed_us = start.elapsed().as_micros() as u64;
-                self.directory.record_latency_us(name, elapsed_us);
+                let elapsed = start.elapsed();
+                self.replica
+                    .endpoint
+                    .record_latency_ns(elapsed.as_nanos() as u64);
                 if let Some(t) = &self.telemetry {
-                    t.replica_us.record(elapsed_us);
+                    t.replica_us.record(elapsed.as_micros() as u64);
                 }
             }
             None => {
@@ -388,17 +364,21 @@ impl FanoutJob {
 }
 
 impl ReplicaGroup {
-    /// Creates a group over the given backends.
+    /// Creates a group over the given backends, each paired with the
+    /// record `PdpDirectory::register` handed out for it; slots keep
+    /// the given order.
     ///
     /// # Panics
     ///
     /// Panics if `replicas` is empty.
-    pub fn new(replicas: Vec<Arc<dyn DecisionBackend>>) -> Self {
+    pub fn new(replicas: Vec<(Arc<dyn DecisionBackend>, Arc<PdpEndpoint>)>) -> Self {
         assert!(!replicas.is_empty(), "a replica group needs replicas");
-        let in_sync = RwLock::new(vec![true; replicas.len()]);
+        let replicas = replicas
+            .into_iter()
+            .map(|(backend, endpoint)| Arc::new(Replica { backend, endpoint }))
+            .collect();
         ReplicaGroup {
             replicas,
-            in_sync,
             telemetry: None,
         }
     }
@@ -421,92 +401,55 @@ impl ReplicaGroup {
         self
     }
 
-    fn index_of(&self, name: &str) -> Option<usize> {
-        self.replicas.iter().position(|r| r.name() == name)
-    }
-
-    /// Whether the group contains a replica of this name.
-    pub fn contains(&self, name: &str) -> bool {
-        self.index_of(name).is_some()
-    }
-
     /// The highest policy epoch any replica of the group reports — the
     /// catch-up target for recovering replicas.
     pub fn max_policy_epoch(&self) -> PolicyEpoch {
         self.replicas
             .iter()
-            .map(|r| r.policy_epoch())
+            .map(|r| r.backend.policy_epoch())
             .max()
             .unwrap_or(PolicyEpoch::ZERO)
     }
 
-    /// The named replica's policy epoch, if it belongs to this group.
-    pub fn replica_epoch(&self, name: &str) -> Option<PolicyEpoch> {
-        self.index_of(name).map(|i| self.replicas[i].policy_epoch())
+    /// The directory record of the replica in `slot` (configured
+    /// order): its lifecycle phase and latency estimate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range.
+    pub fn endpoint(&self, slot: usize) -> &Arc<PdpEndpoint> {
+        &self.replicas[slot].endpoint
     }
 
-    /// Puts a replica into the `Syncing` phase: excluded from dispatch
-    /// and quorum counting until [`ReplicaGroup::mark_in_sync`].
-    /// Returns whether the name matched a replica.
-    pub fn mark_syncing(&self, name: &str) -> bool {
-        match self.index_of(name) {
-            Some(i) => {
-                self.in_sync.write()[i] = false;
-                true
-            }
-            None => false,
-        }
+    /// Whether the replica in `slot` decides on an older policy epoch
+    /// than some other replica of the group.
+    pub(crate) fn lags(&self, slot: usize) -> bool {
+        self.replicas[slot].backend.policy_epoch() < self.max_policy_epoch()
     }
 
-    /// Returns a replica to quorum eligibility (its catch-up finished).
-    /// Returns whether the name matched a replica.
-    pub fn mark_in_sync(&self, name: &str) -> bool {
-        match self.index_of(name) {
-            Some(i) => {
-                self.in_sync.write()[i] = true;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Whether the named replica is currently in sync (unknown names
-    /// answer `false`).
-    pub fn is_in_sync(&self, name: &str) -> bool {
-        self.index_of(name)
-            .map(|i| self.in_sync.read()[i])
-            .unwrap_or(false)
-    }
-
-    /// Snapshot of who may vote right now. Epoch lag is only computed
-    /// when someone is actually excluded (the common all-in-sync case
-    /// costs no epoch reads).
-    fn roster<'a>(&'a self, directory: &PdpDirectory) -> Roster<'a> {
-        let in_sync = self.in_sync.read();
-        let mut eligible = Vec::with_capacity(self.replicas.len());
-        let mut syncing: Vec<&Arc<dyn DecisionBackend>> = Vec::new();
-        for (i, replica) in self.replicas.iter().enumerate() {
-            if !directory.is_healthy(replica.name()) {
-                continue;
-            }
-            if in_sync[i] {
-                eligible.push(replica);
-            } else {
-                syncing.push(replica);
+    /// Snapshot of who may vote right now, one atomic phase load per
+    /// slot. Epoch lag is only computed when someone is actually
+    /// excluded (the common all-healthy case costs no epoch reads).
+    fn roster(&self) -> Roster<'_> {
+        let mut roster = Roster {
+            eligible: Vec::with_capacity(self.replicas.len()),
+            stale_excluded: 0,
+            max_epoch_lag: 0,
+        };
+        let mut target = None;
+        for replica in &self.replicas {
+            match replica.endpoint.phase() {
+                ReplicaPhase::Healthy => roster.eligible.push(replica),
+                ReplicaPhase::Syncing => {
+                    let target = *target.get_or_insert_with(|| self.max_policy_epoch());
+                    let lag = target.lag_behind(replica.backend.policy_epoch());
+                    roster.stale_excluded += 1;
+                    roster.max_epoch_lag = roster.max_epoch_lag.max(lag);
+                }
+                ReplicaPhase::Crashed => {}
             }
         }
-        let mut max_epoch_lag = 0u64;
-        if !syncing.is_empty() {
-            let target = self.max_policy_epoch();
-            for replica in &syncing {
-                max_epoch_lag = max_epoch_lag.max(target.lag_behind(replica.policy_epoch()));
-            }
-        }
-        Roster {
-            eligible,
-            stale_excluded: syncing.len(),
-            max_epoch_lag,
-        }
+        roster
     }
 
     /// Replica count (healthy or not).
@@ -519,28 +462,12 @@ impl ReplicaGroup {
         self.replicas.is_empty()
     }
 
-    /// Names of all replicas, for directory registration.
+    /// Names of all replicas, in slot order.
     pub fn replica_names(&self) -> Vec<String> {
-        self.replicas.iter().map(|r| r.name().to_string()).collect()
-    }
-
-    /// Replicas the directory currently reports healthy — **including**
-    /// healthy-but-`Syncing` ones, which must not be dispatched to
-    /// (their policy is known stale). This is the monitoring view; use
-    /// [`ReplicaGroup::eligible_replicas`] when choosing who may serve
-    /// or vote.
-    pub fn healthy_replicas(&self, directory: &PdpDirectory) -> Vec<&Arc<dyn DecisionBackend>> {
         self.replicas
             .iter()
-            .filter(|r| directory.is_healthy(r.name()))
+            .map(|r| r.endpoint.name().to_string())
             .collect()
-    }
-
-    /// Replicas that may serve and vote right now: healthy per the
-    /// directory *and* in sync with the group's policy epoch — the set
-    /// both query paths dispatch over.
-    pub fn eligible_replicas(&self, directory: &PdpDirectory) -> Vec<&Arc<dyn DecisionBackend>> {
-        self.roster(directory).eligible
     }
 
     /// Runs `serve` over the replicas that may vote right now and
@@ -555,11 +482,10 @@ impl ReplicaGroup {
     /// partition over the floor.
     fn over_roster(
         &self,
-        directory: &PdpDirectory,
         mode: QuorumMode,
-        serve: impl FnOnce(&[&Arc<dyn DecisionBackend>]) -> GroupOutcome,
+        serve: impl FnOnce(&[&Arc<Replica>]) -> GroupOutcome,
     ) -> GroupOutcome {
-        let roster = self.roster(directory);
+        let roster = self.roster();
         let e = roster.eligible.len();
         let mut outcome = if e == 0 {
             GroupOutcome::unanswered(0)
@@ -587,14 +513,8 @@ impl ReplicaGroup {
     /// Latency is the *sum* of replica latencies for fan-out modes; a
     /// cluster built with `ClusterBuilder::scheduler` bounds it by the
     /// slowest replica the quorum still needs.
-    pub fn query(
-        &self,
-        directory: &PdpDirectory,
-        mode: QuorumMode,
-        request: &RequestContext,
-        now_ms: u64,
-    ) -> GroupOutcome {
-        self.over_roster(directory, mode, |eligible| {
+    pub fn query(&self, mode: QuorumMode, request: &RequestContext, now_ms: u64) -> GroupOutcome {
+        self.over_roster(mode, |eligible| {
             let queried = if mode.fans_out() {
                 eligible
             } else {
@@ -602,7 +522,7 @@ impl ReplicaGroup {
             };
             let responses: Vec<Response> = queried
                 .iter()
-                .map(|r| self.timed_decide(directory, r, request, now_ms))
+                .map(|r| self.timed_decide(r, request, now_ms))
                 .collect();
             GroupOutcome::decided(
                 quorum::combine(mode, &responses),
@@ -618,7 +538,7 @@ impl ReplicaGroup {
     /// fan-out's [`CancelToken`] is set, so jobs still queued on the
     /// pool are skipped and running cancellation-aware backends abandon
     /// mid-flight. Every answer that does arrive feeds the replica's
-    /// EWMA latency estimate in `directory`.
+    /// EWMA latency estimate.
     ///
     /// Decision-equivalent to [`ReplicaGroup::query`]: a majority
     /// winner holds `⌊e/2⌋+1` votes — an absolute majority of *all*
@@ -630,71 +550,58 @@ impl ReplicaGroup {
     /// at quorum width, saving `e − ⌊e/2⌋ − 1` evaluations per query.
     pub(crate) fn query_planned(
         &self,
-        directory: &Arc<PdpDirectory>,
         mode: QuorumMode,
         request: &RequestContext,
         now_ms: u64,
         plan: &FanoutPlan<'_>,
     ) -> GroupOutcome {
-        self.over_roster(directory, mode, |eligible| {
+        self.over_roster(mode, |eligible| {
             if mode == QuorumMode::FirstHealthy && plan.hedge.is_none() {
                 // Without hedging there is nothing to race: a pool
                 // round-trip (dispatch, channel, cross-thread handoff)
                 // would be pure overhead on a single-replica query, so
                 // evaluate inline exactly like the sequential path.
                 let verdict = quorum::Verdict {
-                    response: self.timed_decide(directory, eligible[0], request, now_ms),
+                    response: self.timed_decide(eligible[0], request, now_ms),
                     disagreement: false,
                     fail_closed: false,
                 };
                 GroupOutcome::decided(verdict, 1, eligible.len())
             } else {
-                self.collect(directory, mode, eligible, request, now_ms, plan)
+                self.collect(mode, eligible, request, now_ms, plan)
             }
         })
     }
 
     /// Evaluates one replica inline on the caller's thread: times it,
-    /// feeds the directory's EWMA, and — with telemetry attached —
-    /// records a named `replica_decide` span plus the compute
-    /// histogram.
-    fn timed_decide(
-        &self,
-        directory: &PdpDirectory,
-        replica: &Arc<dyn DecisionBackend>,
-        request: &RequestContext,
-        now_ms: u64,
-    ) -> Response {
+    /// feeds its EWMA, and — with telemetry attached — records a named
+    /// `replica_decide` span plus the compute histogram.
+    fn timed_decide(&self, replica: &Replica, request: &RequestContext, now_ms: u64) -> Response {
         let span = self.telemetry.as_ref().map(|t| {
             let mut s = t.tracer().span("replica_decide");
-            s.set_note(replica.name());
+            s.set_note(replica.endpoint.name());
             s
         });
         let start = Instant::now();
-        let response = replica.decide(request, now_ms);
-        let elapsed_us = start.elapsed().as_micros() as u64;
-        directory.record_latency_us(replica.name(), elapsed_us);
+        let response = replica.backend.decide(request, now_ms);
+        let elapsed = start.elapsed();
+        replica
+            .endpoint
+            .record_latency_ns(elapsed.as_nanos() as u64);
         if let Some(t) = &self.telemetry {
-            t.replica_us.record(elapsed_us);
+            t.replica_us.record(elapsed.as_micros() as u64);
         }
         drop(span);
         response
     }
 
     /// Indices into `eligible` in dispatch order: the first `pinned`
-    /// stay in configured order, the rest sort by ascending directory
-    /// EWMA latency; unmeasured replicas sort first — probing them is
-    /// how they earn an estimate.
-    fn ewma_order(
-        directory: &PdpDirectory,
-        eligible: &[&Arc<dyn DecisionBackend>],
-        pinned: usize,
-    ) -> Vec<usize> {
+    /// stay in configured order, the rest sort by ascending EWMA
+    /// latency; unmeasured replicas sort first — probing them is how
+    /// they earn an estimate.
+    fn ewma_order(eligible: &[&Arc<Replica>], pinned: usize) -> Vec<usize> {
         let mut order: Vec<usize> = (0..eligible.len()).collect();
-        order[pinned..].sort_by(|&a, &b| {
-            let ewma = |i: usize| directory.latency_ewma_us(eligible[i].name()).unwrap_or(0.0);
-            ewma(a).total_cmp(&ewma(b))
-        });
+        order[pinned..].sort_by_key(|&i| eligible[i].endpoint.latency_ewma_ns().unwrap_or(0));
         order
     }
 
@@ -768,9 +675,8 @@ impl ReplicaGroup {
     /// exactly as the sequential path would.
     fn collect(
         &self,
-        directory: &Arc<PdpDirectory>,
         mode: QuorumMode,
-        eligible: &[&Arc<dyn DecisionBackend>],
+        eligible: &[&Arc<Replica>],
         request: &RequestContext,
         now_ms: u64,
         plan: &FanoutPlan<'_>,
@@ -786,7 +692,7 @@ impl ReplicaGroup {
         // of the pool queue, so the settle point arrives as early as
         // possible and slow stragglers are the ones left queued for the
         // cancel token to skip.
-        let order = Self::ewma_order(directory, eligible, pinned);
+        let order = Self::ewma_order(eligible, pinned);
         let cancel = CancelToken::new();
         let (tx, rx) = channel::<FanoutAnswer>();
         let started = Arc::new(AtomicUsize::new(0));
@@ -794,7 +700,6 @@ impl ReplicaGroup {
         let dispatch_next = |dispatched: &mut usize, role: &'static str| {
             let index = order[*dispatched];
             let job = FanoutJob {
-                directory: Arc::clone(directory),
                 replica: Arc::clone(eligible[index]),
                 request: request.clone(),
                 now_ms,
@@ -846,7 +751,7 @@ impl ReplicaGroup {
             let budget = plan
                 .hedge
                 .filter(|cfg| dispatched < e && hedged.len() < cfg.max_hedges)
-                .map(|cfg| cfg.budget_us(directory, eligible[order[dispatched]].name()));
+                .map(|cfg| cfg.budget_us(&eligible[order[dispatched]].endpoint));
             let answer = match budget {
                 Some(budget_us) => match rx.recv_timeout(Duration::from_micros(budget_us)) {
                     Ok(answer) => answer,
@@ -996,12 +901,13 @@ impl DecisionBackend for EpochBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dacs_pdp::PdpDirectory;
     use proptest::prelude::*;
 
     #[test]
     fn first_healthy_queries_exactly_one() {
-        let (g, dir) = group(&[Decision::Permit, Decision::Permit, Decision::Permit]);
-        let out = g.query(&dir, QuorumMode::FirstHealthy, &RequestContext::new(), 0);
+        let (g, _) = group(&[Decision::Permit, Decision::Permit, Decision::Permit]);
+        let out = g.query(QuorumMode::FirstHealthy, &RequestContext::new(), 0);
         assert_eq!(out.replicas_queried, 1);
         assert_eq!(out.healthy, 3);
         assert_eq!(out.response.unwrap().decision, Decision::Permit);
@@ -1011,12 +917,12 @@ mod tests {
     fn failover_skips_unhealthy_replicas() {
         let (g, dir) = group(&[Decision::Deny, Decision::Permit]);
         dir.mark_down("r0");
-        let out = g.query(&dir, QuorumMode::FirstHealthy, &RequestContext::new(), 0);
+        let out = g.query(QuorumMode::FirstHealthy, &RequestContext::new(), 0);
         // r0 (the Deny) is down; the query routes around it.
         assert_eq!(out.response.unwrap().decision, Decision::Permit);
         assert_eq!(out.healthy, 1);
         dir.mark_up("r0");
-        let out = g.query(&dir, QuorumMode::FirstHealthy, &RequestContext::new(), 0);
+        let out = g.query(QuorumMode::FirstHealthy, &RequestContext::new(), 0);
         assert_eq!(out.response.unwrap().decision, Decision::Deny);
     }
 
@@ -1025,15 +931,15 @@ mod tests {
         let (g, dir) = group(&[Decision::Permit, Decision::Permit]);
         dir.mark_down("r0");
         dir.mark_down("r1");
-        let out = g.query(&dir, QuorumMode::Majority, &RequestContext::new(), 0);
+        let out = g.query(QuorumMode::Majority, &RequestContext::new(), 0);
         assert_eq!(out.response, None);
         assert_eq!(out.replicas_queried, 0);
     }
 
     #[test]
     fn majority_fans_out_to_all_healthy() {
-        let (g, dir) = group(&[Decision::Permit, Decision::Deny, Decision::Permit]);
-        let out = g.query(&dir, QuorumMode::Majority, &RequestContext::new(), 0);
+        let (g, _) = group(&[Decision::Permit, Decision::Deny, Decision::Permit]);
+        let out = g.query(QuorumMode::Majority, &RequestContext::new(), 0);
         assert_eq!(out.replicas_queried, 3);
         assert!(out.disagreement);
         assert_eq!(out.response.unwrap().decision, Decision::Permit);
@@ -1046,23 +952,13 @@ mod tests {
         let (g, dir) = group(&[Decision::Permit, Decision::Permit, Decision::Permit]);
         dir.mark_down("r0");
         dir.mark_down("r1");
-        let out = g.query(
-            &dir,
-            QuorumMode::UnanimousFailClosed,
-            &RequestContext::new(),
-            0,
-        );
+        let out = g.query(QuorumMode::UnanimousFailClosed, &RequestContext::new(), 0);
         assert_eq!(out.response.unwrap().decision, Decision::Deny);
         assert!(out.fail_closed);
         assert_eq!(out.replicas_queried, 0, "no evaluations spent");
         // Restore a majority: unanimity can permit again.
         dir.mark_up("r0");
-        let out = g.query(
-            &dir,
-            QuorumMode::UnanimousFailClosed,
-            &RequestContext::new(),
-            0,
-        );
+        let out = g.query(QuorumMode::UnanimousFailClosed, &RequestContext::new(), 0);
         assert_eq!(out.response.unwrap().decision, Decision::Permit);
     }
 
@@ -1099,23 +995,39 @@ mod tests {
         lossy_group(decisions, None)
     }
 
+    /// Puts the replica in `slot` into the `Syncing` phase.
+    fn syncing(group: &ReplicaGroup, slot: usize) {
+        group.endpoint(slot).set_phase(ReplicaPhase::Syncing);
+    }
+
     /// One static backend `r{i}` per decision, registered healthy, with
     /// replica `lost` (if any) swapped for a [`Panicky`].
     fn lossy_group(
         decisions: &[Decision],
         lost: Option<usize>,
     ) -> (ReplicaGroup, Arc<PdpDirectory>) {
-        let directory = Arc::new(PdpDirectory::new());
-        let mut replicas: Vec<Arc<dyn DecisionBackend>> = Vec::new();
-        for (i, d) in decisions.iter().enumerate() {
+        let replicas = decisions.iter().enumerate().map(|(i, d)| {
             let name = format!("r{i}");
-            directory.register(&name, "cluster");
-            replicas.push(if lost == Some(i) {
-                Arc::new(Panicky(name))
+            if lost == Some(i) {
+                Arc::new(Panicky(name)) as Arc<dyn DecisionBackend>
             } else {
                 Arc::new(StaticBackend::new(name, *d))
-            });
-        }
+            }
+        });
+        grouped(replicas.collect())
+    }
+
+    /// A group over `replicas`, registered healthy under `"cluster"`
+    /// in a fresh directory.
+    fn grouped(replicas: Vec<Arc<dyn DecisionBackend>>) -> (ReplicaGroup, Arc<PdpDirectory>) {
+        let directory = Arc::new(PdpDirectory::new());
+        let replicas = replicas
+            .into_iter()
+            .map(|backend| {
+                let endpoint = directory.register(backend.name(), "cluster");
+                (backend, endpoint)
+            })
+            .collect();
         (ReplicaGroup::new(replicas), directory)
     }
 
@@ -1123,23 +1035,19 @@ mod tests {
     fn parallel_majority_latency_tracks_fast_majority_not_slowest() {
         // Two instant Permits and one 200ms straggler: the majority
         // verdict must not wait for the straggler.
-        let directory = Arc::new(PdpDirectory::new());
         let mut replicas: Vec<Arc<dyn DecisionBackend>> = Vec::new();
         for name in ["r0", "r1"] {
-            directory.register(name, "cluster");
             replicas.push(Arc::new(StaticBackend::new(name, Decision::Permit)));
         }
-        directory.register("r2", "cluster");
         replicas.push(Arc::new(SlowBackend::new(
             "r2",
             Decision::Deny,
             Duration::from_millis(200),
         )));
-        let g = ReplicaGroup::new(replicas);
+        let (g, _) = grouped(replicas);
         let pool = pool();
         let start = Instant::now();
         let out = g.query_planned(
-            &directory,
             QuorumMode::Majority,
             &RequestContext::new(),
             0,
@@ -1158,23 +1066,19 @@ mod tests {
     fn parallel_unanimity_short_circuits_on_first_deny() {
         // One instant Deny and two slow Permits: unanimity can only end
         // in deny, so it must answer without waiting for the permits.
-        let directory = Arc::new(PdpDirectory::new());
         let mut replicas: Vec<Arc<dyn DecisionBackend>> = Vec::new();
-        directory.register("r0", "cluster");
         replicas.push(Arc::new(StaticBackend::new("r0", Decision::Deny)));
         for name in ["r1", "r2"] {
-            directory.register(name, "cluster");
             replicas.push(Arc::new(SlowBackend::new(
                 name,
                 Decision::Permit,
                 Duration::from_millis(200),
             )));
         }
-        let g = ReplicaGroup::new(replicas);
+        let (g, _) = grouped(replicas);
         let pool = pool();
         let start = Instant::now();
         let out = g.query_planned(
-            &directory,
             QuorumMode::UnanimousFailClosed,
             &RequestContext::new(),
             0,
@@ -1207,17 +1111,13 @@ mod tests {
                 r
             }
         }
-        let directory = Arc::new(PdpDirectory::new());
-        directory.register("r0", "cluster");
-        directory.register("r1", "cluster");
-        let g = ReplicaGroup::new(vec![
+        let (g, _) = grouped(vec![
             Arc::new(Obliged("r0".into())) as Arc<dyn DecisionBackend>,
             Arc::new(StaticBackend::new("r1", Decision::Permit)) as Arc<dyn DecisionBackend>,
         ]);
         let pool = pool();
         for i in 0..25 {
             let out = g.query_planned(
-                &directory,
                 QuorumMode::Majority,
                 &RequestContext::new(),
                 i,
@@ -1241,7 +1141,6 @@ mod tests {
         dir.mark_down("r1");
         let pool = pool();
         let out = g.query_planned(
-            &dir,
             QuorumMode::UnanimousFailClosed,
             &RequestContext::new(),
             0,
@@ -1254,14 +1153,13 @@ mod tests {
 
     #[test]
     fn parallel_majority_survives_a_panicking_replica() {
-        let (g, directory) = lossy_group(&[Decision::Permit; 3], Some(0));
+        let (g, _) = lossy_group(&[Decision::Permit; 3], Some(0));
         let pool = pool();
         // The panicking replica's answer is simply lost; the two
         // healthy permits still form a majority — repeatedly, because
         // the panic must not cost a pool worker.
         for i in 0..8 {
             let out = g.query_planned(
-                &directory,
                 QuorumMode::Majority,
                 &RequestContext::new(),
                 i,
@@ -1278,7 +1176,6 @@ mod tests {
         dir.mark_down("r1");
         let pool = pool();
         let out = g.query_planned(
-            &dir,
             QuorumMode::Majority,
             &RequestContext::new(),
             0,
@@ -1290,14 +1187,11 @@ mod tests {
 
     #[test]
     fn parallel_queries_feed_the_latency_ewma() {
-        let (g, dir) = group(&[Decision::Permit, Decision::Permit, Decision::Permit]);
+        let (g, _) = group(&[Decision::Permit, Decision::Permit, Decision::Permit]);
         let pool = pool();
-        for names_missing in [true, false] {
-            if names_missing {
-                assert_eq!(dir.latency_ewma_us("r0"), None);
-            }
+        assert_eq!(g.endpoint(0).latency_ewma_ns(), None);
+        for _ in 0..2 {
             g.query_planned(
-                &dir,
                 QuorumMode::UnanimousFailClosed,
                 &RequestContext::new(),
                 0,
@@ -1306,10 +1200,10 @@ mod tests {
         }
         // Unanimity waits for every replica, so all three got timed.
         // (Majority may cancel a straggler before it runs.)
-        for name in ["r0", "r1", "r2"] {
+        for slot in 0..3 {
             assert!(
-                dir.latency_ewma_us(name).is_some(),
-                "{name} has no latency sample"
+                g.endpoint(slot).latency_ewma_ns().is_some(),
+                "r{slot} has no latency sample"
             );
         }
     }
@@ -1318,17 +1212,14 @@ mod tests {
     fn hedge_fires_on_slow_primary_and_fast_replica_wins() {
         // Primary sleeps far past the hedge budget; the hedge goes to
         // the fast second replica, whose answer must win.
-        let directory = Arc::new(PdpDirectory::new());
-        let mut replicas: Vec<Arc<dyn DecisionBackend>> = Vec::new();
-        directory.register("slow", "cluster");
-        replicas.push(Arc::new(SlowBackend::new(
-            "slow",
-            Decision::Deny, // the slow replica would deny…
-            Duration::from_millis(300),
-        )));
-        directory.register("fast", "cluster");
-        replicas.push(Arc::new(StaticBackend::new("fast", Decision::Permit)));
-        let g = ReplicaGroup::new(replicas);
+        let (g, _) = grouped(vec![
+            Arc::new(SlowBackend::new(
+                "slow",
+                Decision::Deny, // the slow replica would deny…
+                Duration::from_millis(300),
+            )) as Arc<dyn DecisionBackend>,
+            Arc::new(StaticBackend::new("fast", Decision::Permit)),
+        ]);
         let pool = pool();
         let cfg = HedgeConfig {
             budget_multiplier: 3.0,
@@ -1337,7 +1228,6 @@ mod tests {
         };
         let start = Instant::now();
         let out = g.query_planned(
-            &directory,
             QuorumMode::FirstHealthy,
             &RequestContext::new(),
             0,
@@ -1356,7 +1246,7 @@ mod tests {
 
     #[test]
     fn fast_primary_never_hedges() {
-        let (g, dir) = group(&[Decision::Permit, Decision::Deny]);
+        let (g, _) = group(&[Decision::Permit, Decision::Deny]);
         let pool = pool();
         // Generous budget so a loaded test machine cannot trip it.
         let cfg = HedgeConfig {
@@ -1365,7 +1255,6 @@ mod tests {
         };
         for _ in 0..5 {
             let out = g.query_planned(
-                &dir,
                 QuorumMode::FirstHealthy,
                 &RequestContext::new(),
                 0,
@@ -1381,11 +1270,10 @@ mod tests {
     #[test]
     fn hedging_needs_a_second_replica() {
         // A single-replica group under hedging just waits.
-        let (g, dir) = group(&[Decision::Permit]);
+        let (g, _) = group(&[Decision::Permit]);
         let pool = pool();
         let cfg = HedgeConfig::default();
         let out = g.query_planned(
-            &dir,
             QuorumMode::FirstHealthy,
             &RequestContext::new(),
             0,
@@ -1400,16 +1288,12 @@ mod tests {
     /// the stale replicas outnumber the fresh ones.
     #[test]
     fn stale_replicas_excluded_from_majority_until_synced() {
-        let directory = PdpDirectory::new();
         // r0 saw the lockdown (epoch 5, denies); r1/r2 are stale at
         // epoch 3 and would still permit. In-sync, they outvote r0.
         let fresh = Arc::new(EpochBackend::new("r0", Decision::Deny, 5));
         let stale_1 = Arc::new(EpochBackend::new("r1", Decision::Permit, 3));
         let stale_2 = Arc::new(EpochBackend::new("r2", Decision::Permit, 3));
-        for name in ["r0", "r1", "r2"] {
-            directory.register(name, "cluster");
-        }
-        let g = ReplicaGroup::new(vec![
+        let (g, _) = grouped(vec![
             fresh as Arc<dyn DecisionBackend>,
             stale_1.clone() as Arc<dyn DecisionBackend>,
             stale_2 as Arc<dyn DecisionBackend>,
@@ -1418,14 +1302,13 @@ mod tests {
         let req = RequestContext::new();
 
         // Without the sync gate the stale majority falsely permits.
-        let out = g.query(&directory, QuorumMode::Majority, &req, 0);
+        let out = g.query(QuorumMode::Majority, &req, 0);
         assert_eq!(out.response.unwrap().decision, Decision::Permit);
 
         // Gate the stale pair: only the fresh replica votes.
-        assert!(g.mark_syncing("r1"));
-        assert!(g.mark_syncing("r2"));
-        assert!(!g.mark_syncing("no-such-replica"));
-        let out = g.query(&directory, QuorumMode::Majority, &req, 0);
+        syncing(&g, 1);
+        syncing(&g, 2);
+        let out = g.query(QuorumMode::Majority, &req, 0);
         assert_eq!(out.response.unwrap().decision, Decision::Deny);
         assert_eq!(out.healthy, 1, "only the eligible replica counts");
         assert_eq!(out.stale_excluded, 2);
@@ -1435,8 +1318,8 @@ mod tests {
         // is its own; the gate controls eligibility, not content). The
         // 1-1 split now fails closed rather than permitting.
         stale_1.set_epoch(5);
-        assert!(g.mark_in_sync("r1"));
-        let out = g.query(&directory, QuorumMode::Majority, &req, 0);
+        g.endpoint(1).set_phase(ReplicaPhase::Healthy);
+        let out = g.query(QuorumMode::Majority, &req, 0);
         assert_eq!(out.response.unwrap().decision, Decision::Deny);
         assert!(out.fail_closed, "split vote after readmission");
         assert_eq!(out.replicas_queried, 2);
@@ -1449,15 +1332,10 @@ mod tests {
         // is a minority of the configured group, so unanimity fails
         // closed without spending evaluations — a stale pair cannot
         // prop the partition over the floor.
-        let (g, dir) = group(&[Decision::Permit, Decision::Permit, Decision::Permit]);
-        g.mark_syncing("r1");
-        g.mark_syncing("r2");
-        let out = g.query(
-            &dir,
-            QuorumMode::UnanimousFailClosed,
-            &RequestContext::new(),
-            0,
-        );
+        let (g, _) = group(&[Decision::Permit, Decision::Permit, Decision::Permit]);
+        syncing(&g, 1);
+        syncing(&g, 2);
+        let out = g.query(QuorumMode::UnanimousFailClosed, &RequestContext::new(), 0);
         assert_eq!(out.response.unwrap().decision, Decision::Deny);
         assert!(out.fail_closed);
         assert_eq!(out.replicas_queried, 0);
@@ -1466,33 +1344,28 @@ mod tests {
 
     #[test]
     fn all_replicas_syncing_is_unavailable_not_stale_service() {
-        let (g, dir) = group(&[Decision::Permit, Decision::Permit]);
-        g.mark_syncing("r0");
-        g.mark_syncing("r1");
-        let out = g.query(&dir, QuorumMode::FirstHealthy, &RequestContext::new(), 0);
+        let (g, _) = group(&[Decision::Permit, Decision::Permit]);
+        syncing(&g, 0);
+        syncing(&g, 1);
+        let out = g.query(QuorumMode::FirstHealthy, &RequestContext::new(), 0);
         assert_eq!(out.response, None, "no fresh replica → no decision");
         assert_eq!(out.stale_excluded, 2);
-        g.mark_in_sync("r0");
-        let out = g.query(&dir, QuorumMode::FirstHealthy, &RequestContext::new(), 0);
+        g.endpoint(0).set_phase(ReplicaPhase::Healthy);
+        let out = g.query(QuorumMode::FirstHealthy, &RequestContext::new(), 0);
         assert!(out.response.is_some());
     }
 
     #[test]
     fn parallel_path_applies_the_same_sync_gate() {
-        let directory = Arc::new(PdpDirectory::new());
-        for name in ["r0", "r1", "r2"] {
-            directory.register(name, "cluster");
-        }
-        let g = ReplicaGroup::new(vec![
+        let (g, _) = grouped(vec![
             Arc::new(EpochBackend::new("r0", Decision::Deny, 4)) as Arc<dyn DecisionBackend>,
             Arc::new(EpochBackend::new("r1", Decision::Permit, 1)) as Arc<dyn DecisionBackend>,
             Arc::new(EpochBackend::new("r2", Decision::Permit, 1)) as Arc<dyn DecisionBackend>,
         ]);
-        g.mark_syncing("r1");
-        g.mark_syncing("r2");
+        syncing(&g, 1);
+        syncing(&g, 2);
         let pool = pool();
         let out = g.query_planned(
-            &directory,
             QuorumMode::Majority,
             &RequestContext::new(),
             0,
@@ -1509,10 +1382,9 @@ mod tests {
         // Five agreeing replicas: the quorum needs ⌊5/2⌋+1 = 3 votes,
         // so adaptive fan-out must leave two replicas unqueried.
         let decisions = [Decision::Permit; 5];
-        let (g, dir) = group(&decisions);
+        let (g, _) = group(&decisions);
         let pool = pool();
         let out = g.query_planned(
-            &dir,
             QuorumMode::Majority,
             &RequestContext::new(),
             0,
@@ -1530,10 +1402,9 @@ mod tests {
         // holds an absolute majority of the three eligible replicas, so
         // the third must be pulled in as a needed voter — and the final
         // decision must match what full-width dispatch would say.
-        let (g, dir) = group(&[Decision::Deny, Decision::Permit, Decision::Permit]);
+        let (g, _) = group(&[Decision::Deny, Decision::Permit, Decision::Permit]);
         let pool = pool();
         let out = g.query_planned(
-            &dir,
             QuorumMode::Majority,
             &RequestContext::new(),
             0,
@@ -1550,23 +1421,19 @@ mod tests {
         // Both quorum members are needed, but one sleeps far past the
         // escalation budget: the backup is pulled in (counted as a
         // hedge) and completes the majority without the straggler.
-        let directory = Arc::new(PdpDirectory::new());
-        let mut replicas: Vec<Arc<dyn DecisionBackend>> = Vec::new();
-        for name in ["a0", "a1"] {
-            directory.register(name, "cluster");
-            // Seed the EWMA so these two sort ahead of the backup.
-            directory.record_latency_us(name, 10);
+        let (g, _) = grouped(vec![
+            Arc::new(StaticBackend::new("a0", Decision::Permit)) as Arc<dyn DecisionBackend>,
+            Arc::new(SlowBackend::new(
+                "a1",
+                Decision::Permit,
+                Duration::from_millis(250),
+            )),
+            Arc::new(StaticBackend::new("a2", Decision::Permit)),
+        ]);
+        // Seed the EWMA so the first two sort ahead of the backup.
+        for (slot, ewma_ns) in [(0, 10_000), (1, 10_000), (2, 20_000)] {
+            g.endpoint(slot).record_latency_ns(ewma_ns);
         }
-        replicas.push(Arc::new(StaticBackend::new("a0", Decision::Permit)));
-        replicas.push(Arc::new(SlowBackend::new(
-            "a1",
-            Decision::Permit,
-            Duration::from_millis(250),
-        )));
-        directory.register("a2", "cluster");
-        directory.record_latency_us("a2", 20);
-        replicas.push(Arc::new(StaticBackend::new("a2", Decision::Permit)));
-        let g = ReplicaGroup::new(replicas);
         let pool = pool();
         let cfg = HedgeConfig {
             budget_multiplier: 3.0,
@@ -1575,7 +1442,6 @@ mod tests {
         };
         let start = Instant::now();
         let out = g.query_planned(
-            &directory,
             QuorumMode::Majority,
             &RequestContext::new(),
             0,
@@ -1597,12 +1463,7 @@ mod tests {
     /// sleep is only the slow replica; nothing asserts on elapsed time.)
     #[test]
     fn hedge_cap_bounds_budget_escalations_under_adaptive_majority() {
-        let directory = Arc::new(PdpDirectory::new());
-        for (name, ewma) in [("r0", 10), ("r1", 20), ("r2", 30)] {
-            directory.register(name, "cluster");
-            directory.record_latency_us(name, ewma);
-        }
-        let g = ReplicaGroup::new(vec![
+        let (g, _) = grouped(vec![
             Arc::new(StaticBackend::new("r0", Decision::Permit)) as Arc<dyn DecisionBackend>,
             Arc::new(SlowBackend::new(
                 "r1",
@@ -1611,13 +1472,15 @@ mod tests {
             )),
             Arc::new(StaticBackend::new("r2", Decision::Permit)),
         ]);
+        for (slot, ewma_ns) in [(0, 10_000), (1, 20_000), (2, 30_000)] {
+            g.endpoint(slot).record_latency_ns(ewma_ns);
+        }
         let pool = pool();
         let cfg = HedgeConfig {
             max_hedges: 0,
             ..HedgeConfig::default()
         };
         let out = g.query_planned(
-            &directory,
             QuorumMode::Majority,
             &RequestContext::new(),
             0,
@@ -1636,14 +1499,13 @@ mod tests {
     fn jobs_still_queued_are_never_hedged() {
         let pool = FanoutPool::new(1);
         pool.submit(Box::new(|| std::thread::sleep(Duration::from_millis(20))));
-        let (g, dir) = group(&[Decision::Permit; 3]);
+        let (g, _) = group(&[Decision::Permit; 3]);
         let cfg = HedgeConfig {
             budget_multiplier: 1.0,
             min_budget_us: 1_000,
             max_hedges: 1,
         };
         let out = g.query_planned(
-            &dir,
             QuorumMode::Majority,
             &RequestContext::new(),
             0,
@@ -1693,13 +1555,13 @@ mod tests {
                 if let Some(i) = lost {
                     dir.mark_down(&format!("r{i}"));
                 }
-                let seq = reference.query(&dir, mode, &req, 0);
+                let seq = reference.query(mode, &req, 0);
                 for adaptive in [false, true] {
                     // A fresh group per run: one run's EWMA samples
                     // must not reorder the next run's dispatch.
-                    let (g, dir) = lossy_group(&decisions, lost);
+                    let (g, _) = lossy_group(&decisions, lost);
                     let out =
-                        g.query_planned(&dir, mode, &req, 0, &plan(&pool, Some(&patient), adaptive));
+                        g.query_planned(mode, &req, 0, &plan(&pool, Some(&patient), adaptive));
                     prop_assert_eq!(
                         seq.response.as_ref().map(|r| r.decision),
                         out.response.as_ref().map(|r| r.decision),
@@ -1732,7 +1594,7 @@ mod tests {
         let (g, dir) = group(&[Decision::Permit, Decision::Permit, Decision::Deny]);
         dir.mark_down("r0");
         dir.mark_down("r1");
-        let out = g.query(&dir, QuorumMode::Majority, &RequestContext::new(), 0);
+        let out = g.query(QuorumMode::Majority, &RequestContext::new(), 0);
         assert_eq!(out.healthy, 1);
         assert_eq!(out.response.unwrap().decision, Decision::Deny);
     }

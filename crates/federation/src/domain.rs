@@ -188,7 +188,6 @@ impl Domain {
         DomainBuilder {
             name: name.into(),
             policies: Vec::new(),
-            root_combining: CombiningAlg::DenyOverrides,
             subject_attrs: Vec::new(),
             pdp_cache: None,
             pep_cache: None,
@@ -335,7 +334,7 @@ impl Domain {
     }
 
     /// A cluster replica's position in the recovery lifecycle
-    /// (`Healthy / Suspect / Crashed / Syncing`), or `None` for
+    /// (`Healthy / Crashed / Syncing`), or `None` for
     /// unknown names and single-engine domains.
     pub fn replica_phase(&self, name: &str) -> Option<ReplicaPhase> {
         self.cluster.as_ref()?.replica_phase(name)
@@ -423,7 +422,6 @@ type DecisionPlane = (
 pub struct DomainBuilder {
     name: String,
     policies: Vec<Policy>,
-    root_combining: CombiningAlg,
     subject_attrs: Vec<(String, String, dacs_policy::attr::AttrValue)>,
     pdp_cache: Option<CacheConfig>,
     pep_cache: Option<CacheConfig>,
@@ -453,12 +451,6 @@ impl DomainBuilder {
     pub fn policy_dsl(self, src: &str) -> Self {
         let policy = dacs_policy::dsl::parse_policy(src).expect("valid policy DSL");
         self.policy(policy)
-    }
-
-    /// Sets how domain policies are combined at the root.
-    pub fn root_combining(mut self, alg: CombiningAlg) -> Self {
-        self.root_combining = alg;
-        self
     }
 
     /// Provisions a subject attribute at the domain's IdP.
@@ -567,7 +559,7 @@ impl DomainBuilder {
     pub fn build(self, ctx: &CryptoCtx) -> Domain {
         let name = self.name;
         let root_id = PolicyId::new(format!("{name}-root"));
-        let mut root = PolicySet::new(root_id.clone(), self.root_combining);
+        let mut root = PolicySet::new(root_id.clone(), CombiningAlg::DenyOverrides);
         for policy in &self.policies {
             root = root.with_policy_ref(PolicyId::new(policy.id.as_str()));
         }

@@ -24,7 +24,7 @@
 use dacs_cluster::{BatchSubmitter, ClusterOutcome, PdpCluster};
 use dacs_pdp::DecisionClass;
 use dacs_policy::request::RequestContext;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// One group of concurrent queries sharing a flush.
@@ -39,6 +39,42 @@ struct GroupState {
     /// so no member's decision is made against a clock behind its own.
     now_ms_max: u64,
     results: Option<Vec<ClusterOutcome>>,
+}
+
+/// Locks a window mutex, shrugging off poisoning: the flush runs
+/// outside both locks, so a panicked member leaves the group state
+/// consistent, and one caller's panic must not become every later one's.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Publishes a closed group's outcomes when dropped, so every follower
+/// is answered exactly once whether the leader's flush returned or
+/// panicked. Without outcomes (the flush unwound) each member gets an
+/// unavailable outcome for its shard, which the decision source maps to
+/// `Indeterminate` and the PEP denies fail-safe.
+struct Publish<'a> {
+    cluster: &'a PdpCluster,
+    group: &'a Group,
+    outcomes: Option<Vec<ClusterOutcome>>,
+}
+
+impl Drop for Publish<'_> {
+    fn drop(&mut self) {
+        let mut state = lock(&self.group.state);
+        let outcomes = self.outcomes.take().unwrap_or_else(|| {
+            let unavailable = |(request, _): &(RequestContext, DecisionClass)| ClusterOutcome {
+                response: None,
+                shard: self.cluster.router().shard_for(request),
+                replicas_queried: 0,
+                degraded: false,
+            };
+            state.entries.iter().map(unavailable).collect()
+        });
+        state.results = Some(outcomes);
+        drop(state);
+        self.group.done.notify_all();
+    }
 }
 
 /// A PEP-side group-commit window in front of a cluster's batcher.
@@ -62,13 +98,13 @@ impl BatchWindow {
         }
     }
 
-    /// The configured hold time in microseconds.
-    pub fn window_us(&self) -> u64 {
-        self.window.as_micros() as u64
-    }
-
     /// Joins (or opens) the current group, waits out the window, and
     /// returns this query's outcome from the group's single flush.
+    ///
+    /// The flush runs on the group leader's thread. If it panics (a
+    /// backend bug), the panic unwinds into the leader's caller only;
+    /// every other member of the group returns an unavailable outcome
+    /// (`response: None`), and the window keeps serving later groups.
     pub fn decide(
         &self,
         cluster: &PdpCluster,
@@ -92,13 +128,13 @@ impl BatchWindow {
         now_ms: u64,
         class: DecisionClass,
     ) -> (Arc<Group>, usize, bool) {
-        let mut open = self.open.lock().expect("window lock");
+        let mut open = lock(&self.open);
         match open.as_ref() {
             Some(group) => {
                 // The entry lands while the `open` lock is held, so the
                 // leader's close (which needs that lock) cannot slip in
                 // between "saw the group" and "joined it".
-                let mut state = group.state.lock().expect("group lock");
+                let mut state = lock(&group.state);
                 let index = state.entries.len();
                 state.entries.push((request.clone(), class));
                 state.now_ms_max = state.now_ms_max.max(now_ms);
@@ -125,13 +161,20 @@ impl BatchWindow {
     fn lead(&self, cluster: &PdpCluster, group: &Arc<Group>, index: usize) -> ClusterOutcome {
         std::thread::sleep(self.window);
         {
-            let mut open = self.open.lock().expect("window lock");
+            let mut open = lock(&self.open);
             if open.as_ref().is_some_and(|g| Arc::ptr_eq(g, group)) {
                 *open = None;
             }
         }
+        // From here the membership is final, and the followers are
+        // answered on every exit.
+        let mut publish = Publish {
+            cluster,
+            group,
+            outcomes: None,
+        };
         let (entries, now_ms_max) = {
-            let state = group.state.lock().expect("group lock");
+            let state = lock(&group.state);
             (state.entries.clone(), state.now_ms_max)
         };
         let mut batch = BatchSubmitter::new(cluster);
@@ -140,20 +183,22 @@ impl BatchWindow {
         }
         let outcomes = batch.flush(now_ms_max);
         let mine = outcomes[index].clone();
-        let mut state = group.state.lock().expect("group lock");
-        state.results = Some(outcomes);
-        drop(state);
-        group.done.notify_all();
+        publish.outcomes = Some(outcomes);
         mine
     }
 
     /// Follower path: park until the leader publishes, take ours.
     fn follow(group: &Arc<Group>, index: usize) -> ClusterOutcome {
-        let mut state = group.state.lock().expect("group lock");
-        while state.results.is_none() {
-            state = group.done.wait(state).expect("group lock");
+        let mut state = lock(&group.state);
+        loop {
+            if let Some(results) = &state.results {
+                return results[index].clone();
+            }
+            state = group
+                .done
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-        state.results.as_ref().expect("results published")[index].clone()
     }
 }
 
@@ -224,5 +269,82 @@ mod tests {
         );
         // Four distinct subjects: any grouped flush coalesces repeats.
         assert!(m.queries < n as u64, "duplicate requests coalesced");
+    }
+
+    /// Permits everything except subject `boom`, on which it panics —
+    /// a backend bug that unwinds through the leader's flush.
+    struct Tripwire;
+
+    impl DecisionBackend for Tripwire {
+        fn name(&self) -> &str {
+            "tripwire"
+        }
+        fn decide(&self, request: &RequestContext, _now_ms: u64) -> dacs_policy::eval::Response {
+            assert_ne!(request.subject_id(), Some("boom"), "backend bug");
+            dacs_policy::eval::Response::decision(Decision::Permit)
+        }
+    }
+
+    /// Regression (ISSUE 16): a leader whose flush panics used to leave
+    /// its followers parked forever — results were published on the
+    /// success path only. Now the panic reaches the leader's own caller
+    /// and nobody else: every other member of that group is answered
+    /// with a counted fail-safe deny, and the window serves the next
+    /// group normally.
+    #[test]
+    fn panicking_leader_answers_its_followers_with_failsafe_denies() {
+        use crate::domain::ClusteredDecisionSource;
+        use dacs_pep::{EnforceRequest, Pep};
+        let cluster = Arc::new(
+            ClusterBuilder::new("window-panic")
+                .quorum(QuorumMode::FirstHealthy)
+                .shard(vec![Arc::new(Tripwire) as Arc<dyn DecisionBackend>])
+                .build(),
+        );
+        let source = ClusteredDecisionSource::new(cluster).with_batch_window_us(20_000);
+        let pep = Pep::builder("pep.window").source(Arc::new(source)).build();
+        let n = 6;
+        let barrier = Barrier::new(n);
+        // Per thread: `Err` if `serve` panicked, else whether it allowed.
+        let served: Vec<Result<bool, ()>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..n)
+                .map(|i| {
+                    let (pep, barrier) = (&pep, &barrier);
+                    scope.spawn(move || {
+                        let subject = if i == 0 {
+                            "boom".into()
+                        } else {
+                            format!("user-{i}")
+                        };
+                        let req = RequestContext::basic(subject, "ehr/1", "read");
+                        barrier.wait();
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            let result = pep.serve(EnforceRequest::of(&req, 0));
+                            assert!(
+                                result.allowed || result.decision == Decision::Indeterminate,
+                                "a stranded follower is denied fail-safe, not by policy"
+                            );
+                            result.allowed
+                        }))
+                        .map_err(|_| ())
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        // Whatever the grouping, exactly one flush contained `boom`, so
+        // exactly one caller — that group's leader — saw the panic.
+        let panicked = served.iter().filter(|r| r.is_err()).count();
+        assert_eq!(panicked, 1, "the panic reaches the leader only: {served:?}");
+        let denied = served.iter().filter(|r| **r == Ok(false)).count();
+        assert!(
+            denied >= 1,
+            "the leader's followers were answered: {served:?}"
+        );
+        assert_eq!(pep.stats().failsafe_denials, denied as u64);
+        assert_eq!(pep.stats().denied, 0);
+        // The window is not wedged or poisoned: the next group serves.
+        let req = RequestContext::basic("alice", "ehr/1", "read");
+        assert!(pep.serve(EnforceRequest::of(&req, 1)).allowed);
     }
 }

@@ -1,54 +1,138 @@
 //! PDP location: static binding vs directory-based discovery with
 //! health tracking and failover (§3.2 "Location of Policy Decision
 //! Points"). Experiment E13 compares the two under PDP churn.
+//!
+//! The directory owns one shared record per endpoint
+//! ([`PdpEndpoint`]) and [`PdpDirectory::register`] hands it out, so a
+//! holder (a cluster's replica group keeps one per slot) reads and
+//! writes the same atomics the directory's name-keyed methods do —
+//! those methods are the slow-path view over the records.
 
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::Arc;
 
-/// Endpoint health as tracked by the directory — the first half of the
-/// replica lifecycle (`Healthy → Suspect → Crashed → Syncing → Healthy`
-/// — the `Syncing` phase lives in `dacs-cluster`, which gates a
-/// recovered replica's quorum eligibility on its policy epoch).
+/// An endpoint's position in the replica lifecycle:
+///
+/// ```text
+/// Healthy ──crash / partition──▶ Crashed
+///    ▲  ▲                           │
+///    │  └──returns, epoch current───┤
+///    │                              │ returns, epoch behind
+///    └──catch-up complete──── Syncing ◀┘
+/// ```
+///
+/// Only `Healthy` endpoints are routable: discovery resolves to them
+/// and replica groups dispatch to and count them. The directory itself
+/// produces `Healthy` and `Crashed`; `Syncing` is stored by a cluster
+/// built with epoch-gated re-sync when a replica returns behind its
+/// group's policy epoch.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum HealthState {
+pub enum ReplicaPhase {
     /// Serving normally; eligible for routing and quorum counting.
     #[default]
     Healthy,
-    /// Missed a health probe: excluded from *new* dispatch (it may
-    /// recover on its own), but not yet declared dead.
-    Suspect,
-    /// Declared down (crash, partition). On return it must pass through
-    /// the cluster's `Syncing` phase before rejoining quorums.
+    /// Declared down (crash, partition).
     Crashed,
+    /// Back up, but its policy epoch lags its group's maximum: excluded
+    /// from routing and quorum counting until catch-up completes.
+    Syncing,
 }
 
-impl HealthState {
+impl ReplicaPhase {
     /// Short display name.
     pub fn name(&self) -> &'static str {
         match self {
-            HealthState::Healthy => "healthy",
-            HealthState::Suspect => "suspect",
-            HealthState::Crashed => "crashed",
+            ReplicaPhase::Healthy => "healthy",
+            ReplicaPhase::Crashed => "crashed",
+            ReplicaPhase::Syncing => "syncing",
+        }
+    }
+
+    fn from_u8(raw: u8) -> ReplicaPhase {
+        match raw {
+            0 => ReplicaPhase::Healthy,
+            1 => ReplicaPhase::Crashed,
+            _ => ReplicaPhase::Syncing,
         }
     }
 }
 
-/// A PDP known to the directory.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// The one shared record of a PDP known to the directory: identity plus
+/// the two things every holder reads per decision — the lifecycle phase
+/// and the latency estimate — as lock-free atomics.
+#[derive(Debug)]
 pub struct PdpEndpoint {
-    /// Endpoint name, e.g. `"pdp-2.hospital-a"`.
-    pub name: String,
-    /// The administrative domain it serves.
-    pub domain: String,
-    /// Health as last observed.
-    pub health: HealthState,
+    name: String,
+    domain: String,
+    phase: AtomicU8,
+    /// EWMA of observed decision latency in nanoseconds; 0 until the
+    /// first sample.
+    latency_ewma_ns: AtomicU64,
 }
 
 impl PdpEndpoint {
-    /// Whether the endpoint is routable (only [`HealthState::Healthy`]
+    /// Endpoint name, e.g. `"pdp-2.hospital-a"`.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The administrative domain it serves.
+    pub fn domain(&self) -> &str {
+        &self.domain
+    }
+
+    /// The lifecycle phase as last stored.
+    pub fn phase(&self) -> ReplicaPhase {
+        ReplicaPhase::from_u8(self.phase.load(Ordering::Acquire))
+    }
+
+    /// Stores a new lifecycle phase: one store, so every holder of the
+    /// record sees the whole transition or none of it.
+    pub fn set_phase(&self, phase: ReplicaPhase) {
+        self.phase.store(phase as u8, Ordering::Release);
+    }
+
+    /// Moves the endpoint from `from` to `to` only if it is still in
+    /// `from`; returns whether it did. For transitions that must not
+    /// overwrite a concurrent one (readmitting a `Syncing` replica must
+    /// not resurrect one that crashed meanwhile).
+    pub fn advance_phase(&self, from: ReplicaPhase, to: ReplicaPhase) -> bool {
+        self.phase
+            .compare_exchange(from as u8, to as u8, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+    }
+
+    /// Whether the endpoint is routable (only [`ReplicaPhase::Healthy`]
     /// endpoints receive new work).
     pub fn is_healthy(&self) -> bool {
-        self.health == HealthState::Healthy
+        self.phase() == ReplicaPhase::Healthy
+    }
+
+    /// Feeds one observed decision latency into the EWMA estimate: each
+    /// new sample contributes 20%, so the estimate settles within a
+    /// handful of observations yet rides out single outliers.
+    /// Concurrent writers may lose a sample to each other: the estimate
+    /// only ranks replicas and sizes hedge budgets, and the decision
+    /// path pays a plain load and store for it.
+    pub fn record_latency_ns(&self, sample_ns: u64) {
+        let sample = sample_ns.max(1);
+        let next = match self.latency_ewma_ns.load(Ordering::Relaxed) {
+            0 => sample,
+            // Written so no sample, however large, can overflow.
+            ewma => ewma - ewma / 5 + sample / 5,
+        };
+        self.latency_ewma_ns.store(next, Ordering::Relaxed);
+    }
+
+    /// The current EWMA decision latency in nanoseconds, or `None`
+    /// before the first recorded sample.
+    pub fn latency_ewma_ns(&self) -> Option<u64> {
+        match self.latency_ewma_ns.load(Ordering::Relaxed) {
+            0 => None,
+            ewma => Some(ewma),
+        }
     }
 }
 
@@ -65,21 +149,12 @@ pub enum Binding {
     Discovery,
 }
 
-/// Smoothing factor for the per-endpoint latency EWMA: each new sample
-/// contributes 20%, so the estimate settles within a handful of
-/// observations yet rides out single outliers.
-const LATENCY_EWMA_ALPHA: f64 = 0.2;
-
-/// A per-environment registry of PDP endpoints.
+/// A per-environment registry of PDP endpoints: the name-keyed,
+/// slow-path view over the [`PdpEndpoint`] records it hands out.
 #[derive(Debug, Default)]
 pub struct PdpDirectory {
-    endpoints: RwLock<Vec<PdpEndpoint>>,
+    endpoints: RwLock<Vec<Arc<PdpEndpoint>>>,
     rr: RwLock<HashMap<String, usize>>,
-    /// Exponentially weighted moving average of observed decision
-    /// latency per endpoint, in microseconds. Fed by callers that time
-    /// their queries (e.g. the cluster fan-out); read back to derive
-    /// hedge budgets and to rank replicas by expected speed.
-    latency_us: RwLock<HashMap<String, f64>>,
 }
 
 impl PdpDirectory {
@@ -88,76 +163,91 @@ impl PdpDirectory {
         Self::default()
     }
 
-    /// Registers a healthy endpoint.
-    pub fn register(&self, name: impl Into<String>, domain: impl Into<String>) {
-        self.endpoints.write().push(PdpEndpoint {
-            name: name.into(),
+    /// Returns the record registered under `name`, registering it as a
+    /// healthy endpoint of `domain` first if the name is new. A name
+    /// that is already known keeps its record untouched — domain, phase
+    /// and latency estimate — so a cluster built on a directory shared
+    /// with PEP discovery holds the very record discovery resolves
+    /// through, and no endpoint is listed twice.
+    pub fn register(&self, name: impl Into<String>, domain: impl Into<String>) -> Arc<PdpEndpoint> {
+        let name = name.into();
+        let mut endpoints = self.endpoints.write();
+        if let Some(known) = endpoints.iter().find(|e| e.name == name) {
+            return Arc::clone(known);
+        }
+        let endpoint = Arc::new(PdpEndpoint {
+            name,
             domain: domain.into(),
-            health: HealthState::Healthy,
+            phase: AtomicU8::new(ReplicaPhase::Healthy as u8),
+            latency_ewma_ns: AtomicU64::new(0),
         });
+        endpoints.push(Arc::clone(&endpoint));
+        endpoint
     }
 
-    /// Removes an endpoint entirely (decommissioned, not merely down),
-    /// clearing its latency EWMA so hedge budgets and fastest-first
-    /// ordering never quote a replica that no longer exists.
+    /// Removes an endpoint entirely (decommissioned, not merely down).
+    /// Its record is left `Crashed`, so a replica group still holding
+    /// it neither dispatches to it nor quotes its latency estimate;
+    /// registering the name again creates a fresh record.
     pub fn deregister(&self, name: &str) {
-        self.endpoints.write().retain(|e| e.name != name);
-        self.latency_us.write().remove(name);
+        let mut endpoints = self.endpoints.write();
+        if let Some(index) = endpoints.iter().position(|e| e.name == name) {
+            endpoints.remove(index).set_phase(ReplicaPhase::Crashed);
+        }
     }
 
-    fn set_health(&self, name: &str, health: HealthState) {
-        for e in self.endpoints.write().iter_mut() {
-            if e.name == name {
-                e.health = health;
-            }
+    fn find(&self, name: &str) -> Option<Arc<PdpEndpoint>> {
+        self.endpoints
+            .read()
+            .iter()
+            .find(|e| e.name == name)
+            .cloned()
+    }
+
+    fn set_phase(&self, name: &str, phase: ReplicaPhase) {
+        if let Some(endpoint) = self.find(name) {
+            endpoint.set_phase(phase);
         }
     }
 
     /// Marks an endpoint crashed (down, partitioned).
     pub fn mark_down(&self, name: &str) {
-        self.set_health(name, HealthState::Crashed);
+        self.set_phase(name, ReplicaPhase::Crashed);
     }
 
-    /// Marks an endpoint suspect: excluded from new dispatch, but not
-    /// yet declared crashed (a missed probe, a timeout).
-    pub fn mark_suspect(&self, name: &str) {
-        self.set_health(name, HealthState::Suspect);
-    }
-
-    /// Marks an endpoint healthy again.
+    /// Marks an endpoint healthy again. The directory knows nothing of
+    /// policy epochs: replicas of a cluster built with re-sync return
+    /// through `PdpCluster::mark_up`, which stores `Syncing` instead
+    /// when the replica is behind.
     pub fn mark_up(&self, name: &str) {
-        self.set_health(name, HealthState::Healthy);
+        self.set_phase(name, ReplicaPhase::Healthy);
     }
 
-    /// The endpoint's current health, or `None` if it is not registered.
-    pub fn health(&self, name: &str) -> Option<HealthState> {
-        self.endpoints
-            .read()
-            .iter()
-            .find(|e| e.name == name)
-            .map(|e| e.health)
+    /// The endpoint's current lifecycle phase, or `None` if it is not
+    /// registered.
+    pub fn health(&self, name: &str) -> Option<ReplicaPhase> {
+        self.find(name).map(|e| e.phase())
     }
 
     /// Whether an endpoint of this name is registered (in any domain,
     /// healthy or not).
     pub fn contains(&self, name: &str) -> bool {
-        self.endpoints.read().iter().any(|e| e.name == name)
+        self.find(name).is_some()
     }
 
-    /// Whether a named endpoint is currently healthy (suspect and
-    /// crashed endpoints both answer `false`).
+    /// Whether a named endpoint is currently healthy (crashed, syncing
+    /// and unknown endpoints all answer `false`).
     pub fn is_healthy(&self, name: &str) -> bool {
-        self.endpoints
-            .read()
-            .iter()
-            .any(|e| e.name == name && e.is_healthy())
+        self.find(name).is_some_and(|e| e.is_healthy())
     }
 
     /// Resolves a binding to a concrete healthy endpoint name.
     ///
     /// Static bindings resolve to their target only while it is healthy
     /// (`None` otherwise — the availability gap E13 measures);
-    /// discovery round-robins over the domain's healthy endpoints.
+    /// discovery round-robins over the domain's healthy endpoints. A
+    /// `Syncing` endpoint is alive but known stale, so neither binding
+    /// resolves to it.
     pub fn resolve(&self, binding: &Binding, domain: &str) -> Option<String> {
         match binding {
             Binding::Static { target } => {
@@ -169,7 +259,7 @@ impl PdpDirectory {
             }
             Binding::Discovery => {
                 let endpoints = self.endpoints.read();
-                let healthy: Vec<&PdpEndpoint> = endpoints
+                let healthy: Vec<&Arc<PdpEndpoint>> = endpoints
                     .iter()
                     .filter(|e| e.domain == domain && e.is_healthy())
                     .collect();
@@ -190,31 +280,8 @@ impl PdpDirectory {
         }
     }
 
-    /// Feeds one observed decision latency (in microseconds) into the
-    /// endpoint's EWMA estimate.
-    ///
-    /// Unknown endpoint names are accepted (the sample simply seeds a
-    /// fresh estimate) so timing callers need not re-check registration.
-    pub fn record_latency_us(&self, name: &str, sample_us: u64) {
-        let mut map = self.latency_us.write();
-        match map.get_mut(name) {
-            Some(ewma) => {
-                *ewma = LATENCY_EWMA_ALPHA * sample_us as f64 + (1.0 - LATENCY_EWMA_ALPHA) * *ewma;
-            }
-            None => {
-                map.insert(name.to_owned(), sample_us as f64);
-            }
-        }
-    }
-
-    /// The endpoint's current EWMA decision latency in microseconds, or
-    /// `None` before the first recorded sample.
-    pub fn latency_ewma_us(&self, name: &str) -> Option<f64> {
-        self.latency_us.read().get(name).copied()
-    }
-
     /// All endpoints of a domain (healthy or not).
-    pub fn endpoints_in(&self, domain: &str) -> Vec<PdpEndpoint> {
+    pub fn endpoints_in(&self, domain: &str) -> Vec<Arc<PdpEndpoint>> {
         self.endpoints
             .read()
             .iter()
@@ -338,60 +405,100 @@ mod tests {
     #[test]
     fn latency_ewma_tracks_and_smooths() {
         let d = directory();
-        assert_eq!(d.latency_ewma_us("pdp-1"), None);
-        d.record_latency_us("pdp-1", 100);
-        assert_eq!(d.latency_ewma_us("pdp-1"), Some(100.0));
-        // A single outlier moves the estimate by only alpha = 0.2.
-        d.record_latency_us("pdp-1", 1_100);
-        let ewma = d.latency_ewma_us("pdp-1").unwrap();
-        assert!((ewma - 300.0).abs() < 1e-9, "ewma {ewma}");
+        let pdp_1 = d.register("pdp-1", "hospital-a");
+        assert_eq!(pdp_1.latency_ewma_ns(), None);
+        pdp_1.record_latency_ns(100);
+        assert_eq!(pdp_1.latency_ewma_ns(), Some(100));
+        // A single outlier moves the estimate by only a fifth.
+        pdp_1.record_latency_ns(1_100);
+        assert_eq!(pdp_1.latency_ewma_ns(), Some(300));
         // Repeated samples converge toward the new level.
         for _ in 0..50 {
-            d.record_latency_us("pdp-1", 1_100);
+            pdp_1.record_latency_ns(1_100);
         }
-        assert!(d.latency_ewma_us("pdp-1").unwrap() > 1_000.0);
-        // Estimates are per endpoint; unknown names seed fresh ones.
-        assert_eq!(d.latency_ewma_us("pdp-2"), None);
-        d.record_latency_us("not-registered", 7);
-        assert_eq!(d.latency_ewma_us("not-registered"), Some(7.0));
+        assert!(pdp_1.latency_ewma_ns().unwrap() > 1_000);
+        // Estimates are per endpoint, sub-microsecond samples count,
+        // and no sample overflows the arithmetic.
+        let pdp_2 = d.register("pdp-2", "hospital-a");
+        assert_eq!(pdp_2.latency_ewma_ns(), None);
+        pdp_2.record_latency_ns(0);
+        assert_eq!(pdp_2.latency_ewma_ns(), Some(1));
+        pdp_2.record_latency_ns(u64::MAX);
+        pdp_2.record_latency_ns(u64::MAX);
     }
 
     #[test]
-    fn suspect_is_excluded_but_distinct_from_crashed() {
+    fn register_hands_out_one_record_per_name() {
         let d = directory();
-        assert_eq!(d.health("pdp-1"), Some(HealthState::Healthy));
-        d.mark_suspect("pdp-1");
-        assert_eq!(d.health("pdp-1"), Some(HealthState::Suspect));
-        assert!(!d.is_healthy("pdp-1"), "suspect gets no new dispatch");
-        let b = Binding::Discovery;
-        for _ in 0..3 {
-            assert_eq!(d.resolve(&b, "hospital-a"), Some("pdp-2".into()));
-        }
-        d.mark_down("pdp-1");
-        assert_eq!(d.health("pdp-1"), Some(HealthState::Crashed));
+        let first = d.register("pdp-1", "hospital-a");
+        // A second registration — even under another domain — returns
+        // the same record and lists nothing twice.
+        let again = d.register("pdp-1", "vo-a");
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!(again.domain(), "hospital-a");
+        assert_eq!(d.len(), 3);
+        // The record and the name-keyed view are one store.
+        first.set_phase(ReplicaPhase::Crashed);
+        assert_eq!(d.health("pdp-1"), Some(ReplicaPhase::Crashed));
         d.mark_up("pdp-1");
-        assert_eq!(d.health("pdp-1"), Some(HealthState::Healthy));
+        assert!(first.is_healthy());
         assert_eq!(d.health("no-such"), None);
     }
 
-    /// Regression (ISSUE 3): latency EWMA entries must not outlive the
+    #[test]
+    fn syncing_endpoints_are_alive_but_never_resolved() {
+        let d = directory();
+        let pdp_1 = d.register("pdp-1", "hospital-a");
+        pdp_1.set_phase(ReplicaPhase::Syncing);
+        assert_eq!(d.health("pdp-1"), Some(ReplicaPhase::Syncing));
+        assert!(!d.is_healthy("pdp-1"), "stale policy gets no new work");
+        for _ in 0..3 {
+            assert_eq!(
+                d.resolve(&Binding::Discovery, "hospital-a"),
+                Some("pdp-2".into())
+            );
+        }
+        let pinned = Binding::Static {
+            target: "pdp-1".into(),
+        };
+        assert_eq!(d.resolve(&pinned, "hospital-a"), None);
+        // Readmission is conditional on still being `Syncing`: a crash
+        // that lands first is not overwritten.
+        d.mark_down("pdp-1");
+        assert!(!pdp_1.advance_phase(ReplicaPhase::Syncing, ReplicaPhase::Healthy));
+        assert_eq!(pdp_1.phase(), ReplicaPhase::Crashed);
+        pdp_1.set_phase(ReplicaPhase::Syncing);
+        assert!(pdp_1.advance_phase(ReplicaPhase::Syncing, ReplicaPhase::Healthy));
+        assert_eq!(d.resolve(&pinned, "hospital-a"), Some("pdp-1".into()));
+    }
+
+    /// Regression (ISSUE 3): a latency estimate must not outlive the
     /// endpoint — a removed replica's estimate would keep feeding hedge
-    /// budgets and fastest-first ordering forever.
+    /// budgets and fastest-first ordering forever. The estimate lives
+    /// in the record, and a holder of a removed record sees it crashed.
     #[test]
     fn deregister_removes_endpoint_and_prunes_latency_ewma() {
         let d = directory();
-        d.record_latency_us("pdp-1", 500);
-        d.record_latency_us("pdp-2", 900);
-        assert!(d.latency_ewma_us("pdp-1").is_some());
+        let pdp_1 = d.register("pdp-1", "hospital-a");
+        pdp_1.record_latency_ns(500);
+        d.register("pdp-2", "hospital-a").record_latency_ns(900);
         d.deregister("pdp-1");
         assert!(!d.contains("pdp-1"));
         assert_eq!(
-            d.latency_ewma_us("pdp-1"),
-            None,
-            "dead replica must not be quoted"
+            pdp_1.phase(),
+            ReplicaPhase::Crashed,
+            "dead replica must not be dispatched to or quoted"
         );
+        // A new registration of the name starts from a fresh record.
+        let reborn = d.register("pdp-1", "hospital-b");
+        assert!(!Arc::ptr_eq(&pdp_1, &reborn));
+        assert_eq!(reborn.latency_ewma_ns(), None);
+        d.deregister("pdp-1");
         // The surviving endpoint keeps its estimate and the rotation.
-        assert_eq!(d.latency_ewma_us("pdp-2"), Some(900.0));
+        assert_eq!(
+            d.register("pdp-2", "hospital-a").latency_ewma_ns(),
+            Some(900)
+        );
         let b = Binding::Discovery;
         for _ in 0..3 {
             assert_eq!(d.resolve(&b, "hospital-a"), Some("pdp-2".into()));

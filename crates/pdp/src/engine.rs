@@ -320,6 +320,47 @@ policy "gate" deny-unless-permit {
         assert!(pdp.metrics().eval.policies_evaluated >= 2);
     }
 
+    /// Regression (ISSUE 16): under the benchmark-shaped domain — a
+    /// deny-overrides root over the doctors' gate and a quarantine
+    /// policy — a resource id that carries a literal `*` right after
+    /// the quarantined prefix is still quarantined. The matcher used to
+    /// consume that `*` as a literal and let the permit through.
+    #[test]
+    fn quarantine_glob_covers_resource_ids_containing_a_star() {
+        use dacs_policy::policy::{CombiningAlg, PolicySet};
+        let (pap, _gate_only, statics) = setup(None);
+        let quarantine = parse_policy(
+            r#"
+policy "aux" deny-overrides {
+  rule "quarantine" deny {
+    target { resource "id" ~= "aux/*"; }
+  }
+}
+"#,
+        )
+        .unwrap();
+        pap.submit("admin", quarantine, 0).unwrap();
+        let root = PolicySet::new(PolicyId::new("root"), CombiningAlg::DenyOverrides)
+            .with_policy_ref(PolicyId::new("gate"))
+            .with_policy_ref(PolicyId::new("aux"));
+        let mut pips = PipRegistry::new();
+        pips.add(statics);
+        let pdp = Pdp::new(
+            "pdp.quarantine",
+            pap,
+            PolicyElement::PolicySet(Box::new(root)),
+            Arc::new(pips),
+        );
+        let decide = |resource: &str| {
+            pdp.decide(&RequestContext::basic("alice", resource, "write"), 0)
+                .decision
+        };
+        assert_eq!(decide("ehr/1"), Decision::Permit);
+        assert_eq!(decide("aux/7"), Decision::Deny);
+        assert_eq!(decide("aux/*x"), Decision::Deny);
+        assert_eq!(decide("aux/*"), Decision::Deny);
+    }
+
     #[test]
     fn cache_serves_repeats() {
         let cfg = CacheConfig {

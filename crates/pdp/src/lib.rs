@@ -26,7 +26,7 @@ pub mod engine;
 
 pub use cache::{CacheStats, ConcurrentTtlCache, HashedRequestCache, TtlLruCache};
 pub use class::{DecisionClass, Priority};
-pub use discovery::{Binding, HealthState, PdpDirectory, PdpEndpoint};
+pub use discovery::{Binding, PdpDirectory, PdpEndpoint, ReplicaPhase};
 pub use engine::{CacheConfig, Pdp, PdpMetrics};
 
 // Re-exported so the cluster layer can speak epochs without a direct

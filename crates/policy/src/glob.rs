@@ -30,13 +30,15 @@ pub fn glob_match(pattern: &str, text: &str) -> bool {
         let Some(tc) = t_rest.next() else { break };
         let mut p_rest = p.clone();
         match p_rest.next() {
-            Some(pc) if pc == '?' || pc == tc => {
-                p = p_rest;
-                t = t_rest;
-            }
+            // Before the literal arm: a pattern `*` is a wildcard even
+            // when the text character opposite it is itself a `*`.
             Some('*') => {
                 star = Some((p_rest.clone(), t.clone()));
                 p = p_rest;
+            }
+            Some(pc) if pc == '?' || pc == tc => {
+                p = p_rest;
+                t = t_rest;
             }
             _ => match &mut star {
                 // Backtrack: let the last '*' swallow one more character.
@@ -88,12 +90,12 @@ mod tests {
         let (mut pi, mut ti) = (0usize, 0usize);
         let mut star: Option<(usize, usize)> = None; // (pattern idx after '*', text idx)
         while ti < t.len() {
-            if pi < p.len() && (p[pi] == '?' || p[pi] == t[ti]) {
-                pi += 1;
-                ti += 1;
-            } else if pi < p.len() && p[pi] == '*' {
+            if pi < p.len() && p[pi] == '*' {
                 star = Some((pi + 1, ti));
                 pi += 1;
+            } else if pi < p.len() && (p[pi] == '?' || p[pi] == t[ti]) {
+                pi += 1;
+                ti += 1;
             } else if let Some((sp, st)) = star {
                 pi = sp;
                 ti = st + 1;
@@ -178,6 +180,18 @@ mod tests {
         assert!(glob_match("*a*b*", "xaxbx"));
         assert!(glob_match("**", "abc"));
         assert!(!glob_match("*a*b*", "bxa"));
+    }
+
+    /// Regression (ISSUE 16): a `*` in the text opposite a pattern `*`
+    /// was consumed as a literal, so the wildcard matched nothing after
+    /// it — a deny target `aux/*` did not cover resource `aux/*x`.
+    #[test]
+    fn pattern_star_is_a_wildcard_opposite_a_literal_star() {
+        assert!(glob_match("*", "*abc"));
+        assert!(glob_match("aux/*", "aux/*x"));
+        assert!(glob_match("a*b", "a*xb"));
+        assert!(glob_match("*", "**"));
+        assert!(!glob_match("a*b", "a*xc"));
     }
 
     #[test]

@@ -27,7 +27,12 @@ fn main() {
 
     println!("=== VO-wide discovery through the shared directory ===");
     for d in &vo.domains {
-        println!("{}: replicas {:?}", d.name, directory.endpoints_in(&d.name));
+        let replicas = directory.endpoints_in(&d.name);
+        let replicas: Vec<_> = replicas
+            .iter()
+            .map(|e| format!("{} ({})", e.name(), e.phase().name()))
+            .collect();
+        println!("{}: replicas {replicas:?}", d.name);
     }
 
     // A cross-domain pull flow: user-1@domain-1 reads at domain-0. The

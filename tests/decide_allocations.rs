@@ -4,12 +4,14 @@
 //! of them per policy walked, and routing a request costs its key and
 //! nothing else. Passes or fails on logic — the count is the same on
 //! every host — and is the guard that keeps a `Vec<char>` per target
-//! match, or a store lookup per policy, from growing back.
+//! match, or a store lookup per policy, from growing back. The same
+//! goes one layer up: a quorum decision costs its replicas' decides
+//! plus a fixed handful, whatever the replicas' lifecycle phases.
 
-use dacs::cluster::ShardRouter;
+use dacs::cluster::{ClusterBuilder, QuorumMode, ReplicaPhase, ShardRouter};
 use dacs::core::scenario::alternating_lockdown_gate;
 use dacs::crypto::sign::CryptoCtx;
-use dacs::federation::Domain;
+use dacs::federation::{Domain, DomainBuilder};
 use dacs::policy::policy::Decision;
 use dacs::policy::request::RequestContext;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -67,6 +69,10 @@ fn allocations_in<R>(work: impl FnOnce() -> R) -> (u64, R) {
 /// `records/*`, role from the PIP) and `aux` quarantine policies whose
 /// glob targets match no `records/*` request.
 fn domain_with_aux_policies(aux: usize) -> Domain {
+    aux_policies_builder(aux).build(&CryptoCtx::new())
+}
+
+fn aux_policies_builder(aux: usize) -> DomainBuilder {
     let mut builder = Domain::builder("q").policy(alternating_lockdown_gate("q", 0));
     for k in 0..aux {
         builder = builder.policy_dsl(&format!(
@@ -75,9 +81,7 @@ fn domain_with_aux_policies(aux: usize) -> Domain {
                }}"#
         ));
     }
-    builder
-        .subject_attr("user-1@q", "role", "doctor")
-        .build(&CryptoCtx::new())
+    builder.subject_attr("user-1@q", "role", "doctor")
 }
 
 /// Allocations of one steady-state `decide` (the snapshot is built by
@@ -123,6 +127,54 @@ fn decide_allocates_a_small_fixed_number_whatever_the_policy_count() {
         decide_allocations(&thirty_three, &stranger, Decision::Deny),
         deny,
         "allocations grew with the number of non-matching policies"
+    );
+}
+
+/// What `PdpCluster::decide` may allocate around its replicas'
+/// decides on the sequential path — nothing per name looked up, per
+/// lock taken or per phase checked. Today it makes 3: the routing key,
+/// the roster and the vector of answers.
+const QUORUM_OVERHEAD_BUDGET: u64 = 4;
+
+/// The `quorum_miss` shape: one shard, three replicas, majority,
+/// sequential, everybody healthy.
+#[test]
+fn quorum_decide_allocates_its_replicas_decides_plus_a_fixed_handful() {
+    let domain = aux_policies_builder(16)
+        .clustered(ClusterBuilder::new("q").quorum(QuorumMode::Majority))
+        .cluster_topology(1, 3)
+        .build(&CryptoCtx::new());
+    let cluster = domain.cluster.as_ref().expect("clustered");
+    let doctor = RequestContext::basic("user-1@q", "records/7", "read");
+    let quorum_decide = |now_ms, voters| {
+        let (count, outcome) = allocations_in(|| cluster.decide(&doctor, now_ms));
+        assert_eq!(outcome.replicas_queried, voters);
+        assert_eq!(outcome.response.unwrap().decision, Decision::Permit);
+        count
+    };
+    // The first decide builds each replica's policy snapshot.
+    quorum_decide(0, 3);
+    let healthy = quorum_decide(1, 3);
+    assert!(
+        healthy <= 3 * DECIDE_BUDGET + QUORUM_OVERHEAD_BUDGET,
+        "a 1x3 majority decide made {healthy} allocations"
+    );
+    // A `Syncing` replica is skipped on one atomic load: each one
+    // excluded takes its own decide off the bill and adds nothing.
+    let replicas = domain.replica_names();
+    let gate = |slot: usize| {
+        let record = cluster.directory().register(&replicas[slot], "q");
+        record.set_phase(ReplicaPhase::Syncing);
+    };
+    gate(2);
+    let one_gated = quorum_decide(2, 2);
+    gate(1);
+    let two_gated = quorum_decide(3, 1);
+    assert!(one_gated < healthy);
+    assert_eq!(
+        healthy - one_gated,
+        one_gated - two_gated,
+        "excluding a replica changed the fixed cost: {healthy}, {one_gated}, {two_gated}"
     );
 }
 
