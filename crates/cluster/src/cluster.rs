@@ -254,19 +254,9 @@ impl PdpCluster {
         &self.name
     }
 
-    /// The configured quorum mode.
-    pub fn quorum_mode(&self) -> QuorumMode {
-        self.quorum
-    }
-
     /// The consistent-hash router.
     pub fn router(&self) -> &ShardRouter {
         &self.router
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.groups.len()
     }
 
     /// The shared health directory.
@@ -620,77 +610,69 @@ mod tests {
     }
 
     /// Tentpole (ISSUE 8): verdict-driven cancellation reaches *below*
-    /// the job boundary. Once the two fast replicas form a majority,
-    /// the 300 ms straggler observes the [`crate::CancelToken`]
-    /// mid-sleep and abandons — the decision returns fast, the
-    /// straggler's span closes as `cancelled:` long before its sleep
-    /// would have ended, and dropping the cluster joins the workers
-    /// promptly instead of leaking one inside the sleep.
+    /// the job boundary, stated as an order of events. The straggler is
+    /// parked inside its evaluation before the two permits that form
+    /// the majority are let through; the decision returns while it is
+    /// still parked; it then sees the [`crate::CancelToken`] set and
+    /// abandons — nobody ever releases it — so its span closes as
+    /// `cancelled:` and dropping the cluster joins an idle worker
+    /// instead of one leaked inside the evaluation.
     #[test]
     fn majority_short_circuit_abandons_slow_replica_mid_flight() {
         use crate::replica::SlowBackend;
         use dacs_telemetry::Telemetry;
         let telemetry = Arc::new(Telemetry::new());
+        let fast = [
+            SlowBackend::parked("m-fast-0", Decision::Permit),
+            SlowBackend::parked("m-fast-1", Decision::Permit),
+        ];
+        let slow = SlowBackend::parked("m-slow", Decision::Deny);
         let cluster = ClusterBuilder::new("cancel-midflight")
             .quorum(QuorumMode::Majority)
             .scheduler(SchedulerConfig::new(4))
             .telemetry(Arc::clone(&telemetry))
             .shard(vec![
-                Arc::new(StaticBackend::new("m-fast-0", Decision::Permit))
-                    as Arc<dyn DecisionBackend>,
-                Arc::new(StaticBackend::new("m-fast-1", Decision::Permit))
-                    as Arc<dyn DecisionBackend>,
-                Arc::new(SlowBackend::new(
-                    "m-slow",
-                    Decision::Deny,
-                    std::time::Duration::from_millis(300),
-                )) as Arc<dyn DecisionBackend>,
+                fast[0].clone() as Arc<dyn DecisionBackend>,
+                fast[1].clone() as Arc<dyn DecisionBackend>,
+                slow.clone() as Arc<dyn DecisionBackend>,
             ])
             .build();
         let req = RequestContext::basic("alice", "ehr/1", "read");
-        let started = std::time::Instant::now();
-        let out = cluster.decide(&req, 0);
-        assert_eq!(out.response.unwrap().decision, Decision::Permit);
-        assert!(
-            started.elapsed() < std::time::Duration::from_millis(150),
-            "majority waited for the straggler: {:?}",
-            started.elapsed()
-        );
-        // The straggler must close a `cancelled:` span well inside its
-        // 300 ms sleep — proof the token was observed mid-flight.
-        let spans = wait_for_spans(&telemetry, "all three dispatches to close", |spans| {
-            spans.iter().filter(|s| s.stage == "replica_decide").count() == 3
+        let out = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                slow.wait_parked();
+                fast.iter().for_each(|f| f.release());
+            });
+            cluster.decide(&req, 0)
         });
+        assert_eq!(out.response.unwrap().decision, Decision::Permit);
+        assert_eq!(slow.answered(), 0, "majority waited for the straggler");
+        // Mid-flight, not at dequeue: it was parked before the verdict.
+        slow.wait_abandoned();
+        // Teardown joins the workers, so every span has closed after it.
+        drop(cluster);
+        let spans = telemetry.tracer().snapshot();
+        let replica_spans: Vec<_> = spans
+            .iter()
+            .filter(|s| s.stage == "replica_decide")
+            .collect();
+        assert_eq!(replica_spans.len(), 3, "spans: {spans:?}");
         assert!(
-            started.elapsed() < std::time::Duration::from_millis(250),
-            "straggler slept through its cancel token: {:?}",
-            started.elapsed()
-        );
-        assert!(
-            spans
+            replica_spans
                 .iter()
-                .any(|s| s.stage == "replica_decide"
-                    && s.note.as_deref() == Some("cancelled:m-slow")),
+                .any(|s| s.note.as_deref() == Some("cancelled:m-slow")),
             "spans: {spans:?}"
         );
         assert_eq!(telemetry.tracer().dropped(), 0);
-        // Workers are idle again: teardown joins without waiting out
-        // any abandoned sleep.
-        let teardown = std::time::Instant::now();
-        drop(cluster);
-        assert!(
-            teardown.elapsed() < std::time::Duration::from_millis(100),
-            "pool drop blocked on a leaked worker: {:?}",
-            teardown.elapsed()
-        );
     }
 
-    /// Regression (ISSUE 2): with a primary replica sleeping past the
+    /// Regression (ISSUE 2): with a primary replica parked past the
     /// hedge budget, the hedged path must return the fast replica's
     /// decision and record exactly one hedge in [`ClusterMetrics`].
     #[test]
     fn hedged_decision_returns_fast_replica_and_records_one_hedge() {
         use crate::replica::SlowBackend;
+        let sleepy = SlowBackend::parked("s0-sleepy", Decision::Deny);
         let cluster = ClusterBuilder::new("hedge-test")
             .quorum(QuorumMode::FirstHealthy)
             .scheduler(SchedulerConfig::new(4).with_hedge(crate::HedgeConfig {
@@ -699,30 +681,22 @@ mod tests {
                 max_hedges: 1,
             }))
             .shard(vec![
-                // The sleepy primary is first in configured order…
-                Arc::new(SlowBackend::new(
-                    "s0-sleepy",
-                    Decision::Deny,
-                    std::time::Duration::from_millis(250),
-                )) as Arc<dyn DecisionBackend>,
+                // The parked primary is first in configured order…
+                sleepy.clone() as Arc<dyn DecisionBackend>,
                 // …the fast replica answers Permit immediately.
                 Arc::new(StaticBackend::new("s0-fast", Decision::Permit))
                     as Arc<dyn DecisionBackend>,
             ])
             .build();
         let req = RequestContext::basic("alice", "ehr/1", "read");
-        let started = std::time::Instant::now();
         let outcome = cluster.decide(&req, 0);
         assert_eq!(
             outcome.response.unwrap().decision,
             Decision::Permit,
             "the fast replica's decision must win"
         );
-        assert!(
-            started.elapsed() < std::time::Duration::from_millis(150),
-            "hedged decide waited for the sleeper: {:?}",
-            started.elapsed()
-        );
+        assert_eq!(sleepy.answered(), 0, "hedged decide waited for the sleeper");
+        sleepy.release();
         let m = cluster.metrics();
         assert_eq!(m.queries, 1);
         assert_eq!(m.hedges, 1, "exactly one hedge dispatched");
@@ -1113,27 +1087,6 @@ mod tests {
         assert_eq!(cluster.metrics().resyncs, 198);
     }
 
-    /// Polls the tracer until `pred` holds over the closed-span
-    /// snapshot (stragglers close on worker threads after `decide`
-    /// returns), panicking with the final snapshot after ~2s.
-    fn wait_for_spans(
-        telemetry: &dacs_telemetry::Telemetry,
-        what: &str,
-        pred: impl Fn(&[dacs_telemetry::SpanRecord]) -> bool,
-    ) -> Vec<dacs_telemetry::SpanRecord> {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-        loop {
-            let spans = telemetry.tracer().snapshot();
-            if pred(&spans) {
-                return spans;
-            }
-            if std::time::Instant::now() > deadline {
-                panic!("timed out waiting for {what}; spans: {spans:?}");
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-    }
-
     /// Satellite (ISSUE 6): the hedge accounting in [`ClusterMetrics`],
     /// the telemetry counters, and the per-dispatch `replica_decide`
     /// spans must all tell the same story on a scripted slow-primary
@@ -1181,13 +1134,18 @@ mod tests {
             Some(m.hedge_wins)
         );
 
-        // Both dispatches must eventually close a span: the hedge right
-        // away, and the sleeping primary as soon as it observes the
-        // verdict's cancel token mid-sleep and abandons — noted
-        // `cancelled:` because its vote was withdrawn, not answered.
-        let spans = wait_for_spans(&telemetry, "primary + hedge replica spans", |spans| {
-            spans.iter().filter(|s| s.stage == "replica_decide").count() == 2
-        });
+        // Both dispatches close a span: the hedge right away, and the
+        // sleeping primary as soon as it observes the verdict's cancel
+        // token mid-sleep and abandons — noted `cancelled:` because its
+        // vote was withdrawn, not answered. Teardown joins the
+        // workers, so both have closed after it.
+        drop(cluster);
+        let spans = telemetry.tracer().snapshot();
+        assert_eq!(
+            spans.iter().filter(|s| s.stage == "replica_decide").count(),
+            2,
+            "spans: {spans:?}"
+        );
         let note = |role: &str| {
             spans
                 .iter()
@@ -1243,10 +1201,15 @@ mod tests {
         assert_eq!(out.response.unwrap().decision, Decision::Deny);
 
         // Every dispatched job closes exactly one replica span, whether
-        // it evaluated or was skipped at dequeue.
-        let spans = wait_for_spans(&telemetry, "all five dispatches to close spans", |spans| {
-            spans.iter().filter(|s| s.stage == "replica_decide").count() == 5
-        });
+        // it evaluated or was skipped at dequeue. Teardown joins the
+        // worker, so all five have closed after it.
+        drop(cluster);
+        let spans = telemetry.tracer().snapshot();
+        assert_eq!(
+            spans.iter().filter(|s| s.stage == "replica_decide").count(),
+            5,
+            "spans: {spans:?}"
+        );
         assert!(
             spans.iter().any(|s| {
                 s.stage == "replica_decide"

@@ -442,30 +442,42 @@ pub(crate) type FanoutAnswer = (usize, Option<dacs_policy::eval::Response>);
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::sync::mpsc::channel;
+    use std::sync::mpsc::{channel, Sender};
     use std::time::Duration;
+
+    /// A job that reports in on `started` and then parks until its
+    /// returned sender is used or dropped.
+    fn parked_job(started: &Sender<()>) -> (Job, Sender<()>) {
+        let (release, released) = channel::<()>();
+        let started = started.clone();
+        let job = Box::new(move || {
+            // Either end may already be gone when the pool drains at
+            // the end of a test.
+            let _ = started.send(());
+            let _ = released.recv();
+        });
+        (job, release)
+    }
 
     #[test]
     fn pool_runs_jobs_concurrently() {
         let pool = FanoutPool::new(4);
-        let (tx, rx) = channel();
-        for i in 0..4u32 {
-            let tx = tx.clone();
-            pool.submit(Box::new(move || {
-                std::thread::sleep(Duration::from_millis(20));
-                tx.send(i).unwrap();
-            }));
+        let (started, starts) = channel();
+        let releases: Vec<Sender<()>> = (0..4)
+            .map(|_| {
+                let (job, release) = parked_job(&started);
+                pool.submit(job);
+                release
+            })
+            .collect();
+        // All four are inside their jobs before any is released: four
+        // workers, not one worker four times.
+        for _ in 0..4 {
+            starts
+                .recv_timeout(Duration::from_secs(2))
+                .expect("jobs ran sequentially");
         }
-        let start = std::time::Instant::now();
-        let mut got: Vec<u32> = (0..4).map(|_| rx.recv().unwrap()).collect();
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1, 2, 3]);
-        // Four 20ms jobs on four workers finish well under 4 × 20ms.
-        assert!(
-            start.elapsed() < Duration::from_millis(70),
-            "jobs ran sequentially: {:?}",
-            start.elapsed()
-        );
+        drop(releases);
     }
 
     #[test]
@@ -647,44 +659,45 @@ mod tests {
 
     proptest! {
         /// Lane-starvation bound: however hard the Bulk lane is
-        /// flooded, an Interactive job is delayed at most by the bulk
-        /// jobs already *running* when it arrives plus one
-        /// anti-starvation yield — never by the queued flood. The
-        /// deadline is set at that bound (plus scheduling slack); the
-        /// job must start before it.
+        /// flooded, an Interactive job waits only for a worker to come
+        /// free — never for the queued flood. Every bulk job parks
+        /// until released and only the two that hold the workers are,
+        /// so the interactive job can run only by overtaking the
+        /// queue: a FIFO pool would park both workers on the next two
+        /// bulk jobs and never reach it.
         #[test]
-        fn bulk_flood_never_delays_interactive_past_deadline(
-            flood in 8usize..32,
-            bulk_sleep_us in 100u64..500,
-        ) {
+        fn bulk_flood_never_delays_interactive_past_deadline(flood in 8usize..32) {
             let workers = 2;
             let pool = FanoutPool::new(workers);
-            for _ in 0..flood {
-                pool.submit_classed(
-                    Box::new(move || {
-                        std::thread::sleep(Duration::from_micros(bulk_sleep_us));
-                    }),
-                    DecisionClass::bulk(),
-                );
+            let (started, starts) = channel();
+            let releases: Vec<Sender<()>> = (0..flood)
+                .map(|_| {
+                    let (job, release) = parked_job(&started);
+                    pool.submit_classed(job, DecisionClass::bulk());
+                    release
+                })
+                .collect();
+            for _ in 0..workers {
+                starts.recv_timeout(Duration::from_secs(2)).expect("a bulk job started");
             }
-            // Worst case: every worker just started a bulk job, and one
-            // anti-starvation yield runs one more ahead of us; generous
-            // slack for thread wakeup jitter.
-            let bound_us = bulk_sleep_us * 2 + 50_000;
+            prop_assert_eq!(pool.backlog(), flood - workers);
             let (tx, rx) = channel();
-            let submitted = Instant::now();
             pool.submit_classed(
                 Box::new(move || {
-                    tx.send(submitted.elapsed()).unwrap();
+                    tx.send(()).unwrap();
                 }),
-                DecisionClass::interactive().with_deadline_us(bound_us),
+                DecisionClass::interactive(),
             );
-            let waited = rx.recv_timeout(Duration::from_secs(5)).expect("job ran");
-            prop_assert!(
-                waited <= Duration::from_micros(bound_us),
-                "interactive waited {waited:?} behind a {flood}-job bulk flood \
-                 (bound {bound_us}µs)"
-            );
+            // The bulk lane is FIFO: the first two submitted are running.
+            for release in &releases[..workers] {
+                release.send(()).unwrap();
+            }
+            rx.recv_timeout(Duration::from_secs(2))
+                .expect("interactive job stuck behind the bulk flood");
+            // Each worker has since popped at most one more bulk job
+            // (and parked on it); the rest of the flood is still queued
+            // behind the job that overtook it.
+            prop_assert!(pool.backlog() >= flood - 2 * workers);
         }
     }
 }

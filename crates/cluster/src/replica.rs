@@ -810,23 +810,90 @@ impl ReplicaGroup {
     }
 }
 
-/// A backend that sleeps before answering — a slow replica for tests
-/// across this crate (hedging, short-circuit and starvation cases).
+/// A straggler for tests across this crate (hedging, short-circuit,
+/// cancellation and starvation cases). An evaluation parks inside the
+/// backend until its `delay` has passed, the test calls
+/// [`SlowBackend::release`], or — on the pooled path — it sees its
+/// [`CancelToken`] set and abandons, the test model of a backend that
+/// honors mid-flight cancellation.
+///
+/// [`SlowBackend::parked`] is the form for stating "the verdict did
+/// not wait for it" as an order rather than a duration: its delay is a
+/// hang guard no passing run comes near, so it answers only once the
+/// test releases it — after the verdict has returned.
 #[cfg(test)]
 pub(crate) struct SlowBackend {
     name: String,
     decision: Decision,
     delay: Duration,
+    state: std::sync::Mutex<Parked>,
+    changed: std::sync::Condvar,
+}
+
+/// Evaluations that have parked, abandoned on cancel, and answered.
+#[cfg(test)]
+#[derive(Default)]
+struct Parked {
+    released: bool,
+    parked: usize,
+    abandoned: usize,
+    answered: usize,
 }
 
 #[cfg(test)]
 impl SlowBackend {
+    /// How long anything parked or waiting here blocks before giving
+    /// up, so that a regression fails its test's order assertion
+    /// instead of hanging the suite.
+    const HANG_GUARD: Duration = Duration::from_secs(30);
+
     pub(crate) fn new(name: impl Into<String>, decision: Decision, delay: Duration) -> Self {
         SlowBackend {
             name: name.into(),
             decision,
             delay,
+            state: Default::default(),
+            changed: Default::default(),
         }
+    }
+
+    /// A backend that answers only after [`SlowBackend::release`].
+    pub(crate) fn parked(name: impl Into<String>, decision: Decision) -> Arc<Self> {
+        Arc::new(Self::new(name, decision, Self::HANG_GUARD))
+    }
+
+    /// Lets parked and future evaluations answer at once.
+    pub(crate) fn release(&self) {
+        self.state.lock().unwrap().released = true;
+        self.changed.notify_all();
+    }
+
+    /// Evaluations that returned an answer (as opposed to abandoning).
+    pub(crate) fn answered(&self) -> usize {
+        self.state.lock().unwrap().answered
+    }
+
+    /// Blocks until an evaluation is parked inside the backend.
+    pub(crate) fn wait_parked(&self) {
+        self.wait_until("an evaluation parks", |s| s.parked > 0);
+    }
+
+    /// Blocks until a parked evaluation has seen its token cancelled.
+    pub(crate) fn wait_abandoned(&self) {
+        self.wait_until("a parked evaluation abandons", |s| s.abandoned > 0);
+    }
+
+    fn wait_until(&self, what: &str, reached: impl Fn(&Parked) -> bool) {
+        let state = self.state.lock().unwrap();
+        let (_state, guard) = self
+            .changed
+            .wait_timeout_while(state, Self::HANG_GUARD, |s| !reached(s))
+            .unwrap();
+        assert!(
+            !guard.timed_out(),
+            "{}: gave up waiting until {what}",
+            self.name
+        );
     }
 }
 
@@ -835,12 +902,12 @@ impl DecisionBackend for SlowBackend {
     fn name(&self) -> &str {
         &self.name
     }
-    fn decide(&self, _request: &RequestContext, _now_ms: u64) -> Response {
-        std::thread::sleep(self.delay);
-        Response::decision(self.decision)
+    fn decide(&self, request: &RequestContext, now_ms: u64) -> Response {
+        self.decide_cancellable(request, now_ms, &CancelToken::new())
+            .expect("a fresh token is never cancelled")
     }
-    /// Sleeps in 1ms slices, checking the token between them — the
-    /// test model of a backend that honors mid-flight cancellation.
+    /// Parks in 1ms slices, checking the token between them: it is a
+    /// bare flag that wakes nobody.
     fn decide_cancellable(
         &self,
         _request: &RequestContext,
@@ -849,14 +916,20 @@ impl DecisionBackend for SlowBackend {
     ) -> Option<Response> {
         let slice = Duration::from_millis(1);
         let mut remaining = self.delay;
-        while remaining > Duration::ZERO {
+        let mut state = self.state.lock().unwrap();
+        state.parked += 1;
+        self.changed.notify_all();
+        while !state.released && remaining > Duration::ZERO {
             if cancel.is_cancelled() {
+                state.abandoned += 1;
+                self.changed.notify_all();
                 return None;
             }
             let step = remaining.min(slice);
-            std::thread::sleep(step);
+            state = self.changed.wait_timeout(state, step).unwrap().0;
             remaining -= step;
         }
+        state.answered += 1;
         Some(Response::decision(self.decision))
     }
 }
@@ -1033,51 +1106,45 @@ mod tests {
 
     #[test]
     fn parallel_majority_latency_tracks_fast_majority_not_slowest() {
-        // Two instant Permits and one 200ms straggler: the majority
-        // verdict must not wait for the straggler.
+        // Two instant Permits and one parked straggler: the majority
+        // verdict returns while the straggler has not answered.
+        let straggler = SlowBackend::parked("r2", Decision::Deny);
         let mut replicas: Vec<Arc<dyn DecisionBackend>> = Vec::new();
         for name in ["r0", "r1"] {
             replicas.push(Arc::new(StaticBackend::new(name, Decision::Permit)));
         }
-        replicas.push(Arc::new(SlowBackend::new(
-            "r2",
-            Decision::Deny,
-            Duration::from_millis(200),
-        )));
+        replicas.push(straggler.clone());
         let (g, _) = grouped(replicas);
         let pool = pool();
-        let start = Instant::now();
         let out = g.query_planned(
             QuorumMode::Majority,
             &RequestContext::new(),
             0,
             &plan(&pool, None, false),
         );
-        let elapsed = start.elapsed();
         assert_eq!(out.response.unwrap().decision, Decision::Permit);
-        assert!(
-            elapsed < Duration::from_millis(150),
-            "majority waited for the straggler: {elapsed:?}"
-        );
+        assert_eq!(straggler.answered(), 0, "majority waited for the straggler");
         assert_eq!(out.replicas_queried, 3, "all replicas were dispatched");
+        straggler.release();
     }
 
     #[test]
     fn parallel_unanimity_short_circuits_on_first_deny() {
-        // One instant Deny and two slow Permits: unanimity can only end
-        // in deny, so it must answer without waiting for the permits.
+        // One instant Deny and two parked Permits: unanimity can only
+        // end in deny, so it answers before either permit does.
+        let permits = [
+            SlowBackend::parked("r1", Decision::Permit),
+            SlowBackend::parked("r2", Decision::Permit),
+        ];
         let mut replicas: Vec<Arc<dyn DecisionBackend>> = Vec::new();
         replicas.push(Arc::new(StaticBackend::new("r0", Decision::Deny)));
-        for name in ["r1", "r2"] {
-            replicas.push(Arc::new(SlowBackend::new(
-                name,
-                Decision::Permit,
-                Duration::from_millis(200),
-            )));
-        }
+        replicas.extend(
+            permits
+                .iter()
+                .map(|p| p.clone() as Arc<dyn DecisionBackend>),
+        );
         let (g, _) = grouped(replicas);
         let pool = pool();
-        let start = Instant::now();
         let out = g.query_planned(
             QuorumMode::UnanimousFailClosed,
             &RequestContext::new(),
@@ -1085,10 +1152,10 @@ mod tests {
             &plan(&pool, None, false),
         );
         assert_eq!(out.response.unwrap().decision, Decision::Deny);
-        assert!(
-            start.elapsed() < Duration::from_millis(150),
-            "unanimity waited for slow permits"
-        );
+        for permit in &permits {
+            assert_eq!(permit.answered(), 0, "unanimity waited for a permit");
+            permit.release();
+        }
     }
 
     #[test]
@@ -1210,14 +1277,12 @@ mod tests {
 
     #[test]
     fn hedge_fires_on_slow_primary_and_fast_replica_wins() {
-        // Primary sleeps far past the hedge budget; the hedge goes to
-        // the fast second replica, whose answer must win.
+        // The primary parks far past the hedge budget; the hedge goes
+        // to the fast second replica, whose answer must win. The
+        // parked replica would deny…
+        let primary = SlowBackend::parked("slow", Decision::Deny);
         let (g, _) = grouped(vec![
-            Arc::new(SlowBackend::new(
-                "slow",
-                Decision::Deny, // the slow replica would deny…
-                Duration::from_millis(300),
-            )) as Arc<dyn DecisionBackend>,
+            primary.clone() as Arc<dyn DecisionBackend>,
             Arc::new(StaticBackend::new("fast", Decision::Permit)),
         ]);
         let pool = pool();
@@ -1226,7 +1291,6 @@ mod tests {
             min_budget_us: 2_000,
             max_hedges: 1,
         };
-        let start = Instant::now();
         let out = g.query_planned(
             QuorumMode::FirstHealthy,
             &RequestContext::new(),
@@ -1238,10 +1302,12 @@ mod tests {
         assert_eq!(out.hedges, 1);
         assert!(out.hedge_won);
         assert_eq!(out.replicas_queried, 2);
-        assert!(
-            start.elapsed() < Duration::from_millis(150),
+        assert_eq!(
+            primary.answered(),
+            0,
             "hedged decision waited for the slow primary"
         );
+        primary.release();
     }
 
     #[test]
@@ -1418,16 +1484,13 @@ mod tests {
 
     #[test]
     fn adaptive_escalation_hedges_a_slow_quorum_member() {
-        // Both quorum members are needed, but one sleeps far past the
+        // Both quorum members are needed, but one parks far past the
         // escalation budget: the backup is pulled in (counted as a
         // hedge) and completes the majority without the straggler.
+        let straggler = SlowBackend::parked("a1", Decision::Permit);
         let (g, _) = grouped(vec![
             Arc::new(StaticBackend::new("a0", Decision::Permit)) as Arc<dyn DecisionBackend>,
-            Arc::new(SlowBackend::new(
-                "a1",
-                Decision::Permit,
-                Duration::from_millis(250),
-            )),
+            straggler.clone(),
             Arc::new(StaticBackend::new("a2", Decision::Permit)),
         ]);
         // Seed the EWMA so the first two sort ahead of the backup.
@@ -1440,7 +1503,6 @@ mod tests {
             min_budget_us: 2_000,
             max_hedges: 1,
         };
-        let start = Instant::now();
         let out = g.query_planned(
             QuorumMode::Majority,
             &RequestContext::new(),
@@ -1450,11 +1512,8 @@ mod tests {
         assert_eq!(out.response.unwrap().decision, Decision::Permit);
         assert_eq!(out.hedges, 1, "the backup was a budget-overrun hedge");
         assert_eq!(out.replicas_queried, 3);
-        assert!(
-            start.elapsed() < Duration::from_millis(150),
-            "majority waited for the straggler: {:?}",
-            start.elapsed()
-        );
+        assert_eq!(straggler.answered(), 0, "majority waited for the straggler");
+        straggler.release();
     }
 
     /// Chosen behaviour: the hedge cap binds every mode. Under adaptive

@@ -3,21 +3,18 @@
 //!
 //! Usage:
 //! ```text
-//! cargo run -p dacs-bench --release --bin harness -- all
-//! cargo run -p dacs-bench --release --bin harness -- e5 e8 e14
-//! cargo run -p dacs-bench --release --bin harness -- all --json BENCH_all.json
+//! cargo run -p dacs-core --release --bin harness -- all
+//! cargo run -p dacs-core --release --bin harness -- e5 e8 e14
 //! ```
 //!
-//! `--json PATH` additionally writes one JSON object per data cell
-//! (`experiment`, `key`, `metric`, `value`) so successive runs form a
-//! machine-readable trajectory (the CI `bench-smoke` job compares it
-//! against `BENCH_baseline.json` via `scripts/bench_gate.rs`).
+//! The tables' time columns are reported, not gated — the repo
+//! benchmark (`benchmark/`, `BENCHMARK.json`) judges timing.
 //!
 //! `--telemetry PATH` and `--trace PATH` run the fully instrumented
 //! clustered scenario (`traced_cluster_run`) once and write,
 //! respectively, the Prometheus-style text exposition of its metric
 //! registry and the JSON dump of its span trace — the per-stage
-//! latency artifacts CI uploads next to the trajectory. `--trace` also
+//! latency artifacts CI uploads next to the tables. `--trace` also
 //! prints, per sequential parent stage, the share of its time that no
 //! child span accounts for (the decomposition figure `cargo test`
 //! leaves to this run).
@@ -36,7 +33,6 @@
 //! `N` (with a floor that keeps the experiments meaningful) — the
 //! reduced-iteration knob CI smoke runs use.
 
-use dacs_bench::table_to_json_rows;
 use dacs_core::experiments as exp;
 use dacs_core::stats::Table;
 
@@ -84,7 +80,8 @@ fn run(id: &str) -> Option<Table> {
 fn usage() -> ! {
     eprintln!(
         "usage: harness <all | e1 .. e{EXPERIMENT_COUNT}>... \
-         [--json PATH] [--telemetry PATH] [--trace PATH]"
+         [--telemetry PATH] [--trace PATH] \
+         [--capability-telemetry PATH] [--lane-telemetry PATH]"
     );
     std::process::exit(2);
 }
@@ -100,7 +97,6 @@ fn write_or_die(path: &str, contents: &str, what: &str) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut ids: Vec<String> = Vec::new();
-    let mut json_path: Option<String> = None;
     let mut telemetry_path: Option<String> = None;
     let mut trace_path: Option<String> = None;
     let mut capability_telemetry_path: Option<String> = None;
@@ -108,10 +104,6 @@ fn main() {
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--json" => match iter.next() {
-                Some(path) => json_path = Some(path),
-                None => usage(),
-            },
             "--telemetry" => match iter.next() {
                 Some(path) => telemetry_path = Some(path),
                 None => usage(),
@@ -143,23 +135,14 @@ fn main() {
         ids = (1..=EXPERIMENT_COUNT).map(|i| format!("e{i}")).collect();
     }
 
-    let mut json = String::new();
     for id in &ids {
         match run(id) {
-            Some(table) => {
-                println!("{}", table.render());
-                if json_path.is_some() {
-                    json.push_str(&table_to_json_rows(id, &table));
-                }
-            }
+            Some(table) => println!("{}", table.render()),
             None => {
                 eprintln!("unknown experiment {id}");
                 std::process::exit(2);
             }
         }
-    }
-    if let Some(path) = json_path {
-        write_or_die(&path, &json, "JSON rows");
     }
     if telemetry_path.is_some() || trace_path.is_some() {
         // One shared instrumented run feeds both artifacts, so the

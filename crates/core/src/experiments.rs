@@ -2076,8 +2076,8 @@ fn e19_tally(
 /// Lane isolation itself — saturated interactive p50 and p99 staying
 /// near their unloaded counterparts, where a FIFO pool would add the
 /// full bulk backlog to *every* decision — is a wall-clock comparison:
-/// the table reports both phases and `bench_gate` judges the
-/// interactive p99 rows against the baseline. The function *asserts*,
+/// the table reports both phases, reported, not gated — the repo
+/// benchmark judges timing. The function *asserts*,
 /// not just prints, the two invariants that hold on logic alone:
 ///
 /// 1. **Adaptive fan-out** — replica sub-queries per decision never
@@ -2281,8 +2281,8 @@ pub fn e19_scheduler_saturation(requests: usize) -> Table {
 /// * **throughput scales with threads** — the `scaling` column,
 ///   near-linear to 4 threads on hardware that has them (the striped
 ///   cache and atomic stats leave no global lock to convoy on). A
-///   wall-clock figure, so reported here and judged by `bench_gate`
-///   against the baseline's scaling-ratio rows, not asserted;
+///   wall-clock figure, so reported, not gated — the repo benchmark
+///   judges timing;
 /// * **zero false permits / false denies** — every verdict is checked
 ///   against the constructed ground truth, itself validated against an
 ///   uncached reference engine on sampled ranks;
@@ -2473,9 +2473,8 @@ pub fn e20_read_path_scaling(requests_per_thread: usize) -> Table {
         ]);
     }
 
-    // The scaling column is a timing judgement: `bench_gate` holds the
-    // E20 scaling-ratio rows against the baseline; nothing here asserts
-    // on it.
+    // The scaling column is a timing figure: reported, not gated —
+    // the repo benchmark judges timing.
     table
 }
 
@@ -2660,8 +2659,8 @@ mod tests {
         // The logic half of the acceptance bar: the sequential p99
         // pays the 2 ms replica (a sleep is a lower bound, whatever the
         // host load). That the parallel and hedged p99 sit below it is
-        // a wall-clock comparison, judged by the harness + `bench_gate`
-        // (its e15 `lat p99` rows), not by `cargo test`.
+        // a wall-clock comparison: reported, not gated — the repo
+        // benchmark judges timing.
         let p99 = |r: &Vec<String>| -> u64 { r[3].parse().unwrap() };
         assert!(
             p99(&sequential) >= 2_000,
@@ -2853,7 +2852,8 @@ mod tests {
     /// The logic half of the E19 acceptance bar rides inside the
     /// experiment itself (it asserts the adaptive fan-out bound and
     /// zero false permits/denies; the lane-isolation latency rows are
-    /// `bench_gate`'s); this test runs it at smoke scale and checks
+    /// reported, not gated — the repo benchmark judges timing); this
+    /// test runs it at smoke scale and checks
     /// the table shape plus the visible flood accounting.
     #[test]
     fn e19_interactive_lane_survives_bulk_flood() {
@@ -3156,7 +3156,7 @@ mod tests {
     /// the repo benchmark, which reports it on every run as
     /// `telemetry.enabled_cost_ratio` on `quorum_miss`.
     #[test]
-    fn telemetry_overhead_stays_under_ten_percent_p99() {
+    fn telemetry_adds_no_second_code_path_same_verdicts_and_counters() {
         const REQUESTS: usize = 150;
         let (plain_verdicts, plain_metrics) = spin_run(None, REQUESTS);
         let telemetry = Arc::new(dacs_telemetry::Telemetry::new());

@@ -143,26 +143,15 @@ impl std::error::Error for SignError {}
 #[derive(Debug, Default)]
 pub struct SimPkiRegistry {
     secrets: RwLock<HashMap<[u8; 32], [u8; 32]>>,
-    /// Wire size modelled for signatures (default 256, RSA-2048-like).
-    modeled_sig_len: u32,
 }
 
-impl SimPkiRegistry {
-    /// Creates a registry with the default modelled signature size.
-    pub fn new() -> Self {
-        SimPkiRegistry {
-            secrets: RwLock::new(HashMap::new()),
-            modeled_sig_len: 256,
-        }
-    }
+/// Wire size modelled for simulated signatures (RSA-2048-like).
+const MODELED_SIG_LEN: u32 = 256;
 
-    /// Creates a registry that models a particular signature size on the
-    /// wire (for experiments varying signature overhead).
-    pub fn with_modeled_sig_len(modeled_sig_len: u32) -> Self {
-        SimPkiRegistry {
-            secrets: RwLock::new(HashMap::new()),
-            modeled_sig_len,
-        }
+impl SimPkiRegistry {
+    /// Creates an empty registry.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Generates and registers a fresh simulated keypair.
@@ -236,7 +225,7 @@ impl SigningKey {
             inner: SigningKeyInner::Sim {
                 sk,
                 pk,
-                modeled_len: registry.modeled_sig_len,
+                modeled_len: MODELED_SIG_LEN,
             },
         }
     }
@@ -299,11 +288,6 @@ impl CryptoCtx {
         CryptoCtx {
             sim: Arc::new(SimPkiRegistry::new()),
         }
-    }
-
-    /// Creates a context around an existing registry.
-    pub fn with_registry(sim: Arc<SimPkiRegistry>) -> Self {
-        CryptoCtx { sim }
     }
 
     /// The simulated-PKI registry (for key generation).

@@ -731,6 +731,37 @@ impl DomainBuilder {
     }
 }
 
+/// A replica that permits everything except the subjects in `trips`,
+/// on which it panics — a backend bug, for the fail-safe tests here
+/// and in [`crate::window`].
+#[cfg(test)]
+pub(crate) struct Tripwire {
+    name: &'static str,
+    trips: &'static [&'static str],
+}
+
+#[cfg(test)]
+impl Tripwire {
+    pub(crate) fn replica(
+        name: &'static str,
+        trips: &'static [&'static str],
+    ) -> Arc<dyn DecisionBackend> {
+        Arc::new(Tripwire { name, trips })
+    }
+}
+
+#[cfg(test)]
+impl DecisionBackend for Tripwire {
+    fn name(&self) -> &str {
+        self.name
+    }
+    fn decide(&self, request: &RequestContext, _now_ms: u64) -> Response {
+        let subject = request.subject_id().unwrap_or_default();
+        assert!(!self.trips.contains(&subject), "backend bug");
+        Response::decision(dacs_policy::policy::Decision::Permit)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1096,5 +1127,50 @@ policy "block-secret" deny-overrides {
         let blocked = RequestContext::basic("u@d", "secret/1", "read");
         assert!(domain.pep.serve(EnforceRequest::of(&ok, 0)).allowed);
         assert!(!domain.pep.serve(EnforceRequest::of(&blocked, 0)).allowed);
+    }
+
+    /// A backend that panics on a pool worker is a lost vote, judged
+    /// where it matters — at the PEP: two surviving votes still permit;
+    /// three lost votes are an unavailable shard, which the PEP denies
+    /// fail-safe and counts once; and the two workers that caught five
+    /// panics between them serve the next request.
+    #[test]
+    fn panicking_pool_replicas_cost_votes_and_the_pep_fails_safe() {
+        use dacs_cluster::{QuorumMode, SchedulerConfig};
+        let cluster = Arc::new(
+            ClusterBuilder::new("pool-panic")
+                .quorum(QuorumMode::Majority)
+                .shard(vec![
+                    Tripwire::replica("r0", &["trips-one", "trips-all"]),
+                    Tripwire::replica("r1", &["trips-all"]),
+                    Tripwire::replica("r2", &["trips-all"]),
+                ])
+                .scheduler(SchedulerConfig::new(2))
+                .build(),
+        );
+        let source = ClusteredDecisionSource::new(cluster.clone());
+        let pep = Pep::builder("pep.pool").source(Arc::new(source)).build();
+        let serve = |subject: &str, now_ms| {
+            let req = RequestContext::basic(subject, "ehr/1", "read");
+            pep.serve(EnforceRequest::of(&req, now_ms))
+        };
+
+        assert!(serve("trips-one", 0).allowed, "two permits are a majority");
+        let m = cluster.metrics();
+        assert_eq!((m.queries, m.replica_queries), (1, 3));
+        // A lost vote is not a lost replica: all three stayed eligible,
+        // so the collector reported a full-strength group.
+        assert_eq!((m.degraded, m.unavailable), (0, 0));
+
+        let denied = serve("trips-all", 1);
+        assert!(!denied.allowed);
+        assert_eq!(denied.decision, Decision::Indeterminate);
+        assert_eq!(pep.stats().failsafe_denials, 1);
+        assert_eq!(pep.stats().denied, 0);
+        assert_eq!(cluster.metrics().unavailable, 1);
+
+        assert!(serve("alice", 2).allowed, "the workers survived");
+        assert_eq!(cluster.metrics().unavailable, 1);
+        assert_eq!(pep.stats().allowed, 2);
     }
 }

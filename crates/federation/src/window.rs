@@ -271,20 +271,6 @@ mod tests {
         assert!(m.queries < n as u64, "duplicate requests coalesced");
     }
 
-    /// Permits everything except subject `boom`, on which it panics —
-    /// a backend bug that unwinds through the leader's flush.
-    struct Tripwire;
-
-    impl DecisionBackend for Tripwire {
-        fn name(&self) -> &str {
-            "tripwire"
-        }
-        fn decide(&self, request: &RequestContext, _now_ms: u64) -> dacs_policy::eval::Response {
-            assert_ne!(request.subject_id(), Some("boom"), "backend bug");
-            dacs_policy::eval::Response::decision(Decision::Permit)
-        }
-    }
-
     /// Regression (ISSUE 16): a leader whose flush panics used to leave
     /// its followers parked forever — results were published on the
     /// success path only. Now the panic reaches the leader's own caller
@@ -293,12 +279,13 @@ mod tests {
     /// group normally.
     #[test]
     fn panicking_leader_answers_its_followers_with_failsafe_denies() {
-        use crate::domain::ClusteredDecisionSource;
+        use crate::domain::{ClusteredDecisionSource, Tripwire};
         use dacs_pep::{EnforceRequest, Pep};
+        // A backend bug that unwinds through the leader's flush.
         let cluster = Arc::new(
             ClusterBuilder::new("window-panic")
                 .quorum(QuorumMode::FirstHealthy)
-                .shard(vec![Arc::new(Tripwire) as Arc<dyn DecisionBackend>])
+                .shard(vec![Tripwire::replica("tripwire", &["boom"])])
                 .build(),
         );
         let source = ClusteredDecisionSource::new(cluster).with_batch_window_us(20_000);

@@ -252,25 +252,11 @@ impl Pap {
         Ok(version)
     }
 
-    /// Applies a syndicated policy (bypasses the admin policy check —
-    /// trust in the syndication parent was established at tree setup —
-    /// but is still audited). Carries no epoch stamp, so the
-    /// repository's [`Pap::policy_epoch`] position is untouched: an
-    /// unstamped side-channel apply must not fabricate a timeline
-    /// position for updates the node never saw — a crashed-and-
-    /// recovered replica would otherwise look current and skip its
-    /// re-sync. Tree pushes go through
-    /// [`Pap::apply_syndicated_stamped`].
-    pub fn apply_syndicated(&self, from: &str, policy: Policy, at_ms: u64) -> u64 {
-        let id = policy.id.clone();
-        let version = self.install(&id, policy);
-        self.record(at_ms, from, AdminAction::SyndicationApply, &id, version);
-        version
-    }
-
     /// Applies a syndicated policy carrying the tree-assigned epoch
-    /// `stamp`. The policy content is always installed (a newer version
-    /// supersedes whatever was active), but the repository's
+    /// `stamp` (bypasses the admin policy check — trust in the
+    /// syndication parent was established at tree setup — but is still
+    /// audited). The policy content is always installed (a newer
+    /// version supersedes whatever was active), but the repository's
     /// [`Pap::policy_epoch`] advances only when the stamp is contiguous
     /// — see [`Pap::observe_policy_epoch`] for the gap rule.
     pub fn apply_syndicated_stamped(
@@ -379,15 +365,6 @@ impl Pap {
     /// Snapshot of the audit log.
     pub fn audit_log(&self) -> Vec<AuditEntry> {
         self.audit.read().clone()
-    }
-
-    /// All active policies (for conflict analysis sweeps).
-    pub fn active_policies(&self) -> Vec<Arc<Policy>> {
-        self.policies
-            .read()
-            .values()
-            .filter_map(|v| v.versions.get(v.active).cloned())
-            .collect()
     }
 }
 
@@ -540,10 +517,6 @@ policy "admin" deny-unless-permit {
     fn policy_epoch_advances_contiguously_and_holds_on_gaps() {
         let pap = Pap::new("pap.a");
         assert_eq!(pap.policy_epoch(), PolicyEpoch::ZERO);
-        // An unstamped apply installs content but must not fabricate a
-        // timeline position for updates the node never saw.
-        pap.apply_syndicated("parent", sample("p"), 1);
-        assert_eq!(pap.policy_epoch(), PolicyEpoch::ZERO);
         // Contiguous stamps advance…
         pap.apply_syndicated_stamped("parent", sample("p"), PolicyEpoch(1), 1);
         pap.apply_syndicated_stamped("parent", sample("p"), PolicyEpoch(2), 2);
@@ -552,7 +525,7 @@ policy "admin" deny-unless-permit {
         // epoch: stamps 3 and 4 were missed and must be replayed.
         pap.apply_syndicated_stamped("parent", sample("p"), PolicyEpoch(5), 3);
         assert_eq!(pap.policy_epoch(), PolicyEpoch(2));
-        assert_eq!(pap.active(&PolicyId::new("p")).unwrap().version, 4);
+        assert_eq!(pap.active(&PolicyId::new("p")).unwrap().version, 3);
         // Replaying the gap in order catches the epoch up.
         for stamp in [3u64, 4, 5] {
             pap.apply_syndicated_stamped("parent", sample("p"), PolicyEpoch(stamp), 4);
@@ -585,7 +558,12 @@ policy "admin" deny-unless-permit {
         )
         .unwrap();
         pap.set_admin_policy(admin);
-        let v = pap.apply_syndicated("pap.parent", sample("global-baseline"), 50);
+        let v = pap.apply_syndicated_stamped(
+            "pap.parent",
+            sample("global-baseline"),
+            PolicyEpoch(1),
+            50,
+        );
         assert_eq!(v, 1);
         let log = pap.audit_log();
         assert_eq!(log[0].action, AdminAction::SyndicationApply);

@@ -243,11 +243,6 @@ impl SyndicationTree {
         self.nodes[idx].online = online;
     }
 
-    /// Whether a node is currently reachable for pushes.
-    pub fn is_online(&self, idx: usize) -> bool {
-        self.nodes[idx].online
-    }
-
     /// The parent of `idx` (`None` for the root) — the "nearest
     /// syndication node" a catch-up replays from.
     pub fn parent_of(&self, idx: usize) -> Option<usize> {

@@ -402,11 +402,7 @@ policy "aux" deny-overrides {
         assert_eq!(pdp.policy_epoch(), dacs_pap::PolicyEpoch::ZERO);
         let update =
             parse_policy(r#"policy "gate" deny-unless-permit { rule "none" deny { } }"#).unwrap();
-        pap.apply_syndicated_stamped("parent", update.clone(), dacs_pap::PolicyEpoch(1), 10);
-        assert_eq!(pdp.policy_epoch(), dacs_pap::PolicyEpoch(1));
-        // An unstamped side-channel apply installs content but does not
-        // move the PDP's timeline position.
-        pap.apply_syndicated("parent", update, 20);
+        pap.apply_syndicated_stamped("parent", update, dacs_pap::PolicyEpoch(1), 10);
         assert_eq!(pdp.policy_epoch(), dacs_pap::PolicyEpoch(1));
     }
 

@@ -58,11 +58,6 @@ impl InMemoryStore {
     pub fn add_policy_set(&mut self, set: PolicySet) {
         self.sets.insert(set.id.clone(), Arc::new(set));
     }
-
-    /// Number of stored policies (not counting sets).
-    pub fn policy_count(&self) -> usize {
-        self.policies.len()
-    }
 }
 
 impl PolicyStore for InMemoryStore {
@@ -84,9 +79,10 @@ impl PolicyStore for InMemoryStore {
 /// the reference walk would against the same store contents. A
 /// reference the store cannot resolve, and a `PolicySetRef` back into a
 /// set that is still being expanded (a cycle), stay references: the
-/// evaluator meets them exactly as it does today, as `Indeterminate`
-/// or at its nesting limit. Expansion therefore terminates: every
-/// nested expansion is of a stored set not already open.
+/// evaluator meets them exactly as the reference walk does, as
+/// `Indeterminate`, at its nesting limit or at its element budget.
+/// Expansion therefore terminates: every nested expansion is of a
+/// stored set not already open.
 ///
 /// # Examples
 ///
@@ -219,6 +215,13 @@ impl Response {
 
 const MAX_POLICY_DEPTH: u32 = 64;
 
+/// Policies plus policy sets one [`Evaluator`] evaluates before it
+/// answers `Indeterminate`. The depth limit alone bounds a cycle with
+/// one back-edge (a chain of 65 sets); with two it is a 2⁶⁴ walk, and
+/// this is what ends it. The largest tree in the repo (E3) has 1 025
+/// elements.
+const MAX_POLICY_ELEMENTS: u64 = 1 << 14;
+
 /// The evaluation engine.
 ///
 /// Holds the request context (used for target matching), an attribute
@@ -229,6 +232,8 @@ pub struct Evaluator<'a> {
     request: &'a RequestContext,
     source: &'a dyn AttributeSource,
     /// Work counters, accumulated across evaluations by this instance.
+    /// The element budget counts against them: an instance serves one
+    /// decision, not a stream of them.
     pub metrics: EvalMetrics,
     depth: u32,
 }
@@ -266,6 +271,11 @@ impl<'a> Evaluator<'a> {
     pub fn evaluate_element(&mut self, element: &PolicyElement) -> Response {
         if self.depth > MAX_POLICY_DEPTH {
             return Response::indeterminate("policy nesting depth exceeded");
+        }
+        if self.metrics.policies_evaluated + self.metrics.policy_sets_evaluated
+            >= MAX_POLICY_ELEMENTS
+        {
+            return Response::indeterminate("policy evaluation budget exceeded");
         }
         match element {
             PolicyElement::Policy(p) => self.evaluate_policy(p),
@@ -777,6 +787,42 @@ mod tests {
         let mut ev = Evaluator::new(&store, &req);
         let resp = ev.evaluate_policy(&policy);
         assert_eq!(resp.decision, Decision::Indeterminate);
+    }
+
+    /// A set holding two references to the set `to`.
+    fn branching_set(id: &str, to: &str) -> PolicySet {
+        let mut set = PolicySet::new(id, CombiningAlg::DenyOverrides);
+        for _ in 0..2 {
+            set.elements
+                .push(PolicyElement::PolicySetRef(PolicyId::new(to)));
+        }
+        set
+    }
+
+    /// Two back-edges into a cycle branch at every level: the depth
+    /// limit alone leaves a 2⁶⁴ walk (this test does not return at the
+    /// parent commit). The bound is on counted work, not on time.
+    #[test]
+    fn a_cycle_with_two_back_edges_ends_at_the_element_budget() {
+        let mut own = InMemoryStore::new();
+        own.add_policy_set(branching_set("a", "a"));
+        let mut mutual = InMemoryStore::new();
+        mutual.add_policy_set(branching_set("a", "b"));
+        mutual.add_policy_set(branching_set("b", "a"));
+        let req = doctor_request();
+        for store in [own, mutual] {
+            let mut ev = Evaluator::new(&store, &req);
+            let resp = ev.evaluate_element(&PolicyElement::PolicySetRef(PolicyId::new("a")));
+            assert_eq!(resp.decision, Decision::Indeterminate);
+            assert_eq!(ev.metrics.policies_evaluated, 0);
+            assert_eq!(ev.metrics.policy_sets_evaluated, MAX_POLICY_ELEMENTS);
+            // Spent: whatever it is asked next, it refuses.
+            let next = ev.evaluate_element(&PolicyElement::Policy(doctors_read_policy()));
+            assert_eq!(
+                next.status,
+                Status::Error("policy evaluation budget exceeded".into())
+            );
+        }
     }
 
     #[test]

@@ -60,12 +60,6 @@ impl RequestContext {
         self
     }
 
-    /// Builder-style: adds an action attribute.
-    pub fn with_action_attr(mut self, name: &str, value: impl Into<AttrValue>) -> Self {
-        self.add(AttributeId::action(name), value);
-        self
-    }
-
     /// Builder-style: adds an environment attribute.
     pub fn with_env_attr(mut self, name: &str, value: impl Into<AttrValue>) -> Self {
         self.add(AttributeId::environment(name), value);

@@ -59,14 +59,6 @@ impl Telemetry {
         Self::default()
     }
 
-    /// Caps the number of finished spans the tracer retains (older
-    /// spans win; a `dropped_spans` counter in [`Tracer::dump_json`]
-    /// reports the overflow). The default cap is 65 536 spans.
-    pub fn with_span_capacity(mut self, cap: usize) -> Self {
-        self.tracer = self.tracer.with_capacity(cap);
-        self
-    }
-
     /// The metric registry.
     pub fn registry(&self) -> &Registry {
         &self.registry

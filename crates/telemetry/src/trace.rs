@@ -113,13 +113,6 @@ impl Tracer {
         Self::default()
     }
 
-    /// Rebuilds the tracer with a different span-retention cap.
-    pub(crate) fn with_capacity(self, cap: usize) -> Self {
-        Self {
-            inner: Arc::new(TracerInner::new(cap)),
-        }
-    }
-
     fn start_span(&self, trace: u64, parent: u64, stage: &'static str) -> Span {
         let id = self.inner.next_span.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
@@ -385,7 +378,9 @@ mod tests {
 
     #[test]
     fn sink_cap_counts_overflow() {
-        let t = Tracer::new().with_capacity(2);
+        let t = Tracer {
+            inner: Arc::new(TracerInner::new(2)),
+        };
         for _ in 0..5 {
             t.root("s").finish();
         }

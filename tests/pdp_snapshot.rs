@@ -86,6 +86,14 @@ fn counts(m: EvalMetrics) -> [u64; 6] {
     ]
 }
 
+/// Decides on `pdp`; returns the response and the work it booked.
+fn decide_counting(pdp: &Pdp, request: &RequestContext, now_ms: u64) -> (Response, [u64; 6]) {
+    let before = counts(pdp.metrics().eval);
+    let response = pdp.decide(request, now_ms);
+    let after = counts(pdp.metrics().eval);
+    (response, std::array::from_fn(|i| after[i] - before[i]))
+}
+
 /// A policy drawn from a small grammar: every rule-combining
 /// algorithm (the invalid `only-one-applicable` included), glob and
 /// match-all targets, PIP-backed conditions, a condition on an
@@ -132,10 +140,12 @@ fn random_policy(rng: &mut StdRng, id: &str) -> Policy {
 
 /// A stored set: references to a random subset of the policy ids
 /// (some never submitted, some removed — dangling), sometimes an
-/// inline policy, and at most one set reference: the root's goes to
-/// `inner`, `inner`'s back to the root or to itself. One back-edge
-/// keeps the cyclic walk a chain — the reference walk follows a cycle
-/// to its nesting limit, so two would make the *oracle* exponential.
+/// inline policy, and set references: the root's go to `inner`,
+/// `inner`'s back to the root or to itself. One back-edge makes the
+/// cyclic walk a chain that ends at the nesting limit; a second makes
+/// it branch at every level, and both the reference walk and the
+/// snapshot end it at the evaluator's element budget — at the same
+/// count. Those walks are the dear ones, so they are the rare ones.
 fn random_set(rng: &mut StdRng, id: &str) -> PolicySet {
     let alg = CombiningAlg::ALL[rng.gen_range(0..CombiningAlg::ALL.len())];
     let mut set = PolicySet::new(id, alg);
@@ -147,7 +157,8 @@ fn random_set(rng: &mut StdRng, id: &str) -> PolicySet {
     if rng.gen_bool(0.2) {
         set = set.with_policy(random_policy(rng, "inline"));
     }
-    if rng.gen_bool(0.5) {
+    let mut more = rng.gen_bool(0.5);
+    while more {
         let target = if id == ROOT || rng.gen_bool(0.3) {
             INNER
         } else {
@@ -155,6 +166,7 @@ fn random_set(rng: &mut StdRng, id: &str) -> PolicySet {
         };
         set.elements
             .push(PolicyElement::PolicySetRef(PolicyId::new(target)));
+        more = rng.gen_bool(0.05);
     }
     set
 }
@@ -221,18 +233,12 @@ fn run_schedule(seed: u64) {
         let request = &requests[rng.gen_range(0..requests.len())];
         let (expected, work) = oracle(&pap, &pips, &root, request, step);
 
-        let before = counts(plain.metrics().eval);
-        let got = plain.decide(request, step);
+        let (got, spent) = decide_counting(&plain, request, step);
         assert_eq!(
             got, expected,
             "seed {seed} step {step}: uncached {request:?}"
         );
         // The snapshot removes look-ups, not evaluation work.
-        let spent: Vec<u64> = counts(plain.metrics().eval)
-            .iter()
-            .zip(before)
-            .map(|(after, before)| after - before)
-            .collect();
         assert_eq!(
             spent,
             counts(work),
@@ -277,11 +283,18 @@ fn pdp_over(sets: Vec<PolicySet>, policies: Vec<Policy>) -> (Arc<Pap>, Arc<Pdp>)
     (pap, pdp)
 }
 
-fn assert_matches_oracle(pap: &Pap, pdp: &Pdp, request: &RequestContext) -> Response {
-    let (expected, _) = oracle(pap, pdp.pips(), &root_element(), request, 0);
-    let got = pdp.decide(request, 0);
+/// The response and the work of `pdp.decide`, both equal to the
+/// reference walk's.
+fn assert_matches_oracle(
+    pap: &Pap,
+    pdp: &Pdp,
+    request: &RequestContext,
+) -> (Response, EvalMetrics) {
+    let (expected, work) = oracle(pap, pdp.pips(), &root_element(), request, 0);
+    let (got, spent) = decide_counting(pdp, request, 0);
     assert_eq!(got, expected);
-    got
+    assert_eq!(spent, counts(work));
+    (got, work)
 }
 
 #[test]
@@ -292,7 +305,7 @@ fn dangling_policy_ref_stays_a_reference_and_is_indeterminate() {
     let (pap, pdp) = pdp_over(vec![root], vec![permit_all("present")]);
     let request = RequestContext::basic("alice", "records/1", "read");
 
-    let response = assert_matches_oracle(&pap, &pdp, &request);
+    let (response, _) = assert_matches_oracle(&pap, &pdp, &request);
     assert_eq!(response.decision, Decision::Indeterminate);
     assert_eq!(
         response.status,
@@ -302,44 +315,77 @@ fn dangling_policy_ref_stays_a_reference_and_is_indeterminate() {
     // Submitting the missing policy is a mutation like any other: the
     // next decide resolves it.
     pap.submit("admin", permit_all("absent"), 1).unwrap();
-    let response = assert_matches_oracle(&pap, &pdp, &request);
+    let (response, _) = assert_matches_oracle(&pap, &pdp, &request);
     assert_eq!(response.decision, Decision::Permit);
 }
 
+/// Elements (policies + sets) one evaluation may reach: the
+/// evaluator's budget.
+const ELEMENT_BUDGET: u64 = 1 << 14;
+
+fn with_set_refs(mut set: PolicySet, to: &str, edges: usize) -> PolicySet {
+    for _ in 0..edges {
+        set.elements
+            .push(PolicyElement::PolicySetRef(PolicyId::new(to)));
+    }
+    set
+}
+
+/// One back-edge is a chain the nesting limit ends after 65 sets (the
+/// last one's children, its policy included, are refused). Two
+/// branch at every level — a 2⁶⁴ walk under the nesting limit alone
+/// (at the parent commit this test does not return) — and the element
+/// budget ends it. The bound is on counted work, never on time.
 #[test]
 fn self_referencing_set_terminates_is_indeterminate_and_the_pep_denies() {
-    let mut root = PolicySet::new(ROOT, CombiningAlg::DenyOverrides).with_policy_ref("present");
-    root.elements
-        .push(PolicyElement::PolicySetRef(PolicyId::new(ROOT)));
-    // Building the PDP resolves the root: it must return.
-    let (pap, pdp) = pdp_over(vec![root], vec![permit_all("present")]);
-    let request = RequestContext::basic("alice", "records/1", "read");
+    for (back_edges, elements) in [(1, 65 + 64), (2, ELEMENT_BUDGET)] {
+        let root = with_set_refs(
+            PolicySet::new(ROOT, CombiningAlg::DenyOverrides).with_policy_ref("present"),
+            ROOT,
+            back_edges,
+        );
+        // Building the PDP resolves the root: it must return.
+        let (pap, pdp) = pdp_over(vec![root], vec![permit_all("present")]);
+        let request = RequestContext::basic("alice", "records/1", "read");
 
-    let response = assert_matches_oracle(&pap, &pdp, &request);
-    assert_eq!(response.decision, Decision::Indeterminate);
-    assert_eq!(
-        response.status,
-        Status::Error("policy nesting depth exceeded".into())
-    );
+        let (response, work) = assert_matches_oracle(&pap, &pdp, &request);
+        assert_eq!(response.decision, Decision::Indeterminate);
+        // The first error met is the deepest chain's, in both shapes.
+        assert_eq!(
+            response.status,
+            Status::Error("policy nesting depth exceeded".into())
+        );
+        assert_eq!(
+            work.policies_evaluated + work.policy_sets_evaluated,
+            elements,
+            "{back_edges} back-edge(s)"
+        );
 
-    let pep = Pep::builder("pep.fixed").source(pdp).build();
-    let outcome = pep.serve(EnforceRequest::of(&request, 0));
-    assert!(!outcome.allowed, "Indeterminate must fail safe");
-    assert_eq!(pep.stats().failsafe_denials, 1);
+        let pep = Pep::builder("pep.fixed").source(pdp).build();
+        let outcome = pep.serve(EnforceRequest::of(&request, 0));
+        assert!(!outcome.allowed, "Indeterminate must fail safe");
+        assert_eq!(pep.stats().failsafe_denials, 1);
+    }
 }
 
 #[test]
 fn mutually_referencing_sets_terminate_and_match_the_reference_walk() {
-    let mut root = PolicySet::new(ROOT, CombiningAlg::PermitOverrides).with_policy_ref("present");
-    root.elements
-        .push(PolicyElement::PolicySetRef(PolicyId::new(INNER)));
-    let mut inner = PolicySet::new(INNER, CombiningAlg::DenyUnlessPermit);
-    inner
-        .elements
-        .push(PolicyElement::PolicySetRef(PolicyId::new(ROOT)));
-    let (pap, pdp) = pdp_over(vec![root, inner], vec![permit_all("present")]);
-    for request in request_pool() {
-        assert_matches_oracle(&pap, &pdp, &request);
+    for edges in [1, 2] {
+        let root = with_set_refs(
+            PolicySet::new(ROOT, CombiningAlg::PermitOverrides).with_policy_ref("present"),
+            INNER,
+            edges,
+        );
+        let inner = with_set_refs(
+            PolicySet::new(INNER, CombiningAlg::DenyUnlessPermit),
+            ROOT,
+            edges,
+        );
+        let (pap, pdp) = pdp_over(vec![root, inner], vec![permit_all("present")]);
+        for request in request_pool() {
+            let (_, work) = assert_matches_oracle(&pap, &pdp, &request);
+            assert!(work.policies_evaluated + work.policy_sets_evaluated <= ELEMENT_BUDGET);
+        }
     }
 }
 
@@ -353,24 +399,24 @@ fn nested_policy_set_ref_resolves_through_both_levels() {
     // The gate's id is "d-gate": `inner` dangles until it is renamed.
     let doctor = RequestContext::basic("alice", "records/1", "read");
     assert_eq!(
-        assert_matches_oracle(&pap, &pdp, &doctor).decision,
+        assert_matches_oracle(&pap, &pdp, &doctor).0.decision,
         Decision::Indeterminate
     );
     pap.install_set(PolicySet::new(INNER, CombiningAlg::DenyOverrides).with_policy_ref("d-gate"));
     assert_eq!(
-        assert_matches_oracle(&pap, &pdp, &doctor).decision,
+        assert_matches_oracle(&pap, &pdp, &doctor).0.decision,
         Decision::Permit
     );
     let auditor = RequestContext::basic("bob", "records/1", "read");
     assert_eq!(
-        assert_matches_oracle(&pap, &pdp, &auditor).decision,
+        assert_matches_oracle(&pap, &pdp, &auditor).0.decision,
         Decision::Deny
     );
     // A new gate version two references deep flips the verdict at once.
     pap.submit("admin", alternating_lockdown_gate("d", 1), 1)
         .unwrap();
     assert_eq!(
-        assert_matches_oracle(&pap, &pdp, &doctor).decision,
+        assert_matches_oracle(&pap, &pdp, &doctor).0.decision,
         Decision::Deny
     );
 }
