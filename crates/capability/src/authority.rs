@@ -2,7 +2,7 @@
 //! with the domain's enforcement points and tracking the domain's
 //! policy epoch so revocation needs no channel of its own.
 
-use crate::token::{CapabilityKey, CapabilityToken, TokenError};
+use crate::token::{Admitted, CapabilityKey, CapabilityToken, TokenError};
 use dacs_pap::PolicyEpoch;
 use dacs_policy::eval::Response;
 use dacs_policy::policy::Decision;
@@ -16,9 +16,10 @@ use std::sync::Arc;
 pub struct AuthorityStats {
     /// Tokens minted.
     pub minted: u64,
-    /// Verifications that succeeded.
+    /// Uses that passed: a `verify`, or a `recheck` of an admitted
+    /// token (a successful admission is not yet a use).
     pub verified: u64,
-    /// Verifications that rejected, any reason.
+    /// Verifications, admissions and rechecks that rejected, any reason.
     pub rejected: u64,
     /// Rejections specifically for an epoch mismatch (revocations).
     pub rejected_stale_epoch: u64,
@@ -66,8 +67,8 @@ impl CapabilityAuthority {
     }
 
     /// Exposes every [`AuthorityStats`] field to `telemetry`'s
-    /// registry and starts timing verifications into its
-    /// `dacs_capability_verify_us` histogram (builder style).
+    /// registry and times full verifications (admissions included,
+    /// rechecks not) into `dacs_capability_verify_us` (builder style).
     pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
         let r = telemetry.registry();
         let stats = Arc::clone(&self.stats);
@@ -158,7 +159,7 @@ impl CapabilityAuthority {
     }
 
     /// Verifies a presented token against a request at the authority's
-    /// current epoch, recording stats.
+    /// current epoch, recording stats: an admission used on the spot.
     ///
     /// # Errors
     ///
@@ -171,6 +172,27 @@ impl CapabilityAuthority {
         action: &str,
         now_ms: u64,
     ) -> Result<(), TokenError> {
+        let admitted = self.admit(token, subject, resource, action, now_ms)?;
+        self.recheck(&admitted, now_ms)
+    }
+
+    /// Admits a token a verifier is about to keep: the full, timed
+    /// verification of [`CapabilityAuthority::verify`], run once,
+    /// yielding the [`Admitted`] remainder the holder must
+    /// [`CapabilityAuthority::recheck`] on every use. A refusal counts
+    /// as `rejected`; a success is not yet a verified *use*.
+    ///
+    /// # Errors
+    ///
+    /// The first failing check — see [`CapabilityToken::verify`].
+    pub fn admit(
+        &self,
+        token: &CapabilityToken,
+        subject: &str,
+        resource: &str,
+        action: &str,
+        now_ms: u64,
+    ) -> Result<Admitted, TokenError> {
         let timed = self
             .verify_us
             .as_ref()
@@ -183,23 +205,40 @@ impl CapabilityAuthority {
             now_ms,
             self.current_epoch(),
         );
-        match &result {
-            Ok(()) => {
-                self.stats.verified.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(e) => {
-                self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                if matches!(e, TokenError::StaleEpoch { .. }) {
-                    self.stats
-                        .rejected_stale_epoch
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
         if let Some((h, started)) = timed {
             h.record(started.elapsed().as_micros() as u64);
         }
         result
+            .map(|()| token.admitted())
+            .map_err(|e| self.rejected(e))
+    }
+
+    /// The per-use half of verification: the checks that change with
+    /// time (validity window, epoch equality), counted as
+    /// [`CapabilityAuthority::verify`] counts them. Untimed on purpose —
+    /// two clock reads would cost several times the three compares.
+    ///
+    /// # Errors
+    ///
+    /// [`TokenError::NotYetValid`], [`TokenError::Expired`] or
+    /// [`TokenError::StaleEpoch`].
+    pub fn recheck(&self, admitted: &Admitted, now_ms: u64) -> Result<(), TokenError> {
+        admitted
+            .check(now_ms, self.current_epoch())
+            .map_err(|e| self.rejected(e))?;
+        self.stats.verified.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Counts a rejection on its way out.
+    fn rejected(&self, e: TokenError) -> TokenError {
+        self.stats.rejected.fetch_add(1, Ordering::Relaxed);
+        if matches!(e, TokenError::StaleEpoch { .. }) {
+            self.stats
+                .rejected_stale_epoch
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        e
     }
 
     /// Snapshot of the mint/verify counters.
@@ -295,6 +334,32 @@ mod tests {
             a.verify(&t, "u@d", "r/1", "read", 11),
             Err(TokenError::StaleEpoch { .. })
         ));
+    }
+
+    /// Admission runs (and times) the full verification but is not a
+    /// use; each recheck is one, counted as `verify` counts and untimed.
+    #[test]
+    fn admit_counts_refusals_and_recheck_counts_uses() {
+        let telemetry = Telemetry::new();
+        let a = authority().with_telemetry(&telemetry);
+        let t = a.mint("u@d", "r/1", "read", 0);
+        let admitted = a.admit(&t, "u@d", "r/1", "read", 1).unwrap();
+        assert_eq!(a.stats().verified, 0);
+        assert_eq!(
+            a.admit(&t, "eve@d", "r/1", "read", 1).unwrap_err(),
+            TokenError::SubjectMismatch
+        );
+        assert_eq!(a.recheck(&admitted, 1), Ok(()));
+        assert_eq!(a.recheck(&admitted, 500), Err(TokenError::Expired));
+        a.advance_epoch(PolicyEpoch(1));
+        assert!(matches!(
+            a.recheck(&admitted, 2),
+            Err(TokenError::StaleEpoch { .. })
+        ));
+        let s = a.stats();
+        assert_eq!((s.verified, s.rejected, s.rejected_stale_epoch), (1, 3, 1));
+        let timed = telemetry.registry().histogram("dacs_capability_verify_us");
+        assert_eq!(timed.count(), 2, "the two admissions, no recheck");
     }
 
     #[test]

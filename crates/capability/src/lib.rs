@@ -3,10 +3,12 @@
 //! The signed capability fast path: on first permit the decision
 //! service mints a short-lived HMAC-SHA-256 capability token — subject,
 //! resource, action, validity window and the issuing [`PolicyEpoch`]
-//! all under the MAC — and enforcement points verify it locally until
-//! expiry, skipping the decision source (and its quorum fan-out)
-//! entirely on hits. This turns O(requests) cluster load into
-//! O(unique grants).
+//! all under the MAC. An enforcement point verifies it in full once,
+//! on taking it in ([`CapabilityAuthority::admit`]), and until expiry
+//! rechecks per use only what can change — window and epoch
+//! ([`CapabilityAuthority::recheck`]) — skipping the decision source
+//! (and its quorum fan-out) entirely on hits. This turns O(requests)
+//! cluster load, and MAC computations, into O(unique grants).
 //!
 //! Revocation rides the existing epoch machinery: a policy push bumps
 //! the domain epoch, the [`CapabilityAuthority`] observes it, and any
@@ -15,11 +17,12 @@
 //! channel exists, so none can lag.
 //!
 //! The safety posture is deny-biased end to end: a token that fails
-//! *any* check (MAC, binding, window, epoch) is simply not a token —
-//! the caller falls back to the real decision source. The fast path can
-//! therefore deny-and-retry where the cluster would permit, but never
-//! permit where the cluster would deny (see `Pep`'s wiring in
-//! `dacs-pep` and the adversarial suite in `tests/capability.rs`).
+//! *any* check (MAC, binding, window, epoch), at admission or on use,
+//! is simply not a token — the caller falls back to the real decision
+//! source. The fast path can therefore deny-and-retry where the cluster
+//! would permit, but never permit where the cluster would deny (see
+//! `Pep`'s wiring in `dacs-pep` and the adversarial suites
+//! `tests/capability.rs` and `tests/capability_admission.rs`).
 //!
 //! [`PolicyEpoch`]: dacs_pap::PolicyEpoch
 
@@ -31,4 +34,4 @@ pub mod tamper;
 mod token;
 
 pub use authority::{AuthorityStats, CapabilityAuthority};
-pub use token::{CapabilityKey, CapabilityToken, TokenError, MAC_LEN, WIRE_VERSION};
+pub use token::{Admitted, CapabilityKey, CapabilityToken, TokenError, MAC_LEN, WIRE_VERSION};

@@ -1,7 +1,7 @@
 //! The capability token itself: canonical signing bytes, wire codec,
 //! and the deny-biased verification checks.
 
-use dacs_crypto::hmac::{ct_eq, hmac_sha256};
+use dacs_crypto::hmac::{ct_eq, HmacSha256};
 use dacs_pap::PolicyEpoch;
 use rand::RngCore;
 
@@ -18,24 +18,31 @@ const DOMAIN_TAG: &[u8] = b"dacs-capability-v1";
 /// Symmetric capability-minting key, shared between the minting
 /// authority and the enforcement points that verify its tokens.
 #[derive(Clone)]
-pub struct CapabilityKey([u8; 32]);
+pub struct CapabilityKey {
+    bytes: [u8; 32],
+    /// HMAC context keyed once with `bytes`; every MAC clones it.
+    keyed: HmacSha256,
+}
 
 impl CapabilityKey {
     /// Draws a fresh random key.
     pub fn generate<R: RngCore>(rng: &mut R) -> Self {
         let mut bytes = [0u8; 32];
         rng.fill_bytes(&mut bytes);
-        CapabilityKey(bytes)
+        Self::from_bytes(bytes)
     }
 
     /// Wraps existing key material (tests, key distribution).
     pub fn from_bytes(bytes: [u8; 32]) -> Self {
-        CapabilityKey(bytes)
+        CapabilityKey {
+            keyed: HmacSha256::new(&bytes),
+            bytes,
+        }
     }
 
     /// The raw key bytes.
     pub fn as_bytes(&self) -> &[u8; 32] {
-        &self.0
+        &self.bytes
     }
 }
 
@@ -95,6 +102,38 @@ impl std::fmt::Display for TokenError {
 }
 
 impl std::error::Error for TokenError {}
+
+/// What can still go stale of a token whose MAC and binding verified:
+/// its window and mint epoch. Only
+/// [`CapabilityAuthority::admit`](crate::CapabilityAuthority::admit)
+/// makes one, so holding it proves the full verification ran; each use
+/// must pass [`CapabilityAuthority::recheck`](crate::CapabilityAuthority::recheck).
+#[derive(Clone, Copy, Debug)]
+pub struct Admitted {
+    issued_at_ms: u64,
+    expires_at_ms: u64,
+    epoch: PolicyEpoch,
+}
+
+impl Admitted {
+    /// The checks whose answer changes with time — window, then strict
+    /// epoch equality — for [`CapabilityToken::verify`] and recheck alike.
+    pub(crate) fn check(&self, now_ms: u64, current_epoch: PolicyEpoch) -> Result<(), TokenError> {
+        if now_ms < self.issued_at_ms {
+            return Err(TokenError::NotYetValid);
+        }
+        if now_ms >= self.expires_at_ms {
+            return Err(TokenError::Expired);
+        }
+        if self.epoch != current_epoch {
+            return Err(TokenError::StaleEpoch {
+                token: self.epoch,
+                current: current_epoch,
+            });
+        }
+        Ok(())
+    }
+}
 
 /// A short-lived, HMAC-signed grant of one (subject, resource, action)
 /// triple, valid for `[issued_at_ms, expires_at_ms)` under one policy
@@ -177,8 +216,32 @@ impl CapabilityToken {
             epoch,
             mac: [0u8; MAC_LEN],
         };
-        token.mac = hmac_sha256(key.as_bytes(), &token.signing_bytes());
+        token.mac = token.mac_under(key);
         token
+    }
+
+    /// `HMAC(key, signing_bytes())`, streamed field by field into a
+    /// clone of the key's context instead of through a buffer.
+    fn mac_under(&self, key: &CapabilityKey) -> [u8; MAC_LEN] {
+        let mut mac = key.keyed.clone();
+        mac.update(DOMAIN_TAG);
+        for field in [&self.subject, &self.resource, &self.action] {
+            mac.update(&(field.len() as u32).to_le_bytes());
+            mac.update(field.as_bytes());
+        }
+        for n in [self.issued_at_ms, self.expires_at_ms, self.epoch.0] {
+            mac.update(&n.to_le_bytes());
+        }
+        mac.finalize()
+    }
+
+    /// The time-dependent remainder of this token.
+    pub(crate) fn admitted(&self) -> Admitted {
+        Admitted {
+            issued_at_ms: self.issued_at_ms,
+            expires_at_ms: self.expires_at_ms,
+            epoch: self.epoch,
+        }
     }
 
     /// The canonical byte string the MAC covers: a domain-separation
@@ -273,8 +336,7 @@ impl CapabilityToken {
         now_ms: u64,
         current_epoch: PolicyEpoch,
     ) -> Result<(), TokenError> {
-        let expected = hmac_sha256(key.as_bytes(), &self.signing_bytes());
-        if !ct_eq(&expected, &self.mac) {
+        if !ct_eq(&self.mac_under(key), &self.mac) {
             return Err(TokenError::BadMac);
         }
         if self.subject != subject {
@@ -286,19 +348,7 @@ impl CapabilityToken {
         if self.action != action {
             return Err(TokenError::ActionMismatch);
         }
-        if now_ms < self.issued_at_ms {
-            return Err(TokenError::NotYetValid);
-        }
-        if now_ms >= self.expires_at_ms {
-            return Err(TokenError::Expired);
-        }
-        if self.epoch != current_epoch {
-            return Err(TokenError::StaleEpoch {
-                token: self.epoch,
-                current: current_epoch,
-            });
-        }
-        Ok(())
+        self.admitted().check(now_ms, current_epoch)
     }
 }
 

@@ -1781,15 +1781,18 @@ policy "aux-{k}" deny-overrides {{
 /// [`dacs_federation::DomainBuilder::capability`] enabled: the quorum
 /// path pays a
 /// 5-replica multi-policy evaluation per request, the token path pays
-/// it once per unique grant and an HMAC verify thereafter. Each row's
+/// it and an HMAC verify once per unique grant and a window-and-epoch
+/// recheck thereafter. Each row's
 /// rate comes from the best of five whole-loop timed laps over a
 /// steady-state domain (single short timing windows on a shared
 /// machine measure the scheduler, not the path); a separate untimed
 /// pass first checks every enforcement against the domain's root-PAP
 /// reference engine (E16/E17-style ground truth). The release harness
-/// measures the `speedup` column at 3.46× (quorum 93.6 k dps, token
-/// 323.9 k); it read 6–10× until the per-epoch policy snapshot halved
-/// the cost of the quorum path the tokens are compared against.
+/// measures the `speedup` column at ≈ 20× (quorum 94–100 k dps, token
+/// 1.90–2.02 M). It read 6–10× until the per-epoch policy snapshot
+/// halved the quorum path the tokens are compared against, then 3.46×
+/// while every token hit re-hashed its MAC; verifying once at admission
+/// made a hit a cache probe plus three compares.
 ///
 /// Phase B (`token+churn` row) adds the E16 churn shape: per round,
 /// replica 1 crashes over a policy update and recovers stale (the

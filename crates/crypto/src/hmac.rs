@@ -26,11 +26,13 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
     mac.finalize()
 }
 
-/// Incremental HMAC-SHA-256 computation.
+/// Incremental HMAC-SHA-256 computation. Both hash states are kept
+/// with their key pad already absorbed, so a context built once per key
+/// and cloned per message pays only for the message and one outer block.
 #[derive(Clone, Debug)]
 pub struct HmacSha256 {
     inner: Sha256,
-    opad_key: [u8; BLOCK_LEN],
+    outer: Sha256,
 }
 
 impl HmacSha256 {
@@ -43,17 +45,15 @@ impl HmacSha256 {
         } else {
             key_block[..key.len()].copy_from_slice(key);
         }
-
-        let mut ipad_key = [0u8; BLOCK_LEN];
-        let mut opad_key = [0u8; BLOCK_LEN];
-        for i in 0..BLOCK_LEN {
-            ipad_key[i] = key_block[i] ^ 0x36;
-            opad_key[i] = key_block[i] ^ 0x5c;
+        let keyed = |pad: u8| {
+            let mut hash = Sha256::new();
+            hash.update(&key_block.map(|b| b ^ pad));
+            hash
+        };
+        HmacSha256 {
+            inner: keyed(0x36),
+            outer: keyed(0x5c),
         }
-
-        let mut inner = Sha256::new();
-        inner.update(&ipad_key);
-        HmacSha256 { inner, opad_key }
     }
 
     /// Feeds message bytes into the MAC.
@@ -62,12 +62,9 @@ impl HmacSha256 {
     }
 
     /// Finishes the computation and returns the 32-byte tag.
-    pub fn finalize(self) -> Digest {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad_key);
-        outer.update(&inner_digest);
-        outer.finalize()
+    pub fn finalize(mut self) -> Digest {
+        self.outer.update(&self.inner.finalize());
+        self.outer.finalize()
     }
 }
 
@@ -153,6 +150,56 @@ mod tests {
         mac.update(&msg[..10]);
         mac.update(&msg[10..]);
         assert_eq!(mac.finalize(), hmac_sha256(key, msg));
+    }
+
+    /// One keyed context, cloned per message (how a long-lived key is
+    /// used): RFC 4231 cases 1–3 and 6 and a second message, MACed in
+    /// either order and interleaved, give the RFC's tags and their
+    /// one-shot values — a clone shares nothing with its siblings.
+    #[test]
+    fn clones_of_one_keyed_context_match_oneshot_in_either_order() {
+        let cases: [(&[u8], &[u8], &str); 4] = [
+            (
+                &[0x0b; 20],
+                b"Hi There",
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            (
+                b"Jefe",
+                b"what do ya want for nothing?",
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            (
+                &[0xaa; 20],
+                &[0xdd; 50],
+                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+            ),
+            (
+                &[0xaa; 131],
+                b"Test Using Larger Than Block-Size Key - Hash Key First",
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+            ),
+        ];
+        let other = [0x5au8; 150];
+        for (key, data, tag) in cases {
+            let keyed = HmacSha256::new(key);
+            let mac = |message: &[u8]| {
+                let mut m = keyed.clone();
+                m.update(message);
+                m.finalize()
+            };
+            let expected = (hmac_sha256(key, data), hmac_sha256(key, &other));
+            assert_eq!(hex::encode(&expected.0), tag);
+            assert_eq!((mac(data), mac(&other)), expected);
+            let (second, first) = (mac(&other), mac(data));
+            assert_eq!((first, second), expected);
+            let (mut a, mut b) = (keyed.clone(), keyed.clone());
+            a.update(&data[..3]);
+            b.update(&other[..70]);
+            a.update(&data[3..]);
+            b.update(&other[70..]);
+            assert_eq!((a.finalize(), b.finalize()), expected);
+        }
     }
 
     #[test]

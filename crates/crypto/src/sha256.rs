@@ -92,42 +92,40 @@ impl Sha256 {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut input = data;
         if self.buffer_len > 0 {
-            let want = BLOCK_LEN - self.buffer_len;
-            let take = want.min(input.len());
+            let take = (BLOCK_LEN - self.buffer_len).min(input.len());
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&input[..take]);
             self.buffer_len += take;
             input = &input[take..];
-            if self.buffer_len == BLOCK_LEN {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
+            if self.buffer_len < BLOCK_LEN {
+                return;
             }
+            compress(&mut self.state, &self.buffer);
+            self.buffer_len = 0;
         }
-        while input.len() >= BLOCK_LEN {
-            let (block, rest) = input.split_at(BLOCK_LEN);
-            let mut b = [0u8; BLOCK_LEN];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            input = rest;
+        // Whole blocks are compressed where they lie.
+        let mut blocks = input.chunks_exact(BLOCK_LEN);
+        for block in &mut blocks {
+            compress(&mut self.state, block.try_into().expect("exact chunk"));
         }
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffer_len = input.len();
-        }
+        let tail = blocks.remainder();
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffer_len = tail.len();
     }
 
     /// Consumes the hasher and returns the final digest.
     pub fn finalize(mut self) -> Digest {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Append 0x80 then zero padding then 64-bit big-endian length.
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0x00]);
+        // 0x80, zeros up to the last 8 bytes of a block (the next one
+        // when fewer are free), then the big-endian bit length.
+        let n = self.buffer_len;
+        self.buffer[n] = 0x80;
+        self.buffer[n + 1..].fill(0);
+        if n >= BLOCK_LEN - 8 {
+            compress(&mut self.state, &self.buffer);
+            self.buffer.fill(0);
         }
-        // Manually absorb the length without touching total_len bookkeeping.
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
-        self.compress(&block);
+        let bit_len = self.total_len.wrapping_mul(8);
+        self.buffer[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buffer);
 
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
@@ -135,56 +133,52 @@ impl Sha256 {
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
+/// The SHA-256 compression function: absorbs one block into `state`.
+fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    let mut w = [0u32; 64];
+    for i in 0..16 {
+        w[i] = u32::from_be_bytes([
+            block[i * 4],
+            block[i * 4 + 1],
+            block[i * 4 + 2],
+            block[i * 4 + 3],
+        ]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ ((!e) & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+    for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *word = word.wrapping_add(add);
     }
 }
 
@@ -231,14 +225,55 @@ mod tests {
         );
     }
 
+    const SPLITS: [usize; 9] = [0, 1, 17, 63, 64, 65, 500, 999, 1000];
+
     #[test]
     fn incremental_matches_oneshot() {
         let data: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
-        for split in [0usize, 1, 17, 63, 64, 65, 500, 999, 1000] {
+        for split in SPLITS {
             let mut h = Sha256::new();
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), Sha256::digest(&data), "split at {split}");
+        }
+    }
+
+    /// The padding as FIPS 180-4 words it, one byte per `update`: the
+    /// reference `finalize`'s one-step padding is compared against.
+    fn finalize_bytewise(mut h: Sha256) -> Digest {
+        let bit_len = h.total_len.wrapping_mul(8);
+        h.update(&[0x80]);
+        while h.buffer_len != 56 {
+            h.update(&[0x00]);
+        }
+        h.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut h.state, &h.buffer);
+        let mut out = [0u8; DIGEST_LEN];
+        for (i, word) in h.state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn one_step_padding_matches_the_bytewise_reference() {
+        let data: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
+        // Every length across three block boundaries, including the
+        // 55/56 and 119/120 spill points.
+        for len in 0..=200 {
+            let mut h = Sha256::new();
+            h.update(&data[..len]);
+            assert_eq!(h.clone().finalize(), finalize_bytewise(h), "length {len}");
+        }
+        for split in SPLITS {
+            let mut h = Sha256::new();
+            h.update(&data[..split]);
+            h.update(&data[split..]);
+            assert_eq!(
+                h.clone().finalize(),
+                finalize_bytewise(h),
+                "split at {split}"
+            );
         }
     }
 

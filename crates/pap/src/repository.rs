@@ -226,18 +226,12 @@ impl Pap {
     /// # Errors
     ///
     /// [`PapError::AdminDenied`] if the administrative policy refuses.
-    pub fn submit(&self, actor: &str, mut policy: Policy, at_ms: u64) -> Result<u64, PapError> {
+    pub fn submit(&self, actor: &str, policy: Policy, at_ms: u64) -> Result<u64, PapError> {
         let id = policy.id.clone();
         let exists = self.policies.read().contains_key(&id);
         let op = if exists { "update" } else { "insert" };
         self.authorize_admin(actor, &id, op)?;
-        let mut guard = self.policies.write();
-        let entry = guard.entry(id.clone()).or_default();
-        let version = entry.versions.len() as u64 + 1;
-        policy.version = version;
-        entry.versions.push(Arc::new(policy));
-        entry.active = entry.versions.len() - 1;
-        drop(guard);
+        let version = self.install(&id, Arc::new(policy));
         self.record(
             at_ms,
             actor,
@@ -258,14 +252,17 @@ impl Pap {
     /// audited). The policy content is always installed (a newer
     /// version supersedes whatever was active), but the repository's
     /// [`Pap::policy_epoch`] advances only when the stamp is contiguous
-    /// — see [`Pap::observe_policy_epoch`] for the gap rule.
+    /// — see [`Pap::observe_policy_epoch`] for the gap rule. A shared
+    /// body whose `version` is the one this repository would assign is
+    /// stored as it is (one body per push, tree-wide), else renumbered.
     pub fn apply_syndicated_stamped(
         &self,
         from: &str,
-        policy: Policy,
+        policy: impl Into<Arc<Policy>>,
         stamp: PolicyEpoch,
         at_ms: u64,
     ) -> u64 {
+        let policy = policy.into();
         let id = policy.id.clone();
         let version = self.install(&id, policy);
         self.record(at_ms, from, AdminAction::SyndicationApply, &id, version);
@@ -273,13 +270,18 @@ impl Pap {
         version
     }
 
-    /// Installs `policy` as the next active version of `id`.
-    fn install(&self, id: &PolicyId, mut policy: Policy) -> u64 {
+    /// Installs `policy` as the next active version of `id`, numbered
+    /// by this repository: version numbers stay PAP-local.
+    fn install(&self, id: &PolicyId, mut policy: Arc<Policy>) -> u64 {
         let mut guard = self.policies.write();
         let entry = guard.entry(id.clone()).or_default();
         let version = entry.versions.len() as u64 + 1;
-        policy.version = version;
-        entry.versions.push(Arc::new(policy));
+        if policy.version != version {
+            // Copy-on-write: a unique `Arc` (a body that arrived by
+            // value) is renumbered in place, a shared one copied first.
+            Arc::make_mut(&mut policy).version = version;
+        }
+        entry.versions.push(policy);
         entry.active = entry.versions.len() - 1;
         version
     }

@@ -79,8 +79,9 @@ impl PropagationReport {
 pub struct LoggedUpdate {
     /// The stamp the root assigned.
     pub epoch: PolicyEpoch,
-    /// The policy as pushed.
-    pub policy: Policy,
+    /// The policy as the root stored it — the one body every node in
+    /// step with the root shares.
+    pub policy: Arc<Policy>,
     /// Simulation time of the push.
     pub at_ms: u64,
 }
@@ -263,18 +264,21 @@ impl SyndicationTree {
     /// `at_ms` stamps audit records.
     pub fn propagate(&mut self, policy: Policy, at_ms: u64) -> PropagationReport {
         let stamp = self.epoch().next();
-        self.log.push(LoggedUpdate {
-            epoch: stamp,
-            policy: policy.clone(),
-            at_ms,
-        });
         let mut report = PropagationReport {
             epoch: stamp,
             ..PropagationReport::default()
         };
-        self.nodes[0]
-            .pap
-            .apply_syndicated_stamped("origin", policy.clone(), stamp, at_ms);
+        // One body per push: the root numbers and stores it, and the log
+        // and every child are handed the root's `Arc`.
+        let id = policy.id.clone();
+        let root = &self.nodes[0].pap;
+        root.apply_syndicated_stamped("origin", policy, stamp, at_ms);
+        let policy = root.active(&id).expect("the root just installed it");
+        self.log.push(LoggedUpdate {
+            epoch: stamp,
+            policy: Arc::clone(&policy),
+            at_ms,
+        });
         report.applied += 1;
         let mut frontier = vec![0usize];
         while let Some(parent) = frontier.pop() {
@@ -299,7 +303,7 @@ impl SyndicationTree {
                     let from = self.nodes[parent].name.clone();
                     self.nodes[child].pap.apply_syndicated_stamped(
                         &from,
-                        policy.clone(),
+                        Arc::clone(&policy),
                         stamp,
                         at_ms,
                     );
@@ -383,7 +387,7 @@ impl SyndicationTree {
             if accept {
                 self.nodes[idx].pap.apply_syndicated_stamped(
                     &from_name,
-                    update.policy.clone(),
+                    Arc::clone(&update.policy),
                     update.epoch,
                     at_ms,
                 );
@@ -621,6 +625,61 @@ mod tests {
             "filtered stamps still count"
         );
         assert!(tree.node(a).pap.active(&PolicyId::new("lab-1")).is_none());
+    }
+
+    /// One body per push: root, log and every child in step with the
+    /// root hold the same `Arc`, across repeated pushes of one id.
+    #[test]
+    fn a_lock_step_push_shares_one_body_across_root_log_and_children() {
+        let mut tree = SyndicationTree::uniform("root", 2, 2);
+        let id = PolicyId::new("p");
+        for push in 1..=3u64 {
+            tree.propagate(sample("p"), push);
+            let root = tree.node(0).pap.active(&id).unwrap();
+            assert_eq!(root.version, push);
+            let logged = &tree.updates_since(PolicyEpoch(push - 1))[0].policy;
+            assert!(Arc::ptr_eq(&root, logged), "push {push}: the log copied");
+            for n in 1..tree.len() {
+                let held = tree.node(n).pap.active(&id).unwrap();
+                assert!(Arc::ptr_eq(&root, &held), "push {push}: node {n} copied");
+            }
+        }
+    }
+
+    /// Version numbers stay PAP-local: a child out of step with the
+    /// root — pushed to past a gap, then caught up — renumbers a private
+    /// copy and never serves a body whose `version` disagrees with its
+    /// own `version_count`.
+    #[test]
+    fn an_out_of_step_child_numbers_its_own_versions() {
+        let mut tree = SyndicationTree::uniform("root", 1, 2);
+        let id = PolicyId::new("p");
+        let in_step = |tree: &SyndicationTree, n: usize| {
+            let pap = &tree.node(n).pap;
+            let active = pap.active(&id).unwrap();
+            assert_eq!(active.version as usize, pap.version_count(&id), "node {n}");
+            Arc::ptr_eq(&active, &tree.node(0).pap.active(&id).unwrap())
+        };
+        tree.set_online(1, false);
+        tree.propagate(sample("p"), 1);
+        tree.set_online(1, true);
+        // A stamped push past the gap: the root's version 2 is this
+        // child's version 1.
+        tree.propagate(sample("p"), 2);
+        assert!(!in_step(&tree, 1));
+        assert!(in_step(&tree, 2), "the sibling never missed a push");
+        // Catch-up replays both stamps on top: versions 2 and 3 here.
+        assert_eq!(tree.catch_up(1, 3).replayed, 2);
+        assert!(!in_step(&tree, 1));
+        assert_eq!(tree.node(1).pap.version_count(&id), 3);
+        assert!(tree.converged(&id));
+        // A node that missed pushes while offline and replays exactly
+        // those is back in step, and shares again.
+        tree.set_online(2, false);
+        tree.propagate(sample("p"), 4);
+        tree.set_online(2, true);
+        tree.catch_up(2, 5);
+        assert!(in_step(&tree, 2));
     }
 
     /// ISSUE 6: the syndication plane feeds the telemetry registry —

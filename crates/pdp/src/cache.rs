@@ -158,44 +158,44 @@ impl<K: Hash + Eq + Clone, V: Clone> TtlLruCache<K, V> {
 
     /// Looks up `key` at time `now_ms`, refreshing its LRU position.
     pub fn get(&mut self, key: &K, now_ms: u64) -> Option<V> {
-        self.get_verified(key, now_ms, |_| true)
+        self.get_verified(key, now_ms, |value| Some(value.clone()))
     }
 
-    /// [`TtlLruCache::get`] with a full-key verification hook: an
-    /// in-TTL entry is only served when `verify` accepts its value.
-    /// A rejected entry — a hash collision under a hashed-key wrapper —
-    /// is removed and counted as a miss, so `hits + misses` always
-    /// equals the number of lookups and a collision can never serve
-    /// another key's value.
-    pub fn get_verified(
+    /// [`TtlLruCache::get`] with a full-key verification hook that is
+    /// also the projection: an in-TTL entry is served as what `project`
+    /// makes of the stored value *in place*, so a hashed-key wrapper
+    /// compares its stored key under the borrow and clones only what it
+    /// returns. `None` rejects the entry — a hash collision — which is
+    /// removed and counted as a miss, so `hits + misses` always equals
+    /// the lookups and a collision never serves another key's value.
+    pub fn get_verified<R>(
         &mut self,
         key: &K,
         now_ms: u64,
-        verify: impl FnOnce(&V) -> bool,
-    ) -> Option<V> {
+        project: impl FnOnce(&V) -> Option<R>,
+    ) -> Option<R> {
         let Some(&idx) = self.map.get(key) else {
             self.stats.misses += 1;
             return None;
         };
-        if now_ms >= self.node(idx).expires_at {
-            // Expired: drop it.
-            self.map.remove(key);
-            self.release(idx);
+        let node = self.node(idx);
+        let served = if now_ms >= node.expires_at {
             self.stats.expirations += 1;
-            self.stats.misses += 1;
-            return None;
-        }
-        if !verify(&self.node(idx).value) {
+            None
+        } else {
+            project(&node.value)
+        };
+        if served.is_some() {
+            self.detach(idx);
+            self.push_front(idx);
+            self.stats.hits += 1;
+        } else {
+            // Expired or rejected: drop it.
             self.map.remove(key);
             self.release(idx);
             self.stats.misses += 1;
-            return None;
         }
-        let value = self.node(idx).value.clone();
-        self.detach(idx);
-        self.push_front(idx);
-        self.stats.hits += 1;
-        Some(value)
+        served
     }
 
     /// Inserts a value at time `now_ms`, evicting the LRU entry if full.
@@ -370,10 +370,15 @@ impl<K: Hash + Eq + Clone, V: Clone> ConcurrentTtlCache<K, V> {
 
     /// [`ConcurrentTtlCache::get`] with a full-key verification hook
     /// (see [`TtlLruCache::get_verified`]).
-    pub fn get_verified(&self, key: &K, now_ms: u64, verify: impl FnOnce(&V) -> bool) -> Option<V> {
+    pub fn get_verified<R>(
+        &self,
+        key: &K,
+        now_ms: u64,
+        project: impl FnOnce(&V) -> Option<R>,
+    ) -> Option<R> {
         self.stripes[self.stripe_index(key)]
             .lock()
-            .get_verified(key, now_ms, verify)
+            .get_verified(key, now_ms, project)
     }
 
     /// Inserts a value at time `now_ms`, evicting its stripe's LRU
@@ -463,9 +468,9 @@ impl<V: Clone> HashedRequestCache<V> {
     /// hash the caller precomputed (so one hash serves the token
     /// cache, the decision cache and the insert on miss).
     pub fn get(&self, hash: u64, request: &RequestContext, now_ms: u64) -> Option<V> {
-        self.inner
-            .get_verified(&hash, now_ms, |(stored, _)| stored == request)
-            .map(|(_, value)| value)
+        self.inner.get_verified(&hash, now_ms, |(stored, value)| {
+            (stored == request).then(|| value.clone())
+        })
     }
 
     /// Caches `value` for `request` under its precomputed hash.
@@ -591,11 +596,17 @@ mod tests {
 
     #[test]
     fn get_verified_rejection_counts_as_miss_and_evicts() {
-        let mut c: TtlLruCache<u32, u32> = TtlLruCache::new(4, 1000);
-        c.insert(1, 10, 0);
-        assert_eq!(c.get_verified(&1, 1, |v| *v == 99), None);
+        let mut c: TtlLruCache<u32, (u32, String)> = TtlLruCache::new(4, 1000);
+        c.insert(1, (10, "ten".into()), 0);
+        // An accepted entry is served as its projection, taken under the
+        // borrow: the string half is never cloned.
+        assert_eq!(
+            c.get_verified(&1, 1, |v| (v.0 == 10).then_some(v.0)),
+            Some(10)
+        );
+        assert_eq!(c.get_verified(&1, 1, |v| (v.0 == 99).then_some(v.0)), None);
         let s = c.stats();
-        assert_eq!((s.hits, s.misses), (0, 1));
+        assert_eq!((s.hits, s.misses), (1, 1));
         // The rejected entry is gone: a fresh lookup misses on absence.
         assert_eq!(c.get(&1, 1), None);
         assert_eq!(c.len(), 0);

@@ -31,7 +31,7 @@
 #![warn(missing_docs)]
 
 use dacs_assert::{AssertError, SignedAssertion};
-use dacs_capability::{CapabilityAuthority, CapabilityToken};
+use dacs_capability::{Admitted, CapabilityAuthority, CapabilityToken};
 use dacs_crypto::sign::{CryptoCtx, PublicKey};
 use dacs_pdp::{CacheConfig, CacheStats, DecisionClass, HashedRequestCache, Pdp, Priority};
 use dacs_policy::eval::Response;
@@ -214,7 +214,7 @@ pub trait DecisionSource: Send + Sync {
     }
 
     /// Serves one decision and, when the source mints capabilities, a
-    /// signed token the caller may verify locally on later requests.
+    /// signed token the caller may admit and recheck on later requests.
     /// The default mints nothing; [`MintingSource`] overrides it,
     /// capturing the policy epoch *before* deciding so an interleaved
     /// policy push leaves the token born stale — deny-biased, never
@@ -518,9 +518,9 @@ pub struct EnforcementStats {
     pub token_hits: u64,
     /// Capability tokens the decision source minted for this PEP.
     pub tokens_minted: u64,
-    /// Cached tokens that failed verification (expired, revoked by an
-    /// epoch bump, …) and were evicted; the request fell back to the
-    /// decision source.
+    /// Minted tokens refused at admission (never stored) plus admitted
+    /// ones that failed a per-use recheck (expired, revoked by an epoch
+    /// bump) and were evicted; the decision source's answer was served.
     pub token_rejects: u64,
     /// Audit records displaced from the bounded audit ring (see
     /// [`Pep::audit_log`] for the retention contract).
@@ -628,13 +628,15 @@ impl AuditRing {
 pub const DEFAULT_AUDIT_CAPACITY: usize = 65_536;
 
 /// The capability fast path: the shared authority (key + current
-/// epoch) and the PEP's striped cache of minted tokens, keyed by the
-/// 64-bit canonical request hash with the full request verified on
-/// every hit, so requests that differ in any attribute never
-/// cross-hit — even under a hash collision.
+/// epoch) and the PEP's striped store of *admitted* tokens — minted
+/// tokens whose MAC and binding the authority verified against the very
+/// request they are stored under ([`Pep::admit`] is the only insert).
+/// Keyed by the 64-bit canonical request hash with the full request
+/// compared on every hit — the per-use binding, stricter than the
+/// token's three ids — so no two requests cross-hit, even on collision.
 struct PepCapability {
     authority: Arc<CapabilityAuthority>,
-    tokens: Arc<HashedRequestCache<CapabilityToken>>,
+    tokens: Arc<HashedRequestCache<Admitted>>,
 }
 
 /// The timing half of observability — the tracer and the latency
@@ -756,13 +758,13 @@ impl PepBuilder {
 
     /// Enables the signed-capability fast path: the decision source's
     /// unconditional permits come back with an HMAC-signed token (see
-    /// [`DecisionSource::decide_with_grant`]), cached here and verified
-    /// locally — MAC, binding, expiry, epoch — on later enforcements of
-    /// the same request, skipping the decision source entirely on hits.
-    /// A token that fails *any* check is evicted and the request falls
-    /// back to the source, so the fast path can deny-and-retry but never
-    /// permit what the source would deny. `capacity` bounds the token
-    /// cache; the TTL is the authority's.
+    /// [`DecisionSource::decide_with_grant`]), fully verified on arrival
+    /// — MAC, binding, window, epoch — then kept and rechecked locally —
+    /// same request, window, epoch — on later enforcements, skipping the
+    /// decision source entirely on hits. A token that fails *any* check
+    /// is never stored, or is evicted, and the source answers, so the
+    /// fast path can deny-and-retry but never permit what the source
+    /// would deny. `capacity` bounds the store; the TTL is the authority's.
     pub fn capability_fastpath(
         mut self,
         authority: Arc<CapabilityAuthority>,
@@ -1114,14 +1116,14 @@ impl Pep {
         }
     }
 
-    /// Attempts the capability fast path: a cached token for exactly
-    /// this canonical request (hashed key, full request verified on
-    /// hit), verified locally (MAC, binding, validity window, epoch).
-    /// A verified token *is* the permit — the decision source is
-    /// skipped. Any rejection evicts the token and returns `None`,
-    /// sending the request down the ordinary decide path: the fast
-    /// path can deny-and-retry, never permit what the source would
-    /// deny.
+    /// Attempts the capability fast path: an admitted token stored for
+    /// exactly this canonical request (hashed key, full request
+    /// compared on hit — the binding), rechecked against the clock and
+    /// the authority's current epoch. One that passes *is* the permit —
+    /// the decision source is skipped. A rejection evicts it and
+    /// returns `None`, sending the request down the ordinary decide path:
+    /// the fast path can deny-and-retry, never permit what the source
+    /// would deny.
     fn token_fastpath(
         &self,
         request: &RequestContext,
@@ -1130,15 +1132,9 @@ impl Pep {
         parent: Option<&Span>,
     ) -> Option<Response> {
         let cap = self.capability.as_ref()?;
-        let subject = request.subject_id()?;
-        let resource = request.resource_id()?;
-        let action = request.action_id()?;
-        let token = cap.tokens.get(hash, request, now_ms)?;
+        let admitted = cap.tokens.get(hash, request, now_ms)?;
         let mut span = parent.map(|p| p.child("token"));
-        match cap
-            .authority
-            .verify(&token, subject, resource, action, now_ms)
-        {
+        match cap.authority.recheck(&admitted, now_ms) {
             Ok(()) => {
                 self.stats.token_hits.fetch_add(1, Ordering::Relaxed);
                 if let Some(s) = span.as_mut() {
@@ -1161,8 +1157,39 @@ impl Pep {
         }
     }
 
-    /// Queries the decision source for one response, capturing (and
-    /// caching) any capability token minted alongside it.
+    /// The only door into the token store: a token the source minted
+    /// for `request` is counted, then kept — as its [`Admitted`]
+    /// remainder — only if the authority's full verification accepts it
+    /// for this very request now. Anything else (forged, bound elsewhere,
+    /// out of window, born stale) is dropped as a `token_rejects`.
+    fn admit(
+        &self,
+        cap: &PepCapability,
+        hash: u64,
+        request: &RequestContext,
+        token: &CapabilityToken,
+        now_ms: u64,
+    ) {
+        self.stats.tokens_minted.fetch_add(1, Ordering::Relaxed);
+        let ids = (
+            request.subject_id(),
+            request.resource_id(),
+            request.action_id(),
+        );
+        let admitted = match ids {
+            (Some(s), Some(r), Some(a)) => cap.authority.admit(token, s, r, a, now_ms).ok(),
+            _ => None,
+        };
+        match admitted {
+            Some(admitted) => cap.tokens.insert(hash, request, admitted, now_ms),
+            None => {
+                self.stats.token_rejects.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Queries the decision source for one response, admitting any
+    /// capability token minted alongside it.
     fn query_source(
         &self,
         request: &RequestContext,
@@ -1176,8 +1203,7 @@ impl Pep {
                     .source
                     .decide_with_grant_classed(request, now_ms, class);
                 if let Some(token) = token {
-                    cap.tokens.insert(hash, request, token, now_ms);
-                    self.stats.tokens_minted.fetch_add(1, Ordering::Relaxed);
+                    self.admit(cap, hash, request, &token, now_ms);
                 }
                 response
             }
@@ -1200,22 +1226,16 @@ impl Pep {
                     .source
                     .decide_batch_with_grants_classed(requests, now_ms, class);
                 debug_assert_eq!(pairs.len(), requests.len(), "one answer per query");
-                let mut responses = Vec::with_capacity(pairs.len());
-                let mut minted = 0u64;
-                for (request, (response, token)) in requests.iter().zip(pairs) {
-                    if let Some(token) = token {
-                        cap.tokens
-                            .insert(request.canonical_hash(), request, token, now_ms);
-                        minted += 1;
-                    }
-                    responses.push(response);
-                }
-                if minted > 0 {
-                    self.stats
-                        .tokens_minted
-                        .fetch_add(minted, Ordering::Relaxed);
-                }
-                responses
+                requests
+                    .iter()
+                    .zip(pairs)
+                    .map(|(request, (response, token))| {
+                        if let Some(token) = token {
+                            self.admit(cap, request.canonical_hash(), request, &token, now_ms);
+                        }
+                        response
+                    })
+                    .collect()
             }
             None => self.source.decide_batch_classed(requests, now_ms, class),
         }

@@ -1,6 +1,7 @@
 //! The signed capability fast path end to end: a clustered domain
-//! mints an HMAC token on the first permit, the PEP verifies locally
-//! (skipping the quorum) until a policy push bumps the epoch and
+//! mints an HMAC token on the first permit, the PEP verifies it once
+//! on admission and rechecks window and epoch locally on every later
+//! use (skipping the quorum) until a policy push bumps the epoch and
 //! revokes every outstanding token in the same tick.
 //!
 //! Run with: `cargo run --example capability_fastpath`
@@ -31,7 +32,8 @@ fn main() {
     let domain = builder.build(&ctx);
     let authority = domain.capability.clone().expect("capability enabled");
 
-    // First enforcement: quorum decides, the authority mints a token.
+    // First enforcement: quorum decides, the authority mints a token
+    // and the PEP admits it (the one full MAC verification).
     let req = RequestContext::basic("user-0@clinic", "records/7", "read");
     assert!(domain.pep.serve(EnforceRequest::of(&req, 0)).allowed);
     println!(
@@ -40,7 +42,7 @@ fn main() {
         domain.cluster.as_ref().unwrap().metrics().queries
     );
 
-    // The next ten enforcements verify locally — no quorum fan-out.
+    // The next ten enforcements recheck it locally — no quorum fan-out.
     for t in 1..=10 {
         assert!(domain.pep.serve(EnforceRequest::of(&req, t)).allowed);
     }

@@ -14,7 +14,7 @@
 //! | [`simnet`] | `dacs-simnet` | deterministic event-driven network simulator |
 //! | [`rbac`] | `dacs-rbac` | RBAC96 with hierarchies, sessions, SSD/DSD |
 //! | [`mod@assert`] | `dacs-assert` | SAML-like assertions, capabilities, attribute certificates |
-//! | [`capability`] | `dacs-capability` | signed capability fast path: HMAC tokens minted on permit, verified locally, revoked by policy epoch |
+//! | [`capability`] | `dacs-capability` | signed capability fast path: HMAC tokens minted on permit, verified once at admission and rechecked per use, revoked by policy epoch |
 //! | [`pip`] | `dacs-pip` | attribute providers and resolution |
 //! | [`pap`] | `dacs-pap` | versioned repository, admin policies, delegation, epoch-stamped syndication with catch-up |
 //! | [`pdp`] | `dacs-pdp` | decision engine, caching, discovery, policy-epoch exposure |

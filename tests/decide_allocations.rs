@@ -6,12 +6,18 @@
 //! every host — and is the guard that keeps a `Vec<char>` per target
 //! match, or a store lookup per policy, from growing back. The same
 //! goes one layer up: a quorum decision costs its replicas' decides
-//! plus a fixed handful, whatever the replicas' lifecycle phases.
+//! plus a fixed handful, whatever the replicas' lifecycle phases. And
+//! one layer further up: an enforcement answered by the PEP's decision
+//! cache, or by an admitted capability token, allocates its audit
+//! record and nothing else — no copy of the stored request, no
+//! signing buffer.
 
 use dacs::cluster::{ClusterBuilder, QuorumMode, ReplicaPhase, ShardRouter};
 use dacs::core::scenario::alternating_lockdown_gate;
 use dacs::crypto::sign::CryptoCtx;
 use dacs::federation::{Domain, DomainBuilder};
+use dacs::pdp::CacheConfig;
+use dacs::pep::EnforceRequest;
 use dacs::policy::policy::Decision;
 use dacs::policy::request::RequestContext;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -175,6 +181,53 @@ fn quorum_decide_allocates_its_replicas_decides_plus_a_fixed_handful() {
         healthy - one_gated,
         one_gated - two_gated,
         "excluding a replica changed the fixed cost: {healthy}, {one_gated}, {two_gated}"
+    );
+}
+
+/// What a `Pep::serve` answered without the decision source may
+/// allocate: the three strings of its audit record.
+const HIT_BUDGET: u64 = 3;
+
+/// Allocations of one steady-state permitted `serve` of `request` (an
+/// earlier serve went to the source and filled the cache or admitted
+/// the token). The cheaper of two consecutive serves, so that the audit
+/// ring's amortised regrowth cannot be the one measured.
+fn hit_allocations(domain: &Domain, request: &RequestContext) -> u64 {
+    let serve = |now_ms| {
+        let (count, result) =
+            allocations_in(|| domain.pep.serve(EnforceRequest::of(request, now_ms)));
+        assert!(result.allowed);
+        count
+    };
+    serve(0);
+    serve(1).min(serve(2))
+}
+
+#[test]
+fn a_cache_hit_and_a_token_hit_allocate_only_the_audit_record() {
+    let doctor = RequestContext::basic("user-1@q", "records/7", "read");
+
+    let cached = aux_policies_builder(16)
+        .pep_cache(CacheConfig {
+            capacity: 64,
+            ttl_ms: 1_000,
+        })
+        .build(&CryptoCtx::new());
+    let cache_hit = hit_allocations(&cached, &doctor);
+    assert_eq!(cached.pep.stats().cache_hits, 2, "both were cache hits");
+    assert!(
+        cache_hit <= HIT_BUDGET,
+        "a PEP-cache hit made {cache_hit} allocations (budget {HIT_BUDGET})"
+    );
+
+    let tokens = aux_policies_builder(16)
+        .capability(1_000)
+        .build(&CryptoCtx::new());
+    let token_hit = hit_allocations(&tokens, &doctor);
+    assert_eq!(tokens.pep.stats().token_hits, 2, "both were token hits");
+    assert!(
+        token_hit <= HIT_BUDGET,
+        "a token hit made {token_hit} allocations (budget {HIT_BUDGET})"
     );
 }
 

@@ -19,6 +19,17 @@ fn arb_decision() -> impl Strategy<Value = Decision> {
     ]
 }
 
+/// Token fields on both sides of every SHA-256 block boundary.
+fn arb_token_field() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just(String::new()),
+        "[a-z]{1}",
+        "[a-z0-9@/.-]{2,64}",
+        "[a-z0-9@/.-]{65,128}",
+        "[a-z0-9@/.-]{129,400}",
+    ]
+}
+
 fn combine(alg: CombiningAlg, ds: &[Decision]) -> Decision {
     Combiner::combine_all(alg, ds.iter().map(|d| (*d, Vec::<Obligation>::new()))).0
 }
@@ -132,6 +143,33 @@ proptest! {
         }
         let t2 = dacs::crypto::hmac::hmac_sha256(&key, &msg2);
         prop_assert_ne!(t1, t2);
+    }
+
+    /// The cheaper MAC is the same MAC: a token's tag, streamed field by
+    /// field into a clone of the key's precomputed context, is
+    /// `HMAC-SHA256(key, signing_bytes())` — for empty, one-byte,
+    /// longer-than-a-block and multi-block fields alike.
+    #[test]
+    fn capability_mac_is_hmac_over_the_signing_bytes(
+        key in prop::collection::vec(any::<u8>(), 32..33),
+        subject in arb_token_field(),
+        resource in arb_token_field(),
+        action in arb_token_field(),
+        issued_at in any::<u64>(),
+        ttl in any::<u64>(),
+        epoch in any::<u64>(),
+    ) {
+        use dacs::capability::{CapabilityKey, CapabilityToken, TokenError};
+        let key = CapabilityKey::from_bytes(key.try_into().expect("32 bytes"));
+        let epoch = dacs::pap::PolicyEpoch(epoch);
+        let token =
+            CapabilityToken::mint(&key, &*subject, &*resource, &*action, issued_at, ttl, epoch);
+        let expected = dacs::crypto::hmac::hmac_sha256(key.as_bytes(), &token.signing_bytes());
+        prop_assert_eq!(token.mac, expected);
+        // The verifier recomputes the same tag (a zero TTL may expire
+        // the token, but never on its MAC).
+        let verdict = token.verify(&key, &subject, &resource, &action, issued_at, epoch);
+        prop_assert_ne!(verdict, Err(TokenError::BadMac));
     }
 
     #[test]
