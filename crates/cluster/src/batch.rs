@@ -2,9 +2,10 @@
 //!
 //! A PEP under load submits many decision queries per scheduling
 //! quantum. Flushing them shard-by-shard amortizes evaluation two ways:
-//! identical outstanding queries (same canonical request bytes) are
-//! evaluated once and answered together, and each shard's replicas see
-//! their keyspace slice back-to-back, keeping decision caches hot.
+//! identical outstanding queries (found by canonical hash, confirmed
+//! by comparing the whole request) are evaluated once and answered
+//! together, and each shard's replicas see their keyspace slice
+//! back-to-back, keeping decision caches hot.
 //!
 //! Batching composes with the fan-out strategy: each coalesced query is
 //! served through whatever path the cluster was built with, so on a
@@ -34,7 +35,6 @@ impl Ticket {
 
 struct Pending {
     shard: usize,
-    key: Vec<u8>,
     request: RequestContext,
     class: DecisionClass,
 }
@@ -70,7 +70,6 @@ impl<'a> BatchSubmitter<'a> {
         let ticket = Ticket(self.pending.len());
         self.pending.push(Pending {
             shard,
-            key: request.to_canonical_bytes(),
             request,
             class,
         });
@@ -90,6 +89,7 @@ impl<'a> BatchSubmitter<'a> {
     /// Evaluates every queued query, shard by shard, coalescing
     /// identical requests; returns outcomes aligned with the tickets.
     pub fn flush(&mut self, now_ms: u64) -> Vec<ClusterOutcome> {
+        let cluster = self.cluster;
         let pending = std::mem::take(&mut self.pending);
         let submitted = pending.len();
         let mut order: Vec<usize> = (0..pending.len()).collect();
@@ -98,33 +98,34 @@ impl<'a> BatchSubmitter<'a> {
         order.sort_by_key(|&i| pending[i].shard);
 
         let mut outcomes: Vec<Option<ClusterOutcome>> = (0..pending.len()).map(|_| None).collect();
-        let mut answered: HashMap<&[u8], ClusterOutcome> = HashMap::new();
+        // The current shard's evaluated queries, by canonical hash: a
+        // hash only finds the candidate, the whole request confirms it
+        // (the binding `HashedRequestCache` uses).
+        let mut answered: HashMap<u64, usize> = HashMap::new();
         let mut coalesced = 0usize;
         let mut current_shard = usize::MAX;
         for i in order {
             let p = &pending[i];
             if p.shard != current_shard {
-                // Identical keys never span shards (routing is keyed),
-                // but clearing per shard keeps the map small.
+                // Identical requests never span shards (routing is
+                // keyed), but clearing per shard keeps the map small.
                 answered.clear();
                 current_shard = p.shard;
             }
-            let outcome = match answered.get(p.key.as_slice()) {
-                Some(prior) => {
+            let hash = p.request.canonical_hash();
+            let prior = answered.get(&hash).copied();
+            outcomes[i] = match prior.filter(|&j| pending[j].request == p.request) {
+                Some(j) => {
                     coalesced += 1;
-                    prior.clone()
+                    outcomes[j].clone()
                 }
                 None => {
-                    let outcome = self
-                        .cluster
-                        .decide_on_shard(p.shard, &p.request, now_ms, p.class);
-                    answered.insert(p.key.as_slice(), outcome.clone());
-                    outcome
+                    answered.insert(hash, i);
+                    Some(cluster.decide_on_shard(p.shard, &p.request, now_ms, p.class))
                 }
             };
-            outcomes[i] = Some(outcome);
         }
-        self.cluster.note_batch(submitted, coalesced);
+        cluster.note_batch(submitted, coalesced);
         outcomes
             .into_iter()
             .map(|o| o.expect("every ticket answered"))
@@ -193,6 +194,32 @@ mod tests {
         assert_eq!(m.coalesced, 9);
         assert_eq!(m.batched_queries, 11);
         assert_eq!(m.batches, 1);
+    }
+
+    /// Coalescing binds on the whole request, not on its routing key
+    /// or on how its values print: equal requests share one evaluation;
+    /// one more environment attribute — same subject, resource, action
+    /// and shard — or an `Integer(1)` beside a `Double(1.0)` (which
+    /// serialize alike) is a different query.
+    #[test]
+    fn coalescing_binds_on_the_whole_request() {
+        use dacs_policy::attr::AttrValue;
+        let cluster = cluster(1);
+        let mut batch = BatchSubmitter::new(&cluster);
+        let plain = RequestContext::basic("alice", "ehr/1", "read");
+        let at_night = plain.clone().with_env_attr("shift", "night");
+        let int = plain.clone().with_env_attr("level", AttrValue::Integer(1));
+        let double = plain.clone().with_env_attr("level", AttrValue::Double(1.0));
+        assert_eq!(int.to_canonical_bytes(), double.to_canonical_bytes());
+        for request in [&plain, &at_night, &plain, &int, &double, &at_night] {
+            batch.submit(request.clone());
+        }
+        let outcomes = batch.flush(0);
+        assert_eq!(outcomes.len(), 6);
+        let m = cluster.metrics();
+        // Four distinct requests, two repeats.
+        assert_eq!(m.queries, 4);
+        assert_eq!(m.coalesced, 2);
     }
 
     #[test]

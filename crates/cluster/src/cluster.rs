@@ -437,6 +437,7 @@ impl PdpCluster {
             let saved = outcome.healthy.saturating_sub(outcome.replicas_queried);
             add_rare(&m.fanout_saved, saved as u64);
         }
+        add_rare(&m.caller_evaluations, outcome.caller_evaluations as u64);
         add_rare(&m.hedges, outcome.hedges as u64);
         add_rare(&m.hedge_wins, outcome.hedge_won as u64);
         add_rare(&m.stale_decisions_avoided, outcome.stale_excluded as u64);

@@ -4,6 +4,13 @@
 //! so a bulk audit sweep can never queue an interactive decision
 //! behind it.
 //!
+//! The pool is for replicas worth a hand-off, which costs a query about
+//! 10 µs over and above its evaluations: the collector (in `replica`)
+//! pools a replica only when its [`dacs_pdp::PdpEndpoint`] latency
+//! estimate is at least that or missing, or when the plan hedges. A
+//! faster one — an in-process `Pdp` — it evaluates on its own thread,
+//! by the routine a worker runs. Measured, not configured.
+//!
 //! Four pieces cooperate:
 //!
 //! * the worker pool (`FanoutPool`, built by the cluster from its
@@ -36,9 +43,9 @@
 //! use dacs_cluster::{HedgeConfig, SchedulerConfig};
 //!
 //! // One pool serves every shard of a cluster; workers are joined when
-//! // the cluster drops. Typically sized at replicas-per-shard + a
-//! // little headroom so one slow replica cannot starve the next
-//! // query's fan-out.
+//! // the cluster drops. Typically sized at the replicas per shard
+//! // worth a hand-off + a little headroom so one slow replica cannot
+//! // starve the next query's fan-out.
 //! let config = SchedulerConfig::new(4)
 //!     .with_hedge(HedgeConfig::default())
 //!     .with_adaptive_fanout(true);
@@ -142,6 +149,8 @@ impl HedgeConfig {
 /// cluster dispatches replica work: the worker-pool width, the hedging
 /// policy, and whether fan-out is adaptive (quorum-width dispatch with
 /// EWMA-chosen replicas and escalation on overrun) or full-width.
+/// Which replicas reach the pool at all is measured, not configured
+/// (module docs); `workers` is sized for those that do.
 ///
 /// Non-exhaustive so future scheduling knobs (lane weights, batch
 /// windows per lane, …) can land without breaking construction: build

@@ -89,6 +89,11 @@ pub struct ClusterMetrics {
     /// how far below full-dispatch [`ClusterMetrics::amplification`]
     /// the scheduler is running.
     pub fanout_saved: u64,
+    /// Replica evaluations a [`crate::ClusterBuilder::scheduler`]
+    /// cluster ran on the deciding thread instead of its pool (the
+    /// replica answers faster than a hand-off costs, or had nothing to
+    /// overlap); 0 without a scheduler, which has no pool to choose.
+    pub caller_evaluations: u64,
 }
 
 impl ClusterMetrics {
@@ -151,6 +156,7 @@ dacs_telemetry::counter_block! {
         batched_queries => "dacs_cluster_batched_queries_total",
         coalesced => "dacs_cluster_coalesced_total",
         fanout_saved => "dacs_cluster_fanout_saved_total",
+        caller_evaluations => "dacs_cluster_caller_evaluations_total",
     }
 }
 

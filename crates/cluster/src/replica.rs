@@ -12,12 +12,13 @@
 //! replicas sequentially on the caller's thread (simple, deterministic,
 //! latency = sum of replicas) — the reference every other path is
 //! tested against and audits replay on. A cluster built with
-//! `ClusterBuilder::scheduler` instead dispatches replicas onto its
-//! worker pool and combines answers *incrementally* as they arrive, in
-//! one collector loop: majority settles as soon as a majority agrees
-//! (dispatching only quorum width under adaptive fan-out), unanimity
-//! settles on the first deny, and first-healthy optionally hedges the
-//! primary replica after its latency budget.
+//! `ClusterBuilder::scheduler` instead combines answers
+//! *incrementally*, in one collector loop: majority settles as soon as
+//! a majority agrees (dispatching only quorum width under adaptive
+//! fan-out), unanimity settles on the first deny, and first-healthy
+//! optionally hedges the primary replica after its latency budget. A
+//! replica that has been answering faster than a pool hand-off costs is
+//! evaluated on the collector's own thread, every other on the pool.
 
 use crate::fanout::{CancelToken, FanoutAnswer, FanoutPool, HedgeConfig};
 use crate::quorum::{self, QuorumMode};
@@ -27,8 +28,8 @@ use dacs_policy::policy::Decision;
 use dacs_policy::request::RequestContext;
 use dacs_telemetry::{Histogram, SpanCtx, Telemetry, Tracer};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, LazyLock};
 use std::time::{Duration, Instant};
 
 /// Anything that can answer an authorization decision query.
@@ -138,6 +139,9 @@ pub struct GroupOutcome {
     pub hedges: usize,
     /// Whether a hedge query supplied the winning answer.
     pub hedge_won: bool,
+    /// Evaluations a planned query ran on the caller's own thread, not
+    /// on the pool (0 on the sequential path: no pool to choose).
+    pub caller_evaluations: usize,
 }
 
 impl GroupOutcome {
@@ -155,6 +159,7 @@ impl GroupOutcome {
             fail_closed: false,
             hedges: 0,
             hedge_won: false,
+            caller_evaluations: 0,
         }
     }
 
@@ -231,10 +236,10 @@ impl GroupTelemetry {
     }
 }
 
-/// Everything a dispatched fan-out job needs to record its replica
-/// span from the pool worker: the tracer, the compute histogram, the
-/// parent span captured on the *dispatching* thread (worker threads
-/// have no entered context), and the job's role for the span note.
+/// What a replica evaluation needs to record its span wherever it
+/// runs: the tracer, the compute histogram, the parent span captured on
+/// the *dispatching* thread (workers have no entered context), and the
+/// replica's role for the span note.
 struct DispatchTelemetry {
     tracer: Tracer,
     replica_us: Arc<Histogram>,
@@ -280,62 +285,85 @@ pub(crate) struct FanoutPlan<'a> {
     pub class: DecisionClass,
 }
 
-/// One dispatched replica query, run on a pool worker. Dropping it —
-/// after evaluating, skipped at dequeue, mid-panic, or discarded unrun
-/// by a closing pool — sends its answer, so every dispatched job
-/// answers exactly once and the collector can neither miscount its
-/// outstanding votes nor block on one that will never arrive. A `None`
-/// response is a withdrawn vote, not an answer.
-struct FanoutJob {
-    replica: Arc<Replica>,
+/// What a pooled query costs over and above its evaluations
+/// (`cluster.self_ns` read 10.9 µs for three hand-offs on the benchmark
+/// host). A replica that answers faster gains nothing from a worker; one
+/// within a factor of two loses or gains at most this much either way.
+/// A constant, not an estimator: a measured overhead goes stale the
+/// moment queries stop reaching the pool.
+const POOL_HANDOFF_NS: u64 = 10_000;
+
+/// The token of a query with nothing in the pool: nobody ever sets it.
+static UNSHARED: LazyLock<CancelToken> = LazyLock::new(CancelToken::new);
+
+/// What the pooled jobs of one query share — one request copy — built
+/// at its first hand-off: a query the caller evaluates whole has none.
+struct Handoff {
     request: RequestContext,
     now_ms: u64,
     cancel: CancelToken,
-    /// Bumped the moment the job begins evaluating: the collector uses
-    /// it to tell a slow replica (worth hedging) from a job still stuck
-    /// in the pool queue (a hedge would just queue behind it).
-    started: Arc<AtomicUsize>,
-    telemetry: Option<DispatchTelemetry>,
+    /// Jobs that have begun evaluating: tells a slow replica (worth
+    /// hedging) from a job still queued (a hedge would queue behind it).
+    started: AtomicUsize,
     tx: Sender<FanoutAnswer>,
+}
+
+/// One replica query handed to a pool worker. Dropping it — after
+/// evaluating, skipped at dequeue, mid-panic, or discarded unrun by a
+/// closing pool — sends its answer, so every handed-off job answers
+/// exactly once and the collector can neither miscount its outstanding
+/// votes nor block on one that will never arrive. A `None` response is
+/// a withdrawn vote, not an answer.
+struct FanoutJob {
+    replica: Arc<Replica>,
+    handoff: Arc<Handoff>,
+    telemetry: Option<DispatchTelemetry>,
     index: usize,
     response: Option<Response>,
 }
 
 impl Drop for FanoutJob {
     fn drop(&mut self) {
-        let _ = self.tx.send((self.index, self.response.take()));
+        let _ = self.handoff.tx.send((self.index, self.response.take()));
     }
 }
 
 impl FanoutJob {
-    /// Re-checks the cancel token at start time, hands it to the
-    /// backend for mid-flight abandonment, and feeds the replica's
-    /// latency estimate.
     fn run(mut self) {
-        let name = self.replica.endpoint.name();
-        if self.cancel.is_cancelled() {
-            // Record the skip as a zero-duration span so traces account
-            // for every dispatched job — a cancelled straggler shows up
-            // closed, not leaked.
-            if let Some(t) = &self.telemetry {
-                let mut span = t.tracer.span_under(t.parent, "replica_decide");
-                span.set_note(format!("cancelled:{name}"));
-                span.finish();
+        let (h, t) = (&self.handoff, self.telemetry.as_ref());
+        h.started.fetch_add(1, Ordering::Release);
+        self.response = self.replica.evaluate(&h.request, h.now_ms, &h.cancel, t);
+    }
+}
+
+impl Replica {
+    /// One evaluation for a planned query, on a pool worker or the
+    /// collector's own thread alike: re-checks the cancel token, hands it
+    /// to the backend for mid-flight abandonment, feeds the estimate.
+    fn evaluate(
+        &self,
+        request: &RequestContext,
+        now_ms: u64,
+        cancel: &CancelToken,
+        telemetry: Option<&DispatchTelemetry>,
+    ) -> Option<Response> {
+        let mut span = telemetry.map(|t| t.tracer.span_under(t.parent, "replica_decide"));
+        let mut note = |prefix| {
+            if let Some(s) = span.as_mut() {
+                s.set_note(format!("{prefix}:{}", self.endpoint.name()));
             }
-            return;
+        };
+        if cancel.is_cancelled() {
+            // The skip still closes a zero-duration span: in a trace a
+            // cancelled straggler shows up closed, not leaked.
+            note("cancelled");
+            return None;
         }
-        self.started.fetch_add(1, Ordering::Release);
-        let mut span = self.telemetry.as_ref().map(|t| {
-            let mut s = t.tracer.span_under(t.parent, "replica_decide");
-            s.set_note(format!("{}:{name}", t.role));
-            s
-        });
+        note(telemetry.map_or("", |t| t.role));
         let start = Instant::now();
-        // A panicking backend is a withdrawn vote, not a dead worker.
+        // A panicking backend is a withdrawn vote, not a dead thread.
         let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.replica
-                .backend
-                .decide_cancellable(&self.request, self.now_ms, &self.cancel)
+            self.backend.decide_cancellable(request, now_ms, cancel)
         }))
         .ok()
         .flatten();
@@ -345,21 +373,14 @@ impl FanoutJob {
                 // abandoned one's elapsed time measures the cancel
                 // point, not the replica.
                 let elapsed = start.elapsed();
-                self.replica
-                    .endpoint
-                    .record_latency_ns(elapsed.as_nanos() as u64);
-                if let Some(t) = &self.telemetry {
+                self.endpoint.record_latency_ns(elapsed.as_nanos() as u64);
+                if let Some(t) = telemetry {
                     t.replica_us.record(elapsed.as_micros() as u64);
                 }
             }
-            None => {
-                if let Some(s) = span.as_mut() {
-                    s.set_note(format!("cancelled:{name}"));
-                }
-            }
+            None => note("cancelled"),
         }
-        drop(span);
-        self.response = response;
+        response
     }
 }
 
@@ -532,13 +553,11 @@ impl ReplicaGroup {
         })
     }
 
-    /// Fans `request` out to the group's eligible replicas on the
-    /// plan's pool and combines the answers incrementally, per the
-    /// rule table on the collector. The moment a verdict is reached the
-    /// fan-out's [`CancelToken`] is set, so jobs still queued on the
-    /// pool are skipped and running cancellation-aware backends abandon
-    /// mid-flight. Every answer that does arrive feeds the replica's
-    /// EWMA latency estimate.
+    /// Fans `request` out to the group's eligible replicas — on the
+    /// plan's pool or the caller's own thread — and combines the answers
+    /// incrementally, per the rule table on the collector. The moment a
+    /// verdict is reached the fan-out's [`CancelToken`] is set: queued
+    /// jobs are skipped, cancellation-aware backends abandon mid-flight.
     ///
     /// Decision-equivalent to [`ReplicaGroup::query`]: a majority
     /// winner holds `⌊e/2⌋+1` votes — an absolute majority of *all*
@@ -556,25 +575,12 @@ impl ReplicaGroup {
         plan: &FanoutPlan<'_>,
     ) -> GroupOutcome {
         self.over_roster(mode, |eligible| {
-            if mode == QuorumMode::FirstHealthy && plan.hedge.is_none() {
-                // Without hedging there is nothing to race: a pool
-                // round-trip (dispatch, channel, cross-thread handoff)
-                // would be pure overhead on a single-replica query, so
-                // evaluate inline exactly like the sequential path.
-                let verdict = quorum::Verdict {
-                    response: self.timed_decide(eligible[0], request, now_ms),
-                    disagreement: false,
-                    fail_closed: false,
-                };
-                GroupOutcome::decided(verdict, 1, eligible.len())
-            } else {
-                self.collect(mode, eligible, request, now_ms, plan)
-            }
+            self.collect(mode, eligible, request, now_ms, plan)
         })
     }
 
-    /// Evaluates one replica inline on the caller's thread: times it,
-    /// feeds its EWMA, and — with telemetry attached — records a named
+    /// Evaluates one replica for the sequential path: times it, feeds
+    /// its EWMA, and — with telemetry attached — records a named
     /// `replica_decide` span plus the compute histogram.
     fn timed_decide(&self, replica: &Replica, request: &RequestContext, now_ms: u64) -> Response {
         let span = self.telemetry.as_ref().map(|t| {
@@ -595,13 +601,14 @@ impl ReplicaGroup {
         response
     }
 
-    /// Indices into `eligible` in dispatch order: the first `pinned`
-    /// stay in configured order, the rest sort by ascending EWMA
-    /// latency; unmeasured replicas sort first — probing them is how
-    /// they earn an estimate.
-    fn ewma_order(eligible: &[&Arc<Replica>], pinned: usize) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..eligible.len()).collect();
-        order[pinned..].sort_by_key(|&i| eligible[i].endpoint.latency_ewma_ns().unwrap_or(0));
+    /// `(latency estimate, index into eligible)` in dispatch order,
+    /// each estimate read once: the first `pinned` stay in configured
+    /// order, the rest sort by ascending EWMA latency; unmeasured
+    /// replicas sort first — probing them is how they earn an estimate.
+    fn ewma_order(eligible: &[&Arc<Replica>], pinned: usize) -> Vec<(Option<u64>, usize)> {
+        let estimates = eligible.iter().map(|r| r.endpoint.latency_ewma_ns());
+        let mut order: Vec<_> = estimates.zip(0..).collect();
+        order[pinned..].sort_by_key(|&(estimate, _)| estimate);
         order
     }
 
@@ -653,16 +660,25 @@ impl ReplicaGroup {
         }
     }
 
-    /// The one pooled fan-out collector: dispatch an initial width of
-    /// replicas, receive answers until [`ReplicaGroup::settled`] fixes
-    /// the verdict, escalating one replica at a time. The only
-    /// per-mode inputs are data:
+    /// The one fan-out collector: dispatch an initial width of
+    /// replicas, take answers until [`ReplicaGroup::settled`] fixes the
+    /// verdict, escalating one replica at a time. The only per-mode
+    /// inputs are data:
     ///
-    /// | mode | dispatch order | initial width | settles when |
-    /// |------|----------------|---------------|--------------|
-    /// | `FirstHealthy` (hedged) | `eligible[0]`, then ascending EWMA | 1 | any answer arrives |
-    /// | `Majority` | ascending EWMA | `⌊e/2⌋+1` adaptive, `e` otherwise | one decision holds `⌊e/2⌋+1` votes |
-    /// | `UnanimousFailClosed` | ascending EWMA | `e` | a deny or a disagreement arrives |
+    /// | mode | dispatch order | initial width | settles when | where (unhedged) |
+    /// |------|----------------|---------------|--------------|------------------|
+    /// | `FirstHealthy` | `eligible[0]`, then ascending EWMA | 1 | any answer arrives | caller: nothing to overlap |
+    /// | `Majority` | ascending EWMA | `⌊e/2⌋+1` adaptive, `e` otherwise | one decision holds `⌊e/2⌋+1` votes | caller if the estimate is under [`POOL_HANDOFF_NS`], else pool |
+    /// | `UnanimousFailClosed` | ascending EWMA | `e` | a deny or a disagreement arrives | as `Majority` |
+    ///
+    /// Under a [`HedgeConfig`] every replica is pooled (a hedge needs a
+    /// collector free to time out), and so is an unmeasured one (how it
+    /// earns an estimate); an unhedged escalation fires with nothing in
+    /// flight, so it runs on the caller. Pool-bound members of a dispatch
+    /// are submitted before the caller evaluates its own (a slow replica
+    /// overlaps them); the caller consults `settled` after each answer
+    /// and never starts what the verdict overtakes — dispatched and
+    /// skipped, like a job cancelled at dequeue.
     ///
     /// Escalation is the same for every row: the next replica in order
     /// is dispatched at once when everything in flight has answered
@@ -693,37 +709,54 @@ impl ReplicaGroup {
         // possible and slow stragglers are the ones left queued for the
         // cancel token to skip.
         let order = Self::ewma_order(eligible, pinned);
-        let cancel = CancelToken::new();
-        let (tx, rx) = channel::<FanoutAnswer>();
-        let started = Arc::new(AtomicUsize::new(0));
+        // The one dispatch rule, by position in `order`: a lone primary
+        // or an unhedged escalation has nothing in flight to overlap.
+        let on_caller = |p: usize| {
+            let cheap = order[p].0.is_some_and(|ns| ns < POOL_HANDOFF_NS);
+            plan.hedge.is_none() && (initial == 1 || p >= initial || cheap)
+        };
+        // The parent span is read from the *caller's* thread-local
+        // context, so a worker's replica span nests under its enforcement.
+        let telemetry_for = |role| {
+            self.telemetry.as_ref().map(|t| DispatchTelemetry {
+                tracer: t.tracer().clone(),
+                replica_us: Arc::clone(&t.replica_us),
+                parent: dacs_telemetry::current(),
+                role,
+            })
+        };
+        let mut pooled: Option<(Arc<Handoff>, Receiver<FanoutAnswer>)> = None;
         let mut dispatched = 0usize;
-        let dispatch_next = |dispatched: &mut usize, role: &'static str| {
-            let index = order[*dispatched];
+        // A caller-bound replica is only counted: the loop evaluates it.
+        let dispatch_next = |dispatched: &mut usize, pooled: &mut Option<_>, role| {
+            let p = *dispatched;
+            *dispatched += 1;
+            if on_caller(p) {
+                return;
+            }
+            let (handoff, _) = pooled.get_or_insert_with(|| {
+                let (tx, rx) = channel();
+                let handoff = Handoff {
+                    request: request.clone(),
+                    now_ms,
+                    cancel: CancelToken::new(),
+                    started: AtomicUsize::new(0),
+                    tx,
+                };
+                (Arc::new(handoff), rx)
+            });
             let job = FanoutJob {
-                replica: Arc::clone(eligible[index]),
-                request: request.clone(),
-                now_ms,
-                cancel: cancel.clone(),
-                started: Arc::clone(&started),
-                // The parent span is read from the *caller's*
-                // thread-local context so worker-thread replica spans
-                // nest under the right enforcement.
-                telemetry: self.telemetry.as_ref().map(|t| DispatchTelemetry {
-                    tracer: t.tracer().clone(),
-                    replica_us: Arc::clone(&t.replica_us),
-                    parent: dacs_telemetry::current(),
-                    role,
-                }),
-                tx: tx.clone(),
-                index,
+                replica: Arc::clone(eligible[order[p].1]),
+                handoff: Arc::clone(handoff),
+                telemetry: telemetry_for(role),
+                index: order[p].1,
                 response: None,
             };
             plan.pool
                 .submit_classed(Box::new(move || job.run()), plan.class);
-            *dispatched += 1;
         };
         for _ in 0..initial {
-            dispatch_next(&mut dispatched, role);
+            dispatch_next(&mut dispatched, &mut pooled, role);
         }
         // Everything below is quorum assembly: span + histogram cover
         // the wait from the initial dispatch to whichever exit fires.
@@ -743,41 +776,51 @@ impl ReplicaGroup {
         let mut received: Vec<(usize, Response)> = Vec::with_capacity(e);
         let mut hedged: Vec<usize> = Vec::new();
         let mut answered = 0usize;
+        // Positions below `mine` are no longer the caller's to evaluate.
+        let (mut mine, mut caller_evaluations) = (0usize, 0usize);
         let verdict = loop {
-            // While a hedge is still allowed, wait no longer than the
-            // next backup's budget — anchored to *its* expected
-            // latency: once the replicas in flight have been silent
-            // that long, a duplicate evaluation is the cheaper bet.
-            let budget = plan
-                .hedge
-                .filter(|cfg| dispatched < e && hedged.len() < cfg.max_hedges)
-                .map(|cfg| cfg.budget_us(&eligible[order[dispatched]].endpoint));
-            let answer = match budget {
-                Some(budget_us) => match rx.recv_timeout(Duration::from_micros(budget_us)) {
-                    Ok(answer) => answer,
-                    Err(_) => {
-                        // Only hedge replicas that are actually
-                        // evaluating. While a dispatched job is still
-                        // stuck in the pool queue, the pool itself is
-                        // the bottleneck — a hedge would queue behind
-                        // the very same backlog, adding load at the
-                        // worst moment for zero latency benefit.
-                        if started.load(Ordering::Acquire) == dispatched {
-                            hedged.push(order[dispatched]);
-                            dispatch_next(&mut dispatched, "hedge");
+            let answer = if let Some(p) = (mine..dispatched).find(|&p| on_caller(p)) {
+                (mine, caller_evaluations) = (p + 1, caller_evaluations + 1);
+                let cancel = pooled.as_ref().map_or(&*UNSHARED, |(h, _)| &h.cancel);
+                let role = if p < initial { role } else { "replica" };
+                let (index, t) = (order[p].1, telemetry_for(role));
+                let response = eligible[index].evaluate(request, now_ms, cancel, t.as_ref());
+                (index, response)
+            } else {
+                let (handoff, rx) = pooled.as_ref().expect("an unanswered job is pooled");
+                // While a hedge is still allowed, wait no longer than
+                // the next backup's budget — anchored to *its* expected
+                // latency: once the replicas in flight have been silent
+                // that long, a duplicate evaluation is the cheaper bet.
+                let budget = plan
+                    .hedge
+                    .filter(|cfg| dispatched < e && hedged.len() < cfg.max_hedges)
+                    .map(|cfg| cfg.budget_us(&eligible[order[dispatched].1].endpoint));
+                match budget {
+                    Some(budget_us) => match rx.recv_timeout(Duration::from_micros(budget_us)) {
+                        Ok(answer) => answer,
+                        Err(_) => {
+                            // Only hedge replicas that are actually
+                            // evaluating: while a dispatched job is
+                            // still queued the pool is the bottleneck,
+                            // and a hedge would queue behind the same
+                            // backlog for zero latency benefit.
+                            if handoff.started.load(Ordering::Acquire) == dispatched {
+                                hedged.push(order[dispatched].1);
+                                dispatch_next(&mut dispatched, &mut pooled, "hedge");
+                            }
+                            continue;
                         }
-                        continue;
-                    }
-                },
-                None => rx
-                    .recv()
-                    .expect("the collector holds a sender; every job answers"),
+                    },
+                    None => rx
+                        .recv()
+                        .expect("the collector holds a sender; every job answers"),
+                }
             };
             answered += 1;
             if let (index, Some(response)) = answer {
                 received.push((index, response));
                 if let Some(verdict) = Self::settled(mode, e / 2 + 1, &received) {
-                    cancel.cancel();
                     break Some(verdict);
                 }
             }
@@ -788,24 +831,30 @@ impl ReplicaGroup {
                 // Contested or lost votes: what is in flight cannot
                 // settle, so the next-best replica becomes a needed
                 // voter.
-                dispatch_next(&mut dispatched, "replica");
+                dispatch_next(&mut dispatched, &mut pooled, "replica");
             }
         };
-        let (winner, verdict) = match verdict {
-            Some(settled) => settled,
+        // Settled or not, nothing a straggler says can matter now.
+        if let Some((handoff, _)) = &pooled {
+            handoff.cancel.cancel();
+        }
+        let (winner, outcome) = match verdict {
+            Some((winner, verdict)) => (winner, GroupOutcome::decided(verdict, dispatched, e)),
             // Every job was lost (panicking backends): an availability
             // gap, not a decision.
-            None if received.is_empty() => return GroupOutcome::unanswered(e),
+            None if received.is_empty() => (None, GroupOutcome::unanswered(e)),
             None => {
                 received.sort_by_key(|(i, _)| *i);
                 let responses: Vec<Response> = received.into_iter().map(|(_, r)| r).collect();
-                (None, quorum::combine(mode, &responses))
+                let verdict = quorum::combine(mode, &responses);
+                (None, GroupOutcome::decided(verdict, dispatched, e))
             }
         };
         GroupOutcome {
             hedges: hedged.len(),
             hedge_won: winner.is_some_and(|w| hedged.contains(&w)),
-            ..GroupOutcome::decided(verdict, dispatched, e)
+            caller_evaluations,
+            ..outcome
         }
     }
 }
@@ -1575,6 +1624,248 @@ mod tests {
         assert_eq!(out.replicas_queried, 2);
     }
 
+    /// Estimates on either side of the hand-off constant.
+    const CHEAP_NS: u64 = POOL_HANDOFF_NS / 10;
+    const DEAR_NS: u64 = POOL_HANDOFF_NS * 100;
+
+    /// Seeds every replica's estimate (a fresh record takes its first
+    /// sample whole), a little apart so the dispatch order is the
+    /// configured one.
+    fn estimated(group: &ReplicaGroup, ns: u64) {
+        for slot in 0..group.len() {
+            group.endpoint(slot).record_latency_ns(ns + slot as u64);
+        }
+    }
+
+    /// A one-worker pool whose worker is held inside a job until the
+    /// returned latch is released: whatever a query hands it stays in
+    /// the backlog to be counted.
+    fn held_pool() -> (FanoutPool, Arc<SlowBackend>) {
+        let pool = FanoutPool::new(1);
+        let latch = SlowBackend::parked("latch", Decision::Deny);
+        let held = latch.clone();
+        pool.submit(Box::new(move || {
+            held.decide(&RequestContext::new(), 0);
+        }));
+        latch.wait_parked();
+        (pool, latch)
+    }
+
+    /// The caller side of the rule: replicas that have been answering
+    /// faster than a hand-off are evaluated where the query is, nothing
+    /// reaches the pool, the caller stops at the settle point, and every
+    /// other count reads what a one-worker pool reads for the same
+    /// votes over replicas worth a hand-off.
+    #[test]
+    fn cheap_replicas_are_evaluated_on_the_caller_and_count_like_pooled_ones() {
+        use Decision::{Deny, Permit};
+        let (held, latch) = held_pool();
+        let one_worker = FanoutPool::new(1);
+        let req = RequestContext::new();
+        for (mode, adaptive, votes, evaluated) in [
+            (
+                QuorumMode::Majority,
+                false,
+                [Permit, Deny, Permit, Permit, Permit],
+                4,
+            ),
+            (QuorumMode::Majority, true, [Permit; 5], 3),
+            (
+                QuorumMode::UnanimousFailClosed,
+                false,
+                [Permit, Permit, Deny, Permit, Permit],
+                3,
+            ),
+        ] {
+            let (cheap, _) = group(&votes);
+            estimated(&cheap, CHEAP_NS);
+            let out = cheap.query_planned(mode, &req, 0, &plan(&held, None, adaptive));
+            assert_eq!(
+                out.caller_evaluations, evaluated,
+                "{mode} adaptive={adaptive}"
+            );
+            assert_eq!(held.backlog(), 0, "a cheap replica was handed to the pool");
+
+            let (dear, _) = group(&votes);
+            estimated(&dear, DEAR_NS);
+            let pooled = dear.query_planned(mode, &req, 0, &plan(&one_worker, None, adaptive));
+            assert_eq!(pooled.caller_evaluations, 0, "{mode} adaptive={adaptive}");
+            let counted_alike = GroupOutcome {
+                caller_evaluations: 0,
+                ..out
+            };
+            assert_eq!(counted_alike, pooled, "{mode} adaptive={adaptive}");
+        }
+        latch.release();
+    }
+
+    /// The pool side: a replica with no estimate (the pool is how it
+    /// earns one), one slower than a hand-off, and any replica of a
+    /// hedged plan (a hedge needs a collector free to time out) all
+    /// ride a lane.
+    #[test]
+    fn unmeasured_slow_and_hedged_replicas_go_to_the_pool() {
+        let pool = pool();
+        let patient = HedgeConfig {
+            min_budget_us: 60_000_000,
+            ..HedgeConfig::default()
+        };
+        for (estimate, hedge) in [
+            (None, None),
+            (Some(DEAR_NS), None),
+            (Some(POOL_HANDOFF_NS), None),
+            (Some(CHEAP_NS), Some(&patient)),
+        ] {
+            let (g, _) = group(&[Decision::Permit; 3]);
+            if let Some(ns) = estimate {
+                (0..3).for_each(|slot| g.endpoint(slot).record_latency_ns(ns));
+            }
+            let out = g.query_planned(
+                QuorumMode::Majority,
+                &RequestContext::new(),
+                0,
+                &plan(&pool, hedge, false),
+            );
+            assert_eq!(out.response.unwrap().decision, Decision::Permit);
+            assert_eq!(out.replicas_queried, 3);
+            assert_eq!(
+                out.caller_evaluations,
+                0,
+                "estimate {estimate:?}, hedged: {}",
+                hedge.is_some()
+            );
+        }
+    }
+
+    /// A mixed dispatch, as an order of events: the slow replica is
+    /// handed to the pool *before* the caller evaluates its cheap ones
+    /// (they are let through only once it is parked inside its
+    /// evaluation), the verdict returns while it is still parked, and
+    /// it then sees its cancel token — nobody ever releases it.
+    #[test]
+    fn mixed_dispatch_pools_the_straggler_first_and_cancels_it_at_settle() {
+        let cheap = [
+            SlowBackend::parked("r0", Decision::Permit),
+            SlowBackend::parked("r1", Decision::Permit),
+        ];
+        let straggler = SlowBackend::parked("r2", Decision::Deny);
+        let (g, _) = grouped(vec![
+            cheap[0].clone() as Arc<dyn DecisionBackend>,
+            cheap[1].clone(),
+            straggler.clone(),
+        ]);
+        for (slot, ns) in [(0, CHEAP_NS), (1, CHEAP_NS), (2, DEAR_NS)] {
+            g.endpoint(slot).record_latency_ns(ns);
+        }
+        let pool = pool();
+        let out = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                straggler.wait_parked();
+                cheap.iter().for_each(|c| c.release());
+            });
+            g.query_planned(
+                QuorumMode::Majority,
+                &RequestContext::new(),
+                0,
+                &plan(&pool, None, false),
+            )
+        });
+        assert_eq!(out.response.unwrap().decision, Decision::Permit);
+        assert_eq!(out.caller_evaluations, 2);
+        assert_eq!(out.replicas_queried, 3);
+        assert_eq!(
+            straggler.answered(),
+            0,
+            "the verdict waited for the straggler"
+        );
+        straggler.wait_abandoned();
+    }
+
+    /// A full-width majority of five cheap replicas stops evaluating at
+    /// the settle point — three evaluations, counted by the backends —
+    /// while all five count as dispatched, exactly as two jobs
+    /// cancelled at dequeue would.
+    #[test]
+    fn caller_evaluated_majority_stops_at_the_settle_point() {
+        let counting: Vec<Arc<SlowBackend>> = (0..5)
+            .map(|i| SlowBackend::parked(format!("r{i}"), Decision::Permit))
+            .collect();
+        counting.iter().for_each(|c| c.release());
+        let backends = counting
+            .iter()
+            .map(|c| c.clone() as Arc<dyn DecisionBackend>);
+        let (g, _) = grouped(backends.collect());
+        estimated(&g, CHEAP_NS);
+        let (pool, latch) = held_pool();
+        let out = g.query_planned(
+            QuorumMode::Majority,
+            &RequestContext::new(),
+            0,
+            &plan(&pool, None, false),
+        );
+        assert_eq!(out.response.unwrap().decision, Decision::Permit);
+        assert_eq!(out.replicas_queried, 5);
+        assert_eq!(out.caller_evaluations, 3);
+        assert_eq!(counting.iter().map(|c| c.answered()).sum::<usize>(), 3);
+        assert_eq!(pool.backlog(), 0);
+        latch.release();
+    }
+
+    /// A cheap replica that panics on the caller is a withdrawn vote,
+    /// not a dead caller: the two surviving permits still form a
+    /// majority, three lost votes are an availability gap, and this
+    /// thread is still here to assert it.
+    #[test]
+    fn a_panic_on_the_caller_is_a_withdrawn_vote() {
+        let (pool, latch) = held_pool();
+        let req = RequestContext::new();
+        let (g, _) = lossy_group(&[Decision::Permit; 3], Some(0));
+        estimated(&g, CHEAP_NS);
+        let out = g.query_planned(QuorumMode::Majority, &req, 0, &plan(&pool, None, false));
+        assert_eq!(out.response.unwrap().decision, Decision::Permit);
+        assert_eq!(out.caller_evaluations, 3);
+
+        let lost = (0..3).map(|i| Arc::new(Panicky(format!("r{i}"))) as Arc<dyn DecisionBackend>);
+        let (g, _) = grouped(lost.collect());
+        estimated(&g, CHEAP_NS);
+        let out = g.query_planned(QuorumMode::Majority, &req, 0, &plan(&pool, None, false));
+        assert_eq!(out.response, None, "a lost majority is unanswered");
+        assert_eq!(out.caller_evaluations, 3);
+        assert_eq!(pool.backlog(), 0);
+        latch.release();
+    }
+
+    /// An unhedged escalation fires only once everything in flight has
+    /// answered, so there is nothing for it to overlap: it runs on the
+    /// caller whatever its replica's estimate — after a contested vote
+    /// the caller took itself, and after one the pool took. The lone
+    /// unhedged first-healthy primary is the same rule.
+    #[test]
+    fn a_lone_escalation_runs_on_the_caller_whatever_its_estimate() {
+        let votes = [Decision::Deny, Decision::Permit, Decision::Permit];
+        let req = RequestContext::new();
+        let pool = pool();
+        for (estimates, on_caller) in [
+            ([CHEAP_NS, CHEAP_NS + 1, CHEAP_NS + 2], 3),
+            ([CHEAP_NS, CHEAP_NS + 1, DEAR_NS], 3),
+            ([DEAR_NS, DEAR_NS + 1, DEAR_NS + 2], 1),
+        ] {
+            let (g, _) = group(&votes);
+            for (slot, ns) in estimates.into_iter().enumerate() {
+                g.endpoint(slot).record_latency_ns(ns);
+            }
+            let out = g.query_planned(QuorumMode::Majority, &req, 0, &plan(&pool, None, true));
+            assert_eq!(out.response.unwrap().decision, Decision::Permit);
+            assert_eq!(out.replicas_queried, 3, "escalated to the full width");
+            assert_eq!(out.hedges, 0, "a contested vote is not a hedge");
+            assert_eq!(out.caller_evaluations, on_caller, "{estimates:?}");
+        }
+        let (g, _) = group(&votes);
+        let out = g.query_planned(QuorumMode::FirstHealthy, &req, 0, &plan(&pool, None, false));
+        assert_eq!(out.response.unwrap().decision, Decision::Deny);
+        assert_eq!((out.replicas_queried, out.caller_evaluations), (1, 1));
+    }
+
     proptest! {
         /// Decision equivalence for the one collector: for any vote
         /// pattern, under every quorum mode, full-width or adaptive,
@@ -1586,11 +1877,15 @@ mod tests {
         /// vote is replaced at once as a needed voter in every mode
         /// (the chosen behaviour for a lost first-healthy primary): the
         /// hedge budget here is one no run can overrun, so any hedge
-        /// would be a lost vote miscounted.
+        /// would be a lost vote miscounted. Each replica draws no
+        /// estimate, one under or one over the hand-off constant, and
+        /// every plan runs hedged (all pooled) and unhedged, so the
+        /// equivalence covers caller, pooled and mixed dispatch.
         #[test]
         fn adaptive_fanout_matches_full_dispatch(
             codes in prop::collection::vec(0u8..4, 3..8),
             lost in 0usize..12,
+            speeds in prop::collection::vec(0u8..3, 8..9),
         ) {
             let decisions: Vec<Decision> = codes
                 .iter()
@@ -1615,21 +1910,46 @@ mod tests {
                     dir.mark_down(&format!("r{i}"));
                 }
                 let seq = reference.query(mode, &req, 0);
-                for adaptive in [false, true] {
+                for (adaptive, hedge) in [
+                    (false, Some(&patient)),
+                    (true, Some(&patient)),
+                    (false, None),
+                    (true, None),
+                ] {
                     // A fresh group per run: one run's EWMA samples
                     // must not reorder the next run's dispatch.
                     let (g, _) = lossy_group(&decisions, lost);
-                    let out =
-                        g.query_planned(mode, &req, 0, &plan(&pool, Some(&patient), adaptive));
+                    for (slot, speed) in speeds.iter().take(eligible).enumerate() {
+                        match speed {
+                            0 => {}
+                            1 => g.endpoint(slot).record_latency_ns(CHEAP_NS),
+                            _ => g.endpoint(slot).record_latency_ns(DEAR_NS),
+                        }
+                    }
+                    // A lost first-healthy primary is replaced by the
+                    // next replica in *dispatch* order, where the
+                    // reference takes the next in configured order.
+                    let expected = if mode == QuorumMode::FirstHealthy && lost == Some(0) {
+                        let slots: Vec<_> = g.replicas.iter().collect();
+                        Some(decisions[ReplicaGroup::ewma_order(&slots, 1)[1].1])
+                    } else {
+                        seq.response.as_ref().map(|r| r.decision)
+                    };
+                    let out = g.query_planned(mode, &req, 0, &plan(&pool, hedge, adaptive));
                     prop_assert_eq!(
-                        seq.response.as_ref().map(|r| r.decision),
+                        expected,
                         out.response.as_ref().map(|r| r.decision),
-                        "{} adaptive={} lost={:?} over {:?}",
+                        "{} adaptive={} hedged={} lost={:?} over {:?} at {:?}",
                         mode,
                         adaptive,
+                        hedge.is_some(),
                         lost,
-                        decisions
+                        decisions,
+                        speeds
                     );
+                    if hedge.is_some() {
+                        prop_assert_eq!(out.caller_evaluations, 0);
+                    }
                     if mode == QuorumMode::UnanimousFailClosed {
                         // A deny that arrives first ends the query
                         // before the disagreement can be observed.

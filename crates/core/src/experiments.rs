@@ -2007,12 +2007,12 @@ pub fn capability_telemetry_run(requests: usize) -> Arc<dacs_telemetry::Telemetr
 }
 
 /// The E19 testbed: one clustered domain whose 1×5 majority shard
-/// rides the priority-lane scheduler with adaptive fan-out on a
-/// deliberately small worker pool (so a flood can actually saturate
-/// it), 16 aux policies deep enough that each replica evaluation has
+/// rides `scheduler` with adaptive fan-out (callers pass a deliberately
+/// small single-worker pool, so a flood can actually saturate it),
+/// 16 aux policies deep enough that each replica evaluation has
 /// real weight, and a quarter of the subjects auditors — denied by the
 /// gate — so the ground-truth check exercises both verdicts.
-fn e19_domain(ctx: &CryptoCtx, telemetry: &Arc<dacs_telemetry::Telemetry>) -> Domain {
+fn e19_domain(telemetry: &Arc<dacs_telemetry::Telemetry>, scheduler: SchedulerConfig) -> Domain {
     let name = "sched";
     let mut builder = Domain::builder(name)
         .policy(e17_gate(name, 0))
@@ -2020,7 +2020,7 @@ fn e19_domain(ctx: &CryptoCtx, telemetry: &Arc<dacs_telemetry::Telemetry>) -> Do
             ClusterBuilder::new(name)
                 .quorum(QuorumMode::Majority)
                 .resync(true)
-                .scheduler(SchedulerConfig::new(1).with_adaptive_fanout(true)),
+                .scheduler(scheduler.with_adaptive_fanout(true)),
         )
         .cluster_topology(1, 5)
         .telemetry(Arc::clone(telemetry))
@@ -2040,7 +2040,7 @@ policy "aux-{k}" deny-overrides {{
         let role = if u % 4 == 3 { "auditor" } else { "doctor" };
         builder = builder.subject_attr(&format!("user-{u}@{name}"), "role", role);
     }
-    builder.build(ctx)
+    builder.build(&CryptoCtx::new())
 }
 
 /// Counts an enforcement verdict against its precomputed ground truth.
@@ -2080,8 +2080,13 @@ fn e19_tally(
 /// near their unloaded counterparts, where a FIFO pool would add the
 /// full bulk backlog to *every* decision — is a wall-clock comparison:
 /// the table reports both phases, reported, not gated — the repo
-/// benchmark judges timing. The function *asserts*,
-/// not just prints, the two invariants that hold on logic alone:
+/// benchmark judges timing. Nor is it what these rows compare any
+/// more: an in-process replica answers faster than a pool hand-off
+/// costs, so once measured the flood is evaluated by the flooding
+/// threads themselves (the `on caller` column) and never reaches the
+/// pool; `dacs-cluster`'s tests over slow backends pin the lanes. The
+/// function *asserts* the two invariants that hold on logic alone,
+/// whichever thread evaluates:
 ///
 /// 1. **Adaptive fan-out** — replica sub-queries per decision never
 ///    exceed the quorum width (3 of 5 under majority) plus hedged
@@ -2091,7 +2096,7 @@ fn e19_tally(
 pub fn e19_scheduler_saturation(requests: usize) -> Table {
     use std::sync::atomic::{AtomicU64, Ordering};
     let mut table = Table::new(
-        "E19 — scheduler saturation: interactive lane vs a 10-thread bulk flood (1×5 majority, adaptive fan-out, 2 workers)",
+        "E19 — scheduler saturation: interactive lane vs a 10-thread bulk flood (1×5 majority, adaptive fan-out, 1 worker)",
         &[
             "phase",
             "interactive p99 (µs)",
@@ -2104,14 +2109,14 @@ pub fn e19_scheduler_saturation(requests: usize) -> Table {
             "deadline misses",
             "false permits",
             "false denies",
+            "on caller",
         ],
     );
     assert!(requests >= 64, "e19 needs enough samples for a p99");
     const BULK_THREADS: usize = 10;
     const QUORUM_WIDTH: u64 = 3; // floor(5/2) + 1 under majority
     let telemetry = Arc::new(dacs_telemetry::Telemetry::new());
-    let ctx = CryptoCtx::new();
-    let domain = Arc::new(e19_domain(&ctx, &telemetry));
+    let domain = Arc::new(e19_domain(&telemetry, SchedulerConfig::new(1)));
     let cluster = domain.cluster.clone().expect("e19 is clustered");
 
     // Root-PAP ground truth, precomputed once: the gate is static for
@@ -2197,6 +2202,7 @@ pub fn e19_scheduler_saturation(requests: usize) -> Table {
         deadline_misses().to_string(),
         false_permits.load(Ordering::Relaxed).to_string(),
         false_denies.load(Ordering::Relaxed).to_string(),
+        m1.caller_evaluations.to_string(),
     ]);
 
     // Phase B: ten bulk threads, each a closed loop of `requests`
@@ -2245,6 +2251,7 @@ pub fn e19_scheduler_saturation(requests: usize) -> Table {
         deadline_misses().to_string(),
         false_permits.load(Ordering::Relaxed).to_string(),
         false_denies.load(Ordering::Relaxed).to_string(),
+        (m2.caller_evaluations - m1.caller_evaluations).to_string(),
     ]);
 
     // Invariant 1: adaptive fan-out. Every decision dispatches at most
@@ -2486,11 +2493,12 @@ pub fn e20_read_path_scaling(requests_per_thread: usize) -> Table {
 /// interactive / default / bulk enforcements through the E19 domain
 /// populate the per-lane `dacs_sched_jobs_total_*` counters, the
 /// `dacs_sched_queue_wait_us_*` histograms and the deadline-miss
-/// counter.
+/// counter. Its scheduler hedges, so every replica rides a lane
+/// whatever the host's speed or the build profile.
 pub fn scheduler_telemetry_run(requests: usize) -> Arc<dacs_telemetry::Telemetry> {
     let telemetry = Arc::new(dacs_telemetry::Telemetry::new());
-    let ctx = CryptoCtx::new();
-    let domain = e19_domain(&ctx, &telemetry);
+    let hedged = SchedulerConfig::new(1).with_hedge(HedgeConfig::default());
+    let domain = e19_domain(&telemetry, hedged);
     for i in 0..requests as u64 {
         let context = RequestContext::basic(
             format!("user-{}@sched", i % 16),
@@ -2690,8 +2698,11 @@ mod tests {
         }
         // The telemetry stage breakdown separates the strategies: only
         // pooled strategies queue jobs or wait on a quorum channel, and
-        // every strategy's replica-compute p99 reflects the 2 ms
-        // sleeper it had to touch at least once.
+        // the replica-compute p99 of a strategy that must start the
+        // 2 ms sleeper reflects it. The parallel strategy need not: its
+        // fast majority is evaluated on the caller and settles before a
+        // worker has dequeued the sleeper's job, so how many sleeper
+        // evaluations start at all is a race — reported, not asserted.
         let stage = |r: &Vec<String>, i: usize| -> u64 { r[i].parse().unwrap() };
         assert_eq!(stage(&sequential, 6), 0, "sequential never queues");
         assert_eq!(
@@ -2702,7 +2713,7 @@ mod tests {
         for r in [&parallel, &hedged] {
             assert!(stage(r, 8) > 0, "{}: no quorum wait recorded", r[0]);
         }
-        for r in [&sequential, &parallel, &hedged] {
+        for r in [&sequential, &hedged] {
             assert!(
                 stage(r, 7) >= 1_900,
                 "{}: replica p99 {} misses the slow replica",

@@ -1133,7 +1133,9 @@ policy "block-secret" deny-overrides {
     /// where it matters — at the PEP: two surviving votes still permit;
     /// three lost votes are an unavailable shard, which the PEP denies
     /// fail-safe and counts once; and the two workers that caught five
-    /// panics between them serve the next request.
+    /// panics between them serve the next request. So is one that
+    /// panics on the deciding thread, once the collector evaluates
+    /// there.
     #[test]
     fn panicking_pool_replicas_cost_votes_and_the_pep_fails_safe() {
         use dacs_cluster::{QuorumMode, SchedulerConfig};
@@ -1172,5 +1174,19 @@ policy "block-secret" deny-overrides {
         assert!(serve("alice", 2).allowed, "the workers survived");
         assert_eq!(cluster.metrics().unavailable, 1);
         assert_eq!(pep.stats().allowed, 2);
+
+        // The same on the caller: replicas that have been answering
+        // faster than a pool hand-off costs are evaluated by the
+        // deciding thread, which catches their panics itself.
+        for replica in ["r0", "r1", "r2"] {
+            let record = cluster.directory().register(replica, "pool-panic");
+            (0..64).for_each(|_| record.record_latency_ns(1));
+        }
+        let on_caller = cluster.metrics().caller_evaluations;
+        assert!(!serve("trips-all", 3).allowed);
+        assert_eq!(cluster.metrics().caller_evaluations - on_caller, 3);
+        assert_eq!(pep.stats().failsafe_denials, 2);
+        assert_eq!(cluster.metrics().unavailable, 2);
+        assert!(serve("alice", 4).allowed, "the caller survived");
     }
 }

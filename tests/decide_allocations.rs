@@ -6,13 +6,17 @@
 //! every host — and is the guard that keeps a `Vec<char>` per target
 //! match, or a store lookup per policy, from growing back. The same
 //! goes one layer up: a quorum decision costs its replicas' decides
-//! plus a fixed handful, whatever the replicas' lifecycle phases. And
-//! one layer further up: an enforcement answered by the PEP's decision
-//! cache, or by an admitted capability token, allocates its audit
-//! record and nothing else — no copy of the stored request, no
-//! signing buffer.
+//! plus a fixed handful, whatever the replicas' lifecycle phases — and
+//! so does a planned one whose replicas are cheap enough for the
+//! collector to evaluate on the caller: nothing is built for a pool the
+//! query never reaches. And one layer further up: an enforcement
+//! answered by the PEP's decision cache, or by an admitted capability
+//! token, allocates its audit record and nothing else — no copy of the
+//! stored request, no signing buffer.
 
-use dacs::cluster::{ClusterBuilder, QuorumMode, ReplicaPhase, ShardRouter};
+use dacs::cluster::{
+    ClusterBuilder, DecisionClass, QuorumMode, ReplicaPhase, SchedulerConfig, ShardRouter,
+};
 use dacs::core::scenario::alternating_lockdown_gate;
 use dacs::crypto::sign::CryptoCtx;
 use dacs::federation::{Domain, DomainBuilder};
@@ -181,6 +185,61 @@ fn quorum_decide_allocates_its_replicas_decides_plus_a_fixed_handful() {
         healthy - one_gated,
         one_gated - two_gated,
         "excluding a replica changed the fixed cost: {healthy}, {one_gated}, {two_gated}"
+    );
+}
+
+/// What the collector of a planned query may allocate on top of the
+/// sequential path's handful when it evaluates the whole quorum on the
+/// caller. Today it makes 1: the dispatch order.
+const PLANNED_EXTRA_BUDGET: u64 = 2;
+
+/// The `planned_quorum` shape: one shard, five replicas, adaptive
+/// majority behind a one-worker scheduler — with every replica's
+/// estimate under the hand-off constant, so the three-wide quorum is
+/// evaluated on the caller. No channel, no request copies, no boxed
+/// jobs, no shared cancel flag: before the collector could evaluate on
+/// the caller the same decide made 40 allocations on this thread (and
+/// its three decides' 21 on the worker's); today it makes 25.
+#[test]
+fn a_caller_evaluated_planned_decide_builds_nothing_for_the_pool() {
+    let scheduler = SchedulerConfig::new(1).with_adaptive_fanout(true);
+    let domain = aux_policies_builder(16)
+        .clustered(
+            ClusterBuilder::new("q")
+                .quorum(QuorumMode::Majority)
+                .scheduler(scheduler),
+        )
+        .cluster_topology(1, 5)
+        .build(&CryptoCtx::new());
+    let cluster = domain.cluster.as_ref().expect("clustered");
+    let doctor = RequestContext::basic("user-1@q", "records/7", "read");
+    let replicas = domain.replica_names();
+    let planned_decide = |now_ms| {
+        // Whatever this build's decides cost, every replica has been
+        // answering fast (an estimate moves a fifth of the way per
+        // sample).
+        for replica in &replicas {
+            let record = cluster.directory().register(replica, "q");
+            (0..64).for_each(|_| record.record_latency_ns(1));
+        }
+        let on_caller = cluster.metrics().caller_evaluations;
+        let class = DecisionClass::interactive();
+        let (count, outcome) = allocations_in(|| cluster.decide_classed(&doctor, now_ms, class));
+        assert_eq!(outcome.replicas_queried, 3);
+        assert_eq!(outcome.response.unwrap().decision, Decision::Permit);
+        assert_eq!(cluster.metrics().caller_evaluations - on_caller, 3);
+        count
+    };
+    // The first decides build each replica's policy snapshot (the
+    // quorum is whichever three sort first).
+    (0..3).for_each(|now_ms| {
+        planned_decide(now_ms);
+    });
+    let planned = planned_decide(3).min(planned_decide(4));
+    let budget = 3 * DECIDE_BUDGET + QUORUM_OVERHEAD_BUDGET + PLANNED_EXTRA_BUDGET;
+    assert!(
+        planned <= budget,
+        "a caller-evaluated 1x5 adaptive-majority decide made {planned} allocations (budget {budget})"
     );
 }
 

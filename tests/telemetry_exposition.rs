@@ -256,6 +256,10 @@ fn every_exposed_name_reads_its_owners_storage() {
         ("dacs_cluster_coalesced_total", m.coalesced),
         ("dacs_cluster_fanout_saved_total", m.fanout_saved),
         (
+            "dacs_cluster_caller_evaluations_total",
+            m.caller_evaluations,
+        ),
+        (
             "dacs_capability_rejected_stale_epoch_total",
             a.rejected_stale_epoch,
         ),
