@@ -29,7 +29,7 @@ use dacs_policy::request::RequestContext;
 use dacs_telemetry::{Histogram, SpanCtx, Telemetry, Tracer};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, LazyLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Anything that can answer an authorization decision query.
@@ -287,14 +287,15 @@ pub(crate) struct FanoutPlan<'a> {
 
 /// What a pooled query costs over and above its evaluations
 /// (`cluster.self_ns` read 10.9 µs for three hand-offs on the benchmark
-/// host). A replica that answers faster gains nothing from a worker; one
-/// within a factor of two loses or gains at most this much either way.
+/// host): a replica that has been answering faster gains nothing from a
+/// worker. A per-query cost held against a per-replica estimate,
+/// whatever the dispatch width, and verified only at the extremes the
+/// repo has (1.2 µs in-process `Pdp`s, 2 ms sleepers): where the
+/// crossover really falls — five 9 µs replicas run 45 µs serially here —
+/// is unmeasured until a slow-replica workload is in the benchmark.
 /// A constant, not an estimator: a measured overhead goes stale the
 /// moment queries stop reaching the pool.
 const POOL_HANDOFF_NS: u64 = 10_000;
-
-/// The token of a query with nothing in the pool: nobody ever sets it.
-static UNSHARED: LazyLock<CancelToken> = LazyLock::new(CancelToken::new);
 
 /// What the pooled jobs of one query share — one request copy — built
 /// at its first hand-off: a query the caller evaluates whole has none.
@@ -332,19 +333,24 @@ impl FanoutJob {
     fn run(mut self) {
         let (h, t) = (&self.handoff, self.telemetry.as_ref());
         h.started.fetch_add(1, Ordering::Release);
-        self.response = self.replica.evaluate(&h.request, h.now_ms, &h.cancel, t);
+        self.response = self
+            .replica
+            .evaluate(&h.request, h.now_ms, Some(&h.cancel), t);
     }
 }
 
 impl Replica {
-    /// One evaluation for a planned query, on a pool worker or the
-    /// collector's own thread alike: re-checks the cancel token, hands it
-    /// to the backend for mid-flight abandonment, feeds the estimate.
+    /// The one evaluation routine — pool worker, collector's own thread
+    /// and sequential path alike: re-checks the query's cancel token and
+    /// hands it to the backend for mid-flight abandonment (`None`: the
+    /// query has nothing in the pool, so there is nobody to cancel it and
+    /// no token a backend could latch), feeds the estimate. `None` back
+    /// is a withdrawn vote: cancelled, or the backend panicked.
     fn evaluate(
         &self,
         request: &RequestContext,
         now_ms: u64,
-        cancel: &CancelToken,
+        cancel: Option<&CancelToken>,
         telemetry: Option<&DispatchTelemetry>,
     ) -> Option<Response> {
         let mut span = telemetry.map(|t| t.tracer.span_under(t.parent, "replica_decide"));
@@ -353,7 +359,7 @@ impl Replica {
                 s.set_note(format!("{prefix}:{}", self.endpoint.name()));
             }
         };
-        if cancel.is_cancelled() {
+        if cancel.is_some_and(CancelToken::is_cancelled) {
             // The skip still closes a zero-duration span: in a trace a
             // cancelled straggler shows up closed, not leaked.
             note("cancelled");
@@ -362,8 +368,9 @@ impl Replica {
         note(telemetry.map_or("", |t| t.role));
         let start = Instant::now();
         // A panicking backend is a withdrawn vote, not a dead thread.
-        let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.backend.decide_cancellable(request, now_ms, cancel)
+        let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match cancel {
+            Some(cancel) => self.backend.decide_cancellable(request, now_ms, cancel),
+            None => Some(self.backend.decide(request, now_ms)),
         }))
         .ok()
         .flatten();
@@ -407,11 +414,10 @@ impl ReplicaGroup {
     /// Attaches observability (builder style; `ClusterBuilder` does
     /// this for every group when the cluster has telemetry): each
     /// replica evaluation gets a `replica_decide` span — noted with
-    /// the replica name and, on the pooled path, its role
-    /// (`primary:`/`replica:`/`hedge:`) or cancellation — plus the
-    /// `dacs_replica_decide_us` compute histogram, and the pooled
-    /// collector records `quorum_wait` spans and the
-    /// `dacs_quorum_wait_us` histogram.
+    /// its role (`primary:`/`replica:`/`hedge:`) or cancellation and
+    /// the replica name — plus the `dacs_replica_decide_us` compute
+    /// histogram, and the planned path's collector records
+    /// `quorum_wait` spans and the `dacs_quorum_wait_us` histogram.
     pub fn with_telemetry(mut self, telemetry: &Arc<Telemetry>) -> Self {
         let r = telemetry.registry();
         self.telemetry = Some(GroupTelemetry {
@@ -541,10 +547,14 @@ impl ReplicaGroup {
             } else {
                 &eligible[..1]
             };
-            let responses: Vec<Response> = queried
-                .iter()
-                .map(|r| self.timed_decide(r, request, now_ms))
-                .collect();
+            // No token (nothing to cancel), and no lost votes: the
+            // reference stops at a replica that panics.
+            let telemetry = self.dispatch_telemetry("replica");
+            let vote = |r: &&Arc<Replica>| {
+                r.evaluate(request, now_ms, None, telemetry.as_ref())
+                    .unwrap_or_else(|| panic!("replica {} panicked", r.endpoint.name()))
+            };
+            let responses: Vec<Response> = queried.iter().map(vote).collect();
             GroupOutcome::decided(
                 quorum::combine(mode, &responses),
                 queried.len(),
@@ -567,6 +577,9 @@ impl ReplicaGroup {
     /// [`quorum::combine`] runs over the same answers in configured
     /// replica order. What changes is cost: adaptive agreement settles
     /// at quorum width, saving `e − ⌊e/2⌋ − 1` evaluations per query.
+    /// One exception, over a vote the reference cannot lose: a
+    /// first-healthy primary that panics is replaced by the *fastest*
+    /// remaining replica (dispatch order), not the next configured one.
     pub(crate) fn query_planned(
         &self,
         mode: QuorumMode,
@@ -579,26 +592,16 @@ impl ReplicaGroup {
         })
     }
 
-    /// Evaluates one replica for the sequential path: times it, feeds
-    /// its EWMA, and — with telemetry attached — records a named
-    /// `replica_decide` span plus the compute histogram.
-    fn timed_decide(&self, replica: &Replica, request: &RequestContext, now_ms: u64) -> Response {
-        let span = self.telemetry.as_ref().map(|t| {
-            let mut s = t.tracer().span("replica_decide");
-            s.set_note(replica.endpoint.name());
-            s
-        });
-        let start = Instant::now();
-        let response = replica.backend.decide(request, now_ms);
-        let elapsed = start.elapsed();
-        replica
-            .endpoint
-            .record_latency_ns(elapsed.as_nanos() as u64);
-        if let Some(t) = &self.telemetry {
-            t.replica_us.record(elapsed.as_micros() as u64);
-        }
-        drop(span);
-        response
+    /// The handles one evaluation records through, under `role`. The
+    /// parent span is read from the *calling* thread's context, so a
+    /// worker's replica span nests under its enforcement.
+    fn dispatch_telemetry(&self, role: &'static str) -> Option<DispatchTelemetry> {
+        self.telemetry.as_ref().map(|t| DispatchTelemetry {
+            tracer: t.tracer().clone(),
+            replica_us: Arc::clone(&t.replica_us),
+            parent: dacs_telemetry::current(),
+            role,
+        })
     }
 
     /// `(latency estimate, index into eligible)` in dispatch order,
@@ -715,16 +718,6 @@ impl ReplicaGroup {
             let cheap = order[p].0.is_some_and(|ns| ns < POOL_HANDOFF_NS);
             plan.hedge.is_none() && (initial == 1 || p >= initial || cheap)
         };
-        // The parent span is read from the *caller's* thread-local
-        // context, so a worker's replica span nests under its enforcement.
-        let telemetry_for = |role| {
-            self.telemetry.as_ref().map(|t| DispatchTelemetry {
-                tracer: t.tracer().clone(),
-                replica_us: Arc::clone(&t.replica_us),
-                parent: dacs_telemetry::current(),
-                role,
-            })
-        };
         let mut pooled: Option<(Arc<Handoff>, Receiver<FanoutAnswer>)> = None;
         let mut dispatched = 0usize;
         // A caller-bound replica is only counted: the loop evaluates it.
@@ -748,7 +741,7 @@ impl ReplicaGroup {
             let job = FanoutJob {
                 replica: Arc::clone(eligible[order[p].1]),
                 handoff: Arc::clone(handoff),
-                telemetry: telemetry_for(role),
+                telemetry: self.dispatch_telemetry(role),
                 index: order[p].1,
                 response: None,
             };
@@ -781,9 +774,9 @@ impl ReplicaGroup {
         let verdict = loop {
             let answer = if let Some(p) = (mine..dispatched).find(|&p| on_caller(p)) {
                 (mine, caller_evaluations) = (p + 1, caller_evaluations + 1);
-                let cancel = pooled.as_ref().map_or(&*UNSHARED, |(h, _)| &h.cancel);
+                let cancel = pooled.as_ref().map(|(h, _)| &h.cancel);
                 let role = if p < initial { role } else { "replica" };
-                let (index, t) = (order[p].1, telemetry_for(role));
+                let (index, t) = (order[p].1, self.dispatch_telemetry(role));
                 let response = eligible[index].evaluate(request, now_ms, cancel, t.as_ref());
                 (index, response)
             } else {
@@ -1866,6 +1859,66 @@ mod tests {
         assert_eq!((out.replicas_queried, out.caller_evaluations), (1, 1));
     }
 
+    /// A backend that cancels whatever token it is handed — `cancel` is
+    /// public — and withdraws its vote; asked without one, it permits.
+    struct Saboteur(String);
+
+    impl DecisionBackend for Saboteur {
+        fn name(&self) -> &str {
+            &self.0
+        }
+        fn decide(&self, _request: &RequestContext, _now_ms: u64) -> Response {
+            Response::decision(Decision::Permit)
+        }
+        fn decide_cancellable(
+            &self,
+            _request: &RequestContext,
+            _now_ms: u64,
+            cancel: &CancelToken,
+        ) -> Option<Response> {
+            cancel.cancel();
+            None
+        }
+    }
+
+    /// The token a backend is handed belongs to its own query: a query
+    /// the caller evaluates whole has nothing to cancel and hands out no
+    /// token at all, so a backend that sets every token it sees spoils
+    /// the query it is part of — all pooled, or mixed, where the caller's
+    /// own evaluations carry the query's token too — and nothing after.
+    #[test]
+    fn a_backend_that_cancels_its_token_spoils_only_its_own_query() {
+        let saboteurs = |estimates: [u64; 3]| {
+            let backends = (0..3).map(|i| Arc::new(Saboteur(format!("r{i}"))) as _);
+            let (g, _) = grouped(backends.collect());
+            for (slot, ns) in estimates.into_iter().enumerate() {
+                g.endpoint(slot).record_latency_ns(ns);
+            }
+            g
+        };
+        let cheap = saboteurs([CHEAP_NS; 3]);
+        let pool = pool();
+        let majority = |g: &ReplicaGroup| {
+            g.query_planned(
+                QuorumMode::Majority,
+                &RequestContext::new(),
+                0,
+                &plan(&pool, None, false),
+            )
+        };
+        for _ in 0..2 {
+            let out = majority(&cheap);
+            assert_eq!(out.response.unwrap().decision, Decision::Permit);
+            assert_eq!(out.caller_evaluations, 2);
+        }
+        for (estimates, on_caller) in [([DEAR_NS; 3], 0), ([CHEAP_NS, CHEAP_NS, DEAR_NS], 2)] {
+            let out = majority(&saboteurs(estimates));
+            assert_eq!((out.response, out.caller_evaluations), (None, on_caller));
+            let out = majority(&cheap);
+            assert_eq!(out.response.unwrap().decision, Decision::Permit);
+        }
+    }
+
     proptest! {
         /// Decision equivalence for the one collector: for any vote
         /// pattern, under every quorum mode, full-width or adaptive,
@@ -1875,9 +1928,11 @@ mod tests {
         /// replica marked down — while never dispatching fewer than
         /// quorum width or more than every eligible replica. A lost
         /// vote is replaced at once as a needed voter in every mode
-        /// (the chosen behaviour for a lost first-healthy primary): the
-        /// hedge budget here is one no run can overrun, so any hedge
-        /// would be a lost vote miscounted. Each replica draws no
+        /// (the chosen behaviour for a lost first-healthy primary, whose
+        /// replacement is the fastest remaining replica — the one case
+        /// the reference does not predict and the test works out by
+        /// itself): the hedge budget here is one no run can overrun, so
+        /// any hedge would be a lost vote miscounted. Each replica draws no
         /// estimate, one under or one over the hand-off constant, and
         /// every plan runs hedged (all pooled) and unhedged, so the
         /// equivalence covers caller, pooled and mixed dispatch.
@@ -1926,12 +1981,15 @@ mod tests {
                             _ => g.endpoint(slot).record_latency_ns(DEAR_NS),
                         }
                     }
-                    // A lost first-healthy primary is replaced by the
-                    // next replica in *dispatch* order, where the
-                    // reference takes the next in configured order.
+                    // The one documented exception: a lost first-healthy
+                    // primary is replaced by the fastest remaining replica
+                    // where the reference takes the next configured one.
+                    // Worked out from the drawn speeds, not by asking the
+                    // dispatch order: the lowest estimate, an unmeasured
+                    // replica ahead of any, ties to the lowest slot.
                     let expected = if mode == QuorumMode::FirstHealthy && lost == Some(0) {
-                        let slots: Vec<_> = g.replicas.iter().collect();
-                        Some(decisions[ReplicaGroup::ewma_order(&slots, 1)[1].1])
+                        let backup = (1..eligible).min_by_key(|&slot| speeds[slot]);
+                        backup.map(|slot| decisions[slot])
                     } else {
                         seq.response.as_ref().map(|r| r.decision)
                     };
