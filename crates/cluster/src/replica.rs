@@ -297,6 +297,13 @@ pub(crate) struct FanoutPlan<'a> {
 /// moment queries stop reaching the pool.
 const POOL_HANDOFF_NS: u64 = 10_000;
 
+/// The most one sample may weigh, in multiples of the estimate: at the
+/// EWMA's weight of a fifth, one evaluation at most doubles it. The
+/// path hangs on the estimate, and raw, a 1.2 µs replica preempted once
+/// for 45 µs rides the pool for the dozen queries it takes to decay:
+/// what a query costs would depend on what the host did to the last.
+const SAMPLE_CAP: u64 = 6;
+
 /// What the pooled jobs of one query share — one request copy — built
 /// at its first hand-off: a query the caller evaluates whole has none.
 struct Handoff {
@@ -380,7 +387,10 @@ impl Replica {
                 // abandoned one's elapsed time measures the cancel
                 // point, not the replica.
                 let elapsed = start.elapsed();
-                self.endpoint.record_latency_ns(elapsed.as_nanos() as u64);
+                // One preempted evaluation is not a slow replica.
+                let estimate = self.endpoint.latency_ewma_ns().unwrap_or(u64::MAX);
+                let ns = (elapsed.as_nanos() as u64).min(estimate.saturating_mul(SAMPLE_CAP));
+                self.endpoint.record_latency_ns(ns);
                 if let Some(t) = telemetry {
                     t.replica_us.record(elapsed.as_micros() as u64);
                 }
@@ -1801,6 +1811,45 @@ mod tests {
         assert_eq!(out.caller_evaluations, 3);
         assert_eq!(counting.iter().map(|c| c.answered()).sum::<usize>(), 3);
         assert_eq!(pool.backlog(), 0);
+        latch.release();
+    }
+
+    /// An evaluation that was held up once — parked here, preempted on
+    /// a busy host — at most doubles its replica's estimate
+    /// ([`SAMPLE_CAP`]): the replica is still the caller's on the next
+    /// query, so what a query costs does not hang on what the host did
+    /// to the one before.
+    #[test]
+    fn one_held_up_evaluation_does_not_send_a_cheap_replica_to_the_pool() {
+        let held_up = SlowBackend::parked("r0", Decision::Permit);
+        let (g, _) = grouped(vec![
+            held_up.clone() as Arc<dyn DecisionBackend>,
+            Arc::new(StaticBackend::new("r1", Decision::Permit)),
+            Arc::new(StaticBackend::new("r2", Decision::Permit)),
+        ]);
+        estimated(&g, CHEAP_NS);
+        let (pool, latch) = held_pool();
+        let req = RequestContext::new();
+        // Unanimity over three permits needs every vote, every time.
+        let ask = || {
+            let plan = plan(&pool, None, false);
+            g.query_planned(QuorumMode::UnanimousFailClosed, &req, 0, &plan)
+        };
+        let out = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                held_up.wait_parked();
+                held_up.release();
+            });
+            ask()
+        });
+        assert_eq!(out.caller_evaluations, 3);
+        let estimate = g.endpoint(0).latency_ewma_ns().unwrap();
+        assert!(
+            estimate <= 2 * CHEAP_NS,
+            "one sample carried a {CHEAP_NS} ns estimate to {estimate} ns"
+        );
+        assert_eq!(ask().caller_evaluations, 3);
+        assert_eq!(pool.backlog(), 0, "the held-up replica went to the pool");
         latch.release();
     }
 
