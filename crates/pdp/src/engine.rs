@@ -5,7 +5,7 @@
 use crate::cache::{CacheStats, HashedRequestCache};
 use dacs_pap::Pap;
 use dacs_pip::{PipRegistry, ResolvingSource};
-use dacs_policy::eval::{resolve_references, EvalMetrics, Evaluator, Response};
+use dacs_policy::eval::{resolve_references, EvalMetrics, Evaluator, ResolvedTree, Response};
 use dacs_policy::expr::ExprStats;
 use dacs_policy::policy::PolicyElement;
 use dacs_policy::request::RequestContext;
@@ -89,15 +89,17 @@ pub struct CacheConfig {
 }
 
 /// The PDP's root with every reference resolved against the PAP as it
-/// stood at mutation epoch `epoch` or later.
+/// stood at mutation epoch `epoch` or later, and the target index of
+/// that tree: built together, replaced together.
 struct Snapshot {
     epoch: u64,
-    root: PolicyElement,
+    root: ResolvedTree,
 }
 
 impl Snapshot {
-    /// Resolves `root` against `pap`. `epoch` must have been read from
-    /// `pap` before this call.
+    /// Resolves and indexes `root` against `pap` — the only place
+    /// either happens. `epoch` must have been read from `pap` before
+    /// this call.
     fn take(pap: &Pap, root: &PolicyElement, epoch: u64) -> Self {
         Snapshot {
             epoch,
@@ -115,7 +117,9 @@ impl Snapshot {
 /// stripe the key maps to, and a shared read of the snapshot pointer.
 ///
 /// Evaluation walks a per-epoch resolved snapshot of the root
-/// ([`resolve_references`]), not the PAP: `decide` reads the PAP's mutation epoch once, uses the held
+/// ([`resolve_references`]), not the PAP, and in each policy set of it
+/// only the children the request can apply to (the snapshot's target
+/// index): `decide` reads the PAP's mutation epoch once, uses the held
 /// snapshot when its label matches and re-resolves the root otherwise.
 /// The epoch is read *before* resolving, so a snapshot is never older
 /// than its label; every PAP mutation bumps the epoch before it
@@ -222,7 +226,7 @@ impl Pdp {
         // The PAP stays the store for what the snapshot left as a
         // reference (dangling or cyclic).
         let mut evaluator = Evaluator::with_source(self.pap.as_ref(), request, &source);
-        let response = evaluator.evaluate_element(&snapshot.root);
+        let response = evaluator.evaluate_resolved(&snapshot.root);
         self.metrics.absorb(&evaluator.metrics);
 
         if let Some(cache) = &self.cache {

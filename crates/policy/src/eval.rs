@@ -5,6 +5,7 @@
 use crate::combining::Combiner;
 use crate::expr::{eval as eval_expr, Evaluated};
 use crate::expr::{eval_condition, AttributeSource, EvalError, ExprStats};
+use crate::index::{Candidates, SetIndex};
 use crate::policy::{
     CombiningAlg, Decision, Effect, Obligation, ObligationExpr, Policy, PolicyElement, PolicyId,
     PolicySet, Rule,
@@ -69,20 +70,53 @@ impl PolicyStore for InMemoryStore {
     }
 }
 
+/// A policy tree with its references resolved inline and its sets
+/// indexed by target: what [`resolve_references`] returns and
+/// [`Evaluator::evaluate_resolved`] evaluates. Immutable, so the index
+/// cannot go stale against the tree it was built from.
+#[derive(Debug)]
+pub struct ResolvedTree {
+    root: PolicyElement,
+    /// The root set's index; `None` when the root is not a set, nothing
+    /// in the tree is indexable, or the tree is not indexed (see
+    /// [`resolve_references`]).
+    index: Option<SetIndex>,
+}
+
+impl ResolvedTree {
+    /// The resolved root element.
+    pub fn root(&self) -> &PolicyElement {
+        &self.root
+    }
+}
+
 /// Returns `root` with every reachable `PolicyRef` / `PolicySetRef`
 /// replaced inline by the body `store` holds for it now, so that
-/// evaluating the result makes no store lookup.
+/// evaluating the result makes no store lookup — and with a target
+/// index per inline set, so that evaluating it reaches only the
+/// children a request can apply to.
 ///
 /// [`Evaluator`] reaches a referenced body through the same
 /// `evaluate_policy` / `evaluate_policy_set` it uses for an inline one,
-/// so the resolved tree yields the response — and the work counters —
-/// the reference walk would against the same store contents. A
-/// reference the store cannot resolve, and a `PolicySetRef` back into a
-/// set that is still being expanded (a cycle), stay references: the
-/// evaluator meets them exactly as the reference walk does, as
-/// `Indeterminate`, at its nesting limit or at its element budget.
-/// Expansion therefore terminates: every nested expansion is of a
-/// stored set not already open.
+/// so the resolved tree yields the response the reference walk would
+/// against the same store contents. A reference the store cannot
+/// resolve, and a `PolicySetRef` back into a set that is still being
+/// expanded (a cycle), stay references: the evaluator meets them
+/// exactly as the reference walk does, as `Indeterminate`, at its
+/// nesting limit or at its element budget. Expansion therefore
+/// terminates: every nested expansion is of a stored set not already
+/// open.
+///
+/// The index leaves out of an evaluation only children that would have
+/// answered `NotApplicable` with no obligation and no error (the rules
+/// are in the `index` module's source, where it is built), so the work
+/// counters fall and nothing else moves. The evaluator's two limits are
+/// the exception — they count elements *reached*, whatever those would
+/// have answered — so a tree on which the reference walk could exhaust
+/// one is not indexed at all and "budget exceeded" / "depth exceeded"
+/// stay byte-identical to the walk: a tree that kept a cyclic
+/// `PolicySetRef`, holds at least `MAX_POLICY_ELEMENTS` elements, or
+/// nests deeper than `MAX_POLICY_DEPTH`.
 ///
 /// # Examples
 ///
@@ -98,67 +132,108 @@ impl PolicyStore for InMemoryStore {
 ///         .with_policy_ref("missing"),
 /// );
 /// let root = PolicyElement::PolicySetRef(PolicyId::new("root"));
-/// let PolicyElement::PolicySet(resolved) = resolve_references(&root, &store) else {
+/// let tree = resolve_references(&root, &store);
+/// let PolicyElement::PolicySet(resolved) = tree.root() else {
 ///     panic!("the root set resolves inline");
 /// };
 /// assert!(matches!(resolved.elements[0], PolicyElement::Policy(_)));
 /// assert!(matches!(resolved.elements[1], PolicyElement::PolicyRef(_)));
 /// ```
-pub fn resolve_references(root: &PolicyElement, store: &dyn PolicyStore) -> PolicyElement {
-    resolve_element(root, store, &mut Vec::new())
+pub fn resolve_references(root: &PolicyElement, store: &dyn PolicyStore) -> ResolvedTree {
+    let mut resolver = Resolver {
+        store,
+        open: Vec::new(),
+        kept_cycle: false,
+    };
+    let root = resolver.element(root);
+    let mut elements = 0;
+    let within_limits = !resolver.kept_cycle
+        && nesting(&root, &mut elements) <= MAX_POLICY_DEPTH
+        && elements < MAX_POLICY_ELEMENTS;
+    let index = match &root {
+        PolicyElement::PolicySet(set) if within_limits => SetIndex::build(set),
+        _ => None,
+    };
+    ResolvedTree { root, index }
 }
 
-/// `open` holds the stored sets whose expansion encloses `element`.
-fn resolve_element(
-    element: &PolicyElement,
-    store: &dyn PolicyStore,
-    open: &mut Vec<PolicyId>,
-) -> PolicyElement {
+/// The nesting level of the deepest element under `element` (its own
+/// is 0: what [`Evaluator`]'s depth reads when it reaches it), adding
+/// every element met — references too, as one each — to `elements`.
+fn nesting(element: &PolicyElement, elements: &mut u64) -> u32 {
+    *elements += 1;
     match element {
-        PolicyElement::Policy(_) => element.clone(),
-        PolicyElement::PolicySet(set) => {
-            PolicyElement::PolicySet(Box::new(resolve_set(set, store, open)))
-        }
-        PolicyElement::PolicyRef(id) => match store.policy(id) {
-            Some(policy) => PolicyElement::Policy(Policy::clone(&policy)),
-            None => element.clone(),
-        },
-        PolicyElement::PolicySetRef(id) => match store.policy_set(id) {
-            Some(set) if !open.contains(id) => {
-                open.push(id.clone());
-                let resolved = resolve_set(&set, store, open);
-                open.pop();
-                PolicyElement::PolicySet(Box::new(resolved))
-            }
-            _ => element.clone(),
-        },
-    }
-}
-
-fn resolve_set(set: &PolicySet, store: &dyn PolicyStore, open: &mut Vec<PolicyId>) -> PolicySet {
-    PolicySet {
-        id: set.id.clone(),
-        version: set.version,
-        target: set.target.clone(),
-        elements: set
+        PolicyElement::PolicySet(set) => set
             .elements
             .iter()
-            .map(|child| resolve_element(child, store, open))
-            .collect(),
-        policy_combining: set.policy_combining,
-        obligations: set.obligations.clone(),
-        issuer: set.issuer.clone(),
+            .map(|child| 1 + nesting(child, elements))
+            .max()
+            .unwrap_or(0),
+        _ => 0,
     }
 }
 
-/// Work counters for one evaluation.
+struct Resolver<'a> {
+    store: &'a dyn PolicyStore,
+    /// The stored sets whose expansion encloses the element in hand.
+    open: Vec<PolicyId>,
+    /// Whether a `PolicySetRef` stayed a reference because its set was
+    /// open: evaluating the result then walks a cycle through the store.
+    kept_cycle: bool,
+}
+
+impl Resolver<'_> {
+    fn element(&mut self, element: &PolicyElement) -> PolicyElement {
+        match element {
+            PolicyElement::Policy(_) => element.clone(),
+            PolicyElement::PolicySet(set) => PolicyElement::PolicySet(Box::new(self.set(set))),
+            PolicyElement::PolicyRef(id) => match self.store.policy(id) {
+                Some(policy) => PolicyElement::Policy(Policy::clone(&policy)),
+                None => element.clone(),
+            },
+            PolicyElement::PolicySetRef(id) => match self.store.policy_set(id) {
+                Some(_) if self.open.contains(id) => {
+                    self.kept_cycle = true;
+                    element.clone()
+                }
+                Some(set) => {
+                    self.open.push(id.clone());
+                    let resolved = self.set(&set);
+                    self.open.pop();
+                    PolicyElement::PolicySet(Box::new(resolved))
+                }
+                None => element.clone(),
+            },
+        }
+    }
+
+    fn set(&mut self, set: &PolicySet) -> PolicySet {
+        PolicySet {
+            id: set.id.clone(),
+            version: set.version,
+            target: set.target.clone(),
+            elements: set
+                .elements
+                .iter()
+                .map(|child| self.element(child))
+                .collect(),
+            policy_combining: set.policy_combining,
+            obligations: set.obligations.clone(),
+            issuer: set.issuer.clone(),
+        }
+    }
+}
+
+/// Work counters for one evaluation. They count what was evaluated,
+/// not what the tree holds: a child a [`ResolvedTree`]'s index left out
+/// of a set's loop appears in none of them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EvalMetrics {
     /// Rules whose evaluation was reached.
     pub rules_evaluated: u64,
     /// Policies evaluated (target matched or not).
     pub policies_evaluated: u64,
-    /// Policy sets evaluated.
+    /// Policy sets evaluated (target matched or not).
     pub policy_sets_evaluated: u64,
     /// Target evaluations performed.
     pub targets_checked: u64,
@@ -227,6 +302,13 @@ const MAX_POLICY_ELEMENTS: u64 = 1 << 14;
 /// Holds the request context (used for target matching), an attribute
 /// source (used for conditions and obligations — typically the same
 /// context, or a PIP-backed resolver) and a policy store for references.
+///
+/// There is one walk. Given a [`ResolvedTree`] it takes each set's
+/// children from the tree's target index — the ones the request can
+/// apply to, in document order — and given a bare element, or below a
+/// reference it had to look up, it takes all of them; either way the
+/// same loop feeds the same combiner, and [`Evaluator::metrics`] counts
+/// what that loop evaluated.
 pub struct Evaluator<'a> {
     store: &'a dyn PolicyStore,
     request: &'a RequestContext,
@@ -267,8 +349,21 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Evaluates a policy element (the generic entry point).
+    /// Evaluates a policy element (the generic entry point): the
+    /// reference walk, every child of every set.
     pub fn evaluate_element(&mut self, element: &PolicyElement) -> Response {
+        self.evaluate_indexed(element, None)
+    }
+
+    /// Evaluates a resolved tree, reaching in each indexed set only the
+    /// children `request` can apply to. The response is
+    /// [`Evaluator::evaluate_element`]'s on the tree's root.
+    pub fn evaluate_resolved(&mut self, tree: &ResolvedTree) -> Response {
+        self.evaluate_indexed(&tree.root, tree.index.as_ref())
+    }
+
+    /// `index` is `element`'s own when `element` is an inline set.
+    fn evaluate_indexed(&mut self, element: &PolicyElement, index: Option<&SetIndex>) -> Response {
         if self.depth > MAX_POLICY_DEPTH {
             return Response::indeterminate("policy nesting depth exceeded");
         }
@@ -279,13 +374,13 @@ impl<'a> Evaluator<'a> {
         }
         match element {
             PolicyElement::Policy(p) => self.evaluate_policy(p),
-            PolicyElement::PolicySet(ps) => self.evaluate_policy_set(ps),
+            PolicyElement::PolicySet(ps) => self.evaluate_set(ps, index),
             PolicyElement::PolicyRef(id) => match self.store.policy(id) {
                 Some(p) => self.evaluate_policy(&p),
                 None => Response::indeterminate(format!("unresolved policy reference {id}")),
             },
             PolicyElement::PolicySetRef(id) => match self.store.policy_set(id) {
-                Some(ps) => self.evaluate_policy_set(&ps),
+                Some(ps) => self.evaluate_set(&ps, None),
                 None => Response::indeterminate(format!("unresolved policy set reference {id}")),
             },
         }
@@ -331,8 +426,12 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Evaluates a policy set.
+    /// Evaluates a policy set, every child of it.
     pub fn evaluate_policy_set(&mut self, set: &PolicySet) -> Response {
+        self.evaluate_set(set, None)
+    }
+
+    fn evaluate_set(&mut self, set: &PolicySet, index: Option<&SetIndex>) -> Response {
         self.metrics.policy_sets_evaluated += 1;
         match self.check_target(&set.target) {
             MatchResult::NoMatch => return Response::decision(Decision::NotApplicable),
@@ -343,12 +442,19 @@ impl<'a> Evaluator<'a> {
         }
         self.depth += 1;
         let mut resp = if set.policy_combining == CombiningAlg::OnlyOneApplicable {
-            self.evaluate_only_one_applicable(set)
+            self.evaluate_only_one_applicable(set, index)
         } else {
+            // A child the index leaves out would have been fed here as
+            // `NotApplicable`, which moves no combiner and no status.
+            let children = match index {
+                Some(index) => index.candidates(self.request, set.elements.len()),
+                None => Candidates::All(0..set.elements.len()),
+            };
             let mut combiner = Combiner::new(set.policy_combining);
             let mut first_error: Option<String> = None;
-            for element in &set.elements {
-                let child = self.evaluate_element(element);
+            for i in children {
+                let nested = index.and_then(|index| index.nested(i));
+                let child = self.evaluate_indexed(&set.elements[i], nested);
                 if first_error.is_none() {
                     if let Status::Error(e) = &child.status {
                         first_error = Some(e.clone());
@@ -377,7 +483,12 @@ impl<'a> Evaluator<'a> {
         resp
     }
 
-    fn evaluate_only_one_applicable(&mut self, set: &PolicySet) -> Response {
+    /// `index` holds no postings for such a set, only its nested sets'.
+    fn evaluate_only_one_applicable(
+        &mut self,
+        set: &PolicySet,
+        index: Option<&SetIndex>,
+    ) -> Response {
         let mut applicable: Option<usize> = None;
         for (i, element) in set.elements.iter().enumerate() {
             let matched = match self.match_element_target(element) {
@@ -404,7 +515,10 @@ impl<'a> Evaluator<'a> {
             }
         }
         match applicable {
-            Some(i) => self.evaluate_element(&set.elements[i]),
+            Some(i) => {
+                let nested = index.and_then(|index| index.nested(i));
+                self.evaluate_indexed(&set.elements[i], nested)
+            }
             None => Response::decision(Decision::NotApplicable),
         }
     }
@@ -823,6 +937,111 @@ mod tests {
                 Status::Error("policy evaluation budget exceeded".into())
             );
         }
+    }
+
+    /// A set of `quarantines` policies no `ehr/*` request applies to,
+    /// behind one that does: indexed, a request reaches one policy.
+    fn mostly_inapplicable_set(id: &str, quarantines: usize) -> PolicySet {
+        let mut set =
+            PolicySet::new(id, CombiningAlg::DenyOverrides).with_policy(doctors_read_policy());
+        for k in 0..quarantines {
+            set = set.with_policy(
+                Policy::new(format!("aux-{k}").as_str(), CombiningAlg::DenyOverrides).with_rule(
+                    Rule::new("quarantine", Effect::Deny).with_target(Target::all(vec![
+                        AttrMatch::glob(AttributeId::resource("id"), format!("aux-{k}/*")),
+                    ])),
+                ),
+            );
+        }
+        set
+    }
+
+    /// `evaluate_resolved` and `evaluate_element` over the same tree.
+    fn indexed_and_walked(
+        root: &PolicyElement,
+        store: &dyn PolicyStore,
+    ) -> [(Response, EvalMetrics); 2] {
+        let req = doctor_request();
+        let tree = resolve_references(root, store);
+        let mut indexed = Evaluator::new(store, &req);
+        let got = indexed.evaluate_resolved(&tree);
+        let mut walk = Evaluator::new(store, &req);
+        let expected = walk.evaluate_element(tree.root());
+        [(got, indexed.metrics), (expected, walk.metrics)]
+    }
+
+    #[test]
+    fn a_resolved_tree_reaches_only_the_children_the_request_can_apply_to() {
+        let inner = mostly_inapplicable_set("inner", 8);
+        let root = PolicySet::new("root", CombiningAlg::FirstApplicable).with_policy_set(inner);
+        let root = PolicyElement::PolicySet(Box::new(root));
+        let [(got, indexed), (expected, walked)] = indexed_and_walked(&root, &EmptyStore);
+        assert_eq!(got, expected);
+        assert_eq!(got.decision, Decision::Permit);
+        assert_eq!(indexed.expr, walked.expr);
+        assert_eq!((walked.policies_evaluated, walked.rules_evaluated), (9, 9));
+        assert_eq!(
+            (indexed.policies_evaluated, indexed.rules_evaluated),
+            (1, 1)
+        );
+        assert_eq!(indexed.policy_sets_evaluated, 2);
+        assert_eq!(walked.targets_checked - indexed.targets_checked, 16);
+    }
+
+    /// A tree on which the walk can run into a limit is not indexed at
+    /// all: the limits count elements reached, so a skipped child would
+    /// move the point at which they trip.
+    #[test]
+    fn a_tree_that_could_exhaust_a_limit_is_scanned() {
+        let indexable = |id: &str| mostly_inapplicable_set(id, 4);
+        let scans = |root: PolicyElement, store: &dyn PolicyStore| {
+            let [(got, indexed), (expected, walked)] = indexed_and_walked(&root, store);
+            assert_eq!(got, expected);
+            let scanned = resolve_references(&root, store).index.is_none();
+            assert_eq!(indexed == walked, scanned, "{indexed:?} {walked:?}");
+            scanned
+        };
+        assert!(!scans(
+            PolicyElement::PolicySet(Box::new(indexable("root"))),
+            &EmptyStore
+        ));
+
+        // A kept cyclic reference, anywhere in the tree.
+        let mut cyclic = InMemoryStore::new();
+        let mut root = indexable("root");
+        root.elements
+            .push(PolicyElement::PolicySetRef(PolicyId::new("root")));
+        cyclic.add_policy_set(root);
+        assert!(scans(
+            PolicyElement::PolicySetRef(PolicyId::new("root")),
+            &cyclic
+        ));
+
+        // As many elements as the budget: the root and 2^14 - 1 policies.
+        let mut wide = indexable("root");
+        let filler = Policy::new("filler", CombiningAlg::DenyOverrides);
+        while (wide.elements.len() as u64) < MAX_POLICY_ELEMENTS - 2 {
+            wide.elements.push(PolicyElement::Policy(filler.clone()));
+        }
+        assert!(!scans(
+            PolicyElement::PolicySet(Box::new(wide.clone())),
+            &EmptyStore
+        ));
+        wide.elements.push(PolicyElement::Policy(filler));
+        assert!(scans(PolicyElement::PolicySet(Box::new(wide)), &EmptyStore));
+
+        // The indexable set at the deepest level the evaluator reaches,
+        // then one deeper.
+        let nest = |levels: u32| {
+            let mut set = indexable("leaf");
+            for level in 1..levels {
+                let id = format!("level-{level}");
+                set = PolicySet::new(id.as_str(), CombiningAlg::DenyOverrides).with_policy_set(set);
+            }
+            PolicyElement::PolicySet(Box::new(set))
+        };
+        assert!(!scans(nest(MAX_POLICY_DEPTH), &EmptyStore));
+        assert!(scans(nest(MAX_POLICY_DEPTH + 1), &EmptyStore));
     }
 
     #[test]

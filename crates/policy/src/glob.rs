@@ -54,22 +54,38 @@ pub fn glob_match(pattern: &str, text: &str) -> bool {
     p.all(|c| c == '*')
 }
 
+/// The literal text of `pattern` before its first `*` or `?`. Every
+/// text the pattern matches starts with it, so a text that does not is
+/// ruled out without running the matcher — what conflict analysis and
+/// the evaluator's target index both rely on.
+///
+/// # Examples
+///
+/// ```
+/// use dacs_policy::glob::literal_prefix;
+///
+/// assert_eq!(literal_prefix("ehr/records/*"), "ehr/records/");
+/// assert_eq!(literal_prefix("*.pdf"), "");
+/// assert_eq!(literal_prefix("exact"), "exact");
+/// ```
+pub fn literal_prefix(pattern: &str) -> &str {
+    let end = pattern.find(['*', '?']).unwrap_or(pattern.len());
+    &pattern[..end]
+}
+
 /// Conservatively decides whether two glob patterns could match a common
 /// string. Used by static conflict analysis: a `false` answer is always
 /// sound (no overlap); `true` may be a false positive.
 pub fn globs_may_overlap(a: &str, b: &str) -> bool {
+    let (pa, pb) = (literal_prefix(a), literal_prefix(b));
     // Exact match when neither has wildcards.
-    let a_wild = a.contains('*') || a.contains('?');
-    let b_wild = b.contains('*') || b.contains('?');
-    match (a_wild, b_wild) {
+    match (pa.len() < a.len(), pb.len() < b.len()) {
         (false, false) => a == b,
         (false, true) => glob_match(b, a),
         (true, false) => glob_match(a, b),
         (true, true) => {
-            // Compare the literal prefixes up to the first wildcard; if
-            // they disagree, no common string exists.
-            let pa: String = a.chars().take_while(|c| *c != '*' && *c != '?').collect();
-            let pb: String = b.chars().take_while(|c| *c != '*' && *c != '?').collect();
+            // If the literal prefixes disagree where both have text,
+            // no common string exists.
             let n = pa.len().min(pb.len());
             pa.as_bytes()[..n] == pb.as_bytes()[..n]
         }
@@ -128,6 +144,41 @@ mod tests {
                 );
             }
         }
+    }
+
+    proptest! {
+        /// What the target index and `globs_may_overlap` rest on: a
+        /// matched text starts with the pattern's literal prefix. The
+        /// alphabets hold a literal `*` on the text side (ISSUE 16's
+        /// case) and multi-byte scalars on both.
+        #[test]
+        fn a_matched_text_starts_with_the_literal_prefix(
+            pattern in "[ab/é]{0,4}[ab*?é日/]{0,5}",
+            texts in prop::collection::vec("[ab*é日/]{0,9}", 1..48),
+        ) {
+            let prefix = literal_prefix(&pattern);
+            prop_assert!(pattern.starts_with(prefix));
+            prop_assert!(!prefix.contains(['*', '?']));
+            for text in &texts {
+                prop_assert!(
+                    !glob_match(&pattern, text) || text.starts_with(prefix),
+                    "pattern {:?} matched {:?} without its prefix {:?}", pattern, text, prefix
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn literal_prefix_stops_at_the_first_metacharacter() {
+        assert_eq!(literal_prefix(""), "");
+        assert_eq!(literal_prefix("aux-3/*"), "aux-3/");
+        assert_eq!(literal_prefix("l?b/*"), "l");
+        assert_eq!(literal_prefix("*"), "");
+        assert_eq!(literal_prefix("?x"), "");
+        assert_eq!(literal_prefix("日é*日"), "日é");
+        assert_eq!(literal_prefix("plain"), "plain");
+        // A literal `*` in the text is still covered by the prefix rule.
+        assert!(glob_match("aux/*", "aux/*x") && "aux/*x".starts_with(literal_prefix("aux/*")));
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!
 //! * [`attr`] / [`request`] — attribute categories, typed values and the
 //!   request context (authorization decision query).
-//! * [`target`] — indexable applicability tests.
+//! * [`target`] — indexable applicability tests (the per-set index
+//!   itself is built by [`eval::resolve_references`]).
 //! * [`expr`] — the condition expression language and function library.
 //! * [`policy`] — rules, policies, policy sets, obligations.
 //! * [`combining`] — the six combining algorithms with obligation
@@ -54,6 +55,7 @@ pub mod dsl;
 pub mod eval;
 pub mod expr;
 pub mod glob;
+mod index;
 pub mod policy;
 pub mod request;
 pub mod target;

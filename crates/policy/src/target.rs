@@ -4,9 +4,15 @@
 //! A target is a conjunction of [`AnyOf`] clauses; each `AnyOf` is a
 //! disjunction of [`AllOf`] clauses; each `AllOf` is a conjunction of
 //! attribute [`AttrMatch`]es. An empty target matches every request.
+//!
+//! Indexable means: some targets name a value the request *must* carry
+//! (an `Equals` literal, the literal prefix of a `Glob` pattern), and
+//! the per-set index [`resolve_references`](crate::eval::resolve_references)
+//! builds posts a child under those values, so that a request without
+//! them never reaches the child.
 
 use crate::attr::{AttrValue, AttributeId};
-use crate::glob::glob_match;
+use crate::glob::{glob_match, literal_prefix};
 use crate::request::RequestContext;
 use serde::{Deserialize, Serialize};
 
@@ -54,6 +60,17 @@ pub enum MatchResult {
     NoMatch,
     /// The applicability could not be determined (type error).
     Indeterminate,
+}
+
+/// What a request's bag must hold for an [`AttrMatch`] to succeed: the
+/// key the target index posts the match's owner under.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum MatchKey<'a> {
+    /// A value equal to this literal (an `Equals` match).
+    Equals(&'a AttrValue),
+    /// A string that starts with this non-empty text (a `Glob` match;
+    /// the text is the pattern's [`literal_prefix`]).
+    Prefix(&'a str),
 }
 
 /// A single attribute match: `attr OP value`.
@@ -109,6 +126,27 @@ impl AttrMatch {
             MatchResult::Indeterminate
         } else {
             MatchResult::NoMatch
+        }
+    }
+
+    /// The key without which this match is `NoMatch`, if it has one.
+    ///
+    /// `Equals` never answers `None` in [`AttrMatch::matches_value`], so
+    /// a bag without the literal is `NoMatch` outright. A `Glob` with a
+    /// string pattern is `NoMatch` on a bag of strings none of which
+    /// starts with the pattern's literal prefix — but `Indeterminate` on
+    /// a bag holding any other type, which the index must check for. A
+    /// pattern that opens with `*` or `?` has no prefix to ask for, the
+    /// range operators and `Contains` name no value at all, and a `Glob`
+    /// whose pattern is not a string is `Indeterminate` on every
+    /// non-empty bag: none of them has a key.
+    pub(crate) fn key(&self) -> Option<MatchKey<'_>> {
+        match (self.op, &self.value) {
+            (MatchOp::Equals, literal) => Some(MatchKey::Equals(literal)),
+            (MatchOp::Glob, AttrValue::String(pattern)) => Some(literal_prefix(pattern))
+                .filter(|prefix| !prefix.is_empty())
+                .map(MatchKey::Prefix),
+            _ => None,
         }
     }
 
@@ -236,6 +274,34 @@ impl Target {
             }
         }
         result
+    }
+
+    /// The keys one of which a request must carry under `attr` for this
+    /// target to match, if the target demands any: those of its first
+    /// `AnyOf` whose every `AllOf` holds a keyed match on `attr`.
+    ///
+    /// A request carrying none of them fails one match in each of that
+    /// `AnyOf`'s `AllOf`s; a `NoMatch` decides an `AllOf` whatever its
+    /// other matches say, all-`NoMatch` decides the `AnyOf`, and one
+    /// `NoMatch` `AnyOf` decides the target — an `Indeterminate`
+    /// elsewhere in it cannot surface.
+    pub(crate) fn required_keys(&self, attr: &AttributeId) -> Option<Vec<MatchKey<'_>>> {
+        self.any_ofs.iter().find_map(|any| {
+            any.all_ofs
+                .iter()
+                .map(|all| {
+                    let mut on_attr = all.matches.iter().filter(|m| &m.attr == attr);
+                    on_attr.find_map(AttrMatch::key)
+                })
+                .collect()
+        })
+    }
+
+    /// The first attribute this target demands a value of, with the
+    /// keys ([`Target::required_keys`]).
+    pub(crate) fn requirement(&self) -> Option<(&AttributeId, Vec<MatchKey<'_>>)> {
+        self.all_matches()
+            .find_map(|m| Some((&m.attr, self.required_keys(&m.attr)?)))
     }
 
     /// All attribute matches mentioned anywhere in the target (used by

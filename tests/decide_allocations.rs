@@ -4,9 +4,11 @@
 //! of them per policy walked, and routing a request costs its key and
 //! nothing else. Passes or fails on logic — the count is the same on
 //! every host — and is the guard that keeps a `Vec<char>` per target
-//! match, or a store lookup per policy, from growing back. The same
-//! goes one layer up: a quorum decision costs its replicas' decides
-//! plus a fixed handful, whatever the replicas' lifecycle phases — and
+//! match, or a store lookup per policy, from growing back. The work
+//! counters beside it say the same of evaluation: a decide reaches the
+//! policies its request can apply to, however many the domain holds.
+//! The same goes one layer up: a quorum decision costs its replicas'
+//! decides plus a fixed handful, whatever the replicas' lifecycle phases — and
 //! so does a planned one whose replicas are cheap enough for the
 //! collector to evaluate on the caller: nothing is built for a pool the
 //! query never reaches. And one layer further up: an enforcement
@@ -24,6 +26,7 @@ use dacs::pdp::CacheConfig;
 use dacs::pep::EnforceRequest;
 use dacs::policy::policy::Decision;
 use dacs::policy::request::RequestContext;
+use dacs::policy::AttributeId;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -138,6 +141,44 @@ fn decide_allocates_a_small_fixed_number_whatever_the_policy_count() {
         deny,
         "allocations grew with the number of non-matching policies"
     );
+}
+
+/// The same guard for evaluation work, on the counters instead of the
+/// allocator: the snapshot's target index hands a `records/*` read the
+/// gate and nothing else, so what one decide evaluates does not depend
+/// on how many quarantine policies stand beside it, and a write into
+/// one quarantined tree reaches exactly that tree's policy more. (The
+/// write names a record too: the gate denies a request for `aux-3/7`
+/// alone, and the deny-overrides root stops there, index or scan.)
+#[test]
+fn decide_reaches_the_policies_that_can_apply_whatever_the_policy_count() {
+    let read = RequestContext::basic("user-1@q", "records/7", "read");
+    let mut write = RequestContext::basic("user-1@q", "records/7", "write");
+    write.add(AttributeId::resource("id"), "aux-3/7");
+    // Work booked by one steady-state decide, merging included.
+    let work_of = |domain: &Domain, request: &RequestContext, expected: Decision| {
+        domain.pdp.decide(request, 0);
+        let before = domain.pdp.metrics().eval;
+        let (count, response) = allocations_in(|| domain.pdp.decide(request, 1));
+        assert_eq!(response.decision, expected);
+        assert!(
+            count <= DECIDE_BUDGET,
+            "{count} allocations for {request:?}"
+        );
+        let after = domain.pdp.metrics().eval;
+        (
+            after.policies_evaluated - before.policies_evaluated,
+            after.targets_checked - before.targets_checked,
+        )
+    };
+    let sixteen = domain_with_aux_policies(16);
+    let sixty_four = domain_with_aux_policies(64);
+    // The root set, the gate, its rule.
+    assert_eq!(work_of(&sixteen, &read, Decision::Permit), (1, 3));
+    assert_eq!(work_of(&sixty_four, &read, Decision::Permit), (1, 3));
+    // One policy more: its own target and its rule's.
+    assert_eq!(work_of(&sixteen, &write, Decision::Deny), (2, 5));
+    assert_eq!(work_of(&sixty_four, &write, Decision::Deny), (2, 5));
 }
 
 /// What `PdpCluster::decide` may allocate around its replicas'
