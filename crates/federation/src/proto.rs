@@ -120,6 +120,53 @@ mod tests {
         assert!(v > 2 * c, "verbose {v} vs compact {c}");
     }
 
+    /// The request context keeps its map shape on the wire whatever it
+    /// is stored as: these are the frames the B-tree layout emitted, so
+    /// the message-size columns of the experiment tables do not move.
+    #[test]
+    fn decision_request_frames_are_pinned() {
+        use dacs_policy::attr::AttrValue;
+        let ids = || RequestContext::basic("alice@a", "ehr/1", "read");
+        let pinned = [
+            (
+                ids(),
+                "020000000300000000000000020000006964010000000000000007000000616c69636540610100\
+                 00000200000069640100000000000000050000006568722f310200000002000000696401000000\
+                 000000000400000072656164",
+                824,
+            ),
+            (
+                ids()
+                    .with_subject_attr("role", "doctor")
+                    .with_subject_attr("role", "researcher"),
+                "020000000400000000000000020000006964010000000000000007000000616c69636540610000\
+                 000004000000726f6c65020000000000000006000000646f63746f72000000000a000000726573\
+                 65617263686572010000000200000069640100000000000000050000006568722f310200000002\
+                 000000696401000000000000000400000072656164",
+                1140,
+            ),
+            (
+                ids()
+                    .with_resource_attr("sensitivity", 3i64)
+                    .with_env_attr("current-time", AttrValue::Time(9 * 3_600_000)),
+                "020000000500000000000000020000006964010000000000000007000000616c69636540610100\
+                 00000200000069640100000000000000050000006568722f31010000000b00000073656e736974\
+                 69766974790100000001000000030000000000000002000000020000006964010000000000000004\
+                 00000072656164030000000c00000063757272656e742d74696d6501000000040000008062ee01\
+                 00000000",
+                1319,
+            ),
+        ];
+        for (request, frame, verbose) in pinned {
+            let m = Msg::DecisionRequest { request };
+            let bytes = dacs_wire::codec::to_bytes(&m).unwrap();
+            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, frame);
+            assert_eq!(m.size(SizeModel::Verbose), verbose);
+            assert_eq!(dacs_wire::codec::from_bytes::<Msg>(&bytes).unwrap(), m);
+        }
+    }
+
     #[test]
     fn codec_roundtrip() {
         let m = Msg::DecisionResponse {

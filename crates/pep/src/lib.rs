@@ -588,8 +588,13 @@ dacs_telemetry::counter_block! {
 }
 
 /// Bounded audit storage: the newest `capacity` records, oldest-first.
-/// When full, each push displaces the oldest record; the caller counts
-/// the displacement in `EnforcementStats::audit_dropped`.
+///
+/// While it fills, a push appends a record with strings of its own.
+/// Once full, a push displaces the oldest record by overwriting it: the
+/// slot moves to the back and its three strings are cleared and
+/// refilled in place (growing only for an id longer than any the slot
+/// has held), so a steady-state push allocates and frees nothing. The
+/// caller counts each displacement in `EnforcementStats::audit_dropped`.
 struct AuditRing {
     capacity: usize,
     records: Mutex<VecDeque<EnforcementRecord>>,
@@ -603,18 +608,33 @@ impl AuditRing {
         }
     }
 
-    /// Appends a record; returns `true` when an old record was dropped
-    /// to make room.
-    fn push(&self, record: EnforcementRecord) -> bool {
+    /// Records one enforcement; returns `true` when the oldest record
+    /// was displaced to make room.
+    fn push(&self, at_ms: u64, subject: &str, resource: &str, action: &str, allowed: bool) -> bool {
         let mut records = self.records.lock();
-        let dropped = if records.len() >= self.capacity {
-            records.pop_front();
-            true
-        } else {
-            false
-        };
-        records.push_back(record);
-        dropped
+        if records.len() < self.capacity {
+            records.push_back(EnforcementRecord {
+                at_ms,
+                subject: subject.to_owned(),
+                resource: resource.to_owned(),
+                action: action.to_owned(),
+                allowed,
+            });
+            return false;
+        }
+        let mut slot = records.pop_front().expect("capacity is positive");
+        slot.at_ms = at_ms;
+        for (held, id) in [
+            (&mut slot.subject, subject),
+            (&mut slot.resource, resource),
+            (&mut slot.action, action),
+        ] {
+            held.clear();
+            held.push_str(id);
+        }
+        slot.allowed = allowed;
+        records.push_back(slot);
+        true
     }
 
     fn snapshot(&self) -> Vec<EnforcementRecord> {
@@ -1362,13 +1382,13 @@ impl Pep {
     }
 
     fn record(&self, request: &RequestContext, allowed: bool, at_ms: u64) {
-        let dropped = self.audit.push(EnforcementRecord {
+        let dropped = self.audit.push(
             at_ms,
-            subject: request.subject_id().unwrap_or("?").to_owned(),
-            resource: request.resource_id().unwrap_or("?").to_owned(),
-            action: request.action_id().unwrap_or("?").to_owned(),
+            request.subject_id().unwrap_or("?"),
+            request.resource_id().unwrap_or("?"),
+            request.action_id().unwrap_or("?"),
             allowed,
-        });
+        );
         if dropped {
             self.stats.audit_dropped.fetch_add(1, Ordering::Relaxed);
         }
@@ -1501,6 +1521,72 @@ policy "gate" deny-unless-permit {
         assert!(w.log.entries()[0].contains("subject=alice"));
         assert_eq!(w.pep.stats().allowed, 1);
         assert_eq!(w.pep.audit_log().len(), 1);
+    }
+
+    /// The ring against a plain queue of fresh records, over several
+    /// wraps: ids shorter and longer than what a slot last held are
+    /// stored whole, the snapshot stays oldest-first, and retained plus
+    /// displaced is every push so far.
+    #[test]
+    fn audit_ring_overwrites_the_oldest_slot_in_place() {
+        const CAPACITY: usize = 3;
+        let ring = AuditRing::new(CAPACITY);
+        let mut expected: VecDeque<EnforcementRecord> = VecDeque::new();
+        let mut dropped = 0u64;
+        for step in 0..14u64 {
+            let record = EnforcementRecord {
+                at_ms: step,
+                subject: format!("user-{}", "x".repeat((step as usize * 5) % 11)),
+                resource: "r".repeat(1 + (step as usize * 3) % 40),
+                action: if step % 3 == 0 { "read" } else { "append" }.to_owned(),
+                allowed: step % 2 == 0,
+            };
+            dropped += u64::from(ring.push(
+                record.at_ms,
+                &record.subject,
+                &record.resource,
+                &record.action,
+                record.allowed,
+            ));
+            expected.push_back(record);
+            if expected.len() > CAPACITY {
+                expected.pop_front();
+            }
+            let log = ring.snapshot();
+            assert_eq!(log, Vec::from(expected.clone()));
+            assert_eq!(log.len() as u64 + dropped, step + 1);
+        }
+        assert_eq!(dropped, 14 - CAPACITY as u64);
+    }
+
+    /// The same contract one layer up: a permit and a deny alike are
+    /// recorded, and `audit_log().len() + audit_dropped` is the
+    /// enforcements so far.
+    #[test]
+    fn audit_log_plus_dropped_is_every_enforcement() {
+        let w = world(GATE, true);
+        let pdp_only = Pep::builder("pep.ring")
+            .source(w.pep.source.clone())
+            .handler(w.log.clone())
+            .audit_capacity(4)
+            .build();
+        let subjects = ["alice", "mallory", "a-much-longer-subject-id@b", "m"];
+        for step in 0..19u64 {
+            let subject = subjects[step as usize % subjects.len()];
+            let req = RequestContext::basic(subject, format!("ehr/{step}"), "read");
+            let result = pdp_only.serve(EnforceRequest::of(&req, step));
+            assert_eq!(result.allowed, subject == "alice");
+            let log = pdp_only.audit_log();
+            assert_eq!(log.len() as u64 + pdp_only.stats().audit_dropped, step + 1);
+            let newest = log.last().expect("just recorded");
+            assert_eq!(
+                (newest.at_ms, &*newest.subject, &*newest.resource),
+                (step, subject, &*format!("ehr/{step}"))
+            );
+            assert_eq!(newest.allowed, result.allowed);
+            assert!(log.windows(2).all(|w| w[0].at_ms + 1 == w[1].at_ms));
+        }
+        assert_eq!(pdp_only.stats().audit_dropped, 15);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use dacs_policy::expr::AttributeSource;
 use dacs_policy::request::RequestContext;
 use dacs_rbac::Rbac;
 use parking_lot::{Mutex, RwLock};
-use std::cell::RefCell;
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -449,14 +449,26 @@ impl PipRegistry {
 /// evaluation engine: request attributes win; otherwise the registry is
 /// consulted lazily and the result memoized for the request's duration.
 ///
+/// Either way the bag is lent from where it lives — the request's own
+/// entry, or the memo, which stores the registry's answer once and
+/// never moves or changes it — so the engine copies neither.
+///
 /// One evaluation runs on one thread (`AttributeSource` is not `Sync`)
-/// and asks for a handful of attributes, so the memo is a `RefCell`ed
-/// vector scanned linearly — no lock, no hashing.
+/// and asks for a handful of attributes, so the memo is an append-only
+/// chain of `OnceCell`s walked linearly — no lock, no hashing.
 pub struct ResolvingSource<'a> {
     request: &'a RequestContext,
     registry: &'a PipRegistry,
     now_ms: u64,
-    memo: RefCell<Vec<(AttributeId, Option<Vec<AttrValue>>)>>,
+    memo: OnceCell<Box<Memo>>,
+}
+
+/// One registry answer (`None`: no provider knows the attribute) and
+/// the rest of the chain.
+struct Memo {
+    id: AttributeId,
+    bag: Option<Vec<AttrValue>>,
+    next: OnceCell<Box<Memo>>,
 }
 
 impl<'a> ResolvingSource<'a> {
@@ -466,22 +478,43 @@ impl<'a> ResolvingSource<'a> {
             request,
             registry,
             now_ms,
-            memo: RefCell::new(Vec::new()),
+            memo: OnceCell::new(),
         }
     }
 }
 
 impl AttributeSource for ResolvingSource<'_> {
-    fn attribute_bag(&self, id: &AttributeId) -> Option<Vec<AttrValue>> {
+    fn attribute_bag(&self, id: &AttributeId) -> Option<&[AttrValue]> {
         if let Some(bag) = self.request.attribute_bag(id) {
             return Some(bag);
         }
-        if let Some((_, cached)) = self.memo.borrow().iter().find(|(known, _)| known == id) {
-            return cached.clone();
+        let mut slot = &self.memo;
+        while let Some(known) = slot.get() {
+            if known.id == *id {
+                return known.bag.as_deref();
+            }
+            slot = &known.next;
         }
-        let resolved = self.registry.resolve(id, self.request, self.now_ms);
-        self.memo.borrow_mut().push((id.clone(), resolved.clone()));
-        resolved
+        let bag = self.registry.resolve(id, self.request, self.now_ms);
+        let resolved = slot.get_or_init(|| {
+            Box::new(Memo {
+                id: id.clone(),
+                bag,
+                next: OnceCell::new(),
+            })
+        });
+        resolved.bag.as_deref()
+    }
+}
+
+/// Unlinks the chain front to back: the derived drop would recurse once
+/// per memoized attribute, and a policy names as many as it likes.
+impl Drop for ResolvingSource<'_> {
+    fn drop(&mut self) {
+        let mut next = self.memo.take();
+        while let Some(mut memo) = next {
+            next = memo.next.take();
+        }
     }
 }
 
@@ -671,7 +704,7 @@ mod tests {
         // Request value wins over PIP.
         assert_eq!(
             src.attribute_bag(&AttributeId::subject("dept")),
-            Some(vec![AttrValue::from("oncology")])
+            Some(&[AttrValue::from("oncology")][..])
         );
         // Unknown in request → PIP; memoized (single registry lookup).
         let request2 = req();

@@ -12,25 +12,27 @@ use crate::attr::{AttrValue, AttributeId};
 use crate::glob::glob_match;
 use crate::request::RequestContext;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Anything that can answer attribute lookups during evaluation.
 ///
 /// [`RequestContext`] implements this directly; the PDP wraps it with
 /// PIP-backed resolution.
+///
+/// A bag is lent, not copied: it stays where the source keeps it — the
+/// request's own entry, a resolver's memo — for as long as the source
+/// is borrowed, and the functions that only inspect a bag (`is-in`,
+/// `bag-size`, `subset`, ...) read it there.
 pub trait AttributeSource {
     /// Returns the bag of values for `id`, or `None` if the attribute is
     /// unknown to this source.
-    fn attribute_bag(&self, id: &AttributeId) -> Option<Vec<AttrValue>>;
+    fn attribute_bag(&self, id: &AttributeId) -> Option<&[AttrValue]>;
 }
 
 impl AttributeSource for RequestContext {
-    fn attribute_bag(&self, id: &AttributeId) -> Option<Vec<AttrValue>> {
-        if self.contains(id) {
-            Some(self.bag(id).to_vec())
-        } else {
-            None
-        }
+    fn attribute_bag(&self, id: &AttributeId) -> Option<&[AttrValue]> {
+        self.present_bag(id)
     }
 }
 
@@ -394,6 +396,23 @@ pub struct ExprStats {
 
 const MAX_DEPTH: u32 = 64;
 
+/// What a node evaluates to inside the walk: [`Evaluated`], except that
+/// a literal of the expression and a bag the source holds are borrowed
+/// from where they live. Only a computed value is owned.
+enum Val<'a> {
+    Scalar(Cow<'a, AttrValue>),
+    Bag(Cow<'a, [AttrValue]>),
+    Function(Func),
+}
+
+fn scalar<'a>(v: AttrValue) -> Val<'a> {
+    Val::Scalar(Cow::Owned(v))
+}
+
+fn boolean<'a>(b: bool) -> Val<'a> {
+    scalar(AttrValue::Boolean(b))
+}
+
 /// Evaluates `expr` against `src`, accumulating counters into `stats`.
 ///
 /// # Errors
@@ -404,7 +423,11 @@ pub fn eval(
     src: &dyn AttributeSource,
     stats: &mut ExprStats,
 ) -> Result<Evaluated, EvalError> {
-    eval_depth(expr, src, stats, 0)
+    Ok(match eval_depth(expr, src, stats, 0)? {
+        Val::Scalar(v) => Evaluated::Scalar(v.into_owned()),
+        Val::Bag(bag) => Evaluated::Bag(bag.into_owned()),
+        Val::Function(f) => Evaluated::Function(f),
+    })
 }
 
 /// Evaluates a condition expression, requiring a boolean scalar result.
@@ -418,44 +441,43 @@ pub fn eval_condition(
     src: &dyn AttributeSource,
     stats: &mut ExprStats,
 ) -> Result<bool, EvalError> {
-    match eval(expr, src, stats)? {
-        Evaluated::Scalar(AttrValue::Boolean(b)) => Ok(b),
-        Evaluated::Scalar(v) => Err(EvalError::TypeMismatch {
-            func: Func::And,
-            expected: "boolean condition",
-            found: v.type_name(),
-        }),
-        Evaluated::Bag(_) => Err(EvalError::TypeMismatch {
-            func: Func::And,
-            expected: "boolean condition",
-            found: "bag",
-        }),
-        Evaluated::Function(_) => Err(EvalError::NotAFunction),
-    }
+    let found = match eval_depth(expr, src, stats, 0)? {
+        Val::Scalar(v) => match v.as_boolean() {
+            Some(b) => return Ok(b),
+            None => v.type_name(),
+        },
+        Val::Bag(_) => "bag",
+        Val::Function(_) => return Err(EvalError::NotAFunction),
+    };
+    Err(EvalError::TypeMismatch {
+        func: Func::And,
+        expected: "boolean condition",
+        found,
+    })
 }
 
-fn eval_depth(
-    expr: &Expr,
-    src: &dyn AttributeSource,
+fn eval_depth<'a>(
+    expr: &'a Expr,
+    src: &'a dyn AttributeSource,
     stats: &mut ExprStats,
     depth: u32,
-) -> Result<Evaluated, EvalError> {
+) -> Result<Val<'a>, EvalError> {
     if depth > MAX_DEPTH {
         return Err(EvalError::DepthExceeded);
     }
     match expr {
-        Expr::Value(v) => Ok(Evaluated::Scalar(v.clone())),
-        Expr::BagLiteral(vs) => Ok(Evaluated::Bag(vs.clone())),
-        Expr::FuncRef(f) => Ok(Evaluated::Function(*f)),
+        Expr::Value(v) => Ok(Val::Scalar(Cow::Borrowed(v))),
+        Expr::BagLiteral(vs) => Ok(Val::Bag(Cow::Borrowed(vs))),
+        Expr::FuncRef(f) => Ok(Val::Function(*f)),
         Expr::Attribute {
             id,
             must_be_present,
         } => {
             stats.attribute_lookups += 1;
             match src.attribute_bag(id) {
-                Some(bag) => Ok(Evaluated::Bag(bag)),
+                Some(bag) => Ok(Val::Bag(Cow::Borrowed(bag))),
                 None if *must_be_present => Err(EvalError::MissingAttribute(id.clone())),
-                None => Ok(Evaluated::Bag(Vec::new())),
+                None => Ok(Val::Bag(Cow::Borrowed(&[]))),
             }
         }
         Expr::Apply { func, args } => {
@@ -465,29 +487,28 @@ fn eval_depth(
     }
 }
 
-fn as_scalar(ev: Evaluated) -> Result<AttrValue, EvalError> {
+fn as_scalar(ev: Val<'_>) -> Result<Cow<'_, AttrValue>, EvalError> {
     match ev {
-        Evaluated::Scalar(v) => Ok(v),
-        Evaluated::Bag(mut bag) => {
-            if bag.len() == 1 {
-                Ok(bag.pop().expect("len checked"))
-            } else {
-                Err(EvalError::NotSingleton { size: bag.len() })
-            }
+        Val::Scalar(v) => Ok(v),
+        Val::Bag(Cow::Borrowed([v])) => Ok(Cow::Borrowed(v)),
+        Val::Bag(Cow::Owned(mut bag)) if bag.len() == 1 => {
+            Ok(Cow::Owned(bag.pop().expect("len checked")))
         }
-        Evaluated::Function(_) => Err(EvalError::NotAFunction),
+        Val::Bag(bag) => Err(EvalError::NotSingleton { size: bag.len() }),
+        Val::Function(_) => Err(EvalError::NotAFunction),
     }
 }
 
-fn as_bag(ev: Evaluated) -> Result<Vec<AttrValue>, EvalError> {
+fn as_bag(ev: Val<'_>) -> Result<Cow<'_, [AttrValue]>, EvalError> {
     match ev {
-        Evaluated::Bag(bag) => Ok(bag),
-        Evaluated::Scalar(v) => Ok(vec![v]),
-        Evaluated::Function(_) => Err(EvalError::NotAFunction),
+        Val::Bag(bag) => Ok(bag),
+        Val::Scalar(Cow::Borrowed(v)) => Ok(Cow::Borrowed(std::slice::from_ref(v))),
+        Val::Scalar(Cow::Owned(v)) => Ok(Cow::Owned(vec![v])),
+        Val::Function(_) => Err(EvalError::NotAFunction),
     }
 }
 
-fn as_bool(func: Func, v: AttrValue) -> Result<bool, EvalError> {
+fn as_bool(func: Func, v: &AttrValue) -> Result<bool, EvalError> {
     v.as_boolean().ok_or(EvalError::TypeMismatch {
         func,
         expected: "boolean",
@@ -495,15 +516,12 @@ fn as_bool(func: Func, v: AttrValue) -> Result<bool, EvalError> {
     })
 }
 
-fn as_string(func: Func, v: AttrValue) -> Result<String, EvalError> {
-    match v {
-        AttrValue::String(s) => Ok(s),
-        other => Err(EvalError::TypeMismatch {
-            func,
-            expected: "string",
-            found: other.type_name(),
-        }),
-    }
+fn as_str(func: Func, v: &AttrValue) -> Result<&str, EvalError> {
+    v.as_str().ok_or(EvalError::TypeMismatch {
+        func,
+        expected: "string",
+        found: v.type_name(),
+    })
 }
 
 fn as_int(func: Func, v: &AttrValue) -> Result<i64, EvalError> {
@@ -536,14 +554,14 @@ fn need_args(func: Func, args: &[Expr], n: usize, desc: &'static str) -> Result<
 
 /// Applies a binary primitive function to two scalars (used directly and
 /// by the higher-order combinators).
-fn apply_binary_scalar(func: Func, a: AttrValue, b: AttrValue) -> Result<AttrValue, EvalError> {
+fn apply_binary_scalar(func: Func, a: &AttrValue, b: &AttrValue) -> Result<AttrValue, EvalError> {
     use AttrValue as V;
     use Func::*;
     let out = match func {
         Eq => V::Boolean(a == b),
         Ne => V::Boolean(a != b),
         Lt | Le | Gt | Ge => {
-            let ord = a.partial_cmp_same_type(&b).ok_or(EvalError::TypeMismatch {
+            let ord = a.partial_cmp_same_type(b).ok_or(EvalError::TypeMismatch {
                 func,
                 expected: "comparable values of the same type",
                 found: b.type_name(),
@@ -560,31 +578,31 @@ fn apply_binary_scalar(func: Func, a: AttrValue, b: AttrValue) -> Result<AttrVal
         Sub => arith(func, a, b)?,
         Div => arith(func, a, b)?,
         Mod => {
-            let (x, y) = (as_int(func, &a)?, as_int(func, &b)?);
+            let (x, y) = (as_int(func, a)?, as_int(func, b)?);
             if y == 0 {
                 return Err(EvalError::DivideByZero);
             }
             V::Integer(x.checked_rem(y).ok_or(EvalError::Overflow)?)
         }
         StringContains => {
-            let (h, n) = (as_string(func, a)?, as_string(func, b)?);
-            V::Boolean(h.contains(&n))
+            let (h, n) = (as_str(func, a)?, as_str(func, b)?);
+            V::Boolean(h.contains(n))
         }
         StartsWith => {
-            let (s, p) = (as_string(func, a)?, as_string(func, b)?);
-            V::Boolean(s.starts_with(&p))
+            let (s, p) = (as_str(func, a)?, as_str(func, b)?);
+            V::Boolean(s.starts_with(p))
         }
         EndsWith => {
-            let (s, p) = (as_string(func, a)?, as_string(func, b)?);
-            V::Boolean(s.ends_with(&p))
+            let (s, p) = (as_str(func, a)?, as_str(func, b)?);
+            V::Boolean(s.ends_with(p))
         }
         GlobMatch => {
-            let (p, s) = (as_string(func, a)?, as_string(func, b)?);
-            V::Boolean(glob_match(&p, &s))
+            let (p, s) = (as_str(func, a)?, as_str(func, b)?);
+            V::Boolean(glob_match(p, s))
         }
         TimeAdd => {
-            let t = as_time(func, &a)?;
-            let d = as_int(func, &b)?;
+            let t = as_time(func, a)?;
+            let d = as_int(func, b)?;
             let shifted = (t as i128) + (d as i128);
             if shifted < 0 || shifted > u64::MAX as i128 {
                 return Err(EvalError::Overflow);
@@ -602,10 +620,10 @@ fn apply_binary_scalar(func: Func, a: AttrValue, b: AttrValue) -> Result<AttrVal
     Ok(out)
 }
 
-fn arith(func: Func, a: AttrValue, b: AttrValue) -> Result<AttrValue, EvalError> {
+fn arith(func: Func, a: &AttrValue, b: &AttrValue) -> Result<AttrValue, EvalError> {
     use AttrValue as V;
     match (a, b) {
-        (V::Integer(x), V::Integer(y)) => {
+        (&V::Integer(x), &V::Integer(y)) => {
             let r = match func {
                 Func::Add => x.checked_add(y),
                 Func::Sub => x.checked_sub(y),
@@ -620,7 +638,7 @@ fn arith(func: Func, a: AttrValue, b: AttrValue) -> Result<AttrValue, EvalError>
             };
             r.map(V::Integer).ok_or(EvalError::Overflow)
         }
-        (V::Double(x), V::Double(y)) => {
+        (&V::Double(x), &V::Double(y)) => {
             let r = match func {
                 Func::Add => x + y,
                 Func::Sub => x - y,
@@ -647,17 +665,26 @@ fn arith(func: Func, a: AttrValue, b: AttrValue) -> Result<AttrValue, EvalError>
     }
 }
 
-fn apply(
+fn apply<'a>(
     func: Func,
-    args: &[Expr],
-    src: &dyn AttributeSource,
+    args: &'a [Expr],
+    src: &'a dyn AttributeSource,
     stats: &mut ExprStats,
     depth: u32,
-) -> Result<Evaluated, EvalError> {
+) -> Result<Val<'a>, EvalError> {
     use Func::*;
     let d = depth + 1;
-    let scalar_arg = |i: usize, stats: &mut ExprStats| -> Result<AttrValue, EvalError> {
+    let scalar_arg = |i: usize, stats: &mut ExprStats| -> Result<Cow<'a, AttrValue>, EvalError> {
         as_scalar(eval_depth(&args[i], src, stats, d)?)
+    };
+    let bag_arg = |i: usize, stats: &mut ExprStats| -> Result<Cow<'a, [AttrValue]>, EvalError> {
+        as_bag(eval_depth(&args[i], src, stats, d)?)
+    };
+    let func_arg = |i: usize, stats: &mut ExprStats| -> Result<Func, EvalError> {
+        match eval_depth(&args[i], src, stats, d)? {
+            Val::Function(f) => Ok(f),
+            _ => Err(EvalError::NotAFunction),
+        }
     };
     match func {
         // Binary scalar functions.
@@ -666,7 +693,7 @@ fn apply(
             need_args(func, args, 2, "2")?;
             let a = scalar_arg(0, stats)?;
             let b = scalar_arg(1, stats)?;
-            Ok(Evaluated::Scalar(apply_binary_scalar(func, a, b)?))
+            Ok(scalar(apply_binary_scalar(func, &a, &b)?))
         }
         // Variadic arithmetic.
         Add | Mul => {
@@ -680,132 +707,124 @@ fn apply(
             let mut acc = scalar_arg(0, stats)?;
             for i in 1..args.len() {
                 let next = scalar_arg(i, stats)?;
-                acc = arith(func, acc, next)?;
+                acc = Cow::Owned(arith(func, &acc, &next)?);
             }
-            Ok(Evaluated::Scalar(acc))
+            Ok(Val::Scalar(acc))
         }
         // Boolean connectives with short-circuit.
         And => {
             for (i, _) in args.iter().enumerate() {
-                let v = as_bool(func, scalar_arg(i, stats)?)?;
+                let v = as_bool(func, &*scalar_arg(i, stats)?)?;
                 if !v {
-                    return Ok(Evaluated::Scalar(AttrValue::Boolean(false)));
+                    return Ok(boolean(false));
                 }
             }
-            Ok(Evaluated::Scalar(AttrValue::Boolean(true)))
+            Ok(boolean(true))
         }
         Or => {
             for (i, _) in args.iter().enumerate() {
-                let v = as_bool(func, scalar_arg(i, stats)?)?;
+                let v = as_bool(func, &*scalar_arg(i, stats)?)?;
                 if v {
-                    return Ok(Evaluated::Scalar(AttrValue::Boolean(true)));
+                    return Ok(boolean(true));
                 }
             }
-            Ok(Evaluated::Scalar(AttrValue::Boolean(false)))
+            Ok(boolean(false))
         }
         Not => {
             need_args(func, args, 1, "1")?;
-            let v = as_bool(func, scalar_arg(0, stats)?)?;
-            Ok(Evaluated::Scalar(AttrValue::Boolean(!v)))
+            let v = as_bool(func, &*scalar_arg(0, stats)?)?;
+            Ok(boolean(!v))
         }
         // Strings.
         Concat => {
             let mut out = String::new();
             for (i, _) in args.iter().enumerate() {
-                out.push_str(&as_string(func, scalar_arg(i, stats)?)?);
+                out.push_str(as_str(func, &*scalar_arg(i, stats)?)?);
             }
-            Ok(Evaluated::Scalar(AttrValue::String(out)))
+            Ok(scalar(AttrValue::String(out)))
         }
         Lower | Upper => {
             need_args(func, args, 1, "1")?;
-            let s = as_string(func, scalar_arg(0, stats)?)?;
+            let arg = scalar_arg(0, stats)?;
+            let s = as_str(func, &arg)?;
             let out = if func == Lower {
                 s.to_ascii_lowercase()
             } else {
                 s.to_ascii_uppercase()
             };
-            Ok(Evaluated::Scalar(AttrValue::String(out)))
+            Ok(scalar(AttrValue::String(out)))
         }
         StringLength => {
             need_args(func, args, 1, "1")?;
-            let s = as_string(func, scalar_arg(0, stats)?)?;
-            Ok(Evaluated::Scalar(AttrValue::Integer(
-                s.chars().count() as i64
-            )))
+            let arg = scalar_arg(0, stats)?;
+            let chars = as_str(func, &arg)?.chars().count();
+            Ok(scalar(AttrValue::Integer(chars as i64)))
         }
         // Bags.
         OneAndOnly => {
             need_args(func, args, 1, "1")?;
-            let bag = as_bag(eval_depth(&args[0], src, stats, d)?)?;
-            if bag.len() == 1 {
-                Ok(Evaluated::Scalar(bag.into_iter().next().expect("len 1")))
-            } else {
-                Err(EvalError::NotSingleton { size: bag.len() })
-            }
+            Ok(Val::Scalar(scalar_arg(0, stats)?))
         }
         BagSize => {
             need_args(func, args, 1, "1")?;
-            let bag = as_bag(eval_depth(&args[0], src, stats, d)?)?;
-            Ok(Evaluated::Scalar(AttrValue::Integer(bag.len() as i64)))
+            let bag = bag_arg(0, stats)?;
+            Ok(scalar(AttrValue::Integer(bag.len() as i64)))
         }
         IsIn => {
             need_args(func, args, 2, "2")?;
             let v = scalar_arg(0, stats)?;
-            let bag = as_bag(eval_depth(&args[1], src, stats, d)?)?;
-            Ok(Evaluated::Scalar(AttrValue::Boolean(bag.contains(&v))))
+            let bag = bag_arg(1, stats)?;
+            Ok(boolean(bag.contains(&v)))
         }
         Union => {
             need_args(func, args, 2, "2")?;
-            let mut a = as_bag(eval_depth(&args[0], src, stats, d)?)?;
-            let b = as_bag(eval_depth(&args[1], src, stats, d)?)?;
-            for v in b {
-                if !a.contains(&v) {
-                    a.push(v);
+            let a = bag_arg(0, stats)?;
+            let b = bag_arg(1, stats)?;
+            let mut out = a.into_owned();
+            for v in b.iter() {
+                if !out.contains(v) {
+                    out.push(v.clone());
                 }
             }
-            Ok(Evaluated::Bag(a))
+            Ok(Val::Bag(Cow::Owned(out)))
         }
         Intersection => {
             need_args(func, args, 2, "2")?;
-            let a = as_bag(eval_depth(&args[0], src, stats, d)?)?;
-            let b = as_bag(eval_depth(&args[1], src, stats, d)?)?;
+            let a = bag_arg(0, stats)?;
+            let b = bag_arg(1, stats)?;
             let mut out = Vec::new();
-            for v in a {
-                if b.contains(&v) && !out.contains(&v) {
-                    out.push(v);
+            for v in a.iter() {
+                if b.contains(v) && !out.contains(v) {
+                    out.push(v.clone());
                 }
             }
-            Ok(Evaluated::Bag(out))
+            Ok(Val::Bag(Cow::Owned(out)))
         }
         Subset => {
             need_args(func, args, 2, "2")?;
-            let a = as_bag(eval_depth(&args[0], src, stats, d)?)?;
-            let b = as_bag(eval_depth(&args[1], src, stats, d)?)?;
-            Ok(Evaluated::Scalar(AttrValue::Boolean(
-                a.iter().all(|v| b.contains(v)),
-            )))
+            let a = bag_arg(0, stats)?;
+            let b = bag_arg(1, stats)?;
+            Ok(boolean(a.iter().all(|v| b.contains(v))))
         }
         SetEquals => {
             need_args(func, args, 2, "2")?;
-            let a = as_bag(eval_depth(&args[0], src, stats, d)?)?;
-            let b = as_bag(eval_depth(&args[1], src, stats, d)?)?;
-            let sub = a.iter().all(|v| b.contains(v)) && b.iter().all(|v| a.contains(v));
-            Ok(Evaluated::Scalar(AttrValue::Boolean(sub)))
+            let a = bag_arg(0, stats)?;
+            let b = bag_arg(1, stats)?;
+            Ok(boolean(
+                a.iter().all(|v| b.contains(v)) && b.iter().all(|v| a.contains(v)),
+            ))
         }
         // Higher-order.
         AnyOf | AllOf => {
             need_args(func, args, 3, "3")?;
-            let f = match eval_depth(&args[0], src, stats, d)? {
-                Evaluated::Function(f) => f,
-                _ => return Err(EvalError::NotAFunction),
-            };
+            let f = func_arg(0, stats)?;
             let a = scalar_arg(1, stats)?;
-            let bag = as_bag(eval_depth(&args[2], src, stats, d)?)?;
+            let bag = bag_arg(2, stats)?;
             let mut all = true;
             let mut any = false;
-            for x in bag {
+            for x in bag.iter() {
                 stats.functions_applied += 1;
-                let r = as_bool(f, apply_binary_scalar(f, a.clone(), x)?)?;
+                let r = as_bool(f, &apply_binary_scalar(f, &a, x)?)?;
                 all &= r;
                 any |= r;
                 if func == AnyOf && any {
@@ -815,63 +834,54 @@ fn apply(
                     break;
                 }
             }
-            let out = if func == AnyOf { any } else { all };
-            Ok(Evaluated::Scalar(AttrValue::Boolean(out)))
+            Ok(boolean(if func == AnyOf { any } else { all }))
         }
         AnyOfAny => {
             need_args(func, args, 3, "3")?;
-            let f = match eval_depth(&args[0], src, stats, d)? {
-                Evaluated::Function(f) => f,
-                _ => return Err(EvalError::NotAFunction),
-            };
-            let a = as_bag(eval_depth(&args[1], src, stats, d)?)?;
-            let b = as_bag(eval_depth(&args[2], src, stats, d)?)?;
-            for x in &a {
-                for y in &b {
+            let f = func_arg(0, stats)?;
+            let a = bag_arg(1, stats)?;
+            let b = bag_arg(2, stats)?;
+            for x in a.iter() {
+                for y in b.iter() {
                     stats.functions_applied += 1;
-                    if as_bool(f, apply_binary_scalar(f, x.clone(), y.clone())?)? {
-                        return Ok(Evaluated::Scalar(AttrValue::Boolean(true)));
+                    if as_bool(f, &apply_binary_scalar(f, x, y)?)? {
+                        return Ok(boolean(true));
                     }
                 }
             }
-            Ok(Evaluated::Scalar(AttrValue::Boolean(false)))
+            Ok(boolean(false))
         }
         // Time.
         HourOf => {
             need_args(func, args, 1, "1")?;
-            let t = as_time(func, &scalar_arg(0, stats)?)?;
-            Ok(Evaluated::Scalar(AttrValue::Integer(
-                ((t / 3_600_000) % 24) as i64,
-            )))
+            let t = as_time(func, &*scalar_arg(0, stats)?)?;
+            Ok(scalar(AttrValue::Integer(((t / 3_600_000) % 24) as i64)))
         }
         DayOf => {
             need_args(func, args, 1, "1")?;
-            let t = as_time(func, &scalar_arg(0, stats)?)?;
-            Ok(Evaluated::Scalar(AttrValue::Integer(
-                (t / 86_400_000) as i64,
-            )))
+            let t = as_time(func, &*scalar_arg(0, stats)?)?;
+            Ok(scalar(AttrValue::Integer((t / 86_400_000) as i64)))
         }
         TimeInRange => {
             need_args(func, args, 3, "3")?;
-            let t = as_time(func, &scalar_arg(0, stats)?)?;
-            let lo = as_time(func, &scalar_arg(1, stats)?)?;
-            let hi = as_time(func, &scalar_arg(2, stats)?)?;
-            Ok(Evaluated::Scalar(AttrValue::Boolean(lo <= t && t < hi)))
+            let t = as_time(func, &*scalar_arg(0, stats)?)?;
+            let lo = as_time(func, &*scalar_arg(1, stats)?)?;
+            let hi = as_time(func, &*scalar_arg(2, stats)?)?;
+            Ok(boolean(lo <= t && t < hi))
         }
         // Conversions.
         IntToDouble => {
             need_args(func, args, 1, "1")?;
-            let i = as_int(func, &scalar_arg(0, stats)?)?;
-            Ok(Evaluated::Scalar(AttrValue::Double(i as f64)))
+            let i = as_int(func, &*scalar_arg(0, stats)?)?;
+            Ok(scalar(AttrValue::Double(i as f64)))
         }
         ToString => {
             need_args(func, args, 1, "1")?;
-            let v = scalar_arg(0, stats)?;
-            let s = match v {
+            let s = match scalar_arg(0, stats)?.into_owned() {
                 AttrValue::String(s) => s,
                 other => format!("{other}"),
             };
-            Ok(Evaluated::Scalar(AttrValue::String(s)))
+            Ok(scalar(AttrValue::String(s)))
         }
     }
 }

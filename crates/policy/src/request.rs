@@ -3,10 +3,21 @@
 //! paper — the context the PEP constructs and the PDP evaluates).
 
 use crate::attr::{AttrValue, AttributeId, Category, ID_ATTR};
+use serde::de::{self, Deserializer, MapAccess, SeqAccess, Visitor};
+use serde::ser::{SerializeMap, SerializeStruct, Serializer};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::fmt::{self, Write};
 
 /// A multi-valued attribute container describing one access request.
+///
+/// Every layer reads this one record by reference — the PEP hashes it,
+/// the request caches compare it, the router keys on it, targets and
+/// conditions look bags up in it — so it is stored flat: one vector of
+/// `(id, bag)` entries in ascending id order, each allocation sized to
+/// what it holds. A look-up walks a handful of entries in order and
+/// bisects a wide context, iteration is a slice walk, and a clone
+/// copies no empty slots.
 ///
 /// # Examples
 ///
@@ -18,9 +29,15 @@ use std::collections::BTreeMap;
 ///     .with_env_attr("current-time", dacs_policy::attr::AttrValue::Time(9 * 3_600_000));
 /// assert_eq!(req.subject_id(), Some("alice"));
 /// ```
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct RequestContext {
-    attrs: BTreeMap<AttributeId, Vec<AttrValue>>,
+    /// **Invariant:** strictly ascending by [`AttributeId`]'s `Ord`
+    /// (category, then name) — so ids are unique — and no bag is empty.
+    /// Iteration order, `==`, the canonical bytes and the wire encoding
+    /// all rest on it. The only writers are [`RequestContext::add`],
+    /// [`RequestContext::merge`] and `Deserialize`, which rebuilds
+    /// through `add` and so never trusts a sender's order.
+    attrs: Vec<(AttributeId, Vec<AttrValue>)>,
 }
 
 impl RequestContext {
@@ -37,15 +54,41 @@ impl RequestContext {
         action_id: impl Into<String>,
     ) -> Self {
         let mut ctx = Self::new();
+        ctx.attrs.reserve_exact(3);
         ctx.add(AttributeId::subject(ID_ATTR), subject_id.into());
         ctx.add(AttributeId::resource(ID_ATTR), resource_id.into());
         ctx.add(AttributeId::action(ID_ATTR), action_id.into());
         ctx
     }
 
+    /// Where the entry of (`category`, `name`) is (`Ok`), or where it
+    /// would be inserted to keep the order (`Err`) — `binary_search`'s
+    /// contract, by either route. Compares the way `AttributeId`'s
+    /// derived `Ord` does, without needing an owned id.
+    fn position(&self, category: Category, name: &str) -> Result<usize, usize> {
+        let order = |(id, _): &(AttributeId, Vec<AttrValue>)| {
+            (id.category.cmp(&category)).then_with(|| id.name.as_str().cmp(name))
+        };
+        if self.attrs.len() > LINEAR_SCAN_MAX {
+            return self.attrs.binary_search_by(order);
+        }
+        for (at, entry) in self.attrs.iter().enumerate() {
+            match order(entry) {
+                Ordering::Less => {}
+                Ordering::Equal => return Ok(at),
+                Ordering::Greater => return Err(at),
+            }
+        }
+        Err(self.attrs.len())
+    }
+
     /// Appends a value to the bag of `id`.
     pub fn add(&mut self, id: AttributeId, value: impl Into<AttrValue>) {
-        self.attrs.entry(id).or_default().push(value.into());
+        let value = value.into();
+        match self.position(id.category, &id.name) {
+            Ok(at) => self.attrs[at].1.push(value),
+            Err(at) => self.attrs.insert(at, (id, vec![value])),
+        }
     }
 
     /// Builder-style: adds a subject attribute.
@@ -68,12 +111,18 @@ impl RequestContext {
 
     /// The bag of values for `id` (empty slice when absent).
     pub fn bag(&self, id: &AttributeId) -> &[AttrValue] {
-        self.attrs.get(id).map(Vec::as_slice).unwrap_or(&[])
+        self.present_bag(id).unwrap_or(&[])
+    }
+
+    /// The bag of `id` if the context holds one (never an empty slice).
+    pub(crate) fn present_bag(&self, id: &AttributeId) -> Option<&[AttrValue]> {
+        let at = self.position(id.category, &id.name).ok()?;
+        Some(&self.attrs[at].1)
     }
 
     /// Whether the context holds any value for `id`.
     pub fn contains(&self, id: &AttributeId) -> bool {
-        self.attrs.contains_key(id)
+        self.position(id.category, &id.name).is_ok()
     }
 
     /// First string value of `subject.id`, if present.
@@ -91,14 +140,11 @@ impl RequestContext {
         self.first_str(Category::Action, ID_ATTR)
     }
 
-    /// Scans the handful of entries a context holds rather than
-    /// building an owned `AttributeId` (a `String`) to index the map:
-    /// these accessors sit on every serving path.
+    /// These accessors sit on every serving path: no owned
+    /// `AttributeId` (a `String`) is built to find the entry.
     fn first_str(&self, category: Category, name: &str) -> Option<&str> {
-        self.attrs
-            .iter()
-            .find(|(id, _)| id.category == category && id.name == name)
-            .and_then(|(_, bag)| bag.iter().find_map(AttrValue::as_str))
+        let at = self.position(category, name).ok()?;
+        self.attrs[at].1.iter().find_map(AttrValue::as_str)
     }
 
     /// Iterates over all (id, bag) entries in deterministic order.
@@ -118,16 +164,21 @@ impl RequestContext {
 
     /// Attribute identifiers of a given category.
     pub fn ids_in_category(&self, category: Category) -> impl Iterator<Item = &AttributeId> {
-        self.attrs.keys().filter(move |id| id.category == category)
+        self.attrs
+            .iter()
+            .map(|(id, _)| id)
+            .filter(move |id| id.category == category)
     }
 
     /// Merges another context into this one (bags are concatenated).
     ///
     /// Used when a PIP contributes resolved attributes to a request.
     pub fn merge(&mut self, other: &RequestContext) {
-        for (id, bag) in other.iter() {
-            let entry = self.attrs.entry(id.clone()).or_default();
-            entry.extend(bag.iter().cloned());
+        for (id, bag) in &other.attrs {
+            match self.position(id.category, &id.name) {
+                Ok(at) => self.attrs[at].1.extend_from_slice(bag),
+                Err(at) => self.attrs.insert(at, (id.clone(), bag.clone())),
+            }
         }
     }
 
@@ -139,21 +190,39 @@ impl RequestContext {
             .sum()
     }
 
+    /// The one canonical walk: `category.name=value,value,;` per entry,
+    /// each value in its `Display` form. Both the byte encoding and the
+    /// hash are this stream, so they cannot drift apart.
+    fn feed(&self, sink: &mut impl Write) -> fmt::Result {
+        for (id, bag) in &self.attrs {
+            sink.write_str(id.category.as_str())?;
+            sink.write_str(".")?;
+            sink.write_str(&id.name)?;
+            sink.write_str("=")?;
+            for value in bag {
+                match value {
+                    // `Display` of a string is its `{:?}` form, which for
+                    // these bytes escapes nothing: skip `core::fmt`.
+                    AttrValue::String(s) if s.bytes().all(debug_prints_verbatim) => {
+                        sink.write_str("\"")?;
+                        sink.write_str(s)?;
+                        sink.write_str("\"")?;
+                    }
+                    other => write!(sink, "{other}")?,
+                }
+                sink.write_str(",")?;
+            }
+            sink.write_str(";")?;
+        }
+        Ok(())
+    }
+
     /// A canonical byte encoding used as a cache key and for signing.
     pub fn to_canonical_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        for (id, bag) in &self.attrs {
-            out.extend_from_slice(id.category.as_str().as_bytes());
-            out.push(b'.');
-            out.extend_from_slice(id.name.as_bytes());
-            out.push(b'=');
-            for v in bag {
-                out.extend_from_slice(format!("{v}").as_bytes());
-                out.push(b',');
-            }
-            out.push(b';');
-        }
-        out
+        let mut out = String::with_capacity(64);
+        self.feed(&mut out)
+            .expect("writing to a String cannot fail");
+        out.into_bytes()
     }
 
     /// FNV-1a (64-bit) over the same byte stream as
@@ -163,25 +232,100 @@ impl RequestContext {
     /// hit, since 64 bits cannot rule out collisions between distinct
     /// requests.
     pub fn canonical_hash(&self) -> u64 {
-        use std::fmt::Write;
         let mut h = Fnv1a::new();
-        for (id, bag) in &self.attrs {
-            h.write_bytes(id.category.as_str().as_bytes());
-            h.write_byte(b'.');
-            h.write_bytes(id.name.as_bytes());
-            h.write_byte(b'=');
-            for v in bag {
-                let _ = write!(h, "{v}");
-                h.write_byte(b',');
-            }
-            h.write_byte(b';');
-        }
+        self.feed(&mut h).expect("hashing cannot fail");
         h.0
     }
 }
 
-/// Streaming FNV-1a 64 that accepts `fmt::Write`, so `Display`ed
-/// attribute values feed the hash without an intermediate allocation.
+/// Up to this many entries a look-up walks the vector in order — one
+/// name comparison for a request's handful of ids, where bisecting
+/// makes two (the three id accessors together: 29 ns against 39) —
+/// and above it, it bisects, so a wide context costs what a map did.
+const LINEAR_SCAN_MAX: usize = 8;
+
+/// Whether `str`'s `Debug` writes this byte as itself: printable ASCII
+/// other than `"` and `\`. (`'` is printed verbatim; anything at or
+/// above 0x7f — DEL and every byte of a multi-byte character, some of
+/// which `Debug` escapes — is left to `core::fmt` to decide.)
+fn debug_prints_verbatim(byte: u8) -> bool {
+    matches!(byte, 0x20..=0x7e) && byte != b'"' && byte != b'\\'
+}
+
+/// The map shape the context has always had on the wire: a struct of
+/// one field, `attrs`, holding id → bag entries in ascending id order.
+impl Serialize for RequestContext {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        struct Entries<'a>(&'a [(AttributeId, Vec<AttrValue>)]);
+        impl Serialize for Entries<'_> {
+            fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+                let mut map = serializer.serialize_map(Some(self.0.len()))?;
+                for (id, bag) in self.0 {
+                    map.serialize_entry(id, bag)?;
+                }
+                map.end()
+            }
+        }
+        let mut state = serializer.serialize_struct("RequestContext", 1)?;
+        state.serialize_field("attrs", &Entries(&self.attrs))?;
+        state.end()
+    }
+}
+
+/// Rebuilds the context through [`RequestContext::add`], value by
+/// value: whatever order, duplicate ids or empty bags a frame carries,
+/// what comes out holds the invariant.
+impl<'de> Deserialize<'de> for RequestContext {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        struct Entries(RequestContext);
+        impl<'de> Deserialize<'de> for Entries {
+            fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+                deserializer.deserialize_map(EntriesVisitor)
+            }
+        }
+        struct EntriesVisitor;
+        impl<'de> Visitor<'de> for EntriesVisitor {
+            type Value = Entries;
+            fn expecting(&self, f: &mut fmt::Formatter) -> fmt::Result {
+                f.write_str("a map of attribute bags")
+            }
+            fn visit_map<A: MapAccess<'de>>(self, mut map: A) -> Result<Entries, A::Error> {
+                let mut entries: Vec<(AttributeId, Vec<AttrValue>)> = Vec::new();
+                while let Some(entry) = map.next_entry()? {
+                    entries.push(entry);
+                }
+                // Stable, so a repeated id's bags keep the frame's order;
+                // sorted, so every `add` below appends at the end and a
+                // frame in descending order costs no quadratic shuffle.
+                entries.sort_by(|a, b| a.0.cmp(&b.0));
+                let mut ctx = RequestContext::new();
+                for (id, bag) in entries {
+                    for value in bag {
+                        ctx.add(id.clone(), value);
+                    }
+                }
+                Ok(Entries(ctx))
+            }
+        }
+        struct ContextVisitor;
+        impl<'de> Visitor<'de> for ContextVisitor {
+            type Value = RequestContext;
+            fn expecting(&self, f: &mut fmt::Formatter) -> fmt::Result {
+                f.write_str("struct RequestContext")
+            }
+            fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<RequestContext, A::Error> {
+                match seq.next_element::<Entries>()? {
+                    Some(Entries(ctx)) => Ok(ctx),
+                    None => Err(de::Error::invalid_length(0, "struct RequestContext")),
+                }
+            }
+        }
+        deserializer.deserialize_struct("RequestContext", &["attrs"], ContextVisitor)
+    }
+}
+
+/// Streaming FNV-1a 64 that accepts `fmt::Write`, so the canonical walk
+/// feeds the hash without an intermediate allocation.
 struct Fnv1a(u64);
 
 impl Fnv1a {
@@ -191,22 +335,14 @@ impl Fnv1a {
     fn new() -> Self {
         Fnv1a(Self::OFFSET)
     }
-
-    fn write_byte(&mut self, byte: u8) {
-        self.0 ^= u64::from(byte);
-        self.0 = self.0.wrapping_mul(Self::PRIME);
-    }
-
-    fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_byte(b);
-        }
-    }
 }
 
-impl std::fmt::Write for Fnv1a {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.write_bytes(s.as_bytes());
+impl Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for &byte in s.as_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(Self::PRIME);
+        }
         Ok(())
     }
 }
@@ -261,6 +397,150 @@ mod tests {
         assert_eq!(a.to_canonical_bytes(), b.to_canonical_bytes());
     }
 
+    /// The entries of a context, as the invariant promises them.
+    fn assert_invariant(ctx: &RequestContext) {
+        assert!(ctx.attrs.windows(2).all(|pair| pair[0].0 < pair[1].0));
+        assert!(ctx.attrs.iter().all(|(_, bag)| !bag.is_empty()));
+    }
+
+    #[test]
+    fn add_in_any_order_yields_the_same_value() {
+        let entries = [
+            (AttributeId::subject("id"), AttrValue::from("alice")),
+            (AttributeId::subject("role"), AttrValue::from("doctor")),
+            (AttributeId::resource("id"), AttrValue::from("ehr/1")),
+            (AttributeId::action("id"), AttrValue::from("read")),
+            (AttributeId::environment("current-time"), AttrValue::Time(7)),
+        ];
+        let built = |order: &[usize]| {
+            let mut ctx = RequestContext::new();
+            for &i in order {
+                let (id, value) = entries[i].clone();
+                ctx.add(id, value);
+            }
+            assert_invariant(&ctx);
+            ctx
+        };
+        let ascending = built(&[0, 1, 2, 3, 4]);
+        assert_eq!(built(&[4, 3, 2, 1, 0]), ascending);
+        assert_eq!(built(&[2, 0, 4, 1, 3]), ascending);
+        let ids: Vec<_> = ascending.iter().map(|(id, _)| id.clone()).collect();
+        assert_eq!(ids, entries.clone().map(|(id, _)| id));
+        // A second value joins the bag its id already has, wherever that is.
+        let mut two = built(&[3, 1, 0]);
+        two.add(AttributeId::subject("role"), "researcher");
+        assert_invariant(&two);
+        assert_eq!(
+            two.bag(&AttributeId::subject("role")),
+            [AttrValue::from("doctor"), AttrValue::from("researcher")]
+        );
+        assert_eq!(two.len(), 3);
+    }
+
+    #[test]
+    fn merge_of_overlapping_contexts_appends_bags_in_order() {
+        let mut a = RequestContext::basic("alice", "ehr/1", "read")
+            .with_subject_attr("role", "doctor")
+            .with_subject_attr("role", "researcher");
+        let b = RequestContext::new()
+            .with_env_attr("current-time", AttrValue::Time(100))
+            .with_subject_attr("role", "admin")
+            .with_subject_attr("role", "doctor")
+            .with_subject_attr("dept", "radiology");
+        a.merge(&b);
+        assert_invariant(&a);
+        assert_eq!(a.len(), 6);
+        assert_eq!(
+            a.bag(&AttributeId::subject("role")),
+            ["doctor", "researcher", "admin", "doctor"].map(AttrValue::from)
+        );
+        assert_eq!(
+            a.bag(&AttributeId::subject("dept")),
+            [AttrValue::from("radiology")]
+        );
+        assert_eq!(a.subject_id(), Some("alice"));
+        // Merging the empty context, or into it, changes nothing.
+        let before = a.clone();
+        a.merge(&RequestContext::new());
+        assert_eq!(a, before);
+        let mut empty = RequestContext::new();
+        empty.merge(&before);
+        assert_eq!(empty, before);
+    }
+
+    /// In the compact codec a one-field struct is its field and a map
+    /// is a counted run of key/value pairs — so a vector of `(id, bag)`
+    /// pairs encodes to a context's frame with the entries in whatever
+    /// order, and with whatever repeats, the vector has.
+    fn decode_frame(entries: &[(AttributeId, Vec<AttrValue>)]) -> RequestContext {
+        let frame = dacs_wire::codec::to_bytes(&entries.to_vec()).unwrap();
+        dacs_wire::codec::from_bytes(&frame).unwrap()
+    }
+
+    #[test]
+    fn deserialize_never_trusts_the_senders_order() {
+        let role = AttributeId::subject("role");
+        let sorted = RequestContext::basic("alice", "ehr/1", "read")
+            .with_subject_attr("role", "doctor")
+            .with_subject_attr("role", "researcher")
+            .with_resource_attr("sensitivity", 3i64);
+        let entries: Vec<_> = sorted
+            .iter()
+            .map(|(id, bag)| (id.clone(), bag.to_vec()))
+            .collect();
+        assert_eq!(decode_frame(&entries), sorted);
+        assert_eq!(
+            dacs_wire::codec::to_bytes(&entries).unwrap(),
+            dacs_wire::codec::to_bytes(&sorted).unwrap(),
+            "the honest frame is the context's own encoding"
+        );
+
+        let mut reversed = entries.clone();
+        reversed.reverse();
+        // The role bag split over two entries, far apart, plus an id
+        // with no values at all.
+        let mut split = reversed.clone();
+        let at = split.iter().position(|(id, _)| *id == role).unwrap();
+        let second = split[at].1.pop().unwrap();
+        split.insert(0, (AttributeId::environment("nothing"), Vec::new()));
+        split.push((role.clone(), vec![second]));
+        for hostile in [reversed, split] {
+            let decoded = decode_frame(&hostile);
+            assert_invariant(&decoded);
+            assert_eq!(decoded, sorted);
+            assert_eq!(decoded.bag(&role), sorted.bag(&role));
+            assert!(decoded.contains(&AttributeId::resource("sensitivity")));
+            assert!(!decoded.contains(&AttributeId::environment("nothing")));
+            assert_eq!(decoded.to_canonical_bytes(), sorted.to_canonical_bytes());
+            assert_eq!(decoded.canonical_hash(), sorted.canonical_hash());
+        }
+    }
+
+    /// A look-up is a binary search: it finds every id of a wide
+    /// context, and none that is absent, whatever the insertion order.
+    #[test]
+    fn lookups_find_every_id_of_a_wide_context() {
+        let mut ctx = RequestContext::new();
+        // 200 ids over the four categories, added in a scattered order.
+        for k in (0..200u32).map(|k| (k * 77) % 200) {
+            let category = Category::ALL[(k % 4) as usize];
+            ctx.add(
+                AttributeId::new(category, format!("attr-{k}")),
+                i64::from(k),
+            );
+        }
+        assert_invariant(&ctx);
+        assert_eq!(ctx.len(), 200);
+        for k in 0..200u32 {
+            let category = Category::ALL[(k % 4) as usize];
+            let id = AttributeId::new(category, format!("attr-{k}"));
+            assert_eq!(ctx.bag(&id), [AttrValue::Integer(i64::from(k))]);
+            let elsewhere = AttributeId::new(Category::ALL[((k + 1) % 4) as usize], &*id.name);
+            assert!(!ctx.contains(&elsewhere));
+            assert!(ctx.bag(&elsewhere).is_empty());
+        }
+    }
+
     #[test]
     fn canonical_hash_matches_fnv_of_canonical_bytes() {
         fn fnv(bytes: &[u8]) -> u64 {
@@ -278,12 +558,38 @@ mod tests {
                 .with_subject_attr("role", "doctor")
                 .with_env_attr("current-time", AttrValue::Time(9 * 3_600_000))
                 .with_resource_attr("sensitivity", 3i64),
+            // What the verbatim path must refuse (`"`, `\`, a control
+            // character, DEL, anything multi-byte) beside what it must
+            // accept (`'`, which `str`'s `Debug` does not escape).
+            RequestContext::basic("o'brien", "a\"b\\c\nd\u{7f}é日", "read"),
+            RequestContext::basic("user-1234@q", "records/7", "read")
+                .with_subject_attr("x", 1.5f64)
+                .with_subject_attr("y", true),
         ];
         for ctx in &contexts {
             assert_eq!(ctx.canonical_hash(), fnv(&ctx.to_canonical_bytes()));
         }
         // Distinct requests should (overwhelmingly) hash differently.
         assert_ne!(contexts[1].canonical_hash(), contexts[2].canonical_hash());
+        assert_eq!(
+            contexts[3].to_canonical_bytes(),
+            "subject.id=\"o'brien\",;resource.id=\"a\\\"b\\\\c\\nd\\u{7f}é日\",;action.id=\"read\",;"
+                .as_bytes()
+        );
+        // Cache keys, shard routes and the benchmark's input digest are
+        // these values: a hash that computes anything else is a decision
+        // to change them, which this test makes visible.
+        let hashes = contexts.each_ref().map(RequestContext::canonical_hash);
+        assert_eq!(
+            hashes,
+            [
+                0xcbf2_9ce4_8422_2325,
+                0x6022_ffe0_fda7_fb72,
+                0xbb86_44a9_d8a0_5c30,
+                0x5647_fea8_d1c2_07b0,
+                0xd617_6c40_7cde_4a64,
+            ]
+        );
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //! query never reaches. And one layer further up: an enforcement
 //! answered by the PEP's decision cache, or by an admitted capability
 //! token, allocates its audit record and nothing else — no copy of the
-//! stored request, no signing buffer.
+//! stored request, no signing buffer — and, once the audit ring has
+//! wrapped and the record is written into the displaced slot, nothing
+//! at all. The last case counts bytes instead of calls: a request is
+//! stored flat, each allocation sized to what it holds.
 
 use dacs::cluster::{
     ClusterBuilder, DecisionClass, QuorumMode, ReplicaPhase, SchedulerConfig, ShardRouter,
@@ -23,7 +26,7 @@ use dacs::core::scenario::alternating_lockdown_gate;
 use dacs::crypto::sign::CryptoCtx;
 use dacs::federation::{Domain, DomainBuilder};
 use dacs::pdp::CacheConfig;
-use dacs::pep::EnforceRequest;
+use dacs::pep::{EnforceRequest, DEFAULT_AUDIT_CAPACITY};
 use dacs::policy::policy::Decision;
 use dacs::policy::request::RequestContext;
 use dacs::policy::AttributeId;
@@ -31,17 +34,21 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 thread_local! {
-    /// Allocations made by this thread (the harness runs tests on
-    /// parallel threads; each counts only its own).
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Allocations made by this thread, and the bytes they asked for
+    /// (the harness runs tests on parallel threads; each counts only
+    /// its own).
+    static ALLOCATIONS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
 struct CountingAllocator;
 
-fn count_one() {
+fn count_one(bytes: usize) {
     // `try_with`: a thread may still allocate while its locals are
     // being torn down.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = ALLOCATIONS.try_with(|n| {
+        let (calls, requested) = n.get();
+        n.set((calls + 1, requested + bytes as u64));
+    });
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -49,17 +56,17 @@ fn count_one() {
 // thread-local counter bump that neither allocates nor unwinds.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -73,9 +80,17 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 /// Allocations (and regrowths) this thread makes inside `work`.
 fn allocations_in<R>(work: impl FnOnce() -> R) -> (u64, R) {
+    let ((calls, _), result) = requested_in(work);
+    (calls, result)
+}
+
+/// The same with the bytes those allocations (and regrowths, at their
+/// new size) asked for.
+fn requested_in<R>(work: impl FnOnce() -> R) -> ((u64, u64), R) {
     let before = ALLOCATIONS.with(Cell::get);
     let result = work();
-    (ALLOCATIONS.with(Cell::get) - before, result)
+    let after = ALLOCATIONS.with(Cell::get);
+    ((after.0 - before.0, after.1 - before.1), result)
 }
 
 /// The benchmark's domain: the lockdown gate (doctors may touch
@@ -106,10 +121,12 @@ fn decide_allocations(domain: &Domain, request: &RequestContext, expected: Decis
     count
 }
 
-/// What one decide may allocate: the gate's condition (a literal, the
-/// PIP's bag, its memo entry and the copy handed to `is-in`) — nothing
-/// that scales with the policies walked. Today a permit makes 7.
-const DECIDE_BUDGET: u64 = 8;
+/// What one decide may allocate: the PIP's answer to the gate's
+/// condition (the provider's owned bag and the string in it) and the
+/// memo entry that keeps it (its node and its key's name) — the
+/// condition itself reads the literal and the bag where they live, and
+/// nothing scales with the policies walked. Today a permit makes 4.
+const DECIDE_BUDGET: u64 = 5;
 
 #[test]
 fn decide_allocates_a_small_fixed_number_whatever_the_policy_count() {
@@ -240,7 +257,7 @@ const PLANNED_EXTRA_BUDGET: u64 = 2;
 /// evaluated on the caller. No channel, no request copies, no boxed
 /// jobs, no shared cancel flag: before the collector could evaluate on
 /// the caller the same decide made 40 allocations on this thread (and
-/// its three decides' 21 on the worker's); today it makes 25.
+/// its three decides' 21 on the worker's); today it makes 16.
 #[test]
 fn a_caller_evaluated_planned_decide_builds_nothing_for_the_pool() {
     let scheduler = SchedulerConfig::new(1).with_adaptive_fanout(true);
@@ -285,7 +302,8 @@ fn a_caller_evaluated_planned_decide_builds_nothing_for_the_pool() {
 }
 
 /// What a `Pep::serve` answered without the decision source may
-/// allocate: the three strings of its audit record.
+/// allocate while the audit ring is still filling: the three strings of
+/// its audit record.
 const HIT_BUDGET: u64 = 3;
 
 /// Allocations of one steady-state permitted `serve` of `request` (an
@@ -303,16 +321,22 @@ fn hit_allocations(domain: &Domain, request: &RequestContext) -> u64 {
     serve(1).min(serve(2))
 }
 
+/// A domain whose PEP answers a repeated request from its decision
+/// cache, and one whose PEP answers it from an admitted token.
+fn hit_domains() -> [Domain; 2] {
+    let cached = aux_policies_builder(16).pep_cache(CacheConfig {
+        capacity: 64,
+        ttl_ms: 1_000,
+    });
+    let tokens = aux_policies_builder(16).capability(1_000);
+    [cached, tokens].map(|builder| builder.build(&CryptoCtx::new()))
+}
+
 #[test]
 fn a_cache_hit_and_a_token_hit_allocate_only_the_audit_record() {
     let doctor = RequestContext::basic("user-1@q", "records/7", "read");
+    let [cached, tokens] = hit_domains();
 
-    let cached = aux_policies_builder(16)
-        .pep_cache(CacheConfig {
-            capacity: 64,
-            ttl_ms: 1_000,
-        })
-        .build(&CryptoCtx::new());
     let cache_hit = hit_allocations(&cached, &doctor);
     assert_eq!(cached.pep.stats().cache_hits, 2, "both were cache hits");
     assert!(
@@ -320,15 +344,37 @@ fn a_cache_hit_and_a_token_hit_allocate_only_the_audit_record() {
         "a PEP-cache hit made {cache_hit} allocations (budget {HIT_BUDGET})"
     );
 
-    let tokens = aux_policies_builder(16)
-        .capability(1_000)
-        .build(&CryptoCtx::new());
     let token_hit = hit_allocations(&tokens, &doctor);
     assert_eq!(tokens.pep.stats().token_hits, 2, "both were token hits");
     assert!(
         token_hit <= HIT_BUDGET,
         "a token hit made {token_hit} allocations (budget {HIT_BUDGET})"
     );
+}
+
+/// Served past the audit ring's capacity, a hit overwrites the oldest
+/// record's own strings (the ids here are as long as the ones they
+/// displace) and so allocates nothing: not for the hash, the look-up,
+/// the full-request check, the result or the record.
+#[test]
+fn a_hit_allocates_nothing_once_the_audit_ring_has_wrapped() {
+    let doctor = RequestContext::basic("user-1@q", "records/7", "read");
+    for domain in hit_domains() {
+        let serve = || domain.pep.serve(EnforceRequest::of(&doctor, 1));
+        (0..=DEFAULT_AUDIT_CAPACITY).for_each(|_| assert!(serve().allowed));
+        let before = domain.pep.stats();
+        assert_eq!(before.audit_dropped, 1, "the ring has wrapped");
+        let (count, result) = allocations_in(serve);
+        assert!(result.allowed);
+        let after = domain.pep.stats();
+        assert_eq!(
+            (after.cache_hits + after.token_hits) - (before.cache_hits + before.token_hits),
+            1,
+            "answered without the decision source"
+        );
+        assert_eq!(after.audit_dropped, 2);
+        assert_eq!(count, 0, "a hit on a wrapped ring allocated");
+    }
 }
 
 #[test]
@@ -340,6 +386,38 @@ fn routing_allocates_only_the_routing_key() {
     assert_eq!(
         count, 1,
         "shard_for allocates its routing-key String and nothing else"
+    );
+}
+
+/// A request is one vector of three entries, three two-byte names and
+/// three one-value bags, each allocation sized to what it holds — and
+/// its clone, which every request-cache insert makes, is that plus the
+/// id strings. (As a B-tree of bags grown to capacity four the same
+/// request asked for 926 bytes in seven allocations, its clone for 734
+/// in ten.)
+#[test]
+fn a_basic_request_asks_for_the_bytes_it_holds() {
+    let ids = || {
+        (
+            String::from("user-1234@q"),
+            String::from("records/7"),
+            String::from("read"),
+        )
+    };
+    let (subject, resource, action) = ids();
+    let id_bytes = (subject.len() + resource.len() + action.len()) as u64;
+    // The id strings are moved in, so what is counted is the container.
+    let ((calls, bytes), request) =
+        requested_in(|| RequestContext::basic(subject, resource, action));
+    assert_eq!(calls, 7, "the entries, three names, three bags");
+    assert!(bytes <= 280, "a basic request asked for {bytes} bytes");
+
+    let ((calls, bytes), copy) = requested_in(|| request.clone());
+    assert_eq!(copy, request);
+    assert_eq!(calls, 10);
+    assert!(
+        bytes <= 300 && bytes > id_bytes,
+        "its clone asked for {bytes} bytes"
     );
 }
 

@@ -104,6 +104,123 @@ proptest! {
         prop_assert_eq!(req, back);
     }
 
+    /// The flat request record against the map it replaced: one random
+    /// schedule of `add` / `with_*_attr` / `merge` steps over a small id
+    /// and value alphabet is applied to a `RequestContext` and to a
+    /// `BTreeMap` of bags, and everything the context can be asked
+    /// agrees with the model after every step. The same schedule with
+    /// each `(id, value)` step delivered grouped by id — a permutation
+    /// across ids that keeps every bag's own order — builds an equal
+    /// context.
+    #[test]
+    fn request_context_matches_a_btreemap_of_bags(
+        steps in prop::collection::vec(
+            (0usize..4, 0usize..4, 0usize..6, prop::collection::vec((0usize..4, 0usize..4, 0usize..6), 0..4)),
+            0..24,
+        ),
+    ) {
+        use dacs::policy::attr::{AttrValue, Category};
+        use dacs::policy::request::RequestContext;
+        use std::collections::BTreeMap;
+
+        let id_of = |category: usize, name: usize| {
+            AttributeId::new(Category::ALL[category], ["id", "role", "dept", "zone"][name])
+        };
+        let value_of = |v: usize| match v {
+            0 => AttrValue::from("alice"),
+            1 => AttrValue::from("o\"brien"),
+            2 => AttrValue::Integer(7),
+            3 => AttrValue::Boolean(true),
+            4 => AttrValue::Time(9),
+            _ => AttrValue::Double(0.5),
+        };
+        let canonical = |model: &BTreeMap<AttributeId, Vec<AttrValue>>| {
+            let mut out = String::new();
+            for (id, bag) in model {
+                out += &format!("{id}=");
+                bag.iter().for_each(|v| out += &format!("{v},"));
+                out.push(';');
+            }
+            out.into_bytes()
+        };
+        let first_str = |model: &BTreeMap<AttributeId, Vec<AttrValue>>, category: usize| {
+            let bag = model.get(&id_of(category, 0))?;
+            bag.iter().find_map(|v| v.as_str().map(str::to_owned))
+        };
+
+        let mut ctx = RequestContext::new();
+        let mut model: BTreeMap<AttributeId, Vec<AttrValue>> = BTreeMap::new();
+        let mut flat: Vec<(AttributeId, AttrValue)> = Vec::new();
+        for (category, name, value, merged) in steps {
+            let (id, v) = (id_of(category, name), value_of(value));
+            if merged.is_empty() {
+                // One value: through `add`, or the builder of its category.
+                let name = id.name.clone();
+                ctx = match (category, value % 2) {
+                    (0, 0) => ctx.with_subject_attr(&name, v.clone()),
+                    (1, 0) => ctx.with_resource_attr(&name, v.clone()),
+                    (3, 0) => ctx.with_env_attr(&name, v.clone()),
+                    _ => {
+                        ctx.add(id.clone(), v.clone());
+                        ctx
+                    }
+                };
+                model.entry(id.clone()).or_default().push(v.clone());
+                flat.push((id, v));
+            } else {
+                let mut other = RequestContext::new();
+                let mut other_model: BTreeMap<AttributeId, Vec<AttrValue>> = BTreeMap::new();
+                for (c, n, x) in merged {
+                    other.add(id_of(c, n), value_of(x));
+                    other_model.entry(id_of(c, n)).or_default().push(value_of(x));
+                }
+                ctx.merge(&other);
+                for (id, bag) in other_model {
+                    flat.extend(bag.iter().map(|v| (id.clone(), v.clone())));
+                    model.entry(id).or_default().extend(bag);
+                }
+            }
+
+            let entries: Vec<_> = ctx.iter().map(|(id, bag)| (id.clone(), bag.to_vec())).collect();
+            let expected: Vec<_> = model.iter().map(|(id, bag)| (id.clone(), bag.clone())).collect();
+            prop_assert_eq!(entries, expected);
+            prop_assert_eq!(ctx.len(), model.len());
+            prop_assert_eq!(ctx.is_empty(), model.is_empty());
+            for c in 0..4 {
+                for n in 0..4 {
+                    let probe = id_of(c, n);
+                    prop_assert_eq!(ctx.contains(&probe), model.contains_key(&probe));
+                    prop_assert_eq!(ctx.bag(&probe), model.get(&probe).map_or(&[][..], Vec::as_slice));
+                }
+                let ids: Vec<_> = ctx.ids_in_category(Category::ALL[c]).collect();
+                let expected: Vec<_> = model.keys().filter(|id| id.category == Category::ALL[c]).collect();
+                prop_assert_eq!(ids, expected);
+            }
+            prop_assert_eq!(ctx.subject_id().map(str::to_owned), first_str(&model, 0));
+            prop_assert_eq!(ctx.resource_id().map(str::to_owned), first_str(&model, 1));
+            prop_assert_eq!(ctx.action_id().map(str::to_owned), first_str(&model, 2));
+            let byte_len: usize = model
+                .iter()
+                .map(|(id, bag)| id.name.len() + 2 + bag.iter().map(AttrValue::byte_len).sum::<usize>())
+                .sum();
+            prop_assert_eq!(ctx.byte_len(), byte_len);
+            let bytes = canonical(&model);
+            prop_assert_eq!(ctx.to_canonical_bytes(), bytes.clone());
+            let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            prop_assert_eq!(ctx.canonical_hash(), fnv);
+        }
+
+        // Stable by id: ids change places, each bag keeps its order.
+        flat.sort_by(|a, b| b.0.cmp(&a.0));
+        let mut permuted = RequestContext::new();
+        for (id, v) in flat {
+            permuted.add(id, v);
+        }
+        prop_assert_eq!(permuted, ctx);
+    }
+
     #[test]
     fn dsl_roundtrip_for_generated_policies(
         id in "[a-z][a-z0-9-]{0,12}",
