@@ -592,9 +592,13 @@ dacs_telemetry::counter_block! {
 /// While it fills, a push appends a record with strings of its own.
 /// Once full, a push displaces the oldest record by overwriting it: the
 /// slot moves to the back and its three strings are cleared and
-/// refilled in place (growing only for an id longer than any the slot
-/// has held), so a steady-state push allocates and frees nothing. The
-/// caller counts each displacement in `EnforcementStats::audit_dropped`.
+/// refilled in place, so a steady-state push allocates and frees
+/// nothing. A string grows for an id longer than its buffer and is cut
+/// back to [`SLOT_KEEP`] bytes once it holds a shorter one, so the
+/// ring's memory is bounded by the ids it holds now — `capacity` records
+/// of three strings, each the larger of its id and `SLOT_KEEP` — not by
+/// the longest id a slot has ever held. The caller counts each
+/// displacement in `EnforcementStats::audit_dropped`.
 struct AuditRing {
     capacity: usize,
     records: Mutex<VecDeque<EnforcementRecord>>,
@@ -631,6 +635,7 @@ impl AuditRing {
         ] {
             held.clear();
             held.push_str(id);
+            held.shrink_to(SLOT_KEEP);
         }
         slot.allowed = allowed;
         records.push_back(slot);
@@ -641,6 +646,10 @@ impl AuditRing {
         self.records.lock().iter().cloned().collect()
     }
 }
+
+/// The buffer an overwritten audit string keeps beyond its content:
+/// room for any ordinary id, so only an outsized one is ever given back.
+const SLOT_KEEP: usize = 256;
 
 /// Default bound of the audit ring: generous enough that tests and
 /// short-lived PEPs never observe a drop, small enough that a
@@ -1557,6 +1566,28 @@ policy "gate" deny-unless-permit {
             assert_eq!(log.len() as u64 + dropped, step + 1);
         }
         assert_eq!(dropped, 14 - CAPACITY as u64);
+    }
+
+    /// Ids come from outside: a slot that once held a huge one gives the
+    /// buffer back when it is overwritten, and holds the huge one whole
+    /// until then.
+    #[test]
+    fn an_audit_slot_does_not_keep_the_capacity_of_a_huge_id() {
+        let ring = AuditRing::new(2);
+        let huge = "h".repeat(100 * SLOT_KEEP);
+        ring.push(0, "alice", "ehr/1", "read", true);
+        ring.push(1, "bob", "ehr/2", "read", true);
+        assert!(ring.push(2, &huge, &huge, &huge, false));
+        assert_eq!(ring.snapshot()[1].subject, huge);
+        assert!(ring.push(3, "carol", "ehr/3", "read", true));
+        assert!(ring.push(4, "dave", "ehr/4", "append", true));
+        let records = ring.records.lock();
+        assert_eq!(records[1].subject, "dave");
+        for record in records.iter() {
+            for held in [&record.subject, &record.resource, &record.action] {
+                assert!(held.capacity() <= SLOT_KEEP, "{}", held.capacity());
+            }
+        }
     }
 
     /// The same contract one layer up: a permit and a deny alike are

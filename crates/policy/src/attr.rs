@@ -195,6 +195,32 @@ impl AttrValue {
             AttrValue::Boolean(_) => 2,
         }
     }
+
+    /// Writes the value's canonical text — what `Display` prints and a
+    /// request's canonical bytes and hash are made of: a string in its
+    /// `{:?}` form, a time as `time(ms)`, the rest as they print.
+    ///
+    /// A string `{:?}` would escape nothing in — every byte printable
+    /// ASCII other than `"` and `\` (`'` prints verbatim; DEL and
+    /// anything multi-byte is left to `core::fmt` to decide) — is written
+    /// between two quotes without entering `core::fmt`.
+    pub(crate) fn write_canonical(&self, sink: &mut impl fmt::Write) -> fmt::Result {
+        match self {
+            AttrValue::String(s)
+                if s.bytes()
+                    .all(|b| matches!(b, 0x20..=0x7e) && b != b'"' && b != b'\\') =>
+            {
+                sink.write_str("\"")?;
+                sink.write_str(s)?;
+                sink.write_str("\"")
+            }
+            AttrValue::String(s) => write!(sink, "{s:?}"),
+            AttrValue::Integer(i) => write!(sink, "{i}"),
+            AttrValue::Boolean(b) => write!(sink, "{b}"),
+            AttrValue::Double(d) => write!(sink, "{d}"),
+            AttrValue::Time(t) => write!(sink, "time({t})"),
+        }
+    }
 }
 
 impl PartialEq for AttrValue {
@@ -242,13 +268,7 @@ impl std::hash::Hash for AttrValue {
 
 impl fmt::Display for AttrValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AttrValue::String(s) => write!(f, "{s:?}"),
-            AttrValue::Integer(i) => write!(f, "{i}"),
-            AttrValue::Boolean(b) => write!(f, "{b}"),
-            AttrValue::Double(d) => write!(f, "{d}"),
-            AttrValue::Time(t) => write!(f, "time({t})"),
-        }
+        self.write_canonical(f)
     }
 }
 
@@ -303,6 +323,22 @@ mod tests {
             AttributeId::environment("current-time").to_string(),
             "env.current-time"
         );
+    }
+
+    /// The verbatim path against `str`'s own `Debug`, one byte at a time
+    /// over all of ASCII and for a few multi-byte and mixed strings.
+    #[test]
+    fn a_string_prints_as_its_debug_form() {
+        let mut texts: Vec<String> = (0u8..=0x7f).map(|b| format!("a{}z", b as char)).collect();
+        texts
+            .extend(["", "o'brien", "a\"b\\c\nd\u{7f}é日", "é", "日", "\u{301}"].map(String::from));
+        for text in texts {
+            assert_eq!(AttrValue::from(&*text).to_string(), format!("{text:?}"));
+        }
+        assert_eq!(AttrValue::Time(7).to_string(), "time(7)");
+        assert_eq!(AttrValue::Integer(-3).to_string(), "-3");
+        assert_eq!(AttrValue::Boolean(true).to_string(), "true");
+        assert_eq!(AttrValue::Double(1.5).to_string(), "1.5");
     }
 
     #[test]

@@ -6,7 +6,6 @@ use crate::attr::{AttrValue, AttributeId, Category, ID_ATTR};
 use serde::de::{self, Deserializer, MapAccess, SeqAccess, Visitor};
 use serde::ser::{SerializeMap, SerializeStruct, Serializer};
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
 use std::fmt::{self, Write};
 
 /// A multi-valued attribute container describing one access request.
@@ -15,9 +14,8 @@ use std::fmt::{self, Write};
 /// the request caches compare it, the router keys on it, targets and
 /// conditions look bags up in it — so it is stored flat: one vector of
 /// `(id, bag)` entries in ascending id order, each allocation sized to
-/// what it holds. A look-up walks a handful of entries in order and
-/// bisects a wide context, iteration is a slice walk, and a clone
-/// copies no empty slots.
+/// what it holds. A look-up is a binary search, iteration is a slice
+/// walk, and a clone copies no empty slots.
 ///
 /// # Examples
 ///
@@ -35,8 +33,8 @@ pub struct RequestContext {
     /// (category, then name) — so ids are unique — and no bag is empty.
     /// Iteration order, `==`, the canonical bytes and the wire encoding
     /// all rest on it. The only writers are [`RequestContext::add`],
-    /// [`RequestContext::merge`] and `Deserialize`, which rebuilds
-    /// through `add` and so never trusts a sender's order.
+    /// [`RequestContext::merge`] and `Deserialize`, which sorts what it
+    /// received and so never trusts a sender's order.
     attrs: Vec<(AttributeId, Vec<AttrValue>)>,
 }
 
@@ -62,24 +60,12 @@ impl RequestContext {
     }
 
     /// Where the entry of (`category`, `name`) is (`Ok`), or where it
-    /// would be inserted to keep the order (`Err`) — `binary_search`'s
-    /// contract, by either route. Compares the way `AttributeId`'s
-    /// derived `Ord` does, without needing an owned id.
+    /// would be inserted to keep the order (`Err`). Compares the way
+    /// `AttributeId`'s derived `Ord` does, without needing an owned id.
     fn position(&self, category: Category, name: &str) -> Result<usize, usize> {
-        let order = |(id, _): &(AttributeId, Vec<AttrValue>)| {
+        self.attrs.binary_search_by(|(id, _)| {
             (id.category.cmp(&category)).then_with(|| id.name.as_str().cmp(name))
-        };
-        if self.attrs.len() > LINEAR_SCAN_MAX {
-            return self.attrs.binary_search_by(order);
-        }
-        for (at, entry) in self.attrs.iter().enumerate() {
-            match order(entry) {
-                Ordering::Less => {}
-                Ordering::Equal => return Ok(at),
-                Ordering::Greater => return Err(at),
-            }
-        }
-        Err(self.attrs.len())
+        })
     }
 
     /// Appends a value to the bag of `id`.
@@ -191,8 +177,9 @@ impl RequestContext {
     }
 
     /// The one canonical walk: `category.name=value,value,;` per entry,
-    /// each value in its `Display` form. Both the byte encoding and the
-    /// hash are this stream, so they cannot drift apart.
+    /// each value in its canonical text ([`AttrValue::write_canonical`]).
+    /// Both the byte encoding and the hash are this stream, so they
+    /// cannot drift apart.
     fn feed(&self, sink: &mut impl Write) -> fmt::Result {
         for (id, bag) in &self.attrs {
             sink.write_str(id.category.as_str())?;
@@ -200,16 +187,7 @@ impl RequestContext {
             sink.write_str(&id.name)?;
             sink.write_str("=")?;
             for value in bag {
-                match value {
-                    // `Display` of a string is its `{:?}` form, which for
-                    // these bytes escapes nothing: skip `core::fmt`.
-                    AttrValue::String(s) if s.bytes().all(debug_prints_verbatim) => {
-                        sink.write_str("\"")?;
-                        sink.write_str(s)?;
-                        sink.write_str("\"")?;
-                    }
-                    other => write!(sink, "{other}")?,
-                }
+                value.write_canonical(sink)?;
                 sink.write_str(",")?;
             }
             sink.write_str(";")?;
@@ -238,20 +216,6 @@ impl RequestContext {
     }
 }
 
-/// Up to this many entries a look-up walks the vector in order — one
-/// name comparison for a request's handful of ids, where bisecting
-/// makes two (the three id accessors together: 29 ns against 39) —
-/// and above it, it bisects, so a wide context costs what a map did.
-const LINEAR_SCAN_MAX: usize = 8;
-
-/// Whether `str`'s `Debug` writes this byte as itself: printable ASCII
-/// other than `"` and `\`. (`'` is printed verbatim; anything at or
-/// above 0x7f — DEL and every byte of a multi-byte character, some of
-/// which `Debug` escapes — is left to `core::fmt` to decide.)
-fn debug_prints_verbatim(byte: u8) -> bool {
-    matches!(byte, 0x20..=0x7e) && byte != b'"' && byte != b'\\'
-}
-
 /// The map shape the context has always had on the wire: a struct of
 /// one field, `attrs`, holding id → bag entries in ascending id order.
 impl Serialize for RequestContext {
@@ -272,9 +236,9 @@ impl Serialize for RequestContext {
     }
 }
 
-/// Rebuilds the context through [`RequestContext::add`], value by
-/// value: whatever order, duplicate ids or empty bags a frame carries,
-/// what comes out holds the invariant.
+/// Sorts the received entries and folds equal ids into one bag:
+/// whatever order, duplicate ids or empty bags a frame carries, what
+/// comes out holds the invariant.
 impl<'de> Deserialize<'de> for RequestContext {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         struct Entries(RequestContext);
@@ -294,17 +258,18 @@ impl<'de> Deserialize<'de> for RequestContext {
                 while let Some(entry) = map.next_entry()? {
                     entries.push(entry);
                 }
-                // Stable, so a repeated id's bags keep the frame's order;
-                // sorted, so every `add` below appends at the end and a
-                // frame in descending order costs no quadratic shuffle.
+                // Stable, so a repeated id's bags keep the frame's order.
                 entries.sort_by(|a, b| a.0.cmp(&b.0));
-                let mut ctx = RequestContext::new();
+                let mut attrs: Vec<(AttributeId, Vec<AttrValue>)> =
+                    Vec::with_capacity(entries.len());
                 for (id, bag) in entries {
-                    for value in bag {
-                        ctx.add(id.clone(), value);
+                    match attrs.last_mut() {
+                        Some((last, held)) if *last == id => held.extend(bag),
+                        _ if bag.is_empty() => {}
+                        _ => attrs.push((id, bag)),
                     }
                 }
-                Ok(Entries(ctx))
+                Ok(Entries(RequestContext { attrs }))
             }
         }
         struct ContextVisitor;
