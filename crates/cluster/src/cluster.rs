@@ -94,8 +94,9 @@ impl ClusterBuilder {
     /// set, and — under [`QuorumMode::Majority`] with
     /// `config.adaptive_fanout` — dispatches only quorum-width replicas
     /// per query, escalating to EWMA-ranked backups on budget overrun
-    /// or a contested vote. Without a scheduler, queries evaluate
-    /// sequentially on the caller's thread.
+    /// or a contested vote. Without a scheduler the same collector runs
+    /// with no pool: full width, unhedged, every replica it asks
+    /// evaluated on the caller's thread.
     pub fn scheduler(mut self, config: SchedulerConfig) -> Self {
         self.scheduler = Some(config);
         self
@@ -126,18 +127,18 @@ impl ClusterBuilder {
         self
     }
 
-    /// Replays every `n`th served query on the sequential,
-    /// non-short-circuiting path (all in-sync healthy replicas
-    /// consulted, majority combine) purely to *observe* divergence,
-    /// recording [`ClusterMetrics::audit_queries`] and
+    /// Replays every `n`th served query through the same collector,
+    /// told not to stop early (all in-sync healthy replicas consulted
+    /// on the caller's thread, majority combine) purely to *observe*
+    /// divergence, recording [`ClusterMetrics::audit_queries`] and
     /// [`ClusterMetrics::audit_disagreements`]. This closes the blind
-    /// spot documented on [`ClusterMetrics::disagreements`]: under a
-    /// scheduler the quorum short-circuit can hide a divergent replica
-    /// forever. The audit verdict never replaces the served response
-    /// and its sub-queries are not counted in
+    /// spot documented on [`ClusterMetrics::disagreements`]: a served
+    /// query stops at its settle point, which can hide a divergent
+    /// replica forever. The audit verdict never replaces the served
+    /// response and its sub-queries are not counted in
     /// [`ClusterMetrics::replica_queries`]. `0` (the default) disables
-    /// sampling; the sampler only runs when a scheduler is configured
-    /// — the sequential path already observes every vote.
+    /// sampling; with or without a scheduler, every cluster is audited
+    /// the same way.
     pub fn audit_every(mut self, n: usize) -> Self {
         self.audit_every = n;
         self
@@ -239,8 +240,8 @@ pub struct PdpCluster {
     slots: HashMap<String, (usize, usize)>,
     directory: Arc<PdpDirectory>,
     quorum: QuorumMode,
-    /// The worker pool and its dispatch settings; `None` evaluates
-    /// sequentially on the caller's thread.
+    /// The worker pool and its dispatch settings; `None` plans every
+    /// query with no pool.
     scheduler: Option<(FanoutPool, SchedulerConfig)>,
     resync: bool,
     audit_every: usize,
@@ -378,6 +379,15 @@ impl PdpCluster {
     ) -> ClusterOutcome {
         let start = Instant::now();
         let group = &self.groups[shard];
+        // Built without a scheduler: no pool, no hedge, full width.
+        let scheduler = self.scheduler.as_ref();
+        let plan = FanoutPlan {
+            pool: scheduler.map(|(pool, _)| pool),
+            hedge: scheduler.and_then(|(_, config)| config.hedge.as_ref()),
+            adaptive: scheduler.is_some_and(|(_, config)| config.adaptive_fanout),
+            class,
+            every_vote: false,
+        };
         let outcome = {
             // Entered, so worker-thread `replica_decide` spans (which
             // capture the dispatching thread's context) and the
@@ -387,22 +397,9 @@ impl PdpCluster {
                 .as_ref()
                 .map(|t| t.telemetry.tracer().span("fanout"));
             let _in_fanout = fanout.as_ref().map(|s| s.enter());
-            match &self.scheduler {
-                Some((pool, config)) => group.query_planned(
-                    self.quorum,
-                    request,
-                    now_ms,
-                    &FanoutPlan {
-                        pool,
-                        hedge: config.hedge.as_ref(),
-                        adaptive: config.adaptive_fanout,
-                        class,
-                    },
-                ),
-                None => group.query(self.quorum, request, now_ms),
-            }
+            group.query_planned(self.quorum, request, now_ms, &plan)
         };
-        if self.account(group, &outcome) {
+        if self.account(group, &plan, &outcome) {
             self.audit(group, request, now_ms);
         }
         if let Some(t) = &self.telemetry {
@@ -423,16 +420,12 @@ impl PdpCluster {
     /// run one twice. A common query pays for `queries`,
     /// `replica_queries` and the `epoch_lag_last` store; the rest move
     /// only when they have something to add.
-    fn account(&self, group: &ReplicaGroup, outcome: &GroupOutcome) -> bool {
-        let adaptive = self
-            .scheduler
-            .as_ref()
-            .is_some_and(|(_, config)| config.adaptive_fanout);
+    fn account(&self, group: &ReplicaGroup, plan: &FanoutPlan<'_>, outcome: &GroupOutcome) -> bool {
         let m = &*self.metrics;
         let number = m.queries.fetch_add(1, Ordering::Relaxed) + 1;
         m.replica_queries
             .fetch_add(outcome.replicas_queried as u64, Ordering::Relaxed);
-        if adaptive && self.quorum.fans_out() {
+        if plan.adaptive && self.quorum.fans_out() {
             // Eligible replicas the adaptive quorum never had to query.
             let saved = outcome.healthy.saturating_sub(outcome.replicas_queried);
             add_rare(&m.fanout_saved, saved as u64);
@@ -458,21 +451,24 @@ impl PdpCluster {
             }
         }
         self.audit_every != 0
-            && self.scheduler.is_some()
             && outcome.response.is_some()
             && number.is_multiple_of(self.audit_every as u64)
     }
 
     /// The periodic divergence sampler ([`ClusterBuilder::audit_every`]):
-    /// replays a served query on the sequential path, whose combiner
-    /// sees every in-sync replica's vote, and records what the pooled
-    /// short-circuit may have hidden. Observational only — the served
-    /// response is never revised, and the replay's sub-queries stay out
-    /// of the fan-out cost counters.
+    /// replays a served query through the collector with a plan that
+    /// takes every in-sync replica's vote, on the caller's thread, and
+    /// records what the settle point may have hidden. Observational
+    /// only — the served response is never revised, and the replay's
+    /// sub-queries stay out of the fan-out cost counters.
     fn audit(&self, group: &ReplicaGroup, request: &RequestContext, now_ms: u64) {
+        let plan = FanoutPlan {
+            every_vote: true,
+            ..FanoutPlan::default()
+        };
         // Majority, not the configured mode: FirstHealthy would consult
         // a single replica and could never observe a disagreement.
-        let audit = group.query(QuorumMode::Majority, request, now_ms);
+        let audit = group.query_planned(QuorumMode::Majority, request, now_ms, &plan);
         self.metrics.audit_queries.fetch_add(1, Ordering::Relaxed);
         add_rare(&self.metrics.audit_disagreements, audit.disagreement as u64);
     }
@@ -565,26 +561,51 @@ mod tests {
         assert!((m.availability() - 0.5).abs() < 1e-9);
     }
 
-    #[test]
-    fn parallel_cluster_decides_and_counts_like_sequential() {
-        let sequential = permit_cluster(2, 3, QuorumMode::Majority);
-        let parallel = permit_builder(2, 3, QuorumMode::Majority)
-            .scheduler(SchedulerConfig::new(4))
-            .build();
-        for i in 0..20 {
-            let req = RequestContext::basic(format!("u{i}"), format!("res/{}", i % 4), "read");
-            let s = sequential.decide(&req, i);
-            let p = parallel.decide(&req, i);
-            assert_eq!(
-                s.response.as_ref().unwrap().decision,
-                p.response.as_ref().unwrap().decision
-            );
-            assert_eq!(s.shard, p.shard, "routing is independent of fan-out");
+    /// What a cluster is built with, by the shape of plan it gives: no
+    /// scheduler, pooled, adaptive, hedged (a budget no run overruns).
+    fn schedulers() -> [(&'static str, Option<SchedulerConfig>); 4] {
+        let pooled = || SchedulerConfig::new(4);
+        let patient = crate::HedgeConfig {
+            min_budget_us: 60_000_000,
+            ..Default::default()
+        };
+        [
+            ("no pool", None),
+            ("pooled", Some(pooled())),
+            ("adaptive", Some(pooled().with_adaptive_fanout(true))),
+            ("hedged", Some(pooled().with_hedge(patient))),
+        ]
+    }
+
+    fn scheduled(builder: ClusterBuilder, scheduler: Option<SchedulerConfig>) -> PdpCluster {
+        match scheduler {
+            Some(config) => builder.scheduler(config).build(),
+            None => builder.build(),
         }
-        let m = parallel.metrics();
-        assert_eq!(m.queries, 20);
-        assert_eq!(m.unavailable, 0);
-        assert_eq!(m.hedges, 0, "quorum fan-out never hedges");
+    }
+
+    #[test]
+    fn every_cluster_shape_decides_routes_and_counts_alike() {
+        for (shape, scheduler) in schedulers() {
+            let adaptive = scheduler.as_ref().is_some_and(|c| c.adaptive_fanout);
+            let cluster = scheduled(permit_builder(2, 3, QuorumMode::Majority), scheduler);
+            for i in 0..20 {
+                let req = RequestContext::basic(format!("u{i}"), format!("res/{}", i % 4), "read");
+                let out = cluster.decide(&req, i);
+                assert_eq!(out.response.unwrap().decision, Decision::Permit, "{shape}");
+                // Routing is independent of fan-out.
+                assert_eq!(out.shard, cluster.router().shard_for(&req), "{shape}");
+            }
+            let m = cluster.metrics();
+            assert_eq!(m.queries, 20, "{shape}");
+            // Dispatched, not evaluated: the vote two agreeing permits
+            // overtake counts at full width.
+            let width = if adaptive { 2 } else { 3 };
+            assert_eq!(m.replica_queries, 20 * width, "{shape}");
+            assert_eq!(m.fanout_saved, 20 * (3 - width), "{shape}");
+            assert_eq!(m.unavailable, 0, "{shape}");
+            assert_eq!(m.hedges, 0, "{shape}: quorum fan-out never hedges");
+        }
     }
 
     /// Tentpole (ISSUE 8): with `adaptive_fanout` on, an agreeing
@@ -705,43 +726,47 @@ mod tests {
         assert!((m.hedge_rate() - 1.0).abs() < 1e-9);
     }
 
-    /// Satellite (ISSUE 6): under a scheduler a majority quorum
-    /// short-circuits on the two fast Permits and cancels the slow
-    /// divergent replica, so `disagreements` stays a silent zero. The
-    /// periodic audit sampler replays on the sequential path — which
-    /// waits for every vote — and flags the divergence exactly.
+    /// Satellite (ISSUE 6): a majority quorum settles on the two fast
+    /// Permits — cancelling the slow divergent replica on a pool, never
+    /// starting it without one — so `disagreements` stays a silent zero.
+    /// The periodic audit sampler replays with a plan that takes every
+    /// vote and flags the divergence exactly: seen by the audit, and
+    /// only by the audit, with or without a scheduler.
     #[test]
     fn audit_sampler_observes_divergence_hidden_by_short_circuit() {
         use crate::replica::SlowBackend;
-        let cluster = ClusterBuilder::new("audit-test")
-            .quorum(QuorumMode::Majority)
-            .scheduler(SchedulerConfig::new(4))
-            .audit_every(2)
-            .shard(vec![
-                Arc::new(StaticBackend::new("a-fast-0", Decision::Permit))
-                    as Arc<dyn DecisionBackend>,
-                Arc::new(StaticBackend::new("a-fast-1", Decision::Permit))
-                    as Arc<dyn DecisionBackend>,
-                Arc::new(SlowBackend::new(
-                    "a-slow-wrong",
-                    Decision::Deny,
-                    std::time::Duration::from_millis(40),
-                )) as Arc<dyn DecisionBackend>,
-            ])
-            .build();
-        let req = RequestContext::basic("alice", "ehr/1", "read");
-        for i in 0..4 {
-            let out = cluster.decide(&req, i);
-            assert_eq!(out.response.unwrap().decision, Decision::Permit);
+        for (shape, scheduler) in schedulers() {
+            let builder = ClusterBuilder::new("audit-test")
+                .quorum(QuorumMode::Majority)
+                .audit_every(2)
+                .shard(vec![
+                    Arc::new(StaticBackend::new("a-fast-0", Decision::Permit))
+                        as Arc<dyn DecisionBackend>,
+                    Arc::new(StaticBackend::new("a-fast-1", Decision::Permit))
+                        as Arc<dyn DecisionBackend>,
+                    Arc::new(SlowBackend::new(
+                        "a-slow-wrong",
+                        Decision::Deny,
+                        std::time::Duration::from_millis(40),
+                    )) as Arc<dyn DecisionBackend>,
+                ]);
+            let cluster = scheduled(builder, scheduler);
+            // Known to be slow, so it is dispatched last (an unmeasured
+            // replica would be probed first).
+            let slow = cluster.directory().register("a-slow-wrong", "audit-test");
+            slow.record_latency_ns(40_000_000);
+            let req = RequestContext::basic("alice", "ehr/1", "read");
+            for i in 0..4 {
+                let out = cluster.decide(&req, i);
+                assert_eq!(out.response.unwrap().decision, Decision::Permit, "{shape}");
+            }
+            let m = cluster.metrics();
+            assert_eq!(m.queries, 4, "{shape}");
+            // The settle point never sees the deny; every 2nd served
+            // query is replayed, and each replay observes it.
+            assert_eq!(m.disagreements, 0, "{shape}");
+            assert_eq!((m.audit_queries, m.audit_disagreements), (2, 2), "{shape}");
         }
-        let m = cluster.metrics();
-        assert_eq!(m.queries, 4);
-        assert_eq!(m.disagreements, 0, "short-circuit never sees the deny");
-        assert_eq!(m.audit_queries, 2, "every 2nd served query replayed");
-        assert_eq!(
-            m.audit_disagreements, 2,
-            "the audit path observes the divergent replica every time"
-        );
     }
 
     /// Regression (ISSUE 12): whether an audit is due is decided under
@@ -750,26 +775,26 @@ mod tests {
     /// replayed twice.
     #[test]
     fn concurrent_deciders_audit_exactly_every_nth_query() {
-        let cluster = permit_builder(1, 3, QuorumMode::Majority)
-            .scheduler(SchedulerConfig::new(4))
-            .audit_every(10)
-            .build();
-        let barrier = std::sync::Barrier::new(4);
-        std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                let (cluster, barrier) = (&cluster, &barrier);
-                scope.spawn(move || {
-                    let req = RequestContext::basic(format!("u{t}"), "ehr/1", "read");
-                    barrier.wait();
-                    for i in 0..250 {
-                        assert!(cluster.decide(&req, i).response.is_some());
-                    }
-                });
-            }
-        });
-        let m = cluster.metrics();
-        assert_eq!(m.queries, 1_000);
-        assert_eq!(m.audit_queries, 100);
+        for scheduler in [None, Some(SchedulerConfig::new(4))] {
+            let builder = permit_builder(1, 3, QuorumMode::Majority).audit_every(10);
+            let cluster = scheduled(builder, scheduler);
+            let barrier = std::sync::Barrier::new(4);
+            std::thread::scope(|scope| {
+                for t in 0..4u64 {
+                    let (cluster, barrier) = (&cluster, &barrier);
+                    scope.spawn(move || {
+                        let req = RequestContext::basic(format!("u{t}"), "ehr/1", "read");
+                        barrier.wait();
+                        for i in 0..250 {
+                            assert!(cluster.decide(&req, i).response.is_some());
+                        }
+                    });
+                }
+            });
+            let m = cluster.metrics();
+            assert_eq!(m.queries, 1_000);
+            assert_eq!(m.audit_queries, 100);
+        }
     }
 
     /// Regression (ISSUE 3): with `.resync(true)`, a replica returning

@@ -18,29 +18,27 @@ pub struct ClusterMetrics {
     pub unavailable: u64,
     /// Queries served by fewer healthy replicas than configured.
     pub degraded: u64,
-    /// Queries whose healthy replicas disagreed on the decision.
+    /// Queries whose answers disagreed on the decision, as far as the
+    /// settle point saw.
     ///
-    /// On the pooled fan-out path (a cluster built with
-    /// [`crate::ClusterBuilder::scheduler`]) this is a *lower bound*:
-    /// the quorum short-circuits the moment the verdict is known and
-    /// cancels the stragglers, so a divergent answer that would only
-    /// have arrived after the short-circuit point is never observed. A
-    /// cluster with one slow, permanently wrong replica can therefore
-    /// report zero disagreements under a scheduler while the
-    /// sequential path would flag every query. When divergence monitoring matters,
-    /// enable the built-in sampler
+    /// A *lower bound* on every cluster, with or without a scheduler:
+    /// the collector stops the moment the verdict is known — cancelling
+    /// the stragglers, never starting what the caller had not reached —
+    /// so a divergent answer that would only have come after the settle
+    /// point is never observed. A cluster with one slow, permanently
+    /// wrong replica can therefore report zero disagreements. When
+    /// divergence monitoring matters, enable the built-in sampler
     /// ([`crate::ClusterBuilder::audit_every`]): every Nth query is
-    /// replayed on the non-short-circuiting sequential path and its
-    /// verdict recorded in [`ClusterMetrics::audit_queries`] /
+    /// replayed with every vote taken and its verdict recorded in
+    /// [`ClusterMetrics::audit_queries`] /
     /// [`ClusterMetrics::audit_disagreements`], which have no such
     /// blind spot.
     pub disagreements: u64,
     /// Queries forced to a fail-closed deny by the quorum rule.
     ///
-    /// Like [`ClusterMetrics::disagreements`], a lower bound on the
-    /// pooled path: a deny that arrives first under
-    /// `UnanimousFailClosed` ends the query as a plain deny before any
-    /// conflicting permit can be observed.
+    /// Like [`ClusterMetrics::disagreements`], a lower bound: a deny
+    /// that arrives first under `UnanimousFailClosed` ends the query as
+    /// a plain deny before any conflicting permit can be observed.
     pub fail_closed_denies: u64,
     /// Hedge queries dispatched after the replicas in flight overran
     /// the latency budget of a [`crate::HedgeConfig`] (first-healthy
@@ -65,14 +63,14 @@ pub struct ClusterMetrics {
     pub epoch_lag_max: u64,
     /// Audit replays run by the periodic sampler
     /// ([`crate::ClusterBuilder::audit_every`]): every Nth query is
-    /// re-evaluated on the sequential path, which consults every
-    /// in-sync replica and never short-circuits.
+    /// re-evaluated by the same collector on the caller's thread, told
+    /// to consult every in-sync replica and never stop early.
     pub audit_queries: u64,
     /// Audit replays whose replicas disagreed on the decision. Unlike
     /// [`ClusterMetrics::disagreements`], this is exact over the
-    /// sampled queries — the audit path observes every vote — so a
-    /// nonzero value here with zero `disagreements` is the signature of
-    /// a divergent replica hiding behind the pooled short-circuit.
+    /// sampled queries — the audit observes every vote — so a nonzero
+    /// value here with zero `disagreements` is the signature of a
+    /// divergent replica hiding behind the settle point.
     pub audit_disagreements: u64,
     /// Batches flushed by a [`crate::BatchSubmitter`].
     pub batches: u64,
@@ -89,10 +87,10 @@ pub struct ClusterMetrics {
     /// how far below full-dispatch [`ClusterMetrics::amplification`]
     /// the scheduler is running.
     pub fanout_saved: u64,
-    /// Replica evaluations a [`crate::ClusterBuilder::scheduler`]
-    /// cluster ran on the deciding thread instead of its pool (the
-    /// replica answers faster than a hand-off costs, or had nothing to
-    /// overlap); 0 without a scheduler, which has no pool to choose.
+    /// Replica evaluations served queries ran on the deciding thread:
+    /// under a [`crate::ClusterBuilder::scheduler`], those kept off its
+    /// pool (the replica answers faster than a hand-off costs, or had
+    /// nothing to overlap); without one, every engine decision asked.
     pub caller_evaluations: u64,
 }
 

@@ -8,17 +8,17 @@
 //! and a `mark_down` through the directory is seen by the very next
 //! roster, because it is the same record.
 //!
-//! A group answers a query two ways. [`ReplicaGroup::query`] evaluates
-//! replicas sequentially on the caller's thread (simple, deterministic,
-//! latency = sum of replicas) — the reference every other path is
-//! tested against and audits replay on. A cluster built with
-//! `ClusterBuilder::scheduler` instead combines answers
-//! *incrementally*, in one collector loop: majority settles as soon as
-//! a majority agrees (dispatching only quorum width under adaptive
-//! fan-out), unanimity settles on the first deny, and first-healthy
-//! optionally hedges the primary replica after its latency budget. A
-//! replica that has been answering faster than a pool hand-off costs is
-//! evaluated on the collector's own thread, every other on the pool.
+//! A group answers a query one way: one collector loop combines
+//! answers *incrementally* — majority settles as soon as a majority
+//! agrees (dispatching only quorum width under adaptive fan-out),
+//! unanimity settles on the first deny, and first-healthy optionally
+//! hedges the primary replica after its latency budget. Where a replica
+//! is evaluated is the plan's: a cluster built with
+//! `ClusterBuilder::scheduler` has a pool, and a replica that has been
+//! answering faster than a pool hand-off costs is evaluated on the
+//! collector's own thread, every other on the pool; a cluster built
+//! without one ([`ReplicaGroup::query`]) has no pool, and the caller
+//! evaluates every replica it asks.
 
 use crate::fanout::{CancelToken, FanoutAnswer, FanoutPool, HedgeConfig};
 use crate::quorum::{self, QuorumMode};
@@ -26,7 +26,7 @@ use dacs_pdp::{DecisionClass, Pdp, PdpEndpoint, PolicyEpoch, ReplicaPhase};
 use dacs_policy::eval::Response;
 use dacs_policy::policy::Decision;
 use dacs_policy::request::RequestContext;
-use dacs_telemetry::{Histogram, SpanCtx, Telemetry, Tracer};
+use dacs_telemetry::{Histogram, Span, SpanCtx, Telemetry, Tracer};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -113,8 +113,9 @@ impl DecisionBackend for StaticBackend {
 pub struct GroupOutcome {
     /// The combined response; `None` when no replica was healthy.
     pub response: Option<Response>,
-    /// Replicas actually queried (dispatched, for the pooled path — a
-    /// cancelled straggler still counts as dispatched work).
+    /// Replicas dispatched. A vote the verdict overtakes — a job
+    /// cancelled at dequeue, a replica the caller never started — still
+    /// counts as dispatched work.
     pub replicas_queried: usize,
     /// Quorum-eligible replicas at query time: healthy *and* in sync
     /// with the group's policy epoch. (Without resync enabled this is
@@ -126,9 +127,9 @@ pub struct GroupOutcome {
     /// The largest policy-epoch lag among the excluded syncing replicas
     /// (0 when none were excluded).
     pub max_epoch_lag: u64,
-    /// Whether healthy replicas disagreed on the decision. The
-    /// short-circuiting pooled path reports disagreement only among
-    /// the answers it actually waited for.
+    /// Whether the answers the settle point saw disagreed. The
+    /// collector stops at the verdict, so a divergent vote that would
+    /// only have come after it is not observed.
     pub disagreement: bool,
     /// Whether the quorum forced a fail-closed deny.
     pub fail_closed: bool,
@@ -139,8 +140,8 @@ pub struct GroupOutcome {
     pub hedges: usize,
     /// Whether a hedge query supplied the winning answer.
     pub hedge_won: bool,
-    /// Evaluations a planned query ran on the caller's own thread, not
-    /// on the pool (0 on the sequential path: no pool to choose).
+    /// Evaluations the query ran on the caller's own thread, not on a
+    /// pool: all of them when the plan has no pool.
     pub caller_evaluations: usize,
 }
 
@@ -189,9 +190,9 @@ impl GroupOutcome {
 /// let directory = PdpDirectory::new();
 /// let mut replicas = Vec::new();
 /// for (name, decision) in [
-///     ("r0", Decision::Permit),
+///     ("r0", Decision::Deny), // stale replica
 ///     ("r1", Decision::Permit),
-///     ("r2", Decision::Deny), // stale replica
+///     ("r2", Decision::Permit),
 /// ] {
 ///     let backend: Arc<dyn DecisionBackend> = Arc::new(StaticBackend::new(name, decision));
 ///     // Registration hands out the record the group keeps.
@@ -200,11 +201,11 @@ impl GroupOutcome {
 /// let group = ReplicaGroup::new(replicas);
 /// let request = RequestContext::basic("alice", "ehr/1", "read");
 /// let out = group.query(QuorumMode::Majority, &request, 0);
-/// // The fresh majority outvotes the stale replica.
+/// // The fresh majority outvotes the stale replica, asked first.
 /// assert_eq!(out.response.unwrap().decision, Decision::Permit);
 /// assert!(out.disagreement);
 /// // The directory is the authority on health: same record.
-/// directory.mark_down("r2");
+/// directory.mark_down("r0");
 /// assert!(!group.query(QuorumMode::Majority, &request, 1).disagreement);
 /// ```
 pub struct ReplicaGroup {
@@ -225,8 +226,8 @@ struct GroupTelemetry {
     telemetry: Arc<Telemetry>,
     /// Per-replica evaluation time (the "replica compute" stage).
     replica_us: Arc<Histogram>,
-    /// Collector wait from dispatch completion to verdict (the "quorum
-    /// wait" stage; pooled path only).
+    /// Collector wait from the first hand-off to verdict (the "quorum
+    /// wait" stage; a query with nothing pooled has none).
     quorum_wait_us: Arc<Histogram>,
 }
 
@@ -236,22 +237,24 @@ impl GroupTelemetry {
     }
 }
 
-/// What a replica evaluation needs to record its span wherever it
-/// runs: the tracer, the compute histogram, the parent span captured on
-/// the *dispatching* thread (workers have no entered context), and the
-/// replica's role for the span note.
+/// What the replica evaluations of one query need to record their spans
+/// wherever they run: the tracer, the compute histogram and the parent
+/// span captured on the *dispatching* thread (workers have no entered
+/// context).
+#[derive(Clone)]
 struct DispatchTelemetry {
     tracer: Tracer,
     replica_us: Arc<Histogram>,
     parent: Option<SpanCtx>,
-    role: &'static str,
 }
 
-/// Records the collector's wait time on drop, so every exit of the
-/// fan-out collector feeds the quorum-wait histogram.
+/// The `quorum_wait` span of a query that pooled something; records the
+/// collector's wait time on drop, so every exit of the fan-out
+/// collector feeds the quorum-wait histogram.
 struct WaitTimer {
     start: Instant,
     histogram: Arc<Histogram>,
+    _span: Span,
 }
 
 impl Drop for WaitTimer {
@@ -269,13 +272,17 @@ struct Roster<'a> {
     max_epoch_lag: u64,
 }
 
-/// How one pooled query should be dispatched: the pool to run on, the
+/// How one query should be dispatched: the pool to hand off to, the
 /// hedging policy, whether fan-out is adaptive (quorum-width), and the
 /// query's scheduling class. Built by the cluster from its
-/// `SchedulerConfig` plus the caller's [`DecisionClass`].
+/// `SchedulerConfig`, if it has one, plus the caller's
+/// [`DecisionClass`]; the default is the plan of a cluster built
+/// without one — no pool, no hedge, full width.
+#[derive(Default)]
 pub(crate) struct FanoutPlan<'a> {
-    /// The worker pool jobs are submitted to.
-    pub pool: &'a FanoutPool,
+    /// The worker pool jobs are submitted to; `None` and the caller
+    /// evaluates every replica.
+    pub pool: Option<&'a FanoutPool>,
     /// The budget-overrun escalation policy; `None` disables it.
     pub hedge: Option<&'a HedgeConfig>,
     /// Dispatch only quorum-width replicas under majority, escalating
@@ -283,6 +290,9 @@ pub(crate) struct FanoutPlan<'a> {
     pub adaptive: bool,
     /// The scheduling lane and deadline the query's jobs carry.
     pub class: DecisionClass,
+    /// Take every eligible replica's vote before combining — the audit
+    /// replay; a served query stops at the settle point.
+    pub every_vote: bool,
 }
 
 /// What a pooled query costs over and above its evaluations
@@ -304,11 +314,13 @@ const POOL_HANDOFF_NS: u64 = 10_000;
 /// what a query costs would depend on what the host did to the last.
 const SAMPLE_CAP: u64 = 6;
 
-/// What the pooled jobs of one query share — one request copy — built
-/// at its first hand-off: a query the caller evaluates whole has none.
+/// What the pooled jobs of one query share — one request copy, one set
+/// of telemetry handles — built at its first hand-off: a query the
+/// caller evaluates whole has none.
 struct Handoff {
     request: RequestContext,
     now_ms: u64,
+    telemetry: Option<DispatchTelemetry>,
     cancel: CancelToken,
     /// Jobs that have begun evaluating: tells a slow replica (worth
     /// hedging) from a job still queued (a hedge would queue behind it).
@@ -325,7 +337,7 @@ struct Handoff {
 struct FanoutJob {
     replica: Arc<Replica>,
     handoff: Arc<Handoff>,
-    telemetry: Option<DispatchTelemetry>,
+    role: &'static str,
     index: usize,
     response: Option<Response>,
 }
@@ -338,27 +350,30 @@ impl Drop for FanoutJob {
 
 impl FanoutJob {
     fn run(mut self) {
-        let (h, t) = (&self.handoff, self.telemetry.as_ref());
+        let h = &self.handoff;
         h.started.fetch_add(1, Ordering::Release);
+        let (cancel, telemetry) = (Some(&h.cancel), h.telemetry.as_ref());
         self.response = self
             .replica
-            .evaluate(&h.request, h.now_ms, Some(&h.cancel), t);
+            .evaluate(&h.request, h.now_ms, cancel, telemetry, self.role);
     }
 }
 
 impl Replica {
-    /// The one evaluation routine — pool worker, collector's own thread
-    /// and sequential path alike: re-checks the query's cancel token and
-    /// hands it to the backend for mid-flight abandonment (`None`: the
-    /// query has nothing in the pool, so there is nobody to cancel it and
-    /// no token a backend could latch), feeds the estimate. `None` back
-    /// is a withdrawn vote: cancelled, or the backend panicked.
+    /// The one evaluation routine — pool worker and collector's own
+    /// thread alike: re-checks the query's cancel token and hands it to
+    /// the backend for mid-flight abandonment (`None`: the query has
+    /// nothing in the pool, so there is nobody to cancel it and no token
+    /// a backend could latch), feeds the estimate, notes its span with
+    /// `role`. `None` back is a withdrawn vote: cancelled, or the
+    /// backend panicked.
     fn evaluate(
         &self,
         request: &RequestContext,
         now_ms: u64,
         cancel: Option<&CancelToken>,
         telemetry: Option<&DispatchTelemetry>,
+        role: &'static str,
     ) -> Option<Response> {
         let mut span = telemetry.map(|t| t.tracer.span_under(t.parent, "replica_decide"));
         let mut note = |prefix| {
@@ -372,7 +387,7 @@ impl Replica {
             note("cancelled");
             return None;
         }
-        note(telemetry.map_or("", |t| t.role));
+        note(role);
         let start = Instant::now();
         // A panicking backend is a withdrawn vote, not a dead thread.
         let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match cancel {
@@ -426,8 +441,8 @@ impl ReplicaGroup {
     /// replica evaluation gets a `replica_decide` span — noted with
     /// its role (`primary:`/`replica:`/`hedge:`) or cancellation and
     /// the replica name — plus the `dacs_replica_decide_us` compute
-    /// histogram, and the planned path's collector records
-    /// `quorum_wait` spans and the `dacs_quorum_wait_us` histogram.
+    /// histogram, and a collector that pooled something records a
+    /// `quorum_wait` span and the `dacs_quorum_wait_us` histogram.
     pub fn with_telemetry(mut self, telemetry: &Arc<Telemetry>) -> Self {
         let r = telemetry.registry();
         self.telemetry = Some(GroupTelemetry {
@@ -507,20 +522,56 @@ impl ReplicaGroup {
             .collect()
     }
 
-    /// Runs `serve` over the replicas that may vote right now and
-    /// stamps the roster's exclusion counts on its outcome — unless the
-    /// eligible set cannot decide under `mode` at all: nobody eligible
-    /// is an availability gap, and a set that is a minority of the
-    /// configured group may not decide under
+    /// Fans `request` out to the group's quorum-eligible replicas
+    /// (healthy *and* in sync with the group's policy epoch) on the
+    /// caller's thread — the plan of a cluster built without a
+    /// scheduler: no pool, full width — and combines the answers under
+    /// `mode`, stopping at the settle point. A healthy-but-`Syncing`
+    /// replica is never queried — its stale vote is excluded, counted
+    /// in [`GroupOutcome::stale_excluded`] — and a replica whose
+    /// evaluation panics costs its vote, not the caller.
+    ///
+    /// Latency is the sum of the replicas asked, likely-fast ones first;
+    /// a cluster built with `ClusterBuilder::scheduler` overlaps the
+    /// ones worth a hand-off.
+    pub fn query(&self, mode: QuorumMode, request: &RequestContext, now_ms: u64) -> GroupOutcome {
+        self.query_planned(mode, request, now_ms, &FanoutPlan::default())
+    }
+
+    /// Fans `request` out to the group's eligible replicas — on the
+    /// plan's pool or the caller's own thread — and combines the answers
+    /// incrementally, per the rule table on the collector. The moment a
+    /// verdict is reached the fan-out's [`CancelToken`] is set: queued
+    /// jobs are skipped, cancellation-aware backends abandon mid-flight.
+    ///
+    /// Decision-equivalent to [`quorum::combine`] over every eligible
+    /// replica's answer: a majority winner holds `⌊e/2⌋+1` votes — an
+    /// absolute majority of *all* eligible replicas, which no straggler
+    /// can overturn — a unanimity short-circuit fires only once the
+    /// combined decision can only be deny, and when nothing settles
+    /// early `combine` itself runs over the answers in configured
+    /// replica order. What changes is cost: a majority stops evaluating
+    /// at quorum width, saving `e − ⌊e/2⌋ − 1` evaluations per query.
+    /// One exception, over a lost vote: a first-healthy primary that
+    /// panics is replaced by the *fastest* remaining replica (dispatch
+    /// order), not the next configured one.
+    ///
+    /// The collector runs over the replicas that may vote right now, and
+    /// the roster's exclusion counts are stamped on its outcome — unless
+    /// the eligible set cannot decide under `mode` at all: nobody
+    /// eligible is an availability gap, and a set that is a minority of
+    /// the configured group may not decide under
     /// [`QuorumMode::UnanimousFailClosed`] — it might consist entirely
     /// of stale or Byzantine replicas, so the group fails closed
     /// without spending any evaluations. The count is of *eligible*
     /// (healthy, in-sync) replicas: a stale replica cannot prop a
     /// partition over the floor.
-    fn over_roster(
+    pub(crate) fn query_planned(
         &self,
         mode: QuorumMode,
-        serve: impl FnOnce(&[&Arc<Replica>]) -> GroupOutcome,
+        request: &RequestContext,
+        now_ms: u64,
+        plan: &FanoutPlan<'_>,
     ) -> GroupOutcome {
         let roster = self.roster();
         let e = roster.eligible.len();
@@ -533,84 +584,21 @@ impl ReplicaGroup {
                 ..GroupOutcome::unanswered(e)
             }
         } else {
-            serve(&roster.eligible)
+            self.collect(mode, &roster.eligible, request, now_ms, plan)
         };
         outcome.stale_excluded = roster.stale_excluded;
         outcome.max_epoch_lag = roster.max_epoch_lag;
         outcome
     }
 
-    /// Fans `request` out to the group's quorum-eligible replicas
-    /// (healthy *and* in sync with the group's policy epoch)
-    /// sequentially on the caller's thread and combines the answers
-    /// under `mode`. A healthy-but-`Syncing` replica is never queried
-    /// — its stale vote is excluded, counted in
-    /// [`GroupOutcome::stale_excluded`].
-    ///
-    /// Latency is the *sum* of replica latencies for fan-out modes; a
-    /// cluster built with `ClusterBuilder::scheduler` bounds it by the
-    /// slowest replica the quorum still needs.
-    pub fn query(&self, mode: QuorumMode, request: &RequestContext, now_ms: u64) -> GroupOutcome {
-        self.over_roster(mode, |eligible| {
-            let queried = if mode.fans_out() {
-                eligible
-            } else {
-                &eligible[..1]
-            };
-            // No token (nothing to cancel), and no lost votes: the
-            // reference stops at a replica that panics.
-            let telemetry = self.dispatch_telemetry("replica");
-            let vote = |r: &&Arc<Replica>| {
-                r.evaluate(request, now_ms, None, telemetry.as_ref())
-                    .unwrap_or_else(|| panic!("replica {} panicked", r.endpoint.name()))
-            };
-            let responses: Vec<Response> = queried.iter().map(vote).collect();
-            GroupOutcome::decided(
-                quorum::combine(mode, &responses),
-                queried.len(),
-                eligible.len(),
-            )
-        })
-    }
-
-    /// Fans `request` out to the group's eligible replicas — on the
-    /// plan's pool or the caller's own thread — and combines the answers
-    /// incrementally, per the rule table on the collector. The moment a
-    /// verdict is reached the fan-out's [`CancelToken`] is set: queued
-    /// jobs are skipped, cancellation-aware backends abandon mid-flight.
-    ///
-    /// Decision-equivalent to [`ReplicaGroup::query`]: a majority
-    /// winner holds `⌊e/2⌋+1` votes — an absolute majority of *all*
-    /// eligible replicas, which no straggler can overturn — a
-    /// unanimity short-circuit fires only once the combined decision
-    /// can only be deny, and when nothing settles early the same
-    /// [`quorum::combine`] runs over the same answers in configured
-    /// replica order. What changes is cost: adaptive agreement settles
-    /// at quorum width, saving `e − ⌊e/2⌋ − 1` evaluations per query.
-    /// One exception, over a vote the reference cannot lose: a
-    /// first-healthy primary that panics is replaced by the *fastest*
-    /// remaining replica (dispatch order), not the next configured one.
-    pub(crate) fn query_planned(
-        &self,
-        mode: QuorumMode,
-        request: &RequestContext,
-        now_ms: u64,
-        plan: &FanoutPlan<'_>,
-    ) -> GroupOutcome {
-        self.over_roster(mode, |eligible| {
-            self.collect(mode, eligible, request, now_ms, plan)
-        })
-    }
-
-    /// The handles one evaluation records through, under `role`. The
-    /// parent span is read from the *calling* thread's context, so a
-    /// worker's replica span nests under its enforcement.
-    fn dispatch_telemetry(&self, role: &'static str) -> Option<DispatchTelemetry> {
+    /// The handles one query's evaluations record through. The parent
+    /// span is read from the *calling* thread's context, so a worker's
+    /// replica span nests under its enforcement.
+    fn dispatch_telemetry(&self) -> Option<DispatchTelemetry> {
         self.telemetry.as_ref().map(|t| DispatchTelemetry {
             tracer: t.tracer().clone(),
             replica_us: Arc::clone(&t.replica_us),
             parent: dacs_telemetry::current(),
-            role,
         })
     }
 
@@ -652,18 +640,17 @@ impl ReplicaGroup {
                 if votes().count() < needed {
                     return None;
                 }
-                // Deterministic tie-break, matching the sequential
-                // combiner: the winning decision's response (and
-                // obligations) come from the lowest-index replica that
-                // voted for it, not from whichever answer happened to
-                // arrive first.
+                // Deterministic tie-break, matching `quorum::combine`:
+                // the winning decision's response (and obligations)
+                // come from the lowest-index replica that voted for it,
+                // not from whichever answer happened to arrive first.
                 let (winner, response) = votes().min_by_key(|(i, _)| *i)?;
                 Some((Some(*winner), verdict(response, false)))
             }
             // Any deny or any disagreement makes the combined decision
             // deny regardless of the stragglers. `fail_closed` marks
             // only forced denies (disagreement), not genuine all-deny
-            // verdicts — matching the sequential combiner.
+            // verdicts — matching `quorum::combine`.
             QuorumMode::UnanimousFailClosed if disagreement => {
                 Some((None, verdict(&Response::decision(Decision::Deny), true)))
             }
@@ -683,15 +670,19 @@ impl ReplicaGroup {
     /// | `FirstHealthy` | `eligible[0]`, then ascending EWMA | 1 | any answer arrives | caller: nothing to overlap |
     /// | `Majority` | ascending EWMA | `⌊e/2⌋+1` adaptive, `e` otherwise | one decision holds `⌊e/2⌋+1` votes | caller if the estimate is under [`POOL_HANDOFF_NS`], else pool |
     /// | `UnanimousFailClosed` | ascending EWMA | `e` | a deny or a disagreement arrives | as `Majority` |
+    /// | any, no pool | as its mode | as its mode | as its mode | caller |
     ///
-    /// Under a [`HedgeConfig`] every replica is pooled (a hedge needs a
-    /// collector free to time out), and so is an unmeasured one (how it
-    /// earns an estimate); an unhedged escalation fires with nothing in
+    /// A plan without a pool evaluates everything on the caller, an
+    /// unmeasured replica too (the estimate is fed wherever the
+    /// evaluation runs). With one, under a [`HedgeConfig`] every replica
+    /// is pooled (a hedge needs a collector free to time out), and so is
+    /// an unmeasured one; an unhedged escalation fires with nothing in
     /// flight, so it runs on the caller. Pool-bound members of a dispatch
     /// are submitted before the caller evaluates its own (a slow replica
     /// overlaps them); the caller consults `settled` after each answer
     /// and never starts what the verdict overtakes — dispatched and
-    /// skipped, like a job cancelled at dequeue.
+    /// skipped, like a job cancelled at dequeue. A plan that wants
+    /// `every_vote` consults nothing and asks everyone.
     ///
     /// Escalation is the same for every row: the next replica in order
     /// is dispatched at once when everything in flight has answered
@@ -700,8 +691,8 @@ impl ReplicaGroup {
     /// that replica's latency budget while every dispatched job is
     /// already evaluating (a hedge, at most `max_hedges` per query).
     /// When every eligible replica has answered without settling,
-    /// whatever arrived is combined in configured replica order,
-    /// exactly as the sequential path would.
+    /// whatever arrived is combined in configured replica order by
+    /// [`quorum::combine`].
     fn collect(
         &self,
         mode: QuorumMode,
@@ -722,56 +713,55 @@ impl ReplicaGroup {
         // possible and slow stragglers are the ones left queued for the
         // cancel token to skip.
         let order = Self::ewma_order(eligible, pinned);
-        // The one dispatch rule, by position in `order`: a lone primary
-        // or an unhedged escalation has nothing in flight to overlap.
-        let on_caller = |p: usize| {
+        // The one dispatch rule, by position in `order`: the pool a
+        // replica is handed to, `None` for the caller's own thread —
+        // the plan has no pool, or a lone primary or an unhedged
+        // escalation has nothing in flight to overlap.
+        let pool_for = |p: usize| {
             let cheap = order[p].0.is_some_and(|ns| ns < POOL_HANDOFF_NS);
-            plan.hedge.is_none() && (initial == 1 || p >= initial || cheap)
+            let alone = plan.hedge.is_none() && (initial == 1 || p >= initial || cheap);
+            plan.pool.filter(|_| !alone)
         };
-        let mut pooled: Option<(Arc<Handoff>, Receiver<FanoutAnswer>)> = None;
+        let telemetry = self.dispatch_telemetry();
+        // Quorum assembly as a stage — span + histogram from the first
+        // hand-off to whichever exit fires — exists only for a query
+        // that waits on a channel.
+        let mut pooled: Option<(Arc<Handoff>, Receiver<FanoutAnswer>, Option<WaitTimer>)> = None;
         let mut dispatched = 0usize;
         // A caller-bound replica is only counted: the loop evaluates it.
         let dispatch_next = |dispatched: &mut usize, pooled: &mut Option<_>, role| {
             let p = *dispatched;
             *dispatched += 1;
-            if on_caller(p) {
-                return;
-            }
-            let (handoff, _) = pooled.get_or_insert_with(|| {
+            let Some(pool) = pool_for(p) else { return };
+            let (handoff, ..) = pooled.get_or_insert_with(|| {
                 let (tx, rx) = channel();
                 let handoff = Handoff {
                     request: request.clone(),
                     now_ms,
+                    telemetry: telemetry.clone(),
                     cancel: CancelToken::new(),
                     started: AtomicUsize::new(0),
                     tx,
                 };
-                (Arc::new(handoff), rx)
+                let wait = self.telemetry.as_ref().map(|t| WaitTimer {
+                    start: Instant::now(),
+                    histogram: Arc::clone(&t.quorum_wait_us),
+                    _span: t.tracer().span("quorum_wait"),
+                });
+                (Arc::new(handoff), rx, wait)
             });
             let job = FanoutJob {
                 replica: Arc::clone(eligible[order[p].1]),
                 handoff: Arc::clone(handoff),
-                telemetry: self.dispatch_telemetry(role),
+                role,
                 index: order[p].1,
                 response: None,
             };
-            plan.pool
-                .submit_classed(Box::new(move || job.run()), plan.class);
+            pool.submit_classed(Box::new(move || job.run()), plan.class);
         };
         for _ in 0..initial {
             dispatch_next(&mut dispatched, &mut pooled, role);
         }
-        // Everything below is quorum assembly: span + histogram cover
-        // the wait from the initial dispatch to whichever exit fires.
-        let _quorum_wait = self.telemetry.as_ref().map(|t| {
-            (
-                t.tracer().span("quorum_wait"),
-                WaitTimer {
-                    start: Instant::now(),
-                    histogram: Arc::clone(&t.quorum_wait_us),
-                },
-            )
-        });
 
         // Answers as (eligible-index, response): the index keeps winner
         // selection deterministic in *configured* replica order even
@@ -782,15 +772,15 @@ impl ReplicaGroup {
         // Positions below `mine` are no longer the caller's to evaluate.
         let (mut mine, mut caller_evaluations) = (0usize, 0usize);
         let verdict = loop {
-            let answer = if let Some(p) = (mine..dispatched).find(|&p| on_caller(p)) {
+            let answer = if let Some(p) = (mine..dispatched).find(|&p| pool_for(p).is_none()) {
                 (mine, caller_evaluations) = (p + 1, caller_evaluations + 1);
-                let cancel = pooled.as_ref().map(|(h, _)| &h.cancel);
+                let cancel = pooled.as_ref().map(|(h, ..)| &h.cancel);
                 let role = if p < initial { role } else { "replica" };
-                let (index, t) = (order[p].1, self.dispatch_telemetry(role));
-                let response = eligible[index].evaluate(request, now_ms, cancel, t.as_ref());
+                let (index, t) = (order[p].1, telemetry.as_ref());
+                let response = eligible[index].evaluate(request, now_ms, cancel, t, role);
                 (index, response)
             } else {
-                let (handoff, rx) = pooled.as_ref().expect("an unanswered job is pooled");
+                let (handoff, rx, _) = pooled.as_ref().expect("an unanswered job is pooled");
                 // While a hedge is still allowed, wait no longer than
                 // the next backup's budget — anchored to *its* expected
                 // latency: once the replicas in flight have been silent
@@ -823,7 +813,8 @@ impl ReplicaGroup {
             answered += 1;
             if let (index, Some(response)) = answer {
                 received.push((index, response));
-                if let Some(verdict) = Self::settled(mode, e / 2 + 1, &received) {
+                let settled = Self::settled(mode, e / 2 + 1, &received);
+                if let Some(verdict) = settled.filter(|_| !plan.every_vote) {
                     break Some(verdict);
                 }
             }
@@ -838,7 +829,7 @@ impl ReplicaGroup {
             }
         };
         // Settled or not, nothing a straggler says can matter now.
-        if let Some((handoff, _)) = &pooled {
+        if let Some((handoff, ..)) = &pooled {
             handoff.cancel.cancel();
         }
         let (winner, outcome) = match verdict {
@@ -1053,12 +1044,15 @@ mod tests {
 
     #[test]
     fn all_down_is_unavailable_not_a_decision() {
-        let (g, dir) = group(&[Decision::Permit, Decision::Permit]);
-        dir.mark_down("r0");
-        dir.mark_down("r1");
-        let out = g.query(QuorumMode::Majority, &RequestContext::new(), 0);
-        assert_eq!(out.response, None);
-        assert_eq!(out.replicas_queried, 0);
+        let pool = pool();
+        for (shape, plan) in plans(&pool) {
+            let (g, dir) = group(&[Decision::Permit, Decision::Permit]);
+            dir.mark_down("r0");
+            dir.mark_down("r1");
+            let out = g.query_planned(QuorumMode::Majority, &RequestContext::new(), 0, &plan);
+            assert_eq!(out.response, None, "{shape}");
+            assert_eq!(out.replicas_queried, 0, "{shape}");
+        }
     }
 
     #[test]
@@ -1072,19 +1066,24 @@ mod tests {
 
     #[test]
     fn unanimity_refuses_minority_partitions() {
-        // Only the stale replica survives; unanimity over {stale} would
-        // rubber-stamp it, so the group fails closed instead.
-        let (g, dir) = group(&[Decision::Permit, Decision::Permit, Decision::Permit]);
-        dir.mark_down("r0");
-        dir.mark_down("r1");
-        let out = g.query(QuorumMode::UnanimousFailClosed, &RequestContext::new(), 0);
-        assert_eq!(out.response.unwrap().decision, Decision::Deny);
-        assert!(out.fail_closed);
-        assert_eq!(out.replicas_queried, 0, "no evaluations spent");
-        // Restore a majority: unanimity can permit again.
-        dir.mark_up("r0");
-        let out = g.query(QuorumMode::UnanimousFailClosed, &RequestContext::new(), 0);
-        assert_eq!(out.response.unwrap().decision, Decision::Permit);
+        let (pool, req) = (pool(), RequestContext::new());
+        for (shape, plan) in plans(&pool) {
+            let unanimity =
+                |g: &ReplicaGroup| g.query_planned(QuorumMode::UnanimousFailClosed, &req, 0, &plan);
+            // Only the stale replica survives; unanimity over {stale}
+            // would rubber-stamp it, so the group fails closed instead.
+            let (g, dir) = group(&[Decision::Permit, Decision::Permit, Decision::Permit]);
+            dir.mark_down("r0");
+            dir.mark_down("r1");
+            let out = unanimity(&g);
+            assert_eq!(out.response.unwrap().decision, Decision::Deny, "{shape}");
+            assert!(out.fail_closed, "{shape}");
+            assert_eq!(out.replicas_queried, 0, "{shape}: no evaluations spent");
+            // Restore a majority: unanimity can permit again.
+            dir.mark_up("r0");
+            let out = unanimity(&g);
+            assert_eq!(out.response.unwrap().decision, Decision::Permit, "{shape}");
+        }
     }
 
     fn pool() -> FanoutPool {
@@ -1097,11 +1096,31 @@ mod tests {
         adaptive: bool,
     ) -> FanoutPlan<'a> {
         FanoutPlan {
-            pool,
+            pool: Some(pool),
             hedge,
             adaptive,
-            class: DecisionClass::default(),
+            ..FanoutPlan::default()
         }
+    }
+
+    /// A hedge budget no run overruns: a hedged plan pools every
+    /// replica, and any hedge it counted would be a miscount.
+    const PATIENT: HedgeConfig = HedgeConfig {
+        budget_multiplier: 3.0,
+        min_budget_us: 60_000_000,
+        max_hedges: 1,
+    };
+
+    /// Each shape of plan a cluster builds: no pool (no scheduler),
+    /// pooled, adaptive, hedged, both.
+    fn plans(pool: &FanoutPool) -> [(&'static str, FanoutPlan<'_>); 5] {
+        [
+            ("no pool", FanoutPlan::default()),
+            ("pooled", plan(pool, None, false)),
+            ("pooled adaptive", plan(pool, None, true)),
+            ("pooled hedged", plan(pool, Some(&PATIENT), false)),
+            ("pooled adaptive hedged", plan(pool, Some(&PATIENT), true)),
+        ]
     }
 
     /// A replica whose every evaluation panics: a lost vote.
@@ -1112,7 +1131,7 @@ mod tests {
             &self.0
         }
         fn decide(&self, _request: &RequestContext, _now_ms: u64) -> Response {
-            panic!("replica bug");
+            panic!("backend bug");
         }
     }
 
@@ -1212,9 +1231,9 @@ mod tests {
 
     #[test]
     fn parallel_majority_winner_is_deterministic_in_configured_order() {
-        // r0 carries an obligation on its Permit, r1 permits bare. The
-        // sequential combiner always returns r0's obligations; the
-        // parallel path must too, whatever the arrival order.
+        // r0 carries an obligation on its Permit, r1 permits bare.
+        // `quorum::combine` always returns r0's obligations; the pooled
+        // collector must too, whatever the arrival order.
         use dacs_policy::policy::Obligation;
         struct Obliged(String);
         impl DecisionBackend for Obliged {
@@ -1253,24 +1272,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_unanimity_refuses_minority_partitions() {
-        // The healthy-majority floor holds on the parallel path too.
-        let (g, dir) = group(&[Decision::Permit, Decision::Permit, Decision::Permit]);
-        dir.mark_down("r0");
-        dir.mark_down("r1");
-        let pool = pool();
-        let out = g.query_planned(
-            QuorumMode::UnanimousFailClosed,
-            &RequestContext::new(),
-            0,
-            &plan(&pool, None, false),
-        );
-        assert_eq!(out.response.unwrap().decision, Decision::Deny);
-        assert!(out.fail_closed);
-        assert_eq!(out.replicas_queried, 0, "no evaluations spent");
-    }
-
-    #[test]
     fn parallel_majority_survives_a_panicking_replica() {
         let (g, _) = lossy_group(&[Decision::Permit; 3], Some(0));
         let pool = pool();
@@ -1286,22 +1287,6 @@ mod tests {
             );
             assert_eq!(out.response.unwrap().decision, Decision::Permit);
         }
-    }
-
-    #[test]
-    fn parallel_all_down_is_unavailable() {
-        let (g, dir) = group(&[Decision::Permit, Decision::Permit]);
-        dir.mark_down("r0");
-        dir.mark_down("r1");
-        let pool = pool();
-        let out = g.query_planned(
-            QuorumMode::Majority,
-            &RequestContext::new(),
-            0,
-            &plan(&pool, None, false),
-        );
-        assert_eq!(out.response, None);
-        assert_eq!(out.replicas_queried, 0);
     }
 
     #[test]
@@ -1403,45 +1388,50 @@ mod tests {
 
     /// Regression (ISSUE 3): a stale replica in the `Syncing` phase is
     /// excluded from majority counting until it catches up — even when
-    /// the stale replicas outnumber the fresh ones.
+    /// the stale replicas outnumber the fresh ones — under every plan.
     #[test]
     fn stale_replicas_excluded_from_majority_until_synced() {
-        // r0 saw the lockdown (epoch 5, denies); r1/r2 are stale at
-        // epoch 3 and would still permit. In-sync, they outvote r0.
-        let fresh = Arc::new(EpochBackend::new("r0", Decision::Deny, 5));
-        let stale_1 = Arc::new(EpochBackend::new("r1", Decision::Permit, 3));
-        let stale_2 = Arc::new(EpochBackend::new("r2", Decision::Permit, 3));
-        let (g, _) = grouped(vec![
-            fresh as Arc<dyn DecisionBackend>,
-            stale_1.clone() as Arc<dyn DecisionBackend>,
-            stale_2 as Arc<dyn DecisionBackend>,
-        ]);
-        assert_eq!(g.max_policy_epoch(), PolicyEpoch(5));
-        let req = RequestContext::new();
+        let (pool, req) = (pool(), RequestContext::new());
+        for (shape, plan) in plans(&pool) {
+            // r0 saw the lockdown (epoch 5, denies); r1/r2 are stale at
+            // epoch 3 and would still permit. In-sync, they outvote r0.
+            let fresh = Arc::new(EpochBackend::new("r0", Decision::Deny, 5));
+            let stale_1 = Arc::new(EpochBackend::new("r1", Decision::Permit, 3));
+            let stale_2 = Arc::new(EpochBackend::new("r2", Decision::Permit, 3));
+            let (g, _) = grouped(vec![
+                fresh as Arc<dyn DecisionBackend>,
+                stale_1.clone() as Arc<dyn DecisionBackend>,
+                stale_2 as Arc<dyn DecisionBackend>,
+            ]);
+            assert_eq!(g.max_policy_epoch(), PolicyEpoch(5));
+            let majority = || g.query_planned(QuorumMode::Majority, &req, 0, &plan);
 
-        // Without the sync gate the stale majority falsely permits.
-        let out = g.query(QuorumMode::Majority, &req, 0);
-        assert_eq!(out.response.unwrap().decision, Decision::Permit);
+            // Without the sync gate the stale majority falsely permits.
+            let out = majority();
+            assert_eq!(out.response.unwrap().decision, Decision::Permit, "{shape}");
 
-        // Gate the stale pair: only the fresh replica votes.
-        syncing(&g, 1);
-        syncing(&g, 2);
-        let out = g.query(QuorumMode::Majority, &req, 0);
-        assert_eq!(out.response.unwrap().decision, Decision::Deny);
-        assert_eq!(out.healthy, 1, "only the eligible replica counts");
-        assert_eq!(out.stale_excluded, 2);
-        assert_eq!(out.max_epoch_lag, 2, "r1/r2 trail epoch 5 by 2");
+            // Gate the stale pair: only the fresh replica votes.
+            syncing(&g, 1);
+            syncing(&g, 2);
+            let out = majority();
+            assert_eq!(out.response.unwrap().decision, Decision::Deny, "{shape}");
+            assert_eq!(out.healthy, 1, "{shape}: only the eligible replica counts");
+            assert_eq!(out.replicas_queried, 1, "{shape}: stale not dispatched");
+            assert_eq!(out.stale_excluded, 2, "{shape}");
+            assert_eq!(out.max_epoch_lag, 2, "{shape}: r1/r2 trail epoch 5 by 2");
 
-        // r1 catches up and is readmitted: it votes again (its answer
-        // is its own; the gate controls eligibility, not content). The
-        // 1-1 split now fails closed rather than permitting.
-        stale_1.set_epoch(5);
-        g.endpoint(1).set_phase(ReplicaPhase::Healthy);
-        let out = g.query(QuorumMode::Majority, &req, 0);
-        assert_eq!(out.response.unwrap().decision, Decision::Deny);
-        assert!(out.fail_closed, "split vote after readmission");
-        assert_eq!(out.replicas_queried, 2);
-        assert_eq!(out.stale_excluded, 1, "r2 still gated");
+            // r1 catches up and is readmitted: it votes again (its
+            // answer is its own; the gate controls eligibility, not
+            // content). The 1-1 split now fails closed rather than
+            // permitting.
+            stale_1.set_epoch(5);
+            g.endpoint(1).set_phase(ReplicaPhase::Healthy);
+            let out = majority();
+            assert_eq!(out.response.unwrap().decision, Decision::Deny, "{shape}");
+            assert!(out.fail_closed, "{shape}: split vote after readmission");
+            assert_eq!(out.replicas_queried, 2, "{shape}");
+            assert_eq!(out.stale_excluded, 1, "{shape}: r2 still gated");
+        }
     }
 
     #[test]
@@ -1471,28 +1461,6 @@ mod tests {
         g.endpoint(0).set_phase(ReplicaPhase::Healthy);
         let out = g.query(QuorumMode::FirstHealthy, &RequestContext::new(), 0);
         assert!(out.response.is_some());
-    }
-
-    #[test]
-    fn parallel_path_applies_the_same_sync_gate() {
-        let (g, _) = grouped(vec![
-            Arc::new(EpochBackend::new("r0", Decision::Deny, 4)) as Arc<dyn DecisionBackend>,
-            Arc::new(EpochBackend::new("r1", Decision::Permit, 1)) as Arc<dyn DecisionBackend>,
-            Arc::new(EpochBackend::new("r2", Decision::Permit, 1)) as Arc<dyn DecisionBackend>,
-        ]);
-        syncing(&g, 1);
-        syncing(&g, 2);
-        let pool = pool();
-        let out = g.query_planned(
-            QuorumMode::Majority,
-            &RequestContext::new(),
-            0,
-            &plan(&pool, None, false),
-        );
-        assert_eq!(out.response.unwrap().decision, Decision::Deny);
-        assert_eq!(out.stale_excluded, 2);
-        assert_eq!(out.max_epoch_lag, 3);
-        assert_eq!(out.replicas_queried, 1, "stale replicas not dispatched");
     }
 
     #[test]
@@ -1709,15 +1677,11 @@ mod tests {
     #[test]
     fn unmeasured_slow_and_hedged_replicas_go_to_the_pool() {
         let pool = pool();
-        let patient = HedgeConfig {
-            min_budget_us: 60_000_000,
-            ..HedgeConfig::default()
-        };
         for (estimate, hedge) in [
             (None, None),
             (Some(DEAR_NS), None),
             (Some(POOL_HANDOFF_NS), None),
-            (Some(CHEAP_NS), Some(&patient)),
+            (Some(CHEAP_NS), Some(&PATIENT)),
         ] {
             let (g, _) = group(&[Decision::Permit; 3]);
             if let Some(ns) = estimate {
@@ -1853,26 +1817,31 @@ mod tests {
         latch.release();
     }
 
-    /// A cheap replica that panics on the caller is a withdrawn vote,
-    /// not a dead caller: the two surviving permits still form a
-    /// majority, three lost votes are an availability gap, and this
-    /// thread is still here to assert it.
+    /// A replica that panics on the caller — a cheap one of a pooled
+    /// plan, any one of a plan with no pool — is a withdrawn vote, not a
+    /// dead caller: the two surviving permits still form a majority,
+    /// three lost votes are an availability gap, and this thread is
+    /// still here to assert it.
     #[test]
     fn a_panic_on_the_caller_is_a_withdrawn_vote() {
         let (pool, latch) = held_pool();
         let req = RequestContext::new();
-        let (g, _) = lossy_group(&[Decision::Permit; 3], Some(0));
-        estimated(&g, CHEAP_NS);
-        let out = g.query_planned(QuorumMode::Majority, &req, 0, &plan(&pool, None, false));
-        assert_eq!(out.response.unwrap().decision, Decision::Permit);
-        assert_eq!(out.caller_evaluations, 3);
+        let no_pool = FanoutPlan::default();
+        for plan in [no_pool, plan(&pool, None, false)] {
+            let (g, _) = lossy_group(&[Decision::Permit; 3], Some(0));
+            estimated(&g, CHEAP_NS);
+            let out = g.query_planned(QuorumMode::Majority, &req, 0, &plan);
+            assert_eq!(out.response.unwrap().decision, Decision::Permit);
+            assert_eq!(out.caller_evaluations, 3);
 
-        let lost = (0..3).map(|i| Arc::new(Panicky(format!("r{i}"))) as Arc<dyn DecisionBackend>);
-        let (g, _) = grouped(lost.collect());
-        estimated(&g, CHEAP_NS);
-        let out = g.query_planned(QuorumMode::Majority, &req, 0, &plan(&pool, None, false));
-        assert_eq!(out.response, None, "a lost majority is unanswered");
-        assert_eq!(out.caller_evaluations, 3);
+            let lost =
+                (0..3).map(|i| Arc::new(Panicky(format!("r{i}"))) as Arc<dyn DecisionBackend>);
+            let (g, _) = grouped(lost.collect());
+            estimated(&g, CHEAP_NS);
+            let out = g.query_planned(QuorumMode::Majority, &req, 0, &plan);
+            assert_eq!(out.response, None, "a lost majority is unanswered");
+            assert_eq!(out.caller_evaluations, 3);
+        }
         assert_eq!(pool.backlog(), 0);
         latch.release();
     }
@@ -1969,24 +1938,25 @@ mod tests {
     }
 
     proptest! {
-        /// Decision equivalence for the one collector: for any vote
-        /// pattern, under every quorum mode, full-width or adaptive,
-        /// with or without one lost vote (a panicking backend), the
-        /// pooled path answers exactly what the sequential reference
-        /// answers over the same votes — a lost vote counting as that
-        /// replica marked down — while never dispatching fewer than
-        /// quorum width or more than every eligible replica. A lost
-        /// vote is replaced at once as a needed voter in every mode
-        /// (the chosen behaviour for a lost first-healthy primary, whose
-        /// replacement is the fastest remaining replica — the one case
-        /// the reference does not predict and the test works out by
-        /// itself): the hedge budget here is one no run can overrun, so
-        /// any hedge would be a lost vote miscounted. Each replica draws no
-        /// estimate, one under or one over the hand-off constant, and
-        /// every plan runs hedged (all pooled) and unhedged, so the
-        /// equivalence covers caller, pooled and mixed dispatch.
+        /// Decision equivalence for the one collector, against an oracle
+        /// that is not the collector: for any vote pattern, under every
+        /// quorum mode, every plan answers what [`quorum::combine`]
+        /// answers over the drawn decisions of the eligible replicas in
+        /// configured order — with or without one lost vote (a
+        /// panicking backend), which is that decision removed — while
+        /// never dispatching fewer than quorum width or more than every
+        /// eligible replica. A lost vote is replaced at once as a needed
+        /// voter in every mode (the chosen behaviour for a lost
+        /// first-healthy primary, whose replacement is the fastest
+        /// remaining replica, not the next configured one — worked out
+        /// here from the drawn speeds): the hedge budget is one no run
+        /// can overrun, so any hedge would be a lost vote miscounted.
+        /// Each replica draws no estimate, one under or one over the
+        /// hand-off constant, and the plans are no pool, pooled (full
+        /// width and adaptive) and pooled hedged, so the equivalence
+        /// covers caller, pooled and mixed dispatch.
         #[test]
-        fn adaptive_fanout_matches_full_dispatch(
+        fn every_plan_answers_what_combine_answers_over_the_eligible_votes(
             codes in prop::collection::vec(0u8..4, 3..8),
             lost in 0usize..12,
             speeds in prop::collection::vec(0u8..3, 8..9),
@@ -2002,24 +1972,26 @@ mod tests {
                 .collect();
             let eligible = decisions.len();
             let lost = (lost < eligible).then_some(lost);
+            let votes: Vec<Response> = (0..eligible)
+                .filter(|&slot| lost != Some(slot))
+                .map(|slot| Response::decision(decisions[slot]))
+                .collect();
             let pool = FanoutPool::new(4);
-            let patient = HedgeConfig {
-                min_budget_us: 60_000_000,
-                ..HedgeConfig::default()
-            };
             let req = RequestContext::new();
             for mode in QuorumMode::ALL {
-                let (reference, dir) = group(&decisions);
-                if let Some(i) = lost {
-                    dir.mark_down(&format!("r{i}"));
-                }
-                let seq = reference.query(mode, &req, 0);
-                for (adaptive, hedge) in [
-                    (false, Some(&patient)),
-                    (true, Some(&patient)),
-                    (false, None),
-                    (true, None),
-                ] {
+                let oracle = quorum::combine(mode, &votes);
+                // The one documented exception: a lost first-healthy
+                // primary is replaced by the fastest remaining replica
+                // where `combine` takes the next configured one: the
+                // lowest estimate, an unmeasured replica ahead of any,
+                // ties to the lowest slot.
+                let expected = if mode == QuorumMode::FirstHealthy && lost == Some(0) {
+                    let backup = (1..eligible).min_by_key(|&slot| speeds[slot]);
+                    decisions[backup.expect("three replicas or more")]
+                } else {
+                    oracle.response.decision
+                };
+                for (shape, plan) in plans(&pool) {
                     // A fresh group per run: one run's EWMA samples
                     // must not reorder the next run's dispatch.
                     let (g, _) = lossy_group(&decisions, lost);
@@ -2030,39 +2002,30 @@ mod tests {
                             _ => g.endpoint(slot).record_latency_ns(DEAR_NS),
                         }
                     }
-                    // The one documented exception: a lost first-healthy
-                    // primary is replaced by the fastest remaining replica
-                    // where the reference takes the next configured one.
-                    // Worked out from the drawn speeds, not by asking the
-                    // dispatch order: the lowest estimate, an unmeasured
-                    // replica ahead of any, ties to the lowest slot.
-                    let expected = if mode == QuorumMode::FirstHealthy && lost == Some(0) {
-                        let backup = (1..eligible).min_by_key(|&slot| speeds[slot]);
-                        backup.map(|slot| decisions[slot])
-                    } else {
-                        seq.response.as_ref().map(|r| r.decision)
-                    };
-                    let out = g.query_planned(mode, &req, 0, &plan(&pool, hedge, adaptive));
+                    let out = g.query_planned(mode, &req, 0, &plan);
                     prop_assert_eq!(
-                        expected,
+                        Some(expected),
                         out.response.as_ref().map(|r| r.decision),
-                        "{} adaptive={} hedged={} lost={:?} over {:?} at {:?}",
+                        "{} {} lost={:?} over {:?} at {:?}",
                         mode,
-                        adaptive,
-                        hedge.is_some(),
+                        shape,
                         lost,
                         decisions,
                         speeds
                     );
-                    if hedge.is_some() {
+                    if plan.hedge.is_some() {
                         prop_assert_eq!(out.caller_evaluations, 0);
+                    }
+                    if plan.pool.is_none() {
+                        let asked = 1..=out.replicas_queried;
+                        prop_assert!(asked.contains(&out.caller_evaluations));
                     }
                     if mode == QuorumMode::UnanimousFailClosed {
                         // A deny that arrives first ends the query
                         // before the disagreement can be observed.
-                        prop_assert!(seq.fail_closed || !out.fail_closed);
+                        prop_assert!(oracle.fail_closed || !out.fail_closed);
                     } else {
-                        prop_assert_eq!(seq.fail_closed, out.fail_closed);
+                        prop_assert_eq!(oracle.fail_closed, out.fail_closed);
                     }
                     let quorum_width = if mode.fans_out() { eligible / 2 + 1 } else { 1 };
                     prop_assert!(out.replicas_queried >= quorum_width);

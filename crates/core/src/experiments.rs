@@ -1002,10 +1002,11 @@ pub fn e14_cluster_dependability(requests: usize) -> Table {
 
 /// A decision backend that answers correctly but slowly — the E15
 /// stand-in for an overloaded or far-away replica whose tail latency
-/// the fan-out strategies must hide.
+/// the fan-out strategies must hide. Counts the evaluations it began.
 struct SlowPermit {
     name: String,
     delay: std::time::Duration,
+    asked: std::sync::atomic::AtomicU64,
 }
 
 impl DecisionBackend for SlowPermit {
@@ -1013,6 +1014,8 @@ impl DecisionBackend for SlowPermit {
         &self.name
     }
     fn decide(&self, _request: &RequestContext, _now_ms: u64) -> dacs_policy::eval::Response {
+        self.asked
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         std::thread::sleep(self.delay);
         dacs_policy::eval::Response::decision(Decision::Permit)
     }
@@ -1021,9 +1024,11 @@ impl DecisionBackend for SlowPermit {
 /// The fan-out strategies E15 compares.
 #[derive(Clone, Copy, PartialEq, Debug)]
 enum FanoutStrategy {
-    /// `ReplicaGroup::query`: replicas polled one after another on the
-    /// caller's thread (latency = sum of replicas).
-    Sequential,
+    /// No `ClusterBuilder::scheduler`: the collector with no pool asks
+    /// replicas one after another on the caller's thread, likely-fast
+    /// ones first, and stops at the settle point (latency = sum of the
+    /// replicas asked).
+    Caller,
     /// `ClusterBuilder::scheduler`: all replicas concurrently on the
     /// cluster's pool, with incremental quorum short-circuiting
     /// (latency ≈ the slowest replica the quorum still needs).
@@ -1036,7 +1041,7 @@ enum FanoutStrategy {
 impl FanoutStrategy {
     fn label(&self) -> &'static str {
         match self {
-            FanoutStrategy::Sequential => "sequential",
+            FanoutStrategy::Caller => "caller",
             FanoutStrategy::Parallel => "parallel",
             FanoutStrategy::Hedged => "hedged",
         }
@@ -1044,10 +1049,10 @@ impl FanoutStrategy {
 
     fn quorum(&self) -> QuorumMode {
         match self {
-            // Sequential vs parallel compare the same majority quorum;
+            // Caller vs parallel compare the same majority quorum;
             // hedging is a first-healthy mechanism (quorum fan-outs
             // already query every replica, leaving nothing to hedge to).
-            FanoutStrategy::Sequential | FanoutStrategy::Parallel => QuorumMode::Majority,
+            FanoutStrategy::Caller | FanoutStrategy::Parallel => QuorumMode::Majority,
             FanoutStrategy::Hedged => QuorumMode::FirstHealthy,
         }
     }
@@ -1058,17 +1063,19 @@ impl FanoutStrategy {
 /// first-healthy primary) ahead of two fast ones. The strategy's pool
 /// and cluster share `telemetry`, so per-stage histograms (queue wait,
 /// replica compute, quorum wait) decompose the same run the latency
-/// table summarizes.
+/// table summarizes. Returned beside the cluster: the slow replica.
 fn e15_cluster(
     strategy: FanoutStrategy,
     slow: std::time::Duration,
     telemetry: &Arc<dacs_telemetry::Telemetry>,
-) -> PdpCluster {
+) -> (PdpCluster, Arc<SlowPermit>) {
+    let sleeper = Arc::new(SlowPermit {
+        name: "r-slow".into(),
+        delay: slow,
+        asked: Default::default(),
+    });
     let replicas: Vec<Arc<dyn DecisionBackend>> = vec![
-        Arc::new(SlowPermit {
-            name: "r-slow".into(),
-            delay: slow,
-        }),
+        sleeper.clone(),
         Arc::new(dacs_cluster::StaticBackend::new(
             "r-fast-0",
             Decision::Permit,
@@ -1082,7 +1089,7 @@ fn e15_cluster(
         .quorum(strategy.quorum())
         .telemetry(Arc::clone(telemetry))
         .shard(replicas);
-    if strategy != FanoutStrategy::Sequential {
+    if strategy != FanoutStrategy::Caller {
         // Both pooled rows plan with a `HedgeConfig`, so every replica
         // rides the pool — the strategy E15 compares, its instant
         // backends standing in for replicas worth a hand-off (an
@@ -1098,19 +1105,23 @@ fn e15_cluster(
         // that have not been dequeued yet.
         builder = builder.scheduler(SchedulerConfig::new(6).with_hedge(hedge));
     }
-    builder.build()
+    (builder.build(), sleeper)
 }
 
-/// E15: fan-out latency — sequential vs parallel vs hedged quorum
-/// service under one slow replica plus simnet-injected crash churn.
+/// E15: fan-out latency — caller vs parallel vs hedged quorum service
+/// under one slow replica plus simnet-injected crash churn.
 ///
 /// One shard runs a 2 ms-slow replica (first in configured order, so it
 /// is also the first-healthy primary) next to two fast replicas; a
 /// simnet controller schedules crash/recover events that take the slow
-/// replica down for part of the run. Sequential majority pays
-/// sum-of-replicas on every request; parallel majority short-circuits
-/// on the two fast replicas' agreement; the hedged first-healthy path
-/// races a hedge against the slow primary after an EWMA-derived budget.
+/// replica down for part of the run. The pool-less majority asks its
+/// first query's replicas in configured order, every one unmeasured,
+/// and pays the sleeper once; from then on the estimate orders the
+/// sleeper last and two fast votes settle before it is reached.
+/// Parallel majority short-circuits on the two fast replicas'
+/// agreement while the sleeper rides the pool; the hedged first-healthy
+/// path races a hedge against the slow primary after an EWMA-derived
+/// budget.
 /// Decision correctness is identical across strategies — the table
 /// isolates the latency distribution (p50/p99/p999, spread) and, via
 /// each strategy's telemetry registry, the per-stage breakdown of
@@ -1118,7 +1129,7 @@ fn e15_cluster(
 /// vs quorum assembly wait.
 pub fn e15_fanout_latency(requests: usize) -> Table {
     let mut table = Table::new(
-        "E15 — fan-out latency: sequential vs parallel vs hedged (3 replicas, one 2 ms-slow, crash churn)",
+        "E15 — fan-out latency: caller vs parallel vs hedged (3 replicas, one 2 ms-slow, crash churn)",
         &[
             "strategy",
             "quorum",
@@ -1132,6 +1143,7 @@ pub fn e15_fanout_latency(requests: usize) -> Table {
             "hedge rate %",
             "hedges won",
             "availability %",
+            "slow replica asked",
         ],
     );
     let slow = std::time::Duration::from_millis(2);
@@ -1141,12 +1153,12 @@ pub fn e15_fanout_latency(requests: usize) -> Table {
         Recover,
     }
     for strategy in [
-        FanoutStrategy::Sequential,
+        FanoutStrategy::Caller,
         FanoutStrategy::Parallel,
         FanoutStrategy::Hedged,
     ] {
         let telemetry = Arc::new(dacs_telemetry::Telemetry::new());
-        let cluster = e15_cluster(strategy, slow, &telemetry);
+        let (cluster, sleeper) = e15_cluster(strategy, slow, &telemetry);
 
         // Identical, deterministic churn schedule for every strategy:
         // the slow replica crashes and recovers on a simulated control
@@ -1181,7 +1193,7 @@ pub fn e15_fanout_latency(requests: usize) -> Table {
         }
         let lat = Summary::of(&lats);
         let m = cluster.metrics();
-        // Per-stage breakdown from the shared registry: the sequential
+        // Per-stage breakdown from the shared registry: the pool-less
         // strategy never queues or waits on a quorum channel, so those
         // histograms stay empty (p99 = 0) — the comparison itself.
         let stage_p99 = |name: &str| telemetry.registry().histogram(name).percentile(0.99);
@@ -1198,6 +1210,10 @@ pub fn e15_fanout_latency(requests: usize) -> Table {
             f2(100.0 * m.hedge_rate()),
             m.hedge_wins.to_string(),
             f2(100.0 * m.availability()),
+            sleeper
+                .asked
+                .load(std::sync::atomic::Ordering::Relaxed)
+                .to_string(),
         ]);
     }
     table
@@ -2698,9 +2714,13 @@ mod tests {
         assert!(fan_majority > fan_first);
     }
 
+    /// E15 by logic (its latency columns are reported, not gated — the
+    /// repo benchmark judges timing). The name is from when the first
+    /// row was a sum-of-replicas path; it is the pool-less cluster now.
     #[test]
     fn e15_parallel_and_hedged_beat_sequential_tail_latency() {
-        let t = e15_fanout_latency(250);
+        let requests = 250;
+        let t = e15_fanout_latency(requests);
         assert_eq!(t.rows.len(), 3);
         let row = |name: &str| {
             t.rows
@@ -2709,31 +2729,28 @@ mod tests {
                 .unwrap_or_else(|| panic!("missing row {name}"))
                 .clone()
         };
-        let sequential = row("sequential");
+        let caller = row("caller");
         let parallel = row("parallel");
         let hedged = row("hedged");
-        // The logic half of the acceptance bar: the sequential p99
-        // pays the 2 ms replica (a sleep is a lower bound, whatever the
-        // host load). That the parallel and hedged p99 sit below it is
-        // a wall-clock comparison: reported, not gated — the repo
-        // benchmark judges timing.
-        let p99 = |r: &Vec<String>| -> u64 { r[3].parse().unwrap() };
+        // The pool-less majority meets the sleeper on its first query,
+        // every replica unmeasured and asked in configured order, and
+        // from then on settles on the two fast votes ahead of it.
+        let asked: usize = caller[12].parse().unwrap();
         assert!(
-            p99(&sequential) >= 2_000,
-            "sequential p99 must include the slow replica: {}",
-            p99(&sequential)
+            (1..requests).contains(&asked),
+            "caller asked the slow replica {asked} times in {requests} requests"
         );
         // Hedges fire only on the hedged strategy, and only while the
         // slow primary is up (availability stays 100% throughout).
         let hedge_rate = |r: &Vec<String>| -> f64 { r[9].parse().unwrap() };
-        assert_eq!(hedge_rate(&sequential), 0.0);
+        assert_eq!(hedge_rate(&caller), 0.0);
         assert_eq!(hedge_rate(&parallel), 0.0);
         assert!(
             hedge_rate(&hedged) > 10.0,
             "slow primary must draw hedges: {}",
             hedge_rate(&hedged)
         );
-        for r in [&sequential, &parallel, &hedged] {
+        for r in [&caller, &parallel, &hedged] {
             let avail: f64 = r[11].parse().unwrap();
             assert!(
                 (avail - 100.0).abs() < 1e-9,
@@ -2743,19 +2760,17 @@ mod tests {
         }
         // The telemetry stage breakdown separates the strategies: only
         // pooled strategies queue jobs or wait on a quorum channel, and
-        // every strategy's replica-compute p99 reflects the 2 ms
-        // sleeper it had to touch at least once.
+        // their replica-compute p99 reflects the 2 ms sleeper they
+        // dispatch on every request it is up for.
         let stage = |r: &Vec<String>, i: usize| -> u64 { r[i].parse().unwrap() };
-        assert_eq!(stage(&sequential, 6), 0, "sequential never queues");
+        assert_eq!(stage(&caller, 6), 0, "caller never queues");
         assert_eq!(
-            stage(&sequential, 8),
+            stage(&caller, 8),
             0,
-            "sequential never waits on a quorum channel"
+            "caller never waits on a quorum channel"
         );
         for r in [&parallel, &hedged] {
             assert!(stage(r, 8) > 0, "{}: no quorum wait recorded", r[0]);
-        }
-        for r in [&sequential, &parallel, &hedged] {
             assert!(
                 stage(r, 7) >= 1_900,
                 "{}: replica p99 {} misses the slow replica",

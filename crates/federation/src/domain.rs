@@ -1129,27 +1129,34 @@ policy "block-secret" deny-overrides {
         assert!(!domain.pep.serve(EnforceRequest::of(&blocked, 0)).allowed);
     }
 
-    /// A backend that panics on a pool worker is a lost vote, judged
-    /// where it matters — at the PEP: two surviving votes still permit;
-    /// three lost votes are an unavailable shard, which the PEP denies
-    /// fail-safe and counts once; and the two workers that caught five
-    /// panics between them serve the next request. So is one that
-    /// panics on the deciding thread, once the collector evaluates
-    /// there.
+    /// A backend that panics is a lost vote wherever it was evaluated,
+    /// judged where it matters — at the PEP: two surviving votes still
+    /// permit; three lost votes are an unavailable shard, which the PEP
+    /// denies fail-safe and counts once; and whoever caught the panics
+    /// serves the next request — the enforcing thread of a cluster
+    /// built without a scheduler, the two workers of one built with
+    /// (five panics between them), and its deciding thread too, once
+    /// the collector evaluates there.
     #[test]
     fn panicking_pool_replicas_cost_votes_and_the_pep_fails_safe() {
         use dacs_cluster::{QuorumMode, SchedulerConfig};
-        let cluster = Arc::new(
-            ClusterBuilder::new("pool-panic")
+        for scheduler in [None, Some(SchedulerConfig::new(2))] {
+            let builder = ClusterBuilder::new("pool-panic")
                 .quorum(QuorumMode::Majority)
                 .shard(vec![
                     Tripwire::replica("r0", &["trips-one", "trips-all"]),
                     Tripwire::replica("r1", &["trips-all"]),
                     Tripwire::replica("r2", &["trips-all"]),
-                ])
-                .scheduler(SchedulerConfig::new(2))
-                .build(),
-        );
+                ]);
+            let cluster = Arc::new(match scheduler {
+                Some(config) => builder.scheduler(config).build(),
+                None => builder.build(),
+            });
+            panicking_replicas_cost_votes(cluster);
+        }
+    }
+
+    fn panicking_replicas_cost_votes(cluster: Arc<dacs_cluster::PdpCluster>) {
         let source = ClusteredDecisionSource::new(cluster.clone());
         let pep = Pep::builder("pep.pool").source(Arc::new(source)).build();
         let serve = |subject: &str, now_ms| {
@@ -1175,9 +1182,9 @@ policy "block-secret" deny-overrides {
         assert_eq!(cluster.metrics().unavailable, 1);
         assert_eq!(pep.stats().allowed, 2);
 
-        // The same on the caller: replicas that have been answering
-        // faster than a pool hand-off costs are evaluated by the
-        // deciding thread, which catches their panics itself.
+        // The same on the caller, pool or no pool: replicas that have
+        // been answering faster than a pool hand-off costs are evaluated
+        // by the deciding thread, which catches their panics itself.
         for replica in ["r0", "r1", "r2"] {
             let record = cluster.directory().register(replica, "pool-panic");
             (0..64).for_each(|_| record.record_latency_ns(1));

@@ -276,51 +276,88 @@ mod tests {
     /// success path only. Now the panic reaches the leader's own caller
     /// and nobody else: every other member of that group is answered
     /// with a counted fail-safe deny, and the window serves the next
-    /// group normally.
+    /// group normally. A replica's `decide` no longer unwinds through a
+    /// flush at all — it costs a vote — so that panic reaches nobody,
+    /// and the one that does is injected where the roster reads a
+    /// backend outside any evaluation: the policy epoch of a `Syncing`
+    /// replica.
     #[test]
     fn panicking_leader_answers_its_followers_with_failsafe_denies() {
         use crate::domain::{ClusteredDecisionSource, Tripwire};
+        use dacs_cluster::{PolicyEpoch, ReplicaPhase};
         use dacs_pep::{EnforceRequest, Pep};
-        // A backend bug that unwinds through the leader's flush.
+        use dacs_policy::eval::Response;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        /// A replica whose epoch read panics once after it is armed.
+        struct EpochBomb(AtomicBool);
+        impl DecisionBackend for EpochBomb {
+            fn name(&self) -> &str {
+                "bomb"
+            }
+            fn decide(&self, _request: &RequestContext, _now_ms: u64) -> Response {
+                Response::decision(Decision::Permit)
+            }
+            fn policy_epoch(&self) -> PolicyEpoch {
+                assert!(!self.0.swap(false, Ordering::SeqCst), "backend bug");
+                PolicyEpoch::ZERO
+            }
+        }
+        let bomb = Arc::new(EpochBomb(AtomicBool::new(false)));
         let cluster = Arc::new(
             ClusterBuilder::new("window-panic")
                 .quorum(QuorumMode::FirstHealthy)
-                .shard(vec![Tripwire::replica("tripwire", &["boom"])])
+                .shard(vec![Tripwire::replica("tripwire", &["boom"]), bomb.clone()])
                 .build(),
         );
+        // Gated: the tripwire is the only voter, and every roster reads
+        // the bomb's epoch to report its lag.
+        let gated = cluster.directory().register("bomb", "window-panic");
+        gated.set_phase(ReplicaPhase::Syncing);
         let source = ClusteredDecisionSource::new(cluster).with_batch_window_us(20_000);
         let pep = Pep::builder("pep.window").source(Arc::new(source)).build();
         let n = 6;
-        let barrier = Barrier::new(n);
-        // Per thread: `Err` if `serve` panicked, else whether it allowed.
-        let served: Vec<Result<bool, ()>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n)
-                .map(|i| {
-                    let (pep, barrier) = (&pep, &barrier);
-                    scope.spawn(move || {
-                        let subject = if i == 0 {
-                            "boom".into()
-                        } else {
-                            format!("user-{i}")
-                        };
-                        let req = RequestContext::basic(subject, "ehr/1", "read");
-                        barrier.wait();
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            let result = pep.serve(EnforceRequest::of(&req, 0));
-                            assert!(
-                                result.allowed || result.decision == Decision::Indeterminate,
-                                "a stranded follower is denied fail-safe, not by policy"
-                            );
-                            result.allowed
-                        }))
-                        .map_err(|_| ())
+        // One concurrent round, `first` and five users. Per thread:
+        // `Err` if `serve` panicked, else whether it allowed.
+        let round = |first: &str| -> Vec<Result<bool, ()>> {
+            let barrier = Barrier::new(n);
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..n)
+                    .map(|i| {
+                        let (pep, barrier) = (&pep, &barrier);
+                        scope.spawn(move || {
+                            let subject = if i == 0 {
+                                first.into()
+                            } else {
+                                format!("user-{i}")
+                            };
+                            let req = RequestContext::basic(subject, "ehr/1", "read");
+                            barrier.wait();
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                let result = pep.serve(EnforceRequest::of(&req, 0));
+                                assert!(
+                                    result.allowed || result.decision == Decision::Indeterminate,
+                                    "a lost answer is denied fail-safe, not by policy"
+                                );
+                                result.allowed
+                            }))
+                            .map_err(|_| ())
+                        })
                     })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        // Whatever the grouping, exactly one flush contained `boom`, so
-        // exactly one caller — that group's leader — saw the panic.
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            })
+        };
+        // A `decide` that panics is a withdrawn vote: whatever the
+        // grouping, its own caller is denied fail-safe and the rest of
+        // its flush is served.
+        let served = round("boom");
+        assert_eq!(served[0], Ok(false), "{served:?}");
+        assert!(served[1..].iter().all(|r| *r == Ok(true)), "{served:?}");
+        assert_eq!(pep.stats().failsafe_denials, 1);
+        // A panic that does unwind through a flush — exactly one, the
+        // first after arming — reaches that group's leader only.
+        bomb.0.store(true, Ordering::SeqCst);
+        let served = round("user-0");
         let panicked = served.iter().filter(|r| r.is_err()).count();
         assert_eq!(panicked, 1, "the panic reaches the leader only: {served:?}");
         let denied = served.iter().filter(|r| **r == Ok(false)).count();
@@ -328,7 +365,7 @@ mod tests {
             denied >= 1,
             "the leader's followers were answered: {served:?}"
         );
-        assert_eq!(pep.stats().failsafe_denials, denied as u64);
+        assert_eq!(pep.stats().failsafe_denials, 1 + denied as u64);
         assert_eq!(pep.stats().denied, 0);
         // The window is not wedged or poisoned: the next group serves.
         let req = RequestContext::basic("alice", "ehr/1", "read");

@@ -263,12 +263,13 @@ fn every_exposed_name_reads_its_owners_storage() {
             "dacs_capability_rejected_stale_epoch_total",
             a.rejected_stale_epoch,
         ),
-        // The replicas' engines are the cluster's own; on the
-        // sequential path they decided once per replica sub-query, and
-        // the reference engine on the root PAP is exposed beside them.
+        // The replicas' engines are the cluster's own; with no pool
+        // they decided once per evaluation the caller ran (a dispatched
+        // vote the verdict overtook decided nothing), and the reference
+        // engine on the root PAP is exposed beside them.
         (
             "dacs_pdp_decisions_total",
-            m.replica_queries + d.pdp.metrics().decisions,
+            m.caller_evaluations + d.pdp.metrics().decisions,
         ),
     ]);
     owners.extend(cache_rows(
