@@ -377,7 +377,8 @@ impl PdpCluster {
         now_ms: u64,
         class: DecisionClass,
     ) -> ClusterOutcome {
-        let start = Instant::now();
+        // The clock is read only when telemetry will record the interval.
+        let start = self.telemetry.as_ref().map(|_| Instant::now());
         let group = &self.groups[shard];
         // Built without a scheduler: no pool, no hedge, full width.
         let scheduler = self.scheduler.as_ref();
@@ -402,7 +403,7 @@ impl PdpCluster {
         if self.account(group, &plan, &outcome) {
             self.audit(group, request, now_ms);
         }
-        if let Some(t) = &self.telemetry {
+        if let (Some(t), Some(start)) = (&self.telemetry, start) {
             t.decide_us.record(start.elapsed().as_micros() as u64);
         }
         ClusterOutcome {

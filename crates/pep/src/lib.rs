@@ -484,7 +484,32 @@ pub struct EnforcementResult {
     pub reason: Option<String>,
 }
 
-/// One audit record per enforcement.
+/// Which path answered an enforcement: the audit record's "who served
+/// it".
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ServingPath {
+    /// The PEP-side decision cache.
+    Cache,
+    /// An admitted capability token, rechecked locally.
+    Token,
+    /// The decision source (a PDP engine or a clustered decision
+    /// service).
+    Source,
+    /// No decision was consulted: the PEP refused fail-safe on its own
+    /// (an untrusted or unverifiable capability, a request without
+    /// identifiers).
+    FailSafe,
+}
+
+/// One audit record per enforcement, as [`Pep::audit_log`] returns it.
+///
+/// The three ids are kept whole up to 1 KiB together (the whole
+/// byte budget of a ring of fewer than 16 records, when that is
+/// smaller). Beyond it the shorter ids stay whole and the longer ones
+/// are cut to an even share of what is left, each at a UTF-8 char
+/// boundary, so an outsized id can neither grow the audit ring nor
+/// evict more than its share of it. A request without an id records
+/// it as `"?"`.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct EnforcementRecord {
     /// Enforcement time (simulation milliseconds).
@@ -497,6 +522,9 @@ pub struct EnforcementRecord {
     pub action: String,
     /// Whether access was granted.
     pub allowed: bool,
+    /// Which path answered. A denial for an obligation that could not
+    /// be discharged keeps the path of the answer that carried it.
+    pub path: ServingPath,
 }
 
 /// Aggregate enforcement counters.
@@ -587,73 +615,189 @@ dacs_telemetry::counter_block! {
     }
 }
 
-/// Bounded audit storage: the newest `capacity` records, oldest-first.
+/// Bytes of id text the audit ring budgets per record: a ring of
+/// `capacity` records shares `capacity × AUDIT_BYTES_PER_RECORD` bytes.
+const AUDIT_BYTES_PER_RECORD: usize = 64;
+
+/// The most id bytes one audit record keeps (see [`cut_ids`]), unless
+/// the ring's whole byte budget is smaller.
+const AUDIT_ID_BOUND: usize = 1024;
+
+/// One audit record's fixed-size part; its ids live in the byte ring.
+#[derive(Clone, Copy)]
+struct AuditHeader {
+    at_ms: u64,
+    /// Where the subject's first byte sits in the byte ring; the
+    /// resource and the action follow it, wrapping at the end.
+    offset: usize,
+    /// Byte lengths of the subject, the resource and the action.
+    lens: [u16; 3],
+    allowed: bool,
+    path: ServingPath,
+}
+
+impl AuditHeader {
+    fn id_bytes(&self) -> usize {
+        self.lens.iter().map(|&n| usize::from(n)).sum()
+    }
+}
+
+/// The two rings behind one lock: the headers, oldest first, and the
+/// circular bytes holding their ids back to back.
+struct AuditRings {
+    headers: VecDeque<AuditHeader>,
+    bytes: Box<[u8]>,
+    /// Where the next record's ids start.
+    tail: usize,
+    /// Bytes the held records' ids take, ending at `tail`.
+    used: usize,
+}
+
+impl AuditRings {
+    /// Copies `id` in at `tail`, splitting it across the wrap point.
+    fn write(&mut self, id: &[u8]) {
+        let room = self.bytes.len() - self.tail;
+        if id.len() < room {
+            self.bytes[self.tail..][..id.len()].copy_from_slice(id);
+            self.tail += id.len();
+        } else {
+            let (before, wrapped) = id.split_at(room);
+            self.bytes[self.tail..].copy_from_slice(before);
+            self.bytes[..wrapped.len()].copy_from_slice(wrapped);
+            self.tail = wrapped.len();
+        }
+    }
+
+    /// The `len` bytes at `at` (modulo the ring), as the id they hold.
+    fn read(&self, at: usize, len: usize) -> String {
+        let at = at % self.bytes.len();
+        let before = len.min(self.bytes.len() - at);
+        let mut id = Vec::with_capacity(len);
+        id.extend_from_slice(&self.bytes[at..][..before]);
+        id.extend_from_slice(&self.bytes[..len - before]);
+        String::from_utf8(id).expect("ids are cut at char boundaries")
+    }
+}
+
+/// Bounded audit storage: the newest records, oldest first, that fit
+/// both `capacity` and `capacity × AUDIT_BYTES_PER_RECORD` bytes of ids.
 ///
-/// While it fills, a push appends a record with strings of its own.
-/// Once full, a push displaces the oldest record by overwriting it: the
-/// slot moves to the back and its three strings are cleared and
-/// refilled in place, so a steady-state push allocates and frees
-/// nothing. A string grows for an id longer than its buffer and is cut
-/// back to [`SLOT_KEEP`] bytes once it holds a shorter one, so the
-/// ring's memory is bounded by the ids it holds now — `capacity` records
-/// of three strings, each the larger of its id and `SLOT_KEEP` — not by
-/// the longest id a slot has ever held. The caller counts each
-/// displacement in `EnforcementStats::audit_dropped`.
+/// Both rings are allocated once, here, and never grow: a push copies
+/// a fixed-size header and the three ids (cut by [`cut_ids`]), after
+/// displacing the oldest records while either the record count or the
+/// byte budget would overflow. No push allocates or frees. The caller
+/// counts each displacement in `EnforcementStats::audit_dropped`.
 struct AuditRing {
     capacity: usize,
-    records: Mutex<VecDeque<EnforcementRecord>>,
+    /// The most id bytes one record keeps: [`AUDIT_ID_BOUND`], or the
+    /// whole byte budget when that is smaller.
+    id_bound: usize,
+    rings: Mutex<AuditRings>,
 }
 
 impl AuditRing {
     fn new(capacity: usize) -> Self {
+        let budget = capacity
+            .checked_mul(AUDIT_BYTES_PER_RECORD)
+            .expect("audit byte budget overflows usize");
         AuditRing {
             capacity,
-            records: Mutex::new(VecDeque::new()),
+            id_bound: AUDIT_ID_BOUND.min(budget),
+            rings: Mutex::new(AuditRings {
+                headers: VecDeque::with_capacity(capacity),
+                // Zeroed, so its pages are committed only as ids reach them.
+                bytes: vec![0; budget].into_boxed_slice(),
+                tail: 0,
+                used: 0,
+            }),
         }
     }
 
-    /// Records one enforcement; returns `true` when the oldest record
-    /// was displaced to make room.
-    fn push(&self, at_ms: u64, subject: &str, resource: &str, action: &str, allowed: bool) -> bool {
-        let mut records = self.records.lock();
-        if records.len() < self.capacity {
-            records.push_back(EnforcementRecord {
-                at_ms,
-                subject: subject.to_owned(),
-                resource: resource.to_owned(),
-                action: action.to_owned(),
-                allowed,
-            });
-            return false;
+    /// Records one enforcement; returns how many of the oldest records
+    /// were displaced to make room.
+    fn push(&self, at_ms: u64, ids: [&str; 3], allowed: bool, path: ServingPath) -> u64 {
+        let lens = cut_ids(ids, self.id_bound);
+        let need: usize = lens.iter().sum();
+        let mut guard = self.rings.lock();
+        let rings = &mut *guard;
+        let mut displaced = 0;
+        while rings.headers.len() == self.capacity || rings.used + need > rings.bytes.len() {
+            let oldest = rings
+                .headers
+                .pop_front()
+                .expect("an empty ring fits any cut record");
+            rings.used -= oldest.id_bytes();
+            displaced += 1;
         }
-        let mut slot = records.pop_front().expect("capacity is positive");
-        slot.at_ms = at_ms;
-        for (held, id) in [
-            (&mut slot.subject, subject),
-            (&mut slot.resource, resource),
-            (&mut slot.action, action),
-        ] {
-            held.clear();
-            held.push_str(id);
-            held.shrink_to(SLOT_KEEP);
+        let offset = rings.tail;
+        for (id, len) in ids.into_iter().zip(lens) {
+            rings.write(&id.as_bytes()[..len]);
         }
-        slot.allowed = allowed;
-        records.push_back(slot);
-        true
+        rings.used += need;
+        rings.headers.push_back(AuditHeader {
+            at_ms,
+            offset,
+            // Each is at most `AUDIT_ID_BOUND`.
+            lens: lens.map(|n| n as u16),
+            allowed,
+            path,
+        });
+        displaced
     }
 
     fn snapshot(&self) -> Vec<EnforcementRecord> {
-        self.records.lock().iter().cloned().collect()
+        let rings = self.rings.lock();
+        rings
+            .headers
+            .iter()
+            .map(|header| {
+                let mut at = header.offset;
+                let [subject, resource, action] = header.lens.map(|len| {
+                    let id = rings.read(at, usize::from(len));
+                    at += usize::from(len);
+                    id
+                });
+                EnforcementRecord {
+                    at_ms: header.at_ms,
+                    subject,
+                    resource,
+                    action,
+                    allowed: header.allowed,
+                    path: header.path,
+                }
+            })
+            .collect()
     }
 }
 
-/// The buffer an overwritten audit string keeps beyond its content:
-/// room for any ordinary id, so only an outsized one is ever given back.
-const SLOT_KEEP: usize = 256;
+/// How many bytes of each id an audit record keeps: every byte when
+/// the three fit in `bound` together; otherwise the shortest stay whole
+/// while they fit an even share of what is left, and the rest are cut
+/// to that share, each at a char boundary.
+fn cut_ids(ids: [&str; 3], bound: usize) -> [usize; 3] {
+    let mut lens = ids.map(str::len);
+    if lens.iter().sum::<usize>() <= bound {
+        return lens;
+    }
+    // Shortest first; equal lengths keep the ids' order.
+    let mut order = [0, 1, 2];
+    order.sort_by_key(|&i| lens[i]);
+    let mut left = bound;
+    for (k, &i) in order.iter().enumerate() {
+        let mut keep = lens[i].min(left / (3 - k));
+        while !ids[i].is_char_boundary(keep) {
+            keep -= 1;
+        }
+        lens[i] = keep;
+        left -= keep;
+    }
+    lens
+}
 
 /// Default bound of the audit ring: generous enough that tests and
 /// short-lived PEPs never observe a drop, small enough that a
-/// long-lived PEP's memory stays bounded.
+/// long-lived PEP's memory stays bounded (5.5 MiB: a 24-byte header
+/// and 64 bytes of ids per record).
 pub const DEFAULT_AUDIT_CAPACITY: usize = 65_536;
 
 /// The capability fast path: the shared authority (key + current
@@ -811,8 +955,10 @@ impl PepBuilder {
     }
 
     /// Bounds the audit ring to the newest `capacity` records (default
-    /// [`DEFAULT_AUDIT_CAPACITY`]); see [`Pep::audit_log`] for the
-    /// retention contract.
+    /// [`DEFAULT_AUDIT_CAPACITY`]) and their ids to `capacity × 64`
+    /// bytes. Both rings are allocated once, when the PEP is built, and
+    /// never grow; see [`Pep::audit_log`] for the retention contract and
+    /// [`EnforcementRecord`] for how an outsized id is cut.
     ///
     /// # Panics
     ///
@@ -936,13 +1082,13 @@ impl Pep {
             .telemetry
             .as_ref()
             .map(|t| t.telemetry.tracer().root("pep_enforce"));
-        let response = match self.token_fastpath(context, hash, now_ms, root.as_ref()) {
-            Some(response) => response,
+        let (response, path) = match self.token_fastpath(context, hash, now_ms, root.as_ref()) {
+            Some(response) => (response, ServingPath::Token),
             None => self.decide_traced(context, hash, now_ms, root.as_ref(), class),
         };
         let result = {
             let _span = root.as_ref().map(|p| p.child("obligations"));
-            self.conclude(context, response, now_ms)
+            self.conclude(context, response, path, now_ms)
         };
         if let (Some(t), Some(root)) = (self.telemetry.as_ref(), root) {
             t.enforce_us.record(root.elapsed_us());
@@ -969,7 +1115,7 @@ impl Pep {
             .telemetry
             .as_ref()
             .map(|t| t.telemetry.tracer().root("pep_enforce_batch"));
-        let mut responses: Vec<Option<Response>> = vec![None; requests.len()];
+        let mut responses: Vec<Option<(Response, ServingPath)>> = vec![None; requests.len()];
         // One canonical hash per request serves the token phase, the
         // cache phase and the miss-path inserts alike.
         let hashes: Vec<u64> = if self.capability.is_some() || self.cache.is_some() {
@@ -990,7 +1136,7 @@ impl Pep {
                 |&i| match self.token_fastpath(&requests[i], hashes[i], now_ms, None) {
                     Some(resp) => {
                         hits += 1;
-                        responses[i] = Some(resp);
+                        responses[i] = Some((resp, ServingPath::Token));
                         false
                     }
                     None => true,
@@ -1010,7 +1156,7 @@ impl Pep {
             pending.retain(|&i| match cache.get(hashes[i], &requests[i], now_ms) {
                 Some(resp) => {
                     hits += 1;
-                    responses[i] = Some(resp);
+                    responses[i] = Some((resp, ServingPath::Cache));
                     false
                 }
                 None => true,
@@ -1033,7 +1179,7 @@ impl Pep {
                 if let Some(cache) = &self.cache {
                     cache.insert(hashes[i], &requests[i], resp.clone(), now_ms);
                 }
-                responses[i] = Some(resp);
+                responses[i] = Some((resp, ServingPath::Source));
             }
         }
         let results = {
@@ -1041,8 +1187,9 @@ impl Pep {
             requests
                 .iter()
                 .zip(responses)
-                .map(|(request, response)| {
-                    self.conclude(request, response.expect("every request answered"), now_ms)
+                .map(|(request, answer)| {
+                    let (response, path) = answer.expect("every request answered");
+                    self.conclude(request, response, path, now_ms)
                 })
                 .collect()
         };
@@ -1091,14 +1238,16 @@ impl Pep {
             now_ms,
             ..
         } = request;
+        // The PEP's own refusals, before any decision is consulted.
+        let refuse = |reason| self.deny_failsafe(request, ServingPath::FailSafe, now_ms, reason);
         // 1. Issuer trust.
         let issuer = &capability.assertion.issuer;
         let Some(key) = self.trusted_issuers.get(issuer) else {
-            return self.deny_failsafe(request, now_ms, format!("untrusted issuer {issuer}"));
+            return refuse(format!("untrusted issuer {issuer}"));
         };
         // 2. Signature + validity window + audience.
         if let Err(e) = capability.verify(&self.crypto, key, now_ms, Some(&self.audience)) {
-            return self.deny_failsafe(request, now_ms, e.to_string());
+            return refuse(e.to_string());
         }
         // 3. Capability sufficiency for this very request.
         let (subject, resource, action) = match (
@@ -1107,9 +1256,7 @@ impl Pep {
             request.action_id(),
         ) {
             (Some(s), Some(r), Some(a)) => (s, r, a),
-            _ => {
-                return self.deny_failsafe(request, now_ms, "request lacks identifiers".into());
-            }
+            _ => return refuse("request lacks identifiers".into()),
         };
         if let Err(e) = capability.check_capability(subject, resource, action) {
             let msg = match e {
@@ -1117,15 +1264,16 @@ impl Pep {
                 | AssertError::SubjectMismatch { .. } => e.to_string(),
                 other => other.to_string(),
             };
-            return self.deny_failsafe(request, now_ms, msg);
+            return refuse(msg);
         }
         // 4. Local restriction overlay: the resource provider still makes
         //    the final decision (§2.2). Local Deny or error wins.
-        let local = self.decide_traced(request, self.request_hash(request), now_ms, None, class);
+        let (local, path) =
+            self.decide_traced(request, self.request_hash(request), now_ms, None, class);
         match local.decision {
-            Decision::Deny => self.conclude(request, local, now_ms),
+            Decision::Deny => self.conclude(request, local, path, now_ms),
             Decision::Indeterminate => {
-                self.deny_failsafe(request, now_ms, "local policy indeterminate".into())
+                self.deny_failsafe(request, path, now_ms, "local policy indeterminate".into())
             }
             Decision::Permit | Decision::NotApplicable => {
                 // Capability pre-screening grants; local obligations (if
@@ -1140,7 +1288,7 @@ impl Pep {
                     obligations,
                     status: dacs_policy::eval::Status::Ok,
                 };
-                self.conclude(request, synthetic, now_ms)
+                self.conclude(request, synthetic, path, now_ms)
             }
         }
     }
@@ -1275,7 +1423,8 @@ impl Pep {
     /// `decide` span around the source query. The `decide` span is
     /// *entered*, so a clustered source's routing/fan-out/replica
     /// spans nest beneath it; spans are closed back-to-back so a
-    /// trace's children account for (nearly) the whole root.
+    /// trace's children account for (nearly) the whole root. Returns
+    /// the response and which of the two answered it.
     fn decide_traced(
         &self,
         request: &RequestContext,
@@ -1283,7 +1432,7 @@ impl Pep {
         now_ms: u64,
         parent: Option<&Span>,
         class: DecisionClass,
-    ) -> Response {
+    ) -> (Response, ServingPath) {
         if let Some(cache) = &self.cache {
             let mut cache_span = parent.map(|p| p.child("cache"));
             if let Some(resp) = cache.get(hash, request, now_ms) {
@@ -1291,7 +1440,7 @@ impl Pep {
                 if let Some(s) = cache_span.as_mut() {
                     s.set_note("hit");
                 }
-                return resp;
+                return (resp, ServingPath::Cache);
             }
             if let Some(s) = cache_span.as_mut() {
                 s.set_note("miss");
@@ -1303,13 +1452,14 @@ impl Pep {
         if let Some(cache) = &self.cache {
             cache.insert(hash, request, resp.clone(), now_ms);
         }
-        resp
+        (resp, ServingPath::Source)
     }
 
     fn conclude(
         &self,
         request: &RequestContext,
         response: dacs_policy::eval::Response,
+        path: ServingPath,
         now_ms: u64,
     ) -> EnforcementResult {
         let mut fulfilled = Vec::new();
@@ -1332,6 +1482,7 @@ impl Pep {
                             .fetch_add(1, Ordering::Relaxed);
                         return self.deny_failsafe(
                             request,
+                            path,
                             now_ms,
                             format!("obligation {} failed: {e}", ob.id),
                         );
@@ -1343,6 +1494,7 @@ impl Pep {
                         .fetch_add(1, Ordering::Relaxed);
                     return self.deny_failsafe(
                         request,
+                        path,
                         now_ms,
                         format!("no handler for obligation {}", ob.id),
                     );
@@ -1365,7 +1517,7 @@ impl Pep {
         } else {
             self.stats.failsafe_denials.fetch_add(1, Ordering::Relaxed);
         }
-        self.record(request, grant, now_ms);
+        self.record(request, grant, path, now_ms);
         EnforcementResult {
             allowed: grant,
             decision: response.decision,
@@ -1377,11 +1529,12 @@ impl Pep {
     fn deny_failsafe(
         &self,
         request: &RequestContext,
+        path: ServingPath,
         now_ms: u64,
         reason: String,
     ) -> EnforcementResult {
         self.stats.failsafe_denials.fetch_add(1, Ordering::Relaxed);
-        self.record(request, false, now_ms);
+        self.record(request, false, path, now_ms);
         EnforcementResult {
             allowed: false,
             decision: Decision::Indeterminate,
@@ -1390,31 +1543,39 @@ impl Pep {
         }
     }
 
-    fn record(&self, request: &RequestContext, allowed: bool, at_ms: u64) {
-        let dropped = self.audit.push(
-            at_ms,
-            request.subject_id().unwrap_or("?"),
-            request.resource_id().unwrap_or("?"),
-            request.action_id().unwrap_or("?"),
-            allowed,
-        );
-        if dropped {
-            self.stats.audit_dropped.fetch_add(1, Ordering::Relaxed);
+    fn record(&self, request: &RequestContext, allowed: bool, path: ServingPath, at_ms: u64) {
+        let ids = [
+            request.subject_id(),
+            request.resource_id(),
+            request.action_id(),
+        ];
+        let dropped = self
+            .audit
+            .push(at_ms, ids.map(|id| id.unwrap_or("?")), allowed, path);
+        if dropped > 0 {
+            self.stats
+                .audit_dropped
+                .fetch_add(dropped, Ordering::Relaxed);
         }
     }
 
     /// Snapshot of the enforcement audit trail, oldest-first.
     ///
-    /// **Retention contract.** The audit trail is a bounded ring: it
-    /// holds the newest [`PepBuilder::audit_capacity`] records (default
-    /// [`DEFAULT_AUDIT_CAPACITY`]), and once full each enforcement
-    /// displaces the oldest record and increments
-    /// [`EnforcementStats::audit_dropped`] — so
+    /// **Retention contract.** The audit trail is a recent window, not
+    /// a history: a bounded ring of the newest records that fit both
+    /// [`PepBuilder::audit_capacity`] records (default
+    /// [`DEFAULT_AUDIT_CAPACITY`]) and a byte budget of 64 bytes of ids
+    /// per record. A record is displaced when either is exhausted — the
+    /// record count in ordinary use, the byte budget only when the ids
+    /// average more than 64 bytes — and each displaced record increments
+    /// [`EnforcementStats::audit_dropped`], so
     /// `audit_log().len() + audit_dropped` always equals the total
-    /// enforcements recorded. A deployment needing complete retention
-    /// must drain the log (or ship records to durable storage) before
-    /// `audit_dropped` moves; the counter is the signal that the
-    /// in-memory window no longer covers the full history.
+    /// enforcements recorded. The repo benchmark's `cached_zipf`
+    /// workload overruns the default window eightfold. A deployment
+    /// needing complete retention must drain the log (or ship records
+    /// to durable storage) before `audit_dropped` moves; the counter is
+    /// the signal that the in-memory window no longer covers the full
+    /// history. Ids are kept as [`EnforcementRecord`] describes.
     pub fn audit_log(&self) -> Vec<EnforcementRecord> {
         self.audit.snapshot()
     }
@@ -1450,14 +1611,13 @@ mod tests {
     use dacs_policy::dsl::parse_policy;
     use dacs_policy::policy::{PolicyElement, PolicyId};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     struct World {
         pep: Pep,
         log: Arc<LogObligationHandler>,
         cas_key: SigningKey,
-        // Held so the simulated-PKI registry outlives the test world.
-        #[allow(dead_code)]
+        // Holds the simulated-PKI registry the issuer key lives in.
         ctx: CryptoCtx,
     }
 
@@ -1532,62 +1692,217 @@ policy "gate" deny-unless-permit {
         assert_eq!(w.pep.audit_log().len(), 1);
     }
 
-    /// The ring against a plain queue of fresh records, over several
-    /// wraps: ids shorter and longer than what a slot last held are
-    /// stored whole, the snapshot stays oldest-first, and retained plus
-    /// displaced is every push so far.
-    #[test]
-    fn audit_ring_overwrites_the_oldest_slot_in_place() {
-        const CAPACITY: usize = 3;
-        let ring = AuditRing::new(CAPACITY);
-        let mut expected: VecDeque<EnforcementRecord> = VecDeque::new();
-        let mut dropped = 0u64;
-        for step in 0..14u64 {
-            let record = EnforcementRecord {
-                at_ms: step,
-                subject: format!("user-{}", "x".repeat((step as usize * 5) % 11)),
-                resource: "r".repeat(1 + (step as usize * 3) % 40),
-                action: if step % 3 == 0 { "read" } else { "append" }.to_owned(),
-                allowed: step % 2 == 0,
-            };
-            dropped += u64::from(ring.push(
-                record.at_ms,
-                &record.subject,
-                &record.resource,
-                &record.action,
-                record.allowed,
-            ));
-            expected.push_back(record);
-            if expected.len() > CAPACITY {
-                expected.pop_front();
-            }
-            let log = ring.snapshot();
-            assert_eq!(log, Vec::from(expected.clone()));
-            assert_eq!(log.len() as u64 + dropped, step + 1);
-        }
-        assert_eq!(dropped, 14 - CAPACITY as u64);
+    /// A seeded id: mostly short, sometimes up to `longest` chars, each
+    /// one to four bytes.
+    fn random_id(rng: &mut StdRng, longest: usize) -> String {
+        const CHARS: [char; 6] = ['a', 'z', '/', 'é', '€', '𝄞'];
+        let chars = if rng.gen_bool(0.1) {
+            rng.gen_range(0..=longest)
+        } else {
+            rng.gen_range(0..12)
+        };
+        (0..chars)
+            .map(|_| CHARS[rng.gen_range(0..CHARS.len())])
+            .collect()
     }
 
-    /// Ids come from outside: a slot that once held a huge one gives the
-    /// buffer back when it is overwritten, and holds the huge one whole
-    /// until then.
+    /// The two flat rings against a plain queue of owned records that
+    /// forgets its oldest while it holds more than `capacity` records or
+    /// more than the byte budget of ids. Seeded ids run from empty to
+    /// longer than the budget, in multibyte UTF-8, and wrap the byte
+    /// ring mid-record. At every step retained plus displaced is every
+    /// push, the snapshot is the queue, an id is a char-boundary prefix
+    /// of what was pushed (whole when the three fit the bound), and
+    /// neither ring's capacity moves.
     #[test]
-    fn an_audit_slot_does_not_keep_the_capacity_of_a_huge_id() {
-        let ring = AuditRing::new(2);
-        let huge = "h".repeat(100 * SLOT_KEEP);
-        ring.push(0, "alice", "ehr/1", "read", true);
-        ring.push(1, "bob", "ehr/2", "read", true);
-        assert!(ring.push(2, &huge, &huge, &huge, false));
-        assert_eq!(ring.snapshot()[1].subject, huge);
-        assert!(ring.push(3, "carol", "ehr/3", "read", true));
-        assert!(ring.push(4, "dave", "ehr/4", "append", true));
-        let records = ring.records.lock();
-        assert_eq!(records[1].subject, "dave");
-        for record in records.iter() {
-            for held in [&record.subject, &record.resource, &record.action] {
-                assert!(held.capacity() <= SLOT_KEEP, "{}", held.capacity());
+    fn audit_ring_matches_a_plain_queue() {
+        let mut rng = StdRng::seed_from_u64(25);
+        let paths = [
+            ServingPath::Cache,
+            ServingPath::Token,
+            ServingPath::Source,
+            ServingPath::FailSafe,
+        ];
+        for capacity in [1, 3, 8, 40] {
+            let ring = AuditRing::new(capacity);
+            let budget = capacity * AUDIT_BYTES_PER_RECORD;
+            let rings_capacity = || {
+                let rings = ring.rings.lock();
+                (rings.headers.capacity(), rings.bytes.len())
+            };
+            let built = rings_capacity();
+            assert_eq!(built.1, budget);
+            let id_bytes =
+                |r: &EnforcementRecord| r.subject.len() + r.resource.len() + r.action.len();
+            let mut queue: VecDeque<EnforcementRecord> = VecDeque::new();
+            let (mut displaced, mut forgotten, mut straddled) = (0u64, 0u64, 0);
+            for step in 0..800u64 {
+                let ids = [(); 3].map(|()| random_id(&mut rng, 2 * budget));
+                let tail = ring.rings.lock().tail;
+                let (allowed, path) = (step % 3 == 0, paths[step as usize % 4]);
+                displaced += ring.push(step, ids.each_ref().map(String::as_str), allowed, path);
+                let log = ring.snapshot();
+                let newest = log.last().expect("just pushed");
+                let kept = [&newest.subject, &newest.resource, &newest.action];
+                for (kept, pushed) in kept.into_iter().zip(&ids) {
+                    assert!(pushed.starts_with(kept.as_str()), "{kept:?} of {pushed:?}");
+                }
+                let whole: usize = ids.iter().map(String::len).sum();
+                if whole <= ring.id_bound {
+                    assert_eq!(kept.map(String::as_str), ids.each_ref().map(String::as_str));
+                } else {
+                    // Only the longest id's last char boundary is lost.
+                    assert!(id_bytes(newest) + 3 >= ring.id_bound);
+                }
+                assert!(id_bytes(newest) <= ring.id_bound);
+                straddled += usize::from(tail + id_bytes(newest) > budget);
+
+                queue.push_back(EnforcementRecord {
+                    at_ms: step,
+                    subject: newest.subject.clone(),
+                    resource: newest.resource.clone(),
+                    action: newest.action.clone(),
+                    allowed,
+                    path,
+                });
+                while queue.len() > capacity || queue.iter().map(id_bytes).sum::<usize>() > budget {
+                    queue.pop_front();
+                    forgotten += 1;
+                }
+                assert_eq!(
+                    log,
+                    Vec::from(queue.clone()),
+                    "capacity {capacity}, step {step}"
+                );
+                assert_eq!(
+                    (displaced, log.len() as u64 + displaced),
+                    (forgotten, step + 1)
+                );
+                assert_eq!(rings_capacity(), built);
             }
+            assert!(straddled > 0, "capacity {capacity}: no record wrapped");
         }
+    }
+
+    /// The bound on what one record keeps, pinned: outsized ids are cut
+    /// to an even share at a char boundary, shorter ones stay whole, and
+    /// an outsized record displaces what its kept bytes need.
+    #[test]
+    fn an_outsized_id_is_cut_at_a_char_boundary() {
+        let ring = AuditRing::new(64);
+        assert_eq!(ring.id_bound, AUDIT_ID_BOUND);
+        let euros = "€".repeat(1_000);
+        let acutes = "é".repeat(1_000);
+        let many = "a".repeat(5_000);
+        ring.push(0, [&euros, "ehr/1", "read"], false, ServingPath::FailSafe);
+        // Sorted by length: the resource (2 000 B) gets a third of the
+        // bound, the subject half what is left, the action the rest.
+        ring.push(1, [&euros, &acutes, &many], false, ServingPath::FailSafe);
+        let log = ring.snapshot();
+        assert_eq!(
+            (
+                log[0].subject.as_str(),
+                log[0].resource.as_str(),
+                log[0].action.as_str()
+            ),
+            (&*"€".repeat(338), "ehr/1", "read")
+        );
+        assert_eq!(
+            (
+                log[1].subject.as_str(),
+                log[1].resource.as_str(),
+                log[1].action.as_str()
+            ),
+            (&*"€".repeat(114), &*"é".repeat(170), &*"a".repeat(342))
+        );
+
+        // A ring of four budgets 256 bytes: a record that needs all of
+        // them displaces every record before it.
+        let small = AuditRing::new(4);
+        for at_ms in 0..3 {
+            assert_eq!(
+                small.push(at_ms, ["alice", "ehr/1", "read"], true, ServingPath::Cache),
+                0
+            );
+        }
+        assert_eq!(
+            small.push(3, [&many, "", ""], false, ServingPath::Source),
+            3
+        );
+        assert_eq!(small.snapshot()[0].subject, "a".repeat(256));
+        assert_eq!(
+            small.push(4, ["bob", "ehr/2", "read"], true, ServingPath::Token),
+            1
+        );
+        assert!(std::mem::size_of::<AuditHeader>() <= 24);
+    }
+
+    /// Each way a request is answered leaves its own path in the audit
+    /// record, through `serve`, `serve_batch` and `serve_with_capability`
+    /// alike.
+    #[test]
+    fn each_serving_path_is_recorded() {
+        use dacs_capability::CapabilityKey;
+        let w = world(
+            r#"
+policy "gate" deny-unless-permit {
+  rule "doctors" permit {
+    condition is-in("doctor", attr(subject, "role"))
+  }
+}
+"#,
+            false,
+        );
+        let authority = Arc::new(CapabilityAuthority::new(
+            CapabilityKey::generate(&mut StdRng::seed_from_u64(11)),
+            1_000,
+        ));
+        let pep = Pep::builder("pep.paths")
+            .audience("hospital-b")
+            .source(Arc::new(MintingSource::new(
+                w.pep.source.clone(),
+                authority.clone(),
+            )))
+            .crypto(w.ctx.clone())
+            .trusted_issuer("cas.vo", w.cas_key.public_key())
+            .cache(CacheConfig {
+                capacity: 64,
+                ttl_ms: 1_000,
+            })
+            .capability_fastpath(authority, 64)
+            .build();
+        let alice = RequestContext::basic("alice", "ehr/1", "read");
+        let mallory = RequestContext::basic("mallory", "ehr/1", "read");
+        // Alice's permit mints a token, Mallory's deny is cached.
+        for request in [&alice, &mallory, &alice, &mallory] {
+            pep.serve(EnforceRequest::of(request, 1));
+        }
+        let mut rogue = capability(&w, "bob", 1_000, "hospital-b");
+        rogue.assertion.issuer = "cas.rogue".into();
+        let bob = RequestContext::basic("bob", "ehr/1", "read");
+        pep.serve_with_capability(EnforceRequest::of(&bob, 2), &rogue);
+        let carol = RequestContext::basic("carol", "ehr/1", "read");
+        pep.serve_batch(&[alice, mallory, carol], 3, EnforceOptions::default());
+
+        let recorded: Vec<_> = pep
+            .audit_log()
+            .into_iter()
+            .map(|r| (r.subject, r.allowed, r.path))
+            .collect();
+        let expected = [
+            ("alice", true, ServingPath::Source),
+            ("mallory", false, ServingPath::Source),
+            ("alice", true, ServingPath::Token),
+            ("mallory", false, ServingPath::Cache),
+            ("bob", false, ServingPath::FailSafe),
+            ("alice", true, ServingPath::Token),
+            ("mallory", false, ServingPath::Cache),
+            ("carol", false, ServingPath::Source),
+        ];
+        assert_eq!(
+            recorded,
+            expected.map(|(s, allowed, path)| (s.to_owned(), allowed, path))
+        );
     }
 
     /// The same contract one layer up: a permit and a deny alike are
