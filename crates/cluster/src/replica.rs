@@ -353,9 +353,10 @@ impl FanoutJob {
         let h = &self.handoff;
         h.started.fetch_add(1, Ordering::Release);
         let (cancel, telemetry) = (Some(&h.cancel), h.telemetry.as_ref());
-        self.response = self
+        let start = Instant::now();
+        (self.response, _) = self
             .replica
-            .evaluate(&h.request, h.now_ms, cancel, telemetry, self.role);
+            .evaluate(&h.request, h.now_ms, cancel, telemetry, self.role, start);
     }
 }
 
@@ -367,6 +368,12 @@ impl Replica {
     /// a backend could latch), feeds the estimate, notes its span with
     /// `role`. `None` back is a withdrawn vote: cancelled, or the
     /// backend panicked.
+    ///
+    /// The evaluation is timed from `start`, the caller's reading of
+    /// the clock, and the instant it ended comes back beside the vote
+    /// (`start` itself for one that never ran): the collector starts
+    /// its next evaluation there, so a run of evaluations on one thread
+    /// reads the clock once per evaluation plus once.
     fn evaluate(
         &self,
         request: &RequestContext,
@@ -374,7 +381,8 @@ impl Replica {
         cancel: Option<&CancelToken>,
         telemetry: Option<&DispatchTelemetry>,
         role: &'static str,
-    ) -> Option<Response> {
+        start: Instant,
+    ) -> (Option<Response>, Instant) {
         let mut span = telemetry.map(|t| t.tracer.span_under(t.parent, "replica_decide"));
         let mut note = |prefix| {
             if let Some(s) = span.as_mut() {
@@ -385,10 +393,9 @@ impl Replica {
             // The skip still closes a zero-duration span: in a trace a
             // cancelled straggler shows up closed, not leaked.
             note("cancelled");
-            return None;
+            return (None, start);
         }
         note(role);
-        let start = Instant::now();
         // A panicking backend is a withdrawn vote, not a dead thread.
         let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match cancel {
             Some(cancel) => self.backend.decide_cancellable(request, now_ms, cancel),
@@ -396,12 +403,13 @@ impl Replica {
         }))
         .ok()
         .flatten();
+        let end = Instant::now();
         match &response {
             Some(_) => {
                 // Only completed evaluations feed the EWMA: an
                 // abandoned one's elapsed time measures the cancel
                 // point, not the replica.
-                let elapsed = start.elapsed();
+                let elapsed = end - start;
                 // One preempted evaluation is not a slow replica.
                 let estimate = self.endpoint.latency_ewma_ns().unwrap_or(u64::MAX);
                 let ns = (elapsed.as_nanos() as u64).min(estimate.saturating_mul(SAMPLE_CAP));
@@ -412,7 +420,7 @@ impl Replica {
             }
             None => note("cancelled"),
         }
-        response
+        (response, end)
     }
 }
 
@@ -771,15 +779,23 @@ impl ReplicaGroup {
         let mut answered = 0usize;
         // Positions below `mine` are no longer the caller's to evaluate.
         let (mut mine, mut caller_evaluations) = (0usize, 0usize);
+        // When the caller's last evaluation ended: the next one starts
+        // there. Forgotten across a wait on the pool, which is no
+        // replica's time.
+        let mut clock: Option<Instant> = None;
         let verdict = loop {
             let answer = if let Some(p) = (mine..dispatched).find(|&p| pool_for(p).is_none()) {
                 (mine, caller_evaluations) = (p + 1, caller_evaluations + 1);
                 let cancel = pooled.as_ref().map(|(h, ..)| &h.cancel);
                 let role = if p < initial { role } else { "replica" };
                 let (index, t) = (order[p].1, telemetry.as_ref());
-                let response = eligible[index].evaluate(request, now_ms, cancel, t, role);
+                let start = clock.unwrap_or_else(Instant::now);
+                let (response, end) =
+                    eligible[index].evaluate(request, now_ms, cancel, t, role, start);
+                clock = Some(end);
                 (index, response)
             } else {
+                clock = None;
                 let (handoff, rx, _) = pooled.as_ref().expect("an unanswered job is pooled");
                 // While a hedge is still allowed, wait no longer than
                 // the next backup's budget — anchored to *its* expected
@@ -950,7 +966,8 @@ impl DecisionBackend for SlowBackend {
             .expect("a fresh token is never cancelled")
     }
     /// Parks in 1ms slices, checking the token between them: it is a
-    /// bare flag that wakes nobody.
+    /// bare flag that wakes nobody. Unreleased, it answers no sooner
+    /// than its delay after it was asked, however early a wait wakes.
     fn decide_cancellable(
         &self,
         _request: &RequestContext,
@@ -958,19 +975,25 @@ impl DecisionBackend for SlowBackend {
         cancel: &CancelToken,
     ) -> Option<Response> {
         let slice = Duration::from_millis(1);
-        let mut remaining = self.delay;
+        let deadline = Instant::now() + self.delay;
         let mut state = self.state.lock().unwrap();
         state.parked += 1;
         self.changed.notify_all();
-        while !state.released && remaining > Duration::ZERO {
+        loop {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if state.released || remaining.is_zero() {
+                break;
+            }
             if cancel.is_cancelled() {
                 state.abandoned += 1;
                 self.changed.notify_all();
                 return None;
             }
-            let step = remaining.min(slice);
-            state = self.changed.wait_timeout(state, step).unwrap().0;
-            remaining -= step;
+            state = self
+                .changed
+                .wait_timeout(state, remaining.min(slice))
+                .unwrap()
+                .0;
         }
         state.answered += 1;
         Some(Response::decision(self.decision))
@@ -1310,6 +1333,67 @@ mod tests {
                 "r{slot} has no latency sample"
             );
         }
+    }
+
+    /// The caller times an evaluation from where its last one ended,
+    /// and a wait on the pool belongs to no replica. So a fast replica
+    /// asked on the caller right after a slow one, or right after the
+    /// collector waited out a slow pooled vote, records its own time:
+    /// whatever it recorded fits in what the query took beyond the slow
+    /// replica's delay. (Inheriting the slow time would record at least
+    /// the delay.)
+    #[test]
+    fn a_caller_evaluation_records_its_own_time_not_what_came_before() {
+        const DELAY: Duration = Duration::from_millis(40);
+        // An estimate so dear that no sample is capped, and so last in
+        // dispatch order.
+        const DEAR: u64 = 1_000_000_000;
+        // The fast replica's sample, from what it moved its estimate to
+        // (to within the EWMA's rounding, downwards).
+        let sample = |g: &ReplicaGroup, slot| {
+            let ewma = g.endpoint(slot).latency_ewma_ns().unwrap();
+            Duration::from_nanos(5 * (ewma - (DEAR - DEAR / 5)))
+        };
+        let query = |g: &ReplicaGroup, plan: &FanoutPlan<'_>| {
+            let start = Instant::now();
+            let out = g.query_planned(QuorumMode::Majority, &RequestContext::new(), 0, plan);
+            (out, start.elapsed())
+        };
+
+        // No pool: the slow replica sorts first, and a majority of two
+        // asks both on the caller.
+        let slow = Arc::new(SlowBackend::new("slow", Decision::Permit, DELAY));
+        let (g, _) = grouped(vec![
+            slow.clone() as Arc<dyn DecisionBackend>,
+            Arc::new(StaticBackend::new("fast", Decision::Permit)),
+        ]);
+        g.endpoint(0).record_latency_ns(1);
+        g.endpoint(1).record_latency_ns(DEAR);
+        let (out, took) = query(&g, &FanoutPlan::default());
+        assert_eq!(out.response.unwrap().decision, Decision::Permit);
+        assert_eq!((out.caller_evaluations, slow.answered()), (2, 1));
+        let fast = sample(&g, 1);
+        assert!(fast <= took - DELAY, "recorded {fast:?} of {took:?}");
+
+        // Pooled: the cheap replica denies on the caller, the collector
+        // waits on the pool for the slow one's permit, and the contested
+        // vote escalates to the fast one, on the caller again.
+        let pool = pool();
+        let slow = Arc::new(SlowBackend::new("slow", Decision::Permit, DELAY));
+        let (g, _) = grouped(vec![
+            Arc::new(StaticBackend::new("cheap", Decision::Deny)) as Arc<dyn DecisionBackend>,
+            slow.clone(),
+            Arc::new(StaticBackend::new("fast", Decision::Permit)),
+        ]);
+        g.endpoint(0).record_latency_ns(1);
+        g.endpoint(1).record_latency_ns(2 * POOL_HANDOFF_NS);
+        g.endpoint(2).record_latency_ns(DEAR);
+        let (out, took) = query(&g, &plan(&pool, None, true));
+        assert_eq!(out.response.unwrap().decision, Decision::Permit);
+        assert!(out.disagreement);
+        assert_eq!((out.caller_evaluations, slow.answered()), (2, 1));
+        let fast = sample(&g, 2);
+        assert!(fast <= took - DELAY, "recorded {fast:?} of {took:?}");
     }
 
     #[test]

@@ -18,33 +18,20 @@ use dacs_policy::request::RequestContext;
 /// Default virtual points per shard on the ring.
 pub const DEFAULT_VNODES: usize = 128;
 
-/// FNV-1a with a SplitMix64 finalizer: FNV alone mixes the high bits of
-/// short, similar keys poorly, which skews arc lengths on the ring.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a over the concatenation of `parts`, with a SplitMix64
+/// finalizer: FNV alone mixes the high bits of short, similar keys
+/// poorly, which skews arc lengths on the ring.
+fn fnv1a(parts: &[&[u8]]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= *b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    for part in parts {
+        for &b in *part {
+            hash ^= b as u64;
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
     }
     hash = (hash ^ (hash >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     hash = (hash ^ (hash >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     hash ^ (hash >> 31)
-}
-
-/// The routing key of a request: subject and resource identifiers.
-///
-/// Keying on (subject, resource) keeps a principal's repeated accesses
-/// to the same resource on one shard — exactly the repetition a decision
-/// cache exploits — while still spreading distinct resources.
-pub fn routing_key(request: &RequestContext) -> String {
-    let subject = request.subject_id().unwrap_or("");
-    let resource = request.resource_id().unwrap_or("");
-    // Sized up front: one allocation per routed request, no regrowth.
-    let mut key = String::with_capacity(subject.len() + 1 + resource.len());
-    key.push_str(subject);
-    key.push('\u{1f}');
-    key.push_str(resource);
-    key
 }
 
 /// Maps routing keys onto `shards` replica groups via a consistent ring.
@@ -103,7 +90,10 @@ impl ShardRouter {
         let mut ring = Vec::with_capacity(shards * vnodes);
         for shard in 0..shards {
             for v in 0..vnodes {
-                ring.push((fnv1a(format!("shard-{shard}/vnode-{v}").as_bytes()), shard));
+                ring.push((
+                    fnv1a(&[format!("shard-{shard}/vnode-{v}").as_bytes()]),
+                    shard,
+                ));
             }
         }
         ring.sort_unstable();
@@ -118,16 +108,34 @@ impl ShardRouter {
 
     /// The shard that owns an explicit routing key.
     pub fn shard_for_key(&self, key: &str) -> usize {
-        let point = fnv1a(key.as_bytes());
+        self.owner(&[key.as_bytes()])
+    }
+
+    /// The shard that owns a request: the one owning the routing key
+    /// `subject ␟ resource` (the two ids around a `0x1f` separator, an
+    /// absent id read as empty), hashed where the ids live.
+    ///
+    /// Keying on (subject, resource) keeps a principal's repeated
+    /// accesses to the same resource on one shard — exactly the
+    /// repetition a decision cache exploits — while still spreading
+    /// distinct resources.
+    pub fn shard_for(&self, request: &RequestContext) -> usize {
+        let subject = request.subject_id().unwrap_or("");
+        let resource = request.resource_id().unwrap_or("");
+        self.owner(&[subject.as_bytes(), b"\x1f", resource.as_bytes()])
+    }
+
+    /// The shard owning the first ring point at or after the hash of
+    /// the key `parts` spell; one shard owns every key unhashed.
+    fn owner(&self, parts: &[&[u8]]) -> usize {
+        if self.shards == 1 {
+            return 0;
+        }
+        let point = fnv1a(parts);
         let idx = self.ring.partition_point(|(p, _)| *p < point);
         // Wrap past the last point back to the ring start.
         let (_, shard) = self.ring[idx % self.ring.len()];
         shard
-    }
-
-    /// The shard that owns a request's routing key.
-    pub fn shard_for(&self, request: &RequestContext) -> usize {
-        self.shard_for_key(&routing_key(request))
     }
 }
 

@@ -124,7 +124,7 @@ impl AttributeProvider for StaticAttributes {
         let attrs = guard.get(key)?;
         let bag: Vec<AttrValue> = attrs
             .iter()
-            .filter(|(n, _)| *n == id.name)
+            .filter(|(n, _)| id.name == n.as_str())
             .map(|(_, v)| v.clone())
             .collect();
         if bag.is_empty() {

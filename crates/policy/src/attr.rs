@@ -7,6 +7,7 @@
 //! subject, the resource, the action and the environment.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 
 /// The four XACML attribute categories.
@@ -59,18 +60,98 @@ impl fmt::Display for Category {
     }
 }
 
+/// An attribute's name. The conventional names — [`ID_ATTR`],
+/// [`TIME_ATTR`] and `"role"`, which nearly every request and policy
+/// carries — are borrowed from statics; any other name is owned. It
+/// compares, orders, hashes, prints and serializes exactly as the `str`
+/// it holds (`Cow`'s own comparisons and hash read through to it), so
+/// which of the two it is never shows.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct AttrName(Cow<'static, str>);
+
+/// The names an [`AttrName`] shares instead of copying.
+const CONVENTIONAL: [&str; 3] = [ID_ATTR, TIME_ATTR, "role"];
+
+impl AttrName {
+    /// The name as a string slice.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+
+    fn conventional(name: &str) -> Option<&'static str> {
+        CONVENTIONAL.into_iter().find(|known| *known == name)
+    }
+}
+
+impl From<&str> for AttrName {
+    fn from(name: &str) -> Self {
+        AttrName(
+            Self::conventional(name).map_or_else(|| Cow::Owned(name.to_owned()), Cow::Borrowed),
+        )
+    }
+}
+
+impl From<&String> for AttrName {
+    fn from(name: &String) -> Self {
+        Self::from(name.as_str())
+    }
+}
+
+impl From<String> for AttrName {
+    fn from(name: String) -> Self {
+        AttrName(Self::conventional(&name).map_or(Cow::Owned(name), Cow::Borrowed))
+    }
+}
+
+impl std::ops::Deref for AttrName {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq<&str> for AttrName {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+impl fmt::Debug for AttrName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for AttrName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
+
+impl Serialize for AttrName {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        serializer.serialize_str(self.as_str())
+    }
+}
+
+impl<'de> Deserialize<'de> for AttrName {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        String::deserialize(deserializer).map(AttrName::from)
+    }
+}
+
 /// Identifies an attribute within a request context.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Serialize, Deserialize)]
 pub struct AttributeId {
     /// Which entity the attribute describes.
     pub category: Category,
     /// Attribute name, e.g. `"role"`, `"id"`, `"current-time"`.
-    pub name: String,
+    pub name: AttrName,
 }
 
 impl AttributeId {
     /// Creates an attribute identifier.
-    pub fn new(category: Category, name: impl Into<String>) -> Self {
+    pub fn new(category: Category, name: impl Into<AttrName>) -> Self {
         AttributeId {
             category,
             name: name.into(),
@@ -78,22 +159,22 @@ impl AttributeId {
     }
 
     /// `subject`-category attribute.
-    pub fn subject(name: impl Into<String>) -> Self {
+    pub fn subject(name: impl Into<AttrName>) -> Self {
         Self::new(Category::Subject, name)
     }
 
     /// `resource`-category attribute.
-    pub fn resource(name: impl Into<String>) -> Self {
+    pub fn resource(name: impl Into<AttrName>) -> Self {
         Self::new(Category::Resource, name)
     }
 
     /// `action`-category attribute.
-    pub fn action(name: impl Into<String>) -> Self {
+    pub fn action(name: impl Into<AttrName>) -> Self {
         Self::new(Category::Action, name)
     }
 
     /// `environment`-category attribute.
-    pub fn environment(name: impl Into<String>) -> Self {
+    pub fn environment(name: impl Into<AttrName>) -> Self {
         Self::new(Category::Environment, name)
     }
 }

@@ -13,9 +13,12 @@ use std::fmt::{self, Write};
 /// Every layer reads this one record by reference — the PEP hashes it,
 /// the request caches compare it, the router keys on it, targets and
 /// conditions look bags up in it — so it is stored flat: one vector of
-/// `(id, bag)` entries in ascending id order, each allocation sized to
-/// what it holds. A look-up is a binary search, iteration is a slice
-/// walk, and a clone copies no empty slots.
+/// `(id, bag)` entries in ascending id order. A bag of one value, which
+/// is what nearly every attribute is, sits inline in its entry, and a
+/// conventional name is a shared static, so a request of single-valued
+/// conventional attributes is one allocation besides its values. A
+/// look-up is a binary search, iteration is a slice walk, and a clone
+/// copies no empty slots.
 ///
 /// # Examples
 ///
@@ -35,7 +38,47 @@ pub struct RequestContext {
     /// all rest on it. The only writers are [`RequestContext::add`],
     /// [`RequestContext::merge`] and `Deserialize`, which sorts what it
     /// received and so never trusts a sender's order.
-    attrs: Vec<(AttributeId, Vec<AttrValue>)>,
+    attrs: Vec<(AttributeId, Bag)>,
+}
+
+/// A non-empty bag as an entry holds it: one value inline, two or more
+/// on the heap. A bag has exactly one of the two forms for its length,
+/// so the derived equality is slice equality.
+#[derive(Clone, PartialEq, Eq)]
+enum Bag {
+    One(AttrValue),
+    Many(Vec<AttrValue>),
+}
+
+impl Bag {
+    fn as_slice(&self) -> &[AttrValue] {
+        match self {
+            Bag::One(value) => std::slice::from_ref(value),
+            Bag::Many(values) => values,
+        }
+    }
+
+    /// Appends a value; a bag moves to the heap at its second.
+    fn push(&mut self, value: AttrValue) {
+        match self {
+            Bag::Many(values) => values.push(value),
+            Bag::One(first) => {
+                let first = std::mem::replace(first, AttrValue::Boolean(false));
+                *self = Bag::Many(vec![first, value]);
+            }
+        }
+    }
+
+    fn extend(&mut self, values: &[AttrValue]) {
+        values.iter().for_each(|value| self.push(value.clone()));
+    }
+}
+
+/// Prints as the slice it lends, whichever form it has.
+impl fmt::Debug for Bag {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_slice(), f)
+    }
 }
 
 impl RequestContext {
@@ -73,7 +116,7 @@ impl RequestContext {
         let value = value.into();
         match self.position(id.category, &id.name) {
             Ok(at) => self.attrs[at].1.push(value),
-            Err(at) => self.attrs.insert(at, (id, vec![value])),
+            Err(at) => self.attrs.insert(at, (id, Bag::One(value))),
         }
     }
 
@@ -103,7 +146,7 @@ impl RequestContext {
     /// The bag of `id` if the context holds one (never an empty slice).
     pub(crate) fn present_bag(&self, id: &AttributeId) -> Option<&[AttrValue]> {
         let at = self.position(id.category, &id.name).ok()?;
-        Some(&self.attrs[at].1)
+        Some(self.attrs[at].1.as_slice())
     }
 
     /// Whether the context holds any value for `id`.
@@ -127,10 +170,11 @@ impl RequestContext {
     }
 
     /// These accessors sit on every serving path: no owned
-    /// `AttributeId` (a `String`) is built to find the entry.
+    /// `AttributeId` is built to find the entry.
     fn first_str(&self, category: Category, name: &str) -> Option<&str> {
         let at = self.position(category, name).ok()?;
-        self.attrs[at].1.iter().find_map(AttrValue::as_str)
+        let (_, bag) = &self.attrs[at];
+        bag.as_slice().iter().find_map(AttrValue::as_str)
     }
 
     /// Iterates over all (id, bag) entries in deterministic order.
@@ -162,7 +206,7 @@ impl RequestContext {
     pub fn merge(&mut self, other: &RequestContext) {
         for (id, bag) in &other.attrs {
             match self.position(id.category, &id.name) {
-                Ok(at) => self.attrs[at].1.extend_from_slice(bag),
+                Ok(at) => self.attrs[at].1.extend(bag.as_slice()),
                 Err(at) => self.attrs.insert(at, (id.clone(), bag.clone())),
             }
         }
@@ -170,8 +214,7 @@ impl RequestContext {
 
     /// Approximate serialized size in bytes (wire accounting).
     pub fn byte_len(&self) -> usize {
-        self.attrs
-            .iter()
+        self.iter()
             .map(|(id, bag)| id.name.len() + 2 + bag.iter().map(AttrValue::byte_len).sum::<usize>())
             .sum()
     }
@@ -181,7 +224,7 @@ impl RequestContext {
     /// Both the byte encoding and the hash are this stream, so they
     /// cannot drift apart.
     fn feed(&self, sink: &mut impl Write) -> fmt::Result {
-        for (id, bag) in &self.attrs {
+        for (id, bag) in self.iter() {
             sink.write_str(id.category.as_str())?;
             sink.write_str(".")?;
             sink.write_str(&id.name)?;
@@ -220,19 +263,46 @@ impl RequestContext {
 /// one field, `attrs`, holding id → bag entries in ascending id order.
 impl Serialize for RequestContext {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        struct Entries<'a>(&'a [(AttributeId, Vec<AttrValue>)]);
+        struct Entries<'a>(&'a RequestContext);
         impl Serialize for Entries<'_> {
             fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
                 let mut map = serializer.serialize_map(Some(self.0.len()))?;
-                for (id, bag) in self.0 {
+                for (id, bag) in self.0.iter() {
                     map.serialize_entry(id, bag)?;
                 }
                 map.end()
             }
         }
         let mut state = serializer.serialize_struct("RequestContext", 1)?;
-        state.serialize_field("attrs", &Entries(&self.attrs))?;
+        state.serialize_field("attrs", &Entries(self))?;
         state.end()
+    }
+}
+
+/// A bag as a frame carries it, read value by value into an entry's
+/// form; `None` when the frame's bag is empty.
+struct ReceivedBag(Option<Bag>);
+
+impl<'de> Deserialize<'de> for ReceivedBag {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        struct BagVisitor;
+        impl<'de> Visitor<'de> for BagVisitor {
+            type Value = ReceivedBag;
+            fn expecting(&self, f: &mut fmt::Formatter) -> fmt::Result {
+                f.write_str("a bag of attribute values")
+            }
+            fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<ReceivedBag, A::Error> {
+                let mut bag: Option<Bag> = None;
+                while let Some(value) = seq.next_element()? {
+                    match &mut bag {
+                        Some(held) => held.push(value),
+                        None => bag = Some(Bag::One(value)),
+                    }
+                }
+                Ok(ReceivedBag(bag))
+            }
+        }
+        deserializer.deserialize_seq(BagVisitor)
     }
 }
 
@@ -254,18 +324,17 @@ impl<'de> Deserialize<'de> for RequestContext {
                 f.write_str("a map of attribute bags")
             }
             fn visit_map<A: MapAccess<'de>>(self, mut map: A) -> Result<Entries, A::Error> {
-                let mut entries: Vec<(AttributeId, Vec<AttrValue>)> = Vec::new();
+                let mut entries: Vec<(AttributeId, ReceivedBag)> = Vec::new();
                 while let Some(entry) = map.next_entry()? {
                     entries.push(entry);
                 }
                 // Stable, so a repeated id's bags keep the frame's order.
                 entries.sort_by(|a, b| a.0.cmp(&b.0));
-                let mut attrs: Vec<(AttributeId, Vec<AttrValue>)> =
-                    Vec::with_capacity(entries.len());
-                for (id, bag) in entries {
+                let mut attrs: Vec<(AttributeId, Bag)> = Vec::with_capacity(entries.len());
+                for (id, ReceivedBag(bag)) in entries {
+                    let Some(bag) = bag else { continue };
                     match attrs.last_mut() {
-                        Some((last, held)) if *last == id => held.extend(bag),
-                        _ if bag.is_empty() => {}
+                        Some((last, held)) if *last == id => held.extend(bag.as_slice()),
                         _ => attrs.push((id, bag)),
                     }
                 }
@@ -365,7 +434,12 @@ mod tests {
     /// The entries of a context, as the invariant promises them.
     fn assert_invariant(ctx: &RequestContext) {
         assert!(ctx.attrs.windows(2).all(|pair| pair[0].0 < pair[1].0));
-        assert!(ctx.attrs.iter().all(|(_, bag)| !bag.is_empty()));
+        // One form per length: no bag is empty, and only a bag of two
+        // or more values is on the heap.
+        assert!(ctx.attrs.iter().all(|(_, bag)| match bag {
+            Bag::One(_) => true,
+            Bag::Many(values) => values.len() >= 2,
+        }));
     }
 
     #[test]

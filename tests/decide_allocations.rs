@@ -1,10 +1,10 @@
 //! A deterministic allocation budget for the miss path, in place of a
 //! timing assertion: one `Pdp::decide` over the repo benchmark's
 //! domain shape costs a small fixed number of heap allocations, none
-//! of them per policy walked, and routing a request costs its key and
-//! nothing else. Passes or fails on logic — the count is the same on
-//! every host — and is the guard that keeps a `Vec<char>` per target
-//! match, or a store lookup per policy, from growing back. The work
+//! of them per policy walked, and routing a request allocates nothing.
+//! Passes or fails on logic — the count is the same on every host — and
+//! is the guard that keeps a `Vec<char>` per target match, or a store
+//! lookup per policy, from growing back. The work
 //! counters beside it say the same of evaluation: a decide reaches the
 //! policies its request can apply to, however many the domain holds.
 //! The same goes one layer up: a quorum decision costs the decides its
@@ -17,7 +17,7 @@
 //! signing buffer, and no audit record: its header and ids are copied
 //! into rings allocated when the PEP was built, before and after they
 //! wrap. The last case counts bytes instead of calls: a request is
-//! stored flat, each allocation sized to what it holds.
+//! stored flat, one-value bags and conventional names inline.
 
 use dacs::cluster::{
     ClusterBuilder, DecisionClass, QuorumMode, ReplicaPhase, SchedulerConfig, ShardRouter,
@@ -123,10 +123,11 @@ fn decide_allocations(domain: &Domain, request: &RequestContext, expected: Decis
 
 /// What one decide may allocate: the PIP's answer to the gate's
 /// condition (the provider's owned bag and the string in it) and the
-/// memo entry that keeps it (its node and its key's name) — the
-/// condition itself reads the literal and the bag where they live, and
-/// nothing scales with the policies walked. Today a permit makes 4.
-const DECIDE_BUDGET: u64 = 5;
+/// memo node that keeps it — its key names the conventional `role`,
+/// shared rather than copied — while the condition itself reads the
+/// literal and the bag where they live, and nothing scales with the
+/// policies walked. Today a permit makes 3.
+const DECIDE_BUDGET: u64 = 4;
 
 #[test]
 fn decide_allocates_a_small_fixed_number_whatever_the_policy_count() {
@@ -202,9 +203,9 @@ fn decide_reaches_the_policies_that_can_apply_whatever_the_policy_count() {
 /// decides when the collector evaluates the whole quorum on the caller
 /// — nothing per name looked up, per lock taken or per phase checked,
 /// and no channel, request copy, boxed job or shared cancel flag for a
-/// pool the query never reaches. Today it makes 4: the routing key, the
-/// roster, the dispatch order and the vector of answers.
-const COLLECTOR_BUDGET: u64 = 5;
+/// pool the query never reaches — and nothing to route it. Today it
+/// makes 3: the roster, the dispatch order and the vector of answers.
+const COLLECTOR_BUDGET: u64 = 4;
 
 /// Every replica has been answering fast: whatever this build's decides
 /// cost, a scheduler's collector keeps them on the caller (an estimate
@@ -279,7 +280,7 @@ fn quorum_decide_allocates_its_replicas_decides_plus_a_fixed_handful() {
 /// evaluated on the caller by the same loop for the same handful:
 /// before the collector could evaluate on the caller the same decide
 /// made 40 allocations on this thread (and its three decides' 21 on the
-/// worker's); today it makes 16.
+/// worker's); today it makes 12.
 #[test]
 fn a_caller_evaluated_planned_decide_builds_nothing_for_the_pool() {
     let scheduler = SchedulerConfig::new(1).with_adaptive_fanout(true);
@@ -385,24 +386,26 @@ fn a_hit_allocates_nothing_once_the_audit_ring_has_wrapped() {
     }
 }
 
+/// The router hashes the ids where the request holds them, and a
+/// one-shard router does not hash at all.
 #[test]
-fn routing_allocates_only_the_routing_key() {
-    let router = ShardRouter::new(2);
+fn routing_allocates_nothing() {
     let request = RequestContext::basic("user-1@q", "records/7", "read");
-    let (count, shard) = allocations_in(|| router.shard_for(&request));
-    assert!(shard < 2);
-    assert_eq!(
-        count, 1,
-        "shard_for allocates its routing-key String and nothing else"
-    );
+    for shards in [1, 2] {
+        let router = ShardRouter::new(shards);
+        let (count, shard) = allocations_in(|| router.shard_for(&request));
+        assert!(shard < shards);
+        assert_eq!(count, 0, "shard_for over {shards} shards allocated");
+    }
 }
 
-/// A request is one vector of three entries, three two-byte names and
-/// three one-value bags, each allocation sized to what it holds — and
-/// its clone, which every request-cache insert makes, is that plus the
-/// id strings. (As a B-tree of bags grown to capacity four the same
-/// request asked for 926 bytes in seven allocations, its clone for 734
-/// in ten.)
+/// A request is one vector of three entries, each holding its name (a
+/// shared static) and its one value inline — and its clone, which every
+/// request-cache insert makes, is that plus the id strings. (As a
+/// B-tree of bags grown to capacity four the same request asked for 926
+/// bytes in seven allocations, its clone for 734 in ten; as a vector of
+/// owned names and bag vectors, 246 bytes in seven, its clone 270 in
+/// ten.)
 #[test]
 fn a_basic_request_asks_for_the_bytes_it_holds() {
     let ids = || {
@@ -417,14 +420,14 @@ fn a_basic_request_asks_for_the_bytes_it_holds() {
     // The id strings are moved in, so what is counted is the container.
     let ((calls, bytes), request) =
         requested_in(|| RequestContext::basic(subject, resource, action));
-    assert_eq!(calls, 7, "the entries, three names, three bags");
-    assert!(bytes <= 280, "a basic request asked for {bytes} bytes");
+    assert_eq!(calls, 1, "the entries, and nothing else");
+    assert!(bytes <= 200, "a basic request asked for {bytes} bytes");
 
     let ((calls, bytes), copy) = requested_in(|| request.clone());
     assert_eq!(copy, request);
-    assert_eq!(calls, 10);
+    assert_eq!(calls, 4, "the entries and the three id strings");
     assert!(
-        bytes <= 300 && bytes > id_bytes,
+        bytes <= 200 + id_bytes && bytes > id_bytes,
         "its clone asked for {bytes} bytes"
     );
 }

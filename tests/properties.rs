@@ -107,25 +107,39 @@ proptest! {
     /// The flat request record against the map it replaced: one random
     /// schedule of `add` / `with_*_attr` / `merge` steps over a small id
     /// and value alphabet is applied to a `RequestContext` and to a
-    /// `BTreeMap` of bags, and everything the context can be asked
-    /// agrees with the model after every step. The same schedule with
-    /// each `(id, value)` step delivered grouped by id — a permutation
-    /// across ids that keeps every bag's own order — builds an equal
-    /// context.
+    /// `BTreeMap` of bags keyed by plain strings, and everything the
+    /// context can be asked agrees with the model after every step —
+    /// conventional names (shared statics) and custom ones (owned)
+    /// order, hash and print like the strings they hold, and a bag
+    /// grows from its inline value to many wherever the second comes
+    /// from. After every step the context survives its own frame. The
+    /// same schedule with each `(id, value)` step delivered grouped by
+    /// id — a permutation across ids that keeps every bag's own order —
+    /// builds an equal context, value by value through `add` and as a
+    /// frame of one-value entries folded by `Deserialize`.
     #[test]
     fn request_context_matches_a_btreemap_of_bags(
         steps in prop::collection::vec(
-            (0usize..4, 0usize..4, 0usize..6, prop::collection::vec((0usize..4, 0usize..4, 0usize..6), 0..4)),
+            (0usize..4, 0usize..5, 0usize..6, prop::collection::vec((0usize..4, 0usize..5, 0usize..6), 0..4)),
             0..24,
         ),
     ) {
         use dacs::policy::attr::{AttrValue, Category};
         use dacs::policy::request::RequestContext;
+        use dacs::wire::codec::{from_bytes, to_bytes};
         use std::collections::BTreeMap;
+        use std::hash::{BuildHasher, RandomState};
 
+        /// Three conventional names among two custom ones, in an order
+        /// that interleaves them.
+        const NAMES: [&str; 5] = ["id", "role", "dept", "current-time", "zone"];
         let id_of = |category: usize, name: usize| {
-            AttributeId::new(Category::ALL[category], ["id", "role", "dept", "zone"][name])
+            AttributeId::new(Category::ALL[category], NAMES[name])
         };
+        // The model's key: the id as plain data, its name a `String`.
+        type Model = BTreeMap<(Category, String), Vec<AttrValue>>;
+        let key = |id: &AttributeId| (id.category, id.name.to_string());
+        let hasher = RandomState::new();
         let value_of = |v: usize| match v {
             0 => AttrValue::from("alice"),
             1 => AttrValue::from("o\"brien"),
@@ -134,22 +148,22 @@ proptest! {
             4 => AttrValue::Time(9),
             _ => AttrValue::Double(0.5),
         };
-        let canonical = |model: &BTreeMap<AttributeId, Vec<AttrValue>>| {
+        let canonical = |model: &Model| {
             let mut out = String::new();
-            for (id, bag) in model {
-                out += &format!("{id}=");
+            for ((category, name), bag) in model {
+                out += &format!("{category}.{name}=");
                 bag.iter().for_each(|v| out += &format!("{v},"));
                 out.push(';');
             }
             out.into_bytes()
         };
-        let first_str = |model: &BTreeMap<AttributeId, Vec<AttrValue>>, category: usize| {
-            let bag = model.get(&id_of(category, 0))?;
+        let first_str = |model: &Model, category: usize| {
+            let bag = model.get(&key(&id_of(category, 0)))?;
             bag.iter().find_map(|v| v.as_str().map(str::to_owned))
         };
 
         let mut ctx = RequestContext::new();
-        let mut model: BTreeMap<AttributeId, Vec<AttrValue>> = BTreeMap::new();
+        let mut model = Model::new();
         let mut flat: Vec<(AttributeId, AttrValue)> = Vec::new();
         for (category, name, value, merged) in steps {
             let (id, v) = (id_of(category, name), value_of(value));
@@ -165,35 +179,43 @@ proptest! {
                         ctx
                     }
                 };
-                model.entry(id.clone()).or_default().push(v.clone());
+                model.entry(key(&id)).or_default().push(v.clone());
                 flat.push((id, v));
             } else {
                 let mut other = RequestContext::new();
-                let mut other_model: BTreeMap<AttributeId, Vec<AttrValue>> = BTreeMap::new();
+                let mut other_model = Model::new();
                 for (c, n, x) in merged {
                     other.add(id_of(c, n), value_of(x));
-                    other_model.entry(id_of(c, n)).or_default().push(value_of(x));
+                    other_model.entry(key(&id_of(c, n))).or_default().push(value_of(x));
                 }
                 ctx.merge(&other);
-                for (id, bag) in other_model {
+                for ((category, name), bag) in other_model {
+                    // An id named by an owned `String`, as a parser builds it.
+                    let id = AttributeId::new(category, name.clone());
                     flat.extend(bag.iter().map(|v| (id.clone(), v.clone())));
-                    model.entry(id).or_default().extend(bag);
+                    model.entry((category, name)).or_default().extend(bag);
                 }
             }
 
-            let entries: Vec<_> = ctx.iter().map(|(id, bag)| (id.clone(), bag.to_vec())).collect();
+            let entries: Vec<_> = ctx.iter().map(|(id, bag)| (key(id), bag.to_vec())).collect();
             let expected: Vec<_> = model.iter().map(|(id, bag)| (id.clone(), bag.clone())).collect();
             prop_assert_eq!(entries, expected);
             prop_assert_eq!(ctx.len(), model.len());
             prop_assert_eq!(ctx.is_empty(), model.is_empty());
+            for (id, _) in ctx.iter() {
+                prop_assert_eq!(hasher.hash_one(id), hasher.hash_one(key(id)));
+                let (category, name) = key(id);
+                prop_assert_eq!(format!("{:?}", id.name), format!("{name:?}"));
+                prop_assert_eq!(id.to_string(), format!("{category}.{name}"));
+            }
             for c in 0..4 {
-                for n in 0..4 {
+                for n in 0..NAMES.len() {
                     let probe = id_of(c, n);
-                    prop_assert_eq!(ctx.contains(&probe), model.contains_key(&probe));
-                    prop_assert_eq!(ctx.bag(&probe), model.get(&probe).map_or(&[][..], Vec::as_slice));
+                    prop_assert_eq!(ctx.contains(&probe), model.contains_key(&key(&probe)));
+                    prop_assert_eq!(ctx.bag(&probe), model.get(&key(&probe)).map_or(&[][..], Vec::as_slice));
                 }
-                let ids: Vec<_> = ctx.ids_in_category(Category::ALL[c]).collect();
-                let expected: Vec<_> = model.keys().filter(|id| id.category == Category::ALL[c]).collect();
+                let ids: Vec<_> = ctx.ids_in_category(Category::ALL[c]).map(key).collect();
+                let expected: Vec<_> = model.keys().filter(|id| id.0 == Category::ALL[c]).cloned().collect();
                 prop_assert_eq!(ids, expected);
             }
             prop_assert_eq!(ctx.subject_id().map(str::to_owned), first_str(&model, 0));
@@ -201,7 +223,7 @@ proptest! {
             prop_assert_eq!(ctx.action_id().map(str::to_owned), first_str(&model, 2));
             let byte_len: usize = model
                 .iter()
-                .map(|(id, bag)| id.name.len() + 2 + bag.iter().map(AttrValue::byte_len).sum::<usize>())
+                .map(|((_, name), bag)| name.len() + 2 + bag.iter().map(AttrValue::byte_len).sum::<usize>())
                 .sum();
             prop_assert_eq!(ctx.byte_len(), byte_len);
             let bytes = canonical(&model);
@@ -210,15 +232,32 @@ proptest! {
                 (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
             });
             prop_assert_eq!(ctx.canonical_hash(), fnv);
+            // Its own frame gives back the same context, hash and frame.
+            let frame = to_bytes(&ctx).unwrap();
+            let decoded: RequestContext = from_bytes(&frame).unwrap();
+            prop_assert_eq!(&decoded, &ctx);
+            prop_assert_eq!(decoded.canonical_hash(), fnv);
+            prop_assert_eq!(to_bytes(&decoded).unwrap(), frame);
         }
 
+        // The schedule's values as a frame of one-value entries, a
+        // repeated id's far apart: `Deserialize` grows each bag as the
+        // steps did.
+        let split: Vec<(AttributeId, Vec<AttrValue>)> =
+            flat.iter().map(|(id, v)| (id.clone(), vec![v.clone()])).collect();
+        let decoded: RequestContext = from_bytes(&to_bytes(&split).unwrap()).unwrap();
         // Stable by id: ids change places, each bag keeps its order.
         flat.sort_by(|a, b| b.0.cmp(&a.0));
         let mut permuted = RequestContext::new();
         for (id, v) in flat {
             permuted.add(id, v);
         }
-        prop_assert_eq!(permuted, ctx);
+        prop_assert_eq!(&permuted, &ctx);
+        // Built value by value or decoded, it is one value.
+        prop_assert_eq!(&decoded, &permuted);
+        prop_assert_eq!(decoded.canonical_hash(), permuted.canonical_hash());
+        prop_assert_eq!(decoded.to_canonical_bytes(), permuted.to_canonical_bytes());
+        prop_assert_eq!(to_bytes(&decoded).unwrap(), to_bytes(&permuted).unwrap());
     }
 
     #[test]
@@ -365,6 +404,36 @@ proptest! {
         prop_assert!(moved_on_growth > 0, "a new shard must capture some keys");
     }
 
+    /// A request lands where its routing key does: `shard_for` hashes
+    /// the ids where the request holds them, and the stream it hashes
+    /// is the key spelled out for `shard_for_key` — `subject ␟ resource`,
+    /// an absent id read as empty — with or without other attributes.
+    #[test]
+    fn shard_for_routes_a_request_where_its_routing_key_lands(
+        subject in "[a-z0-9@.-]{0,12}",
+        resource in "[a-z0-9/]{0,16}",
+        has_subject in any::<bool>(),
+        has_resource in any::<bool>(),
+        shards in 1usize..=8,
+    ) {
+        use dacs::cluster::ShardRouter;
+        use dacs::policy::request::RequestContext;
+        let mut request = RequestContext::new().with_subject_attr("role", "doctor");
+        let subject = if has_subject { subject.as_str() } else { "" };
+        let resource = if has_resource { resource.as_str() } else { "" };
+        if has_subject {
+            request.add(AttributeId::subject("id"), subject);
+        }
+        if has_resource {
+            request.add(AttributeId::resource("id"), resource);
+        }
+        request.add(AttributeId::action("id"), "read");
+        let router = ShardRouter::new(shards);
+        let shard = router.shard_for(&request);
+        prop_assert!(shard < shards);
+        prop_assert_eq!(shard, router.shard_for_key(&format!("{subject}\u{1f}{resource}")));
+    }
+
     /// Read-path concurrency (ISSUE 9): with a single stripe, the
     /// striped cache degenerates to exactly the single-lock
     /// `TtlLruCache` it wraps — every get answers identically, and the
@@ -406,6 +475,36 @@ proptest! {
         for _ in 0..50 {
             prop_assert!(z.sample(&mut rng) < n);
         }
+    }
+}
+
+/// The ring itself, pinned literally: the shard of `user-i@q` reading
+/// `records/i`, for i in 0..24, on rings of 2 to 8 shards. Every shard
+/// cache's slice of the keyspace is these values; a diff here moves
+/// keys between shards and must be a decision.
+#[test]
+fn shard_routes_are_pinned() {
+    use dacs::cluster::ShardRouter;
+    use dacs::policy::request::RequestContext;
+    let pinned = [
+        "000011011100010011101000",
+        "000011211200012012101000",
+        "300031311203032013331300",
+        "300431311243034013331400",
+        "300431315543034053531400",
+        "300461315543034653531600",
+        "707461315543037753531600",
+    ];
+    for (shards, expected) in (2..=8).zip(pinned) {
+        let router = ShardRouter::new(shards);
+        let routes: String = (0..24)
+            .map(|i| {
+                let request =
+                    RequestContext::basic(format!("user-{i}@q"), format!("records/{i}"), "read");
+                char::from(b'0' + router.shard_for(&request) as u8)
+            })
+            .collect();
+        assert_eq!(routes, expected, "{shards} shards");
     }
 }
 
