@@ -463,6 +463,29 @@ mod tests {
         );
     }
 
+    /// One token's MAC and wire bytes, written down from the scalar
+    /// SHA-256: whichever compression function the host runs, a token
+    /// minted by an earlier build still verifies.
+    #[test]
+    fn a_fixed_token_is_pinned() {
+        let k = CapabilityKey::from_bytes(*b"dacs-capability-pinned-token-key");
+        let t = token(&k);
+        assert_eq!(
+            dacs_crypto::hex::encode(&t.mac),
+            "f67519675b4beebe862ecd4d27ae63dffa612070f7599cd8030d2467cb0bacd5"
+        );
+        assert_eq!(
+            dacs_crypto::hex::encode(&t.to_bytes()),
+            "0107000000616c6963654061090000007265636f7264732f310400000072656164\
+             64000000000000004c040000000000000300000000000000\
+             f67519675b4beebe862ecd4d27ae63dffa612070f7599cd8030d2467cb0bacd5"
+        );
+        assert_eq!(
+            t.verify(&k, "alice@a", "records/1", "read", 500, PolicyEpoch(3)),
+            Ok(())
+        );
+    }
+
     #[test]
     fn error_display_is_informative() {
         let e = TokenError::StaleEpoch {

@@ -85,10 +85,31 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
     diff == 0
 }
 
-/// Verifies an HMAC tag in constant time.
-pub fn verify_hmac_sha256(key: &[u8], message: &[u8], tag: &[u8]) -> bool {
-    ct_eq(&hmac_sha256(key, message), tag)
-}
+/// RFC 4231 test cases 1–3 and 6 (the last with a key longer than a
+/// block): key, data, tag.
+#[cfg(test)]
+pub(crate) const RFC4231: [(&[u8], &[u8], &str); 4] = [
+    (
+        &[0x0b; 20],
+        b"Hi There",
+        "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+    ),
+    (
+        b"Jefe",
+        b"what do ya want for nothing?",
+        "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+    ),
+    (
+        &[0xaa; 20],
+        &[0xdd; 50],
+        "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+    ),
+    (
+        &[0xaa; 131],
+        b"Test Using Larger Than Block-Size Key - Hash Key First",
+        "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+    ),
+];
 
 #[cfg(test)]
 mod tests {
@@ -158,30 +179,8 @@ mod tests {
     /// one-shot values — a clone shares nothing with its siblings.
     #[test]
     fn clones_of_one_keyed_context_match_oneshot_in_either_order() {
-        let cases: [(&[u8], &[u8], &str); 4] = [
-            (
-                &[0x0b; 20],
-                b"Hi There",
-                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
-            ),
-            (
-                b"Jefe",
-                b"what do ya want for nothing?",
-                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
-            ),
-            (
-                &[0xaa; 20],
-                &[0xdd; 50],
-                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
-            ),
-            (
-                &[0xaa; 131],
-                b"Test Using Larger Than Block-Size Key - Hash Key First",
-                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
-            ),
-        ];
         let other = [0x5au8; 150];
-        for (key, data, tag) in cases {
+        for (key, data, tag) in RFC4231 {
             let keyed = HmacSha256::new(key);
             let mac = |message: &[u8]| {
                 let mut m = keyed.clone();
@@ -205,12 +204,12 @@ mod tests {
     #[test]
     fn verify_accepts_and_rejects() {
         let tag = hmac_sha256(b"k", b"m");
-        assert!(verify_hmac_sha256(b"k", b"m", &tag));
-        assert!(!verify_hmac_sha256(b"k", b"m2", &tag));
-        assert!(!verify_hmac_sha256(b"k2", b"m", &tag));
+        assert!(ct_eq(&hmac_sha256(b"k", b"m"), &tag));
+        assert!(!ct_eq(&hmac_sha256(b"k", b"m2"), &tag));
+        assert!(!ct_eq(&hmac_sha256(b"k2", b"m"), &tag));
         let mut mangled = tag;
         mangled[0] ^= 1;
-        assert!(!verify_hmac_sha256(b"k", b"m", &mangled));
+        assert!(!ct_eq(&hmac_sha256(b"k", b"m"), &mangled));
     }
 
     #[test]

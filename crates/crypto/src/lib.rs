@@ -8,7 +8,8 @@
 //! This crate rebuilds the pieces the access control architecture
 //! actually depends on, from scratch:
 //!
-//! * [`sha256`] — SHA-256 (FIPS 180-4), the root primitive.
+//! * [`sha256`] — SHA-256 (FIPS 180-4), the root primitive; on the
+//!   CPU's SHA extensions where it has them, scalar otherwise.
 //! * [`hmac`] — HMAC-SHA-256 for symmetric channel authentication.
 //! * [`chacha20`] — stream cipher standing in for TLS/XML-Encryption
 //!   confidentiality.
@@ -36,7 +37,9 @@
 //! # Ok::<(), dacs_crypto::sign::SignError>(())
 //! ```
 
-#![forbid(unsafe_code)]
+// `unsafe_code` is allowed in one place: the call into SHA-256's
+// SHA-extension path after its run-time CPU check (`sha256::compress`).
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cert;

@@ -135,8 +135,92 @@ impl Sha256 {
     }
 }
 
-/// The SHA-256 compression function: absorbs one block into `state`.
+/// The SHA-256 compression function: absorbs one block into `state`,
+/// on the CPU's SHA extensions where it has them.
 fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("sha")
+        && std::arch::is_x86_feature_detected!("ssse3")
+        && std::arch::is_x86_feature_detected!("sse4.1")
+    {
+        // SAFETY: `compress_shani` needs sha, sse2, ssse3 and sse4.1.
+        // sse2 is in the x86_64 baseline and the run-time checks above
+        // found the other three on this CPU. The function takes only
+        // references and touches memory through safe code.
+        #[allow(unsafe_code)]
+        unsafe {
+            compress_shani(state, block)
+        };
+        return;
+    }
+    compress_soft(state, block);
+}
+
+/// [`compress`] on the SHA extensions: `sha256rnds2` runs two rounds,
+/// `sha256msg1`/`sha256msg2` extend the message schedule four words at
+/// a time. The state is held as the two vectors the round instruction
+/// takes, `(a, b, e, f)` and `(c, d, g, h)`, highest lane first.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+fn compress_shani(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    use std::arch::x86_64::*;
+
+    let word = |i: usize| {
+        let bytes = block[i * 4..i * 4 + 4].try_into().expect("four bytes");
+        u32::from_be_bytes(bytes) as i32
+    };
+    let quad = |i: usize| {
+        _mm_set_epi32(
+            word(4 * i + 3),
+            word(4 * i + 2),
+            word(4 * i + 1),
+            word(4 * i),
+        )
+    };
+    let mut w = [quad(0), quad(1), quad(2), quad(3)];
+    let [a, b, c, d, e, f, g, h] = state.map(|x| x as i32);
+    let mut abef = _mm_set_epi32(a, b, e, f);
+    let mut cdgh = _mm_set_epi32(c, d, g, h);
+    let (abef_in, cdgh_in) = (abef, cdgh);
+
+    for i in 0..16 {
+        // `w` holds message words 4i..4i+15, four to a vector, word 4i
+        // in the lowest lane.
+        let [w0, w1, w2, w3] = w;
+        let k = _mm_set_epi32(
+            K[4 * i + 3] as i32,
+            K[4 * i + 2] as i32,
+            K[4 * i + 1] as i32,
+            K[4 * i] as i32,
+        );
+        let wk = _mm_add_epi32(w0, k);
+        cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+        abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0e>(wk));
+        let next = _mm_sha256msg2_epu32(
+            _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8::<4>(w3, w2)),
+            w3,
+        );
+        w = [w1, w2, w3, next];
+    }
+
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+    *state = [
+        _mm_extract_epi32::<3>(abef),
+        _mm_extract_epi32::<2>(abef),
+        _mm_extract_epi32::<3>(cdgh),
+        _mm_extract_epi32::<2>(cdgh),
+        _mm_extract_epi32::<1>(abef),
+        _mm_extract_epi32::<0>(abef),
+        _mm_extract_epi32::<1>(cdgh),
+        _mm_extract_epi32::<0>(cdgh),
+    ]
+    .map(|x| x as u32);
+}
+
+/// The scalar compression function: the fallback on CPUs without SHA
+/// extensions and the oracle the tests hold the fast path to.
+fn compress_soft(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
     let mut w = [0u32; 64];
     for i in 0..16 {
         w[i] = u32::from_be_bytes([
@@ -186,9 +270,54 @@ fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
 mod tests {
     use super::*;
     use crate::hex;
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
 
+    type Compress = fn(&mut [u32; 8], &[u8; BLOCK_LEN]);
+
+    /// `data` padded as FIPS 180-4 words it, every block absorbed by the
+    /// given `compress`, whichever path the host's own would take.
+    fn digest_with(compress: Compress, data: &[u8]) -> Digest {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % BLOCK_LEN != BLOCK_LEN - 8 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in padded.chunks_exact(BLOCK_LEN) {
+            compress(&mut state, block.try_into().expect("exact chunk"));
+        }
+        let mut out = [0u8; DIGEST_LEN];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    /// RFC 2104 over [`digest_with`].
+    fn hmac_with(compress: Compress, key: &[u8], message: &[u8]) -> Digest {
+        let mut key_block = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            key_block[..DIGEST_LEN].copy_from_slice(&digest_with(compress, key));
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        let padded = |pad: u8, tail: &[u8]| {
+            let mut out: Vec<u8> = key_block.iter().map(|b| b ^ pad).collect();
+            out.extend_from_slice(tail);
+            out
+        };
+        let inner = digest_with(compress, &padded(0x36, message));
+        digest_with(compress, &padded(0x5c, &inner))
+    }
+
+    /// `data`'s digest in hex, once the hasher (on the dispatching
+    /// `compress`) and the scalar path agree on it.
     fn hash_hex(data: &[u8]) -> String {
-        hex::encode(&Sha256::digest(data))
+        let digest = Sha256::digest(data);
+        assert_eq!(digest_with(compress_soft, data), digest, "scalar path");
+        hex::encode(&digest)
     }
 
     #[test]
@@ -274,6 +403,43 @@ mod tests {
                 finalize_bytewise(h),
                 "split at {split}"
             );
+        }
+    }
+
+    #[test]
+    fn every_length_digests_alike_through_both_paths() {
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 7 % 251) as u8).collect();
+        for len in 0..=200 {
+            assert_eq!(
+                Sha256::digest(&data[..len]),
+                digest_with(compress_soft, &data[..len]),
+                "length {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn rfc4231_tags_through_both_paths() {
+        for (key, data, tag) in crate::hmac::RFC4231 {
+            assert_eq!(hex::encode(&crate::hmac::hmac_sha256(key, data)), tag);
+            assert_eq!(hex::encode(&hmac_with(compress_soft, key, data)), tag);
+        }
+    }
+
+    /// `compress` against `compress_soft` on random states and blocks:
+    /// on a CPU with SHA extensions this holds the fast path to the
+    /// scalar one.
+    #[test]
+    fn compress_matches_the_scalar_path_on_random_inputs() {
+        let mut rng = StdRng::seed_from_u64(256);
+        for case in 0..10_000 {
+            let state: [u32; 8] = std::array::from_fn(|_| rng.next_u32());
+            let mut block = [0u8; BLOCK_LEN];
+            rng.fill_bytes(&mut block);
+            let (mut fast, mut soft) = (state, state);
+            compress(&mut fast, &block);
+            compress_soft(&mut soft, &block);
+            assert_eq!(fast, soft, "case {case}");
         }
     }
 

@@ -17,7 +17,7 @@
 //! Both schemes are exercised by the message-security experiments (E7),
 //! which compare their size and throughput impact.
 
-use crate::hmac::{ct_eq, hmac_sha256};
+use crate::hmac::{ct_eq, HmacSha256};
 use crate::merkle::{MerkleKeypair, MerkleRoot, MerkleSignature};
 use parking_lot::{Mutex, RwLock};
 use rand::RngCore;
@@ -140,9 +140,17 @@ impl std::error::Error for SignError {}
 /// One registry is shared per simulation (via [`CryptoCtx`]). It knows
 /// the private key for every public key it issued, which is exactly the
 /// simplification: verification asks the oracle to recompute the MAC.
+/// It keeps each key as an HMAC context with the key already absorbed.
 #[derive(Debug, Default)]
 pub struct SimPkiRegistry {
-    secrets: RwLock<HashMap<[u8; 32], [u8; 32]>>,
+    secrets: RwLock<HashMap<[u8; 32], HmacSha256>>,
+}
+
+/// `HMAC(key, message)` on a clone of a context keyed once.
+fn mac_under(keyed: &HmacSha256, message: &[u8]) -> [u8; 32] {
+    let mut mac = keyed.clone();
+    mac.update(message);
+    mac.finalize()
 }
 
 /// Wire size modelled for simulated signatures (RSA-2048-like).
@@ -159,7 +167,7 @@ impl SimPkiRegistry {
         let mut sk = [0u8; 32];
         rng.fill_bytes(&mut sk);
         let pk = crate::sha256::Sha256::digest_pair(b"dacs-simpki-pk", &sk);
-        self.secrets.write().insert(pk, sk);
+        self.secrets.write().insert(pk, HmacSha256::new(&sk));
         (pk, sk)
     }
 
@@ -167,7 +175,7 @@ impl SimPkiRegistry {
     pub fn verify(&self, pk: &[u8; 32], message: &[u8], mac: &[u8; 32]) -> bool {
         let secrets = self.secrets.read();
         match secrets.get(pk) {
-            Some(sk) => ct_eq(&hmac_sha256(sk, message), mac),
+            Some(keyed) => ct_eq(&mac_under(keyed, message), mac),
             None => false,
         }
     }
@@ -194,7 +202,7 @@ pub struct SigningKey {
 enum SigningKeyInner {
     Merkle(Mutex<MerkleKeypair>),
     Sim {
-        sk: [u8; 32],
+        keyed: HmacSha256,
         pk: [u8; 32],
         modeled_len: u32,
     },
@@ -223,7 +231,7 @@ impl SigningKey {
         let (pk, sk) = registry.generate(rng);
         SigningKey {
             inner: SigningKeyInner::Sim {
-                sk,
+                keyed: HmacSha256::new(&sk),
                 pk,
                 modeled_len: MODELED_SIG_LEN,
             },
@@ -251,9 +259,9 @@ impl SigningKey {
                 .map(Signature::Merkle)
                 .map_err(|_| SignError::KeyExhausted),
             SigningKeyInner::Sim {
-                sk, modeled_len, ..
+                keyed, modeled_len, ..
             } => Ok(Signature::Sim {
-                mac: hmac_sha256(sk, message),
+                mac: mac_under(keyed, message),
                 modeled_len: *modeled_len,
             }),
         }
@@ -334,6 +342,29 @@ mod tests {
         let sig = key.sign(b"decision").unwrap();
         assert!(ctx.verify(&pk, b"decision", &sig));
         assert!(!ctx.verify(&pk, b"tampered", &sig));
+    }
+
+    /// One simulated-PKI key and signature, written down from the scalar
+    /// SHA-256: whichever compression function the host runs, a
+    /// signature made by an earlier build still verifies.
+    #[test]
+    fn a_sim_signature_is_pinned() {
+        let ctx = CryptoCtx::new();
+        let key = SigningKey::generate_sim(ctx.registry(), &mut StdRng::seed_from_u64(8));
+        let message = b"authorisation decision: Permit";
+        let sig = key.sign(message).unwrap();
+        let (PublicKey::Sim(pk), Signature::Sim { mac, .. }) = (key.public_key(), &sig) else {
+            panic!("a sim key makes sim signatures");
+        };
+        assert_eq!(
+            crate::hex::encode(&pk),
+            "40792c1bc2da92bb4ba953e15cb79ba1b3937fa8ed47ed5b09d3b82b5ff848d5"
+        );
+        assert_eq!(
+            crate::hex::encode(mac),
+            "8f4ff10555ba0cfc702f41d52d456dd4919d29e9dfe377c1ca06af0fabf0adf2"
+        );
+        assert!(ctx.verify(&key.public_key(), message, &sig));
     }
 
     #[test]
