@@ -212,8 +212,7 @@ impl ClusterBuilder {
 struct ClusterTelemetry {
     telemetry: Arc<Telemetry>,
     decide_us: Arc<Histogram>,
-    /// Queries per batch flush — the coalescing proof: values > 1 mean
-    /// concurrent enforcements actually rode one flush.
+    /// Requests per [`PdpCluster::decide_batch`] call.
     batch_size: Arc<Histogram>,
 }
 
@@ -330,8 +329,7 @@ impl PdpCluster {
 
     /// The telemetry registry + tracer attached at build time
     /// ([`ClusterBuilder::telemetry`]), if any — shared with callers
-    /// (decision sources, batchers) that want their own spans in the
-    /// same trace.
+    /// (decision sources) that want their own spans in the same trace.
     pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
         self.telemetry.as_ref().map(|t| &t.telemetry)
     }
@@ -368,9 +366,69 @@ impl PdpCluster {
         self.decide_on_shard(shard, request, now_ms, class)
     }
 
-    /// Serves a decision on an explicit shard (used by the batcher,
-    /// which has already routed).
-    pub(crate) fn decide_on_shard(
+    /// Serves a batch on `class`'s scheduling lane, shard by shard, and
+    /// returns outcomes aligned with `requests`. Each shard's requests
+    /// are decided back-to-back, in submission order, so its replicas'
+    /// caches stay hot; equal requests of one batch (found by canonical
+    /// hash, confirmed by comparing the whole request — the binding
+    /// `HashedRequestCache` uses) are decided once and answered
+    /// together. Separate batches never share a decision.
+    pub fn decide_batch(
+        &self,
+        requests: &[RequestContext],
+        now_ms: u64,
+        class: DecisionClass,
+    ) -> Vec<ClusterOutcome> {
+        let mut order: Vec<(usize, usize)> = requests
+            .iter()
+            .enumerate()
+            .map(|(i, request)| {
+                // One span per request, so a batch's trace decomposes
+                // into route + fanout stages like a single decision's.
+                let _route = self
+                    .telemetry
+                    .as_ref()
+                    .map(|t| t.telemetry.tracer().span("route"));
+                (self.router.shard_for(request), i)
+            })
+            .collect();
+        // Stable: submission order holds within a shard.
+        order.sort_by_key(|&(shard, _)| shard);
+        let mut outcomes: Vec<Option<ClusterOutcome>> = vec![None; requests.len()];
+        // The current shard's decided requests, by canonical hash.
+        // Equal requests never span shards (routing is keyed), but
+        // clearing per shard keeps the map small.
+        let mut answered: HashMap<u64, usize> = HashMap::new();
+        let mut coalesced = 0;
+        let mut current_shard = usize::MAX;
+        for (shard, i) in order {
+            if shard != current_shard {
+                answered.clear();
+                current_shard = shard;
+            }
+            let request = &requests[i];
+            let hash = request.canonical_hash();
+            let prior = answered.get(&hash).copied();
+            outcomes[i] = match prior.filter(|&j| requests[j] == *request) {
+                Some(j) => {
+                    coalesced += 1;
+                    outcomes[j].clone()
+                }
+                None => {
+                    answered.insert(hash, i);
+                    Some(self.decide_on_shard(shard, request, now_ms, class))
+                }
+            };
+        }
+        self.note_batch(requests.len(), coalesced);
+        outcomes
+            .into_iter()
+            .map(|o| o.expect("every request answered"))
+            .collect()
+    }
+
+    /// Serves a decision on a shard its caller has already routed to.
+    fn decide_on_shard(
         &self,
         shard: usize,
         request: &RequestContext,
@@ -474,7 +532,7 @@ impl PdpCluster {
         add_rare(&self.metrics.audit_disagreements, audit.disagreement as u64);
     }
 
-    pub(crate) fn note_batch(&self, submitted: usize, coalesced: usize) {
+    fn note_batch(&self, submitted: usize, coalesced: usize) {
         let m = &*self.metrics;
         m.batches.fetch_add(1, Ordering::Relaxed);
         m.batched_queries
@@ -607,6 +665,142 @@ mod tests {
             assert_eq!(m.unavailable, 0, "{shape}");
             assert_eq!(m.hedges, 0, "{shape}: quorum fan-out never hedges");
         }
+    }
+
+    /// Shard 0 permits on three replicas, shard 1 denies on two, and
+    /// shard 2's three replicas are down, so it answers nothing.
+    fn permit_deny_down(scheduler: Option<SchedulerConfig>) -> PdpCluster {
+        let replicas = |s: usize, n: usize, decision| {
+            (0..n)
+                .map(|r| {
+                    Arc::new(StaticBackend::new(format!("s{s}-r{r}"), decision))
+                        as Arc<dyn DecisionBackend>
+                })
+                .collect()
+        };
+        let builder = ClusterBuilder::new("mixed")
+            .quorum(QuorumMode::Majority)
+            .shard(replicas(0, 3, Decision::Permit))
+            .shard(replicas(1, 2, Decision::Deny))
+            .shard(replicas(2, 3, Decision::Permit));
+        let cluster = scheduled(builder, scheduler);
+        (0..3).for_each(|r| cluster.mark_down(&format!("s2-r{r}")));
+        cluster
+    }
+
+    /// A batch hands every request the outcome a lone `decide_classed`
+    /// on a twin cluster gives it — across shards that permit, deny and
+    /// cannot answer, with repeats, with or without a pool — and decides
+    /// each distinct request once.
+    #[test]
+    fn a_batch_answers_each_request_as_a_lone_decide_would() {
+        let requests: Vec<RequestContext> = (0..36)
+            .map(|i| {
+                RequestContext::basic(format!("user-{}", i % 6), format!("res/{}", i % 4), "read")
+            })
+            .collect();
+        let distinct = (0..requests.len())
+            .filter(|&i| !requests[..i].contains(&requests[i]))
+            .count();
+        let class = DecisionClass::interactive();
+        for scheduler in [None, Some(SchedulerConfig::new(2))] {
+            let batched = permit_deny_down(scheduler.clone());
+            let oracle = permit_deny_down(scheduler);
+            let outcomes = batched.decide_batch(&requests, 7, class);
+            assert_eq!(outcomes.len(), requests.len());
+            let mut per_shard = [0; 3];
+            for (request, outcome) in requests.iter().zip(&outcomes) {
+                let expected = oracle.decide_classed(request, 7, class);
+                assert_eq!(*outcome, expected, "{request:?}");
+                per_shard[outcome.shard] += 1;
+            }
+            assert!(per_shard.iter().all(|&n| n > 0), "{per_shard:?}");
+            let m = batched.metrics();
+            assert_eq!((m.batches, m.batched_queries), (1, requests.len() as u64));
+            assert_eq!(m.queries, distinct as u64);
+            assert_eq!(m.coalesced, (requests.len() - distinct) as u64);
+        }
+    }
+
+    /// A pooled cluster's batch fans every distinct request out to all
+    /// three replicas of its shard, on either scheduling lane.
+    #[test]
+    fn batches_fan_out_through_the_pool_on_either_lane() {
+        let builder = permit_builder(2, 3, QuorumMode::Majority);
+        let cluster = scheduled(builder, Some(SchedulerConfig::new(4)));
+        for class in [DecisionClass::interactive(), DecisionClass::bulk()] {
+            let requests: Vec<RequestContext> = (0..12)
+                .map(|i| {
+                    RequestContext::basic(
+                        format!("user-{}", i % 4),
+                        format!("res/{}", i % 3),
+                        "read",
+                    )
+                })
+                .collect();
+            for outcome in cluster.decide_batch(&requests, 0, class) {
+                assert_eq!(outcome.response.unwrap().decision, Decision::Permit);
+                assert_eq!(outcome.replicas_queried, 3);
+            }
+        }
+        let m = cluster.metrics();
+        // Distinct (subject, resource) pairs evaluate once per batch,
+        // and each evaluation fanned out to all three shard replicas.
+        assert_eq!((m.batches, m.batched_queries), (2, 24));
+        assert_eq!(m.queries, 24);
+        assert_eq!(m.replica_queries, m.queries * 3);
+    }
+
+    #[test]
+    fn identical_queries_coalesce_to_one_evaluation() {
+        let cluster = permit_cluster(2, 1, QuorumMode::FirstHealthy);
+        let mut requests = vec![RequestContext::basic("alice", "ehr/1", "read"); 10];
+        requests.push(RequestContext::basic("bob", "ehr/2", "read"));
+        let outcomes = cluster.decide_batch(&requests, 0, DecisionClass::default());
+        assert_eq!(outcomes.len(), 11);
+        let m = cluster.metrics();
+        // 10 identical + 1 distinct → 2 evaluations, 9 coalesced.
+        assert_eq!(m.queries, 2);
+        assert_eq!(m.coalesced, 9);
+        assert_eq!(m.batched_queries, 11);
+        assert_eq!(m.batches, 1);
+    }
+
+    /// Coalescing binds on the whole request, not on its routing key
+    /// or on how its values print: equal requests share one evaluation;
+    /// one more environment attribute — same subject, resource, action
+    /// and shard — or an `Integer(1)` beside a `Double(1.0)` (which
+    /// serialize alike) is a different query.
+    #[test]
+    fn coalescing_binds_on_the_whole_request() {
+        use dacs_policy::attr::AttrValue;
+        let cluster = permit_cluster(1, 1, QuorumMode::FirstHealthy);
+        let plain = RequestContext::basic("alice", "ehr/1", "read");
+        let at_night = plain.clone().with_env_attr("shift", "night");
+        let int = plain.clone().with_env_attr("level", AttrValue::Integer(1));
+        let double = plain.clone().with_env_attr("level", AttrValue::Double(1.0));
+        assert_eq!(int.to_canonical_bytes(), double.to_canonical_bytes());
+        let requests =
+            [&plain, &at_night, &plain, &int, &double, &at_night].map(RequestContext::clone);
+        let outcomes = cluster.decide_batch(&requests, 0, DecisionClass::default());
+        assert_eq!(outcomes.len(), 6);
+        let m = cluster.metrics();
+        // Four distinct requests, two repeats.
+        assert_eq!(m.queries, 4);
+        assert_eq!(m.coalesced, 2);
+    }
+
+    #[test]
+    fn coalescing_resets_between_flushes() {
+        let cluster = permit_cluster(1, 1, QuorumMode::FirstHealthy);
+        let request = [RequestContext::basic("alice", "ehr/1", "read")];
+        cluster.decide_batch(&request, 0, DecisionClass::default());
+        cluster.decide_batch(&request, 1, DecisionClass::default());
+        let m = cluster.metrics();
+        // Separate batches re-evaluate (freshness over reuse).
+        assert_eq!(m.queries, 2);
+        assert_eq!(m.coalesced, 0);
+        assert_eq!(m.batches, 2);
     }
 
     /// Tentpole (ISSUE 8): with `adaptive_fanout` on, an agreeing

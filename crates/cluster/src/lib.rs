@@ -26,8 +26,8 @@
 //!   ([`CancelToken`]) reaches below the job boundary, hedged requests
 //!   ([`HedgeConfig`]) cut tail latency, and [`SchedulerConfig`] turns
 //!   on adaptive quorum-width fan-out.
-//! * [`batch`] — a [`BatchSubmitter`] that coalesces outstanding
-//!   queries per shard to amortize evaluation.
+//! * [`PdpCluster::decide_batch`] decides a slice of requests shard by
+//!   shard, evaluating equal requests once.
 //! * [`metrics`] — [`ClusterMetrics`]: availability, degraded-mode,
 //!   disagreement and hedge accounting.
 //!
@@ -63,7 +63,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod batch;
 pub mod fanout;
 pub mod metrics;
 pub mod quorum;
@@ -72,7 +71,6 @@ pub mod shard;
 
 mod cluster;
 
-pub use batch::{BatchSubmitter, Ticket};
 pub use cluster::{ClusterBuilder, ClusterOutcome, PdpCluster};
 pub use fanout::{CancelToken, HedgeConfig, SchedulerConfig};
 pub use metrics::ClusterMetrics;

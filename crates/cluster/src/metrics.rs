@@ -72,12 +72,12 @@ pub struct ClusterMetrics {
     /// value here with zero `disagreements` is the signature of a
     /// divergent replica hiding behind the settle point.
     pub audit_disagreements: u64,
-    /// Batches flushed by a [`crate::BatchSubmitter`].
+    /// Batches decided by [`crate::PdpCluster::decide_batch`].
     pub batches: u64,
     /// Queries submitted through batches.
     pub batched_queries: u64,
-    /// Batched queries answered by coalescing onto an identical
-    /// outstanding query (evaluation saved).
+    /// Batched queries answered by coalescing onto an equal request of
+    /// the same batch (evaluation saved).
     pub coalesced: u64,
     /// Replica sub-queries the adaptive fan-out avoided issuing: for
     /// each fanning-out query under

@@ -1418,8 +1418,8 @@ use crate::scenario::alternating_lockdown_gate as e17_gate;
 /// Builds the E17 testbed: a 3-domain VO where every domain backs its
 /// PEP with a 3-replica majority shard (replica PAPs = leaves of the
 /// domain's syndication tree), all replicas sharing one VO-wide
-/// [`PdpDirectory`], with PEP enforcement routed through the per-shard
-/// batcher.
+/// [`PdpDirectory`], with PEP enforcement routed through the domain's
+/// quorum.
 fn e17_vo(
     resync: bool,
     ctx: &CryptoCtx,
@@ -1441,11 +1441,6 @@ fn e17_vo(
                     .resync(resync),
             )
             .cluster_topology(1, 3)
-            // A real PEP-side batch window: sequential flows pay the
-            // window and flush solo, but concurrent enforcements (the
-            // coalescing burst below, or any multi-client PEP) meet
-            // inside it and flush as one batch.
-            .batch_window_us(300)
             .pdp_cache(CacheConfig {
                 capacity: 512,
                 ttl_ms: 1_000,
@@ -1488,15 +1483,10 @@ enum FedEvent {
 /// Each of the 3 domains runs a 3-replica majority shard whose replica
 /// PAPs are syndication leaves of that domain's authority; all nine
 /// replicas share one VO-wide directory, and every enforcement rides
-/// the per-shard batcher. Per round, each domain's replicas 1 and 2
+/// the domain's quorum. Per round, each domain's replicas 1 and 2
 /// crash over a policy update (staggered across domains, so updates
 /// are concurrent VO-wide) and recover stale; replica 0 anchors the
-/// fresh view. Enforcement rides a 300 µs PEP-side batch window: the
-/// sequential flows flush solo (paying the window in the enforce-p99
-/// column), and a closing burst of concurrent enforcements per domain
-/// coalesces into real multi-request batches (the peak-batch column,
-/// above 1 only because the window actually merges concurrent
-/// arrivals). One round also injects a full-shard blackout per domain
+/// fresh view. One round also injects a full-shard blackout per domain
 /// — a window of honest unavailability, answered fail-safe. Every pull
 /// flow (≈40% cross-domain, riding the federated attribute fetch) is
 /// compared against the domain's root-PAP reference PDP: with re-sync
@@ -1508,7 +1498,7 @@ enum FedEvent {
 /// far stragglers ran behind.
 pub fn e17_federated_cluster(requests: usize) -> Table {
     let mut table = Table::new(
-        "E17 — federated clusters: 3-domain VO, per-domain 3-replica majority shards, crash churn + concurrent policy updates (batched PEPs, shared directory)",
+        "E17 — federated clusters: 3-domain VO, per-domain 3-replica majority shards, crash churn + concurrent policy updates (shared directory)",
         &[
             "domain/resync",
             "availability %",
@@ -1518,10 +1508,8 @@ pub fn e17_federated_cluster(requests: usize) -> Table {
             "false denies",
             "resyncs",
             "epoch lag max",
-            "batches",
             "enforce p99 (µs)",
             "replica p99 (µs)",
-            "peak batch",
         ],
     );
     assert!(requests >= 64, "e17 needs a few churn rounds");
@@ -1633,33 +1621,6 @@ pub fn e17_federated_cluster(requests: usize) -> Table {
             }
         }
 
-        // Coalescing burst: the flow loop above is sequential, so every
-        // one of its windows flushed solo. Here three rounds of eight
-        // concurrent enforcements per domain meet inside the 300 µs
-        // batch window and flush as real batches — the batches-of-one
-        // fix made visible in the peak-batch column.
-        for domain in vo.domains.iter() {
-            for round in 0..3u64 {
-                let barrier = std::sync::Barrier::new(8);
-                std::thread::scope(|scope| {
-                    for w in 0..8u64 {
-                        let (domain, barrier) = (&domain, &barrier);
-                        scope.spawn(move || {
-                            let request = RequestContext::basic(
-                                format!("user-{w}@{}", domain.name),
-                                format!("records/{}", w % 4),
-                                "read",
-                            );
-                            barrier.wait();
-                            domain.pep.serve(
-                                EnforceRequest::of(&request, requests as u64 + round).interactive(),
-                            );
-                        });
-                    }
-                });
-            }
-        }
-
         for (d, domain) in vo.domains.iter().enumerate() {
             let m = domain
                 .cluster
@@ -1675,7 +1636,6 @@ pub fn e17_federated_cluster(requests: usize) -> Table {
                 false_denies[d].to_string(),
                 m.resyncs.to_string(),
                 m.epoch_lag_max.to_string(),
-                m.batches.to_string(),
                 telemetries[d]
                     .registry()
                     .histogram("dacs_pep_enforce_us")
@@ -1685,11 +1645,6 @@ pub fn e17_federated_cluster(requests: usize) -> Table {
                     .registry()
                     .histogram("dacs_replica_decide_us")
                     .percentile(0.99)
-                    .to_string(),
-                telemetries[d]
-                    .registry()
-                    .histogram("dacs_batch_size")
-                    .percentile(1.0)
                     .to_string(),
             ]);
         }
@@ -2854,18 +2809,10 @@ mod tests {
             assert!(lag >= 1, "{}: epoch lag never observed", row[0]);
         }
         // Availability stays high for every domain in both modes (the
-        // round-3 blackout is the only gap), and enforcement rode the
-        // per-shard batcher throughout.
+        // round-3 blackout is the only gap).
         for row in off.iter().chain(on.iter()) {
             let a = avail(row);
             assert!(a > 95.0, "{}: availability {a}", row[0]);
-            let batches: u64 = row[8].parse().unwrap();
-            assert!(batches > 0, "{}: never rode the batcher", row[0]);
-            // The coalescing burst must have merged concurrent
-            // enforcements inside the batch window — no more
-            // batches-of-one-only flushes.
-            let peak: u64 = row[11].parse().unwrap();
-            assert!(peak > 1, "{}: peak batch {peak} never coalesced", row[0]);
         }
         assert!(
             off.iter().chain(on.iter()).any(|r| avail(r) < 100.0),

@@ -13,9 +13,7 @@
 //! catch-up replay ([`Domain::catch_up_replica`]) completes.
 
 use dacs_capability::{CapabilityAuthority, CapabilityKey};
-use dacs_cluster::{
-    BatchSubmitter, ClusterBuilder, ClusterOutcome, DecisionBackend, PdpCluster, ReplicaPhase,
-};
+use dacs_cluster::{ClusterBuilder, ClusterOutcome, DecisionBackend, PdpCluster, ReplicaPhase};
 use dacs_crypto::sign::{CryptoCtx, SigningKey};
 use dacs_pap::{Pap, PolicyEpoch, SyndicationTree};
 use dacs_pdp::{CacheConfig, DecisionClass, Pdp, PdpMetrics};
@@ -34,35 +32,20 @@ use std::sync::Arc;
 /// Routes a PEP's decision queries through a domain's [`PdpCluster`] —
 /// quorum fan-out, directory-driven failover and per-shard batching —
 /// instead of a single engine. Single decisions go straight to the
-/// cluster, or through the group-commit window when one is set;
-/// multi-query [`DecisionSource::decide_batch`] rounds always flush as
-/// one [`BatchSubmitter`] batch.
+/// cluster; multi-query [`DecisionSource::decide_batch`] rounds are one
+/// [`PdpCluster::decide_batch`] call.
 ///
 /// An unavailable shard (no eligible replica) maps to an
 /// `Indeterminate` response, which the PEP denies fail-safe: a domain
 /// whose cluster cannot answer never silently grants.
 pub struct ClusteredDecisionSource {
     cluster: Arc<PdpCluster>,
-    window: Option<crate::window::BatchWindow>,
 }
 
 impl ClusteredDecisionSource {
     /// Wraps a cluster as a PEP decision source.
     pub fn new(cluster: Arc<PdpCluster>) -> Self {
-        ClusteredDecisionSource {
-            cluster,
-            window: None,
-        }
-    }
-
-    /// Holds single-decision queries in a group-commit
-    /// [`crate::window::BatchWindow`] for `window_us` microseconds
-    /// (builder style), so concurrent enforcements from independent
-    /// callers coalesce into one real [`BatchSubmitter`] flush instead
-    /// of degenerating to batches of one. `0` disables the window.
-    pub fn with_batch_window_us(mut self, window_us: u64) -> Self {
-        self.window = (window_us > 0).then(|| crate::window::BatchWindow::new(window_us));
-        self
+        ClusteredDecisionSource { cluster }
     }
 
     /// The cluster behind this source.
@@ -70,8 +53,8 @@ impl ClusteredDecisionSource {
         &self.cluster
     }
 
-    /// The source-hop span; entered by the caller so the cluster's (or
-    /// the batcher's) route/fan-out spans nest under it.
+    /// The source-hop span; entered by the caller so the cluster's
+    /// route/fan-out spans nest under it.
     fn span(&self) -> Option<dacs_telemetry::Span> {
         self.cluster
             .telemetry()
@@ -101,11 +84,7 @@ impl DecisionSource for ClusteredDecisionSource {
     ) -> Response {
         let span = self.span();
         let _entered = span.as_ref().map(|s| s.enter());
-        let outcome = match &self.window {
-            Some(window) => window.decide(&self.cluster, request, now_ms, class),
-            None => self.cluster.decide_classed(request, now_ms, class),
-        };
-        Self::to_response(outcome)
+        Self::to_response(self.cluster.decide_classed(request, now_ms, class))
     }
 
     fn decide_batch(&self, requests: &[RequestContext], now_ms: u64) -> Vec<Response> {
@@ -120,12 +99,8 @@ impl DecisionSource for ClusteredDecisionSource {
     ) -> Vec<Response> {
         let span = self.span();
         let _entered = span.as_ref().map(|s| s.enter());
-        let mut batch = BatchSubmitter::new(&self.cluster);
-        for request in requests {
-            batch.submit_classed(request.clone(), class);
-        }
-        batch
-            .flush(now_ms)
+        self.cluster
+            .decide_batch(requests, now_ms, class)
             .into_iter()
             .map(Self::to_response)
             .collect()
@@ -196,7 +171,6 @@ impl Domain {
             cluster: None,
             shards: 1,
             replicas_per_shard: 3,
-            batch_window_us: None,
             telemetry: None,
             capability_ttl_ms: None,
         }
@@ -430,7 +404,6 @@ pub struct DomainBuilder {
     cluster: Option<ClusterBuilder>,
     shards: usize,
     replicas_per_shard: usize,
-    batch_window_us: Option<u64>,
     telemetry: Option<Arc<dacs_telemetry::Telemetry>>,
     capability_ttl_ms: Option<u64>,
 }
@@ -512,18 +485,6 @@ impl DomainBuilder {
     pub fn cluster_topology(mut self, shards: usize, replicas_per_shard: usize) -> Self {
         self.shards = shards;
         self.replicas_per_shard = replicas_per_shard;
-        self
-    }
-
-    /// Holds each single-decision enforcement in a group-commit
-    /// [`crate::window::BatchWindow`] for `window_us` microseconds, so
-    /// concurrent enforcements from independent callers flush as one
-    /// real [`BatchSubmitter`] batch (identical requests coalesce,
-    /// per-shard slices stay back-to-back). Without a window single
-    /// enforcements go straight to the cluster; `0` disables the window
-    /// again. Ignored without [`DomainBuilder::clustered`].
-    pub fn batch_window_us(mut self, window_us: u64) -> Self {
-        self.batch_window_us = Some(window_us);
         self
     }
 
@@ -663,10 +624,7 @@ impl DomainBuilder {
                         pips,
                     ));
                     expose_pdp(registry, &pdp);
-                    let source = Arc::new(
-                        ClusteredDecisionSource::new(cluster.clone())
-                            .with_batch_window_us(self.batch_window_us.unwrap_or(0)),
-                    );
+                    let source = Arc::new(ClusteredDecisionSource::new(cluster.clone()));
                     (
                         pap,
                         pdp,
@@ -732,20 +690,16 @@ impl DomainBuilder {
 }
 
 /// A replica that permits everything except the subjects in `trips`,
-/// on which it panics — a backend bug, for the fail-safe tests here
-/// and in [`crate::window`].
+/// on which it panics — a backend bug, for the fail-safe tests.
 #[cfg(test)]
-pub(crate) struct Tripwire {
+struct Tripwire {
     name: &'static str,
     trips: &'static [&'static str],
 }
 
 #[cfg(test)]
 impl Tripwire {
-    pub(crate) fn replica(
-        name: &'static str,
-        trips: &'static [&'static str],
-    ) -> Arc<dyn DecisionBackend> {
+    fn replica(name: &'static str, trips: &'static [&'static str]) -> Arc<dyn DecisionBackend> {
         Arc::new(Tripwire { name, trips })
     }
 }
@@ -765,7 +719,7 @@ impl DecisionBackend for Tripwire {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dacs_pep::EnforceRequest;
+    use dacs_pep::{EnforceOptions, EnforceRequest};
     use dacs_policy::policy::Decision;
     use dacs_policy::request::RequestContext;
 
@@ -864,7 +818,7 @@ policy "gate" deny-unless-permit {
         let m = cluster.metrics();
         assert_eq!(m.queries, 1, "enforcement rode the cluster");
         assert_eq!(m.replica_queries, 3, "majority fans out to every replica");
-        assert_eq!(m.batches, 0, "a single decision skips the batcher");
+        assert_eq!(m.batches, 0, "a single decision is no batch");
 
         // One replica down: the quorum degrades but still answers; all
         // down: fail-safe deny, never a silent grant.
@@ -889,52 +843,6 @@ policy "gate" deny-unless-permit {
                 .registry()
                 .counter_value("dacs_pep_failsafe_denials_total"),
             Some(stats.failsafe_denials)
-        );
-    }
-
-    /// The batches-of-one fix: with a group-commit window, concurrent
-    /// single enforcements from independent threads flush together as
-    /// one real batch, with identical requests coalescing.
-    #[test]
-    fn batch_window_coalesces_concurrent_enforcements() {
-        let ctx = CryptoCtx::new();
-        let domain = Arc::new(
-            Domain::builder("ward")
-                .policy_dsl(DOCTOR_GATE)
-                .subject_attr("dr-grey@ward", "role", "doctor")
-                .clustered(ClusterBuilder::new("ward").quorum(dacs_cluster::QuorumMode::Majority))
-                .batch_window_us(20_000)
-                .build(&ctx),
-        );
-        let n = 8usize;
-        let barrier = Arc::new(std::sync::Barrier::new(n));
-        let handles: Vec<_> = (0..n)
-            .map(|i| {
-                let domain = Arc::clone(&domain);
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    // Four distinct resources across eight threads, so a
-                    // grouped flush must coalesce the repeats.
-                    let req =
-                        RequestContext::basic("dr-grey@ward", format!("ehr/{}", i % 4), "read");
-                    barrier.wait();
-                    domain.pep.serve(EnforceRequest::of(&req, 0)).allowed
-                })
-            })
-            .collect();
-        for h in handles {
-            assert!(h.join().unwrap());
-        }
-        let m = domain.cluster.as_ref().unwrap().metrics();
-        assert_eq!(m.batched_queries as usize, n, "every enforcement batched");
-        assert!(
-            (m.batches as usize) < n,
-            "a 20ms window must group concurrent enforcements, saw {} batches",
-            m.batches
-        );
-        assert!(
-            m.queries < n as u64,
-            "duplicate requests in a grouped flush coalesce"
         );
     }
 
@@ -1132,11 +1040,11 @@ policy "block-secret" deny-overrides {
     /// A backend that panics is a lost vote wherever it was evaluated,
     /// judged where it matters — at the PEP: two surviving votes still
     /// permit; three lost votes are an unavailable shard, which the PEP
-    /// denies fail-safe and counts once; and whoever caught the panics
-    /// serves the next request — the enforcing thread of a cluster
-    /// built without a scheduler, the two workers of one built with
-    /// (five panics between them), and its deciding thread too, once
-    /// the collector evaluates there.
+    /// denies fail-safe and counts once, alone or inside a batch; and
+    /// whoever caught the panics serves the next request — the
+    /// enforcing thread of a cluster built without a scheduler, the two
+    /// workers of one built with, and its deciding thread too, once the
+    /// collector evaluates there.
     #[test]
     fn panicking_pool_replicas_cost_votes_and_the_pep_fails_safe() {
         use dacs_cluster::{QuorumMode, SchedulerConfig};
@@ -1182,6 +1090,22 @@ policy "block-secret" deny-overrides {
         assert_eq!(cluster.metrics().unavailable, 1);
         assert_eq!(pep.stats().allowed, 2);
 
+        // In one batch the panicking request's answer stays its own:
+        // its neighbours are served, the repeat among them coalesced.
+        let batch = ["trips-all", "alice", "trips-one", "alice"]
+            .map(|subject| RequestContext::basic(subject, "ehr/1", "read"));
+        let results = pep.serve_batch(&batch, 3, EnforceOptions::default());
+        let verdicts: Vec<_> = results.iter().map(|r| (r.allowed, r.decision)).collect();
+        let allow = (true, Decision::Permit);
+        assert_eq!(
+            verdicts,
+            [(false, Decision::Indeterminate), allow, allow, allow]
+        );
+        assert_eq!(pep.stats().failsafe_denials, 2);
+        assert_eq!(pep.stats().denied, 0);
+        assert_eq!(cluster.metrics().coalesced, 1);
+        assert_eq!(cluster.metrics().unavailable, 2);
+
         // The same on the caller, pool or no pool: replicas that have
         // been answering faster than a pool hand-off costs are evaluated
         // by the deciding thread, which catches their panics itself.
@@ -1190,10 +1114,77 @@ policy "block-secret" deny-overrides {
             (0..64).for_each(|_| record.record_latency_ns(1));
         }
         let on_caller = cluster.metrics().caller_evaluations;
-        assert!(!serve("trips-all", 3).allowed);
+        assert!(!serve("trips-all", 4).allowed);
         assert_eq!(cluster.metrics().caller_evaluations - on_caller, 3);
-        assert_eq!(pep.stats().failsafe_denials, 2);
-        assert_eq!(cluster.metrics().unavailable, 2);
-        assert!(serve("alice", 4).allowed, "the caller survived");
+        assert_eq!(pep.stats().failsafe_denials, 3);
+        assert_eq!(cluster.metrics().unavailable, 3);
+        assert!(serve("alice", 5).allowed, "the caller survived");
+    }
+
+    /// A `decide` that panics inside a batch withdraws its own vote
+    /// only: that request is denied fail-safe, the rest of the batch is
+    /// served. A panic that does unwind out of a batch — here from a
+    /// replica's epoch read, which no vote guards — reaches that batch's
+    /// caller alone, and the next batch is served in full.
+    #[test]
+    fn a_panic_inside_a_batch_reaches_only_its_own_request_or_caller() {
+        use dacs_cluster::QuorumMode;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        /// A replica whose epoch read panics once after it is armed.
+        struct EpochBomb(AtomicBool);
+        impl DecisionBackend for EpochBomb {
+            fn name(&self) -> &str {
+                "bomb"
+            }
+            fn decide(&self, _request: &RequestContext, _now_ms: u64) -> Response {
+                Response::decision(Decision::Permit)
+            }
+            fn policy_epoch(&self) -> PolicyEpoch {
+                assert!(!self.0.swap(false, Ordering::SeqCst), "backend bug");
+                PolicyEpoch::ZERO
+            }
+        }
+        let bomb = Arc::new(EpochBomb(AtomicBool::new(false)));
+        let cluster = Arc::new(
+            ClusterBuilder::new("batch-panic")
+                .quorum(QuorumMode::FirstHealthy)
+                .shard(vec![Tripwire::replica("tripwire", &["boom"]), bomb.clone()])
+                .build(),
+        );
+        // Gated: the tripwire is the only voter, and every roster reads
+        // the bomb's epoch to report its lag.
+        let gated = cluster.directory().register("bomb", "batch-panic");
+        gated.set_phase(ReplicaPhase::Syncing);
+        let source = ClusteredDecisionSource::new(cluster);
+        let pep = Pep::builder("pep.batch").source(Arc::new(source)).build();
+        let batch = |first: &str| -> Vec<RequestContext> {
+            std::iter::once(first.to_string())
+                .chain((1..6).map(|i| format!("user-{i}")))
+                .map(|subject| RequestContext::basic(subject, "ehr/1", "read"))
+                .collect()
+        };
+
+        let results = pep.serve_batch(&batch("boom"), 0, EnforceOptions::default());
+        let verdicts: Vec<_> = results.iter().map(|r| (r.allowed, r.decision)).collect();
+        let mut expected = vec![(true, Decision::Permit); 6];
+        expected[0] = (false, Decision::Indeterminate);
+        assert_eq!(verdicts, expected);
+        assert_eq!(pep.stats().failsafe_denials, 1);
+        assert_eq!(pep.stats().denied, 0);
+
+        bomb.0.store(true, Ordering::SeqCst);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pep.serve_batch(&batch("user-0"), 1, EnforceOptions::default())
+        }));
+        assert!(
+            unwound.is_err(),
+            "the armed epoch read unwinds to the caller"
+        );
+
+        // Not wedged or poisoned: the next batch is served in full.
+        let results = pep.serve_batch(&batch("user-0"), 2, EnforceOptions::default());
+        assert!(results.iter().all(|r| r.allowed), "{results:?}");
+        assert_eq!(pep.stats().failsafe_denials, 1);
+        assert_eq!(pep.stats().denied, 0);
     }
 }

@@ -18,8 +18,8 @@
 //! * [`flows`] — agent / pull / push flows with message, byte and
 //!   latency traces. The flows enforce through each domain's PEP, so
 //!   clustered domains transparently route every decision through
-//!   quorum fan-out (and, with `DomainBuilder::batched`, through the
-//!   per-shard batcher).
+//!   quorum fan-out (and every `Pep::serve_batch` through one
+//!   per-shard `PdpCluster::decide_batch`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,7 +28,6 @@ pub mod domain;
 pub mod flows;
 pub mod proto;
 pub mod vo;
-pub mod window;
 
 pub use domain::{home_domain, ClusteredDecisionSource, Domain, DomainBuilder};
 pub use flows::{
@@ -36,4 +35,3 @@ pub use flows::{
 };
 pub use proto::{Msg, SizeModel};
 pub use vo::{CapabilityService, ConflictClass, Vo};
-pub use window::BatchWindow;

@@ -2,7 +2,7 @@
 //! of a healthcare VO backs its PEP with a 3-replica majority shard
 //! (replica PAPs are leaves of the domain's own syndication tree), all
 //! replicas share one VO-wide directory, and enforcement rides the
-//! per-shard batcher. Crash a replica, push a lockdown while it
+//! domain's quorum. Crash a replica, push a lockdown while it
 //! sleeps, and watch the epoch-gated `Syncing` lifecycle keep its
 //! stale vote out of the quorum until catch-up.
 //!
@@ -13,7 +13,7 @@ use dacs::core::scenario::{alternating_lockdown_gate, clustered_healthcare_vo};
 use dacs::crypto::sign::CryptoCtx;
 use dacs::federation::{request_flow, Domain, FlowKind, FlowNet, SizeModel};
 use dacs::pdp::PdpDirectory;
-use dacs::pep::EnforceRequest;
+use dacs::pep::EnforceOptions;
 use dacs::policy::dsl::parse_policy;
 use dacs::policy::request::RequestContext;
 use dacs::simnet::LinkSpec;
@@ -110,51 +110,37 @@ fn main() {
     );
 
     // The flows above are sequential single decisions, which go
-    // straight to the quorum. A PEP-side batch window shows its worth
-    // under concurrency: eight clients enforcing at once meet inside
-    // the window and flush as one real batch through the quorum.
-    println!("\n=== PEP-side batch window: concurrent enforcements coalesce ===");
+    // straight to the quorum. A PEP holding several requests at once
+    // hands them to the cluster as one batch, which decides each
+    // distinct request once.
+    println!("\n=== one PEP batch: repeated requests coalesce ===");
     let telemetry = Arc::new(dacs::telemetry::Telemetry::new());
-    let mut builder = Domain::builder("batch-demo")
+    let demo = Domain::builder("batch-demo")
         .policy(alternating_lockdown_gate("batch-demo", 0))
         .clustered(ClusterBuilder::new("batch-demo").quorum(QuorumMode::Majority))
         .cluster_topology(1, 3)
-        .batch_window_us(5_000)
         .telemetry(telemetry.clone())
-        .seed(7);
-    for u in 0..8 {
-        builder = builder.subject_attr(&format!("user-{u}@batch-demo"), "role", "doctor");
-    }
-    let demo = builder.build(&ctx);
-    let barrier = std::sync::Barrier::new(8);
-    std::thread::scope(|scope| {
-        for w in 0..8u64 {
-            let (demo, barrier) = (&demo, &barrier);
-            scope.spawn(move || {
-                let request = RequestContext::basic(
-                    format!("user-{w}@batch-demo"),
-                    format!("records/{}", w % 4),
-                    "read",
-                );
-                barrier.wait();
-                let outcome = demo
-                    .pep
-                    .serve(EnforceRequest::of(&request, 100).interactive());
-                assert!(outcome.allowed, "doctors read records");
-            });
-        }
-    });
+        .subject_attr("user-0@batch-demo", "role", "doctor")
+        .seed(7)
+        .build(&ctx);
+    let batch: Vec<RequestContext> = (0..8)
+        .map(|w| RequestContext::basic("user-0@batch-demo", format!("records/{}", w % 4), "read"))
+        .collect();
+    let results = demo
+        .pep
+        .serve_batch(&batch, 100, EnforceOptions::interactive());
+    assert!(results.iter().all(|r| r.allowed), "doctors read records");
     let bm = demo.cluster.as_ref().unwrap().metrics();
-    let peak = telemetry
+    let largest = telemetry
         .registry()
         .histogram("dacs_batch_size")
         .percentile(1.0);
     println!(
-        "8 concurrent enforcements → {} flushes (largest batch {peak}, \
-         {} queries batched)",
-        bm.batches, bm.batched_queries
+        "8 requests over 4 records → {} decided, {} coalesced (largest batch {largest})",
+        bm.queries, bm.coalesced
     );
-    assert!(peak > 1, "the window must coalesce concurrent arrivals");
+    assert_eq!(bm.coalesced, 4, "each repeat rides its twin's decision");
+    assert_eq!(largest, 8, "the whole batch reached the cluster");
     println!(
         "\nThe VO flows never changed: the cluster sits behind each domain's\n\
          PEP, so pull/push/agent requests transparently ride quorum fan-out,\n\

@@ -11,7 +11,8 @@
 //! settle point needs plus a fixed handful, whatever the replicas'
 //! lifecycle phases — with or without a scheduler, when its replicas
 //! are cheap enough for the collector to evaluate on the caller:
-//! nothing is built for a pool the query never reaches. And one layer further up: an enforcement
+//! nothing is built for a pool the query never reaches — and a batch of
+//! repeats costs what one of them does. And one layer further up: an enforcement
 //! answered by the PEP's decision cache, or by an admitted capability
 //! token, allocates nothing at all — no copy of the stored request, no
 //! signing buffer, and no audit record: its header and ids are copied
@@ -220,15 +221,39 @@ fn pin_estimates(domain: &Domain) {
 }
 
 /// The `quorum_miss` shape: one shard, three replicas, majority, no
-/// scheduler, everybody healthy. Two agreeing votes settle a majority
-/// of three, so the decide costs two engine decides — the third replica
-/// is dispatched and never started — plus the fixed handful.
-#[test]
-fn quorum_decide_allocates_its_replicas_decides_plus_a_fixed_handful() {
-    let domain = aux_policies_builder(16)
+/// scheduler.
+fn quorum_miss_domain() -> Domain {
+    aux_policies_builder(16)
         .clustered(ClusterBuilder::new("q").quorum(QuorumMode::Majority))
         .cluster_topology(1, 3)
-        .build(&CryptoCtx::new());
+        .build(&CryptoCtx::new())
+}
+
+/// Sets the lifecycle phase of the domain's replica in `slot`.
+fn set_phase(domain: &Domain, slot: usize, phase: ReplicaPhase) {
+    let cluster = domain.cluster.as_ref().expect("clustered");
+    let replica = &domain.replica_names()[slot];
+    cluster.directory().register(replica, "q").set_phase(phase);
+}
+
+/// A replica's first decide builds its policy snapshot: gates each
+/// pair of the three in turn, so that `decide` asks every replica
+/// alone once, then readmits them all.
+fn ask_each_replica_alone(domain: &Domain, mut decide: impl FnMut()) {
+    for asked in 0..3 {
+        (0..3).for_each(|slot| set_phase(domain, slot, ReplicaPhase::Syncing));
+        set_phase(domain, asked, ReplicaPhase::Healthy);
+        decide();
+    }
+    (0..3).for_each(|slot| set_phase(domain, slot, ReplicaPhase::Healthy));
+}
+
+/// Everybody healthy: two agreeing votes settle a majority of three, so
+/// the decide costs two engine decides — the third replica is
+/// dispatched and never started — plus the fixed handful.
+#[test]
+fn quorum_decide_allocates_its_replicas_decides_plus_a_fixed_handful() {
+    let domain = quorum_miss_domain();
     let cluster = domain.cluster.as_ref().expect("clustered");
     let doctor = RequestContext::basic("user-1@q", "records/7", "read");
     // Allocations of one decide that dispatches `voters` replicas and
@@ -242,19 +267,9 @@ fn quorum_decide_allocates_its_replicas_decides_plus_a_fixed_handful() {
         assert_eq!(cluster.metrics().caller_evaluations - asked, decides);
         count
     };
-    // A replica's first decide builds its policy snapshot: gate each
-    // pair in turn, so that every replica has been asked.
-    let replicas = domain.replica_names();
-    let phase = |slot: usize, phase| {
-        let record = cluster.directory().register(&replicas[slot], "q");
-        record.set_phase(phase);
-    };
-    for asked in 0..3 {
-        (0..3).for_each(|slot| phase(slot, ReplicaPhase::Syncing));
-        phase(asked, ReplicaPhase::Healthy);
+    ask_each_replica_alone(&domain, || {
         quorum_decide(0, 1, 1);
-    }
-    (0..3).for_each(|slot| phase(slot, ReplicaPhase::Healthy));
+    });
     let healthy = quorum_decide(1, 3, 2);
     assert!(
         healthy <= 2 * DECIDE_BUDGET + COLLECTOR_BUDGET,
@@ -263,15 +278,62 @@ fn quorum_decide_allocates_its_replicas_decides_plus_a_fixed_handful() {
     // A `Syncing` replica is skipped on one atomic load and adds
     // nothing. One gated: a majority of the two left is both, still two
     // decides. Two gated: the one left decides alone.
-    phase(2, ReplicaPhase::Syncing);
+    set_phase(&domain, 2, ReplicaPhase::Syncing);
     let one_gated = quorum_decide(2, 2, 2);
-    phase(1, ReplicaPhase::Syncing);
+    set_phase(&domain, 1, ReplicaPhase::Syncing);
     let two_gated = quorum_decide(3, 1, 1);
     assert_eq!(one_gated, healthy, "excluding a replica changed the cost");
     assert!(
         two_gated < one_gated && one_gated - two_gated <= DECIDE_BUDGET,
         "one decide fewer changed the fixed cost: {healthy}, {one_gated}, {two_gated}"
     );
+}
+
+/// What `PdpCluster::decide_batch` and the decision source around it
+/// may allocate besides the decides, whatever the batch's length — and
+/// nothing per request: the requests are borrowed, not cloned. Today
+/// it makes 4: the routing order, the outcome slots (which the
+/// outcomes reuse), the coalescing map and the responses.
+const BATCH_BUDGET: u64 = 5;
+
+/// Sixteen copies of one request, handed to the decision source as one
+/// batch, cost what the request alone costs: the copies coalesce onto
+/// its decision.
+#[test]
+fn a_batch_of_repeats_allocates_what_a_batch_of_one_does() {
+    let domain = quorum_miss_domain();
+    let cluster = domain.cluster.as_ref().expect("clustered");
+    let source = domain.decision_source();
+    let doctor = RequestContext::basic("user-1@q", "records/7", "read");
+    // Allocations of one batch of `n` copies that dispatches `voters`
+    // replicas.
+    let batch_of = |n: usize, now_ms, voters| {
+        let requests = vec![doctor.clone(); n];
+        pin_estimates(&domain);
+        let before = cluster.metrics();
+        let (count, responses) = allocations_in(|| {
+            source.decide_batch_classed(&requests, now_ms, DecisionClass::default())
+        });
+        assert!(responses.iter().all(|r| r.decision == Decision::Permit));
+        assert_eq!(responses.len(), n);
+        let after = cluster.metrics();
+        assert_eq!(after.queries - before.queries, 1);
+        assert_eq!(after.replica_queries - before.replica_queries, voters);
+        assert_eq!(after.coalesced - before.coalesced, n as u64 - 1);
+        assert_eq!(
+            after.caller_evaluations - before.caller_evaluations,
+            voters.min(2)
+        );
+        count
+    };
+    ask_each_replica_alone(&domain, || {
+        batch_of(1, 0, 1);
+    });
+    let one = batch_of(1, 1, 3);
+    let sixteen = batch_of(16, 2, 3);
+    assert_eq!(sixteen, one, "sixteen copies cost more than one");
+    let budget = 2 * DECIDE_BUDGET + COLLECTOR_BUDGET + BATCH_BUDGET;
+    assert!(one <= budget, "a batch of one made {one} allocations");
 }
 
 /// The `planned_quorum` shape: one shard, five replicas, adaptive

@@ -105,7 +105,7 @@ fn pull_agent_and_push_flows_ride_clustered_domains() {
     let cluster = vo.domains[0].cluster.as_ref().expect("clustered");
     let m = cluster.metrics();
     assert_eq!(m.queries, 3, "pull + agent + push overlay");
-    assert_eq!(m.batches, 0, "single decisions skip the batcher");
+    assert_eq!(m.batches, 0, "single decisions are no batch");
     assert_eq!(m.unavailable, 0);
     assert_eq!(vo.domains[0].pep.audit_log().len(), 3);
 
@@ -390,7 +390,7 @@ fn recovering_replica_syncs_before_rejoining_each_domains_quorum() {
 
 /// Regression pinning batch-aware PEP semantics: decisions and
 /// obligations via the batched path (`serve_batch`, one
-/// `BatchSubmitter` flush) are identical to unbatched enforcement
+/// `PdpCluster::decide_batch` call) are identical to unbatched enforcement
 /// (`serve`, straight to the quorum), and a deny inside a coalesced
 /// batch never leaks as a permit to a neighboring query.
 #[test]
@@ -421,7 +421,7 @@ fn batched_enforcement_matches_unbatched_and_denies_never_leak() {
     }
 
     // One coalesced batch mixing permits and denies, with duplicates:
-    // each ticket gets its own verdict — the duplicate deny coalesces
+    // each request gets its own verdict — the duplicate deny coalesces
     // onto one evaluation yet never surfaces as its neighbor's permit.
     let batch = vec![
         requests[0].clone(), // permit
@@ -449,6 +449,6 @@ fn batched_enforcement_matches_unbatched_and_denies_never_leak() {
         2,
         "both duplicates coalesced onto outstanding evaluations"
     );
-    // Batched enforcement audits every ticket.
+    // Batched enforcement audits every request.
     assert_eq!(batched.pep.audit_log().len(), requests.len() + batch.len());
 }
