@@ -87,16 +87,14 @@ impl ClusterBuilder {
         self
     }
 
-    /// Configures the decision scheduler — the single dispatch knob
-    /// bundle. The cluster builds its own worker pool of
-    /// `config.workers` threads (instrumented with the builder's
-    /// telemetry, when any), enables hedging when `config.hedge` is
-    /// set, and — under [`QuorumMode::Majority`] with
-    /// `config.adaptive_fanout` — dispatches only quorum-width replicas
-    /// per query, escalating to EWMA-ranked backups on budget overrun
-    /// or a contested vote. Without a scheduler the same collector runs
-    /// with no pool: full width, unhedged, every replica it asks
-    /// evaluated on the caller's thread.
+    /// Configures the decision scheduler. The cluster builds its own
+    /// worker pool of `config.workers` threads (instrumented with the
+    /// builder's telemetry, when any) and — under
+    /// [`QuorumMode::Majority`] with `config.adaptive_fanout` —
+    /// dispatches only quorum-width replicas per query, escalating to
+    /// EWMA-ranked backups on a contested or lost vote. Without a
+    /// scheduler the same collector runs with no pool: full width,
+    /// every replica it asks evaluated on the caller's thread.
     pub fn scheduler(mut self, config: SchedulerConfig) -> Self {
         self.scheduler = Some(config);
         self
@@ -438,11 +436,10 @@ impl PdpCluster {
         // The clock is read only when telemetry will record the interval.
         let start = self.telemetry.as_ref().map(|_| Instant::now());
         let group = &self.groups[shard];
-        // Built without a scheduler: no pool, no hedge, full width.
+        // Built without a scheduler: no pool, full width.
         let scheduler = self.scheduler.as_ref();
         let plan = FanoutPlan {
             pool: scheduler.map(|(pool, _)| pool),
-            hedge: scheduler.and_then(|(_, config)| config.hedge.as_ref()),
             adaptive: scheduler.is_some_and(|(_, config)| config.adaptive_fanout),
             class,
             every_vote: false,
@@ -490,8 +487,6 @@ impl PdpCluster {
             add_rare(&m.fanout_saved, saved as u64);
         }
         add_rare(&m.caller_evaluations, outcome.caller_evaluations as u64);
-        add_rare(&m.hedges, outcome.hedges as u64);
-        add_rare(&m.hedge_wins, outcome.hedge_won as u64);
         add_rare(&m.stale_decisions_avoided, outcome.stale_excluded as u64);
         m.epoch_lag_last
             .store(outcome.max_epoch_lag, Ordering::Relaxed);
@@ -621,18 +616,13 @@ mod tests {
     }
 
     /// What a cluster is built with, by the shape of plan it gives: no
-    /// scheduler, pooled, adaptive, hedged (a budget no run overruns).
-    fn schedulers() -> [(&'static str, Option<SchedulerConfig>); 4] {
+    /// scheduler, pooled, adaptive.
+    fn schedulers() -> [(&'static str, Option<SchedulerConfig>); 3] {
         let pooled = || SchedulerConfig::new(4);
-        let patient = crate::HedgeConfig {
-            min_budget_us: 60_000_000,
-            ..Default::default()
-        };
         [
             ("no pool", None),
             ("pooled", Some(pooled())),
             ("adaptive", Some(pooled().with_adaptive_fanout(true))),
-            ("hedged", Some(pooled().with_hedge(patient))),
         ]
     }
 
@@ -663,7 +653,6 @@ mod tests {
             assert_eq!(m.replica_queries, 20 * width, "{shape}");
             assert_eq!(m.fanout_saved, 20 * (3 - width), "{shape}");
             assert_eq!(m.unavailable, 0, "{shape}");
-            assert_eq!(m.hedges, 0, "{shape}: quorum fan-out never hedges");
         }
     }
 
@@ -823,107 +812,71 @@ mod tests {
         assert_eq!(m.replica_queries, 30);
         assert_eq!(m.fanout_saved, 20, "two spare replicas saved per query");
         assert!((m.amplification() - 3.0).abs() < 1e-9);
-        assert_eq!(m.hedges, 0, "agreement never escalates");
     }
 
-    /// Tentpole (ISSUE 8): verdict-driven cancellation reaches *below*
-    /// the job boundary, stated as an order of events. The straggler is
-    /// parked inside its evaluation before the two permits that form
-    /// the majority are let through; the decision returns while it is
-    /// still parked; it then sees the [`crate::CancelToken`] set and
-    /// abandons — nobody ever releases it — so its span closes as
-    /// `cancelled:` and dropping the cluster joins an idle worker
-    /// instead of one leaked inside the evaluation.
+    /// Estimates on either side of the pool hand-off constant (10 µs),
+    /// recorded through the directory: `(replica, ns)`.
+    fn estimate(cluster: &PdpCluster, estimates: &[(&str, u64)]) {
+        for &(replica, ns) in estimates {
+            let record = cluster.directory().register(replica, cluster.name());
+            record.record_latency_ns(ns);
+        }
+    }
+
+    /// A pooled straggler that answers after the verdict, as an order
+    /// of events: it is parked inside `decide` before the two cheap
+    /// permits that form the majority are let through, the decision
+    /// returns while it is still parked, and its answer, once released,
+    /// changes no outcome and no counter — a started evaluation runs to
+    /// its end and is discarded.
     #[test]
-    fn majority_short_circuit_abandons_slow_replica_mid_flight() {
+    fn a_straggler_answering_after_the_verdict_changes_no_outcome_or_counter() {
         use crate::replica::SlowBackend;
-        use dacs_telemetry::Telemetry;
-        let telemetry = Arc::new(Telemetry::new());
-        let fast = [
-            SlowBackend::parked("m-fast-0", Decision::Permit),
-            SlowBackend::parked("m-fast-1", Decision::Permit),
+        let cheap = [
+            SlowBackend::parked("m-cheap-0", Decision::Permit),
+            SlowBackend::parked("m-cheap-1", Decision::Permit),
         ];
         let slow = SlowBackend::parked("m-slow", Decision::Deny);
-        let cluster = ClusterBuilder::new("cancel-midflight")
+        let cluster = ClusterBuilder::new("late-straggler")
             .quorum(QuorumMode::Majority)
             .scheduler(SchedulerConfig::new(4))
-            .telemetry(Arc::clone(&telemetry))
             .shard(vec![
-                fast[0].clone() as Arc<dyn DecisionBackend>,
-                fast[1].clone() as Arc<dyn DecisionBackend>,
+                cheap[0].clone() as Arc<dyn DecisionBackend>,
+                cheap[1].clone() as Arc<dyn DecisionBackend>,
                 slow.clone() as Arc<dyn DecisionBackend>,
             ])
             .build();
+        estimate(
+            &cluster,
+            &[
+                ("m-cheap-0", 1_000),
+                ("m-cheap-1", 1_001),
+                ("m-slow", 1_000_000),
+            ],
+        );
         let req = RequestContext::basic("alice", "ehr/1", "read");
         let out = std::thread::scope(|scope| {
             scope.spawn(|| {
                 slow.wait_parked();
-                fast.iter().for_each(|f| f.release());
+                cheap.iter().for_each(|c| c.release());
             });
             cluster.decide(&req, 0)
         });
+        let settled = cluster.metrics();
         assert_eq!(out.response.unwrap().decision, Decision::Permit);
+        assert_eq!(out.replicas_queried, 3);
         assert_eq!(slow.answered(), 0, "majority waited for the straggler");
-        // Mid-flight, not at dequeue: it was parked before the verdict.
-        slow.wait_abandoned();
-        // Teardown joins the workers, so every span has closed after it.
-        drop(cluster);
-        let spans = telemetry.tracer().snapshot();
-        let replica_spans: Vec<_> = spans
-            .iter()
-            .filter(|s| s.stage == "replica_decide")
-            .collect();
-        assert_eq!(replica_spans.len(), 3, "spans: {spans:?}");
-        assert!(
-            replica_spans
-                .iter()
-                .any(|s| s.note.as_deref() == Some("cancelled:m-slow")),
-            "spans: {spans:?}"
-        );
-        assert_eq!(telemetry.tracer().dropped(), 0);
-    }
-
-    /// Regression (ISSUE 2): with a primary replica parked past the
-    /// hedge budget, the hedged path must return the fast replica's
-    /// decision and record exactly one hedge in [`ClusterMetrics`].
-    #[test]
-    fn hedged_decision_returns_fast_replica_and_records_one_hedge() {
-        use crate::replica::SlowBackend;
-        let sleepy = SlowBackend::parked("s0-sleepy", Decision::Deny);
-        let cluster = ClusterBuilder::new("hedge-test")
-            .quorum(QuorumMode::FirstHealthy)
-            .scheduler(SchedulerConfig::new(4).with_hedge(crate::HedgeConfig {
-                budget_multiplier: 3.0,
-                min_budget_us: 2_000,
-                max_hedges: 1,
-            }))
-            .shard(vec![
-                // The parked primary is first in configured order…
-                sleepy.clone() as Arc<dyn DecisionBackend>,
-                // …the fast replica answers Permit immediately.
-                Arc::new(StaticBackend::new("s0-fast", Decision::Permit))
-                    as Arc<dyn DecisionBackend>,
-            ])
-            .build();
-        let req = RequestContext::basic("alice", "ehr/1", "read");
-        let outcome = cluster.decide(&req, 0);
-        assert_eq!(
-            outcome.response.unwrap().decision,
-            Decision::Permit,
-            "the fast replica's decision must win"
-        );
-        assert_eq!(sleepy.answered(), 0, "hedged decide waited for the sleeper");
-        sleepy.release();
-        let m = cluster.metrics();
-        assert_eq!(m.queries, 1);
-        assert_eq!(m.hedges, 1, "exactly one hedge dispatched");
-        assert_eq!(m.hedge_wins, 1, "the hedge supplied the answer");
-        assert!((m.hedge_rate() - 1.0).abs() < 1e-9);
+        assert_eq!((settled.queries, settled.caller_evaluations), (1, 2));
+        assert_eq!((settled.disagreements, settled.fail_closed_denies), (0, 0));
+        slow.release();
+        slow.wait_answered();
+        assert_eq!(cluster.metrics(), settled, "the late deny was counted");
     }
 
     /// Satellite (ISSUE 6): a majority quorum settles on the two fast
-    /// Permits — cancelling the slow divergent replica on a pool, never
-    /// starting it without one — so `disagreements` stays a silent zero.
+    /// Permits — the slow divergent replica answers after the verdict
+    /// on a pool, and is never started without one — so
+    /// `disagreements` stays a silent zero.
     /// The periodic audit sampler replays with a plan that takes every
     /// vote and flags the divergence exactly: seen by the audit, and
     /// only by the audit, with or without a scheduler.
@@ -1308,137 +1261,66 @@ mod tests {
         assert_eq!(cluster.metrics().resyncs, 198);
     }
 
-    /// Satellite (ISSUE 6): the hedge accounting in [`ClusterMetrics`],
-    /// the telemetry counters, and the per-dispatch `replica_decide`
-    /// spans must all tell the same story on a scripted slow-primary
-    /// scenario — one hedge dispatched, the hedge's answer served, and
-    /// the straggling primary's span closed (on its worker thread)
-    /// rather than leaked.
-    #[test]
-    fn telemetry_hedge_accounting_matches_spans() {
-        use crate::replica::SlowBackend;
-        use dacs_telemetry::Telemetry;
-        let telemetry = Arc::new(Telemetry::new());
-        let cluster = ClusterBuilder::new("hedge-spans")
-            .quorum(QuorumMode::FirstHealthy)
-            .scheduler(SchedulerConfig::new(2).with_hedge(crate::HedgeConfig {
-                budget_multiplier: 3.0,
-                min_budget_us: 2_000,
-                max_hedges: 1,
-            }))
-            .telemetry(Arc::clone(&telemetry))
-            .shard(vec![
-                Arc::new(SlowBackend::new(
-                    "h-sleepy",
-                    Decision::Deny,
-                    std::time::Duration::from_millis(120),
-                )) as Arc<dyn DecisionBackend>,
-                Arc::new(StaticBackend::new("h-fast", Decision::Permit))
-                    as Arc<dyn DecisionBackend>,
-            ])
-            .build();
-        let req = RequestContext::basic("alice", "ehr/1", "read");
-        let out = cluster.decide(&req, 0);
-        assert_eq!(out.response.unwrap().decision, Decision::Permit);
-
-        let m = cluster.metrics();
-        assert_eq!(m.hedges, 1);
-        assert_eq!(m.hedge_wins, 1);
-        assert!((m.hedge_rate() - 1.0).abs() < 1e-9);
-        let registry = telemetry.registry();
-        assert_eq!(
-            registry.counter_value("dacs_cluster_hedges_total"),
-            Some(m.hedges)
-        );
-        assert_eq!(
-            registry.counter_value("dacs_cluster_hedge_wins_total"),
-            Some(m.hedge_wins)
-        );
-
-        // Both dispatches close a span: the hedge right away, and the
-        // sleeping primary as soon as it observes the verdict's cancel
-        // token mid-sleep and abandons — noted `cancelled:` because its
-        // vote was withdrawn, not answered. Teardown joins the
-        // workers, so both have closed after it.
-        drop(cluster);
-        let spans = telemetry.tracer().snapshot();
-        assert_eq!(
-            spans.iter().filter(|s| s.stage == "replica_decide").count(),
-            2,
-            "spans: {spans:?}"
-        );
-        let note = |role: &str| {
-            spans
-                .iter()
-                .find(|s| s.stage == "replica_decide" && s.note.as_deref() == Some(role))
-        };
-        assert!(note("cancelled:h-sleepy").is_some(), "spans: {spans:?}");
-        assert!(note("hedge:h-fast").is_some(), "spans: {spans:?}");
-        assert_eq!(telemetry.tracer().dropped(), 0);
-        assert!(
-            spans.iter().any(|s| s.stage == "quorum_wait"),
-            "hedged race records its quorum wait"
-        );
-        // Span accounting agrees with the metrics: dispatches = primary
-        // + hedges, hedge spans = hedges.
-        let hedge_spans = spans
-            .iter()
-            .filter(|s| {
-                s.stage == "replica_decide"
-                    && s.note.as_deref().is_some_and(|n| n.starts_with("hedge:"))
-            })
-            .count() as u64;
-        assert_eq!(hedge_spans, m.hedges);
-    }
-
-    /// Satellite (ISSUE 6): stragglers cancelled by the quorum
-    /// short-circuit must still close a `cancelled:` span — dispatched
-    /// work is never silently unaccounted in a trace. The deny arrives
-    /// first under `UnanimousFailClosed`, the single worker then drains
-    /// the queued victims; each 2ms sleeper gives the cancel flag time
-    /// to land, so at least the later victims observe it at dequeue.
+    /// A straggler cancelled by the quorum short-circuit still closes
+    /// a `cancelled:` span — dispatched work is never silently
+    /// unaccounted in a trace — and is never evaluated. On a one-worker
+    /// pool, the held replica is parked
+    /// inside `decide` before the cheap deny is let through, so the
+    /// queued replica is still behind it when unanimity settles on the
+    /// deny; once both are released, the worker finishes the held one
+    /// and skips the queued one at dequeue.
     #[test]
     fn cancelled_stragglers_close_spans_instead_of_leaking() {
         use crate::replica::SlowBackend;
         use dacs_telemetry::Telemetry;
         let telemetry = Arc::new(Telemetry::new());
-        let mut shard: Vec<Arc<dyn DecisionBackend>> =
-            vec![Arc::new(StaticBackend::new("c-deny", Decision::Deny))];
-        for i in 0..4 {
-            shard.push(Arc::new(SlowBackend::new(
-                format!("c-victim-{i}"),
-                Decision::Permit,
-                std::time::Duration::from_millis(2),
-            )));
-        }
+        let deny = SlowBackend::parked("c-deny", Decision::Deny);
+        let held = SlowBackend::parked("c-held", Decision::Permit);
+        let queued = SlowBackend::parked("c-queued", Decision::Permit);
         let cluster = ClusterBuilder::new("cancel-spans")
             .quorum(QuorumMode::UnanimousFailClosed)
             .scheduler(SchedulerConfig::new(1))
             .telemetry(Arc::clone(&telemetry))
-            .shard(shard)
+            .shard(vec![
+                deny.clone() as Arc<dyn DecisionBackend>,
+                held.clone() as Arc<dyn DecisionBackend>,
+                queued.clone() as Arc<dyn DecisionBackend>,
+            ])
             .build();
-        let req = RequestContext::basic("bob", "lab/7", "read");
-        let out = cluster.decide(&req, 0);
-        assert_eq!(out.response.unwrap().decision, Decision::Deny);
-
-        // Every dispatched job closes exactly one replica span, whether
-        // it evaluated or was skipped at dequeue. Teardown joins the
-        // worker, so all five have closed after it.
-        drop(cluster);
-        let spans = telemetry.tracer().snapshot();
-        assert_eq!(
-            spans.iter().filter(|s| s.stage == "replica_decide").count(),
-            5,
-            "spans: {spans:?}"
+        estimate(
+            &cluster,
+            &[
+                ("c-deny", 1_000),
+                ("c-held", 1_000_000),
+                ("c-queued", 1_000_001),
+            ],
         );
-        assert!(
-            spans.iter().any(|s| {
-                s.stage == "replica_decide"
-                    && s.note
-                        .as_deref()
-                        .is_some_and(|n| n.starts_with("cancelled:c-victim-"))
-            }),
-            "no straggler saw the cancel flag; spans: {spans:?}"
+        let req = RequestContext::basic("bob", "lab/7", "read");
+        let out = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                held.wait_parked();
+                deny.release();
+            });
+            cluster.decide(&req, 0)
+        });
+        assert_eq!(out.response.unwrap().decision, Decision::Deny);
+        assert_eq!(out.replicas_queried, 3);
+        held.release();
+        queued.release();
+        // Teardown joins the worker, so every span has closed after it.
+        drop(cluster);
+        assert_eq!((held.answered(), queued.answered()), (1, 0));
+        let spans = telemetry.tracer().snapshot();
+        let mut notes: Vec<_> = spans
+            .iter()
+            .filter(|s| s.stage == "replica_decide")
+            .map(|s| s.note.as_deref().unwrap_or_default())
+            .collect();
+        notes.sort_unstable();
+        assert_eq!(
+            notes,
+            ["cancelled:c-queued", "replica:c-deny", "replica:c-held"],
+            "spans: {spans:?}"
         );
         assert_eq!(telemetry.tracer().dropped(), 0);
     }

@@ -6,12 +6,13 @@
 //!
 //! The pool is for replicas worth a hand-off, which costs a query about
 //! 10 µs over and above its evaluations: the collector (in `replica`)
-//! pools a replica only when its [`dacs_pdp::PdpEndpoint`] latency
-//! estimate is at least that or missing, or when the plan hedges. A
-//! faster one — an in-process `Pdp` — it evaluates on its own thread,
-//! by the routine a worker runs. Measured, not configured.
+//! pools a replica only when something else of its dispatch is in
+//! flight and its [`dacs_pdp::PdpEndpoint`] latency estimate is at least
+//! that or missing. A faster one — an in-process `Pdp` — it evaluates on
+//! its own thread, by the routine a worker runs. Measured, not
+//! configured.
 //!
-//! Four pieces cooperate:
+//! Three pieces cooperate:
 //!
 //! * the worker pool (`FanoutPool`, built by the cluster from its
 //!   [`SchedulerConfig`]) — threads fed from three runqueues, one per
@@ -23,36 +24,27 @@
 //!   lowest non-empty lane) so a hot interactive lane cannot park bulk
 //!   work forever. One pool serves a whole cluster; per-query thread
 //!   spawning would dominate sub-millisecond decisions.
-//! * [`CancelToken`] — a shared flag set the moment a quorum verdict
-//!   is reached. Queued jobs that have not started observe it at
-//!   dequeue and return immediately; *running* jobs observe it inside
-//!   `DecisionBackend::decide_cancellable` and abandon the evaluation
-//!   mid-flight, so losers stop work instead of burning a worker on an
-//!   answer nobody will read.
-//! * [`HedgeConfig`] — the tail-latency policy: when a replica has not
-//!   answered within its latency budget (derived from the per-replica
-//!   EWMA kept in its [`dacs_pdp::PdpEndpoint`] record), a hedge query is
-//!   dispatched to the next-best replica and the first answer wins.
-//! * [`SchedulerConfig`] — the single knob bundle
-//!   `ClusterBuilder::scheduler` consumes: worker count, hedging, and
-//!   adaptive (quorum-width) fan-out.
+//! * `CancelToken` — a shared flag set the moment a quorum verdict is
+//!   reached. A job still queued observes it at dequeue and returns
+//!   without evaluating; one already evaluating runs to its end, and
+//!   its answer is discarded.
+//! * [`SchedulerConfig`] — what `ClusterBuilder::scheduler` consumes:
+//!   worker count and adaptive (quorum-width) fan-out.
 //!
 //! # Examples
 //!
 //! ```
-//! use dacs_cluster::{HedgeConfig, SchedulerConfig};
+//! use dacs_cluster::SchedulerConfig;
 //!
 //! // One pool serves every shard of a cluster; workers are joined when
 //! // the cluster drops. Typically sized at the replicas per shard
 //! // worth a hand-off + a little headroom so one slow replica cannot
 //! // starve the next query's fan-out.
-//! let config = SchedulerConfig::new(4)
-//!     .with_hedge(HedgeConfig::default())
-//!     .with_adaptive_fanout(true);
+//! let config = SchedulerConfig::new(4).with_adaptive_fanout(true);
 //! assert_eq!(config.workers, 4);
 //! ```
 
-use dacs_pdp::{DecisionClass, PdpEndpoint, Priority};
+use dacs_pdp::{DecisionClass, Priority};
 use dacs_telemetry::{Counter, Histogram, Telemetry};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -63,108 +55,48 @@ use std::time::Instant;
 /// A job queued on the fan-out pool.
 pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A cooperative cancellation token shared by every job of one fan-out.
+/// A cancellation flag shared by every job of one fan-out.
 ///
 /// Set once the quorum verdict is known. Jobs still waiting in a
-/// runqueue check it before starting and return without evaluating;
-/// jobs already *running* receive it through
-/// `DecisionBackend::decide_cancellable` and may abandon the evaluation
-/// mid-flight. Cloning shares the token.
+/// runqueue check it before starting and return without evaluating; a
+/// job already evaluating runs to its end. Cloning shares the flag.
 #[derive(Clone, Debug, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
+pub(crate) struct CancelToken(Arc<AtomicBool>);
 
 impl CancelToken {
     /// Creates a fresh, uncancelled token.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Signals every holder of the token to stop before doing new work.
-    pub fn cancel(&self) {
+    pub(crate) fn cancel(&self) {
         self.0.store(true, Ordering::Release);
     }
 
     /// Whether the fan-out this token belongs to has been cancelled.
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.0.load(Ordering::Acquire)
     }
 }
 
-/// When and how to hedge a slow replica query (tail-latency insurance).
-///
-/// The wait budget is anchored to the replica we would hedge *to*:
-/// `budget_multiplier ×` the EWMA latency in the backup's
-/// [`PdpEndpoint`] record, floored at `min_budget_us` (which also
-/// applies while the backup has no recorded samples). The rationale is
-/// cost/benefit — once the primary has been silent for several times
-/// what a backup would need to answer, paying one duplicate evaluation
-/// beats waiting out the primary's tail. Anchoring to the *primary's*
-/// own EWMA would instead grant a consistently slow replica a
-/// consistently generous budget and never hedge it.
-///
-/// Once the budget elapses without an answer — and every job already
-/// dispatched is evaluating, not still queued on a backlogged pool —
-/// one hedge query is dispatched to the lowest-EWMA eligible replica
-/// not yet queried, up to `max_hedges` times per decision, in every
-/// quorum mode: under first-healthy the first answer (primary or
-/// hedge) wins; under adaptive quorum-width fan-out a needed vote that
-/// overruns the budget pulls the next-best undispatched replica into
-/// the quorum.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct HedgeConfig {
-    /// Budget as a multiple of the backup replica's EWMA latency.
-    pub budget_multiplier: f64,
-    /// Lower bound on the budget in microseconds; also the budget used
-    /// before any latency sample exists.
-    pub min_budget_us: u64,
-    /// Maximum hedge dispatches per decision.
-    pub max_hedges: usize,
-}
-
-impl Default for HedgeConfig {
-    fn default() -> Self {
-        HedgeConfig {
-            budget_multiplier: 3.0,
-            min_budget_us: 200,
-            max_hedges: 1,
-        }
-    }
-}
-
-impl HedgeConfig {
-    /// The wait budget (µs) before hedging to `backup`, given its
-    /// current EWMA latency estimate.
-    pub fn budget_us(&self, backup: &PdpEndpoint) -> u64 {
-        match backup.latency_ewma_ns() {
-            Some(ewma_ns) => {
-                let budget_us = ewma_ns as f64 * self.budget_multiplier / 1_000.0;
-                (budget_us as u64).max(self.min_budget_us)
-            }
-            None => self.min_budget_us,
-        }
-    }
-}
-
 /// Everything `ClusterBuilder::scheduler` needs to know about how a
-/// cluster dispatches replica work: the worker-pool width, the hedging
-/// policy, and whether fan-out is adaptive (quorum-width dispatch with
-/// EWMA-chosen replicas and escalation on overrun) or full-width.
-/// Which replicas reach the pool at all is measured, not configured
-/// (module docs); `workers` is sized for those that do.
+/// cluster dispatches replica work: the worker-pool width, and whether
+/// fan-out is adaptive (quorum-width dispatch with EWMA-chosen replicas,
+/// escalating on a contested or lost vote) or full-width. Which
+/// replicas reach the pool at all is measured, not configured (module
+/// docs); `workers` is sized for those that do.
 ///
-/// Non-exhaustive so future scheduling knobs (lane weights, batch
-/// windows per lane, …) can land without breaking construction: build
-/// with [`SchedulerConfig::new`] and the `with_*` methods.
+/// Non-exhaustive: build it with [`SchedulerConfig::new`] and
+/// [`SchedulerConfig::with_adaptive_fanout`].
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct SchedulerConfig {
     /// Worker threads in the fan-out pool.
     pub workers: usize,
-    /// Tail-latency hedging policy; `None` disables hedging.
-    pub hedge: Option<HedgeConfig>,
     /// Dispatch only quorum-width replicas (chosen by directory EWMA)
-    /// instead of every eligible one, escalating to backups on budget
-    /// overrun or disagreement. Decision-equivalent to full fan-out;
+    /// instead of every eligible one, escalating to backups on a
+    /// contested or lost vote. Decision-equivalent to full fan-out;
     /// saves `eligible − quorum` evaluations per query.
     pub adaptive_fanout: bool,
 }
@@ -176,8 +108,7 @@ impl Default for SchedulerConfig {
 }
 
 impl SchedulerConfig {
-    /// A scheduler with `workers` pool threads, no hedging, full
-    /// fan-out.
+    /// A scheduler with `workers` pool threads and full fan-out.
     ///
     /// # Panics
     ///
@@ -186,15 +117,8 @@ impl SchedulerConfig {
         assert!(workers > 0, "fan-out pool needs at least one worker");
         SchedulerConfig {
             workers,
-            hedge: None,
             adaptive_fanout: false,
         }
-    }
-
-    /// Enables hedged requests under `config`.
-    pub fn with_hedge(mut self, config: HedgeConfig) -> Self {
-        self.hedge = Some(config);
-        self
     }
 
     /// Enables adaptive quorum-width fan-out.
@@ -442,9 +366,9 @@ fn worker_loop(shared: Arc<Shared>) {
 }
 
 /// One replica's answer flowing back to the fan-out collector:
-/// `(index into the dispatched set, response)`. `None` means the
-/// replica observed the fan-out's [`CancelToken`] and abandoned the
-/// evaluation — a withdrawn vote, not an answer.
+/// `(index into the dispatched set, response)`. `None` is a withdrawn
+/// vote, not an answer: the job was skipped at dequeue because its
+/// `CancelToken` was set, or its backend panicked.
 pub(crate) type FanoutAnswer = (usize, Option<dacs_policy::eval::Response>);
 
 #[cfg(test)]
@@ -640,30 +564,10 @@ mod tests {
     }
 
     #[test]
-    fn hedge_budget_follows_ewma_with_floor() {
-        let directory = dacs_pdp::PdpDirectory::new();
-        let (r0, r1) = (directory.register("r0", "c"), directory.register("r1", "c"));
-        let cfg = HedgeConfig {
-            budget_multiplier: 3.0,
-            min_budget_us: 100,
-            max_hedges: 1,
-        };
-        // No sample yet: the floor applies.
-        assert_eq!(cfg.budget_us(&r0), 100);
-        r0.record_latency_ns(10_000);
-        assert_eq!(cfg.budget_us(&r0), 100, "floored");
-        r1.record_latency_ns(400_000);
-        assert_eq!(cfg.budget_us(&r1), 1_200);
-    }
-
-    #[test]
     fn scheduler_config_builds() {
-        let cfg = SchedulerConfig::new(3)
-            .with_hedge(HedgeConfig::default())
-            .with_adaptive_fanout(true);
+        let cfg = SchedulerConfig::new(3).with_adaptive_fanout(true);
         assert_eq!(cfg.workers, 3);
         assert!(cfg.adaptive_fanout);
-        assert_eq!(cfg.hedge, Some(HedgeConfig::default()));
     }
 
     proptest! {

@@ -22,14 +22,14 @@
 //!   fed from per-[`Priority`] runqueues with deadline-aware
 //!   pop, so replica queries run concurrently (quorum latency ≈ max
 //!   instead of sum) and bulk work can never queue ahead of
-//!   interactive decisions. Verdict-driven cancellation
-//!   ([`CancelToken`]) reaches below the job boundary, hedged requests
-//!   ([`HedgeConfig`]) cut tail latency, and [`SchedulerConfig`] turns
+//!   interactive decisions. A replica goes to the pool only when its
+//!   measured latency makes the hand-off worth it; jobs still queued
+//!   when the verdict lands are skipped, and [`SchedulerConfig`] turns
 //!   on adaptive quorum-width fan-out.
 //! * [`PdpCluster::decide_batch`] decides a slice of requests shard by
 //!   shard, evaluating equal requests once.
 //! * [`metrics`] — [`ClusterMetrics`]: availability, degraded-mode,
-//!   disagreement and hedge accounting.
+//!   disagreement and fan-out accounting.
 //!
 //! Health tracking and failover integrate with the existing
 //! [`dacs_pdp::PdpDirectory`] (`mark_down` / `mark_up`): every replica
@@ -72,7 +72,7 @@ pub mod shard;
 mod cluster;
 
 pub use cluster::{ClusterBuilder, ClusterOutcome, PdpCluster};
-pub use fanout::{CancelToken, HedgeConfig, SchedulerConfig};
+pub use fanout::SchedulerConfig;
 pub use metrics::ClusterMetrics;
 pub use quorum::QuorumMode;
 pub use replica::{DecisionBackend, GroupOutcome, ReplicaGroup, StaticBackend};

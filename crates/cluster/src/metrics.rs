@@ -22,10 +22,11 @@ pub struct ClusterMetrics {
     /// settle point saw.
     ///
     /// A *lower bound* on every cluster, with or without a scheduler:
-    /// the collector stops the moment the verdict is known — cancelling
-    /// the stragglers, never starting what the caller had not reached —
-    /// so a divergent answer that would only have come after the settle
-    /// point is never observed. A cluster with one slow, permanently
+    /// the collector stops the moment the verdict is known — discarding
+    /// a pooled straggler's late answer, never starting what is still
+    /// queued or what the caller had not reached — so a divergent answer
+    /// that would only have come after the settle point is never
+    /// observed. A cluster with one slow, permanently
     /// wrong replica can therefore report zero disagreements. When
     /// divergence monitoring matters, enable the built-in sampler
     /// ([`crate::ClusterBuilder::audit_every`]): every Nth query is
@@ -40,13 +41,10 @@ pub struct ClusterMetrics {
     /// that arrives first under `UnanimousFailClosed` ends the query as
     /// a plain deny before any conflicting permit can be observed.
     pub fail_closed_denies: u64,
-    /// Hedge queries dispatched after the replicas in flight overran
-    /// the latency budget of a [`crate::HedgeConfig`] (first-healthy
-    /// racing and adaptive-majority escalation alike).
+    /// Always 0: the collector never hedges — every replica it
+    /// dispatches is a quorum member or a needed voter. Kept only while
+    /// the repo benchmark's `cluster.hedges` row reads it.
     pub hedges: u64,
-    /// Decisions whose winning answer came from a hedge query rather
-    /// than an initially dispatched replica.
-    pub hedge_wins: u64,
     /// Completed replica re-syncs: a recovering replica finished its
     /// catch-up replay and was readmitted to quorum counting
     /// (`Syncing → Healthy`).
@@ -118,15 +116,6 @@ impl ClusterMetrics {
         }
         self.replica_queries as f64 / self.queries as f64
     }
-
-    /// Fraction of queries that dispatched at least one hedge, in
-    /// `[0, 1]` (assuming one hedge per query, the default cap).
-    pub fn hedge_rate(&self) -> f64 {
-        if self.queries == 0 {
-            return 0.0;
-        }
-        self.hedges as f64 / self.queries as f64
-    }
 }
 
 dacs_telemetry::counter_block! {
@@ -143,7 +132,6 @@ dacs_telemetry::counter_block! {
         disagreements => "dacs_cluster_disagreements_total",
         fail_closed_denies => "dacs_cluster_fail_closed_denies_total",
         hedges => "dacs_cluster_hedges_total",
-        hedge_wins => "dacs_cluster_hedge_wins_total",
         resyncs => "dacs_cluster_resyncs_total",
         stale_decisions_avoided => "dacs_cluster_stale_decisions_avoided_total",
         epoch_lag_last => "dacs_cluster_epoch_lag_last",

@@ -11,26 +11,25 @@
 //! A group answers a query one way: one collector loop combines
 //! answers *incrementally* — majority settles as soon as a majority
 //! agrees (dispatching only quorum width under adaptive fan-out),
-//! unanimity settles on the first deny, and first-healthy optionally
-//! hedges the primary replica after its latency budget. Where a replica
-//! is evaluated is the plan's: a cluster built with
-//! `ClusterBuilder::scheduler` has a pool, and a replica that has been
-//! answering faster than a pool hand-off costs is evaluated on the
-//! collector's own thread, every other on the pool; a cluster built
+//! unanimity settles on the first deny, and first-healthy on its
+//! primary's answer. Where a replica is evaluated follows one rule: a
+//! cluster built with `ClusterBuilder::scheduler` has a pool, and a
+//! replica goes to it when something else of its dispatch is in flight
+//! and it has not been answering faster than a hand-off costs; every
+//! other is evaluated on the collector's own thread. A cluster built
 //! without one ([`ReplicaGroup::query`]) has no pool, and the caller
 //! evaluates every replica it asks.
 
-use crate::fanout::{CancelToken, FanoutAnswer, FanoutPool, HedgeConfig};
+use crate::fanout::{CancelToken, FanoutAnswer, FanoutPool};
 use crate::quorum::{self, QuorumMode};
 use dacs_pdp::{DecisionClass, Pdp, PdpEndpoint, PolicyEpoch, ReplicaPhase};
 use dacs_policy::eval::Response;
 use dacs_policy::policy::Decision;
 use dacs_policy::request::RequestContext;
 use dacs_telemetry::{Histogram, Span, SpanCtx, Telemetry, Tracer};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Anything that can answer an authorization decision query.
 ///
@@ -41,24 +40,9 @@ pub trait DecisionBackend: Send + Sync {
     /// The backend's endpoint name (registered in the
     /// [`dacs_pdp::PdpDirectory`]).
     fn name(&self) -> &str;
-    /// Serves one decision query.
+    /// Serves one decision query. Once asked, a query runs to its end:
+    /// an answer that arrives after its fan-out's verdict is discarded.
     fn decide(&self, request: &RequestContext, now_ms: u64) -> Response;
-    /// Serves one decision query, checking `cancel` at whatever
-    /// internal boundaries the backend has. Returning `None` means the
-    /// evaluation was abandoned mid-flight because the fan-out's
-    /// verdict is already known — a withdrawn vote, not an answer. The
-    /// default ignores the token and always answers: cancellation below
-    /// the job boundary is an *opt-in* for backends whose evaluations
-    /// are long enough to be worth abandoning.
-    fn decide_cancellable(
-        &self,
-        request: &RequestContext,
-        now_ms: u64,
-        cancel: &CancelToken,
-    ) -> Option<Response> {
-        let _ = cancel;
-        Some(self.decide(request, now_ms))
-    }
     /// The policy epoch the backend decides on — its position in the
     /// PAP syndication timeline. A replica whose epoch lags its group's
     /// maximum is deciding on stale policy. The default
@@ -133,13 +117,6 @@ pub struct GroupOutcome {
     pub disagreement: bool,
     /// Whether the quorum forced a fail-closed deny.
     pub fail_closed: bool,
-    /// Hedge queries dispatched for this decision: replicas pulled in
-    /// because the wait overran a [`HedgeConfig`] budget. Replicas
-    /// pulled in because a vote was contested or lost are needed
-    /// voters, not hedges.
-    pub hedges: usize,
-    /// Whether a hedge query supplied the winning answer.
-    pub hedge_won: bool,
     /// Evaluations the query ran on the caller's own thread, not on a
     /// pool: all of them when the plan has no pool.
     pub caller_evaluations: usize,
@@ -158,8 +135,6 @@ impl GroupOutcome {
             max_epoch_lag: 0,
             disagreement: false,
             fail_closed: false,
-            hedges: 0,
-            hedge_won: false,
             caller_evaluations: 0,
         }
     }
@@ -272,21 +247,18 @@ struct Roster<'a> {
     max_epoch_lag: u64,
 }
 
-/// How one query should be dispatched: the pool to hand off to, the
-/// hedging policy, whether fan-out is adaptive (quorum-width), and the
-/// query's scheduling class. Built by the cluster from its
-/// `SchedulerConfig`, if it has one, plus the caller's
-/// [`DecisionClass`]; the default is the plan of a cluster built
-/// without one — no pool, no hedge, full width.
+/// How one query should be dispatched: the pool to hand off to,
+/// whether fan-out is adaptive (quorum-width), and the query's
+/// scheduling class. Built by the cluster from its `SchedulerConfig`,
+/// if it has one, plus the caller's [`DecisionClass`]; the default is
+/// the plan of a cluster built without one — no pool, full width.
 #[derive(Default)]
 pub(crate) struct FanoutPlan<'a> {
     /// The worker pool jobs are submitted to; `None` and the caller
     /// evaluates every replica.
     pub pool: Option<&'a FanoutPool>,
-    /// The budget-overrun escalation policy; `None` disables it.
-    pub hedge: Option<&'a HedgeConfig>,
     /// Dispatch only quorum-width replicas under majority, escalating
-    /// to backups on overrun or a contested vote.
+    /// to backups on a contested or lost vote.
     pub adaptive: bool,
     /// The scheduling lane and deadline the query's jobs carry.
     pub class: DecisionClass,
@@ -322,9 +294,6 @@ struct Handoff {
     now_ms: u64,
     telemetry: Option<DispatchTelemetry>,
     cancel: CancelToken,
-    /// Jobs that have begun evaluating: tells a slow replica (worth
-    /// hedging) from a job still queued (a hedge would queue behind it).
-    started: AtomicUsize,
     tx: Sender<FanoutAnswer>,
 }
 
@@ -351,7 +320,6 @@ impl Drop for FanoutJob {
 impl FanoutJob {
     fn run(mut self) {
         let h = &self.handoff;
-        h.started.fetch_add(1, Ordering::Release);
         let (cancel, telemetry) = (Some(&h.cancel), h.telemetry.as_ref());
         let start = Instant::now();
         (self.response, _) = self
@@ -362,12 +330,12 @@ impl FanoutJob {
 
 impl Replica {
     /// The one evaluation routine — pool worker and collector's own
-    /// thread alike: re-checks the query's cancel token and hands it to
-    /// the backend for mid-flight abandonment (`None`: the query has
-    /// nothing in the pool, so there is nobody to cancel it and no token
-    /// a backend could latch), feeds the estimate, notes its span with
-    /// `role`. `None` back is a withdrawn vote: cancelled, or the
-    /// backend panicked.
+    /// thread alike: skips the evaluation if `cancel` is set (a pool
+    /// job's dequeue check; the collector passes `None`, since it sets
+    /// the token only after its own last evaluation), asks the backend
+    /// under `catch_unwind`, feeds the estimate, notes its span with
+    /// `role`. `None` back is a withdrawn vote: skipped, or the backend
+    /// panicked.
     ///
     /// The evaluation is timed from `start`, the caller's reading of
     /// the clock, and the instant it ended comes back beside the vote
@@ -397,18 +365,16 @@ impl Replica {
         }
         note(role);
         // A panicking backend is a withdrawn vote, not a dead thread.
-        let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match cancel {
-            Some(cancel) => self.backend.decide_cancellable(request, now_ms, cancel),
-            None => Some(self.backend.decide(request, now_ms)),
+        let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.backend.decide(request, now_ms)
         }))
-        .ok()
-        .flatten();
+        .ok();
         let end = Instant::now();
         match &response {
             Some(_) => {
-                // Only completed evaluations feed the EWMA: an
-                // abandoned one's elapsed time measures the cancel
-                // point, not the replica.
+                // Only completed evaluations feed the EWMA: a panicked
+                // one's elapsed time measures the panic, not the
+                // replica.
                 let elapsed = end - start;
                 // One preempted evaluation is not a slow replica.
                 let estimate = self.endpoint.latency_ewma_ns().unwrap_or(u64::MAX);
@@ -447,8 +413,8 @@ impl ReplicaGroup {
     /// Attaches observability (builder style; `ClusterBuilder` does
     /// this for every group when the cluster has telemetry): each
     /// replica evaluation gets a `replica_decide` span — noted with
-    /// its role (`primary:`/`replica:`/`hedge:`) or cancellation and
-    /// the replica name — plus the `dacs_replica_decide_us` compute
+    /// its role (`primary:`/`replica:`) or `cancelled:` and the
+    /// replica name — plus the `dacs_replica_decide_us` compute
     /// histogram, and a collector that pooled something records a
     /// `quorum_wait` span and the `dacs_quorum_wait_us` histogram.
     pub fn with_telemetry(mut self, telemetry: &Arc<Telemetry>) -> Self {
@@ -549,8 +515,9 @@ impl ReplicaGroup {
     /// Fans `request` out to the group's eligible replicas — on the
     /// plan's pool or the caller's own thread — and combines the answers
     /// incrementally, per the rule table on the collector. The moment a
-    /// verdict is reached the fan-out's [`CancelToken`] is set: queued
-    /// jobs are skipped, cancellation-aware backends abandon mid-flight.
+    /// verdict is reached the fan-out's `CancelToken` is set: jobs still
+    /// queued are skipped at dequeue, and a pooled evaluation already
+    /// under way runs to its end with its answer discarded.
     ///
     /// Decision-equivalent to [`quorum::combine`] over every eligible
     /// replica's answer: a majority winner holds `⌊e/2⌋+1` votes — an
@@ -623,14 +590,12 @@ impl ReplicaGroup {
 
     /// Whether the answers so far (newest last) already fix the
     /// combined verdict under `mode`, whatever the stragglers say.
-    /// Returns the verdict with the eligible-index of the replica whose
-    /// response it carries (`None` for a synthesized fail-closed deny).
     fn settled(
         mode: QuorumMode,
         needed: usize,
         received: &[(usize, Response)],
-    ) -> Option<(Option<usize>, quorum::Verdict)> {
-        let (index, newest) = received.last()?;
+    ) -> Option<quorum::Verdict> {
+        let (_, newest) = received.last()?;
         let disagreement = received.iter().any(|(_, r)| r.decision != newest.decision);
         let verdict = |response: &Response, fail_closed| quorum::Verdict {
             response: response.clone(),
@@ -638,7 +603,7 @@ impl ReplicaGroup {
             fail_closed,
         };
         match mode {
-            QuorumMode::FirstHealthy => Some((Some(*index), verdict(newest, false))),
+            QuorumMode::FirstHealthy => Some(verdict(newest, false)),
             QuorumMode::Majority => {
                 let votes = || {
                     received
@@ -652,18 +617,18 @@ impl ReplicaGroup {
                 // the winning decision's response (and obligations)
                 // come from the lowest-index replica that voted for it,
                 // not from whichever answer happened to arrive first.
-                let (winner, response) = votes().min_by_key(|(i, _)| *i)?;
-                Some((Some(*winner), verdict(response, false)))
+                let (_, response) = votes().min_by_key(|(i, _)| *i)?;
+                Some(verdict(response, false))
             }
             // Any deny or any disagreement makes the combined decision
             // deny regardless of the stragglers. `fail_closed` marks
             // only forced denies (disagreement), not genuine all-deny
             // verdicts — matching `quorum::combine`.
             QuorumMode::UnanimousFailClosed if disagreement => {
-                Some((None, verdict(&Response::decision(Decision::Deny), true)))
+                Some(verdict(&Response::decision(Decision::Deny), true))
             }
             QuorumMode::UnanimousFailClosed => {
-                (newest.decision == Decision::Deny).then(|| (Some(*index), verdict(newest, false)))
+                (newest.decision == Decision::Deny).then(|| verdict(newest, false))
             }
         }
     }
@@ -673,31 +638,27 @@ impl ReplicaGroup {
     /// verdict, escalating one replica at a time. The only per-mode
     /// inputs are data:
     ///
-    /// | mode | dispatch order | initial width | settles when | where (unhedged) |
-    /// |------|----------------|---------------|--------------|------------------|
+    /// | mode | dispatch order | initial width | settles when | where |
+    /// |------|----------------|---------------|--------------|-------|
     /// | `FirstHealthy` | `eligible[0]`, then ascending EWMA | 1 | any answer arrives | caller: nothing to overlap |
-    /// | `Majority` | ascending EWMA | `⌊e/2⌋+1` adaptive, `e` otherwise | one decision holds `⌊e/2⌋+1` votes | caller if the estimate is under [`POOL_HANDOFF_NS`], else pool |
+    /// | `Majority` | ascending EWMA | `⌊e/2⌋+1` adaptive, `e` otherwise | one decision holds `⌊e/2⌋+1` votes | pool if the estimate is missing or at least [`POOL_HANDOFF_NS`], else caller |
     /// | `UnanimousFailClosed` | ascending EWMA | `e` | a deny or a disagreement arrives | as `Majority` |
     /// | any, no pool | as its mode | as its mode | as its mode | caller |
     ///
-    /// A plan without a pool evaluates everything on the caller, an
-    /// unmeasured replica too (the estimate is fed wherever the
-    /// evaluation runs). With one, under a [`HedgeConfig`] every replica
-    /// is pooled (a hedge needs a collector free to time out), and so is
-    /// an unmeasured one; an unhedged escalation fires with nothing in
-    /// flight, so it runs on the caller. Pool-bound members of a dispatch
-    /// are submitted before the caller evaluates its own (a slow replica
-    /// overlaps them); the caller consults `settled` after each answer
-    /// and never starts what the verdict overtakes — dispatched and
-    /// skipped, like a job cancelled at dequeue. A plan that wants
-    /// `every_vote` consults nothing and asks everyone.
+    /// That is one dispatch rule: a replica goes to the pool iff the
+    /// plan has a pool, something else of its dispatch is in flight, and
+    /// its estimate is missing or at least [`POOL_HANDOFF_NS`]; the
+    /// caller evaluates every other. An escalation fires with nothing in
+    /// flight, so it runs on the caller. Pool-bound members of a
+    /// dispatch are submitted before the caller evaluates its own (a
+    /// slow replica overlaps them); the caller consults `settled` after
+    /// each answer and never starts what the verdict overtakes —
+    /// dispatched and skipped, like a job cancelled at dequeue. A plan
+    /// that wants `every_vote` consults nothing and asks everyone.
     ///
     /// Escalation is the same for every row: the next replica in order
     /// is dispatched at once when everything in flight has answered
-    /// without settling (a contested or lost vote — a needed voter, not
-    /// a hedge), and, under a [`HedgeConfig`], when the wait outlasts
-    /// that replica's latency budget while every dispatched job is
-    /// already evaluating (a hedge, at most `max_hedges` per query).
+    /// without settling (a contested or lost vote — a needed voter).
     /// When every eligible replica has answered without settling,
     /// whatever arrived is combined in configured replica order by
     /// [`quorum::combine`].
@@ -722,13 +683,11 @@ impl ReplicaGroup {
         // cancel token to skip.
         let order = Self::ewma_order(eligible, pinned);
         // The one dispatch rule, by position in `order`: the pool a
-        // replica is handed to, `None` for the caller's own thread —
-        // the plan has no pool, or a lone primary or an unhedged
-        // escalation has nothing in flight to overlap.
+        // replica is handed to, `None` for the caller's own thread.
         let pool_for = |p: usize| {
-            let cheap = order[p].0.is_some_and(|ns| ns < POOL_HANDOFF_NS);
-            let alone = plan.hedge.is_none() && (initial == 1 || p >= initial || cheap);
-            plan.pool.filter(|_| !alone)
+            let overlaps = initial > 1 && p < initial;
+            let dear = order[p].0.is_none_or(|ns| ns >= POOL_HANDOFF_NS);
+            plan.pool.filter(|_| overlaps && dear)
         };
         let telemetry = self.dispatch_telemetry();
         // Quorum assembly as a stage — span + histogram from the first
@@ -748,7 +707,6 @@ impl ReplicaGroup {
                     now_ms,
                     telemetry: telemetry.clone(),
                     cancel: CancelToken::new(),
-                    started: AtomicUsize::new(0),
                     tx,
                 };
                 let wait = self.telemetry.as_ref().map(|t| WaitTimer {
@@ -775,7 +733,6 @@ impl ReplicaGroup {
         // selection deterministic in *configured* replica order even
         // though arrival order is a thread-scheduling race.
         let mut received: Vec<(usize, Response)> = Vec::with_capacity(e);
-        let mut hedged: Vec<usize> = Vec::new();
         let mut answered = 0usize;
         // Positions below `mine` are no longer the caller's to evaluate.
         let (mut mine, mut caller_evaluations) = (0usize, 0usize);
@@ -786,45 +743,18 @@ impl ReplicaGroup {
         let verdict = loop {
             let answer = if let Some(p) = (mine..dispatched).find(|&p| pool_for(p).is_none()) {
                 (mine, caller_evaluations) = (p + 1, caller_evaluations + 1);
-                let cancel = pooled.as_ref().map(|(h, ..)| &h.cancel);
                 let role = if p < initial { role } else { "replica" };
                 let (index, t) = (order[p].1, telemetry.as_ref());
                 let start = clock.unwrap_or_else(Instant::now);
                 let (response, end) =
-                    eligible[index].evaluate(request, now_ms, cancel, t, role, start);
+                    eligible[index].evaluate(request, now_ms, None, t, role, start);
                 clock = Some(end);
                 (index, response)
             } else {
                 clock = None;
-                let (handoff, rx, _) = pooled.as_ref().expect("an unanswered job is pooled");
-                // While a hedge is still allowed, wait no longer than
-                // the next backup's budget — anchored to *its* expected
-                // latency: once the replicas in flight have been silent
-                // that long, a duplicate evaluation is the cheaper bet.
-                let budget = plan
-                    .hedge
-                    .filter(|cfg| dispatched < e && hedged.len() < cfg.max_hedges)
-                    .map(|cfg| cfg.budget_us(&eligible[order[dispatched].1].endpoint));
-                match budget {
-                    Some(budget_us) => match rx.recv_timeout(Duration::from_micros(budget_us)) {
-                        Ok(answer) => answer,
-                        Err(_) => {
-                            // Only hedge replicas that are actually
-                            // evaluating: while a dispatched job is
-                            // still queued the pool is the bottleneck,
-                            // and a hedge would queue behind the same
-                            // backlog for zero latency benefit.
-                            if handoff.started.load(Ordering::Acquire) == dispatched {
-                                hedged.push(order[dispatched].1);
-                                dispatch_next(&mut dispatched, &mut pooled, "hedge");
-                            }
-                            continue;
-                        }
-                    },
-                    None => rx
-                        .recv()
-                        .expect("the collector holds a sender; every job answers"),
-                }
+                let (_, rx, _) = pooled.as_ref().expect("an unanswered job is pooled");
+                rx.recv()
+                    .expect("the collector holds a sender; every job answers")
             };
             answered += 1;
             if let (index, Some(response)) = answer {
@@ -848,33 +778,32 @@ impl ReplicaGroup {
         if let Some((handoff, ..)) = &pooled {
             handoff.cancel.cancel();
         }
-        let (winner, outcome) = match verdict {
-            Some((winner, verdict)) => (winner, GroupOutcome::decided(verdict, dispatched, e)),
+        let outcome = match verdict {
+            Some(verdict) => GroupOutcome::decided(verdict, dispatched, e),
             // Every job was lost (panicking backends): an availability
             // gap, not a decision.
-            None if received.is_empty() => (None, GroupOutcome::unanswered(e)),
+            None if received.is_empty() => GroupOutcome::unanswered(e),
             None => {
                 received.sort_by_key(|(i, _)| *i);
                 let responses: Vec<Response> = received.into_iter().map(|(_, r)| r).collect();
-                let verdict = quorum::combine(mode, &responses);
-                (None, GroupOutcome::decided(verdict, dispatched, e))
+                GroupOutcome::decided(quorum::combine(mode, &responses), dispatched, e)
             }
         };
         GroupOutcome {
-            hedges: hedged.len(),
-            hedge_won: winner.is_some_and(|w| hedged.contains(&w)),
             caller_evaluations,
             ..outcome
         }
     }
 }
 
-/// A straggler for tests across this crate (hedging, short-circuit,
+#[cfg(test)]
+use std::time::Duration;
+
+/// A straggler for tests across this crate (short-circuit,
 /// cancellation and starvation cases). An evaluation parks inside the
-/// backend until its `delay` has passed, the test calls
-/// [`SlowBackend::release`], or — on the pooled path — it sees its
-/// [`CancelToken`] set and abandons, the test model of a backend that
-/// honors mid-flight cancellation.
+/// backend until its `delay` has passed or the test calls
+/// [`SlowBackend::release`]; like any backend, once asked it runs to
+/// its end.
 ///
 /// [`SlowBackend::parked`] is the form for stating "the verdict did
 /// not wait for it" as an order rather than a duration: its delay is a
@@ -889,13 +818,12 @@ pub(crate) struct SlowBackend {
     changed: std::sync::Condvar,
 }
 
-/// Evaluations that have parked, abandoned on cancel, and answered.
+/// Evaluations that have parked and answered.
 #[cfg(test)]
 #[derive(Default)]
 struct Parked {
     released: bool,
     parked: usize,
-    abandoned: usize,
     answered: usize,
 }
 
@@ -927,7 +855,7 @@ impl SlowBackend {
         self.changed.notify_all();
     }
 
-    /// Evaluations that returned an answer (as opposed to abandoning).
+    /// Evaluations that returned an answer.
     pub(crate) fn answered(&self) -> usize {
         self.state.lock().unwrap().answered
     }
@@ -937,9 +865,9 @@ impl SlowBackend {
         self.wait_until("an evaluation parks", |s| s.parked > 0);
     }
 
-    /// Blocks until a parked evaluation has seen its token cancelled.
-    pub(crate) fn wait_abandoned(&self) {
-        self.wait_until("a parked evaluation abandons", |s| s.abandoned > 0);
+    /// Blocks until an evaluation has answered.
+    pub(crate) fn wait_answered(&self) {
+        self.wait_until("an evaluation answers", |s| s.answered > 0);
     }
 
     fn wait_until(&self, what: &str, reached: impl Fn(&Parked) -> bool) {
@@ -961,20 +889,9 @@ impl DecisionBackend for SlowBackend {
     fn name(&self) -> &str {
         &self.name
     }
-    fn decide(&self, request: &RequestContext, now_ms: u64) -> Response {
-        self.decide_cancellable(request, now_ms, &CancelToken::new())
-            .expect("a fresh token is never cancelled")
-    }
-    /// Parks in 1ms slices, checking the token between them: it is a
-    /// bare flag that wakes nobody. Unreleased, it answers no sooner
-    /// than its delay after it was asked, however early a wait wakes.
-    fn decide_cancellable(
-        &self,
-        _request: &RequestContext,
-        _now_ms: u64,
-        cancel: &CancelToken,
-    ) -> Option<Response> {
-        let slice = Duration::from_millis(1);
+    /// Unreleased, it answers no sooner than its delay after it was
+    /// asked, however early a wait wakes.
+    fn decide(&self, _request: &RequestContext, _now_ms: u64) -> Response {
         let deadline = Instant::now() + self.delay;
         let mut state = self.state.lock().unwrap();
         state.parked += 1;
@@ -984,19 +901,11 @@ impl DecisionBackend for SlowBackend {
             if state.released || remaining.is_zero() {
                 break;
             }
-            if cancel.is_cancelled() {
-                state.abandoned += 1;
-                self.changed.notify_all();
-                return None;
-            }
-            state = self
-                .changed
-                .wait_timeout(state, remaining.min(slice))
-                .unwrap()
-                .0;
+            state = self.changed.wait_timeout(state, remaining).unwrap().0;
         }
         state.answered += 1;
-        Some(Response::decision(self.decision))
+        self.changed.notify_all();
+        Response::decision(self.decision)
     }
 }
 
@@ -1020,7 +929,8 @@ impl EpochBackend {
     }
 
     pub(crate) fn set_epoch(&self, epoch: u64) {
-        self.epoch.store(epoch, Ordering::Release);
+        self.epoch
+            .store(epoch, std::sync::atomic::Ordering::Release);
     }
 }
 
@@ -1033,7 +943,7 @@ impl DecisionBackend for EpochBackend {
         Response::decision(self.decision)
     }
     fn policy_epoch(&self) -> PolicyEpoch {
-        PolicyEpoch(self.epoch.load(Ordering::Acquire))
+        PolicyEpoch(self.epoch.load(std::sync::atomic::Ordering::Acquire))
     }
 }
 
@@ -1113,36 +1023,21 @@ mod tests {
         FanoutPool::new(4)
     }
 
-    fn plan<'a>(
-        pool: &'a FanoutPool,
-        hedge: Option<&'a HedgeConfig>,
-        adaptive: bool,
-    ) -> FanoutPlan<'a> {
+    fn plan(pool: &FanoutPool, adaptive: bool) -> FanoutPlan<'_> {
         FanoutPlan {
             pool: Some(pool),
-            hedge,
             adaptive,
             ..FanoutPlan::default()
         }
     }
 
-    /// A hedge budget no run overruns: a hedged plan pools every
-    /// replica, and any hedge it counted would be a miscount.
-    const PATIENT: HedgeConfig = HedgeConfig {
-        budget_multiplier: 3.0,
-        min_budget_us: 60_000_000,
-        max_hedges: 1,
-    };
-
     /// Each shape of plan a cluster builds: no pool (no scheduler),
-    /// pooled, adaptive, hedged, both.
-    fn plans(pool: &FanoutPool) -> [(&'static str, FanoutPlan<'_>); 5] {
+    /// pooled, adaptive.
+    fn plans(pool: &FanoutPool) -> [(&'static str, FanoutPlan<'_>); 3] {
         [
             ("no pool", FanoutPlan::default()),
-            ("pooled", plan(pool, None, false)),
-            ("pooled adaptive", plan(pool, None, true)),
-            ("pooled hedged", plan(pool, Some(&PATIENT), false)),
-            ("pooled adaptive hedged", plan(pool, Some(&PATIENT), true)),
+            ("pooled", plan(pool, false)),
+            ("pooled adaptive", plan(pool, true)),
         ]
     }
 
@@ -1214,7 +1109,7 @@ mod tests {
             QuorumMode::Majority,
             &RequestContext::new(),
             0,
-            &plan(&pool, None, false),
+            &plan(&pool, false),
         );
         assert_eq!(out.response.unwrap().decision, Decision::Permit);
         assert_eq!(straggler.answered(), 0, "majority waited for the straggler");
@@ -1243,7 +1138,7 @@ mod tests {
             QuorumMode::UnanimousFailClosed,
             &RequestContext::new(),
             0,
-            &plan(&pool, None, false),
+            &plan(&pool, false),
         );
         assert_eq!(out.response.unwrap().decision, Decision::Deny);
         for permit in &permits {
@@ -1282,7 +1177,7 @@ mod tests {
                 QuorumMode::Majority,
                 &RequestContext::new(),
                 i,
-                &plan(&pool, None, false),
+                &plan(&pool, false),
             );
             let response = out.response.unwrap();
             assert_eq!(response.decision, Decision::Permit);
@@ -1306,7 +1201,7 @@ mod tests {
                 QuorumMode::Majority,
                 &RequestContext::new(),
                 i,
-                &plan(&pool, None, false),
+                &plan(&pool, false),
             );
             assert_eq!(out.response.unwrap().decision, Decision::Permit);
         }
@@ -1322,7 +1217,7 @@ mod tests {
                 QuorumMode::UnanimousFailClosed,
                 &RequestContext::new(),
                 0,
-                &plan(&pool, None, false),
+                &plan(&pool, false),
             );
         }
         // Unanimity waits for every replica, so all three got timed.
@@ -1388,86 +1283,12 @@ mod tests {
         g.endpoint(0).record_latency_ns(1);
         g.endpoint(1).record_latency_ns(2 * POOL_HANDOFF_NS);
         g.endpoint(2).record_latency_ns(DEAR);
-        let (out, took) = query(&g, &plan(&pool, None, true));
+        let (out, took) = query(&g, &plan(&pool, true));
         assert_eq!(out.response.unwrap().decision, Decision::Permit);
         assert!(out.disagreement);
         assert_eq!((out.caller_evaluations, slow.answered()), (2, 1));
         let fast = sample(&g, 2);
         assert!(fast <= took - DELAY, "recorded {fast:?} of {took:?}");
-    }
-
-    #[test]
-    fn hedge_fires_on_slow_primary_and_fast_replica_wins() {
-        // The primary parks far past the hedge budget; the hedge goes
-        // to the fast second replica, whose answer must win. The
-        // parked replica would deny…
-        let primary = SlowBackend::parked("slow", Decision::Deny);
-        let (g, _) = grouped(vec![
-            primary.clone() as Arc<dyn DecisionBackend>,
-            Arc::new(StaticBackend::new("fast", Decision::Permit)),
-        ]);
-        let pool = pool();
-        let cfg = HedgeConfig {
-            budget_multiplier: 3.0,
-            min_budget_us: 2_000,
-            max_hedges: 1,
-        };
-        let out = g.query_planned(
-            QuorumMode::FirstHealthy,
-            &RequestContext::new(),
-            0,
-            &plan(&pool, Some(&cfg), false),
-        );
-        // …but the hedge's answer arrives first and wins.
-        assert_eq!(out.response.unwrap().decision, Decision::Permit);
-        assert_eq!(out.hedges, 1);
-        assert!(out.hedge_won);
-        assert_eq!(out.replicas_queried, 2);
-        assert_eq!(
-            primary.answered(),
-            0,
-            "hedged decision waited for the slow primary"
-        );
-        primary.release();
-    }
-
-    #[test]
-    fn fast_primary_never_hedges() {
-        let (g, _) = group(&[Decision::Permit, Decision::Deny]);
-        let pool = pool();
-        // Generous budget so a loaded test machine cannot trip it.
-        let cfg = HedgeConfig {
-            min_budget_us: 50_000,
-            ..HedgeConfig::default()
-        };
-        for _ in 0..5 {
-            let out = g.query_planned(
-                QuorumMode::FirstHealthy,
-                &RequestContext::new(),
-                0,
-                &plan(&pool, Some(&cfg), false),
-            );
-            assert_eq!(out.response.unwrap().decision, Decision::Permit);
-            assert_eq!(out.hedges, 0);
-            assert!(!out.hedge_won);
-            assert_eq!(out.replicas_queried, 1);
-        }
-    }
-
-    #[test]
-    fn hedging_needs_a_second_replica() {
-        // A single-replica group under hedging just waits.
-        let (g, _) = group(&[Decision::Permit]);
-        let pool = pool();
-        let cfg = HedgeConfig::default();
-        let out = g.query_planned(
-            QuorumMode::FirstHealthy,
-            &RequestContext::new(),
-            0,
-            &plan(&pool, Some(&cfg), false),
-        );
-        assert_eq!(out.response.unwrap().decision, Decision::Permit);
-        assert_eq!(out.hedges, 0);
     }
 
     /// Regression (ISSUE 3): a stale replica in the `Syncing` phase is
@@ -1558,12 +1379,11 @@ mod tests {
             QuorumMode::Majority,
             &RequestContext::new(),
             0,
-            &plan(&pool, None, true),
+            &plan(&pool, true),
         );
         assert_eq!(out.response.unwrap().decision, Decision::Permit);
         assert_eq!(out.replicas_queried, 3, "only the quorum width dispatched");
         assert_eq!(out.healthy, 5);
-        assert_eq!(out.hedges, 0);
     }
 
     #[test]
@@ -1578,105 +1398,11 @@ mod tests {
             QuorumMode::Majority,
             &RequestContext::new(),
             0,
-            &plan(&pool, None, true),
+            &plan(&pool, true),
         );
         assert_eq!(out.response.unwrap().decision, Decision::Permit);
         assert_eq!(out.replicas_queried, 3, "escalated to the full width");
         assert!(out.disagreement);
-        assert_eq!(out.hedges, 0, "a contested vote is not a hedge");
-    }
-
-    #[test]
-    fn adaptive_escalation_hedges_a_slow_quorum_member() {
-        // Both quorum members are needed, but one parks far past the
-        // escalation budget: the backup is pulled in (counted as a
-        // hedge) and completes the majority without the straggler.
-        let straggler = SlowBackend::parked("a1", Decision::Permit);
-        let (g, _) = grouped(vec![
-            Arc::new(StaticBackend::new("a0", Decision::Permit)) as Arc<dyn DecisionBackend>,
-            straggler.clone(),
-            Arc::new(StaticBackend::new("a2", Decision::Permit)),
-        ]);
-        // Seed the EWMA so the first two sort ahead of the backup.
-        for (slot, ewma_ns) in [(0, 10_000), (1, 10_000), (2, 20_000)] {
-            g.endpoint(slot).record_latency_ns(ewma_ns);
-        }
-        let pool = pool();
-        let cfg = HedgeConfig {
-            budget_multiplier: 3.0,
-            min_budget_us: 2_000,
-            max_hedges: 1,
-        };
-        let out = g.query_planned(
-            QuorumMode::Majority,
-            &RequestContext::new(),
-            0,
-            &plan(&pool, Some(&cfg), true),
-        );
-        assert_eq!(out.response.unwrap().decision, Decision::Permit);
-        assert_eq!(out.hedges, 1, "the backup was a budget-overrun hedge");
-        assert_eq!(out.replicas_queried, 3);
-        assert_eq!(straggler.answered(), 0, "majority waited for the straggler");
-        straggler.release();
-    }
-
-    /// Chosen behaviour: the hedge cap binds every mode. Under adaptive
-    /// majority with `max_hedges: 0`, a quorum member that overruns its
-    /// budget a hundred times over is waited for, not hedged. (The
-    /// sleep is only the slow replica; nothing asserts on elapsed time.)
-    #[test]
-    fn hedge_cap_bounds_budget_escalations_under_adaptive_majority() {
-        let (g, _) = grouped(vec![
-            Arc::new(StaticBackend::new("r0", Decision::Permit)) as Arc<dyn DecisionBackend>,
-            Arc::new(SlowBackend::new(
-                "r1",
-                Decision::Permit,
-                Duration::from_millis(20),
-            )),
-            Arc::new(StaticBackend::new("r2", Decision::Permit)),
-        ]);
-        for (slot, ewma_ns) in [(0, 10_000), (1, 20_000), (2, 30_000)] {
-            g.endpoint(slot).record_latency_ns(ewma_ns);
-        }
-        let pool = pool();
-        let cfg = HedgeConfig {
-            max_hedges: 0,
-            ..HedgeConfig::default()
-        };
-        let out = g.query_planned(
-            QuorumMode::Majority,
-            &RequestContext::new(),
-            0,
-            &plan(&pool, Some(&cfg), true),
-        );
-        assert_eq!(out.response.unwrap().decision, Decision::Permit);
-        assert_eq!(out.hedges, 0, "max_hedges: 0 forbids budget escalation");
-        assert_eq!(out.replicas_queried, 2, "the backup was never asked");
-    }
-
-    /// Chosen behaviour: in every mode a hedge fires only while all
-    /// dispatched jobs are evaluating. With the single worker held by a
-    /// blocker, the adaptive quorum's jobs sit in the pool queue through
-    /// many budget expiries and no backup is pulled in behind them.
-    #[test]
-    fn jobs_still_queued_are_never_hedged() {
-        let pool = FanoutPool::new(1);
-        pool.submit(Box::new(|| std::thread::sleep(Duration::from_millis(20))));
-        let (g, _) = group(&[Decision::Permit; 3]);
-        let cfg = HedgeConfig {
-            budget_multiplier: 1.0,
-            min_budget_us: 1_000,
-            max_hedges: 1,
-        };
-        let out = g.query_planned(
-            QuorumMode::Majority,
-            &RequestContext::new(),
-            0,
-            &plan(&pool, Some(&cfg), true),
-        );
-        assert_eq!(out.response.unwrap().decision, Decision::Permit);
-        assert_eq!(out.hedges, 0, "a hedge would only queue behind the backlog");
-        assert_eq!(out.replicas_queried, 2);
     }
 
     /// Estimates on either side of the hand-off constant.
@@ -1734,7 +1460,7 @@ mod tests {
         ] {
             let (cheap, _) = group(&votes);
             estimated(&cheap, CHEAP_NS);
-            let out = cheap.query_planned(mode, &req, 0, &plan(&held, None, adaptive));
+            let out = cheap.query_planned(mode, &req, 0, &plan(&held, adaptive));
             assert_eq!(
                 out.caller_evaluations, evaluated,
                 "{mode} adaptive={adaptive}"
@@ -1743,7 +1469,7 @@ mod tests {
 
             let (dear, _) = group(&votes);
             estimated(&dear, DEAR_NS);
-            let pooled = dear.query_planned(mode, &req, 0, &plan(&one_worker, None, adaptive));
+            let pooled = dear.query_planned(mode, &req, 0, &plan(&one_worker, adaptive));
             assert_eq!(pooled.caller_evaluations, 0, "{mode} adaptive={adaptive}");
             let counted_alike = GroupOutcome {
                 caller_evaluations: 0,
@@ -1755,18 +1481,12 @@ mod tests {
     }
 
     /// The pool side: a replica with no estimate (the pool is how it
-    /// earns one), one slower than a hand-off, and any replica of a
-    /// hedged plan (a hedge needs a collector free to time out) all
-    /// ride a lane.
+    /// earns one) and one at least as slow as a hand-off both ride a
+    /// lane. (The name is older than the deletion of hedging.)
     #[test]
     fn unmeasured_slow_and_hedged_replicas_go_to_the_pool() {
         let pool = pool();
-        for (estimate, hedge) in [
-            (None, None),
-            (Some(DEAR_NS), None),
-            (Some(POOL_HANDOFF_NS), None),
-            (Some(CHEAP_NS), Some(&PATIENT)),
-        ] {
+        for estimate in [None, Some(DEAR_NS), Some(POOL_HANDOFF_NS)] {
             let (g, _) = group(&[Decision::Permit; 3]);
             if let Some(ns) = estimate {
                 (0..3).for_each(|slot| g.endpoint(slot).record_latency_ns(ns));
@@ -1775,26 +1495,22 @@ mod tests {
                 QuorumMode::Majority,
                 &RequestContext::new(),
                 0,
-                &plan(&pool, hedge, false),
+                &plan(&pool, false),
             );
             assert_eq!(out.response.unwrap().decision, Decision::Permit);
             assert_eq!(out.replicas_queried, 3);
-            assert_eq!(
-                out.caller_evaluations,
-                0,
-                "estimate {estimate:?}, hedged: {}",
-                hedge.is_some()
-            );
+            assert_eq!(out.caller_evaluations, 0, "estimate {estimate:?}");
         }
     }
 
     /// A mixed dispatch, as an order of events: the slow replica is
     /// handed to the pool *before* the caller evaluates its cheap ones
     /// (they are let through only once it is parked inside its
-    /// evaluation), the verdict returns while it is still parked, and
-    /// it then sees its cancel token — nobody ever releases it.
+    /// evaluation), and the verdict returns while it is still parked.
+    /// Released afterwards, it runs to its end: nothing abandons an
+    /// evaluation once it has started.
     #[test]
-    fn mixed_dispatch_pools_the_straggler_first_and_cancels_it_at_settle() {
+    fn mixed_dispatch_pools_the_straggler_first_and_settles_without_it() {
         let cheap = [
             SlowBackend::parked("r0", Decision::Permit),
             SlowBackend::parked("r1", Decision::Permit),
@@ -1818,7 +1534,7 @@ mod tests {
                 QuorumMode::Majority,
                 &RequestContext::new(),
                 0,
-                &plan(&pool, None, false),
+                &plan(&pool, false),
             )
         });
         assert_eq!(out.response.unwrap().decision, Decision::Permit);
@@ -1829,7 +1545,8 @@ mod tests {
             0,
             "the verdict waited for the straggler"
         );
-        straggler.wait_abandoned();
+        straggler.release();
+        straggler.wait_answered();
     }
 
     /// A full-width majority of five cheap replicas stops evaluating at
@@ -1852,7 +1569,7 @@ mod tests {
             QuorumMode::Majority,
             &RequestContext::new(),
             0,
-            &plan(&pool, None, false),
+            &plan(&pool, false),
         );
         assert_eq!(out.response.unwrap().decision, Decision::Permit);
         assert_eq!(out.replicas_queried, 5);
@@ -1880,7 +1597,7 @@ mod tests {
         let req = RequestContext::new();
         // Unanimity over three permits needs every vote, every time.
         let ask = || {
-            let plan = plan(&pool, None, false);
+            let plan = plan(&pool, false);
             g.query_planned(QuorumMode::UnanimousFailClosed, &req, 0, &plan)
         };
         let out = std::thread::scope(|scope| {
@@ -1911,7 +1628,7 @@ mod tests {
         let (pool, latch) = held_pool();
         let req = RequestContext::new();
         let no_pool = FanoutPlan::default();
-        for plan in [no_pool, plan(&pool, None, false)] {
+        for plan in [no_pool, plan(&pool, false)] {
             let (g, _) = lossy_group(&[Decision::Permit; 3], Some(0));
             estimated(&g, CHEAP_NS);
             let out = g.query_planned(QuorumMode::Majority, &req, 0, &plan);
@@ -1930,11 +1647,11 @@ mod tests {
         latch.release();
     }
 
-    /// An unhedged escalation fires only once everything in flight has
-    /// answered, so there is nothing for it to overlap: it runs on the
-    /// caller whatever its replica's estimate — after a contested vote
-    /// the caller took itself, and after one the pool took. The lone
-    /// unhedged first-healthy primary is the same rule.
+    /// An escalation fires only once everything in flight has answered,
+    /// so there is nothing for it to overlap: it runs on the caller
+    /// whatever its replica's estimate — after a contested vote the
+    /// caller took itself, and after one the pool took. The lone
+    /// first-healthy primary is the same rule.
     #[test]
     fn a_lone_escalation_runs_on_the_caller_whatever_its_estimate() {
         let votes = [Decision::Deny, Decision::Permit, Decision::Permit];
@@ -1949,76 +1666,15 @@ mod tests {
             for (slot, ns) in estimates.into_iter().enumerate() {
                 g.endpoint(slot).record_latency_ns(ns);
             }
-            let out = g.query_planned(QuorumMode::Majority, &req, 0, &plan(&pool, None, true));
+            let out = g.query_planned(QuorumMode::Majority, &req, 0, &plan(&pool, true));
             assert_eq!(out.response.unwrap().decision, Decision::Permit);
             assert_eq!(out.replicas_queried, 3, "escalated to the full width");
-            assert_eq!(out.hedges, 0, "a contested vote is not a hedge");
             assert_eq!(out.caller_evaluations, on_caller, "{estimates:?}");
         }
         let (g, _) = group(&votes);
-        let out = g.query_planned(QuorumMode::FirstHealthy, &req, 0, &plan(&pool, None, false));
+        let out = g.query_planned(QuorumMode::FirstHealthy, &req, 0, &plan(&pool, false));
         assert_eq!(out.response.unwrap().decision, Decision::Deny);
         assert_eq!((out.replicas_queried, out.caller_evaluations), (1, 1));
-    }
-
-    /// A backend that cancels whatever token it is handed — `cancel` is
-    /// public — and withdraws its vote; asked without one, it permits.
-    struct Saboteur(String);
-
-    impl DecisionBackend for Saboteur {
-        fn name(&self) -> &str {
-            &self.0
-        }
-        fn decide(&self, _request: &RequestContext, _now_ms: u64) -> Response {
-            Response::decision(Decision::Permit)
-        }
-        fn decide_cancellable(
-            &self,
-            _request: &RequestContext,
-            _now_ms: u64,
-            cancel: &CancelToken,
-        ) -> Option<Response> {
-            cancel.cancel();
-            None
-        }
-    }
-
-    /// The token a backend is handed belongs to its own query: a query
-    /// the caller evaluates whole has nothing to cancel and hands out no
-    /// token at all, so a backend that sets every token it sees spoils
-    /// the query it is part of — all pooled, or mixed, where the caller's
-    /// own evaluations carry the query's token too — and nothing after.
-    #[test]
-    fn a_backend_that_cancels_its_token_spoils_only_its_own_query() {
-        let saboteurs = |estimates: [u64; 3]| {
-            let backends = (0..3).map(|i| Arc::new(Saboteur(format!("r{i}"))) as _);
-            let (g, _) = grouped(backends.collect());
-            for (slot, ns) in estimates.into_iter().enumerate() {
-                g.endpoint(slot).record_latency_ns(ns);
-            }
-            g
-        };
-        let cheap = saboteurs([CHEAP_NS; 3]);
-        let pool = pool();
-        let majority = |g: &ReplicaGroup| {
-            g.query_planned(
-                QuorumMode::Majority,
-                &RequestContext::new(),
-                0,
-                &plan(&pool, None, false),
-            )
-        };
-        for _ in 0..2 {
-            let out = majority(&cheap);
-            assert_eq!(out.response.unwrap().decision, Decision::Permit);
-            assert_eq!(out.caller_evaluations, 2);
-        }
-        for (estimates, on_caller) in [([DEAR_NS; 3], 0), ([CHEAP_NS, CHEAP_NS, DEAR_NS], 2)] {
-            let out = majority(&saboteurs(estimates));
-            assert_eq!((out.response, out.caller_evaluations), (None, on_caller));
-            let out = majority(&cheap);
-            assert_eq!(out.response.unwrap().decision, Decision::Permit);
-        }
     }
 
     proptest! {
@@ -2033,12 +1689,10 @@ mod tests {
         /// voter in every mode (the chosen behaviour for a lost
         /// first-healthy primary, whose replacement is the fastest
         /// remaining replica, not the next configured one — worked out
-        /// here from the drawn speeds): the hedge budget is one no run
-        /// can overrun, so any hedge would be a lost vote miscounted.
-        /// Each replica draws no estimate, one under or one over the
-        /// hand-off constant, and the plans are no pool, pooled (full
-        /// width and adaptive) and pooled hedged, so the equivalence
-        /// covers caller, pooled and mixed dispatch.
+        /// here from the drawn speeds). Each replica draws no estimate,
+        /// one under or one over the hand-off constant, and the plans
+        /// are no pool and pooled (full width and adaptive), so the
+        /// equivalence covers caller, pooled and mixed dispatch.
         #[test]
         fn every_plan_answers_what_combine_answers_over_the_eligible_votes(
             codes in prop::collection::vec(0u8..4, 3..8),
@@ -2097,9 +1751,6 @@ mod tests {
                         decisions,
                         speeds
                     );
-                    if plan.hedge.is_some() {
-                        prop_assert_eq!(out.caller_evaluations, 0);
-                    }
                     if plan.pool.is_none() {
                         let asked = 1..=out.replicas_queried;
                         prop_assert!(asked.contains(&out.caller_evaluations));
@@ -2114,7 +1765,6 @@ mod tests {
                     let quorum_width = if mode.fans_out() { eligible / 2 + 1 } else { 1 };
                     prop_assert!(out.replicas_queried >= quorum_width);
                     prop_assert!(out.replicas_queried <= eligible);
-                    prop_assert_eq!(out.hedges, 0);
                 }
             }
         }

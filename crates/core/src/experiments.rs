@@ -5,17 +5,15 @@
 use crate::scenario::{healthcare_vo, with_shared_cas};
 use crate::stats::{f2, us_as_ms, Summary, Table};
 use crate::workload::{generate, WorkloadSpec};
-use dacs_cluster::{
-    ClusterBuilder, DecisionBackend, HedgeConfig, PdpCluster, QuorumMode, SchedulerConfig,
-};
+use dacs_cluster::{ClusterBuilder, DecisionBackend, PdpCluster, QuorumMode, SchedulerConfig};
 use dacs_crypto::sign::{CryptoCtx, SigningKey};
 use dacs_federation::{
-    federated_enrich, issue_capability_flow, push_flow, request_flow, Domain, FlowKind, FlowNet,
-    SizeModel, Vo,
+    federated_enrich, issue_capability_flow, push_flow, request_flow, ClusteredDecisionSource,
+    Domain, FlowKind, FlowNet, SizeModel, Vo,
 };
 use dacs_pap::{DelegationRegistry, SyndicationTree};
 use dacs_pdp::{Binding, CacheConfig, Pdp, PdpDirectory};
-use dacs_pep::{EnforceOptions, EnforceRequest};
+use dacs_pep::{EnforceOptions, EnforceRequest, Pep};
 use dacs_pip::{PipRegistry, StaticAttributes};
 use dacs_policy::conflict;
 use dacs_policy::eval::{resolve_references, EvalMetrics, Evaluator};
@@ -1021,51 +1019,14 @@ impl DecisionBackend for SlowPermit {
     }
 }
 
-/// The fan-out strategies E15 compares.
-#[derive(Clone, Copy, PartialEq, Debug)]
-enum FanoutStrategy {
-    /// No `ClusterBuilder::scheduler`: the collector with no pool asks
-    /// replicas one after another on the caller's thread, likely-fast
-    /// ones first, and stops at the settle point (latency = sum of the
-    /// replicas asked).
-    Caller,
-    /// `ClusterBuilder::scheduler`: all replicas concurrently on the
-    /// cluster's pool, with incremental quorum short-circuiting
-    /// (latency ≈ the slowest replica the quorum still needs).
-    Parallel,
-    /// First-healthy with EWMA-budgeted hedged requests racing a slow
-    /// primary.
-    Hedged,
-}
-
-impl FanoutStrategy {
-    fn label(&self) -> &'static str {
-        match self {
-            FanoutStrategy::Caller => "caller",
-            FanoutStrategy::Parallel => "parallel",
-            FanoutStrategy::Hedged => "hedged",
-        }
-    }
-
-    fn quorum(&self) -> QuorumMode {
-        match self {
-            // Caller vs parallel compare the same majority quorum;
-            // hedging is a first-healthy mechanism (quorum fan-outs
-            // already query every replica, leaving nothing to hedge to).
-            FanoutStrategy::Caller | FanoutStrategy::Parallel => QuorumMode::Majority,
-            FanoutStrategy::Hedged => QuorumMode::FirstHealthy,
-        }
-    }
-}
-
-/// Builds the E15 testbed for one strategy: one shard of three
-/// replicas — one *slow* replica (listed first, so it is the
-/// first-healthy primary) ahead of two fast ones. The strategy's pool
-/// and cluster share `telemetry`, so per-stage histograms (queue wait,
-/// replica compute, quorum wait) decompose the same run the latency
-/// table summarizes. Returned beside the cluster: the slow replica.
+/// Builds the E15 testbed: one majority shard of three replicas — one
+/// *slow* replica listed ahead of two fast ones — built with
+/// `scheduler` or without one. The pool and cluster share `telemetry`,
+/// so per-stage histograms (queue wait, replica compute, quorum wait)
+/// decompose the same run the latency table summarizes. Returned
+/// beside the cluster: the slow replica.
 fn e15_cluster(
-    strategy: FanoutStrategy,
+    scheduler: Option<SchedulerConfig>,
     slow: std::time::Duration,
     telemetry: &Arc<dacs_telemetry::Telemetry>,
 ) -> (PdpCluster, Arc<SlowPermit>) {
@@ -1085,54 +1046,42 @@ fn e15_cluster(
             Decision::Permit,
         )),
     ];
-    let mut builder = ClusterBuilder::new("e15")
-        .quorum(strategy.quorum())
+    let builder = ClusterBuilder::new("e15")
+        .quorum(QuorumMode::Majority)
         .telemetry(Arc::clone(telemetry))
         .shard(replicas);
-    if strategy != FanoutStrategy::Caller {
-        // Both pooled rows plan with a `HedgeConfig`, so every replica
-        // rides the pool — the strategy E15 compares, its instant
-        // backends standing in for replicas worth a hand-off (an
-        // unhedged plan would evaluate them on the caller). The
-        // parallel row's allows no hedge.
-        let hedge = HedgeConfig {
-            budget_multiplier: 3.0,
-            min_budget_us: 200,
-            max_hedges: usize::from(strategy == FanoutStrategy::Hedged),
-        };
-        // Headroom beyond the replica count: a 2 ms straggler parks a
-        // worker until it finishes, and cancellation only spares jobs
-        // that have not been dequeued yet.
-        builder = builder.scheduler(SchedulerConfig::new(6).with_hedge(hedge));
-    }
-    (builder.build(), sleeper)
+    let cluster = match scheduler {
+        Some(config) => builder.scheduler(config),
+        None => builder,
+    };
+    (cluster.build(), sleeper)
 }
 
-/// E15: fan-out latency — caller vs parallel vs hedged quorum service
-/// under one slow replica plus simnet-injected crash churn.
+/// E15: fan-out latency — the majority quorum served by the caller
+/// alone vs through the pool, under one slow replica plus
+/// simnet-injected crash churn.
 ///
-/// One shard runs a 2 ms-slow replica (first in configured order, so it
-/// is also the first-healthy primary) next to two fast replicas; a
-/// simnet controller schedules crash/recover events that take the slow
-/// replica down for part of the run. The pool-less majority asks its
-/// first query's replicas in configured order, every one unmeasured,
+/// One shard runs a 2 ms-slow replica (first in configured order) next
+/// to two fast replicas; a simnet controller schedules crash/recover
+/// events that take the slow replica down for part of the run. The
+/// `caller` row is the cluster built without a scheduler: its first
+/// query asks its replicas in configured order, every one unmeasured,
 /// and pays the sleeper once; from then on the estimate orders the
-/// sleeper last and two fast votes settle before it is reached.
-/// Parallel majority short-circuits on the two fast replicas'
-/// agreement while the sleeper rides the pool; the hedged first-healthy
-/// path races a hedge against the slow primary after an EWMA-derived
-/// budget.
-/// Decision correctness is identical across strategies — the table
-/// isolates the latency distribution (p50/p99/p999, spread) and, via
-/// each strategy's telemetry registry, the per-stage breakdown of
-/// where a decision's time goes: pool queue wait vs replica compute
-/// vs quorum assembly wait.
+/// sleeper last and two fast votes settle before it is reached. The
+/// `pooled` row is the same cluster with a scheduler: the sleeper's
+/// estimate is above the pool hand-off constant, so it rides the pool
+/// on every query it is up for, while the two fast replicas — once
+/// measured — settle the vote on the caller without waiting for it.
+/// Decision correctness is identical across rows — the table isolates
+/// the latency distribution (p50/p99/p999, spread) and, via each row's
+/// telemetry registry, the per-stage breakdown of where a decision's
+/// time goes: pool queue wait vs replica compute vs quorum assembly
+/// wait.
 pub fn e15_fanout_latency(requests: usize) -> Table {
     let mut table = Table::new(
-        "E15 — fan-out latency: caller vs parallel vs hedged (3 replicas, one 2 ms-slow, crash churn)",
+        "E15 — fan-out latency: caller vs pooled (3-replica majority, one 2 ms-slow, crash churn)",
         &[
             "strategy",
-            "quorum",
             "lat p50 (µs)",
             "lat p99 (µs)",
             "lat p999 (µs)",
@@ -1140,8 +1089,7 @@ pub fn e15_fanout_latency(requests: usize) -> Table {
             "queue p99 (µs)",
             "replica p99 (µs)",
             "quorum p99 (µs)",
-            "hedge rate %",
-            "hedges won",
+            "on caller",
             "availability %",
             "slow replica asked",
         ],
@@ -1152,16 +1100,15 @@ pub fn e15_fanout_latency(requests: usize) -> Table {
         Crash,
         Recover,
     }
-    for strategy in [
-        FanoutStrategy::Caller,
-        FanoutStrategy::Parallel,
-        FanoutStrategy::Hedged,
-    ] {
+    // Headroom beyond the replica count: a 2 ms straggler parks a
+    // worker until it finishes, and only jobs still queued when the
+    // verdict lands are skipped.
+    for (strategy, scheduler) in [("caller", None), ("pooled", Some(SchedulerConfig::new(6)))] {
         let telemetry = Arc::new(dacs_telemetry::Telemetry::new());
-        let (cluster, sleeper) = e15_cluster(strategy, slow, &telemetry);
+        let (cluster, sleeper) = e15_cluster(scheduler, slow, &telemetry);
 
-        // Identical, deterministic churn schedule for every strategy:
-        // the slow replica crashes and recovers on a simulated control
+        // Identical, deterministic churn schedule for every row: the
+        // slow replica crashes and recovers on a simulated control
         // plane (≈ one outage per third of the horizon).
         let horizon_us = requests as u64 * 1_000;
         let mut net: dacs_simnet::Network<Churn> = dacs_simnet::Network::new(15);
@@ -1194,12 +1141,11 @@ pub fn e15_fanout_latency(requests: usize) -> Table {
         let lat = Summary::of(&lats);
         let m = cluster.metrics();
         // Per-stage breakdown from the shared registry: the pool-less
-        // strategy never queues or waits on a quorum channel, so those
+        // row never queues or waits on a quorum channel, so those
         // histograms stay empty (p99 = 0) — the comparison itself.
         let stage_p99 = |name: &str| telemetry.registry().histogram(name).percentile(0.99);
         table.row(vec![
-            strategy.label().into(),
-            strategy.quorum().name().into(),
+            strategy.into(),
             lat.p50.to_string(),
             lat.p99.to_string(),
             lat.p999.to_string(),
@@ -1207,8 +1153,7 @@ pub fn e15_fanout_latency(requests: usize) -> Table {
             stage_p99("dacs_fanout_queue_wait_us").to_string(),
             stage_p99("dacs_replica_decide_us").to_string(),
             stage_p99("dacs_quorum_wait_us").to_string(),
-            f2(100.0 * m.hedge_rate()),
-            m.hedge_wins.to_string(),
+            m.caller_evaluations.to_string(),
             f2(100.0 * m.availability()),
             sleeper
                 .asked
@@ -2023,12 +1968,12 @@ pub fn capability_telemetry_run(requests: usize) -> Arc<dacs_telemetry::Telemetr
 }
 
 /// The E19 testbed: one clustered domain whose 1×5 majority shard
-/// rides `scheduler` with adaptive fan-out (callers pass a deliberately
-/// small single-worker pool, so a flood can actually saturate it),
+/// rides a scheduler with adaptive fan-out (a deliberately small
+/// single-worker pool, so a flood can actually saturate it),
 /// 16 aux policies deep enough that each replica evaluation has
 /// real weight, and a quarter of the subjects auditors — denied by the
 /// gate — so the ground-truth check exercises both verdicts.
-fn e19_domain(telemetry: &Arc<dacs_telemetry::Telemetry>, scheduler: SchedulerConfig) -> Domain {
+fn e19_domain(telemetry: &Arc<dacs_telemetry::Telemetry>) -> Domain {
     let name = "sched";
     let mut builder = Domain::builder(name)
         .policy(e17_gate(name, 0))
@@ -2036,7 +1981,7 @@ fn e19_domain(telemetry: &Arc<dacs_telemetry::Telemetry>, scheduler: SchedulerCo
             ClusterBuilder::new(name)
                 .quorum(QuorumMode::Majority)
                 .resync(true)
-                .scheduler(scheduler.with_adaptive_fanout(true)),
+                .scheduler(SchedulerConfig::new(1).with_adaptive_fanout(true)),
         )
         .cluster_topology(1, 5)
         .telemetry(Arc::clone(telemetry))
@@ -2105,8 +2050,9 @@ fn e19_tally(
 /// whichever thread evaluates:
 ///
 /// 1. **Adaptive fan-out** — replica sub-queries per decision never
-///    exceed the quorum width (3 of 5 under majority) plus hedged
-///    escalations, and `fanout_saved` shows replicas actually skipped.
+///    exceed the quorum width (3 of 5 under majority: the replicas
+///    agree, so nothing escalates), and `fanout_saved` shows replicas
+///    actually skipped.
 /// 2. **Correctness under load** — zero false permits and zero false
 ///    denies across both phases, flood included.
 pub fn e19_scheduler_saturation(requests: usize) -> Table {
@@ -2121,7 +2067,6 @@ pub fn e19_scheduler_saturation(requests: usize) -> Table {
             "bulk decisions",
             "replica q/decision",
             "fanout saved",
-            "hedges",
             "deadline misses",
             "false permits",
             "false denies",
@@ -2132,7 +2077,7 @@ pub fn e19_scheduler_saturation(requests: usize) -> Table {
     const BULK_THREADS: usize = 10;
     const QUORUM_WIDTH: u64 = 3; // floor(5/2) + 1 under majority
     let telemetry = Arc::new(dacs_telemetry::Telemetry::new());
-    let domain = Arc::new(e19_domain(&telemetry, SchedulerConfig::new(1)));
+    let domain = Arc::new(e19_domain(&telemetry));
     let cluster = domain.cluster.clone().expect("e19 is clustered");
 
     // Root-PAP ground truth, precomputed once: the gate is static for
@@ -2214,7 +2159,6 @@ pub fn e19_scheduler_saturation(requests: usize) -> Table {
         "0".into(),
         f2(m1.replica_queries as f64 / m1.queries.max(1) as f64),
         m1.fanout_saved.to_string(),
-        m1.hedges.to_string(),
         deadline_misses().to_string(),
         false_permits.load(Ordering::Relaxed).to_string(),
         false_denies.load(Ordering::Relaxed).to_string(),
@@ -2263,7 +2207,6 @@ pub fn e19_scheduler_saturation(requests: usize) -> Table {
         f2((m2.replica_queries - m1.replica_queries) as f64
             / (m2.queries - m1.queries).max(1) as f64),
         (m2.fanout_saved - m1.fanout_saved).to_string(),
-        (m2.hedges - m1.hedges).to_string(),
         deadline_misses().to_string(),
         false_permits.load(Ordering::Relaxed).to_string(),
         false_denies.load(Ordering::Relaxed).to_string(),
@@ -2271,14 +2214,13 @@ pub fn e19_scheduler_saturation(requests: usize) -> Table {
     ]);
 
     // Invariant 1: adaptive fan-out. Every decision dispatches at most
-    // the quorum width; anything beyond that must be an accounted
-    // hedge/escalation, and skipped replicas show up in fanout_saved.
+    // the quorum width — agreeing replicas never escalate — and
+    // skipped replicas show up in fanout_saved.
     assert!(
-        m2.replica_queries <= m2.queries * QUORUM_WIDTH + m2.hedges,
-        "replica queries {} exceed quorum width × queries {} + hedges {}",
+        m2.replica_queries <= m2.queries * QUORUM_WIDTH,
+        "replica queries {} exceed quorum width × queries {}",
         m2.replica_queries,
         m2.queries * QUORUM_WIDTH,
-        m2.hedges,
     );
     assert!(
         m2.fanout_saved > 0,
@@ -2504,17 +2446,59 @@ pub fn e20_read_path_scaling(requests_per_thread: usize) -> Table {
     table
 }
 
+/// A backend that burns a fixed amount of CPU per decision and
+/// permits: genuine compute, where a sleep would hide the cost of what
+/// runs beside it, and a measured latency no shorter than its spin on
+/// any host or build profile.
+struct SpinPermit {
+    name: String,
+    spin_us: u64,
+}
+
+impl SpinPermit {
+    /// `n` replicas named `{prefix}-{r}`, each spinning `spin_us`.
+    fn shard(prefix: &str, n: usize, spin_us: u64) -> Vec<Arc<dyn DecisionBackend>> {
+        (0..n)
+            .map(|r| {
+                let name = format!("{prefix}-{r}");
+                Arc::new(SpinPermit { name, spin_us }) as Arc<dyn DecisionBackend>
+            })
+            .collect()
+    }
+}
+
+impl DecisionBackend for SpinPermit {
+    fn name(&self) -> &str {
+        &self.name
+    }
+    fn decide(&self, _request: &RequestContext, _now_ms: u64) -> dacs_policy::eval::Response {
+        let start = Instant::now();
+        while (start.elapsed().as_micros() as u64) < self.spin_us {
+            std::hint::spin_loop();
+        }
+        dacs_policy::eval::Response::decision(Decision::Permit)
+    }
+}
+
 /// A compact scheduler run with full telemetry, for the harness's
 /// `--lane-telemetry` artifact and the observability tests: mixed
-/// interactive / default / bulk enforcements through the E19 domain
-/// populate the per-lane `dacs_sched_jobs_total_*` counters, the
-/// `dacs_sched_queue_wait_us_*` histograms and the deadline-miss
-/// counter. Its scheduler hedges, so every replica rides a lane
-/// whatever the host's speed or the build profile.
+/// interactive / default / bulk enforcements through a PEP over a
+/// single-worker 1×5 adaptive-majority cluster populate the per-lane
+/// `dacs_sched_jobs_total_*` counters, the `dacs_sched_queue_wait_us_*`
+/// histograms and the deadline-miss counter. Its replicas spin twice the
+/// cluster's 10 µs pool hand-off constant, so the collector hands every
+/// one to a lane by its measured latency, whatever the host's speed or
+/// the build profile.
 pub fn scheduler_telemetry_run(requests: usize) -> Arc<dacs_telemetry::Telemetry> {
     let telemetry = Arc::new(dacs_telemetry::Telemetry::new());
-    let hedged = SchedulerConfig::new(1).with_hedge(HedgeConfig::default());
-    let domain = e19_domain(&telemetry, hedged);
+    let cluster = ClusterBuilder::new("sched")
+        .quorum(QuorumMode::Majority)
+        .scheduler(SchedulerConfig::new(1).with_adaptive_fanout(true))
+        .telemetry(Arc::clone(&telemetry))
+        .shard(SpinPermit::shard("sched", 5, 20))
+        .build();
+    let source = ClusteredDecisionSource::new(Arc::new(cluster));
+    let pep = Pep::builder("pep.sched").source(Arc::new(source)).build();
     for i in 0..requests as u64 {
         let context = RequestContext::basic(
             format!("user-{}@sched", i % 16),
@@ -2526,9 +2510,7 @@ pub fn scheduler_telemetry_run(requests: usize) -> Arc<dacs_telemetry::Telemetry
             1 => EnforceOptions::new(),
             _ => EnforceOptions::bulk(),
         };
-        domain
-            .pep
-            .serve(EnforceRequest::of(&context, i).with_options(options));
+        pep.serve(EnforceRequest::of(&context, i).with_options(options));
     }
     telemetry
 }
@@ -2562,7 +2544,6 @@ pub fn run_all() -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dacs_policy::eval::Response;
 
     #[test]
     fn e1_shapes() {
@@ -2670,67 +2651,44 @@ mod tests {
     }
 
     /// E15 by logic (its latency columns are reported, not gated — the
-    /// repo benchmark judges timing). The name is from when the first
-    /// row was a sum-of-replicas path; it is the pool-less cluster now.
+    /// repo benchmark judges timing). The name is older than the
+    /// table's two rows, the pool-less cluster and the pooled one.
     #[test]
     fn e15_parallel_and_hedged_beat_sequential_tail_latency() {
         let requests = 250;
         let t = e15_fanout_latency(requests);
-        assert_eq!(t.rows.len(), 3);
-        let row = |name: &str| {
-            t.rows
-                .iter()
-                .find(|r| r[0] == name)
-                .unwrap_or_else(|| panic!("missing row {name}"))
-                .clone()
-        };
-        let caller = row("caller");
-        let parallel = row("parallel");
-        let hedged = row("hedged");
+        let names: Vec<&str> = t.rows.iter().map(|r| r[0].as_str()).collect();
+        assert_eq!(names, ["caller", "pooled"]);
+        let (caller, pooled) = (&t.rows[0], &t.rows[1]);
+        let column = |r: &Vec<String>, i: usize| -> usize { r[i].parse().unwrap() };
         // The pool-less majority meets the sleeper on its first query,
         // every replica unmeasured and asked in configured order, and
-        // from then on settles on the two fast votes ahead of it.
-        let asked: usize = caller[12].parse().unwrap();
+        // from then on settles on the two fast votes ahead of it: two
+        // evaluations per query, all on the caller, and nothing queued
+        // or waited for on a quorum channel.
+        let asked = column(caller, 10);
         assert!(
             (1..requests).contains(&asked),
             "caller asked the slow replica {asked} times in {requests} requests"
         );
-        // Hedges fire only on the hedged strategy, and only while the
-        // slow primary is up (availability stays 100% throughout).
-        let hedge_rate = |r: &Vec<String>| -> f64 { r[9].parse().unwrap() };
-        assert_eq!(hedge_rate(&caller), 0.0);
-        assert_eq!(hedge_rate(&parallel), 0.0);
-        assert!(
-            hedge_rate(&hedged) > 10.0,
-            "slow primary must draw hedges: {}",
-            hedge_rate(&hedged)
+        assert_eq!(column(caller, 8), 2 * requests);
+        assert_eq!(column(caller, 5), 0, "caller never queues");
+        assert_eq!(
+            column(caller, 7),
+            0,
+            "caller never waits on a quorum channel"
         );
-        for r in [&caller, &parallel, &hedged] {
-            let avail: f64 = r[11].parse().unwrap();
+        // The pooled row's first query has nothing measured, so it pools
+        // every replica, the sleeper at the head of the queue; the
+        // sleeper's estimate keeps it on the pool from then on.
+        assert!(column(pooled, 10) >= 1, "the pool never asked the sleeper");
+        assert!(column(pooled, 8) < 2 * requests, "nothing was pooled");
+        for r in [caller, pooled] {
+            let avail: f64 = r[9].parse().unwrap();
             assert!(
                 (avail - 100.0).abs() < 1e-9,
                 "{}: availability {avail}",
                 r[0]
-            );
-        }
-        // The telemetry stage breakdown separates the strategies: only
-        // pooled strategies queue jobs or wait on a quorum channel, and
-        // their replica-compute p99 reflects the 2 ms sleeper they
-        // dispatch on every request it is up for.
-        let stage = |r: &Vec<String>, i: usize| -> u64 { r[i].parse().unwrap() };
-        assert_eq!(stage(&caller, 6), 0, "caller never queues");
-        assert_eq!(
-            stage(&caller, 8),
-            0,
-            "caller never waits on a quorum channel"
-        );
-        for r in [&parallel, &hedged] {
-            assert!(stage(r, 8) > 0, "{}: no quorum wait recorded", r[0]);
-            assert!(
-                stage(r, 7) >= 1_900,
-                "{}: replica p99 {} misses the slow replica",
-                r[0],
-                stage(r, 7)
             );
         }
     }
@@ -2887,8 +2845,8 @@ mod tests {
         for row in [unloaded, loaded] {
             let per: f64 = row[5].parse().unwrap();
             assert!(per <= 3.5, "{}: {per} replica queries/decision", row[0]);
-            assert_eq!(row[9], "0", "{}: false permits", row[0]);
-            assert_eq!(row[10], "0", "{}: false denies", row[0]);
+            assert_eq!(row[8], "0", "{}: false permits", row[0]);
+            assert_eq!(row[9], "0", "{}: false denies", row[0]);
         }
     }
 
@@ -3092,27 +3050,6 @@ mod tests {
         assert!(text.contains(&format!("dacs_pep_enforce_us_count {REQUESTS}")));
     }
 
-    /// A backend that burns a fixed amount of CPU per decision, so the
-    /// overhead comparison measures telemetry cost against genuine
-    /// compute rather than against a sleep (which would hide it).
-    struct SpinPermit {
-        name: String,
-        spin_us: u64,
-    }
-
-    impl DecisionBackend for SpinPermit {
-        fn name(&self) -> &str {
-            &self.name
-        }
-        fn decide(&self, _request: &RequestContext, _now_ms: u64) -> Response {
-            let start = Instant::now();
-            while (start.elapsed().as_micros() as u64) < self.spin_us {
-                std::hint::spin_loop();
-            }
-            Response::decision(Decision::Permit)
-        }
-    }
-
     /// Decides `requests` queries on a pooled 1×3 majority cluster of
     /// [`SpinPermit`] replicas; returns every verdict and the
     /// cluster's final metrics.
@@ -3123,16 +3060,7 @@ mod tests {
         let mut builder = ClusterBuilder::new("spin")
             .quorum(QuorumMode::Majority)
             .scheduler(SchedulerConfig::new(4))
-            .shard(
-                (0..3)
-                    .map(|r| {
-                        Arc::new(SpinPermit {
-                            name: format!("spin-{r}"),
-                            spin_us: 300,
-                        }) as Arc<dyn DecisionBackend>
-                    })
-                    .collect(),
-            );
+            .shard(SpinPermit::shard("spin", 3, 300));
         if let Some(t) = telemetry {
             builder = builder.telemetry(Arc::clone(t));
         }

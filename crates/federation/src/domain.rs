@@ -464,7 +464,7 @@ impl DomainBuilder {
 
     /// Backs the domain's decision point with a full [`PdpCluster`]
     /// built from `template` instead of a single engine. The template
-    /// carries quorum mode, fan-out pool, hedging, re-sync gating and
+    /// carries quorum mode, fan-out pool, re-sync gating and
     /// (crucially, for VO-wide discovery and failover) a shared
     /// [`dacs_pdp::PdpDirectory`]; the builder renames it to the
     /// domain name, creates the replica PDPs itself — each bound to a

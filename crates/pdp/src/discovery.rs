@@ -114,8 +114,8 @@ impl PdpEndpoint {
     /// new sample contributes 20%, so the estimate settles within a
     /// handful of observations yet rides out single outliers.
     /// Concurrent writers may lose a sample to each other: the estimate
-    /// only ranks replicas and sizes hedge budgets, and the decision
-    /// path pays a plain load and store for it.
+    /// only ranks replicas and picks where they are evaluated, and the
+    /// decision path pays a plain load and store for it.
     pub fn record_latency_ns(&self, sample_ns: u64) {
         let sample = sample_ns.max(1);
         let next = match self.latency_ewma_ns.load(Ordering::Relaxed) {
@@ -473,8 +473,8 @@ mod tests {
     }
 
     /// Regression (ISSUE 3): a latency estimate must not outlive the
-    /// endpoint — a removed replica's estimate would keep feeding hedge
-    /// budgets and fastest-first ordering forever. The estimate lives
+    /// endpoint — a removed replica's estimate would keep feeding
+    /// fastest-first ordering forever. The estimate lives
     /// in the record, and a holder of a removed record sees it crashed.
     #[test]
     fn deregister_removes_endpoint_and_prunes_latency_ewma() {

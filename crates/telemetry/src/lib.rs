@@ -14,7 +14,7 @@
 //! * [`Tracer`] — per-enforcement traces. A root [`Span`] stamps the
 //!   enforcement with a trace id; timed child spans record every hop
 //!   (PEP cache lookup, shard routing, quorum fan-out, per-replica
-//!   `decide()` including hedges and cancellations, obligation
+//!   `decide()` including cancelled stragglers, obligation
 //!   evaluation). Spans propagate across call layers through a
 //!   thread-local current-span context ([`Span::enter`] /
 //!   [`current`]) so no trait signature changes, and across the

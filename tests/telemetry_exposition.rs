@@ -207,7 +207,7 @@ fn every_exposed_name_reads_its_owners_storage() {
     assert!(a.rejected_stale_epoch > 0);
 
     let mut owners = rows(&[
-        // The ten names that predate the read-through registry…
+        // The names that predate the read-through registry…
         (
             "dacs_pep_enforcements_total",
             pep.allowed + pep.denied + pep.failsafe_denials,
@@ -217,7 +217,6 @@ fn every_exposed_name_reads_its_owners_storage() {
         ("dacs_cluster_queries_total", m.queries),
         ("dacs_cluster_unavailable_total", m.unavailable),
         ("dacs_cluster_hedges_total", m.hedges),
-        ("dacs_cluster_hedge_wins_total", m.hedge_wins),
         ("dacs_capability_minted_total", a.minted),
         ("dacs_capability_verified_total", a.verified),
         ("dacs_capability_rejected_total", a.rejected),
