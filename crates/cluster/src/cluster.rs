@@ -36,7 +36,6 @@ pub struct ClusterBuilder {
     shards: Vec<Vec<Arc<dyn DecisionBackend>>>,
     directory: Option<Arc<PdpDirectory>>,
     scheduler: Option<SchedulerConfig>,
-    resync: bool,
     telemetry: Option<Arc<Telemetry>>,
     audit_every: usize,
 }
@@ -51,7 +50,6 @@ impl ClusterBuilder {
             shards: Vec::new(),
             directory: None,
             scheduler: None,
-            resync: false,
             telemetry: None,
             audit_every: 0,
         }
@@ -100,16 +98,11 @@ impl ClusterBuilder {
         self
     }
 
-    /// Enables epoch-gated replica re-sync (default off). With it on, a
-    /// replica returning from a crash ([`PdpCluster::mark_up`]) whose
-    /// policy epoch lags its group's maximum enters the `Syncing` phase
-    /// — alive, but excluded from dispatch and quorum counting — until
-    /// [`PdpCluster::complete_resync`] confirms it has replayed the
-    /// missed policy updates (the `SyndicationTree::catch_up` path).
-    /// With it off a recovering replica rejoins immediately, stale
-    /// policy and all — the failure mode experiment E16 measures.
-    pub fn resync(mut self, enabled: bool) -> Self {
-        self.resync = enabled;
+    /// Does nothing: recovery is always epoch-gated
+    /// ([`PdpCluster::mark_up`]). Kept only while the repo benchmark
+    /// still calls it.
+    #[doc(hidden)]
+    pub fn resync(self, _enabled: bool) -> Self {
         self
     }
 
@@ -194,7 +187,6 @@ impl ClusterBuilder {
             directory,
             quorum: self.quorum,
             scheduler,
-            resync: self.resync,
             audit_every: self.audit_every,
             telemetry: telemetry.map(|t| ClusterTelemetry::new(t, &metrics)),
             metrics,
@@ -240,7 +232,6 @@ pub struct PdpCluster {
     /// The worker pool and its dispatch settings; `None` plans every
     /// query with no pool.
     scheduler: Option<(FanoutPool, SchedulerConfig)>,
-    resync: bool,
     audit_every: usize,
     telemetry: Option<ClusterTelemetry>,
     metrics: Arc<AtomicClusterMetrics>,
@@ -267,49 +258,24 @@ impl PdpCluster {
         self.directory.mark_down(replica);
     }
 
-    /// Marks a replica healthy again.
+    /// Marks a replica up again.
     ///
-    /// With [`ClusterBuilder::resync`] enabled, a returning replica
-    /// whose policy epoch lags its group's maximum enters the `Syncing`
-    /// phase instead of rejoining quorums directly: it is excluded from
-    /// dispatch and quorum counting until
-    /// [`PdpCluster::complete_resync`] confirms its catch-up replay
-    /// finished. A replica that is already current rejoins immediately.
-    /// Either way the return is one store into the replica's record: a
-    /// decide that starts after this call returns sees the final phase.
+    /// A returning replica whose policy epoch lags its group's maximum
+    /// enters the `Syncing` phase instead of rejoining quorums: it is
+    /// excluded from dispatch, quorum counting and discovery until its
+    /// epoch reaches the maximum, and the first query of its group to
+    /// see that readmits it (counted in [`ClusterMetrics::resyncs`]).
+    /// Nothing else has to be called: whatever replays the missed
+    /// updates into the replica — `SyndicationTree::catch_up` — is all
+    /// recovery takes. A replica that is already current rejoins
+    /// immediately. Either way the return is one store into the
+    /// replica's record: a decide that starts after this call returns
+    /// sees the final phase.
     pub fn mark_up(&self, replica: &str) {
-        let Some((group, slot)) = self.slot_of(replica) else {
-            return self.directory.mark_up(replica);
-        };
-        let phase = if self.resync && group.lags(slot) {
-            ReplicaPhase::Syncing
-        } else {
-            ReplicaPhase::Healthy
-        };
-        group.endpoint(slot).set_phase(phase);
-    }
-
-    /// Attempts to readmit a `Syncing` replica: succeeds (and counts a
-    /// re-sync in [`ClusterMetrics`]) once the replica's policy epoch
-    /// has caught up to its group's maximum — i.e. after the
-    /// `SyndicationTree::catch_up` replay into the replica's PAP.
-    /// Returns `false` while the replica is still behind (or unknown);
-    /// a replica that is not syncing is a successful no-op.
-    pub fn complete_resync(&self, replica: &str) -> bool {
-        let Some((group, slot)) = self.slot_of(replica) else {
-            return false;
-        };
-        let endpoint = group.endpoint(slot);
-        if endpoint.phase() != ReplicaPhase::Syncing {
-            return true;
+        match self.slot_of(replica) {
+            Some((group, slot)) => group.mark_up(slot),
+            None => self.directory.mark_up(replica),
         }
-        let caught_up = !group.lags(slot);
-        // Conditional on still being `Syncing`: a crash that raced the
-        // catch-up is not overwritten.
-        if caught_up && endpoint.advance_phase(ReplicaPhase::Syncing, ReplicaPhase::Healthy) {
-            self.metrics.resyncs.fetch_add(1, Ordering::Relaxed);
-        }
-        caught_up
     }
 
     /// The replica's position in the recovery lifecycle
@@ -487,6 +453,7 @@ impl PdpCluster {
             add_rare(&m.fanout_saved, saved as u64);
         }
         add_rare(&m.caller_evaluations, outcome.caller_evaluations as u64);
+        add_rare(&m.resyncs, outcome.readmitted as u64);
         add_rare(&m.stale_decisions_avoided, outcome.stale_excluded as u64);
         m.epoch_lag_last
             .store(outcome.max_epoch_lag, Ordering::Relaxed);
@@ -514,7 +481,8 @@ impl PdpCluster {
     /// takes every in-sync replica's vote, on the caller's thread, and
     /// records what the settle point may have hidden. Observational
     /// only — the served response is never revised, and the replay's
-    /// sub-queries stay out of the fan-out cost counters.
+    /// sub-queries stay out of the fan-out cost counters. Its roster is
+    /// a roster like any other, so a readmission it performs counts.
     fn audit(&self, group: &ReplicaGroup, request: &RequestContext, now_ms: u64) {
         let plan = FanoutPlan {
             every_vote: true,
@@ -523,8 +491,10 @@ impl PdpCluster {
         // Majority, not the configured mode: FirstHealthy would consult
         // a single replica and could never observe a disagreement.
         let audit = group.query_planned(QuorumMode::Majority, request, now_ms, &plan);
-        self.metrics.audit_queries.fetch_add(1, Ordering::Relaxed);
-        add_rare(&self.metrics.audit_disagreements, audit.disagreement as u64);
+        let m = &*self.metrics;
+        m.audit_queries.fetch_add(1, Ordering::Relaxed);
+        add_rare(&m.audit_disagreements, audit.disagreement as u64);
+        add_rare(&m.resyncs, audit.readmitted as u64);
     }
 
     fn note_batch(&self, submitted: usize, coalesced: usize) {
@@ -547,7 +517,7 @@ impl PdpCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replica::StaticBackend;
+    use crate::replica::{EpochBackend, SlowBackend, StaticBackend};
     use dacs_policy::policy::Decision;
 
     /// A builder over `shards` × `replicas` always-permit backends
@@ -831,7 +801,6 @@ mod tests {
     /// its end and is discarded.
     #[test]
     fn a_straggler_answering_after_the_verdict_changes_no_outcome_or_counter() {
-        use crate::replica::SlowBackend;
         let cheap = [
             SlowBackend::parked("m-cheap-0", Decision::Permit),
             SlowBackend::parked("m-cheap-1", Decision::Permit),
@@ -882,7 +851,6 @@ mod tests {
     /// only by the audit, with or without a scheduler.
     #[test]
     fn audit_sampler_observes_divergence_hidden_by_short_circuit() {
-        use crate::replica::SlowBackend;
         for (shape, scheduler) in schedulers() {
             let builder = ClusterBuilder::new("audit-test")
                 .quorum(QuorumMode::Majority)
@@ -945,145 +913,202 @@ mod tests {
         }
     }
 
-    /// Regression (ISSUE 3): with `.resync(true)`, a replica returning
-    /// from a crash with a lagging policy epoch passes through
-    /// `Syncing` — excluded from quorums — until `complete_resync`
-    /// confirms it caught up.
+    /// Regression: a replica returning from a crash with a
+    /// lagging policy epoch passes through `Syncing` — excluded from
+    /// quorums — until its epoch reaches the group's maximum, and the
+    /// next decide readmits it.
     #[test]
     fn resync_lifecycle_gates_recovering_replicas() {
-        use crate::replica::EpochBackend;
         let fresh = Arc::new(EpochBackend::new("s0-fresh", Decision::Deny, 2));
         let stale = Arc::new(EpochBackend::new("s0-stale", Decision::Permit, 2));
         let third = Arc::new(EpochBackend::new("s0-third", Decision::Deny, 2));
         let cluster = ClusterBuilder::new("resync-test")
             .quorum(QuorumMode::Majority)
-            .resync(true)
-            .shard(vec![
-                fresh.clone() as Arc<dyn DecisionBackend>,
-                stale.clone() as Arc<dyn DecisionBackend>,
-                third.clone() as Arc<dyn DecisionBackend>,
-            ])
+            .shard(vec![fresh.clone(), stale.clone(), third.clone()])
             .build();
+        let phase = |replica| cluster.replica_phase(replica).unwrap();
         let req = RequestContext::basic("alice", "ehr/1", "read");
 
         // The stale replica crashes; the survivors see a policy update.
         cluster.mark_down("s0-stale");
-        assert_eq!(
-            cluster.replica_phase("s0-stale"),
-            Some(ReplicaPhase::Crashed)
-        );
+        assert_eq!(phase("s0-stale"), ReplicaPhase::Crashed);
         fresh.set_epoch(3);
         third.set_epoch(3);
 
         // Recovery lands in Syncing, not Healthy: its epoch lags.
         cluster.mark_up("s0-stale");
-        assert_eq!(
-            cluster.replica_phase("s0-stale"),
-            Some(ReplicaPhase::Syncing)
-        );
+        assert_eq!(phase("s0-stale"), ReplicaPhase::Syncing);
         let out = cluster.decide(&req, 0);
         assert_eq!(out.response.unwrap().decision, Decision::Deny);
         assert!(out.degraded, "serving below configured replication");
         let m = cluster.metrics();
-        assert_eq!(m.stale_decisions_avoided, 1);
-        assert_eq!(m.epoch_lag_last, 1);
-        assert_eq!(m.epoch_lag_max, 1);
-        assert_eq!(m.resyncs, 0);
+        assert_eq!((m.stale_decisions_avoided, m.resyncs), (1, 0));
+        assert_eq!((m.epoch_lag_last, m.epoch_lag_max), (1, 1));
 
-        // Readmission is refused until the catch-up replay lands.
-        assert!(!cluster.complete_resync("s0-stale"));
+        // The catch-up replay moves the epoch, not the phase: the next
+        // decide readmits the replica, which votes in it, and counts it
+        // once.
         stale.set_epoch(3);
-        assert!(cluster.complete_resync("s0-stale"));
-        assert_eq!(
-            cluster.replica_phase("s0-stale"),
-            Some(ReplicaPhase::Healthy)
-        );
-        assert_eq!(cluster.metrics().resyncs, 1);
+        assert_eq!(phase("s0-stale"), ReplicaPhase::Syncing);
         let out = cluster.decide(&req, 1);
-        assert!(!out.degraded);
-        assert_eq!(out.replicas_queried, 3);
-        // Re-completing for an in-sync replica is a counted-once no-op.
-        assert!(cluster.complete_resync("s0-stale"));
-        assert_eq!(cluster.metrics().resyncs, 1);
+        assert_eq!((out.degraded, out.replicas_queried), (false, 3));
+        assert_eq!(phase("s0-stale"), ReplicaPhase::Healthy);
+        cluster.decide(&req, 2);
+        let m = cluster.metrics();
+        assert_eq!(
+            (m.resyncs, m.stale_decisions_avoided, m.epoch_lag_last),
+            (1, 1, 0)
+        );
 
         // A replica that crashed but missed nothing skips Syncing.
         cluster.mark_down("s0-third");
         cluster.mark_up("s0-third");
+        assert_eq!(phase("s0-third"), ReplicaPhase::Healthy);
+    }
+
+    /// A cluster built with no lifecycle option gates a lagging return:
+    /// a stale pair that would outvote the fresh replica comes back
+    /// `Syncing`, and the fresh replica's deny stands alone.
+    #[test]
+    fn a_cluster_built_with_no_lifecycle_option_gates_a_lagging_return() {
+        let cluster = ClusterBuilder::new("gated")
+            .quorum(QuorumMode::Majority)
+            .shard(vec![
+                Arc::new(EpochBackend::new("r-fresh", Decision::Deny, 5)),
+                Arc::new(EpochBackend::new("r-stale-0", Decision::Permit, 1)),
+                Arc::new(EpochBackend::new("r-stale-1", Decision::Permit, 1)),
+            ])
+            .build();
+        for replica in ["r-stale-0", "r-stale-1"] {
+            cluster.mark_down(replica);
+            cluster.mark_up(replica);
+            assert_eq!(cluster.replica_phase(replica), Some(ReplicaPhase::Syncing));
+        }
+        let out = cluster.decide(&RequestContext::basic("bob", "x", "read"), 0);
+        assert_eq!(out.response.unwrap().decision, Decision::Deny);
+        assert_eq!(out.replicas_queried, 1);
+        let m = cluster.metrics();
+        assert_eq!((m.stale_decisions_avoided, m.epoch_lag_max), (2, 4));
+    }
+
+    /// A roster reads epochs only when some replica is `Syncing`: an
+    /// all-`Healthy` `decide` and `decide_batch`, each with its audit
+    /// replay, call `policy_epoch` on no backend. A replica found caught
+    /// up is readmitted, and counted in `resyncs`, exactly once though a
+    /// served query and its audit replay both build a roster — by the
+    /// served roster when its catch-up landed before the query (alone
+    /// or in a batch), by the audit's when it landed while the query was
+    /// deciding.
+    #[test]
+    fn rosters_read_no_epoch_until_a_replica_syncs_and_count_readmission_once() {
+        let backends: Vec<_> = (0..3)
+            .map(|r| Arc::new(EpochBackend::new(format!("c-r{r}"), Decision::Permit, 1)))
+            .collect();
+        let shard = backends
+            .iter()
+            .map(|b| b.clone() as Arc<dyn DecisionBackend>);
+        let cluster = ClusterBuilder::new("c")
+            .audit_every(1)
+            .shard(shard.collect())
+            .build();
+        let requests = [
+            RequestContext::basic("alice", "ehr/1", "read"),
+            RequestContext::basic("bob", "ehr/2", "read"),
+        ];
+        let counts = || {
+            let m = cluster.metrics();
+            (
+                m.queries,
+                m.audit_queries,
+                m.resyncs,
+                m.stale_decisions_avoided,
+            )
+        };
+        let class = DecisionClass::default();
+        assert_eq!(cluster.decide(&requests[0], 0).replicas_queried, 3);
+        cluster.decide_batch(&requests, 1, class);
+        assert_eq!(backends.iter().map(|b| b.reads()).sum::<u64>(), 0);
+        assert_eq!(counts(), (3, 3, 0, 0));
+
+        for epoch in [2, 3] {
+            cluster.mark_down("c-r2");
+            backends[..2].iter().for_each(|b| b.set_epoch(epoch));
+            cluster.mark_up("c-r2");
+            assert_eq!(cluster.replica_phase("c-r2"), Some(ReplicaPhase::Syncing));
+            backends[2].set_epoch(epoch);
+            if epoch == 2 {
+                assert_eq!(cluster.decide(&requests[0], epoch).replicas_queried, 3);
+            } else {
+                cluster.decide_batch(&requests, epoch, class);
+            }
+        }
+        assert_eq!(counts(), (6, 6, 2, 0));
+
+        // Mid-query: the served roster leaves a lagging replica out, a
+        // voter lands its catch-up as it decides, and the audit's
+        // roster readmits it.
+        struct CatchUpWhileDeciding(Arc<EpochBackend>);
+        impl DecisionBackend for CatchUpWhileDeciding {
+            fn name(&self) -> &str {
+                "m-trigger"
+            }
+            fn decide(&self, _request: &RequestContext, _now_ms: u64) -> Response {
+                self.0.set_epoch(2);
+                Response::decision(Decision::Permit)
+            }
+        }
+        let stale = Arc::new(EpochBackend::new("m-stale", Decision::Permit, 1));
+        let cluster = ClusterBuilder::new("mid-query")
+            .audit_every(1)
+            .shard(vec![
+                Arc::new(CatchUpWhileDeciding(stale.clone())),
+                Arc::new(EpochBackend::new("m-fresh", Decision::Permit, 2)),
+                stale,
+            ])
+            .build();
+        cluster.mark_up("m-stale");
+        assert_eq!(cluster.decide(&requests[0], 2).replicas_queried, 2);
+        let m = cluster.metrics();
         assert_eq!(
-            cluster.replica_phase("s0-third"),
-            Some(ReplicaPhase::Healthy)
+            (m.audit_queries, m.resyncs, m.stale_decisions_avoided),
+            (1, 1, 1)
         );
     }
 
-    #[test]
-    fn without_resync_recovery_rejoins_immediately() {
-        use crate::replica::EpochBackend;
-        let fresh = Arc::new(EpochBackend::new("r-fresh", Decision::Deny, 5));
-        let stale = Arc::new(EpochBackend::new("r-stale-0", Decision::Permit, 1));
-        let stale_2 = Arc::new(EpochBackend::new("r-stale-1", Decision::Permit, 1));
-        let cluster = ClusterBuilder::new("no-resync")
-            .quorum(QuorumMode::Majority)
-            .shard(vec![
-                fresh as Arc<dyn DecisionBackend>,
-                stale as Arc<dyn DecisionBackend>,
-                stale_2 as Arc<dyn DecisionBackend>,
-            ])
-            .build();
-        cluster.mark_down("r-stale-0");
-        cluster.mark_up("r-stale-0");
-        // No gate: the stale pair outvotes the fresh replica — the
-        // exposure resync exists to close.
-        let out = cluster.decide(&RequestContext::basic("bob", "x", "read"), 0);
-        assert_eq!(out.response.unwrap().decision, Decision::Permit);
-        assert_eq!(cluster.metrics().stale_decisions_avoided, 0);
-    }
-
     /// The reference the lifecycle is checked against: one replica is
-    /// a phase and a policy epoch, and the four calls below are all
-    /// that may change the phase.
+    /// a phase and a policy epoch. A crash, a return and a decide are
+    /// all that may change the phase; a return and a readmission read
+    /// the epochs.
     #[derive(Clone, Copy)]
     struct ModelReplica {
         phase: ReplicaPhase,
         epoch: u64,
     }
 
-    fn model_lags(group: &[ModelReplica], r: usize) -> bool {
-        group.iter().any(|other| other.epoch > group[r].epoch)
+    fn model_max(group: &[ModelReplica]) -> u64 {
+        group.iter().map(|m| m.epoch).max().unwrap()
     }
 
     fn model_mark_up(group: &mut [ModelReplica], r: usize) {
-        group[r].phase = if model_lags(group, r) {
+        group[r].phase = if group[r].epoch < model_max(group) {
             ReplicaPhase::Syncing
         } else {
             ReplicaPhase::Healthy
         };
     }
 
-    /// Returns what `complete_resync` answers.
-    fn model_complete_resync(group: &mut [ModelReplica], r: usize) -> bool {
-        if group[r].phase != ReplicaPhase::Syncing {
-            return true;
-        }
-        let caught_up = !model_lags(group, r);
-        if caught_up {
-            group[r].phase = ReplicaPhase::Healthy;
-        }
-        caught_up
-    }
-
     proptest::proptest! {
         /// Satellite (ISSUE 16): under any schedule of crash, return,
-        /// policy push and catch-up on two `resync(true)` clusters that
-        /// share one directory, every replica's phase — read through
-        /// the cluster *and* through the directory, which are one
-        /// record — follows the reference state machine, and every
-        /// decision counts exactly the voters and exclusions the
+        /// policy push, catch-up and decide on two clusters that share
+        /// one directory, every replica's phase — read through the
+        /// cluster *and* through the directory, which are one record —
+        /// follows the reference state machine, and every decision
+        /// readmits, counts and excludes exactly the replicas the
         /// reference predicts.
         #[test]
         fn lifecycle_follows_the_reference_state_machine(
             schedule in proptest::collection::vec((0u8..5, 0usize..6, 0u8..8), 1..120),
         ) {
-            use crate::replica::EpochBackend;
             let directory = Arc::new(PdpDirectory::new());
             let mut backends = Vec::new();
             let clusters: Vec<PdpCluster> = ["a", "b"]
@@ -1094,7 +1119,6 @@ mod tests {
                         .collect();
                     backends.push(shard.clone());
                     ClusterBuilder::new(*c)
-                        .resync(true)
                         .directory(Arc::clone(&directory))
                         .shard(shard.into_iter().map(|b| b as Arc<dyn DecisionBackend>).collect())
                         .build()
@@ -1129,17 +1153,28 @@ mod tests {
                         }
                     }
                     3 => {
-                        let was_syncing = group[r].phase == ReplicaPhase::Syncing;
-                        let answer = model_complete_resync(group, r);
-                        proptest::prop_assert_eq!(cluster.complete_resync(&name), answer, "step {}", step);
-                        resyncs[c] += (was_syncing && answer) as u64;
+                        // A catch-up reaches a replica that is up, and
+                        // moves its epoch, not its phase.
+                        if group[r].phase != ReplicaPhase::Crashed {
+                            group[r].epoch = model_max(group);
+                            backends[c][r].set_epoch(group[r].epoch);
+                        }
                     }
                     _ => {
+                        // The roster readmits every `Syncing` replica at
+                        // the maximum epoch.
+                        let (max, mut readmitted) = (model_max(group), 0);
+                        for m in group.iter_mut().filter(|m| m.phase == ReplicaPhase::Syncing && m.epoch == max) {
+                            m.phase = ReplicaPhase::Healthy;
+                            readmitted += 1;
+                        }
+                        resyncs[c] += readmitted;
                         let voters = group.iter().filter(|m| m.phase == ReplicaPhase::Healthy).count();
                         let stale = group.iter().filter(|m| m.phase == ReplicaPhase::Syncing).count();
                         let before = cluster.metrics();
                         let out = cluster.decide(&request, step as u64);
                         let after = cluster.metrics();
+                        proptest::prop_assert_eq!(after.resyncs - before.resyncs, readmitted, "step {}", step);
                         proptest::prop_assert_eq!(out.response.is_none(), voters == 0, "step {}", step);
                         proptest::prop_assert_eq!(out.replicas_queried, voters, "step {}", step);
                         proptest::prop_assert_eq!(out.degraded, voters != 0 && voters < 3, "step {}", step);
@@ -1172,15 +1207,15 @@ mod tests {
     /// Satellite (ISSUE 16): the return of a stale replica is one store
     /// into its record, so there is no window in which it is routable.
     /// A decide that starts after `mark_up` returned never counts its
-    /// vote until `complete_resync` has returned true, and discovery
-    /// never hands it to a PEP meanwhile — the two-variable version
-    /// (directory health, then a separate sync flag) answered
-    /// "healthy" to discovery throughout. No sleeps and no clock: the
-    /// lifecycle thread holds each gated window open until both
-    /// observers have checked inside it.
+    /// vote while its epoch lags, and discovery never hands it to a PEP
+    /// meanwhile — the two-variable version (directory health, then a
+    /// separate sync flag) answered "healthy" to discovery throughout.
+    /// Once its catch-up lands, the next decide — the lifecycle
+    /// thread's or an observer's — readmits it, once. No sleeps and no
+    /// clock: the lifecycle thread holds each gated window open until
+    /// both observers have checked inside it.
     #[test]
     fn a_returning_stale_replica_is_never_routable_before_its_resync_completes() {
-        use crate::replica::EpochBackend;
         use dacs_pdp::Binding;
         use std::sync::atomic::{AtomicBool, AtomicU64};
         let fresh: Vec<Arc<EpochBackend>> = ["g-r0", "g-r1"]
@@ -1189,12 +1224,7 @@ mod tests {
             .collect();
         let stale = Arc::new(EpochBackend::new("g-stale", Decision::Permit, 1));
         let cluster = ClusterBuilder::new("gate")
-            .resync(true)
-            .shard(vec![
-                fresh[0].clone() as Arc<dyn DecisionBackend>,
-                fresh[1].clone() as Arc<dyn DecisionBackend>,
-                stale.clone() as Arc<dyn DecisionBackend>,
-            ])
+            .shard(vec![fresh[0].clone(), fresh[1].clone(), stale.clone()])
             .build();
         // The round whose gated window is open, 0 while none is.
         let (gated, done) = (AtomicU64::new(0), AtomicBool::new(false));
@@ -1248,11 +1278,12 @@ mod tests {
                 {
                     std::thread::yield_now();
                 }
-                let refused = !cluster.complete_resync("g-stale");
+                let phase = |expected| (cluster.replica_phase("g-stale") != Some(expected)) as u64;
+                violations.fetch_add(phase(ReplicaPhase::Syncing), Ordering::SeqCst);
                 gated.store(0, Ordering::SeqCst);
-                violations.fetch_add(!refused as u64, Ordering::SeqCst);
                 stale.set_epoch(round);
-                violations.fetch_add(!cluster.complete_resync("g-stale") as u64, Ordering::SeqCst);
+                cluster.decide(&request, 0);
+                violations.fetch_add(phase(ReplicaPhase::Healthy), Ordering::SeqCst);
             }
             done.store(true, Ordering::SeqCst);
         });
@@ -1271,7 +1302,6 @@ mod tests {
     /// and skips the queued one at dequeue.
     #[test]
     fn cancelled_stragglers_close_spans_instead_of_leaking() {
-        use crate::replica::SlowBackend;
         use dacs_telemetry::Telemetry;
         let telemetry = Arc::new(Telemetry::new());
         let deny = SlowBackend::parked("c-deny", Decision::Deny);

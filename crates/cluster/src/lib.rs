@@ -14,7 +14,8 @@
 //!   the PAP syndication timeline); a replica recovering from a crash
 //!   with a lagging epoch passes through the `Syncing` phase
 //!   ([`ReplicaPhase`]) — excluded from quorum counting until its
-//!   catch-up replay completes.
+//!   catch-up replay lands, when the next query readmits it. The gate
+//!   is always on, and nothing but the replay drives it.
 //! * [`quorum`] — the combination rules: `FirstHealthy` (fast, trusts
 //!   one replica), `Majority` (outvotes a minority of wrong replicas)
 //!   and `UnanimousFailClosed` (any disagreement denies).

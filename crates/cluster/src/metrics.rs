@@ -45,9 +45,11 @@ pub struct ClusterMetrics {
     /// dispatches is a quorum member or a needed voter. Kept only while
     /// the repo benchmark's `cluster.hedges` row reads it.
     pub hedges: u64,
-    /// Completed replica re-syncs: a recovering replica finished its
-    /// catch-up replay and was readmitted to quorum counting
-    /// (`Syncing → Healthy`).
+    /// Completed replica re-syncs: a `Syncing` replica whose catch-up
+    /// replay had brought it to its group's maximum epoch, readmitted
+    /// to quorum counting (`Syncing → Healthy`) by the first query —
+    /// served, batched or audit replay — that found it so. Each
+    /// readmission counts once.
     pub resyncs: u64,
     /// Stale votes never counted: one per healthy-but-`Syncing` replica
     /// excluded from a query's quorum. Each is a decision that, before

@@ -19,7 +19,7 @@
 //!    ▲  ▲                           │
 //!    │  └──returns, epoch current───┤
 //!    │                              │ returns, epoch behind
-//!    └──catch-up complete──── Syncing ◀┘
+//!    └──next query, epoch caught up── Syncing ◀┘
 //! ```
 //!
 //! * `Healthy` — dispatched to and counted.
@@ -29,13 +29,14 @@
 //!   excluded from dispatch and quorum counting (each exclusion counts
 //!   in `ClusterMetrics::stale_decisions_avoided`) until it has
 //!   replayed the missed updates from its syndication node
-//!   (`SyndicationTree::catch_up`) and `PdpCluster::complete_resync`
-//!   readmits it.
+//!   (`SyndicationTree::catch_up`). The first query of its group that
+//!   finds its epoch at the maximum readmits it, and it votes in that
+//!   query (`ClusterMetrics::resyncs`). No caller drives this, and no
+//!   option turns the gate off.
 //!
-//! Without the epoch gate (resync disabled) a recovering replica votes
-//! immediately with whatever policy it last saw — a stale *majority*
-//! can then outvote the fresh survivors and falsely permit, exactly the
-//! failure experiment E16 demonstrates.
+//! Were a recovering replica to vote at once with whatever policy it
+//! last saw, a stale *majority* could outvote the fresh survivors and
+//! falsely permit — the failure experiment E16 guards against.
 //!
 //! # Semantics: mode × partition state
 //!
@@ -68,9 +69,9 @@
 //! 4. **`Majority` degrades gracefully but not absolutely**: while a
 //!    fresh majority of the *configured* group is eligible, one wrong
 //!    replica is outvoted; once churn leaves only a wrong minority
-//!    eligible (e.g. undetected staleness with resync disabled), the
-//!    vote is over the survivors and can go wrong (the degraded-mode
-//!    risk [`crate::ClusterMetrics`] tracks).
+//!    eligible (e.g. a Byzantine replica, or staleness the epochs do
+//!    not show), the vote is over the survivors and can go wrong (the
+//!    degraded-mode risk [`crate::ClusterMetrics`] tracks).
 //!
 //! The same table is mirrored, with the decision-path diagrams, in the
 //! repo-level `ARCHITECTURE.md`.

@@ -27,6 +27,7 @@ use dacs_policy::eval::Response;
 use dacs_policy::policy::Decision;
 use dacs_policy::request::RequestContext;
 use dacs_telemetry::{Histogram, Span, SpanCtx, Telemetry, Tracer};
+use parking_lot::Mutex;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
@@ -102,11 +103,13 @@ pub struct GroupOutcome {
     /// counts as dispatched work.
     pub replicas_queried: usize,
     /// Quorum-eligible replicas at query time: healthy *and* in sync
-    /// with the group's policy epoch. (Without resync enabled this is
-    /// simply the healthy count.)
+    /// with the group's policy epoch.
     pub healthy: usize,
-    /// Healthy-but-syncing replicas excluded from this query — each one
-    /// is a stale vote that was *not* counted.
+    /// `Syncing` replicas this query found caught up and readmitted;
+    /// each counts in `healthy`.
+    pub readmitted: usize,
+    /// `Syncing` replicas still behind and excluded from this query —
+    /// each one is a stale vote that was *not* counted.
     pub stale_excluded: usize,
     /// The largest policy-epoch lag among the excluded syncing replicas
     /// (0 when none were excluded).
@@ -131,6 +134,7 @@ impl GroupOutcome {
             response: None,
             replicas_queried: 0,
             healthy: eligible,
+            readmitted: 0,
             stale_excluded: 0,
             max_epoch_lag: 0,
             disagreement: false,
@@ -185,6 +189,10 @@ impl GroupOutcome {
 /// ```
 pub struct ReplicaGroup {
     replicas: Vec<Arc<Replica>>,
+    /// Orders a return ([`ReplicaGroup::mark_up`]) against a roster's
+    /// readmission, so a roster that read a replica caught up cannot
+    /// readmit it after it crashed and returned behind meanwhile.
+    recovery: Mutex<()>,
     telemetry: Option<GroupTelemetry>,
 }
 
@@ -239,10 +247,12 @@ impl Drop for WaitTimer {
     }
 }
 
-/// The per-query eligibility snapshot: who may vote, who was excluded
-/// as stale, and how far behind the worst straggler is.
+/// The per-query eligibility snapshot: who may vote (readmitted ones
+/// included), who was excluded as stale, and how far behind the worst
+/// straggler is.
 struct Roster<'a> {
     eligible: Vec<&'a Arc<Replica>>,
+    readmitted: usize,
     stale_excluded: usize,
     max_epoch_lag: u64,
 }
@@ -406,6 +416,7 @@ impl ReplicaGroup {
             .collect();
         ReplicaGroup {
             replicas,
+            recovery: Mutex::new(()),
             telemetry: None,
         }
     }
@@ -447,30 +458,51 @@ impl ReplicaGroup {
         &self.replicas[slot].endpoint
     }
 
-    /// Whether the replica in `slot` decides on an older policy epoch
-    /// than some other replica of the group.
-    pub(crate) fn lags(&self, slot: usize) -> bool {
-        self.replicas[slot].backend.policy_epoch() < self.max_policy_epoch()
+    /// Stores the phase of the replica in `slot` returning from a
+    /// crash: `Syncing` if its policy epoch lags the group's maximum,
+    /// `Healthy` if it is current.
+    pub(crate) fn mark_up(&self, slot: usize) {
+        let _recovery = self.recovery.lock();
+        let phase = if self.replicas[slot].backend.policy_epoch() < self.max_policy_epoch() {
+            ReplicaPhase::Syncing
+        } else {
+            ReplicaPhase::Healthy
+        };
+        self.replicas[slot].endpoint.set_phase(phase);
     }
 
     /// Snapshot of who may vote right now, one atomic phase load per
-    /// slot. Epoch lag is only computed when someone is actually
-    /// excluded (the common all-healthy case costs no epoch reads).
+    /// slot. Epochs are read only when some replica is `Syncing` (the
+    /// common all-healthy case costs no epoch reads), and that is where
+    /// recovery finishes: a `Syncing` replica at the group's maximum
+    /// epoch is readmitted and votes in this very query. The move is a
+    /// compare-and-swap from `Syncing`, so a crash that raced the
+    /// catch-up is not overwritten and a replica is readmitted once.
     fn roster(&self) -> Roster<'_> {
         let mut roster = Roster {
             eligible: Vec::with_capacity(self.replicas.len()),
+            readmitted: 0,
             stale_excluded: 0,
             max_epoch_lag: 0,
         };
-        let mut target = None;
+        let (mut recovery, mut target) = (None, None);
         for replica in &self.replicas {
             match replica.endpoint.phase() {
                 ReplicaPhase::Healthy => roster.eligible.push(replica),
                 ReplicaPhase::Syncing => {
+                    recovery.get_or_insert_with(|| self.recovery.lock());
                     let target = *target.get_or_insert_with(|| self.max_policy_epoch());
                     let lag = target.lag_behind(replica.backend.policy_epoch());
-                    roster.stale_excluded += 1;
-                    roster.max_epoch_lag = roster.max_epoch_lag.max(lag);
+                    if lag != 0 {
+                        roster.stale_excluded += 1;
+                        roster.max_epoch_lag = roster.max_epoch_lag.max(lag);
+                    } else if replica
+                        .endpoint
+                        .advance_phase(ReplicaPhase::Syncing, ReplicaPhase::Healthy)
+                    {
+                        roster.readmitted += 1;
+                        roster.eligible.push(replica);
+                    }
                 }
                 ReplicaPhase::Crashed => {}
             }
@@ -561,6 +593,7 @@ impl ReplicaGroup {
         } else {
             self.collect(mode, &roster.eligible, request, now_ms, plan)
         };
+        outcome.readmitted = roster.readmitted;
         outcome.stale_excluded = roster.stale_excluded;
         outcome.max_epoch_lag = roster.max_epoch_lag;
         outcome
@@ -910,12 +943,14 @@ impl DecisionBackend for SlowBackend {
 }
 
 /// A backend with an externally settable policy epoch — the test
-/// stand-in for a replica whose PAP lags the syndication timeline.
+/// stand-in for a replica whose PAP lags the syndication timeline — that
+/// counts how often its epoch is read.
 #[cfg(test)]
 pub(crate) struct EpochBackend {
     name: String,
     decision: Decision,
     epoch: std::sync::atomic::AtomicU64,
+    reads: std::sync::atomic::AtomicU64,
 }
 
 #[cfg(test)]
@@ -925,12 +960,18 @@ impl EpochBackend {
             name: name.into(),
             decision,
             epoch: std::sync::atomic::AtomicU64::new(epoch),
+            reads: Default::default(),
         }
     }
 
     pub(crate) fn set_epoch(&self, epoch: u64) {
         self.epoch
             .store(epoch, std::sync::atomic::Ordering::Release);
+    }
+
+    /// Calls of [`DecisionBackend::policy_epoch`] so far.
+    pub(crate) fn reads(&self) -> u64 {
+        self.reads.load(std::sync::atomic::Ordering::Relaxed)
     }
 }
 
@@ -943,6 +984,8 @@ impl DecisionBackend for EpochBackend {
         Response::decision(self.decision)
     }
     fn policy_epoch(&self) -> PolicyEpoch {
+        self.reads
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         PolicyEpoch(self.epoch.load(std::sync::atomic::Ordering::Acquire))
     }
 }
@@ -1060,6 +1103,23 @@ mod tests {
     /// Puts the replica in `slot` into the `Syncing` phase.
     fn syncing(group: &ReplicaGroup, slot: usize) {
         group.endpoint(slot).set_phase(ReplicaPhase::Syncing);
+    }
+
+    /// One permitting [`EpochBackend`] `r{i}` per policy epoch,
+    /// registered healthy, with the backends.
+    fn epoch_group(epochs: &[u64]) -> (ReplicaGroup, Arc<PdpDirectory>, Vec<Arc<EpochBackend>>) {
+        let backends: Vec<Arc<EpochBackend>> = epochs
+            .iter()
+            .enumerate()
+            .map(|(i, &epoch)| {
+                Arc::new(EpochBackend::new(format!("r{i}"), Decision::Permit, epoch))
+            })
+            .collect();
+        let replicas = backends
+            .iter()
+            .map(|b| b.clone() as Arc<dyn DecisionBackend>);
+        let (g, directory) = grouped(replicas.collect());
+        (g, directory, backends)
     }
 
     /// One static backend `r{i}` per decision, registered healthy, with
@@ -1325,13 +1385,14 @@ mod tests {
             assert_eq!(out.stale_excluded, 2, "{shape}");
             assert_eq!(out.max_epoch_lag, 2, "{shape}: r1/r2 trail epoch 5 by 2");
 
-            // r1 catches up and is readmitted: it votes again (its
-            // answer is its own; the gate controls eligibility, not
-            // content). The 1-1 split now fails closed rather than
-            // permitting.
+            // r1 catches up, and the next query readmits it: it votes
+            // again (its answer is its own; the gate controls
+            // eligibility, not content). The 1-1 split now fails closed
+            // rather than permitting.
             stale_1.set_epoch(5);
-            g.endpoint(1).set_phase(ReplicaPhase::Healthy);
             let out = majority();
+            assert_eq!(g.endpoint(1).phase(), ReplicaPhase::Healthy, "{shape}");
+            assert_eq!(out.readmitted, 1, "{shape}");
             assert_eq!(out.response.unwrap().decision, Decision::Deny, "{shape}");
             assert!(out.fail_closed, "{shape}: split vote after readmission");
             assert_eq!(out.replicas_queried, 2, "{shape}");
@@ -1341,11 +1402,11 @@ mod tests {
 
     #[test]
     fn unanimity_floor_counts_eligible_not_healthy() {
-        // Three healthy replicas, two of them syncing: the eligible set
-        // is a minority of the configured group, so unanimity fails
-        // closed without spending evaluations — a stale pair cannot
-        // prop the partition over the floor.
-        let (g, _) = group(&[Decision::Permit, Decision::Permit, Decision::Permit]);
+        // Three live replicas, two of them syncing behind r0's epoch:
+        // the eligible set is a minority of the configured group, so
+        // unanimity fails closed without spending evaluations — a stale
+        // pair cannot prop the partition over the floor.
+        let (g, _, _) = epoch_group(&[2, 1, 1]);
         syncing(&g, 1);
         syncing(&g, 2);
         let out = g.query(QuorumMode::UnanimousFailClosed, &RequestContext::new(), 0);
@@ -1357,15 +1418,20 @@ mod tests {
 
     #[test]
     fn all_replicas_syncing_is_unavailable_not_stale_service() {
-        let (g, _) = group(&[Decision::Permit, Decision::Permit]);
-        syncing(&g, 0);
+        // r0 is down holding the group's newest epoch; the two that are
+        // up sync behind it.
+        let (g, dir, backends) = epoch_group(&[2, 1, 1]);
+        dir.mark_down("r0");
         syncing(&g, 1);
+        syncing(&g, 2);
         let out = g.query(QuorumMode::FirstHealthy, &RequestContext::new(), 0);
         assert_eq!(out.response, None, "no fresh replica → no decision");
         assert_eq!(out.stale_excluded, 2);
-        g.endpoint(0).set_phase(ReplicaPhase::Healthy);
+        // r1 catches up: the next query readmits it, and it answers.
+        backends[1].set_epoch(2);
         let out = g.query(QuorumMode::FirstHealthy, &RequestContext::new(), 0);
         assert!(out.response.is_some());
+        assert_eq!((out.readmitted, out.stale_excluded), (1, 1));
     }
 
     #[test]

@@ -1169,12 +1169,13 @@ pub fn e15_fanout_latency(requests: usize) -> Table {
 enum ResyncEvent {
     /// Replica index crashes (directory down + syndication node offline).
     Crash(usize),
-    /// Replica index returns (node online + directory up; with resync
-    /// enabled the cluster gates it as `Syncing` if its epoch lags).
+    /// Replica index returns (node online + directory up; the cluster
+    /// gates it as `Syncing` while its epoch lags).
     Recover(usize),
     /// The global PAP propagates policy version `k` down the tree.
     Update(u64),
-    /// Replica index replays its missed updates and asks readmission.
+    /// Replica index replays its missed updates; the next decide
+    /// readmits it.
     CatchUp(usize),
 }
 
@@ -1203,7 +1204,7 @@ policy "gate" deny-unless-permit {{
 /// Builds the E16 testbed: a syndication tree whose three leaves are
 /// the local PAPs of three PDP replicas forming one majority-quorum
 /// shard, plus a ground-truth PDP on the root PAP.
-fn e16_testbed(resync: bool) -> (PdpCluster, SyndicationTree, Pdp, Vec<usize>, Vec<String>) {
+fn e16_testbed() -> (PdpCluster, SyndicationTree, Pdp, Vec<usize>, Vec<String>) {
     let mut tree = SyndicationTree::new("pap.e16");
     let statics = Arc::new(StaticAttributes::new());
     for u in 0..16 {
@@ -1240,7 +1241,6 @@ fn e16_testbed(resync: bool) -> (PdpCluster, SyndicationTree, Pdp, Vec<usize>, V
 
     let cluster = ClusterBuilder::new("e16")
         .quorum(QuorumMode::Majority)
-        .resync(resync)
         .shard(replicas)
         .build();
     let truth = Pdp::new("truth", tree.node(0).pap.clone(), root, pips);
@@ -1248,25 +1248,23 @@ fn e16_testbed(resync: bool) -> (PdpCluster, SyndicationTree, Pdp, Vec<usize>, V
 }
 
 /// E16: replica re-sync — staleness errors under crash churn plus
-/// concurrent policy updates, with epoch-gated recovery off vs on.
+/// concurrent policy updates, with recovery that is epoch-gated by
+/// construction and readmits itself.
 ///
 /// Two replicas of a three-replica majority shard crash over every
 /// policy update (the root pushes an alternating permit/lockdown
 /// policy down the syndication tree; offline leaves miss it) and later
-/// recover stale. With re-sync **off** the recovered pair votes
-/// immediately and its stale majority outvotes the one fresh replica —
-/// false permits against the ground-truth PDP. With re-sync **on** the
-/// pair returns as `Syncing`, is excluded from quorum counting until
-/// its `SyndicationTree::catch_up` replay completes, and the shard
-/// keeps answering correctly from the fresh replica: zero staleness
-/// errors, at the cost of a degraded-service window that
-/// [`dacs_cluster::ClusterMetrics`] accounts (`resyncs`,
-/// `stale_decisions_avoided`, epoch-lag gauges).
+/// recover stale. The pair returns as `Syncing`, excluded from quorum
+/// counting until its `SyndicationTree::catch_up` replay lands a little
+/// later, and the first decide after that readmits it: nothing in the
+/// loop asks for readmission. The shard keeps answering correctly from
+/// the fresh replica — zero staleness errors, at the cost of a
+/// degraded-service window that [`dacs_cluster::ClusterMetrics`]
+/// accounts (`resyncs`, `stale_decisions_avoided`, epoch-lag gauges).
 pub fn e16_replica_resync(requests: usize) -> Table {
     let mut table = Table::new(
-        "E16 — replica re-sync: crash churn + policy updates, epoch-gated recovery off vs on (3 replicas, majority)",
+        "E16 — replica re-sync: crash churn + policy updates, self-readmitting epoch-gated recovery (3 replicas, majority)",
         &[
-            "resync",
             "availability %",
             "degraded %",
             "false permits",
@@ -1277,79 +1275,73 @@ pub fn e16_replica_resync(requests: usize) -> Table {
         ],
     );
     assert!(requests >= 64, "e16 needs a few churn rounds");
-    for resync in [false, true] {
-        let (cluster, mut tree, truth, leaves, names) = e16_testbed(resync);
+    let (cluster, mut tree, truth, leaves, names) = e16_testbed();
 
-        // Eight deterministic rounds. In each, replicas 1 and 2 crash
-        // shortly before a policy update and recover shortly after it:
-        // they are always stale on return. Replica 0 never crashes and
-        // anchors the fresh view.
-        let round_ms = (requests / 8) as u64;
-        let mut net: dacs_simnet::Network<ResyncEvent> = dacs_simnet::Network::new(16);
-        let controller = net.add_node("controller");
-        let control_plane = net.add_node("control-plane");
-        net.set_link(controller, control_plane, LinkSpec::lan());
-        let mut send = |at_ms: u64, event: ResyncEvent| {
-            net.send_after(at_ms * 1_000, controller, control_plane, 64, event);
-        };
-        for j in 0..8u64 {
-            let base = j * round_ms;
-            send(base + round_ms / 4, ResyncEvent::Crash(1));
-            send(base + round_ms / 4, ResyncEvent::Crash(2));
-            send(base + round_ms / 2, ResyncEvent::Update(j + 1));
-            send(base + round_ms * 5 / 8, ResyncEvent::Recover(1));
-            send(base + round_ms * 5 / 8, ResyncEvent::Recover(2));
-            if resync {
-                send(base + round_ms * 3 / 4, ResyncEvent::CatchUp(1));
-                send(base + round_ms * 3 / 4, ResyncEvent::CatchUp(2));
-            }
-        }
-
-        let mut false_permits = 0u64;
-        let mut false_denies = 0u64;
-        for t in 0..requests as u64 {
-            net.run_until(t * 1_000, |_net, delivery| match delivery.payload {
-                ResyncEvent::Crash(r) => {
-                    cluster.mark_down(&names[r]);
-                    tree.set_online(leaves[r], false);
-                }
-                ResyncEvent::Recover(r) => {
-                    tree.set_online(leaves[r], true);
-                    cluster.mark_up(&names[r]);
-                }
-                ResyncEvent::Update(k) => {
-                    tree.propagate(e16_gate(k), t);
-                }
-                ResyncEvent::CatchUp(r) => {
-                    tree.catch_up(leaves[r], t);
-                    cluster.complete_resync(&names[r]);
-                }
-            });
-            let u = t % 16;
-            let request =
-                RequestContext::basic(format!("user-{u}"), format!("records/{}", u % 5), "read");
-            let expected = truth.decide(&request, t).decision;
-            if let Some(response) = cluster.decide(&request, t).response {
-                if response.decision == Decision::Permit && expected != Decision::Permit {
-                    false_permits += 1;
-                }
-                if response.decision != Decision::Permit && expected == Decision::Permit {
-                    false_denies += 1;
-                }
-            }
-        }
-        let m = cluster.metrics();
-        table.row(vec![
-            if resync { "on" } else { "off" }.into(),
-            f2(100.0 * m.availability()),
-            f2(100.0 * m.degraded_rate()),
-            false_permits.to_string(),
-            false_denies.to_string(),
-            m.resyncs.to_string(),
-            m.stale_decisions_avoided.to_string(),
-            m.epoch_lag_max.to_string(),
-        ]);
+    // Eight deterministic rounds. In each, replicas 1 and 2 crash
+    // shortly before a policy update and recover shortly after it: they
+    // are always stale on return. Replica 0 never crashes and anchors
+    // the fresh view.
+    let round_ms = (requests / 8) as u64;
+    let mut net: dacs_simnet::Network<ResyncEvent> = dacs_simnet::Network::new(16);
+    let controller = net.add_node("controller");
+    let control_plane = net.add_node("control-plane");
+    net.set_link(controller, control_plane, LinkSpec::lan());
+    let mut send = |at_ms: u64, event: ResyncEvent| {
+        net.send_after(at_ms * 1_000, controller, control_plane, 64, event);
+    };
+    for j in 0..8u64 {
+        let base = j * round_ms;
+        send(base + round_ms / 4, ResyncEvent::Crash(1));
+        send(base + round_ms / 4, ResyncEvent::Crash(2));
+        send(base + round_ms / 2, ResyncEvent::Update(j + 1));
+        send(base + round_ms * 5 / 8, ResyncEvent::Recover(1));
+        send(base + round_ms * 5 / 8, ResyncEvent::Recover(2));
+        send(base + round_ms * 3 / 4, ResyncEvent::CatchUp(1));
+        send(base + round_ms * 3 / 4, ResyncEvent::CatchUp(2));
     }
+
+    let mut false_permits = 0u64;
+    let mut false_denies = 0u64;
+    for t in 0..requests as u64 {
+        net.run_until(t * 1_000, |_net, delivery| match delivery.payload {
+            ResyncEvent::Crash(r) => {
+                cluster.mark_down(&names[r]);
+                tree.set_online(leaves[r], false);
+            }
+            ResyncEvent::Recover(r) => {
+                tree.set_online(leaves[r], true);
+                cluster.mark_up(&names[r]);
+            }
+            ResyncEvent::Update(k) => {
+                tree.propagate(e16_gate(k), t);
+            }
+            ResyncEvent::CatchUp(r) => {
+                tree.catch_up(leaves[r], t);
+            }
+        });
+        let u = t % 16;
+        let request =
+            RequestContext::basic(format!("user-{u}"), format!("records/{}", u % 5), "read");
+        let expected = truth.decide(&request, t).decision;
+        if let Some(response) = cluster.decide(&request, t).response {
+            if response.decision == Decision::Permit && expected != Decision::Permit {
+                false_permits += 1;
+            }
+            if response.decision != Decision::Permit && expected == Decision::Permit {
+                false_denies += 1;
+            }
+        }
+    }
+    let m = cluster.metrics();
+    table.row(vec![
+        f2(100.0 * m.availability()),
+        f2(100.0 * m.degraded_rate()),
+        false_permits.to_string(),
+        false_denies.to_string(),
+        m.resyncs.to_string(),
+        m.stale_decisions_avoided.to_string(),
+        m.epoch_lag_max.to_string(),
+    ]);
     table
 }
 
@@ -1365,10 +1357,7 @@ use crate::scenario::alternating_lockdown_gate as e17_gate;
 /// domain's syndication tree), all replicas sharing one VO-wide
 /// [`PdpDirectory`], with PEP enforcement routed through the domain's
 /// quorum.
-fn e17_vo(
-    resync: bool,
-    ctx: &CryptoCtx,
-) -> (Vo, Arc<PdpDirectory>, Vec<Arc<dacs_telemetry::Telemetry>>) {
+fn e17_vo(ctx: &CryptoCtx) -> (Vo, Vec<Arc<dacs_telemetry::Telemetry>>) {
     let directory = Arc::new(PdpDirectory::new());
     let mut domains = Vec::with_capacity(3);
     // One registry per domain: the per-stage latency columns stay
@@ -1382,8 +1371,7 @@ fn e17_vo(
             .clustered(
                 ClusterBuilder::new(&name)
                     .quorum(QuorumMode::Majority)
-                    .directory(directory.clone())
-                    .resync(resync),
+                    .directory(directory.clone()),
             )
             .cluster_topology(1, 3)
             .pdp_cache(CacheConfig {
@@ -1398,32 +1386,27 @@ fn e17_vo(
         domains.push(builder.build(ctx));
         telemetries.push(telemetry);
     }
-    (
-        Vo::new("vo-fed", ctx.clone(), domains),
-        directory,
-        telemetries,
-    )
+    (Vo::new("vo-fed", ctx.clone(), domains), telemetries)
 }
 
 /// The E17 control-plane events, scheduled on the simulated network:
 /// `(domain index, replica index)` churn plus per-domain policy
-/// updates and catch-up replays.
+/// updates.
 #[derive(Clone, PartialEq, Debug)]
 enum FedEvent {
     /// Replica crashes: directory down + syndication leaf offline.
     Crash(usize, usize),
-    /// Replica returns (with re-sync on, a lagging epoch → `Syncing`).
+    /// Replica recovers — `Domain::recover_replica`, which replays
+    /// what it missed; the next decide readmits it.
     Recover(usize, usize),
     /// The domain authority propagates policy version `k` down its
     /// syndication tree.
     Update(usize, u64),
-    /// The replica replays its missed updates and asks readmission.
-    CatchUp(usize, usize),
 }
 
 /// E17: federated clusters — the VO flows riding per-domain PDP
 /// clusters under replica crash churn plus concurrent per-domain
-/// policy updates, with epoch-gated recovery off vs on.
+/// policy updates, with recovery that heals itself.
 ///
 /// Each of the 3 domains runs a 3-replica majority shard whose replica
 /// PAPs are syndication leaves of that domain's authority; all nine
@@ -1434,18 +1417,16 @@ enum FedEvent {
 /// fresh view. One round also injects a full-shard blackout per domain
 /// — a window of honest unavailability, answered fail-safe. Every pull
 /// flow (≈40% cross-domain, riding the federated attribute fetch) is
-/// compared against the domain's root-PAP reference PDP: with re-sync
-/// **off** the recovered stale pair outvotes the anchor and leaks
-/// false permits — including cross-domain ones; with re-sync **on**
-/// the `Syncing` gate holds them out and both false-permit columns are
-/// exactly zero, while per-domain availability stays high (the
-/// blackout window is the only gap) and the epoch-lag column shows how
-/// far stragglers ran behind.
+/// compared against the domain's root-PAP reference PDP. A recovery
+/// is one `Domain::recover_replica` call, which replays what the
+/// replica missed, so no decide meets it behind (the epoch-lag column
+/// reads 0) and the next one readmits it. Both false-permit columns are
+/// exactly zero; the blackout window is the only availability gap.
 pub fn e17_federated_cluster(requests: usize) -> Table {
     let mut table = Table::new(
         "E17 — federated clusters: 3-domain VO, per-domain 3-replica majority shards, crash churn + concurrent policy updates (shared directory)",
         &[
-            "domain/resync",
+            "domain",
             "availability %",
             "degraded %",
             "false permits",
@@ -1458,141 +1439,127 @@ pub fn e17_federated_cluster(requests: usize) -> Table {
         ],
     );
     assert!(requests >= 64, "e17 needs a few churn rounds");
-    for resync in [false, true] {
-        let ctx = CryptoCtx::new();
-        let (vo, _directory, telemetries) = e17_vo(resync, &ctx);
-        let mut fnet = flownet(&vo, 171);
-        let replica_names: Vec<Vec<String>> =
-            vo.domains.iter().map(|d| d.replica_names()).collect();
+    let ctx = CryptoCtx::new();
+    let (vo, telemetries) = e17_vo(&ctx);
+    let mut fnet = flownet(&vo, 171);
+    let replica_names: Vec<Vec<String>> = vo.domains.iter().map(|d| d.replica_names()).collect();
 
-        // Eight rounds of churn per run, staggered across domains so
-        // the three authorities update concurrently but not in
-        // lockstep. Replicas 1 and 2 of every domain sleep through
-        // each update; round 3 adds a brief full-shard blackout.
-        let round_ms = (requests / 8) as u64;
-        let mut net: dacs_simnet::Network<FedEvent> = dacs_simnet::Network::new(17);
-        let controller = net.add_node("controller");
-        let control_plane = net.add_node("control-plane");
-        net.set_link(controller, control_plane, LinkSpec::lan());
-        {
-            let mut send = |at_ms: u64, event: FedEvent| {
-                net.send_after(at_ms * 1_000, controller, control_plane, 64, event);
-            };
-            for j in 0..8u64 {
-                let base = j * round_ms;
-                for d in 0..3usize {
-                    let off = d as u64 * round_ms / 32;
-                    send(base + round_ms / 4 + off, FedEvent::Crash(d, 1));
-                    send(base + round_ms / 4 + off, FedEvent::Crash(d, 2));
-                    send(base + round_ms / 2 + off, FedEvent::Update(d, j + 1));
-                    send(base + round_ms * 5 / 8 + off, FedEvent::Recover(d, 1));
-                    send(base + round_ms * 5 / 8 + off, FedEvent::Recover(d, 2));
-                    if resync {
-                        send(base + round_ms * 3 / 4 + off, FedEvent::CatchUp(d, 1));
-                        send(base + round_ms * 3 / 4 + off, FedEvent::CatchUp(d, 2));
-                    }
-                    if j == 3 {
-                        // Full-shard blackout, clear of any update: the
-                        // replicas return current, so this costs
-                        // availability, never correctness.
-                        for r in 0..3usize {
-                            send(base + round_ms * 13 / 16 + off, FedEvent::Crash(d, r));
-                            send(base + round_ms * 7 / 8 + off, FedEvent::Recover(d, r));
-                        }
+    // Eight rounds of churn, staggered across domains so the three
+    // authorities update concurrently but not in lockstep. Replicas 1
+    // and 2 of every domain sleep through each update; round 3 adds a
+    // brief full-shard blackout.
+    let round_ms = (requests / 8) as u64;
+    let mut net: dacs_simnet::Network<FedEvent> = dacs_simnet::Network::new(17);
+    let controller = net.add_node("controller");
+    let control_plane = net.add_node("control-plane");
+    net.set_link(controller, control_plane, LinkSpec::lan());
+    {
+        let mut send = |at_ms: u64, event: FedEvent| {
+            net.send_after(at_ms * 1_000, controller, control_plane, 64, event);
+        };
+        for j in 0..8u64 {
+            let base = j * round_ms;
+            for d in 0..3usize {
+                let off = d as u64 * round_ms / 32;
+                send(base + round_ms / 4 + off, FedEvent::Crash(d, 1));
+                send(base + round_ms / 4 + off, FedEvent::Crash(d, 2));
+                send(base + round_ms / 2 + off, FedEvent::Update(d, j + 1));
+                send(base + round_ms * 5 / 8 + off, FedEvent::Recover(d, 1));
+                send(base + round_ms * 5 / 8 + off, FedEvent::Recover(d, 2));
+                if j == 3 {
+                    // Full-shard blackout, clear of any update: the
+                    // replicas return current, so this costs
+                    // availability, never correctness.
+                    for r in 0..3usize {
+                        send(base + round_ms * 13 / 16 + off, FedEvent::Crash(d, r));
+                        send(base + round_ms * 7 / 8 + off, FedEvent::Recover(d, r));
                     }
                 }
             }
         }
+    }
 
-        let mut rng = StdRng::seed_from_u64(173);
-        let mut false_permits = [0u64; 3];
-        let mut xdom_false_permits = [0u64; 3];
-        let mut false_denies = [0u64; 3];
-        for t in 0..requests as u64 {
-            net.run_until(t * 1_000, |_net, delivery| match delivery.payload {
-                FedEvent::Crash(d, r) => {
-                    vo.domains[d].crash_replica(&replica_names[d][r]);
-                }
-                FedEvent::Recover(d, r) => {
-                    vo.domains[d].recover_replica(&replica_names[d][r]);
-                }
-                FedEvent::Update(d, k) => {
-                    vo.domains[d].propagate_policy(e17_gate(&vo.domains[d].name, k), t);
-                }
-                FedEvent::CatchUp(d, r) => {
-                    vo.domains[d].catch_up_replica(&replica_names[d][r], t);
-                }
-            });
-            let home = rng.gen_range(0..3usize);
-            let target = if rng.gen::<f64>() < 0.4 {
-                (home + 1 + rng.gen_range(0..2usize)) % 3
-            } else {
-                home
-            };
-            let u = rng.gen_range(0..16);
-            let subject = format!("user-{u}@domain-{home}");
-            let resource = format!("records/{}", u % 5);
-            let request = RequestContext::basic(subject.as_str(), resource.as_str(), "read");
-            let domain = &vo.domains[target];
-            // Ground truth: the domain's root-PAP reference engine on
-            // the same (enriched) request the flow will enforce.
-            let enriched = if domain.is_home_of(&subject) {
-                request.clone()
-            } else {
-                federated_enrich(&vo, &request, &subject)
-            };
-            let expected = domain.pdp.decide(&enriched, t).decision;
-            let trace = request_flow(
-                &mut fnet,
-                &vo,
-                FlowKind::Pull,
-                &subject,
-                target,
-                &resource,
-                "read",
-                t,
-                SizeModel::Compact,
-            );
-            if trace.allowed && expected != Decision::Permit {
-                false_permits[target] += 1;
-                if target != home {
-                    xdom_false_permits[target] += 1;
-                }
+    let mut rng = StdRng::seed_from_u64(173);
+    let mut false_permits = [0u64; 3];
+    let mut xdom_false_permits = [0u64; 3];
+    let mut false_denies = [0u64; 3];
+    for t in 0..requests as u64 {
+        net.run_until(t * 1_000, |_net, delivery| match delivery.payload {
+            FedEvent::Crash(d, r) => {
+                vo.domains[d].crash_replica(&replica_names[d][r]);
             }
-            if !trace.allowed && expected == Decision::Permit {
-                // Includes the blackout windows, where the shard is
-                // unavailable and the PEP denies fail-safe.
-                false_denies[target] += 1;
+            FedEvent::Recover(d, r) => {
+                vo.domains[d].recover_replica(&replica_names[d][r]);
+            }
+            FedEvent::Update(d, k) => {
+                vo.domains[d].propagate_policy(e17_gate(&vo.domains[d].name, k), t);
+            }
+        });
+        let home = rng.gen_range(0..3usize);
+        let target = if rng.gen::<f64>() < 0.4 {
+            (home + 1 + rng.gen_range(0..2usize)) % 3
+        } else {
+            home
+        };
+        let u = rng.gen_range(0..16);
+        let subject = format!("user-{u}@domain-{home}");
+        let resource = format!("records/{}", u % 5);
+        let request = RequestContext::basic(subject.as_str(), resource.as_str(), "read");
+        let domain = &vo.domains[target];
+        // Ground truth: the domain's root-PAP reference engine on the
+        // same (enriched) request the flow will enforce.
+        let enriched = if domain.is_home_of(&subject) {
+            request.clone()
+        } else {
+            federated_enrich(&vo, &request, &subject)
+        };
+        let expected = domain.pdp.decide(&enriched, t).decision;
+        let trace = request_flow(
+            &mut fnet,
+            &vo,
+            FlowKind::Pull,
+            &subject,
+            target,
+            &resource,
+            "read",
+            t,
+            SizeModel::Compact,
+        );
+        if trace.allowed && expected != Decision::Permit {
+            false_permits[target] += 1;
+            if target != home {
+                xdom_false_permits[target] += 1;
             }
         }
-
-        for (d, domain) in vo.domains.iter().enumerate() {
-            let m = domain
-                .cluster
-                .as_ref()
-                .expect("e17 domains are clustered")
-                .metrics();
-            table.row(vec![
-                format!("{}/{}", domain.name, if resync { "on" } else { "off" }),
-                f2(100.0 * m.availability()),
-                f2(100.0 * m.degraded_rate()),
-                false_permits[d].to_string(),
-                xdom_false_permits[d].to_string(),
-                false_denies[d].to_string(),
-                m.resyncs.to_string(),
-                m.epoch_lag_max.to_string(),
-                telemetries[d]
-                    .registry()
-                    .histogram("dacs_pep_enforce_us")
-                    .percentile(0.99)
-                    .to_string(),
-                telemetries[d]
-                    .registry()
-                    .histogram("dacs_replica_decide_us")
-                    .percentile(0.99)
-                    .to_string(),
-            ]);
+        if !trace.allowed && expected == Decision::Permit {
+            // Includes the blackout windows, where the shard is
+            // unavailable and the PEP denies fail-safe.
+            false_denies[target] += 1;
         }
+    }
+
+    for (d, domain) in vo.domains.iter().enumerate() {
+        let m = domain
+            .cluster
+            .as_ref()
+            .expect("e17 domains are clustered")
+            .metrics();
+        let p99 = |histogram: &str| {
+            let registry = telemetries[d].registry();
+            registry.histogram(histogram).percentile(0.99).to_string()
+        };
+        table.row(vec![
+            domain.name.clone(),
+            f2(100.0 * m.availability()),
+            f2(100.0 * m.degraded_rate()),
+            false_permits[d].to_string(),
+            xdom_false_permits[d].to_string(),
+            false_denies[d].to_string(),
+            m.resyncs.to_string(),
+            m.epoch_lag_max.to_string(),
+            p99("dacs_pep_enforce_us"),
+            p99("dacs_replica_decide_us"),
+        ]);
     }
     table
 }
@@ -1600,7 +1567,7 @@ pub fn e17_federated_cluster(requests: usize) -> Table {
 /// A compact clustered run with full decision tracing, for telemetry
 /// artifacts and the observability acceptance tests: one E17-style
 /// domain (majority 1×3 shard, pooled fan-out, PEP with a decision
-/// cache, re-sync gating) serves `requests` enforcements
+/// cache) serves `requests` enforcements
 /// under mid-run replica churn and a policy update, so the trace
 /// carries cache hits *and* misses, fan-outs, cancellations and a
 /// syndication catch-up.
@@ -1619,8 +1586,7 @@ pub fn traced_cluster_run(requests: usize) -> (Arc<dacs_telemetry::Telemetry>, V
         .clustered(
             ClusterBuilder::new(name)
                 .quorum(QuorumMode::Majority)
-                .scheduler(SchedulerConfig::new(4))
-                .resync(true),
+                .scheduler(SchedulerConfig::new(4)),
         )
         .cluster_topology(1, 3)
         .pep_cache(CacheConfig {
@@ -1642,11 +1608,11 @@ pub fn traced_cluster_run(requests: usize) -> (Arc<dacs_telemetry::Telemetry>, V
         }
         if i == (requests / 2) as u64 {
             // The update lands while the replica sleeps (it recovers
-            // stale, catches up, and is readmitted), and flushes the
-            // PEP cache — the second half re-misses before re-caching.
+            // stale and catches up in one call, and the next decide
+            // readmits it), and flushes the PEP cache — the second half
+            // re-misses before re-caching.
             domain.propagate_policy(e17_gate(name, 2), i);
             domain.recover_replica(&replicas[2]);
-            domain.catch_up_replica(&replicas[2], i);
         }
         let u = i % 8;
         let request = RequestContext::basic(
@@ -1706,11 +1672,7 @@ fn e18_domain(capability: bool, ttl_ms: u64, ctx: &CryptoCtx) -> Domain {
     let name = "cap";
     let mut builder = Domain::builder(name)
         .policy(e17_gate(name, 0))
-        .clustered(
-            ClusterBuilder::new(name)
-                .quorum(QuorumMode::Majority)
-                .resync(true),
-        )
+        .clustered(ClusterBuilder::new(name).quorum(QuorumMode::Majority))
         .cluster_topology(1, 5)
         .seed(0xe18);
     for k in 0..16 {
@@ -1756,8 +1718,8 @@ policy "aux-{k}" deny-overrides {{
 /// made a hit a cache probe plus three compares.
 ///
 /// Phase B (`token+churn` row) adds the E16 churn shape: per round,
-/// replica 1 crashes over a policy update and recovers stale (the
-/// `Syncing` gate holds it out until catch-up), while the update —
+/// replica 1 crashes over a policy update and recovers, replaying what
+/// it missed in the same call, while the update —
 /// alternating permit/lockdown — revokes every outstanding token via
 /// the epoch bump. A canary token minted immediately before each push
 /// measures the revocation latency: the number of ticks the canary
@@ -1889,9 +1851,6 @@ pub fn e18_capability_ceiling(requests: usize) -> Table {
             if phase == round * 5 / 8 {
                 domain.recover_replica(&names[1]);
             }
-            if phase == round * 3 / 4 {
-                domain.catch_up_replica(&names[1], t);
-            }
             let request = &spec[(offset as usize) % spec.len()];
             if lap == 0 {
                 let expected = domain.pdp.decide(request, t).decision;
@@ -1936,11 +1895,7 @@ pub fn capability_telemetry_run(requests: usize) -> Arc<dacs_telemetry::Telemetr
     let name = "cap";
     let mut builder = Domain::builder(name)
         .policy(e17_gate(name, 0))
-        .clustered(
-            ClusterBuilder::new(name)
-                .quorum(QuorumMode::Majority)
-                .resync(true),
-        )
+        .clustered(ClusterBuilder::new(name).quorum(QuorumMode::Majority))
         .cluster_topology(1, 3)
         .capability(requests as u64 + 1_000_000)
         .telemetry(Arc::clone(&telemetry))
@@ -1980,7 +1935,6 @@ fn e19_domain(telemetry: &Arc<dacs_telemetry::Telemetry>) -> Domain {
         .clustered(
             ClusterBuilder::new(name)
                 .quorum(QuorumMode::Majority)
-                .resync(true)
                 .scheduler(SchedulerConfig::new(1).with_adaptive_fanout(true)),
         )
         .cluster_topology(1, 5)
@@ -2693,87 +2647,59 @@ mod tests {
         }
     }
 
-    /// The ISSUE 3 acceptance bar: with re-sync disabled, crash churn
-    /// plus concurrent policy updates produce stale (false) decisions;
-    /// with re-sync enabled, exactly zero.
+    /// E16's acceptance bar, with nothing in the loop readmitting
+    /// a replica: crash churn plus concurrent policy updates produce
+    /// zero stale (false) decisions of either kind, because recovering
+    /// replicas are held out until their catch-up lands and readmitted
+    /// by the next decide after it.
     #[test]
-    fn e16_resync_eliminates_staleness_errors() {
+    fn e16_recovering_replicas_readmit_themselves_without_staleness_errors() {
         let t = e16_replica_resync(1600);
-        assert_eq!(t.rows.len(), 2);
-        let row = |name: &str| {
-            t.rows
-                .iter()
-                .find(|r| r[0] == name)
-                .unwrap_or_else(|| panic!("missing row {name}"))
-                .clone()
-        };
-        let off = row("off");
-        let on = row("on");
-        let fp = |r: &Vec<String>| -> u64 { r[3].parse().unwrap() };
-        let fd = |r: &Vec<String>| -> u64 { r[4].parse().unwrap() };
-        // Off: the stale pair outvotes the fresh replica after every
-        // lockdown update it slept through.
-        assert!(fp(&off) > 0, "re-sync off must leak stale permits");
-        assert_eq!(fd(&off), 0, "the stale pair is only ever more permissive");
-        // On: the epoch gate keeps stale votes out — zero wrong
-        // decisions of either kind.
-        assert_eq!(fp(&on), 0, "re-sync on must not leak stale permits");
-        assert_eq!(fd(&on), 0, "re-sync on must not fail-close on truth");
-        // The gate actually did work: re-syncs completed, stale votes
-        // were excluded, and lag was observed.
-        let resyncs: u64 = on[5].parse().unwrap();
-        let avoided: u64 = on[6].parse().unwrap();
-        let lag: u64 = on[7].parse().unwrap();
-        assert!(resyncs > 0, "no re-sync completed");
-        assert!(avoided > 0, "no stale vote was ever excluded");
-        assert!(lag >= 1, "epoch lag never observed");
-        assert_eq!(off[5], "0", "re-sync off never re-syncs");
+        assert_eq!(t.rows.len(), 1);
+        let cell = |i: usize| -> u64 { t.rows[0][i].parse().unwrap() };
+        // The epoch gate keeps stale votes out — zero wrong decisions
+        // of either kind.
+        assert_eq!(cell(2), 0, "recovery leaked stale permits");
+        assert_eq!(cell(3), 0, "recovery fail-closed on truth");
+        // The gate actually did work: replicas readmitted themselves,
+        // stale votes were excluded meanwhile, and lag was observed.
+        assert!(cell(4) > 0, "no replica was readmitted");
+        assert!(cell(5) > 0, "no stale vote was ever excluded");
+        assert!(cell(6) >= 1, "epoch lag never observed");
         // Availability holds throughout: the fresh replica never
         // crashes, so exclusion costs protection headroom, not service.
-        for r in [&off, &on] {
-            let avail: f64 = r[1].parse().unwrap();
-            assert!(avail > 99.0, "{}: availability {avail}", r[0]);
-        }
+        let avail: f64 = t.rows[0][0].parse().unwrap();
+        assert!(avail > 99.0, "availability {avail}");
     }
 
-    /// The ISSUE 5 acceptance bar: under crash churn plus concurrent
-    /// per-domain policy updates across a clustered 3-domain VO,
-    /// cross-domain (and total) false permits are exactly zero with
-    /// re-sync on — and the gap is visible with it off.
+    /// E17's acceptance bar, with recovery one
+    /// `Domain::recover_replica` call: under crash churn plus
+    /// concurrent per-domain policy updates across a clustered 3-domain
+    /// VO, cross-domain (and total) false permits are exactly zero, the
+    /// recovered replicas readmit themselves, and no decide ever meets
+    /// one behind — the replay runs inside the recovery.
     #[test]
-    fn e17_federated_clusters_zero_cross_domain_false_permits() {
+    fn e17_self_healing_federated_clusters_zero_cross_domain_false_permits() {
         let t = e17_federated_cluster(1600);
-        assert_eq!(t.rows.len(), 6, "3 domains × re-sync off/on");
+        assert_eq!(t.rows.len(), 3, "one row per domain");
+        let cell = |r: &Vec<String>, i: usize| -> u64 { r[i].parse().unwrap() };
         let avail = |r: &Vec<String>| -> f64 { r[1].parse().unwrap() };
-        let fp = |r: &Vec<String>| -> u64 { r[3].parse().unwrap() };
-        let xfp = |r: &Vec<String>| -> u64 { r[4].parse().unwrap() };
-        let off: Vec<_> = t.rows.iter().filter(|r| r[0].ends_with("/off")).collect();
-        let on: Vec<_> = t.rows.iter().filter(|r| r[0].ends_with("/on")).collect();
-        assert_eq!(off.len(), 3);
-        assert_eq!(on.len(), 3);
-        // Off: the recovered stale pair outvotes the fresh anchor.
-        let off_fp: u64 = off.iter().map(|r| fp(r)).sum();
-        let off_xfp: u64 = off.iter().map(|r| xfp(r)).sum();
-        assert!(off_fp > 0, "re-sync off must leak stale permits");
-        assert!(off_xfp > 0, "the leak must reach cross-domain flows");
-        // On: the Syncing gate holds stale votes out — zero false
-        // permits of either kind, in every domain.
-        for row in &on {
-            assert_eq!(fp(row), 0, "{}: false permits", row[0]);
-            assert_eq!(xfp(row), 0, "{}: cross-domain false permits", row[0]);
-            let resyncs: u64 = row[6].parse().unwrap();
-            assert!(resyncs > 0, "{}: no re-sync completed", row[0]);
-            let lag: u64 = row[7].parse().unwrap();
-            assert!(lag >= 1, "{}: epoch lag never observed", row[0]);
-        }
-        // Availability stays high for every domain in both modes (the
-        // round-3 blackout is the only gap).
-        for row in off.iter().chain(on.iter()) {
+        for row in &t.rows {
+            assert_eq!(cell(row, 3), 0, "{}: false permits", row[0]);
+            assert_eq!(cell(row, 4), 0, "{}: cross-domain false permits", row[0]);
+            assert!(cell(row, 6) > 0, "{}: no replica was readmitted", row[0]);
+            assert_eq!(
+                cell(row, 7),
+                0,
+                "{}: a decide met a lagging replica",
+                row[0]
+            );
+            // The round-3 blackout is the only gap.
             let a = avail(row);
             assert!(a > 95.0, "{}: availability {a}", row[0]);
         }
         assert!(
-            off.iter().chain(on.iter()).any(|r| avail(r) < 100.0),
+            t.rows.iter().any(|r| avail(r) < 100.0),
             "the blackout window must cost some availability"
         );
     }

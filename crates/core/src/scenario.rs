@@ -97,14 +97,11 @@ pub fn healthcare_vo(n: usize, users_per_domain: usize, ctx: &CryptoCtx) -> Vo {
 /// domain, all replicas registered in the shared `directory` (so
 /// VO-wide discovery and failover see every domain's replicas), replica
 /// PAPs hanging as leaves off each domain's syndication tree.
-///
-/// `resync` enables epoch-gated recovery (`ClusterBuilder::resync`).
 pub fn clustered_healthcare_vo(
     n: usize,
     users_per_domain: usize,
     ctx: &CryptoCtx,
     directory: Arc<PdpDirectory>,
-    resync: bool,
 ) -> Vo {
     let mut domains = Vec::with_capacity(n);
     for d in 0..n {
@@ -114,8 +111,7 @@ pub fn clustered_healthcare_vo(
             .clustered(
                 ClusterBuilder::new(&name)
                     .quorum(QuorumMode::Majority)
-                    .directory(directory.clone())
-                    .resync(resync),
+                    .directory(directory.clone()),
             )
             .cluster_topology(1, 3)
             .seed(d as u64 + 1);

@@ -20,14 +20,14 @@ use std::sync::Arc;
 ///    ▲  ▲                           │
 ///    │  └──returns, epoch current───┤
 ///    │                              │ returns, epoch behind
-///    └──catch-up complete──── Syncing ◀┘
+///    └──next query, epoch caught up── Syncing ◀┘
 /// ```
 ///
 /// Only `Healthy` endpoints are routable: discovery resolves to them
 /// and replica groups dispatch to and count them. The directory itself
-/// produces `Healthy` and `Crashed`; `Syncing` is stored by a cluster
-/// built with epoch-gated re-sync when a replica returns behind its
-/// group's policy epoch.
+/// produces `Healthy` and `Crashed`; a cluster stores `Syncing` when a
+/// replica returns behind its group's policy epoch, and its next query
+/// that finds the replica caught up moves it back to `Healthy`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ReplicaPhase {
     /// Serving normally; eligible for routing and quorum counting.
@@ -216,9 +216,9 @@ impl PdpDirectory {
     }
 
     /// Marks an endpoint healthy again. The directory knows nothing of
-    /// policy epochs: replicas of a cluster built with re-sync return
-    /// through `PdpCluster::mark_up`, which stores `Syncing` instead
-    /// when the replica is behind.
+    /// policy epochs: replicas of a cluster return through
+    /// `PdpCluster::mark_up`, which stores `Syncing` instead when the
+    /// replica is behind.
     pub fn mark_up(&self, name: &str) {
         self.set_phase(name, ReplicaPhase::Healthy);
     }

@@ -187,7 +187,8 @@ impl Pdp {
     /// The policy epoch this PDP decides on: its PAP's position in the
     /// global syndication timeline. A replica group compares this
     /// against its maximum to decide quorum eligibility — a recovering
-    /// replica whose epoch lags is `Syncing`, not voting.
+    /// replica whose epoch lags is `Syncing`, not voting, until its
+    /// epoch catches up and a query readmits it.
     pub fn policy_epoch(&self) -> dacs_pap::PolicyEpoch {
         self.pap.policy_epoch()
     }

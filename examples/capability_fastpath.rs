@@ -17,11 +17,7 @@ fn main() {
     let ctx = CryptoCtx::new();
     let mut builder = Domain::builder("clinic")
         .policy(alternating_lockdown_gate("clinic", 0))
-        .clustered(
-            ClusterBuilder::new("clinic")
-                .quorum(QuorumMode::Majority)
-                .resync(true),
-        )
+        .clustered(ClusterBuilder::new("clinic").quorum(QuorumMode::Majority))
         .cluster_topology(1, 3)
         // Opt in to the fast path: tokens live for an hour of sim time.
         .capability(3_600_000)

@@ -3,8 +3,9 @@
 //! (replica PAPs are leaves of the domain's own syndication tree), all
 //! replicas share one VO-wide directory, and enforcement rides the
 //! domain's quorum. Crash a replica, push a lockdown while it
-//! sleeps, and watch the epoch-gated `Syncing` lifecycle keep its
-//! stale vote out of the quorum until catch-up.
+//! sleeps, and watch one recovery call heal it: the replica returns
+//! `Syncing`, replays what it missed, and the next decision readmits
+//! it.
 //!
 //! Run with: `cargo run --release --example federated_cluster`
 
@@ -22,7 +23,7 @@ use std::sync::Arc;
 fn main() {
     let ctx = CryptoCtx::new();
     let directory = Arc::new(PdpDirectory::new());
-    let vo = clustered_healthcare_vo(3, 8, &ctx, directory.clone(), true);
+    let vo = clustered_healthcare_vo(3, 8, &ctx, directory.clone());
     let mut fnet = FlowNet::build(&vo, 42, LinkSpec::lan(), LinkSpec::wan());
 
     println!("=== VO-wide discovery through the shared directory ===");
@@ -77,28 +78,19 @@ fn main() {
     let trace = pull(&mut fnet, 11);
     println!("doctor read under lockdown → allowed={}", trace.allowed);
 
-    // The crashed replica returns stale: epoch-gated into Syncing.
+    // The crashed replica returns: `Syncing`, and already replayed to
+    // the lockdown by the same call.
     d0.recover_replica(&names[1]);
     println!(
-        "{} recovered → phase {:?} (stale, excluded from the quorum)",
+        "{} recovered → phase {:?} (caught up, not yet readmitted)",
         names[1],
         d0.replica_phase(&names[1]).unwrap().name()
     );
     let trace = pull(&mut fnet, 12);
     println!(
-        "decision while it syncs → allowed={} (stale votes avoided: {})",
+        "next decision → allowed={}; {} now {:?}",
         trace.allowed,
-        d0.cluster
-            .as_ref()
-            .unwrap()
-            .metrics()
-            .stale_decisions_avoided
-    );
-
-    // Anti-entropy: replay the missed updates, then readmit.
-    let ok = d0.catch_up_replica(&names[1], 20);
-    println!(
-        "catch-up replayed → readmitted={ok}, phase {:?}",
+        names[1],
         d0.replica_phase(&names[1]).unwrap().name()
     );
 
@@ -145,6 +137,7 @@ fn main() {
         "\nThe VO flows never changed: the cluster sits behind each domain's\n\
          PEP, so pull/push/agent requests transparently ride quorum fan-out,\n\
          failover and batching — and a recovering stale replica can never\n\
-         vote until the syndication tree has replayed what it missed."
+         vote until the syndication tree has replayed what it missed, with\n\
+         no call but the recovery itself."
     );
 }

@@ -191,11 +191,7 @@ fn subject_resource_action_substitution_rejects() {
 fn token_domain(name: &str, seed: u64, ctx: &CryptoCtx) -> Domain {
     let mut builder = Domain::builder(name)
         .policy(alternating_lockdown_gate(name, 0))
-        .clustered(
-            ClusterBuilder::new(name)
-                .quorum(QuorumMode::Majority)
-                .resync(true),
-        )
+        .clustered(ClusterBuilder::new(name).quorum(QuorumMode::Majority))
         .cluster_topology(1, 3)
         .capability(10_000_000)
         .seed(seed);
@@ -208,7 +204,8 @@ fn token_domain(name: &str, seed: u64, ctx: &CryptoCtx) -> Domain {
 /// An epoch bump riding the syndication tree kills every outstanding
 /// token in the *same tick* it lands, across all three domains of a
 /// clustered VO, through E17-style replica churn (crash over the
-/// push, recover stale into `Syncing`, catch up, repeat). Every
+/// push, recover — into `Syncing`, replayed in the same call — and
+/// readmitted by the next decide, repeat). Every
 /// enforcement is compared against the domain's reference engine:
 /// the clustered-plus-token answer never diverges.
 #[test]
@@ -281,8 +278,7 @@ fn epoch_bump_revokes_same_tick_across_clustered_vo() {
             );
         }
 
-        // The crashed replica recovers stale (held in `Syncing` by the
-        // epoch gate) and catches up before the next round.
+        // The crashed replica recovers, and the next decide readmits it.
         vo.domains[0].recover_replica(&churn_replicas[1]);
         for u in 0..4 {
             let req =
@@ -292,17 +288,17 @@ fn epoch_bump_revokes_same_tick_across_clustered_vo() {
                 .pep
                 .serve(EnforceRequest::of(&req, t0 + 70))
                 .allowed;
-            assert_eq!(got, truth == Decision::Permit, "syncing r{round}");
+            assert_eq!(got, truth == Decision::Permit, "recovered r{round}");
         }
-        vo.domains[0].catch_up_replica(&churn_replicas[1], t0 + 80);
     }
 }
 
-/// Replicas that recover stale sit in `Syncing` and are excluded from
-/// quorums: their pre-lockdown policy would permit (and so mint), but
-/// the decision rides the fresh anchor alone and denies. Only after
-/// catch-up readmits them — onto the *current* policy — does the
-/// authority mint again.
+/// Replicas that come back stale sit in `Syncing` and are excluded
+/// from quorums: their pre-lockdown policy would permit (and so mint),
+/// but the decision rides the fresh anchor alone and denies. Only after
+/// recovery has replayed the lockdown into them and a decide has
+/// readmitted them — onto the *current* policy — does the authority
+/// mint again.
 #[test]
 fn syncing_replicas_never_feed_the_mint() {
     let ctx = CryptoCtx::new();
@@ -314,16 +310,18 @@ fn syncing_replicas_never_feed_the_mint() {
     assert!(domain.pep.serve(EnforceRequest::of(&warm, 0)).allowed);
     assert_eq!(authority.stats().minted, 1);
 
-    // Two of three replicas crash over a lockdown push, then recover
-    // stale: the resync gate holds both in `Syncing`. Their stale
-    // policy (version 0) would *permit* the doctor — if the cluster
-    // consulted them, they would outvote the fresh anchor and the
-    // authority would mint from a revoked policy state.
+    // Two of three replicas crash over a lockdown push, then answer
+    // again while still cut off from their syndication node: the epoch
+    // gate holds both in `Syncing`. Their stale policy (version 0)
+    // would *permit* the doctor — if the cluster consulted them, they
+    // would outvote the fresh anchor and the authority would mint from
+    // a revoked policy state.
     domain.crash_replica(&replicas[1]);
     domain.crash_replica(&replicas[2]);
     domain.propagate_policy(alternating_lockdown_gate("solo", 1), 10);
-    domain.recover_replica(&replicas[1]);
-    domain.recover_replica(&replicas[2]);
+    let cluster = domain.cluster.as_ref().unwrap();
+    cluster.mark_up(&replicas[1]);
+    cluster.mark_up(&replicas[2]);
     assert_eq!(
         domain.replica_phase(&replicas[1]),
         Some(ReplicaPhase::Syncing)
@@ -343,11 +341,13 @@ fn syncing_replicas_never_feed_the_mint() {
         "Syncing replicas must never feed the mint"
     );
 
-    // Catch-up readmits the pair onto the lockdown version; lifting
-    // it (version 2) permits again and mints at the current epoch.
-    domain.catch_up_replica(&replicas[1], 30);
-    domain.catch_up_replica(&replicas[2], 30);
+    // Recovery replays the lockdown into the pair and the next decide
+    // readmits it; lifting the lockdown (version 2) permits again and
+    // mints at the current epoch.
+    assert!(domain.recover_replica(&replicas[1]));
+    assert!(domain.recover_replica(&replicas[2]));
     assert!(!domain.pep.serve(EnforceRequest::of(&fresh, 35)).allowed);
+    assert_eq!(cluster.metrics().resyncs, 2);
     domain.propagate_policy(alternating_lockdown_gate("solo", 2), 38);
     assert!(domain.pep.serve(EnforceRequest::of(&fresh, 40)).allowed);
     assert_eq!(authority.stats().minted, 2);
@@ -369,11 +369,7 @@ proptest! {
         let plain = {
             let mut builder = Domain::builder("prop")
                 .policy(alternating_lockdown_gate("prop", 0))
-                .clustered(
-                    ClusterBuilder::new("prop")
-                        .quorum(QuorumMode::Majority)
-                        .resync(true),
-                )
+                .clustered(ClusterBuilder::new("prop").quorum(QuorumMode::Majority))
                 .cluster_topology(1, 3)
                 .seed(77);
             for u in 0..4 {

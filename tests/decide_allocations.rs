@@ -236,12 +236,12 @@ fn set_phase(domain: &Domain, slot: usize, phase: ReplicaPhase) {
     cluster.directory().register(replica, "q").set_phase(phase);
 }
 
-/// A replica's first decide builds its policy snapshot: gates each
-/// pair of the three in turn, so that `decide` asks every replica
-/// alone once, then readmits them all.
+/// A replica's first decide builds its policy snapshot: takes each
+/// pair of the three down in turn, so that `decide` asks every replica
+/// alone once, then brings them all back.
 fn ask_each_replica_alone(domain: &Domain, mut decide: impl FnMut()) {
     for asked in 0..3 {
-        (0..3).for_each(|slot| set_phase(domain, slot, ReplicaPhase::Syncing));
+        (0..3).for_each(|slot| set_phase(domain, slot, ReplicaPhase::Crashed));
         set_phase(domain, asked, ReplicaPhase::Healthy);
         decide();
     }
@@ -275,12 +275,12 @@ fn quorum_decide_allocates_its_replicas_decides_plus_a_fixed_handful() {
         healthy <= 2 * DECIDE_BUDGET + COLLECTOR_BUDGET,
         "a 1x3 majority decide made {healthy} allocations"
     );
-    // A `Syncing` replica is skipped on one atomic load and adds
-    // nothing. One gated: a majority of the two left is both, still two
-    // decides. Two gated: the one left decides alone.
-    set_phase(&domain, 2, ReplicaPhase::Syncing);
+    // A replica that is down is skipped on one atomic load and adds
+    // nothing. One down: a majority of the two left is both, still two
+    // decides. Two down: the one left decides alone.
+    set_phase(&domain, 2, ReplicaPhase::Crashed);
     let one_gated = quorum_decide(2, 2, 2);
-    set_phase(&domain, 1, ReplicaPhase::Syncing);
+    set_phase(&domain, 1, ReplicaPhase::Crashed);
     let two_gated = quorum_decide(3, 1, 1);
     assert_eq!(one_gated, healthy, "excluding a replica changed the cost");
     assert!(

@@ -31,7 +31,7 @@ fn pull_agent_and_push_flows_ride_clustered_domains() {
     let ctx = CryptoCtx::new();
     let directory = Arc::new(PdpDirectory::new());
     let vo = with_shared_cas(
-        clustered_healthcare_vo(2, 8, &ctx, directory.clone(), true),
+        clustered_healthcare_vo(2, 8, &ctx, directory.clone()),
         3_600_000,
     );
     let mut net = fnet(&vo);
@@ -137,7 +137,7 @@ fn pull_agent_and_push_flows_ride_clustered_domains() {
 fn chinese_wall_enforced_across_clustered_domains() {
     let ctx = CryptoCtx::new();
     let directory = Arc::new(PdpDirectory::new());
-    let mut vo = clustered_healthcare_vo(3, 6, &ctx, directory, true);
+    let mut vo = clustered_healthcare_vo(3, 6, &ctx, directory);
     vo.add_conflict_class(ConflictClass {
         name: "rivals".into(),
         domains: ["domain-0".to_string(), "domain-1".to_string()]
@@ -207,8 +207,7 @@ fn churn_domain(ctx: &CryptoCtx, name: &str, directory: Arc<PdpDirectory>, seed:
         .clustered(
             ClusterBuilder::new(name)
                 .quorum(QuorumMode::Majority)
-                .directory(directory)
-                .resync(true),
+                .directory(directory),
         )
         .seed(seed);
     for u in 0..4 {
@@ -220,7 +219,9 @@ fn churn_domain(ctx: &CryptoCtx, name: &str, directory: Arc<PdpDirectory>, seed:
 /// Pull flows under replica crashes plus concurrent per-domain policy
 /// updates: every flow's outcome matches the domain's root-PAP ground
 /// truth (zero false permits, zero false denies while a quorum holds),
-/// and every enforcement left an audit record.
+/// and every enforcement left an audit record. The crashed pair
+/// answers again before its syndication link is back — stale, and
+/// gated — and heals when `recover_replica` restores the link.
 #[test]
 fn crash_churn_with_updates_leaks_zero_false_permits() {
     let ctx = CryptoCtx::new();
@@ -241,26 +242,20 @@ fn crash_churn_with_updates_leaks_zero_false_permits() {
     let mut enforcements = 0usize;
     for t in 0..240u64 {
         // Deterministic churn: every 60 ticks, each domain's replicas
-        // 1 and 2 sleep through a policy update and later catch up.
+        // 1 and 2 sleep through a policy update, answer again while
+        // still cut off from their syndication node, and then recover.
         let (round, step) = (t / 60, t % 60);
         for (d, domain) in vo.domains.iter().enumerate() {
-            match step {
-                10 => {
-                    domain.crash_replica(&replica_names[d][1]);
-                    domain.crash_replica(&replica_names[d][2]);
+            if step == 20 {
+                domain.propagate_policy(churn_gate(&domain.name, round + 1), t);
+            }
+            for replica in &replica_names[d][1..] {
+                match step {
+                    10 => assert!(domain.crash_replica(replica)),
+                    30 => domain.cluster.as_ref().unwrap().mark_up(replica),
+                    45 => assert!(domain.recover_replica(replica)),
+                    _ => {}
                 }
-                20 => {
-                    domain.propagate_policy(churn_gate(&domain.name, round + 1), t);
-                }
-                30 => {
-                    domain.recover_replica(&replica_names[d][1]);
-                    domain.recover_replica(&replica_names[d][2]);
-                }
-                45 => {
-                    domain.catch_up_replica(&replica_names[d][1], t);
-                    domain.catch_up_replica(&replica_names[d][2], t);
-                }
-                _ => {}
             }
         }
         // Alternate home/cross-domain pulls over both domains.
@@ -312,9 +307,10 @@ fn crash_churn_with_updates_leaks_zero_false_permits() {
 }
 
 /// The `Syncing` lifecycle over the multi-domain topology (extends
-/// E16's guarantee): a replica recovering mid-flow is excluded from
-/// its domain's quorum until `catch_up` replays it to the domain's
-/// max epoch — in every domain independently.
+/// E16's guarantee): `recover_replica` alone heals a replica that slept
+/// through an update — it returns `Syncing`, the same call replays it
+/// to the domain's max epoch, and the next enforcement readmits it —
+/// in every domain independently.
 #[test]
 fn recovering_replica_syncs_before_rejoining_each_domains_quorum() {
     let ctx = CryptoCtx::new();
@@ -351,40 +347,41 @@ fn recovering_replica_syncs_before_rejoining_each_domains_quorum() {
             domain.name
         );
 
-        // r1 crashes; the lockdown lands while it sleeps.
-        domain.crash_replica(&names[1]);
+        // r1 crashes; the lockdown lands while it sleeps, and the
+        // reference engine on the root PAP flips at once.
+        let phase = || domain.replica_phase(&names[1]);
+        assert!(domain.crash_replica(&names[1]));
+        assert_eq!(phase(), Some(ReplicaPhase::Crashed), "{}", domain.name);
         let epoch = domain.propagate_policy(churn_gate(&domain.name, 1), 10);
         assert_eq!(epoch.0, 2, "{}: bootstrap + lockdown", domain.name);
+        let request = RequestContext::basic(subject.as_str(), "records/1", "read");
+        assert_eq!(domain.pdp.decide(&request, 10).decision, Decision::Deny);
 
-        // Mid-flow recovery: stale → Syncing, excluded from the quorum.
-        domain.recover_replica(&names[1]);
-        assert_eq!(
-            domain.replica_phase(&names[1]),
-            Some(ReplicaPhase::Syncing),
-            "{}",
-            domain.name
-        );
+        // Mid-flow recovery, one call: back `Syncing`, and already
+        // replayed to the lockdown's epoch.
+        assert!(domain.recover_replica(&names[1]));
+        assert_eq!(phase(), Some(ReplicaPhase::Syncing), "{}", domain.name);
+        // The next enforcement readmits it, and all three vote for the
+        // lockdown: no stale vote was ever there to exclude.
+        let cluster = domain.cluster.as_ref().unwrap();
+        let before = cluster.metrics();
         let denied = pull(&mut net, 11);
         assert!(!denied.allowed, "{}: lockdown enforced", domain.name);
-        let m = domain.cluster.as_ref().unwrap().metrics();
-        assert!(m.stale_decisions_avoided >= 1, "{}", domain.name);
-        // Readmission is refused until the replay lands.
-        assert!(!domain.cluster.as_ref().unwrap().complete_resync(&names[1]));
+        assert_eq!(phase(), Some(ReplicaPhase::Healthy), "{}", domain.name);
+        let m = cluster.metrics();
+        assert_eq!(m.replica_queries - before.replica_queries, 3);
+        assert_eq!((m.resyncs, m.stale_decisions_avoided), (1, 0));
 
-        // Catch-up replays to the domain's max epoch and readmits.
-        assert!(domain.catch_up_replica(&names[1], 20));
-        assert_eq!(
-            domain.replica_phase(&names[1]),
-            Some(ReplicaPhase::Healthy),
-            "{}",
-            domain.name
-        );
         // Back to a full, truthful quorum: the next update flips the
         // decision again with all three replicas voting.
         domain.propagate_policy(churn_gate(&domain.name, 2), 30);
         assert!(pull(&mut net, 31).allowed, "{}", domain.name);
-        let m = domain.cluster.as_ref().unwrap().metrics();
+        let m = cluster.metrics();
         assert_eq!(m.resyncs, 1, "{}", domain.name);
+        assert_eq!(m.degraded, 0, "{}: a full quorum throughout", domain.name);
+        // Unknown names are a polite no-op.
+        assert!(!domain.crash_replica("pdp.none"));
+        assert!(!domain.recover_replica("pdp.none"));
     }
 }
 
@@ -396,8 +393,8 @@ fn recovering_replica_syncs_before_rejoining_each_domains_quorum() {
 #[test]
 fn batched_enforcement_matches_unbatched_and_denies_never_leak() {
     let ctx = CryptoCtx::new();
-    let unbatched_vo = clustered_healthcare_vo(1, 8, &ctx, Arc::new(PdpDirectory::new()), true);
-    let batched_vo = clustered_healthcare_vo(1, 8, &ctx, Arc::new(PdpDirectory::new()), true);
+    let unbatched_vo = clustered_healthcare_vo(1, 8, &ctx, Arc::new(PdpDirectory::new()));
+    let batched_vo = clustered_healthcare_vo(1, 8, &ctx, Arc::new(PdpDirectory::new()));
     let unbatched = &unbatched_vo.domains[0];
     let batched = &batched_vo.domains[0];
 

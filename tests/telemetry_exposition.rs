@@ -126,9 +126,10 @@ fn doctor(domain: &str, u: u64) -> RequestContext {
 }
 
 /// A clustered capability domain driven through the
-/// `traced_cluster_run` shape — replica crash, policy push, stale
-/// recovery, catch-up — plus token hits and rejects, cached denies, a
-/// batch and a blackout, so most counters are non-zero when compared.
+/// `traced_cluster_run` shape — replica crash, policy push, a stale
+/// return while the replica is still cut off from syndication, then
+/// recovery — plus token hits and rejects, cached denies, a batch and
+/// a blackout, so most counters are non-zero when compared.
 #[test]
 fn every_exposed_name_reads_its_owners_storage() {
     const REQUESTS: u64 = 600;
@@ -139,11 +140,7 @@ fn every_exposed_name_reads_its_owners_storage() {
         .policy(alternating_lockdown_gate(name, 0))
         // Sequential fan-out: each replica sub-query is exactly one
         // `Pdp::decide`, which pins the replicas' summed decisions.
-        .clustered(
-            ClusterBuilder::new(name)
-                .quorum(QuorumMode::Majority)
-                .resync(true),
-        )
+        .clustered(ClusterBuilder::new(name).quorum(QuorumMode::Majority))
         .cluster_topology(1, 3)
         .pep_cache(CacheConfig {
             capacity: 256,
@@ -165,10 +162,10 @@ fn every_exposed_name_reads_its_owners_storage() {
         }
         if i == REQUESTS / 2 {
             d.propagate_policy(alternating_lockdown_gate(name, 2), i);
-            d.recover_replica(&replicas[2]);
+            cluster.mark_up(&replicas[2]);
         }
         if i == REQUESTS / 2 + 20 {
-            assert!(d.catch_up_replica(&replicas[2], i));
+            assert!(d.recover_replica(&replicas[2]));
         }
         // Doctors ride tokens; every fourth request is a stranger, whose
         // deny rides the PEP decision cache.
