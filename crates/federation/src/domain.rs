@@ -973,6 +973,54 @@ policy "gate" deny-unless-permit {
     }
 
     #[test]
+    fn replica_lifecycle_flows_through_the_domain_syndication_tree() {
+        let ctx = CryptoCtx::new();
+        let domain = Domain::builder("ward")
+            .policy_dsl(DOCTOR_GATE)
+            .subject_attr("dr-grey@ward", "role", "doctor")
+            .clustered(ClusterBuilder::new("ward").quorum(dacs_cluster::QuorumMode::Majority))
+            .build(&ctx);
+        let names = domain.replica_names();
+        let cluster = domain.cluster.as_ref().unwrap();
+        let req = RequestContext::basic("dr-grey@ward", "ehr/1", "read");
+        assert!(domain.pep.serve(EnforceRequest::of(&req, 0)).allowed);
+
+        // r1 crashes; the lockdown lands while it sleeps.
+        assert!(domain.crash_replica(&names[1]));
+        assert_eq!(domain.replica_phase(&names[1]), Some(ReplicaPhase::Crashed));
+        let lockdown = dacs_policy::dsl::parse_policy(
+            r#"policy "gate" first-applicable { rule "lockdown" deny { } }"#,
+        )
+        .unwrap();
+        assert_eq!(domain.propagate_policy(lockdown, 10), PolicyEpoch(2));
+        // The reference engine on the root PAP flips immediately.
+        assert_eq!(domain.pdp.decide(&req, 11).decision, Decision::Deny);
+
+        // Marked up on the cluster alone, its leaf still offline in the
+        // tree: it is stale, lands in Syncing and is kept out of the
+        // quorum.
+        cluster.mark_up(&names[1]);
+        assert_eq!(domain.replica_phase(&names[1]), Some(ReplicaPhase::Syncing));
+        let denied = domain.pep.serve(EnforceRequest::of(&req, 12));
+        assert!(!denied.allowed, "the fresh pair enforces the lockdown");
+        assert_eq!(cluster.metrics().stale_decisions_avoided, 1);
+        assert_eq!(cluster.metrics().resyncs, 0, "nothing replayed yet");
+
+        // The domain's recovery brings the leaf online and replays the
+        // lockdown through the tree; the next decide readmits it.
+        assert!(domain.recover_replica(&names[1]));
+        let other = RequestContext::basic("dr-grey@ward", "ehr/2", "read");
+        assert!(!domain.pep.serve(EnforceRequest::of(&other, 20)).allowed);
+        assert_eq!(domain.replica_phase(&names[1]), Some(ReplicaPhase::Healthy));
+        assert_eq!(cluster.metrics().resyncs, 1);
+        assert_eq!(cluster.metrics().stale_decisions_avoided, 1);
+
+        // Unknown names are a polite no-op.
+        assert!(!domain.crash_replica("pdp.ward.s9r9"));
+        assert!(!domain.recover_replica("pdp.ward.s9r9"));
+    }
+
+    #[test]
     fn multiple_policies_combined_at_root() {
         let ctx = CryptoCtx::new();
         let domain = Domain::builder("d")
