@@ -1084,6 +1084,12 @@ mod tests {
         ]
     }
 
+    /// `g`'s answer to an empty request under `mode`, dispatched by
+    /// `plan`.
+    fn ask(g: &ReplicaGroup, mode: QuorumMode, now_ms: u64, plan: &FanoutPlan<'_>) -> GroupOutcome {
+        g.query_planned(mode, &RequestContext::new(), now_ms, plan)
+    }
+
     /// A replica whose every evaluation panics: a lost vote.
     struct Panicky(String);
 
@@ -1165,12 +1171,7 @@ mod tests {
         replicas.push(straggler.clone());
         let (g, _) = grouped(replicas);
         let pool = pool();
-        let out = g.query_planned(
-            QuorumMode::Majority,
-            &RequestContext::new(),
-            0,
-            &plan(&pool, false),
-        );
+        let out = ask(&g, QuorumMode::Majority, 0, &plan(&pool, false));
         assert_eq!(out.response.unwrap().decision, Decision::Permit);
         assert_eq!(straggler.answered(), 0, "majority waited for the straggler");
         assert_eq!(out.replicas_queried, 3, "all replicas were dispatched");
@@ -1194,12 +1195,7 @@ mod tests {
         );
         let (g, _) = grouped(replicas);
         let pool = pool();
-        let out = g.query_planned(
-            QuorumMode::UnanimousFailClosed,
-            &RequestContext::new(),
-            0,
-            &plan(&pool, false),
-        );
+        let out = ask(&g, QuorumMode::UnanimousFailClosed, 0, &plan(&pool, false));
         assert_eq!(out.response.unwrap().decision, Decision::Deny);
         for permit in &permits {
             assert_eq!(permit.answered(), 0, "unanimity waited for a permit");
@@ -1233,12 +1229,7 @@ mod tests {
         ]);
         let pool = pool();
         for i in 0..25 {
-            let out = g.query_planned(
-                QuorumMode::Majority,
-                &RequestContext::new(),
-                i,
-                &plan(&pool, false),
-            );
+            let out = ask(&g, QuorumMode::Majority, i, &plan(&pool, false));
             let response = out.response.unwrap();
             assert_eq!(response.decision, Decision::Permit);
             assert_eq!(
@@ -1257,12 +1248,7 @@ mod tests {
         // healthy permits still form a majority — repeatedly, because
         // the panic must not cost a pool worker.
         for i in 0..8 {
-            let out = g.query_planned(
-                QuorumMode::Majority,
-                &RequestContext::new(),
-                i,
-                &plan(&pool, false),
-            );
+            let out = ask(&g, QuorumMode::Majority, i, &plan(&pool, false));
             assert_eq!(out.response.unwrap().decision, Decision::Permit);
         }
     }
@@ -1273,12 +1259,7 @@ mod tests {
         let pool = pool();
         assert_eq!(g.endpoint(0).latency_ewma_ns(), None);
         for _ in 0..2 {
-            g.query_planned(
-                QuorumMode::UnanimousFailClosed,
-                &RequestContext::new(),
-                0,
-                &plan(&pool, false),
-            );
+            ask(&g, QuorumMode::UnanimousFailClosed, 0, &plan(&pool, false));
         }
         // Unanimity waits for every replica, so all three got timed.
         // (Majority may cancel a straggler before it runs.)
@@ -1441,12 +1422,7 @@ mod tests {
         let decisions = [Decision::Permit; 5];
         let (g, _) = group(&decisions);
         let pool = pool();
-        let out = g.query_planned(
-            QuorumMode::Majority,
-            &RequestContext::new(),
-            0,
-            &plan(&pool, true),
-        );
+        let out = ask(&g, QuorumMode::Majority, 0, &plan(&pool, true));
         assert_eq!(out.response.unwrap().decision, Decision::Permit);
         assert_eq!(out.replicas_queried, 3, "only the quorum width dispatched");
         assert_eq!(out.healthy, 5);
@@ -1460,12 +1436,7 @@ mod tests {
         // decision must match what full-width dispatch would say.
         let (g, _) = group(&[Decision::Deny, Decision::Permit, Decision::Permit]);
         let pool = pool();
-        let out = g.query_planned(
-            QuorumMode::Majority,
-            &RequestContext::new(),
-            0,
-            &plan(&pool, true),
-        );
+        let out = ask(&g, QuorumMode::Majority, 0, &plan(&pool, true));
         assert_eq!(out.response.unwrap().decision, Decision::Permit);
         assert_eq!(out.replicas_queried, 3, "escalated to the full width");
         assert!(out.disagreement);
@@ -1557,12 +1528,7 @@ mod tests {
             if let Some(ns) = estimate {
                 (0..3).for_each(|slot| g.endpoint(slot).record_latency_ns(ns));
             }
-            let out = g.query_planned(
-                QuorumMode::Majority,
-                &RequestContext::new(),
-                0,
-                &plan(&pool, false),
-            );
+            let out = ask(&g, QuorumMode::Majority, 0, &plan(&pool, false));
             assert_eq!(out.response.unwrap().decision, Decision::Permit);
             assert_eq!(out.replicas_queried, 3);
             assert_eq!(out.caller_evaluations, 0, "estimate {estimate:?}");
@@ -1596,12 +1562,7 @@ mod tests {
                 straggler.wait_parked();
                 cheap.iter().for_each(|c| c.release());
             });
-            g.query_planned(
-                QuorumMode::Majority,
-                &RequestContext::new(),
-                0,
-                &plan(&pool, false),
-            )
+            ask(&g, QuorumMode::Majority, 0, &plan(&pool, false))
         });
         assert_eq!(out.response.unwrap().decision, Decision::Permit);
         assert_eq!(out.caller_evaluations, 2);
@@ -1631,12 +1592,7 @@ mod tests {
         let (g, _) = grouped(backends.collect());
         estimated(&g, CHEAP_NS);
         let (pool, latch) = held_pool();
-        let out = g.query_planned(
-            QuorumMode::Majority,
-            &RequestContext::new(),
-            0,
-            &plan(&pool, false),
-        );
+        let out = ask(&g, QuorumMode::Majority, 0, &plan(&pool, false));
         assert_eq!(out.response.unwrap().decision, Decision::Permit);
         assert_eq!(out.replicas_queried, 5);
         assert_eq!(out.caller_evaluations, 3);

@@ -2,6 +2,12 @@
 //! per Section-3 claim, as indexed in DESIGN.md §5. Each returns a
 //! [`Table`] that the harness binary prints and EXPERIMENTS.md records.
 
+// The alternating gate of E16–E18 (shared with the federation-cluster
+// integration tests): even versions permit doctors on `records/*`, odd
+// versions are a lockdown (admins only — nobody in the workload), so
+// every update flips the correct decision and a replica deciding on
+// any stale version errs observably.
+use crate::scenario::alternating_lockdown_gate as lockdown_gate;
 use crate::scenario::{healthcare_vo, with_shared_cas};
 use crate::stats::{f2, us_as_ms, Summary, Table};
 use crate::workload::{generate, WorkloadSpec};
@@ -902,6 +908,20 @@ policy "gate" deny-unless-permit {
     (builder.build(), truth, replica_names)
 }
 
+/// The simulated control plane of the churn experiments: a controller
+/// node sends each `(at_us, event)` in order over a LAN link, and
+/// `Network::run_until` delivers them as the experiment's clock passes.
+fn control_plane<E>(seed: u64, events: Vec<(u64, E)>) -> dacs_simnet::Network<E> {
+    let mut net = dacs_simnet::Network::new(seed);
+    let controller = net.add_node("controller");
+    let control_plane = net.add_node("control-plane");
+    net.set_link(controller, control_plane, LinkSpec::lan());
+    for (at_us, event) in events {
+        net.send_after(at_us, controller, control_plane, 64, event);
+    }
+    net
+}
+
 /// E14: cluster dependability — availability, degraded service and
 /// wrong decisions under replica crash churn, by quorum mode.
 ///
@@ -935,26 +955,18 @@ pub fn e14_cluster_dependability(requests: usize) -> Table {
 
         // Schedule crash/recover churn on the simulated network.
         let horizon_us = requests as u64 * 1_000;
-        let mut net: dacs_simnet::Network<Churn> = dacs_simnet::Network::new(14);
-        let controller = net.add_node("controller");
-        let control_plane = net.add_node("control-plane");
-        net.set_link(controller, control_plane, LinkSpec::lan());
         let mut rng = StdRng::seed_from_u64(41);
+        let mut churn = Vec::new();
         for name in &replica_names {
             let mut t = rng.gen_range(0..horizon_us / 2);
             while t < horizon_us {
                 let outage = rng.gen_range(horizon_us / 20..horizon_us / 8);
-                net.send_after(t, controller, control_plane, 64, Churn::Crash(name.clone()));
-                net.send_after(
-                    t + outage,
-                    controller,
-                    control_plane,
-                    64,
-                    Churn::Recover(name.clone()),
-                );
+                churn.push((t, Churn::Crash(name.clone())));
+                churn.push((t + outage, Churn::Recover(name.clone())));
                 t += outage + rng.gen_range(horizon_us / 10..horizon_us / 3);
             }
         }
+        let mut net = control_plane(14, churn);
 
         let mut false_permits = 0u64;
         let mut false_denies = 0u64;
@@ -1111,18 +1123,14 @@ pub fn e15_fanout_latency(requests: usize) -> Table {
         // slow replica crashes and recovers on a simulated control
         // plane (≈ one outage per third of the horizon).
         let horizon_us = requests as u64 * 1_000;
-        let mut net: dacs_simnet::Network<Churn> = dacs_simnet::Network::new(15);
-        let controller = net.add_node("controller");
-        let control_plane = net.add_node("control-plane");
-        net.set_link(controller, control_plane, LinkSpec::lan());
         let mut rng = StdRng::seed_from_u64(53);
-        let mut t = rng.gen_range(0..horizon_us / 3);
+        let (mut t, mut churn) = (rng.gen_range(0..horizon_us / 3), Vec::new());
         while t < horizon_us {
             let outage = rng.gen_range(horizon_us / 12..horizon_us / 6);
-            net.send_after(t, controller, control_plane, 64, Churn::Crash);
-            net.send_after(t + outage, controller, control_plane, 64, Churn::Recover);
+            churn.extend([(t, Churn::Crash), (t + outage, Churn::Recover)]);
             t += outage + rng.gen_range(horizon_us / 6..horizon_us / 3);
         }
+        let mut net = control_plane(15, churn);
 
         let mut lats = Vec::with_capacity(requests);
         for i in 0..requests as u64 {
@@ -1179,31 +1187,10 @@ enum ResyncEvent {
     CatchUp(usize),
 }
 
-/// The alternating E16 policy: even versions permit doctors, odd
-/// versions are a lockdown (admins only — nobody in the workload).
-/// Every update therefore flips the correct decision for doctors, so a
-/// replica deciding on any stale version errs observably.
-fn e16_gate(version: u64) -> Policy {
-    let role = if version.is_multiple_of(2) {
-        "doctor"
-    } else {
-        "admin"
-    };
-    dacs_policy::dsl::parse_policy(&format!(
-        r#"
-policy "gate" deny-unless-permit {{
-  rule "gate-v{version}" permit {{
-    condition is-in("{role}", attr(subject, "role"))
-  }}
-}}
-"#
-    ))
-    .expect("e16 gate parses")
-}
-
 /// Builds the E16 testbed: a syndication tree whose three leaves are
 /// the local PAPs of three PDP replicas forming one majority-quorum
-/// shard, plus a ground-truth PDP on the root PAP.
+/// shard behind the alternating lockdown gate, plus a ground-truth PDP
+/// on the root PAP.
 fn e16_testbed() -> (PdpCluster, SyndicationTree, Pdp, Vec<usize>, Vec<String>) {
     let mut tree = SyndicationTree::new("pap.e16");
     let statics = Arc::new(StaticAttributes::new());
@@ -1213,7 +1200,7 @@ fn e16_testbed() -> (PdpCluster, SyndicationTree, Pdp, Vec<usize>, Vec<String>) 
     let mut pips = PipRegistry::new();
     pips.add(statics);
     let pips = Arc::new(pips);
-    let root = PolicyElement::PolicyRef(PolicyId::new("gate"));
+    let root = PolicyElement::PolicyRef(PolicyId::new("e16-gate"));
 
     let mut leaves = Vec::new();
     let mut names = Vec::new();
@@ -1237,7 +1224,7 @@ fn e16_testbed() -> (PdpCluster, SyndicationTree, Pdp, Vec<usize>, Vec<String>) 
         names.push(name);
     }
     // Version 0 reaches everyone before any churn.
-    tree.propagate(e16_gate(0), 0);
+    tree.propagate(lockdown_gate("e16", 0), 0);
 
     let cluster = ClusterBuilder::new("e16")
         .quorum(QuorumMode::Majority)
@@ -1282,13 +1269,8 @@ pub fn e16_replica_resync(requests: usize) -> Table {
     // are always stale on return. Replica 0 never crashes and anchors
     // the fresh view.
     let round_ms = (requests / 8) as u64;
-    let mut net: dacs_simnet::Network<ResyncEvent> = dacs_simnet::Network::new(16);
-    let controller = net.add_node("controller");
-    let control_plane = net.add_node("control-plane");
-    net.set_link(controller, control_plane, LinkSpec::lan());
-    let mut send = |at_ms: u64, event: ResyncEvent| {
-        net.send_after(at_ms * 1_000, controller, control_plane, 64, event);
-    };
+    let mut churn = Vec::new();
+    let mut send = |at_ms: u64, event| churn.push((at_ms * 1_000, event));
     for j in 0..8u64 {
         let base = j * round_ms;
         send(base + round_ms / 4, ResyncEvent::Crash(1));
@@ -1299,6 +1281,7 @@ pub fn e16_replica_resync(requests: usize) -> Table {
         send(base + round_ms * 3 / 4, ResyncEvent::CatchUp(1));
         send(base + round_ms * 3 / 4, ResyncEvent::CatchUp(2));
     }
+    let mut net = control_plane(16, churn);
 
     let mut false_permits = 0u64;
     let mut false_denies = 0u64;
@@ -1313,7 +1296,7 @@ pub fn e16_replica_resync(requests: usize) -> Table {
                 cluster.mark_up(&names[r]);
             }
             ResyncEvent::Update(k) => {
-                tree.propagate(e16_gate(k), t);
+                tree.propagate(lockdown_gate("e16", k), t);
             }
             ResyncEvent::CatchUp(r) => {
                 tree.catch_up(leaves[r], t);
@@ -1345,13 +1328,6 @@ pub fn e16_replica_resync(requests: usize) -> Table {
     table
 }
 
-// The alternating E17 per-domain gate (shared with the
-// federation-cluster integration tests): even versions permit doctors
-// on `records/*`, odd versions are a lockdown (admins only — nobody in
-// the workload), so every update flips the correct decision and a
-// replica deciding on any stale version errs observably.
-use crate::scenario::alternating_lockdown_gate as e17_gate;
-
 /// Builds the E17 testbed: a 3-domain VO where every domain backs its
 /// PEP with a 3-replica majority shard (replica PAPs = leaves of the
 /// domain's syndication tree), all replicas sharing one VO-wide
@@ -1367,7 +1343,7 @@ fn e17_vo(ctx: &CryptoCtx) -> (Vo, Vec<Arc<dacs_telemetry::Telemetry>>) {
         let name = format!("domain-{d}");
         let telemetry = Arc::new(dacs_telemetry::Telemetry::new());
         let mut builder = Domain::builder(&name)
-            .policy(e17_gate(&name, 0))
+            .policy(lockdown_gate(&name, 0))
             .clustered(
                 ClusterBuilder::new(&name)
                     .quorum(QuorumMode::Majority)
@@ -1396,6 +1372,9 @@ fn e17_vo(ctx: &CryptoCtx) -> (Vo, Vec<Arc<dacs_telemetry::Telemetry>>) {
 enum FedEvent {
     /// Replica crashes: directory down + syndication leaf offline.
     Crash(usize, usize),
+    /// Replica answers again while its syndication leaf is still cut
+    /// off — `PdpCluster::mark_up` alone: it returns `Syncing`, behind.
+    Return(usize, usize),
     /// Replica recovers — `Domain::recover_replica`, which replays
     /// what it missed; the next decide readmits it.
     Recover(usize, usize),
@@ -1413,15 +1392,18 @@ enum FedEvent {
 /// replicas share one VO-wide directory, and every enforcement rides
 /// the domain's quorum. Per round, each domain's replicas 1 and 2
 /// crash over a policy update (staggered across domains, so updates
-/// are concurrent VO-wide) and recover stale; replica 0 anchors the
-/// fresh view. One round also injects a full-shard blackout per domain
-/// — a window of honest unavailability, answered fail-safe. Every pull
-/// flow (≈40% cross-domain, riding the federated attribute fetch) is
-/// compared against the domain's root-PAP reference PDP. A recovery
-/// is one `Domain::recover_replica` call, which replays what the
-/// replica missed, so no decide meets it behind (the epoch-lag column
-/// reads 0) and the next one readmits it. Both false-permit columns are
-/// exactly zero; the blackout window is the only availability gap.
+/// are concurrent VO-wide) and answer again stale while their
+/// syndication leaves are still cut off: back up in the cluster, held
+/// in `Syncing` and out of every quorum, so replica 0 — the fresh
+/// anchor — decides alone (the stale-vote and epoch-lag columns count
+/// that window). A little later one `Domain::recover_replica` call
+/// replays what each missed and the next decide readmits it. One round
+/// also injects a full-shard blackout per domain — a window of honest
+/// unavailability, answered fail-safe. Every pull flow (≈40%
+/// cross-domain, riding the federated attribute fetch) is compared
+/// against the domain's root-PAP reference PDP. Both false-permit
+/// columns are exactly zero; the blackout window is the only
+/// availability gap.
 pub fn e17_federated_cluster(requests: usize) -> Table {
     let mut table = Table::new(
         "E17 — federated clusters: 3-domain VO, per-domain 3-replica majority shards, crash churn + concurrent policy updates (shared directory)",
@@ -1433,6 +1415,7 @@ pub fn e17_federated_cluster(requests: usize) -> Table {
             "xdom false permits",
             "false denies",
             "resyncs",
+            "stale votes avoided",
             "epoch lag max",
             "enforce p99 (µs)",
             "replica p99 (µs)",
@@ -1446,38 +1429,35 @@ pub fn e17_federated_cluster(requests: usize) -> Table {
 
     // Eight rounds of churn, staggered across domains so the three
     // authorities update concurrently but not in lockstep. Replicas 1
-    // and 2 of every domain sleep through each update; round 3 adds a
-    // brief full-shard blackout.
+    // and 2 of every domain sleep through each update, answer again
+    // behind and then recover; round 3 adds a brief full-shard
+    // blackout.
     let round_ms = (requests / 8) as u64;
-    let mut net: dacs_simnet::Network<FedEvent> = dacs_simnet::Network::new(17);
-    let controller = net.add_node("controller");
-    let control_plane = net.add_node("control-plane");
-    net.set_link(controller, control_plane, LinkSpec::lan());
-    {
-        let mut send = |at_ms: u64, event: FedEvent| {
-            net.send_after(at_ms * 1_000, controller, control_plane, 64, event);
-        };
-        for j in 0..8u64 {
-            let base = j * round_ms;
-            for d in 0..3usize {
-                let off = d as u64 * round_ms / 32;
-                send(base + round_ms / 4 + off, FedEvent::Crash(d, 1));
-                send(base + round_ms / 4 + off, FedEvent::Crash(d, 2));
-                send(base + round_ms / 2 + off, FedEvent::Update(d, j + 1));
-                send(base + round_ms * 5 / 8 + off, FedEvent::Recover(d, 1));
-                send(base + round_ms * 5 / 8 + off, FedEvent::Recover(d, 2));
-                if j == 3 {
-                    // Full-shard blackout, clear of any update: the
-                    // replicas return current, so this costs
-                    // availability, never correctness.
-                    for r in 0..3usize {
-                        send(base + round_ms * 13 / 16 + off, FedEvent::Crash(d, r));
-                        send(base + round_ms * 7 / 8 + off, FedEvent::Recover(d, r));
-                    }
+    let mut churn = Vec::new();
+    let mut send = |at_ms: u64, event| churn.push((at_ms * 1_000, event));
+    for j in 0..8u64 {
+        let base = j * round_ms;
+        for d in 0..3usize {
+            let off = d as u64 * round_ms / 32;
+            send(base + round_ms / 4 + off, FedEvent::Crash(d, 1));
+            send(base + round_ms / 4 + off, FedEvent::Crash(d, 2));
+            send(base + round_ms / 2 + off, FedEvent::Update(d, j + 1));
+            for r in 1..3usize {
+                send(base + round_ms * 5 / 8 + off, FedEvent::Return(d, r));
+                send(base + round_ms * 3 / 4 + off, FedEvent::Recover(d, r));
+            }
+            if j == 3 {
+                // Full-shard blackout, clear of any update: the replicas
+                // return current, so this costs availability, never
+                // correctness.
+                for r in 0..3usize {
+                    send(base + round_ms * 13 / 16 + off, FedEvent::Crash(d, r));
+                    send(base + round_ms * 7 / 8 + off, FedEvent::Recover(d, r));
                 }
             }
         }
     }
+    let mut net = control_plane(17, churn);
 
     let mut rng = StdRng::seed_from_u64(173);
     let mut false_permits = [0u64; 3];
@@ -1488,11 +1468,17 @@ pub fn e17_federated_cluster(requests: usize) -> Table {
             FedEvent::Crash(d, r) => {
                 vo.domains[d].crash_replica(&replica_names[d][r]);
             }
+            FedEvent::Return(d, r) => {
+                let cluster = vo.domains[d].cluster.as_ref();
+                cluster
+                    .expect("e17 domains are clustered")
+                    .mark_up(&replica_names[d][r]);
+            }
             FedEvent::Recover(d, r) => {
                 vo.domains[d].recover_replica(&replica_names[d][r]);
             }
             FedEvent::Update(d, k) => {
-                vo.domains[d].propagate_policy(e17_gate(&vo.domains[d].name, k), t);
+                vo.domains[d].propagate_policy(lockdown_gate(&vo.domains[d].name, k), t);
             }
         });
         let home = rng.gen_range(0..3usize);
@@ -1556,6 +1542,7 @@ pub fn e17_federated_cluster(requests: usize) -> Table {
             xdom_false_permits[d].to_string(),
             false_denies[d].to_string(),
             m.resyncs.to_string(),
+            m.stale_decisions_avoided.to_string(),
             m.epoch_lag_max.to_string(),
             p99("dacs_pep_enforce_us"),
             p99("dacs_replica_decide_us"),
@@ -1582,7 +1569,7 @@ pub fn traced_cluster_run(requests: usize) -> (Arc<dacs_telemetry::Telemetry>, V
     let ctx = CryptoCtx::new();
     let name = "traced";
     let mut builder = Domain::builder(name)
-        .policy(e17_gate(name, 0))
+        .policy(lockdown_gate(name, 0))
         .clustered(
             ClusterBuilder::new(name)
                 .quorum(QuorumMode::Majority)
@@ -1611,7 +1598,7 @@ pub fn traced_cluster_run(requests: usize) -> (Arc<dacs_telemetry::Telemetry>, V
             // stale and catches up in one call, and the next decide
             // readmits it), and flushes the PEP cache — the second half
             // re-misses before re-caching.
-            domain.propagate_policy(e17_gate(name, 2), i);
+            domain.propagate_policy(lockdown_gate(name, 2), i);
             domain.recover_replica(&replicas[2]);
         }
         let u = i % 8;
@@ -1671,7 +1658,7 @@ pub fn unaccounted_shares(spans: &[dacs_telemetry::SpanRecord]) -> Vec<(&'static
 fn e18_domain(capability: bool, ttl_ms: u64, ctx: &CryptoCtx) -> Domain {
     let name = "cap";
     let mut builder = Domain::builder(name)
-        .policy(e17_gate(name, 0))
+        .policy(lockdown_gate(name, 0))
         .clustered(ClusterBuilder::new(name).quorum(QuorumMode::Majority))
         .cluster_topology(1, 5)
         .seed(0xe18);
@@ -1837,7 +1824,7 @@ pub fn e18_capability_ceiling(requests: usize) -> Table {
                 // Canary: minted under the pre-push epoch, probed
                 // after the push until it stops verifying.
                 let canary = authority.mint("user-0@cap", "records/0", "read", t);
-                domain.propagate_policy(e17_gate("cap", t / round + 1), t);
+                domain.propagate_policy(lockdown_gate("cap", t / round + 1), t);
                 let mut lag = 0u64;
                 while lag < 64
                     && authority
@@ -1894,7 +1881,7 @@ pub fn capability_telemetry_run(requests: usize) -> Arc<dacs_telemetry::Telemetr
     let ctx = CryptoCtx::new();
     let name = "cap";
     let mut builder = Domain::builder(name)
-        .policy(e17_gate(name, 0))
+        .policy(lockdown_gate(name, 0))
         .clustered(ClusterBuilder::new(name).quorum(QuorumMode::Majority))
         .cluster_topology(1, 3)
         .capability(requests as u64 + 1_000_000)
@@ -1908,7 +1895,7 @@ pub fn capability_telemetry_run(requests: usize) -> Arc<dacs_telemetry::Telemetr
         if i == (requests / 2) as u64 {
             // Revokes every outstanding token mid-run: stale rejects
             // and re-mints land in the counters.
-            domain.propagate_policy(e17_gate(name, 2), i);
+            domain.propagate_policy(lockdown_gate(name, 2), i);
         }
         let u = i % 8;
         let request = RequestContext::basic(
@@ -1931,7 +1918,7 @@ pub fn capability_telemetry_run(requests: usize) -> Arc<dacs_telemetry::Telemetr
 fn e19_domain(telemetry: &Arc<dacs_telemetry::Telemetry>) -> Domain {
     let name = "sched";
     let mut builder = Domain::builder(name)
-        .policy(e17_gate(name, 0))
+        .policy(lockdown_gate(name, 0))
         .clustered(
             ClusterBuilder::new(name)
                 .quorum(QuorumMode::Majority)
@@ -2675,9 +2662,9 @@ mod tests {
     /// E17's acceptance bar, with recovery one
     /// `Domain::recover_replica` call: under crash churn plus
     /// concurrent per-domain policy updates across a clustered 3-domain
-    /// VO, cross-domain (and total) false permits are exactly zero, the
-    /// recovered replicas readmit themselves, and no decide ever meets
-    /// one behind — the replay runs inside the recovery.
+    /// VO, cross-domain (and total) false permits are exactly zero,
+    /// while the stale pair answers again behind it is held out of every
+    /// quorum, and once recovered it readmits itself.
     #[test]
     fn e17_self_healing_federated_clusters_zero_cross_domain_false_permits() {
         let t = e17_federated_cluster(1600);
@@ -2687,13 +2674,11 @@ mod tests {
         for row in &t.rows {
             assert_eq!(cell(row, 3), 0, "{}: false permits", row[0]);
             assert_eq!(cell(row, 4), 0, "{}: cross-domain false permits", row[0]);
+            // The gate actually did work: stale votes were excluded
+            // while the pair lagged, and the pair readmitted itself.
             assert!(cell(row, 6) > 0, "{}: no replica was readmitted", row[0]);
-            assert_eq!(
-                cell(row, 7),
-                0,
-                "{}: a decide met a lagging replica",
-                row[0]
-            );
+            assert!(cell(row, 7) > 0, "{}: no stale vote excluded", row[0]);
+            assert!(cell(row, 8) >= 1, "{}: epoch lag never observed", row[0]);
             // The round-3 blackout is the only gap.
             let a = avail(row);
             assert!(a > 95.0, "{}: availability {a}", row[0]);

@@ -284,6 +284,10 @@ impl Domain {
     /// of the updates it missed. The next decide that reaches its shard
     /// finds it current and readmits it. Returns whether the name
     /// matched a replica.
+    ///
+    /// The call takes no clock, so the replay is back-dated: the replica
+    /// PAP's audit records for the updates it missed carry the newest
+    /// push's `at_ms`, not the time of recovery.
     pub fn recover_replica(&self, name: &str) -> bool {
         let Some((cluster, leaf)) = self.replica_leaf(name) else {
             return false;
@@ -295,8 +299,7 @@ impl Domain {
         tree.lock().set_online(leaf, true);
         cluster.mark_up(name);
         let mut tree = tree.lock();
-        // The replay is stamped with the newest push's time: the state
-        // it restores.
+        // Stamped with the newest push's time (see the note above).
         let newest = tree.updates_since(PolicyEpoch::ZERO).last();
         let at_ms = newest.map_or(0, |update| update.at_ms);
         tree.catch_up(leaf, at_ms);

@@ -248,6 +248,22 @@ fn ask_each_replica_alone(domain: &Domain, mut decide: impl FnMut()) {
     (0..3).for_each(|slot| set_phase(domain, slot, ReplicaPhase::Healthy));
 }
 
+/// Takes the domain's replica in `slot` down over a policy update and
+/// brings it back on the cluster alone, its syndication leaf still cut
+/// off, so that it returns `Syncing`, behind its group. The update
+/// pushes the gate already in force, so the verdict does not move;
+/// `warm_up` decides once at the new epoch before the return, so the
+/// survivors' snapshots are rebuilt before anything is counted.
+fn return_behind(domain: &Domain, slot: usize, warm_up: impl FnOnce()) {
+    let cluster = domain.cluster.as_ref().expect("clustered");
+    let replica = &domain.replica_names()[slot];
+    assert!(domain.crash_replica(replica));
+    domain.propagate_policy(alternating_lockdown_gate("q", 0), 0);
+    warm_up();
+    cluster.mark_up(replica);
+    assert_eq!(cluster.replica_phase(replica), Some(ReplicaPhase::Syncing));
+}
+
 /// Everybody healthy: two agreeing votes settle a majority of three, so
 /// the decide costs two engine decides — the third replica is
 /// dispatched and never started — plus the fixed handful.
@@ -275,13 +291,26 @@ fn quorum_decide_allocates_its_replicas_decides_plus_a_fixed_handful() {
         healthy <= 2 * DECIDE_BUDGET + COLLECTOR_BUDGET,
         "a 1x3 majority decide made {healthy} allocations"
     );
-    // A replica that is down is skipped on one atomic load and adds
-    // nothing. One down: a majority of the two left is both, still two
-    // decides. Two down: the one left decides alone.
-    set_phase(&domain, 2, ReplicaPhase::Crashed);
-    let one_gated = quorum_decide(2, 2, 2);
-    set_phase(&domain, 1, ReplicaPhase::Crashed);
-    let two_gated = quorum_decide(3, 1, 1);
+    // A replica that returned behind is `Syncing`: the roster takes the
+    // group's recovery lock, reads its epochs, finds the replica
+    // lagging and leaves it out — and adds nothing. One gated: a
+    // majority of the two left is both, still two decides. Two gated:
+    // the one left decides alone.
+    let gated_decide = |now_ms, voters, stale| {
+        let before = cluster.metrics().stale_decisions_avoided;
+        let count = quorum_decide(now_ms, voters, voters as u64);
+        let excluded = cluster.metrics().stale_decisions_avoided - before;
+        assert_eq!(excluded, stale, "stale replicas excluded");
+        count
+    };
+    return_behind(&domain, 2, || {
+        quorum_decide(2, 2, 2);
+    });
+    let one_gated = gated_decide(3, 2, 1);
+    return_behind(&domain, 1, || {
+        gated_decide(4, 1, 1);
+    });
+    let two_gated = gated_decide(5, 1, 2);
     assert_eq!(one_gated, healthy, "excluding a replica changed the cost");
     assert!(
         two_gated < one_gated && one_gated - two_gated <= DECIDE_BUDGET,
