@@ -7,6 +7,7 @@ use crate::replica::{DecisionBackend, FanoutPlan, GroupOutcome, ReplicaGroup};
 use crate::shard::ShardRouter;
 use dacs_pdp::{DecisionClass, PdpDirectory, ReplicaPhase};
 use dacs_policy::eval::Response;
+use dacs_policy::hash::KeyState;
 use dacs_policy::request::RequestContext;
 use dacs_telemetry::{Histogram, Telemetry};
 use std::collections::HashMap;
@@ -359,10 +360,11 @@ impl PdpCluster {
         // Stable: submission order holds within a shard.
         order.sort_by_key(|&(shard, _)| shard);
         let mut outcomes: Vec<Option<ClusterOutcome>> = vec![None; requests.len()];
-        // The current shard's decided requests, by canonical hash.
+        // The current shard's decided requests, by canonical hash (a
+        // finished hash, so the map folds it once, as a cache does).
         // Equal requests never span shards (routing is keyed), but
         // clearing per shard keeps the map small.
-        let mut answered: HashMap<u64, usize> = HashMap::new();
+        let mut answered: HashMap<u64, usize, KeyState> = HashMap::default();
         let mut coalesced = 0;
         let mut current_shard = usize::MAX;
         for (shard, i) in order {

@@ -13,26 +13,11 @@
 //!    `1/(n+1)` of them), instead of reshuffling everything the way
 //!    `hash % n` would.
 
+use dacs_policy::hash::WordHasher;
 use dacs_policy::request::RequestContext;
 
 /// Default virtual points per shard on the ring.
 pub const DEFAULT_VNODES: usize = 128;
-
-/// FNV-1a over the concatenation of `parts`, with a SplitMix64
-/// finalizer: FNV alone mixes the high bits of short, similar keys
-/// poorly, which skews arc lengths on the ring.
-fn fnv1a(parts: &[&[u8]]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in parts {
-        for &b in *part {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash = (hash ^ (hash >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    hash = (hash ^ (hash >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    hash ^ (hash >> 31)
-}
 
 /// Maps routing keys onto `shards` replica groups via a consistent ring.
 ///
@@ -90,10 +75,10 @@ impl ShardRouter {
         let mut ring = Vec::with_capacity(shards * vnodes);
         for shard in 0..shards {
             for v in 0..vnodes {
-                ring.push((
-                    fnv1a(&[format!("shard-{shard}/vnode-{v}").as_bytes()]),
-                    shard,
-                ));
+                let mut point = WordHasher::new();
+                point.write_u64(shard as u64);
+                point.write_u64(v as u64);
+                ring.push((point.finish(), shard));
             }
         }
         ring.sort_unstable();
@@ -126,12 +111,16 @@ impl ShardRouter {
     }
 
     /// The shard owning the first ring point at or after the hash of
-    /// the key `parts` spell; one shard owns every key unhashed.
+    /// the key `parts` spell — its length, then its bytes — one shard
+    /// owns every key unhashed.
     fn owner(&self, parts: &[&[u8]]) -> usize {
         if self.shards == 1 {
             return 0;
         }
-        let point = fnv1a(parts);
+        let mut key = WordHasher::new();
+        key.write_u64(parts.iter().map(|part| part.len() as u64).sum());
+        key.write_joined(parts);
+        let point = key.finish();
         let idx = self.ring.partition_point(|(p, _)| *p < point);
         // Wrap past the last point back to the ring start.
         let (_, shard) = self.ring[idx % self.ring.len()];

@@ -9,21 +9,26 @@
 //!   `BTreeMap` recency index, making every touch O(log n)).
 //! * [`ConcurrentTtlCache`] — an N-way striped wrapper: a power-of-two
 //!   array of independently locked [`TtlLruCache`] segments selected
-//!   by key hash, so concurrent readers on different keys proceed in
-//!   parallel instead of convoying on one global lock. LRU order is
-//!   per-stripe; capacity and [`CacheStats`] aggregate across stripes.
+//!   by a fixed function of the key, so concurrent readers on different
+//!   keys proceed in parallel instead of convoying on one global lock.
+//!   LRU order is per-stripe; capacity and [`CacheStats`] aggregate
+//!   across stripes.
 //! * [`HashedRequestCache`] — the enforcement-path specialization:
 //!   entries are keyed by a precomputed 64-bit canonical request hash
 //!   (`RequestContext::canonical_hash`) instead of a serialized
 //!   `Vec<u8>`, with the full [`RequestContext`] stored alongside each
 //!   value and compared on every hit, so a hash collision reads as a
 //!   miss — never as another request's decision.
+//!
+//! Keys are `u64`s — finished hashes — so neither layer hashes them
+//! again in full: a stripe is the top bits of one [`fold`] of the key
+//! under a fixed constant, the same in every cache, and a bucket one
+//! fold under a seed each cache draws when it is built ([`KeyState`]).
 
+use dacs_policy::hash::{fold, KeyState};
 use dacs_policy::request::RequestContext;
 use parking_lot::Mutex;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 
 /// Cache effectiveness counters.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -61,8 +66,8 @@ impl CacheStats {
 /// Sentinel for "no node" in the intrusive recency list.
 const NIL: usize = usize::MAX;
 
-struct Node<K, V> {
-    key: K,
+struct Node<V> {
+    key: u64,
     value: V,
     expires_at: u64,
     /// Neighbour towards the head (more recently used).
@@ -77,18 +82,18 @@ struct Node<K, V> {
 /// linked list ordered by recency — head is most recent, tail is the
 /// eviction victim — so `get`, `insert`, `remove` and the LRU touch
 /// are all O(1) beyond the key-map lookup.
-pub struct TtlLruCache<K, V> {
+pub struct TtlLruCache<V> {
     capacity: usize,
     ttl_ms: u64,
-    map: HashMap<K, usize>,
-    nodes: Vec<Option<Node<K, V>>>,
+    map: HashMap<u64, usize, KeyState>,
+    nodes: Vec<Option<Node<V>>>,
     free: Vec<usize>,
     head: usize,
     tail: usize,
     stats: CacheStats,
 }
 
-impl<K: Hash + Eq + Clone, V: Clone> TtlLruCache<K, V> {
+impl<V: Clone> TtlLruCache<V> {
     /// Creates a cache holding at most `capacity` entries, each valid
     /// for `ttl_ms` after insertion.
     ///
@@ -96,11 +101,17 @@ impl<K: Hash + Eq + Clone, V: Clone> TtlLruCache<K, V> {
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize, ttl_ms: u64) -> Self {
+        Self::with_buckets(capacity, ttl_ms, KeyState::new())
+    }
+
+    /// [`TtlLruCache::new`] over a given bucket seed (a striped cache
+    /// gives all its stripes one).
+    fn with_buckets(capacity: usize, ttl_ms: u64, buckets: KeyState) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         TtlLruCache {
             capacity,
             ttl_ms,
-            map: HashMap::new(),
+            map: HashMap::with_hasher(buckets),
             nodes: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -109,11 +120,11 @@ impl<K: Hash + Eq + Clone, V: Clone> TtlLruCache<K, V> {
         }
     }
 
-    fn node(&self, idx: usize) -> &Node<K, V> {
+    fn node(&self, idx: usize) -> &Node<V> {
         self.nodes[idx].as_ref().expect("live node")
     }
 
-    fn node_mut(&mut self, idx: usize) -> &mut Node<K, V> {
+    fn node_mut(&mut self, idx: usize) -> &mut Node<V> {
         self.nodes[idx].as_mut().expect("live node")
     }
 
@@ -157,7 +168,7 @@ impl<K: Hash + Eq + Clone, V: Clone> TtlLruCache<K, V> {
     }
 
     /// Looks up `key` at time `now_ms`, refreshing its LRU position.
-    pub fn get(&mut self, key: &K, now_ms: u64) -> Option<V> {
+    pub fn get(&mut self, key: u64, now_ms: u64) -> Option<V> {
         self.get_verified(key, now_ms, |value| Some(value.clone()))
     }
 
@@ -170,11 +181,11 @@ impl<K: Hash + Eq + Clone, V: Clone> TtlLruCache<K, V> {
     /// the lookups and a collision never serves another key's value.
     pub fn get_verified<R>(
         &mut self,
-        key: &K,
+        key: u64,
         now_ms: u64,
         project: impl FnOnce(&V) -> Option<R>,
     ) -> Option<R> {
-        let Some(&idx) = self.map.get(key) else {
+        let Some(&idx) = self.map.get(&key) else {
             self.stats.misses += 1;
             return None;
         };
@@ -191,7 +202,7 @@ impl<K: Hash + Eq + Clone, V: Clone> TtlLruCache<K, V> {
             self.stats.hits += 1;
         } else {
             // Expired or rejected: drop it.
-            self.map.remove(key);
+            self.map.remove(&key);
             self.release(idx);
             self.stats.misses += 1;
         }
@@ -199,7 +210,7 @@ impl<K: Hash + Eq + Clone, V: Clone> TtlLruCache<K, V> {
     }
 
     /// Inserts a value at time `now_ms`, evicting the LRU entry if full.
-    pub fn insert(&mut self, key: K, value: V, now_ms: u64) {
+    pub fn insert(&mut self, key: u64, value: V, now_ms: u64) {
         let expires_at = now_ms.saturating_add(self.ttl_ms);
         if let Some(&idx) = self.map.get(&key) {
             self.detach(idx);
@@ -212,7 +223,7 @@ impl<K: Hash + Eq + Clone, V: Clone> TtlLruCache<K, V> {
         if self.map.len() >= self.capacity {
             let victim = self.tail;
             debug_assert_ne!(victim, NIL, "full cache has a tail");
-            let victim_key = self.node(victim).key.clone();
+            let victim_key = self.node(victim).key;
             self.map.remove(&victim_key);
             self.release(victim);
             self.stats.evictions += 1;
@@ -220,7 +231,7 @@ impl<K: Hash + Eq + Clone, V: Clone> TtlLruCache<K, V> {
         let idx = match self.free.pop() {
             Some(idx) => {
                 self.nodes[idx] = Some(Node {
-                    key: key.clone(),
+                    key,
                     value,
                     expires_at,
                     prev: NIL,
@@ -230,7 +241,7 @@ impl<K: Hash + Eq + Clone, V: Clone> TtlLruCache<K, V> {
             }
             None => {
                 self.nodes.push(Some(Node {
-                    key: key.clone(),
+                    key,
                     value,
                     expires_at,
                     prev: NIL,
@@ -253,19 +264,19 @@ impl<K: Hash + Eq + Clone, V: Clone> TtlLruCache<K, V> {
     }
 
     /// Removes one entry.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
+    pub fn remove(&mut self, key: u64) -> Option<V> {
         self.remove_if(key, |_| true)
     }
 
     /// Removes one entry only when `pred` accepts its value — the
     /// full-key-verified removal used by hashed-key wrappers, so a
     /// colliding entry belonging to another request is left alone.
-    pub fn remove_if(&mut self, key: &K, pred: impl FnOnce(&V) -> bool) -> Option<V> {
-        let &idx = self.map.get(key)?;
+    pub fn remove_if(&mut self, key: u64, pred: impl FnOnce(&V) -> bool) -> Option<V> {
+        let &idx = self.map.get(&key)?;
         if !pred(&self.node(idx).value) {
             return None;
         }
-        self.map.remove(key);
+        self.map.remove(&key);
         Some(self.release(idx))
     }
 
@@ -287,7 +298,7 @@ impl<K: Hash + Eq + Clone, V: Clone> TtlLruCache<K, V> {
 }
 
 /// An N-way striped [`TtlLruCache`]: a power-of-two array of
-/// independently locked segments selected by key hash, so concurrent
+/// independently locked segments selected by the key, so concurrent
 /// enforcement threads touching different keys never contend on one
 /// global cache lock.
 ///
@@ -300,23 +311,34 @@ impl<K: Hash + Eq + Clone, V: Clone> TtlLruCache<K, V> {
 /// is partitioned. The requested capacity is split evenly across
 /// stripes (rounded up, minimum one entry each).
 ///
+/// Which stripe holds a key depends on the key alone
+/// ([`ConcurrentTtlCache::stripe_index`]), never on the cache's bucket
+/// seed: two caches of one shape fed the same keys evict the same
+/// entries, so two PEPs serving one request sequence report the same
+/// cache counters.
+///
 /// All methods take `&self`; each acquires exactly one stripe lock
 /// except the whole-cache walks ([`ConcurrentTtlCache::len`],
 /// [`ConcurrentTtlCache::stats`], [`ConcurrentTtlCache::invalidate_all`]),
 /// which visit stripes one at a time and are therefore *not* an atomic
 /// snapshot across stripes — fine for telemetry and flushes, the only
 /// places they are used.
-pub struct ConcurrentTtlCache<K, V> {
-    stripes: Box<[Mutex<TtlLruCache<K, V>>]>,
-    mask: usize,
+pub struct ConcurrentTtlCache<V> {
+    stripes: Box<[Mutex<TtlLruCache<V>>]>,
+    /// log2 of the stripe count.
+    bits: u32,
 }
+
+/// The fixed multiplier of a key's stripe fold (the third word of π's
+/// fractional digits, made odd).
+const STRIPE_KEY: u64 = 0xa409_3822_299f_31d1;
 
 /// Stripe count used by [`ConcurrentTtlCache::new`]: enough to keep
 /// an 8-thread closed loop from convoying, small enough that per-stripe
 /// LRU neighbourhoods stay meaningful at modest capacities.
 pub const DEFAULT_STRIPES: usize = 16;
 
-impl<K: Hash + Eq + Clone, V: Clone> ConcurrentTtlCache<K, V> {
+impl<V: Clone> ConcurrentTtlCache<V> {
     /// Creates a cache of [`DEFAULT_STRIPES`] stripes holding at most
     /// roughly `capacity` entries in total, each valid for `ttl_ms`
     /// after insertion.
@@ -339,22 +361,23 @@ impl<K: Hash + Eq + Clone, V: Clone> ConcurrentTtlCache<K, V> {
         assert!(capacity > 0, "cache capacity must be positive");
         let stripes = stripes.max(1).next_power_of_two();
         let per_stripe = capacity.div_ceil(stripes).max(1);
-        let stripes: Vec<Mutex<TtlLruCache<K, V>>> = (0..stripes)
-            .map(|_| Mutex::new(TtlLruCache::new(per_stripe, ttl_ms)))
+        let buckets = KeyState::new();
+        let stripes: Vec<Mutex<TtlLruCache<V>>> = (0..stripes)
+            .map(|_| Mutex::new(TtlLruCache::with_buckets(per_stripe, ttl_ms, buckets)))
             .collect();
-        let mask = stripes.len() - 1;
         ConcurrentTtlCache {
+            bits: stripes.len().trailing_zeros(),
             stripes: stripes.into_boxed_slice(),
-            mask,
         }
     }
 
-    /// The stripe a key maps to — deterministic for a given stripe
-    /// count, exposed so equivalence tests can replicate the routing.
-    pub fn stripe_index(&self, key: &K) -> usize {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        (hasher.finish() as usize) & self.mask
+    /// The stripe a key maps to: the top bits of the key's fold under a
+    /// fixed constant — the same for a given stripe count in every
+    /// cache and every process, exposed so equivalence tests can
+    /// replicate the routing.
+    pub fn stripe_index(&self, key: u64) -> usize {
+        let top = fold(key, STRIPE_KEY).rotate_left(self.bits);
+        (top & ((1 << self.bits) - 1)) as usize
     }
 
     /// Number of stripes.
@@ -364,7 +387,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ConcurrentTtlCache<K, V> {
 
     /// Looks up `key` at time `now_ms`, refreshing its LRU position
     /// within its stripe.
-    pub fn get(&self, key: &K, now_ms: u64) -> Option<V> {
+    pub fn get(&self, key: u64, now_ms: u64) -> Option<V> {
         self.stripes[self.stripe_index(key)].lock().get(key, now_ms)
     }
 
@@ -372,7 +395,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ConcurrentTtlCache<K, V> {
     /// (see [`TtlLruCache::get_verified`]).
     pub fn get_verified<R>(
         &self,
-        key: &K,
+        key: u64,
         now_ms: u64,
         project: impl FnOnce(&V) -> Option<R>,
     ) -> Option<R> {
@@ -383,19 +406,19 @@ impl<K: Hash + Eq + Clone, V: Clone> ConcurrentTtlCache<K, V> {
 
     /// Inserts a value at time `now_ms`, evicting its stripe's LRU
     /// entry if the stripe is full.
-    pub fn insert(&self, key: K, value: V, now_ms: u64) {
-        self.stripes[self.stripe_index(&key)]
+    pub fn insert(&self, key: u64, value: V, now_ms: u64) {
+        self.stripes[self.stripe_index(key)]
             .lock()
             .insert(key, value, now_ms)
     }
 
     /// Removes one entry.
-    pub fn remove(&self, key: &K) -> Option<V> {
+    pub fn remove(&self, key: u64) -> Option<V> {
         self.stripes[self.stripe_index(key)].lock().remove(key)
     }
 
     /// Removes one entry only when `pred` accepts its value.
-    pub fn remove_if(&self, key: &K, pred: impl FnOnce(&V) -> bool) -> Option<V> {
+    pub fn remove_if(&self, key: u64, pred: impl FnOnce(&V) -> bool) -> Option<V> {
         self.stripes[self.stripe_index(key)]
             .lock()
             .remove_if(key, pred)
@@ -442,13 +465,13 @@ impl<K: Hash + Eq + Clone, V: Clone> ConcurrentTtlCache<K, V> {
 /// The collision argument: two distinct requests may share a 64-bit
 /// hash, so the hash alone is not a safe cache key for an access
 /// control decision. Every hit therefore re-checks `stored == request`
-/// on the structured context (a `BTreeMap` equality walk — far cheaper
-/// than the serialization it replaces); a mismatch evicts the
+/// on the structured context (a comparison of its flat sorted entries —
+/// far cheaper than the serialization it replaces); a mismatch evicts the
 /// colliding entry and reads as a miss, so the worst case of a
 /// collision is one redundant decision query, never a cross-request
 /// permit.
 pub struct HashedRequestCache<V> {
-    inner: ConcurrentTtlCache<u64, (RequestContext, V)>,
+    inner: ConcurrentTtlCache<(RequestContext, V)>,
 }
 
 impl<V: Clone> HashedRequestCache<V> {
@@ -468,7 +491,7 @@ impl<V: Clone> HashedRequestCache<V> {
     /// hash the caller precomputed (so one hash serves the token
     /// cache, the decision cache and the insert on miss).
     pub fn get(&self, hash: u64, request: &RequestContext, now_ms: u64) -> Option<V> {
-        self.inner.get_verified(&hash, now_ms, |(stored, value)| {
+        self.inner.get_verified(hash, now_ms, |(stored, value)| {
             (stored == request).then(|| value.clone())
         })
     }
@@ -482,7 +505,7 @@ impl<V: Clone> HashedRequestCache<V> {
     /// a different request is left in place).
     pub fn remove(&self, hash: u64, request: &RequestContext) -> Option<V> {
         self.inner
-            .remove_if(&hash, |(stored, _)| stored == request)
+            .remove_if(hash, |(stored, _)| stored == request)
             .map(|(_, value)| value)
     }
 
@@ -513,53 +536,53 @@ mod tests {
 
     #[test]
     fn hit_within_ttl_miss_after() {
-        let mut c: TtlLruCache<u32, &'static str> = TtlLruCache::new(4, 100);
+        let mut c: TtlLruCache<&'static str> = TtlLruCache::new(4, 100);
         c.insert(1, "permit", 0);
-        assert_eq!(c.get(&1, 50), Some("permit"));
-        assert_eq!(c.get(&1, 100), None); // TTL boundary: expired
+        assert_eq!(c.get(1, 50), Some("permit"));
+        assert_eq!(c.get(1, 100), None); // TTL boundary: expired
         assert_eq!(c.stats().expirations, 1);
     }
 
     #[test]
     fn lru_eviction_order() {
-        let mut c: TtlLruCache<u32, u32> = TtlLruCache::new(2, 1000);
+        let mut c: TtlLruCache<u32> = TtlLruCache::new(2, 1000);
         c.insert(1, 10, 0);
         c.insert(2, 20, 1);
         // Touch 1 so 2 becomes LRU.
-        assert_eq!(c.get(&1, 2), Some(10));
+        assert_eq!(c.get(1, 2), Some(10));
         c.insert(3, 30, 3);
-        assert_eq!(c.get(&2, 4), None);
-        assert_eq!(c.get(&1, 4), Some(10));
-        assert_eq!(c.get(&3, 4), Some(30));
+        assert_eq!(c.get(2, 4), None);
+        assert_eq!(c.get(1, 4), Some(10));
+        assert_eq!(c.get(3, 4), Some(30));
         assert_eq!(c.stats().evictions, 1);
     }
 
     #[test]
     fn reinsert_updates_value_without_eviction() {
-        let mut c: TtlLruCache<u32, u32> = TtlLruCache::new(2, 1000);
+        let mut c: TtlLruCache<u32> = TtlLruCache::new(2, 1000);
         c.insert(1, 10, 0);
         c.insert(1, 11, 1);
         assert_eq!(c.len(), 1);
-        assert_eq!(c.get(&1, 2), Some(11));
+        assert_eq!(c.get(1, 2), Some(11));
         assert_eq!(c.stats().evictions, 0);
     }
 
     #[test]
     fn invalidate_all_clears() {
-        let mut c: TtlLruCache<u32, u32> = TtlLruCache::new(4, 1000);
+        let mut c: TtlLruCache<u32> = TtlLruCache::new(4, 1000);
         c.insert(1, 10, 0);
         c.insert(2, 20, 0);
         c.invalidate_all();
         assert!(c.is_empty());
-        assert_eq!(c.get(&1, 1), None);
+        assert_eq!(c.get(1, 1), None);
     }
 
     #[test]
     fn hit_rate_math() {
-        let mut c: TtlLruCache<u32, u32> = TtlLruCache::new(4, 1000);
+        let mut c: TtlLruCache<u32> = TtlLruCache::new(4, 1000);
         c.insert(1, 10, 0);
-        c.get(&1, 1);
-        c.get(&2, 1);
+        c.get(1, 1);
+        c.get(2, 1);
         let s = c.stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 1);
@@ -570,22 +593,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
-        let _ = TtlLruCache::<u32, u32>::new(0, 10);
+        let _ = TtlLruCache::<u32>::new(0, 10);
     }
 
     #[test]
     fn remove_single_entry() {
-        let mut c: TtlLruCache<u32, u32> = TtlLruCache::new(4, 1000);
+        let mut c: TtlLruCache<u32> = TtlLruCache::new(4, 1000);
         c.insert(1, 10, 0);
-        assert_eq!(c.remove(&1), Some(10));
-        assert_eq!(c.remove(&1), None);
+        assert_eq!(c.remove(1), Some(10));
+        assert_eq!(c.remove(1), None);
     }
 
     #[test]
     fn slab_reuses_freed_slots() {
-        let mut c: TtlLruCache<u32, u32> = TtlLruCache::new(3, 1000);
-        for round in 0..50u32 {
-            c.insert(round, round, u64::from(round));
+        let mut c: TtlLruCache<u64> = TtlLruCache::new(3, 1000);
+        for round in 0..50u64 {
+            c.insert(round, round, round);
         }
         // 50 inserts into a 3-slot cache must not grow the slab past
         // capacity: every eviction recycles its node.
@@ -596,40 +619,40 @@ mod tests {
 
     #[test]
     fn get_verified_rejection_counts_as_miss_and_evicts() {
-        let mut c: TtlLruCache<u32, (u32, String)> = TtlLruCache::new(4, 1000);
+        let mut c: TtlLruCache<(u32, String)> = TtlLruCache::new(4, 1000);
         c.insert(1, (10, "ten".into()), 0);
         // An accepted entry is served as its projection, taken under the
         // borrow: the string half is never cloned.
         assert_eq!(
-            c.get_verified(&1, 1, |v| (v.0 == 10).then_some(v.0)),
+            c.get_verified(1, 1, |v| (v.0 == 10).then_some(v.0)),
             Some(10)
         );
-        assert_eq!(c.get_verified(&1, 1, |v| (v.0 == 99).then_some(v.0)), None);
+        assert_eq!(c.get_verified(1, 1, |v| (v.0 == 99).then_some(v.0)), None);
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
         // The rejected entry is gone: a fresh lookup misses on absence.
-        assert_eq!(c.get(&1, 1), None);
+        assert_eq!(c.get(1, 1), None);
         assert_eq!(c.len(), 0);
     }
 
     #[test]
     fn remove_if_respects_predicate() {
-        let mut c: TtlLruCache<u32, u32> = TtlLruCache::new(4, 1000);
+        let mut c: TtlLruCache<u32> = TtlLruCache::new(4, 1000);
         c.insert(1, 10, 0);
-        assert_eq!(c.remove_if(&1, |v| *v == 99), None);
+        assert_eq!(c.remove_if(1, |v| *v == 99), None);
         assert_eq!(c.len(), 1);
-        assert_eq!(c.remove_if(&1, |v| *v == 10), Some(10));
+        assert_eq!(c.remove_if(1, |v| *v == 10), Some(10));
         assert_eq!(c.len(), 0);
     }
 
     #[test]
     fn concurrent_cache_basic_roundtrip() {
-        let c: ConcurrentTtlCache<u32, u32> = ConcurrentTtlCache::new(64, 100);
+        let c: ConcurrentTtlCache<u32> = ConcurrentTtlCache::new(64, 100);
         c.insert(1, 10, 0);
         c.insert(2, 20, 0);
-        assert_eq!(c.get(&1, 50), Some(10));
-        assert_eq!(c.get(&2, 50), Some(20));
-        assert_eq!(c.get(&1, 100), None); // TTL boundary holds per stripe
+        assert_eq!(c.get(1, 50), Some(10));
+        assert_eq!(c.get(2, 50), Some(20));
+        assert_eq!(c.get(1, 100), None); // TTL boundary holds per stripe
         assert_eq!(c.len(), 1);
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.expirations), (2, 1, 1));
@@ -639,10 +662,10 @@ mod tests {
 
     #[test]
     fn concurrent_cache_rounds_stripes_to_power_of_two() {
-        let c: ConcurrentTtlCache<u32, u32> = ConcurrentTtlCache::with_stripes(5, 100, 10);
+        let c: ConcurrentTtlCache<u32> = ConcurrentTtlCache::with_stripes(5, 100, 10);
         assert_eq!(c.stripe_count(), 8);
         // Aggregate capacity is split per stripe, minimum one entry.
-        let tiny: ConcurrentTtlCache<u32, u32> = ConcurrentTtlCache::with_stripes(8, 2, 10);
+        let tiny: ConcurrentTtlCache<u64> = ConcurrentTtlCache::with_stripes(8, 2, 10);
         for k in 0..64 {
             tiny.insert(k, k, 0);
         }
@@ -652,7 +675,7 @@ mod tests {
     #[test]
     fn concurrent_cache_parallel_readers_observe_their_keys() {
         use std::sync::Arc;
-        let c: Arc<ConcurrentTtlCache<u64, u64>> = Arc::new(ConcurrentTtlCache::new(1024, 10_000));
+        let c: Arc<ConcurrentTtlCache<u64>> = Arc::new(ConcurrentTtlCache::new(1024, 10_000));
         for k in 0..256u64 {
             c.insert(k, k * 3, 0);
         }
@@ -662,7 +685,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for round in 0..200u64 {
                         let k = (t * 31 + round) % 256;
-                        assert_eq!(c.get(&k, 1), Some(k * 3));
+                        assert_eq!(c.get(k, 1), Some(k * 3));
                     }
                 })
             })
@@ -705,6 +728,108 @@ mod tests {
         assert_eq!(cache.remove(hash, &alice), Some(7));
         assert!(cache.is_empty());
     }
+
+    /// The request tables of the repo benchmark's three shapes, as its
+    /// `world.rs` builds them: `cached_zipf`'s 65 536 subjects over 4 096
+    /// records, `quorum_miss`'s 4 096 × 16 grid with every fifth request
+    /// an `aux-*` write, and `token_churn`'s 512 × 2 grid.
+    fn benchmark_tables() -> [Vec<RequestContext>; 3] {
+        let grid = |domain: &str, subjects: usize, resources: usize, writes: bool| {
+            (0..subjects * resources)
+                .map(|i| {
+                    let (u, r) = (i % subjects, i / subjects);
+                    let user = format!("user-{u}@{domain}");
+                    if writes && i % 5 == 4 {
+                        RequestContext::basic(user, format!("aux-{}/{}", r % 16, u % 64), "write")
+                    } else {
+                        RequestContext::basic(user, format!("records/{r}"), "read")
+                    }
+                })
+                .collect()
+        };
+        let zipf = (0..1 << 16)
+            .map(|k| {
+                RequestContext::basic(
+                    format!("user-{k}@mega"),
+                    format!("records/{}", k % 4096),
+                    "read",
+                )
+            })
+            .collect();
+        [zipf, grid("q", 4096, 16, true), grid("cap", 512, 2, false)]
+    }
+
+    /// The request hash over the benchmark's requests: no two distinct
+    /// requests share a key, and the stripes of a default cache split
+    /// each large table, and all three together, evenly within ±10 %.
+    /// (`token_churn`'s 1 024 requests alone are too few to hold that:
+    /// a stripe's share of them is 64 ± 8 for any uniform hash.)
+    #[test]
+    fn request_hashes_spread_over_stripes_without_collisions() {
+        let stripes: ConcurrentTtlCache<()> = ConcurrentTtlCache::new(1, 1);
+        assert_eq!(stripes.stripe_count(), 16);
+        let balanced = |hashes: &[u64]| {
+            let mut counts = [0usize; 16];
+            hashes
+                .iter()
+                .for_each(|&h| counts[stripes.stripe_index(h)] += 1);
+            let share = hashes.len() / 16;
+            counts.iter().all(|&n| n.abs_diff(share) * 10 <= share)
+        };
+        let tables = benchmark_tables();
+        let mut all = Vec::new();
+        for (table, name) in tables
+            .iter()
+            .zip(["cached_zipf", "quorum_miss", "token_churn"])
+        {
+            let hashes: Vec<u64> = table.iter().map(RequestContext::canonical_hash).collect();
+            if hashes.len() >= 1 << 16 {
+                assert!(balanced(&hashes), "{name}");
+            }
+            all.extend(hashes);
+        }
+        assert!(balanced(&all), "all three tables");
+        let requests = all.len();
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), requests, "two distinct requests share a hash");
+    }
+
+    /// Which stripe holds a key is a function of the key alone: two
+    /// caches whose buckets are seeded apart, fed one sequence, answer,
+    /// count and evict identically.
+    #[test]
+    fn stripe_choice_is_a_pure_function_of_the_key() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(32);
+        let keys: Vec<u64> = (0..256).map(|_| rng.gen()).collect();
+        let a: ConcurrentTtlCache<u64> = ConcurrentTtlCache::new(64, 40);
+        let b: ConcurrentTtlCache<u64> = ConcurrentTtlCache::new(64, 40);
+        assert_ne!(
+            a.stripes[0].lock().map.hasher(),
+            b.stripes[0].lock().map.hasher(),
+            "bucket seeds differ"
+        );
+        let mut now = 0;
+        for op in 0..4000 {
+            now += rng.gen_range(0..3u64);
+            let key = keys[rng.gen_range(0..keys.len())];
+            assert_eq!(a.stripe_index(key), b.stripe_index(key));
+            if rng.gen_bool(0.5) {
+                assert_eq!(a.get(key, now), b.get(key, now), "op {op}");
+            } else {
+                a.insert(key, now, now);
+                b.insert(key, now, now);
+            }
+        }
+        let stats = a.stats();
+        assert!(stats.evictions > 0 && stats.expirations > 0 && stats.hits > 0);
+        assert_eq!(stats, b.stats());
+        for (x, y) in a.stripes.iter().zip(b.stripes.iter()) {
+            assert_eq!(x.lock().len(), y.lock().len());
+        }
+    }
 }
 
 /// Property-style tests: random operation sequences checked against a
@@ -720,11 +845,11 @@ mod property_tests {
         capacity: usize,
         ttl_ms: u64,
         /// `(key, value, expires_at)`, LRU first.
-        entries: Vec<(u32, u64, u64)>,
+        entries: Vec<(u64, u64, u64)>,
     }
 
     impl Model {
-        fn get(&mut self, key: u32, now: u64) -> Option<u64> {
+        fn get(&mut self, key: u64, now: u64) -> Option<u64> {
             let pos = self.entries.iter().position(|(k, _, _)| *k == key)?;
             if now >= self.entries[pos].2 {
                 self.entries.remove(pos);
@@ -736,7 +861,7 @@ mod property_tests {
             Some(value)
         }
 
-        fn insert(&mut self, key: u32, value: u64, now: u64) {
+        fn insert(&mut self, key: u64, value: u64, now: u64) {
             if let Some(pos) = self.entries.iter().position(|(k, _, _)| *k == key) {
                 self.entries.remove(pos);
             } else if self.entries.len() >= self.capacity {
@@ -752,7 +877,7 @@ mod property_tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let capacity = rng.gen_range(1..6usize);
             let ttl = rng.gen_range(1..80u64);
-            let mut cache: TtlLruCache<u32, u64> = TtlLruCache::new(capacity, ttl);
+            let mut cache: TtlLruCache<u64> = TtlLruCache::new(capacity, ttl);
             let mut model = Model {
                 capacity,
                 ttl_ms: ttl,
@@ -761,10 +886,10 @@ mod property_tests {
             let mut now = 0u64;
             for op in 0..400 {
                 now += rng.gen_range(0..20u64);
-                let key = rng.gen_range(0..8u32);
+                let key = rng.gen_range(0..8u64);
                 if rng.gen_bool(0.5) {
                     assert_eq!(
-                        cache.get(&key, now),
+                        cache.get(key, now),
                         model.get(key, now),
                         "seed {seed} op {op}: get({key}) at {now} diverged"
                     );
@@ -791,21 +916,21 @@ mod property_tests {
             let stripes = 1usize << rng.gen_range(0..4u32); // 1, 2, 4, 8
             let capacity = rng.gen_range(1..40usize);
             let ttl = rng.gen_range(1..80u64);
-            let striped: ConcurrentTtlCache<u32, u64> =
+            let striped: ConcurrentTtlCache<u64> =
                 ConcurrentTtlCache::with_stripes(stripes, capacity, ttl);
             let per_stripe = capacity.div_ceil(striped.stripe_count()).max(1);
-            let mut bank: Vec<TtlLruCache<u32, u64>> = (0..striped.stripe_count())
+            let mut bank: Vec<TtlLruCache<u64>> = (0..striped.stripe_count())
                 .map(|_| TtlLruCache::new(per_stripe, ttl))
                 .collect();
             let mut now = 0u64;
             for op in 0..500 {
                 now += rng.gen_range(0..15u64);
-                let key = rng.gen_range(0..24u32);
-                let stripe = striped.stripe_index(&key);
+                let key = rng.gen_range(0..24u64);
+                let stripe = striped.stripe_index(key);
                 match rng.gen_range(0..4u32) {
                     0 | 1 => assert_eq!(
-                        striped.get(&key, now),
-                        bank[stripe].get(&key, now),
+                        striped.get(key, now),
+                        bank[stripe].get(key, now),
                         "seed {seed} op {op}: get({key}) diverged"
                     ),
                     2 => {
@@ -814,8 +939,8 @@ mod property_tests {
                         bank[stripe].insert(key, value, now);
                     }
                     _ => assert_eq!(
-                        striped.remove(&key),
-                        bank[stripe].remove(&key),
+                        striped.remove(key),
+                        bank[stripe].remove(key),
                         "seed {seed} op {op}: remove({key}) diverged"
                     ),
                 }
@@ -834,13 +959,13 @@ mod property_tests {
     fn never_serves_past_ttl_and_expiry_is_ordered() {
         let mut rng = StdRng::seed_from_u64(99);
         let ttl = 50u64;
-        let mut cache: TtlLruCache<u32, u64> = TtlLruCache::new(8, ttl);
-        let mut inserted_at: std::collections::HashMap<u32, u64> = Default::default();
+        let mut cache: TtlLruCache<u64> = TtlLruCache::new(8, ttl);
+        let mut inserted_at: std::collections::HashMap<u64, u64> = Default::default();
         let mut now = 0u64;
         for _ in 0..600 {
             now += rng.gen_range(0..15u64);
-            let key = rng.gen_range(0..12u32);
-            match cache.get(&key, now) {
+            let key = rng.gen_range(0..12u64);
+            match cache.get(key, now) {
                 Some(insert_time) => {
                     // Values store their insertion time: a hit within the
                     // TTL window proves expiry ordering was honoured.
@@ -861,18 +986,18 @@ mod property_tests {
 
     #[test]
     fn lru_eviction_prefers_least_recent_under_load() {
-        let mut cache: TtlLruCache<u32, u64> = TtlLruCache::new(4, 1_000_000);
-        for k in 0..4u32 {
-            cache.insert(k, k as u64, 0);
+        let mut cache: TtlLruCache<u64> = TtlLruCache::new(4, 1_000_000);
+        for k in 0..4u64 {
+            cache.insert(k, k, 0);
         }
         // Touch everything except key 2; the next insert must evict 2.
-        for k in [0u32, 1, 3] {
-            assert!(cache.get(&k, 1).is_some());
+        for k in [0u64, 1, 3] {
+            assert!(cache.get(k, 1).is_some());
         }
         cache.insert(9, 9, 2);
-        assert_eq!(cache.get(&2, 3), None);
-        for k in [0u32, 1, 3, 9] {
-            assert!(cache.get(&k, 3).is_some(), "{k} wrongly evicted");
+        assert_eq!(cache.get(2, 3), None);
+        for k in [0u64, 1, 3, 9] {
+            assert!(cache.get(k, 3).is_some(), "{k} wrongly evicted");
         }
         assert_eq!(cache.stats().evictions, 1);
     }
@@ -880,14 +1005,14 @@ mod property_tests {
     #[test]
     fn stats_stay_consistent_with_observed_outcomes() {
         let mut rng = StdRng::seed_from_u64(7);
-        let mut cache: TtlLruCache<u32, u64> = TtlLruCache::new(4, 30);
+        let mut cache: TtlLruCache<u64> = TtlLruCache::new(4, 30);
         let (mut hits, mut misses) = (0u64, 0u64);
         let mut now = 0u64;
         for _ in 0..500 {
             now += rng.gen_range(0..10u64);
-            let key = rng.gen_range(0..10u32);
+            let key = rng.gen_range(0..10u64);
             if rng.gen_bool(0.6) {
-                match cache.get(&key, now) {
+                match cache.get(key, now) {
                     Some(_) => hits += 1,
                     None => misses += 1,
                 }

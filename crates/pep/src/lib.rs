@@ -1173,7 +1173,13 @@ impl Pep {
             let _guard = span.as_ref().map(|s| s.enter());
             let misses: Vec<RequestContext> =
                 pending.iter().map(|&i| requests[i].clone()).collect();
-            let answers = self.query_source_batch(&misses, now_ms, class);
+            // Aligned with `misses`, or empty when nothing was hashed.
+            let miss_hashes: Vec<u64> = pending
+                .iter()
+                .filter_map(|&i| hashes.get(i))
+                .copied()
+                .collect();
+            let answers = self.query_source_batch(&misses, &miss_hashes, now_ms, class);
             debug_assert_eq!(answers.len(), misses.len(), "one answer per query");
             for (&i, resp) in pending.iter().zip(answers) {
                 if let Some(cache) = &self.cache {
@@ -1388,12 +1394,14 @@ impl Pep {
         }
     }
 
-    /// Batch variant of [`Pep::query_source`]. Runs only on the miss
-    /// path, so recomputing the canonical hash per minted token costs
-    /// nothing next to the decision fan-out it follows.
+    /// Batch variant of [`Pep::query_source`]: `hashes` are the
+    /// canonical hashes of `requests`, computed once by the batch and
+    /// read only to admit a minted token (so empty on a PEP without a
+    /// token store).
     fn query_source_batch(
         &self,
         requests: &[RequestContext],
+        hashes: &[u64],
         now_ms: u64,
         class: DecisionClass,
     ) -> Vec<Response> {
@@ -1406,9 +1414,10 @@ impl Pep {
                 requests
                     .iter()
                     .zip(pairs)
-                    .map(|(request, (response, token))| {
+                    .enumerate()
+                    .map(|(k, (request, (response, token)))| {
                         if let Some(token) = token {
-                            self.admit(cap, request.canonical_hash(), request, &token, now_ms);
+                            self.admit(cap, hashes[k], request, &token, now_ms);
                         }
                         response
                     })

@@ -276,32 +276,6 @@ impl AttrValue {
             AttrValue::Boolean(_) => 2,
         }
     }
-
-    /// Writes the value's canonical text — what `Display` prints and a
-    /// request's canonical bytes and hash are made of: a string in its
-    /// `{:?}` form, a time as `time(ms)`, the rest as they print.
-    ///
-    /// A string `{:?}` would escape nothing in — every byte printable
-    /// ASCII other than `"` and `\` (`'` prints verbatim; DEL and
-    /// anything multi-byte is left to `core::fmt` to decide) — is written
-    /// between two quotes without entering `core::fmt`.
-    pub(crate) fn write_canonical(&self, sink: &mut impl fmt::Write) -> fmt::Result {
-        match self {
-            AttrValue::String(s)
-                if s.bytes()
-                    .all(|b| matches!(b, 0x20..=0x7e) && b != b'"' && b != b'\\') =>
-            {
-                sink.write_str("\"")?;
-                sink.write_str(s)?;
-                sink.write_str("\"")
-            }
-            AttrValue::String(s) => write!(sink, "{s:?}"),
-            AttrValue::Integer(i) => write!(sink, "{i}"),
-            AttrValue::Boolean(b) => write!(sink, "{b}"),
-            AttrValue::Double(d) => write!(sink, "{d}"),
-            AttrValue::Time(t) => write!(sink, "time({t})"),
-        }
-    }
 }
 
 impl PartialEq for AttrValue {
@@ -347,9 +321,18 @@ impl std::hash::Hash for AttrValue {
     }
 }
 
+/// The value's canonical text, of which a request's canonical bytes are
+/// made: a string in its `{:?}` form, a time as `time(ms)`, the rest as
+/// they print.
 impl fmt::Display for AttrValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.write_canonical(f)
+        match self {
+            AttrValue::String(s) => write!(f, "{s:?}"),
+            AttrValue::Integer(i) => write!(f, "{i}"),
+            AttrValue::Boolean(b) => write!(f, "{b}"),
+            AttrValue::Double(d) => write!(f, "{d}"),
+            AttrValue::Time(t) => write!(f, "time({t})"),
+        }
     }
 }
 
@@ -406,8 +389,8 @@ mod tests {
         );
     }
 
-    /// The verbatim path against `str`'s own `Debug`, one byte at a time
-    /// over all of ASCII and for a few multi-byte and mixed strings.
+    /// A string prints as `str`'s own `Debug`, one byte at a time over
+    /// all of ASCII and for a few multi-byte and mixed strings.
     #[test]
     fn a_string_prints_as_its_debug_form() {
         let mut texts: Vec<String> = (0u8..=0x7f).map(|b| format!("a{}z", b as char)).collect();

@@ -21,6 +21,8 @@
 //! * [`dsl`] — a textual syntax with parser and pretty-printer, standing
 //!   in for XACML's XML (size effects are modelled in `dacs-wire`).
 //! * [`glob`] — wildcard matching for resource hierarchies.
+//! * [`hash`] — the workspace's one hash function (request keys, cache
+//!   stripes and buckets, shard-ring points).
 //!
 //! # Examples
 //!
@@ -55,6 +57,7 @@ pub mod dsl;
 pub mod eval;
 pub mod expr;
 pub mod glob;
+pub mod hash;
 mod index;
 pub mod policy;
 pub mod request;

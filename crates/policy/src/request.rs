@@ -3,6 +3,7 @@
 //! paper — the context the PEP constructs and the PDP evaluates).
 
 use crate::attr::{AttrValue, AttributeId, Category, ID_ATTR};
+use crate::hash::WordHasher;
 use serde::de::{self, Deserializer, MapAccess, SeqAccess, Visitor};
 use serde::ser::{SerializeMap, SerializeStruct, Serializer};
 use serde::{Deserialize, Serialize};
@@ -219,43 +220,63 @@ impl RequestContext {
             .sum()
     }
 
-    /// The one canonical walk: `category.name=value,value,;` per entry,
-    /// each value in its canonical text ([`AttrValue::write_canonical`]).
-    /// Both the byte encoding and the hash are this stream, so they
-    /// cannot drift apart.
-    fn feed(&self, sink: &mut impl Write) -> fmt::Result {
-        for (id, bag) in self.iter() {
-            sink.write_str(id.category.as_str())?;
-            sink.write_str(".")?;
-            sink.write_str(&id.name)?;
-            sink.write_str("=")?;
-            for value in bag {
-                value.write_canonical(sink)?;
-                sink.write_str(",")?;
-            }
-            sink.write_str(";")?;
-        }
-        Ok(())
-    }
-
-    /// A canonical byte encoding used as a cache key and for signing.
+    /// A canonical text encoding: `category.name=value,value,;` per
+    /// entry, in entry order, each value as it prints (`Display`).
     pub fn to_canonical_bytes(&self) -> Vec<u8> {
         let mut out = String::with_capacity(64);
-        self.feed(&mut out)
-            .expect("writing to a String cannot fail");
+        for (id, bag) in self.iter() {
+            write!(out, "{id}=").expect("writing to a String cannot fail");
+            for value in bag {
+                write!(out, "{value},").expect("writing to a String cannot fail");
+            }
+            out.push(';');
+        }
         out.into_bytes()
     }
 
-    /// FNV-1a (64-bit) over the same byte stream as
-    /// [`RequestContext::to_canonical_bytes`], computed without
-    /// materializing it. Two contexts with equal canonical bytes hash
-    /// equal; hashed-key caches must still verify the full context on
-    /// hit, since 64 bits cannot rule out collisions between distinct
-    /// requests.
+    /// The request's 64-bit key: the [`WordHasher`] of its entries in
+    /// order. Per entry it reads one word packing the category, the bag
+    /// length and the name length, then the name's bytes; per value one
+    /// word with the type tag (and a string's length), then the string's
+    /// bytes or the number's bits. Equal contexts hash equal, however
+    /// they were built or decoded, and values of different types never
+    /// feed the same words (`Integer(1)` and `Double(1.0)` hash apart).
+    /// Hashed-key caches must still verify the full context on a hit,
+    /// since 64 bits cannot rule out collisions between distinct requests.
     pub fn canonical_hash(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        self.feed(&mut h).expect("hashing cannot fail");
-        h.0
+        let mut h = WordHasher::new();
+        for (id, bag) in &self.attrs {
+            let values = bag.as_slice();
+            // A bag of 2^24 values or more, or a name of 2^32 bytes or
+            // more, spills into its neighbours' bits: a collision at
+            // worst, which the caches' full comparison reads as a miss.
+            h.write_u64(
+                id.category as u64 | (values.len() as u64) << 8 | (id.name.len() as u64) << 32,
+            );
+            h.write_bytes(id.name.as_bytes());
+            for value in values {
+                match value {
+                    AttrValue::String(s) => {
+                        h.write_u64((s.len() as u64) << 8);
+                        h.write_bytes(s.as_bytes());
+                    }
+                    AttrValue::Integer(i) => {
+                        h.write_u64(1);
+                        h.write_u64(*i as u64);
+                    }
+                    AttrValue::Boolean(b) => h.write_u64(2 | u64::from(*b) << 8),
+                    AttrValue::Double(d) => {
+                        h.write_u64(3);
+                        h.write_u64(d.to_bits());
+                    }
+                    AttrValue::Time(t) => {
+                        h.write_u64(4);
+                        h.write_u64(*t);
+                    }
+                }
+            }
+        }
+        h.finish()
     }
 }
 
@@ -355,29 +376,6 @@ impl<'de> Deserialize<'de> for RequestContext {
             }
         }
         deserializer.deserialize_struct("RequestContext", &["attrs"], ContextVisitor)
-    }
-}
-
-/// Streaming FNV-1a 64 that accepts `fmt::Write`, so the canonical walk
-/// feeds the hash without an intermediate allocation.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    fn new() -> Self {
-        Fnv1a(Self::OFFSET)
-    }
-}
-
-impl Write for Fnv1a {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        for &byte in s.as_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-        Ok(())
     }
 }
 
@@ -580,53 +578,66 @@ mod tests {
         }
     }
 
+    /// What the caches rely on: equal contexts hash equal however they
+    /// were built — in any order, or decoded from their frame — and
+    /// distinct ones hash apart, even when their values print alike.
     #[test]
-    fn canonical_hash_matches_fnv_of_canonical_bytes() {
-        fn fnv(bytes: &[u8]) -> u64 {
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            h
-        }
+    fn canonical_hash_is_structural_and_pinned() {
         let contexts = [
             RequestContext::new(),
             RequestContext::basic("alice", "ehr/record/42", "read"),
             RequestContext::basic("bob", "ehr/record/42", "write")
                 .with_subject_attr("role", "doctor")
+                .with_subject_attr("role", "nurse")
                 .with_env_attr("current-time", AttrValue::Time(9 * 3_600_000))
                 .with_resource_attr("sensitivity", 3i64),
-            // What the verbatim path must refuse (`"`, `\`, a control
-            // character, DEL, anything multi-byte) beside what it must
-            // accept (`'`, which `str`'s `Debug` does not escape).
             RequestContext::basic("o'brien", "a\"b\\c\nd\u{7f}é日", "read"),
             RequestContext::basic("user-1234@q", "records/7", "read")
                 .with_subject_attr("x", 1.5f64)
                 .with_subject_attr("y", true),
         ];
         for ctx in &contexts {
-            assert_eq!(ctx.canonical_hash(), fnv(&ctx.to_canonical_bytes()));
+            let mut reversed = RequestContext::new();
+            let entries: Vec<_> = ctx.iter().collect();
+            for (id, bag) in entries.into_iter().rev() {
+                bag.iter().for_each(|v| reversed.add(id.clone(), v.clone()));
+            }
+            assert_eq!(reversed.canonical_hash(), ctx.canonical_hash());
+            let frame = dacs_wire::codec::to_bytes(ctx).unwrap();
+            let decoded: RequestContext = dacs_wire::codec::from_bytes(&frame).unwrap();
+            assert_eq!(decoded.canonical_hash(), ctx.canonical_hash());
         }
-        // Distinct requests should (overwhelmingly) hash differently.
-        assert_ne!(contexts[1].canonical_hash(), contexts[2].canonical_hash());
         assert_eq!(
             contexts[3].to_canonical_bytes(),
             "subject.id=\"o'brien\",;resource.id=\"a\\\"b\\\\c\\nd\\u{7f}é日\",;action.id=\"read\",;"
                 .as_bytes()
         );
-        // Cache keys, shard routes and the benchmark's input digest are
-        // these values: a hash that computes anything else is a decision
-        // to change them, which this test makes visible.
         let hashes = contexts.each_ref().map(RequestContext::canonical_hash);
+        for (i, a) in hashes.iter().enumerate() {
+            assert!(hashes[i + 1..].iter().all(|b| a != b), "context {i}");
+        }
+        // Values that print alike are different requests, and hash apart.
+        let int = contexts[1]
+            .clone()
+            .with_env_attr("level", AttrValue::Integer(1));
+        let double = contexts[1]
+            .clone()
+            .with_env_attr("level", AttrValue::Double(1.0));
+        assert_eq!(int.to_canonical_bytes(), double.to_canonical_bytes());
+        assert_ne!(int.canonical_hash(), double.canonical_hash());
+        // Decision- and token-cache keys and the benchmark's input digest
+        // are these values (shard routes hash `subject ␟ resource` on
+        // their own and are pinned in `tests/properties.rs`): a hash
+        // that computes anything else is a decision to change them,
+        // which this test makes visible.
         assert_eq!(
             hashes,
             [
-                0xcbf2_9ce4_8422_2325,
-                0x6022_ffe0_fda7_fb72,
-                0xbb86_44a9_d8a0_5c30,
-                0x5647_fea8_d1c2_07b0,
-                0xd617_6c40_7cde_4a64,
+                0xe9e0_033e_3bad_af36,
+                0x5cad_e3e4_eeef_90de,
+                0xa1df_4506_80b7_61e0,
+                0xd75b_98b2_1226_20f4,
+                0xc7dc_da36_2633_1d41,
             ]
         );
     }
