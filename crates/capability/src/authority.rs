@@ -49,8 +49,8 @@ pub struct CapabilityAuthority {
     ttl_ms: u64,
     epoch: AtomicU64,
     stats: Arc<AtomicAuthorityStats>,
-    /// Verify latency, timed only with telemetry attached.
-    verify_us: Option<Arc<Histogram>>,
+    /// Verify latency in ns, timed only with telemetry attached.
+    verify_ns: Option<Arc<Histogram>>,
 }
 
 impl CapabilityAuthority {
@@ -62,18 +62,18 @@ impl CapabilityAuthority {
             ttl_ms,
             epoch: AtomicU64::new(0),
             stats: Arc::default(),
-            verify_us: None,
+            verify_ns: None,
         }
     }
 
     /// Exposes every [`AuthorityStats`] field to `telemetry`'s
     /// registry and times full verifications (admissions included,
-    /// rechecks not) into `dacs_capability_verify_us` (builder style).
+    /// rechecks not) into `dacs_capability_verify_ns` (builder style).
     pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
         let r = telemetry.registry();
         let stats = Arc::clone(&self.stats);
         r.expose(move || stats.snapshot().samples());
-        self.verify_us = Some(r.histogram("dacs_capability_verify_us"));
+        self.verify_ns = Some(r.histogram("dacs_capability_verify_ns"));
         self
     }
 
@@ -194,7 +194,7 @@ impl CapabilityAuthority {
         now_ms: u64,
     ) -> Result<Admitted, TokenError> {
         let timed = self
-            .verify_us
+            .verify_ns
             .as_ref()
             .map(|h| (h, std::time::Instant::now()));
         let result = token.verify(
@@ -206,7 +206,7 @@ impl CapabilityAuthority {
             self.current_epoch(),
         );
         if let Some((h, started)) = timed {
-            h.record(started.elapsed().as_micros() as u64);
+            h.record(started.elapsed().as_nanos() as u64);
         }
         result
             .map(|()| token.admitted())
@@ -358,7 +358,7 @@ mod tests {
         ));
         let s = a.stats();
         assert_eq!((s.verified, s.rejected, s.rejected_stale_epoch), (1, 3, 1));
-        let timed = telemetry.registry().histogram("dacs_capability_verify_us");
+        let timed = telemetry.registry().histogram("dacs_capability_verify_ns");
         assert_eq!(timed.count(), 2, "the two admissions, no recheck");
     }
 
@@ -374,6 +374,6 @@ mod tests {
         assert_eq!(r.counter_value("dacs_capability_minted_total"), Some(1));
         assert_eq!(r.counter_value("dacs_capability_verified_total"), Some(1));
         assert_eq!(r.counter_value("dacs_capability_rejected_total"), Some(1));
-        assert_eq!(r.histogram("dacs_capability_verify_us").count(), 2);
+        assert_eq!(r.histogram("dacs_capability_verify_ns").count(), 2);
     }
 }

@@ -9,11 +9,10 @@ use dacs_pdp::{DecisionClass, PdpDirectory, ReplicaPhase};
 use dacs_policy::eval::Response;
 use dacs_policy::hash::KeyState;
 use dacs_policy::request::RequestContext;
-use dacs_telemetry::{Histogram, Telemetry};
+use dacs_telemetry::{Histogram, Span, Stage, Telemetry};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The outcome of one cluster decision.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -107,13 +106,13 @@ impl ClusterBuilder {
         self
     }
 
-    /// Attaches a telemetry registry + tracer: the cluster records
-    /// decision latency, per-stage spans (`cluster_decide` / `route` /
-    /// `fanout` / `quorum_wait` / `replica_decide`) and per-replica
-    /// compute histograms into it, the registry reads every
-    /// [`ClusterMetrics`] field through as `dacs_cluster_*`, and the
-    /// scheduler's pool records its per-lane job counts and queue-wait
-    /// histograms.
+    /// Attaches a telemetry registry + tracer: the cluster records its
+    /// per-stage spans (`cluster_decide` / `route` / `fanout` /
+    /// `quorum_wait` / `replica_decide`, each feeding its stage's
+    /// histogram) and the `dacs_batch_size` histogram into it, the
+    /// registry reads every [`ClusterMetrics`] field through as
+    /// `dacs_cluster_*`, and the scheduler's pool exposes its per-lane
+    /// job counts and records its queue-wait histograms.
     pub fn telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
         self.telemetry = Some(telemetry);
         self
@@ -158,11 +157,7 @@ impl ClusterBuilder {
                     let endpoint = directory.register(backend.name(), &self.name);
                     (backend, endpoint)
                 });
-                let group = ReplicaGroup::new(registered.collect());
-                match &telemetry {
-                    Some(t) => group.with_telemetry(t),
-                    None => group,
-                }
+                ReplicaGroup::new(registered.collect())
             })
             .collect();
         let mut slots = HashMap::new();
@@ -180,6 +175,12 @@ impl ClusterBuilder {
             (pool, config)
         });
         let metrics = Arc::new(AtomicClusterMetrics::default());
+        // With a handle, the registry reads the metrics through.
+        let batch_size = telemetry.as_ref().map(|t| {
+            let exposed = Arc::clone(&metrics);
+            t.registry().expose(move || exposed.snapshot().samples());
+            t.registry().histogram("dacs_batch_size")
+        });
         PdpCluster {
             router: ShardRouter::new(groups.len()),
             name: self.name,
@@ -189,33 +190,9 @@ impl ClusterBuilder {
             quorum: self.quorum,
             scheduler,
             audit_every: self.audit_every,
-            telemetry: telemetry.map(|t| ClusterTelemetry::new(t, &metrics)),
-            metrics,
-        }
-    }
-}
-
-/// The timing half of the cluster's observability — tracer and
-/// histograms, pre-resolved so the hot decide path never takes the
-/// registry's name-lookup locks. Event counters are not here: they
-/// live in [`AtomicClusterMetrics`] and the registry reads them
-/// through.
-struct ClusterTelemetry {
-    telemetry: Arc<Telemetry>,
-    decide_us: Arc<Histogram>,
-    /// Requests per [`PdpCluster::decide_batch`] call.
-    batch_size: Arc<Histogram>,
-}
-
-impl ClusterTelemetry {
-    fn new(telemetry: Arc<Telemetry>, metrics: &Arc<AtomicClusterMetrics>) -> Self {
-        let r = telemetry.registry();
-        let metrics = Arc::clone(metrics);
-        r.expose(move || metrics.snapshot().samples());
-        ClusterTelemetry {
-            decide_us: r.histogram("dacs_cluster_decide_us"),
-            batch_size: r.histogram("dacs_batch_size"),
             telemetry,
+            batch_size,
+            metrics,
         }
     }
 }
@@ -234,7 +211,11 @@ pub struct PdpCluster {
     /// query with no pool.
     scheduler: Option<(FanoutPool, SchedulerConfig)>,
     audit_every: usize,
-    telemetry: Option<ClusterTelemetry>,
+    /// The handle the stages' spans go to, and the registry reads
+    /// [`ClusterMetrics`] through.
+    telemetry: Option<Arc<Telemetry>>,
+    /// Requests per [`PdpCluster::decide_batch`] call, with a handle.
+    batch_size: Option<Arc<Histogram>>,
     metrics: Arc<AtomicClusterMetrics>,
 }
 
@@ -296,7 +277,12 @@ impl PdpCluster {
     /// ([`ClusterBuilder::telemetry`]), if any — shared with callers
     /// (decision sources) that want their own spans in the same trace.
     pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.telemetry.as_ref().map(|t| &t.telemetry)
+        self.telemetry.as_ref()
+    }
+
+    /// A span of `stage` under the thread's current one, with a handle.
+    fn span(&self, stage: Stage) -> Option<Span<'_>> {
+        self.telemetry.as_ref().map(|t| t.tracer().span(stage))
     }
 
     /// Serves one decision on the Default scheduling lane: route to a
@@ -316,16 +302,10 @@ impl PdpCluster {
     ) -> ClusterOutcome {
         // Umbrella span: child of the caller's current span (the PEP's
         // `decide`, normally) or a fresh root for bare cluster use.
-        let umbrella = self
-            .telemetry
-            .as_ref()
-            .map(|t| t.telemetry.tracer().span("cluster_decide"));
+        let umbrella = self.span(Stage::ClusterDecide);
         let _in_umbrella = umbrella.as_ref().map(|s| s.enter());
         let shard = {
-            let _route = self
-                .telemetry
-                .as_ref()
-                .map(|t| t.telemetry.tracer().span("route"));
+            let _route = self.span(Stage::Route);
             self.router.shard_for(request)
         };
         self.decide_on_shard(shard, request, now_ms, class)
@@ -350,10 +330,7 @@ impl PdpCluster {
             .map(|(i, request)| {
                 // One span per request, so a batch's trace decomposes
                 // into route + fanout stages like a single decision's.
-                let _route = self
-                    .telemetry
-                    .as_ref()
-                    .map(|t| t.telemetry.tracer().span("route"));
+                let _route = self.span(Stage::Route);
                 (self.router.shard_for(request), i)
             })
             .collect();
@@ -401,8 +378,6 @@ impl PdpCluster {
         now_ms: u64,
         class: DecisionClass,
     ) -> ClusterOutcome {
-        // The clock is read only when telemetry will record the interval.
-        let start = self.telemetry.as_ref().map(|_| Instant::now());
         let group = &self.groups[shard];
         // Built without a scheduler: no pool, full width.
         let scheduler = self.scheduler.as_ref();
@@ -411,23 +386,18 @@ impl PdpCluster {
             adaptive: scheduler.is_some_and(|(_, config)| config.adaptive_fanout),
             class,
             every_vote: false,
+            telemetry: self.telemetry(),
         };
         let outcome = {
             // Entered, so worker-thread `replica_decide` spans (which
             // capture the dispatching thread's context) and the
             // `quorum_wait` span nest under the fan-out.
-            let fanout = self
-                .telemetry
-                .as_ref()
-                .map(|t| t.telemetry.tracer().span("fanout"));
+            let fanout = self.span(Stage::Fanout);
             let _in_fanout = fanout.as_ref().map(|s| s.enter());
             group.query_planned(self.quorum, request, now_ms, &plan)
         };
         if self.account(group, &plan, &outcome) {
             self.audit(group, request, now_ms);
-        }
-        if let (Some(t), Some(start)) = (&self.telemetry, start) {
-            t.decide_us.record(start.elapsed().as_micros() as u64);
         }
         ClusterOutcome {
             degraded: outcome.response.is_some() && outcome.healthy < group.len(),
@@ -505,8 +475,8 @@ impl PdpCluster {
         m.batched_queries
             .fetch_add(submitted as u64, Ordering::Relaxed);
         add_rare(&m.coalesced, coalesced as u64);
-        if let Some(t) = &self.telemetry {
-            t.batch_size.record(submitted as u64);
+        if let Some(h) = &self.batch_size {
+            h.record(submitted as u64);
         }
     }
 
@@ -1295,7 +1265,7 @@ mod tests {
     }
 
     /// A straggler cancelled by the quorum short-circuit still closes
-    /// a `cancelled:` span — dispatched work is never silently
+    /// a `cancelled:<slot>` span — dispatched work is never silently
     /// unaccounted in a trace — and is never evaluated. On a one-worker
     /// pool, the held replica is parked
     /// inside `decide` before the cheap deny is let through, so the
@@ -1345,13 +1315,14 @@ mod tests {
         let spans = telemetry.tracer().snapshot();
         let mut notes: Vec<_> = spans
             .iter()
-            .filter(|s| s.stage == "replica_decide")
-            .map(|s| s.note.as_deref().unwrap_or_default())
+            .filter(|s| s.stage == Stage::ReplicaDecide)
+            .map(|s| s.note.expect("every replica span is noted").to_string())
             .collect();
         notes.sort_unstable();
+        // By slot: c-deny is 0, c-held 1, c-queued 2.
         assert_eq!(
             notes,
-            ["cancelled:c-queued", "replica:c-deny", "replica:c-held"],
+            ["cancelled:2", "replica:0", "replica:1"],
             "spans: {spans:?}"
         );
         assert_eq!(telemetry.tracer().dropped(), 0);

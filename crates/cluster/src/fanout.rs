@@ -45,7 +45,7 @@
 //! ```
 
 use dacs_pdp::{DecisionClass, Priority};
-use dacs_telemetry::{Counter, Histogram, Telemetry};
+use dacs_telemetry::{Histogram, Telemetry};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
@@ -143,22 +143,48 @@ struct SchedState {
     since_yield: u32,
 }
 
+/// The jobs a worker started, per lane, and those it started late.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+struct PoolStats {
+    interactive_jobs: u64,
+    default_jobs: u64,
+    bulk_jobs: u64,
+    deadline_misses: u64,
+}
+
+dacs_telemetry::counter_block! {
+    /// [`PoolStats`] as relaxed atomics: the one place the pool's
+    /// counters live, handle or no handle.
+    struct PoolCounters: PoolStats {
+        interactive_jobs => "dacs_sched_interactive_jobs_total",
+        default_jobs => "dacs_sched_default_jobs_total",
+        bulk_jobs => "dacs_sched_bulk_jobs_total",
+        deadline_misses => "dacs_sched_deadline_miss_total",
+    }
+}
+
+impl PoolCounters {
+    /// The job counter of lane `lane` ([`Priority::lane`] order).
+    fn jobs(&self, lane: usize) -> &std::sync::atomic::AtomicU64 {
+        [&self.interactive_jobs, &self.default_jobs, &self.bulk_jobs][lane]
+    }
+}
+
 /// State shared between the pool handle and its workers.
 struct Shared {
     state: Mutex<SchedState>,
     available: Condvar,
-    telemetry: OnceLock<PoolTelemetry>,
+    counters: PoolCounters,
+    waits: OnceLock<QueueWaits>,
 }
 
-/// Pre-resolved pool metrics: queue-wait is the submit→start gap —
-/// per-lane histograms make lane isolation measurable (the registry
-/// has no label support, so each lane gets its own metric name).
-struct PoolTelemetry {
-    jobs: Arc<Counter>,
-    queue_wait_us: Arc<Histogram>,
-    lane_jobs: [Arc<Counter>; 3],
-    lane_wait_us: [Arc<Histogram>; 3],
-    deadline_misses: Arc<Counter>,
+/// Queue-wait histograms — the submit→start gap, in ns — resolved when a
+/// handle is attached: pooled, and per lane, which makes lane isolation
+/// measurable (the registry has no label support, so each lane gets its
+/// own metric name).
+struct QueueWaits {
+    all: Arc<Histogram>,
+    lanes: [Arc<Histogram>; 3],
 }
 
 /// A small, fixed pool of worker threads that runs fan-out jobs from
@@ -192,7 +218,8 @@ impl FanoutPool {
                 since_yield: 0,
             }),
             available: Condvar::new(),
-            telemetry: OnceLock::new(),
+            counters: PoolCounters::default(),
+            waits: OnceLock::new(),
         });
         let handles = (0..workers)
             .map(|i| {
@@ -209,25 +236,30 @@ impl FanoutPool {
         }
     }
 
-    /// Attaches observability (builder style): every job increments
-    /// `dacs_fanout_jobs_total` and its lane's
-    /// `dacs_sched_jobs_total_<lane>`, and records its queue wait — the
-    /// gap between submission and a worker picking it up — into both
-    /// the pooled `dacs_fanout_queue_wait_us` histogram and the
-    /// per-lane `dacs_sched_queue_wait_us_<lane>` one. Jobs that start
-    /// after their deadline count in `dacs_sched_deadline_miss_total`.
+    /// Attaches observability (builder style): the registry reads the
+    /// pool's counters through — `dacs_sched_<lane>_jobs_total`, their
+    /// sum `dacs_fanout_jobs_total` and `dacs_sched_deadline_miss_total`
+    /// — and every job records its queue wait, the gap between
+    /// submission and a worker picking it up, into the pooled
+    /// `dacs_fanout_queue_wait_ns` histogram and its lane's
+    /// `dacs_sched_<lane>_queue_wait_ns`.
     pub fn with_telemetry(self, telemetry: &Arc<Telemetry>) -> Self {
         let r = telemetry.registry();
-        let per_lane_counter =
-            |p: Priority| r.counter(&format!("dacs_sched_jobs_total_{}", p.label()));
-        let per_lane_hist =
-            |p: Priority| r.histogram(&format!("dacs_sched_queue_wait_us_{}", p.label()));
-        let _ = self.shared.telemetry.set(PoolTelemetry {
-            jobs: r.counter("dacs_fanout_jobs_total"),
-            queue_wait_us: r.histogram("dacs_fanout_queue_wait_us"),
-            lane_jobs: Priority::ALL.map(per_lane_counter),
-            lane_wait_us: Priority::ALL.map(per_lane_hist),
-            deadline_misses: r.counter("dacs_sched_deadline_miss_total"),
+        let shared = Arc::clone(&self.shared);
+        r.expose(move || {
+            let stats = shared.counters.snapshot();
+            let mut samples = stats.samples();
+            // Derived, not counted a second time: every job runs on
+            // exactly one lane.
+            let jobs = stats.interactive_jobs + stats.default_jobs + stats.bulk_jobs;
+            samples.push(("dacs_fanout_jobs_total", jobs));
+            samples
+        });
+        let lane_wait =
+            |p: Priority| r.histogram(&format!("dacs_sched_{}_queue_wait_ns", p.label()));
+        let _ = self.shared.waits.set(QueueWaits {
+            all: r.histogram("dacs_fanout_queue_wait_ns"),
+            lanes: Priority::ALL.map(lane_wait),
         });
         self
     }
@@ -334,12 +366,14 @@ fn select_next_job(state: &mut SchedState, now: Instant) -> Option<LaneJob> {
 /// and every later pooled decision would report unavailable.
 fn worker_loop(shared: Arc<Shared>) {
     loop {
-        let lane_job = {
+        // `now` is the reading the pop was decided at: the job's queue
+        // wait and deadline are judged against it, with no second read.
+        let popped = {
             let mut state = lock(&shared.state);
             loop {
                 let now = Instant::now();
                 if let Some(job) = select_next_job(&mut state, now) {
-                    break Some(job);
+                    break Some((job, now));
                 }
                 if !state.open {
                     break None;
@@ -350,16 +384,18 @@ fn worker_loop(shared: Arc<Shared>) {
                     .unwrap_or_else(|poisoned| poisoned.into_inner());
             }
         };
-        let Some(lane_job) = lane_job else { return };
-        if let Some(t) = shared.telemetry.get() {
-            let wait_us = lane_job.enqueued.elapsed().as_micros() as u64;
-            t.jobs.inc();
-            t.queue_wait_us.record(wait_us);
-            t.lane_jobs[lane_job.lane].inc();
-            t.lane_wait_us[lane_job.lane].record(wait_us);
-            if lane_job.deadline.is_some_and(|d| Instant::now() > d) {
-                t.deadline_misses.inc();
-            }
+        let Some((lane_job, now)) = popped else {
+            return;
+        };
+        let counters = &shared.counters;
+        counters.jobs(lane_job.lane).fetch_add(1, Ordering::Relaxed);
+        if lane_job.deadline.is_some_and(|d| now > d) {
+            counters.deadline_misses.fetch_add(1, Ordering::Relaxed);
+        }
+        if let Some(waits) = shared.waits.get() {
+            let wait_ns = now.saturating_duration_since(lane_job.enqueued).as_nanos() as u64;
+            waits.all.record(wait_ns);
+            waits.lanes[lane_job.lane].record(wait_ns);
         }
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(lane_job.job));
     }
@@ -447,33 +483,38 @@ mod tests {
         assert_eq!(got, vec![0, 1]);
     }
 
+    /// The pool counts in its own block, handle or no handle: a bulk
+    /// job queued ~10ms behind a sleeping head-of-line job counts the
+    /// same on a bare pool and an instrumented one, which also records
+    /// the wait, pooled and per lane.
     #[test]
     fn telemetry_records_queue_wait_per_job_and_lane() {
+        let run = |pool: FanoutPool| {
+            let (tx, rx) = channel();
+            pool.submit(Box::new(|| std::thread::sleep(Duration::from_millis(10))));
+            let job = Box::new(move || tx.send(()).unwrap());
+            pool.submit_classed(job, DecisionClass::bulk());
+            rx.recv_timeout(Duration::from_secs(2)).unwrap();
+            pool.shared.counters.snapshot()
+        };
         let telemetry = Arc::new(Telemetry::new());
-        let pool = FanoutPool::new(1).with_telemetry(&telemetry);
-        let (tx, rx) = channel();
-        // A sleeping head-of-line job forces the second job to wait in
-        // the queue for a measurable interval.
-        pool.submit(Box::new(|| std::thread::sleep(Duration::from_millis(10))));
-        pool.submit_classed(
-            Box::new(move || {
-                tx.send(()).unwrap();
-            }),
-            DecisionClass::bulk(),
-        );
-        rx.recv_timeout(Duration::from_secs(2)).unwrap();
+        let attached = run(FanoutPool::new(1).with_telemetry(&telemetry));
+        let expected = PoolStats {
+            interactive_jobs: 0,
+            default_jobs: 1,
+            bulk_jobs: 1,
+            deadline_misses: 0,
+        };
+        assert_eq!((run(FanoutPool::new(1)), attached), (expected, expected));
         let r = telemetry.registry();
         assert_eq!(r.counter_value("dacs_fanout_jobs_total"), Some(2));
-        let h = r.histogram("dacs_fanout_queue_wait_us");
+        assert_eq!(r.counter_value("dacs_sched_bulk_jobs_total"), Some(1));
+        let h = r.histogram("dacs_fanout_queue_wait_ns");
         assert_eq!(h.count(), 2);
-        assert!(h.percentile(0.99) >= 9_000, "second job waited ~10ms");
-        // The lanes split the same story: one Default job (the
-        // sleeper), one Bulk job with the ~10ms wait.
-        assert_eq!(r.counter_value("dacs_sched_jobs_total_default"), Some(1));
-        assert_eq!(r.counter_value("dacs_sched_jobs_total_bulk"), Some(1));
-        let bulk = r.histogram("dacs_sched_queue_wait_us_bulk");
+        assert!(h.percentile(0.99) >= 9_000_000, "second job waited ~10ms");
+        let bulk = r.histogram("dacs_sched_bulk_queue_wait_ns");
         assert_eq!(bulk.count(), 1);
-        assert!(bulk.percentile(0.99) >= 9_000);
+        assert!(bulk.percentile(0.99) >= 9_000_000);
         assert_eq!(r.counter_value("dacs_sched_deadline_miss_total"), Some(0));
     }
 

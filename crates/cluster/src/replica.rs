@@ -26,9 +26,9 @@ use dacs_pdp::{DecisionClass, Pdp, PdpEndpoint, PolicyEpoch, ReplicaPhase};
 use dacs_policy::eval::Response;
 use dacs_policy::policy::Decision;
 use dacs_policy::request::RequestContext;
-use dacs_telemetry::{Histogram, Span, SpanCtx, Telemetry, Tracer};
+use dacs_telemetry::{Note, SpanCtx, Stage, Telemetry, Tracer};
 use parking_lot::Mutex;
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -193,59 +193,22 @@ pub struct ReplicaGroup {
     /// readmission, so a roster that read a replica caught up cannot
     /// readmit it after it crashed and returned behind meanwhile.
     recovery: Mutex<()>,
-    telemetry: Option<GroupTelemetry>,
 }
 
-/// One replica slot: the backend that decides and the directory's
-/// shared record of it. Behind one `Arc` so a fan-out job takes both
-/// with a single clone.
+/// One replica slot: the backend that decides, the directory's shared
+/// record of it and its position in the group, which names it in a
+/// span. Behind one `Arc` so a fan-out job takes all three with a
+/// single clone.
 struct Replica {
     backend: Arc<dyn DecisionBackend>,
     endpoint: Arc<PdpEndpoint>,
+    slot: u32,
 }
 
-/// Pre-resolved telemetry handles for the group's query paths.
-struct GroupTelemetry {
-    telemetry: Arc<Telemetry>,
-    /// Per-replica evaluation time (the "replica compute" stage).
-    replica_us: Arc<Histogram>,
-    /// Collector wait from the first hand-off to verdict (the "quorum
-    /// wait" stage; a query with nothing pooled has none).
-    quorum_wait_us: Arc<Histogram>,
-}
-
-impl GroupTelemetry {
-    fn tracer(&self) -> &Tracer {
-        self.telemetry.tracer()
-    }
-}
-
-/// What the replica evaluations of one query need to record their spans
-/// wherever they run: the tracer, the compute histogram and the parent
-/// span captured on the *dispatching* thread (workers have no entered
+/// Where one query's replica spans go: the tracer, and the parent span
+/// captured on the *dispatching* thread (workers have no entered
 /// context).
-#[derive(Clone)]
-struct DispatchTelemetry {
-    tracer: Tracer,
-    replica_us: Arc<Histogram>,
-    parent: Option<SpanCtx>,
-}
-
-/// The `quorum_wait` span of a query that pooled something; records the
-/// collector's wait time on drop, so every exit of the fan-out
-/// collector feeds the quorum-wait histogram.
-struct WaitTimer {
-    start: Instant,
-    histogram: Arc<Histogram>,
-    _span: Span,
-}
-
-impl Drop for WaitTimer {
-    fn drop(&mut self) {
-        self.histogram
-            .record(self.start.elapsed().as_micros() as u64);
-    }
-}
+type SpanSite<'t> = (&'t Tracer, Option<SpanCtx>);
 
 /// The per-query eligibility snapshot: who may vote (readmitted ones
 /// included), who was excluded as stale, and how far behind the worst
@@ -275,6 +238,9 @@ pub(crate) struct FanoutPlan<'a> {
     /// Take every eligible replica's vote before combining — the audit
     /// replay; a served query stops at the settle point.
     pub every_vote: bool,
+    /// Where the query's `replica_decide` and `quorum_wait` spans go;
+    /// `None` and it records none.
+    pub telemetry: Option<&'a Arc<Telemetry>>,
 }
 
 /// What a pooled query costs over and above its evaluations
@@ -296,13 +262,14 @@ const POOL_HANDOFF_NS: u64 = 10_000;
 /// what a query costs would depend on what the host did to the last.
 const SAMPLE_CAP: u64 = 6;
 
-/// What the pooled jobs of one query share — one request copy, one set
-/// of telemetry handles — built at its first hand-off: a query the
-/// caller evaluates whole has none.
+/// What the pooled jobs of one query share — one request copy, one
+/// telemetry handle and the parent span — built at its first hand-off:
+/// a query the caller evaluates whole has none.
 struct Handoff {
     request: RequestContext,
     now_ms: u64,
-    telemetry: Option<DispatchTelemetry>,
+    telemetry: Option<Arc<Telemetry>>,
+    parent: Option<SpanCtx>,
     cancel: CancelToken,
     tx: Sender<FanoutAnswer>,
 }
@@ -316,7 +283,7 @@ struct Handoff {
 struct FanoutJob {
     replica: Arc<Replica>,
     handoff: Arc<Handoff>,
-    role: &'static str,
+    role: fn(u32) -> Note,
     index: usize,
     response: Option<Response>,
 }
@@ -330,11 +297,16 @@ impl Drop for FanoutJob {
 impl FanoutJob {
     fn run(mut self) {
         let h = &self.handoff;
-        let (cancel, telemetry) = (Some(&h.cancel), h.telemetry.as_ref());
+        let site = h.telemetry.as_ref().map(|t| (t.tracer(), h.parent));
         let start = Instant::now();
-        (self.response, _) = self
-            .replica
-            .evaluate(&h.request, h.now_ms, cancel, telemetry, self.role, start);
+        (self.response, _) = self.replica.evaluate(
+            &h.request,
+            h.now_ms,
+            Some(&h.cancel),
+            site,
+            self.role,
+            start,
+        );
     }
 }
 
@@ -344,8 +316,8 @@ impl Replica {
     /// job's dequeue check; the collector passes `None`, since it sets
     /// the token only after its own last evaluation), asks the backend
     /// under `catch_unwind`, feeds the estimate, notes its span with
-    /// `role`. `None` back is a withdrawn vote: skipped, or the backend
-    /// panicked.
+    /// `role` and its slot. `None` back is a withdrawn vote: skipped, or
+    /// the backend panicked.
     ///
     /// The evaluation is timed from `start`, the caller's reading of
     /// the clock, and the instant it ended comes back beside the vote
@@ -357,20 +329,20 @@ impl Replica {
         request: &RequestContext,
         now_ms: u64,
         cancel: Option<&CancelToken>,
-        telemetry: Option<&DispatchTelemetry>,
-        role: &'static str,
+        site: Option<SpanSite<'_>>,
+        role: fn(u32) -> Note,
         start: Instant,
     ) -> (Option<Response>, Instant) {
-        let mut span = telemetry.map(|t| t.tracer.span_under(t.parent, "replica_decide"));
-        let mut note = |prefix| {
+        let mut span = site.map(|(tracer, parent)| tracer.span_under(parent, Stage::ReplicaDecide));
+        let mut note = |role: fn(u32) -> Note| {
             if let Some(s) = span.as_mut() {
-                s.set_note(format!("{prefix}:{}", self.endpoint.name()));
+                s.set_note(role(self.slot));
             }
         };
         if cancel.is_some_and(CancelToken::is_cancelled) {
             // The skip still closes a zero-duration span: in a trace a
             // cancelled straggler shows up closed, not leaked.
-            note("cancelled");
+            note(Note::Cancelled);
             return (None, start);
         }
         note(role);
@@ -390,11 +362,8 @@ impl Replica {
                 let estimate = self.endpoint.latency_ewma_ns().unwrap_or(u64::MAX);
                 let ns = (elapsed.as_nanos() as u64).min(estimate.saturating_mul(SAMPLE_CAP));
                 self.endpoint.record_latency_ns(ns);
-                if let Some(t) = telemetry {
-                    t.replica_us.record(elapsed.as_micros() as u64);
-                }
             }
-            None => note("cancelled"),
+            None => note(Note::Cancelled),
         }
         (response, end)
     }
@@ -410,32 +379,20 @@ impl ReplicaGroup {
     /// Panics if `replicas` is empty.
     pub fn new(replicas: Vec<(Arc<dyn DecisionBackend>, Arc<PdpEndpoint>)>) -> Self {
         assert!(!replicas.is_empty(), "a replica group needs replicas");
-        let replicas = replicas
-            .into_iter()
-            .map(|(backend, endpoint)| Arc::new(Replica { backend, endpoint }))
+        let replicas = (0..)
+            .zip(replicas)
+            .map(|(slot, (backend, endpoint))| {
+                Arc::new(Replica {
+                    backend,
+                    endpoint,
+                    slot,
+                })
+            })
             .collect();
         ReplicaGroup {
             replicas,
             recovery: Mutex::new(()),
-            telemetry: None,
         }
-    }
-
-    /// Attaches observability (builder style; `ClusterBuilder` does
-    /// this for every group when the cluster has telemetry): each
-    /// replica evaluation gets a `replica_decide` span — noted with
-    /// its role (`primary:`/`replica:`) or `cancelled:` and the
-    /// replica name — plus the `dacs_replica_decide_us` compute
-    /// histogram, and a collector that pooled something records a
-    /// `quorum_wait` span and the `dacs_quorum_wait_us` histogram.
-    pub fn with_telemetry(mut self, telemetry: &Arc<Telemetry>) -> Self {
-        let r = telemetry.registry();
-        self.telemetry = Some(GroupTelemetry {
-            replica_us: r.histogram("dacs_replica_decide_us"),
-            quorum_wait_us: r.histogram("dacs_quorum_wait_us"),
-            telemetry: Arc::clone(telemetry),
-        });
-        self
     }
 
     /// The highest policy epoch any replica of the group reports — the
@@ -599,17 +556,6 @@ impl ReplicaGroup {
         outcome
     }
 
-    /// The handles one query's evaluations record through. The parent
-    /// span is read from the *calling* thread's context, so a worker's
-    /// replica span nests under its enforcement.
-    fn dispatch_telemetry(&self) -> Option<DispatchTelemetry> {
-        self.telemetry.as_ref().map(|t| DispatchTelemetry {
-            tracer: t.tracer().clone(),
-            replica_us: Arc::clone(&t.replica_us),
-            parent: dacs_telemetry::current(),
-        })
-    }
-
     /// `(latency estimate, index into eligible)` in dispatch order,
     /// each estimate read once: the first `pinned` stay in configured
     /// order, the rest sort by ascending EWMA latency; unmeasured
@@ -704,11 +650,11 @@ impl ReplicaGroup {
         plan: &FanoutPlan<'_>,
     ) -> GroupOutcome {
         let e = eligible.len();
-        let (pinned, initial, role) = match mode {
-            QuorumMode::FirstHealthy => (1, 1, "primary"),
-            QuorumMode::Majority if plan.adaptive => (0, e / 2 + 1, "replica"),
+        let (pinned, initial, role): (_, _, fn(u32) -> Note) = match mode {
+            QuorumMode::FirstHealthy => (1, 1, Note::Primary),
+            QuorumMode::Majority if plan.adaptive => (0, e / 2 + 1, Note::Replica),
             // Unanimity needs every eligible replica's vote anyway.
-            QuorumMode::Majority | QuorumMode::UnanimousFailClosed => (0, e, "replica"),
+            QuorumMode::Majority | QuorumMode::UnanimousFailClosed => (0, e, Note::Replica),
         };
         // Ascending-EWMA dispatch puts likely-fast replicas at the head
         // of the pool queue, so the settle point arrives as early as
@@ -722,11 +668,14 @@ impl ReplicaGroup {
             let dear = order[p].0.is_none_or(|ns| ns >= POOL_HANDOFF_NS);
             plan.pool.filter(|_| overlaps && dear)
         };
-        let telemetry = self.dispatch_telemetry();
-        // Quorum assembly as a stage — span + histogram from the first
-        // hand-off to whichever exit fires — exists only for a query
-        // that waits on a channel.
-        let mut pooled: Option<(Arc<Handoff>, Receiver<FanoutAnswer>, Option<WaitTimer>)> = None;
+        // The parent of every replica span: read on the calling thread,
+        // so a worker's span nests under its enforcement.
+        let parent = plan.telemetry.and_then(|_| dacs_telemetry::current());
+        let site = plan.telemetry.map(|t| (t.tracer(), parent));
+        // Quorum assembly as a stage — a span from the first hand-off to
+        // whichever exit fires — exists only for a query that waits on a
+        // channel.
+        let mut pooled = None;
         let mut dispatched = 0usize;
         // A caller-bound replica is only counted: the loop evaluates it.
         let dispatch_next = |dispatched: &mut usize, pooled: &mut Option<_>, role| {
@@ -738,15 +687,12 @@ impl ReplicaGroup {
                 let handoff = Handoff {
                     request: request.clone(),
                     now_ms,
-                    telemetry: telemetry.clone(),
+                    telemetry: plan.telemetry.cloned(),
+                    parent,
                     cancel: CancelToken::new(),
                     tx,
                 };
-                let wait = self.telemetry.as_ref().map(|t| WaitTimer {
-                    start: Instant::now(),
-                    histogram: Arc::clone(&t.quorum_wait_us),
-                    _span: t.tracer().span("quorum_wait"),
-                });
+                let wait = site.map(|(tracer, _)| tracer.span(Stage::QuorumWait));
                 (Arc::new(handoff), rx, wait)
             });
             let job = FanoutJob {
@@ -776,11 +722,11 @@ impl ReplicaGroup {
         let verdict = loop {
             let answer = if let Some(p) = (mine..dispatched).find(|&p| pool_for(p).is_none()) {
                 (mine, caller_evaluations) = (p + 1, caller_evaluations + 1);
-                let role = if p < initial { role } else { "replica" };
-                let (index, t) = (order[p].1, telemetry.as_ref());
+                let role = if p < initial { role } else { Note::Replica };
+                let index = order[p].1;
                 let start = clock.unwrap_or_else(Instant::now);
                 let (response, end) =
-                    eligible[index].evaluate(request, now_ms, None, t, role, start);
+                    eligible[index].evaluate(request, now_ms, None, site, role, start);
                 clock = Some(end);
                 (index, response)
             } else {
@@ -804,7 +750,7 @@ impl ReplicaGroup {
                 // Contested or lost votes: what is in flight cannot
                 // settle, so the next-best replica becomes a needed
                 // voter.
-                dispatch_next(&mut dispatched, &mut pooled, "replica");
+                dispatch_next(&mut dispatched, &mut pooled, Note::Replica);
             }
         };
         // Settled or not, nothing a straggler says can matter now.

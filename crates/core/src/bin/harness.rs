@@ -22,7 +22,8 @@
 //! `--capability-telemetry PATH` runs the capability-enabled clustered
 //! scenario (`capability_telemetry_run`) and writes its registry text:
 //! the `dacs_capability_*` mint/verify/reject counters and the
-//! verify-latency histogram the e18 artifact tracks.
+//! verify-latency histogram (`dacs_capability_verify_ns`) the e18
+//! artifact tracks.
 //!
 //! `--lane-telemetry PATH` runs the mixed-lane scheduler scenario
 //! (`scheduler_telemetry_run`) and writes the `dacs_sched_*` families
@@ -149,12 +150,13 @@ fn main() {
         // trace's spans are the ones the registry's histograms saw.
         let (telemetry, lats) = exp::traced_cluster_run(scaled(2400));
         let summary = dacs_core::stats::Summary::of(&lats);
-        // Two clocks around the same `serve` calls: the registry's
-        // log-bucketed PEP-internal durations beside the caller-side
-        // wall clock. A timing figure, so it is printed, not asserted.
-        let enforce_us = telemetry.registry().histogram("dacs_pep_enforce_us");
+        // Two clocks around the same `serve` calls, both in ns: the
+        // registry's log-bucketed `pep_enforce` span durations beside the
+        // caller-side wall clock. A timing figure, so it is printed, not
+        // asserted.
+        let enforce_ns = telemetry.registry().histogram("dacs_pep_enforce_ns");
         let mut table = dacs_core::stats::Table::new(
-            format!("traced run: {} enforcements (µs)", summary.count),
+            format!("traced run: {} enforcements (ns)", summary.count),
             &["percentile", "registry", "caller"],
         );
         for (label, q, caller) in [
@@ -164,7 +166,7 @@ fn main() {
         ] {
             table.row(vec![
                 label.to_string(),
-                enforce_us.percentile(q).to_string(),
+                enforce_ns.percentile(q).to_string(),
                 caller.to_string(),
             ]);
         }
@@ -176,7 +178,8 @@ fn main() {
             write_or_die(&path, &telemetry.tracer().dump_json(), "JSON trace");
             for (stage, parents, share) in exp::unaccounted_shares(&telemetry.tracer().snapshot()) {
                 eprintln!(
-                    "traced run: {stage}: {:.1}% of {parents} spans' time unaccounted by children",
+                    "traced run: {}: {:.1}% of {parents} spans' time unaccounted by children",
+                    stage.name(),
                     share * 100.0
                 );
             }

@@ -30,6 +30,7 @@ use dacs_policy::request::RequestContext;
 use dacs_policy::target::{AttrMatch, Target};
 use dacs_policy::AttributeId;
 use dacs_simnet::LinkSpec;
+use dacs_telemetry::Stage;
 use dacs_trust::{chain_scenario, negotiate, Strategy};
 use dacs_wire::security::{SecureChannel, SecurityMode};
 use rand::rngs::StdRng;
@@ -1069,6 +1070,12 @@ fn e15_cluster(
     (cluster.build(), sleeper)
 }
 
+/// A registry histogram's p99, recorded in ns, printed in µs with two
+/// decimals.
+fn p99_us(telemetry: &dacs_telemetry::Telemetry, name: &str) -> String {
+    f2(telemetry.registry().histogram(name).percentile(0.99) as f64 / 1e3)
+}
+
 /// E15: fan-out latency — the majority quorum served by the caller
 /// alone vs through the pool, under one slow replica plus
 /// simnet-injected crash churn.
@@ -1148,19 +1155,20 @@ pub fn e15_fanout_latency(requests: usize) -> Table {
         }
         let lat = Summary::of(&lats);
         let m = cluster.metrics();
-        // Per-stage breakdown from the shared registry: the pool-less
-        // row never queues or waits on a quorum channel, so those
-        // histograms stay empty (p99 = 0) — the comparison itself.
-        let stage_p99 = |name: &str| telemetry.registry().histogram(name).percentile(0.99);
+        // Per-stage breakdown from the shared registry, recorded in ns
+        // and printed in µs: the pool-less row never queues or waits on
+        // a quorum channel, so those histograms stay empty (p99 = 0) —
+        // the comparison itself.
+        let stage_p99 = |name: &str| p99_us(&telemetry, name);
         table.row(vec![
             strategy.into(),
             lat.p50.to_string(),
             lat.p99.to_string(),
             lat.p999.to_string(),
             f2(lat.stddev),
-            stage_p99("dacs_fanout_queue_wait_us").to_string(),
-            stage_p99("dacs_replica_decide_us").to_string(),
-            stage_p99("dacs_quorum_wait_us").to_string(),
+            stage_p99("dacs_fanout_queue_wait_ns"),
+            stage_p99(Stage::ReplicaDecide.metric()),
+            stage_p99(Stage::QuorumWait.metric()),
             m.caller_evaluations.to_string(),
             f2(100.0 * m.availability()),
             sleeper
@@ -1530,10 +1538,7 @@ pub fn e17_federated_cluster(requests: usize) -> Table {
             .as_ref()
             .expect("e17 domains are clustered")
             .metrics();
-        let p99 = |histogram: &str| {
-            let registry = telemetries[d].registry();
-            registry.histogram(histogram).percentile(0.99).to_string()
-        };
+        let p99 = |stage: Stage| p99_us(&telemetries[d], stage.metric());
         table.row(vec![
             domain.name.clone(),
             f2(100.0 * m.availability()),
@@ -1544,8 +1549,8 @@ pub fn e17_federated_cluster(requests: usize) -> Table {
             m.resyncs.to_string(),
             m.stale_decisions_avoided.to_string(),
             m.epoch_lag_max.to_string(),
-            p99("dacs_pep_enforce_us"),
-            p99("dacs_replica_decide_us"),
+            p99(Stage::PepEnforce),
+            p99(Stage::ReplicaDecide),
         ]);
     }
     table
@@ -1562,8 +1567,11 @@ pub fn e17_federated_cluster(requests: usize) -> Table {
 /// Returns the run's telemetry — render the registry with
 /// `Registry::render_text`, dump the trace with `Tracer::dump_json` —
 /// and the caller-side wall-clock latency of every enforcement in
-/// microseconds, so the registry's `dacs_pep_enforce_us` percentiles
-/// can be cross-checked against a [`Summary`] of the same run.
+/// nanoseconds, so the registry's `dacs_pep_enforce_ns` percentiles
+/// can be cross-checked against a [`Summary`] of the same run. The
+/// domain is dropped before the call returns, and with it the
+/// cluster's pool, whose drop joins its workers: every span of the run
+/// has closed by then.
 pub fn traced_cluster_run(requests: usize) -> (Arc<dacs_telemetry::Telemetry>, Vec<u64>) {
     let telemetry = Arc::new(dacs_telemetry::Telemetry::new());
     let ctx = CryptoCtx::new();
@@ -1609,22 +1617,26 @@ pub fn traced_cluster_run(requests: usize) -> (Arc<dacs_telemetry::Telemetry>, V
         );
         let started = Instant::now();
         let result = domain.pep.serve(EnforceRequest::of(&request, i));
-        lats.push(started.elapsed().as_micros() as u64);
+        lats.push(started.elapsed().as_nanos() as u64);
         debug_assert!(result.allowed, "even gate versions permit doctors");
     }
+    drop(domain);
     (telemetry, lats)
 }
 
 /// The sequential levels of a traced enforcement: each parent stage
 /// with the only child stages that may hang under it. The children run
 /// one after another inline, so their time sums towards the parent's.
-pub const SEQUENTIAL_LEVELS: [(&str, &[&str]); 4] = [
-    ("pep_enforce", &["cache", "decide", "obligations"]),
-    ("decide", &["source_decide"]),
+pub const SEQUENTIAL_LEVELS: [(Stage, &[Stage]); 4] = [
+    (
+        Stage::PepEnforce,
+        &[Stage::Cache, Stage::Decide, Stage::Obligations],
+    ),
+    (Stage::Decide, &[Stage::SourceDecide]),
     // A single decision goes straight to the cluster, whose umbrella
     // span decomposes into routing + fan-out.
-    ("source_decide", &["cluster_decide"]),
-    ("cluster_decide", &["route", "fanout"]),
+    (Stage::SourceDecide, &[Stage::ClusterDecide]),
+    (Stage::ClusterDecide, &[Stage::Route, Stage::Fanout]),
 ];
 
 /// Per parent stage of [`SEQUENTIAL_LEVELS`]: the number of parent
@@ -1632,7 +1644,7 @@ pub const SEQUENTIAL_LEVELS: [(&str, &[&str]); 4] = [
 /// accounts for (span bookkeeping, metrics accounting, a preemption
 /// between two stages). A timing figure: the harness's `--trace` run
 /// prints it, `cargo test` asserts only the tree's shape.
-pub fn unaccounted_shares(spans: &[dacs_telemetry::SpanRecord]) -> Vec<(&'static str, usize, f64)> {
+pub fn unaccounted_shares(spans: &[dacs_telemetry::SpanRecord]) -> Vec<(Stage, usize, f64)> {
     SEQUENTIAL_LEVELS
         .iter()
         .map(|&(stage, _)| {
@@ -2425,7 +2437,7 @@ impl DecisionBackend for SpinPermit {
 /// `--lane-telemetry` artifact and the observability tests: mixed
 /// interactive / default / bulk enforcements through a PEP over a
 /// single-worker 1×5 adaptive-majority cluster populate the per-lane
-/// `dacs_sched_jobs_total_*` counters, the `dacs_sched_queue_wait_us_*`
+/// `dacs_sched_*_jobs_total` counters, the `dacs_sched_*_queue_wait_ns`
 /// histograms and the deadline-miss counter. Its replicas spin twice the
 /// cluster's 10 µs pool hand-off constant, so the collector hands every
 /// one to a lane by its measured latency, whatever the host's speed or
@@ -2613,12 +2625,8 @@ mod tests {
             "caller asked the slow replica {asked} times in {requests} requests"
         );
         assert_eq!(column(caller, 8), 2 * requests);
-        assert_eq!(column(caller, 5), 0, "caller never queues");
-        assert_eq!(
-            column(caller, 7),
-            0,
-            "caller never waits on a quorum channel"
-        );
+        assert_eq!(caller[5], "0.00", "caller never queues");
+        assert_eq!(caller[7], "0.00", "caller never waits on a quorum channel");
         // The pooled row's first query has nothing measured, so it pools
         // every replica, the sleeper at the head of the queue; the
         // sleeper's estimate keeps it on the pool from then on.
@@ -2801,13 +2809,13 @@ mod tests {
         let registry = telemetry.registry();
         for lane in ["interactive", "default", "bulk"] {
             let jobs = registry
-                .counter_value(&format!("dacs_sched_jobs_total_{lane}"))
+                .counter_value(&format!("dacs_sched_{lane}_jobs_total"))
                 .unwrap_or(0);
             assert!(jobs > 0, "{lane} lane never scheduled a job");
         }
         let text = registry.render_text_filtered("dacs_sched_");
-        assert!(text.contains("dacs_sched_jobs_total_interactive"));
-        assert!(text.contains("dacs_sched_queue_wait_us_bulk"));
+        assert!(text.contains("# TYPE dacs_sched_interactive_jobs_total counter"));
+        assert!(text.contains("# TYPE dacs_sched_bulk_queue_wait_ns summary"));
         assert!(
             !text.contains("dacs_pep_"),
             "filtered exposition must only carry scheduler families"
@@ -2825,22 +2833,6 @@ mod tests {
         }
     }
 
-    /// Waits until the tracer's span count is stable (pool workers
-    /// close straggler spans shortly after the quorum returns).
-    fn settled_spans(telemetry: &dacs_telemetry::Telemetry) -> Vec<dacs_telemetry::SpanRecord> {
-        let deadline = Instant::now() + std::time::Duration::from_secs(2);
-        let mut spans = telemetry.tracer().snapshot();
-        while Instant::now() < deadline {
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            let again = telemetry.tracer().snapshot();
-            if again.len() == spans.len() {
-                return again;
-            }
-            spans = again;
-        }
-        spans
-    }
-
     /// The ISSUE 6 tentpole acceptance bar, part 1: a clustered
     /// E17-style run's trace decomposes — every enforcement stamps one
     /// root span, each sequential level carries only its own child
@@ -2854,7 +2846,9 @@ mod tests {
         const REQUESTS: usize = 300;
         let (telemetry, lats) = traced_cluster_run(REQUESTS);
         assert_eq!(lats.len(), REQUESTS);
-        let spans = settled_spans(&telemetry);
+        // One read: the run dropped its domain, whose pool joined its
+        // workers, so no straggler span is still open.
+        let spans = telemetry.tracer().snapshot();
         assert_eq!(telemetry.tracer().dropped(), 0, "span sink overflowed");
 
         let mut kids: std::collections::HashMap<u64, Vec<&dacs_telemetry::SpanRecord>> =
@@ -2871,7 +2865,7 @@ mod tests {
             "every enforcement gets its own trace id"
         );
         for r in &roots {
-            assert_eq!(r.stage, "pep_enforce");
+            assert_eq!(r.stage, Stage::PepEnforce);
         }
 
         // Sequential levels: a parent stage carries only its own child
@@ -2880,21 +2874,21 @@ mod tests {
         // child time than its own.
         for (parent_stage, allowed) in SEQUENTIAL_LEVELS {
             let parents: Vec<_> = spans.iter().filter(|s| s.stage == parent_stage).collect();
-            assert!(!parents.is_empty(), "no {parent_stage} spans recorded");
+            assert!(!parents.is_empty(), "no {parent_stage:?} spans recorded");
             for p in parents {
                 let children = kids.get(&p.id).map(Vec::as_slice).unwrap_or(&[]);
                 for c in children {
                     assert!(
                         allowed.contains(&c.stage),
-                        "unexpected child {} under {parent_stage}",
+                        "unexpected child {:?} under {parent_stage:?}",
                         c.stage
                     );
-                    assert_eq!(c.trace, p.trace, "{} left its parent's trace", c.stage);
+                    assert_eq!(c.trace, p.trace, "{:?} left its parent's trace", c.stage);
                 }
                 let child_ns: u64 = children.iter().map(|c| c.dur_ns).sum();
                 assert!(
                     child_ns <= p.dur_ns,
-                    "{parent_stage}: children ({child_ns}ns) outlast their parent ({}ns)",
+                    "{parent_stage:?}: children ({child_ns}ns) outlast their parent ({}ns)",
                     p.dur_ns
                 );
             }
@@ -2903,14 +2897,14 @@ mod tests {
         // Concurrency level: replica spans overlap, so they don't sum
         // — instead the quorum wait must nest inside its fan-out and
         // every fan-out must carry at least one per-replica span.
-        for f in spans.iter().filter(|s| s.stage == "fanout") {
+        for f in spans.iter().filter(|s| s.stage == Stage::Fanout) {
             let children = kids.get(&f.id).map(Vec::as_slice).unwrap_or(&[]);
             let replicas = children
                 .iter()
-                .filter(|c| c.stage == "replica_decide")
+                .filter(|c| c.stage == Stage::ReplicaDecide)
                 .count();
             assert!(replicas >= 1, "fan-out without per-replica spans");
-            for c in children.iter().filter(|c| c.stage == "quorum_wait") {
+            for c in children.iter().filter(|c| c.stage == Stage::QuorumWait) {
                 assert!(
                     c.dur_ns <= f.dur_ns + 5_000,
                     "quorum wait {}ns escapes its fan-out {}ns",
@@ -2929,16 +2923,31 @@ mod tests {
                     .map(Vec::as_slice)
                     .unwrap_or(&[])
                     .iter()
-                    .any(|c| c.stage == "decide")
+                    .any(|c| c.stage == Stage::Decide)
             })
             .count();
         assert!(misses > 0, "no cache misses traced");
         assert!(misses < REQUESTS, "no cache hits traced");
+
+        // Spans are the only clock of a stage: each stage histogram
+        // took exactly one sample per span of its stage.
+        let registry = telemetry.registry();
+        for stage in Stage::ALL {
+            let closed = spans.iter().filter(|s| s.stage == stage).count() as u64;
+            let histogram = registry.histogram(stage.metric());
+            assert_eq!(histogram.count(), closed, "{stage:?}");
+            let spanned: u64 = spans
+                .iter()
+                .filter(|s| s.stage == stage)
+                .map(|s| s.dur_ns)
+                .sum();
+            assert_eq!(histogram.sum(), spanned, "{stage:?}");
+        }
     }
 
-    /// The ISSUE 6 tentpole acceptance bar, part 2: the registry's
-    /// `dacs_pep_enforce_us` histogram takes one sample per enforcement
-    /// of the run and the text exposition carries its quantile samples.
+    /// The registry's `dacs_pep_enforce_ns` histogram takes one sample
+    /// per enforcement of the run and the text exposition carries its
+    /// quantile samples.
     /// (How close its percentiles come to the caller-side wall clock is
     /// a timing figure: the harness's `--telemetry` run prints the two
     /// side by side.)
@@ -2947,18 +2956,20 @@ mod tests {
         const REQUESTS: usize = 400;
         let (telemetry, lats) = traced_cluster_run(REQUESTS);
         assert_eq!(lats.len(), REQUESTS);
-        let h = telemetry.registry().histogram("dacs_pep_enforce_us");
+        let h = telemetry.registry().histogram("dacs_pep_enforce_ns");
         assert_eq!(h.count(), REQUESTS as u64, "one sample per enforcement");
         let text = telemetry.registry().render_text();
-        assert!(text.contains("# TYPE dacs_pep_enforce_us summary"));
+        assert!(text.contains("# TYPE dacs_pep_enforce_ns summary"));
         for (label, q) in [("0.5", 0.5), ("0.95", 0.95), ("0.99", 0.99)] {
             let line = format!(
-                "dacs_pep_enforce_us{{quantile=\"{label}\"}} {}",
+                "dacs_pep_enforce_ns{{quantile=\"{label}\"}} {}",
                 h.percentile(q)
             );
             assert!(text.contains(&line), "exposition missing `{line}`");
         }
-        assert!(text.contains(&format!("dacs_pep_enforce_us_count {REQUESTS}")));
+        assert!(text.contains(&format!("dacs_pep_enforce_ns_count {REQUESTS}")));
+        // Recorded in ns, the median enforcement is never 0.
+        assert!(h.percentile(0.5) > 0);
     }
 
     /// Decides `requests` queries on a pooled 1×3 majority cluster of
@@ -2991,7 +3002,7 @@ mod tests {
     }
 
     /// The logic half of the ISSUE 6 overhead bar: attaching telemetry
-    /// adds readers and timers, not a second code path — the
+    /// adds readers and spans, not a second code path — the
     /// instrumented cluster returns the same verdicts and books the
     /// same [`dacs_cluster::ClusterMetrics`] as the bare one, and the
     /// registry reports exactly those metrics. The cost half (p99 with
@@ -3022,7 +3033,7 @@ mod tests {
             assert_eq!(r.counter_value(name), Some(value), "{name}");
         }
         assert_eq!(
-            r.histogram("dacs_cluster_decide_us").count(),
+            r.histogram(Stage::ClusterDecide.metric()).count(),
             REQUESTS as u64,
             "the instrumented run timed every decision"
         );

@@ -56,10 +56,10 @@ impl ClusteredDecisionSource {
 
     /// The source-hop span; entered by the caller so the cluster's
     /// route/fan-out spans nest under it.
-    fn span(&self) -> Option<dacs_telemetry::Span> {
+    fn span(&self) -> Option<dacs_telemetry::Span<'_>> {
         self.cluster
             .telemetry()
-            .map(|t| t.tracer().span("source_decide"))
+            .map(|t| t.tracer().span(dacs_telemetry::Stage::SourceDecide))
     }
 
     fn to_response(outcome: ClusterOutcome) -> Response {
@@ -516,8 +516,8 @@ impl DomainBuilder {
     }
 
     /// Threads a telemetry registry + tracer through the whole decision
-    /// path: the PEP (latency histograms, root spans), the cluster
-    /// (route/fan-out/quorum spans, per-replica compute) and — for a
+    /// path: the PEP (root spans), the cluster (route/fan-out/quorum and
+    /// per-replica spans, each feeding its stage's histogram) and — for a
     /// clustered domain — the syndication tree (push/catch-up counters,
     /// epoch and offline-lag gauges). The registry also reads every
     /// counter the PEP, its caches, the cluster, the capability

@@ -18,7 +18,8 @@ use crate::epoch::PolicyEpoch;
 use crate::repository::Pap;
 use dacs_policy::glob::glob_match;
 use dacs_policy::policy::{Policy, PolicyId};
-use dacs_telemetry::{Counter, Gauge, Histogram, Telemetry};
+use dacs_telemetry::{Histogram, Telemetry};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// A node in the syndication tree.
@@ -107,32 +108,32 @@ pub struct SyndicationTree {
     /// Append-only log of every propagated update, in epoch order:
     /// `log[i].epoch == PolicyEpoch(i as u64 + 1)`.
     log: Vec<LoggedUpdate>,
-    telemetry: Option<TreeTelemetry>,
+    counters: Arc<TreeCounters>,
+    /// Updates each catch-up replayed, recorded only with a handle.
+    replayed: Option<Arc<Histogram>>,
 }
 
-/// Pre-resolved telemetry handles for the syndication plane: push and
-/// catch-up counters, plus the two gauges the dependability story
-/// watches — the root epoch and the worst offline node's lag behind it.
-struct TreeTelemetry {
-    pushes: Arc<Counter>,
-    offline_skips: Arc<Counter>,
-    catch_ups: Arc<Counter>,
-    epoch: Arc<Gauge>,
-    offline_lag: Arc<Gauge>,
-    replayed: Arc<Histogram>,
+/// The syndication plane's counts: pushes and catch-ups, plus the two
+/// gauges the dependability story watches — the root epoch and the
+/// worst offline node's lag behind it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+struct TreeStats {
+    pushes: u64,
+    offline_skips: u64,
+    catch_ups: u64,
+    epoch: u64,
+    offline_lag: u64,
 }
 
-impl TreeTelemetry {
-    fn new(telemetry: &Arc<Telemetry>) -> Self {
-        let r = telemetry.registry();
-        TreeTelemetry {
-            pushes: r.counter("dacs_syndication_pushes_total"),
-            offline_skips: r.counter("dacs_syndication_offline_skips_total"),
-            catch_ups: r.counter("dacs_syndication_catch_ups_total"),
-            epoch: r.gauge("dacs_syndication_epoch"),
-            offline_lag: r.gauge("dacs_syndication_offline_lag"),
-            replayed: r.histogram("dacs_syndication_replayed_updates"),
-        }
+dacs_telemetry::counter_block! {
+    /// [`TreeStats`] as relaxed atomics: the one place the tree's
+    /// counters live, handle or no handle.
+    struct TreeCounters: TreeStats {
+        pushes => "dacs_syndication_pushes_total",
+        offline_skips => "dacs_syndication_offline_skips_total",
+        catch_ups => "dacs_syndication_catch_ups_total",
+        epoch => "dacs_syndication_epoch",
+        offline_lag => "dacs_syndication_offline_lag",
     }
 }
 
@@ -149,17 +150,21 @@ impl SyndicationTree {
                 online: true,
             }],
             log: Vec::new(),
-            telemetry: None,
+            counters: Arc::default(),
+            replayed: None,
         }
     }
 
-    /// Attaches a telemetry registry: propagations count their pushes,
-    /// offline skips and the root epoch; catch-ups count replays and
-    /// record how many updates each replay carried; the
-    /// `dacs_syndication_offline_lag` gauge tracks the worst offline
-    /// node's epoch lag after every push and catch-up.
+    /// Attaches a telemetry registry: it reads the tree's counters
+    /// through — pushes, offline skips, catch-ups, the root epoch and the
+    /// `dacs_syndication_offline_lag` gauge, the worst offline node's
+    /// epoch lag after every push and catch-up — and catch-ups record
+    /// how many updates each replay carried.
     pub fn with_telemetry(mut self, telemetry: &Arc<Telemetry>) -> Self {
-        self.telemetry = Some(TreeTelemetry::new(telemetry));
+        let r = telemetry.registry();
+        let counters = Arc::clone(&self.counters);
+        r.expose(move || counters.snapshot().samples());
+        self.replayed = Some(r.histogram("dacs_syndication_replayed_updates"));
         self
     }
 
@@ -318,29 +323,28 @@ impl SyndicationTree {
                 }
             }
         }
-        if let Some(t) = &self.telemetry {
-            t.pushes.add(report.hops.len() as u64);
-            t.offline_skips.add(report.offline_skipped as u64);
-            t.epoch.set(stamp.0);
-        }
+        let c = &self.counters;
+        c.pushes
+            .fetch_add(report.hops.len() as u64, Ordering::Relaxed);
+        c.offline_skips
+            .fetch_add(report.offline_skipped as u64, Ordering::Relaxed);
+        c.epoch.store(stamp.0, Ordering::Relaxed);
         self.record_offline_lag();
         report
     }
 
-    /// Refreshes the `dacs_syndication_offline_lag` gauge: the worst
-    /// epoch lag among currently offline nodes (0 with everyone online).
+    /// Refreshes the `offline_lag` gauge: the worst epoch lag among
+    /// currently offline nodes (0 with everyone online).
     fn record_offline_lag(&self) {
-        if let Some(t) = &self.telemetry {
-            let root = self.epoch().0;
-            let lag = self
-                .nodes
-                .iter()
-                .filter(|n| !n.online)
-                .map(|n| root.saturating_sub(n.pap.policy_epoch().0))
-                .max()
-                .unwrap_or(0);
-            t.offline_lag.set(lag);
-        }
+        let root = self.epoch().0;
+        let lag = self
+            .nodes
+            .iter()
+            .filter(|n| !n.online)
+            .map(|n| root.saturating_sub(n.pap.policy_epoch().0))
+            .max()
+            .unwrap_or(0);
+        self.counters.offline_lag.store(lag, Ordering::Relaxed);
     }
 
     /// Replays every update a node missed, in epoch order, from its
@@ -397,9 +401,9 @@ impl SyndicationTree {
                 filtered += 1;
             }
         }
-        if let Some(t) = &self.telemetry {
-            t.catch_ups.inc();
-            t.replayed.record(replayed as u64);
+        self.counters.catch_ups.fetch_add(1, Ordering::Relaxed);
+        if let Some(h) = &self.replayed {
+            h.record(replayed as u64);
         }
         self.record_offline_lag();
         CatchUpReport {
@@ -682,38 +686,51 @@ mod tests {
         assert!(in_step(&tree, 2));
     }
 
-    /// ISSUE 6: the syndication plane feeds the telemetry registry —
-    /// push/skip/catch-up counters, the root-epoch gauge, and the
-    /// offline-lag gauge that rises while a node is unreachable and
-    /// falls back to zero once its anti-entropy replay lands.
+    /// The syndication plane counts in its own block, handle or no
+    /// handle — pushes, skips and catch-ups, the root-epoch gauge, and
+    /// the offline-lag gauge that rises while a node is unreachable and
+    /// falls back to zero once its anti-entropy replay lands — and the
+    /// registry reads it through.
     #[test]
     fn telemetry_tracks_pushes_lag_and_catch_up() {
+        let run = |mut tree: SyndicationTree| {
+            tree.propagate(sample("a"), 1);
+            tree.set_online(1, false);
+            tree.propagate(sample("b"), 2);
+            tree.propagate(sample("c"), 3);
+            let cut_off = tree.counters.snapshot();
+            tree.set_online(1, true);
+            tree.catch_up(1, 4);
+            [cut_off, tree.counters.snapshot()]
+        };
         let telemetry = Arc::new(Telemetry::new());
-        let mut tree = SyndicationTree::uniform("root", 1, 2).with_telemetry(&telemetry);
+        let attached = run(SyndicationTree::uniform("root", 1, 2).with_telemetry(&telemetry));
+        let cut_off = TreeStats {
+            pushes: 4,
+            offline_skips: 2,
+            catch_ups: 0,
+            epoch: 3,
+            offline_lag: 2,
+        };
+        let healed = TreeStats {
+            catch_ups: 1,
+            offline_lag: 0,
+            ..cut_off
+        };
+        assert_eq!(
+            run(SyndicationTree::uniform("root", 1, 2)),
+            [cut_off, healed]
+        );
+        assert_eq!(attached, [cut_off, healed]);
         let r = telemetry.registry();
-        tree.propagate(sample("a"), 1);
-        assert_eq!(r.counter_value("dacs_syndication_pushes_total"), Some(2));
-        assert_eq!(r.gauge_value("dacs_syndication_epoch"), Some(1));
-        assert_eq!(r.gauge_value("dacs_syndication_offline_lag"), Some(0));
-
-        tree.set_online(1, false);
-        tree.propagate(sample("b"), 2);
-        tree.propagate(sample("c"), 3);
-        assert_eq!(
-            r.counter_value("dacs_syndication_offline_skips_total"),
-            Some(2)
-        );
-        assert_eq!(r.gauge_value("dacs_syndication_epoch"), Some(3));
-        assert_eq!(
-            r.gauge_value("dacs_syndication_offline_lag"),
-            Some(2),
-            "the offline node fell two epochs behind"
-        );
-
-        tree.set_online(1, true);
-        tree.catch_up(1, 4);
-        assert_eq!(r.counter_value("dacs_syndication_catch_ups_total"), Some(1));
-        assert_eq!(r.gauge_value("dacs_syndication_offline_lag"), Some(0));
+        for (name, value) in healed.samples() {
+            let read = if name.ends_with("_total") {
+                r.counter_value(name)
+            } else {
+                r.gauge_value(name)
+            };
+            assert_eq!(read, Some(value), "{name}");
+        }
         let replayed = r.histogram("dacs_syndication_replayed_updates");
         assert_eq!(replayed.count(), 1);
         assert_eq!(replayed.sum(), 2, "one replay carried both missed updates");

@@ -37,8 +37,8 @@ impl Priority {
     /// metric registration).
     pub const ALL: [Priority; 3] = [Priority::Interactive, Priority::Default, Priority::Bulk];
 
-    /// Stable lowercase label, used as a metric-name suffix
-    /// (`dacs_sched_queue_wait_us_interactive`, …).
+    /// Stable lowercase label, used in metric names
+    /// (`dacs_sched_interactive_queue_wait_ns`, …).
     pub fn label(&self) -> &'static str {
         match self {
             Priority::Interactive => "interactive",

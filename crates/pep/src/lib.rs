@@ -31,13 +31,13 @@
 #![warn(missing_docs)]
 
 use dacs_assert::{AssertError, SignedAssertion};
-use dacs_capability::{Admitted, CapabilityAuthority, CapabilityToken};
+use dacs_capability::{Admitted, CapabilityAuthority, CapabilityToken, TokenError};
 use dacs_crypto::sign::{CryptoCtx, PublicKey};
 use dacs_pdp::{CacheConfig, CacheStats, DecisionClass, HashedRequestCache, Pdp, Priority};
 use dacs_policy::eval::Response;
 use dacs_policy::policy::{Decision, Obligation};
 use dacs_policy::request::RequestContext;
-use dacs_telemetry::{Histogram, Registry, Span, Telemetry};
+use dacs_telemetry::{Note, Registry, Span, Stage, Telemetry};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
@@ -812,15 +812,15 @@ struct PepCapability {
     tokens: Arc<HashedRequestCache<Admitted>>,
 }
 
-/// The timing half of observability — the tracer and the latency
-/// histograms, pre-resolved at construction so the enforcement hot
-/// path never takes the registry's name lock. Event counters are not
-/// here: they live in [`AtomicEnforcementStats`] and the registry
-/// reads them through.
-struct PepTelemetry {
-    telemetry: Arc<Telemetry>,
-    enforce_us: Arc<Histogram>,
-    enforce_batch_us: Arc<Histogram>,
+/// A token recheck's refusal as its `token` span names it.
+fn reject_kind(e: &TokenError) -> &'static str {
+    match e {
+        TokenError::NotYetValid => "not_yet_valid",
+        TokenError::Expired => "expired",
+        TokenError::StaleEpoch { .. } => "stale_epoch",
+        // A recheck looks only at the window and the epoch.
+        _ => "unadmitted",
+    }
 }
 
 /// Builds a [`Pep`] in one fluent pass — the single construction
@@ -920,10 +920,10 @@ impl PepBuilder {
     /// call opens a root trace span decomposed into
     /// `cache`/`decide`/`obligations` children (deeper layers — cluster
     /// routing, quorum fan-out, per-replica evaluation — attach their
-    /// own spans underneath `decide` through the shared handle), and
-    /// the registry gains the enforcement latency histograms and reads
-    /// every field of [`EnforcementStats`] and of both caches'
-    /// [`CacheStats`] through as `dacs_pep_*` counters.
+    /// own spans underneath `decide` through the shared handle; each
+    /// span feeds its stage's `dacs_<stage>_ns` histogram), and the
+    /// registry reads every field of [`EnforcementStats`] and of both
+    /// caches' [`CacheStats`] through as `dacs_pep_*` counters.
     pub fn telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
         self.telemetry = Some(telemetry);
         self
@@ -987,7 +987,7 @@ impl PepBuilder {
                 tokens: Arc::new(HashedRequestCache::new(capacity, ttl)),
             }
         });
-        let telemetry = self.telemetry.map(|telemetry| {
+        if let Some(telemetry) = &self.telemetry {
             let r = telemetry.registry();
             let exposed = Arc::clone(&stats);
             r.expose(move || {
@@ -1005,12 +1005,7 @@ impl PepBuilder {
             if let Some(cap) = &capability {
                 expose_cache(r, TOKEN_CACHE_NAMES, &cap.tokens);
             }
-            PepTelemetry {
-                enforce_us: r.histogram("dacs_pep_enforce_us"),
-                enforce_batch_us: r.histogram("dacs_pep_enforce_batch_us"),
-                telemetry,
-            }
-        });
+        }
         Pep {
             name: self.name,
             audience: self.audience,
@@ -1022,7 +1017,7 @@ impl PepBuilder {
             deny_not_applicable: self.deny_not_applicable,
             audit: AuditRing::new(self.audit_capacity),
             stats,
-            telemetry,
+            telemetry: self.telemetry,
             capability,
         }
     }
@@ -1054,7 +1049,7 @@ pub struct Pep {
     deny_not_applicable: bool,
     audit: AuditRing,
     stats: Arc<AtomicEnforcementStats>,
-    telemetry: Option<PepTelemetry>,
+    telemetry: Option<Arc<Telemetry>>,
     capability: Option<PepCapability>,
 }
 
@@ -1081,20 +1076,13 @@ impl Pep {
         let root = self
             .telemetry
             .as_ref()
-            .map(|t| t.telemetry.tracer().root("pep_enforce"));
+            .map(|t| t.tracer().root(Stage::PepEnforce));
         let (response, path) = match self.token_fastpath(context, hash, now_ms, root.as_ref()) {
             Some(response) => (response, ServingPath::Token),
             None => self.decide_traced(context, hash, now_ms, root.as_ref(), class),
         };
-        let result = {
-            let _span = root.as_ref().map(|p| p.child("obligations"));
-            self.conclude(context, response, path, now_ms)
-        };
-        if let (Some(t), Some(root)) = (self.telemetry.as_ref(), root) {
-            t.enforce_us.record(root.elapsed_us());
-            root.finish();
-        }
-        result
+        let _span = root.as_ref().map(|p| p.child(Stage::Obligations));
+        self.conclude(context, response, path, now_ms)
     }
 
     /// Pull-model enforcement of a whole batch: decisions for every
@@ -1114,7 +1102,7 @@ impl Pep {
         let root = self
             .telemetry
             .as_ref()
-            .map(|t| t.telemetry.tracer().root("pep_enforce_batch"));
+            .map(|t| t.tracer().root(Stage::PepEnforceBatch));
         let mut responses: Vec<Option<(Response, ServingPath)>> = vec![None; requests.len()];
         // One canonical hash per request serves the token phase, the
         // cache phase and the miss-path inserts alike.
@@ -1130,7 +1118,7 @@ impl Pep {
         // token never reach the cache or the decision source.
         let mut pending: Vec<usize> = (0..requests.len()).collect();
         if self.capability.is_some() {
-            let mut token_span = root.as_ref().map(|p| p.child("token"));
+            let mut token_span = root.as_ref().map(|p| p.child(Stage::Token));
             let mut hits = 0u64;
             pending.retain(
                 |&i| match self.token_fastpath(&requests[i], hashes[i], now_ms, None) {
@@ -1143,11 +1131,11 @@ impl Pep {
                 },
             );
             if let Some(s) = token_span.as_mut() {
-                s.set_note(format!("hits:{hits}"));
+                s.set_note(Note::Hits(hits));
             }
         }
         if let Some(cache) = &self.cache {
-            let mut cache_span = root.as_ref().map(|p| p.child("cache"));
+            let mut cache_span = root.as_ref().map(|p| p.child(Stage::Cache));
             let mut hits = 0u64;
             // All lookups complete before any miss-path insert, so
             // duplicate requests within one batch miss together and
@@ -1165,11 +1153,11 @@ impl Pep {
                 self.stats.cache_hits.fetch_add(hits, Ordering::Relaxed);
             }
             if let Some(s) = cache_span.as_mut() {
-                s.set_note(format!("hits:{hits}"));
+                s.set_note(Note::Hits(hits));
             }
         }
         if !pending.is_empty() {
-            let span = root.as_ref().map(|p| p.child("decide"));
+            let span = root.as_ref().map(|p| p.child(Stage::Decide));
             let _guard = span.as_ref().map(|s| s.enter());
             let misses: Vec<RequestContext> =
                 pending.iter().map(|&i| requests[i].clone()).collect();
@@ -1188,22 +1176,15 @@ impl Pep {
                 responses[i] = Some((resp, ServingPath::Source));
             }
         }
-        let results = {
-            let _span = root.as_ref().map(|p| p.child("obligations"));
-            requests
-                .iter()
-                .zip(responses)
-                .map(|(request, answer)| {
-                    let (response, path) = answer.expect("every request answered");
-                    self.conclude(request, response, path, now_ms)
-                })
-                .collect()
-        };
-        if let (Some(t), Some(root)) = (self.telemetry.as_ref(), root) {
-            t.enforce_batch_us.record(root.elapsed_us());
-            root.finish();
-        }
-        results
+        let _span = root.as_ref().map(|p| p.child(Stage::Obligations));
+        requests
+            .iter()
+            .zip(responses)
+            .map(|(request, answer)| {
+                let (response, path) = answer.expect("every request answered");
+                self.conclude(request, response, path, now_ms)
+            })
+            .collect()
     }
 
     /// Explicitly flushes the PEP-side decision cache. The policy
@@ -1316,12 +1297,12 @@ impl Pep {
     ) -> Option<Response> {
         let cap = self.capability.as_ref()?;
         let admitted = cap.tokens.get(hash, request, now_ms)?;
-        let mut span = parent.map(|p| p.child("token"));
+        let mut span = parent.map(|p| p.child(Stage::Token));
         match cap.authority.recheck(&admitted, now_ms) {
             Ok(()) => {
                 self.stats.token_hits.fetch_add(1, Ordering::Relaxed);
                 if let Some(s) = span.as_mut() {
-                    s.set_note("hit");
+                    s.set_note(Note::Hit);
                 }
                 Some(Response {
                     decision: Decision::Permit,
@@ -1333,7 +1314,7 @@ impl Pep {
                 cap.tokens.remove(hash, request);
                 self.stats.token_rejects.fetch_add(1, Ordering::Relaxed);
                 if let Some(s) = span.as_mut() {
-                    s.set_note(format!("reject:{e}"));
+                    s.set_note(Note::Reject(reject_kind(&e)));
                 }
                 None
             }
@@ -1443,19 +1424,19 @@ impl Pep {
         class: DecisionClass,
     ) -> (Response, ServingPath) {
         if let Some(cache) = &self.cache {
-            let mut cache_span = parent.map(|p| p.child("cache"));
+            let mut cache_span = parent.map(|p| p.child(Stage::Cache));
             if let Some(resp) = cache.get(hash, request, now_ms) {
                 self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
                 if let Some(s) = cache_span.as_mut() {
-                    s.set_note("hit");
+                    s.set_note(Note::Hit);
                 }
                 return (resp, ServingPath::Cache);
             }
             if let Some(s) = cache_span.as_mut() {
-                s.set_note("miss");
+                s.set_note(Note::Miss);
             }
         }
-        let span = parent.map(|p| p.child("decide"));
+        let span = parent.map(|p| p.child(Stage::Decide));
         let _guard = span.as_ref().map(|s| s.enter());
         let resp = self.query_source(request, hash, now_ms, class);
         if let Some(cache) = &self.cache {
@@ -2342,25 +2323,28 @@ policy "gate" first-applicable {
         let r = telemetry.registry();
         assert_eq!(r.counter_value("dacs_pep_enforcements_total"), Some(2));
         assert_eq!(r.counter_value("dacs_pep_cache_hits_total"), Some(1));
-        assert_eq!(r.histogram("dacs_pep_enforce_us").count(), 2);
+        assert_eq!(r.histogram("dacs_pep_enforce_ns").count(), 2);
 
         let spans = telemetry.tracer().snapshot();
-        let roots: Vec<_> = spans.iter().filter(|s| s.stage == "pep_enforce").collect();
+        let roots: Vec<_> = spans
+            .iter()
+            .filter(|s| s.stage == Stage::PepEnforce)
+            .collect();
         assert_eq!(roots.len(), 2);
         // First trace (cache miss): cache + decide + obligations children.
         let miss_root = roots.iter().min_by_key(|s| s.trace).unwrap();
         let children: Vec<_> = spans.iter().filter(|s| s.parent == miss_root.id).collect();
-        let stages: Vec<&str> = children.iter().map(|s| s.stage).collect();
-        assert!(stages.contains(&"cache"), "{stages:?}");
-        assert!(stages.contains(&"decide"), "{stages:?}");
-        assert!(stages.contains(&"obligations"), "{stages:?}");
+        let stages: Vec<Stage> = children.iter().map(|s| s.stage).collect();
+        assert!(stages.contains(&Stage::Cache), "{stages:?}");
+        assert!(stages.contains(&Stage::Decide), "{stages:?}");
+        assert!(stages.contains(&Stage::Obligations), "{stages:?}");
         // Second trace (cache hit): no decide span, and the hit is noted.
         let hit_root = roots.iter().max_by_key(|s| s.trace).unwrap();
         let children: Vec<_> = spans.iter().filter(|s| s.parent == hit_root.id).collect();
-        assert!(children.iter().all(|s| s.stage != "decide"));
+        assert!(children.iter().all(|s| s.stage != Stage::Decide));
         assert!(children
             .iter()
-            .any(|s| s.stage == "cache" && s.note.as_deref() == Some("hit")));
+            .any(|s| s.stage == Stage::Cache && s.note == Some(Note::Hit)));
     }
 
     #[test]
@@ -2407,11 +2391,11 @@ policy "gate" first-applicable {
         let spans = telemetry.tracer().snapshot();
         let batch_roots: Vec<_> = spans
             .iter()
-            .filter(|s| s.stage == "pep_enforce_batch")
+            .filter(|s| s.stage == Stage::PepEnforceBatch)
             .collect();
         assert_eq!(batch_roots.len(), 2);
         assert!(spans
             .iter()
-            .any(|s| s.stage == "cache" && s.note.as_deref() == Some("hits:3")));
+            .any(|s| s.stage == Stage::Cache && s.note == Some(Note::Hits(3))));
     }
 }

@@ -1,55 +1,10 @@
-//! Named counters, gauges, and log-bucketed histograms.
+//! Log-bucketed histograms, and the counters and gauges the components
+//! keep in their own stats blocks, read through.
 
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// A monotonically increasing counter.
-#[derive(Debug, Default)]
-pub struct Counter {
-    value: AtomicU64,
-}
-
-impl Counter {
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-write-wins instantaneous value.
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicU64,
-}
-
-impl Gauge {
-    /// Sets the value.
-    pub fn set(&self, v: u64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Raises the value to `v` if `v` is larger (high-water mark).
-    pub fn set_max(&self, v: u64) {
-        self.value.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
 
 /// Declares the one place a component's event counters live: `$block`,
 /// a relaxed-atomic mirror of its public stats struct `$stats`, with
@@ -195,35 +150,24 @@ impl std::fmt::Debug for Exposed {
     }
 }
 
-/// A lock-cheap registry of named metrics.
+/// A lock-cheap registry: the histograms it owns, plus a reader of
+/// every counter and gauge the components keep themselves.
 ///
-/// Lookup takes a read lock on a name→`Arc` map; hot paths should
+/// Histogram lookup takes a read lock on a name→`Arc` map; hot paths
 /// resolve their handles once and keep the `Arc`s. Names follow the
-/// Prometheus convention (`dacs_cluster_decide_us`); registration is
-/// implicit on first use and a name permanently denotes one metric
-/// kind.
+/// Prometheus convention (`dacs_capability_verify_ns`); registration is
+/// implicit on first use.
 ///
-/// Counters a component already keeps in its own stats struct are not
-/// copied in: the component [`Registry::expose`]s a sample function
-/// and the registry reads that storage through on every
+/// The registry owns no counter and no gauge: a component counts in
+/// its own [`counter_block!`](crate::counter_block) whether or not a
+/// handle is attached, [`Registry::expose`]s a sample function, and the
+/// registry reads that storage through on every
 /// [`Registry::counter_value`], [`Registry::gauge_value`] and
 /// [`Registry::render_text`].
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: RwLock<BTreeMap<String, Arc<Counter>>>,
-    gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
     histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
     exposed: RwLock<Vec<Exposed>>,
-}
-
-fn get_or_create<T: Default>(map: &RwLock<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
-    if let Some(v) = map.read().get(name) {
-        return v.clone();
-    }
-    map.write()
-        .entry(name.to_string())
-        .or_insert_with(|| Arc::new(T::default()))
-        .clone()
 }
 
 impl Registry {
@@ -232,19 +176,13 @@ impl Registry {
         Self::default()
     }
 
-    /// The counter named `name`, created on first use.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        get_or_create(&self.counters, name)
-    }
-
-    /// The gauge named `name`, created on first use.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        get_or_create(&self.gauges, name)
-    }
-
     /// The histogram named `name`, created on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        get_or_create(&self.histograms, name)
+        if let Some(h) = self.histograms.read().get(name) {
+            return Arc::clone(h);
+        }
+        let mut histograms = self.histograms.write();
+        Arc::clone(histograms.entry(name.to_string()).or_default())
     }
 
     /// Exposes a component's own counters without copying them: on
@@ -259,29 +197,17 @@ impl Registry {
         self.exposed.write().push(Exposed(Box::new(samples)));
     }
 
-    /// Every counter (or every gauge) by name: the registry's own plus
-    /// the exposed samples, same-name values folded — counters sum,
-    /// gauges take the maximum.
-    fn scalars(&self, counters: bool) -> BTreeMap<String, u64> {
-        fn owned<T>(
-            map: &RwLock<BTreeMap<String, Arc<T>>>,
-            get: impl Fn(&T) -> u64,
-        ) -> BTreeMap<String, u64> {
-            let map = map.read();
-            map.iter().map(|(n, m)| (n.clone(), get(m))).collect()
-        }
-        let mut folded = if counters {
-            owned(&self.counters, Counter::get)
-        } else {
-            owned(&self.gauges, Gauge::get)
-        };
+    /// Every exposed counter (or every exposed gauge) by name,
+    /// same-name values folded — counters sum, gauges take the maximum.
+    fn scalars(&self, counters: bool) -> BTreeMap<&'static str, u64> {
+        let mut folded = BTreeMap::new();
         for Exposed(samples) in self.exposed.read().iter() {
             for (name, value) in samples() {
                 // The Prometheus `_total` suffix marks a counter.
                 if name.ends_with("_total") != counters {
                     continue;
                 }
-                let slot = folded.entry(name.to_string()).or_insert(0);
+                let slot = folded.entry(name).or_insert(0);
                 *slot = if counters {
                     *slot + value
                 } else {
@@ -292,12 +218,12 @@ impl Registry {
         folded
     }
 
-    /// The value of a counter if it has been touched or exposed.
+    /// The value of the counter exposed under `name`, if any.
     pub fn counter_value(&self, name: &str) -> Option<u64> {
         self.scalars(true).get(name).copied()
     }
 
-    /// The value of a gauge if it has been touched or exposed.
+    /// The value of the gauge exposed under `name`, if any.
     pub fn gauge_value(&self, name: &str) -> Option<u64> {
         self.scalars(false).get(name).copied()
     }
@@ -315,7 +241,7 @@ impl Registry {
     /// starts with `prefix` (the empty prefix renders everything).
     /// Used to cut one subsystem's exposition out of a shared registry
     /// — e.g. the fan-out scheduler's per-lane queue-wait histograms
-    /// (`dacs_sched_`) as a standalone bench artifact.
+    /// (`dacs_sched_`) as a standalone artifact.
     pub fn render_text_filtered(&self, prefix: &str) -> String {
         let mut out = String::new();
         for (kind, counters) in [("counter", true), ("gauge", false)] {
@@ -353,19 +279,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_and_gauges_accumulate() {
-        let r = Registry::new();
-        r.counter("dacs_x_total").inc();
-        r.counter("dacs_x_total").add(4);
-        r.gauge("dacs_lag").set(7);
-        r.gauge("dacs_lag").set_max(3); // lower: no-op
-        r.gauge("dacs_lag").set_max(9);
-        assert_eq!(r.counter_value("dacs_x_total"), Some(5));
-        assert_eq!(r.gauge_value("dacs_lag"), Some(9));
-        assert_eq!(r.counter_value("missing"), None);
-    }
-
-    #[test]
     fn exposed_samples_read_through_and_fold_across_instances() {
         let r = Registry::new();
         let a = Arc::new(AtomicU64::new(2));
@@ -377,16 +290,16 @@ mod tests {
                 vec![("dacs_x_total", v), ("dacs_x_lag", v)]
             });
         }
-        r.counter("dacs_x_total").inc(); // an owned counter of the same name joins the sum
-        assert_eq!(r.counter_value("dacs_x_total"), Some(8));
+        assert_eq!(r.counter_value("dacs_x_total"), Some(7));
         assert_eq!(r.gauge_value("dacs_x_lag"), Some(5));
         assert_eq!(r.counter_value("dacs_x_lag"), None, "a gauge name");
+        assert_eq!(r.counter_value("missing"), None);
         // Read through, not copied: the next read sees the new value.
         a.fetch_add(4, Ordering::Relaxed);
-        assert_eq!(r.counter_value("dacs_x_total"), Some(12));
+        assert_eq!(r.counter_value("dacs_x_total"), Some(11));
         assert_eq!(r.gauge_value("dacs_x_lag"), Some(6));
         let text = r.render_text();
-        assert!(text.contains("# TYPE dacs_x_total counter\ndacs_x_total 12\n"));
+        assert!(text.contains("# TYPE dacs_x_total counter\ndacs_x_total 11\n"));
         assert!(text.contains("# TYPE dacs_x_lag gauge\ndacs_x_lag 6\n"));
     }
 
@@ -461,10 +374,8 @@ mod tests {
     #[test]
     fn render_text_is_prometheus_shaped_and_sorted() {
         let r = Registry::new();
-        r.counter("dacs_b_total").add(2);
-        r.counter("dacs_a_total").inc();
-        r.gauge("dacs_epoch").set(3);
-        let h = r.histogram("dacs_lat_us");
+        r.expose(|| vec![("dacs_b_total", 2), ("dacs_a_total", 1), ("dacs_epoch", 3)]);
+        let h = r.histogram("dacs_lat_ns");
         for v in 1..=100u64 {
             h.record(v);
         }
@@ -472,26 +383,30 @@ mod tests {
         let a = text.find("dacs_a_total 1").expect("counter a");
         let b = text.find("dacs_b_total 2").expect("counter b");
         assert!(a < b, "sorted order");
-        assert!(text.contains("# TYPE dacs_lat_us summary"));
+        assert!(text.contains("# TYPE dacs_lat_ns summary"));
         // Nearest-rank p99 of 1..=100 is the 99th smallest sample; it
         // lands in a width-2 bucket whose midpoint is exactly 99.
-        assert!(text.contains("dacs_lat_us{quantile=\"0.99\"} 99"));
-        assert!(text.contains("dacs_lat_us_count 100"));
-        assert!(text.contains("dacs_lat_us_sum 5050"));
+        assert!(text.contains("dacs_lat_ns{quantile=\"0.99\"} 99"));
+        assert!(text.contains("dacs_lat_ns_count 100"));
+        assert!(text.contains("dacs_lat_ns_sum 5050"));
         assert!(text.contains("# TYPE dacs_epoch gauge\ndacs_epoch 3"));
     }
 
     #[test]
     fn filtered_exposition_cuts_one_subsystem() {
         let r = Registry::new();
-        r.counter("dacs_sched_jobs_total_bulk").add(3);
-        r.histogram("dacs_sched_queue_wait_us_interactive")
+        r.expose(|| {
+            vec![
+                ("dacs_sched_bulk_jobs_total", 3),
+                ("dacs_other_total", 1),
+                ("dacs_sched_depth", 2),
+            ]
+        });
+        r.histogram("dacs_sched_interactive_queue_wait_ns")
             .record(7);
-        r.counter("dacs_other_total").inc();
-        r.gauge("dacs_sched_depth").set(2);
         let text = r.render_text_filtered("dacs_sched_");
-        assert!(text.contains("dacs_sched_jobs_total_bulk 3"));
-        assert!(text.contains("dacs_sched_queue_wait_us_interactive_count 1"));
+        assert!(text.contains("dacs_sched_bulk_jobs_total 3"));
+        assert!(text.contains("dacs_sched_interactive_queue_wait_ns_count 1"));
         assert!(text.contains("dacs_sched_depth 2"));
         assert!(!text.contains("dacs_other_total"));
         // The unfiltered render still carries everything.

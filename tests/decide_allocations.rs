@@ -17,8 +17,10 @@
 //! token, allocates nothing at all — no copy of the stored request, no
 //! signing buffer, and no audit record: its header and ids are copied
 //! into rings allocated when the PEP was built, before and after they
-//! wrap. The last case counts bytes instead of calls: a request is
-//! stored flat, one-value bags and conventional names inline.
+//! wrap. Tracing adds nothing to either: a span is a `Copy` record
+//! borrowed from its tracer and pushed into a ring allocated with it.
+//! The last case counts bytes instead of calls: a request is stored
+//! flat, one-value bags and conventional names inline.
 
 use dacs::cluster::{
     ClusterBuilder, DecisionClass, QuorumMode, ReplicaPhase, SchedulerConfig, ShardRouter,
@@ -31,8 +33,10 @@ use dacs::pep::{EnforceRequest, DEFAULT_AUDIT_CAPACITY};
 use dacs::policy::policy::Decision;
 use dacs::policy::request::RequestContext;
 use dacs::policy::AttributeId;
+use dacs::telemetry::{Stage, Telemetry};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 thread_local! {
     /// Allocations made by this thread, and the bytes they asked for
@@ -222,11 +226,14 @@ fn pin_estimates(domain: &Domain) {
 
 /// The `quorum_miss` shape: one shard, three replicas, majority, no
 /// scheduler.
-fn quorum_miss_domain() -> Domain {
+fn quorum_miss_builder() -> DomainBuilder {
     aux_policies_builder(16)
         .clustered(ClusterBuilder::new("q").quorum(QuorumMode::Majority))
         .cluster_topology(1, 3)
-        .build(&CryptoCtx::new())
+}
+
+fn quorum_miss_domain() -> Domain {
+    quorum_miss_builder().build(&CryptoCtx::new())
 }
 
 /// Sets the lifecycle phase of the domain's replica in `slot`.
@@ -475,6 +482,53 @@ fn a_hit_allocates_nothing_once_the_audit_ring_has_wrapped() {
         assert_eq!(after.audit_dropped, 2);
         assert_eq!(count, HIT_BUDGET, "a hit on a wrapped ring allocated");
     }
+}
+
+/// Tracing allocates nothing: with a `Telemetry` attached, a PEP-cache
+/// hit still allocates nothing, and a 1×3 majority decide allocates
+/// exactly what the untraced one does — no note is formatted, no span
+/// clones a handle, and the span sink never grows.
+#[test]
+fn a_traced_request_allocates_what_an_untraced_one_does() {
+    let doctor = RequestContext::basic("user-1@q", "records/7", "read");
+    let telemetry = Arc::new(Telemetry::new());
+    let cached = aux_policies_builder(16)
+        .pep_cache(CacheConfig {
+            capacity: 64,
+            ttl_ms: 1_000,
+        })
+        .telemetry(Arc::clone(&telemetry))
+        .build(&CryptoCtx::new());
+    let cache_hit = hit_allocations(&cached, &doctor);
+    assert_eq!(cached.pep.stats().cache_hits, 2, "both were cache hits");
+    assert_eq!(cache_hit, HIT_BUDGET, "a traced PEP-cache hit allocated");
+
+    // One steady-state decide: two settling votes, the third replica
+    // dispatched and never started.
+    let decide = |domain: &Domain| {
+        let cluster = domain.cluster.as_ref().expect("clustered");
+        ask_each_replica_alone(domain, || {
+            cluster.decide(&doctor, 0);
+        });
+        pin_estimates(domain);
+        let (count, outcome) = allocations_in(|| cluster.decide(&doctor, 1));
+        assert_eq!(outcome.replicas_queried, 3);
+        assert_eq!(outcome.response.unwrap().decision, Decision::Permit);
+        count
+    };
+    let untraced = decide(&quorum_miss_domain());
+    let telemetry = Arc::new(Telemetry::new());
+    let traced_domain = quorum_miss_builder()
+        .telemetry(Arc::clone(&telemetry))
+        .build(&CryptoCtx::new());
+    let traced = decide(&traced_domain);
+    let spans = telemetry.tracer().snapshot();
+    let replica_spans = spans
+        .iter()
+        .filter(|s| s.stage == Stage::ReplicaDecide)
+        .count();
+    assert_eq!(replica_spans, 3 + 2, "the decides were traced");
+    assert_eq!(traced, untraced, "tracing a quorum decide allocated");
 }
 
 /// The router hashes the ids where the request holds them, and a

@@ -19,15 +19,17 @@ use dacs::telemetry::{Registry, Telemetry};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// The layers whose counters are read through rather than owned by the
-/// registry (the pool's, the tree's and the histograms have no stats
-/// struct twin and are out of scope here).
-const READ_THROUGH_PREFIXES: [&str; 5] = [
+/// The layers whose counters the registry reads through — every layer
+/// that counts: the registry owns histograms only.
+const READ_THROUGH_PREFIXES: [&str; 8] = [
     "dacs_pep_",
     "dacs_cluster_",
     "dacs_capability_",
     "dacs_pdp_",
     "dacs_pip_",
+    "dacs_fanout_",
+    "dacs_sched_",
+    "dacs_syndication_",
 ];
 
 /// Every counter and gauge name of the read-through layers that
@@ -268,6 +270,18 @@ fn every_exposed_name_reads_its_owners_storage() {
             m.caller_evaluations + d.pdp.metrics().decisions,
         ),
     ]);
+    // The syndication tree — the domain root over the three replica
+    // leaves — keeps its counters to itself, so the run states them: the
+    // bootstrap push and the one before the batch reach all three
+    // leaves, the mid-run push skips the crashed replica, and its
+    // recovery is the one catch-up.
+    owners.extend(rows(&[
+        ("dacs_syndication_pushes_total", 3 + 2 + 3),
+        ("dacs_syndication_offline_skips_total", 1),
+        ("dacs_syndication_catch_ups_total", 1),
+        ("dacs_syndication_epoch", d.policy_epoch().0),
+        ("dacs_syndication_offline_lag", 0),
+    ]));
     owners.extend(cache_rows(
         "dacs_pep_decision_cache",
         d.pep.cache_stats().expect("PEP cache configured"),
@@ -330,4 +344,39 @@ fn single_engine_domain_exposes_its_pdp_and_pip_chain() {
     owners.extend(pdp_rows(pdp));
     owners.extend(pip_rows(d.pdp.pips()));
     assert_exposition(telemetry.registry(), &owners, &[]);
+}
+
+/// A cluster with a scheduler exposes its pool's counters and no others
+/// of the pool's: the lanes' job counts, their sum and the deadline
+/// misses. Every replica of the run spins past the pool hand-off
+/// constant and none escalates, so each one dispatched is one pool job.
+#[test]
+fn a_scheduled_cluster_exposes_its_pool_counters() {
+    let telemetry = dacs::core::experiments::scheduler_telemetry_run(96);
+    let registry = telemetry.registry();
+    let pooled: BTreeSet<String> = exposed_names(registry)
+        .into_iter()
+        .filter(|name| name.starts_with("dacs_fanout_") || name.starts_with("dacs_sched_"))
+        .collect();
+    let expected: BTreeSet<String> = [
+        "dacs_fanout_jobs_total",
+        "dacs_sched_interactive_jobs_total",
+        "dacs_sched_default_jobs_total",
+        "dacs_sched_bulk_jobs_total",
+        "dacs_sched_deadline_miss_total",
+    ]
+    .map(String::from)
+    .into();
+    assert_eq!(pooled, expected);
+    let counter = |name: &str| registry.counter_value(name).expect(name);
+    let lanes: u64 = ["interactive", "default", "bulk"]
+        .map(|lane| counter(&format!("dacs_sched_{lane}_jobs_total")))
+        .iter()
+        .sum();
+    assert_eq!(counter("dacs_fanout_jobs_total"), lanes);
+    assert_eq!(counter("dacs_cluster_caller_evaluations_total"), 0);
+    assert_eq!(
+        counter("dacs_fanout_jobs_total"),
+        counter("dacs_cluster_replica_queries_total")
+    );
 }
