@@ -2463,7 +2463,10 @@ pub fn scheduler_telemetry_run(requests: usize) -> Arc<dacs_telemetry::Telemetry
             1 => EnforceOptions::new(),
             _ => EnforceOptions::bulk(),
         };
-        pep.serve(EnforceRequest::of(&context, i).with_options(options));
+        pep.serve(EnforceRequest {
+            options,
+            ..EnforceRequest::of(&context, i)
+        });
     }
     telemetry
 }

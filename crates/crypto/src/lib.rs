@@ -20,7 +20,6 @@
 //!   scheme backed by a registry oracle, for large simulations where
 //!   real hash-based signing would dominate runtime (substitution
 //!   documented in DESIGN.md §3).
-//! * [`cert`] — certificates, trust anchors and chain validation.
 //! * [`hex`] — hex helpers for fingerprints and test vectors.
 //!
 //! # Examples
@@ -42,7 +41,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cert;
 pub mod chacha20;
 pub mod hex;
 pub mod hmac;
@@ -51,6 +49,5 @@ pub mod sha256;
 pub mod sign;
 pub mod wots;
 
-pub use cert::{CertError, Certificate, CertificateData, TrustStore};
 pub use sha256::{Digest, Sha256};
 pub use sign::{CryptoCtx, PublicKey, Scheme, SignError, Signature, SigningKey, SimPkiRegistry};

@@ -13,7 +13,7 @@
 //! from quorums until the catch-up replay that the same call runs has
 //! brought it to the domain's epoch.
 
-use dacs_capability::{CapabilityAuthority, CapabilityKey};
+use dacs_capability::{CapabilityAuthority, CapabilityKey, CapabilityToken};
 use dacs_cluster::{ClusterBuilder, ClusterOutcome, DecisionBackend, PdpCluster, ReplicaPhase};
 use dacs_crypto::sign::{CryptoCtx, SigningKey};
 use dacs_pap::{Pap, PolicyEpoch, SyndicationTree};
@@ -32,9 +32,9 @@ use std::sync::Arc;
 
 /// Routes a PEP's decision queries through a domain's [`PdpCluster`] —
 /// quorum fan-out, directory-driven failover and per-shard batching —
-/// instead of a single engine. Single decisions go straight to the
-/// cluster; multi-query [`DecisionSource::decide_batch`] rounds are one
-/// [`PdpCluster::decide_batch`] call.
+/// instead of a single engine. A batch of one goes straight to the
+/// quorum ([`PdpCluster::decide_classed`]); a larger one is one
+/// [`PdpCluster::decide_batch`] call, which coalesces equal requests.
 ///
 /// An unavailable shard (no eligible replica) maps to an
 /// `Indeterminate` response, which the PEP denies fail-safe: a domain
@@ -73,38 +73,24 @@ impl ClusteredDecisionSource {
 }
 
 impl DecisionSource for ClusteredDecisionSource {
-    fn decide(&self, request: &RequestContext, now_ms: u64) -> Response {
-        self.decide_classed(request, now_ms, DecisionClass::default())
-    }
-
-    fn decide_classed(
-        &self,
-        request: &RequestContext,
-        now_ms: u64,
-        class: DecisionClass,
-    ) -> Response {
-        let span = self.span();
-        let _entered = span.as_ref().map(|s| s.enter());
-        Self::to_response(self.cluster.decide_classed(request, now_ms, class))
-    }
-
-    fn decide_batch(&self, requests: &[RequestContext], now_ms: u64) -> Vec<Response> {
-        self.decide_batch_classed(requests, now_ms, DecisionClass::default())
-    }
-
-    fn decide_batch_classed(
+    fn decide_batch_with_grants_classed(
         &self,
         requests: &[RequestContext],
         now_ms: u64,
         class: DecisionClass,
-    ) -> Vec<Response> {
+    ) -> Vec<(Response, Option<CapabilityToken>)> {
         let span = self.span();
         let _entered = span.as_ref().map(|s| s.enter());
-        self.cluster
-            .decide_batch(requests, now_ms, class)
-            .into_iter()
-            .map(Self::to_response)
-            .collect()
+        let answer = |outcome| (Self::to_response(outcome), None);
+        match requests {
+            [request] => vec![answer(self.cluster.decide_classed(request, now_ms, class))],
+            _ => self
+                .cluster
+                .decide_batch(requests, now_ms, class)
+                .into_iter()
+                .map(answer)
+                .collect(),
+        }
     }
 }
 

@@ -491,8 +491,22 @@ impl<V: Clone> HashedRequestCache<V> {
     /// hash the caller precomputed (so one hash serves the token
     /// cache, the decision cache and the insert on miss).
     pub fn get(&self, hash: u64, request: &RequestContext, now_ms: u64) -> Option<V> {
+        self.get_if(hash, request, now_ms, |_| true)
+    }
+
+    /// [`HashedRequestCache::get`] that serves an entry only when
+    /// `current` accepts its value: one it refuses is dropped and
+    /// counted a miss, as a collision is, so `hits + misses` stays the
+    /// number of lookups.
+    pub fn get_if(
+        &self,
+        hash: u64,
+        request: &RequestContext,
+        now_ms: u64,
+        current: impl FnOnce(&V) -> bool,
+    ) -> Option<V> {
         self.inner.get_verified(hash, now_ms, |(stored, value)| {
-            (stored == request).then(|| value.clone())
+            (stored == request && current(value)).then(|| value.clone())
         })
     }
 

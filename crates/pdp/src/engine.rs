@@ -131,13 +131,11 @@ pub struct Pdp {
     root: PolicyElement,
     snapshot: RwLock<Arc<Snapshot>>,
     pips: Arc<PipRegistry>,
-    cache: Option<HashedRequestCache<Response>>,
-    /// PAP epoch the cache was valid for; a mismatch flushes it.
-    /// Relaxed is enough: a racing double-flush is benign (both
-    /// threads invalidate, both store the same new epoch) and a
-    /// late-arriving stale insert is bounded by the TTL exactly as a
-    /// post-flush insert under the old global lock was.
-    cache_epoch: AtomicU64,
+    /// Each decision beside the PAP epoch its `decide` read first: a
+    /// lookup at any other epoch drops the entry as a miss, so a decide
+    /// that straddles a policy push can cache its answer, but no decide
+    /// that starts after the push is served it.
+    cache: Option<HashedRequestCache<(u64, Response)>>,
     metrics: AtomicPdpMetrics,
 }
 
@@ -158,7 +156,6 @@ impl Pdp {
             snapshot,
             pips,
             cache: None,
-            cache_epoch: AtomicU64::new(0),
             metrics: AtomicPdpMetrics::default(),
         }
     }
@@ -195,10 +192,11 @@ impl Pdp {
 
     /// Serves an authorization decision query.
     ///
-    /// Policy changes at the PAP (tracked by its epoch) flush the
-    /// decision cache automatically, implementing explicit invalidation;
-    /// within an epoch, cached decisions may be up to `ttl_ms` stale
-    /// with respect to *attribute* changes — the trade-off E6 measures.
+    /// A cached decision is served only at the PAP epoch it was decided
+    /// at, so a policy change invalidates every cached decision at
+    /// once; within an epoch, cached decisions may be up to `ttl_ms`
+    /// stale with respect to *attribute* changes — the trade-off E6
+    /// measures.
     pub fn decide(&self, request: &RequestContext, now_ms: u64) -> Response {
         self.metrics.decisions.fetch_add(1, Ordering::Relaxed);
 
@@ -212,11 +210,7 @@ impl Pdp {
             .unwrap_or(0);
 
         if let Some(cache) = &self.cache {
-            if self.cache_epoch.load(Ordering::Relaxed) != epoch {
-                cache.invalidate_all();
-                self.cache_epoch.store(epoch, Ordering::Relaxed);
-            }
-            if let Some(resp) = cache.get(hash, request, now_ms) {
+            if let Some((_, resp)) = cache.get_if(hash, request, now_ms, |(at, _)| *at == epoch) {
                 self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
                 return resp;
             }
@@ -231,7 +225,7 @@ impl Pdp {
         self.metrics.absorb(&evaluator.metrics);
 
         if let Some(cache) = &self.cache {
-            cache.insert(hash, request, response.clone(), now_ms);
+            cache.insert(hash, request, (epoch, response.clone()), now_ms);
         }
         response
     }
@@ -457,6 +451,84 @@ policy "gate" deny-unless-permit {
         .unwrap();
         pap.submit("admin", lockdown, 50).unwrap();
         assert_eq!(pdp.decide(&alice, 60).decision, Decision::Deny);
+    }
+
+    /// A PIP that, the first time it is asked, pushes a lockdown to the
+    /// PAP and decides the same request from inside the evaluation that
+    /// asked it; it answers `role = doctor` for everyone.
+    struct Straddler {
+        pap: Arc<Pap>,
+        pdp: std::sync::OnceLock<std::sync::Weak<Pdp>>,
+        pushed: std::sync::atomic::AtomicBool,
+        /// What the decide from inside the evaluation answered.
+        inner: parking_lot::Mutex<Option<Decision>>,
+    }
+
+    impl dacs_pip::AttributeProvider for Straddler {
+        fn name(&self) -> &str {
+            "straddler"
+        }
+
+        fn provide(
+            &self,
+            _id: &dacs_policy::attr::AttributeId,
+            request: &RequestContext,
+            now_ms: u64,
+        ) -> Option<Vec<dacs_policy::attr::AttrValue>> {
+            if !self.pushed.swap(true, Ordering::Relaxed) {
+                let lockdown = parse_policy(
+                    r#"policy "gate" deny-unless-permit { rule "nobody" permit {
+                         condition is-in("nobody", attr(subject, "role")) } }"#,
+                )
+                .unwrap();
+                self.pap.submit("admin", lockdown, now_ms).unwrap();
+                let pdp = self.pdp.get().and_then(std::sync::Weak::upgrade).unwrap();
+                *self.inner.lock() = Some(pdp.decide(request, now_ms).decision);
+            }
+            Some(vec!["doctor".into()])
+        }
+    }
+
+    /// A decide that overlaps a policy push caches the answer it
+    /// computed on the pre-push tree, after the inner decide has
+    /// cached the post-push one, but no later decide is served it: the
+    /// entry carries the epoch its decide read first, and a lookup at
+    /// the post-push epoch drops it as a miss.
+    #[test]
+    fn a_decide_that_straddles_a_push_never_serves_its_answer_after_it() {
+        let (pap, _pdp, _s) = setup(None);
+        let straddler = Arc::new(Straddler {
+            pap: pap.clone(),
+            pdp: std::sync::OnceLock::new(),
+            pushed: std::sync::atomic::AtomicBool::new(false),
+            inner: parking_lot::Mutex::new(None),
+        });
+        let mut pips = PipRegistry::new();
+        pips.add(straddler.clone());
+        let pdp = Arc::new(
+            Pdp::new(
+                "pdp.straddle",
+                pap,
+                PolicyElement::PolicyRef(PolicyId::new("gate")),
+                Arc::new(pips),
+            )
+            .with_cache(CacheConfig {
+                capacity: 128,
+                ttl_ms: 1_000_000,
+            }),
+        );
+        straddler.pdp.set(Arc::downgrade(&pdp)).unwrap();
+        let alice = RequestContext::basic("alice", "ehr/1", "read");
+
+        // Began before the push: decided on the tree it started with.
+        assert_eq!(pdp.decide(&alice, 0).decision, Decision::Permit);
+        assert_eq!(*straddler.inner.lock(), Some(Decision::Deny));
+        // Every decide that starts after the push sees the lockdown.
+        assert_eq!(pdp.decide(&alice, 1).decision, Decision::Deny);
+        assert_eq!(pdp.decide(&alice, 2).decision, Decision::Deny);
+        let stats = pdp.cache_stats().unwrap();
+        assert_eq!((stats.hits, stats.misses), (1, 3), "one lookup per decide");
+        assert_eq!(pdp.metrics().cache_hits, 1);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dacs_assert::{AssertError, SignedAssertion};
+use dacs_assert::SignedAssertion;
 use dacs_capability::{Admitted, CapabilityAuthority, CapabilityToken, TokenError};
 use dacs_crypto::sign::{CryptoCtx, PublicKey};
 use dacs_pdp::{CacheConfig, CacheStats, DecisionClass, HashedRequestCache, Pdp, Priority};
@@ -125,10 +125,8 @@ pub struct EnforceRequest<'a> {
     pub context: &'a RequestContext,
     /// Enforcement time (simulation milliseconds).
     pub now_ms: u64,
-    /// Scheduling lane for the decision fan-out.
-    pub priority: Priority,
-    /// Optional decision deadline, milliseconds from submission.
-    pub deadline_ms: Option<u64>,
+    /// Scheduling lane and deadline of the decision fan-out.
+    pub options: EnforceOptions,
 }
 
 impl<'a> EnforceRequest<'a> {
@@ -137,165 +135,152 @@ impl<'a> EnforceRequest<'a> {
         EnforceRequest {
             context,
             now_ms,
-            priority: Priority::Default,
-            deadline_ms: None,
+            options: EnforceOptions::new(),
         }
     }
 
     /// Moves this enforcement to the interactive lane.
     pub fn interactive(mut self) -> Self {
-        self.priority = Priority::Interactive;
+        self.options.priority = Priority::Interactive;
         self
     }
 
     /// Moves this enforcement to the bulk lane.
     pub fn bulk(mut self) -> Self {
-        self.priority = Priority::Bulk;
-        self
-    }
-
-    /// Sets the scheduling lane.
-    pub fn with_priority(mut self, priority: Priority) -> Self {
-        self.priority = priority;
+        self.options.priority = Priority::Bulk;
         self
     }
 
     /// Sets the decision deadline in milliseconds from submission.
     pub fn with_deadline_ms(mut self, deadline_ms: u64) -> Self {
-        self.deadline_ms = Some(deadline_ms);
+        self.options.deadline_ms = Some(deadline_ms);
         self
-    }
-
-    /// Applies a reusable options bundle to this request.
-    pub fn with_options(mut self, options: EnforceOptions) -> Self {
-        self.priority = options.priority;
-        self.deadline_ms = options.deadline_ms;
-        self
-    }
-
-    /// The scheduling metadata of this request as an options bundle.
-    pub fn options(&self) -> EnforceOptions {
-        EnforceOptions::new()
-            .with_priority(self.priority)
-            .with_deadline_ms_opt(self.deadline_ms)
     }
 
     /// The scheduler-facing [`DecisionClass`] this request rides in.
     pub fn class(&self) -> DecisionClass {
-        self.options().class()
+        self.options.class()
     }
 }
 
-impl EnforceOptions {
-    fn with_deadline_ms_opt(mut self, deadline_ms: Option<u64>) -> Self {
-        self.deadline_ms = deadline_ms;
-        self
-    }
-}
-
-/// Anything a PEP can query for authorization decisions.
+/// What a PEP asks its decision point: one call, a batch of queries.
+///
+/// The paper's PEP asks its PDP one question whatever carries the
+/// answer (§2.2), so a source implements exactly one method,
+/// [`DecisionSource::decide_batch_with_grants_classed`]: answers align
+/// with `requests`, all of them ride one scheduling [`DecisionClass`],
+/// and each may carry a capability token the caller admits and
+/// rechecks on later requests. A single decision is a batch of one.
 ///
 /// The classic deployment binds the PEP to a single local [`Pdp`]
-/// engine; a dependable deployment binds it to a clustered decision
-/// service that routes each query through sharded quorum fan-out (see
-/// `ClusteredDecisionSource` in `dacs-federation`). The PEP's
-/// enforcement semantics — obligations, fail-safe defaults, audit —
-/// are identical either way.
+/// engine (it ignores the class and mints nothing); a dependable one
+/// binds it to a clustered decision service that routes each query
+/// through sharded quorum fan-out (see `ClusteredDecisionSource` in
+/// `dacs-federation`), and [`MintingSource`] wraps either to mint. The
+/// PEP's enforcement semantics — obligations, fail-safe defaults,
+/// audit — are identical either way.
 pub trait DecisionSource: Send + Sync {
-    /// Serves one authorization decision query.
-    fn decide(&self, request: &RequestContext, now_ms: u64) -> Response;
+    /// Serves a batch of decision queries on `class`'s scheduling lane;
+    /// answers align with `requests`, each a response and, when the
+    /// source mints capabilities, a signed token for its request.
+    fn decide_batch_with_grants_classed(
+        &self,
+        requests: &[RequestContext],
+        now_ms: u64,
+        class: DecisionClass,
+    ) -> Vec<(Response, Option<CapabilityToken>)>;
 
-    /// Serves a batch of decision queries; results align with
-    /// `requests`. The default evaluates them one by one; batching
-    /// sources override it to coalesce identical outstanding queries
-    /// and keep per-shard decision caches hot.
-    fn decide_batch(&self, requests: &[RequestContext], now_ms: u64) -> Vec<Response> {
-        requests.iter().map(|r| self.decide(r, now_ms)).collect()
+    // The seven adapters below are kept, hidden, only because the repo
+    // benchmark's `TimedSource` still implements all eight methods by
+    // name; nothing in the workspace implements or calls them.
+
+    #[doc(hidden)]
+    fn decide(&self, request: &RequestContext, now_ms: u64) -> Response {
+        one(self, request, now_ms, DecisionClass::default()).0
     }
 
-    /// Serves one decision and, when the source mints capabilities, a
-    /// signed token the caller may admit and recheck on later requests.
-    /// The default mints nothing; [`MintingSource`] overrides it,
-    /// capturing the policy epoch *before* deciding so an interleaved
-    /// policy push leaves the token born stale — deny-biased, never
-    /// permit-biased.
+    #[doc(hidden)]
+    fn decide_batch(&self, requests: &[RequestContext], now_ms: u64) -> Vec<Response> {
+        responses(self.decide_batch_with_grants_classed(requests, now_ms, DecisionClass::default()))
+    }
+
+    #[doc(hidden)]
     fn decide_with_grant(
         &self,
         request: &RequestContext,
         now_ms: u64,
     ) -> (Response, Option<CapabilityToken>) {
-        (self.decide(request, now_ms), None)
+        one(self, request, now_ms, DecisionClass::default())
     }
 
-    /// Batch variant of [`DecisionSource::decide_with_grant`]; results
-    /// align with `requests`.
+    #[doc(hidden)]
     fn decide_batch_with_grants(
         &self,
         requests: &[RequestContext],
         now_ms: u64,
     ) -> Vec<(Response, Option<CapabilityToken>)> {
-        self.decide_batch(requests, now_ms)
-            .into_iter()
-            .map(|r| (r, None))
-            .collect()
+        self.decide_batch_with_grants_classed(requests, now_ms, DecisionClass::default())
     }
 
-    /// [`DecisionSource::decide`] carrying a scheduling
-    /// [`DecisionClass`]. The default ignores the class (a single
-    /// local engine has no scheduler); clustered sources override it
-    /// to steer the query's fan-out jobs into the matching priority
-    /// lane with its deadline.
+    #[doc(hidden)]
     fn decide_classed(
         &self,
         request: &RequestContext,
         now_ms: u64,
         class: DecisionClass,
     ) -> Response {
-        let _ = class;
-        self.decide(request, now_ms)
+        one(self, request, now_ms, class).0
     }
 
-    /// [`DecisionSource::decide_batch`] carrying one scheduling
-    /// [`DecisionClass`] for the whole batch; the default ignores it.
+    #[doc(hidden)]
     fn decide_batch_classed(
         &self,
         requests: &[RequestContext],
         now_ms: u64,
         class: DecisionClass,
     ) -> Vec<Response> {
-        let _ = class;
-        self.decide_batch(requests, now_ms)
+        responses(self.decide_batch_with_grants_classed(requests, now_ms, class))
     }
 
-    /// [`DecisionSource::decide_with_grant`] carrying a scheduling
-    /// [`DecisionClass`]; the default ignores it.
+    #[doc(hidden)]
     fn decide_with_grant_classed(
         &self,
         request: &RequestContext,
         now_ms: u64,
         class: DecisionClass,
     ) -> (Response, Option<CapabilityToken>) {
-        let _ = class;
-        self.decide_with_grant(request, now_ms)
+        one(self, request, now_ms, class)
     }
+}
 
-    /// [`DecisionSource::decide_batch_with_grants`] carrying one
-    /// scheduling [`DecisionClass`] for the whole batch; the default
-    /// ignores it.
+/// A batch of one through `source`'s one call.
+fn one<S: DecisionSource + ?Sized>(
+    source: &S,
+    request: &RequestContext,
+    now_ms: u64,
+    class: DecisionClass,
+) -> (Response, Option<CapabilityToken>) {
+    let mut answers =
+        source.decide_batch_with_grants_classed(std::slice::from_ref(request), now_ms, class);
+    answers.pop().expect("one answer per query")
+}
+
+/// The responses of a batch's answers, tokens dropped.
+fn responses(answers: Vec<(Response, Option<CapabilityToken>)>) -> Vec<Response> {
+    answers.into_iter().map(|(response, _)| response).collect()
+}
+
+impl DecisionSource for Pdp {
     fn decide_batch_with_grants_classed(
         &self,
         requests: &[RequestContext],
         now_ms: u64,
-        class: DecisionClass,
+        _class: DecisionClass,
     ) -> Vec<(Response, Option<CapabilityToken>)> {
-        let _ = class;
-        self.decide_batch_with_grants(requests, now_ms)
-    }
-}
-
-impl DecisionSource for Pdp {
-    fn decide(&self, request: &RequestContext, now_ms: u64) -> Response {
-        Pdp::decide(self, request, now_ms)
+        requests
+            .iter()
+            .map(|request| (Pdp::decide(self, request, now_ms), None))
+            .collect()
     }
 }
 
@@ -315,78 +300,22 @@ impl MintingSource {
 }
 
 impl DecisionSource for MintingSource {
-    fn decide(&self, request: &RequestContext, now_ms: u64) -> Response {
-        self.inner.decide(request, now_ms)
-    }
-
-    fn decide_batch(&self, requests: &[RequestContext], now_ms: u64) -> Vec<Response> {
-        self.inner.decide_batch(requests, now_ms)
-    }
-
-    fn decide_with_grant(
-        &self,
-        request: &RequestContext,
-        now_ms: u64,
-    ) -> (Response, Option<CapabilityToken>) {
-        self.decide_with_grant_classed(request, now_ms, DecisionClass::default())
-    }
-
-    fn decide_batch_with_grants(
-        &self,
-        requests: &[RequestContext],
-        now_ms: u64,
-    ) -> Vec<(Response, Option<CapabilityToken>)> {
-        self.decide_batch_with_grants_classed(requests, now_ms, DecisionClass::default())
-    }
-
-    fn decide_classed(
-        &self,
-        request: &RequestContext,
-        now_ms: u64,
-        class: DecisionClass,
-    ) -> Response {
-        self.inner.decide_classed(request, now_ms, class)
-    }
-
-    fn decide_batch_classed(
-        &self,
-        requests: &[RequestContext],
-        now_ms: u64,
-        class: DecisionClass,
-    ) -> Vec<Response> {
-        self.inner.decide_batch_classed(requests, now_ms, class)
-    }
-
-    fn decide_with_grant_classed(
-        &self,
-        request: &RequestContext,
-        now_ms: u64,
-        class: DecisionClass,
-    ) -> (Response, Option<CapabilityToken>) {
-        // Epoch before the decision: a push that interleaves makes the
-        // token stale-on-arrival instead of fresh-but-wrong.
-        let epoch = self.authority.current_epoch();
-        let response = self.inner.decide_classed(request, now_ms, class);
-        let token = self.authority.grant_for(request, &response, now_ms, epoch);
-        (response, token)
-    }
-
     fn decide_batch_with_grants_classed(
         &self,
         requests: &[RequestContext],
         now_ms: u64,
         class: DecisionClass,
     ) -> Vec<(Response, Option<CapabilityToken>)> {
+        // Epoch before the decision: a push that interleaves makes the
+        // token stale-on-arrival instead of fresh-but-wrong.
         let epoch = self.authority.current_epoch();
-        self.inner
-            .decide_batch_classed(requests, now_ms, class)
-            .into_iter()
-            .zip(requests)
-            .map(|(response, request)| {
-                let token = self.authority.grant_for(request, &response, now_ms, epoch);
-                (response, token)
-            })
-            .collect()
+        let mut answers = self
+            .inner
+            .decide_batch_with_grants_classed(requests, now_ms, class);
+        for ((response, token), request) in answers.iter_mut().zip(requests) {
+            *token = self.authority.grant_for(request, response, now_ms, epoch);
+        }
+        answers
     }
 }
 
@@ -823,6 +752,37 @@ fn reject_kind(e: &TokenError) -> &'static str {
     }
 }
 
+/// A lookup phase's span note: `hit`, `miss` or the refused token's
+/// `reject:<kind>` for one request; `hits:n` for a batch.
+fn phase_note(requests: usize, hits: u64, reject: Option<&'static str>) -> Note {
+    match (requests, hits, reject) {
+        (1, 1, _) => Note::Hit,
+        (1, _, Some(kind)) => Note::Reject(kind),
+        (1, _, None) => Note::Miss,
+        _ => Note::Hits(hits),
+    }
+}
+
+/// One request's way through [`Pep::answer`].
+struct Slot {
+    /// The request's canonical hash; 0, never read, when the PEP has
+    /// neither a token store nor a decision cache.
+    hash: u64,
+    /// The answer and who gave it, once something has.
+    answer: Option<(Response, ServingPath)>,
+}
+
+impl Slot {
+    const OPEN: Slot = Slot {
+        hash: 0,
+        answer: None,
+    };
+
+    fn answered(self) -> (Response, ServingPath) {
+        self.answer.expect("every request answered")
+    }
+}
+
 /// Builds a [`Pep`] in one fluent pass — the single construction
 /// entry point.
 ///
@@ -917,8 +877,9 @@ impl PepBuilder {
     }
 
     /// Attaches observability: every [`Pep::serve`]/[`Pep::serve_batch`]
-    /// call opens a root trace span decomposed into
-    /// `cache`/`decide`/`obligations` children (deeper layers — cluster
+    /// call (and every push-model enforcement past its pre-check) opens
+    /// a root trace span decomposed into
+    /// `token`/`cache`/`decide`/`obligations` children (deeper layers — cluster
     /// routing, quorum fan-out, per-replica evaluation — attach their
     /// own spans underneath `decide` through the shared handle; each
     /// span feeds its stage's `dacs_<stage>_ns` histogram), and the
@@ -930,8 +891,10 @@ impl PepBuilder {
     }
 
     /// Enables the signed-capability fast path: the decision source's
-    /// unconditional permits come back with an HMAC-signed token (see
-    /// [`DecisionSource::decide_with_grant`]), fully verified on arrival
+    /// unconditional permits come back with an HMAC-signed token (a
+    /// [`MintingSource`]'s answers to
+    /// [`DecisionSource::decide_batch_with_grants_classed`]), fully
+    /// verified on arrival
     /// — MAC, binding, window, epoch — then kept and rechecked locally —
     /// same request, window, epoch — on later enforcements, skipping the
     /// decision source entirely on hits. A token that fails *any* check
@@ -1068,29 +1031,15 @@ impl Pep {
     /// the decision source on the request's scheduling lane, fulfil
     /// obligations, grant or deny.
     pub fn serve(&self, request: EnforceRequest<'_>) -> EnforcementResult {
-        let EnforceRequest {
-            context, now_ms, ..
-        } = request;
-        let class = request.class();
-        let hash = self.request_hash(context);
-        let root = self
-            .telemetry
-            .as_ref()
-            .map(|t| t.tracer().root(Stage::PepEnforce));
-        let (response, path) = match self.token_fastpath(context, hash, now_ms, root.as_ref()) {
-            Some(response) => (response, ServingPath::Token),
-            None => self.decide_traced(context, hash, now_ms, root.as_ref(), class),
-        };
-        let _span = root.as_ref().map(|p| p.child(Stage::Obligations));
-        self.conclude(context, response, path, now_ms)
+        self.serve_one(request, |response| response)
     }
 
-    /// Pull-model enforcement of a whole batch: decisions for every
-    /// request are fetched in one [`DecisionSource::decide_batch_classed`]
-    /// round (a single coalesced flush on a clustered source, with
-    /// every fan-out job in `options`' scheduling lane), then each
-    /// request is concluded exactly as [`Pep::serve`] would —
-    /// obligations, fail-safe defaults, audit and stats per request.
+    /// Pull-model enforcement of a whole batch: the requests the token
+    /// store and the decision cache do not answer go to the decision
+    /// source in one call (a single coalesced round on a clustered
+    /// source, with every fan-out job in `options`' scheduling lane),
+    /// then each request is concluded exactly as [`Pep::serve`] would
+    /// — obligations, fail-safe defaults, audit and stats per request.
     /// Results align with `requests`.
     pub fn serve_batch(
         &self,
@@ -1098,225 +1047,251 @@ impl Pep {
         now_ms: u64,
         options: EnforceOptions,
     ) -> Vec<EnforcementResult> {
-        let class = options.class();
-        let root = self
-            .telemetry
-            .as_ref()
-            .map(|t| t.tracer().root(Stage::PepEnforceBatch));
-        let mut responses: Vec<Option<(Response, ServingPath)>> = vec![None; requests.len()];
-        // One canonical hash per request serves the token phase, the
-        // cache phase and the miss-path inserts alike.
-        let hashes: Vec<u64> = if self.capability.is_some() || self.cache.is_some() {
-            requests
-                .iter()
-                .map(RequestContext::canonical_hash)
-                .collect()
-        } else {
-            Vec::new()
-        };
-        // Token phase: requests with a locally verifiable capability
-        // token never reach the cache or the decision source.
-        let mut pending: Vec<usize> = (0..requests.len()).collect();
-        if self.capability.is_some() {
-            let mut token_span = root.as_ref().map(|p| p.child(Stage::Token));
-            let mut hits = 0u64;
-            pending.retain(
-                |&i| match self.token_fastpath(&requests[i], hashes[i], now_ms, None) {
-                    Some(resp) => {
-                        hits += 1;
-                        responses[i] = Some((resp, ServingPath::Token));
-                        false
-                    }
-                    None => true,
-                },
-            );
-            if let Some(s) = token_span.as_mut() {
-                s.set_note(Note::Hits(hits));
-            }
-        }
-        if let Some(cache) = &self.cache {
-            let mut cache_span = root.as_ref().map(|p| p.child(Stage::Cache));
-            let mut hits = 0u64;
-            // All lookups complete before any miss-path insert, so
-            // duplicate requests within one batch miss together and
-            // coalesce in the decision source — the same semantics the
-            // single-lock pass had.
-            pending.retain(|&i| match cache.get(hashes[i], &requests[i], now_ms) {
-                Some(resp) => {
-                    hits += 1;
-                    responses[i] = Some((resp, ServingPath::Cache));
-                    false
-                }
-                None => true,
-            });
-            if hits > 0 {
-                self.stats.cache_hits.fetch_add(hits, Ordering::Relaxed);
-            }
-            if let Some(s) = cache_span.as_mut() {
-                s.set_note(Note::Hits(hits));
-            }
-        }
-        if !pending.is_empty() {
-            let span = root.as_ref().map(|p| p.child(Stage::Decide));
-            let _guard = span.as_ref().map(|s| s.enter());
-            let misses: Vec<RequestContext> =
-                pending.iter().map(|&i| requests[i].clone()).collect();
-            // Aligned with `misses`, or empty when nothing was hashed.
-            let miss_hashes: Vec<u64> = pending
-                .iter()
-                .filter_map(|&i| hashes.get(i))
-                .copied()
-                .collect();
-            let answers = self.query_source_batch(&misses, &miss_hashes, now_ms, class);
-            debug_assert_eq!(answers.len(), misses.len(), "one answer per query");
-            for (&i, resp) in pending.iter().zip(answers) {
-                if let Some(cache) = &self.cache {
-                    cache.insert(hashes[i], &requests[i], resp.clone(), now_ms);
-                }
-                responses[i] = Some((resp, ServingPath::Source));
-            }
-        }
+        let root = self.root(Stage::PepEnforceBatch);
+        let mut slots: Vec<Slot> = requests.iter().map(|_| Slot::OPEN).collect();
+        self.answer(requests, &mut slots, now_ms, options, root.as_ref());
         let _span = root.as_ref().map(|p| p.child(Stage::Obligations));
         requests
             .iter()
-            .zip(responses)
-            .map(|(request, answer)| {
-                let (response, path) = answer.expect("every request answered");
+            .zip(slots)
+            .map(|(request, slot)| {
+                let (response, path) = slot.answered();
                 self.conclude(request, response, path, now_ms)
             })
             .collect()
     }
 
+    /// [`Pep::serve`]'s body, with `local` applied to the answer before
+    /// it is concluded: a batch of one through [`Pep::answer`] whose
+    /// slot lives on the stack, so a hit allocates nothing.
+    #[inline(always)]
+    fn serve_one(
+        &self,
+        request: EnforceRequest<'_>,
+        local: impl FnOnce(Response) -> Response,
+    ) -> EnforcementResult {
+        let EnforceRequest {
+            context,
+            now_ms,
+            options,
+        } = request;
+        let root = self.root(Stage::PepEnforce);
+        let mut slots = [Slot::OPEN];
+        let requests = std::slice::from_ref(context);
+        self.answer(requests, &mut slots, now_ms, options, root.as_ref());
+        let [slot] = slots;
+        let (response, path) = slot.answered();
+        let _span = root.as_ref().map(|p| p.child(Stage::Obligations));
+        self.conclude(context, local(response), path, now_ms)
+    }
+
+    /// A root span of `stage`, when telemetry is attached.
+    fn root(&self, stage: Stage) -> Option<Span<'_>> {
+        self.telemetry.as_ref().map(|t| t.tracer().root(stage))
+    }
+
+    /// The one enforcement body: answers every slot of `requests`.
+    ///
+    /// Each request is hashed once and looked up once — in the token
+    /// store, then in the decision cache — and every lookup completes
+    /// before any insert, so equal requests in one batch miss together
+    /// and coalesce in the decision source. The misses go to the source
+    /// in one call (the whole slice when nothing hit, so a lone miss
+    /// copies nothing); its tokens are then admitted and its responses
+    /// cached. Phase spans hang under `root`: `token` and `cache` note
+    /// `hit`/`miss` (or the refused token's `reject:<kind>`) for one
+    /// request and `hits:n` for a batch, and `decide` is entered, so a
+    /// clustered source's spans nest beneath it.
+    // Inlined into both callers, so a lone request's loops fold away:
+    // out of line, a cache hit measured ≈ 6 ns slower.
+    #[inline(always)]
+    fn answer(
+        &self,
+        requests: &[RequestContext],
+        slots: &mut [Slot],
+        now_ms: u64,
+        options: EnforceOptions,
+        root: Option<&Span>,
+    ) {
+        let mut misses = requests.len();
+        if self.cache.is_some() || self.capability.is_some() {
+            for (slot, request) in slots.iter_mut().zip(requests) {
+                slot.hash = request.canonical_hash();
+            }
+        }
+        if let Some(cap) = &self.capability {
+            let mut span = root.map(|p| p.child(Stage::Token));
+            let (mut hits, mut reject) = (0, None);
+            for (slot, request) in slots.iter_mut().zip(requests) {
+                match self.token_hit(cap, request, slot.hash, now_ms) {
+                    Ok(true) => {
+                        hits += 1;
+                        misses -= 1;
+                        slot.answer =
+                            Some((Response::decision(Decision::Permit), ServingPath::Token));
+                    }
+                    Ok(false) => {}
+                    Err(kind) => reject = Some(kind),
+                }
+            }
+            if let Some(s) = span.as_mut() {
+                s.set_note(phase_note(requests.len(), hits, reject));
+            }
+        }
+        if let Some(cache) = &self.cache {
+            let mut span = root.map(|p| p.child(Stage::Cache));
+            let mut hits = 0;
+            for (slot, request) in slots.iter_mut().zip(requests) {
+                if slot.answer.is_none() {
+                    if let Some(response) = cache.get(slot.hash, request, now_ms) {
+                        hits += 1;
+                        misses -= 1;
+                        slot.answer = Some((response, ServingPath::Cache));
+                    }
+                }
+            }
+            if hits > 0 {
+                self.stats.cache_hits.fetch_add(hits, Ordering::Relaxed);
+            }
+            if let Some(s) = span.as_mut() {
+                s.set_note(phase_note(requests.len(), hits, None));
+            }
+        }
+        if misses == 0 {
+            return;
+        }
+        let span = root.map(|p| p.child(Stage::Decide));
+        let _guard = span.as_ref().map(|s| s.enter());
+        let copies: Vec<RequestContext>;
+        let asked = if misses == requests.len() {
+            requests
+        } else {
+            copies = requests
+                .iter()
+                .zip(&*slots)
+                .filter(|(_, slot)| slot.answer.is_none())
+                .map(|(request, _)| request.clone())
+                .collect();
+            &copies
+        };
+        let answers = self
+            .source
+            .decide_batch_with_grants_classed(asked, now_ms, options.class());
+        debug_assert_eq!(answers.len(), misses, "one answer per query");
+        let open = requests
+            .iter()
+            .zip(slots.iter_mut())
+            .filter(|(_, slot)| slot.answer.is_none());
+        for ((request, slot), (response, token)) in open.zip(answers) {
+            if let (Some(cap), Some(token)) = (&self.capability, token) {
+                self.admit(cap, slot.hash, request, &token, now_ms);
+            }
+            if let Some(cache) = &self.cache {
+                cache.insert(slot.hash, request, response.clone(), now_ms);
+            }
+            slot.answer = Some((response, ServingPath::Source));
+        }
+    }
+
     /// Explicitly flushes the PEP-side decision cache. The policy
     /// authority calls this when cached decisions are known stale —
-    /// e.g. a domain that just propagated a policy update (PDP caches
-    /// flush themselves on the PAP epoch bump, but the PEP cache sits
-    /// in front of the decision source and must be told).
+    /// e.g. a domain that just propagated a policy update (a PDP cache
+    /// serves an entry only at the PAP epoch it was decided at, but the
+    /// PEP cache sits in front of the decision source and must be told).
     pub fn invalidate_cache(&self) {
         if let Some(cache) = &self.cache {
             cache.invalidate_all();
         }
     }
 
-    /// The request's canonical hash when any hashed cache will consume
-    /// it; 0 (never read) otherwise, so uncached PEPs skip the hash
-    /// walk entirely.
-    fn request_hash(&self, request: &RequestContext) -> u64 {
-        if self.cache.is_some() || self.capability.is_some() {
-            request.canonical_hash()
-        } else {
-            0
-        }
-    }
-
-    /// Push-model enforcement (Fig. 2) under the redesigned API:
-    /// validate the presented capability, then apply local policy as
-    /// an autonomy overlay — a local Deny/Indeterminate overrides the
-    /// capability. The local overlay decision runs on the request's
-    /// scheduling lane.
+    /// Push-model enforcement (Fig. 2) under the redesigned API. The
+    /// presented capability must pass a pre-check: a trusted issuer, a
+    /// valid signature, window and audience, and a scope covering this
+    /// very request. The request is then enforced through the one body
+    /// like [`Pep::serve`], its local answer an autonomy overlay, since
+    /// the resource provider still makes the final decision (§2.2): a
+    /// local Deny stands, a local Indeterminate denies fail-safe, and
+    /// anything else is the capability's permit, carrying a local
+    /// Permit's obligations.
     pub fn serve_with_capability(
         &self,
         request: EnforceRequest<'_>,
         capability: &SignedAssertion,
     ) -> EnforcementResult {
-        let class = request.class();
         let EnforceRequest {
-            context: request,
-            now_ms,
-            ..
+            context, now_ms, ..
         } = request;
-        // The PEP's own refusals, before any decision is consulted.
-        let refuse = |reason| self.deny_failsafe(request, ServingPath::FailSafe, now_ms, reason);
-        // 1. Issuer trust.
-        let issuer = &capability.assertion.issuer;
-        let Some(key) = self.trusted_issuers.get(issuer) else {
-            return refuse(format!("untrusted issuer {issuer}"));
-        };
-        // 2. Signature + validity window + audience.
-        if let Err(e) = capability.verify(&self.crypto, key, now_ms, Some(&self.audience)) {
-            return refuse(e.to_string());
-        }
-        // 3. Capability sufficiency for this very request.
-        let (subject, resource, action) = match (
-            request.subject_id(),
-            request.resource_id(),
-            request.action_id(),
-        ) {
-            (Some(s), Some(r), Some(a)) => (s, r, a),
-            _ => return refuse("request lacks identifiers".into()),
-        };
-        if let Err(e) = capability.check_capability(subject, resource, action) {
-            let msg = match e {
-                AssertError::CapabilityInsufficient { .. }
-                | AssertError::SubjectMismatch { .. } => e.to_string(),
-                other => other.to_string(),
-            };
-            return refuse(msg);
-        }
-        // 4. Local restriction overlay: the resource provider still makes
-        //    the final decision (§2.2). Local Deny or error wins.
-        let (local, path) =
-            self.decide_traced(request, self.request_hash(request), now_ms, None, class);
-        match local.decision {
-            Decision::Deny => self.conclude(request, local, path, now_ms),
-            Decision::Indeterminate => {
-                self.deny_failsafe(request, path, now_ms, "local policy indeterminate".into())
-            }
-            Decision::Permit | Decision::NotApplicable => {
-                // Capability pre-screening grants; local obligations (if
-                // the local decision was Permit) still apply.
-                let obligations = if local.decision == Decision::Permit {
-                    local.obligations
-                } else {
-                    Vec::new()
-                };
-                let synthetic = dacs_policy::eval::Response {
-                    decision: Decision::Permit,
-                    obligations,
+        match self.presented(context, capability, now_ms) {
+            Ok(()) => self.serve_one(request, |local| match local.decision {
+                Decision::Deny => local,
+                Decision::Indeterminate => Response::indeterminate("local policy indeterminate"),
+                Decision::Permit => Response {
                     status: dacs_policy::eval::Status::Ok,
-                };
-                self.conclude(request, synthetic, path, now_ms)
-            }
+                    ..local
+                },
+                Decision::NotApplicable => Response::decision(Decision::Permit),
+            }),
+            // The PEP's own refusal, before any decision is consulted.
+            Err(reason) => self.deny_failsafe(context, ServingPath::FailSafe, now_ms, reason),
         }
     }
 
-    /// Attempts the capability fast path: an admitted token stored for
-    /// exactly this canonical request (hashed key, full request
-    /// compared on hit — the binding), rechecked against the clock and
-    /// the authority's current epoch. One that passes *is* the permit —
-    /// the decision source is skipped. A rejection evicts it and
-    /// returns `None`, sending the request down the ordinary decide path:
-    /// the fast path can deny-and-retry, never permit what the source
-    /// would deny.
-    fn token_fastpath(
+    /// The push model's pre-check: the capability's issuer is trusted,
+    /// its signature, validity window and audience verify, and it
+    /// covers this very request. The refusal's reason otherwise.
+    fn presented(
         &self,
+        request: &RequestContext,
+        capability: &SignedAssertion,
+        now_ms: u64,
+    ) -> Result<(), String> {
+        let issuer = &capability.assertion.issuer;
+        let key = self
+            .trusted_issuers
+            .get(issuer)
+            .ok_or_else(|| format!("untrusted issuer {issuer}"))?;
+        capability
+            .verify(&self.crypto, key, now_ms, Some(&self.audience))
+            .map_err(|e| e.to_string())?;
+        let (Some(subject), Some(resource), Some(action)) = (
+            request.subject_id(),
+            request.resource_id(),
+            request.action_id(),
+        ) else {
+            return Err("request lacks identifiers".into());
+        };
+        capability
+            .check_capability(subject, resource, action)
+            .map_err(|e| e.to_string())
+    }
+
+    /// The capability fast path for one request: an admitted token
+    /// stored for exactly this canonical request (hashed key, full
+    /// request compared on hit — the binding), rechecked against the
+    /// clock and the authority's current epoch. `Ok(true)` when one
+    /// passes: it *is* the permit, and the decision source is skipped.
+    /// A refused one is evicted, counted and its kind returned, and the
+    /// request goes on to the cache and the source: the fast path can
+    /// deny-and-retry, never permit what the source would deny.
+    fn token_hit(
+        &self,
+        cap: &PepCapability,
         request: &RequestContext,
         hash: u64,
         now_ms: u64,
-        parent: Option<&Span>,
-    ) -> Option<Response> {
-        let cap = self.capability.as_ref()?;
-        let admitted = cap.tokens.get(hash, request, now_ms)?;
-        let mut span = parent.map(|p| p.child(Stage::Token));
+    ) -> Result<bool, &'static str> {
+        let Some(admitted) = cap.tokens.get(hash, request, now_ms) else {
+            return Ok(false);
+        };
         match cap.authority.recheck(&admitted, now_ms) {
             Ok(()) => {
                 self.stats.token_hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(s) = span.as_mut() {
-                    s.set_note(Note::Hit);
-                }
-                Some(Response {
-                    decision: Decision::Permit,
-                    obligations: Vec::new(),
-                    status: dacs_policy::eval::Status::Ok,
-                })
+                Ok(true)
             }
             Err(e) => {
                 cap.tokens.remove(hash, request);
                 self.stats.token_rejects.fetch_add(1, Ordering::Relaxed);
-                if let Some(s) = span.as_mut() {
-                    s.set_note(Note::Reject(reject_kind(&e)));
-                }
-                None
+                Err(reject_kind(&e))
             }
         }
     }
@@ -1350,99 +1325,6 @@ impl Pep {
                 self.stats.token_rejects.fetch_add(1, Ordering::Relaxed);
             }
         }
-    }
-
-    /// Queries the decision source for one response, admitting any
-    /// capability token minted alongside it.
-    fn query_source(
-        &self,
-        request: &RequestContext,
-        hash: u64,
-        now_ms: u64,
-        class: DecisionClass,
-    ) -> Response {
-        match &self.capability {
-            Some(cap) => {
-                let (response, token) = self
-                    .source
-                    .decide_with_grant_classed(request, now_ms, class);
-                if let Some(token) = token {
-                    self.admit(cap, hash, request, &token, now_ms);
-                }
-                response
-            }
-            None => self.source.decide_classed(request, now_ms, class),
-        }
-    }
-
-    /// Batch variant of [`Pep::query_source`]: `hashes` are the
-    /// canonical hashes of `requests`, computed once by the batch and
-    /// read only to admit a minted token (so empty on a PEP without a
-    /// token store).
-    fn query_source_batch(
-        &self,
-        requests: &[RequestContext],
-        hashes: &[u64],
-        now_ms: u64,
-        class: DecisionClass,
-    ) -> Vec<Response> {
-        match &self.capability {
-            Some(cap) => {
-                let pairs = self
-                    .source
-                    .decide_batch_with_grants_classed(requests, now_ms, class);
-                debug_assert_eq!(pairs.len(), requests.len(), "one answer per query");
-                requests
-                    .iter()
-                    .zip(pairs)
-                    .enumerate()
-                    .map(|(k, (request, (response, token)))| {
-                        if let Some(token) = token {
-                            self.admit(cap, hashes[k], request, &token, now_ms);
-                        }
-                        response
-                    })
-                    .collect()
-            }
-            None => self.source.decide_batch_classed(requests, now_ms, class),
-        }
-    }
-
-    /// The cached decide path with optional child spans under `parent`:
-    /// a `cache` span around the lookup (noted `hit`/`miss`) and a
-    /// `decide` span around the source query. The `decide` span is
-    /// *entered*, so a clustered source's routing/fan-out/replica
-    /// spans nest beneath it; spans are closed back-to-back so a
-    /// trace's children account for (nearly) the whole root. Returns
-    /// the response and which of the two answered it.
-    fn decide_traced(
-        &self,
-        request: &RequestContext,
-        hash: u64,
-        now_ms: u64,
-        parent: Option<&Span>,
-        class: DecisionClass,
-    ) -> (Response, ServingPath) {
-        if let Some(cache) = &self.cache {
-            let mut cache_span = parent.map(|p| p.child(Stage::Cache));
-            if let Some(resp) = cache.get(hash, request, now_ms) {
-                self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(s) = cache_span.as_mut() {
-                    s.set_note(Note::Hit);
-                }
-                return (resp, ServingPath::Cache);
-            }
-            if let Some(s) = cache_span.as_mut() {
-                s.set_note(Note::Miss);
-            }
-        }
-        let span = parent.map(|p| p.child(Stage::Decide));
-        let _guard = span.as_ref().map(|s| s.enter());
-        let resp = self.query_source(request, hash, now_ms, class);
-        if let Some(cache) = &self.cache {
-            cache.insert(hash, request, resp.clone(), now_ms);
-        }
-        (resp, ServingPath::Source)
     }
 
     fn conclude(

@@ -161,7 +161,7 @@ thread_local! {
 /// The span context most recently entered on this thread, if any.
 ///
 /// Layers that cannot thread a parent span through their signature
-/// (e.g. `DecisionSource::decide`) use this to attach their spans to
+/// (e.g. a decision source's one call) use this to attach their spans to
 /// the enclosing enforcement.
 pub fn current() -> Option<SpanCtx> {
     CURRENT.with(|c| c.get())

@@ -9,8 +9,9 @@
 
 use dacs::capability::tamper;
 use dacs::capability::{AuthorityStats, CapabilityAuthority, CapabilityKey, CapabilityToken};
+use dacs::pdp::DecisionClass;
 use dacs::pep::{DecisionSource, EnforceOptions, EnforceRequest, Pep};
-use dacs::policy::eval::{Response, Status};
+use dacs::policy::eval::Response;
 use dacs::policy::policy::Decision;
 use dacs::policy::request::RequestContext;
 use rand::rngs::StdRng;
@@ -39,32 +40,19 @@ struct Stub {
 }
 
 impl DecisionSource for Stub {
-    fn decide(&self, _: &RequestContext, _: u64) -> Response {
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        Response {
-            decision: Decision::Permit,
-            obligations: Vec::new(),
-            status: Status::Ok,
-        }
-    }
-
-    fn decide_with_grant(
-        &self,
-        request: &RequestContext,
-        now_ms: u64,
-    ) -> (Response, Option<CapabilityToken>) {
-        let token = (self.grant)(&self.authority);
-        (self.decide(request, now_ms), Some(token))
-    }
-
-    fn decide_batch_with_grants(
+    fn decide_batch_with_grants_classed(
         &self,
         requests: &[RequestContext],
-        now_ms: u64,
+        _: u64,
+        _: DecisionClass,
     ) -> Vec<(Response, Option<CapabilityToken>)> {
         requests
             .iter()
-            .map(|r| self.decide_with_grant(r, now_ms))
+            .map(|_| {
+                self.calls.fetch_add(1, Ordering::Relaxed);
+                let token = (self.grant)(&self.authority);
+                (Response::decision(Decision::Permit), Some(token))
+            })
             .collect()
     }
 }

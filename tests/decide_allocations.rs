@@ -12,7 +12,9 @@
 //! lifecycle phases — with or without a scheduler, when its replicas
 //! are cheap enough for the collector to evaluate on the caller:
 //! nothing is built for a pool the query never reaches — and a batch of
-//! repeats costs what one of them does. And one layer further up: an enforcement
+//! repeats costs what one of them does. And one layer further up: an
+//! enforcement that misses the PEP's decision cache costs its decide, the
+//! source's one-element answer vector and the request's cached copy; one
 //! answered by the PEP's decision cache, or by an admitted capability
 //! token, allocates nothing at all — no copy of the stored request, no
 //! signing buffer, and no audit record: its header and ids are copied
@@ -325,33 +327,52 @@ fn quorum_decide_allocates_its_replicas_decides_plus_a_fixed_handful() {
     );
 }
 
-/// What `PdpCluster::decide_batch` and the decision source around it
-/// may allocate besides the decides, whatever the batch's length — and
-/// nothing per request: the requests are borrowed, not cloned. Today
-/// it makes 4: the routing order, the outcome slots (which the
-/// outcomes reuse), the coalescing map and the responses.
+/// What `PdpCluster::decide_batch` may allocate besides the decides,
+/// whatever the batch's length — and nothing per request: the requests
+/// are borrowed, not cloned. Today it makes 4: the routing order, the
+/// outcome slots (which the outcomes reuse), the coalescing map and the
+/// outcomes.
 const BATCH_BUDGET: u64 = 5;
 
-/// Sixteen copies of one request, handed to the decision source as one
-/// batch, cost what the request alone costs: the copies coalesce onto
-/// its decision.
+/// What the decision source's one call adds around the cluster: its
+/// answer vector, for a batch of one (a lone quorum decide) and for a
+/// larger batch (one `decide_batch` call) alike.
+const SOURCE_HOP: u64 = 1;
+
+/// A decide of `requests` at `now_ms`: its allocations and the verdicts
+/// it returned, counted and read outside the allocation count.
+type Decide<'a> = dyn Fn(&[RequestContext], u64) -> (u64, Vec<Option<Decision>>) + 'a;
+
+/// Sixteen copies of one request, handed to the cluster as one batch,
+/// cost what the request alone costs: the copies coalesce onto its
+/// decision. The decision source around the cluster adds its answer
+/// vector to each call, whichever way it routes the batch.
 #[test]
 fn a_batch_of_repeats_allocates_what_a_batch_of_one_does() {
     let domain = quorum_miss_domain();
     let cluster = domain.cluster.as_ref().expect("clustered");
     let source = domain.decision_source();
     let doctor = RequestContext::basic("user-1@q", "records/7", "read");
-    // Allocations of one batch of `n` copies that dispatches `voters`
+    let class = DecisionClass::default();
+    let cluster_batch: &Decide = &|requests, now_ms| {
+        let (count, outcomes) = allocations_in(|| cluster.decide_batch(requests, now_ms, class));
+        let verdicts = outcomes.into_iter().map(|o| o.response.map(|r| r.decision));
+        (count, verdicts.collect())
+    };
+    let source_batch: &Decide = &|requests, now_ms| {
+        let (count, answers) =
+            allocations_in(|| source.decide_batch_with_grants_classed(requests, now_ms, class));
+        let verdicts = answers.into_iter().map(|(r, _)| Some(r.decision));
+        (count, verdicts.collect())
+    };
+    // Allocations of one decide of `n` copies that dispatches `voters`
     // replicas.
-    let batch_of = |n: usize, now_ms, voters| {
+    let batch_of = |n: usize, now_ms, voters, decide: &Decide| {
         let requests = vec![doctor.clone(); n];
         pin_estimates(&domain);
         let before = cluster.metrics();
-        let (count, responses) = allocations_in(|| {
-            source.decide_batch_classed(&requests, now_ms, DecisionClass::default())
-        });
-        assert!(responses.iter().all(|r| r.decision == Decision::Permit));
-        assert_eq!(responses.len(), n);
+        let (count, verdicts) = decide(&requests, now_ms);
+        assert_eq!(verdicts, vec![Some(Decision::Permit); n]);
         let after = cluster.metrics();
         assert_eq!(after.queries - before.queries, 1);
         assert_eq!(after.replica_queries - before.replica_queries, voters);
@@ -363,13 +384,26 @@ fn a_batch_of_repeats_allocates_what_a_batch_of_one_does() {
         count
     };
     ask_each_replica_alone(&domain, || {
-        batch_of(1, 0, 1);
+        batch_of(1, 0, 1, cluster_batch);
     });
-    let one = batch_of(1, 1, 3);
-    let sixteen = batch_of(16, 2, 3);
+    let one = batch_of(1, 1, 3, cluster_batch);
+    let sixteen = batch_of(16, 2, 3, cluster_batch);
     assert_eq!(sixteen, one, "sixteen copies cost more than one");
     let budget = 2 * DECIDE_BUDGET + COLLECTOR_BUDGET + BATCH_BUDGET;
     assert!(one <= budget, "a batch of one made {one} allocations");
+
+    // Through the decision source, sixteen copies are that same call,
+    // and one request a lone quorum decide.
+    let through_source = batch_of(16, 3, 3, source_batch);
+    assert_eq!(through_source, sixteen + SOURCE_HOP, "a batch's source hop");
+    pin_estimates(&domain);
+    let (lone, _) = allocations_in(|| cluster.decide_classed(&doctor, 4, class));
+    let through_source = batch_of(1, 5, 3, source_batch);
+    assert_eq!(
+        through_source,
+        lone + SOURCE_HOP,
+        "a lone query's source hop"
+    );
 }
 
 /// The `planned_quorum` shape: one shard, five replicas, adaptive
@@ -482,6 +516,45 @@ fn a_hit_allocates_nothing_once_the_audit_ring_has_wrapped() {
         assert_eq!(after.audit_dropped, 2);
         assert_eq!(count, HIT_BUDGET, "a hit on a wrapped ring allocated");
     }
+}
+
+/// What a `Pep::serve` that misses its decision cache allocates besides
+/// the one `Pdp::decide` it asks: the source's one-element answer
+/// vector, and the request's copy the cache keeps (its entries and its
+/// three id strings). The hash, the lookups, the result and the audit
+/// record allocate nothing, as on a hit.
+const MISS_OVERHEAD: u64 = 5;
+
+#[test]
+fn a_cache_miss_allocates_its_decide_plus_the_answer_vector_and_the_cached_copy() {
+    let doctor = RequestContext::basic("user-1@q", "records/7", "read");
+    let domain = aux_policies_builder(16)
+        .pep_cache(CacheConfig {
+            capacity: 64,
+            ttl_ms: 10,
+        })
+        .build(&CryptoCtx::new());
+    let decide = decide_allocations(&domain, &doctor, Decision::Permit);
+    // A TTL apart, every serve misses: the expired entry is dropped
+    // and its slot reused by the insert. The first serves build the
+    // cache's slot and free list.
+    let serve = |now_ms| {
+        let (count, result) =
+            allocations_in(|| domain.pep.serve(EnforceRequest::of(&doctor, now_ms)));
+        assert!(result.allowed);
+        count
+    };
+    (0..3).for_each(|k| {
+        serve(10 * k);
+    });
+    let miss = serve(30);
+    let cache = domain.pep.cache_stats().expect("cached");
+    assert_eq!((cache.hits, cache.misses), (0, 4), "every serve missed");
+    assert_eq!(
+        miss,
+        decide + MISS_OVERHEAD,
+        "a PEP-cache miss made {miss} allocations around a {decide}-allocation decide"
+    );
 }
 
 /// Tracing allocates nothing: with a `Telemetry` attached, a PEP-cache

@@ -8,11 +8,13 @@ use dacs::cluster::{ClusterBuilder, QuorumMode, ReplicaPhase};
 use dacs::core::scenario::{clustered_healthcare_vo, with_shared_cas};
 use dacs::crypto::sign::CryptoCtx;
 use dacs::federation::{
-    issue_capability_flow, push_flow, request_flow, ConflictClass, Domain, FlowKind, FlowNet,
-    SizeModel, Vo,
+    issue_capability_flow, push_flow, request_flow, ConflictClass, Domain, DomainBuilder, FlowKind,
+    FlowNet, SizeModel, Vo,
 };
-use dacs::pdp::{Binding, PdpDirectory};
-use dacs::pep::{EnforceOptions, EnforceRequest};
+use dacs::pdp::{Binding, CacheConfig, PdpDirectory};
+use dacs::pep::{
+    EnforceOptions, EnforceRequest, EnforcementResult, EnforcementStats, Pep, ServingPath,
+};
 use dacs::policy::policy::Decision;
 use dacs::policy::request::RequestContext;
 use dacs::simnet::LinkSpec;
@@ -448,4 +450,166 @@ fn batched_enforcement_matches_unbatched_and_denies_never_leak() {
     );
     // Batched enforcement audits every request.
     assert_eq!(batched.pep.audit_log().len(), requests.len() + batch.len());
+
+    // The same through each store a PEP answers from before the quorum.
+    // Per request, `serve` on one domain and a batch of one on its twin
+    // return, audit and count alike: once filling the store, once
+    // answered by it. Then, past every TTL, a whole batch against the
+    // same requests served one by one, missing and then hitting.
+    let requests = [
+        RequestContext::basic("user-0@domain-0", "records/1", "read"), // mints
+        RequestContext::basic("user-0@domain-0", "records/1", "write"), // log obligation
+        RequestContext::basic("user-7@domain-0", "records/1", "read"), // deny
+        RequestContext::basic("mallory@domain-0", "shared/1", "write"), // fail-safe deny
+    ];
+    let stores: [Store; 2] = [
+        (
+            "pep cache",
+            |b| {
+                b.pep_cache(CacheConfig {
+                    capacity: 64,
+                    ttl_ms: 1_000,
+                })
+            },
+            [ServingPath::Cache; 4],
+        ),
+        (
+            "capability",
+            |b| b.capability(1_000),
+            [
+                ServingPath::Token,
+                ServingPath::Source,
+                ServingPath::Source,
+                ServingPath::Source,
+            ],
+        ),
+    ];
+    for (store, with_store, answered_by) in stores {
+        let [single, batched] = [(); 2].map(|()| with_store(gate_domain()).build(&ctx));
+        let mut second = Vec::new();
+        for now_ms in [0, 1] {
+            for request in &requests {
+                let one = enforced(&single.pep, |pep| {
+                    vec![pep.serve(EnforceRequest::of(request, now_ms))]
+                });
+                let batch = enforced(&batched.pep, |pep| {
+                    let options = EnforceOptions::default();
+                    pep.serve_batch(std::slice::from_ref(request), now_ms, options)
+                });
+                assert_eq!(one, batch, "{store} at {now_ms}: {request:?}");
+                if now_ms == 1 {
+                    second.push(one.1[0]);
+                }
+            }
+        }
+        assert_eq!(second, answered_by, "{store}: the store answered");
+        for now_ms in [2_000, 2_001] {
+            let one = enforced(&single.pep, |pep| {
+                let serve = |request| pep.serve(EnforceRequest::of(request, now_ms));
+                requests.iter().map(serve).collect()
+            });
+            let batch = enforced(&batched.pep, |pep| {
+                pep.serve_batch(&requests, now_ms, EnforceOptions::default())
+            });
+            assert_eq!(one, batch, "{store} at {now_ms}: a whole batch");
+        }
+    }
+
+    // Push model: a capability-bearing read whose local overlay an
+    // admitted token answers is audited as a token hit.
+    let vo = Vo::new(
+        "vo-push",
+        ctx.clone(),
+        vec![gate_domain().capability(1_000).build(&ctx)],
+    );
+    let vo = with_shared_cas(vo, 1_000);
+    let cas = vo.cas.as_ref().expect("shared CAS");
+    let pep = &vo.domains[0].pep;
+    let read = RequestContext::basic("user-0@domain-0", "shared/1", "read");
+    let capability = cas
+        .issue(
+            "user-0@domain-0",
+            "shared/*",
+            &["read".into()],
+            "domain-0",
+            0,
+        )
+        .expect("the VO pre-screen grants shared reads");
+    assert!(pep.serve(EnforceRequest::of(&read, 0)).allowed, "mints");
+    let (results, paths, moved) = enforced(pep, |pep| {
+        vec![pep.serve_with_capability(EnforceRequest::of(&read, 1), &capability)]
+    });
+    assert!(results[0].allowed);
+    assert_eq!(paths, [ServingPath::Token]);
+    assert_eq!((moved.token_hits, moved.allowed), (1, 1));
+}
+
+/// A PEP store under comparison: its name, how a domain gets it, and
+/// what answers each request once it is filled.
+type Store = (
+    &'static str,
+    fn(DomainBuilder) -> DomainBuilder,
+    [ServingPath; 4],
+);
+
+/// A gate whose reads are unconditional permits for doctors — so a
+/// capability domain mints a token for each — and whose writes carry a
+/// `log` obligation; `records/*` is otherwise denied and every other
+/// tree is not applicable.
+const GATE: &str = r#"
+policy "domain-0-gate" first-applicable {
+  rule "doctors-read" permit {
+    target { action "id" == "read"; }
+    condition is-in("doctor", attr(subject, "role"))
+  }
+  rule "doctors-write" permit {
+    target {
+      resource "id" ~= "records/*";
+      action "id" == "write";
+    }
+    condition is-in("doctor", attr(subject, "role"))
+    obligation "log" on permit {
+      "who" = attr(subject, "id");
+    }
+  }
+  rule "default-deny" deny {
+    target { resource "id" ~= "records/*"; }
+  }
+}
+"#;
+
+/// `domain-0` under [`GATE`] behind a 1×3 majority quorum, with a
+/// doctor (`user-0`) and an auditor (`user-7`).
+fn gate_domain() -> DomainBuilder {
+    Domain::builder("domain-0")
+        .policy_dsl(GATE)
+        .clustered(ClusterBuilder::new("domain-0").quorum(QuorumMode::Majority))
+        .cluster_topology(1, 3)
+        .subject_attr("user-0@domain-0", "role", "doctor")
+        .subject_attr("user-7@domain-0", "role", "auditor")
+}
+
+/// What one call of `serve` did to `pep`: its results, the serving
+/// paths of the audit records it appended, and how far it moved each
+/// enforcement counter.
+fn enforced(
+    pep: &Pep,
+    serve: impl FnOnce(&Pep) -> Vec<EnforcementResult>,
+) -> (Vec<EnforcementResult>, Vec<ServingPath>, EnforcementStats) {
+    let (before, audited) = (pep.stats(), pep.audit_log().len());
+    let results = serve(pep);
+    let paths = pep.audit_log()[audited..].iter().map(|r| r.path).collect();
+    let after = pep.stats();
+    let moved = EnforcementStats {
+        allowed: after.allowed - before.allowed,
+        denied: after.denied - before.denied,
+        failsafe_denials: after.failsafe_denials - before.failsafe_denials,
+        obligation_failures: after.obligation_failures - before.obligation_failures,
+        cache_hits: after.cache_hits - before.cache_hits,
+        token_hits: after.token_hits - before.token_hits,
+        tokens_minted: after.tokens_minted - before.tokens_minted,
+        token_rejects: after.token_rejects - before.token_rejects,
+        audit_dropped: after.audit_dropped - before.audit_dropped,
+    };
+    (results, paths, moved)
 }
