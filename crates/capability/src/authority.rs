@@ -132,7 +132,9 @@ impl CapabilityAuthority {
     }
 
     /// Mints a token iff `response` is an unconditional permit for a
-    /// fully identified request, stamped with the pre-decision `epoch`.
+    /// fully identified request, stamped with the epoch the answer was
+    /// decided at ([`Response::epoch`]): an answer decided behind the
+    /// authority's epoch yields a token admission refuses as stale.
     ///
     /// Obligated permits never mint: obligations must be discharged on
     /// *every* enforcement, so those requests keep consulting the
@@ -142,7 +144,6 @@ impl CapabilityAuthority {
         request: &RequestContext,
         response: &Response,
         now_ms: u64,
-        epoch: PolicyEpoch,
     ) -> Option<CapabilityToken> {
         if response.decision != Decision::Permit || !response.obligations.is_empty() {
             return None;
@@ -155,7 +156,7 @@ impl CapabilityAuthority {
             (Some(s), Some(r), Some(a)) => (s, r, a),
             _ => return None,
         };
-        Some(self.mint_at_epoch(subject, resource, action, now_ms, epoch))
+        Some(self.mint_at_epoch(subject, resource, action, now_ms, response.epoch))
     }
 
     /// Verifies a presented token against a request at the authority's
@@ -250,7 +251,6 @@ impl CapabilityAuthority {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dacs_policy::eval::Status;
     use dacs_policy::policy::Obligation;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -261,11 +261,7 @@ mod tests {
     }
 
     fn permit() -> Response {
-        Response {
-            decision: Decision::Permit,
-            obligations: Vec::new(),
-            status: Status::Ok,
-        }
+        Response::decision(Decision::Permit)
     }
 
     #[test]
@@ -301,25 +297,32 @@ mod tests {
     fn grant_for_mints_only_unconditional_permits() {
         let a = authority();
         let req = RequestContext::basic("u@d", "r/1", "read");
-        let token = a.grant_for(&req, &permit(), 10, PolicyEpoch(0)).unwrap();
+        let token = a.grant_for(&req, &permit(), 10).unwrap();
         assert_eq!(token.subject, "u@d");
         assert_eq!(token.expires_at_ms, 510);
+        // Minted at the answer's epoch, whatever the authority's.
+        let decided = Response {
+            epoch: PolicyEpoch(3),
+            ..permit()
+        };
+        assert_eq!(
+            a.grant_for(&req, &decided, 10).unwrap().epoch,
+            PolicyEpoch(3)
+        );
 
         let mut obligated = permit();
         obligated.obligations.push(Obligation {
             id: "log".into(),
             params: Vec::new(),
         });
-        assert!(a.grant_for(&req, &obligated, 10, PolicyEpoch(0)).is_none());
+        assert!(a.grant_for(&req, &obligated, 10).is_none());
 
         let mut deny = permit();
         deny.decision = Decision::Deny;
-        assert!(a.grant_for(&req, &deny, 10, PolicyEpoch(0)).is_none());
+        assert!(a.grant_for(&req, &deny, 10).is_none());
 
         let anonymous = RequestContext::new();
-        assert!(a
-            .grant_for(&anonymous, &permit(), 10, PolicyEpoch(0))
-            .is_none());
+        assert!(a.grant_for(&anonymous, &permit(), 10).is_none());
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::metrics::{add_rare, AtomicClusterMetrics, ClusterMetrics};
 use crate::quorum::QuorumMode;
 use crate::replica::{DecisionBackend, FanoutPlan, GroupOutcome, ReplicaGroup};
 use crate::shard::ShardRouter;
-use dacs_pdp::{DecisionClass, PdpDirectory, ReplicaPhase};
+use dacs_pdp::{DecisionClass, PdpDirectory, PolicyEpoch, ReplicaPhase};
 use dacs_policy::eval::Response;
 use dacs_policy::hash::KeyState;
 use dacs_policy::request::RequestContext;
@@ -119,7 +119,7 @@ impl ClusterBuilder {
     }
 
     /// Replays every `n`th served query through the same collector,
-    /// told not to stop early (all in-sync healthy replicas consulted
+    /// told not to stop early (every healthy replica consulted
     /// on the caller's thread, majority combine) purely to *observe*
     /// divergence, recording [`ClusterMetrics::audit_queries`] and
     /// [`ClusterMetrics::audit_disagreements`]. This closes the blind
@@ -240,19 +240,13 @@ impl PdpCluster {
         self.directory.mark_down(replica);
     }
 
-    /// Marks a replica up again.
-    ///
-    /// A returning replica whose policy epoch lags its group's maximum
-    /// enters the `Syncing` phase instead of rejoining quorums: it is
-    /// excluded from dispatch, quorum counting and discovery until its
-    /// epoch reaches the maximum, and the first query of its group to
-    /// see that readmits it (counted in [`ClusterMetrics::resyncs`]).
-    /// Nothing else has to be called: whatever replays the missed
-    /// updates into the replica — `SyndicationTree::catch_up` — is all
-    /// recovery takes. A replica that is already current rejoins
-    /// immediately. Either way the return is one store into the
-    /// replica's record: a decide that starts after this call returns
-    /// sees the final phase.
+    /// Marks a replica up again: one store of `Healthy`, so a decide
+    /// that starts after this call asks it — first, until one of its
+    /// votes counts. A replica that returns behind the target
+    /// ([`PdpCluster::advance_epoch`]) has its votes withdrawn
+    /// ([`ClusterMetrics::stale_decisions_avoided`]) until its catch-up
+    /// replay lands; its first counted vote is its re-sync
+    /// ([`ClusterMetrics::resyncs`]). Nothing else has to be called.
     pub fn mark_up(&self, replica: &str) {
         match self.slot_of(replica) {
             Some((group, slot)) => group.mark_up(slot),
@@ -261,11 +255,20 @@ impl PdpCluster {
     }
 
     /// The replica's position in the recovery lifecycle
-    /// (`Healthy / Crashed / Syncing`), or `None` if no group contains
-    /// it.
+    /// (`Healthy / Crashed`), or `None` if no group contains it.
     pub fn replica_phase(&self, replica: &str) -> Option<ReplicaPhase> {
         let (group, slot) = self.slot_of(replica)?;
         Some(group.endpoint(slot).phase())
+    }
+
+    /// Moves every group's target forward to `epoch`, the one its domain
+    /// just announced: from the next query on, a vote behind it is
+    /// withdrawn. `Domain::propagate_policy` calls this on every push;
+    /// a bare `SyndicationTree`'s pusher must too.
+    pub fn advance_epoch(&self, epoch: PolicyEpoch) {
+        for group in &self.groups {
+            group.advance_epoch(epoch);
+        }
     }
 
     fn slot_of(&self, replica: &str) -> Option<(&ReplicaGroup, usize)> {
@@ -421,7 +424,8 @@ impl PdpCluster {
             .fetch_add(outcome.replicas_queried as u64, Ordering::Relaxed);
         if plan.adaptive && self.quorum.fans_out() {
             // Eligible replicas the adaptive quorum never had to query.
-            let saved = outcome.healthy.saturating_sub(outcome.replicas_queried);
+            let eligible = outcome.healthy + outcome.stale_excluded;
+            let saved = eligible.saturating_sub(outcome.replicas_queried);
             add_rare(&m.fanout_saved, saved as u64);
         }
         add_rare(&m.caller_evaluations, outcome.caller_evaluations as u64);
@@ -450,11 +454,13 @@ impl PdpCluster {
 
     /// The periodic divergence sampler ([`ClusterBuilder::audit_every`]):
     /// replays a served query through the collector with a plan that
-    /// takes every in-sync replica's vote, on the caller's thread, and
+    /// takes every healthy replica's vote, on the caller's thread, and
     /// records what the settle point may have hidden. Observational
     /// only — the served response is never revised, and the replay's
-    /// sub-queries stay out of the fan-out cost counters. Its roster is
-    /// a roster like any other, so a readmission it performs counts.
+    /// sub-queries and withdrawn votes stay out of the fan-out cost and
+    /// staleness counters. Its votes count like any other, so a
+    /// returned replica's first vote at the target counts as a re-sync
+    /// here if the served query did not ask it.
     fn audit(&self, group: &ReplicaGroup, request: &RequestContext, now_ms: u64) {
         let plan = FanoutPlan {
             every_vote: true,
@@ -885,10 +891,11 @@ mod tests {
         }
     }
 
-    /// Regression: a replica returning from a crash with a
-    /// lagging policy epoch passes through `Syncing` — excluded from
-    /// quorums — until its epoch reaches the group's maximum, and the
-    /// next decide readmits it.
+    /// Regression: a replica returning from a crash with a lagging
+    /// policy epoch is asked at once, but its votes are withdrawn until
+    /// its answers carry the cluster's target epoch; the next decide
+    /// after its catch-up asks it first and counts its vote, once, as
+    /// its re-sync.
     #[test]
     fn resync_lifecycle_gates_recovering_replicas() {
         let fresh = Arc::new(EpochBackend::new("s0-fresh", Decision::Deny, 2));
@@ -898,6 +905,7 @@ mod tests {
             .quorum(QuorumMode::Majority)
             .shard(vec![fresh.clone(), stale.clone(), third.clone()])
             .build();
+        cluster.advance_epoch(PolicyEpoch(2));
         let phase = |replica| cluster.replica_phase(replica).unwrap();
         let req = RequestContext::basic("alice", "ehr/1", "read");
 
@@ -906,10 +914,12 @@ mod tests {
         assert_eq!(phase("s0-stale"), ReplicaPhase::Crashed);
         fresh.set_epoch(3);
         third.set_epoch(3);
+        cluster.advance_epoch(PolicyEpoch(3));
 
-        // Recovery lands in Syncing, not Healthy: its epoch lags.
+        // Its return is one store of `Healthy`; its vote, behind the
+        // target, is withdrawn.
         cluster.mark_up("s0-stale");
-        assert_eq!(phase("s0-stale"), ReplicaPhase::Syncing);
+        assert_eq!(phase("s0-stale"), ReplicaPhase::Healthy);
         let out = cluster.decide(&req, 0);
         assert_eq!(out.response.unwrap().decision, Decision::Deny);
         assert!(out.degraded, "serving below configured replication");
@@ -917,14 +927,11 @@ mod tests {
         assert_eq!((m.stale_decisions_avoided, m.resyncs), (1, 0));
         assert_eq!((m.epoch_lag_last, m.epoch_lag_max), (1, 1));
 
-        // The catch-up replay moves the epoch, not the phase: the next
-        // decide readmits the replica, which votes in it, and counts it
-        // once.
+        // The catch-up replay moves the epoch: the next decide counts
+        // the replica's vote, and counts its re-sync once.
         stale.set_epoch(3);
-        assert_eq!(phase("s0-stale"), ReplicaPhase::Syncing);
         let out = cluster.decide(&req, 1);
         assert_eq!((out.degraded, out.replicas_queried), (false, 3));
-        assert_eq!(phase("s0-stale"), ReplicaPhase::Healthy);
         cluster.decide(&req, 2);
         let m = cluster.metrics();
         assert_eq!(
@@ -932,15 +939,20 @@ mod tests {
             (1, 1, 0)
         );
 
-        // A replica that crashed but missed nothing skips Syncing.
+        // A replica that crashed but missed nothing votes at once; its
+        // first counted vote is a re-sync all the same.
         cluster.mark_down("s0-third");
         cluster.mark_up("s0-third");
         assert_eq!(phase("s0-third"), ReplicaPhase::Healthy);
+        cluster.decide(&req, 3);
+        let m = cluster.metrics();
+        assert_eq!((m.resyncs, m.stale_decisions_avoided), (2, 1));
     }
 
-    /// A cluster built with no lifecycle option gates a lagging return:
+    /// A cluster built with no lifecycle option judges a lagging return:
     /// a stale pair that would outvote the fresh replica comes back
-    /// `Syncing`, and the fresh replica's deny stands alone.
+    /// `Healthy`, is asked, and is withdrawn, so the fresh replica's
+    /// deny stands alone.
     #[test]
     fn a_cluster_built_with_no_lifecycle_option_gates_a_lagging_return() {
         let cluster = ClusterBuilder::new("gated")
@@ -951,26 +963,25 @@ mod tests {
                 Arc::new(EpochBackend::new("r-stale-1", Decision::Permit, 1)),
             ])
             .build();
+        cluster.advance_epoch(PolicyEpoch(5));
         for replica in ["r-stale-0", "r-stale-1"] {
             cluster.mark_down(replica);
             cluster.mark_up(replica);
-            assert_eq!(cluster.replica_phase(replica), Some(ReplicaPhase::Syncing));
+            assert_eq!(cluster.replica_phase(replica), Some(ReplicaPhase::Healthy));
         }
         let out = cluster.decide(&RequestContext::basic("bob", "x", "read"), 0);
         assert_eq!(out.response.unwrap().decision, Decision::Deny);
-        assert_eq!(out.replicas_queried, 1);
+        assert_eq!(out.replicas_queried, 3);
         let m = cluster.metrics();
         assert_eq!((m.stale_decisions_avoided, m.epoch_lag_max), (2, 4));
     }
 
-    /// A roster reads epochs only when some replica is `Syncing`: an
-    /// all-`Healthy` `decide` and `decide_batch`, each with its audit
-    /// replay, call `policy_epoch` on no backend. A replica found caught
-    /// up is readmitted, and counted in `resyncs`, exactly once though a
-    /// served query and its audit replay both build a roster — by the
-    /// served roster when its catch-up landed before the query (alone
-    /// or in a batch), by the audit's when it landed while the query was
-    /// deciding.
+    /// A decide reads no epoch from a backend — each answer carries its
+    /// own, judged against the target loaded once per query — and a
+    /// returned replica's re-sync counts exactly once though a served
+    /// query and its audit replay both count votes: by the served query
+    /// when the catch-up landed before it (alone or in a batch), by the
+    /// audit's when it landed while the query was deciding.
     #[test]
     fn rosters_read_no_epoch_until_a_replica_syncs_and_count_readmission_once() {
         let backends: Vec<_> = (0..3)
@@ -983,6 +994,7 @@ mod tests {
             .audit_every(1)
             .shard(shard.collect())
             .build();
+        cluster.advance_epoch(PolicyEpoch(1));
         let requests = [
             RequestContext::basic("alice", "ehr/1", "read"),
             RequestContext::basic("bob", "ehr/2", "read"),
@@ -999,14 +1011,13 @@ mod tests {
         let class = DecisionClass::default();
         assert_eq!(cluster.decide(&requests[0], 0).replicas_queried, 3);
         cluster.decide_batch(&requests, 1, class);
-        assert_eq!(backends.iter().map(|b| b.reads()).sum::<u64>(), 0);
         assert_eq!(counts(), (3, 3, 0, 0));
 
         for epoch in [2, 3] {
             cluster.mark_down("c-r2");
             backends[..2].iter().for_each(|b| b.set_epoch(epoch));
+            cluster.advance_epoch(PolicyEpoch(epoch));
             cluster.mark_up("c-r2");
-            assert_eq!(cluster.replica_phase("c-r2"), Some(ReplicaPhase::Syncing));
             backends[2].set_epoch(epoch);
             if epoch == 2 {
                 assert_eq!(cluster.decide(&requests[0], epoch).replicas_queried, 3);
@@ -1016,9 +1027,9 @@ mod tests {
         }
         assert_eq!(counts(), (6, 6, 2, 0));
 
-        // Mid-query: the served roster leaves a lagging replica out, a
-        // voter lands its catch-up as it decides, and the audit's
-        // roster readmits it.
+        // Mid-query: the served query asks the returned replica first
+        // and withdraws its vote, a voter lands its catch-up as it
+        // decides, and the audit counts the returned replica's vote.
         struct CatchUpWhileDeciding(Arc<EpochBackend>);
         impl DecisionBackend for CatchUpWhileDeciding {
             fn name(&self) -> &str {
@@ -1026,7 +1037,10 @@ mod tests {
             }
             fn decide(&self, _request: &RequestContext, _now_ms: u64) -> Response {
                 self.0.set_epoch(2);
-                Response::decision(Decision::Permit)
+                Response {
+                    epoch: PolicyEpoch(2),
+                    ..Response::decision(Decision::Permit)
+                }
             }
         }
         let stale = Arc::new(EpochBackend::new("m-stale", Decision::Permit, 1));
@@ -1038,8 +1052,10 @@ mod tests {
                 stale,
             ])
             .build();
+        cluster.advance_epoch(PolicyEpoch(2));
+        estimate(&cluster, &[("m-trigger", 1_000), ("m-fresh", 2_000)]);
         cluster.mark_up("m-stale");
-        assert_eq!(cluster.decide(&requests[0], 2).replicas_queried, 2);
+        assert_eq!(cluster.decide(&requests[0], 2).replicas_queried, 3);
         let m = cluster.metrics();
         assert_eq!(
             (m.audit_queries, m.resyncs, m.stale_decisions_avoided),
@@ -1048,25 +1064,16 @@ mod tests {
     }
 
     /// The reference the lifecycle is checked against: one replica is
-    /// a phase and a policy epoch. A crash, a return and a decide are
-    /// all that may change the phase; a return and a readmission read
-    /// the epochs.
+    /// a phase, a policy epoch, whether it returned without a counted
+    /// vote since, and whether it has an estimate; the group is the
+    /// replicas and a target epoch. A crash and a return are all that
+    /// change the phase; a push moves the target.
     #[derive(Clone, Copy)]
     struct ModelReplica {
         phase: ReplicaPhase,
         epoch: u64,
-    }
-
-    fn model_max(group: &[ModelReplica]) -> u64 {
-        group.iter().map(|m| m.epoch).max().unwrap()
-    }
-
-    fn model_mark_up(group: &mut [ModelReplica], r: usize) {
-        group[r].phase = if group[r].epoch < model_max(group) {
-            ReplicaPhase::Syncing
-        } else {
-            ReplicaPhase::Healthy
-        };
+        returned: bool,
+        measured: bool,
     }
 
     proptest::proptest! {
@@ -1074,12 +1081,14 @@ mod tests {
         /// policy push, catch-up and decide on two clusters that share
         /// one directory, every replica's phase — read through the
         /// cluster *and* through the directory, which are one record —
-        /// follows the reference state machine, and every decision
-        /// readmits, counts and excludes exactly the replicas the
-        /// reference predicts.
+        /// follows the two-phase reference, and every decision asks,
+        /// withdraws and re-syncs exactly the replicas the reference
+        /// predicts: returned and unmeasured replicas first in slot
+        /// order, each vote behind the target withdrawn, until a
+        /// majority of the replicas left agree.
         #[test]
         fn lifecycle_follows_the_reference_state_machine(
-            schedule in proptest::collection::vec((0u8..5, 0usize..6, 0u8..8), 1..120),
+            schedule in proptest::collection::vec((0u8..5, 0usize..6), 1..120),
         ) {
             let directory = Arc::new(PdpDirectory::new());
             let mut backends = Vec::new();
@@ -1090,17 +1099,20 @@ mod tests {
                         .map(|r| Arc::new(EpochBackend::new(format!("{c}-r{r}"), Decision::Permit, 1)))
                         .collect();
                     backends.push(shard.clone());
-                    ClusterBuilder::new(*c)
+                    let cluster = ClusterBuilder::new(*c)
                         .directory(Arc::clone(&directory))
                         .shard(shard.into_iter().map(|b| b as Arc<dyn DecisionBackend>).collect())
-                        .build()
+                        .build();
+                    cluster.advance_epoch(PolicyEpoch(1));
+                    cluster
                 })
                 .collect();
-            let healthy = ModelReplica { phase: ReplicaPhase::Healthy, epoch: 1 };
+            let healthy = ModelReplica { phase: ReplicaPhase::Healthy, epoch: 1, returned: false, measured: false };
             let mut model = [[healthy; 3]; 2];
+            let mut targets = [1u64; 2];
             let mut resyncs = [0u64; 2];
             let request = RequestContext::basic("alice", "ehr/1", "read");
-            for (step, &(op, target, mask)) in schedule.iter().enumerate() {
+            for (step, &(op, target)) in schedule.iter().enumerate() {
                 let (c, r) = (target / 3, target % 3);
                 let (cluster, group) = (&clusters[c], &mut model[c]);
                 let name = format!("{}-r{r}", cluster.name());
@@ -1111,53 +1123,68 @@ mod tests {
                     }
                     1 => {
                         cluster.mark_up(&name);
-                        model_mark_up(group, r);
+                        group[r].phase = ReplicaPhase::Healthy;
+                        group[r].returned = true;
                     }
                     2 => {
-                        // A push reaches the replicas that are up and
-                        // that this round's mask selects.
-                        let epoch = group.iter().map(|m| m.epoch).max().unwrap() + 1;
+                        // A push reaches every replica that is up and
+                        // current; one behind holds at its gap.
+                        targets[c] += 1;
                         for (i, m) in group.iter_mut().enumerate() {
-                            if m.phase != ReplicaPhase::Crashed && mask & (1 << i) != 0 {
-                                m.epoch = epoch;
-                                backends[c][i].set_epoch(epoch);
+                            if m.phase == ReplicaPhase::Healthy && m.epoch + 1 == targets[c] {
+                                m.epoch = targets[c];
+                                backends[c][i].set_epoch(m.epoch);
                             }
                         }
+                        cluster.advance_epoch(PolicyEpoch(targets[c]));
                     }
                     3 => {
                         // A catch-up reaches a replica that is up, and
                         // moves its epoch, not its phase.
-                        if group[r].phase != ReplicaPhase::Crashed {
-                            group[r].epoch = model_max(group);
+                        if group[r].phase == ReplicaPhase::Healthy {
+                            group[r].epoch = targets[c];
                             backends[c][r].set_epoch(group[r].epoch);
                         }
                     }
                     _ => {
-                        // The roster readmits every `Syncing` replica at
-                        // the maximum epoch.
-                        let (max, mut readmitted) = (model_max(group), 0);
-                        for m in group.iter_mut().filter(|m| m.phase == ReplicaPhase::Syncing && m.epoch == max) {
-                            m.phase = ReplicaPhase::Healthy;
-                            readmitted += 1;
+                        // Asked in dispatch order: every replica with no
+                        // estimate to trust (returned or never asked) in
+                        // slot order, then the measured ones — which a
+                        // push never skips, so all of them are current.
+                        let up: Vec<usize> = (0..3).filter(|&i| group[i].phase == ReplicaPhase::Healthy).collect();
+                        let (first, rest): (Vec<usize>, Vec<usize>) =
+                            up.iter().partition(|&&i| group[i].returned || !group[i].measured);
+                        let (mut votes, mut withdrawn, mut readmitted) = (0usize, 0usize, 0u64);
+                        for &i in first.iter().chain(&rest) {
+                            let m = &mut group[i];
+                            m.measured = true;
+                            if m.epoch < targets[c] {
+                                withdrawn += 1;
+                            } else {
+                                votes += 1;
+                                readmitted += std::mem::take(&mut m.returned) as u64;
+                            }
+                            if votes > 0 && votes > (up.len() - withdrawn) / 2 {
+                                break;
+                            }
                         }
                         resyncs[c] += readmitted;
-                        let voters = group.iter().filter(|m| m.phase == ReplicaPhase::Healthy).count();
-                        let stale = group.iter().filter(|m| m.phase == ReplicaPhase::Syncing).count();
                         let before = cluster.metrics();
                         let out = cluster.decide(&request, step as u64);
                         let after = cluster.metrics();
                         proptest::prop_assert_eq!(after.resyncs - before.resyncs, readmitted, "step {}", step);
-                        proptest::prop_assert_eq!(out.response.is_none(), voters == 0, "step {}", step);
-                        proptest::prop_assert_eq!(out.replicas_queried, voters, "step {}", step);
-                        proptest::prop_assert_eq!(out.degraded, voters != 0 && voters < 3, "step {}", step);
+                        proptest::prop_assert_eq!(out.response.is_none(), votes == 0, "step {}", step);
+                        proptest::prop_assert_eq!(out.replicas_queried, up.len(), "step {}", step);
+                        let voters = up.len() - withdrawn;
+                        proptest::prop_assert_eq!(out.degraded, votes != 0 && voters < 3, "step {}", step);
                         proptest::prop_assert_eq!(
                             after.stale_decisions_avoided - before.stale_decisions_avoided,
-                            stale as u64,
+                            withdrawn as u64,
                             "step {}", step
                         );
                         proptest::prop_assert_eq!(
                             after.unavailable - before.unavailable,
-                            (voters == 0) as u64,
+                            (votes == 0) as u64,
                             "step {}", step
                         );
                     }
@@ -1177,91 +1204,74 @@ mod tests {
     }
 
     /// Satellite (ISSUE 16): the return of a stale replica is one store
-    /// into its record, so there is no window in which it is routable.
-    /// A decide that starts after `mark_up` returned never counts its
-    /// vote while its epoch lags, and discovery never hands it to a PEP
-    /// meanwhile — the two-variable version (directory health, then a
-    /// separate sync flag) answered "healthy" to discovery throughout.
-    /// Once its catch-up lands, the next decide — the lifecycle
-    /// thread's or an observer's — readmits it, once. No sleeps and no
-    /// clock: the lifecycle thread holds each gated window open until
-    /// both observers have checked inside it.
+    /// into its record, and whether its vote counts is judged on the
+    /// answer, so there is no window in which a decide counts it while
+    /// it lags: a stale pair that would outvote the fresh replica never
+    /// turns a decide that starts after the push into a permit. Once
+    /// the catch-up lands, the next decide — the lifecycle thread's or
+    /// the observer's — counts each returned replica's re-sync, once.
+    /// No sleeps and no clock: the lifecycle thread holds each gated
+    /// window open until the observer has checked inside it.
     #[test]
     fn a_returning_stale_replica_is_never_routable_before_its_resync_completes() {
-        use dacs_pdp::Binding;
         use std::sync::atomic::{AtomicBool, AtomicU64};
-        let fresh: Vec<Arc<EpochBackend>> = ["g-r0", "g-r1"]
+        let fresh = Arc::new(EpochBackend::new("g-r0", Decision::Deny, 1));
+        let stale: Vec<Arc<EpochBackend>> = ["g-s1", "g-s2"]
             .iter()
-            .map(|n| Arc::new(EpochBackend::new(*n, Decision::Deny, 1)))
+            .map(|n| Arc::new(EpochBackend::new(*n, Decision::Permit, 1)))
             .collect();
-        let stale = Arc::new(EpochBackend::new("g-stale", Decision::Permit, 1));
         let cluster = ClusterBuilder::new("gate")
-            .shard(vec![fresh[0].clone(), fresh[1].clone(), stale.clone()])
+            .shard(vec![fresh.clone(), stale[0].clone(), stale[1].clone()])
             .build();
+        cluster.advance_epoch(PolicyEpoch(1));
         // The round whose gated window is open, 0 while none is.
         let (gated, done) = (AtomicU64::new(0), AtomicBool::new(false));
-        let (decides, resolves, violations) =
-            (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
-        // Runs `routes_to_stale` until the lifecycle finishes. A call
-        // with the same round's window open on both sides ran wholly
-        // inside it, so it is counted in `checked` and must not have
-        // seen the stale replica; the lifecycle thread keeps each
-        // window open until both observers have counted one.
-        // Violations are tallied, not panicked on: a dead observer
-        // would park the lifecycle thread instead of failing the test.
-        let observe = |checked: &AtomicU64, routes_to_stale: &dyn Fn() -> bool| {
-            while !done.load(Ordering::SeqCst) {
-                let before = gated.load(Ordering::SeqCst);
-                let routed = routes_to_stale();
-                if before != 0 && before == gated.load(Ordering::SeqCst) {
-                    violations.fetch_add(routed as u64, Ordering::SeqCst);
-                    checked.fetch_add(1, Ordering::SeqCst);
-                }
-            }
-        };
+        let (checked, violations) = (AtomicU64::new(0), AtomicU64::new(0));
         let request = RequestContext::basic("alice", "ehr/1", "read");
         std::thread::scope(|scope| {
+            // A decide with the same round's window open on both sides
+            // ran wholly inside it, so it is counted in `checked` and
+            // must deny. Violations are tallied, not panicked on: a dead
+            // observer would park the lifecycle thread instead of
+            // failing the test.
             scope.spawn(|| {
-                observe(&decides, &|| {
-                    // The two fresh replicas deny; three voters or a
-                    // permit mean the stale one was counted.
+                while !done.load(Ordering::SeqCst) {
+                    let before = gated.load(Ordering::SeqCst);
                     let out = cluster.decide(&request, 0);
-                    out.replicas_queried != 2
-                        || out.response.map(|r| r.decision) != Some(Decision::Deny)
-                })
-            });
-            scope.spawn(|| {
-                observe(&resolves, &|| {
-                    let pick = cluster.directory().resolve(&Binding::Discovery, "gate");
-                    pick.as_deref() == Some("g-stale")
-                })
+                    if before != 0 && before == gated.load(Ordering::SeqCst) {
+                        let permitted = out.response.map(|r| r.decision) != Some(Decision::Deny);
+                        violations.fetch_add(permitted as u64, Ordering::SeqCst);
+                        checked.fetch_add(1, Ordering::SeqCst);
+                    }
+                }
             });
             for round in 2..200u64 {
-                cluster.mark_down("g-stale");
-                fresh.iter().for_each(|f| f.set_epoch(round));
-                cluster.mark_up("g-stale");
-                let seen = (
-                    decides.load(Ordering::SeqCst),
-                    resolves.load(Ordering::SeqCst),
-                );
+                for s in ["g-s1", "g-s2"] {
+                    cluster.mark_down(s);
+                }
+                fresh.set_epoch(round);
+                cluster.advance_epoch(PolicyEpoch(round));
+                for s in ["g-s1", "g-s2"] {
+                    cluster.mark_up(s);
+                }
+                let seen = checked.load(Ordering::SeqCst);
                 gated.store(round, Ordering::SeqCst);
-                while decides.load(Ordering::SeqCst) == seen.0
-                    || resolves.load(Ordering::SeqCst) == seen.1
-                {
+                while checked.load(Ordering::SeqCst) == seen {
                     std::thread::yield_now();
                 }
-                let phase = |expected| (cluster.replica_phase("g-stale") != Some(expected)) as u64;
-                violations.fetch_add(phase(ReplicaPhase::Syncing), Ordering::SeqCst);
                 gated.store(0, Ordering::SeqCst);
-                stale.set_epoch(round);
-                cluster.decide(&request, 0);
-                violations.fetch_add(phase(ReplicaPhase::Healthy), Ordering::SeqCst);
+                stale.iter().for_each(|s| s.set_epoch(round));
+                let caught_up = cluster.decide(&request, 0).response.unwrap();
+                violations.fetch_add(
+                    (caught_up.decision != Decision::Permit) as u64,
+                    Ordering::SeqCst,
+                );
             }
             done.store(true, Ordering::SeqCst);
         });
         assert_eq!(violations.load(Ordering::SeqCst), 0);
-        assert!(decides.load(Ordering::SeqCst) >= 198 && resolves.load(Ordering::SeqCst) >= 198);
-        assert_eq!(cluster.metrics().resyncs, 198);
+        assert!(checked.load(Ordering::SeqCst) >= 198);
+        assert_eq!(cluster.metrics().resyncs, 2 * 198);
     }
 
     /// A straggler cancelled by the quorum short-circuit still closes

@@ -10,12 +10,11 @@
 //! * [`replica`] — a [`ReplicaGroup`] that fans a query out to `k`
 //!   replicas and combines the answers under a pluggable
 //!   [`QuorumMode`], so a Byzantine or stale replica cannot silently
-//!   grant access. Replicas carry a [`PolicyEpoch`] (their position in
-//!   the PAP syndication timeline); a replica recovering from a crash
-//!   with a lagging epoch passes through the `Syncing` phase
-//!   ([`ReplicaPhase`]) — excluded from quorum counting until its
-//!   catch-up replay lands, when the next query readmits it. The gate
-//!   is always on, and nothing but the replay drives it.
+//!   grant access. Every answer carries the [`PolicyEpoch`] it was
+//!   decided at, and a group withdraws a vote behind the one epoch its
+//!   domain announced ([`PdpCluster::advance_epoch`]): a replica that
+//!   returns from a crash behind it is asked but not counted until its
+//!   catch-up replay lands. Nothing but the replay drives recovery.
 //! * [`quorum`] — the combination rules: `FirstHealthy` (fast, trusts
 //!   one replica), `Majority` (outvotes a minority of wrong replicas)
 //!   and `UnanimousFailClosed` (any disagreement denies).

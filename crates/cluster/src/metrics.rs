@@ -45,18 +45,18 @@ pub struct ClusterMetrics {
     /// dispatches is a quorum member or a needed voter. Kept only while
     /// the repo benchmark's `cluster.hedges` row reads it.
     pub hedges: u64,
-    /// Completed replica re-syncs: a `Syncing` replica whose catch-up
-    /// replay had brought it to its group's maximum epoch, readmitted
-    /// to quorum counting (`Syncing → Healthy`) by the first query —
-    /// served, batched or audit replay — that found it so. Each
-    /// readmission counts once.
+    /// Completed replica re-syncs: a replica returned by
+    /// [`crate::PdpCluster::mark_up`] whose first vote after the return
+    /// was counted at its group's target epoch — in a served, batched
+    /// or audit query, whichever asked it first. Each return counts at
+    /// most once, and a returned replica is asked first until it does.
     pub resyncs: u64,
-    /// Stale votes never counted: one per healthy-but-`Syncing` replica
-    /// excluded from a query's quorum. Each is a decision that, before
-    /// epoch gating, a stale replica could have influenced.
+    /// Stale votes never counted: one per served vote withdrawn as
+    /// behind its group's target epoch. Each is a decision that, judged
+    /// only against its peers, a stale replica could have influenced.
     pub stale_decisions_avoided: u64,
-    /// Gauge: the policy-epoch lag of the worst syncing replica at the
-    /// most recent query (0 when everyone eligible is current).
+    /// Gauge: the policy-epoch lag of the worst vote withdrawn by the
+    /// most recent query (0 when it withdrew none).
     pub epoch_lag_last: u64,
     /// High-water mark of [`ClusterMetrics::epoch_lag_last`] across the
     /// cluster's lifetime.
@@ -64,7 +64,7 @@ pub struct ClusterMetrics {
     /// Audit replays run by the periodic sampler
     /// ([`crate::ClusterBuilder::audit_every`]): every Nth query is
     /// re-evaluated by the same collector on the caller's thread, told
-    /// to consult every in-sync replica and never stop early.
+    /// to consult every healthy replica and never stop early.
     pub audit_queries: u64,
     /// Audit replays whose replicas disagreed on the decision. Unlike
     /// [`ClusterMetrics::disagreements`], this is exact over the

@@ -7,64 +7,65 @@
 //! single-handedly. The three modes trade latency/cost against that
 //! protection.
 //!
-//! # Replica lifecycle: who may vote at all
+//! # Replica lifecycle: whose vote counts
 //!
-//! Quorum counting is over *eligible* replicas: those whose shared
-//! directory record is in the `Healthy` phase — up, and not held back
-//! behind the group's policy epoch. The lifecycle (see
-//! [`crate::ReplicaPhase`]):
+//! A replica is asked while its shared directory record is `Healthy`
+//! (see [`crate::ReplicaPhase`]), and its vote counts only if it
+//! carries the group's *target* epoch:
 //!
 //! ```text
 //! Healthy ──crash / partition──▶ Crashed
-//!    ▲  ▲                           │
-//!    │  └──returns, epoch current───┤
-//!    │                              │ returns, epoch behind
-//!    └──next query, epoch caught up── Syncing ◀┘
+//!    ▲                              │
+//!    └──────────── returns ─────────┘
 //! ```
 //!
-//! * `Healthy` — dispatched to and counted.
+//! * `Healthy` — dispatched to. Every answer carries the
+//!   [`dacs_pdp::PolicyEpoch`] its PDP decided at; the group's target
+//!   is the epoch its domain last announced
+//!   (`PdpCluster::advance_epoch`). A vote behind it is withdrawn as a
+//!   panicked one is, and counted in
+//!   `ClusterMetrics::stale_decisions_avoided`.
 //! * `Crashed` — down. While down it misses policy pushes and its
-//!   [`dacs_pdp::PolicyEpoch`] freezes.
-//! * `Syncing` — back up, but its epoch lags the group maximum: it is
-//!   excluded from dispatch and quorum counting (each exclusion counts
-//!   in `ClusterMetrics::stale_decisions_avoided`) until it has
-//!   replayed the missed updates from its syndication node
-//!   (`SyndicationTree::catch_up`). The first query of its group that
-//!   finds its epoch at the maximum readmits it, and it votes in that
-//!   query (`ClusterMetrics::resyncs`). No caller drives this, and no
-//!   option turns the gate off.
+//!   epoch freezes. It returns `Healthy`, and its votes count again
+//!   once its catch-up replay (`SyndicationTree::catch_up`) has brought
+//!   it to the target; the first counted is its re-sync
+//!   (`ClusterMetrics::resyncs`). No caller drives this, and no option
+//!   turns it off.
 //!
-//! Were a recovering replica to vote at once with whatever policy it
-//! last saw, a stale *majority* could outvote the fresh survivors and
-//! falsely permit — the failure experiment E16 guards against.
+//! Were a recovering replica to vote with whatever policy it last saw,
+//! a stale *majority* could outvote the fresh survivors and falsely
+//! permit — the failure experiment E16 guards against — and a group
+//! judged against its own replicas alone permits when all of them
+//! returned behind.
 //!
 //! # Semantics: mode × partition state
 //!
 //! For a group configured with `n` replicas of which `e` are currently
-//! *eligible* (phase `Healthy`: up ∧ in sync with the group's maximum
-//! policy epoch), the combined outcome is:
+//! *eligible* (`Healthy`, and not found behind the target epoch), the
+//! combined outcome is:
 //!
 //! | mode | `e = 0` | minority eligible (`2e ≤ n`) | majority eligible (`2e > n`) |
 //! |------|---------|------------------------------|------------------------------|
 //! | `FirstHealthy` | **unavailable** | first eligible replica's answer (a wrong survivor decides alone) | first eligible replica's answer |
 //! | `Majority` | **unavailable** | strict majority of the *e* answers; split vote → fail-closed **deny** | strict majority of the *e* answers; split vote → fail-closed **deny** |
-//! | `UnanimousFailClosed` | **unavailable** | fail-closed **deny** without evaluating (eligible-majority floor) | **permit** only if all *e* agree on permit; any deny or disagreement → **deny** |
+//! | `UnanimousFailClosed` | **unavailable** | fail-closed **deny** (eligible-majority floor) | **permit** only if all *e* agree on permit; any deny or disagreement → **deny** |
 //!
 //! Four invariants fall out of the table:
 //!
 //! 1. **Unavailability is explicit** — `e = 0` yields no decision at
 //!    all (`response: None`), never a default permit or deny. The
 //!    caller (PEP) fails safe. In particular, a shard whose every
-//!    replica is `Syncing` is *unavailable*, not stale-served.
+//!    healthy replica answers behind the target is *unavailable*, not
+//!    stale-served.
 //! 2. **The eligible-majority floor**: under `UnanimousFailClosed` a
 //!    minority partition may not decide, because its survivors could
 //!    all be stale or Byzantine. Unanimity over a minority would
-//!    rubber-stamp them; the group denies without spending any
-//!    evaluations instead. The floor counts *eligible* replicas, so a
-//!    healthy-but-syncing (known-stale) replica cannot prop a
-//!    partition over it.
-//! 3. **The epoch-eligibility rule**: a known-stale replica never
-//!    votes, in any mode — staleness is removed *before* the quorum
+//!    rubber-stamp them; the group denies instead — without spending
+//!    any evaluations when too few replicas are even `Healthy`. The
+//!    floor counts replicas not withdrawn as stale, so a
+//!    healthy-but-behind replica cannot prop a partition over it.
+//! 3. **The epoch rule**: a vote behind the domain's epoch never
+//!    counts, in any mode — staleness is removed *before* the quorum
 //!    arithmetic rather than hopefully outvoted by it.
 //! 4. **`Majority` degrades gracefully but not absolutely**: while a
 //!    fresh majority of the *configured* group is eligible, one wrong

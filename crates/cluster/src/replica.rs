@@ -6,7 +6,11 @@
 //! lifecycle phase and latency estimate are read and written through
 //! the slot, so the decision paths take no lock and look no name up —
 //! and a `mark_down` through the directory is seen by the very next
-//! roster, because it is the same record.
+//! query, because it is the same record.
+//!
+//! A vote counts only at the group's target epoch, the one its domain
+//! last announced ([`crate::PdpCluster::advance_epoch`]): one behind it
+//! is withdrawn as a panicked one is.
 //!
 //! A group answers a query one way: one collector loop combines
 //! answers *incrementally* — majority settles as soon as a majority
@@ -27,7 +31,7 @@ use dacs_policy::eval::Response;
 use dacs_policy::policy::Decision;
 use dacs_policy::request::RequestContext;
 use dacs_telemetry::{Note, SpanCtx, Stage, Telemetry, Tracer};
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::time::Instant;
@@ -41,18 +45,10 @@ pub trait DecisionBackend: Send + Sync {
     /// The backend's endpoint name (registered in the
     /// [`dacs_pdp::PdpDirectory`]).
     fn name(&self) -> &str;
-    /// Serves one decision query. Once asked, a query runs to its end:
+    /// Serves one decision query, stamped with the epoch it was decided
+    /// at ([`Response::epoch`]). Once asked, a query runs to its end:
     /// an answer that arrives after its fan-out's verdict is discarded.
     fn decide(&self, request: &RequestContext, now_ms: u64) -> Response;
-    /// The policy epoch the backend decides on — its position in the
-    /// PAP syndication timeline. A replica whose epoch lags its group's
-    /// maximum is deciding on stale policy. The default
-    /// ([`PolicyEpoch::ZERO`]) suits backends outside the syndication
-    /// timeline (static test replicas), which are mutually "in sync"
-    /// by construction.
-    fn policy_epoch(&self) -> PolicyEpoch {
-        PolicyEpoch::ZERO
-    }
 }
 
 impl DecisionBackend for Pdp {
@@ -61,9 +57,6 @@ impl DecisionBackend for Pdp {
     }
     fn decide(&self, request: &RequestContext, now_ms: u64) -> Response {
         Pdp::decide(self, request, now_ms)
-    }
-    fn policy_epoch(&self) -> PolicyEpoch {
-        Pdp::policy_epoch(self)
     }
 }
 
@@ -102,17 +95,17 @@ pub struct GroupOutcome {
     /// cancelled at dequeue, a replica the caller never started — still
     /// counts as dispatched work.
     pub replicas_queried: usize,
-    /// Quorum-eligible replicas at query time: healthy *and* in sync
-    /// with the group's policy epoch.
+    /// Replicas that could vote at query time: `Healthy`, less those
+    /// whose votes were withdrawn as behind the group's target epoch.
     pub healthy: usize,
-    /// `Syncing` replicas this query found caught up and readmitted;
-    /// each counts in `healthy`.
+    /// Returned replicas ([`ReplicaGroup`]'s `mark_up`) whose first vote
+    /// at the target this query counted.
     pub readmitted: usize,
-    /// `Syncing` replicas still behind and excluded from this query —
-    /// each one is a stale vote that was *not* counted.
+    /// Votes withdrawn as behind the group's target epoch — each one a
+    /// stale vote that was *not* counted.
     pub stale_excluded: usize,
-    /// The largest policy-epoch lag among the excluded syncing replicas
-    /// (0 when none were excluded).
+    /// The largest policy-epoch lag among the withdrawn votes (0 when
+    /// none was withdrawn).
     pub max_epoch_lag: u64,
     /// Whether the answers the settle point saw disagreed. The
     /// collector stops at the verdict, so a divergent vote that would
@@ -140,6 +133,19 @@ impl GroupOutcome {
             disagreement: false,
             fail_closed: false,
             caller_evaluations: 0,
+        }
+    }
+
+    /// The unanimity floor's fail-closed deny over `eligible` voters,
+    /// stamped with the `target` the floor was judged at.
+    fn floored(target: PolicyEpoch, eligible: usize) -> GroupOutcome {
+        GroupOutcome {
+            response: Some(Response {
+                epoch: target,
+                ..Response::decision(Decision::Deny)
+            }),
+            fail_closed: true,
+            ..GroupOutcome::unanswered(eligible)
         }
     }
 
@@ -189,36 +195,28 @@ impl GroupOutcome {
 /// ```
 pub struct ReplicaGroup {
     replicas: Vec<Arc<Replica>>,
-    /// Orders a return ([`ReplicaGroup::mark_up`]) against a roster's
-    /// readmission, so a roster that read a replica caught up cannot
-    /// readmit it after it crashed and returned behind meanwhile.
-    recovery: Mutex<()>,
+    /// The policy epoch the group's domain last announced: a vote
+    /// stamped behind it is withdrawn. Only moves forward; stored with
+    /// `Release` after the push it announces, loaded with `Acquire`.
+    target: AtomicU64,
 }
 
 /// One replica slot: the backend that decides, the directory's shared
 /// record of it and its position in the group, which names it in a
-/// span. Behind one `Arc` so a fan-out job takes all three with a
+/// span. Behind one `Arc` so a fan-out job takes all of it with a
 /// single clone.
 struct Replica {
     backend: Arc<dyn DecisionBackend>,
     endpoint: Arc<PdpEndpoint>,
     slot: u32,
+    /// Set by a return, cleared by the first vote counted after it.
+    returned: AtomicBool,
 }
 
 /// Where one query's replica spans go: the tracer, and the parent span
 /// captured on the *dispatching* thread (workers have no entered
 /// context).
 type SpanSite<'t> = (&'t Tracer, Option<SpanCtx>);
-
-/// The per-query eligibility snapshot: who may vote (readmitted ones
-/// included), who was excluded as stale, and how far behind the worst
-/// straggler is.
-struct Roster<'a> {
-    eligible: Vec<&'a Arc<Replica>>,
-    readmitted: usize,
-    stale_excluded: usize,
-    max_epoch_lag: u64,
-}
 
 /// How one query should be dispatched: the pool to hand off to,
 /// whether fan-out is adaptive (quorum-width), and the query's
@@ -386,23 +384,20 @@ impl ReplicaGroup {
                     backend,
                     endpoint,
                     slot,
+                    returned: AtomicBool::new(false),
                 })
             })
             .collect();
         ReplicaGroup {
             replicas,
-            recovery: Mutex::new(()),
+            target: AtomicU64::new(0),
         }
     }
 
-    /// The highest policy epoch any replica of the group reports — the
-    /// catch-up target for recovering replicas.
-    pub fn max_policy_epoch(&self) -> PolicyEpoch {
-        self.replicas
-            .iter()
-            .map(|r| r.backend.policy_epoch())
-            .max()
-            .unwrap_or(PolicyEpoch::ZERO)
+    /// Moves the group's target epoch forward to `epoch` (never back):
+    /// from the next query on, a vote stamped behind it is withdrawn.
+    pub(crate) fn advance_epoch(&self, epoch: PolicyEpoch) {
+        self.target.fetch_max(epoch.0, Ordering::AcqRel);
     }
 
     /// The directory record of the replica in `slot` (configured
@@ -415,56 +410,13 @@ impl ReplicaGroup {
         &self.replicas[slot].endpoint
     }
 
-    /// Stores the phase of the replica in `slot` returning from a
-    /// crash: `Syncing` if its policy epoch lags the group's maximum,
-    /// `Healthy` if it is current.
+    /// Brings the replica in `slot` back from a crash: one store of
+    /// `Healthy`, after marking the return. Its votes count once they
+    /// carry the target epoch, and the first that does is its re-sync.
     pub(crate) fn mark_up(&self, slot: usize) {
-        let _recovery = self.recovery.lock();
-        let phase = if self.replicas[slot].backend.policy_epoch() < self.max_policy_epoch() {
-            ReplicaPhase::Syncing
-        } else {
-            ReplicaPhase::Healthy
-        };
-        self.replicas[slot].endpoint.set_phase(phase);
-    }
-
-    /// Snapshot of who may vote right now, one atomic phase load per
-    /// slot. Epochs are read only when some replica is `Syncing` (the
-    /// common all-healthy case costs no epoch reads), and that is where
-    /// recovery finishes: a `Syncing` replica at the group's maximum
-    /// epoch is readmitted and votes in this very query. The move is a
-    /// compare-and-swap from `Syncing`, so a crash that raced the
-    /// catch-up is not overwritten and a replica is readmitted once.
-    fn roster(&self) -> Roster<'_> {
-        let mut roster = Roster {
-            eligible: Vec::with_capacity(self.replicas.len()),
-            readmitted: 0,
-            stale_excluded: 0,
-            max_epoch_lag: 0,
-        };
-        let (mut recovery, mut target) = (None, None);
-        for replica in &self.replicas {
-            match replica.endpoint.phase() {
-                ReplicaPhase::Healthy => roster.eligible.push(replica),
-                ReplicaPhase::Syncing => {
-                    recovery.get_or_insert_with(|| self.recovery.lock());
-                    let target = *target.get_or_insert_with(|| self.max_policy_epoch());
-                    let lag = target.lag_behind(replica.backend.policy_epoch());
-                    if lag != 0 {
-                        roster.stale_excluded += 1;
-                        roster.max_epoch_lag = roster.max_epoch_lag.max(lag);
-                    } else if replica
-                        .endpoint
-                        .advance_phase(ReplicaPhase::Syncing, ReplicaPhase::Healthy)
-                    {
-                        roster.readmitted += 1;
-                        roster.eligible.push(replica);
-                    }
-                }
-                ReplicaPhase::Crashed => {}
-            }
-        }
-        roster
+        let replica = &self.replicas[slot];
+        replica.returned.store(true, Ordering::Release);
+        replica.endpoint.set_phase(ReplicaPhase::Healthy);
     }
 
     /// Replica count (healthy or not).
@@ -485,14 +437,13 @@ impl ReplicaGroup {
             .collect()
     }
 
-    /// Fans `request` out to the group's quorum-eligible replicas
-    /// (healthy *and* in sync with the group's policy epoch) on the
+    /// Fans `request` out to the group's healthy replicas on the
     /// caller's thread — the plan of a cluster built without a
     /// scheduler: no pool, full width — and combines the answers under
-    /// `mode`, stopping at the settle point. A healthy-but-`Syncing`
-    /// replica is never queried — its stale vote is excluded, counted
-    /// in [`GroupOutcome::stale_excluded`] — and a replica whose
-    /// evaluation panics costs its vote, not the caller.
+    /// `mode`, stopping at the settle point. A vote behind the group's
+    /// target epoch is withdrawn, counted in
+    /// [`GroupOutcome::stale_excluded`], and a replica whose evaluation
+    /// panics costs its vote, not the caller.
     ///
     /// Latency is the sum of the replicas asked, likely-fast ones first;
     /// a cluster built with `ClusterBuilder::scheduler` overlaps the
@@ -520,16 +471,16 @@ impl ReplicaGroup {
     /// panics is replaced by the *fastest* remaining replica (dispatch
     /// order), not the next configured one.
     ///
-    /// The collector runs over the replicas that may vote right now, and
-    /// the roster's exclusion counts are stamped on its outcome — unless
-    /// the eligible set cannot decide under `mode` at all: nobody
-    /// eligible is an availability gap, and a set that is a minority of
+    /// The collector runs over the `Healthy` replicas, judging every
+    /// vote against the target epoch loaded once for the query —
+    /// unless the healthy set cannot decide under `mode` at all: nobody
+    /// healthy is an availability gap, and a set that is a minority of
     /// the configured group may not decide under
     /// [`QuorumMode::UnanimousFailClosed`] — it might consist entirely
     /// of stale or Byzantine replicas, so the group fails closed
-    /// without spending any evaluations. The count is of *eligible*
-    /// (healthy, in-sync) replicas: a stale replica cannot prop a
-    /// partition over the floor.
+    /// without spending any evaluations. The collector applies the same
+    /// floor to the replicas left once stale votes are withdrawn, so a
+    /// stale replica cannot prop a partition over it.
     pub(crate) fn query_planned(
         &self,
         mode: QuorumMode,
@@ -537,31 +488,33 @@ impl ReplicaGroup {
         now_ms: u64,
         plan: &FanoutPlan<'_>,
     ) -> GroupOutcome {
-        let roster = self.roster();
-        let e = roster.eligible.len();
-        let mut outcome = if e == 0 {
+        let eligible: Vec<&Arc<Replica>> = self
+            .replicas
+            .iter()
+            .filter(|r| r.endpoint.is_healthy())
+            .collect();
+        let e = eligible.len();
+        let target = PolicyEpoch(self.target.load(Ordering::Acquire));
+        if e == 0 {
             GroupOutcome::unanswered(0)
         } else if mode == QuorumMode::UnanimousFailClosed && e * 2 <= self.replicas.len() {
-            GroupOutcome {
-                response: Some(Response::decision(Decision::Deny)),
-                fail_closed: true,
-                ..GroupOutcome::unanswered(e)
-            }
+            GroupOutcome::floored(target, e)
         } else {
-            self.collect(mode, &roster.eligible, request, now_ms, plan)
-        };
-        outcome.readmitted = roster.readmitted;
-        outcome.stale_excluded = roster.stale_excluded;
-        outcome.max_epoch_lag = roster.max_epoch_lag;
-        outcome
+            self.collect(mode, &eligible, request, now_ms, plan, target)
+        }
     }
 
     /// `(latency estimate, index into eligible)` in dispatch order,
     /// each estimate read once: the first `pinned` stay in configured
     /// order, the rest sort by ascending EWMA latency; unmeasured
     /// replicas sort first — probing them is how they earn an estimate.
+    /// A returned replica's estimate predates its crash, so it counts
+    /// as unmeasured until its first vote at the target is counted.
     fn ewma_order(eligible: &[&Arc<Replica>], pinned: usize) -> Vec<(Option<u64>, usize)> {
-        let estimates = eligible.iter().map(|r| r.endpoint.latency_ewma_ns());
+        let estimates = eligible.iter().map(|r| {
+            let returned = r.returned.load(Ordering::Relaxed);
+            r.endpoint.latency_ewma_ns().filter(|_| !returned)
+        });
         let mut order: Vec<_> = estimates.zip(0..).collect();
         order[pinned..].sort_by_key(|&(estimate, _)| estimate);
         order
@@ -637,10 +590,12 @@ impl ReplicaGroup {
     ///
     /// Escalation is the same for every row: the next replica in order
     /// is dispatched at once when everything in flight has answered
-    /// without settling (a contested or lost vote — a needed voter).
-    /// When every eligible replica has answered without settling,
-    /// whatever arrived is combined in configured replica order by
-    /// [`quorum::combine`].
+    /// without settling (a contested, lost or withdrawn vote — a needed
+    /// voter). A vote behind `target` is withdrawn, and the majority to
+    /// settle is counted over the replicas left. When every eligible
+    /// replica has answered without settling, whatever was counted is
+    /// combined in configured replica order by [`quorum::combine`],
+    /// under unanimity only above the floor.
     fn collect(
         &self,
         mode: QuorumMode,
@@ -648,6 +603,7 @@ impl ReplicaGroup {
         request: &RequestContext,
         now_ms: u64,
         plan: &FanoutPlan<'_>,
+        target: PolicyEpoch,
     ) -> GroupOutcome {
         let e = eligible.len();
         let (pinned, initial, role): (_, _, fn(u32) -> Note) = match mode {
@@ -713,6 +669,8 @@ impl ReplicaGroup {
         // though arrival order is a thread-scheduling race.
         let mut received: Vec<(usize, Response)> = Vec::with_capacity(e);
         let mut answered = 0usize;
+        // Votes withdrawn, the worst one's lag, and re-syncs counted.
+        let (mut withdrawn, mut lag, mut readmitted) = (0usize, 0u64, 0usize);
         // Positions below `mine` are no longer the caller's to evaluate.
         let (mut mine, mut caller_evaluations) = (0usize, 0usize);
         // When the caller's last evaluation ended: the next one starts
@@ -736,20 +694,31 @@ impl ReplicaGroup {
                     .expect("the collector holds a sender; every job answers")
             };
             answered += 1;
-            if let (index, Some(response)) = answer {
-                received.push((index, response));
-                let settled = Self::settled(mode, e / 2 + 1, &received);
-                if let Some(verdict) = settled.filter(|_| !plan.every_vote) {
-                    break Some(verdict);
+            match answer {
+                (_, Some(response)) if response.epoch < target => {
+                    withdrawn += 1;
+                    lag = lag.max(target.lag_behind(response.epoch));
                 }
+                (index, Some(response)) => {
+                    let returned = &eligible[index].returned;
+                    if returned.load(Ordering::Relaxed) && returned.swap(false, Ordering::AcqRel) {
+                        readmitted += 1;
+                    }
+                    received.push((index, response));
+                }
+                (_, None) => {}
+            }
+            let settled = Self::settled(mode, (e - withdrawn) / 2 + 1, &received);
+            if let Some(verdict) = settled.filter(|_| !plan.every_vote) {
+                break Some(verdict);
             }
             if answered == dispatched {
                 if dispatched == e {
                     break None;
                 }
-                // Contested or lost votes: what is in flight cannot
-                // settle, so the next-best replica becomes a needed
-                // voter.
+                // Contested, lost or withdrawn votes: what is in flight
+                // cannot settle, so the next-best replica becomes a
+                // needed voter.
                 dispatch_next(&mut dispatched, &mut pooled, Note::Replica);
             }
         };
@@ -757,18 +726,37 @@ impl ReplicaGroup {
         if let Some((handoff, ..)) = &pooled {
             handoff.cancel.cancel();
         }
-        let outcome = match verdict {
-            Some(verdict) => GroupOutcome::decided(verdict, dispatched, e),
-            // Every job was lost (panicking backends): an availability
-            // gap, not a decision.
-            None if received.is_empty() => GroupOutcome::unanswered(e),
+        let voters = e - withdrawn;
+        let mut outcome = match verdict {
+            Some(verdict) => GroupOutcome::decided(verdict, dispatched, voters),
+            // Every vote was lost (panicking backends) or withdrawn
+            // (behind the target): an availability gap, not a decision.
+            None if received.is_empty() => GroupOutcome {
+                replicas_queried: dispatched,
+                ..GroupOutcome::unanswered(voters)
+            },
+            None if mode == QuorumMode::UnanimousFailClosed
+                && voters * 2 <= self.replicas.len() =>
+            {
+                GroupOutcome {
+                    replicas_queried: dispatched,
+                    ..GroupOutcome::floored(target, voters)
+                }
+            }
             None => {
                 received.sort_by_key(|(i, _)| *i);
                 let responses: Vec<Response> = received.into_iter().map(|(_, r)| r).collect();
-                GroupOutcome::decided(quorum::combine(mode, &responses), dispatched, e)
+                GroupOutcome::decided(quorum::combine(mode, &responses), dispatched, voters)
             }
         };
+        // A deny the quorum rule made up was judged at the target.
+        if let Some(response) = &mut outcome.response {
+            response.epoch = response.epoch.max(target);
+        }
         GroupOutcome {
+            readmitted,
+            stale_excluded: withdrawn,
+            max_epoch_lag: lag,
             caller_evaluations,
             ..outcome
         }
@@ -888,15 +876,14 @@ impl DecisionBackend for SlowBackend {
     }
 }
 
-/// A backend with an externally settable policy epoch — the test
-/// stand-in for a replica whose PAP lags the syndication timeline — that
-/// counts how often its epoch is read.
+/// A backend whose answers carry an externally settable policy epoch
+/// — the test stand-in for a replica whose PAP lags the syndication
+/// timeline.
 #[cfg(test)]
 pub(crate) struct EpochBackend {
     name: String,
     decision: Decision,
-    epoch: std::sync::atomic::AtomicU64,
-    reads: std::sync::atomic::AtomicU64,
+    epoch: AtomicU64,
 }
 
 #[cfg(test)]
@@ -905,19 +892,12 @@ impl EpochBackend {
         EpochBackend {
             name: name.into(),
             decision,
-            epoch: std::sync::atomic::AtomicU64::new(epoch),
-            reads: Default::default(),
+            epoch: AtomicU64::new(epoch),
         }
     }
 
     pub(crate) fn set_epoch(&self, epoch: u64) {
-        self.epoch
-            .store(epoch, std::sync::atomic::Ordering::Release);
-    }
-
-    /// Calls of [`DecisionBackend::policy_epoch`] so far.
-    pub(crate) fn reads(&self) -> u64 {
-        self.reads.load(std::sync::atomic::Ordering::Relaxed)
+        self.epoch.store(epoch, Ordering::Release);
     }
 }
 
@@ -927,12 +907,10 @@ impl DecisionBackend for EpochBackend {
         &self.name
     }
     fn decide(&self, _request: &RequestContext, _now_ms: u64) -> Response {
-        Response::decision(self.decision)
-    }
-    fn policy_epoch(&self) -> PolicyEpoch {
-        self.reads
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        PolicyEpoch(self.epoch.load(std::sync::atomic::Ordering::Acquire))
+        Response {
+            epoch: PolicyEpoch(self.epoch.load(Ordering::Acquire)),
+            ..Response::decision(self.decision)
+        }
     }
 }
 
@@ -1052,9 +1030,11 @@ mod tests {
         lossy_group(decisions, None)
     }
 
-    /// Puts the replica in `slot` into the `Syncing` phase.
-    fn syncing(group: &ReplicaGroup, slot: usize) {
-        group.endpoint(slot).set_phase(ReplicaPhase::Syncing);
+    /// Takes the replica in `slot` down and brings it back, as a crash
+    /// and a return do.
+    fn returned(group: &ReplicaGroup, slot: usize) {
+        group.endpoint(slot).set_phase(ReplicaPhase::Crashed);
+        group.mark_up(slot);
     }
 
     /// One permitting [`EpochBackend`] `r{i}` per policy epoch,
@@ -1278,15 +1258,16 @@ mod tests {
         assert!(fast <= took - DELAY, "recorded {fast:?} of {took:?}");
     }
 
-    /// Regression (ISSUE 3): a stale replica in the `Syncing` phase is
-    /// excluded from majority counting until it catches up — even when
-    /// the stale replicas outnumber the fresh ones — under every plan.
+    /// Regression: a stale replica's vote is withdrawn from
+    /// majority counting until it catches up — even when the stale
+    /// replicas outnumber the fresh ones — under every plan. The group
+    /// judges votes against its target epoch, not against its peers.
     #[test]
     fn stale_replicas_excluded_from_majority_until_synced() {
         let (pool, req) = (pool(), RequestContext::new());
         for (shape, plan) in plans(&pool) {
             // r0 saw the lockdown (epoch 5, denies); r1/r2 are stale at
-            // epoch 3 and would still permit. In-sync, they outvote r0.
+            // epoch 3 and would still permit. Counted, they outvote r0.
             let fresh = Arc::new(EpochBackend::new("r0", Decision::Deny, 5));
             let stale_1 = Arc::new(EpochBackend::new("r1", Decision::Permit, 3));
             let stale_2 = Arc::new(EpochBackend::new("r2", Decision::Permit, 3));
@@ -1295,70 +1276,84 @@ mod tests {
                 stale_1.clone() as Arc<dyn DecisionBackend>,
                 stale_2 as Arc<dyn DecisionBackend>,
             ]);
-            assert_eq!(g.max_policy_epoch(), PolicyEpoch(5));
             let majority = || g.query_planned(QuorumMode::Majority, &req, 0, &plan);
 
-            // Without the sync gate the stale majority falsely permits.
+            // With no epoch announced the stale majority falsely permits.
             let out = majority();
             assert_eq!(out.response.unwrap().decision, Decision::Permit, "{shape}");
 
-            // Gate the stale pair: only the fresh replica votes.
-            syncing(&g, 1);
-            syncing(&g, 2);
+            // The pair returns behind the announced epoch: asked, and
+            // withdrawn, so only the fresh replica's vote counts.
+            g.advance_epoch(PolicyEpoch(5));
+            returned(&g, 1);
+            returned(&g, 2);
             let out = majority();
-            assert_eq!(out.response.unwrap().decision, Decision::Deny, "{shape}");
-            assert_eq!(out.healthy, 1, "{shape}: only the eligible replica counts");
-            assert_eq!(out.replicas_queried, 1, "{shape}: stale not dispatched");
+            let response = out.response.unwrap();
+            assert_eq!(response.decision, Decision::Deny, "{shape}");
+            assert_eq!(response.epoch, PolicyEpoch(5), "{shape}");
+            assert_eq!(out.healthy, 1, "{shape}: only the current replica counts");
+            assert_eq!(out.replicas_queried, 3, "{shape}: stale asked, withdrawn");
             assert_eq!(out.stale_excluded, 2, "{shape}");
             assert_eq!(out.max_epoch_lag, 2, "{shape}: r1/r2 trail epoch 5 by 2");
+            assert_eq!(out.readmitted, 0, "{shape}");
 
-            // r1 catches up, and the next query readmits it: it votes
-            // again (its answer is its own; the gate controls
-            // eligibility, not content). The 1-1 split now fails closed
+            // r1 catches up, and the next query counts its vote (its
+            // answer is its own; the epoch decides whether it counts,
+            // not what it says): its re-sync. The 1-1 split fails closed
             // rather than permitting.
             stale_1.set_epoch(5);
             let out = majority();
-            assert_eq!(g.endpoint(1).phase(), ReplicaPhase::Healthy, "{shape}");
             assert_eq!(out.readmitted, 1, "{shape}");
             assert_eq!(out.response.unwrap().decision, Decision::Deny, "{shape}");
-            assert!(out.fail_closed, "{shape}: split vote after readmission");
-            assert_eq!(out.replicas_queried, 2, "{shape}");
-            assert_eq!(out.stale_excluded, 1, "{shape}: r2 still gated");
+            assert!(out.fail_closed, "{shape}: split vote after the catch-up");
+            assert_eq!(out.stale_excluded, 1, "{shape}: r2 still withdrawn");
+            // Its re-sync counts once.
+            assert_eq!(majority().readmitted, 0, "{shape}");
         }
     }
 
     #[test]
     fn unanimity_floor_counts_eligible_not_healthy() {
-        // Three live replicas, two of them syncing behind r0's epoch:
-        // the eligible set is a minority of the configured group, so
-        // unanimity fails closed without spending evaluations — a stale
-        // pair cannot prop the partition over the floor.
-        let (g, _, _) = epoch_group(&[2, 1, 1]);
-        syncing(&g, 1);
-        syncing(&g, 2);
-        let out = g.query(QuorumMode::UnanimousFailClosed, &RequestContext::new(), 0);
-        assert_eq!(out.response.unwrap().decision, Decision::Deny);
+        // Three live replicas, two of them answering behind the target
+        // epoch: once their votes are withdrawn, the replicas left are
+        // a minority of the configured group, so unanimity fails closed
+        // — a stale pair cannot prop the partition over the floor.
+        let (g, _, backends) = epoch_group(&[2, 1, 1]);
+        g.advance_epoch(PolicyEpoch(2));
+        let unanimity = || g.query(QuorumMode::UnanimousFailClosed, &RequestContext::new(), 0);
+        let out = unanimity();
+        let response = out.response.unwrap();
+        assert_eq!(response.decision, Decision::Deny);
+        assert_eq!(response.epoch, PolicyEpoch(2), "judged at the target");
         assert!(out.fail_closed);
-        assert_eq!(out.replicas_queried, 0);
-        assert_eq!(out.stale_excluded, 2);
+        assert_eq!((out.replicas_queried, out.stale_excluded), (3, 2));
+        // One catches up: two current votes of three clear the floor.
+        backends[1].set_epoch(2);
+        let out = unanimity();
+        assert_eq!(out.response.unwrap().decision, Decision::Permit);
+        assert!(!out.fail_closed);
+        assert_eq!(out.stale_excluded, 1);
     }
 
     #[test]
     fn all_replicas_syncing_is_unavailable_not_stale_service() {
-        // r0 is down holding the group's newest epoch; the two that are
-        // up sync behind it.
+        // r0 is down holding the group's epoch; the two that are up
+        // answer behind it.
         let (g, dir, backends) = epoch_group(&[2, 1, 1]);
+        g.advance_epoch(PolicyEpoch(2));
         dir.mark_down("r0");
-        syncing(&g, 1);
-        syncing(&g, 2);
         let out = g.query(QuorumMode::FirstHealthy, &RequestContext::new(), 0);
-        assert_eq!(out.response, None, "no fresh replica → no decision");
-        assert_eq!(out.stale_excluded, 2);
-        // r1 catches up: the next query readmits it, and it answers.
+        assert_eq!(out.response, None, "no current vote → no decision");
+        assert_eq!((out.replicas_queried, out.stale_excluded), (2, 2));
+        // r1 catches up: the next query counts its answer.
         backends[1].set_epoch(2);
         let out = g.query(QuorumMode::FirstHealthy, &RequestContext::new(), 0);
         assert!(out.response.is_some());
-        assert_eq!((out.readmitted, out.stale_excluded), (1, 1));
+        assert_eq!(
+            (out.replicas_queried, out.stale_excluded),
+            (1, 0),
+            "r1 is the primary"
+        );
     }
 
     #[test]

@@ -1185,13 +1185,14 @@ pub fn e15_fanout_latency(requests: usize) -> Table {
 enum ResyncEvent {
     /// Replica index crashes (directory down + syndication node offline).
     Crash(usize),
-    /// Replica index returns (node online + directory up; the cluster
-    /// gates it as `Syncing` while its epoch lags).
+    /// Replica index returns (node online + directory up; its votes
+    /// are withdrawn while its answers lag the announced epoch).
     Recover(usize),
-    /// The global PAP propagates policy version `k` down the tree.
+    /// The global PAP propagates policy version `k` down the tree and
+    /// announces its epoch to the cluster.
     Update(u64),
     /// Replica index replays its missed updates; the next decide
-    /// readmits it.
+    /// counts its vote.
     CatchUp(usize),
 }
 
@@ -1232,33 +1233,34 @@ fn e16_testbed() -> (PdpCluster, SyndicationTree, Pdp, Vec<usize>, Vec<String>) 
         names.push(name);
     }
     // Version 0 reaches everyone before any churn.
-    tree.propagate(lockdown_gate("e16", 0), 0);
+    let bootstrap = tree.propagate(lockdown_gate("e16", 0), 0);
 
     let cluster = ClusterBuilder::new("e16")
         .quorum(QuorumMode::Majority)
         .shard(replicas)
         .build();
+    cluster.advance_epoch(bootstrap.epoch);
     let truth = Pdp::new("truth", tree.node(0).pap.clone(), root, pips);
     (cluster, tree, truth, leaves, names)
 }
 
 /// E16: replica re-sync — staleness errors under crash churn plus
-/// concurrent policy updates, with recovery that is epoch-gated by
-/// construction and readmits itself.
+/// concurrent policy updates, every vote judged by its epoch.
 ///
 /// Two replicas of a three-replica majority shard crash over every
 /// policy update (the root pushes an alternating permit/lockdown
-/// policy down the syndication tree; offline leaves miss it) and later
-/// recover stale. The pair returns as `Syncing`, excluded from quorum
-/// counting until its `SyndicationTree::catch_up` replay lands a little
-/// later, and the first decide after that readmits it: nothing in the
-/// loop asks for readmission. The shard keeps answering correctly from
-/// the fresh replica — zero staleness errors, at the cost of a
+/// policy down the syndication tree and announces its epoch to the
+/// cluster; offline leaves miss it) and later recover stale: asked,
+/// but both votes withdrawn on every decide until their
+/// `SyndicationTree::catch_up` replay lands a little later. Nothing in
+/// the loop asks for readmission. The shard keeps answering correctly
+/// from the fresh replica — zero staleness errors, at the cost of a
 /// degraded-service window that [`dacs_cluster::ClusterMetrics`]
-/// accounts (`resyncs`, `stale_decisions_avoided`, epoch-lag gauges).
+/// accounts: `resyncs` (each return's first counted vote),
+/// `stale votes avoided` (each withdrawn vote) and the worst one's lag.
 pub fn e16_replica_resync(requests: usize) -> Table {
     let mut table = Table::new(
-        "E16 — replica re-sync: crash churn + policy updates, self-readmitting epoch-gated recovery (3 replicas, majority)",
+        "E16 — replica re-sync: crash churn + policy updates, every vote judged against the announced epoch (3 replicas, majority)",
         &[
             "availability %",
             "degraded %",
@@ -1304,7 +1306,8 @@ pub fn e16_replica_resync(requests: usize) -> Table {
                 cluster.mark_up(&names[r]);
             }
             ResyncEvent::Update(k) => {
-                tree.propagate(lockdown_gate("e16", k), t);
+                let report = tree.propagate(lockdown_gate("e16", k), t);
+                cluster.advance_epoch(report.epoch);
             }
             ResyncEvent::CatchUp(r) => {
                 tree.catch_up(leaves[r], t);
@@ -1381,10 +1384,11 @@ enum FedEvent {
     /// Replica crashes: directory down + syndication leaf offline.
     Crash(usize, usize),
     /// Replica answers again while its syndication leaf is still cut
-    /// off — `PdpCluster::mark_up` alone: it returns `Syncing`, behind.
+    /// off — `PdpCluster::mark_up` alone: it returns behind, and its
+    /// votes are withdrawn.
     Return(usize, usize),
     /// Replica recovers — `Domain::recover_replica`, which replays
-    /// what it missed; the next decide readmits it.
+    /// what it missed; the next decide counts its vote.
     Recover(usize, usize),
     /// The domain authority propagates policy version `k` down its
     /// syndication tree.
@@ -1401,12 +1405,14 @@ enum FedEvent {
 /// the domain's quorum. Per round, each domain's replicas 1 and 2
 /// crash over a policy update (staggered across domains, so updates
 /// are concurrent VO-wide) and answer again stale while their
-/// syndication leaves are still cut off: back up in the cluster, held
-/// in `Syncing` and out of every quorum, so replica 0 — the fresh
-/// anchor — decides alone (the stale-vote and epoch-lag columns count
-/// that window). A little later one `Domain::recover_replica` call
-/// replays what each missed and the next decide readmits it. One round
-/// also injects a full-shard blackout per domain — a window of honest
+/// syndication leaves are still cut off: asked, but every vote of
+/// theirs is behind the domain's epoch and withdrawn, so replica 0 —
+/// the fresh anchor — decides alone (the stale-vote and epoch-lag
+/// columns count that window). A little later one
+/// `Domain::recover_replica` call replays what each missed and the next
+/// decide counts its vote (`resyncs`: each return's first counted vote,
+/// the blackout's included). One round also
+/// injects a full-shard blackout per domain — a window of honest
 /// unavailability, answered fail-safe. Every pull flow (≈40%
 /// cross-domain, riding the federated attribute fetch) is compared
 /// against the domain's root-PAP reference PDP. Both false-permit
@@ -2648,24 +2654,25 @@ mod tests {
     /// E16's acceptance bar, with nothing in the loop readmitting
     /// a replica: crash churn plus concurrent policy updates produce
     /// zero stale (false) decisions of either kind, because recovering
-    /// replicas are held out until their catch-up lands and readmitted
-    /// by the next decide after it.
+    /// replicas' votes are withdrawn until their catch-up lands and
+    /// counted by the next decide after it.
     #[test]
     fn e16_recovering_replicas_readmit_themselves_without_staleness_errors() {
         let t = e16_replica_resync(1600);
         assert_eq!(t.rows.len(), 1);
         let cell = |i: usize| -> u64 { t.rows[0][i].parse().unwrap() };
-        // The epoch gate keeps stale votes out — zero wrong decisions
-        // of either kind.
+        // The announced epoch keeps stale votes out — zero wrong
+        // decisions of either kind.
         assert_eq!(cell(2), 0, "recovery leaked stale permits");
         assert_eq!(cell(3), 0, "recovery fail-closed on truth");
-        // The gate actually did work: replicas readmitted themselves,
-        // stale votes were excluded meanwhile, and lag was observed.
+        // The epoch actually did work: returned replicas' votes counted
+        // again, stale votes were withdrawn meanwhile, and lag was
+        // observed.
         assert!(cell(4) > 0, "no replica was readmitted");
         assert!(cell(5) > 0, "no stale vote was ever excluded");
         assert!(cell(6) >= 1, "epoch lag never observed");
         // Availability holds throughout: the fresh replica never
-        // crashes, so exclusion costs protection headroom, not service.
+        // crashes, so withdrawal costs protection headroom, not service.
         let avail: f64 = t.rows[0][0].parse().unwrap();
         assert!(avail > 99.0, "availability {avail}");
     }
@@ -2674,8 +2681,8 @@ mod tests {
     /// `Domain::recover_replica` call: under crash churn plus
     /// concurrent per-domain policy updates across a clustered 3-domain
     /// VO, cross-domain (and total) false permits are exactly zero,
-    /// while the stale pair answers again behind it is held out of every
-    /// quorum, and once recovered it readmits itself.
+    /// while the stale pair answers again behind it its votes are
+    /// withdrawn from every quorum, and once recovered they count.
     #[test]
     fn e17_self_healing_federated_clusters_zero_cross_domain_false_permits() {
         let t = e17_federated_cluster(1600);

@@ -5,13 +5,14 @@
 //! A domain's decision point comes in two shapes. The classic wiring
 //! binds the PEP to a single [`Pdp`] engine. A *clustered* domain
 //! ([`DomainBuilder::clustered`]) instead backs its PEP with a full
-//! [`PdpCluster`] — sharded, replicated, epoch-gated — whose replica
-//! PAPs are leaves of the domain's own syndication tree, so policy
-//! updates ([`Domain::propagate_policy`]) and their epochs flow from
-//! the domain authority down to every replica, and a replica
-//! recovering from a crash ([`Domain::recover_replica`]) is excluded
-//! from quorums until the catch-up replay that the same call runs has
-//! brought it to the domain's epoch.
+//! [`PdpCluster`] whose replica PAPs are leaves of the domain's own
+//! syndication tree, so policy updates ([`Domain::propagate_policy`])
+//! and their epochs flow from the domain authority down to every
+//! replica. Each push announces its epoch to every holder of an answer
+//! — cluster, PEP, capability authority — and an answer behind it does
+//! not count, so a replica recovering from a crash
+//! ([`Domain::recover_replica`]) votes again only once the replay that
+//! the same call runs has brought it to the domain's epoch.
 
 use dacs_capability::{CapabilityAuthority, CapabilityKey, CapabilityToken};
 use dacs_cluster::{ClusterBuilder, ClusterOutcome, DecisionBackend, PdpCluster, ReplicaPhase};
@@ -205,10 +206,9 @@ impl Domain {
     /// stamp; offline replicas miss it and replay it when
     /// [`Domain::recover_replica`] brings them back. For a single-engine
     /// domain it submits to the PAP and stamps the update itself (the
-    /// domain is its own syndication authority). Either way the PEP's
-    /// decision cache is flushed — cached grants must not outlive the
-    /// policy they were decided under — and the returned epoch is the
-    /// domain's policy epoch after the update.
+    /// domain is its own syndication authority). Either way the new
+    /// epoch, which it returns, is announced: no vote, cached decision
+    /// or token decided under an older policy counts from now on.
     ///
     /// # Panics
     ///
@@ -227,17 +227,20 @@ impl Domain {
                 stamped
             }
         };
-        // Replica PDP caches flush themselves on their PAP epoch bump;
-        // the PEP cache sits in front of the decision source and must
-        // be told explicitly.
-        self.pep.invalidate_cache();
-        // Outstanding capability tokens are revoked the same instant:
-        // the authority moves to the new epoch, and tokens stamped with
-        // the old one fail verification from now on.
+        self.announce(epoch);
+        epoch
+    }
+
+    /// Moves the cluster, the PEP and the authority to `epoch`: votes,
+    /// cached answers and tokens behind it stop counting at once.
+    fn announce(&self, epoch: PolicyEpoch) {
+        if let Some(cluster) = &self.cluster {
+            cluster.advance_epoch(epoch);
+        }
+        self.pep.advance_epoch(epoch);
         if let Some(authority) = &self.capability {
             authority.advance_epoch(epoch);
         }
-        epoch
     }
 
     /// The cluster and syndication-leaf index behind a replica name.
@@ -264,12 +267,11 @@ impl Domain {
     }
 
     /// Recovers a crashed replica, and this one call heals it: back
-    /// online in the syndication tree, back up in the cluster — in the
-    /// `Syncing` phase, alive but excluded from quorums, if its epoch
-    /// lags the group maximum — and then caught up by the tree's replay
-    /// of the updates it missed. The next decide that reaches its shard
-    /// finds it current and readmits it. Returns whether the name
-    /// matched a replica.
+    /// online in the syndication tree, back up in the cluster, and then
+    /// caught up by the tree's replay of the updates it missed (until
+    /// then its votes are behind the domain's epoch and withdrawn). The
+    /// next decide that reaches its shard counts its vote. Returns
+    /// whether the name matched a replica.
     ///
     /// The call takes no clock, so the replay is back-dated: the replica
     /// PAP's audit records for the updates it missed carry the newest
@@ -308,8 +310,8 @@ impl Domain {
     }
 
     /// A cluster replica's position in the recovery lifecycle
-    /// (`Healthy / Crashed / Syncing`), or `None` for
-    /// unknown names and single-engine domains.
+    /// (`Healthy / Crashed`), or `None` for unknown names and
+    /// single-engine domains.
     pub fn replica_phase(&self, name: &str) -> Option<ReplicaPhase> {
         self.cluster.as_ref()?.replica_phase(name)
     }
@@ -642,16 +644,6 @@ impl DomainBuilder {
             None => source,
         };
 
-        // The bootstrap pushes above already advanced the domain epoch;
-        // catch the authority up so first-mint tokens verify.
-        if let Some(authority) = &capability {
-            let epoch = match &syndication {
-                Some(tree) => tree.lock().epoch(),
-                None => pap.policy_epoch(),
-            };
-            authority.advance_epoch(epoch);
-        }
-
         let key = Arc::new(SigningKey::generate_sim(ctx.registry(), &mut rng));
 
         let log_handler = Arc::new(LogObligationHandler::new());
@@ -671,7 +663,7 @@ impl DomainBuilder {
             pep = pep.capability_fastpath(authority.clone(), 4096);
         }
 
-        Domain {
+        let domain = Domain {
             name,
             pap,
             pdp,
@@ -685,13 +677,16 @@ impl DomainBuilder {
             source,
             syndication,
             replica_leaves,
-        }
+        };
+        // The bootstrap pushes above already advanced the domain epoch;
+        // announce it, so first-mint tokens verify and first votes count.
+        domain.announce(domain.policy_epoch());
+        domain
     }
 }
 
-/// A replica at policy epoch 1 that permits everything except the
-/// subjects in `trips`, on which it panics — a backend bug, for the
-/// fail-safe tests.
+/// A replica that permits everything except the subjects in `trips`,
+/// on which it panics — a backend bug, for the fail-safe tests.
 #[cfg(test)]
 struct Tripwire {
     name: &'static str,
@@ -714,9 +709,6 @@ impl DecisionBackend for Tripwire {
         let subject = request.subject_id().unwrap_or_default();
         assert!(!self.trips.contains(&subject), "backend bug");
         Response::decision(dacs_policy::policy::Decision::Permit)
-    }
-    fn policy_epoch(&self) -> PolicyEpoch {
-        PolicyEpoch(1)
     }
 }
 
@@ -841,11 +833,13 @@ policy "gate" deny-unless-permit {
         );
     }
 
-    /// Review regression: a policy update must flush the PEP-side
-    /// decision cache too — a cached grant must never outlive the
-    /// policy it was decided under, clustered or not.
+    /// Review regression: a policy update must move the PEP past its
+    /// cached answers too — a cached grant must never outlive the
+    /// policy it was decided under, clustered or not. Nothing is
+    /// flushed: the cached permit carries the epoch it was decided at,
+    /// and the PEP's epoch is past it.
     #[test]
-    fn propagate_policy_flushes_the_pep_cache() {
+    fn propagate_policy_moves_the_pep_past_its_cached_answers() {
         let ctx = CryptoCtx::new();
         let lockdown = || {
             dacs_policy::dsl::parse_policy(
@@ -986,21 +980,20 @@ policy "gate" deny-unless-permit {
         assert_eq!(domain.pdp.decide(&req, 11).decision, Decision::Deny);
 
         // Marked up on the cluster alone, its leaf still offline in the
-        // tree: it is stale, lands in Syncing and is kept out of the
-        // quorum.
+        // tree: it is `Healthy` and asked first, but it answers behind
+        // the domain's epoch, so its vote is withdrawn.
         cluster.mark_up(&names[1]);
-        assert_eq!(domain.replica_phase(&names[1]), Some(ReplicaPhase::Syncing));
+        assert_eq!(domain.replica_phase(&names[1]), Some(ReplicaPhase::Healthy));
         let denied = domain.pep.serve(EnforceRequest::of(&req, 12));
         assert!(!denied.allowed, "the fresh pair enforces the lockdown");
         assert_eq!(cluster.metrics().stale_decisions_avoided, 1);
         assert_eq!(cluster.metrics().resyncs, 0, "nothing replayed yet");
 
         // The domain's recovery brings the leaf online and replays the
-        // lockdown through the tree; the next decide readmits it.
+        // lockdown through the tree; the next decide counts its vote.
         assert!(domain.recover_replica(&names[1]));
         let other = RequestContext::basic("dr-grey@ward", "ehr/2", "read");
         assert!(!domain.pep.serve(EnforceRequest::of(&other, 20)).allowed);
-        assert_eq!(domain.replica_phase(&names[1]), Some(ReplicaPhase::Healthy));
         assert_eq!(cluster.metrics().resyncs, 1);
         assert_eq!(cluster.metrics().stale_decisions_avoided, 1);
 
@@ -1121,41 +1114,36 @@ policy "block-secret" deny-overrides {
 
     /// A `decide` that panics inside a batch withdraws its own vote
     /// only: that request is denied fail-safe, the rest of the batch is
-    /// served. A panic that does unwind out of a batch — here from a
-    /// replica's epoch read, which no vote guards — reaches that batch's
-    /// caller alone, and the next batch is served in full.
+    /// served. A panic that does unwind out of a batch — here from the
+    /// source hop, which no vote guards — reaches that batch's caller
+    /// alone, and the next batch is served in full.
     #[test]
     fn a_panic_inside_a_batch_reaches_only_its_own_request_or_caller() {
         use dacs_cluster::QuorumMode;
         use std::sync::atomic::{AtomicBool, Ordering};
-        /// A replica whose epoch read panics once after it is armed.
-        struct EpochBomb(AtomicBool);
-        impl DecisionBackend for EpochBomb {
-            fn name(&self) -> &str {
-                "bomb"
-            }
-            fn decide(&self, _request: &RequestContext, _now_ms: u64) -> Response {
-                Response::decision(Decision::Permit)
-            }
-            fn policy_epoch(&self) -> PolicyEpoch {
-                assert!(!self.0.swap(false, Ordering::SeqCst), "backend bug");
-                PolicyEpoch::ZERO
+        /// The clustered source, with a bug that panics once armed.
+        struct Bomb(ClusteredDecisionSource, AtomicBool);
+        impl DecisionSource for Bomb {
+            fn decide_batch_with_grants_classed(
+                &self,
+                requests: &[RequestContext],
+                now_ms: u64,
+                class: DecisionClass,
+            ) -> Vec<(Response, Option<CapabilityToken>)> {
+                assert!(!self.1.swap(false, Ordering::SeqCst), "source bug");
+                self.0
+                    .decide_batch_with_grants_classed(requests, now_ms, class)
             }
         }
-        let bomb = Arc::new(EpochBomb(AtomicBool::new(false)));
-        let cluster = Arc::new(
-            ClusterBuilder::new("batch-panic")
-                .quorum(QuorumMode::FirstHealthy)
-                .shard(vec![Tripwire::replica("tripwire", &["boom"]), bomb.clone()])
-                .build(),
-        );
-        // Gated behind the tripwire's epoch: the tripwire is the only
-        // voter, and every roster reads the bomb's epoch to report its
-        // lag.
-        let gated = cluster.directory().register("bomb", "batch-panic");
-        gated.set_phase(ReplicaPhase::Syncing);
-        let source = ClusteredDecisionSource::new(cluster);
-        let pep = Pep::builder("pep.batch").source(Arc::new(source)).build();
+        let cluster = ClusterBuilder::new("batch-panic")
+            .quorum(QuorumMode::FirstHealthy)
+            .shard(vec![Tripwire::replica("tripwire", &["boom"])])
+            .build();
+        let bomb = Arc::new(Bomb(
+            ClusteredDecisionSource::new(Arc::new(cluster)),
+            AtomicBool::new(false),
+        ));
+        let pep = Pep::builder("pep.batch").source(bomb.clone()).build();
         let batch = |first: &str| -> Vec<RequestContext> {
             std::iter::once(first.to_string())
                 .chain((1..6).map(|i| format!("user-{i}")))
@@ -1171,14 +1159,11 @@ policy "block-secret" deny-overrides {
         assert_eq!(pep.stats().failsafe_denials, 1);
         assert_eq!(pep.stats().denied, 0);
 
-        bomb.0.store(true, Ordering::SeqCst);
+        bomb.1.store(true, Ordering::SeqCst);
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pep.serve_batch(&batch("user-0"), 1, EnforceOptions::default())
         }));
-        assert!(
-            unwound.is_err(),
-            "the armed epoch read unwinds to the caller"
-        );
+        assert!(unwound.is_err(), "the armed source unwinds to the caller");
 
         // Not wedged or poisoned: the next batch is served in full.
         let results = pep.serve_batch(&batch("user-0"), 2, EnforceOptions::default());

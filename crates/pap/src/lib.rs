@@ -13,19 +13,17 @@
 //! * [`syndication`] — the PAP / policy-syndication-server hierarchy of
 //!   Fig. 5, with per-node accept filters, report accounting, epoch
 //!   stamping and offline-node catch-up (anti-entropy replay).
-//! * [`epoch`] — [`PolicyEpoch`], the monotonically increasing stamp
-//!   the syndication root assigns to every push; PDP replicas expose it
-//!   so a recovering replica can be excluded from quorum counting until
-//!   it has caught up.
+//! * [`epoch`] — [`PolicyEpoch`], the stamp of every push and of every
+//!   answer decided after it (re-exported from `dacs-policy`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod delegation;
-pub mod epoch;
 pub mod repository;
 pub mod syndication;
 
+pub use dacs_policy::epoch;
 pub use delegation::{Delegation, DelegationError, DelegationRegistry};
 pub use epoch::PolicyEpoch;
 pub use repository::{AdminAction, AuditEntry, Pap, PapError};

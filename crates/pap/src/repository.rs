@@ -10,6 +10,7 @@ use dacs_policy::policy::{Decision, Policy, PolicyId, PolicySet};
 use dacs_policy::request::RequestContext;
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Administrative operations recorded in the audit log.
@@ -114,11 +115,11 @@ pub struct Pap {
     audit: RwLock<Vec<AuditEntry>>,
     seq: RwLock<u64>,
     /// Bumped on every mutation; PDP/PEP caches key their validity on it.
-    epoch: RwLock<u64>,
+    epoch: AtomicU64,
     /// Highest syndication stamp processed with no gap before it — the
     /// repository's position in the global policy timeline (distinct
     /// from the local mutation counter above).
-    policy_epoch: RwLock<PolicyEpoch>,
+    policy_epoch: AtomicU64,
 }
 
 impl Pap {
@@ -132,8 +133,8 @@ impl Pap {
             admin_policy: RwLock::new(None),
             audit: RwLock::new(Vec::new()),
             seq: RwLock::new(0),
-            epoch: RwLock::new(0),
-            policy_epoch: RwLock::new(PolicyEpoch::ZERO),
+            epoch: AtomicU64::new(0),
+            policy_epoch: AtomicU64::new(0),
         }
     }
 
@@ -152,16 +153,18 @@ impl Pap {
 
     /// Current mutation epoch (cache validity token).
     pub fn epoch(&self) -> u64 {
-        *self.epoch.read()
+        self.epoch.load(Ordering::Acquire)
     }
 
     /// The repository's position in the global policy timeline: the
     /// highest syndication stamp processed without a gap before it.
     ///
-    /// A replica PDP bound to this PAP reports this value as its
-    /// quorum-eligibility epoch.
+    /// A PDP bound to this PAP stamps every answer with this value.
+    /// A mutation's stamp is observed after the mutation is recorded,
+    /// so a reader that loads this before [`Pap::epoch`] never pairs a
+    /// stamp with an older mutation epoch.
     pub fn policy_epoch(&self) -> PolicyEpoch {
-        *self.policy_epoch.read()
+        PolicyEpoch(self.policy_epoch.load(Ordering::Acquire))
     }
 
     /// Observes syndication stamp `stamp` (whether the update was
@@ -172,13 +175,10 @@ impl Pap {
     /// `SyndicationTree::catch_up` path). Returns whether the epoch
     /// advanced.
     pub fn observe_policy_epoch(&self, stamp: PolicyEpoch) -> bool {
-        let mut current = self.policy_epoch.write();
-        if current.next() == stamp {
-            *current = stamp;
-            true
-        } else {
-            false
-        }
+        let previous = stamp.0.wrapping_sub(1);
+        self.policy_epoch
+            .compare_exchange(previous, stamp.0, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
     }
 
     fn authorize_admin(&self, actor: &str, policy: &PolicyId, op: &str) -> Result<(), PapError> {
@@ -218,7 +218,7 @@ impl Pap {
             policy: policy.clone(),
             version,
         });
-        *self.epoch.write() += 1;
+        self.epoch.fetch_add(1, Ordering::AcqRel);
     }
 
     /// Inserts a new policy or a new version of an existing one.
@@ -335,7 +335,7 @@ impl Pap {
     /// children are versioned policies referenced by id).
     pub fn install_set(&self, set: PolicySet) {
         self.sets.write().insert(set.id.clone(), Arc::new(set));
-        *self.epoch.write() += 1;
+        self.epoch.fetch_add(1, Ordering::AcqRel);
     }
 
     /// The active version of a policy.

@@ -17,17 +17,15 @@ use std::sync::Arc;
 ///
 /// ```text
 /// Healthy ──crash / partition──▶ Crashed
-///    ▲  ▲                           │
-///    │  └──returns, epoch current───┤
-///    │                              │ returns, epoch behind
-///    └──next query, epoch caught up── Syncing ◀┘
+///    ▲                              │
+///    └──────────── returns ─────────┘
 /// ```
 ///
 /// Only `Healthy` endpoints are routable: discovery resolves to them
-/// and replica groups dispatch to and count them. The directory itself
-/// produces `Healthy` and `Crashed`; a cluster stores `Syncing` when a
-/// replica returns behind its group's policy epoch, and its next query
-/// that finds the replica caught up moves it back to `Healthy`.
+/// and replica groups dispatch to and count them. Whether a healthy
+/// replica's *answer* counts is not a phase: it carries the policy
+/// epoch it was decided at, and a replica group withdraws a vote behind
+/// the epoch its domain announced.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ReplicaPhase {
     /// Serving normally; eligible for routing and quorum counting.
@@ -35,9 +33,6 @@ pub enum ReplicaPhase {
     Healthy,
     /// Declared down (crash, partition).
     Crashed,
-    /// Back up, but its policy epoch lags its group's maximum: excluded
-    /// from routing and quorum counting until catch-up completes.
-    Syncing,
 }
 
 impl ReplicaPhase {
@@ -46,15 +41,13 @@ impl ReplicaPhase {
         match self {
             ReplicaPhase::Healthy => "healthy",
             ReplicaPhase::Crashed => "crashed",
-            ReplicaPhase::Syncing => "syncing",
         }
     }
 
     fn from_u8(raw: u8) -> ReplicaPhase {
         match raw {
             0 => ReplicaPhase::Healthy,
-            1 => ReplicaPhase::Crashed,
-            _ => ReplicaPhase::Syncing,
+            _ => ReplicaPhase::Crashed,
         }
     }
 }
@@ -92,16 +85,6 @@ impl PdpEndpoint {
     /// record sees the whole transition or none of it.
     pub fn set_phase(&self, phase: ReplicaPhase) {
         self.phase.store(phase as u8, Ordering::Release);
-    }
-
-    /// Moves the endpoint from `from` to `to` only if it is still in
-    /// `from`; returns whether it did. For transitions that must not
-    /// overwrite a concurrent one (readmitting a `Syncing` replica must
-    /// not resurrect one that crashed meanwhile).
-    pub fn advance_phase(&self, from: ReplicaPhase, to: ReplicaPhase) -> bool {
-        self.phase
-            .compare_exchange(from as u8, to as u8, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
     }
 
     /// Whether the endpoint is routable (only [`ReplicaPhase::Healthy`]
@@ -215,10 +198,10 @@ impl PdpDirectory {
         self.set_phase(name, ReplicaPhase::Crashed);
     }
 
-    /// Marks an endpoint healthy again. The directory knows nothing of
-    /// policy epochs: replicas of a cluster return through
-    /// `PdpCluster::mark_up`, which stores `Syncing` instead when the
-    /// replica is behind.
+    /// Marks an endpoint healthy again. Replicas of a cluster return
+    /// through `PdpCluster::mark_up`, which also marks the return so
+    /// the replica's first vote at its group's epoch counts as a
+    /// re-sync.
     pub fn mark_up(&self, name: &str) {
         self.set_phase(name, ReplicaPhase::Healthy);
     }
@@ -235,8 +218,8 @@ impl PdpDirectory {
         self.find(name).is_some()
     }
 
-    /// Whether a named endpoint is currently healthy (crashed, syncing
-    /// and unknown endpoints all answer `false`).
+    /// Whether a named endpoint is currently healthy (crashed and
+    /// unknown endpoints answer `false`).
     pub fn is_healthy(&self, name: &str) -> bool {
         self.find(name).is_some_and(|e| e.is_healthy())
     }
@@ -245,9 +228,7 @@ impl PdpDirectory {
     ///
     /// Static bindings resolve to their target only while it is healthy
     /// (`None` otherwise — the availability gap E13 measures);
-    /// discovery round-robins over the domain's healthy endpoints. A
-    /// `Syncing` endpoint is alive but known stale, so neither binding
-    /// resolves to it.
+    /// discovery round-robins over the domain's healthy endpoints.
     pub fn resolve(&self, binding: &Binding, domain: &str) -> Option<String> {
         match binding {
             Binding::Static { target } => {
@@ -443,33 +424,6 @@ mod tests {
         d.mark_up("pdp-1");
         assert!(first.is_healthy());
         assert_eq!(d.health("no-such"), None);
-    }
-
-    #[test]
-    fn syncing_endpoints_are_alive_but_never_resolved() {
-        let d = directory();
-        let pdp_1 = d.register("pdp-1", "hospital-a");
-        pdp_1.set_phase(ReplicaPhase::Syncing);
-        assert_eq!(d.health("pdp-1"), Some(ReplicaPhase::Syncing));
-        assert!(!d.is_healthy("pdp-1"), "stale policy gets no new work");
-        for _ in 0..3 {
-            assert_eq!(
-                d.resolve(&Binding::Discovery, "hospital-a"),
-                Some("pdp-2".into())
-            );
-        }
-        let pinned = Binding::Static {
-            target: "pdp-1".into(),
-        };
-        assert_eq!(d.resolve(&pinned, "hospital-a"), None);
-        // Readmission is conditional on still being `Syncing`: a crash
-        // that lands first is not overwritten.
-        d.mark_down("pdp-1");
-        assert!(!pdp_1.advance_phase(ReplicaPhase::Syncing, ReplicaPhase::Healthy));
-        assert_eq!(pdp_1.phase(), ReplicaPhase::Crashed);
-        pdp_1.set_phase(ReplicaPhase::Syncing);
-        assert!(pdp_1.advance_phase(ReplicaPhase::Syncing, ReplicaPhase::Healthy));
-        assert_eq!(d.resolve(&pinned, "hospital-a"), Some("pdp-1".into()));
     }
 
     /// Regression (ISSUE 3): a latency estimate must not outlive the

@@ -182,15 +182,15 @@ impl Pdp {
     }
 
     /// The policy epoch this PDP decides on: its PAP's position in the
-    /// global syndication timeline. A replica group compares this
-    /// against its maximum to decide quorum eligibility — a recovering
-    /// replica whose epoch lags is `Syncing`, not voting, until its
-    /// epoch catches up and a query readmits it.
+    /// global syndication timeline, the stamp every answer carries.
     pub fn policy_epoch(&self) -> dacs_pap::PolicyEpoch {
         self.pap.policy_epoch()
     }
 
-    /// Serves an authorization decision query.
+    /// Serves an authorization decision query, its answer stamped with
+    /// the PAP's policy epoch ([`Response::epoch`]) — a cached answer
+    /// too, since a filtered syndication update moves that epoch
+    /// without a mutation.
     ///
     /// A cached decision is served only at the PAP epoch it was decided
     /// at, so a policy change invalidates every cached decision at
@@ -200,8 +200,11 @@ impl Pdp {
     pub fn decide(&self, request: &RequestContext, now_ms: u64) -> Response {
         self.metrics.decisions.fetch_add(1, Ordering::Relaxed);
 
-        // One read serves the cache's validity check and the
-        // snapshot's; it comes first so neither is newer than it.
+        // The stamp is read first, so an answer is never labelled newer
+        // than the policy that decided it. One read of the mutation
+        // epoch then serves the cache's validity check and the
+        // snapshot's; it comes before both, so neither is newer than it.
+        let stamp = self.pap.policy_epoch();
         let epoch = self.pap.epoch();
         let hash = self
             .cache
@@ -212,7 +215,10 @@ impl Pdp {
         if let Some(cache) = &self.cache {
             if let Some((_, resp)) = cache.get_if(hash, request, now_ms, |(at, _)| *at == epoch) {
                 self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return resp;
+                return Response {
+                    epoch: stamp,
+                    ..resp
+                };
             }
         }
 
@@ -221,7 +227,10 @@ impl Pdp {
         // The PAP stays the store for what the snapshot left as a
         // reference (dangling or cyclic).
         let mut evaluator = Evaluator::with_source(self.pap.as_ref(), request, &source);
-        let response = evaluator.evaluate_resolved(&snapshot.root);
+        let response = Response {
+            epoch: stamp,
+            ..evaluator.evaluate_resolved(&snapshot.root)
+        };
         self.metrics.absorb(&evaluator.metrics);
 
         if let Some(cache) = &self.cache {
@@ -247,14 +256,6 @@ impl Pdp {
             *held = fresh.clone();
         }
         fresh
-    }
-
-    /// Explicitly flushes the decision cache (used when attribute
-    /// revocations must take effect immediately).
-    pub fn invalidate_cache(&self) {
-        if let Some(cache) = &self.cache {
-            cache.invalidate_all();
-        }
     }
 
     /// Snapshot of work counters. Counters are relaxed atomics bumped
@@ -384,25 +385,50 @@ policy "aux" deny-overrides {
             capacity: 128,
             ttl_ms: 10_000,
         };
-        let (_pap, pdp, statics) = setup(Some(cfg));
+        let (pap, pdp, statics) = setup(Some(cfg));
         let alice = RequestContext::basic("alice", "ehr/1", "read");
         assert_eq!(pdp.decide(&alice, 0).decision, Decision::Permit);
         // Role revoked upstream, but the cached Permit is served — the
         // false-permit window the paper warns about.
         statics.remove_subject("alice");
         assert_eq!(pdp.decide(&alice, 100).decision, Decision::Permit);
-        pdp.invalidate_cache();
+        // A PAP mutation is the explicit invalidation: re-installing the
+        // gate moves the mutation epoch, and every entry decided before
+        // it is a miss.
+        let gate = pap.active(&PolicyId::new("gate")).unwrap();
+        pap.submit("admin", (*gate).clone(), 101).unwrap();
         assert_eq!(pdp.decide(&alice, 101).decision, Decision::Deny);
     }
 
+    /// Every answer carries the PAP's policy epoch, a cached one too: a
+    /// filtered syndication update moves the stamp without a mutation,
+    /// so the entry stays valid and is served relabelled.
     #[test]
     fn policy_epoch_reflects_syndicated_position() {
-        let (pap, pdp, _s) = setup(None);
+        let cfg = CacheConfig {
+            capacity: 128,
+            ttl_ms: 1_000_000,
+        };
+        let (pap, pdp, _s) = setup(Some(cfg));
+        let alice = RequestContext::basic("alice", "ehr/1", "read");
         assert_eq!(pdp.policy_epoch(), dacs_pap::PolicyEpoch::ZERO);
+        assert_eq!(pdp.decide(&alice, 0).epoch, dacs_pap::PolicyEpoch::ZERO);
+        assert!(pap.observe_policy_epoch(dacs_pap::PolicyEpoch(1)));
+        let hit = pdp.decide(&alice, 1);
+        assert_eq!(
+            (hit.decision, hit.epoch),
+            (Decision::Permit, dacs_pap::PolicyEpoch(1))
+        );
+        assert_eq!(pdp.metrics().cache_hits, 1);
         let update =
             parse_policy(r#"policy "gate" deny-unless-permit { rule "none" deny { } }"#).unwrap();
-        pap.apply_syndicated_stamped("parent", update, dacs_pap::PolicyEpoch(1), 10);
-        assert_eq!(pdp.policy_epoch(), dacs_pap::PolicyEpoch(1));
+        pap.apply_syndicated_stamped("parent", update, dacs_pap::PolicyEpoch(2), 10);
+        assert_eq!(pdp.policy_epoch(), dacs_pap::PolicyEpoch(2));
+        let miss = pdp.decide(&alice, 11);
+        assert_eq!(
+            (miss.decision, miss.epoch),
+            (Decision::Deny, dacs_pap::PolicyEpoch(2))
+        );
     }
 
     /// A syndicated catch-up replay bumps the PAP mutation epoch, so the

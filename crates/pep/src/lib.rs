@@ -34,13 +34,14 @@ use dacs_assert::SignedAssertion;
 use dacs_capability::{Admitted, CapabilityAuthority, CapabilityToken, TokenError};
 use dacs_crypto::sign::{CryptoCtx, PublicKey};
 use dacs_pdp::{CacheConfig, CacheStats, DecisionClass, HashedRequestCache, Pdp, Priority};
+use dacs_policy::epoch::PolicyEpoch;
 use dacs_policy::eval::Response;
 use dacs_policy::policy::{Decision, Obligation};
 use dacs_policy::request::RequestContext;
 use dacs_telemetry::{Note, Registry, Span, Stage, Telemetry};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Scheduling metadata for an enforcement, separated from the access
@@ -306,14 +307,13 @@ impl DecisionSource for MintingSource {
         now_ms: u64,
         class: DecisionClass,
     ) -> Vec<(Response, Option<CapabilityToken>)> {
-        // Epoch before the decision: a push that interleaves makes the
-        // token stale-on-arrival instead of fresh-but-wrong.
-        let epoch = self.authority.current_epoch();
+        // Each token is minted at its answer's epoch: a stale answer
+        // yields a token admission refuses.
         let mut answers = self
             .inner
             .decide_batch_with_grants_classed(requests, now_ms, class);
         for ((response, token), request) in answers.iter_mut().zip(requests) {
-            *token = self.authority.grant_for(request, response, now_ms, epoch);
+            *token = self.authority.grant_for(request, response, now_ms);
         }
         answers
     }
@@ -975,6 +975,7 @@ impl PepBuilder {
             source,
             handlers: self.handlers,
             cache,
+            epoch: AtomicU64::new(0),
             crypto: self.crypto.unwrap_or_default(),
             trusted_issuers: self.trusted_issuers,
             deny_not_applicable: self.deny_not_applicable,
@@ -1003,6 +1004,9 @@ pub struct Pep {
     source: Arc<dyn DecisionSource>,
     handlers: HashMap<String, Arc<dyn ObligationHandler>>,
     cache: Option<Arc<HashedRequestCache<dacs_policy::eval::Response>>>,
+    /// The epoch last announced ([`Pep::advance_epoch`]), stored with
+    /// `Release` after the push and loaded with `Acquire`.
+    epoch: AtomicU64,
     crypto: CryptoCtx,
     /// Trusted capability issuers: name → verification key.
     trusted_issuers: HashMap<String, PublicKey>,
@@ -1141,9 +1145,11 @@ impl Pep {
         if let Some(cache) = &self.cache {
             let mut span = root.map(|p| p.child(Stage::Cache));
             let mut hits = 0;
+            let current = PolicyEpoch(self.epoch.load(Ordering::Acquire));
             for (slot, request) in slots.iter_mut().zip(requests) {
                 if slot.answer.is_none() {
-                    if let Some(response) = cache.get(slot.hash, request, now_ms) {
+                    let fresh = |response: &Response| response.epoch >= current;
+                    if let Some(response) = cache.get_if(slot.hash, request, now_ms, fresh) {
                         hits += 1;
                         misses -= 1;
                         slot.answer = Some((response, ServingPath::Cache));
@@ -1193,15 +1199,11 @@ impl Pep {
         }
     }
 
-    /// Explicitly flushes the PEP-side decision cache. The policy
-    /// authority calls this when cached decisions are known stale —
-    /// e.g. a domain that just propagated a policy update (a PDP cache
-    /// serves an entry only at the PAP epoch it was decided at, but the
-    /// PEP cache sits in front of the decision source and must be told).
-    pub fn invalidate_cache(&self) {
-        if let Some(cache) = &self.cache {
-            cache.invalidate_all();
-        }
+    /// Moves the PEP to the epoch its domain just announced: from the
+    /// next enforcement on, a cached answer behind it is a miss —
+    /// including one a decide that straddled the push caches later.
+    pub fn advance_epoch(&self, epoch: PolicyEpoch) {
+        self.epoch.fetch_max(epoch.0, Ordering::AcqRel);
     }
 
     /// Push-model enforcement (Fig. 2) under the redesigned API. The
@@ -2092,7 +2094,7 @@ policy "gate" deny-unless-permit {
         pips.add(statics);
         let pdp = Arc::new(Pdp::new(
             "pdp.k",
-            pap,
+            pap.clone(),
             PolicyElement::PolicyRef(PolicyId::new("gate")),
             Arc::new(pips),
         ));
@@ -2117,7 +2119,9 @@ policy "gate" deny-unless-permit {
         assert_eq!(stats.token_hits, 4);
 
         // An epoch bump revokes the outstanding token: the next
-        // enforcement rejects it and re-consults the source.
+        // enforcement rejects it and re-consults the source, whose
+        // answer — stamped at the PAP's new epoch — mints afresh.
+        assert!(pap.observe_policy_epoch(dacs_pap::PolicyEpoch(1)));
         authority.advance_epoch(dacs_pap::PolicyEpoch(1));
         assert!(pep.serve(EnforceRequest::of(&req, 5)).allowed);
         let stats = pep.stats();

@@ -1,14 +1,10 @@
-//! Policy epochs: a monotonically increasing stamp the syndication root
-//! assigns to every policy push, so every consumer of policy — a local
-//! PAP, a PDP replica, a cluster quorum — can answer the question
-//! "which policy state am I deciding on?" with a single comparable
-//! number.
-//!
-//! Epochs are what make replica recovery safe: a PDP replica returning
-//! from a crash compares its [`PolicyEpoch`] against its group's
-//! maximum and is excluded from quorum counting until it has replayed
-//! the missed updates (see `dacs-cluster`'s `Syncing` lifecycle and
-//! `SyndicationTree::catch_up`).
+//! Policy epochs: the stamp the syndication root gives every policy
+//! push (`SyndicationTree::propagate`) and each PAP keeps as its
+//! position (`Pap::policy_epoch`). A PDP stamps every answer with its
+//! PAP's epoch ([`crate::eval::Response::epoch`]), and whoever holds
+//! the answer — a replica group, a PEP cache, the capability mint —
+//! judges it against the one epoch its domain announced. `dacs-pap`
+//! re-exports this module.
 
 /// A monotonically increasing policy-state stamp.
 ///
@@ -20,7 +16,7 @@
 /// # Examples
 ///
 /// ```
-/// use dacs_pap::PolicyEpoch;
+/// use dacs_policy::epoch::PolicyEpoch;
 ///
 /// let e = PolicyEpoch::ZERO;
 /// assert_eq!(e.next(), PolicyEpoch(1));

@@ -3,6 +3,7 @@
 //! Policy Decision Point (Fig. 3/4 of the paper).
 
 use crate::combining::Combiner;
+use crate::epoch::PolicyEpoch;
 use crate::expr::{eval as eval_expr, Evaluated};
 use crate::expr::{eval_condition, AttributeSource, EvalError, ExprStats};
 use crate::index::{Candidates, SetIndex};
@@ -266,6 +267,9 @@ pub struct Response {
     pub obligations: Vec<Obligation>,
     /// Evaluation status.
     pub status: Status,
+    /// The policy epoch it was decided at; the evaluator itself knows
+    /// none and answers [`PolicyEpoch::ZERO`].
+    pub epoch: PolicyEpoch,
 }
 
 impl Response {
@@ -275,6 +279,7 @@ impl Response {
             decision,
             obligations: Vec::new(),
             status: Status::Ok,
+            epoch: PolicyEpoch::ZERO,
         }
     }
 
@@ -284,6 +289,7 @@ impl Response {
             decision: Decision::Indeterminate,
             obligations: Vec::new(),
             status: Status::Error(msg.into()),
+            epoch: PolicyEpoch::ZERO,
         }
     }
 }
@@ -423,6 +429,7 @@ impl<'a> Evaluator<'a> {
             decision,
             obligations,
             status: indeterminate_status(decision, first_error),
+            epoch: PolicyEpoch::ZERO,
         }
     }
 
@@ -469,6 +476,7 @@ impl<'a> Evaluator<'a> {
                 decision,
                 obligations,
                 status: indeterminate_status(decision, first_error),
+                epoch: PolicyEpoch::ZERO,
             }
         };
         self.depth -= 1;

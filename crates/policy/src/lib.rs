@@ -16,6 +16,7 @@
 //! * [`combining`] — the six combining algorithms with obligation
 //!   propagation.
 //! * [`eval`] — the evaluation engine (the heart of a PDP).
+//! * [`epoch`] — the policy-state stamp every [`eval::Response`] carries.
 //! * [`conflict`] — static modality-conflict analysis and shadowing
 //!   detection (§3.1).
 //! * [`dsl`] — a textual syntax with parser and pretty-printer, standing
@@ -54,6 +55,7 @@ pub mod attr;
 pub mod combining;
 pub mod conflict;
 pub mod dsl;
+pub mod epoch;
 pub mod eval;
 pub mod expr;
 pub mod glob;

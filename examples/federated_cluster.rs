@@ -3,9 +3,9 @@
 //! (replica PAPs are leaves of the domain's own syndication tree), all
 //! replicas share one VO-wide directory, and enforcement rides the
 //! domain's quorum. Crash a replica, push a lockdown while it
-//! sleeps, and watch one recovery call heal it: the replica returns
-//! `Syncing`, replays what it missed, and the next decision readmits
-//! it.
+//! sleeps, and watch one recovery call heal it: the replica returns,
+//! replays what it missed, and the next decision asks it first and
+//! counts its vote at the domain's epoch.
 //!
 //! Run with: `cargo run --release --example federated_cluster`
 
@@ -78,20 +78,19 @@ fn main() {
     let trace = pull(&mut fnet, 11);
     println!("doctor read under lockdown → allowed={}", trace.allowed);
 
-    // The crashed replica returns: `Syncing`, and already replayed to
-    // the lockdown by the same call.
+    // The crashed replica returns, already replayed to the lockdown by
+    // the same call; the next decision counts its vote at the epoch.
     d0.recover_replica(&names[1]);
     println!(
-        "{} recovered → phase {:?} (caught up, not yet readmitted)",
+        "{} recovered → phase {:?} (caught up, no vote counted yet)",
         names[1],
         d0.replica_phase(&names[1]).unwrap().name()
     );
     let trace = pull(&mut fnet, 12);
     println!(
-        "next decision → allowed={}; {} now {:?}",
+        "next decision → allowed={}; resyncs {}",
         trace.allowed,
-        names[1],
-        d0.replica_phase(&names[1]).unwrap().name()
+        d0.cluster.as_ref().unwrap().metrics().resyncs
     );
 
     let m = d0.cluster.as_ref().unwrap().metrics();
@@ -136,8 +135,8 @@ fn main() {
     println!(
         "\nThe VO flows never changed: the cluster sits behind each domain's\n\
          PEP, so pull/push/agent requests transparently ride quorum fan-out,\n\
-         failover and batching — and a recovering stale replica can never\n\
-         vote until the syndication tree has replayed what it missed, with\n\
-         no call but the recovery itself."
+         failover and batching — and a recovering stale replica's vote\n\
+         never counts until the syndication tree has replayed what it\n\
+         missed, with no call but the recovery itself."
     );
 }

@@ -1,8 +1,9 @@
 //! Replica re-sync from the PAP syndication tree: crash two of three
 //! PDP replicas across a lockdown policy update and watch their
-//! recovery — an epoch-gated `Syncing` phase while they are stale, and
-//! readmission by the first decide after the syndication tree has
-//! replayed what they missed. Nothing calls for readmission.
+//! recovery. Back up, they answer at the epoch they slept through, and
+//! the cluster withdraws every vote behind the epoch the tree announced;
+//! once the tree has replayed what they missed, the next decide counts
+//! their votes again. Nothing calls for readmission.
 //!
 //! Run with: `cargo run --release --example replica_resync`
 
@@ -54,12 +55,15 @@ fn main() {
         ));
         leaves.push(leaf);
     }
-    tree.propagate(gate(false), 0); // epoch 1: doctors may read
+    let bootstrap = tree.propagate(gate(false), 0); // epoch 1: doctors may read
 
     let cluster = ClusterBuilder::new("ward-pdp")
         .quorum(QuorumMode::Majority)
         .shard(replicas)
         .build();
+    // A bare tree announces nothing: every push's epoch goes to the
+    // cluster by hand (a `Domain` does this in `propagate_policy`).
+    cluster.advance_epoch(bootstrap.epoch);
     let request = RequestContext::basic("dr-grey", "records/icu-7", "read");
     let phases = || {
         let phase = |r: usize| cluster.replica_phase(&format!("pdp-{r}")).unwrap().name();
@@ -72,12 +76,13 @@ fn main() {
         tree.set_online(leaves[r], false);
     }
     let report = tree.propagate(gate(true), 10); // epoch 2: lockdown
+    cluster.advance_epoch(report.epoch);
     println!(
         "lockdown pushed at {} — {} nodes offline missed it",
         report.epoch, report.offline_skipped
     );
 
-    // They recover, stale at epoch 1: gated, not voting.
+    // They recover, stale at epoch 1: asked, but their votes withdrawn.
     for r in [1usize, 2] {
         tree.set_online(leaves[r], true);
         cluster.mark_up(&format!("pdp-{r}"));
@@ -85,10 +90,14 @@ fn main() {
     println!("after recovery: {}", phases());
     let decision = cluster.decide(&request, 20).response.unwrap().decision;
     assert_ne!(decision, Decision::Permit, "a stale vote was counted");
-    println!("dr-grey under lockdown → {decision} (the stale pair never voted)");
+    let m = cluster.metrics();
+    println!(
+        "dr-grey under lockdown → {decision} ({} stale votes withdrawn, lag {})",
+        m.stale_decisions_avoided, m.epoch_lag_last
+    );
 
     // Anti-entropy: the tree replays the missed updates. That is all —
-    // the next decide finds the pair current and readmits it.
+    // the next decide finds the pair current and counts its votes.
     for r in [1usize, 2] {
         let caught = tree.catch_up(leaves[r], 30);
         println!(
@@ -98,7 +107,7 @@ fn main() {
     }
     let outcome = cluster.decide(&request, 40);
     println!(
-        "next decide: {} replicas voted → {}; now {}",
+        "next decide: {} replicas asked → {}; now {}",
         outcome.replicas_queried,
         outcome.response.unwrap().decision,
         phases()

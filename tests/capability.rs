@@ -3,7 +3,8 @@
 //! expired leases, stale epochs and field-substitution attacks must
 //! all reject; epoch bumps riding the syndication tree must kill
 //! outstanding tokens in the same tick across a clustered VO; and a
-//! recovering `Syncing` replica must never feed the mint. A proptest
+//! recovering replica whose answers lag its domain's epoch must never
+//! feed the mint. A proptest
 //! property pins the safety direction: the token path may deny where
 //! the cluster permits, never the reverse.
 
@@ -204,8 +205,8 @@ fn token_domain(name: &str, seed: u64, ctx: &CryptoCtx) -> Domain {
 /// An epoch bump riding the syndication tree kills every outstanding
 /// token in the *same tick* it lands, across all three domains of a
 /// clustered VO, through E17-style replica churn (crash over the
-/// push, recover — into `Syncing`, replayed in the same call — and
-/// readmitted by the next decide, repeat). Every
+/// push, recover — replayed in the same call — and counted again by
+/// the next decide, repeat). Every
 /// enforcement is compared against the domain's reference engine:
 /// the clustered-plus-token answer never diverges.
 #[test]
@@ -278,7 +279,7 @@ fn epoch_bump_revokes_same_tick_across_clustered_vo() {
             );
         }
 
-        // The crashed replica recovers, and the next decide readmits it.
+        // The crashed replica recovers, and the next decide counts it.
         vo.domains[0].recover_replica(&churn_replicas[1]);
         for u in 0..4 {
             let req =
@@ -293,12 +294,12 @@ fn epoch_bump_revokes_same_tick_across_clustered_vo() {
     }
 }
 
-/// Replicas that come back stale sit in `Syncing` and are excluded
-/// from quorums: their pre-lockdown policy would permit (and so mint),
-/// but the decision rides the fresh anchor alone and denies. Only after
-/// recovery has replayed the lockdown into them and a decide has
-/// readmitted them — onto the *current* policy — does the authority
-/// mint again.
+/// Replicas that come back stale answer behind the domain's epoch, and
+/// their votes are withdrawn: their pre-lockdown policy would permit
+/// (and so mint), but the decision rides the fresh anchor alone and
+/// denies. Only after recovery has replayed the lockdown into them and
+/// a decide has counted them — onto the *current* policy — does the
+/// authority mint again.
 #[test]
 fn syncing_replicas_never_feed_the_mint() {
     let ctx = CryptoCtx::new();
@@ -311,11 +312,11 @@ fn syncing_replicas_never_feed_the_mint() {
     assert_eq!(authority.stats().minted, 1);
 
     // Two of three replicas crash over a lockdown push, then answer
-    // again while still cut off from their syndication node: the epoch
-    // gate holds both in `Syncing`. Their stale policy (version 0)
-    // would *permit* the doctor — if the cluster consulted them, they
-    // would outvote the fresh anchor and the authority would mint from
-    // a revoked policy state.
+    // again while still cut off from their syndication node: `Healthy`,
+    // but every answer of theirs is behind the domain's epoch. Their
+    // stale policy (version 0) would *permit* the doctor — if the
+    // cluster counted them, they would outvote the fresh anchor and
+    // the authority would mint from a revoked policy state.
     domain.crash_replica(&replicas[1]);
     domain.crash_replica(&replicas[2]);
     domain.propagate_policy(alternating_lockdown_gate("solo", 1), 10);
@@ -324,25 +325,22 @@ fn syncing_replicas_never_feed_the_mint() {
     cluster.mark_up(&replicas[2]);
     assert_eq!(
         domain.replica_phase(&replicas[1]),
-        Some(ReplicaPhase::Syncing)
-    );
-    assert_eq!(
-        domain.replica_phase(&replicas[2]),
-        Some(ReplicaPhase::Syncing)
+        Some(ReplicaPhase::Healthy)
     );
 
-    // Only the fresh anchor is eligible: the lockdown denies, and —
+    // Only the fresh anchor's vote counts: the lockdown denies, and —
     // critically — nothing is minted off the stale pair.
     let fresh = RequestContext::basic("user-0@solo", "records/1", "read");
     assert!(!domain.pep.serve(EnforceRequest::of(&fresh, 20)).allowed);
+    assert_eq!(cluster.metrics().stale_decisions_avoided, 2);
     assert_eq!(
         authority.stats().minted,
         1,
-        "Syncing replicas must never feed the mint"
+        "stale votes must never feed the mint"
     );
 
     // Recovery replays the lockdown into the pair and the next decide
-    // readmits it; lifting the lockdown (version 2) permits again and
+    // counts it; lifting the lockdown (version 2) permits again and
     // mints at the current epoch.
     assert!(domain.recover_replica(&replicas[1]));
     assert!(domain.recover_replica(&replicas[2]));

@@ -8,8 +8,9 @@
 //! counters beside it say the same of evaluation: a decide reaches the
 //! policies its request can apply to, however many the domain holds.
 //! The same goes one layer up: a quorum decision costs the decides its
-//! settle point needs plus a fixed handful, whatever the replicas'
-//! lifecycle phases — with or without a scheduler, when its replicas
+//! settle point needs plus a fixed handful, and a vote withdrawn as
+//! behind the domain's epoch costs its decide and nothing more — with
+//! or without a scheduler, when its replicas
 //! are cheap enough for the collector to evaluate on the caller:
 //! nothing is built for a pool the query never reaches — and a batch of
 //! repeats costs what one of them does. And one layer further up: an
@@ -259,7 +260,7 @@ fn ask_each_replica_alone(domain: &Domain, mut decide: impl FnMut()) {
 
 /// Takes the domain's replica in `slot` down over a policy update and
 /// brings it back on the cluster alone, its syndication leaf still cut
-/// off, so that it returns `Syncing`, behind its group. The update
+/// off, so that it returns behind its domain's epoch. The update
 /// pushes the gate already in force, so the verdict does not move;
 /// `warm_up` decides once at the new epoch before the return, so the
 /// survivors' snapshots are rebuilt before anything is counted.
@@ -270,7 +271,7 @@ fn return_behind(domain: &Domain, slot: usize, warm_up: impl FnOnce()) {
     domain.propagate_policy(alternating_lockdown_gate("q", 0), 0);
     warm_up();
     cluster.mark_up(replica);
-    assert_eq!(cluster.replica_phase(replica), Some(ReplicaPhase::Syncing));
+    assert_eq!(cluster.replica_phase(replica), Some(ReplicaPhase::Healthy));
 }
 
 /// Everybody healthy: two agreeing votes settle a majority of three, so
@@ -300,30 +301,40 @@ fn quorum_decide_allocates_its_replicas_decides_plus_a_fixed_handful() {
         healthy <= 2 * DECIDE_BUDGET + COLLECTOR_BUDGET,
         "a 1x3 majority decide made {healthy} allocations"
     );
-    // A replica that returned behind is `Syncing`: the roster takes the
-    // group's recovery lock, reads its epochs, finds the replica
-    // lagging and leaves it out — and adds nothing. One gated: a
-    // majority of the two left is both, still two decides. Two gated:
-    // the one left decides alone.
-    let gated_decide = |now_ms, voters, stale| {
+    // A replica alone: one decide fewer, the same fixed handful.
+    (1..3).for_each(|slot| set_phase(&domain, slot, ReplicaPhase::Crashed));
+    let alone = quorum_decide(2, 1, 1);
+    (1..3).for_each(|slot| set_phase(&domain, slot, ReplicaPhase::Healthy));
+    let decide = healthy - alone;
+    assert!(decide <= DECIDE_BUDGET, "one engine decide made {decide}");
+    // A replica that returned behind is `Healthy` and asked first; its
+    // answer is behind the domain's epoch, so its vote is withdrawn —
+    // and that costs its decide and nothing else. One behind: it and
+    // the two current votes, three decides. Two behind: both, and the
+    // one current vote is a majority of the votes left, three again.
+    let gated_decide = |now_ms, voters, decides, stale| {
         let before = cluster.metrics().stale_decisions_avoided;
-        let count = quorum_decide(now_ms, voters, voters as u64);
-        let excluded = cluster.metrics().stale_decisions_avoided - before;
-        assert_eq!(excluded, stale, "stale replicas excluded");
+        let count = quorum_decide(now_ms, voters, decides);
+        let withdrawn = cluster.metrics().stale_decisions_avoided - before;
+        assert_eq!(withdrawn, stale, "stale votes withdrawn");
         count
     };
     return_behind(&domain, 2, || {
-        quorum_decide(2, 2, 2);
+        quorum_decide(3, 2, 2);
     });
-    let one_gated = gated_decide(3, 2, 1);
+    let one_gated = gated_decide(4, 3, 3, 1);
     return_behind(&domain, 1, || {
-        gated_decide(4, 1, 1);
+        gated_decide(5, 2, 2, 1);
     });
-    let two_gated = gated_decide(5, 1, 2);
-    assert_eq!(one_gated, healthy, "excluding a replica changed the cost");
-    assert!(
-        two_gated < one_gated && one_gated - two_gated <= DECIDE_BUDGET,
-        "one decide fewer changed the fixed cost: {healthy}, {one_gated}, {two_gated}"
+    let two_gated = gated_decide(6, 3, 3, 2);
+    assert_eq!(
+        one_gated,
+        healthy + decide,
+        "a withdrawn vote cost more than its decide"
+    );
+    assert_eq!(
+        two_gated, one_gated,
+        "a second withdrawn vote changed the cost"
     );
 }
 

@@ -7,9 +7,16 @@ use dacs::crypto::sign::CryptoCtx;
 use dacs::federation::{
     issue_capability_flow, push_flow, request_flow, ConflictClass, FlowKind, FlowNet, SizeModel,
 };
-use dacs::pep::EnforceRequest;
+use dacs::pap::Pap;
+use dacs::pdp::{CacheConfig, Pdp};
+use dacs::pep::{EnforceRequest, Pep};
+use dacs::pip::{AttributeProvider, PipRegistry};
+use dacs::policy::attr::{AttrValue, AttributeId};
+use dacs::policy::dsl::parse_policy;
+use dacs::policy::policy::{Decision, PolicyElement, PolicyId};
 use dacs::policy::request::RequestContext;
 use dacs::simnet::LinkSpec;
+use std::sync::Arc;
 
 fn fnet(vo: &dacs::federation::Vo) -> FlowNet {
     FlowNet::build(vo, 5, LinkSpec::lan(), LinkSpec::wan())
@@ -306,4 +313,90 @@ policy "domain-0-gate" first-applicable {
         )
         .unwrap();
     assert!(d.pep.serve(EnforceRequest::of(&req, 201)).allowed);
+}
+
+/// A PIP that, the first time it is asked, pushes a lockdown to the
+/// PAP, stamps it with the next policy epoch and announces that
+/// epoch to the PEP — what `Domain::propagate_policy` does — from
+/// inside the evaluation that asked it; it answers `role = doctor`
+/// for everyone.
+struct Pusher {
+    pap: Arc<Pap>,
+    pep: std::sync::OnceLock<std::sync::Weak<Pep>>,
+    pushed: std::sync::atomic::AtomicBool,
+}
+
+impl AttributeProvider for Pusher {
+    fn name(&self) -> &str {
+        "pusher"
+    }
+
+    fn provide(
+        &self,
+        _id: &AttributeId,
+        _request: &RequestContext,
+        now_ms: u64,
+    ) -> Option<Vec<AttrValue>> {
+        if !self.pushed.swap(true, std::sync::atomic::Ordering::Relaxed) {
+            let lockdown = parse_policy(
+                r#"policy "gate" deny-unless-permit { rule "nobody" permit {
+                     condition is-in("nobody", attr(subject, "role")) } }"#,
+            )
+            .unwrap();
+            self.pap.submit("admin", lockdown, now_ms).unwrap();
+            let stamp = self.pap.policy_epoch().next();
+            assert!(self.pap.observe_policy_epoch(stamp));
+            let pep = self.pep.get().and_then(std::sync::Weak::upgrade).unwrap();
+            pep.advance_epoch(stamp);
+        }
+        Some(vec!["doctor".into()])
+    }
+}
+
+/// An enforcement that straddles a policy push caches the permit its
+/// decide reached on the pre-push policy after the push has been
+/// announced, but no later enforcement is served it: the answer
+/// carries the epoch its decide read first, and the PEP has moved
+/// past it, so the entry is a miss.
+#[test]
+fn an_enforcement_that_straddles_a_push_never_serves_its_answer_after_it() {
+    let pap = Arc::new(Pap::new("pap.straddle"));
+    let gate = r#"policy "gate" deny-unless-permit { rule "doctors" permit {
+                    condition is-in("doctor", attr(subject, "role")) } }"#;
+    pap.submit("admin", parse_policy(gate).unwrap(), 0).unwrap();
+    let pusher = Arc::new(Pusher {
+        pap: pap.clone(),
+        pep: std::sync::OnceLock::new(),
+        pushed: std::sync::atomic::AtomicBool::new(false),
+    });
+    let mut pips = PipRegistry::new();
+    pips.add(pusher.clone());
+    let pdp = Arc::new(Pdp::new(
+        "pdp.straddle",
+        pap,
+        PolicyElement::PolicyRef(PolicyId::new("gate")),
+        Arc::new(pips),
+    ));
+    let pep = Arc::new(
+        Pep::builder("pep.straddle")
+            .source(pdp.clone())
+            .cache(CacheConfig {
+                capacity: 64,
+                ttl_ms: 1_000_000,
+            })
+            .build(),
+    );
+    pusher.pep.set(Arc::downgrade(&pep)).unwrap();
+    let alice = RequestContext::basic("alice", "ehr/1", "read");
+    let serve = |now_ms| pep.serve(EnforceRequest::of(&alice, now_ms)).allowed;
+
+    // Began before the push: decided on the policy it started with.
+    assert!(serve(0));
+    // Every enforcement that starts after the push sees the lockdown.
+    assert!(!serve(1), "the pre-push permit was served from the cache");
+    assert!(!serve(2));
+    assert_eq!(pdp.decide(&alice, 3).decision, Decision::Deny);
+    let stats = pep.cache_stats().unwrap();
+    assert_eq!((stats.hits, stats.misses), (1, 2), "one lookup per serve");
+    assert_eq!(pep.stats().cache_hits, 1);
 }

@@ -1,8 +1,9 @@
 //! Cross-crate integration tests: the VO flows riding per-domain PDP
 //! clusters — all three query sequences (pull, push, agent) under
 //! injected replica crashes, Chinese-Wall meta-policy across domains,
-//! batch-aware PEP semantics, and the `Syncing` recovery lifecycle on
-//! the multi-domain topology.
+//! batch-aware PEP semantics, and the recovery lifecycle on the
+//! multi-domain topology, where every vote is judged against its
+//! domain's announced epoch.
 
 use dacs::cluster::{ClusterBuilder, QuorumMode, ReplicaPhase};
 use dacs::core::scenario::{clustered_healthcare_vo, with_shared_cas};
@@ -222,8 +223,9 @@ fn churn_domain(ctx: &CryptoCtx, name: &str, directory: Arc<PdpDirectory>, seed:
 /// updates: every flow's outcome matches the domain's root-PAP ground
 /// truth (zero false permits, zero false denies while a quorum holds),
 /// and every enforcement left an audit record. The crashed pair
-/// answers again before its syndication link is back — stale, and
-/// gated — and heals when `recover_replica` restores the link.
+/// answers again before its syndication link is back — stale, its
+/// votes withdrawn — and heals when `recover_replica` restores the
+/// link.
 #[test]
 fn crash_churn_with_updates_leaks_zero_false_permits() {
     let ctx = CryptoCtx::new();
@@ -308,10 +310,10 @@ fn crash_churn_with_updates_leaks_zero_false_permits() {
     }
 }
 
-/// The `Syncing` lifecycle over the multi-domain topology (extends
+/// The recovery lifecycle over the multi-domain topology (extends
 /// E16's guarantee): `recover_replica` alone heals a replica that slept
-/// through an update — it returns `Syncing`, the same call replays it
-/// to the domain's max epoch, and the next enforcement readmits it —
+/// through an update — it returns `Healthy`, the same call replays it
+/// to the domain's epoch, and the next enforcement counts its vote —
 /// in every domain independently.
 #[test]
 fn recovering_replica_syncs_before_rejoining_each_domains_quorum() {
@@ -359,17 +361,16 @@ fn recovering_replica_syncs_before_rejoining_each_domains_quorum() {
         let request = RequestContext::basic(subject.as_str(), "records/1", "read");
         assert_eq!(domain.pdp.decide(&request, 10).decision, Decision::Deny);
 
-        // Mid-flow recovery, one call: back `Syncing`, and already
+        // Mid-flow recovery, one call: back `Healthy`, and already
         // replayed to the lockdown's epoch.
         assert!(domain.recover_replica(&names[1]));
-        assert_eq!(phase(), Some(ReplicaPhase::Syncing), "{}", domain.name);
-        // The next enforcement readmits it, and all three vote for the
-        // lockdown: no stale vote was ever there to exclude.
+        assert_eq!(phase(), Some(ReplicaPhase::Healthy), "{}", domain.name);
+        // The next enforcement asks it first and counts its vote for
+        // the lockdown: no stale vote was ever there to withdraw.
         let cluster = domain.cluster.as_ref().unwrap();
         let before = cluster.metrics();
         let denied = pull(&mut net, 11);
         assert!(!denied.allowed, "{}: lockdown enforced", domain.name);
-        assert_eq!(phase(), Some(ReplicaPhase::Healthy), "{}", domain.name);
         let m = cluster.metrics();
         assert_eq!(m.replica_queries - before.replica_queries, 3);
         assert_eq!((m.resyncs, m.stale_decisions_avoided), (1, 0));
@@ -384,6 +385,72 @@ fn recovering_replica_syncs_before_rejoining_each_domains_quorum() {
         // Unknown names are a polite no-op.
         assert!(!domain.crash_replica("pdp.none"));
         assert!(!domain.recover_replica("pdp.none"));
+    }
+}
+
+/// Regression: a lag that spans the whole group denies. All three
+/// replicas sleep through a lockdown and answer again before their
+/// syndication leaves are back. Judged against each other they agree,
+/// and would permit; judged against the domain's epoch, every vote is
+/// withdrawn, so the shard is unavailable and the PEP denies fail-safe.
+/// With the capability fast path, nothing minted from the lag admits
+/// the request after recovery either.
+#[test]
+fn a_group_wide_lag_denies_and_mints_no_token() {
+    for capability in [false, true] {
+        let mut builder = gate_domain();
+        if capability {
+            builder = builder.capability(1_000);
+        }
+        let domain = builder.build(&CryptoCtx::new());
+        let cluster = domain.cluster.as_ref().unwrap();
+        let names = domain.replica_names();
+        let request = RequestContext::basic("user-0@domain-0", "records/1", "read");
+        let serve = |now_ms| domain.pep.serve(EnforceRequest::of(&request, now_ms));
+
+        for name in &names {
+            assert!(domain.crash_replica(name));
+        }
+        let lockdown = dacs::policy::dsl::parse_policy(
+            r#"policy "domain-0-gate" first-applicable { rule "lockdown" deny { } }"#,
+        )
+        .unwrap();
+        domain.propagate_policy(lockdown, 10);
+        assert_eq!(domain.pdp.decide(&request, 10).decision, Decision::Deny);
+        // Back on the cluster alone, their leaves still offline.
+        for name in &names {
+            cluster.mark_up(name);
+        }
+        let lagged = serve(11);
+        assert!(
+            !lagged.allowed,
+            "capability {capability}: the lag permitted"
+        );
+        assert_eq!(
+            domain.pep.stats().failsafe_denials,
+            1,
+            "capability {capability}"
+        );
+        let m = cluster.metrics();
+        assert_eq!(
+            (m.stale_decisions_avoided, m.unavailable),
+            (3, 1),
+            "capability {capability}"
+        );
+
+        for name in &names {
+            assert!(domain.recover_replica(name));
+        }
+        let token_hits = domain.pep.stats().token_hits;
+        assert!(
+            !serve(12).allowed,
+            "capability {capability}: admitted after recovery"
+        );
+        assert_eq!(
+            domain.pep.stats().token_hits,
+            token_hits,
+            "capability {capability}"
+        );
     }
 }
 

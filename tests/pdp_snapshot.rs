@@ -96,7 +96,11 @@ fn oracle(
 ) -> (Response, EvalMetrics) {
     let source = ResolvingSource::new(request, pips, now_ms);
     let mut evaluator = Evaluator::with_source(pap, request, &source);
-    let response = evaluator.evaluate_element(root);
+    // The walk knows no epoch; a PDP stamps its answer with the PAP's.
+    let response = Response {
+        epoch: pap.policy_epoch(),
+        ..evaluator.evaluate_element(root)
+    };
     (response, evaluator.metrics)
 }
 
