@@ -151,7 +151,7 @@ impl Domain {
         DomainBuilder {
             name: name.into(),
             policies: Vec::new(),
-            subject_attrs: Vec::new(),
+            idp_attributes: Arc::new(StaticAttributes::new()),
             pdp_cache: None,
             pep_cache: None,
             rbac: None,
@@ -398,7 +398,9 @@ type DecisionPlane = (
 pub struct DomainBuilder {
     name: String,
     policies: Vec<Policy>,
-    subject_attrs: Vec<(String, String, dacs_policy::attr::AttrValue)>,
+    /// The store [`Domain::idp_attributes`] will be: provisioned in
+    /// place, never copied.
+    idp_attributes: Arc<StaticAttributes>,
     pdp_cache: Option<CacheConfig>,
     pep_cache: Option<CacheConfig>,
     rbac: Option<Rbac>,
@@ -430,13 +432,12 @@ impl DomainBuilder {
 
     /// Provisions a subject attribute at the domain's IdP.
     pub fn subject_attr(
-        mut self,
+        self,
         subject: &str,
         name: &str,
         value: impl Into<dacs_policy::attr::AttrValue>,
     ) -> Self {
-        self.subject_attrs
-            .push((subject.to_owned(), name.to_owned(), value.into()));
+        self.idp_attributes.add_subject_attr(subject, name, value);
         self
     }
 
@@ -527,15 +528,10 @@ impl DomainBuilder {
             root = root.with_policy_ref(PolicyId::new(policy.id.as_str()));
         }
 
-        let idp_attributes = Arc::new(StaticAttributes::new());
-        for (subject, attr, value) in self.subject_attrs {
-            idp_attributes.add_subject_attr(&subject, &attr, value);
-        }
-
         let rbac = self.rbac.map(|r| Arc::new(RwLock::new(r)));
 
         let mut pips = PipRegistry::new();
-        pips.add(idp_attributes.clone());
+        pips.add(self.idp_attributes.clone());
         pips.add(Arc::new(EnvironmentProvider));
         if let Some(r) = &rbac {
             pips.add(Arc::new(RbacProvider::new(r.clone())));
@@ -670,7 +666,7 @@ impl DomainBuilder {
             pep: Arc::new(pep.build()),
             cluster,
             capability,
-            idp_attributes,
+            idp_attributes: self.idp_attributes,
             rbac,
             key,
             log_handler,

@@ -40,6 +40,7 @@ use dacs_policy::policy::{Decision, Obligation};
 use dacs_policy::request::RequestContext;
 use dacs_telemetry::{Note, Registry, Span, Stage, Telemetry};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -409,8 +410,21 @@ pub struct EnforcementResult {
     pub decision: Decision,
     /// Obligation ids fulfilled before granting/denying.
     pub fulfilled: Vec<String>,
-    /// Why access was denied (when it was).
-    pub reason: Option<String>,
+    /// Why access was denied (when it was): a fixed text for a
+    /// decision that denies, borrowed so that a denied hit allocates
+    /// nothing, or the owned text of an error.
+    pub reason: Option<Cow<'static, str>>,
+}
+
+/// The reason a PEP gives for not granting `decision` when it came with
+/// an `Ok` status: `"decision "` and the decision's name.
+fn denial_text(decision: Decision) -> &'static str {
+    match decision {
+        Decision::Permit => "decision Permit",
+        Decision::Deny => "decision Deny",
+        Decision::NotApplicable => "decision NotApplicable",
+        Decision::Indeterminate => "decision Indeterminate",
+    }
 }
 
 /// Which path answered an enforcement: the audit record's "who served
@@ -1380,8 +1394,8 @@ impl Pep {
             None
         } else {
             Some(match &response.status {
-                dacs_policy::eval::Status::Error(e) => e.clone(),
-                dacs_policy::eval::Status::Ok => format!("decision {}", response.decision),
+                dacs_policy::eval::Status::Error(e) => Cow::Owned(e.clone()),
+                dacs_policy::eval::Status::Ok => Cow::Borrowed(denial_text(response.decision)),
             })
         };
         if grant {
@@ -1413,7 +1427,7 @@ impl Pep {
             allowed: false,
             decision: Decision::Indeterminate,
             fulfilled: Vec::new(),
-            reason: Some(reason),
+            reason: Some(Cow::Owned(reason)),
         }
     }
 
@@ -1564,6 +1578,25 @@ policy "gate" deny-unless-permit {
         assert!(w.log.entries()[0].contains("subject=alice"));
         assert_eq!(w.pep.stats().allowed, 1);
         assert_eq!(w.pep.audit_log().len(), 1);
+    }
+
+    /// The borrowed denial texts are the `"decision {}"` a caller has
+    /// always read, for every decision.
+    #[test]
+    fn denial_texts_spell_the_decision() {
+        for decision in [
+            Decision::Permit,
+            Decision::Deny,
+            Decision::NotApplicable,
+            Decision::Indeterminate,
+        ] {
+            assert_eq!(denial_text(decision), format!("decision {decision}"));
+        }
+        let w = world(GATE, true);
+        let stranger = RequestContext::basic("mallory", "ehr/1", "read");
+        let r = w.pep.serve(EnforceRequest::of(&stranger, 10));
+        assert!(!r.allowed);
+        assert_eq!(r.reason.as_deref(), Some("decision Deny"));
     }
 
     /// A seeded id: mostly short, sometimes up to `longest` chars, each

@@ -8,7 +8,10 @@
 //!
 //! Providers included:
 //! * [`StaticAttributes`] — administrator-provisioned subject/resource
-//!   attributes.
+//!   attributes: the identity provider's store, one exact-size record
+//!   per key (its attributes in insertion order, names shared where
+//!   conventional) in a map hashed by the workspace's seeded
+//!   `KeyState`. A domain's builder provisions it in place.
 //! * [`EnvironmentProvider`] — `env.current-time` from the simulation
 //!   clock.
 //! * [`HistoryProvider`] — request-history attributes ("a possible
@@ -20,13 +23,15 @@
 //!
 //! [`PipRegistry`] chains providers; [`ResolvingSource`] adapts a
 //! request + registry into the `AttributeSource` the evaluation engine
-//! consumes, resolving lazily and memoizing per request.
+//! consumes, resolving lazily and memoizing per request — the first
+//! attribute resolved in place, later ones in a boxed chain.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dacs_policy::attr::{AttrValue, AttributeId, Category, TIME_ATTR};
+use dacs_policy::attr::{AttrName, AttrValue, AttributeId, Category, TIME_ATTR};
 use dacs_policy::expr::AttributeSource;
+use dacs_policy::hash::KeyState;
 use dacs_policy::request::RequestContext;
 use dacs_rbac::Rbac;
 use parking_lot::{Mutex, RwLock};
@@ -58,10 +63,38 @@ pub trait AttributeProvider: Send + Sync {
 }
 
 /// Administrator-provisioned attributes for subjects and resources.
+///
+/// One record per key, at its size: the key's own block and one boxed
+/// slice of `(name, value)` entries in insertion order, in a map that
+/// hashes with the workspace's seeded [`KeyState`]. A name is an
+/// [`AttrName`], so the conventional `role` is a shared static; a
+/// one-attribute subject costs one bucket, its key, its record and its
+/// value. A record is rebuilt at its new size when a key gains an
+/// attribute, which only provisioning does.
 #[derive(Debug, Default)]
 pub struct StaticAttributes {
-    subjects: RwLock<HashMap<String, Vec<(String, AttrValue)>>>,
-    resources: RwLock<HashMap<String, Vec<(String, AttrValue)>>>,
+    subjects: RwLock<Records>,
+    resources: RwLock<Records>,
+}
+
+/// Key → its attributes, a repeated name once per value, in the order
+/// they were added.
+type Records = HashMap<Box<str>, Box<[(AttrName, AttrValue)]>, KeyState>;
+
+/// Appends one entry to `key`'s record, creating the record if needed.
+fn add_record(records: &RwLock<Records>, key: &str, name: &str, value: AttrValue) {
+    let entry = (AttrName::from(name), value);
+    let mut records = records.write();
+    match records.get_mut(key) {
+        Some(record) => {
+            let mut grown = std::mem::take(record).into_vec();
+            grown.push(entry);
+            *record = grown.into_boxed_slice();
+        }
+        None => {
+            records.insert(key.into(), Box::new([entry]));
+        }
+    }
 }
 
 impl StaticAttributes {
@@ -72,20 +105,12 @@ impl StaticAttributes {
 
     /// Adds a subject attribute.
     pub fn add_subject_attr(&self, subject: &str, name: &str, value: impl Into<AttrValue>) {
-        self.subjects
-            .write()
-            .entry(subject.to_owned())
-            .or_default()
-            .push((name.to_owned(), value.into()));
+        add_record(&self.subjects, subject, name, value.into());
     }
 
     /// Adds a resource attribute.
     pub fn add_resource_attr(&self, resource: &str, name: &str, value: impl Into<AttrValue>) {
-        self.resources
-            .write()
-            .entry(resource.to_owned())
-            .or_default()
-            .push((name.to_owned(), value.into()));
+        add_record(&self.resources, resource, name, value.into());
     }
 
     /// Removes all attributes of a subject (deprovisioning).
@@ -99,8 +124,12 @@ impl StaticAttributes {
         self.subjects
             .read()
             .get(subject)
-            .cloned()
-            .unwrap_or_default()
+            .map_or_else(Vec::new, |record| {
+                record
+                    .iter()
+                    .map(|(name, value)| (name.to_string(), value.clone()))
+                    .collect()
+            })
     }
 }
 
@@ -121,11 +150,11 @@ impl AttributeProvider for StaticAttributes {
             _ => return None,
         };
         let guard = store.read();
-        let attrs = guard.get(key)?;
-        let bag: Vec<AttrValue> = attrs
+        let record = guard.get(key)?;
+        let bag: Vec<AttrValue> = record
             .iter()
-            .filter(|(n, _)| id.name == n.as_str())
-            .map(|(_, v)| v.clone())
+            .filter(|(name, _)| *name == id.name)
+            .map(|(_, value)| value.clone())
             .collect();
         if bag.is_empty() {
             None
@@ -455,12 +484,14 @@ impl PipRegistry {
 ///
 /// One evaluation runs on one thread (`AttributeSource` is not `Sync`)
 /// and asks for a handful of attributes, so the memo is an append-only
-/// chain of `OnceCell`s walked linearly — no lock, no hashing.
+/// chain of `OnceCell`s walked linearly — no lock, no hashing. Its head
+/// lives inline, so the first attribute resolved boxes nothing; only
+/// the second and later ones are boxed.
 pub struct ResolvingSource<'a> {
     request: &'a RequestContext,
     registry: &'a PipRegistry,
     now_ms: u64,
-    memo: OnceCell<Box<Memo>>,
+    memo: OnceCell<Memo>,
 }
 
 /// One registry answer (`None`: no provider knows the attribute) and
@@ -488,22 +519,18 @@ impl AttributeSource for ResolvingSource<'_> {
         if let Some(bag) = self.request.attribute_bag(id) {
             return Some(bag);
         }
-        let mut slot = &self.memo;
-        while let Some(known) = slot.get() {
-            if known.id == *id {
-                return known.bag.as_deref();
-            }
-            slot = &known.next;
+        // The first empty cell of the chain is filled with `id`'s
+        // answer, so the walk always ends on `id`.
+        let resolve = || Memo {
+            id: id.clone(),
+            bag: self.registry.resolve(id, self.request, self.now_ms),
+            next: OnceCell::new(),
+        };
+        let mut known = self.memo.get_or_init(resolve);
+        while known.id != *id {
+            known = known.next.get_or_init(|| Box::new(resolve()));
         }
-        let bag = self.registry.resolve(id, self.request, self.now_ms);
-        let resolved = slot.get_or_init(|| {
-            Box::new(Memo {
-                id: id.clone(),
-                bag,
-                next: OnceCell::new(),
-            })
-        });
-        resolved.bag.as_deref()
+        known.bag.as_deref()
     }
 }
 
@@ -511,7 +538,7 @@ impl AttributeSource for ResolvingSource<'_> {
 /// per memoized attribute, and a policy names as many as it likes.
 impl Drop for ResolvingSource<'_> {
     fn drop(&mut self) {
-        let mut next = self.memo.take();
+        let mut next = self.memo.get_mut().and_then(|head| head.next.take());
         while let Some(mut memo) = next {
             next = memo.next.take();
         }
@@ -543,6 +570,30 @@ mod tests {
         assert_eq!(s.provide(&AttributeId::subject("nope"), &req(), 0), None);
         s.remove_subject("alice");
         assert_eq!(s.provide(&AttributeId::subject("dept"), &req(), 0), None);
+    }
+
+    /// A record keeps insertion order as it grows: a repeated name's
+    /// values come back in the order they were added, and
+    /// `attributes_of` lists every entry.
+    #[test]
+    fn static_records_keep_insertion_order() {
+        let s = StaticAttributes::new();
+        s.add_subject_attr("alice", "role", "doctor");
+        s.add_subject_attr("alice", "dept", "radiology");
+        s.add_subject_attr("alice", "role", "staff");
+        s.add_subject_attr("alice", "clearance", 3);
+        let roles = s.provide(&AttributeId::subject("role"), &req(), 0);
+        assert_eq!(roles, Some(vec!["doctor".into(), "staff".into()]));
+        assert_eq!(
+            s.attributes_of("alice"),
+            vec![
+                ("role".to_owned(), "doctor".into()),
+                ("dept".to_owned(), "radiology".into()),
+                ("role".to_owned(), "staff".into()),
+                ("clearance".to_owned(), AttrValue::Integer(3)),
+            ]
+        );
+        assert!(s.attributes_of("bob").is_empty());
     }
 
     #[test]

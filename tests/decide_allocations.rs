@@ -17,13 +17,16 @@
 //! enforcement that misses the PEP's decision cache costs its decide, the
 //! source's one-element answer vector and the request's cached copy; one
 //! answered by the PEP's decision cache, or by an admitted capability
-//! token, allocates nothing at all — no copy of the stored request, no
-//! signing buffer, and no audit record: its header and ids are copied
-//! into rings allocated when the PEP was built, before and after they
-//! wrap. Tracing adds nothing to either: a span is a `Copy` record
-//! borrowed from its tracer and pushed into a ring allocated with it.
-//! The last case counts bytes instead of calls: a request is stored
-//! flat, one-value bags and conventional names inline.
+//! token, allocates nothing at all, denied or permitted — no copy of
+//! the stored request, no signing buffer, no formatted reason, and no
+//! audit record: its header and ids are copied into rings allocated
+//! when the PEP was built, before and after they wrap. Tracing adds
+//! nothing to either: a span is a `Copy` record borrowed from its
+//! tracer and pushed into a ring allocated with it. Two cases count
+//! bytes as well as calls: a provisioned subject is its key, one
+//! exact-size record and its value, whether the attribute store is
+//! filled directly or through a domain's builder; and a request is
+//! stored flat, one-value bags and conventional names inline.
 
 use dacs::cluster::{
     ClusterBuilder, DecisionClass, QuorumMode, ReplicaPhase, SchedulerConfig, ShardRouter,
@@ -33,6 +36,7 @@ use dacs::crypto::sign::CryptoCtx;
 use dacs::federation::{Domain, DomainBuilder};
 use dacs::pdp::CacheConfig;
 use dacs::pep::{EnforceRequest, DEFAULT_AUDIT_CAPACITY};
+use dacs::pip::StaticAttributes;
 use dacs::policy::policy::Decision;
 use dacs::policy::request::RequestContext;
 use dacs::policy::AttributeId;
@@ -130,12 +134,12 @@ fn decide_allocations(domain: &Domain, request: &RequestContext, expected: Decis
 }
 
 /// What one decide may allocate: the PIP's answer to the gate's
-/// condition (the provider's owned bag and the string in it) and the
-/// memo node that keeps it — its key names the conventional `role`,
+/// condition (the provider's owned bag and the string in it) — kept in
+/// the memo's inline head, whose key names the conventional `role`,
 /// shared rather than copied — while the condition itself reads the
 /// literal and the bag where they live, and nothing scales with the
-/// policies walked. Today a permit makes 3.
-const DECIDE_BUDGET: u64 = 4;
+/// policies walked. Today a permit makes 2.
+const DECIDE_BUDGET: u64 = 3;
 
 #[test]
 fn decide_allocates_a_small_fixed_number_whatever_the_policy_count() {
@@ -466,14 +470,14 @@ fn a_caller_evaluated_planned_decide_builds_nothing_for_the_pool() {
 /// PEP allocated when it was built.
 const HIT_BUDGET: u64 = 0;
 
-/// Allocations of each of two steady-state permitted `serve`s of
-/// `request` (an earlier serve went to the source and filled the cache
-/// or admitted the token), the larger of the two.
-fn hit_allocations(domain: &Domain, request: &RequestContext) -> u64 {
+/// Allocations of each of two steady-state `serve`s of `request` that
+/// come out `allowed` (an earlier serve went to the source and filled
+/// the cache or admitted the token), the larger of the two.
+fn hit_allocations(domain: &Domain, request: &RequestContext, allowed: bool) -> u64 {
     let serve = |now_ms| {
         let (count, result) =
             allocations_in(|| domain.pep.serve(EnforceRequest::of(request, now_ms)));
-        assert!(result.allowed);
+        assert_eq!(result.allowed, allowed);
         count
     };
     serve(0);
@@ -496,13 +500,25 @@ fn a_cache_hit_and_a_token_hit_allocate_nothing_while_the_audit_ring_fills() {
     let doctor = RequestContext::basic("user-1@q", "records/7", "read");
     let [cached, tokens] = hit_domains();
 
-    let cache_hit = hit_allocations(&cached, &doctor);
+    let cache_hit = hit_allocations(&cached, &doctor, true);
     assert_eq!(cached.pep.stats().cache_hits, 2, "both were cache hits");
     assert_eq!(cache_hit, HIT_BUDGET, "a PEP-cache hit allocated");
 
-    let token_hit = hit_allocations(&tokens, &doctor);
+    let token_hit = hit_allocations(&tokens, &doctor, true);
     assert_eq!(tokens.pep.stats().token_hits, 2, "both were token hits");
     assert_eq!(token_hit, HIT_BUDGET, "a token hit allocated");
+}
+
+/// A denied hit allocates nothing either: its reason is a borrowed
+/// fixed text, not one formatted per enforcement.
+#[test]
+fn a_denied_cache_hit_allocates_nothing() {
+    let stranger = RequestContext::basic("user-2@q", "records/7", "read");
+    let [cached, _] = hit_domains();
+    let denied_hit = hit_allocations(&cached, &stranger, false);
+    assert_eq!(cached.pep.stats().cache_hits, 2, "both were cache hits");
+    assert_eq!(cached.pep.stats().denied, 3, "all three were denied");
+    assert_eq!(denied_hit, HIT_BUDGET, "a denied PEP-cache hit allocated");
 }
 
 /// Served past the audit ring's capacity, a hit displaces the oldest
@@ -583,7 +599,7 @@ fn a_traced_request_allocates_what_an_untraced_one_does() {
         })
         .telemetry(Arc::clone(&telemetry))
         .build(&CryptoCtx::new());
-    let cache_hit = hit_allocations(&cached, &doctor);
+    let cache_hit = hit_allocations(&cached, &doctor, true);
     assert_eq!(cached.pep.stats().cache_hits, 2, "both were cache hits");
     assert_eq!(cache_hit, HIT_BUDGET, "a traced PEP-cache hit allocated");
 
@@ -613,6 +629,80 @@ fn a_traced_request_allocates_what_an_untraced_one_does() {
         .count();
     assert_eq!(replica_spans, 3 + 2, "the decides were traced");
     assert_eq!(traced, untraced, "tracing a quorum decide allocated");
+}
+
+/// Subjects provisioned, one `role` each, in the provisioning case.
+const SUBJECTS: u64 = 1_024;
+
+/// What provisioning one subject with one attribute may allocate: its
+/// key, its record and its value's string — no spare slots, no copy of
+/// the conventional name, no second copy held by the domain's builder.
+const PROVISION_BUDGET: u64 = 3;
+
+/// The bytes it may ask for, the store's table included: an 11-byte
+/// key, a 48-byte record and a 6-byte value, and a share of the table —
+/// a 33-byte bucket (two boxed-slice handles and a control byte), 2 048
+/// of them for 1 024 subjects, and as many again in the smaller tables
+/// it outgrew: 197 today. (As a map of owned keys to four-slot vectors
+/// of owned names, with 49-byte buckets, about 410.)
+const PROVISION_BYTES: u64 = 224;
+
+/// The allocations and bytes `provision` makes to provision
+/// [`SUBJECTS`] subjects, whose names are built before the count; the
+/// store it returns is checked after it.
+fn provisioning(provision: impl FnOnce(&[String]) -> Arc<StaticAttributes>) -> (u64, u64) {
+    let names: Vec<String> = (0..SUBJECTS).map(|u| format!("user-{u:04}@q")).collect();
+    let (counts, store) = requested_in(|| provision(&names));
+    assert_eq!(
+        store.attributes_of("user-0007@q"),
+        vec![("role".to_owned(), "doctor".into())]
+    );
+    counts
+}
+
+/// Checks one way's counts against the budgets. The table grows once
+/// per doubling, so that many allocations are granted besides them.
+fn assert_provisioned_within_budget(way: &str, (calls, bytes): (u64, u64)) {
+    let doublings = u64::from(SUBJECTS.ilog2()) + 1;
+    assert!(
+        calls <= PROVISION_BUDGET * SUBJECTS + doublings,
+        "{way}: {SUBJECTS} subjects made {calls} allocations"
+    );
+    assert!(
+        bytes <= PROVISION_BYTES * SUBJECTS,
+        "{way}: {SUBJECTS} subjects asked for {bytes} bytes"
+    );
+}
+
+/// The attribute store keeps one exact-size record per subject, and a
+/// domain's builder writes into the store its domain keeps: provisioning
+/// a subject through either costs its key, its record and its value.
+#[test]
+fn provisioning_a_subject_allocates_its_record_and_nothing_more() {
+    let store = provisioning(|names| {
+        let store = Arc::new(StaticAttributes::new());
+        for name in names {
+            store.add_subject_attr(name, "role", "doctor");
+        }
+        store
+    });
+    assert_provisioned_within_budget("the store", store);
+
+    // The builder's share: a domain with the subjects, less the same
+    // domain without them. A first build initialises what any build
+    // initialises once.
+    let crypto = CryptoCtx::new();
+    let build = |names: &[String]| {
+        let mut builder = Domain::builder("q").policy(alternating_lockdown_gate("q", 0));
+        for name in names {
+            builder = builder.subject_attr(name, "role", "doctor");
+        }
+        Arc::clone(&builder.build(&crypto).idp_attributes)
+    };
+    build(&[]);
+    let (bare_calls, bare_bytes) = requested_in(|| build(&[])).0;
+    let (calls, bytes) = provisioning(build);
+    assert_provisioned_within_budget("the builder", (calls - bare_calls, bytes - bare_bytes));
 }
 
 /// The router hashes the ids where the request holds them, and a
