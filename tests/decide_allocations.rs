@@ -504,21 +504,15 @@ fn a_cache_hit_and_a_token_hit_allocate_nothing_while_the_audit_ring_fills() {
     assert_eq!(cached.pep.stats().cache_hits, 2, "both were cache hits");
     assert_eq!(cache_hit, HIT_BUDGET, "a PEP-cache hit allocated");
 
+    // A denied hit too: its reason is a borrowed fixed text.
+    let stranger = RequestContext::basic("user-2@q", "records/7", "read");
+    let denied_hit = hit_allocations(&cached, &stranger, false);
+    assert_eq!(cached.pep.stats().cache_hits, 4, "all four were cache hits");
+    assert_eq!(denied_hit, HIT_BUDGET, "a denied PEP-cache hit allocated");
+
     let token_hit = hit_allocations(&tokens, &doctor, true);
     assert_eq!(tokens.pep.stats().token_hits, 2, "both were token hits");
     assert_eq!(token_hit, HIT_BUDGET, "a token hit allocated");
-}
-
-/// A denied hit allocates nothing either: its reason is a borrowed
-/// fixed text, not one formatted per enforcement.
-#[test]
-fn a_denied_cache_hit_allocates_nothing() {
-    let stranger = RequestContext::basic("user-2@q", "records/7", "read");
-    let [cached, _] = hit_domains();
-    let denied_hit = hit_allocations(&cached, &stranger, false);
-    assert_eq!(cached.pep.stats().cache_hits, 2, "both were cache hits");
-    assert_eq!(cached.pep.stats().denied, 3, "all three were denied");
-    assert_eq!(denied_hit, HIT_BUDGET, "a denied PEP-cache hit allocated");
 }
 
 /// Served past the audit ring's capacity, a hit displaces the oldest
