@@ -3,15 +3,16 @@
 //!
 //! Three layers, innermost first:
 //!
-//! * [`TtlLruCache`] — a single-threaded TTL + LRU cache with O(1)
-//!   touch and evict (slab-allocated nodes on an intrusive
-//!   doubly-linked recency list; the pre-E20 implementation kept a
-//!   `BTreeMap` recency index, making every touch O(log n)).
+//! * [`TtlCache`] — a single-threaded TTL cache that evicts by SIEVE
+//!   (Zhang et al., NSDI 2024), with O(1) hit, amortised O(1)
+//!   eviction: each bit a hit sets is cleared at most once
+//!   (slab-allocated nodes on an intrusive doubly-linked insertion-order
+//!   list, a visited bit per node and a hand that sweeps it).
 //! * [`ConcurrentTtlCache`] — an N-way striped wrapper: a power-of-two
-//!   array of independently locked [`TtlLruCache`] segments selected
+//!   array of independently locked [`TtlCache`] segments selected
 //!   by a fixed function of the key, so concurrent readers on different
 //!   keys proceed in parallel instead of convoying on one global lock.
-//!   LRU order is per-stripe; capacity and [`CacheStats`] aggregate
+//!   Eviction order is per-stripe; capacity and [`CacheStats`] aggregate
 //!   across stripes.
 //! * [`HashedRequestCache`] — the enforcement-path specialization:
 //!   entries are keyed by a precomputed 64-bit canonical request hash
@@ -63,26 +64,34 @@ impl CacheStats {
     }
 }
 
-/// Sentinel for "no node" in the intrusive recency list.
+/// Sentinel for "no node" in the intrusive list, and for a hand that
+/// starts at the oldest node.
 const NIL: usize = usize::MAX;
 
 struct Node<V> {
     key: u64,
     value: V,
     expires_at: u64,
-    /// Neighbour towards the head (more recently used).
+    /// Set by a hit or a re-insert; cleared as the hand passes.
+    visited: bool,
+    /// Neighbour towards the head (inserted later).
     prev: usize,
-    /// Neighbour towards the tail (less recently used).
+    /// Neighbour towards the tail (inserted earlier).
     next: usize,
 }
 
-/// A bounded cache with per-entry TTL and least-recently-used eviction.
+/// A bounded cache with per-entry TTL and SIEVE eviction.
 ///
 /// Entries live in a slab (`nodes`) threaded onto an intrusive doubly
-/// linked list ordered by recency — head is most recent, tail is the
-/// eviction victim — so `get`, `insert`, `remove` and the LRU touch
-/// are all O(1) beyond the key-map lookup.
-pub struct TtlLruCache<V> {
+/// linked list in insertion order — head is newest, tail oldest. A hit
+/// sets its node's `visited` bit and moves nothing. An insert into a
+/// full cache moves the `hand` from where the last victim was towards
+/// the head (from the tail when it rests on `NIL`), clearing each set
+/// bit it passes and evicting the first node whose bit is clear,
+/// wrapping from the head to the tail. So `get`, `insert` and `remove`
+/// are O(1) beyond the key-map lookup, and the sweep is amortised O(1):
+/// each bit a hit sets is cleared at most once.
+pub struct TtlCache<V> {
     capacity: usize,
     ttl_ms: u64,
     map: HashMap<u64, usize, KeyState>,
@@ -90,10 +99,12 @@ pub struct TtlLruCache<V> {
     free: Vec<usize>,
     head: usize,
     tail: usize,
+    /// The next node the eviction sweep examines; `NIL` for the tail.
+    hand: usize,
     stats: CacheStats,
 }
 
-impl<V: Clone> TtlLruCache<V> {
+impl<V: Clone> TtlCache<V> {
     /// Creates a cache holding at most `capacity` entries, each valid
     /// for `ttl_ms` after insertion.
     ///
@@ -104,11 +115,11 @@ impl<V: Clone> TtlLruCache<V> {
         Self::with_buckets(capacity, ttl_ms, KeyState::new())
     }
 
-    /// [`TtlLruCache::new`] over a given bucket seed (a striped cache
+    /// [`TtlCache::new`] over a given bucket seed (a striped cache
     /// gives all its stripes one).
     fn with_buckets(capacity: usize, ttl_ms: u64, buckets: KeyState) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
-        TtlLruCache {
+        TtlCache {
             capacity,
             ttl_ms,
             map: HashMap::with_hasher(buckets),
@@ -116,6 +127,7 @@ impl<V: Clone> TtlLruCache<V> {
             free: Vec::new(),
             head: NIL,
             tail: NIL,
+            hand: NIL,
             stats: CacheStats::default(),
         }
     }
@@ -128,51 +140,58 @@ impl<V: Clone> TtlLruCache<V> {
         self.nodes[idx].as_mut().expect("live node")
     }
 
-    /// Unlinks `idx` from the recency list.
-    fn detach(&mut self, idx: usize) {
-        let (prev, next) = {
-            let n = self.node(idx);
-            (n.prev, n.next)
-        };
-        match prev {
-            NIL => self.head = next,
-            p => self.node_mut(p).next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.node_mut(n).prev = prev,
-        }
-    }
-
-    /// Links `idx` at the head (most recently used).
-    fn push_front(&mut self, idx: usize) {
-        let old_head = self.head;
-        {
-            let n = self.node_mut(idx);
-            n.prev = NIL;
-            n.next = old_head;
-        }
-        match old_head {
-            NIL => self.tail = idx,
-            h => self.node_mut(h).prev = idx,
-        }
-        self.head = idx;
-    }
-
-    /// Frees the node at `idx`, returning its value.
+    /// Unlinks and frees the node at `idx`, returning its value. A hand
+    /// resting on it moves to its newer neighbour first.
     fn release(&mut self, idx: usize) -> V {
-        self.detach(idx);
         let node = self.nodes[idx].take().expect("live node");
+        if self.hand == idx {
+            self.hand = node.prev;
+        }
+        match node.prev {
+            NIL => self.head = node.next,
+            p => self.node_mut(p).next = node.next,
+        }
+        match node.next {
+            NIL => self.tail = node.prev,
+            n => self.node_mut(n).prev = node.prev,
+        }
         self.free.push(idx);
         node.value
     }
 
-    /// Looks up `key` at time `now_ms`, refreshing its LRU position.
+    /// The SIEVE sweep: from the hand towards the head, wrapping to the
+    /// tail, clearing set bits until a node whose bit is clear — the
+    /// victim, which it evicts. The hand rests where the victim was.
+    fn evict(&mut self) {
+        let mut idx = match self.hand {
+            NIL => self.tail,
+            hand => hand,
+        };
+        debug_assert_ne!(idx, NIL, "full cache has a tail");
+        loop {
+            let node = self.node_mut(idx);
+            if !node.visited {
+                break;
+            }
+            node.visited = false;
+            idx = match node.prev {
+                NIL => self.tail,
+                p => p,
+            };
+        }
+        self.hand = idx;
+        let victim_key = self.node(idx).key;
+        self.map.remove(&victim_key);
+        self.release(idx);
+        self.stats.evictions += 1;
+    }
+
+    /// Looks up `key` at time `now_ms`, marking it visited.
     pub fn get(&mut self, key: u64, now_ms: u64) -> Option<V> {
         self.get_verified(key, now_ms, |value| Some(value.clone()))
     }
 
-    /// [`TtlLruCache::get`] with a full-key verification hook that is
+    /// [`TtlCache::get`] with a full-key verification hook that is
     /// also the projection: an in-TTL entry is served as what `project`
     /// makes of the stored value *in place*, so a hashed-key wrapper
     /// compares its stored key under the borrow and clones only what it
@@ -189,7 +208,7 @@ impl<V: Clone> TtlLruCache<V> {
             self.stats.misses += 1;
             return None;
         };
-        let node = self.node(idx);
+        let node = self.nodes[idx].as_mut().expect("live node");
         let served = if now_ms >= node.expires_at {
             self.stats.expirations += 1;
             None
@@ -197,8 +216,7 @@ impl<V: Clone> TtlLruCache<V> {
             project(&node.value)
         };
         if served.is_some() {
-            self.detach(idx);
-            self.push_front(idx);
+            node.visited = true;
             self.stats.hits += 1;
         } else {
             // Expired or rejected: drop it.
@@ -209,48 +227,44 @@ impl<V: Clone> TtlLruCache<V> {
         served
     }
 
-    /// Inserts a value at time `now_ms`, evicting the LRU entry if full.
+    /// Inserts a value at time `now_ms` at the head, first evicting by
+    /// the SIEVE sweep if full. Re-inserting a present key updates it in
+    /// place and marks it visited.
     pub fn insert(&mut self, key: u64, value: V, now_ms: u64) {
         let expires_at = now_ms.saturating_add(self.ttl_ms);
         if let Some(&idx) = self.map.get(&key) {
-            self.detach(idx);
-            self.push_front(idx);
             let node = self.node_mut(idx);
             node.value = value;
             node.expires_at = expires_at;
+            node.visited = true;
             return;
         }
         if self.map.len() >= self.capacity {
-            let victim = self.tail;
-            debug_assert_ne!(victim, NIL, "full cache has a tail");
-            let victim_key = self.node(victim).key;
-            self.map.remove(&victim_key);
-            self.release(victim);
-            self.stats.evictions += 1;
+            self.evict();
         }
+        let node = Node {
+            key,
+            value,
+            expires_at,
+            visited: false,
+            prev: NIL,
+            next: self.head,
+        };
         let idx = match self.free.pop() {
             Some(idx) => {
-                self.nodes[idx] = Some(Node {
-                    key,
-                    value,
-                    expires_at,
-                    prev: NIL,
-                    next: NIL,
-                });
+                self.nodes[idx] = Some(node);
                 idx
             }
             None => {
-                self.nodes.push(Some(Node {
-                    key,
-                    value,
-                    expires_at,
-                    prev: NIL,
-                    next: NIL,
-                }));
+                self.nodes.push(Some(node));
                 self.nodes.len() - 1
             }
         };
-        self.push_front(idx);
+        match self.head {
+            NIL => self.tail = idx,
+            h => self.node_mut(h).prev = idx,
+        }
+        self.head = idx;
         self.map.insert(key, idx);
     }
 
@@ -261,6 +275,7 @@ impl<V: Clone> TtlLruCache<V> {
         self.free.clear();
         self.head = NIL;
         self.tail = NIL;
+        self.hand = NIL;
     }
 
     /// Removes one entry.
@@ -297,12 +312,12 @@ impl<V: Clone> TtlLruCache<V> {
     }
 }
 
-/// An N-way striped [`TtlLruCache`]: a power-of-two array of
+/// An N-way striped [`TtlCache`]: a power-of-two array of
 /// independently locked segments selected by the key, so concurrent
 /// enforcement threads touching different keys never contend on one
 /// global cache lock.
 ///
-/// Semantics per stripe are exactly [`TtlLruCache`]'s (the equivalence
+/// Semantics per stripe are exactly [`TtlCache`]'s (the equivalence
 /// the workspace proptests pin): a one-stripe instance is
 /// observationally identical to the single-lock cache, and with N
 /// stripes each key behaves as if it lived in its own smaller
@@ -324,7 +339,7 @@ impl<V: Clone> TtlLruCache<V> {
 /// snapshot across stripes — fine for telemetry and flushes, the only
 /// places they are used.
 pub struct ConcurrentTtlCache<V> {
-    stripes: Box<[Mutex<TtlLruCache<V>>]>,
+    stripes: Box<[Mutex<TtlCache<V>>]>,
     /// log2 of the stripe count.
     bits: u32,
 }
@@ -335,7 +350,7 @@ const STRIPE_KEY: u64 = 0xa409_3822_299f_31d1;
 
 /// Stripe count used by [`ConcurrentTtlCache::new`]: enough to keep
 /// an 8-thread closed loop from convoying, small enough that per-stripe
-/// LRU neighbourhoods stay meaningful at modest capacities.
+/// eviction neighbourhoods stay meaningful at modest capacities.
 pub const DEFAULT_STRIPES: usize = 16;
 
 impl<V: Clone> ConcurrentTtlCache<V> {
@@ -362,8 +377,8 @@ impl<V: Clone> ConcurrentTtlCache<V> {
         let stripes = stripes.max(1).next_power_of_two();
         let per_stripe = capacity.div_ceil(stripes).max(1);
         let buckets = KeyState::new();
-        let stripes: Vec<Mutex<TtlLruCache<V>>> = (0..stripes)
-            .map(|_| Mutex::new(TtlLruCache::with_buckets(per_stripe, ttl_ms, buckets)))
+        let stripes: Vec<Mutex<TtlCache<V>>> = (0..stripes)
+            .map(|_| Mutex::new(TtlCache::with_buckets(per_stripe, ttl_ms, buckets)))
             .collect();
         ConcurrentTtlCache {
             bits: stripes.len().trailing_zeros(),
@@ -385,14 +400,14 @@ impl<V: Clone> ConcurrentTtlCache<V> {
         self.stripes.len()
     }
 
-    /// Looks up `key` at time `now_ms`, refreshing its LRU position
-    /// within its stripe.
+    /// Looks up `key` at time `now_ms`, marking it visited within its
+    /// stripe.
     pub fn get(&self, key: u64, now_ms: u64) -> Option<V> {
         self.stripes[self.stripe_index(key)].lock().get(key, now_ms)
     }
 
     /// [`ConcurrentTtlCache::get`] with a full-key verification hook
-    /// (see [`TtlLruCache::get_verified`]).
+    /// (see [`TtlCache::get_verified`]).
     pub fn get_verified<R>(
         &self,
         key: u64,
@@ -404,8 +419,8 @@ impl<V: Clone> ConcurrentTtlCache<V> {
             .get_verified(key, now_ms, project)
     }
 
-    /// Inserts a value at time `now_ms`, evicting its stripe's LRU
-    /// entry if the stripe is full.
+    /// Inserts a value at time `now_ms`, evicting by its stripe's SIEVE
+    /// sweep if the stripe is full.
     pub fn insert(&self, key: u64, value: V, now_ms: u64) {
         self.stripes[self.stripe_index(key)]
             .lock()
@@ -550,19 +565,21 @@ mod tests {
 
     #[test]
     fn hit_within_ttl_miss_after() {
-        let mut c: TtlLruCache<&'static str> = TtlLruCache::new(4, 100);
+        let mut c: TtlCache<&'static str> = TtlCache::new(4, 100);
         c.insert(1, "permit", 0);
         assert_eq!(c.get(1, 50), Some("permit"));
         assert_eq!(c.get(1, 100), None); // TTL boundary: expired
         assert_eq!(c.stats().expirations, 1);
     }
 
+    /// A hit marks an entry visited, so the next insert into a full
+    /// cache passes over it and evicts the unvisited one.
     #[test]
     fn lru_eviction_order() {
-        let mut c: TtlLruCache<u32> = TtlLruCache::new(2, 1000);
+        let mut c: TtlCache<u32> = TtlCache::new(2, 1000);
         c.insert(1, 10, 0);
         c.insert(2, 20, 1);
-        // Touch 1 so 2 becomes LRU.
+        // Touch 1 so 2 becomes the victim.
         assert_eq!(c.get(1, 2), Some(10));
         c.insert(3, 30, 3);
         assert_eq!(c.get(2, 4), None);
@@ -573,7 +590,7 @@ mod tests {
 
     #[test]
     fn reinsert_updates_value_without_eviction() {
-        let mut c: TtlLruCache<u32> = TtlLruCache::new(2, 1000);
+        let mut c: TtlCache<u32> = TtlCache::new(2, 1000);
         c.insert(1, 10, 0);
         c.insert(1, 11, 1);
         assert_eq!(c.len(), 1);
@@ -583,7 +600,7 @@ mod tests {
 
     #[test]
     fn invalidate_all_clears() {
-        let mut c: TtlLruCache<u32> = TtlLruCache::new(4, 1000);
+        let mut c: TtlCache<u32> = TtlCache::new(4, 1000);
         c.insert(1, 10, 0);
         c.insert(2, 20, 0);
         c.invalidate_all();
@@ -593,7 +610,7 @@ mod tests {
 
     #[test]
     fn hit_rate_math() {
-        let mut c: TtlLruCache<u32> = TtlLruCache::new(4, 1000);
+        let mut c: TtlCache<u32> = TtlCache::new(4, 1000);
         c.insert(1, 10, 0);
         c.get(1, 1);
         c.get(2, 1);
@@ -607,12 +624,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
-        let _ = TtlLruCache::<u32>::new(0, 10);
+        let _ = TtlCache::<u32>::new(0, 10);
     }
 
     #[test]
     fn remove_single_entry() {
-        let mut c: TtlLruCache<u32> = TtlLruCache::new(4, 1000);
+        let mut c: TtlCache<u32> = TtlCache::new(4, 1000);
         c.insert(1, 10, 0);
         assert_eq!(c.remove(1), Some(10));
         assert_eq!(c.remove(1), None);
@@ -620,7 +637,7 @@ mod tests {
 
     #[test]
     fn slab_reuses_freed_slots() {
-        let mut c: TtlLruCache<u64> = TtlLruCache::new(3, 1000);
+        let mut c: TtlCache<u64> = TtlCache::new(3, 1000);
         for round in 0..50u64 {
             c.insert(round, round, round);
         }
@@ -633,7 +650,7 @@ mod tests {
 
     #[test]
     fn get_verified_rejection_counts_as_miss_and_evicts() {
-        let mut c: TtlLruCache<(u32, String)> = TtlLruCache::new(4, 1000);
+        let mut c: TtlCache<(u32, String)> = TtlCache::new(4, 1000);
         c.insert(1, (10, "ten".into()), 0);
         // An accepted entry is served as its projection, taken under the
         // borrow: the string half is never cloned.
@@ -651,7 +668,7 @@ mod tests {
 
     #[test]
     fn remove_if_respects_predicate() {
-        let mut c: TtlLruCache<u32> = TtlLruCache::new(4, 1000);
+        let mut c: TtlCache<u32> = TtlCache::new(4, 1000);
         c.insert(1, 10, 0);
         assert_eq!(c.remove_if(1, |v| *v == 99), None);
         assert_eq!(c.len(), 1);
@@ -847,75 +864,139 @@ mod tests {
 }
 
 /// Property-style tests: random operation sequences checked against a
-/// straightforward reference model of TTL + LRU semantics.
+/// straightforward reference model of TTL + SIEVE semantics.
 #[cfg(test)]
 mod property_tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Reference model: a vector ordered least- to most-recently used.
+    /// Reference model: a naive SIEVE over a vector ordered oldest
+    /// first, its hand an index into it.
     struct Model {
         capacity: usize,
         ttl_ms: u64,
-        /// `(key, value, expires_at)`, LRU first.
-        entries: Vec<(u64, u64, u64)>,
+        /// `(key, value, expires_at, visited)`, oldest first.
+        entries: Vec<(u64, u64, u64, bool)>,
+        /// The next entry the sweep examines; `None` for the oldest.
+        hand: Option<usize>,
     }
 
     impl Model {
+        fn new(capacity: usize, ttl_ms: u64) -> Self {
+            Model {
+                capacity,
+                ttl_ms,
+                entries: Vec::new(),
+                hand: None,
+            }
+        }
+
+        fn position(&self, key: u64) -> Option<usize> {
+            self.entries.iter().position(|e| e.0 == key)
+        }
+
+        /// Drops the entry at `pos`; a hand past it shifts down with
+        /// its entry, and a hand on it now names the next newer one, or
+        /// the oldest when there is none.
+        fn drop_at(&mut self, pos: usize) -> u64 {
+            let (_, value, _, _) = self.entries.remove(pos);
+            self.hand = match self.hand {
+                Some(h) if h > pos => Some(h - 1),
+                Some(h) if h == pos && h == self.entries.len() => None,
+                hand => hand,
+            };
+            value
+        }
+
         fn get(&mut self, key: u64, now: u64) -> Option<u64> {
-            let pos = self.entries.iter().position(|(k, _, _)| *k == key)?;
+            let pos = self.position(key)?;
             if now >= self.entries[pos].2 {
-                self.entries.remove(pos);
+                self.drop_at(pos);
                 return None;
             }
-            let entry = self.entries.remove(pos);
-            let value = entry.1;
-            self.entries.push(entry);
-            Some(value)
+            self.entries[pos].3 = true;
+            Some(self.entries[pos].1)
         }
 
         fn insert(&mut self, key: u64, value: u64, now: u64) {
-            if let Some(pos) = self.entries.iter().position(|(k, _, _)| *k == key) {
-                self.entries.remove(pos);
-            } else if self.entries.len() >= self.capacity {
-                self.entries.remove(0);
+            let expires_at = now + self.ttl_ms;
+            if let Some(pos) = self.position(key) {
+                self.entries[pos] = (key, value, expires_at, true);
+                return;
             }
-            self.entries.push((key, value, now + self.ttl_ms));
+            if self.entries.len() >= self.capacity {
+                let mut pos = self.hand.unwrap_or(0);
+                while self.entries[pos].3 {
+                    self.entries[pos].3 = false;
+                    pos = (pos + 1) % self.entries.len();
+                }
+                self.hand = Some(pos);
+                self.drop_at(pos);
+            }
+            self.entries.push((key, value, expires_at, false));
+        }
+
+        fn remove(&mut self, key: u64) -> Option<u64> {
+            let pos = self.position(key)?;
+            Some(self.drop_at(pos))
         }
     }
 
     #[test]
     fn random_ops_match_reference_model() {
-        for seed in 0..20u64 {
+        for seed in 0..200u64 {
             let mut rng = StdRng::seed_from_u64(seed);
             let capacity = rng.gen_range(1..6usize);
             let ttl = rng.gen_range(1..80u64);
-            let mut cache: TtlLruCache<u64> = TtlLruCache::new(capacity, ttl);
-            let mut model = Model {
-                capacity,
-                ttl_ms: ttl,
-                entries: Vec::new(),
-            };
+            let mut cache: TtlCache<u64> = TtlCache::new(capacity, ttl);
+            let mut model = Model::new(capacity, ttl);
             let mut now = 0u64;
             for op in 0..400 {
                 now += rng.gen_range(0..20u64);
                 let key = rng.gen_range(0..8u64);
-                if rng.gen_bool(0.5) {
-                    assert_eq!(
+                match rng.gen_range(0..10u32) {
+                    0..=4 => assert_eq!(
                         cache.get(key, now),
                         model.get(key, now),
                         "seed {seed} op {op}: get({key}) at {now} diverged"
-                    );
-                } else {
-                    let value = rng.gen_range(0..1000u64);
-                    cache.insert(key, value, now);
-                    model.insert(key, value, now);
+                    ),
+                    5..=8 => {
+                        let value = rng.gen_range(0..1000u64);
+                        cache.insert(key, value, now);
+                        model.insert(key, value, now);
+                    }
+                    _ => assert_eq!(
+                        cache.remove(key),
+                        model.remove(key),
+                        "seed {seed} op {op}: remove({key}) diverged"
+                    ),
                 }
                 assert!(cache.len() <= capacity, "capacity exceeded");
                 assert_eq!(cache.len(), model.entries.len(), "seed {seed} op {op}");
             }
         }
+    }
+
+    /// SIEVE's point: an entry read since it was inserted survives a
+    /// run of inserts that are never read again, where LRU would evict
+    /// it at the third.
+    #[test]
+    fn a_visited_entry_outlives_one_off_inserts() {
+        let mut cache: TtlCache<u64> = TtlCache::new(4, 1_000_000);
+        for k in 0..4u64 {
+            cache.insert(k, k, 0);
+        }
+        for k in [0u64, 1] {
+            assert_eq!(cache.get(k, 1), Some(k));
+        }
+        for k in 100..103u64 {
+            cache.insert(k, k, 2);
+        }
+        for k in [0u64, 1] {
+            assert_eq!(cache.get(k, 3), Some(k), "{k} evicted by one-off inserts");
+        }
+        assert_eq!(cache.stats().evictions, 3);
     }
 
     /// The striped cache must behave exactly like a bank of independent
@@ -933,8 +1014,8 @@ mod property_tests {
             let striped: ConcurrentTtlCache<u64> =
                 ConcurrentTtlCache::with_stripes(stripes, capacity, ttl);
             let per_stripe = capacity.div_ceil(striped.stripe_count()).max(1);
-            let mut bank: Vec<TtlLruCache<u64>> = (0..striped.stripe_count())
-                .map(|_| TtlLruCache::new(per_stripe, ttl))
+            let mut bank: Vec<TtlCache<u64>> = (0..striped.stripe_count())
+                .map(|_| TtlCache::new(per_stripe, ttl))
                 .collect();
             let mut now = 0u64;
             for op in 0..500 {
@@ -959,7 +1040,7 @@ mod property_tests {
                     ),
                 }
             }
-            let expected: usize = bank.iter().map(TtlLruCache::len).sum();
+            let expected: usize = bank.iter().map(TtlCache::len).sum();
             assert_eq!(striped.len(), expected, "seed {seed}: lengths diverged");
             let mut expected_stats = CacheStats::default();
             for s in &bank {
@@ -973,7 +1054,7 @@ mod property_tests {
     fn never_serves_past_ttl_and_expiry_is_ordered() {
         let mut rng = StdRng::seed_from_u64(99);
         let ttl = 50u64;
-        let mut cache: TtlLruCache<u64> = TtlLruCache::new(8, ttl);
+        let mut cache: TtlCache<u64> = TtlCache::new(8, ttl);
         let mut inserted_at: std::collections::HashMap<u64, u64> = Default::default();
         let mut now = 0u64;
         for _ in 0..600 {
@@ -998,9 +1079,11 @@ mod property_tests {
         }
     }
 
+    /// The sweep passes over every visited entry and evicts the one
+    /// entry not read since it was inserted.
     #[test]
     fn lru_eviction_prefers_least_recent_under_load() {
-        let mut cache: TtlLruCache<u64> = TtlLruCache::new(4, 1_000_000);
+        let mut cache: TtlCache<u64> = TtlCache::new(4, 1_000_000);
         for k in 0..4u64 {
             cache.insert(k, k, 0);
         }
@@ -1019,7 +1102,7 @@ mod property_tests {
     #[test]
     fn stats_stay_consistent_with_observed_outcomes() {
         let mut rng = StdRng::seed_from_u64(7);
-        let mut cache: TtlLruCache<u64> = TtlLruCache::new(4, 30);
+        let mut cache: TtlCache<u64> = TtlCache::new(4, 30);
         let (mut hits, mut misses) = (0u64, 0u64);
         let mut now = 0u64;
         for _ in 0..500 {

@@ -7,7 +7,7 @@
 //!
 //! * [`engine`] — the PDP service with PIP-backed attribute resolution
 //!   and a decision cache keyed to the PAP mutation epoch.
-//! * [`cache`] — the TTL + LRU cache shared by PDPs and PEPs, plus
+//! * [`cache`] — the TTL + SIEVE cache shared by PDPs and PEPs, plus
 //!   the striped [`ConcurrentTtlCache`] and the hashed-key
 //!   [`HashedRequestCache`] used on the concurrent read path.
 //! * [`discovery`] — static binding vs directory-based PDP discovery
@@ -24,7 +24,7 @@ pub mod class;
 pub mod discovery;
 pub mod engine;
 
-pub use cache::{CacheStats, ConcurrentTtlCache, HashedRequestCache, TtlLruCache};
+pub use cache::{CacheStats, ConcurrentTtlCache, HashedRequestCache, TtlCache};
 pub use class::{DecisionClass, Priority};
 pub use discovery::{Binding, PdpDirectory, PdpEndpoint, ReplicaPhase};
 pub use engine::{CacheConfig, Pdp, PdpMetrics};

@@ -344,7 +344,7 @@ proptest! {
         ttl in 1u64..50,
         ops in prop::collection::vec((0u64..8, 0u64..200), 1..40),
     ) {
-        let mut cache = dacs::pdp::TtlLruCache::<u64>::new(4, ttl);
+        let mut cache = dacs::pdp::TtlCache::<u64>::new(4, ttl);
         let mut inserted_at: std::collections::HashMap<u64, u64> = Default::default();
         let mut now = 0;
         for (key, advance) in ops {
@@ -441,7 +441,7 @@ proptest! {
 
     /// Read-path concurrency (ISSUE 9): with a single stripe, the
     /// striped cache degenerates to exactly the single-lock
-    /// `TtlLruCache` it wraps — every get answers identically, and the
+    /// `TtlCache` it wraps — every get answers identically, and the
     /// lengths and aggregate stats match after any op sequence. (The
     /// per-stripe equivalence for multi-stripe configurations lives in
     /// `dacs-pdp`'s own property suite, which routes a bank of
@@ -453,7 +453,7 @@ proptest! {
         ops in prop::collection::vec((0u64..10, 0u64..30, any::<bool>()), 1..60),
     ) {
         let striped = dacs::pdp::ConcurrentTtlCache::<u64>::with_stripes(1, capacity, ttl);
-        let mut single = dacs::pdp::TtlLruCache::<u64>::new(capacity, ttl);
+        let mut single = dacs::pdp::TtlCache::<u64>::new(capacity, ttl);
         let mut now = 0u64;
         for (key, advance, write) in ops {
             now += advance;
@@ -527,5 +527,41 @@ fn merkle_signature_forgery_resistance_smoke() {
         let idx = byte % forged.wots_sig.len();
         forged.wots_sig[idx] ^= 0x01;
         assert!(!root.verify(b"permit alice", &forged));
+    }
+}
+
+/// The decision cache's eviction on `cached_zipf`'s traffic shape: a
+/// default 16-stripe cache of 8 192 entries over Zipf(1.07) draws from
+/// 2¹⁶ keys, warmed by 100 000 draws, then 300 000 more, each a get and
+/// an insert on a miss. SIEVE keeps the popular keys a run of one-off
+/// inserts would push out under LRU: it hits ≥ 0.84 on every seed,
+/// where LRU reads ≈ 0.825. The counts are exact on every host.
+#[test]
+fn striped_cache_hit_ratio_on_zipf_draws() {
+    use dacs::core::ZipfSampler;
+    use dacs::pdp::ConcurrentTtlCache;
+    use dacs::policy::hash::WordHasher;
+    use rand::SeedableRng;
+    let zipf = ZipfSampler::new(1 << 16, 1.07);
+    for seed in 1..=3u64 {
+        let cache = ConcurrentTtlCache::<()>::new(8192, u64::MAX / 2);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut hits_in = |draws: usize| {
+            let mut hits = 0usize;
+            for _ in 0..draws {
+                let mut hasher = WordHasher::new();
+                hasher.write_u64(zipf.sample(&mut rng) as u64);
+                let key = hasher.finish();
+                if cache.get(key, 0).is_some() {
+                    hits += 1;
+                } else {
+                    cache.insert(key, (), 0);
+                }
+            }
+            hits
+        };
+        hits_in(100_000);
+        let ratio = hits_in(300_000) as f64 / 300_000.0;
+        assert!(ratio >= 0.84, "seed {seed}: hit ratio {ratio:.4} < 0.84");
     }
 }
