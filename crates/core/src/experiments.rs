@@ -228,7 +228,8 @@ pub fn e3_policy_scaling() -> Table {
             root = root.with_policy_ref(PolicyId::new(pol.id.as_str()));
             pap.submit("bench", pol, 0).unwrap();
         }
-        pap.install_set(root);
+        pap.install_set(root)
+            .expect("E3's root is one level of references");
         let root = PolicyElement::PolicySetRef(PolicyId::new("root"));
         let pdp = Pdp::new(
             "pdp.e3",
@@ -242,13 +243,16 @@ pub fn e3_policy_scaling() -> Table {
 
         // The walk scans the tree the PDP indexes: same resolved
         // bodies, no store look-up on either side.
-        let resolved = resolve_references(&root, pap.as_ref());
+        let resolved = resolve_references(&root, pap.as_ref()).expect("stored, so it resolves");
+        let PolicyElement::PolicySet(resolved) = resolved.root() else {
+            unreachable!("a set reference resolves to a set");
+        };
         let start = Instant::now();
         let mut walk = EvalMetrics::default();
         let mut walked = None;
         for _ in 0..iters {
-            let mut evaluator = Evaluator::new(pap.as_ref(), &request);
-            walked = Some(evaluator.evaluate_element(resolved.root()));
+            let mut evaluator = Evaluator::new(&request);
+            walked = Some(evaluator.evaluate_policy_set(resolved));
             walk = evaluator.metrics;
         }
         let walk_us = per_iter_us(start);
@@ -337,9 +341,8 @@ pub fn e4_xacml_dataflow() -> Table {
         let policy = Policy::new("mix", alg)
             .with_rule(Rule::new("r-permit", Effect::Permit))
             .with_rule(Rule::new("r-deny", Effect::Deny));
-        let store = dacs_policy::eval::EmptyStore;
         let request = RequestContext::basic("u", "r", "read");
-        let mut ev = dacs_policy::Evaluator::new(&store, &request);
+        let mut ev = dacs_policy::Evaluator::new(&request);
         let resp = ev.evaluate_policy(&policy);
         table.row(vec![
             "combining".into(),

@@ -31,6 +31,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
+/// A root of one reference per policy is refused only past 16 382 policies.
+const ROOT_RESOLVES: &str = "a domain root of policy references resolves";
+
 /// Routes a PEP's decision queries through a domain's [`PdpCluster`] —
 /// quorum fan-out, directory-driven failover and per-shard batching —
 /// instead of a single engine. A batch of one goes straight to the
@@ -558,7 +561,7 @@ impl DomainBuilder {
                         pap.submit("domain-bootstrap", policy, 0)
                             .expect("bootstrap submission cannot be denied");
                     }
-                    pap.install_set(root);
+                    pap.install_set(root).expect(ROOT_RESOLVES);
                     let mut pdp = Pdp::new(format!("pdp.{name}"), pap.clone(), root_elem, pips);
                     if let Some(cfg) = self.pdp_cache {
                         pdp = pdp.with_cache(cfg);
@@ -577,7 +580,7 @@ impl DomainBuilder {
                         tree = tree.with_telemetry(t);
                     }
                     let pap = tree.node(0).pap.clone();
-                    pap.install_set(root.clone());
+                    pap.install_set(root.clone()).expect(ROOT_RESOLVES);
                     let mut builder = template.named(name.clone());
                     if let Some(t) = &self.telemetry {
                         builder = builder.telemetry(Arc::clone(t));
@@ -589,10 +592,11 @@ impl DomainBuilder {
                         for r in 0..self.replicas_per_shard {
                             let replica_name = format!("pdp.{name}.s{s}r{r}");
                             let leaf = tree.add_child(0, replica_name.clone(), None);
-                            tree.node(leaf).pap.install_set(root.clone());
+                            let leaf_pap = &tree.node(leaf).pap;
+                            leaf_pap.install_set(root.clone()).expect(ROOT_RESOLVES);
                             let mut pdp = Pdp::new(
                                 replica_name.clone(),
-                                tree.node(leaf).pap.clone(),
+                                leaf_pap.clone(),
                                 root_elem.clone(),
                                 pips.clone(),
                             );

@@ -5,11 +5,11 @@
 //! ordinary resources", using one policy language for both.
 
 use crate::epoch::PolicyEpoch;
-use dacs_policy::eval::{EmptyStore, Evaluator, PolicyStore};
-use dacs_policy::policy::{Decision, Policy, PolicyId, PolicySet};
+use dacs_policy::eval::{resolve_references, Evaluator, PolicyStore, TreeError};
+use dacs_policy::policy::{Decision, Policy, PolicyElement, PolicyId, PolicySet};
 use dacs_policy::request::RequestContext;
 use parking_lot::RwLock;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -77,6 +77,8 @@ pub enum PapError {
         /// The missing version.
         version: u64,
     },
+    /// The policy set would leave a stored set that does not resolve.
+    Tree(TreeError),
 }
 
 impl std::fmt::Display for PapError {
@@ -89,6 +91,7 @@ impl std::fmt::Display for PapError {
             PapError::UnknownVersion { policy, version } => {
                 write!(f, "policy {policy} has no version {version}")
             }
+            PapError::Tree(refused) => write!(f, "policy set refused: {refused}"),
         }
     }
 }
@@ -110,11 +113,13 @@ struct Versioned {
 pub struct Pap {
     name: String,
     policies: RwLock<HashMap<PolicyId, Versioned>>,
-    sets: RwLock<HashMap<PolicyId, Arc<PolicySet>>>,
+    /// Ordered, so that an install judges the stored sets in one order.
+    sets: RwLock<BTreeMap<PolicyId, Arc<PolicySet>>>,
     admin_policy: RwLock<Option<Policy>>,
     audit: RwLock<Vec<AuditEntry>>,
     seq: RwLock<u64>,
-    /// Bumped on every mutation; PDP/PEP caches key their validity on it.
+    /// Bumped on every mutation; a PDP keys its snapshot and its
+    /// decision cache on it.
     epoch: AtomicU64,
     /// Highest syndication stamp processed with no gap before it — the
     /// repository's position in the global policy timeline (distinct
@@ -129,7 +134,7 @@ impl Pap {
         Pap {
             name: name.into(),
             policies: RwLock::new(HashMap::new()),
-            sets: RwLock::new(HashMap::new()),
+            sets: RwLock::new(BTreeMap::new()),
             admin_policy: RwLock::new(None),
             audit: RwLock::new(Vec::new()),
             seq: RwLock::new(0),
@@ -187,8 +192,7 @@ impl Pap {
             return Ok(());
         };
         let request = RequestContext::basic(actor, policy.as_str(), op);
-        let store = EmptyStore;
-        let mut ev = Evaluator::new(&store, &request);
+        let mut ev = Evaluator::new(&request);
         let resp = ev.evaluate_policy(admin);
         if resp.decision == Decision::Permit {
             Ok(())
@@ -332,10 +336,34 @@ impl Pap {
     }
 
     /// Installs a policy set (sets are unversioned containers; their
-    /// children are versioned policies referenced by id).
-    pub fn install_set(&self, set: PolicySet) {
-        self.sets.write().insert(set.id.clone(), Arc::new(set));
+    /// children are versioned policies referenced by id), stored only if
+    /// every stored set still resolves with it in place
+    /// ([`resolve_references`]). The judge and the insert share the
+    /// write lock, so two installs cannot together close a cycle that
+    /// neither closes alone. [`Pap::submit`] and the other policy
+    /// mutations need no judge: a `Policy` holds no reference, and
+    /// filling a dangling `PolicyRef` swaps one leaf for one leaf.
+    ///
+    /// # Errors
+    ///
+    /// [`PapError::Tree`] with the first [`TreeError`] met, the new set
+    /// judged first, then the stored ones in id order. The store,
+    /// [`Pap::epoch`] and the audit log stay as they were.
+    pub fn install_set(&self, set: PolicySet) -> Result<(), PapError> {
+        let mut sets = self.sets.write();
+        let mut after = sets.clone();
+        let id = set.id.clone();
+        after.insert(id.clone(), Arc::new(set));
+        std::iter::once(&id)
+            .chain(sets.keys().filter(|stored| **stored != id))
+            .try_for_each(|stored| {
+                let root = PolicyElement::PolicySetRef(stored.clone());
+                resolve_references(&root, &SetsOnly(&after)).map(drop)
+            })
+            .map_err(PapError::Tree)?;
+        *sets = after;
         self.epoch.fetch_add(1, Ordering::AcqRel);
+        Ok(())
     }
 
     /// The active version of a policy.
@@ -376,6 +404,19 @@ impl PolicyStore for Pap {
     }
     fn policy_set(&self, id: &PolicyId) -> Option<Arc<PolicySet>> {
         self.sets.read().get(id).cloned()
+    }
+}
+
+/// Stored sets alone: a tree's shape does not depend on the policies,
+/// since a resolved `PolicyRef` and a dangling one are each one leaf.
+struct SetsOnly<'a>(&'a BTreeMap<PolicyId, Arc<PolicySet>>);
+
+impl PolicyStore for SetsOnly<'_> {
+    fn policy(&self, _id: &PolicyId) -> Option<Arc<Policy>> {
+        None
+    }
+    fn policy_set(&self, id: &PolicyId) -> Option<Arc<PolicySet>> {
+        self.0.get(id).cloned()
     }
 }
 

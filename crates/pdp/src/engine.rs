@@ -90,10 +90,11 @@ pub struct CacheConfig {
 
 /// The PDP's root with every reference resolved against the PAP as it
 /// stood at mutation epoch `epoch` or later, and the target index of
-/// that tree: built together, replaced together.
+/// that tree: built together, replaced together — or why the root was
+/// refused (see [`Pdp`]).
 struct Snapshot {
     epoch: u64,
-    root: ResolvedTree,
+    root: Result<ResolvedTree, dacs_policy::eval::TreeError>,
 }
 
 impl Snapshot {
@@ -125,6 +126,9 @@ impl Snapshot {
 /// than its label; every PAP mutation bumps the epoch before it
 /// returns, so a `decide` that starts after a mutation returned sees a
 /// label mismatch and can never evaluate the pre-mutation tree.
+/// The PAP stores no set that fails to resolve, so only an inline root
+/// built in code can be refused; every `decide` then answers
+/// `Indeterminate` with the refusal's text, and a PEP denies.
 pub struct Pdp {
     name: String,
     pap: Arc<Pap>,
@@ -223,15 +227,20 @@ impl Pdp {
         }
 
         let snapshot = self.snapshot_at(epoch);
-        let source = ResolvingSource::new(request, &self.pips, now_ms);
-        // The PAP stays the store for what the snapshot left as a
-        // reference (dangling or cyclic).
-        let mut evaluator = Evaluator::with_source(self.pap.as_ref(), request, &source);
+        let decided = match &snapshot.root {
+            Ok(tree) => {
+                let source = ResolvingSource::new(request, &self.pips, now_ms);
+                let mut evaluator = Evaluator::with_source(request, &source);
+                let decided = evaluator.evaluate_resolved(tree);
+                self.metrics.absorb(&evaluator.metrics);
+                decided
+            }
+            Err(refused) => Response::indeterminate(refused.to_string()),
+        };
         let response = Response {
             epoch: stamp,
-            ..evaluator.evaluate_resolved(&snapshot.root)
+            ..decided
         };
-        self.metrics.absorb(&evaluator.metrics);
 
         if let Some(cache) = &self.cache {
             cache.insert(hash, request, (epoch, response.clone()), now_ms);

@@ -477,8 +477,8 @@ pub struct EnforcementStats {
     pub allowed: u64,
     /// Requests denied by explicit Deny.
     pub denied: u64,
-    /// Requests denied fail-safe (Indeterminate, NotApplicable under
-    /// deny-biased policy, broken assertions, obligation failures).
+    /// Requests denied fail-safe (Indeterminate, NotApplicable, broken
+    /// assertions, obligation failures).
     pub failsafe_denials: u64,
     /// Obligation fulfilment failures.
     pub obligation_failures: u64,
@@ -825,7 +825,6 @@ pub struct PepBuilder {
     trusted_issuers: HashMap<String, PublicKey>,
     telemetry: Option<Arc<Telemetry>>,
     capability: Option<(Arc<CapabilityAuthority>, usize)>,
-    deny_not_applicable: bool,
     audit_capacity: usize,
 }
 
@@ -844,7 +843,6 @@ impl PepBuilder {
             trusted_issuers: HashMap::new(),
             telemetry: None,
             capability: None,
-            deny_not_applicable: true,
             audit_capacity: DEFAULT_AUDIT_CAPACITY,
         }
     }
@@ -924,13 +922,6 @@ impl PepBuilder {
         self
     }
 
-    /// Treats NotApplicable as permit (open enforcement, for ablation
-    /// only; default is fail-safe deny).
-    pub fn open_not_applicable(mut self) -> Self {
-        self.deny_not_applicable = false;
-        self
-    }
-
     /// Bounds the audit ring to the newest `capacity` records (default
     /// [`DEFAULT_AUDIT_CAPACITY`]) and their ids to `capacity × 64`
     /// bytes. Both rings are allocated once, when the PEP is built, and
@@ -992,7 +983,6 @@ impl PepBuilder {
             epoch: AtomicU64::new(0),
             crypto: self.crypto.unwrap_or_default(),
             trusted_issuers: self.trusted_issuers,
-            deny_not_applicable: self.deny_not_applicable,
             audit: AuditRing::new(self.audit_capacity),
             stats,
             telemetry: self.telemetry,
@@ -1024,10 +1014,6 @@ pub struct Pep {
     crypto: CryptoCtx,
     /// Trusted capability issuers: name → verification key.
     trusted_issuers: HashMap<String, PublicKey>,
-    /// If true, NotApplicable is denied (default); if false, it is
-    /// allowed (open policy — not recommended, but configurable for
-    /// ablation).
-    deny_not_applicable: bool,
     audit: AuditRing,
     stats: Arc<AtomicEnforcementStats>,
     telemetry: Option<Arc<Telemetry>>,
@@ -1351,12 +1337,7 @@ impl Pep {
         now_ms: u64,
     ) -> EnforcementResult {
         let mut fulfilled = Vec::new();
-        let grant = match response.decision {
-            Decision::Permit => true,
-            Decision::Deny => false,
-            Decision::NotApplicable => !self.deny_not_applicable,
-            Decision::Indeterminate => false,
-        };
+        let grant = response.decision == Decision::Permit;
 
         // Obligations must be discharged regardless of effect direction;
         // inability to discharge any of them forces deny (fail-safe).
@@ -2171,40 +2152,6 @@ policy "gate" deny-unless-permit {
         // decision mints a replacement).
         assert!(pep.serve(EnforceRequest::of(&req, 2_000)).allowed);
         assert_eq!(pep.stats().tokens_minted, 3);
-    }
-
-    #[test]
-    fn open_not_applicable_ablation() {
-        let silent = r#"
-policy "gate" first-applicable {
-  rule "only-writes" deny {
-    target { action "id" == "write"; }
-  }
-}
-"#;
-        let w = world(silent, true);
-        let req = RequestContext::basic("bob", "ehr/1", "read");
-        // Default: fail-safe deny on NotApplicable.
-        assert!(!w.pep.serve(EnforceRequest::of(&req, 1)).allowed);
-
-        // Open configuration grants.
-        let ctx = CryptoCtx::new();
-        let pap = Arc::new(Pap::new("pap.d"));
-        pap.submit("admin", parse_policy(silent).unwrap(), 0)
-            .unwrap();
-        let pdp = Arc::new(Pdp::new(
-            "pdp.d",
-            pap,
-            PolicyElement::PolicyRef(PolicyId::new("gate")),
-            Arc::new(PipRegistry::new()),
-        ));
-        let open_pep = Pep::builder("pep.d")
-            .audience("d")
-            .source(pdp)
-            .crypto(ctx)
-            .open_not_applicable()
-            .build();
-        assert!(open_pep.serve(EnforceRequest::of(&req, 1)).allowed);
     }
 
     #[test]

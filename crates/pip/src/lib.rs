@@ -769,7 +769,7 @@ mod tests {
     #[test]
     fn engine_integration_via_resolving_source() {
         use dacs_policy::dsl::parse_policy;
-        use dacs_policy::eval::{EmptyStore, Evaluator};
+        use dacs_policy::eval::Evaluator;
         use dacs_policy::policy::Decision;
 
         let policy = parse_policy(
@@ -790,14 +790,13 @@ policy "dept-gate" deny-unless-permit {
 
         let request = req();
         let src = ResolvingSource::new(&request, &reg, 0);
-        let store = EmptyStore;
-        let mut ev = Evaluator::with_source(&store, &request, &src);
+        let mut ev = Evaluator::with_source(&request, &src);
         assert_eq!(ev.evaluate_policy(&policy).decision, Decision::Permit);
 
         // Same policy for bob, who has no dept attribute → deny.
         let bob = RequestContext::basic("bob", "ehr/1", "read");
         let src = ResolvingSource::new(&bob, &reg, 0);
-        let mut ev = Evaluator::with_source(&store, &bob, &src);
+        let mut ev = Evaluator::with_source(&bob, &src);
         assert_eq!(ev.evaluate_policy(&policy).decision, Decision::Deny);
     }
 

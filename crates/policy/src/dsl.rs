@@ -28,7 +28,8 @@
 //! ```
 
 use crate::attr::{AttrValue, AttributeId, Category};
-use crate::expr::{Expr, Func};
+use crate::eval::MAX_POLICY_DEPTH;
+use crate::expr::{Expr, Func, MAX_DEPTH};
 use crate::policy::{
     CombiningAlg, Effect, ObligationExpr, Policy, PolicyElement, PolicyId, PolicySet, Rule,
 };
@@ -597,7 +598,11 @@ impl Parser {
         Ok(Target { any_ofs })
     }
 
-    fn expr(&mut self) -> Result<Expr, ParseError> {
+    /// An expression whose root sits at level `depth`.
+    fn expr(&mut self, depth: u32) -> Result<Expr, ParseError> {
+        if depth > MAX_DEPTH {
+            return Err(self.err(format!("expression deeper than {MAX_DEPTH} levels")));
+        }
         match self.peek().tok.clone() {
             Tok::Hash => {
                 self.next();
@@ -649,10 +654,10 @@ impl Parser {
                 self.expect(Tok::LParen)?;
                 let mut args = Vec::new();
                 if self.peek().tok != Tok::RParen {
-                    args.push(self.expr()?);
+                    args.push(self.expr(depth + 1)?);
                     while self.peek().tok == Tok::Comma {
                         self.next();
-                        args.push(self.expr()?);
+                        args.push(self.expr(depth + 1)?);
                     }
                 }
                 self.expect(Tok::RParen)?;
@@ -681,7 +686,7 @@ impl Parser {
         while self.peek().tok != Tok::RBrace {
             let name = self.string()?;
             self.expect(Tok::Assign)?;
-            let e = self.expr()?;
+            let e = self.expr(0)?;
             self.expect(Tok::Semi)?;
             params.push((name, e));
         }
@@ -704,7 +709,7 @@ impl Parser {
                 rule.target = self.target()?;
             } else if self.peek_ident("condition") {
                 self.next();
-                rule.condition = Some(self.expr()?);
+                rule.condition = Some(self.expr(0)?);
             } else if self.peek_ident("obligation") {
                 rule.obligations.push(self.obligation()?);
             } else {
@@ -746,7 +751,8 @@ impl Parser {
         Ok(policy)
     }
 
-    fn policy_set(&mut self) -> Result<PolicySet, ParseError> {
+    /// A policy set sitting at level `depth`.
+    fn policy_set(&mut self, depth: u32) -> Result<PolicySet, ParseError> {
         self.expect_ident("policyset")?;
         let id = self.string()?;
         let alg = self.combining()?;
@@ -761,6 +767,10 @@ impl Parser {
                 self.next();
                 set.issuer = Some(self.string()?);
                 self.expect(Tok::Semi)?;
+            } else if (self.peek_ident("policyset") || self.peek_ident("policy"))
+                && depth >= MAX_POLICY_DEPTH
+            {
+                return Err(self.err(format!("policy set deeper than {MAX_POLICY_DEPTH} levels")));
             } else if self.peek_ident("policyset") {
                 // `policyset ref "x";` or inline nested set.
                 if matches!(self.toks.get(self.pos + 1).map(|t| &t.tok), Some(Tok::Ident(s)) if s == "ref")
@@ -772,7 +782,7 @@ impl Parser {
                     set.elements
                         .push(PolicyElement::PolicySetRef(PolicyId::new(rid)));
                 } else {
-                    let nested = self.policy_set()?;
+                    let nested = self.policy_set(depth + 1)?;
                     set.elements
                         .push(PolicyElement::PolicySet(Box::new(nested)));
                 }
@@ -819,7 +829,7 @@ pub fn parse_policy(input: &str) -> Result<Policy, ParseError> {
 pub fn parse_policy_set(input: &str) -> Result<PolicySet, ParseError> {
     let toks = lex(input)?;
     let mut p = Parser { toks, pos: 0 };
-    let set = p.policy_set()?;
+    let set = p.policy_set(0)?;
     p.expect(Tok::Eof)?;
     Ok(set)
 }
@@ -832,7 +842,7 @@ pub fn parse_policy_set(input: &str) -> Result<PolicySet, ParseError> {
 pub fn parse_expr(input: &str) -> Result<Expr, ParseError> {
     let toks = lex(input)?;
     let mut p = Parser { toks, pos: 0 };
-    let e = p.expr()?;
+    let e = p.expr(0)?;
     p.expect(Tok::Eof)?;
     Ok(e)
 }
@@ -1033,7 +1043,7 @@ fn print_policy_set_indent(ps: &PolicySet, indent: &str, out: &mut String) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{EmptyStore, Evaluator};
+    use crate::eval::Evaluator;
     use crate::policy::Decision;
     use crate::request::RequestContext;
 
@@ -1066,8 +1076,7 @@ policy "doctors-read" first-applicable {
         let req = RequestContext::basic("alice", "ehr/1", "read")
             .with_subject_attr("role", "doctor")
             .with_env_attr("current-time", AttrValue::Time(9 * 3_600_000));
-        let store = EmptyStore;
-        let mut ev = Evaluator::new(&store, &req);
+        let mut ev = Evaluator::new(&req);
         let resp = ev.evaluate_policy(&policy);
         assert_eq!(resp.decision, Decision::Permit);
         assert_eq!(resp.obligations.len(), 1);
@@ -1223,5 +1232,56 @@ policy "ops" deny-overrides {
         );
         let printed = print_policy(&p);
         assert_eq!(parse_policy(&printed).expect("roundtrip"), p);
+    }
+
+    /// `levels` nested `policyset` blocks, one per line, the innermost
+    /// holding a policy reference: its deepest element sits at level
+    /// `levels`, on line `levels + 1`.
+    fn nested_sets(levels: usize) -> String {
+        let mut src = String::new();
+        for level in 0..levels {
+            src += &format!("policyset \"s{level}\" deny-overrides {{\n");
+        }
+        src += "policy ref \"p\";\n";
+        src + &"}\n".repeat(levels)
+    }
+
+    /// `not(` nested `levels` deep around `true`, one per line: the
+    /// literal sits at level `levels`, on line `levels + 1`.
+    fn nested_nots(levels: usize) -> String {
+        "not(\n".repeat(levels) + "true\n" + &")".repeat(levels)
+    }
+
+    #[test]
+    fn policy_sets_nest_to_the_depth_limit_and_no_deeper() {
+        let limit = MAX_POLICY_DEPTH as usize;
+        let at_limit = parse_policy_set(&nested_sets(limit)).expect("parses at the limit");
+        let root = PolicyElement::PolicySet(Box::new(at_limit));
+        assert!(crate::eval::resolve_references(&root, &crate::eval::EmptyStore).is_ok());
+        // The reference at level 65, on line 66.
+        let err = parse_policy_set(&nested_sets(limit + 1)).unwrap_err();
+        assert_eq!(err.line, limit as u32 + 2, "{err}");
+        assert!(err.message.contains("deeper than"), "{err}");
+    }
+
+    #[test]
+    fn expressions_nest_to_the_depth_limit_and_no_deeper() {
+        let limit = MAX_DEPTH as usize;
+        let at_limit = parse_expr(&nested_nots(limit)).expect("parses at the limit");
+        let request = RequestContext::basic("alice", "ehr/1", "read");
+        let mut stats = crate::expr::ExprStats::default();
+        assert!(crate::expr::eval_condition(&at_limit, &request, &mut stats).is_ok());
+        // The literal at level 65, on line 66.
+        let err = parse_expr(&nested_nots(limit + 1)).unwrap_err();
+        assert_eq!(err.line, limit as u32 + 2, "{err}");
+        assert!(err.message.contains("deeper than"), "{err}");
+    }
+
+    /// The parser recurses once per level: input far past either limit
+    /// is refused at the limit, within a test thread's stack.
+    #[test]
+    fn a_hundred_thousand_levels_are_refused_not_a_stack_overflow() {
+        assert!(parse_policy_set(&nested_sets(100_000)).is_err());
+        assert!(parse_expr(&nested_nots(100_000)).is_err());
     }
 }

@@ -13,7 +13,6 @@ use crate::policy::{
 };
 use crate::request::RequestContext;
 use crate::target::{MatchResult, Target};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Resolves policy references encountered during evaluation (the PAP's
@@ -38,49 +37,17 @@ impl PolicyStore for EmptyStore {
     }
 }
 
-/// Simple in-memory policy store keyed by id.
-#[derive(Clone, Debug, Default)]
-pub struct InMemoryStore {
-    policies: HashMap<PolicyId, Arc<Policy>>,
-    sets: HashMap<PolicyId, Arc<PolicySet>>,
-}
-
-impl InMemoryStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Inserts (or replaces) a policy.
-    pub fn add_policy(&mut self, policy: Policy) {
-        self.policies.insert(policy.id.clone(), Arc::new(policy));
-    }
-
-    /// Inserts (or replaces) a policy set.
-    pub fn add_policy_set(&mut self, set: PolicySet) {
-        self.sets.insert(set.id.clone(), Arc::new(set));
-    }
-}
-
-impl PolicyStore for InMemoryStore {
-    fn policy(&self, id: &PolicyId) -> Option<Arc<Policy>> {
-        self.policies.get(id).cloned()
-    }
-    fn policy_set(&self, id: &PolicyId) -> Option<Arc<PolicySet>> {
-        self.sets.get(id).cloned()
-    }
-}
-
 /// A policy tree with its references resolved inline and its sets
 /// indexed by target: what [`resolve_references`] returns and
 /// [`Evaluator::evaluate_resolved`] evaluates. Immutable, so the index
-/// cannot go stale against the tree it was built from.
+/// cannot go stale against the tree it was built from. It holds no
+/// cycle, no element deeper than [`MAX_POLICY_DEPTH`] and fewer than
+/// [`MAX_POLICY_ELEMENTS`] elements.
 #[derive(Debug)]
 pub struct ResolvedTree {
     root: PolicyElement,
-    /// The root set's index; `None` when the root is not a set, nothing
-    /// in the tree is indexable, or the tree is not indexed (see
-    /// [`resolve_references`]).
+    /// The root set's index; `None` when the root is not a set or
+    /// nothing in the tree is indexable.
     index: Option<SetIndex>,
 }
 
@@ -91,137 +58,149 @@ impl ResolvedTree {
     }
 }
 
+/// Deepest nesting level an element of a policy tree may sit at; the
+/// root is at level 0.
+pub const MAX_POLICY_DEPTH: u32 = 64;
+
+/// Policies, policy sets and references a policy tree must hold fewer
+/// of. The largest tree in the repo (E3) has 1 025 elements.
+pub const MAX_POLICY_ELEMENTS: u64 = 1 << 14;
+
+/// Why [`resolve_references`] refused a policy tree.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum TreeError {
+    /// A `PolicySetRef` leads back into the stored set it names, which
+    /// encloses it.
+    Cycle(PolicyId),
+    /// An element would sit deeper than [`MAX_POLICY_DEPTH`].
+    TooDeep,
+    /// The tree would hold [`MAX_POLICY_ELEMENTS`] elements or more.
+    TooLarge,
+}
+
+impl std::fmt::Display for TreeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TreeError::Cycle(id) => write!(f, "policy set {id} references itself"),
+            TreeError::TooDeep => write!(f, "policy tree deeper than {MAX_POLICY_DEPTH}"),
+            TreeError::TooLarge => write!(f, "policy tree of {MAX_POLICY_ELEMENTS}+ elements"),
+        }
+    }
+}
+
+impl std::error::Error for TreeError {}
+
 /// Returns `root` with every reachable `PolicyRef` / `PolicySetRef`
 /// replaced inline by the body `store` holds for it now, so that
 /// evaluating the result makes no store lookup — and with a target
 /// index per inline set, so that evaluating it reaches only the
 /// children a request can apply to.
 ///
-/// [`Evaluator`] reaches a referenced body through the same
-/// `evaluate_policy` / `evaluate_policy_set` it uses for an inline one,
-/// so the resolved tree yields the response the reference walk would
-/// against the same store contents. A reference the store cannot
-/// resolve, and a `PolicySetRef` back into a set that is still being
-/// expanded (a cycle), stay references: the evaluator meets them
-/// exactly as the reference walk does, as `Indeterminate`, at its
-/// nesting limit or at its element budget. Expansion therefore
-/// terminates: every nested expansion is of a stored set not already
-/// open.
+/// This is the one judge of a tree's shape: the PAP runs it before it
+/// stores a set, a PDP for each snapshot. A reference the store cannot
+/// resolve stays a reference (one element), answered `Indeterminate`.
 ///
 /// The index leaves out of an evaluation only children that would have
 /// answered `NotApplicable` with no obligation and no error (the rules
 /// are in the `index` module's source, where it is built), so the work
-/// counters fall and nothing else moves. The evaluator's two limits are
-/// the exception — they count elements *reached*, whatever those would
-/// have answered — so a tree on which the reference walk could exhaust
-/// one is not indexed at all and "budget exceeded" / "depth exceeded"
-/// stay byte-identical to the walk: a tree that kept a cyclic
-/// `PolicySetRef`, holds at least `MAX_POLICY_ELEMENTS` elements, or
-/// nests deeper than `MAX_POLICY_DEPTH`.
+/// counters fall and nothing else moves.
+///
+/// # Errors
+///
+/// The first breach met, where expansion stops — so a refused tree
+/// costs at most [`MAX_POLICY_ELEMENTS`] element copies:
+/// [`TreeError::Cycle`], [`TreeError::TooDeep`] or [`TreeError::TooLarge`].
 ///
 /// # Examples
 ///
 /// ```
-/// use dacs_policy::eval::{resolve_references, InMemoryStore};
-/// use dacs_policy::policy::{CombiningAlg, Policy, PolicyElement, PolicyId, PolicySet};
+/// use dacs_policy::eval::{resolve_references, EmptyStore, TreeError, MAX_POLICY_DEPTH};
+/// use dacs_policy::policy::{CombiningAlg, PolicyElement, PolicySet};
 ///
-/// let mut store = InMemoryStore::new();
-/// store.add_policy(Policy::new("p", CombiningAlg::DenyOverrides));
-/// store.add_policy_set(
-///     PolicySet::new("root", CombiningAlg::DenyOverrides)
-///         .with_policy_ref("p")
-///         .with_policy_ref("missing"),
-/// );
-/// let root = PolicyElement::PolicySetRef(PolicyId::new("root"));
-/// let tree = resolve_references(&root, &store);
-/// let PolicyElement::PolicySet(resolved) = tree.root() else {
-///     panic!("the root set resolves inline");
-/// };
-/// assert!(matches!(resolved.elements[0], PolicyElement::Policy(_)));
-/// assert!(matches!(resolved.elements[1], PolicyElement::PolicyRef(_)));
+/// let mut set = PolicySet::new("leaf", CombiningAlg::DenyOverrides).with_policy_ref("missing");
+/// for level in 0..MAX_POLICY_DEPTH {
+///     let id = format!("level-{level}");
+///     set = PolicySet::new(id.as_str(), CombiningAlg::DenyOverrides).with_policy_set(set);
+/// }
+/// // The reference sits at level 65, one past the limit.
+/// let root = PolicyElement::PolicySet(Box::new(set));
+/// assert_eq!(resolve_references(&root, &EmptyStore).err(), Some(TreeError::TooDeep));
+/// // One level up it sits at the limit, and stays a reference.
+/// let PolicyElement::PolicySet(outer) = &root else { unreachable!() };
+/// assert!(resolve_references(&outer.elements[0], &EmptyStore).is_ok());
 /// ```
-pub fn resolve_references(root: &PolicyElement, store: &dyn PolicyStore) -> ResolvedTree {
+pub fn resolve_references(
+    root: &PolicyElement,
+    store: &dyn PolicyStore,
+) -> Result<ResolvedTree, TreeError> {
     let mut resolver = Resolver {
         store,
         open: Vec::new(),
-        kept_cycle: false,
+        elements: 0,
     };
-    let root = resolver.element(root);
-    let mut elements = 0;
-    let within_limits = !resolver.kept_cycle
-        && nesting(&root, &mut elements) <= MAX_POLICY_DEPTH
-        && elements < MAX_POLICY_ELEMENTS;
+    let root = resolver.element(root, 0)?;
     let index = match &root {
-        PolicyElement::PolicySet(set) if within_limits => SetIndex::build(set),
+        PolicyElement::PolicySet(set) => SetIndex::build(set),
         _ => None,
     };
-    ResolvedTree { root, index }
-}
-
-/// The nesting level of the deepest element under `element` (its own
-/// is 0: what [`Evaluator`]'s depth reads when it reaches it), adding
-/// every element met — references too, as one each — to `elements`.
-fn nesting(element: &PolicyElement, elements: &mut u64) -> u32 {
-    *elements += 1;
-    match element {
-        PolicyElement::PolicySet(set) => set
-            .elements
-            .iter()
-            .map(|child| 1 + nesting(child, elements))
-            .max()
-            .unwrap_or(0),
-        _ => 0,
-    }
+    Ok(ResolvedTree { root, index })
 }
 
 struct Resolver<'a> {
     store: &'a dyn PolicyStore,
     /// The stored sets whose expansion encloses the element in hand.
     open: Vec<PolicyId>,
-    /// Whether a `PolicySetRef` stayed a reference because its set was
-    /// open: evaluating the result then walks a cycle through the store.
-    kept_cycle: bool,
+    /// Elements met so far, references left in place included.
+    elements: u64,
 }
 
 impl Resolver<'_> {
-    fn element(&mut self, element: &PolicyElement) -> PolicyElement {
-        match element {
+    /// `element` sits at nesting level `depth`.
+    fn element(&mut self, element: &PolicyElement, depth: u32) -> Result<PolicyElement, TreeError> {
+        if depth > MAX_POLICY_DEPTH {
+            return Err(TreeError::TooDeep);
+        }
+        self.elements += 1;
+        if self.elements >= MAX_POLICY_ELEMENTS {
+            return Err(TreeError::TooLarge);
+        }
+        Ok(match element {
             PolicyElement::Policy(_) => element.clone(),
-            PolicyElement::PolicySet(set) => PolicyElement::PolicySet(Box::new(self.set(set))),
+            PolicyElement::PolicySet(set) => {
+                PolicyElement::PolicySet(Box::new(self.set(set, depth)?))
+            }
             PolicyElement::PolicyRef(id) => match self.store.policy(id) {
                 Some(policy) => PolicyElement::Policy(Policy::clone(&policy)),
                 None => element.clone(),
             },
             PolicyElement::PolicySetRef(id) => match self.store.policy_set(id) {
-                Some(_) if self.open.contains(id) => {
-                    self.kept_cycle = true;
-                    element.clone()
-                }
+                Some(_) if self.open.contains(id) => return Err(TreeError::Cycle(id.clone())),
                 Some(set) => {
                     self.open.push(id.clone());
-                    let resolved = self.set(&set);
+                    let resolved = self.set(&set, depth)?;
                     self.open.pop();
                     PolicyElement::PolicySet(Box::new(resolved))
                 }
                 None => element.clone(),
             },
-        }
+        })
     }
 
-    fn set(&mut self, set: &PolicySet) -> PolicySet {
-        PolicySet {
+    /// `set` sits at nesting level `depth`, its children one deeper.
+    fn set(&mut self, set: &PolicySet, depth: u32) -> Result<PolicySet, TreeError> {
+        Ok(PolicySet {
             id: set.id.clone(),
             version: set.version,
             target: set.target.clone(),
             elements: set
                 .elements
                 .iter()
-                .map(|child| self.element(child))
-                .collect(),
+                .map(|child| self.element(child, depth + 1))
+                .collect::<Result<_, _>>()?,
             policy_combining: set.policy_combining,
             obligations: set.obligations.clone(),
             issuer: set.issuer.clone(),
-        }
+        })
     }
 }
 
@@ -294,71 +273,58 @@ impl Response {
     }
 }
 
-const MAX_POLICY_DEPTH: u32 = 64;
-
-/// Policies plus policy sets one [`Evaluator`] evaluates before it
-/// answers `Indeterminate`. The depth limit alone bounds a cycle with
-/// one back-edge (a chain of 65 sets); with two it is a 2⁶⁴ walk, and
-/// this is what ends it. The largest tree in the repo (E3) has 1 025
-/// elements.
-const MAX_POLICY_ELEMENTS: u64 = 1 << 14;
-
 /// The evaluation engine.
 ///
-/// Holds the request context (used for target matching), an attribute
-/// source (used for conditions and obligations — typically the same
-/// context, or a PIP-backed resolver) and a policy store for references.
+/// Holds the request context (used for target matching) and an
+/// attribute source (used for conditions and obligations — typically
+/// the same context, or a PIP-backed resolver). It reads no policy
+/// store and bounds no depth: a tree's references and shape are
+/// [`resolve_references`]'s business, judged before evaluation starts,
+/// and a reference left in the tree it is given is one the store could
+/// not resolve, answered `Indeterminate`.
 ///
 /// There is one walk. Given a [`ResolvedTree`] it takes each set's
 /// children from the tree's target index — the ones the request can
-/// apply to, in document order — and given a bare element, or below a
-/// reference it had to look up, it takes all of them; either way the
-/// same loop feeds the same combiner, and [`Evaluator::metrics`] counts
-/// what that loop evaluated.
+/// apply to, in document order — and given a bare element it takes all
+/// of them; either way the same loop feeds the same combiner, and
+/// [`Evaluator::metrics`] counts what that loop evaluated.
 pub struct Evaluator<'a> {
-    store: &'a dyn PolicyStore,
     request: &'a RequestContext,
     source: &'a dyn AttributeSource,
     /// Work counters, accumulated across evaluations by this instance.
-    /// The element budget counts against them: an instance serves one
-    /// decision, not a stream of them.
     pub metrics: EvalMetrics,
-    depth: u32,
 }
 
 impl<'a> Evaluator<'a> {
     /// Creates an evaluator where conditions read straight from the
     /// request context.
-    pub fn new(store: &'a dyn PolicyStore, request: &'a RequestContext) -> Self {
-        Evaluator {
-            store,
-            request,
-            source: request,
-            metrics: EvalMetrics::default(),
-            depth: 0,
-        }
+    pub fn new(request: &'a RequestContext) -> Self {
+        Self::with_source(request, request)
     }
 
     /// Creates an evaluator with a separate attribute source (e.g. a
     /// PIP-backed resolver that falls back to the request).
-    pub fn with_source(
-        store: &'a dyn PolicyStore,
-        request: &'a RequestContext,
-        source: &'a dyn AttributeSource,
-    ) -> Self {
+    pub fn with_source(request: &'a RequestContext, source: &'a dyn AttributeSource) -> Self {
         Evaluator {
-            store,
             request,
             source,
             metrics: EvalMetrics::default(),
-            depth: 0,
         }
     }
 
-    /// Evaluates a policy element (the generic entry point): the
-    /// reference walk, every child of every set.
-    pub fn evaluate_element(&mut self, element: &PolicyElement) -> Response {
-        self.evaluate_indexed(element, None)
+    /// The reference walk: resolves `element` against `store`, then
+    /// evaluates every child of every set, unindexed. A tree
+    /// [`resolve_references`] refuses answers `Indeterminate` with the
+    /// [`TreeError`]'s text and evaluates nothing.
+    pub fn evaluate_element(
+        &mut self,
+        element: &PolicyElement,
+        store: &dyn PolicyStore,
+    ) -> Response {
+        match resolve_references(element, store) {
+            Ok(tree) => self.evaluate_indexed(tree.root(), None),
+            Err(refused) => Response::indeterminate(refused.to_string()),
+        }
     }
 
     /// Evaluates a resolved tree, reaching in each indexed set only the
@@ -370,25 +336,15 @@ impl<'a> Evaluator<'a> {
 
     /// `index` is `element`'s own when `element` is an inline set.
     fn evaluate_indexed(&mut self, element: &PolicyElement, index: Option<&SetIndex>) -> Response {
-        if self.depth > MAX_POLICY_DEPTH {
-            return Response::indeterminate("policy nesting depth exceeded");
-        }
-        if self.metrics.policies_evaluated + self.metrics.policy_sets_evaluated
-            >= MAX_POLICY_ELEMENTS
-        {
-            return Response::indeterminate("policy evaluation budget exceeded");
-        }
         match element {
             PolicyElement::Policy(p) => self.evaluate_policy(p),
             PolicyElement::PolicySet(ps) => self.evaluate_set(ps, index),
-            PolicyElement::PolicyRef(id) => match self.store.policy(id) {
-                Some(p) => self.evaluate_policy(&p),
-                None => Response::indeterminate(format!("unresolved policy reference {id}")),
-            },
-            PolicyElement::PolicySetRef(id) => match self.store.policy_set(id) {
-                Some(ps) => self.evaluate_set(&ps, None),
-                None => Response::indeterminate(format!("unresolved policy set reference {id}")),
-            },
+            PolicyElement::PolicyRef(id) => {
+                Response::indeterminate(format!("unresolved policy reference {id}"))
+            }
+            PolicyElement::PolicySetRef(id) => {
+                Response::indeterminate(format!("unresolved policy set reference {id}"))
+            }
         }
     }
 
@@ -433,7 +389,9 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Evaluates a policy set, every child of it.
+    /// Evaluates a policy set as given, every child of it: a reference
+    /// in it is unresolved. [`Evaluator::evaluate_element`] resolves a
+    /// stored tree first.
     pub fn evaluate_policy_set(&mut self, set: &PolicySet) -> Response {
         self.evaluate_set(set, None)
     }
@@ -447,7 +405,6 @@ impl<'a> Evaluator<'a> {
             }
             MatchResult::Match => {}
         }
-        self.depth += 1;
         let mut resp = if set.policy_combining == CombiningAlg::OnlyOneApplicable {
             self.evaluate_only_one_applicable(set, index)
         } else {
@@ -479,7 +436,6 @@ impl<'a> Evaluator<'a> {
                 epoch: PolicyEpoch::ZERO,
             }
         };
-        self.depth -= 1;
 
         let mut obligations = std::mem::take(&mut resp.obligations);
         if let Err(err_resp) =
@@ -531,20 +487,14 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Matches a child's own target where it lives — inline, or in the
-    /// store's `Arc` for the duration of the call.
+    /// Matches a child's own target; a reference left in the tree is
+    /// unresolved.
     fn match_element_target(&mut self, element: &PolicyElement) -> Result<MatchResult, String> {
         match element {
             PolicyElement::Policy(p) => Ok(self.check_target(&p.target)),
             PolicyElement::PolicySet(ps) => Ok(self.check_target(&ps.target)),
-            PolicyElement::PolicyRef(id) => match self.store.policy(id) {
-                Some(p) => Ok(self.check_target(&p.target)),
-                None => Err(format!("unresolved policy reference {id}")),
-            },
-            PolicyElement::PolicySetRef(id) => match self.store.policy_set(id) {
-                Some(ps) => Ok(self.check_target(&ps.target)),
-                None => Err(format!("unresolved policy set reference {id}")),
-            },
+            PolicyElement::PolicyRef(id) => Err(format!("unresolved policy reference {id}")),
+            PolicyElement::PolicySetRef(id) => Err(format!("unresolved policy set reference {id}")),
         }
     }
 
@@ -691,8 +641,7 @@ mod tests {
     #[test]
     fn permit_path_with_obligation() {
         let req = doctor_request();
-        let store = EmptyStore;
-        let mut ev = Evaluator::new(&store, &req);
+        let mut ev = Evaluator::new(&req);
         let resp = ev.evaluate_policy(&doctors_read_policy());
         assert_eq!(resp.decision, Decision::Permit);
         assert_eq!(resp.obligations.len(), 1);
@@ -709,8 +658,7 @@ mod tests {
     #[test]
     fn deny_path_when_role_missing() {
         let req = RequestContext::basic("mallory", "ehr/records/42", "read");
-        let store = EmptyStore;
-        let mut ev = Evaluator::new(&store, &req);
+        let mut ev = Evaluator::new(&req);
         let resp = ev.evaluate_policy(&doctors_read_policy());
         assert_eq!(resp.decision, Decision::Deny);
         assert!(resp.obligations.is_empty());
@@ -719,8 +667,7 @@ mod tests {
     #[test]
     fn not_applicable_outside_target() {
         let req = RequestContext::basic("alice", "lab/results/7", "read");
-        let store = EmptyStore;
-        let mut ev = Evaluator::new(&store, &req);
+        let mut ev = Evaluator::new(&req);
         let resp = ev.evaluate_policy(&doctors_read_policy());
         assert_eq!(resp.decision, Decision::NotApplicable);
     }
@@ -741,15 +688,14 @@ mod tests {
                 ],
             )),
         );
-        let store = EmptyStore;
 
         let morning = doctor_request();
-        let mut ev = Evaluator::new(&store, &morning);
+        let mut ev = Evaluator::new(&morning);
         assert_eq!(ev.evaluate_policy(&policy).decision, Decision::Permit);
 
         let night = RequestContext::basic("alice", "ehr/1", "read")
             .with_env_attr("current-time", AttrValue::Time(22 * 3_600_000));
-        let mut ev = Evaluator::new(&store, &night);
+        let mut ev = Evaluator::new(&night);
         assert_eq!(ev.evaluate_policy(&policy).decision, Decision::Deny);
     }
 
@@ -770,8 +716,7 @@ mod tests {
             )),
         );
         let req = RequestContext::basic("alice", "ehr/1", "read"); // no time
-        let store = EmptyStore;
-        let mut ev = Evaluator::new(&store, &req);
+        let mut ev = Evaluator::new(&req);
         let resp = ev.evaluate_policy(&policy);
         assert_eq!(resp.decision, Decision::Indeterminate);
         assert!(matches!(resp.status, Status::Error(_)));
@@ -788,32 +733,19 @@ mod tests {
                     ])),
                 ),
             );
-        let store = EmptyStore;
         let req = doctor_request();
-        let mut ev = Evaluator::new(&store, &req);
+        let mut ev = Evaluator::new(&req);
         let resp = ev.evaluate_policy_set(&ps);
         assert_eq!(resp.decision, Decision::Permit);
         assert_eq!(resp.obligations.len(), 1);
     }
 
     #[test]
-    fn policy_reference_resolution() {
-        let mut store = InMemoryStore::new();
-        store.add_policy(doctors_read_policy());
-        let ps =
-            PolicySet::new("root", CombiningAlg::FirstApplicable).with_policy_ref("doctors-read");
-        let req = doctor_request();
-        let mut ev = Evaluator::new(&store, &req);
-        assert_eq!(ev.evaluate_policy_set(&ps).decision, Decision::Permit);
-    }
-
-    #[test]
     fn broken_reference_is_indeterminate() {
-        let store = EmptyStore;
         let ps =
             PolicySet::new("root", CombiningAlg::FirstApplicable).with_policy_ref("no-such-policy");
         let req = doctor_request();
-        let mut ev = Evaluator::new(&store, &req);
+        let mut ev = Evaluator::new(&req);
         let resp = ev.evaluate_policy_set(&ps);
         assert_eq!(resp.decision, Decision::Indeterminate);
     }
@@ -835,14 +767,13 @@ mod tests {
         let ps = PolicySet::new("root", CombiningAlg::OnlyOneApplicable)
             .with_policy(ehr)
             .with_policy(lab);
-        let store = EmptyStore;
 
         let req = doctor_request(); // ehr/*
-        let mut ev = Evaluator::new(&store, &req);
+        let mut ev = Evaluator::new(&req);
         assert_eq!(ev.evaluate_policy_set(&ps).decision, Decision::Permit);
 
         let req = RequestContext::basic("alice", "hr/files/1", "read");
-        let mut ev = Evaluator::new(&store, &req);
+        let mut ev = Evaluator::new(&req);
         assert_eq!(
             ev.evaluate_policy_set(&ps).decision,
             Decision::NotApplicable
@@ -859,9 +790,8 @@ mod tests {
         let ps = PolicySet::new("root", CombiningAlg::OnlyOneApplicable)
             .with_policy(a)
             .with_policy(b);
-        let store = EmptyStore;
         let req = doctor_request();
-        let mut ev = Evaluator::new(&store, &req);
+        let mut ev = Evaluator::new(&req);
         let resp = ev.evaluate_policy_set(&ps);
         assert_eq!(resp.decision, Decision::Indeterminate);
     }
@@ -871,9 +801,8 @@ mod tests {
         let inner =
             PolicySet::new("inner", CombiningAlg::DenyOverrides).with_policy(doctors_read_policy());
         let outer = PolicySet::new("outer", CombiningAlg::FirstApplicable).with_policy_set(inner);
-        let store = EmptyStore;
         let req = doctor_request();
-        let mut ev = Evaluator::new(&store, &req);
+        let mut ev = Evaluator::new(&req);
         assert_eq!(ev.evaluate_policy_set(&outer).decision, Decision::Permit);
         assert_eq!(ev.metrics.policy_sets_evaluated, 2);
     }
@@ -886,9 +815,8 @@ mod tests {
                 ObligationExpr::new("audit", Effect::Permit)
                     .with_param("scope", Expr::val("vo-wide")),
             );
-        let store = EmptyStore;
         let req = doctor_request();
-        let mut ev = Evaluator::new(&store, &req);
+        let mut ev = Evaluator::new(&req);
         let resp = ev.evaluate_policy_set(&ps);
         assert_eq!(resp.decision, Decision::Permit);
         let ids: Vec<_> = resp.obligations.iter().map(|o| o.id.as_str()).collect();
@@ -904,47 +832,10 @@ mod tests {
                 "who",
                 Expr::attr_required(AttributeId::subject("nonexistent")),
             ));
-        let store = EmptyStore;
         let req = doctor_request();
-        let mut ev = Evaluator::new(&store, &req);
+        let mut ev = Evaluator::new(&req);
         let resp = ev.evaluate_policy(&policy);
         assert_eq!(resp.decision, Decision::Indeterminate);
-    }
-
-    /// A set holding two references to the set `to`.
-    fn branching_set(id: &str, to: &str) -> PolicySet {
-        let mut set = PolicySet::new(id, CombiningAlg::DenyOverrides);
-        for _ in 0..2 {
-            set.elements
-                .push(PolicyElement::PolicySetRef(PolicyId::new(to)));
-        }
-        set
-    }
-
-    /// Two back-edges into a cycle branch at every level: the depth
-    /// limit alone leaves a 2⁶⁴ walk (this test does not return at the
-    /// parent commit). The bound is on counted work, not on time.
-    #[test]
-    fn a_cycle_with_two_back_edges_ends_at_the_element_budget() {
-        let mut own = InMemoryStore::new();
-        own.add_policy_set(branching_set("a", "a"));
-        let mut mutual = InMemoryStore::new();
-        mutual.add_policy_set(branching_set("a", "b"));
-        mutual.add_policy_set(branching_set("b", "a"));
-        let req = doctor_request();
-        for store in [own, mutual] {
-            let mut ev = Evaluator::new(&store, &req);
-            let resp = ev.evaluate_element(&PolicyElement::PolicySetRef(PolicyId::new("a")));
-            assert_eq!(resp.decision, Decision::Indeterminate);
-            assert_eq!(ev.metrics.policies_evaluated, 0);
-            assert_eq!(ev.metrics.policy_sets_evaluated, MAX_POLICY_ELEMENTS);
-            // Spent: whatever it is asked next, it refuses.
-            let next = ev.evaluate_element(&PolicyElement::Policy(doctors_read_policy()));
-            assert_eq!(
-                next.status,
-                Status::Error("policy evaluation budget exceeded".into())
-            );
-        }
     }
 
     /// A set of `quarantines` policies no `ehr/*` request applies to,
@@ -964,18 +855,16 @@ mod tests {
         set
     }
 
-    /// `evaluate_resolved` and `evaluate_element` over the same tree.
-    fn indexed_and_walked(
-        root: &PolicyElement,
-        store: &dyn PolicyStore,
-    ) -> [(Response, EvalMetrics); 2] {
+    /// `evaluate_resolved` and `evaluate_element` over the same
+    /// self-contained tree, or why it was refused.
+    fn indexed_and_walked(root: &PolicyElement) -> Result<[(Response, EvalMetrics); 2], TreeError> {
         let req = doctor_request();
-        let tree = resolve_references(root, store);
-        let mut indexed = Evaluator::new(store, &req);
+        let tree = resolve_references(root, &EmptyStore)?;
+        let mut indexed = Evaluator::new(&req);
         let got = indexed.evaluate_resolved(&tree);
-        let mut walk = Evaluator::new(store, &req);
-        let expected = walk.evaluate_element(tree.root());
-        [(got, indexed.metrics), (expected, walk.metrics)]
+        let mut walk = Evaluator::new(&req);
+        let expected = walk.evaluate_element(root, &EmptyStore);
+        Ok([(got, indexed.metrics), (expected, walk.metrics)])
     }
 
     #[test]
@@ -983,7 +872,7 @@ mod tests {
         let inner = mostly_inapplicable_set("inner", 8);
         let root = PolicySet::new("root", CombiningAlg::FirstApplicable).with_policy_set(inner);
         let root = PolicyElement::PolicySet(Box::new(root));
-        let [(got, indexed), (expected, walked)] = indexed_and_walked(&root, &EmptyStore);
+        let [(got, indexed), (expected, walked)] = indexed_and_walked(&root).unwrap();
         assert_eq!(got, expected);
         assert_eq!(got.decision, Decision::Permit);
         assert_eq!(indexed.expr, walked.expr);
@@ -996,49 +885,36 @@ mod tests {
         assert_eq!(walked.targets_checked - indexed.targets_checked, 16);
     }
 
-    /// A tree on which the walk can run into a limit is not indexed at
-    /// all: the limits count elements reached, so a skipped child would
-    /// move the point at which they trip.
+    /// A tree is accepted iff no element sits deeper than
+    /// `MAX_POLICY_DEPTH` and it holds fewer than `MAX_POLICY_ELEMENTS`
+    /// elements, and every accepted tree is indexed.
     #[test]
-    fn a_tree_that_could_exhaust_a_limit_is_scanned() {
+    fn a_tree_at_either_limit_is_indexed_and_one_past_is_refused() {
         let indexable = |id: &str| mostly_inapplicable_set(id, 4);
-        let scans = |root: PolicyElement, store: &dyn PolicyStore| {
-            let [(got, indexed), (expected, walked)] = indexed_and_walked(&root, store);
+        let indexed = |root: PolicySet| -> Result<(), TreeError> {
+            let root = PolicyElement::PolicySet(Box::new(root));
+            let [(got, indexed), (expected, walked)] = indexed_and_walked(&root)?;
             assert_eq!(got, expected);
-            let scanned = resolve_references(&root, store).index.is_none();
-            assert_eq!(indexed == walked, scanned, "{indexed:?} {walked:?}");
-            scanned
+            assert!(
+                indexed.policies_evaluated < walked.policies_evaluated,
+                "{indexed:?} {walked:?}"
+            );
+            Ok(())
         };
-        assert!(!scans(
-            PolicyElement::PolicySet(Box::new(indexable("root"))),
-            &EmptyStore
-        ));
+        assert_eq!(indexed(indexable("root")), Ok(()));
 
-        // A kept cyclic reference, anywhere in the tree.
-        let mut cyclic = InMemoryStore::new();
-        let mut root = indexable("root");
-        root.elements
-            .push(PolicyElement::PolicySetRef(PolicyId::new("root")));
-        cyclic.add_policy_set(root);
-        assert!(scans(
-            PolicyElement::PolicySetRef(PolicyId::new("root")),
-            &cyclic
-        ));
-
-        // As many elements as the budget: the root and 2^14 - 1 policies.
+        // One element short of the limit: the root and 2^14 - 2
+        // policies. Then one more.
         let mut wide = indexable("root");
         let filler = Policy::new("filler", CombiningAlg::DenyOverrides);
         while (wide.elements.len() as u64) < MAX_POLICY_ELEMENTS - 2 {
             wide.elements.push(PolicyElement::Policy(filler.clone()));
         }
-        assert!(!scans(
-            PolicyElement::PolicySet(Box::new(wide.clone())),
-            &EmptyStore
-        ));
+        assert_eq!(indexed(wide.clone()), Ok(()));
         wide.elements.push(PolicyElement::Policy(filler));
-        assert!(scans(PolicyElement::PolicySet(Box::new(wide)), &EmptyStore));
+        assert_eq!(indexed(wide), Err(TreeError::TooLarge));
 
-        // The indexable set at the deepest level the evaluator reaches,
+        // The indexable set's policies at the deepest level allowed,
         // then one deeper.
         let nest = |levels: u32| {
             let mut set = indexable("leaf");
@@ -1046,17 +922,16 @@ mod tests {
                 let id = format!("level-{level}");
                 set = PolicySet::new(id.as_str(), CombiningAlg::DenyOverrides).with_policy_set(set);
             }
-            PolicyElement::PolicySet(Box::new(set))
+            set
         };
-        assert!(!scans(nest(MAX_POLICY_DEPTH), &EmptyStore));
-        assert!(scans(nest(MAX_POLICY_DEPTH + 1), &EmptyStore));
+        assert_eq!(indexed(nest(MAX_POLICY_DEPTH)), Ok(()));
+        assert_eq!(indexed(nest(MAX_POLICY_DEPTH + 1)), Err(TreeError::TooDeep));
     }
 
     #[test]
     fn metrics_accumulate() {
-        let store = EmptyStore;
         let req = doctor_request();
-        let mut ev = Evaluator::new(&store, &req);
+        let mut ev = Evaluator::new(&req);
         let p = doctors_read_policy();
         ev.evaluate_policy(&p);
         ev.evaluate_policy(&p);
@@ -1081,13 +956,12 @@ mod tests {
                 )),
             )
             .with_rule(Rule::new("permit-rest", Effect::Permit));
-        let store = EmptyStore;
         let morning = doctor_request();
-        let mut ev = Evaluator::new(&store, &morning);
+        let mut ev = Evaluator::new(&morning);
         assert_eq!(ev.evaluate_policy(&policy).decision, Decision::Permit);
         let night = RequestContext::basic("a", "r", "x")
             .with_env_attr("current-time", AttrValue::Time(20 * 3_600_000));
-        let mut ev = Evaluator::new(&store, &night);
+        let mut ev = Evaluator::new(&night);
         assert_eq!(ev.evaluate_policy(&policy).decision, Decision::Deny);
     }
 }

@@ -394,7 +394,8 @@ pub struct ExprStats {
     pub attribute_lookups: u64,
 }
 
-const MAX_DEPTH: u32 = 64;
+/// Deepest level an expression node may sit at (the root's is 0).
+pub(crate) const MAX_DEPTH: u32 = 64;
 
 /// What a node evaluates to inside the walk: [`Evaluated`], except that
 /// a literal of the expression and a bag the source holds are borrowed

@@ -41,9 +41,9 @@
 //! * **A set whose children are all always-candidates builds nothing**
 //!   and pays nothing: [`SetIndex::candidates`] is then the plain range.
 //!
-//! Whether a tree is indexed at all (one whose walk could exhaust the
-//! evaluator's depth or element limit is not) is decided where the
-//! limits live, in `eval`.
+//! Every resolved tree is indexed: a tree's shape is judged once, by the
+//! resolver, before an index is built, and the evaluator counts nothing
+//! an index could move.
 
 use crate::attr::{AttrValue, AttributeId};
 use crate::policy::{CombiningAlg, Policy, PolicyElement, PolicySet};

@@ -29,7 +29,7 @@
 //!
 //! ```
 //! use dacs_policy::dsl::parse_policy;
-//! use dacs_policy::eval::{EmptyStore, Evaluator};
+//! use dacs_policy::eval::Evaluator;
 //! use dacs_policy::policy::Decision;
 //! use dacs_policy::request::RequestContext;
 //!
@@ -42,8 +42,7 @@
 //! "#)?;
 //!
 //! let request = RequestContext::basic("alice", "doc/1", "read");
-//! let store = EmptyStore;
-//! let mut evaluator = Evaluator::new(&store, &request);
+//! let mut evaluator = Evaluator::new(&request);
 //! assert_eq!(evaluator.evaluate_policy(&policy).decision, Decision::Permit);
 //! # Ok::<(), dacs_policy::dsl::ParseError>(())
 //! ```
@@ -66,7 +65,7 @@ pub mod request;
 pub mod target;
 
 pub use attr::{AttrValue, AttributeId, Category};
-pub use eval::{EvalMetrics, Evaluator, InMemoryStore, PolicyStore, Response, Status};
+pub use eval::{EvalMetrics, Evaluator, PolicyStore, Response, Status};
 pub use expr::{AttributeSource, Expr, Func};
 pub use policy::{
     CombiningAlg, Decision, Effect, Obligation, ObligationExpr, Policy, PolicyElement, PolicyId,

@@ -29,7 +29,7 @@
 //!
 //! ```
 //! use dacs::policy::dsl::parse_policy;
-//! use dacs::policy::eval::{EmptyStore, Evaluator};
+//! use dacs::policy::eval::Evaluator;
 //! use dacs::policy::policy::Decision;
 //! use dacs::policy::request::RequestContext;
 //!
@@ -41,8 +41,7 @@
 //! }
 //! "#)?;
 //! let request = RequestContext::basic("alice", "doc/1", "read");
-//! let store = EmptyStore;
-//! let mut ev = Evaluator::new(&store, &request);
+//! let mut ev = Evaluator::new(&request);
 //! assert_eq!(ev.evaluate_policy(&policy).decision, Decision::Permit);
 //! # Ok::<(), dacs::policy::dsl::ParseError>(())
 //! ```

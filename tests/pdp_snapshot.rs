@@ -2,27 +2,30 @@
 //!
 //! The PDP evaluates a per-epoch resolved copy of its root instead of
 //! walking references through the PAP. The oracle is the reference
-//! walk itself — `Evaluator::with_source(pap, ..).evaluate_element(&root)`
-//! — and every `Response` (decision, obligations, status text) must
-//! equal it after any sequence of PAP mutations, with and without a
+//! walk — `Evaluator::with_source(..).evaluate_element(&root, pap)`, a
+//! fresh resolve of the PAP as it stands, evaluated unindexed, sharing
+//! no snapshot, index or cache with the PDP — and every `Response`
+//! (decision, obligations, status text) must equal it after any
+//! sequence of PAP mutations, refused ones included, with and without a
 //! decision cache. The work counters are compared in two halves: the
 //! snapshot's target index leaves out of a set's loop the children the
 //! request cannot apply to, so the structural counters (policies, sets,
 //! rules, targets) may only *fall* against the walk, while the
 //! expression counters stay equal — a child left out never reached a
-//! condition. Fixed cases pin what the resolver leaves as a reference
-//! (dangling, cyclic) with exact counters, since those trees are not
-//! indexed, and a two-thread case pins the coherence rule: a `decide`
-//! that starts after a mutation returned never sees the tree from
-//! before it.
+//! condition. Fixed cases pin what the PAP refuses to store (a cycle, a
+//! tree that would reach the element limit) and what the resolver
+//! leaves as a reference (a dangling one), with exact counters — the
+//! index leaves nothing out of their loops — and a two-thread case pins
+//! the coherence rule: a `decide` that starts after a mutation returned
+//! never sees the tree from before it.
 
 use dacs::core::scenario::alternating_lockdown_gate;
-use dacs::pap::{Pap, PolicyEpoch};
+use dacs::pap::{Pap, PapError, PolicyEpoch};
 use dacs::pdp::{CacheConfig, Pdp};
 use dacs::pep::{EnforceRequest, Pep};
 use dacs::pip::{PipRegistry, ResolvingSource, StaticAttributes};
 use dacs::policy::dsl::parse_policy;
-use dacs::policy::eval::{EvalMetrics, Evaluator, Response, Status};
+use dacs::policy::eval::{EvalMetrics, Evaluator, Response, Status, TreeError};
 use dacs::policy::policy::{CombiningAlg, Decision, Policy, PolicyElement, PolicyId, PolicySet};
 use dacs::policy::request::RequestContext;
 use dacs::policy::AttributeId;
@@ -95,11 +98,11 @@ fn oracle(
     now_ms: u64,
 ) -> (Response, EvalMetrics) {
     let source = ResolvingSource::new(request, pips, now_ms);
-    let mut evaluator = Evaluator::with_source(pap, request, &source);
+    let mut evaluator = Evaluator::with_source(request, &source);
     // The walk knows no epoch; a PDP stamps its answer with the PAP's.
     let response = Response {
         epoch: pap.policy_epoch(),
-        ..evaluator.evaluate_element(root)
+        ..evaluator.evaluate_element(root, pap)
     };
     (response, evaluator.metrics)
 }
@@ -225,11 +228,8 @@ fn random_policy(rng: &mut StdRng, id: &str) -> Policy {
 /// A stored set: references to a random subset of the policy ids
 /// (some never submitted, some removed — dangling), sometimes an
 /// inline policy, and set references: the root's go to `inner`,
-/// `inner`'s back to the root or to itself. One back-edge makes the
-/// cyclic walk a chain that ends at the nesting limit; a second makes
-/// it branch at every level, and both the reference walk and the
-/// snapshot end it at the evaluator's element budget — at the same
-/// count. Those walks are the dear ones, so they are the rare ones.
+/// `inner`'s back to the root or to itself. A back-edge closes a cycle
+/// through `inner`, which the PAP refuses to store.
 fn random_set(rng: &mut StdRng, id: &str) -> PolicySet {
     let alg = CombiningAlg::ALL[rng.gen_range(0..CombiningAlg::ALL.len())];
     let mut set = PolicySet::new(id, alg);
@@ -255,10 +255,11 @@ fn random_set(rng: &mut StdRng, id: &str) -> PolicySet {
     set
 }
 
-/// One random mutation of `pap`. Refused operations (rollback to a
-/// version that does not exist, removing an absent policy) are part
-/// of the schedule: they must leave the PDP coherent too.
-fn mutate(rng: &mut StdRng, pap: &Pap, stamp: &mut u64, now_ms: u64) {
+/// One random mutation of `pap`, or the set install it draws, which
+/// the caller makes. Refused operations (rollback to a version that
+/// does not exist, removing an absent policy) are part of the
+/// schedule: they must leave the PDP coherent too.
+fn mutate(rng: &mut StdRng, pap: &Pap, stamp: &mut u64, now_ms: u64) -> Option<PolicySet> {
     let id = POLICY_IDS[rng.gen_range(0..POLICY_IDS.len())];
     match rng.gen_range(0..6) {
         0 | 1 => {
@@ -282,8 +283,20 @@ fn mutate(rng: &mut StdRng, pap: &Pap, stamp: &mut u64, now_ms: u64) {
         }
         _ => {
             let set = if rng.gen_bool(0.5) { ROOT } else { INNER };
-            pap.install_set(random_set(rng, set));
+            return Some(random_set(rng, set));
         }
+    }
+    None
+}
+
+/// Installs `set`. A refused install is no mutation: the PAP's epoch
+/// and both PDPs' answers to `request` stay as they were.
+fn install(pap: &Pap, pdps: [&Pdp; 2], set: PolicySet, request: &RequestContext, now_ms: u64) {
+    let epoch = pap.epoch();
+    let before = pdps.map(|pdp| pdp.decide(request, now_ms));
+    if pap.install_set(set).is_err() {
+        assert_eq!(pap.epoch(), epoch, "a refused install moved the epoch");
+        assert_eq!(pdps.map(|pdp| pdp.decide(request, now_ms)), before);
     }
 }
 
@@ -300,8 +313,9 @@ fn run_schedule(seed: u64) {
     for id in POLICY_IDS {
         pap.submit("admin", random_policy(&mut rng, id), 0).unwrap();
     }
-    pap.install_set(random_set(&mut rng, INNER));
-    pap.install_set(random_set(&mut rng, ROOT));
+    // Either may close a cycle; a refused set is not stored.
+    let _ = pap.install_set(random_set(&mut rng, INNER));
+    let _ = pap.install_set(random_set(&mut rng, ROOT));
     let plain = Pdp::new("pdp.plain", pap.clone(), root.clone(), pips.clone());
     let cached =
         Pdp::new("pdp.cached", pap.clone(), root.clone(), pips.clone()).with_cache(CacheConfig {
@@ -311,7 +325,10 @@ fn run_schedule(seed: u64) {
 
     for step in 0..160u64 {
         if rng.gen_bool(0.4) {
-            mutate(&mut rng, &pap, &mut stamp, step);
+            if let Some(set) = mutate(&mut rng, &pap, &mut stamp, step) {
+                let request = &requests[rng.gen_range(0..requests.len())];
+                install(&pap, [&plain, &cached], set, request, step);
+            }
             continue;
         }
         let request = &requests[rng.gen_range(0..requests.len())];
@@ -371,7 +388,8 @@ fn pdp_over(sets: Vec<PolicySet>, policies: Vec<Policy>) -> (Arc<Pap>, Arc<Pdp>)
         pap.submit("admin", policy, 0).expect("no admin policy");
     }
     for set in sets {
-        pap.install_set(set);
+        pap.install_set(set)
+            .expect("an acyclic set within both limits");
     }
     let pdp = Arc::new(Pdp::new("pdp.fixed", pap.clone(), root_element(), pips()));
     (pap, pdp)
@@ -379,16 +397,12 @@ fn pdp_over(sets: Vec<PolicySet>, policies: Vec<Policy>) -> (Arc<Pap>, Arc<Pdp>)
 
 /// The response and the work of `pdp.decide`, both equal to the
 /// reference walk's.
-fn assert_matches_oracle(
-    pap: &Pap,
-    pdp: &Pdp,
-    request: &RequestContext,
-) -> (Response, EvalMetrics) {
+fn assert_matches_oracle(pap: &Pap, pdp: &Pdp, request: &RequestContext) -> (Response, [u64; 6]) {
     let (expected, work) = oracle(pap, pdp.pips(), &root_element(), request, 0);
     let (got, spent) = decide_counting(pdp, request, 0);
     assert_eq!(got, expected);
     assert_eq!(spent, counts(work));
-    (got, work)
+    (got, spent)
 }
 
 #[test]
@@ -413,10 +427,6 @@ fn dangling_policy_ref_stays_a_reference_and_is_indeterminate() {
     assert_eq!(response.decision, Decision::Permit);
 }
 
-/// Elements (policies + sets) one evaluation may reach: the
-/// evaluator's budget.
-const ELEMENT_BUDGET: u64 = 1 << 14;
-
 fn with_set_refs(mut set: PolicySet, to: &str, edges: usize) -> PolicySet {
     for _ in 0..edges {
         set.elements
@@ -425,45 +435,64 @@ fn with_set_refs(mut set: PolicySet, to: &str, edges: usize) -> PolicySet {
     set
 }
 
-/// One back-edge is a chain the nesting limit ends after 65 sets (the
-/// last one's children, its policy included, are refused). Two
-/// branch at every level — a 2⁶⁴ walk under the nesting limit alone
-/// (at the parent commit this test does not return) — and the element
-/// budget ends it. The bound is on counted work, never on time.
+/// A set that references itself once or twice is not stored, so the
+/// root dangles: `Indeterminate`, and the PEP denies. A root built in
+/// code that the resolver refuses denies the same way.
 #[test]
-fn self_referencing_set_terminates_is_indeterminate_and_the_pep_denies() {
-    for (back_edges, elements) in [(1, 65 + 64), (2, ELEMENT_BUDGET)] {
+fn a_self_referencing_set_is_refused_at_install_and_the_pep_denies() {
+    let request = RequestContext::basic("alice", "records/1", "read");
+    let denies = |pdp: Arc<Pdp>| {
+        let pep = Pep::builder("pep.fixed").source(pdp).build();
+        let outcome = pep.serve(EnforceRequest::of(&request, 0));
+        assert!(!outcome.allowed, "Indeterminate must fail safe");
+        assert_eq!(pep.stats().failsafe_denials, 1);
+    };
+    for back_edges in [1, 2] {
+        let (pap, pdp) = pdp_over(Vec::new(), vec![permit_all("present")]);
         let root = with_set_refs(
             PolicySet::new(ROOT, CombiningAlg::DenyOverrides).with_policy_ref("present"),
             ROOT,
             back_edges,
         );
-        // Building the PDP resolves the root: it must return.
-        let (pap, pdp) = pdp_over(vec![root], vec![permit_all("present")]);
-        let request = RequestContext::basic("alice", "records/1", "read");
-
-        let (response, work) = assert_matches_oracle(&pap, &pdp, &request);
-        assert_eq!(response.decision, Decision::Indeterminate);
-        // The first error met is the deepest chain's, in both shapes.
+        let epoch = pap.epoch();
+        assert_eq!(
+            pap.install_set(root),
+            Err(PapError::Tree(TreeError::Cycle(PolicyId::new(ROOT))))
+        );
+        assert_eq!(pap.epoch(), epoch);
+        let (response, _) = assert_matches_oracle(&pap, &pdp, &request);
         assert_eq!(
             response.status,
-            Status::Error("policy nesting depth exceeded".into())
+            Status::Error("unresolved policy set reference root".into())
         );
-        assert_eq!(
-            work.policies_evaluated + work.policy_sets_evaluated,
-            elements,
-            "{back_edges} back-edge(s)"
-        );
-
-        let pep = Pep::builder("pep.fixed").source(pdp).build();
-        let outcome = pep.serve(EnforceRequest::of(&request, 0));
-        assert!(!outcome.allowed, "Indeterminate must fail safe");
-        assert_eq!(pep.stats().failsafe_denials, 1);
+        denies(pdp);
     }
+
+    let mut deep = PolicySet::new("leaf", CombiningAlg::DenyOverrides).with_policy_ref("present");
+    for level in 0..64 {
+        let id = format!("level-{level}");
+        deep = PolicySet::new(id.as_str(), CombiningAlg::DenyOverrides).with_policy_set(deep);
+    }
+    let pap = Arc::new(Pap::new("pap.fixed"));
+    pap.submit("admin", permit_all("present"), 0).unwrap();
+    let root = PolicyElement::PolicySet(Box::new(deep));
+    let pdp = Arc::new(Pdp::new("pdp.inline", pap.clone(), root.clone(), pips()));
+    let (expected, _) = oracle(&pap, pdp.pips(), &root, &request, 0);
+    let (response, spent) = decide_counting(&pdp, &request, 0);
+    assert_eq!(response, expected);
+    assert_eq!(
+        response.status,
+        Status::Error(TreeError::TooDeep.to_string())
+    );
+    assert_eq!(spent, [0; 6], "a refused tree evaluates nothing");
+    denies(pdp);
 }
 
+/// Two sets that reference each other: whichever is stored second
+/// closes the cycle and is refused; the first stays, its reference to
+/// the second dangling.
 #[test]
-fn mutually_referencing_sets_terminate_and_match_the_reference_walk() {
+fn mutually_referencing_sets_are_refused_at_install() {
     for edges in [1, 2] {
         let root = with_set_refs(
             PolicySet::new(ROOT, CombiningAlg::PermitOverrides).with_policy_ref("present"),
@@ -475,11 +504,57 @@ fn mutually_referencing_sets_terminate_and_match_the_reference_walk() {
             ROOT,
             edges,
         );
-        let (pap, pdp) = pdp_over(vec![root, inner], vec![permit_all("present")]);
-        for request in request_pool() {
-            let (_, work) = assert_matches_oracle(&pap, &pdp, &request);
-            assert!(work.policies_evaluated + work.policy_sets_evaluated <= ELEMENT_BUDGET);
+        for (first, second) in [(&root, &inner), (&inner, &root)] {
+            let (pap, pdp) = pdp_over(vec![first.clone()], vec![permit_all("present")]);
+            assert_eq!(
+                pap.install_set(second.clone()),
+                Err(PapError::Tree(TreeError::Cycle(second.id.clone())))
+            );
+            for request in request_pool() {
+                assert_matches_oracle(&pap, &pdp, &request);
+            }
         }
+    }
+}
+
+/// Fifteen sets, each referencing the next twice, stored first to
+/// last and last to first. The install that would put a stored set at
+/// 2¹⁴ elements or more is refused, so a PDP over `s0` reaches fewer,
+/// and no snapshot of the full chain's 2¹⁶ − 1 elements is ever built.
+#[test]
+fn a_doubling_chain_is_refused_before_a_snapshot_reaches_the_element_limit() {
+    const SETS: usize = 15;
+    let link = |k: usize| {
+        let id = format!("s{k}");
+        with_set_refs(
+            PolicySet::new(id.as_str(), CombiningAlg::DenyOverrides),
+            &format!("s{}", k + 1),
+            2,
+        )
+    };
+    // Stored first to last, `s_k` puts `s0` at 2^(k+2) − 1 elements;
+    // last to first, `s_k` holds 2^(16−k) − 1.
+    let forward: Vec<usize> = (0..SETS).collect();
+    let backward: Vec<usize> = (0..SETS).rev().collect();
+    for (order, refused) in [(forward, 13), (backward, 1)] {
+        let pap = Arc::new(Pap::new("pap.chain"));
+        for k in order {
+            let expected = if k == refused {
+                Err(PapError::Tree(TreeError::TooLarge))
+            } else {
+                Ok(())
+            };
+            assert_eq!(pap.install_set(link(k)), expected, "s{k}");
+        }
+        let root = PolicyElement::PolicySetRef(PolicyId::new("s0"));
+        let pdp = Pdp::new("pdp.chain", pap, root, pips());
+        let response = pdp.decide(&RequestContext::basic("alice", "records/1", "read"), 0);
+        assert_eq!(
+            response.status,
+            Status::Error(format!("unresolved policy set reference s{refused}"))
+        );
+        let reached = pdp.metrics().eval;
+        assert!(reached.policies_evaluated + reached.policy_sets_evaluated < 1 << 14);
     }
 }
 
@@ -496,7 +571,8 @@ fn nested_policy_set_ref_resolves_through_both_levels() {
         assert_matches_oracle(&pap, &pdp, &doctor).0.decision,
         Decision::Indeterminate
     );
-    pap.install_set(PolicySet::new(INNER, CombiningAlg::DenyOverrides).with_policy_ref("d-gate"));
+    pap.install_set(PolicySet::new(INNER, CombiningAlg::DenyOverrides).with_policy_ref("d-gate"))
+        .unwrap();
     assert_eq!(
         assert_matches_oracle(&pap, &pdp, &doctor).0.decision,
         Decision::Permit
