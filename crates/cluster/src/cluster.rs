@@ -316,11 +316,11 @@ impl PdpCluster {
 
     /// Serves a batch on `class`'s scheduling lane, shard by shard, and
     /// returns outcomes aligned with `requests`. Each shard's requests
-    /// are decided back-to-back, in submission order, so its replicas'
-    /// caches stay hot; equal requests of one batch (found by canonical
-    /// hash, confirmed by comparing the whole request — the binding
-    /// `HashedRequestCache` uses) are decided once and answered
-    /// together. Separate batches never share a decision.
+    /// are decided back-to-back, in submission order; equal requests of
+    /// one batch (found by canonical hash, confirmed by comparing the
+    /// whole request — the binding `HashedRequestCache` uses) are
+    /// decided once and answered together. Separate batches never share
+    /// a decision.
     pub fn decide_batch(
         &self,
         requests: &[RequestContext],

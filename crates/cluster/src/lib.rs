@@ -5,8 +5,8 @@
 //! dependability argument needs between a single PDP and a federation:
 //!
 //! * [`shard`] — a [`ShardRouter`] that consistent-hashes request
-//!   contexts (by subject/resource key) onto replica groups, so each
-//!   shard's decision caches stay hot for its slice of the keyspace.
+//!   contexts (by subject/resource key) onto replica groups, so one
+//!   key's requests always meet the same replicas.
 //! * [`replica`] — a [`ReplicaGroup`] that fans a query out to `k`
 //!   replicas and combines the answers under a pluggable
 //!   [`QuorumMode`], so a Byzantine or stale replica cannot silently

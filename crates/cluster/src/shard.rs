@@ -6,8 +6,8 @@
 //! matter here:
 //!
 //! 1. **Stability** — the same key always lands on the same shard, so
-//!    that shard's decision caches stay hot for its slice of the
-//!    keyspace.
+//!    one subject's requests on one resource always meet the same
+//!    replicas.
 //! 2. **Minimal movement** — growing the cluster by one shard remaps
 //!    only the keys that the new shard's points capture (roughly
 //!    `1/(n+1)` of them), instead of reshuffling everything the way

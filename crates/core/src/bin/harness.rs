@@ -1,5 +1,5 @@
 //! The experiment harness: regenerates every figure/claim table of the
-//! paper (DESIGN.md §5, EXPERIMENTS.md).
+//! paper (see ARCHITECTURE.md).
 //!
 //! Usage:
 //! ```text

@@ -1,6 +1,6 @@
 //! The experiment suite: one function per paper artefact (Fig. 1–5) and
-//! per Section-3 claim, as indexed in DESIGN.md §5. Each returns a
-//! [`Table`] that the harness binary prints and EXPERIMENTS.md records.
+//! per Section-3 claim; ARCHITECTURE.md describes the system they
+//! measure. Each returns a [`Table`] that the harness binary prints.
 
 // The alternating gate of E16–E18 (shared with the federation-cluster
 // integration tests): even versions permit doctors on `records/*`, odd
@@ -395,65 +395,72 @@ pub fn e6_caching(requests: usize) -> Table {
         &["ttl (ms)", "hit rate", "false-permit %", "pdp evals"],
     );
     for ttl in [0u64, 100, 1_000, 10_000] {
-        let pap = Arc::new(dacs_pap::Pap::new("pap.e6"));
-        let policy = dacs_policy::dsl::parse_policy(
-            r#"
+        let (pep, pdp, false_permits) = e6_run(ttl, requests);
+        table.row(vec![
+            ttl.to_string(),
+            f2(pep.stats().cache_hits as f64 / requests as f64),
+            f2(100.0 * false_permits as f64 / requests as f64),
+            pdp.metrics().decisions.to_string(),
+        ]);
+    }
+    table
+}
+
+/// One E6 run: `requests` enforcements, one per ms, through a PEP that
+/// caches answers for `ttl` ms (not at all at 0) in front of a PDP,
+/// while a random user loses the doctor role every 500 ms. Returns the
+/// PEP, its PDP and the permits granted to a user already revoked.
+fn e6_run(ttl: u64, requests: usize) -> (Pep, Arc<Pdp>, usize) {
+    let pap = Arc::new(dacs_pap::Pap::new("pap.e6"));
+    let policy = dacs_policy::dsl::parse_policy(
+        r#"
 policy "gate" deny-unless-permit {
   rule "doctors" permit {
     condition is-in("doctor", attr(subject, "role"))
   }
 }
 "#,
-        )
-        .unwrap();
-        pap.submit("bench", policy, 0).unwrap();
-        let statics = Arc::new(StaticAttributes::new());
-        for u in 0..20 {
-            statics.add_subject_attr(&format!("user-{u}"), "role", "doctor");
-        }
-        let mut pips = PipRegistry::new();
-        pips.add(statics.clone());
-        let mut pdp = Pdp::new(
-            "pdp.e6",
-            pap,
-            PolicyElement::PolicyRef(PolicyId::new("gate")),
-            Arc::new(pips),
-        );
-        if ttl > 0 {
-            pdp = pdp.with_cache(CacheConfig {
-                capacity: 1024,
-                ttl_ms: ttl,
-            });
-        }
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut revoked: Vec<bool> = vec![false; 20];
-        let mut false_permits = 0usize;
-        // One request per ms; revoke one random user every 500 ms.
-        for t in 0..requests as u64 {
-            if t % 500 == 499 {
-                let victim = rng.gen_range(0..20);
-                if !revoked[victim] {
-                    statics.remove_subject(&format!("user-{victim}"));
-                    revoked[victim] = true;
-                }
-            }
-            let u = rng.gen_range(0..20);
-            let request = RequestContext::basic(format!("user-{u}"), "records/1", "read");
-            let resp = pdp.decide(&request, t);
-            if resp.decision == Decision::Permit && revoked[u] {
-                false_permits += 1;
-            }
-        }
-        let m = pdp.metrics();
-        let hit_rate = m.cache_hits as f64 / m.decisions as f64;
-        table.row(vec![
-            ttl.to_string(),
-            f2(hit_rate),
-            f2(100.0 * false_permits as f64 / requests as f64),
-            (m.decisions - m.cache_hits).to_string(),
-        ]);
+    )
+    .unwrap();
+    pap.submit("bench", policy, 0).unwrap();
+    let statics = Arc::new(StaticAttributes::new());
+    for u in 0..20 {
+        statics.add_subject_attr(&format!("user-{u}"), "role", "doctor");
     }
-    table
+    let mut pips = PipRegistry::new();
+    pips.add(statics.clone());
+    let pdp = Arc::new(Pdp::new(
+        "pdp.e6",
+        pap,
+        PolicyElement::PolicyRef(PolicyId::new("gate")),
+        Arc::new(pips),
+    ));
+    let mut pep = Pep::builder("pep.e6").source(pdp.clone());
+    if ttl > 0 {
+        pep = pep.cache(CacheConfig {
+            capacity: 1024,
+            ttl_ms: ttl,
+        });
+    }
+    let pep = pep.build();
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut revoked: Vec<bool> = vec![false; 20];
+    let mut false_permits = 0usize;
+    for t in 0..requests as u64 {
+        if t % 500 == 499 {
+            let victim = rng.gen_range(0..20);
+            if !revoked[victim] {
+                statics.remove_subject(&format!("user-{victim}"));
+                revoked[victim] = true;
+            }
+        }
+        let u = rng.gen_range(0..20);
+        let request = RequestContext::basic(format!("user-{u}"), "records/1", "read");
+        if pep.serve(EnforceRequest::of(&request, t)).allowed && revoked[u] {
+            false_permits += 1;
+        }
+    }
+    (pep, pdp, false_permits)
 }
 
 /// E7: message security overhead (Juric et al. comparison).
@@ -897,14 +904,12 @@ policy "gate" deny-unless-permit {
         for r in 0..fresh_per_shard {
             let name = format!("s{s}-r{r}");
             replica_names.push(name.clone());
-            replicas.push(Arc::new(
-                Pdp::new(name, fresh_pap.clone(), root.clone(), pips.clone()).with_cache(
-                    CacheConfig {
-                        capacity: 512,
-                        ttl_ms: 1_000,
-                    },
-                ),
-            ));
+            replicas.push(Arc::new(Pdp::new(
+                name,
+                fresh_pap.clone(),
+                root.clone(),
+                pips.clone(),
+            )));
         }
         builder = builder.shard(replicas);
     }
@@ -1220,18 +1225,12 @@ fn e16_testbed() -> (PdpCluster, SyndicationTree, Pdp, Vec<usize>, Vec<String>) 
     for r in 0..3usize {
         let name = format!("e16-r{r}");
         let leaf = tree.add_child(0, name.clone(), None);
-        replicas.push(Arc::new(
-            Pdp::new(
-                name.clone(),
-                tree.node(leaf).pap.clone(),
-                root.clone(),
-                pips.clone(),
-            )
-            .with_cache(CacheConfig {
-                capacity: 512,
-                ttl_ms: 1_000,
-            }),
-        ));
+        replicas.push(Arc::new(Pdp::new(
+            name.clone(),
+            tree.node(leaf).pap.clone(),
+            root.clone(),
+            pips.clone(),
+        )));
         leaves.push(leaf);
         names.push(name);
     }
@@ -1364,10 +1363,6 @@ fn e17_vo(ctx: &CryptoCtx) -> (Vo, Vec<Arc<dacs_telemetry::Telemetry>>) {
                     .directory(directory.clone()),
             )
             .cluster_topology(1, 3)
-            .pdp_cache(CacheConfig {
-                capacity: 512,
-                ttl_ms: 1_000,
-            })
             .telemetry(Arc::clone(&telemetry))
             .seed(170 + d as u64);
         for u in 0..16 {
@@ -2545,6 +2540,18 @@ mod tests {
         let big_ttl_fp: f64 = t.rows[t.rows.len() - 1].rows_cell(2);
         assert_eq!(no_cache_fp, 0.0, "no cache → no stale permits");
         assert!(big_ttl_fp >= no_cache_fp);
+        // The PEP cache is the one in front: every PDP evaluation is one
+        // of its misses, and the hit rate is its hits over requests.
+        for row in &t.rows {
+            let ttl: u64 = row[0].parse().unwrap();
+            let (pep, _pdp, _) = e6_run(ttl, 3000);
+            let cache = pep.cache_stats();
+            assert_eq!(cache.is_some(), ttl > 0, "ttl {ttl}: a PEP cache");
+            let (hits, misses) = cache.map_or((0, 3000), |c| (c.hits, c.misses));
+            assert_eq!(hits, pep.stats().cache_hits);
+            assert_eq!(row[3], misses.to_string(), "ttl {ttl}: pdp evals");
+            assert_eq!(row[1], f2(hits as f64 / 3000.0), "ttl {ttl}: hit rate");
+        }
         // Hit rate rises with TTL.
         let hr_small: f64 = t.rows[1].rows_cell(1);
         let hr_big: f64 = t.rows[t.rows.len() - 1].rows_cell(1);

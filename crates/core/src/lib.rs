@@ -4,11 +4,11 @@
 //! Access Control Systems for Multi-Domain Computing Environments*
 //! (DSN 2008): canned multi-domain scenarios, workload generation, and
 //! the experiment suite that regenerates every figure and quantified
-//! claim of the paper (see DESIGN.md §5 and EXPERIMENTS.md).
+//! claim of the paper (see ARCHITECTURE.md).
 //!
 //! * [`scenario`] — healthcare and grid VOs, CAS wiring.
 //! * [`workload`] — Zipf-skewed multi-domain request streams.
-//! * [`experiments`] — E1–E13, each returning a printable table.
+//! * [`experiments`] — E1–E20, each returning a printable table.
 //! * [`stats`] — summaries and table rendering.
 //!
 //! # Examples

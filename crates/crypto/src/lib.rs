@@ -19,7 +19,7 @@
 //! * [`sign`] — a unified signing interface plus a *simulated* PKI
 //!   scheme backed by a registry oracle, for large simulations where
 //!   real hash-based signing would dominate runtime (substitution
-//!   documented in DESIGN.md §3).
+//!   documented in ARCHITECTURE.md, *Substitutions*).
 //! * [`hex`] — hex helpers for fingerprints and test vectors.
 //!
 //! # Examples

@@ -12,7 +12,7 @@
 //!   semantics of a PKI (only the key holder can produce a signature that
 //!   the registry validates for its public key) without the computational
 //!   cost, and is what large-scale simulations use. The substitution is
-//!   recorded in DESIGN.md §3.
+//!   recorded in ARCHITECTURE.md, *Substitutions*.
 //!
 //! Both schemes are exercised by the message-security experiments (E7),
 //! which compare their size and throughput impact.

@@ -155,7 +155,6 @@ impl Domain {
             name: name.into(),
             policies: Vec::new(),
             idp_attributes: Arc::new(StaticAttributes::new()),
-            pdp_cache: None,
             pep_cache: None,
             rbac: None,
             seed: 0x5eed,
@@ -336,7 +335,6 @@ fn expose_pdp(registry: Option<&dacs_telemetry::Registry>, pdp: &Arc<Pdp>) {
     registry.expose(move || {
         let PdpMetrics {
             decisions,
-            cache_hits,
             eval:
                 EvalMetrics {
                     rules_evaluated,
@@ -352,7 +350,6 @@ fn expose_pdp(registry: Option<&dacs_telemetry::Registry>, pdp: &Arc<Pdp>) {
         } = pdp.metrics();
         vec![
             ("dacs_pdp_decisions_total", decisions),
-            ("dacs_pdp_cache_hits_total", cache_hits),
             ("dacs_pdp_rules_evaluated_total", rules_evaluated),
             ("dacs_pdp_policies_evaluated_total", policies_evaluated),
             (
@@ -366,20 +363,16 @@ fn expose_pdp(registry: Option<&dacs_telemetry::Registry>, pdp: &Arc<Pdp>) {
     });
 }
 
-/// Exposes the PIP chain's [`PipStats`] and its caching providers'
-/// summed hit/miss counters as `dacs_pip_*` (exhaustive destructuring,
-/// as in [`expose_pdp`]).
+/// Exposes the PIP chain's [`PipStats`] as `dacs_pip_*` (exhaustive
+/// destructuring, as in [`expose_pdp`]).
 fn expose_pips(registry: Option<&dacs_telemetry::Registry>, pips: &Arc<PipRegistry>) {
     let Some(registry) = registry else { return };
     let pips = Arc::clone(pips);
     registry.expose(move || {
         let PipStats { lookups, resolved } = pips.stats();
-        let dacs_pip::CacheStats { hits, misses } = pips.cache_stats();
         vec![
             ("dacs_pip_lookups_total", lookups),
             ("dacs_pip_resolved_total", resolved),
-            ("dacs_pip_cache_hits_total", hits),
-            ("dacs_pip_cache_misses_total", misses),
         ]
     });
 }
@@ -404,7 +397,6 @@ pub struct DomainBuilder {
     /// The store [`Domain::idp_attributes`] will be: provisioned in
     /// place, never copied.
     idp_attributes: Arc<StaticAttributes>,
-    pdp_cache: Option<CacheConfig>,
     pep_cache: Option<CacheConfig>,
     rbac: Option<Rbac>,
     seed: u64,
@@ -441,12 +433,6 @@ impl DomainBuilder {
         value: impl Into<dacs_policy::attr::AttrValue>,
     ) -> Self {
         self.idp_attributes.add_subject_attr(subject, name, value);
-        self
-    }
-
-    /// Enables the PDP decision cache.
-    pub fn pdp_cache(mut self, config: CacheConfig) -> Self {
-        self.pdp_cache = Some(config);
         self
     }
 
@@ -562,11 +548,12 @@ impl DomainBuilder {
                             .expect("bootstrap submission cannot be denied");
                     }
                     pap.install_set(root).expect(ROOT_RESOLVES);
-                    let mut pdp = Pdp::new(format!("pdp.{name}"), pap.clone(), root_elem, pips);
-                    if let Some(cfg) = self.pdp_cache {
-                        pdp = pdp.with_cache(cfg);
-                    }
-                    let pdp = Arc::new(pdp);
+                    let pdp = Arc::new(Pdp::new(
+                        format!("pdp.{name}"),
+                        pap.clone(),
+                        root_elem,
+                        pips,
+                    ));
                     expose_pdp(registry, &pdp);
                     (pap, pdp.clone(), None, None, Vec::new(), pdp)
                 }
@@ -594,16 +581,12 @@ impl DomainBuilder {
                             let leaf = tree.add_child(0, replica_name.clone(), None);
                             let leaf_pap = &tree.node(leaf).pap;
                             leaf_pap.install_set(root.clone()).expect(ROOT_RESOLVES);
-                            let mut pdp = Pdp::new(
+                            let pdp = Arc::new(Pdp::new(
                                 replica_name.clone(),
                                 leaf_pap.clone(),
                                 root_elem.clone(),
                                 pips.clone(),
-                            );
-                            if let Some(cfg) = self.pdp_cache {
-                                pdp = pdp.with_cache(cfg);
-                            }
-                            let pdp = Arc::new(pdp);
+                            ));
                             expose_pdp(registry, &pdp);
                             replicas.push(pdp);
                             replica_leaves.push((replica_name, leaf));
@@ -616,9 +599,9 @@ impl DomainBuilder {
                         tree.propagate(policy, 0);
                     }
                     let cluster = Arc::new(builder.build());
-                    // The reference engine on the root PAP: uncached, so
-                    // it always reflects the authority's latest policies
-                    // (ground truth for experiments and tests).
+                    // The reference engine on the root PAP: it always
+                    // reflects the authority's latest policies (ground
+                    // truth for experiments and tests).
                     let pdp = Arc::new(Pdp::new(
                         format!("pdp.{name}"),
                         pap.clone(),

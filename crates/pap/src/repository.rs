@@ -118,8 +118,7 @@ pub struct Pap {
     admin_policy: RwLock<Option<Policy>>,
     audit: RwLock<Vec<AuditEntry>>,
     seq: RwLock<u64>,
-    /// Bumped on every mutation; a PDP keys its snapshot and its
-    /// decision cache on it.
+    /// Bumped on every mutation; a PDP keys its snapshot on it.
     epoch: AtomicU64,
     /// Highest syndication stamp processed with no gap before it — the
     /// repository's position in the global policy timeline (distinct

@@ -1,5 +1,6 @@
-//! Decision caching for PDPs and PEPs — the §3.2 message-reduction
-//! mechanism whose staleness risk experiment E6 quantifies.
+//! Decision caching for PEPs — the §3.2 message-reduction mechanism
+//! whose staleness risk experiment E6 quantifies. The PEP's decision
+//! cache and its capability-token store are the two users.
 //!
 //! Three layers, innermost first:
 //!

@@ -1,8 +1,8 @@
 //! The Policy Decision Point service: evaluates authorization decision
 //! queries against the PAP's active policies with PIP-backed attribute
-//! resolution and optional decision caching (Fig. 3/4 of the paper).
+//! resolution (Fig. 3/4 of the paper). It caches no answers: the one
+//! cache of decisions sits in front of it, at the PEP.
 
-use crate::cache::{CacheStats, HashedRequestCache};
 use dacs_pap::Pap;
 use dacs_pip::{PipRegistry, ResolvingSource};
 use dacs_policy::eval::{resolve_references, EvalMetrics, Evaluator, ResolvedTree, Response};
@@ -16,10 +16,9 @@ use std::sync::Arc;
 /// Work counters for one PDP.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PdpMetrics {
-    /// Decision queries served.
+    /// Decision queries answered, each by one evaluation (or one
+    /// refusal of an inline root that does not resolve).
     pub decisions: u64,
-    /// Queries served from the decision cache.
-    pub cache_hits: u64,
     /// Aggregate evaluation work.
     pub eval: EvalMetrics,
 }
@@ -28,7 +27,6 @@ pub struct PdpMetrics {
 #[derive(Default)]
 struct AtomicPdpMetrics {
     decisions: AtomicU64,
-    cache_hits: AtomicU64,
     rules_evaluated: AtomicU64,
     policies_evaluated: AtomicU64,
     policy_sets_evaluated: AtomicU64,
@@ -64,7 +62,6 @@ impl AtomicPdpMetrics {
         let get = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         PdpMetrics {
             decisions: get(&self.decisions),
-            cache_hits: get(&self.cache_hits),
             eval: EvalMetrics {
                 rules_evaluated: get(&self.rules_evaluated),
                 policies_evaluated: get(&self.policies_evaluated),
@@ -79,7 +76,7 @@ impl AtomicPdpMetrics {
     }
 }
 
-/// Decision cache configuration.
+/// Decision cache configuration, for the PEP's cache of answers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Maximum cached decisions.
@@ -111,11 +108,9 @@ impl Snapshot {
 
 /// A Policy Decision Point bound to one PAP and one PIP registry.
 ///
-/// The read path is concurrent: the decision cache is a striped
-/// [`HashedRequestCache`] keyed by the request's 64-bit canonical hash
-/// (full-context verify on hit), and every counter is a plain relaxed
-/// atomic, so `decide` takes no global lock — only the one cache
-/// stripe the key maps to, and a shared read of the snapshot pointer.
+/// The read path is concurrent: every counter is a plain relaxed
+/// atomic, so `decide` takes no lock but a shared read of the snapshot
+/// pointer (and a write when the PAP has moved past it).
 ///
 /// Evaluation walks a per-epoch resolved snapshot of the root
 /// ([`resolve_references`]), not the PAP, and in each policy set of it
@@ -135,17 +130,12 @@ pub struct Pdp {
     root: PolicyElement,
     snapshot: RwLock<Arc<Snapshot>>,
     pips: Arc<PipRegistry>,
-    /// Each decision beside the PAP epoch its `decide` read first: a
-    /// lookup at any other epoch drops the entry as a miss, so a decide
-    /// that straddles a policy push can cache its answer, but no decide
-    /// that starts after the push is served it.
-    cache: Option<HashedRequestCache<(u64, Response)>>,
     metrics: AtomicPdpMetrics,
 }
 
 impl Pdp {
     /// Creates a PDP evaluating `root` (usually a `PolicySetRef` into
-    /// the PAP) with no decision cache.
+    /// the PAP).
     pub fn new(
         name: impl Into<String>,
         pap: Arc<Pap>,
@@ -159,15 +149,8 @@ impl Pdp {
             root,
             snapshot,
             pips,
-            cache: None,
             metrics: AtomicPdpMetrics::default(),
         }
-    }
-
-    /// Enables decision caching (builder style).
-    pub fn with_cache(mut self, config: CacheConfig) -> Self {
-        self.cache = Some(HashedRequestCache::new(config.capacity, config.ttl_ms));
-        self
     }
 
     /// The PDP's name.
@@ -191,41 +174,16 @@ impl Pdp {
         self.pap.policy_epoch()
     }
 
-    /// Serves an authorization decision query, its answer stamped with
-    /// the PAP's policy epoch ([`Response::epoch`]) — a cached answer
-    /// too, since a filtered syndication update moves that epoch
-    /// without a mutation.
-    ///
-    /// A cached decision is served only at the PAP epoch it was decided
-    /// at, so a policy change invalidates every cached decision at
-    /// once; within an epoch, cached decisions may be up to `ttl_ms`
-    /// stale with respect to *attribute* changes — the trade-off E6
-    /// measures.
+    /// Evaluates an authorization decision query, its answer stamped
+    /// with the PAP's policy epoch ([`Response::epoch`]).
     pub fn decide(&self, request: &RequestContext, now_ms: u64) -> Response {
         self.metrics.decisions.fetch_add(1, Ordering::Relaxed);
 
-        // The stamp is read first, so an answer is never labelled newer
-        // than the policy that decided it. One read of the mutation
-        // epoch then serves the cache's validity check and the
-        // snapshot's; it comes before both, so neither is newer than it.
+        // The stamp is read first and the mutation epoch that picks the
+        // snapshot after it, so an answer is never labelled newer than
+        // the policy that decided it.
         let stamp = self.pap.policy_epoch();
         let epoch = self.pap.epoch();
-        let hash = self
-            .cache
-            .as_ref()
-            .map(|_| request.canonical_hash())
-            .unwrap_or(0);
-
-        if let Some(cache) = &self.cache {
-            if let Some((_, resp)) = cache.get_if(hash, request, now_ms, |(at, _)| *at == epoch) {
-                self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return Response {
-                    epoch: stamp,
-                    ..resp
-                };
-            }
-        }
-
         let snapshot = self.snapshot_at(epoch);
         let decided = match &snapshot.root {
             Ok(tree) => {
@@ -237,15 +195,10 @@ impl Pdp {
             }
             Err(refused) => Response::indeterminate(refused.to_string()),
         };
-        let response = Response {
+        Response {
             epoch: stamp,
             ..decided
-        };
-
-        if let Some(cache) = &self.cache {
-            cache.insert(hash, request, (epoch, response.clone()), now_ms);
         }
-        response
     }
 
     /// The snapshot to evaluate for a `decide` that read `epoch`: the
@@ -273,11 +226,6 @@ impl Pdp {
     pub fn metrics(&self) -> PdpMetrics {
         self.metrics.snapshot()
     }
-
-    /// Decision-cache statistics, if caching is enabled.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(HashedRequestCache::stats)
-    }
 }
 
 #[cfg(test)]
@@ -287,7 +235,7 @@ mod tests {
     use dacs_policy::dsl::parse_policy;
     use dacs_policy::policy::{Decision, PolicyId};
 
-    fn setup(cache: Option<CacheConfig>) -> (Arc<Pap>, Pdp, Arc<StaticAttributes>) {
+    fn setup() -> (Arc<Pap>, Pdp, Arc<StaticAttributes>) {
         let pap = Arc::new(Pap::new("pap.test"));
         let policy = parse_policy(
             r#"
@@ -306,21 +254,18 @@ policy "gate" deny-unless-permit {
         let mut pips = PipRegistry::new();
         pips.add(statics.clone());
 
-        let mut pdp = Pdp::new(
+        let pdp = Pdp::new(
             "pdp.test",
             pap.clone(),
             PolicyElement::PolicyRef(PolicyId::new("gate")),
             Arc::new(pips),
         );
-        if let Some(cfg) = cache {
-            pdp = pdp.with_cache(cfg);
-        }
         (pap, pdp, statics)
     }
 
     #[test]
     fn decides_with_pip_attributes() {
-        let (_pap, pdp, _s) = setup(None);
+        let (_pap, pdp, _s) = setup();
         let alice = RequestContext::basic("alice", "ehr/1", "read");
         assert_eq!(pdp.decide(&alice, 0).decision, Decision::Permit);
         let bob = RequestContext::basic("bob", "ehr/1", "read");
@@ -337,7 +282,7 @@ policy "gate" deny-unless-permit {
     #[test]
     fn quarantine_glob_covers_resource_ids_containing_a_star() {
         use dacs_policy::policy::{CombiningAlg, PolicySet};
-        let (pap, _gate_only, statics) = setup(None);
+        let (pap, _gate_only, statics) = setup();
         let quarantine = parse_policy(
             r#"
 policy "aux" deny-overrides {
@@ -370,85 +315,37 @@ policy "aux" deny-overrides {
         assert_eq!(decide("aux/*"), Decision::Deny);
     }
 
-    #[test]
-    fn cache_serves_repeats() {
-        let cfg = CacheConfig {
-            capacity: 128,
-            ttl_ms: 1000,
-        };
-        let (_pap, pdp, _s) = setup(Some(cfg));
-        let alice = RequestContext::basic("alice", "ehr/1", "read");
-        pdp.decide(&alice, 0);
-        pdp.decide(&alice, 100);
-        pdp.decide(&alice, 200);
-        let m = pdp.metrics();
-        assert_eq!(m.decisions, 3);
-        assert_eq!(m.cache_hits, 2);
-        // Only one real evaluation.
-        assert_eq!(m.eval.policies_evaluated, 1);
-    }
-
-    #[test]
-    fn cache_staleness_and_explicit_invalidation() {
-        let cfg = CacheConfig {
-            capacity: 128,
-            ttl_ms: 10_000,
-        };
-        let (pap, pdp, statics) = setup(Some(cfg));
-        let alice = RequestContext::basic("alice", "ehr/1", "read");
-        assert_eq!(pdp.decide(&alice, 0).decision, Decision::Permit);
-        // Role revoked upstream, but the cached Permit is served — the
-        // false-permit window the paper warns about.
-        statics.remove_subject("alice");
-        assert_eq!(pdp.decide(&alice, 100).decision, Decision::Permit);
-        // A PAP mutation is the explicit invalidation: re-installing the
-        // gate moves the mutation epoch, and every entry decided before
-        // it is a miss.
-        let gate = pap.active(&PolicyId::new("gate")).unwrap();
-        pap.submit("admin", (*gate).clone(), 101).unwrap();
-        assert_eq!(pdp.decide(&alice, 101).decision, Decision::Deny);
-    }
-
-    /// Every answer carries the PAP's policy epoch, a cached one too: a
-    /// filtered syndication update moves the stamp without a mutation,
-    /// so the entry stays valid and is served relabelled.
+    /// Every answer carries the PAP's policy epoch: a filtered
+    /// syndication update moves the stamp without a mutation, and an
+    /// applied one moves both.
     #[test]
     fn policy_epoch_reflects_syndicated_position() {
-        let cfg = CacheConfig {
-            capacity: 128,
-            ttl_ms: 1_000_000,
-        };
-        let (pap, pdp, _s) = setup(Some(cfg));
+        let (pap, pdp, _s) = setup();
         let alice = RequestContext::basic("alice", "ehr/1", "read");
         assert_eq!(pdp.policy_epoch(), dacs_pap::PolicyEpoch::ZERO);
         assert_eq!(pdp.decide(&alice, 0).epoch, dacs_pap::PolicyEpoch::ZERO);
         assert!(pap.observe_policy_epoch(dacs_pap::PolicyEpoch(1)));
-        let hit = pdp.decide(&alice, 1);
+        let filtered = pdp.decide(&alice, 1);
         assert_eq!(
-            (hit.decision, hit.epoch),
+            (filtered.decision, filtered.epoch),
             (Decision::Permit, dacs_pap::PolicyEpoch(1))
         );
-        assert_eq!(pdp.metrics().cache_hits, 1);
         let update =
             parse_policy(r#"policy "gate" deny-unless-permit { rule "none" deny { } }"#).unwrap();
         pap.apply_syndicated_stamped("parent", update, dacs_pap::PolicyEpoch(2), 10);
         assert_eq!(pdp.policy_epoch(), dacs_pap::PolicyEpoch(2));
-        let miss = pdp.decide(&alice, 11);
+        let applied = pdp.decide(&alice, 11);
         assert_eq!(
-            (miss.decision, miss.epoch),
+            (applied.decision, applied.epoch),
             (Decision::Deny, dacs_pap::PolicyEpoch(2))
         );
     }
 
     /// A syndicated catch-up replay bumps the PAP mutation epoch, so the
-    /// decision cache flushes and no stale decision survives a re-sync.
+    /// snapshot is re-resolved and no pre-resync decision survives it.
     #[test]
     fn resync_replay_flushes_decision_cache() {
-        let cfg = CacheConfig {
-            capacity: 128,
-            ttl_ms: 1_000_000,
-        };
-        let (pap, pdp, _s) = setup(Some(cfg));
+        let (pap, pdp, _s) = setup();
         let alice = RequestContext::basic("alice", "ehr/1", "read");
         assert_eq!(pdp.decide(&alice, 0).decision, Decision::Permit);
         let lockdown = parse_policy(
@@ -460,17 +357,13 @@ policy "aux" deny-overrides {
         assert_eq!(
             pdp.decide(&alice, 60).decision,
             Decision::Deny,
-            "cached pre-resync permit must not be served"
+            "the pre-resync permit must not survive the replay"
         );
     }
 
     #[test]
     fn policy_update_flushes_cache() {
-        let cfg = CacheConfig {
-            capacity: 128,
-            ttl_ms: 1_000_000,
-        };
-        let (pap, pdp, _s) = setup(Some(cfg));
+        let (pap, pdp, _s) = setup();
         let alice = RequestContext::basic("alice", "ehr/1", "read");
         assert_eq!(pdp.decide(&alice, 0).decision, Decision::Permit);
         // New policy version denies everyone.
@@ -524,14 +417,13 @@ policy "gate" deny-unless-permit {
         }
     }
 
-    /// A decide that overlaps a policy push caches the answer it
-    /// computed on the pre-push tree, after the inner decide has
-    /// cached the post-push one, but no later decide is served it: the
-    /// entry carries the epoch its decide read first, and a lookup at
-    /// the post-push epoch drops it as a miss.
+    /// A decide that overlaps a policy push answers on the pre-push
+    /// tree it started with, while the decide nested inside it already
+    /// sees the push; every decide that starts after the push sees it
+    /// too.
     #[test]
     fn a_decide_that_straddles_a_push_never_serves_its_answer_after_it() {
-        let (pap, _pdp, _s) = setup(None);
+        let (pap, _pdp, _s) = setup();
         let straddler = Arc::new(Straddler {
             pap: pap.clone(),
             pdp: std::sync::OnceLock::new(),
@@ -540,18 +432,12 @@ policy "gate" deny-unless-permit {
         });
         let mut pips = PipRegistry::new();
         pips.add(straddler.clone());
-        let pdp = Arc::new(
-            Pdp::new(
-                "pdp.straddle",
-                pap,
-                PolicyElement::PolicyRef(PolicyId::new("gate")),
-                Arc::new(pips),
-            )
-            .with_cache(CacheConfig {
-                capacity: 128,
-                ttl_ms: 1_000_000,
-            }),
-        );
+        let pdp = Arc::new(Pdp::new(
+            "pdp.straddle",
+            pap,
+            PolicyElement::PolicyRef(PolicyId::new("gate")),
+            Arc::new(pips),
+        ));
         straddler.pdp.set(Arc::downgrade(&pdp)).unwrap();
         let alice = RequestContext::basic("alice", "ehr/1", "read");
 
@@ -561,23 +447,6 @@ policy "gate" deny-unless-permit {
         // Every decide that starts after the push sees the lockdown.
         assert_eq!(pdp.decide(&alice, 1).decision, Decision::Deny);
         assert_eq!(pdp.decide(&alice, 2).decision, Decision::Deny);
-        let stats = pdp.cache_stats().unwrap();
-        assert_eq!((stats.hits, stats.misses), (1, 3), "one lookup per decide");
-        assert_eq!(pdp.metrics().cache_hits, 1);
-    }
-
-    #[test]
-    fn ttl_expiry_forces_reevaluation() {
-        let cfg = CacheConfig {
-            capacity: 128,
-            ttl_ms: 100,
-        };
-        let (_pap, pdp, statics) = setup(Some(cfg));
-        let alice = RequestContext::basic("alice", "ehr/1", "read");
-        assert_eq!(pdp.decide(&alice, 0).decision, Decision::Permit);
-        statics.remove_subject("alice");
-        // Within TTL: stale permit. Past TTL: fresh deny.
-        assert_eq!(pdp.decide(&alice, 50).decision, Decision::Permit);
-        assert_eq!(pdp.decide(&alice, 150).decision, Decision::Deny);
+        assert_eq!(pdp.metrics().decisions, 4, "the nested decide counts");
     }
 }

@@ -6,10 +6,12 @@
 //! through PIPs.
 //!
 //! * [`engine`] — the PDP service with PIP-backed attribute resolution
-//!   and a decision cache keyed to the PAP mutation epoch.
-//! * [`cache`] — the TTL + SIEVE cache shared by PDPs and PEPs, plus
-//!   the striped [`ConcurrentTtlCache`] and the hashed-key
-//!   [`HashedRequestCache`] used on the concurrent read path.
+//!   over a per-epoch resolved snapshot of its root; it caches no
+//!   answers.
+//! * [`cache`] — the TTL + SIEVE cache behind the PEP's decision cache
+//!   and token store, plus the striped [`ConcurrentTtlCache`] and the
+//!   hashed-key [`HashedRequestCache`] used on the concurrent read
+//!   path.
 //! * [`discovery`] — static binding vs directory-based PDP discovery
 //!   with health tracking (§3.2 "Location of Policy Decision Points").
 //! * [`class`] — workload classification ([`Priority`] lanes,

@@ -22,10 +22,10 @@
 //! scheduler's priority runqueues. PEPs are constructed through
 //! [`PepBuilder`] ([`Pep::builder`]).
 //!
-//! Dependability posture (DESIGN.md §7): Indeterminate decisions,
-//! unverifiable assertions, and obligations without a registered handler
-//! all result in **deny** (fail-safe defaults), and every enforcement is
-//! recorded for audit.
+//! Dependability posture (ARCHITECTURE.md, the decision paths):
+//! Indeterminate decisions, unverifiable assertions, and obligations
+//! without a registered handler all result in **deny** (fail-safe
+//! defaults), and every enforcement is recorded for audit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -2055,15 +2055,15 @@ policy "gate" first-applicable {
         assert_eq!((stats.allowed, stats.denied), (1, 1));
     }
 
-    #[test]
-    fn pep_cache_reduces_pdp_load() {
-        let ctx = CryptoCtx::new();
+    /// A PEP caching for `ttl_ms` in front of a PDP over the
+    /// doctors' gate, and the store that makes alice a doctor.
+    fn cached_gate(ttl_ms: u64) -> (Pep, Arc<Pdp>, Arc<StaticAttributes>) {
         let pap = Arc::new(Pap::new("pap.c"));
         pap.submit("admin", parse_policy(GATE).unwrap(), 0).unwrap();
         let statics = Arc::new(StaticAttributes::new());
         statics.add_subject_attr("alice", "role", "doctor");
         let mut pips = PipRegistry::new();
-        pips.add(statics);
+        pips.add(statics.clone());
         let pdp = Arc::new(Pdp::new(
             "pdp.c",
             pap,
@@ -2073,19 +2073,65 @@ policy "gate" first-applicable {
         let pep = Pep::builder("pep.c")
             .audience("hospital-c")
             .source(pdp.clone())
-            .crypto(ctx)
+            .crypto(CryptoCtx::new())
             .handler(Arc::new(LogObligationHandler::new()))
             .cache(CacheConfig {
                 capacity: 64,
-                ttl_ms: 1000,
+                ttl_ms,
             })
             .build();
+        (pep, pdp, statics)
+    }
+
+    /// Serves `request` at `now_ms`: whether it was allowed, and which
+    /// path answered it.
+    fn served(pep: &Pep, request: &RequestContext, now_ms: u64) -> (bool, ServingPath) {
+        let allowed = pep.serve(EnforceRequest::of(request, now_ms)).allowed;
+        let last = pep.audit_log().pop().expect("every enforcement is audited");
+        (allowed, last.path)
+    }
+
+    #[test]
+    fn pep_cache_reduces_pdp_load() {
+        let (pep, pdp, _statics) = cached_gate(1000);
         let req = RequestContext::basic("alice", "ehr/1", "read");
         for t in 0..5 {
             assert!(pep.serve(EnforceRequest::of(&req, t)).allowed);
         }
         assert_eq!(pdp.metrics().decisions, 1, "four hits served locally");
         assert_eq!(pep.stats().cache_hits, 4);
+    }
+
+    /// The staleness E6 measures: a role removed at the PIP is invisible
+    /// to a cached permit until the PEP's epoch moves past it.
+    #[test]
+    fn cache_staleness_and_explicit_invalidation() {
+        let (pep, pdp, statics) = cached_gate(10_000);
+        let alice = RequestContext::basic("alice", "ehr/1", "read");
+        assert_eq!(served(&pep, &alice, 0), (true, ServingPath::Source));
+        // Role revoked upstream, but the cached permit is served — the
+        // false-permit window the paper warns about — and the PDP is
+        // not asked.
+        statics.remove_subject("alice");
+        assert_eq!(served(&pep, &alice, 100), (true, ServingPath::Cache));
+        assert_eq!(pdp.metrics().decisions, 1);
+        // A newer announced epoch is the explicit invalidation: the
+        // entry, decided at epoch 0, is a miss inside its TTL.
+        pep.advance_epoch(PolicyEpoch(1));
+        assert_eq!(served(&pep, &alice, 101), (false, ServingPath::Source));
+        assert_eq!(pdp.metrics().decisions, 2);
+    }
+
+    #[test]
+    fn ttl_expiry_forces_reevaluation() {
+        let (pep, pdp, statics) = cached_gate(100);
+        let alice = RequestContext::basic("alice", "ehr/1", "read");
+        assert_eq!(served(&pep, &alice, 0), (true, ServingPath::Source));
+        statics.remove_subject("alice");
+        // Within TTL: stale permit. Past TTL: fresh deny.
+        assert_eq!(served(&pep, &alice, 50), (true, ServingPath::Cache));
+        assert_eq!(served(&pep, &alice, 150), (false, ServingPath::Source));
+        assert_eq!(pdp.metrics().decisions, 2);
     }
 
     #[test]

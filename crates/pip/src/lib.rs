@@ -18,13 +18,13 @@
 //!   history of previous access requests", §2.2).
 //! * [`RbacProvider`] — exposes the RBAC role closure as the
 //!   `subject.role` bag, bridging model and policy levels.
-//! * [`CachingProvider`] — TTL cache wrapper with hit/miss counters
-//!   (the caching trade-off of §3.2, measured by experiment E6).
 //!
 //! [`PipRegistry`] chains providers; [`ResolvingSource`] adapts a
 //! request + registry into the `AttributeSource` the evaluation engine
 //! consumes, resolving lazily and memoizing per request — the first
-//! attribute resolved in place, later ones in a boxed chain.
+//! attribute resolved in place, later ones in a boxed chain. Nothing
+//! here holds an answer across requests: every request asks the
+//! providers afresh, and the one cache of decisions is the PEP's.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +34,7 @@ use dacs_policy::expr::AttributeSource;
 use dacs_policy::hash::KeyState;
 use dacs_policy::request::RequestContext;
 use dacs_rbac::Rbac;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,12 +54,6 @@ pub trait AttributeProvider: Send + Sync {
         request: &RequestContext,
         now_ms: u64,
     ) -> Option<Vec<AttrValue>>;
-
-    /// Hit/miss counters, for providers that cache (the default does
-    /// not). [`PipRegistry::cache_stats`] sums them over a chain.
-    fn cache_stats(&self) -> Option<CacheStats> {
-        None
-    }
 }
 
 /// Administrator-provisioned attributes for subjects and resources.
@@ -201,7 +195,8 @@ impl HistoryProvider {
         Self::default()
     }
 
-    /// Records an access (called by the PEP after enforcement).
+    /// Records an access. Nothing records on its own: whoever wants
+    /// history attributes calls this after each enforcement.
     pub fn record(&self, subject: &str, resource: &str, action: &str, now_ms: u64) {
         self.log.write().push((
             subject.to_owned(),
@@ -301,104 +296,6 @@ impl AttributeProvider for RbacProvider {
     }
 }
 
-/// Cache statistics of a [`CachingProvider`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct CacheStats {
-    /// Lookups answered from cache.
-    pub hits: u64,
-    /// Lookups forwarded to the inner provider.
-    pub misses: u64,
-}
-
-/// TTL cache around another provider.
-///
-/// Keys cache entries by (attribute id, subject-or-resource id), so
-/// different requesters never see each other's attributes. Stale entries
-/// are the source of the false-permit risk the paper warns about; E6
-/// measures it.
-pub struct CachingProvider {
-    inner: Arc<dyn AttributeProvider>,
-    ttl_ms: u64,
-    cache: Mutex<AttrCache>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// Cached lookups: `(attribute, subject) → (expiry_ms, resolved bag)`.
-type AttrCache = HashMap<(AttributeId, String), (u64, Option<Vec<AttrValue>>)>;
-
-impl CachingProvider {
-    /// Wraps `inner` with a TTL of `ttl_ms`.
-    pub fn new(inner: Arc<dyn AttributeProvider>, ttl_ms: u64) -> Self {
-        CachingProvider {
-            inner,
-            ttl_ms,
-            cache: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Current statistics.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Drops every cached entry (explicit invalidation).
-    pub fn invalidate_all(&self) {
-        self.cache.lock().clear();
-    }
-
-    fn entity_key(id: &AttributeId, request: &RequestContext) -> Option<String> {
-        match id.category {
-            Category::Subject => request.subject_id().map(str::to_owned),
-            Category::Resource => request.resource_id().map(str::to_owned),
-            Category::Action => request.action_id().map(str::to_owned),
-            Category::Environment => Some(String::new()),
-        }
-    }
-}
-
-impl AttributeProvider for CachingProvider {
-    fn name(&self) -> &str {
-        "caching"
-    }
-
-    fn provide(
-        &self,
-        id: &AttributeId,
-        request: &RequestContext,
-        now_ms: u64,
-    ) -> Option<Vec<AttrValue>> {
-        let Some(entity) = Self::entity_key(id, request) else {
-            return self.inner.provide(id, request, now_ms);
-        };
-        let key = (id.clone(), entity);
-        {
-            let cache = self.cache.lock();
-            if let Some((expiry, bag)) = cache.get(&key) {
-                if now_ms < *expiry {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return bag.clone();
-                }
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let fresh = self.inner.provide(id, request, now_ms);
-        self.cache
-            .lock()
-            .insert(key, (now_ms + self.ttl_ms, fresh.clone()));
-        fresh
-    }
-
-    fn cache_stats(&self) -> Option<CacheStats> {
-        Some(self.stats())
-    }
-}
-
 /// Per-registry resolution statistics.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PipStats {
@@ -450,17 +347,6 @@ impl PipRegistry {
             lookups: self.lookups.load(Ordering::Relaxed),
             resolved: self.resolved.load(Ordering::Relaxed),
         }
-    }
-
-    /// Hit/miss counters summed over the chain's caching providers
-    /// (zero when none caches).
-    pub fn cache_stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for stats in self.providers.iter().filter_map(|p| p.cache_stats()) {
-            total.hits += stats.hits;
-            total.misses += stats.misses;
-        }
-        total
     }
 
     /// Number of providers.
@@ -640,45 +526,6 @@ mod tests {
     }
 
     #[test]
-    fn caching_provider_hits_within_ttl() {
-        let s = Arc::new(StaticAttributes::new());
-        s.add_subject_attr("alice", "dept", "radiology");
-        let c = CachingProvider::new(s.clone(), 100);
-        let id = AttributeId::subject("dept");
-        assert!(c.provide(&id, &req(), 0).is_some());
-        assert!(c.provide(&id, &req(), 50).is_some());
-        assert_eq!(c.stats(), CacheStats { hits: 1, misses: 1 });
-        // Past TTL: refetch.
-        assert!(c.provide(&id, &req(), 150).is_some());
-        assert_eq!(c.stats().misses, 2);
-    }
-
-    #[test]
-    fn caching_provider_staleness_window() {
-        let s = Arc::new(StaticAttributes::new());
-        s.add_subject_attr("alice", "dept", "radiology");
-        let c = CachingProvider::new(s.clone(), 1000);
-        let id = AttributeId::subject("dept");
-        assert!(c.provide(&id, &req(), 0).is_some());
-        // Upstream revocation is invisible until TTL or invalidation.
-        s.remove_subject("alice");
-        assert!(c.provide(&id, &req(), 500).is_some(), "stale value served");
-        c.invalidate_all();
-        assert_eq!(c.provide(&id, &req(), 501), None);
-    }
-
-    #[test]
-    fn caching_isolates_subjects() {
-        let s = Arc::new(StaticAttributes::new());
-        s.add_subject_attr("alice", "dept", "radiology");
-        let c = CachingProvider::new(s, 1000);
-        let id = AttributeId::subject("dept");
-        assert!(c.provide(&id, &req(), 0).is_some());
-        let bob = RequestContext::basic("bob", "ehr/1", "read");
-        assert_eq!(c.provide(&id, &bob, 1), None);
-    }
-
-    #[test]
     fn registry_chains_providers() {
         let mut reg = PipRegistry::new();
         let s = Arc::new(StaticAttributes::new());
@@ -701,8 +548,7 @@ mod tests {
 
     /// Eight threads resolve through one registry at once; quiesced,
     /// `lookups` is the calls made and `resolved` the calls that
-    /// returned `Some` — nothing lost, nothing double-booked — and the
-    /// chain's cache counters add up to the lookups that reached it.
+    /// returned `Some` — nothing lost, nothing double-booked.
     #[test]
     fn concurrent_resolves_count_every_lookup_once() {
         const THREADS: usize = 8;
@@ -710,7 +556,7 @@ mod tests {
         let s = Arc::new(StaticAttributes::new());
         s.add_subject_attr("alice", "dept", "radiology");
         let mut reg = PipRegistry::new();
-        reg.add(Arc::new(CachingProvider::new(s, 1_000_000)));
+        reg.add(s);
         let start = std::sync::Barrier::new(THREADS);
         let some: usize = std::thread::scope(|scope| {
             let workers: Vec<_> = (0..THREADS)
@@ -740,8 +586,6 @@ mod tests {
             some > 0 && some < THREADS * CALLS,
             "both outcomes exercised"
         );
-        let cache = reg.cache_stats();
-        assert_eq!(cache.hits + cache.misses, st.lookups);
     }
 
     #[test]

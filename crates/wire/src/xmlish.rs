@@ -11,7 +11,8 @@
 //!
 //! Encoding-only by design: functional message exchange in the simulator
 //! always uses [`crate::codec`]; this encoder exists to measure what the
-//! same message *would* cost as XML (documented in DESIGN.md §3).
+//! same message *would* cost as XML (documented in ARCHITECTURE.md,
+//! *Substitutions*).
 
 use crate::base64;
 use serde::{ser, Serialize};

@@ -6,7 +6,7 @@
 
 use dacs::cluster::{ClusterBuilder, DecisionBackend, QuorumMode};
 use dacs::pap::Pap;
-use dacs::pdp::{CacheConfig, Pdp};
+use dacs::pdp::Pdp;
 use dacs::pip::{PipRegistry, StaticAttributes};
 use dacs::policy::dsl::parse_policy;
 use dacs::policy::policy::{Decision, PolicyElement, PolicyId};
@@ -57,18 +57,12 @@ policy "gate" deny-unless-permit {
             pips.clone(),
         ))];
         for r in 0..2 {
-            replicas.push(Arc::new(
-                Pdp::new(
-                    format!("s{s}-r{r}"),
-                    pap.clone(),
-                    root.clone(),
-                    pips.clone(),
-                )
-                .with_cache(CacheConfig {
-                    capacity: 256,
-                    ttl_ms: 1_000,
-                }),
-            ));
+            replicas.push(Arc::new(Pdp::new(
+                format!("s{s}-r{r}"),
+                pap.clone(),
+                root.clone(),
+                pips.clone(),
+            )));
         }
         builder = builder.shard(replicas);
     }

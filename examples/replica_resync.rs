@@ -9,7 +9,7 @@
 
 use dacs::cluster::{ClusterBuilder, DecisionBackend, QuorumMode};
 use dacs::pap::SyndicationTree;
-use dacs::pdp::{CacheConfig, Pdp};
+use dacs::pdp::Pdp;
 use dacs::pip::PipRegistry;
 use dacs::policy::dsl::parse_policy;
 use dacs::policy::policy::{Decision, Policy, PolicyElement, PolicyId};
@@ -41,18 +41,12 @@ fn main() {
     for r in 0..3 {
         let name = format!("pdp-{r}");
         let leaf = tree.add_child(0, name.clone(), None);
-        replicas.push(Arc::new(
-            Pdp::new(
-                name,
-                tree.node(leaf).pap.clone(),
-                root.clone(),
-                pips.clone(),
-            )
-            .with_cache(CacheConfig {
-                capacity: 128,
-                ttl_ms: 1_000,
-            }),
-        ));
+        replicas.push(Arc::new(Pdp::new(
+            name,
+            tree.node(leaf).pap.clone(),
+            root.clone(),
+            pips.clone(),
+        )));
         leaves.push(leaf);
     }
     let bootstrap = tree.propagate(gate(false), 0); // epoch 1: doctors may read

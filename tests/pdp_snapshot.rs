@@ -4,10 +4,9 @@
 //! walking references through the PAP. The oracle is the reference
 //! walk — `Evaluator::with_source(..).evaluate_element(&root, pap)`, a
 //! fresh resolve of the PAP as it stands, evaluated unindexed, sharing
-//! no snapshot, index or cache with the PDP — and every `Response`
+//! no snapshot or index with the PDP — and every `Response`
 //! (decision, obligations, status text) must equal it after any
-//! sequence of PAP mutations, refused ones included, with and without a
-//! decision cache. The work counters are compared in two halves: the
+//! sequence of PAP mutations, refused ones included. The work counters are compared in two halves: the
 //! snapshot's target index leaves out of a set's loop the children the
 //! request cannot apply to, so the structural counters (policies, sets,
 //! rules, targets) may only *fall* against the walk, while the
@@ -21,7 +20,7 @@
 
 use dacs::core::scenario::alternating_lockdown_gate;
 use dacs::pap::{Pap, PapError, PolicyEpoch};
-use dacs::pdp::{CacheConfig, Pdp};
+use dacs::pdp::Pdp;
 use dacs::pep::{EnforceRequest, Pep};
 use dacs::pip::{PipRegistry, ResolvingSource, StaticAttributes};
 use dacs::policy::dsl::parse_policy;
@@ -291,12 +290,12 @@ fn mutate(rng: &mut StdRng, pap: &Pap, stamp: &mut u64, now_ms: u64) -> Option<P
 
 /// Installs `set`. A refused install is no mutation: the PAP's epoch
 /// and both PDPs' answers to `request` stay as they were.
-fn install(pap: &Pap, pdps: [&Pdp; 2], set: PolicySet, request: &RequestContext, now_ms: u64) {
+fn install(pap: &Pap, pdp: &Pdp, set: PolicySet, request: &RequestContext, now_ms: u64) {
     let epoch = pap.epoch();
-    let before = pdps.map(|pdp| pdp.decide(request, now_ms));
+    let before = pdp.decide(request, now_ms);
     if pap.install_set(set).is_err() {
         assert_eq!(pap.epoch(), epoch, "a refused install moved the epoch");
-        assert_eq!(pdps.map(|pdp| pdp.decide(request, now_ms)), before);
+        assert_eq!(pdp.decide(request, now_ms), before);
     }
 }
 
@@ -316,29 +315,21 @@ fn run_schedule(seed: u64) {
     // Either may close a cycle; a refused set is not stored.
     let _ = pap.install_set(random_set(&mut rng, INNER));
     let _ = pap.install_set(random_set(&mut rng, ROOT));
-    let plain = Pdp::new("pdp.plain", pap.clone(), root.clone(), pips.clone());
-    let cached =
-        Pdp::new("pdp.cached", pap.clone(), root.clone(), pips.clone()).with_cache(CacheConfig {
-            capacity: 64,
-            ttl_ms: u64::MAX / 2,
-        });
+    let pdp = Pdp::new("pdp.schedule", pap.clone(), root.clone(), pips.clone());
 
     for step in 0..160u64 {
         if rng.gen_bool(0.4) {
             if let Some(set) = mutate(&mut rng, &pap, &mut stamp, step) {
                 let request = &requests[rng.gen_range(0..requests.len())];
-                install(&pap, [&plain, &cached], set, request, step);
+                install(&pap, &pdp, set, request, step);
             }
             continue;
         }
         let request = &requests[rng.gen_range(0..requests.len())];
         let (expected, work) = oracle(&pap, &pips, &root, request, step);
 
-        let (got, spent) = decide_counting(&plain, request, step);
-        assert_eq!(
-            got, expected,
-            "seed {seed} step {step}: uncached {request:?}"
-        );
+        let (got, spent) = decide_counting(&pdp, request, step);
+        assert_eq!(got, expected, "seed {seed} step {step}: {request:?}");
         // The snapshot removes look-ups, and its index the children
         // the request cannot apply to: structural work may only fall,
         // and what reaches a condition is what the walk reached.
@@ -354,15 +345,6 @@ fn run_schedule(seed: u64) {
                 .zip(work)
                 .all(|(spent, walked)| *spent <= walked),
             "seed {seed} step {step}: {spent:?} exceeds the reference walk's {work:?}"
-        );
-
-        // Attributes never change here, so within one epoch a cached
-        // response is the oracle's too; across epochs the cache must
-        // have been flushed and the snapshot rebuilt.
-        assert_eq!(
-            cached.decide(request, step),
-            expected,
-            "seed {seed} step {step}: cached {request:?}"
         );
     }
 }
@@ -592,9 +574,8 @@ fn nested_policy_set_ref_resolves_through_both_levels() {
 }
 
 /// The writer alternates the lockdown gate; after each `submit`
-/// returns it releases the reader (a channel send), which decides on
-/// an uncached and a cached PDP and must see exactly the new version's
-/// verdict, then hands the turn back. A third thread decides freely
+/// returns it releases the reader (a channel send), which decides and
+/// must see exactly the new version's verdict, then hands the turn back. A third thread decides freely
 /// throughout, so snapshot rebuilds race with the writer and with the
 /// released reader; whichever version it catches, the verdict is a
 /// clean Permit or Deny. No sleeps, no clock: only the writer's return
@@ -611,12 +592,7 @@ fn a_decide_that_starts_after_submit_returned_sees_the_new_verdict() {
            }"#,
     )
     .unwrap();
-    let (pap, plain) = pdp_over(vec![root], vec![alternating_lockdown_gate("d", 0), aux]);
-    let cached =
-        Pdp::new("pdp.cached", pap.clone(), root_element(), pips()).with_cache(CacheConfig {
-            capacity: 16,
-            ttl_ms: u64::MAX / 2,
-        });
+    let (pap, pdp) = pdp_over(vec![root], vec![alternating_lockdown_gate("d", 0), aux]);
     let doctor = RequestContext::basic("alice", "records/1", "read");
     let verdict_of = |version: u64| {
         if version.is_multiple_of(2) {
@@ -629,7 +605,7 @@ fn a_decide_that_starts_after_submit_returned_sees_the_new_verdict() {
     let (released, turn) = mpsc::channel::<u64>();
     let (done, resume) = mpsc::channel::<()>();
     let writing = AtomicBool::new(true);
-    let (pap, plain, cached, doctor, writing) = (&pap, &plain, &cached, &doctor, &writing);
+    let (pap, pdp, doctor, writing) = (&pap, &pdp, &doctor, &writing);
 
     // Each thread owns its channel ends, so a failed assertion on one
     // side hangs up on the other instead of leaving it blocked.
@@ -646,16 +622,13 @@ fn a_decide_that_starts_after_submit_returned_sees_the_new_verdict() {
         });
         s.spawn(move || {
             for version in turn.iter() {
-                for pdp in [plain.as_ref(), cached] {
-                    let response = pdp.decide(doctor, version);
-                    assert_eq!(
-                        response.decision,
-                        verdict_of(version),
-                        "{} decided on a tree older than gate v{version}",
-                        pdp.name()
-                    );
-                    assert_eq!(response.status, Status::Ok);
-                }
+                let response = pdp.decide(doctor, version);
+                assert_eq!(
+                    response.decision,
+                    verdict_of(version),
+                    "decided on a tree older than gate v{version}"
+                );
+                assert_eq!(response.status, Status::Ok);
                 if done.send(()).is_err() {
                     break;
                 }
@@ -663,7 +636,7 @@ fn a_decide_that_starts_after_submit_returned_sees_the_new_verdict() {
         });
         s.spawn(move || {
             while writing.load(Ordering::SeqCst) {
-                let response = plain.decide(doctor, 0);
+                let response = pdp.decide(doctor, 0);
                 assert!(
                     matches!(response.decision, Decision::Permit | Decision::Deny),
                     "a racing decide saw a torn tree: {response:?}"
