@@ -13,6 +13,7 @@
 //!    `1/(n+1)` of them), instead of reshuffling everything the way
 //!    `hash % n` would.
 
+use dacs_policy::attr::{Category, Str};
 use dacs_policy::hash::WordHasher;
 use dacs_policy::request::RequestContext;
 
@@ -105,9 +106,8 @@ impl ShardRouter {
     /// repetition a decision cache exploits — while still spreading
     /// distinct resources.
     pub fn shard_for(&self, request: &RequestContext) -> usize {
-        let subject = request.subject_id().unwrap_or("");
-        let resource = request.resource_id().unwrap_or("");
-        self.owner(&[subject.as_bytes(), b"\x1f", resource.as_bytes()])
+        let id = |category| request.id_of(category).map_or(&b""[..], Str::as_bytes);
+        self.owner(&[id(Category::Subject), b"\x1f", id(Category::Resource)])
     }
 
     /// The shard owning the first ring point at or after the hash of

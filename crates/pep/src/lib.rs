@@ -34,6 +34,7 @@ use dacs_assert::SignedAssertion;
 use dacs_capability::{Admitted, CapabilityAuthority, CapabilityToken, TokenError};
 use dacs_crypto::sign::{CryptoCtx, PublicKey};
 use dacs_pdp::{CacheConfig, CacheStats, DecisionClass, HashedRequestCache, Pdp, Priority};
+use dacs_policy::attr::{Category, Str};
 use dacs_policy::epoch::PolicyEpoch;
 use dacs_policy::eval::Response;
 use dacs_policy::policy::{Decision, Obligation};
@@ -658,7 +659,7 @@ impl AuditRing {
 
     /// Records one enforcement; returns how many of the oldest records
     /// were displaced to make room.
-    fn push(&self, at_ms: u64, ids: [&str; 3], allowed: bool, path: ServingPath) -> u64 {
+    fn push(&self, at_ms: u64, ids: [&[u8]; 3], allowed: bool, path: ServingPath) -> u64 {
         let lens = cut_ids(ids, self.id_bound);
         let need: usize = lens.iter().sum();
         let mut guard = self.rings.lock();
@@ -674,7 +675,7 @@ impl AuditRing {
         }
         let offset = rings.tail;
         for (id, len) in ids.into_iter().zip(lens) {
-            rings.write(&id.as_bytes()[..len]);
+            rings.write(&id[..len]);
         }
         rings.used += need;
         rings.headers.push_back(AuditHeader {
@@ -716,9 +717,11 @@ impl AuditRing {
 /// How many bytes of each id an audit record keeps: every byte when
 /// the three fit in `bound` together; otherwise the shortest stay whole
 /// while they fit an even share of what is left, and the rest are cut
-/// to that share, each at a char boundary.
-fn cut_ids(ids: [&str; 3], bound: usize) -> [usize; 3] {
-    let mut lens = ids.map(str::len);
+/// to that share, each at a char boundary. The ids are UTF-8 read as
+/// bytes: a char boundary is any position but one before a
+/// continuation byte.
+fn cut_ids(ids: [&[u8]; 3], bound: usize) -> [usize; 3] {
+    let mut lens = ids.map(<[u8]>::len);
     if lens.iter().sum::<usize>() <= bound {
         return lens;
     }
@@ -728,7 +731,7 @@ fn cut_ids(ids: [&str; 3], bound: usize) -> [usize; 3] {
     let mut left = bound;
     for (k, &i) in order.iter().enumerate() {
         let mut keep = lens[i].min(left / (3 - k));
-        while !ids[i].is_char_boundary(keep) {
+        while ids[i].get(keep).is_some_and(|&b| b & 0xc0 == 0x80) {
             keep -= 1;
         }
         lens[i] = keep;
@@ -1413,14 +1416,9 @@ impl Pep {
     }
 
     fn record(&self, request: &RequestContext, allowed: bool, path: ServingPath, at_ms: u64) {
-        let ids = [
-            request.subject_id(),
-            request.resource_id(),
-            request.action_id(),
-        ];
-        let dropped = self
-            .audit
-            .push(at_ms, ids.map(|id| id.unwrap_or("?")), allowed, path);
+        let ids = [Category::Subject, Category::Resource, Category::Action]
+            .map(|category| request.id_of(category).map_or(&b"?"[..], Str::as_bytes));
+        let dropped = self.audit.push(at_ms, ids, allowed, path);
         if dropped > 0 {
             self.stats
                 .audit_dropped
@@ -1447,6 +1445,12 @@ impl Pep {
     /// history. Ids are kept as [`EnforcementRecord`] describes.
     pub fn audit_log(&self) -> Vec<EnforcementRecord> {
         self.audit.snapshot()
+    }
+
+    /// How many records the audit trail holds: `audit_log().len()`
+    /// without building the records, so it allocates nothing.
+    pub fn audit_len(&self) -> usize {
+        self.audit.rings.lock().headers.len()
     }
 
     /// Aggregate counters. Counters are relaxed atomics bumped
@@ -1628,7 +1632,7 @@ policy "gate" deny-unless-permit {
                 let ids = [(); 3].map(|()| random_id(&mut rng, 2 * budget));
                 let tail = ring.rings.lock().tail;
                 let (allowed, path) = (step % 3 == 0, paths[step as usize % 4]);
-                displaced += ring.push(step, ids.each_ref().map(String::as_str), allowed, path);
+                displaced += ring.push(step, ids.each_ref().map(String::as_bytes), allowed, path);
                 let log = ring.snapshot();
                 let newest = log.last().expect("just pushed");
                 let kept = [&newest.subject, &newest.resource, &newest.action];
@@ -1682,10 +1686,20 @@ policy "gate" deny-unless-permit {
         let euros = "€".repeat(1_000);
         let acutes = "é".repeat(1_000);
         let many = "a".repeat(5_000);
-        ring.push(0, [&euros, "ehr/1", "read"], false, ServingPath::FailSafe);
+        ring.push(
+            0,
+            [euros.as_bytes(), b"ehr/1", b"read"],
+            false,
+            ServingPath::FailSafe,
+        );
         // Sorted by length: the resource (2 000 B) gets a third of the
         // bound, the subject half what is left, the action the rest.
-        ring.push(1, [&euros, &acutes, &many], false, ServingPath::FailSafe);
+        ring.push(
+            1,
+            [&euros, &acutes, &many].map(|id| id.as_bytes()),
+            false,
+            ServingPath::FailSafe,
+        );
         let log = ring.snapshot();
         assert_eq!(
             (
@@ -1709,17 +1723,22 @@ policy "gate" deny-unless-permit {
         let small = AuditRing::new(4);
         for at_ms in 0..3 {
             assert_eq!(
-                small.push(at_ms, ["alice", "ehr/1", "read"], true, ServingPath::Cache),
+                small.push(
+                    at_ms,
+                    [b"alice", b"ehr/1", b"read"],
+                    true,
+                    ServingPath::Cache
+                ),
                 0
             );
         }
         assert_eq!(
-            small.push(3, [&many, "", ""], false, ServingPath::Source),
+            small.push(3, [many.as_bytes(), b"", b""], false, ServingPath::Source),
             3
         );
         assert_eq!(small.snapshot()[0].subject, "a".repeat(256));
         assert_eq!(
-            small.push(4, ["bob", "ehr/2", "read"], true, ServingPath::Token),
+            small.push(4, [b"bob", b"ehr/2", b"read"], true, ServingPath::Token),
             1
         );
         assert!(std::mem::size_of::<AuditHeader>() <= 24);
@@ -1795,7 +1814,8 @@ policy "gate" deny-unless-permit {
 
     /// The same contract one layer up: a permit and a deny alike are
     /// recorded, and `audit_log().len() + audit_dropped` is the
-    /// enforcements so far.
+    /// enforcements so far. `audit_len` counts what `audit_log` builds,
+    /// before the ring fills and after it wraps.
     #[test]
     fn audit_log_plus_dropped_is_every_enforcement() {
         let w = world(GATE, true);
@@ -1804,6 +1824,7 @@ policy "gate" deny-unless-permit {
             .handler(w.log.clone())
             .audit_capacity(4)
             .build();
+        assert_eq!((pdp_only.audit_len(), pdp_only.audit_log().len()), (0, 0));
         let subjects = ["alice", "mallory", "a-much-longer-subject-id@b", "m"];
         for step in 0..19u64 {
             let subject = subjects[step as usize % subjects.len()];
@@ -1811,6 +1832,7 @@ policy "gate" deny-unless-permit {
             let result = pdp_only.serve(EnforceRequest::of(&req, step));
             assert_eq!(result.allowed, subject == "alice");
             let log = pdp_only.audit_log();
+            assert_eq!(pdp_only.audit_len(), log.len());
             assert_eq!(log.len() as u64 + pdp_only.stats().audit_dropped, step + 1);
             let newest = log.last().expect("just recorded");
             assert_eq!(

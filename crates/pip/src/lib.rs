@@ -9,9 +9,9 @@
 //! Providers included:
 //! * [`StaticAttributes`] — administrator-provisioned subject/resource
 //!   attributes: the identity provider's store, one exact-size record
-//!   per key (its attributes in insertion order, names shared where
-//!   conventional) in a map hashed by the workspace's seeded
-//!   `KeyState`. A domain's builder provisions it in place.
+//!   per key (its attributes in insertion order, names interned) in a
+//!   map hashed by the workspace's seeded `KeyState`. A domain's
+//!   builder provisions it in place.
 //! * [`EnvironmentProvider`] — `env.current-time` from the simulation
 //!   clock.
 //! * [`HistoryProvider`] — request-history attributes ("a possible
@@ -29,7 +29,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dacs_policy::attr::{AttrName, AttrValue, AttributeId, Category, TIME_ATTR};
+use dacs_policy::attr::{AttrName, AttrValue, AttributeId, Category, Str, TIME_ATTR};
 use dacs_policy::expr::AttributeSource;
 use dacs_policy::hash::KeyState;
 use dacs_policy::request::RequestContext;
@@ -58,13 +58,14 @@ pub trait AttributeProvider: Send + Sync {
 
 /// Administrator-provisioned attributes for subjects and resources.
 ///
-/// One record per key, at its size: the key's own block and one boxed
-/// slice of `(name, value)` entries in insertion order, in a map that
-/// hashes with the workspace's seeded [`KeyState`]. A name is an
-/// [`AttrName`], so the conventional `role` is a shared static; a
-/// one-attribute subject costs one bucket, its key, its record and its
-/// value. A record is rebuilt at its new size when a key gains an
-/// attribute, which only provisioning does.
+/// One record per key, at its size: one boxed slice of 32-byte
+/// `(name, value)` entries in insertion order, in a map that hashes
+/// with the workspace's seeded [`KeyState`]. The key is a [`Str`] and a
+/// name an interned [`AttrName`], so a subject whose id and values are
+/// short — a one-`role` subject — costs one bucket and one allocation,
+/// its record. A look-up hashes and compares the request's id as bytes.
+/// A record is rebuilt at its new size when a key gains an attribute,
+/// which only provisioning does.
 #[derive(Debug, Default)]
 pub struct StaticAttributes {
     subjects: RwLock<Records>,
@@ -73,20 +74,21 @@ pub struct StaticAttributes {
 
 /// Key → its attributes, a repeated name once per value, in the order
 /// they were added.
-type Records = HashMap<Box<str>, Box<[(AttrName, AttrValue)]>, KeyState>;
+type Records = HashMap<Str, Box<[(AttrName, AttrValue)]>, KeyState>;
 
 /// Appends one entry to `key`'s record, creating the record if needed.
 fn add_record(records: &RwLock<Records>, key: &str, name: &str, value: AttrValue) {
     let entry = (AttrName::from(name), value);
+    let key = Str::new(key);
     let mut records = records.write();
-    match records.get_mut(key) {
+    match records.get_mut(&key) {
         Some(record) => {
             let mut grown = std::mem::take(record).into_vec();
             grown.push(entry);
             *record = grown.into_boxed_slice();
         }
         None => {
-            records.insert(key.into(), Box::new([entry]));
+            records.insert(key, Box::new([entry]));
         }
     }
 }
@@ -109,7 +111,7 @@ impl StaticAttributes {
 
     /// Removes all attributes of a subject (deprovisioning).
     pub fn remove_subject(&self, subject: &str) {
-        self.subjects.write().remove(subject);
+        self.subjects.write().remove(&Str::new(subject));
     }
 
     /// All attributes provisioned for a subject (used when serving
@@ -117,7 +119,7 @@ impl StaticAttributes {
     pub fn attributes_of(&self, subject: &str) -> Vec<(String, AttrValue)> {
         self.subjects
             .read()
-            .get(subject)
+            .get(&Str::new(subject))
             .map_or_else(Vec::new, |record| {
                 record
                     .iter()
@@ -138,23 +140,23 @@ impl AttributeProvider for StaticAttributes {
         request: &RequestContext,
         _now_ms: u64,
     ) -> Option<Vec<AttrValue>> {
-        let (store, key) = match id.category {
-            Category::Subject => (&self.subjects, request.subject_id()?),
-            Category::Resource => (&self.resources, request.resource_id()?),
+        let store = match id.category {
+            Category::Subject => &self.subjects,
+            Category::Resource => &self.resources,
             _ => return None,
         };
+        let key = request.id_of(id.category)?;
         let guard = store.read();
         let record = guard.get(key)?;
-        let bag: Vec<AttrValue> = record
-            .iter()
-            .filter(|(name, _)| *name == id.name)
-            .map(|(_, value)| value.clone())
-            .collect();
-        if bag.is_empty() {
-            None
-        } else {
-            Some(bag)
+        // Counted first, so a one-value bag asks for one value's bytes.
+        let named = |entry: &&(AttrName, AttrValue)| entry.0 == id.name;
+        let count = record.iter().filter(named).count();
+        if count == 0 {
+            return None;
         }
+        let mut bag = Vec::with_capacity(count);
+        bag.extend(record.iter().filter(named).map(|(_, value)| value.clone()));
+        Some(bag)
     }
 }
 
@@ -291,7 +293,7 @@ impl AttributeProvider for RbacProvider {
         if roles.is_empty() {
             None
         } else {
-            Some(roles.into_iter().map(AttrValue::String).collect())
+            Some(roles.into_iter().map(AttrValue::from).collect())
         }
     }
 }
@@ -408,7 +410,7 @@ impl AttributeSource for ResolvingSource<'_> {
         // The first empty cell of the chain is filled with `id`'s
         // answer, so the walk always ends on `id`.
         let resolve = || Memo {
-            id: id.clone(),
+            id: *id,
             bag: self.registry.resolve(id, self.request, self.now_ms),
             next: OnceCell::new(),
         };

@@ -27,7 +27,7 @@
 //! }
 //! ```
 
-use crate::attr::{AttrValue, AttributeId, Category};
+use crate::attr::{AttrName, AttrValue, AttributeId, Category};
 use crate::eval::MAX_POLICY_DEPTH;
 use crate::expr::{Expr, Func, MAX_DEPTH};
 use crate::policy::{
@@ -501,7 +501,7 @@ impl Parser {
     fn literal(&mut self) -> Result<AttrValue, ParseError> {
         let t = self.next();
         match t.tok {
-            Tok::Str(s) => Ok(AttrValue::String(s)),
+            Tok::Str(s) => Ok(AttrValue::from(s)),
             Tok::Int(i) => Ok(AttrValue::Integer(i)),
             Tok::Float(x) => Ok(AttrValue::Double(x)),
             Tok::Ident(s) if s == "true" => Ok(AttrValue::Boolean(true)),
@@ -552,9 +552,21 @@ impl Parser {
         })
     }
 
+    /// A quoted attribute name, interned: one past the name table's
+    /// bound is a parse error at the name, never a panic.
+    fn attr_name(&mut self) -> Result<AttrName, ParseError> {
+        let (line, col) = (self.peek().line, self.peek().col);
+        let name = self.string()?;
+        AttrName::intern(&name).map_err(|e| ParseError {
+            line,
+            col,
+            message: e.to_string(),
+        })
+    }
+
     fn attr_match(&mut self) -> Result<AttrMatch, ParseError> {
         let category = self.category()?;
-        let name = self.string()?;
+        let name = self.attr_name()?;
         let op = self.match_op()?;
         let value = self.literal()?;
         Ok(AttrMatch {
@@ -622,7 +634,7 @@ impl Parser {
                 self.expect(Tok::LParen)?;
                 let category = self.category()?;
                 self.expect(Tok::Comma)?;
-                let attr_name = self.string()?;
+                let attr_name = self.attr_name()?;
                 self.expect(Tok::RParen)?;
                 let id = AttributeId::new(category, attr_name);
                 Ok(if required {
@@ -1178,6 +1190,23 @@ policy "p" deny-overrides {
         assert_eq!(p.target.any_ofs[0].all_ofs.len(), 2);
         let printed = print_policy(&p);
         assert_eq!(parse_policy(&printed).expect("roundtrip"), p);
+    }
+
+    /// A name the name table refuses is a parse error at the name, in
+    /// a target and in a condition alike, never a panic.
+    #[test]
+    fn a_name_past_the_length_bound_is_a_parse_error() {
+        let long = "n".repeat(crate::attr::MAX_NAME_LEN + 1);
+        for body in [
+            format!("target {{ subject \"{long}\" == \"x\"; }}"),
+            format!("condition attr(subject, \"{long}\") == \"x\";"),
+        ] {
+            let src =
+                format!("policy \"p\" deny-unless-permit {{\n  rule \"r\" permit {{ {body} }}\n}}");
+            let err = parse_policy(&src).unwrap_err();
+            assert!(err.message.contains("exceeds"), "{err}");
+            assert_eq!(err.line, 2);
+        }
     }
 
     #[test]

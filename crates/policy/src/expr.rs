@@ -477,7 +477,7 @@ fn eval_depth<'a>(
             stats.attribute_lookups += 1;
             match src.attribute_bag(id) {
                 Some(bag) => Ok(Val::Bag(Cow::Borrowed(bag))),
-                None if *must_be_present => Err(EvalError::MissingAttribute(id.clone())),
+                None if *must_be_present => Err(EvalError::MissingAttribute(*id)),
                 None => Ok(Val::Bag(Cow::Borrowed(&[]))),
             }
         }
@@ -742,7 +742,7 @@ fn apply<'a>(
             for (i, _) in args.iter().enumerate() {
                 out.push_str(as_str(func, &*scalar_arg(i, stats)?)?);
             }
-            Ok(scalar(AttrValue::String(out)))
+            Ok(scalar(AttrValue::from(out)))
         }
         Lower | Upper => {
             need_args(func, args, 1, "1")?;
@@ -753,7 +753,7 @@ fn apply<'a>(
             } else {
                 s.to_ascii_uppercase()
             };
-            Ok(scalar(AttrValue::String(out)))
+            Ok(scalar(AttrValue::from(out)))
         }
         StringLength => {
             need_args(func, args, 1, "1")?;
@@ -880,7 +880,7 @@ fn apply<'a>(
             need_args(func, args, 1, "1")?;
             let s = match scalar_arg(0, stats)?.into_owned() {
                 AttrValue::String(s) => s,
-                other => format!("{other}"),
+                other => format!("{other}").into(),
             };
             Ok(scalar(AttrValue::String(s)))
         }

@@ -70,13 +70,16 @@ pub(crate) struct SetIndex {
     nested: Vec<Option<SetIndex>>,
 }
 
-/// The children that demand a value of `attr`, by the value demanded.
-/// Every list is ascending and free of repeats.
+/// The children that demand a value of `attr` — a category and an
+/// interned name, compared as 8 bytes — by the value demanded. Every
+/// list is ascending and free of repeats.
 #[derive(Debug)]
 struct Postings {
     attr: AttributeId,
     equals: HashMap<AttrValue, Vec<usize>>,
-    prefixes: BTreeMap<String, Vec<usize>>,
+    /// Literal prefixes by their bytes, which a request's string is
+    /// read as: no value is checked as UTF-8 to look it up.
+    prefixes: BTreeMap<Box<[u8]>, Vec<usize>>,
     /// The distinct byte lengths of `prefixes`' keys, ascending: a
     /// string is looked up once per length, not once per key.
     prefix_lens: Vec<usize>,
@@ -115,7 +118,7 @@ impl SetIndex {
             Some(at) => at,
             None => {
                 self.attrs.push(Postings {
-                    attr: attr.clone(),
+                    attr: *attr,
                     equals: HashMap::new(),
                     prefixes: BTreeMap::new(),
                     prefix_lens: Vec::new(),
@@ -131,7 +134,10 @@ impl SetIndex {
                     if let Err(at) = postings.prefix_lens.binary_search(&prefix.len()) {
                         postings.prefix_lens.insert(at, prefix.len());
                     }
-                    postings.prefixes.entry(prefix.to_owned()).or_default()
+                    postings
+                        .prefixes
+                        .entry(prefix.as_bytes().into())
+                        .or_default()
                 }
             };
             // Children arrive in ascending order, so a repeat (two
@@ -174,13 +180,14 @@ impl SetIndex {
                 if postings.prefixes.is_empty() {
                     continue;
                 }
-                let AttrValue::String(text) = value else {
+                let Some(text) = value.as_text() else {
                     return Candidates::All(0..len);
                 };
                 for &prefix_len in &postings.prefix_lens {
-                    // `get` is `None` past the end and inside a scalar;
-                    // no key of that length is a prefix of `text` then.
-                    let Some(prefix) = text.get(..prefix_len) else {
+                    // `get` is `None` past the end: no key of that length
+                    // is a prefix of `text` then. A cut inside a char
+                    // equals no key, since every key ends at a char's end.
+                    let Some(prefix) = text.as_bytes().get(..prefix_len) else {
                         continue;
                     };
                     if !hit(postings.prefixes.get(prefix)) {

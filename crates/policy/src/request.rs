@@ -2,7 +2,7 @@
 //! bags for subject, resource, action and environment (Fig. 4 of the
 //! paper — the context the PEP constructs and the PDP evaluates).
 
-use crate::attr::{AttrValue, AttributeId, Category, ID_ATTR};
+use crate::attr::{AttrName, AttrValue, AttributeId, Category, Str};
 use crate::hash::WordHasher;
 use serde::de::{self, Deserializer, MapAccess, SeqAccess, Visitor};
 use serde::ser::{SerializeMap, SerializeStruct, Serializer};
@@ -14,12 +14,15 @@ use std::fmt::{self, Write};
 /// Every layer reads this one record by reference — the PEP hashes it,
 /// the request caches compare it, the router keys on it, targets and
 /// conditions look bags up in it — so it is stored flat: one vector of
-/// `(id, bag)` entries in ascending id order. A bag of one value, which
+/// 32-byte `(id, bag)` entries in ascending id order. An id is 8 bytes
+/// (a category and an interned [`AttrName`]); a bag of one value, which
 /// is what nearly every attribute is, sits inline in its entry, and a
-/// conventional name is a shared static, so a request of single-valued
-/// conventional attributes is one allocation besides its values. A
-/// look-up is a binary search, iteration is a slice walk, and a clone
-/// copies no empty slots.
+/// string value of up to [`INLINE_LEN`](crate::attr::INLINE_LEN) bytes
+/// sits inline in the value. So a request of short single-valued
+/// attributes is one allocation — [`RequestContext::basic`] one of 96
+/// bytes — and so is its clone. A look-up is a binary search that
+/// compares two names' text only where their symbols differ; iteration
+/// is a slice walk.
 ///
 /// # Examples
 ///
@@ -43,13 +46,19 @@ pub struct RequestContext {
 }
 
 /// A non-empty bag as an entry holds it: one value inline, two or more
-/// on the heap. A bag has exactly one of the two forms for its length,
-/// so the derived equality is slice equality.
+/// in a vector behind one pointer. A bag has exactly one of the two
+/// forms for its length, so the derived equality is slice equality.
 #[derive(Clone, PartialEq, Eq)]
 enum Bag {
     One(AttrValue),
-    Many(Vec<AttrValue>),
+    // The box is the point: an inline `Vec` would make every entry 40
+    // bytes to save multi-valued bags, which are rare, one allocation;
+    // a boxed slice would make each added value copy the bag.
+    #[allow(clippy::box_collection)]
+    Many(Box<Vec<AttrValue>>),
 }
+
+const _: () = assert!(std::mem::size_of::<(AttributeId, Bag)>() == 32);
 
 impl Bag {
     fn as_slice(&self) -> &[AttrValue] {
@@ -65,7 +74,7 @@ impl Bag {
             Bag::Many(values) => values.push(value),
             Bag::One(first) => {
                 let first = std::mem::replace(first, AttrValue::Boolean(false));
-                *self = Bag::Many(vec![first, value]);
+                *self = Bag::Many(Box::new(vec![first, value]));
             }
         }
     }
@@ -91,31 +100,34 @@ impl RequestContext {
     /// Creates a context with the three conventional identifiers set:
     /// `subject.id`, `resource.id` and `action.id`.
     pub fn basic(
-        subject_id: impl Into<String>,
-        resource_id: impl Into<String>,
-        action_id: impl Into<String>,
+        subject_id: impl Into<Str>,
+        resource_id: impl Into<Str>,
+        action_id: impl Into<Str>,
     ) -> Self {
-        let mut ctx = Self::new();
-        ctx.attrs.reserve_exact(3);
-        ctx.add(AttributeId::subject(ID_ATTR), subject_id.into());
-        ctx.add(AttributeId::resource(ID_ATTR), resource_id.into());
-        ctx.add(AttributeId::action(ID_ATTR), action_id.into());
-        ctx
+        let id = |category| AttributeId {
+            category,
+            name: AttrName::ID,
+        };
+        // Categories ascend, so the entries are already in order.
+        let attrs = vec![
+            (id(Category::Subject), Bag::One(subject_id.into().into())),
+            (id(Category::Resource), Bag::One(resource_id.into().into())),
+            (id(Category::Action), Bag::One(action_id.into().into())),
+        ];
+        RequestContext { attrs }
     }
 
-    /// Where the entry of (`category`, `name`) is (`Ok`), or where it
-    /// would be inserted to keep the order (`Err`). Compares the way
-    /// `AttributeId`'s derived `Ord` does, without needing an owned id.
-    fn position(&self, category: Category, name: &str) -> Result<usize, usize> {
-        self.attrs.binary_search_by(|(id, _)| {
-            (id.category.cmp(&category)).then_with(|| id.name.as_str().cmp(name))
-        })
+    /// Where the entry of `id` is (`Ok`), or where it would be inserted
+    /// to keep the name order (`Err`): a binary search, which reads a
+    /// name's text only where two symbols differ.
+    fn position(&self, id: AttributeId) -> Result<usize, usize> {
+        self.attrs.binary_search_by(|(held, _)| held.cmp(&id))
     }
 
     /// Appends a value to the bag of `id`.
     pub fn add(&mut self, id: AttributeId, value: impl Into<AttrValue>) {
         let value = value.into();
-        match self.position(id.category, &id.name) {
+        match self.position(id) {
             Ok(at) => self.attrs[at].1.push(value),
             Err(at) => self.attrs.insert(at, (id, Bag::One(value))),
         }
@@ -146,36 +158,46 @@ impl RequestContext {
 
     /// The bag of `id` if the context holds one (never an empty slice).
     pub(crate) fn present_bag(&self, id: &AttributeId) -> Option<&[AttrValue]> {
-        let at = self.position(id.category, &id.name).ok()?;
+        let at = self.position(*id).ok()?;
         Some(self.attrs[at].1.as_slice())
     }
 
     /// Whether the context holds any value for `id`.
     pub fn contains(&self, id: &AttributeId) -> bool {
-        self.position(id.category, &id.name).is_ok()
+        self.position(*id).is_ok()
     }
 
     /// First string value of `subject.id`, if present.
     pub fn subject_id(&self) -> Option<&str> {
-        self.first_str(Category::Subject, ID_ATTR)
+        self.id_of(Category::Subject).map(Str::as_str)
     }
 
     /// First string value of `resource.id`, if present.
     pub fn resource_id(&self) -> Option<&str> {
-        self.first_str(Category::Resource, ID_ATTR)
+        self.id_of(Category::Resource).map(Str::as_str)
     }
 
     /// First string value of `action.id`, if present.
     pub fn action_id(&self) -> Option<&str> {
-        self.first_str(Category::Action, ID_ATTR)
+        self.id_of(Category::Action).map(Str::as_str)
     }
 
-    /// These accessors sit on every serving path: no owned
-    /// `AttributeId` is built to find the entry.
-    fn first_str(&self, category: Category, name: &str) -> Option<&str> {
-        let at = self.position(category, name).ok()?;
-        let (_, bag) = &self.attrs[at];
-        bag.as_slice().iter().find_map(AttrValue::as_str)
+    /// First string value of `category.id` as the request holds it. The
+    /// serving paths (the router, the identity provider's look-up, the
+    /// audit copy) read it through this, as bytes, so an in-place id is
+    /// never checked as UTF-8 again.
+    pub fn id_of(&self, category: Category) -> Option<&Str> {
+        let at = self
+            .position(AttributeId {
+                category,
+                name: AttrName::ID,
+            })
+            .ok()?;
+        self.attrs[at]
+            .1
+            .as_slice()
+            .iter()
+            .find_map(AttrValue::as_text)
     }
 
     /// Iterates over all (id, bag) entries in deterministic order.
@@ -206,9 +228,9 @@ impl RequestContext {
     /// Used when a PIP contributes resolved attributes to a request.
     pub fn merge(&mut self, other: &RequestContext) {
         for (id, bag) in &other.attrs {
-            match self.position(id.category, &id.name) {
+            match self.position(*id) {
                 Ok(at) => self.attrs[at].1.extend(bag.as_slice()),
-                Err(at) => self.attrs.insert(at, (id.clone(), bag.clone())),
+                Err(at) => self.attrs.insert(at, (*id, bag.clone())),
             }
         }
     }
@@ -327,9 +349,29 @@ impl<'de> Deserialize<'de> for ReceivedBag {
     }
 }
 
+/// An id as a frame carries it, in [`AttributeId`]'s shape; `None` when
+/// the name table does not hold its name. Decoding only looks the name
+/// up, so a frame never adds to the process-wide table.
+#[derive(Deserialize)]
+struct ReceivedId {
+    category: Category,
+    name: ReceivedName,
+}
+
+struct ReceivedName(Option<AttrName>);
+
+impl<'de> Deserialize<'de> for ReceivedName {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let name = String::deserialize(deserializer)?;
+        Ok(ReceivedName(AttrName::lookup(&name)))
+    }
+}
+
 /// Sorts the received entries and folds equal ids into one bag:
 /// whatever order, duplicate ids or empty bags a frame carries, what
-/// comes out holds the invariant.
+/// comes out holds the invariant. An entry whose name the table does
+/// not hold is dropped: no policy, target or provider can name it, so it
+/// cannot change a verdict, and keeping it would mean interning it.
 impl<'de> Deserialize<'de> for RequestContext {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         struct Entries(RequestContext);
@@ -346,11 +388,14 @@ impl<'de> Deserialize<'de> for RequestContext {
             }
             fn visit_map<A: MapAccess<'de>>(self, mut map: A) -> Result<Entries, A::Error> {
                 let mut entries: Vec<(AttributeId, ReceivedBag)> = Vec::new();
-                while let Some(entry) = map.next_entry()? {
-                    entries.push(entry);
+                while let Some((id, bag)) = map.next_entry::<ReceivedId, ReceivedBag>()? {
+                    if let ReceivedName(Some(name)) = id.name {
+                        let category = id.category;
+                        entries.push((AttributeId { category, name }, bag));
+                    }
                 }
                 // Stable, so a repeated id's bags keep the frame's order.
-                entries.sort_by(|a, b| a.0.cmp(&b.0));
+                entries.sort_by_key(|a| a.0);
                 let mut attrs: Vec<(AttributeId, Bag)> = Vec::with_capacity(entries.len());
                 for (id, ReceivedBag(bag)) in entries {
                     let Some(bag) = bag else { continue };
@@ -461,7 +506,7 @@ mod tests {
         let ascending = built(&[0, 1, 2, 3, 4]);
         assert_eq!(built(&[4, 3, 2, 1, 0]), ascending);
         assert_eq!(built(&[2, 0, 4, 1, 3]), ascending);
-        let ids: Vec<_> = ascending.iter().map(|(id, _)| id.clone()).collect();
+        let ids: Vec<_> = ascending.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, entries.clone().map(|(id, _)| id));
         // A second value joins the bag its id already has, wherever that is.
         let mut two = built(&[3, 1, 0]);
@@ -514,6 +559,25 @@ mod tests {
         dacs_wire::codec::from_bytes(&frame).unwrap()
     }
 
+    /// A frame's entry under a name the table does not hold is dropped,
+    /// and the name stays out of the table: no policy can name it, so it
+    /// cannot change a verdict. (An id encodes as its two fields.)
+    #[test]
+    fn deserialize_drops_names_the_table_does_not_hold() {
+        let known =
+            RequestContext::basic("alice", "ehr/1", "read").with_subject_attr("role", "doctor");
+        let unknown = "a-name-no-one-interned";
+        let mut entries: Vec<((Category, String), Vec<AttrValue>)> = known
+            .iter()
+            .map(|(id, bag)| ((id.category, id.name.to_string()), bag.to_vec()))
+            .collect();
+        entries.insert(1, ((Category::Subject, unknown.into()), vec!["x".into()]));
+        let frame = dacs_wire::codec::to_bytes(&entries).unwrap();
+        let decoded: RequestContext = dacs_wire::codec::from_bytes(&frame).unwrap();
+        assert_eq!(decoded, known);
+        assert_eq!(AttrName::lookup(unknown), None);
+    }
+
     #[test]
     fn deserialize_never_trusts_the_senders_order() {
         let role = AttributeId::subject("role");
@@ -521,10 +585,7 @@ mod tests {
             .with_subject_attr("role", "doctor")
             .with_subject_attr("role", "researcher")
             .with_resource_attr("sensitivity", 3i64);
-        let entries: Vec<_> = sorted
-            .iter()
-            .map(|(id, bag)| (id.clone(), bag.to_vec()))
-            .collect();
+        let entries: Vec<_> = sorted.iter().map(|(id, bag)| (*id, bag.to_vec())).collect();
         assert_eq!(decode_frame(&entries), sorted);
         assert_eq!(
             dacs_wire::codec::to_bytes(&entries).unwrap(),
@@ -540,7 +601,7 @@ mod tests {
         let at = split.iter().position(|(id, _)| *id == role).unwrap();
         let second = split[at].1.pop().unwrap();
         split.insert(0, (AttributeId::environment("nothing"), Vec::new()));
-        split.push((role.clone(), vec![second]));
+        split.push((role, vec![second]));
         for hostile in [reversed, split] {
             let decoded = decode_frame(&hostile);
             assert_invariant(&decoded);
@@ -600,7 +661,7 @@ mod tests {
             let mut reversed = RequestContext::new();
             let entries: Vec<_> = ctx.iter().collect();
             for (id, bag) in entries.into_iter().rev() {
-                bag.iter().for_each(|v| reversed.add(id.clone(), v.clone()));
+                bag.iter().for_each(|v| reversed.add(*id, v.clone()));
             }
             assert_eq!(reversed.canonical_hash(), ctx.canonical_hash());
             let frame = dacs_wire::codec::to_bytes(ctx).unwrap();

@@ -101,7 +101,7 @@ impl AttrMatch {
 
     /// Glob match shorthand (`value` is the pattern).
     pub fn glob(attr: AttributeId, pattern: impl Into<String>) -> Self {
-        Self::new(attr, MatchOp::Glob, AttrValue::String(pattern.into()))
+        Self::new(attr, MatchOp::Glob, AttrValue::from(pattern.into()))
     }
 
     /// Evaluates this match against a request.
@@ -163,7 +163,9 @@ impl AttrMatch {
                 _ => None,
             },
             MatchOp::Contains => match (&self.value, request_value) {
-                (AttrValue::String(needle), AttrValue::String(hay)) => Some(hay.contains(needle)),
+                (AttrValue::String(needle), AttrValue::String(hay)) => {
+                    Some(hay.contains(needle.as_str()))
+                }
                 _ => None,
             },
             MatchOp::GreaterThan

@@ -23,10 +23,10 @@
 //! when the PEP was built, before and after they wrap. Tracing adds
 //! nothing to either: a span is a `Copy` record borrowed from its
 //! tracer and pushed into a ring allocated with it. Two cases count
-//! bytes as well as calls: a provisioned subject is its key, one
-//! exact-size record and its value, whether the attribute store is
-//! filled directly or through a domain's builder; and a request is
-//! stored flat, one-value bags and conventional names inline.
+//! bytes as well as calls: a provisioned subject is one exact-size
+//! record, whether the attribute store is filled directly or through a
+//! domain's builder; and a request of short ids is one block, and so
+//! is its clone.
 
 use dacs::cluster::{
     ClusterBuilder, DecisionClass, QuorumMode, ReplicaPhase, SchedulerConfig, ShardRouter,
@@ -134,12 +134,13 @@ fn decide_allocations(domain: &Domain, request: &RequestContext, expected: Decis
 }
 
 /// What one decide may allocate: the PIP's answer to the gate's
-/// condition (the provider's owned bag and the string in it) — kept in
-/// the memo's inline head, whose key names the conventional `role`,
-/// shared rather than copied — while the condition itself reads the
-/// literal and the bag where they live, and nothing scales with the
-/// policies walked. Today a permit makes 2.
-const DECIDE_BUDGET: u64 = 3;
+/// condition (the provider's owned bag; its short string sits in the
+/// value) — kept in the memo's inline head, whose key is the fixed
+/// symbol of `role` — while the condition itself reads the literal and
+/// the bag where they live, and nothing scales with the policies
+/// walked. A permit makes exactly this, and a deny over a subject the
+/// provider does not know makes none.
+const DECIDE_BUDGET: u64 = 1;
 
 #[test]
 fn decide_allocates_a_small_fixed_number_whatever_the_policy_count() {
@@ -541,10 +542,10 @@ fn a_hit_allocates_nothing_once_the_audit_ring_has_wrapped() {
 
 /// What a `Pep::serve` that misses its decision cache allocates besides
 /// the one `Pdp::decide` it asks: the source's one-element answer
-/// vector, and the request's copy the cache keeps (its entries and its
-/// three id strings). The hash, the lookups, the result and the audit
-/// record allocate nothing, as on a hit.
-const MISS_OVERHEAD: u64 = 5;
+/// vector, and the request's copy the cache keeps (one block: its short
+/// ids sit in its entries). The hash, the lookups, the result and the
+/// audit record allocate nothing, as on a hit.
+const MISS_OVERHEAD: u64 = 2;
 
 #[test]
 fn a_cache_miss_allocates_its_decide_plus_the_answer_vector_and_the_cached_copy() {
@@ -629,17 +630,19 @@ fn a_traced_request_allocates_what_an_untraced_one_does() {
 const SUBJECTS: u64 = 1_024;
 
 /// What provisioning one subject with one attribute may allocate: its
-/// key, its record and its value's string — no spare slots, no copy of
-/// the conventional name, no second copy held by the domain's builder.
-const PROVISION_BUDGET: u64 = 3;
+/// record — the short key sits in its bucket and the short value in the
+/// record's one entry; no spare slots, no copy of the name, no second
+/// copy held by the domain's builder.
+const PROVISION_BUDGET: u64 = 1;
 
-/// The bytes it may ask for, the store's table included: an 11-byte
-/// key, a 48-byte record and a 6-byte value, and a share of the table —
-/// a 33-byte bucket (two boxed-slice handles and a control byte), 2 048
-/// of them for 1 024 subjects, and as many again in the smaller tables
-/// it outgrew: 197 today. (As a map of owned keys to four-slot vectors
-/// of owned names, with 49-byte buckets, about 410.)
-const PROVISION_BYTES: u64 = 224;
+/// The bytes it may ask for, the store's table included: a 32-byte
+/// record, and a share of the table — a 41-byte bucket (the key's
+/// 24-byte `Str`, the record's 16-byte handle and a control byte),
+/// 2 048 of them for 1 024 subjects, and as many again in the smaller
+/// tables it outgrew: 196 today. (With the key and the value each in a
+/// block of its own, 197 in 3 allocations; as a map of owned keys to
+/// four-slot vectors of owned names, with 49-byte buckets, about 410.)
+const PROVISION_BYTES: u64 = 197;
 
 /// The allocations and bytes `provision` makes to provision
 /// [`SUBJECTS`] subjects, whose names are built before the count; the
@@ -670,7 +673,7 @@ fn assert_provisioned_within_budget(way: &str, (calls, bytes): (u64, u64)) {
 
 /// The attribute store keeps one exact-size record per subject, and a
 /// domain's builder writes into the store its domain keeps: provisioning
-/// a subject through either costs its key, its record and its value.
+/// a subject through either costs its record.
 #[test]
 fn provisioning_a_subject_allocates_its_record_and_nothing_more() {
     let store = provisioning(|names| {
@@ -712,11 +715,13 @@ fn routing_allocates_nothing() {
     }
 }
 
-/// A request is one vector of three entries, each holding its name (a
-/// shared static) and its one value inline — and its clone, which every
-/// request-cache insert makes, is that plus the id strings. (As a
-/// B-tree of bags grown to capacity four the same request asked for 926
-/// bytes in seven allocations, its clone for 734 in ten; as a vector of
+/// A request is one vector of three 32-byte entries, each holding its
+/// name (an interned symbol) and its one value inline, its short id
+/// text in place — and its clone, which every request-cache insert
+/// makes, is the same one block. (With names as shared statics and ids
+/// as `String`s it asked for 192 bytes in one allocation, its clone for
+/// 192 plus the ids in four; as a B-tree of bags grown to capacity four,
+/// 926 bytes in seven allocations, its clone 734 in ten; as a vector of
 /// owned names and bag vectors, 246 bytes in seven, its clone 270 in
 /// ten.)
 #[test]
@@ -729,20 +734,14 @@ fn a_basic_request_asks_for_the_bytes_it_holds() {
         )
     };
     let (subject, resource, action) = ids();
-    let id_bytes = (subject.len() + resource.len() + action.len()) as u64;
     // The id strings are moved in, so what is counted is the container.
     let ((calls, bytes), request) =
         requested_in(|| RequestContext::basic(subject, resource, action));
-    assert_eq!(calls, 1, "the entries, and nothing else");
-    assert!(bytes <= 200, "a basic request asked for {bytes} bytes");
+    assert_eq!((calls, bytes), (1, 96), "the entries, and nothing else");
 
     let ((calls, bytes), copy) = requested_in(|| request.clone());
     assert_eq!(copy, request);
-    assert_eq!(calls, 4, "the entries and the three id strings");
-    assert!(
-        bytes <= 200 + id_bytes && bytes > id_bytes,
-        "its clone asked for {bytes} bytes"
-    );
+    assert_eq!((calls, bytes), (1, 96), "its clone is the entries again");
 }
 
 #[test]

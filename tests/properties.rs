@@ -109,7 +109,7 @@ proptest! {
     /// and value alphabet is applied to a `RequestContext` and to a
     /// `BTreeMap` of bags keyed by plain strings, and everything the
     /// context can be asked agrees with the model after every step —
-    /// conventional names (shared statics) and custom ones (owned)
+    /// conventional names (fixed symbols) and custom ones (interned)
     /// order, hash and print like the strings they hold, and a bag
     /// grows from its inline value to many wherever the second comes
     /// from. After every step the context survives its own frame. The
@@ -169,13 +169,13 @@ proptest! {
             let (id, v) = (id_of(category, name), value_of(value));
             if merged.is_empty() {
                 // One value: through `add`, or the builder of its category.
-                let name = id.name.clone();
+                let name = id.name;
                 ctx = match (category, value % 2) {
                     (0, 0) => ctx.with_subject_attr(&name, v.clone()),
                     (1, 0) => ctx.with_resource_attr(&name, v.clone()),
                     (3, 0) => ctx.with_env_attr(&name, v.clone()),
                     _ => {
-                        ctx.add(id.clone(), v.clone());
+                        ctx.add(id, v.clone());
                         ctx
                     }
                 };
@@ -192,7 +192,7 @@ proptest! {
                 for ((category, name), bag) in other_model {
                     // An id named by an owned `String`, as a parser builds it.
                     let id = AttributeId::new(category, name.clone());
-                    flat.extend(bag.iter().map(|v| (id.clone(), v.clone())));
+                    flat.extend(bag.iter().map(|v| (id, v.clone())));
                     model.entry((category, name)).or_default().extend(bag);
                 }
             }
@@ -232,7 +232,7 @@ proptest! {
             let mut rebuilt = RequestContext::new();
             for ((category, name), bag) in model.iter().rev() {
                 let id = AttributeId::new(*category, name.clone());
-                bag.iter().for_each(|v| rebuilt.add(id.clone(), v.clone()));
+                bag.iter().for_each(|v| rebuilt.add(id, v.clone()));
             }
             prop_assert_eq!(&rebuilt, &ctx);
             let hash = ctx.canonical_hash();
@@ -249,10 +249,10 @@ proptest! {
         // repeated id's far apart: `Deserialize` grows each bag as the
         // steps did.
         let split: Vec<(AttributeId, Vec<AttrValue>)> =
-            flat.iter().map(|(id, v)| (id.clone(), vec![v.clone()])).collect();
+            flat.iter().map(|(id, v)| (*id, vec![v.clone()])).collect();
         let decoded: RequestContext = from_bytes(&to_bytes(&split).unwrap()).unwrap();
         // Stable by id: ids change places, each bag keeps its order.
-        flat.sort_by(|a, b| b.0.cmp(&a.0));
+        flat.sort_by_key(|entry| std::cmp::Reverse(entry.0));
         let mut permuted = RequestContext::new();
         for (id, v) in flat {
             permuted.add(id, v);
