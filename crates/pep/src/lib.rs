@@ -567,18 +567,19 @@ const AUDIT_BYTES_PER_RECORD: usize = 64;
 /// the ring's whole byte budget is smaller.
 const AUDIT_ID_BOUND: usize = 1024;
 
-/// One audit record's fixed-size part; its ids live in the byte ring.
+/// One audit record's fixed-size part; its ids live in the byte ring,
+/// right after the ids of the record before it.
 #[derive(Clone, Copy)]
 struct AuditHeader {
     at_ms: u64,
-    /// Where the subject's first byte sits in the byte ring; the
-    /// resource and the action follow it, wrapping at the end.
-    offset: usize,
     /// Byte lengths of the subject, the resource and the action.
     lens: [u16; 3],
     allowed: bool,
     path: ServingPath,
 }
+
+// Pinned: 65 536 headers take 1 MiB.
+const _: () = assert!(std::mem::size_of::<AuditHeader>() == 16);
 
 impl AuditHeader {
     fn id_bytes(&self) -> usize {
@@ -587,34 +588,60 @@ impl AuditHeader {
 }
 
 /// The two rings behind one lock: the headers, oldest first, and the
-/// circular bytes holding their ids back to back.
+/// circular bytes holding their ids back to back from `head`.
 struct AuditRings {
     headers: VecDeque<AuditHeader>,
-    bytes: Box<[u8]>,
-    /// Where the next record's ids start.
-    tail: usize,
-    /// Bytes the held records' ids take, ending at `tail`.
+    /// Reserved at the whole byte budget and never reallocated; its
+    /// length is the live extent, where the ids wrap.
+    bytes: Vec<u8>,
+    /// Where the oldest record's ids start.
+    head: usize,
+    /// Bytes the held records' ids take.
     used: usize,
 }
 
 impl AuditRings {
-    /// Copies `id` in at `tail`, splitting it across the wrap point.
-    fn write(&mut self, id: &[u8]) {
-        let room = self.bytes.len() - self.tail;
-        if id.len() < room {
-            self.bytes[self.tail..][..id.len()].copy_from_slice(id);
-            self.tail += id.len();
+    /// `at`, at most twice the extent, brought back inside it.
+    fn wrap(&self, at: usize) -> usize {
+        if at < self.bytes.len() {
+            at
         } else {
-            let (before, wrapped) = id.split_at(room);
-            self.bytes[self.tail..].copy_from_slice(before);
-            self.bytes[..wrapped.len()].copy_from_slice(wrapped);
-            self.tail = wrapped.len();
+            at - self.bytes.len()
         }
     }
 
-    /// The `len` bytes at `at` (modulo the ring), as the id they hold.
+    /// Widens the extent, in place, so that `need` more bytes fit beside
+    /// the held ids: by at least an eighth, so growth is amortised, but
+    /// never past `budget`. Held ids that wrap keep their order: the run
+    /// after the head moves up to the new end.
+    fn grow(&mut self, need: usize, budget: usize) {
+        let old = self.bytes.len();
+        let new = (self.used + need).max(old + old / 8).min(budget);
+        self.bytes.resize(new, 0);
+        if self.head + self.used > old {
+            self.bytes
+                .copy_within(self.head..old, self.head + new - old);
+            self.head += new - old;
+        }
+    }
+
+    /// Copies `id` in at `at`, splitting it across the wrap point;
+    /// returns where the next id starts.
+    fn write(&mut self, at: usize, id: &[u8]) -> usize {
+        let room = self.bytes.len() - at;
+        if id.len() < room {
+            self.bytes[at..][..id.len()].copy_from_slice(id);
+            at + id.len()
+        } else {
+            let (before, wrapped) = id.split_at(room);
+            self.bytes[at..].copy_from_slice(before);
+            self.bytes[..wrapped.len()].copy_from_slice(wrapped);
+            wrapped.len()
+        }
+    }
+
+    /// The `len` bytes at `at` (inside the extent), as the id they hold.
     fn read(&self, at: usize, len: usize) -> String {
-        let at = at % self.bytes.len();
         let before = len.min(self.bytes.len() - at);
         let mut id = Vec::with_capacity(len);
         id.extend_from_slice(&self.bytes[at..][..before]);
@@ -626,13 +653,18 @@ impl AuditRings {
 /// Bounded audit storage: the newest records, oldest first, that fit
 /// both `capacity` and `capacity × AUDIT_BYTES_PER_RECORD` bytes of ids.
 ///
-/// Both rings are allocated once, here, and never grow: a push copies
-/// a fixed-size header and the three ids (cut by [`cut_ids`]), after
-/// displacing the oldest records while either the record count or the
-/// byte budget would overflow. No push allocates or frees. The caller
-/// counts each displacement in `EnforcementStats::audit_dropped`.
+/// Both rings are reserved once, here, and never reallocated, and the
+/// byte budget is never zeroed: the ids wrap at a live extent that grows
+/// in place only when the held ids and the incoming record would not
+/// fit it, so the pages written are those the ids have needed. A push
+/// copies a fixed-size header and the three ids (cut by [`cut_ids`]),
+/// after displacing the oldest records while either the record count or
+/// the byte budget would overflow. No push allocates or frees. The
+/// caller counts each displacement in `EnforcementStats::audit_dropped`.
 struct AuditRing {
     capacity: usize,
+    /// `capacity × AUDIT_BYTES_PER_RECORD`: the most id bytes held.
+    budget: usize,
     /// The most id bytes one record keeps: [`AUDIT_ID_BOUND`], or the
     /// whole byte budget when that is smaller.
     id_bound: usize,
@@ -646,12 +678,12 @@ impl AuditRing {
             .expect("audit byte budget overflows usize");
         AuditRing {
             capacity,
+            budget,
             id_bound: AUDIT_ID_BOUND.min(budget),
             rings: Mutex::new(AuditRings {
                 headers: VecDeque::with_capacity(capacity),
-                // Zeroed, so its pages are committed only as ids reach them.
-                bytes: vec![0; budget].into_boxed_slice(),
-                tail: 0,
+                bytes: Vec::with_capacity(budget),
+                head: 0,
                 used: 0,
             }),
         }
@@ -665,22 +697,25 @@ impl AuditRing {
         let mut guard = self.rings.lock();
         let rings = &mut *guard;
         let mut displaced = 0;
-        while rings.headers.len() == self.capacity || rings.used + need > rings.bytes.len() {
+        while rings.headers.len() == self.capacity || rings.used + need > self.budget {
             let oldest = rings
                 .headers
                 .pop_front()
                 .expect("an empty ring fits any cut record");
+            rings.head = rings.wrap(rings.head + oldest.id_bytes());
             rings.used -= oldest.id_bytes();
             displaced += 1;
         }
-        let offset = rings.tail;
+        if rings.used + need > rings.bytes.len() {
+            rings.grow(need, self.budget);
+        }
+        let mut at = rings.wrap(rings.head + rings.used);
         for (id, len) in ids.into_iter().zip(lens) {
-            rings.write(&id[..len]);
+            at = rings.write(at, &id[..len]);
         }
         rings.used += need;
         rings.headers.push_back(AuditHeader {
             at_ms,
-            offset,
             // Each is at most `AUDIT_ID_BOUND`.
             lens: lens.map(|n| n as u16),
             allowed,
@@ -691,14 +726,14 @@ impl AuditRing {
 
     fn snapshot(&self) -> Vec<EnforcementRecord> {
         let rings = self.rings.lock();
+        let mut at = rings.head;
         rings
             .headers
             .iter()
             .map(|header| {
-                let mut at = header.offset;
                 let [subject, resource, action] = header.lens.map(|len| {
                     let id = rings.read(at, usize::from(len));
-                    at += usize::from(len);
+                    at = rings.wrap(at + usize::from(len));
                     id
                 });
                 EnforcementRecord {
@@ -742,8 +777,11 @@ fn cut_ids(ids: [&[u8]; 3], bound: usize) -> [usize; 3] {
 
 /// Default bound of the audit ring: generous enough that tests and
 /// short-lived PEPs never observe a drop, small enough that a
-/// long-lived PEP's memory stays bounded (5.5 MiB: a 24-byte header
-/// and 64 bytes of ids per record).
+/// long-lived PEP's memory stays bounded. It reserves 5 MiB: a 16-byte
+/// header and 64 bytes of ids per record. Resident are the headers
+/// written (1 MiB once full) and the ids' live extent, at most an
+/// eighth more than the most ids held at once (at most 1.8 MiB when
+/// the records' ids come to 25 bytes).
 pub const DEFAULT_AUDIT_CAPACITY: usize = 65_536;
 
 /// The capability fast path: the shared authority (key + current
@@ -927,8 +965,10 @@ impl PepBuilder {
 
     /// Bounds the audit ring to the newest `capacity` records (default
     /// [`DEFAULT_AUDIT_CAPACITY`]) and their ids to `capacity × 64`
-    /// bytes. Both rings are allocated once, when the PEP is built, and
-    /// never grow; see [`Pep::audit_log`] for the retention contract and
+    /// bytes. Both rings are reserved once, when the PEP is built, and
+    /// never reallocated; the ids are written only as far as they need,
+    /// since they wrap at a live extent that grows in place within the
+    /// reservation. See [`Pep::audit_log`] for the retention contract and
     /// [`EnforcementRecord`] for how an outsized id is cut.
     ///
     /// # Panics
@@ -1602,10 +1642,11 @@ policy "gate" deny-unless-permit {
     /// forgets its oldest while it holds more than `capacity` records or
     /// more than the byte budget of ids. Seeded ids run from empty to
     /// longer than the budget, in multibyte UTF-8, and wrap the byte
-    /// ring mid-record. At every step retained plus displaced is every
-    /// push, the snapshot is the queue, an id is a char-boundary prefix
-    /// of what was pushed (whole when the three fit the bound), and
-    /// neither ring's capacity moves.
+    /// ring mid-record; a second run per capacity lengthens its ids
+    /// slowly, so the ids' extent grows while the held ids wrap. At every
+    /// step retained plus displaced is every push, the snapshot is the
+    /// queue, an id is a char-boundary prefix of what was pushed (whole
+    /// when the three fit the bound), and neither ring's capacity moves.
     #[test]
     fn audit_ring_matches_a_plain_queue() {
         let mut rng = StdRng::seed_from_u64(25);
@@ -1615,12 +1656,19 @@ policy "gate" deny-unless-permit {
             ServingPath::Source,
             ServingPath::FailSafe,
         ];
-        for capacity in [1, 3, 8, 40] {
+        let runs = [1, 3, 8, 40]
+            .into_iter()
+            .flat_map(|c| [(c, false), (c, true)]);
+        for (capacity, lengthening) in runs {
             let ring = AuditRing::new(capacity);
             let budget = capacity * AUDIT_BYTES_PER_RECORD;
             let rings_capacity = || {
                 let rings = ring.rings.lock();
-                (rings.headers.capacity(), rings.bytes.len())
+                (rings.headers.capacity(), rings.bytes.capacity())
+            };
+            let layout = || {
+                let rings = ring.rings.lock();
+                (rings.head, rings.used, rings.bytes.len())
             };
             let built = rings_capacity();
             assert_eq!(built.1, budget);
@@ -1628,11 +1676,25 @@ policy "gate" deny-unless-permit {
                 |r: &EnforcementRecord| r.subject.len() + r.resource.len() + r.action.len();
             let mut queue: VecDeque<EnforcementRecord> = VecDeque::new();
             let (mut displaced, mut forgotten, mut straddled) = (0u64, 0u64, 0);
+            let mut regrown_wrapped = 0;
             for step in 0..800u64 {
-                let ids = [(); 3].map(|()| random_id(&mut rng, 2 * budget));
-                let tail = ring.rings.lock().tail;
+                let ids = if lengthening {
+                    [0, 1, 2].map(|k| cycled_id(step as usize / 64 + k))
+                } else {
+                    [(); 3].map(|()| random_id(&mut rng, 2 * budget))
+                };
+                let (head, used, extent) = layout();
                 let (allowed, path) = (step % 3 == 0, paths[step as usize % 4]);
-                displaced += ring.push(step, ids.each_ref().map(String::as_bytes), allowed, path);
+                let pushed = ring.push(step, ids.each_ref().map(String::as_bytes), allowed, path);
+                displaced += pushed;
+                // The held ids still wrapped when the push grew the
+                // extent: they did before it, and what it displaced
+                // ended short of the wrap point.
+                let freed: usize = queue.iter().take(pushed as usize).map(id_bytes).sum();
+                let (head_after, used_after, extent_after) = layout();
+                regrown_wrapped += usize::from(
+                    extent_after > extent && head + used > extent && head + freed < extent,
+                );
                 let log = ring.snapshot();
                 let newest = log.last().expect("just pushed");
                 let kept = [&newest.subject, &newest.resource, &newest.action];
@@ -1647,7 +1709,10 @@ policy "gate" deny-unless-permit {
                     assert!(id_bytes(newest) + 3 >= ring.id_bound);
                 }
                 assert!(id_bytes(newest) <= ring.id_bound);
-                straddled += usize::from(tail + id_bytes(newest) > budget);
+                // The newest ids end where the held ones do, unwrapped.
+                let end = head_after + used_after;
+                straddled +=
+                    usize::from(end - id_bytes(newest) < extent_after && end > extent_after);
 
                 queue.push_back(EnforcementRecord {
                     at_ms: step,
@@ -1673,6 +1738,82 @@ policy "gate" deny-unless-permit {
                 assert_eq!(rings_capacity(), built);
             }
             assert!(straddled > 0, "capacity {capacity}: no record wrapped");
+            // A ring of one record holds nothing when it grows.
+            assert!(
+                !lengthening || capacity == 1 || regrown_wrapped > 0,
+                "capacity {capacity}: no extent grew while the ids wrapped"
+            );
+        }
+    }
+
+    /// An id of `chars` chars, cycling through one- to four-byte ones.
+    fn cycled_id(chars: usize) -> String {
+        ['a', 'é', '€', '𝄞']
+            .into_iter()
+            .cycle()
+            .take(chars)
+            .collect()
+    }
+
+    /// The ids wrap at the extent they need, not at the budget: a
+    /// default ring fed the benchmark's ids past its record count has
+    /// written at most a quarter more bytes than it holds, inside a
+    /// reservation that stays the whole budget. Longer ids then grow
+    /// the extent, up to the budget, and the records kept are still the
+    /// newest that fit it.
+    #[test]
+    fn the_audit_ring_writes_only_what_it_holds() {
+        let ring = AuditRing::new(DEFAULT_AUDIT_CAPACITY);
+        let budget = DEFAULT_AUDIT_CAPACITY * AUDIT_BYTES_PER_RECORD;
+        let layout = || {
+            let rings = ring.rings.lock();
+            (rings.used, rings.bytes.len(), rings.bytes.capacity())
+        };
+        for k in 0..3 * DEFAULT_AUDIT_CAPACITY {
+            let ids = [
+                format!("user-{k}@pq"),
+                format!("records/{}", k % 16),
+                "read".to_owned(),
+            ];
+            ring.push(
+                0,
+                ids.each_ref().map(String::as_bytes),
+                true,
+                ServingPath::Cache,
+            );
+        }
+        let (held, extent, reserved) = layout();
+        assert!(extent * 4 <= held * 5, "{extent} bytes written for {held}");
+        assert_eq!(reserved, budget);
+
+        let long = |k: usize| [0, 1, 2].map(|j| format!("{:060}", k + j));
+        let mut displaced = 0;
+        for k in 0..DEFAULT_AUDIT_CAPACITY {
+            let ids = long(k);
+            displaced += ring.push(
+                1,
+                ids.each_ref().map(String::as_bytes),
+                true,
+                ServingPath::Cache,
+            );
+        }
+        let (held, grown, reserved) = layout();
+        assert!(grown > extent && grown <= budget);
+        assert_eq!(reserved, budget);
+        // Every record is 180 bytes now: the newest that fit the budget.
+        let log = ring.snapshot();
+        assert_eq!((log.len(), held), (budget / 180, budget / 180 * 180));
+        assert_eq!(
+            displaced,
+            2 * DEFAULT_AUDIT_CAPACITY as u64 - log.len() as u64
+        );
+        let oldest = DEFAULT_AUDIT_CAPACITY - log.len();
+        for (record, k) in log.iter().zip(oldest..) {
+            let [subject, resource, action] = long(k);
+            assert_eq!(
+                (&record.subject, &record.resource, &record.action),
+                (&subject, &resource, &action)
+            );
         }
     }
 
@@ -1741,7 +1882,6 @@ policy "gate" deny-unless-permit {
             small.push(4, [b"bob", b"ehr/2", b"read"], true, ServingPath::Token),
             1
         );
-        assert!(std::mem::size_of::<AuditHeader>() <= 24);
     }
 
     /// Each way a request is answered leaves its own path in the audit

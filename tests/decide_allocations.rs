@@ -19,28 +19,33 @@
 //! answered by the PEP's decision cache, or by an admitted capability
 //! token, allocates nothing at all, denied or permitted — no copy of
 //! the stored request, no signing buffer, no formatted reason, and no
-//! audit record: its header and ids are copied into rings allocated
+//! audit record: its header and ids are copied into rings reserved
 //! when the PEP was built, before and after they wrap. Tracing adds
 //! nothing to either: a span is a `Copy` record borrowed from its
 //! tracer and pushed into a ring allocated with it. Two cases count
 //! bytes as well as calls: a provisioned subject is one exact-size
 //! record, whether the attribute store is filled directly or through a
 //! domain's builder; and a request of short ids is one block, and so
-//! is its clone.
+//! is its clone. The decoder's side of the wire is held to the same
+//! standard: a request frame whose length prefix claims 2³² − 1 is an
+//! `Err`, and decoding it asks for no more than the serde shim's
+//! pre-allocation cap at each level of nesting, never what the prefix
+//! claims.
 
 use dacs::cluster::{
     ClusterBuilder, DecisionClass, QuorumMode, ReplicaPhase, SchedulerConfig, ShardRouter,
 };
 use dacs::core::scenario::alternating_lockdown_gate;
 use dacs::crypto::sign::CryptoCtx;
-use dacs::federation::{Domain, DomainBuilder};
+use dacs::federation::{Domain, DomainBuilder, Msg};
 use dacs::pdp::CacheConfig;
 use dacs::pep::{EnforceRequest, DEFAULT_AUDIT_CAPACITY};
 use dacs::pip::StaticAttributes;
 use dacs::policy::policy::Decision;
 use dacs::policy::request::RequestContext;
-use dacs::policy::AttributeId;
+use dacs::policy::{AttrValue, AttributeId};
 use dacs::telemetry::{Stage, Telemetry};
+use dacs::wire::codec;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -468,7 +473,7 @@ fn a_caller_evaluated_planned_decide_builds_nothing_for_the_pool() {
 /// What a `Pep::serve` answered without the decision source may
 /// allocate, while the audit ring fills as after it wraps: nothing. The
 /// record is a header and three id copies into the two flat rings the
-/// PEP allocated when it was built.
+/// PEP reserved when it was built (the ids' extent grows in place).
 const HIT_BUDGET: u64 = 0;
 
 /// Allocations of each of two steady-state `serve`s of `request` that
@@ -756,4 +761,71 @@ fn request_id_accessors_do_not_allocate() {
     });
     assert_eq!(ids, (Some("user-1@q"), Some("records/7"), Some("read")));
     assert_eq!(count, 0);
+}
+
+/// The most elements the serde shim pre-allocates for one sequence on
+/// the word of its length prefix.
+const PREALLOCATION_CAP: u64 = 4_096;
+
+/// A `Msg::DecisionRequest` frame of `RequestContext::basic(ids)`,
+/// written field by field, and where each of its length prefixes sits:
+/// the request's entry count and, in each entry, the name's length, the
+/// bag's value count and the value's length.
+fn basic_request_frame(ids: [&str; 3]) -> (Vec<u8>, Vec<usize>) {
+    fn word(frame: &mut Vec<u8>, n: usize) {
+        frame.extend_from_slice(&u32::try_from(n).unwrap().to_le_bytes());
+    }
+    fn prefix(frame: &mut Vec<u8>, prefixes: &mut Vec<usize>, n: usize) {
+        prefixes.push(frame.len());
+        word(frame, n);
+    }
+    let (mut frame, mut prefixes) = (Vec::new(), Vec::new());
+    word(&mut frame, 2); // the `DecisionRequest` variant
+    prefix(&mut frame, &mut prefixes, ids.len());
+    for (category, id) in ids.into_iter().enumerate() {
+        word(&mut frame, category);
+        prefix(&mut frame, &mut prefixes, 2);
+        frame.extend_from_slice(b"id");
+        prefix(&mut frame, &mut prefixes, 1);
+        word(&mut frame, 0); // the `String` variant
+        prefix(&mut frame, &mut prefixes, id.len());
+        frame.extend_from_slice(id.as_bytes());
+    }
+    (frame, prefixes)
+}
+
+/// Each length prefix of a request frame in turn, and then all of them
+/// at once, claims 2³² − 1 elements or bytes: every such frame runs out
+/// before its claim and decodes to `Err`. Sequences nest two deep in it
+/// — the request's entries, an entry's bag — and no element is larger
+/// than an id with one value, so its decode asks the allocator for at
+/// most the shim's cap of those per level (a string's length is checked
+/// against the frame before anything is copied).
+#[test]
+fn a_lying_length_prefix_is_refused_without_allocating_its_claim() {
+    let ids = ["user-1234@q", "records/7", "read"];
+    let (frame, prefixes) = basic_request_frame(ids);
+    let request = RequestContext::basic(ids[0], ids[1], ids[2]);
+    let message = Msg::DecisionRequest { request };
+    assert_eq!(frame, codec::to_bytes(&message).unwrap(), "the layout");
+    assert_eq!(codec::from_bytes::<Msg>(&frame).unwrap(), message);
+    assert_eq!(prefixes.len(), 10);
+
+    let claim = u32::MAX.to_le_bytes();
+    let lie = |at: &[usize]| {
+        let mut lying = frame.clone();
+        at.iter()
+            .for_each(|&at| lying[at..][..4].copy_from_slice(&claim));
+        lying
+    };
+    let bound = 2 * PREALLOCATION_CAP * std::mem::size_of::<(AttributeId, AttrValue)>() as u64;
+    let frames = prefixes
+        .iter()
+        .map(|&at| lie(&[at]))
+        .chain([lie(&prefixes)]);
+    for (k, lying) in frames.enumerate() {
+        let ((_, bytes), decoded) = requested_in(|| codec::from_bytes::<Msg>(&lying));
+        assert!(decoded.is_err(), "frame {k} decoded: {decoded:?}");
+        assert!(bytes <= bound, "frame {k} asked for {bytes} bytes");
+    }
 }
