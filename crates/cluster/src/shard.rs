@@ -17,9 +17,6 @@ use dacs_policy::attr::{Category, Str};
 use dacs_policy::hash::WordHasher;
 use dacs_policy::request::RequestContext;
 
-/// Default virtual points per shard on the ring.
-pub const DEFAULT_VNODES: usize = 128;
-
 /// Maps routing keys onto `shards` replica groups via a consistent ring.
 ///
 /// # Examples
@@ -55,27 +52,17 @@ pub struct ShardRouter {
 }
 
 impl ShardRouter {
-    /// Builds a ring for `shards` groups with [`DEFAULT_VNODES`] points
-    /// each.
+    /// Builds a ring for `shards` groups with 128 virtual points each.
     ///
     /// # Panics
     ///
     /// Panics if `shards` is zero.
     pub fn new(shards: usize) -> Self {
-        Self::with_vnodes(shards, DEFAULT_VNODES)
-    }
-
-    /// Builds a ring with an explicit virtual-point count per shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` or `vnodes` is zero.
-    pub fn with_vnodes(shards: usize, vnodes: usize) -> Self {
+        const VNODES: usize = 128;
         assert!(shards > 0, "router needs at least one shard");
-        assert!(vnodes > 0, "router needs at least one vnode per shard");
-        let mut ring = Vec::with_capacity(shards * vnodes);
+        let mut ring = Vec::with_capacity(shards * VNODES);
         for shard in 0..shards {
-            for v in 0..vnodes {
+            for v in 0..VNODES {
                 let mut point = WordHasher::new();
                 point.write_u64(shard as u64);
                 point.write_u64(v as u64);

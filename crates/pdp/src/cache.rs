@@ -1,31 +1,24 @@
 //! Decision caching for PEPs — the §3.2 message-reduction mechanism
 //! whose staleness risk experiment E6 quantifies. The PEP's decision
-//! cache and its capability-token store are the two users.
+//! cache and its capability-token store are its two users, and both are
+//! one type, [`HashedRequestCache`].
 //!
-//! Three layers, innermost first:
+//! Entries are keyed by a precomputed 64-bit canonical request hash
+//! (`RequestContext::canonical_hash`), with the full [`RequestContext`]
+//! stored beside each value and compared on every hit, so a hash
+//! collision reads as a miss — never as another request's decision.
+//! The cache is 16 independently locked stripes, so concurrent readers
+//! on different keys proceed in parallel instead of convoying on one
+//! lock. Each stripe is a TTL cache that evicts by SIEVE (Zhang et al.,
+//! NSDI 2024), with O(1) hit and amortised O(1) eviction: each bit a
+//! hit sets is cleared at most once (slab-allocated nodes on an
+//! intrusive doubly-linked insertion-order list, a visited bit per node
+//! and a hand that sweeps it).
 //!
-//! * [`TtlCache`] — a single-threaded TTL cache that evicts by SIEVE
-//!   (Zhang et al., NSDI 2024), with O(1) hit, amortised O(1)
-//!   eviction: each bit a hit sets is cleared at most once
-//!   (slab-allocated nodes on an intrusive doubly-linked insertion-order
-//!   list, a visited bit per node and a hand that sweeps it).
-//! * [`ConcurrentTtlCache`] — an N-way striped wrapper: a power-of-two
-//!   array of independently locked [`TtlCache`] segments selected
-//!   by a fixed function of the key, so concurrent readers on different
-//!   keys proceed in parallel instead of convoying on one global lock.
-//!   Eviction order is per-stripe; capacity and [`CacheStats`] aggregate
-//!   across stripes.
-//! * [`HashedRequestCache`] — the enforcement-path specialization:
-//!   entries are keyed by a precomputed 64-bit canonical request hash
-//!   (`RequestContext::canonical_hash`) instead of a serialized
-//!   `Vec<u8>`, with the full [`RequestContext`] stored alongside each
-//!   value and compared on every hit, so a hash collision reads as a
-//!   miss — never as another request's decision.
-//!
-//! Keys are `u64`s — finished hashes — so neither layer hashes them
-//! again in full: a stripe is the top bits of one [`fold`] of the key
-//! under a fixed constant, the same in every cache, and a bucket one
-//! fold under a seed each cache draws when it is built ([`KeyState`]).
+//! Keys are `u64`s — finished hashes — so they are not hashed again in
+//! full: a stripe is the top bits of one [`fold`] of the key under a
+//! fixed constant, the same in every cache, and a bucket one fold under
+//! a seed each cache draws when it is built ([`KeyState`]).
 
 use dacs_policy::hash::{fold, KeyState};
 use dacs_policy::request::RequestContext;
@@ -81,18 +74,19 @@ struct Node<V> {
     next: usize,
 }
 
-/// A bounded cache with per-entry TTL and SIEVE eviction.
+/// One stripe of a [`HashedRequestCache`]: a bounded cache with
+/// per-entry TTL and SIEVE eviction.
 ///
 /// Entries live in a slab (`nodes`) threaded onto an intrusive doubly
 /// linked list in insertion order — head is newest, tail oldest. A hit
 /// sets its node's `visited` bit and moves nothing. An insert into a
-/// full cache moves the `hand` from where the last victim was towards
+/// full stripe moves the `hand` from where the last victim was towards
 /// the head (from the tail when it rests on `NIL`), clearing each set
 /// bit it passes and evicting the first node whose bit is clear,
-/// wrapping from the head to the tail. So `get`, `insert` and `remove`
-/// are O(1) beyond the key-map lookup, and the sweep is amortised O(1):
-/// each bit a hit sets is cleared at most once.
-pub struct TtlCache<V> {
+/// wrapping from the head to the tail. So a lookup, an insert and a
+/// drop are O(1) beyond the key-map lookup, and the sweep is amortised
+/// O(1): each bit a hit sets is cleared at most once.
+struct Sieve<V> {
     capacity: usize,
     ttl_ms: u64,
     map: HashMap<u64, usize, KeyState>,
@@ -105,22 +99,12 @@ pub struct TtlCache<V> {
     stats: CacheStats,
 }
 
-impl<V: Clone> TtlCache<V> {
-    /// Creates a cache holding at most `capacity` entries, each valid
-    /// for `ttl_ms` after insertion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize, ttl_ms: u64) -> Self {
-        Self::with_buckets(capacity, ttl_ms, KeyState::new())
-    }
-
-    /// [`TtlCache::new`] over a given bucket seed (a striped cache
+impl<V> Sieve<V> {
+    /// A stripe holding at most `capacity` entries, each valid for
+    /// `ttl_ms` after insertion, over a given bucket seed (a cache
     /// gives all its stripes one).
-    fn with_buckets(capacity: usize, ttl_ms: u64, buckets: KeyState) -> Self {
-        assert!(capacity > 0, "cache capacity must be positive");
-        TtlCache {
+    fn new(capacity: usize, ttl_ms: u64, buckets: KeyState) -> Self {
+        Sieve {
             capacity,
             ttl_ms,
             map: HashMap::with_hasher(buckets),
@@ -187,19 +171,16 @@ impl<V: Clone> TtlCache<V> {
         self.stats.evictions += 1;
     }
 
-    /// Looks up `key` at time `now_ms`, marking it visited.
-    pub fn get(&mut self, key: u64, now_ms: u64) -> Option<V> {
-        self.get_verified(key, now_ms, |value| Some(value.clone()))
-    }
-
-    /// [`TtlCache::get`] with a full-key verification hook that is
-    /// also the projection: an in-TTL entry is served as what `project`
-    /// makes of the stored value *in place*, so a hashed-key wrapper
-    /// compares its stored key under the borrow and clones only what it
-    /// returns. `None` rejects the entry — a hash collision — which is
-    /// removed and counted as a miss, so `hits + misses` always equals
-    /// the lookups and a collision never serves another key's value.
-    pub fn get_verified<R>(
+    /// Looks up `key` at time `now_ms` through a full-key verification
+    /// hook that is also the projection: an in-TTL entry is served as
+    /// what `project` makes of the stored value *in place*, so the
+    /// caller compares its stored key under the borrow and clones only
+    /// what it returns. `None` refuses the entry — a hash collision, or
+    /// a value its holder no longer accepts — which is dropped and
+    /// counted as a miss, so `hits + misses` always equals the lookups
+    /// and a refused entry is never served. A served entry is marked
+    /// visited.
+    fn get_if<R>(
         &mut self,
         key: u64,
         now_ms: u64,
@@ -231,7 +212,7 @@ impl<V: Clone> TtlCache<V> {
     /// Inserts a value at time `now_ms` at the head, first evicting by
     /// the SIEVE sweep if full. Re-inserting a present key updates it in
     /// place and marks it visited.
-    pub fn insert(&mut self, key: u64, value: V, now_ms: u64) {
+    fn insert(&mut self, key: u64, value: V, now_ms: u64) {
         let expires_at = now_ms.saturating_add(self.ttl_ms);
         if let Some(&idx) = self.map.get(&key) {
             let node = self.node_mut(idx);
@@ -269,8 +250,8 @@ impl<V: Clone> TtlCache<V> {
         self.map.insert(key, idx);
     }
 
-    /// Removes every entry (explicit invalidation on policy change).
-    pub fn invalidate_all(&mut self) {
+    /// Drops every entry; the counters stay.
+    fn clear(&mut self) {
         self.map.clear();
         self.nodes.clear();
         self.free.clear();
@@ -278,205 +259,35 @@ impl<V: Clone> TtlCache<V> {
         self.tail = NIL;
         self.hand = NIL;
     }
-
-    /// Removes one entry.
-    pub fn remove(&mut self, key: u64) -> Option<V> {
-        self.remove_if(key, |_| true)
-    }
-
-    /// Removes one entry only when `pred` accepts its value — the
-    /// full-key-verified removal used by hashed-key wrappers, so a
-    /// colliding entry belonging to another request is left alone.
-    pub fn remove_if(&mut self, key: u64, pred: impl FnOnce(&V) -> bool) -> Option<V> {
-        let &idx = self.map.get(&key)?;
-        if !pred(&self.node(idx).value) {
-            return None;
-        }
-        self.map.remove(&key);
-        Some(self.release(idx))
-    }
-
-    /// Number of live entries (including possibly-expired ones not yet
-    /// touched).
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Statistics so far.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-}
-
-/// An N-way striped [`TtlCache`]: a power-of-two array of
-/// independently locked segments selected by the key, so concurrent
-/// enforcement threads touching different keys never contend on one
-/// global cache lock.
-///
-/// Semantics per stripe are exactly [`TtlCache`]'s (the equivalence
-/// the workspace proptests pin): a one-stripe instance is
-/// observationally identical to the single-lock cache, and with N
-/// stripes each key behaves as if it lived in its own smaller
-/// single-lock cache — TTL and hit/miss accounting are unchanged;
-/// only the *eviction neighbourhood* (which keys compete for capacity)
-/// is partitioned. The requested capacity is split evenly across
-/// stripes (rounded up, minimum one entry each).
-///
-/// Which stripe holds a key depends on the key alone
-/// ([`ConcurrentTtlCache::stripe_index`]), never on the cache's bucket
-/// seed: two caches of one shape fed the same keys evict the same
-/// entries, so two PEPs serving one request sequence report the same
-/// cache counters.
-///
-/// All methods take `&self`; each acquires exactly one stripe lock
-/// except the whole-cache walks ([`ConcurrentTtlCache::len`],
-/// [`ConcurrentTtlCache::stats`], [`ConcurrentTtlCache::invalidate_all`]),
-/// which visit stripes one at a time and are therefore *not* an atomic
-/// snapshot across stripes — fine for telemetry and flushes, the only
-/// places they are used.
-pub struct ConcurrentTtlCache<V> {
-    stripes: Box<[Mutex<TtlCache<V>>]>,
-    /// log2 of the stripe count.
-    bits: u32,
 }
 
 /// The fixed multiplier of a key's stripe fold (the third word of π's
 /// fractional digits, made odd).
 const STRIPE_KEY: u64 = 0xa409_3822_299f_31d1;
 
-/// Stripe count used by [`ConcurrentTtlCache::new`]: enough to keep
-/// an 8-thread closed loop from convoying, small enough that per-stripe
-/// eviction neighbourhoods stay meaningful at modest capacities.
-pub const DEFAULT_STRIPES: usize = 16;
+/// Stripes per cache: enough to keep an 8-thread closed loop from
+/// convoying, few enough that per-stripe eviction neighbourhoods stay
+/// meaningful at modest capacities. A power of two, so a stripe is the
+/// top bits of a fold.
+const STRIPES: usize = 16;
 
-impl<V: Clone> ConcurrentTtlCache<V> {
-    /// Creates a cache of [`DEFAULT_STRIPES`] stripes holding at most
-    /// roughly `capacity` entries in total, each valid for `ttl_ms`
-    /// after insertion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize, ttl_ms: u64) -> Self {
-        Self::with_stripes(DEFAULT_STRIPES, capacity, ttl_ms)
-    }
-
-    /// Creates a cache with an explicit stripe count (rounded up to a
-    /// power of two, minimum one). `capacity` is the aggregate bound;
-    /// each stripe holds `capacity / stripes` entries rounded up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_stripes(stripes: usize, capacity: usize, ttl_ms: u64) -> Self {
-        assert!(capacity > 0, "cache capacity must be positive");
-        let stripes = stripes.max(1).next_power_of_two();
-        let per_stripe = capacity.div_ceil(stripes).max(1);
-        let buckets = KeyState::new();
-        let stripes: Vec<Mutex<TtlCache<V>>> = (0..stripes)
-            .map(|_| Mutex::new(TtlCache::with_buckets(per_stripe, ttl_ms, buckets)))
-            .collect();
-        ConcurrentTtlCache {
-            bits: stripes.len().trailing_zeros(),
-            stripes: stripes.into_boxed_slice(),
-        }
-    }
-
-    /// The stripe a key maps to: the top bits of the key's fold under a
-    /// fixed constant — the same for a given stripe count in every
-    /// cache and every process, exposed so equivalence tests can
-    /// replicate the routing.
-    pub fn stripe_index(&self, key: u64) -> usize {
-        let top = fold(key, STRIPE_KEY).rotate_left(self.bits);
-        (top & ((1 << self.bits) - 1)) as usize
-    }
-
-    /// Number of stripes.
-    pub fn stripe_count(&self) -> usize {
-        self.stripes.len()
-    }
-
-    /// Looks up `key` at time `now_ms`, marking it visited within its
-    /// stripe.
-    pub fn get(&self, key: u64, now_ms: u64) -> Option<V> {
-        self.stripes[self.stripe_index(key)].lock().get(key, now_ms)
-    }
-
-    /// [`ConcurrentTtlCache::get`] with a full-key verification hook
-    /// (see [`TtlCache::get_verified`]).
-    pub fn get_verified<R>(
-        &self,
-        key: u64,
-        now_ms: u64,
-        project: impl FnOnce(&V) -> Option<R>,
-    ) -> Option<R> {
-        self.stripes[self.stripe_index(key)]
-            .lock()
-            .get_verified(key, now_ms, project)
-    }
-
-    /// Inserts a value at time `now_ms`, evicting by its stripe's SIEVE
-    /// sweep if the stripe is full.
-    pub fn insert(&self, key: u64, value: V, now_ms: u64) {
-        self.stripes[self.stripe_index(key)]
-            .lock()
-            .insert(key, value, now_ms)
-    }
-
-    /// Removes one entry.
-    pub fn remove(&self, key: u64) -> Option<V> {
-        self.stripes[self.stripe_index(key)].lock().remove(key)
-    }
-
-    /// Removes one entry only when `pred` accepts its value.
-    pub fn remove_if(&self, key: u64, pred: impl FnOnce(&V) -> bool) -> Option<V> {
-        self.stripes[self.stripe_index(key)]
-            .lock()
-            .remove_if(key, pred)
-    }
-
-    /// Removes every entry (explicit invalidation on policy change).
-    /// Stripes flush one at a time; a concurrent insert into an
-    /// already-flushed stripe survives, matching the "flush then
-    /// repopulate" semantics the single-lock cache had under the same
-    /// race.
-    pub fn invalidate_all(&self) {
-        for stripe in self.stripes.iter() {
-            stripe.lock().invalidate_all();
-        }
-    }
-
-    /// Total live entries across stripes (not an atomic snapshot).
-    pub fn len(&self) -> usize {
-        self.stripes.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// Whether every stripe is empty.
-    pub fn is_empty(&self) -> bool {
-        self.stripes.iter().all(|s| s.lock().is_empty())
-    }
-
-    /// Aggregate statistics: the sum of per-stripe counters (not an
-    /// atomic snapshot, but each counter is internally consistent).
-    pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for stripe in self.stripes.iter() {
-            total.absorb(&stripe.lock().stats());
-        }
-        total
-    }
+/// The stripe a key lives in: the top bits of the key's fold under a
+/// fixed constant — the same in every cache and every process, never
+/// the cache's bucket seed, so two caches fed the same keys evict the
+/// same entries and two PEPs serving one request sequence report the
+/// same counters.
+fn stripe_of(key: u64) -> usize {
+    let bits = STRIPES.trailing_zeros();
+    (fold(key, STRIPE_KEY).rotate_left(bits) & (STRIPES as u64 - 1)) as usize
 }
 
-/// The enforcement-path decision/token cache: a [`ConcurrentTtlCache`]
-/// keyed by the precomputed 64-bit canonical request hash
+/// A stripe of a cache of `V`: the request is stored beside its value.
+type Stripe<V> = Mutex<Sieve<(RequestContext, V)>>;
+
+/// The enforcement-path decision/token cache: 16 independently locked
+/// SIEVE stripes keyed by the precomputed 64-bit canonical request hash
 /// ([`RequestContext::canonical_hash`]), storing the full
-/// [`RequestContext`] beside each value and comparing it on every hit
-/// and every targeted removal.
+/// [`RequestContext`] beside each value and comparing it on every hit.
 ///
 /// The collision argument: two distinct requests may share a 64-bit
 /// hash, so the hash alone is not a safe cache key for an access
@@ -486,20 +297,36 @@ impl<V: Clone> ConcurrentTtlCache<V> {
 /// colliding entry and reads as a miss, so the worst case of a
 /// collision is one redundant decision query, never a cross-request
 /// permit.
+///
+/// Each key lives in one stripe, chosen by the key alone, and each
+/// stripe keeps its own eviction order and hand: TTL and hit/miss
+/// accounting are those of one SIEVE cache, and only the eviction
+/// neighbourhood (which keys compete for capacity) is partitioned. The
+/// requested capacity is split evenly across stripes, rounded up. A
+/// lookup or an insert takes exactly one stripe lock; the whole-cache
+/// walks ([`HashedRequestCache::len`], [`HashedRequestCache::stats`],
+/// [`HashedRequestCache::invalidate_all`]) visit stripes one at a time
+/// and are therefore *not* an atomic snapshot across stripes — fine for
+/// telemetry and flushes, the only places they are used.
 pub struct HashedRequestCache<V> {
-    inner: ConcurrentTtlCache<(RequestContext, V)>,
+    stripes: Box<[Stripe<V>]>,
 }
 
 impl<V: Clone> HashedRequestCache<V> {
-    /// Creates a cache holding roughly `capacity` entries across
-    /// [`DEFAULT_STRIPES`] stripes, each valid for `ttl_ms`.
+    /// Creates a cache holding roughly `capacity` entries across 16
+    /// stripes, each valid for `ttl_ms`.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize, ttl_ms: u64) -> Self {
+        assert!(capacity > 0, "cache capacity must be positive");
+        let per_stripe = capacity.div_ceil(STRIPES);
+        let buckets = KeyState::new();
         HashedRequestCache {
-            inner: ConcurrentTtlCache::new(capacity, ttl_ms),
+            stripes: (0..STRIPES)
+                .map(|_| Mutex::new(Sieve::new(per_stripe, ttl_ms, buckets)))
+                .collect(),
         }
     }
 
@@ -511,9 +338,9 @@ impl<V: Clone> HashedRequestCache<V> {
     }
 
     /// [`HashedRequestCache::get`] that serves an entry only when
-    /// `current` accepts its value: one it refuses is dropped and
-    /// counted a miss, as a collision is, so `hits + misses` stays the
-    /// number of lookups.
+    /// `current` accepts its value: one it refuses is dropped under the
+    /// lookup's lock and counted a miss, as a collision is, so
+    /// `hits + misses` stays the number of lookups.
     pub fn get_if(
         &self,
         hash: u64,
@@ -521,42 +348,70 @@ impl<V: Clone> HashedRequestCache<V> {
         now_ms: u64,
         current: impl FnOnce(&V) -> bool,
     ) -> Option<V> {
-        self.inner.get_verified(hash, now_ms, |(stored, value)| {
-            (stored == request && current(value)).then(|| value.clone())
-        })
+        self.stripes[stripe_of(hash)]
+            .lock()
+            .get_if(hash, now_ms, |(stored, value)| {
+                (stored == request && current(value)).then(|| value.clone())
+            })
     }
 
-    /// Caches `value` for `request` under its precomputed hash.
+    /// Caches `value` for `request` under its precomputed hash,
+    /// evicting by its stripe's SIEVE sweep if the stripe is full.
     pub fn insert(&self, hash: u64, request: &RequestContext, value: V, now_ms: u64) {
-        self.inner.insert(hash, (request.clone(), value), now_ms);
-    }
-
-    /// Removes the entry for exactly `request` (a colliding entry for
-    /// a different request is left in place).
-    pub fn remove(&self, hash: u64, request: &RequestContext) -> Option<V> {
-        self.inner
-            .remove_if(hash, |(stored, _)| stored == request)
-            .map(|(_, value)| value)
+        self.stripes[stripe_of(hash)]
+            .lock()
+            .insert(hash, (request.clone(), value), now_ms);
     }
 
     /// Removes every entry (explicit invalidation on policy change).
+    /// Stripes flush one at a time; a concurrent insert into an
+    /// already-flushed stripe survives.
     pub fn invalidate_all(&self) {
-        self.inner.invalidate_all();
+        for stripe in self.stripes.iter() {
+            stripe.lock().clear();
+        }
     }
 
-    /// Total live entries (not an atomic snapshot).
+    /// Total live entries, possibly-expired ones not yet touched
+    /// included (not an atomic snapshot).
     pub fn len(&self) -> usize {
-        self.inner.len()
+        self.stripes.iter().map(|s| s.lock().map.len()).sum()
     }
 
-    /// Whether the cache is empty.
+    /// Whether every stripe is empty.
     pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
+        self.stripes.iter().all(|s| s.lock().map.is_empty())
     }
 
-    /// Aggregate statistics across stripes.
+    /// Aggregate statistics: the sum of per-stripe counters (not an
+    /// atomic snapshot, but each counter is internally consistent).
     pub fn stats(&self) -> CacheStats {
-        self.inner.stats()
+        let mut total = CacheStats::default();
+        for stripe in self.stripes.iter() {
+            total.absorb(&stripe.lock().stats);
+        }
+        total
+    }
+}
+
+#[cfg(test)]
+/// What the tests read of a stripe beyond what the cache calls.
+impl<V: Clone> Sieve<V> {
+    fn lone(capacity: usize, ttl_ms: u64) -> Self {
+        Sieve::new(capacity, ttl_ms, KeyState::new())
+    }
+
+    fn get(&mut self, key: u64, now_ms: u64) -> Option<V> {
+        self.get_if(key, now_ms, |value| Some(value.clone()))
+    }
+
+    fn remove(&mut self, key: u64) -> Option<V> {
+        let idx = self.map.remove(&key)?;
+        Some(self.release(idx))
+    }
+
+    fn len(&self) -> usize {
+        self.map.len()
     }
 }
 
@@ -564,20 +419,27 @@ impl<V: Clone> HashedRequestCache<V> {
 mod tests {
     use super::*;
 
+    /// `n` distinct requests, one subject each.
+    fn requests(n: usize) -> Vec<RequestContext> {
+        (0..n)
+            .map(|i| RequestContext::basic(format!("user-{i}"), "ehr/1", "read"))
+            .collect()
+    }
+
     #[test]
     fn hit_within_ttl_miss_after() {
-        let mut c: TtlCache<&'static str> = TtlCache::new(4, 100);
+        let mut c: Sieve<&'static str> = Sieve::lone(4, 100);
         c.insert(1, "permit", 0);
         assert_eq!(c.get(1, 50), Some("permit"));
         assert_eq!(c.get(1, 100), None); // TTL boundary: expired
-        assert_eq!(c.stats().expirations, 1);
+        assert_eq!(c.stats.expirations, 1);
     }
 
     /// A hit marks an entry visited, so the next insert into a full
     /// cache passes over it and evicts the unvisited one.
     #[test]
     fn lru_eviction_order() {
-        let mut c: TtlCache<u32> = TtlCache::new(2, 1000);
+        let mut c: Sieve<u32> = Sieve::lone(2, 1000);
         c.insert(1, 10, 0);
         c.insert(2, 20, 1);
         // Touch 1 so 2 becomes the victim.
@@ -586,36 +448,38 @@ mod tests {
         assert_eq!(c.get(2, 4), None);
         assert_eq!(c.get(1, 4), Some(10));
         assert_eq!(c.get(3, 4), Some(30));
-        assert_eq!(c.stats().evictions, 1);
+        assert_eq!(c.stats.evictions, 1);
     }
 
     #[test]
     fn reinsert_updates_value_without_eviction() {
-        let mut c: TtlCache<u32> = TtlCache::new(2, 1000);
+        let mut c: Sieve<u32> = Sieve::lone(2, 1000);
         c.insert(1, 10, 0);
         c.insert(1, 11, 1);
         assert_eq!(c.len(), 1);
         assert_eq!(c.get(1, 2), Some(11));
-        assert_eq!(c.stats().evictions, 0);
+        assert_eq!(c.stats.evictions, 0);
     }
 
     #[test]
     fn invalidate_all_clears() {
-        let mut c: TtlCache<u32> = TtlCache::new(4, 1000);
-        c.insert(1, 10, 0);
-        c.insert(2, 20, 0);
+        let c: HashedRequestCache<u32> = HashedRequestCache::new(64, 1000);
+        let reqs = requests(2);
+        for (value, req) in reqs.iter().enumerate() {
+            c.insert(req.canonical_hash(), req, value as u32, 0);
+        }
         c.invalidate_all();
         assert!(c.is_empty());
-        assert_eq!(c.get(1, 1), None);
+        assert_eq!(c.get(reqs[0].canonical_hash(), &reqs[0], 1), None);
     }
 
     #[test]
     fn hit_rate_math() {
-        let mut c: TtlCache<u32> = TtlCache::new(4, 1000);
+        let mut c: Sieve<u32> = Sieve::lone(4, 1000);
         c.insert(1, 10, 0);
         c.get(1, 1);
         c.get(2, 1);
-        let s = c.stats();
+        let s = c.stats;
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 1);
         assert!((s.hit_rate() - 0.5).abs() < 1e-9);
@@ -625,20 +489,27 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_panics() {
-        let _ = TtlCache::<u32>::new(0, 10);
+        let _ = HashedRequestCache::<u32>::new(0, 10);
     }
 
+    /// The one removal path: a lookup whose `current` refuses the value
+    /// drops the entry and counts a miss.
     #[test]
     fn remove_single_entry() {
-        let mut c: TtlCache<u32> = TtlCache::new(4, 1000);
-        c.insert(1, 10, 0);
-        assert_eq!(c.remove(1), Some(10));
-        assert_eq!(c.remove(1), None);
+        let c: HashedRequestCache<u32> = HashedRequestCache::new(64, 1000);
+        let alice = RequestContext::basic("alice", "ehr/1", "read");
+        let hash = alice.canonical_hash();
+        c.insert(hash, &alice, 10, 0);
+        assert_eq!(c.get_if(hash, &alice, 1, |v| *v != 10), None);
+        assert!(c.is_empty());
+        assert_eq!(c.get(hash, &alice, 1), None);
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.expirations), (0, 2, 0));
     }
 
     #[test]
     fn slab_reuses_freed_slots() {
-        let mut c: TtlCache<u64> = TtlCache::new(3, 1000);
+        let mut c: Sieve<u64> = Sieve::lone(3, 1000);
         for round in 0..50u64 {
             c.insert(round, round, round);
         }
@@ -646,21 +517,18 @@ mod tests {
         // capacity: every eviction recycles its node.
         assert!(c.nodes.len() <= 3, "slab grew to {}", c.nodes.len());
         assert_eq!(c.len(), 3);
-        assert_eq!(c.stats().evictions, 47);
+        assert_eq!(c.stats.evictions, 47);
     }
 
     #[test]
-    fn get_verified_rejection_counts_as_miss_and_evicts() {
-        let mut c: TtlCache<(u32, String)> = TtlCache::new(4, 1000);
+    fn get_if_rejection_counts_as_miss_and_evicts() {
+        let mut c: Sieve<(u32, String)> = Sieve::lone(4, 1000);
         c.insert(1, (10, "ten".into()), 0);
         // An accepted entry is served as its projection, taken under the
         // borrow: the string half is never cloned.
-        assert_eq!(
-            c.get_verified(1, 1, |v| (v.0 == 10).then_some(v.0)),
-            Some(10)
-        );
-        assert_eq!(c.get_verified(1, 1, |v| (v.0 == 99).then_some(v.0)), None);
-        let s = c.stats();
+        assert_eq!(c.get_if(1, 1, |v| (v.0 == 10).then_some(v.0)), Some(10));
+        assert_eq!(c.get_if(1, 1, |v| (v.0 == 99).then_some(v.0)), None);
+        let s = c.stats;
         assert_eq!((s.hits, s.misses), (1, 1));
         // The rejected entry is gone: a fresh lookup misses on absence.
         assert_eq!(c.get(1, 1), None);
@@ -668,23 +536,15 @@ mod tests {
     }
 
     #[test]
-    fn remove_if_respects_predicate() {
-        let mut c: TtlCache<u32> = TtlCache::new(4, 1000);
-        c.insert(1, 10, 0);
-        assert_eq!(c.remove_if(1, |v| *v == 99), None);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.remove_if(1, |v| *v == 10), Some(10));
-        assert_eq!(c.len(), 0);
-    }
-
-    #[test]
     fn concurrent_cache_basic_roundtrip() {
-        let c: ConcurrentTtlCache<u32> = ConcurrentTtlCache::new(64, 100);
-        c.insert(1, 10, 0);
-        c.insert(2, 20, 0);
-        assert_eq!(c.get(1, 50), Some(10));
-        assert_eq!(c.get(2, 50), Some(20));
-        assert_eq!(c.get(1, 100), None); // TTL boundary holds per stripe
+        let c: HashedRequestCache<u32> = HashedRequestCache::new(64, 100);
+        let reqs = requests(2);
+        let h: Vec<u64> = reqs.iter().map(RequestContext::canonical_hash).collect();
+        c.insert(h[0], &reqs[0], 10, 0);
+        c.insert(h[1], &reqs[1], 20, 0);
+        assert_eq!(c.get(h[0], &reqs[0], 50), Some(10));
+        assert_eq!(c.get(h[1], &reqs[1], 50), Some(20));
+        assert_eq!(c.get(h[0], &reqs[0], 100), None); // TTL boundary holds per stripe
         assert_eq!(c.len(), 1);
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.expirations), (2, 1, 1));
@@ -692,32 +552,40 @@ mod tests {
         assert!(c.is_empty());
     }
 
+    /// The stripe count is a power of two, so the top bits of a fold
+    /// reach every stripe and no other; the capacity is split across
+    /// them, rounded up.
     #[test]
     fn concurrent_cache_rounds_stripes_to_power_of_two() {
-        let c: ConcurrentTtlCache<u32> = ConcurrentTtlCache::with_stripes(5, 100, 10);
-        assert_eq!(c.stripe_count(), 8);
-        // Aggregate capacity is split per stripe, minimum one entry.
-        let tiny: ConcurrentTtlCache<u64> = ConcurrentTtlCache::with_stripes(8, 2, 10);
-        for k in 0..64 {
-            tiny.insert(k, k, 0);
+        assert!(STRIPES.is_power_of_two());
+        let mut seen = [false; STRIPES];
+        for key in 0..4096u64 {
+            seen[stripe_of(key)] = true;
         }
-        assert!(tiny.len() <= 8, "one entry per stripe at most");
+        assert!(seen.iter().all(|&s| s), "every stripe is reached");
+        let tiny: HashedRequestCache<u64> = HashedRequestCache::new(2, 10);
+        for (k, req) in requests(256).iter().enumerate() {
+            tiny.insert(req.canonical_hash(), req, k as u64, 0);
+        }
+        assert_eq!(tiny.len(), STRIPES, "one entry per stripe");
     }
 
     #[test]
     fn concurrent_cache_parallel_readers_observe_their_keys() {
         use std::sync::Arc;
-        let c: Arc<ConcurrentTtlCache<u64>> = Arc::new(ConcurrentTtlCache::new(1024, 10_000));
-        for k in 0..256u64 {
-            c.insert(k, k * 3, 0);
+        let c: Arc<HashedRequestCache<u64>> = Arc::new(HashedRequestCache::new(1024, 10_000));
+        let reqs = Arc::new(requests(256));
+        for (k, req) in reqs.iter().enumerate() {
+            c.insert(req.canonical_hash(), req, k as u64 * 3, 0);
         }
         let handles: Vec<_> = (0..8)
             .map(|t| {
-                let c = Arc::clone(&c);
+                let (c, reqs) = (Arc::clone(&c), Arc::clone(&reqs));
                 std::thread::spawn(move || {
-                    for round in 0..200u64 {
+                    for round in 0..200usize {
                         let k = (t * 31 + round) % 256;
-                        assert_eq!(c.get(k, 1), Some(k * 3));
+                        let req = &reqs[k];
+                        assert_eq!(c.get(req.canonical_hash(), req, 1), Some(k as u64 * 3));
                     }
                 })
             })
@@ -745,20 +613,6 @@ mod tests {
         assert_eq!(cache.len(), 0);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
-    }
-
-    #[test]
-    fn hashed_request_cache_targeted_remove_spares_colliders() {
-        let cache: HashedRequestCache<u32> = HashedRequestCache::new(64, 1000);
-        let alice = RequestContext::basic("alice", "ehr/1", "read");
-        let mallory = RequestContext::basic("mallory", "ehr/1", "read");
-        let hash = alice.canonical_hash();
-        cache.insert(hash, &alice, 7, 0);
-        // Removing under the same hash but a different request is a
-        // no-op; removing with the right request takes the entry.
-        assert_eq!(cache.remove(hash, &mallory), None);
-        assert_eq!(cache.remove(hash, &alice), Some(7));
-        assert!(cache.is_empty());
     }
 
     /// The request tables of the repo benchmark's three shapes, as its
@@ -792,20 +646,16 @@ mod tests {
     }
 
     /// The request hash over the benchmark's requests: no two distinct
-    /// requests share a key, and the stripes of a default cache split
-    /// each large table, and all three together, evenly within ±10 %.
+    /// requests share a key, and the stripes of a cache split each
+    /// large table, and all three together, evenly within ±10 %.
     /// (`token_churn`'s 1 024 requests alone are too few to hold that:
     /// a stripe's share of them is 64 ± 8 for any uniform hash.)
     #[test]
     fn request_hashes_spread_over_stripes_without_collisions() {
-        let stripes: ConcurrentTtlCache<()> = ConcurrentTtlCache::new(1, 1);
-        assert_eq!(stripes.stripe_count(), 16);
         let balanced = |hashes: &[u64]| {
-            let mut counts = [0usize; 16];
-            hashes
-                .iter()
-                .for_each(|&h| counts[stripes.stripe_index(h)] += 1);
-            let share = hashes.len() / 16;
+            let mut counts = [0usize; STRIPES];
+            hashes.iter().for_each(|&h| counts[stripe_of(h)] += 1);
+            let share = hashes.len() / STRIPES;
             counts.iter().all(|&n| n.abs_diff(share) * 10 <= share)
         };
         let tables = benchmark_tables();
@@ -835,9 +685,9 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(32);
-        let keys: Vec<u64> = (0..256).map(|_| rng.gen()).collect();
-        let a: ConcurrentTtlCache<u64> = ConcurrentTtlCache::new(64, 40);
-        let b: ConcurrentTtlCache<u64> = ConcurrentTtlCache::new(64, 40);
+        let reqs = requests(256);
+        let a: HashedRequestCache<u64> = HashedRequestCache::new(64, 40);
+        let b: HashedRequestCache<u64> = HashedRequestCache::new(64, 40);
         assert_ne!(
             a.stripes[0].lock().map.hasher(),
             b.stripes[0].lock().map.hasher(),
@@ -846,13 +696,13 @@ mod tests {
         let mut now = 0;
         for op in 0..4000 {
             now += rng.gen_range(0..3u64);
-            let key = keys[rng.gen_range(0..keys.len())];
-            assert_eq!(a.stripe_index(key), b.stripe_index(key));
+            let req = &reqs[rng.gen_range(0..reqs.len())];
+            let hash = req.canonical_hash();
             if rng.gen_bool(0.5) {
-                assert_eq!(a.get(key, now), b.get(key, now), "op {op}");
+                assert_eq!(a.get(hash, req, now), b.get(hash, req, now), "op {op}");
             } else {
-                a.insert(key, now, now);
-                b.insert(key, now, now);
+                a.insert(hash, req, now, now);
+                b.insert(hash, req, now, now);
             }
         }
         let stats = a.stats();
@@ -950,7 +800,7 @@ mod property_tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let capacity = rng.gen_range(1..6usize);
             let ttl = rng.gen_range(1..80u64);
-            let mut cache: TtlCache<u64> = TtlCache::new(capacity, ttl);
+            let mut cache: Sieve<u64> = Sieve::lone(capacity, ttl);
             let mut model = Model::new(capacity, ttl);
             let mut now = 0u64;
             for op in 0..400 {
@@ -984,7 +834,7 @@ mod property_tests {
     /// it at the third.
     #[test]
     fn a_visited_entry_outlives_one_off_inserts() {
-        let mut cache: TtlCache<u64> = TtlCache::new(4, 1_000_000);
+        let mut cache: Sieve<u64> = Sieve::lone(4, 1_000_000);
         for k in 0..4u64 {
             cache.insert(k, k, 0);
         }
@@ -997,65 +847,68 @@ mod property_tests {
         for k in [0u64, 1] {
             assert_eq!(cache.get(k, 3), Some(k), "{k} evicted by one-off inserts");
         }
-        assert_eq!(cache.stats().evictions, 3);
+        assert_eq!(cache.stats.evictions, 3);
     }
 
-    /// The striped cache must behave exactly like a bank of independent
-    /// single-lock caches routed by `stripe_index` — the equivalence
-    /// that makes "striped" a pure concurrency change, not a semantic
-    /// one. (The workspace-level proptests additionally pin the
-    /// one-stripe instance against the plain cache.)
+    /// The cache behaves exactly like 16 lone stripes routed by
+    /// `stripe_of` — striping is a concurrency change, not a semantic
+    /// one. Lookups, inserts and refusing lookups (the one removal
+    /// path) answer alike, and the lengths and counters match.
     #[test]
     fn striped_matches_bank_of_single_lock_caches() {
+        let reqs: Vec<RequestContext> = (0..64)
+            .map(|i| RequestContext::basic(format!("user-{i}"), "ehr/1", "read"))
+            .collect();
+        let mut evictions = 0;
         for seed in 0..12u64 {
             let mut rng = StdRng::seed_from_u64(1000 + seed);
-            let stripes = 1usize << rng.gen_range(0..4u32); // 1, 2, 4, 8
-            let capacity = rng.gen_range(1..40usize);
+            let capacity = rng.gen_range(1..48usize);
             let ttl = rng.gen_range(1..80u64);
-            let striped: ConcurrentTtlCache<u64> =
-                ConcurrentTtlCache::with_stripes(stripes, capacity, ttl);
-            let per_stripe = capacity.div_ceil(striped.stripe_count()).max(1);
-            let mut bank: Vec<TtlCache<u64>> = (0..striped.stripe_count())
-                .map(|_| TtlCache::new(per_stripe, ttl))
+            let cache: HashedRequestCache<u64> = HashedRequestCache::new(capacity, ttl);
+            let mut bank: Vec<Sieve<u64>> = (0..STRIPES)
+                .map(|_| Sieve::lone(capacity.div_ceil(STRIPES), ttl))
                 .collect();
             let mut now = 0u64;
             for op in 0..500 {
                 now += rng.gen_range(0..15u64);
-                let key = rng.gen_range(0..24u64);
-                let stripe = striped.stripe_index(key);
+                let req = &reqs[rng.gen_range(0..reqs.len())];
+                let key = req.canonical_hash();
+                let stripe = &mut bank[stripe_of(key)];
                 match rng.gen_range(0..4u32) {
                     0 | 1 => assert_eq!(
-                        striped.get(key, now),
-                        bank[stripe].get(key, now),
-                        "seed {seed} op {op}: get({key}) diverged"
+                        cache.get(key, req, now),
+                        stripe.get(key, now),
+                        "seed {seed} op {op}: get diverged"
                     ),
                     2 => {
                         let value = rng.gen_range(0..1000u64);
-                        striped.insert(key, value, now);
-                        bank[stripe].insert(key, value, now);
+                        cache.insert(key, req, value, now);
+                        stripe.insert(key, value, now);
                     }
                     _ => assert_eq!(
-                        striped.remove(key),
-                        bank[stripe].remove(key),
-                        "seed {seed} op {op}: remove({key}) diverged"
+                        cache.get_if(key, req, now, |_| false),
+                        stripe.get_if(key, now, |_| None::<u64>),
+                        "seed {seed} op {op}: refusing get diverged"
                     ),
                 }
             }
-            let expected: usize = bank.iter().map(TtlCache::len).sum();
-            assert_eq!(striped.len(), expected, "seed {seed}: lengths diverged");
+            let expected: usize = bank.iter().map(Sieve::len).sum();
+            assert_eq!(cache.len(), expected, "seed {seed}: lengths diverged");
             let mut expected_stats = CacheStats::default();
             for s in &bank {
-                expected_stats.absorb(&s.stats());
+                expected_stats.absorb(&s.stats);
             }
-            assert_eq!(striped.stats(), expected_stats, "seed {seed}: stats");
+            assert_eq!(cache.stats(), expected_stats, "seed {seed}: stats");
+            evictions += expected_stats.evictions;
         }
+        assert!(evictions > 0, "no stripe ever filled");
     }
 
     #[test]
     fn never_serves_past_ttl_and_expiry_is_ordered() {
         let mut rng = StdRng::seed_from_u64(99);
         let ttl = 50u64;
-        let mut cache: TtlCache<u64> = TtlCache::new(8, ttl);
+        let mut cache: Sieve<u64> = Sieve::lone(8, ttl);
         let mut inserted_at: std::collections::HashMap<u64, u64> = Default::default();
         let mut now = 0u64;
         for _ in 0..600 {
@@ -1084,7 +937,7 @@ mod property_tests {
     /// entry not read since it was inserted.
     #[test]
     fn lru_eviction_prefers_least_recent_under_load() {
-        let mut cache: TtlCache<u64> = TtlCache::new(4, 1_000_000);
+        let mut cache: Sieve<u64> = Sieve::lone(4, 1_000_000);
         for k in 0..4u64 {
             cache.insert(k, k, 0);
         }
@@ -1097,13 +950,13 @@ mod property_tests {
         for k in [0u64, 1, 3, 9] {
             assert!(cache.get(k, 3).is_some(), "{k} wrongly evicted");
         }
-        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(cache.stats.evictions, 1);
     }
 
     #[test]
     fn stats_stay_consistent_with_observed_outcomes() {
         let mut rng = StdRng::seed_from_u64(7);
-        let mut cache: TtlCache<u64> = TtlCache::new(4, 30);
+        let mut cache: Sieve<u64> = Sieve::lone(4, 30);
         let (mut hits, mut misses) = (0u64, 0u64);
         let mut now = 0u64;
         for _ in 0..500 {
@@ -1118,7 +971,7 @@ mod property_tests {
                 cache.insert(key, 1, now);
             }
         }
-        let stats = cache.stats();
+        let stats = cache.stats;
         assert_eq!(stats.hits, hits);
         assert_eq!(stats.misses, misses);
         assert_eq!(stats.hits + stats.misses, hits + misses);

@@ -168,17 +168,6 @@ impl PdpDirectory {
         endpoint
     }
 
-    /// Removes an endpoint entirely (decommissioned, not merely down).
-    /// Its record is left `Crashed`, so a replica group still holding
-    /// it neither dispatches to it nor quotes its latency estimate;
-    /// registering the name again creates a fresh record.
-    pub fn deregister(&self, name: &str) {
-        let mut endpoints = self.endpoints.write();
-        if let Some(index) = endpoints.iter().position(|e| e.name == name) {
-            endpoints.remove(index).set_phase(ReplicaPhase::Crashed);
-        }
-    }
-
     fn find(&self, name: &str) -> Option<Arc<PdpEndpoint>> {
         self.endpoints
             .read()
@@ -424,40 +413,6 @@ mod tests {
         d.mark_up("pdp-1");
         assert!(first.is_healthy());
         assert_eq!(d.health("no-such"), None);
-    }
-
-    /// Regression (ISSUE 3): a latency estimate must not outlive the
-    /// endpoint — a removed replica's estimate would keep feeding
-    /// fastest-first ordering forever. The estimate lives
-    /// in the record, and a holder of a removed record sees it crashed.
-    #[test]
-    fn deregister_removes_endpoint_and_prunes_latency_ewma() {
-        let d = directory();
-        let pdp_1 = d.register("pdp-1", "hospital-a");
-        pdp_1.record_latency_ns(500);
-        d.register("pdp-2", "hospital-a").record_latency_ns(900);
-        d.deregister("pdp-1");
-        assert!(!d.contains("pdp-1"));
-        assert_eq!(
-            pdp_1.phase(),
-            ReplicaPhase::Crashed,
-            "dead replica must not be dispatched to or quoted"
-        );
-        // A new registration of the name starts from a fresh record.
-        let reborn = d.register("pdp-1", "hospital-b");
-        assert!(!Arc::ptr_eq(&pdp_1, &reborn));
-        assert_eq!(reborn.latency_ewma_ns(), None);
-        d.deregister("pdp-1");
-        // The surviving endpoint keeps its estimate and the rotation.
-        assert_eq!(
-            d.register("pdp-2", "hospital-a").latency_ewma_ns(),
-            Some(900)
-        );
-        let b = Binding::Discovery;
-        for _ in 0..3 {
-            assert_eq!(d.resolve(&b, "hospital-a"), Some("pdp-2".into()));
-        }
-        assert_eq!(d.len(), 2);
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! * [`engine`] — the PDP service with PIP-backed attribute resolution
 //!   over a per-epoch resolved snapshot of its root; it caches no
 //!   answers.
-//! * [`cache`] — the TTL + SIEVE cache behind the PEP's decision cache
-//!   and token store, plus the striped [`ConcurrentTtlCache`] and the
-//!   hashed-key [`HashedRequestCache`] used on the concurrent read
-//!   path.
+//! * [`cache`] — [`HashedRequestCache`], the one request cache: 16
+//!   locked TTL + SIEVE stripes keyed by a request's hash and checked
+//!   against the whole request on every hit. The PEP's decision cache
+//!   and its token store are both one.
 //! * [`discovery`] — static binding vs directory-based PDP discovery
 //!   with health tracking (§3.2 "Location of Policy Decision Points").
 //! * [`class`] — workload classification ([`Priority`] lanes,
@@ -26,7 +26,7 @@ pub mod class;
 pub mod discovery;
 pub mod engine;
 
-pub use cache::{CacheStats, ConcurrentTtlCache, HashedRequestCache, TtlCache};
+pub use cache::{CacheStats, HashedRequestCache};
 pub use class::{DecisionClass, Priority};
 pub use discovery::{Binding, PdpDirectory, PdpEndpoint, ReplicaPhase};
 pub use engine::{CacheConfig, Pdp, PdpMetrics};

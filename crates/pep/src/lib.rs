@@ -1315,9 +1315,10 @@ impl Pep {
     /// request compared on hit — the binding), rechecked against the
     /// clock and the authority's current epoch. `Ok(true)` when one
     /// passes: it *is* the permit, and the decision source is skipped.
-    /// A refused one is evicted, counted and its kind returned, and the
-    /// request goes on to the cache and the source: the fast path can
-    /// deny-and-retry, never permit what the source would deny.
+    /// A refused one is dropped under the lookup's lock — a store miss
+    /// — counted and its kind returned, and the request goes on to the
+    /// cache and the source: the fast path can deny-and-retry, never
+    /// permit what the source would deny.
     fn token_hit(
         &self,
         cap: &PepCapability,
@@ -1325,19 +1326,22 @@ impl Pep {
         hash: u64,
         now_ms: u64,
     ) -> Result<bool, &'static str> {
-        let Some(admitted) = cap.tokens.get(hash, request, now_ms) else {
-            return Ok(false);
-        };
-        match cap.authority.recheck(&admitted, now_ms) {
-            Ok(()) => {
-                self.stats.token_hits.fetch_add(1, Ordering::Relaxed);
-                Ok(true)
-            }
-            Err(e) => {
-                cap.tokens.remove(hash, request);
+        let mut refused = None;
+        let hit = cap.tokens.get_if(hash, request, now_ms, |admitted| {
+            let passed = cap.authority.recheck(admitted, now_ms);
+            refused = passed.as_ref().err().map(reject_kind);
+            passed.is_ok()
+        });
+        if hit.is_some() {
+            self.stats.token_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(true);
+        }
+        match refused {
+            Some(kind) => {
                 self.stats.token_rejects.fetch_add(1, Ordering::Relaxed);
-                Err(reject_kind(&e))
+                Err(kind)
             }
+            None => Ok(false),
         }
     }
 
@@ -1509,6 +1513,8 @@ impl Pep {
     }
 
     /// Capability token cache statistics, if the fast path is enabled.
+    /// A token refused on recheck is a miss, so `hits` equals
+    /// [`EnforcementStats::token_hits`].
     pub fn token_cache_stats(&self) -> Option<CacheStats> {
         self.capability.as_ref().map(|cap| cap.tokens.stats())
     }
@@ -2349,6 +2355,8 @@ policy "gate" deny-unless-permit {
         let stats = pep.stats();
         assert_eq!(stats.token_rejects, 1);
         assert_eq!(pdp.metrics().decisions, 2, "revocation forces a re-decide");
+        // The refused token was a store miss, not a hit.
+        assert_eq!(pep.token_cache_stats().unwrap().hits, stats.token_hits);
         // Denies never mint: a stranger keeps hitting the source.
         let denied = RequestContext::basic("mallory", "ehr/1", "read");
         assert!(!pep.serve(EnforceRequest::of(&denied, 6)).allowed);

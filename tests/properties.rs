@@ -342,18 +342,23 @@ proptest! {
     #[test]
     fn ttl_cache_never_serves_expired(
         ttl in 1u64..50,
-        ops in prop::collection::vec((0u64..8, 0u64..200), 1..40),
+        ops in prop::collection::vec((0usize..8, 0u64..200), 1..40),
     ) {
-        let mut cache = dacs::pdp::TtlCache::<u64>::new(4, ttl);
-        let mut inserted_at: std::collections::HashMap<u64, u64> = Default::default();
+        let requests: Vec<dacs::policy::RequestContext> = (0..8)
+            .map(|k| dacs::policy::RequestContext::basic(format!("user-{k}"), "ehr/1", "read"))
+            .collect();
+        let cache = dacs::pdp::HashedRequestCache::<u64>::new(4, ttl);
+        let mut inserted_at: std::collections::HashMap<usize, u64> = Default::default();
         let mut now = 0;
         for (key, advance) in ops {
             now += advance;
-            if let Some(_v) = cache.get(key, now) {
+            let request = &requests[key];
+            let hash = request.canonical_hash();
+            if let Some(_v) = cache.get(hash, request, now) {
                 let at = inserted_at[&key];
                 prop_assert!(now < at + ttl, "expired entry served");
             } else {
-                cache.insert(key, now, now);
+                cache.insert(hash, request, now, now);
                 inserted_at.insert(key, now);
             }
         }
@@ -439,39 +444,6 @@ proptest! {
         prop_assert_eq!(shard, router.shard_for_key(&format!("{subject}\u{1f}{resource}")));
     }
 
-    /// Read-path concurrency (ISSUE 9): with a single stripe, the
-    /// striped cache degenerates to exactly the single-lock
-    /// `TtlCache` it wraps — every get answers identically, and the
-    /// lengths and aggregate stats match after any op sequence. (The
-    /// per-stripe equivalence for multi-stripe configurations lives in
-    /// `dacs-pdp`'s own property suite, which routes a bank of
-    /// single-lock caches by `stripe_index`.)
-    #[test]
-    fn striped_cache_with_one_stripe_matches_single_lock(
-        capacity in 1usize..6,
-        ttl in 1u64..60,
-        ops in prop::collection::vec((0u64..10, 0u64..30, any::<bool>()), 1..60),
-    ) {
-        let striped = dacs::pdp::ConcurrentTtlCache::<u64>::with_stripes(1, capacity, ttl);
-        let mut single = dacs::pdp::TtlCache::<u64>::new(capacity, ttl);
-        let mut now = 0u64;
-        for (key, advance, write) in ops {
-            now += advance;
-            if write {
-                striped.insert(key, key, now);
-                single.insert(key, key, now);
-            } else {
-                prop_assert_eq!(striped.get(key, now), single.get(key, now));
-            }
-        }
-        prop_assert_eq!(striped.len(), single.len());
-        let (a, b) = (striped.stats(), single.stats());
-        prop_assert_eq!(a.hits, b.hits);
-        prop_assert_eq!(a.misses, b.misses);
-        prop_assert_eq!(a.evictions, b.evictions);
-        prop_assert_eq!(a.expirations, b.expirations);
-    }
-
     #[test]
     fn zipf_sampler_in_range(n in 1usize..200, s in 0.0f64..2.5, seed in any::<u64>()) {
         use rand::SeedableRng;
@@ -531,31 +503,39 @@ fn merkle_signature_forgery_resistance_smoke() {
 }
 
 /// The decision cache's eviction on `cached_zipf`'s traffic shape: a
-/// default 16-stripe cache of 8 192 entries over Zipf(1.07) draws from
-/// 2¹⁶ keys, warmed by 100 000 draws, then 300 000 more, each a get and
-/// an insert on a miss. SIEVE keeps the popular keys a run of one-off
-/// inserts would push out under LRU: it hits ≥ 0.84 on every seed,
-/// where LRU reads ≈ 0.825. The counts are exact on every host.
+/// 16-stripe cache of 8 192 entries over Zipf(1.07) draws from 2¹⁶
+/// requests, warmed by 100 000 draws, then 300 000 more, each a get and
+/// an insert on a miss. SIEVE keeps the popular requests a run of
+/// one-off inserts would push out under LRU: it hits ≥ 0.84 on every
+/// seed, where LRU reads ≈ 0.825. The counts are exact on every host.
 #[test]
 fn striped_cache_hit_ratio_on_zipf_draws() {
     use dacs::core::ZipfSampler;
-    use dacs::pdp::ConcurrentTtlCache;
-    use dacs::policy::hash::WordHasher;
+    use dacs::pdp::HashedRequestCache;
+    use dacs::policy::RequestContext;
     use rand::SeedableRng;
     let zipf = ZipfSampler::new(1 << 16, 1.07);
+    let requests: Vec<(u64, RequestContext)> = (0..1 << 16)
+        .map(|k| {
+            let request = RequestContext::basic(
+                format!("user-{k}@mega"),
+                format!("records/{}", k % 4096),
+                "read",
+            );
+            (request.canonical_hash(), request)
+        })
+        .collect();
     for seed in 1..=3u64 {
-        let cache = ConcurrentTtlCache::<()>::new(8192, u64::MAX / 2);
+        let cache = HashedRequestCache::<()>::new(8192, u64::MAX / 2);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut hits_in = |draws: usize| {
             let mut hits = 0usize;
             for _ in 0..draws {
-                let mut hasher = WordHasher::new();
-                hasher.write_u64(zipf.sample(&mut rng) as u64);
-                let key = hasher.finish();
-                if cache.get(key, 0).is_some() {
+                let (hash, request) = &requests[zipf.sample(&mut rng)];
+                if cache.get(*hash, request, 0).is_some() {
                     hits += 1;
                 } else {
-                    cache.insert(key, (), 0);
+                    cache.insert(*hash, request, (), 0);
                 }
             }
             hits
