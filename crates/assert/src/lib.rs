@@ -1,19 +1,13 @@
 //! # dacs-assert
 //!
-//! SAML-like security assertions and VOMS-style attribute certificates —
-//! the credential substrate of the capability-issuing (push)
-//! architecture (Fig. 2 of the DSN 2008 paper) and of cross-domain
-//! attribute exchange.
+//! SAML-like security assertions — the credential substrate of the
+//! capability-issuing (push) architecture (Fig. 2 of the DSN 2008
+//! paper) and of cross-domain attribute exchange.
 //!
-//! Two encodings are provided, mirroring the CAS-vs-VOMS contrast the
-//! paper draws in §2.2:
-//!
-//! * [`Assertion`] / [`SignedAssertion`] — structured statements
-//!   (attributes, authorization decisions, capabilities) with validity
-//!   conditions and audience restriction, signed by an issuer (the SAML
-//!   analogue, as used by CAS).
-//! * [`AttributeCertificate`] — a flat holder/issuer certificate
-//!   carrying FQAN-style role strings (the VOMS analogue).
+//! [`Assertion`] / [`SignedAssertion`] carry structured statements
+//! (attributes, authorization decisions, capabilities) with validity
+//! conditions and audience restriction, signed by an issuer (the SAML
+//! analogue, as used by CAS).
 //!
 //! Verification is fail-safe: any defect (signature, window, audience)
 //! yields an error the PEP maps to deny.
@@ -108,11 +102,6 @@ impl Assertion {
     /// Compact wire size in bytes.
     pub fn wire_len(&self) -> usize {
         self.to_canonical_bytes().len()
-    }
-
-    /// XML-ish wire size in bytes (verbose encoding model).
-    pub fn xml_len(&self) -> usize {
-        dacs_wire::xmlish::encoded_len(self).expect("assertions contain only sized data")
     }
 }
 
@@ -268,154 +257,9 @@ impl SignedAssertion {
         }
     }
 
-    /// Attribute values carried for `name` across all attribute
-    /// statements.
-    pub fn attribute_values(&self, name: &str) -> Vec<&AttrValue> {
-        self.assertion
-            .statements
-            .iter()
-            .filter_map(|s| match s {
-                Statement::Attributes(list) => Some(list),
-                _ => None,
-            })
-            .flatten()
-            .filter(|(n, _)| n == name)
-            .map(|(_, v)| v)
-            .collect()
-    }
-
     /// Total wire size (assertion + signature), compact encoding.
     pub fn wire_len(&self) -> usize {
         self.assertion.wire_len() + self.signature.byte_len()
-    }
-}
-
-/// A VOMS-style attribute certificate: a flat credential binding
-/// FQAN-like role strings to a holder.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-pub struct AttributeCertificate {
-    /// Issuer-unique serial.
-    pub serial: u64,
-    /// The holder identity.
-    pub holder: String,
-    /// The issuing VOMS-like server.
-    pub issuer: String,
-    /// Fully-qualified attribute names, e.g.
-    /// `"/vo-cancer/radiology/Role=doctor"`.
-    pub fqans: Vec<String>,
-    /// Validity start (inclusive).
-    pub not_before: u64,
-    /// Validity end (exclusive).
-    pub not_after: u64,
-    /// Issuer signature over the canonical bytes.
-    pub signature: Signature,
-}
-
-impl AttributeCertificate {
-    fn canonical_bytes(
-        serial: u64,
-        holder: &str,
-        issuer: &str,
-        fqans: &[String],
-        not_before: u64,
-        not_after: u64,
-    ) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        out.extend_from_slice(b"dacs-ac-v1");
-        out.extend_from_slice(&serial.to_be_bytes());
-        for s in [holder, issuer] {
-            out.extend_from_slice(&(s.len() as u32).to_be_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-        out.extend_from_slice(&(fqans.len() as u32).to_be_bytes());
-        for f in fqans {
-            out.extend_from_slice(&(f.len() as u32).to_be_bytes());
-            out.extend_from_slice(f.as_bytes());
-        }
-        out.extend_from_slice(&not_before.to_be_bytes());
-        out.extend_from_slice(&not_after.to_be_bytes());
-        out
-    }
-
-    /// Issues a signed attribute certificate.
-    ///
-    /// # Errors
-    ///
-    /// [`SignError`] if the issuer key is exhausted.
-    pub fn issue(
-        serial: u64,
-        holder: impl Into<String>,
-        issuer: impl Into<String>,
-        fqans: Vec<String>,
-        not_before: u64,
-        not_after: u64,
-        issuer_key: &SigningKey,
-    ) -> Result<Self, SignError> {
-        let holder = holder.into();
-        let issuer = issuer.into();
-        let bytes = Self::canonical_bytes(serial, &holder, &issuer, &fqans, not_before, not_after);
-        Ok(AttributeCertificate {
-            serial,
-            holder,
-            issuer,
-            fqans,
-            not_before,
-            not_after,
-            signature: issuer_key.sign(&bytes)?,
-        })
-    }
-
-    /// Verifies signature and validity window.
-    ///
-    /// # Errors
-    ///
-    /// [`AssertError::BadSignature`], [`AssertError::NotYetValid`] or
-    /// [`AssertError::Expired`].
-    pub fn verify(
-        &self,
-        ctx: &CryptoCtx,
-        issuer_key: &PublicKey,
-        now: u64,
-    ) -> Result<(), AssertError> {
-        let bytes = Self::canonical_bytes(
-            self.serial,
-            &self.holder,
-            &self.issuer,
-            &self.fqans,
-            self.not_before,
-            self.not_after,
-        );
-        if !ctx.verify(issuer_key, &bytes, &self.signature) {
-            return Err(AssertError::BadSignature);
-        }
-        if now < self.not_before {
-            return Err(AssertError::NotYetValid);
-        }
-        if now >= self.not_after {
-            return Err(AssertError::Expired);
-        }
-        Ok(())
-    }
-
-    /// Whether the certificate carries a role within a group, e.g.
-    /// `has_role("/vo-cancer/radiology", "doctor")`.
-    pub fn has_role(&self, group: &str, role: &str) -> bool {
-        let needle = format!("{group}/Role={role}");
-        self.fqans.iter().any(|f| f == &needle)
-    }
-
-    /// Wire size in bytes (canonical bytes + signature).
-    pub fn wire_len(&self) -> usize {
-        Self::canonical_bytes(
-            self.serial,
-            &self.holder,
-            &self.issuer,
-            &self.fqans,
-            self.not_before,
-            self.not_after,
-        )
-        .len()
-            + self.signature.byte_len()
     }
 }
 
@@ -552,63 +396,10 @@ mod tests {
     }
 
     #[test]
-    fn attribute_extraction() {
-        let i = issuer(7);
-        let sa = SignedAssertion::sign(capability_assertion(0, 1000), &i.key).unwrap();
-        let roles = sa.attribute_values("role");
-        assert_eq!(roles, vec![&AttrValue::from("doctor")]);
-        assert!(sa.attribute_values("clearance").is_empty());
-    }
-
-    #[test]
     fn xml_encoding_is_larger() {
         let a = capability_assertion(0, 1000);
-        assert!(a.xml_len() > 2 * a.wire_len());
-    }
-
-    #[test]
-    fn attribute_certificate_roundtrip() {
-        let i = issuer(8);
-        let ac = AttributeCertificate::issue(
-            9,
-            "alice",
-            "voms.vo-cancer",
-            vec![
-                "/vo-cancer/radiology/Role=doctor".into(),
-                "/vo-cancer/Role=member".into(),
-            ],
-            0,
-            10_000,
-            &i.key,
-        )
-        .unwrap();
-        assert_eq!(ac.verify(&i.ctx, &i.key.public_key(), 5), Ok(()));
-        assert!(ac.has_role("/vo-cancer/radiology", "doctor"));
-        assert!(!ac.has_role("/vo-cancer/radiology", "admin"));
-        assert_eq!(
-            ac.verify(&i.ctx, &i.key.public_key(), 20_000),
-            Err(AssertError::Expired)
-        );
-    }
-
-    #[test]
-    fn attribute_certificate_tamper_rejected() {
-        let i = issuer(9);
-        let mut ac = AttributeCertificate::issue(
-            1,
-            "alice",
-            "voms",
-            vec!["/vo/Role=member".into()],
-            0,
-            100,
-            &i.key,
-        )
-        .unwrap();
-        ac.fqans.push("/vo/Role=admin".into());
-        assert_eq!(
-            ac.verify(&i.ctx, &i.key.public_key(), 5),
-            Err(AssertError::BadSignature)
-        );
+        let xml_len = dacs_wire::xmlish::encoded_len(&a).unwrap();
+        assert!(xml_len > 2 * a.wire_len());
     }
 
     #[test]

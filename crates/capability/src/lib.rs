@@ -34,4 +34,4 @@ pub mod tamper;
 mod token;
 
 pub use authority::{AuthorityStats, CapabilityAuthority};
-pub use token::{Admitted, CapabilityKey, CapabilityToken, TokenError, MAC_LEN, WIRE_VERSION};
+pub use token::{Admitted, CapabilityKey, CapabilityToken, TokenError, MAC_LEN};

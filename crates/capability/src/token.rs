@@ -9,7 +9,7 @@ use rand::RngCore;
 pub const MAC_LEN: usize = 32;
 
 /// Wire-format version byte; verification rejects anything else.
-pub const WIRE_VERSION: u8 = 1;
+pub(crate) const WIRE_VERSION: u8 = 1;
 
 /// Domain-separation tag mixed into every MAC so capability tags can
 /// never collide with other HMAC uses of the same key material.

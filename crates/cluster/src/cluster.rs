@@ -37,7 +37,6 @@ pub struct ClusterBuilder {
     directory: Option<Arc<PdpDirectory>>,
     scheduler: Option<SchedulerConfig>,
     telemetry: Option<Arc<Telemetry>>,
-    audit_every: usize,
 }
 
 impl ClusterBuilder {
@@ -51,7 +50,6 @@ impl ClusterBuilder {
             directory: None,
             scheduler: None,
             telemetry: None,
-            audit_every: 0,
         }
     }
 
@@ -118,23 +116,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Replays every `n`th served query through the same collector,
-    /// told not to stop early (every healthy replica consulted
-    /// on the caller's thread, majority combine) purely to *observe*
-    /// divergence, recording [`ClusterMetrics::audit_queries`] and
-    /// [`ClusterMetrics::audit_disagreements`]. This closes the blind
-    /// spot documented on [`ClusterMetrics::disagreements`]: a served
-    /// query stops at its settle point, which can hide a divergent
-    /// replica forever. The audit verdict never replaces the served
-    /// response and its sub-queries are not counted in
-    /// [`ClusterMetrics::replica_queries`]. `0` (the default) disables
-    /// sampling; with or without a scheduler, every cluster is audited
-    /// the same way.
-    pub fn audit_every(mut self, n: usize) -> Self {
-        self.audit_every = n;
-        self
-    }
-
     /// Finishes the cluster, registering every replica the directory
     /// does not already know as healthy. A shared directory may know an
     /// endpoint from PEP discovery; the cluster then holds that record,
@@ -189,7 +170,6 @@ impl ClusterBuilder {
             directory,
             quorum: self.quorum,
             scheduler,
-            audit_every: self.audit_every,
             telemetry,
             batch_size,
             metrics,
@@ -210,7 +190,6 @@ pub struct PdpCluster {
     /// The worker pool and its dispatch settings; `None` plans every
     /// query with no pool.
     scheduler: Option<(FanoutPool, SchedulerConfig)>,
-    audit_every: usize,
     /// The handle the stages' spans go to, and the registry reads
     /// [`ClusterMetrics`] through.
     telemetry: Option<Arc<Telemetry>>,
@@ -388,7 +367,6 @@ impl PdpCluster {
             pool: scheduler.map(|(pool, _)| pool),
             adaptive: scheduler.is_some_and(|(_, config)| config.adaptive_fanout),
             class,
-            every_vote: false,
             telemetry: self.telemetry(),
         };
         let outcome = {
@@ -399,9 +377,7 @@ impl PdpCluster {
             let _in_fanout = fanout.as_ref().map(|s| s.enter());
             group.query_planned(self.quorum, request, now_ms, &plan)
         };
-        if self.account(group, &plan, &outcome) {
-            self.audit(group, request, now_ms);
-        }
+        self.account(group, &plan, &outcome);
         ClusterOutcome {
             degraded: outcome.response.is_some() && outcome.healthy < group.len(),
             response: outcome.response,
@@ -410,16 +386,12 @@ impl PdpCluster {
         }
     }
 
-    /// Books one served query; returns whether its audit replay is due
-    /// ([`ClusterBuilder::audit_every`]). The `fetch_add` that counts
-    /// the query also numbers it, and "due" is decided from that
-    /// number, so concurrent deciders can neither skip a due audit nor
-    /// run one twice. A common query pays for `queries`,
+    /// Books one served query. A common query pays for `queries`,
     /// `replica_queries` and the `epoch_lag_last` store; the rest move
     /// only when they have something to add.
-    fn account(&self, group: &ReplicaGroup, plan: &FanoutPlan<'_>, outcome: &GroupOutcome) -> bool {
+    fn account(&self, group: &ReplicaGroup, plan: &FanoutPlan<'_>, outcome: &GroupOutcome) {
         let m = &*self.metrics;
-        let number = m.queries.fetch_add(1, Ordering::Relaxed) + 1;
+        m.queries.fetch_add(1, Ordering::Relaxed);
         m.replica_queries
             .fetch_add(outcome.replicas_queried as u64, Ordering::Relaxed);
         if plan.adaptive && self.quorum.fans_out() {
@@ -447,32 +419,6 @@ impl PdpCluster {
                 add_rare(&m.fail_closed_denies, outcome.fail_closed as u64);
             }
         }
-        self.audit_every != 0
-            && outcome.response.is_some()
-            && number.is_multiple_of(self.audit_every as u64)
-    }
-
-    /// The periodic divergence sampler ([`ClusterBuilder::audit_every`]):
-    /// replays a served query through the collector with a plan that
-    /// takes every healthy replica's vote, on the caller's thread, and
-    /// records what the settle point may have hidden. Observational
-    /// only — the served response is never revised, and the replay's
-    /// sub-queries and withdrawn votes stay out of the fan-out cost and
-    /// staleness counters. Its votes count like any other, so a
-    /// returned replica's first vote at the target counts as a re-sync
-    /// here if the served query did not ask it.
-    fn audit(&self, group: &ReplicaGroup, request: &RequestContext, now_ms: u64) {
-        let plan = FanoutPlan {
-            every_vote: true,
-            ..FanoutPlan::default()
-        };
-        // Majority, not the configured mode: FirstHealthy would consult
-        // a single replica and could never observe a disagreement.
-        let audit = group.query_planned(QuorumMode::Majority, request, now_ms, &plan);
-        let m = &*self.metrics;
-        m.audit_queries.fetch_add(1, Ordering::Relaxed);
-        add_rare(&m.audit_disagreements, audit.disagreement as u64);
-        add_rare(&m.resyncs, audit.readmitted as u64);
     }
 
     fn note_batch(&self, submitted: usize, coalesced: usize) {
@@ -820,77 +766,6 @@ mod tests {
         assert_eq!(cluster.metrics(), settled, "the late deny was counted");
     }
 
-    /// Satellite (ISSUE 6): a majority quorum settles on the two fast
-    /// Permits — the slow divergent replica answers after the verdict
-    /// on a pool, and is never started without one — so
-    /// `disagreements` stays a silent zero.
-    /// The periodic audit sampler replays with a plan that takes every
-    /// vote and flags the divergence exactly: seen by the audit, and
-    /// only by the audit, with or without a scheduler.
-    #[test]
-    fn audit_sampler_observes_divergence_hidden_by_short_circuit() {
-        for (shape, scheduler) in schedulers() {
-            let builder = ClusterBuilder::new("audit-test")
-                .quorum(QuorumMode::Majority)
-                .audit_every(2)
-                .shard(vec![
-                    Arc::new(StaticBackend::new("a-fast-0", Decision::Permit))
-                        as Arc<dyn DecisionBackend>,
-                    Arc::new(StaticBackend::new("a-fast-1", Decision::Permit))
-                        as Arc<dyn DecisionBackend>,
-                    Arc::new(SlowBackend::new(
-                        "a-slow-wrong",
-                        Decision::Deny,
-                        std::time::Duration::from_millis(40),
-                    )) as Arc<dyn DecisionBackend>,
-                ]);
-            let cluster = scheduled(builder, scheduler);
-            // Known to be slow, so it is dispatched last (an unmeasured
-            // replica would be probed first).
-            let slow = cluster.directory().register("a-slow-wrong", "audit-test");
-            slow.record_latency_ns(40_000_000);
-            let req = RequestContext::basic("alice", "ehr/1", "read");
-            for i in 0..4 {
-                let out = cluster.decide(&req, i);
-                assert_eq!(out.response.unwrap().decision, Decision::Permit, "{shape}");
-            }
-            let m = cluster.metrics();
-            assert_eq!(m.queries, 4, "{shape}");
-            // The settle point never sees the deny; every 2nd served
-            // query is replayed, and each replay observes it.
-            assert_eq!(m.disagreements, 0, "{shape}");
-            assert_eq!((m.audit_queries, m.audit_disagreements), (2, 2), "{shape}");
-        }
-    }
-
-    /// Regression (ISSUE 12): whether an audit is due is decided under
-    /// the lock acquisition that numbers the query, so concurrent
-    /// deciders sample exactly every `n`th query — none skipped, none
-    /// replayed twice.
-    #[test]
-    fn concurrent_deciders_audit_exactly_every_nth_query() {
-        for scheduler in [None, Some(SchedulerConfig::new(4))] {
-            let builder = permit_builder(1, 3, QuorumMode::Majority).audit_every(10);
-            let cluster = scheduled(builder, scheduler);
-            let barrier = std::sync::Barrier::new(4);
-            std::thread::scope(|scope| {
-                for t in 0..4u64 {
-                    let (cluster, barrier) = (&cluster, &barrier);
-                    scope.spawn(move || {
-                        let req = RequestContext::basic(format!("u{t}"), "ehr/1", "read");
-                        barrier.wait();
-                        for i in 0..250 {
-                            assert!(cluster.decide(&req, i).response.is_some());
-                        }
-                    });
-                }
-            });
-            let m = cluster.metrics();
-            assert_eq!(m.queries, 1_000);
-            assert_eq!(m.audit_queries, 100);
-        }
-    }
-
     /// Regression: a replica returning from a crash with a lagging
     /// policy epoch is asked at once, but its votes are withdrawn until
     /// its answers carry the cluster's target epoch; the next decide
@@ -978,10 +853,10 @@ mod tests {
 
     /// A decide reads no epoch from a backend — each answer carries its
     /// own, judged against the target loaded once per query — and a
-    /// returned replica's re-sync counts exactly once though a served
-    /// query and its audit replay both count votes: by the served query
-    /// when the catch-up landed before it (alone or in a batch), by the
-    /// audit's when it landed while the query was deciding.
+    /// returned replica's re-sync counts exactly once: by the served
+    /// query when the catch-up landed before it (alone or in a batch),
+    /// by the next served query when it landed while the query was
+    /// deciding.
     #[test]
     fn rosters_read_no_epoch_until_a_replica_syncs_and_count_readmission_once() {
         let backends: Vec<_> = (0..3)
@@ -990,10 +865,7 @@ mod tests {
         let shard = backends
             .iter()
             .map(|b| b.clone() as Arc<dyn DecisionBackend>);
-        let cluster = ClusterBuilder::new("c")
-            .audit_every(1)
-            .shard(shard.collect())
-            .build();
+        let cluster = ClusterBuilder::new("c").shard(shard.collect()).build();
         cluster.advance_epoch(PolicyEpoch(1));
         let requests = [
             RequestContext::basic("alice", "ehr/1", "read"),
@@ -1001,17 +873,12 @@ mod tests {
         ];
         let counts = || {
             let m = cluster.metrics();
-            (
-                m.queries,
-                m.audit_queries,
-                m.resyncs,
-                m.stale_decisions_avoided,
-            )
+            (m.queries, m.resyncs, m.stale_decisions_avoided)
         };
         let class = DecisionClass::default();
         assert_eq!(cluster.decide(&requests[0], 0).replicas_queried, 3);
         cluster.decide_batch(&requests, 1, class);
-        assert_eq!(counts(), (3, 3, 0, 0));
+        assert_eq!(counts(), (3, 0, 0));
 
         for epoch in [2, 3] {
             cluster.mark_down("c-r2");
@@ -1025,11 +892,12 @@ mod tests {
                 cluster.decide_batch(&requests, epoch, class);
             }
         }
-        assert_eq!(counts(), (6, 6, 2, 0));
+        assert_eq!(counts(), (6, 2, 0));
 
         // Mid-query: the served query asks the returned replica first
         // and withdraws its vote, a voter lands its catch-up as it
-        // decides, and the audit counts the returned replica's vote.
+        // decides, and the next query counts the returned replica's
+        // vote.
         struct CatchUpWhileDeciding(Arc<EpochBackend>);
         impl DecisionBackend for CatchUpWhileDeciding {
             fn name(&self) -> &str {
@@ -1045,7 +913,6 @@ mod tests {
         }
         let stale = Arc::new(EpochBackend::new("m-stale", Decision::Permit, 1));
         let cluster = ClusterBuilder::new("mid-query")
-            .audit_every(1)
             .shard(vec![
                 Arc::new(CatchUpWhileDeciding(stale.clone())),
                 Arc::new(EpochBackend::new("m-fresh", Decision::Permit, 2)),
@@ -1057,10 +924,12 @@ mod tests {
         cluster.mark_up("m-stale");
         assert_eq!(cluster.decide(&requests[0], 2).replicas_queried, 3);
         let m = cluster.metrics();
-        assert_eq!(
-            (m.audit_queries, m.resyncs, m.stale_decisions_avoided),
-            (1, 1, 1)
-        );
+        assert_eq!((m.resyncs, m.stale_decisions_avoided), (0, 1));
+        for now_ms in [3, 4] {
+            cluster.decide(&requests[0], now_ms);
+            let m = cluster.metrics();
+            assert_eq!((m.resyncs, m.stale_decisions_avoided), (1, 1));
+        }
     }
 
     /// The reference the lifecycle is checked against: one replica is

@@ -202,7 +202,7 @@ impl FanoutPool {
     /// Every `YIELD_EVERY`th pop services the lowest-priority non-empty
     /// lane, bounding bulk-lane starvation under a saturated
     /// interactive lane to a `1/YIELD_EVERY` share of the workers.
-    pub const YIELD_EVERY: u32 = 16;
+    pub(crate) const YIELD_EVERY: u32 = 16;
 
     /// Spawns a pool of `workers` threads.
     ///

@@ -7,7 +7,7 @@
 //! * [`shard`] — a [`ShardRouter`] that consistent-hashes request
 //!   contexts (by subject/resource key) onto replica groups, so one
 //!   key's requests always meet the same replicas.
-//! * [`replica`] — a [`ReplicaGroup`] that fans a query out to `k`
+//! * [`replica`] — a replica group that fans a query out to `k`
 //!   replicas and combines the answers under a pluggable
 //!   [`QuorumMode`], so a Byzantine or stale replica cannot silently
 //!   grant access. Every answer carries the [`PolicyEpoch`] it was
@@ -75,7 +75,7 @@ pub use cluster::{ClusterBuilder, ClusterOutcome, PdpCluster};
 pub use fanout::SchedulerConfig;
 pub use metrics::ClusterMetrics;
 pub use quorum::QuorumMode;
-pub use replica::{DecisionBackend, GroupOutcome, ReplicaGroup, StaticBackend};
+pub use replica::{DecisionBackend, StaticBackend};
 pub use shard::ShardRouter;
 
 // Re-exported so cluster users can speak epochs without naming the PAP

@@ -27,13 +27,7 @@ pub struct ClusterMetrics {
     /// queued or what the caller had not reached — so a divergent answer
     /// that would only have come after the settle point is never
     /// observed. A cluster with one slow, permanently
-    /// wrong replica can therefore report zero disagreements. When
-    /// divergence monitoring matters, enable the built-in sampler
-    /// ([`crate::ClusterBuilder::audit_every`]): every Nth query is
-    /// replayed with every vote taken and its verdict recorded in
-    /// [`ClusterMetrics::audit_queries`] /
-    /// [`ClusterMetrics::audit_disagreements`], which have no such
-    /// blind spot.
+    /// wrong replica can therefore report zero disagreements.
     pub disagreements: u64,
     /// Queries forced to a fail-closed deny by the quorum rule.
     ///
@@ -47,8 +41,8 @@ pub struct ClusterMetrics {
     pub hedges: u64,
     /// Completed replica re-syncs: a replica returned by
     /// [`crate::PdpCluster::mark_up`] whose first vote after the return
-    /// was counted at its group's target epoch — in a served, batched
-    /// or audit query, whichever asked it first. Each return counts at
+    /// was counted at its group's target epoch — in a served or batched
+    /// query, whichever asked it first. Each return counts at
     /// most once, and a returned replica is asked first until it does.
     pub resyncs: u64,
     /// Stale votes never counted: one per served vote withdrawn as
@@ -61,17 +55,6 @@ pub struct ClusterMetrics {
     /// High-water mark of [`ClusterMetrics::epoch_lag_last`] across the
     /// cluster's lifetime.
     pub epoch_lag_max: u64,
-    /// Audit replays run by the periodic sampler
-    /// ([`crate::ClusterBuilder::audit_every`]): every Nth query is
-    /// re-evaluated by the same collector on the caller's thread, told
-    /// to consult every healthy replica and never stop early.
-    pub audit_queries: u64,
-    /// Audit replays whose replicas disagreed on the decision. Unlike
-    /// [`ClusterMetrics::disagreements`], this is exact over the
-    /// sampled queries — the audit observes every vote — so a nonzero
-    /// value here with zero `disagreements` is the signature of a
-    /// divergent replica hiding behind the settle point.
-    pub audit_disagreements: u64,
     /// Batches decided by [`crate::PdpCluster::decide_batch`].
     pub batches: u64,
     /// Queries submitted through batches.
@@ -138,8 +121,6 @@ dacs_telemetry::counter_block! {
         stale_decisions_avoided => "dacs_cluster_stale_decisions_avoided_total",
         epoch_lag_last => "dacs_cluster_epoch_lag_last",
         epoch_lag_max => "dacs_cluster_epoch_lag_max",
-        audit_queries => "dacs_cluster_audit_queries_total",
-        audit_disagreements => "dacs_cluster_audit_disagreements_total",
         batches => "dacs_cluster_batches_total",
         batched_queries => "dacs_cluster_batched_queries_total",
         coalesced => "dacs_cluster_coalesced_total",

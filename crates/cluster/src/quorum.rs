@@ -116,7 +116,7 @@ impl QuorumMode {
     }
 
     /// Whether the mode fans out to every healthy replica.
-    pub fn fans_out(&self) -> bool {
+    pub(crate) fn fans_out(&self) -> bool {
         !matches!(self, QuorumMode::FirstHealthy)
     }
 }

@@ -21,8 +21,8 @@
 //! replica goes to it when something else of its dispatch is in flight
 //! and it has not been answering faster than a hand-off costs; every
 //! other is evaluated on the collector's own thread. A cluster built
-//! without one ([`ReplicaGroup::query`]) has no pool, and the caller
-//! evaluates every replica it asks.
+//! without one has no pool, and the caller evaluates every replica it
+//! asks.
 
 use crate::fanout::{CancelToken, FanoutAnswer, FanoutPool};
 use crate::quorum::{self, QuorumMode};
@@ -88,7 +88,7 @@ impl DecisionBackend for StaticBackend {
 
 /// The outcome of querying one replica group.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct GroupOutcome {
+pub(crate) struct GroupOutcome {
     /// The combined response; `None` when no replica was healthy.
     pub response: Option<Response>,
     /// Replicas dispatched. A vote the verdict overtakes — a job
@@ -165,35 +165,38 @@ impl GroupOutcome {
 ///
 /// # Examples
 ///
+/// A [`crate::PdpCluster`] of one shard is one group:
+///
 /// ```
-/// use dacs_cluster::{DecisionBackend, QuorumMode, ReplicaGroup, StaticBackend};
-/// use dacs_pdp::PdpDirectory;
+/// use dacs_cluster::{ClusterBuilder, DecisionBackend, QuorumMode, StaticBackend};
 /// use dacs_policy::policy::Decision;
 /// use dacs_policy::request::RequestContext;
 /// use std::sync::Arc;
 ///
-/// let directory = PdpDirectory::new();
-/// let mut replicas = Vec::new();
+/// let mut replicas: Vec<Arc<dyn DecisionBackend>> = Vec::new();
 /// for (name, decision) in [
 ///     ("r0", Decision::Deny), // stale replica
 ///     ("r1", Decision::Permit),
 ///     ("r2", Decision::Permit),
 /// ] {
-///     let backend: Arc<dyn DecisionBackend> = Arc::new(StaticBackend::new(name, decision));
-///     // Registration hands out the record the group keeps.
-///     replicas.push((backend, directory.register(name, "demo")));
+///     replicas.push(Arc::new(StaticBackend::new(name, decision)));
 /// }
-/// let group = ReplicaGroup::new(replicas);
+/// let cluster = ClusterBuilder::new("demo")
+///     .quorum(QuorumMode::Majority)
+///     .shard(replicas)
+///     .build();
 /// let request = RequestContext::basic("alice", "ehr/1", "read");
-/// let out = group.query(QuorumMode::Majority, &request, 0);
+/// let out = cluster.decide(&request, 0);
 /// // The fresh majority outvotes the stale replica, asked first.
 /// assert_eq!(out.response.unwrap().decision, Decision::Permit);
-/// assert!(out.disagreement);
-/// // The directory is the authority on health: same record.
-/// directory.mark_down("r0");
-/// assert!(!group.query(QuorumMode::Majority, &request, 1).disagreement);
+/// assert_eq!(cluster.metrics().disagreements, 1);
+/// // The directory is the authority on health: the group keeps the
+/// // record registration handed out.
+/// cluster.directory().mark_down("r0");
+/// cluster.decide(&request, 1);
+/// assert_eq!(cluster.metrics().disagreements, 1);
 /// ```
-pub struct ReplicaGroup {
+pub(crate) struct ReplicaGroup {
     replicas: Vec<Arc<Replica>>,
     /// The policy epoch the group's domain last announced: a vote
     /// stamped behind it is withdrawn. Only moves forward; stored with
@@ -233,9 +236,6 @@ pub(crate) struct FanoutPlan<'a> {
     pub adaptive: bool,
     /// The scheduling lane and deadline the query's jobs carry.
     pub class: DecisionClass,
-    /// Take every eligible replica's vote before combining — the audit
-    /// replay; a served query stops at the settle point.
-    pub every_vote: bool,
     /// Where the query's `replica_decide` and `quorum_wait` spans go;
     /// `None` and it records none.
     pub telemetry: Option<&'a Arc<Telemetry>>,
@@ -424,32 +424,12 @@ impl ReplicaGroup {
         self.replicas.len()
     }
 
-    /// Whether the group has no replicas (never true post-construction).
-    pub fn is_empty(&self) -> bool {
-        self.replicas.is_empty()
-    }
-
     /// Names of all replicas, in slot order.
     pub fn replica_names(&self) -> Vec<String> {
         self.replicas
             .iter()
             .map(|r| r.endpoint.name().to_string())
             .collect()
-    }
-
-    /// Fans `request` out to the group's healthy replicas on the
-    /// caller's thread — the plan of a cluster built without a
-    /// scheduler: no pool, full width — and combines the answers under
-    /// `mode`, stopping at the settle point. A vote behind the group's
-    /// target epoch is withdrawn, counted in
-    /// [`GroupOutcome::stale_excluded`], and a replica whose evaluation
-    /// panics costs its vote, not the caller.
-    ///
-    /// Latency is the sum of the replicas asked, likely-fast ones first;
-    /// a cluster built with `ClusterBuilder::scheduler` overlaps the
-    /// ones worth a hand-off.
-    pub fn query(&self, mode: QuorumMode, request: &RequestContext, now_ms: u64) -> GroupOutcome {
-        self.query_planned(mode, request, now_ms, &FanoutPlan::default())
     }
 
     /// Fans `request` out to the group's eligible replicas — on the
@@ -585,8 +565,7 @@ impl ReplicaGroup {
     /// dispatch are submitted before the caller evaluates its own (a
     /// slow replica overlaps them); the caller consults `settled` after
     /// each answer and never starts what the verdict overtakes —
-    /// dispatched and skipped, like a job cancelled at dequeue. A plan
-    /// that wants `every_vote` consults nothing and asks everyone.
+    /// dispatched and skipped, like a job cancelled at dequeue.
     ///
     /// Escalation is the same for every row: the next replica in order
     /// is dispatched at once when everything in flight has answered
@@ -709,7 +688,7 @@ impl ReplicaGroup {
                 (_, None) => {}
             }
             let settled = Self::settled(mode, (e - withdrawn) / 2 + 1, &received);
-            if let Some(verdict) = settled.filter(|_| !plan.every_vote) {
+            if let Some(verdict) = settled {
                 break Some(verdict);
             }
             if answered == dispatched {
@@ -760,6 +739,29 @@ impl ReplicaGroup {
             caller_evaluations,
             ..outcome
         }
+    }
+}
+
+#[cfg(test)]
+impl ReplicaGroup {
+    /// Fans `request` out to the group's healthy replicas on the
+    /// caller's thread — the plan of a cluster built without a
+    /// scheduler: no pool, full width — and combines the answers under
+    /// `mode`, stopping at the settle point. A vote behind the group's
+    /// target epoch is withdrawn, counted in
+    /// [`GroupOutcome::stale_excluded`], and a replica whose evaluation
+    /// panics costs its vote, not the caller.
+    ///
+    /// Latency is the sum of the replicas asked, likely-fast ones first;
+    /// a cluster built with `ClusterBuilder::scheduler` overlaps the
+    /// ones worth a hand-off.
+    pub(crate) fn query(
+        &self,
+        mode: QuorumMode,
+        request: &RequestContext,
+        now_ms: u64,
+    ) -> GroupOutcome {
+        self.query_planned(mode, request, now_ms, &FanoutPlan::default())
     }
 }
 

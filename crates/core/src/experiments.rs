@@ -1631,7 +1631,7 @@ pub fn traced_cluster_run(requests: usize) -> (Arc<dacs_telemetry::Telemetry>, V
 /// The sequential levels of a traced enforcement: each parent stage
 /// with the only child stages that may hang under it. The children run
 /// one after another inline, so their time sums towards the parent's.
-pub const SEQUENTIAL_LEVELS: [(Stage, &[Stage]); 4] = [
+pub(crate) const SEQUENTIAL_LEVELS: [(Stage, &[Stage]); 4] = [
     (
         Stage::PepEnforce,
         &[Stage::Cache, Stage::Decide, Stage::Obligations],
@@ -1643,7 +1643,7 @@ pub const SEQUENTIAL_LEVELS: [(Stage, &[Stage]); 4] = [
     (Stage::ClusterDecide, &[Stage::Route, Stage::Fanout]),
 ];
 
-/// Per parent stage of [`SEQUENTIAL_LEVELS`]: the number of parent
+/// Per parent stage of `SEQUENTIAL_LEVELS`: the number of parent
 /// spans and the share of their summed time that no child span
 /// accounts for (span bookkeeping, metrics accounting, a preemption
 /// between two stages). A timing figure: the harness's `--trace` run
@@ -2200,7 +2200,7 @@ pub fn e19_scheduler_saturation(requests: usize) -> Table {
 /// E20: read-path scaling — closed-loop enforcement from 1/2/4/8
 /// threads hammering *one shared PEP* whose striped decision cache
 /// fronts an uncached PDP, under a Zipf(1.07) workload over a million
-/// subjects ([`crate::scenario::ReadPathScenario`]).
+/// subjects (`scenario::ReadPathScenario`).
 ///
 /// What it shows about the concurrent read path:
 /// * **throughput scales with threads** — the `scaling` column,

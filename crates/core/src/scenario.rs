@@ -199,7 +199,7 @@ policy "vo-prescreen" deny-unless-permit {
 /// million PIP attribute entries: rank `r` reads `records/{r % 4096}`
 /// — permitted — except every eighth rank (`r % 8 == 7`), which
 /// attempts a `write` and is denied by the final deny rule.
-pub struct ReadPathScenario {
+pub(crate) struct ReadPathScenario {
     sampler: ZipfSampler,
 }
 
@@ -209,11 +209,6 @@ impl ReadPathScenario {
         ReadPathScenario {
             sampler: ZipfSampler::new(subjects, exponent),
         }
-    }
-
-    /// Size of the subject base.
-    pub fn subjects(&self) -> usize {
-        self.sampler.len()
     }
 
     /// The gate policy: permit `read` on `records/*`, deny everything
@@ -233,7 +228,7 @@ policy "mega-gate" first-applicable {
     }
 
     /// The deterministic request of subject rank `rank`.
-    pub fn request_for_rank(rank: usize) -> RequestContext {
+    pub(crate) fn request_for_rank(rank: usize) -> RequestContext {
         let action = if rank % 8 == 7 { "write" } else { "read" };
         RequestContext::basic(
             format!("user-{rank}@mega"),
@@ -249,13 +244,13 @@ policy "mega-gate" first-applicable {
     }
 
     /// Draws one subject rank from the Zipf distribution.
-    pub fn sample_rank<R: Rng>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample_rank<R: Rng>(&self, rng: &mut R) -> usize {
         self.sampler.sample(rng)
     }
 
     /// Expected number of *distinct* ranks among `draws` independent
     /// Zipf draws: `Σ_k (1 − (1 − p_k)^draws)`.
-    pub fn expected_unique(&self, draws: u64) -> f64 {
+    pub(crate) fn expected_unique(&self, draws: u64) -> f64 {
         let n = draws as f64;
         (0..self.sampler.len())
             .map(|k| {
@@ -268,7 +263,7 @@ policy "mega-gate" first-applicable {
     /// Analytic cache hit rate for `draws` lookups against a cache
     /// large enough to hold every distinct key (first touch of a rank
     /// misses, every repeat hits): `1 − E[unique] / draws`.
-    pub fn expected_hit_rate(&self, draws: u64) -> f64 {
+    pub(crate) fn expected_hit_rate(&self, draws: u64) -> f64 {
         if draws == 0 {
             return 0.0;
         }
@@ -391,7 +386,7 @@ mod tests {
     #[test]
     fn read_path_scenario_skew_and_analytics() {
         let scenario = ReadPathScenario::new(10_000, 1.07);
-        assert_eq!(scenario.subjects(), 10_000);
+        assert_eq!(scenario.sampler.len(), 10_000);
         // The analytic hit rate grows with draw count (more repeats)
         // and stays in (0, 1).
         let short = scenario.expected_hit_rate(1_000);

@@ -120,12 +120,12 @@ impl Table {
 }
 
 /// Formats a float with 2 decimal places (table helper).
-pub fn f2(x: f64) -> String {
+pub(crate) fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
 /// Formats microseconds as milliseconds with 2 decimals.
-pub fn us_as_ms(us: u64) -> String {
+pub(crate) fn us_as_ms(us: u64) -> String {
     format!("{:.2}", us as f64 / 1000.0)
 }
 

@@ -62,7 +62,7 @@ impl ZipfSampler {
     /// # Panics
     ///
     /// Panics if `rank` is outside the support.
-    pub fn prob(&self, rank: usize) -> f64 {
+    pub(crate) fn prob(&self, rank: usize) -> f64 {
         let below = if rank == 0 { 0.0 } else { self.cdf[rank - 1] };
         self.cdf[rank] - below
     }

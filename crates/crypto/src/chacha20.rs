@@ -21,9 +21,9 @@
 //! ```
 
 /// ChaCha20 key size in bytes.
-pub const KEY_LEN: usize = 32;
+pub(crate) const KEY_LEN: usize = 32;
 /// ChaCha20 nonce size in bytes (IETF variant).
-pub const NONCE_LEN: usize = 12;
+pub(crate) const NONCE_LEN: usize = 12;
 
 #[inline]
 fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {

@@ -50,4 +50,4 @@ pub mod sign;
 pub mod wots;
 
 pub use sha256::{Digest, Sha256};
-pub use sign::{CryptoCtx, PublicKey, Scheme, SignError, Signature, SigningKey, SimPkiRegistry};
+pub use sign::{CryptoCtx, PublicKey, SignError, Signature, SigningKey, SimPkiRegistry};

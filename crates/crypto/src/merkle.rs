@@ -28,14 +28,14 @@ use serde::{Deserialize, Serialize};
 
 /// Maximum supported tree height (2^20 signatures is far beyond what any
 /// simulation here needs, and keygen cost grows as `2^h`).
-pub const MAX_HEIGHT: u32 = 20;
+pub(crate) const MAX_HEIGHT: u32 = 20;
 
 /// Errors produced by the Merkle signature scheme.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MerkleError {
     /// All `2^h` one-time leaves have been used.
     LeavesExhausted,
-    /// Requested height is zero or above [`MAX_HEIGHT`].
+    /// Requested height is zero or above the maximum, 20.
     InvalidHeight,
 }
 
@@ -115,14 +115,9 @@ impl MerkleKeypair {
     /// Generates a keypair of the given tree height (`2^height` one-time
     /// signatures).
     ///
-    /// # Errors
-    ///
-    /// Via [`Self::try_generate`]; this variant panics instead for
-    /// ergonomic use in examples.
-    ///
     /// # Panics
     ///
-    /// Panics if `height == 0` or `height > MAX_HEIGHT`.
+    /// Panics if `height == 0` or `height > 20`.
     pub fn generate<R: RngCore>(rng: &mut R, height: u32) -> Self {
         Self::try_generate(rng, height).expect("valid height")
     }
@@ -133,7 +128,7 @@ impl MerkleKeypair {
     ///
     /// Returns [`MerkleError::InvalidHeight`] if `height == 0` or
     /// `height > MAX_HEIGHT`.
-    pub fn try_generate<R: RngCore>(rng: &mut R, height: u32) -> Result<Self, MerkleError> {
+    pub(crate) fn try_generate<R: RngCore>(rng: &mut R, height: u32) -> Result<Self, MerkleError> {
         if height == 0 || height > MAX_HEIGHT {
             return Err(MerkleError::InvalidHeight);
         }
@@ -147,7 +142,7 @@ impl MerkleKeypair {
     /// # Panics
     ///
     /// Panics if `height == 0` or `height > MAX_HEIGHT`.
-    pub fn from_seed(seed: [u8; 32], height: u32) -> Self {
+    pub(crate) fn from_seed(seed: [u8; 32], height: u32) -> Self {
         assert!(height > 0 && height <= MAX_HEIGHT, "height out of range");
         let leaf_count = 1u64 << height;
         let mut leaves = Vec::with_capacity(leaf_count as usize);

@@ -17,10 +17,10 @@
 //! ```
 
 /// Output size of SHA-256 in bytes.
-pub const DIGEST_LEN: usize = 32;
+pub(crate) const DIGEST_LEN: usize = 32;
 
 /// Block size of SHA-256 in bytes (used by HMAC).
-pub const BLOCK_LEN: usize = 64;
+pub(crate) const BLOCK_LEN: usize = 64;
 
 /// A SHA-256 digest.
 pub type Digest = [u8; DIGEST_LEN];
@@ -80,7 +80,7 @@ impl Sha256 {
     ///
     /// Used pervasively for domain-separated hashing such as Merkle tree
     /// node derivation: `digest_pair(left, right)`.
-    pub fn digest_pair(a: &[u8], b: &[u8]) -> Digest {
+    pub(crate) fn digest_pair(a: &[u8], b: &[u8]) -> Digest {
         let mut h = Sha256::new();
         h.update(a);
         h.update(b);

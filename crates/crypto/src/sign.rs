@@ -1,12 +1,12 @@
 //! Unified signing interface over the two signature schemes used in the
 //! system:
 //!
-//! * [`Scheme::Merkle`] — the *real* hash-based many-time signature
+//! * Merkle — the *real* hash-based many-time signature
 //!   scheme ([`crate::merkle`]): verification is self-contained given the
 //!   public root, exactly like the XML-DSig/X.509 signatures the paper
 //!   assumes. Costs real hash work and ~2.4 KiB per signature, which is
 //!   in the same ballpark as a 2008-era XML-DSig blob.
-//! * [`Scheme::Sim`] — a *simulated* PKI signature: signing is an HMAC
+//! * simulated PKI — a *simulated* PKI signature: signing is an HMAC
 //!   under a private key; verification consults a [`SimPkiRegistry`]
 //!   oracle shared by the whole simulation. This models the trust
 //!   semantics of a PKI (only the key holder can produce a signature that
@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 /// Identifies a signature scheme.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
-pub enum Scheme {
+pub(crate) enum Scheme {
     /// Hash-based Merkle/W-OTS signatures (self-contained verification).
     Merkle,
     /// Registry-backed simulated PKI signatures.
@@ -54,7 +54,7 @@ pub enum PublicKey {
 
 impl PublicKey {
     /// The scheme this key belongs to.
-    pub fn scheme(&self) -> Scheme {
+    pub(crate) fn scheme(&self) -> Scheme {
         match self {
             PublicKey::Merkle(_) => Scheme::Merkle,
             PublicKey::Sim(_) => Scheme::Sim,
@@ -106,14 +106,6 @@ impl Signature {
         match self {
             Signature::Merkle(sig) => sig.byte_len(),
             Signature::Sim { modeled_len, .. } => *modeled_len as usize,
-        }
-    }
-
-    /// The scheme that produced this signature.
-    pub fn scheme(&self) -> Scheme {
-        match self {
-            Signature::Merkle(_) => Scheme::Merkle,
-            Signature::Sim { .. } => Scheme::Sim,
         }
     }
 }
@@ -178,16 +170,6 @@ impl SimPkiRegistry {
             Some(keyed) => ct_eq(&mac_under(keyed, message), mac),
             None => false,
         }
-    }
-
-    /// Number of registered keypairs.
-    pub fn len(&self) -> usize {
-        self.secrets.read().len()
-    }
-
-    /// Whether no keypairs have been registered.
-    pub fn is_empty(&self) -> bool {
-        self.secrets.read().is_empty()
     }
 }
 

@@ -10,20 +10,19 @@
 //! checksum chains, `len = 67` chains total.
 
 use crate::sha256::{Digest, Sha256};
-use rand::RngCore;
 
 /// Number of 4-bit digits in a 32-byte digest.
-pub const LEN1: usize = 64;
+pub(crate) const LEN1: usize = 64;
 /// Number of checksum digits (max checksum 64*15 = 960 < 16^3).
-pub const LEN2: usize = 3;
+pub(crate) const LEN2: usize = 3;
 /// Total number of hash chains per keypair.
-pub const LEN: usize = LEN1 + LEN2;
+pub(crate) const LEN: usize = LEN1 + LEN2;
 /// Maximum chain iteration count (`w - 1`).
-pub const CHAIN_MAX: u8 = 15;
+pub(crate) const CHAIN_MAX: u8 = 15;
 
 /// W-OTS private key: one 32-byte seed value per chain.
 #[derive(Clone)]
-pub struct WotsPrivateKey {
+pub(crate) struct WotsPrivateKey {
     chains: Box<[[u8; 32]; LEN]>,
 }
 
@@ -35,17 +34,17 @@ impl std::fmt::Debug for WotsPrivateKey {
 
 /// W-OTS public key: the compressed (hashed) chain heads.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct WotsPublicKey(pub Digest);
+pub(crate) struct WotsPublicKey(pub Digest);
 
 /// A W-OTS signature: one intermediate chain value per digit.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct WotsSignature {
+pub(crate) struct WotsSignature {
     values: Box<[[u8; 32]; LEN]>,
 }
 
 impl WotsSignature {
     /// Signature size in bytes when serialized.
-    pub const SERIALIZED_LEN: usize = LEN * 32;
+    pub(crate) const SERIALIZED_LEN: usize = LEN * 32;
 
     /// Serializes the signature as `LEN * 32` bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
@@ -104,22 +103,11 @@ fn digits(message_digest: &Digest) -> [u8; LEN] {
     out
 }
 
-/// Generates a W-OTS keypair from the provided RNG.
-pub fn keygen<R: RngCore>(rng: &mut R) -> (WotsPrivateKey, WotsPublicKey) {
-    let mut chains = Box::new([[0u8; 32]; LEN]);
-    for c in chains.iter_mut() {
-        rng.fill_bytes(c);
-    }
-    let sk = WotsPrivateKey { chains };
-    let pk = public_key(&sk);
-    (sk, pk)
-}
-
 /// Derives a W-OTS keypair deterministically from a seed and an index.
 ///
 /// Used by the Merkle scheme so the full private key never needs to be
 /// stored: leaf keys are re-derived on demand.
-pub fn keygen_from_seed(seed: &[u8; 32], index: u64) -> (WotsPrivateKey, WotsPublicKey) {
+pub(crate) fn keygen_from_seed(seed: &[u8; 32], index: u64) -> (WotsPrivateKey, WotsPublicKey) {
     let mut chains = Box::new([[0u8; 32]; LEN]);
     for (i, c) in chains.iter_mut().enumerate() {
         let mut h = Sha256::new();
@@ -135,7 +123,7 @@ pub fn keygen_from_seed(seed: &[u8; 32], index: u64) -> (WotsPrivateKey, WotsPub
 }
 
 /// Computes the public key corresponding to `sk`.
-pub fn public_key(sk: &WotsPrivateKey) -> WotsPublicKey {
+pub(crate) fn public_key(sk: &WotsPrivateKey) -> WotsPublicKey {
     let mut h = Sha256::new();
     h.update(b"dacs-wots-pk");
     for (i, c) in sk.chains.iter().enumerate() {
@@ -149,7 +137,7 @@ pub fn public_key(sk: &WotsPrivateKey) -> WotsPublicKey {
 ///
 /// Reusing `sk` for a second, different message progressively leaks the
 /// private key; callers must enforce one-time use (the Merkle layer does).
-pub fn sign(sk: &WotsPrivateKey, message: &[u8]) -> WotsSignature {
+pub(crate) fn sign(sk: &WotsPrivateKey, message: &[u8]) -> WotsSignature {
     let digest = Sha256::digest(message);
     let ds = digits(&digest);
     let mut values = Box::new([[0u8; 32]; LEN]);
@@ -162,7 +150,7 @@ pub fn sign(sk: &WotsPrivateKey, message: &[u8]) -> WotsSignature {
 /// Recomputes the candidate public key from a signature and message.
 ///
 /// If the signature is valid the result equals the signer's public key.
-pub fn recover_public_key(sig: &WotsSignature, message: &[u8]) -> WotsPublicKey {
+pub(crate) fn recover_public_key(sig: &WotsSignature, message: &[u8]) -> WotsPublicKey {
     let digest = Sha256::digest(message);
     let ds = digits(&digest);
     let mut h = Sha256::new();
@@ -174,46 +162,40 @@ pub fn recover_public_key(sig: &WotsSignature, message: &[u8]) -> WotsPublicKey 
     WotsPublicKey(h.finalize())
 }
 
-/// Verifies a W-OTS signature against a public key.
-pub fn verify(pk: &WotsPublicKey, message: &[u8], sig: &WotsSignature) -> bool {
-    recover_public_key(sig, message) == *pk
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+
+    /// Verifies a W-OTS signature against a public key.
+    fn verify(pk: &WotsPublicKey, message: &[u8], sig: &WotsSignature) -> bool {
+        recover_public_key(sig, message) == *pk
+    }
 
     #[test]
     fn sign_verify_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let (sk, pk) = keygen(&mut rng);
+        let (sk, pk) = keygen_from_seed(&[1; 32], 0);
         let sig = sign(&sk, b"grant access to radiology records");
         assert!(verify(&pk, b"grant access to radiology records", &sig));
     }
 
     #[test]
     fn wrong_message_rejected() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let (sk, pk) = keygen(&mut rng);
+        let (sk, pk) = keygen_from_seed(&[2; 32], 0);
         let sig = sign(&sk, b"permit");
         assert!(!verify(&pk, b"deny", &sig));
     }
 
     #[test]
     fn wrong_key_rejected() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let (sk, _) = keygen(&mut rng);
-        let (_, pk2) = keygen(&mut rng);
+        let (sk, _) = keygen_from_seed(&[3; 32], 0);
+        let (_, pk2) = keygen_from_seed(&[3; 32], 1);
         let sig = sign(&sk, b"msg");
         assert!(!verify(&pk2, b"msg", &sig));
     }
 
     #[test]
     fn tampered_signature_rejected() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let (sk, pk) = keygen(&mut rng);
+        let (sk, pk) = keygen_from_seed(&[4; 32], 0);
         let mut sig = sign(&sk, b"msg");
         sig.values[0][0] ^= 0xff;
         assert!(!verify(&pk, b"msg", &sig));
@@ -231,8 +213,7 @@ mod tests {
 
     #[test]
     fn signature_serialization_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let (sk, pk) = keygen(&mut rng);
+        let (sk, pk) = keygen_from_seed(&[5; 32], 0);
         let sig = sign(&sk, b"serialize me");
         let bytes = sig.to_bytes();
         assert_eq!(bytes.len(), WotsSignature::SERIALIZED_LEN);

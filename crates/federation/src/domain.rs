@@ -20,13 +20,12 @@ use dacs_crypto::sign::{CryptoCtx, SigningKey};
 use dacs_pap::{Pap, PolicyEpoch, SyndicationTree};
 use dacs_pdp::{CacheConfig, DecisionClass, Pdp, PdpMetrics};
 use dacs_pep::{DecisionSource, LogObligationHandler, MintingSource, NotifyObligationHandler, Pep};
-use dacs_pip::{EnvironmentProvider, PipRegistry, PipStats, RbacProvider, StaticAttributes};
+use dacs_pip::{EnvironmentProvider, PipRegistry, PipStats, StaticAttributes};
 use dacs_policy::eval::{EvalMetrics, Response};
 use dacs_policy::expr::ExprStats;
 use dacs_policy::policy::{CombiningAlg, Policy, PolicyElement, PolicyId, PolicySet};
 use dacs_policy::request::RequestContext;
-use dacs_rbac::Rbac;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -124,8 +123,6 @@ pub struct Domain {
     /// Identity-provider attribute store (serves federated attribute
     /// queries about this domain's subjects).
     pub idp_attributes: Arc<StaticAttributes>,
-    /// Optional RBAC model backing `subject.role`.
-    pub rbac: Option<Arc<RwLock<Rbac>>>,
     /// The domain's signing key (certificates, assertions).
     pub key: Arc<SigningKey>,
     /// The `log` obligation sink, for audit inspection in tests and
@@ -156,7 +153,6 @@ impl Domain {
             policies: Vec::new(),
             idp_attributes: Arc::new(StaticAttributes::new()),
             pep_cache: None,
-            rbac: None,
             seed: 0x5eed,
             cluster: None,
             shards: 1,
@@ -320,7 +316,7 @@ impl Domain {
 }
 
 /// Home domain of a federated subject id (`user@domain`).
-pub fn home_domain(subject: &str) -> Option<&str> {
+pub(crate) fn home_domain(subject: &str) -> Option<&str> {
     subject.rsplit_once('@').map(|(_, d)| d)
 }
 
@@ -398,7 +394,6 @@ pub struct DomainBuilder {
     /// place, never copied.
     idp_attributes: Arc<StaticAttributes>,
     pep_cache: Option<CacheConfig>,
-    rbac: Option<Rbac>,
     seed: u64,
     cluster: Option<ClusterBuilder>,
     shards: usize,
@@ -439,12 +434,6 @@ impl DomainBuilder {
     /// Enables the PEP decision cache.
     pub fn pep_cache(mut self, config: CacheConfig) -> Self {
         self.pep_cache = Some(config);
-        self
-    }
-
-    /// Installs an RBAC model whose role closure feeds `subject.role`.
-    pub fn rbac(mut self, rbac: Rbac) -> Self {
-        self.rbac = Some(rbac);
         self
     }
 
@@ -517,14 +506,9 @@ impl DomainBuilder {
             root = root.with_policy_ref(PolicyId::new(policy.id.as_str()));
         }
 
-        let rbac = self.rbac.map(|r| Arc::new(RwLock::new(r)));
-
         let mut pips = PipRegistry::new();
         pips.add(self.idp_attributes.clone());
         pips.add(Arc::new(EnvironmentProvider));
-        if let Some(r) = &rbac {
-            pips.add(Arc::new(RbacProvider::new(r.clone())));
-        }
         let pips = Arc::new(pips);
         let registry = self.telemetry.as_deref().map(|t| t.registry());
         expose_pips(registry, &pips);
@@ -654,7 +638,6 @@ impl DomainBuilder {
             cluster,
             capability,
             idp_attributes: self.idp_attributes,
-            rbac,
             key,
             log_handler,
             source,
@@ -726,29 +709,6 @@ policy "gate" deny-unless-permit {
         assert!(!domain.is_home_of("bob@lab-b"));
         assert_eq!(home_domain("bob@lab-b"), Some("lab-b"));
         assert_eq!(home_domain("no-at-sign"), None);
-    }
-
-    #[test]
-    fn rbac_backed_roles() {
-        let ctx = CryptoCtx::new();
-        let mut rbac = Rbac::new();
-        rbac.add_role("doctor");
-        rbac.add_user("carol@clinic");
-        rbac.assign("carol@clinic", "doctor").unwrap();
-        let domain = Domain::builder("clinic")
-            .policy_dsl(
-                r#"
-policy "gate" deny-unless-permit {
-  rule "doctors" permit {
-    condition is-in("doctor", attr(subject, "role"))
-  }
-}
-"#,
-            )
-            .rbac(rbac)
-            .build(&ctx);
-        let req = RequestContext::basic("carol@clinic", "ehr/1", "read");
-        assert!(domain.pep.serve(EnforceRequest::of(&req, 0)).allowed);
     }
 
     const DOCTOR_GATE: &str = r#"

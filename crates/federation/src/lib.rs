@@ -29,7 +29,7 @@ pub mod flows;
 pub mod proto;
 pub mod vo;
 
-pub use domain::{home_domain, ClusteredDecisionSource, Domain, DomainBuilder};
+pub use domain::{ClusteredDecisionSource, Domain, DomainBuilder};
 pub use flows::{
     federated_enrich, issue_capability_flow, push_flow, request_flow, FlowKind, FlowNet, FlowTrace,
 };

@@ -179,13 +179,13 @@ impl Vo {
     }
 
     /// Index of a member domain.
-    pub fn domain_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn domain_index(&self, name: &str) -> Option<usize> {
         self.domains.iter().position(|d| d.name == name)
     }
 
     /// Chinese Wall check: may `subject` access resources of
     /// `target_domain` given its access history?
-    pub fn wall_permits(&self, subject: &str, target_domain: &str) -> bool {
+    pub(crate) fn wall_permits(&self, subject: &str, target_domain: &str) -> bool {
         let history = self.access_history.lock();
         let Some(visited) = history.get(subject) else {
             return true;
@@ -206,27 +206,29 @@ impl Vo {
     }
 
     /// Records a successful access for Chinese Wall purposes.
-    pub fn record_access(&self, subject: &str, domain: &str) {
+    pub(crate) fn record_access(&self, subject: &str, domain: &str) {
         self.access_history
             .lock()
             .entry(subject.to_owned())
             .or_default()
             .insert(domain.to_owned());
     }
-
-    /// Access history snapshot for a subject.
-    pub fn history_of(&self, subject: &str) -> BTreeSet<String> {
-        self.access_history
-            .lock()
-            .get(subject)
-            .cloned()
-            .unwrap_or_default()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Vo {
+        /// Access history snapshot for a subject.
+        fn history_of(&self, subject: &str) -> BTreeSet<String> {
+            self.access_history
+                .lock()
+                .get(subject)
+                .cloned()
+                .unwrap_or_default()
+        }
+    }
 
     fn simple_domain(ctx: &CryptoCtx, name: &str) -> Domain {
         Domain::builder(name)

@@ -9,7 +9,7 @@ use std::collections::{HashMap, HashSet};
 
 /// A single delegation grant.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Delegation {
+pub(crate) struct Delegation {
     /// Unique grant id.
     pub id: u64,
     /// The delegating authority.
@@ -229,7 +229,7 @@ impl DelegationRegistry {
     }
 
     /// Whether a grant (by id) is revoked.
-    pub fn is_revoked(&self, id: u64) -> bool {
+    pub(crate) fn is_revoked(&self, id: u64) -> bool {
         self.revoked.contains(&id)
     }
 

@@ -24,7 +24,7 @@ pub mod repository;
 pub mod syndication;
 
 pub use dacs_policy::epoch;
-pub use delegation::{Delegation, DelegationError, DelegationRegistry};
+pub use delegation::{DelegationError, DelegationRegistry};
 pub use epoch::PolicyEpoch;
 pub use repository::{AdminAction, AuditEntry, Pap, PapError};
 pub use syndication::{CatchUpReport, LoggedUpdate, PropagationReport, SyndicationTree};

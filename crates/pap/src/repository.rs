@@ -372,15 +372,6 @@ impl Pap {
         entry.versions.get(entry.active).cloned()
     }
 
-    /// The number of stored versions of a policy.
-    pub fn version_count(&self, id: &PolicyId) -> usize {
-        self.policies
-            .read()
-            .get(id)
-            .map(|v| v.versions.len())
-            .unwrap_or(0)
-    }
-
     /// Number of distinct policies.
     pub fn len(&self) -> usize {
         self.policies.read().len()
@@ -416,6 +407,18 @@ impl PolicyStore for SetsOnly<'_> {
     }
     fn policy_set(&self, id: &PolicyId) -> Option<Arc<PolicySet>> {
         self.0.get(id).cloned()
+    }
+}
+
+#[cfg(test)]
+impl Pap {
+    /// The number of stored versions of a policy.
+    pub(crate) fn version_count(&self, id: &PolicyId) -> usize {
+        self.policies
+            .read()
+            .get(id)
+            .map(|v| v.versions.len())
+            .unwrap_or(0)
     }
 }
 

@@ -232,12 +232,6 @@ impl SyndicationTree {
         PolicyEpoch(self.log.len() as u64)
     }
 
-    /// The epoch a node has caught up to (gap-free position; see
-    /// [`Pap::observe_policy_epoch`]).
-    pub fn node_epoch(&self, idx: usize) -> PolicyEpoch {
-        self.nodes[idx].pap.policy_epoch()
-    }
-
     /// Marks a node reachable/unreachable for pushes. The root cannot
     /// be taken offline (it *assigns* the epochs).
     ///
@@ -251,7 +245,7 @@ impl SyndicationTree {
 
     /// The parent of `idx` (`None` for the root) — the "nearest
     /// syndication node" a catch-up replays from.
-    pub fn parent_of(&self, idx: usize) -> Option<usize> {
+    pub(crate) fn parent_of(&self, idx: usize) -> Option<usize> {
         self.nodes.iter().position(|n| n.children.contains(&idx))
     }
 
@@ -476,7 +470,7 @@ mod tests {
         assert!(tree.converged(&PolicyId::new("global")));
         // Every node caught the stamp.
         for n in 0..tree.len() {
-            assert_eq!(tree.node_epoch(n), PolicyEpoch(1));
+            assert_eq!(tree.node(n).pap.policy_epoch(), PolicyEpoch(1));
         }
     }
 
@@ -495,7 +489,7 @@ mod tests {
         assert_eq!(report.hops.len(), 3); // root→a (filtered), root→b, b→b1
         assert!(tree.converged(&PolicyId::new("lab-policy")));
         // The filtering node still observed the stamp and is current.
-        assert_eq!(tree.node_epoch(a), PolicyEpoch(1));
+        assert_eq!(tree.node(a).pap.policy_epoch(), PolicyEpoch(1));
 
         let report = tree.propagate(sample("ehr-policy"), 20);
         assert_eq!(report.filtered, 0);
@@ -546,7 +540,7 @@ mod tests {
         assert_eq!(report.offline_skipped, 1);
         assert_eq!(report.applied, 2, "root + the online child");
         // The offline node is stuck at epoch 1 while the tree moved on.
-        assert_eq!(tree.node_epoch(1), PolicyEpoch(1));
+        assert_eq!(tree.node(1).pap.policy_epoch(), PolicyEpoch(1));
         assert_eq!(tree.epoch(), PolicyEpoch(2));
         assert!(!tree.converged(&PolicyId::new("b")));
 
@@ -555,7 +549,7 @@ mod tests {
         assert_eq!(caught.from_epoch, PolicyEpoch(1));
         assert_eq!(caught.to_epoch, PolicyEpoch(2));
         assert_eq!(caught.replayed, 1);
-        assert_eq!(tree.node_epoch(1), tree.epoch());
+        assert_eq!(tree.node(1).pap.policy_epoch(), tree.epoch());
         assert!(tree.converged(&PolicyId::new("b")));
     }
 
@@ -567,8 +561,8 @@ mod tests {
         tree.set_online(mid, false);
         tree.propagate(sample("p"), 1);
         // Both mid and its (online) leaf missed the push.
-        assert_eq!(tree.node_epoch(mid), PolicyEpoch::ZERO);
-        assert_eq!(tree.node_epoch(leaf), PolicyEpoch::ZERO);
+        assert_eq!(tree.node(mid).pap.policy_epoch(), PolicyEpoch::ZERO);
+        assert_eq!(tree.node(leaf).pap.policy_epoch(), PolicyEpoch::ZERO);
         tree.set_online(mid, true);
         tree.catch_up(mid, 2);
         tree.catch_up(leaf, 2);
@@ -589,10 +583,10 @@ mod tests {
         let report = tree.catch_up(1, 3);
         assert_eq!(report.replayed, 0);
         assert_eq!(report.from_epoch, report.to_epoch);
-        assert_eq!(tree.node_epoch(1), PolicyEpoch(1));
+        assert_eq!(tree.node(1).pap.policy_epoch(), PolicyEpoch(1));
         tree.set_online(1, true);
         assert_eq!(tree.catch_up(1, 4).replayed, 1);
-        assert_eq!(tree.node_epoch(1), PolicyEpoch(2));
+        assert_eq!(tree.node(1).pap.policy_epoch(), PolicyEpoch(2));
     }
 
     #[test]
@@ -778,7 +772,7 @@ mod tests {
             assert_eq!(tree.epoch(), PolicyEpoch(pushes), "seed {seed}");
             for idx in 0..n {
                 assert_eq!(
-                    tree.node_epoch(idx),
+                    tree.node(idx).pap.policy_epoch(),
                     tree.epoch(),
                     "seed {seed}: node {idx} not at root epoch"
                 );

@@ -84,7 +84,7 @@ impl EnforceOptions {
     }
 
     /// Sets the scheduling lane.
-    pub fn with_priority(mut self, priority: Priority) -> Self {
+    pub(crate) fn with_priority(mut self, priority: Priority) -> Self {
         self.priority = priority;
         self
     }

@@ -7,17 +7,13 @@
 //! references.
 //!
 //! Providers included:
-//! * [`StaticAttributes`] — administrator-provisioned subject/resource
+//! * [`StaticAttributes`] — administrator-provisioned subject
 //!   attributes: the identity provider's store, one exact-size record
 //!   per key (its attributes in insertion order, names interned) in a
 //!   map hashed by the workspace's seeded `KeyState`. A domain's
 //!   builder provisions it in place.
 //! * [`EnvironmentProvider`] — `env.current-time` from the simulation
 //!   clock.
-//! * [`HistoryProvider`] — request-history attributes ("a possible
-//!   history of previous access requests", §2.2).
-//! * [`RbacProvider`] — exposes the RBAC role closure as the
-//!   `subject.role` bag, bridging model and policy levels.
 //!
 //! [`PipRegistry`] chains providers; [`ResolvingSource`] adapts a
 //! request + registry into the `AttributeSource` the evaluation engine
@@ -33,7 +29,6 @@ use dacs_policy::attr::{AttrName, AttrValue, AttributeId, Category, Str, TIME_AT
 use dacs_policy::expr::AttributeSource;
 use dacs_policy::hash::KeyState;
 use dacs_policy::request::RequestContext;
-use dacs_rbac::Rbac;
 use parking_lot::RwLock;
 use std::cell::OnceCell;
 use std::collections::HashMap;
@@ -56,7 +51,7 @@ pub trait AttributeProvider: Send + Sync {
     ) -> Option<Vec<AttrValue>>;
 }
 
-/// Administrator-provisioned attributes for subjects and resources.
+/// Administrator-provisioned subject attributes.
 ///
 /// One record per key, at its size: one boxed slice of 32-byte
 /// `(name, value)` entries in insertion order, in a map that hashes
@@ -69,7 +64,6 @@ pub trait AttributeProvider: Send + Sync {
 #[derive(Debug, Default)]
 pub struct StaticAttributes {
     subjects: RwLock<Records>,
-    resources: RwLock<Records>,
 }
 
 /// Key → its attributes, a repeated name once per value, in the order
@@ -104,11 +98,6 @@ impl StaticAttributes {
         add_record(&self.subjects, subject, name, value.into());
     }
 
-    /// Adds a resource attribute.
-    pub fn add_resource_attr(&self, resource: &str, name: &str, value: impl Into<AttrValue>) {
-        add_record(&self.resources, resource, name, value.into());
-    }
-
     /// Removes all attributes of a subject (deprovisioning).
     pub fn remove_subject(&self, subject: &str) {
         self.subjects.write().remove(&Str::new(subject));
@@ -140,13 +129,11 @@ impl AttributeProvider for StaticAttributes {
         request: &RequestContext,
         _now_ms: u64,
     ) -> Option<Vec<AttrValue>> {
-        let store = match id.category {
-            Category::Subject => &self.subjects,
-            Category::Resource => &self.resources,
-            _ => return None,
-        };
-        let key = request.id_of(id.category)?;
-        let guard = store.read();
+        if id.category != Category::Subject {
+            return None;
+        }
+        let key = request.id_of(Category::Subject)?;
+        let guard = self.subjects.read();
         let record = guard.get(key)?;
         // Counted first, so a one-value bag asks for one value's bytes.
         let named = |entry: &&(AttrName, AttrValue)| entry.0 == id.name;
@@ -179,121 +166,6 @@ impl AttributeProvider for EnvironmentProvider {
             Some(vec![AttrValue::Time(now_ms)])
         } else {
             None
-        }
-    }
-}
-
-/// Records past accesses and serves request-history attributes:
-/// `subject.access-count` (total recorded accesses by the subject) and
-/// `subject.recent-resources` (distinct resources the subject touched).
-#[derive(Debug, Default)]
-pub struct HistoryProvider {
-    log: RwLock<Vec<(String, String, String, u64)>>,
-}
-
-impl HistoryProvider {
-    /// Creates an empty history.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records an access. Nothing records on its own: whoever wants
-    /// history attributes calls this after each enforcement.
-    pub fn record(&self, subject: &str, resource: &str, action: &str, now_ms: u64) {
-        self.log.write().push((
-            subject.to_owned(),
-            resource.to_owned(),
-            action.to_owned(),
-            now_ms,
-        ));
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.log.read().len()
-    }
-
-    /// Whether no events are recorded.
-    pub fn is_empty(&self) -> bool {
-        self.log.read().is_empty()
-    }
-}
-
-impl AttributeProvider for HistoryProvider {
-    fn name(&self) -> &str {
-        "history"
-    }
-
-    fn provide(
-        &self,
-        id: &AttributeId,
-        request: &RequestContext,
-        _now_ms: u64,
-    ) -> Option<Vec<AttrValue>> {
-        if id.category != Category::Subject {
-            return None;
-        }
-        let subject = request.subject_id()?;
-        match id.name.as_str() {
-            "access-count" => {
-                let count = self
-                    .log
-                    .read()
-                    .iter()
-                    .filter(|(s, _, _, _)| s == subject)
-                    .count();
-                Some(vec![AttrValue::Integer(count as i64)])
-            }
-            "recent-resources" => {
-                let log = self.log.read();
-                let mut resources: Vec<AttrValue> = Vec::new();
-                for (s, r, _, _) in log.iter() {
-                    if s == subject {
-                        let v = AttrValue::from(r.as_str());
-                        if !resources.contains(&v) {
-                            resources.push(v);
-                        }
-                    }
-                }
-                Some(resources)
-            }
-            _ => None,
-        }
-    }
-}
-
-/// Exposes an RBAC model's authorized-role closure as `subject.role`.
-pub struct RbacProvider {
-    rbac: Arc<RwLock<Rbac>>,
-}
-
-impl RbacProvider {
-    /// Wraps a shared RBAC model.
-    pub fn new(rbac: Arc<RwLock<Rbac>>) -> Self {
-        RbacProvider { rbac }
-    }
-}
-
-impl AttributeProvider for RbacProvider {
-    fn name(&self) -> &str {
-        "rbac"
-    }
-
-    fn provide(
-        &self,
-        id: &AttributeId,
-        request: &RequestContext,
-        _now_ms: u64,
-    ) -> Option<Vec<AttrValue>> {
-        if id.category != Category::Subject || id.name != "role" {
-            return None;
-        }
-        let subject = request.subject_id()?;
-        let roles = self.rbac.read().authorized_roles(subject);
-        if roles.is_empty() {
-            None
-        } else {
-            Some(roles.into_iter().map(AttrValue::from).collect())
         }
     }
 }
@@ -440,7 +312,6 @@ pub use dacs_policy::attr::ID_ATTR as SUBJECT_ID_ATTR;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dacs_rbac::Permission;
 
     fn req() -> RequestContext {
         RequestContext::basic("alice", "ehr/1", "read")
@@ -450,11 +321,9 @@ mod tests {
     fn static_attributes_by_category() {
         let s = StaticAttributes::new();
         s.add_subject_attr("alice", "dept", "radiology");
-        s.add_resource_attr("ehr/1", "owner", "bob");
         let dept = s.provide(&AttributeId::subject("dept"), &req(), 0);
         assert_eq!(dept, Some(vec![AttrValue::from("radiology")]));
-        let owner = s.provide(&AttributeId::resource("owner"), &req(), 0);
-        assert_eq!(owner, Some(vec![AttrValue::from("bob")]));
+        assert_eq!(s.provide(&AttributeId::resource("owner"), &req(), 0), None);
         assert_eq!(s.provide(&AttributeId::subject("nope"), &req(), 0), None);
         s.remove_subject("alice");
         assert_eq!(s.provide(&AttributeId::subject("dept"), &req(), 0), None);
@@ -493,38 +362,6 @@ mod tests {
             e.provide(&AttributeId::environment("weather"), &req(), 0),
             None
         );
-    }
-
-    #[test]
-    fn history_counts_and_resources() {
-        let h = HistoryProvider::new();
-        h.record("alice", "ehr/1", "read", 10);
-        h.record("alice", "ehr/2", "read", 20);
-        h.record("alice", "ehr/1", "write", 30);
-        h.record("bob", "lab/9", "read", 40);
-        let count = h.provide(&AttributeId::subject("access-count"), &req(), 50);
-        assert_eq!(count, Some(vec![AttrValue::Integer(3)]));
-        let res = h
-            .provide(&AttributeId::subject("recent-resources"), &req(), 50)
-            .unwrap();
-        assert_eq!(res.len(), 2);
-        assert_eq!(h.len(), 4);
-    }
-
-    #[test]
-    fn rbac_provider_exposes_role_closure() {
-        let mut rbac = Rbac::new();
-        rbac.add_role("doctor");
-        rbac.add_role("staff");
-        rbac.add_inheritance("doctor", "staff").unwrap();
-        rbac.grant("doctor", Permission::new("read", "ehr/*"))
-            .unwrap();
-        rbac.add_user("alice");
-        rbac.assign("alice", "doctor").unwrap();
-        let p = RbacProvider::new(Arc::new(RwLock::new(rbac)));
-        let roles = p.provide(&AttributeId::subject("role"), &req(), 0).unwrap();
-        assert!(roles.contains(&AttrValue::from("doctor")));
-        assert!(roles.contains(&AttrValue::from("staff")));
     }
 
     #[test]

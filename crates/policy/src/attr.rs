@@ -72,9 +72,9 @@ impl fmt::Display for Category {
 /// lock; only interning a name the table has not seen takes one.
 ///
 /// The conventional names — [`ID_ATTR`], [`TIME_ATTR`] and
-/// [`ROLE_ATTR`], which nearly every request and policy carries — are
-/// the fixed symbols [`AttrName::ID`], [`AttrName::TIME`] and
-/// [`AttrName::ROLE`]. The table is append-only and bounded: at most
+/// `ROLE_ATTR`, which nearly every request and policy carries — are
+/// the first three symbols, fixed when the table is seeded; the role's
+/// is [`AttrName::ROLE`]. The table is append-only and bounded: at most
 /// [`MAX_NAMES`] names of at most [`MAX_NAME_LEN`] bytes each. Only
 /// policy authors and the program add names to it. The DSL parser calls
 /// the fallible [`AttrName::intern`], so an author's name past the bound
@@ -88,7 +88,7 @@ impl fmt::Display for Category {
 pub struct AttrName(u32);
 
 /// Conventional name of the subject's roles.
-pub const ROLE_ATTR: &str = "role";
+pub(crate) const ROLE_ATTR: &str = "role";
 
 /// The names whose symbols are fixed: a name's symbol is its position.
 const SEEDED: [&str; 3] = [ID_ATTR, TIME_ATTR, ROLE_ATTR];
@@ -133,10 +133,8 @@ impl std::error::Error for NameError {}
 
 impl AttrName {
     /// The symbol of [`ID_ATTR`].
-    pub const ID: AttrName = AttrName(0);
-    /// The symbol of [`TIME_ATTR`].
-    pub const TIME: AttrName = AttrName(1);
-    /// The symbol of [`ROLE_ATTR`].
+    pub(crate) const ID: AttrName = AttrName(0);
+    /// The symbol of `ROLE_ATTR`.
     pub const ROLE: AttrName = AttrName(2);
 
     /// The symbol of `name`, interning it if the table has not seen it;
@@ -324,9 +322,9 @@ pub const ID_ATTR: &str = "id";
 pub const TIME_ATTR: &str = "current-time";
 
 /// Bytes a [`Str`] keeps in place before it moves its text to the heap.
-pub const INLINE_LEN: usize = 22;
+pub(crate) const INLINE_LEN: usize = 22;
 
-/// A string value: up to [`INLINE_LEN`] bytes in place, longer text as
+/// A string value: up to `INLINE_LEN` bytes in place, longer text as
 /// a `Box<str>`, 24 bytes either way, so an [`AttrValue`] is 24 bytes
 /// too and a short id costs its request no allocation.
 ///
@@ -517,7 +515,7 @@ const _: () = assert!(std::mem::size_of::<AttributeId>() == 8);
 
 impl AttrValue {
     /// Name of the value's type, for error messages.
-    pub fn type_name(&self) -> &'static str {
+    pub(crate) fn type_name(&self) -> &'static str {
         match self {
             AttrValue::String(_) => "string",
             AttrValue::Integer(_) => "integer",
@@ -533,7 +531,7 @@ impl AttrValue {
     }
 
     /// Returns the string as held, if this is a string.
-    pub fn as_text(&self) -> Option<&Str> {
+    pub(crate) fn as_text(&self) -> Option<&Str> {
         match self {
             AttrValue::String(s) => Some(s),
             _ => None,
@@ -541,7 +539,7 @@ impl AttrValue {
     }
 
     /// Returns the integer content, if this is an integer.
-    pub fn as_integer(&self) -> Option<i64> {
+    pub(crate) fn as_integer(&self) -> Option<i64> {
         match self {
             AttrValue::Integer(i) => Some(*i),
             _ => None,
@@ -549,7 +547,7 @@ impl AttrValue {
     }
 
     /// Returns the boolean content, if this is a boolean.
-    pub fn as_boolean(&self) -> Option<bool> {
+    pub(crate) fn as_boolean(&self) -> Option<bool> {
         match self {
             AttrValue::Boolean(b) => Some(*b),
             _ => None,
@@ -557,7 +555,7 @@ impl AttrValue {
     }
 
     /// Returns the time content, if this is a time.
-    pub fn as_time(&self) -> Option<u64> {
+    pub(crate) fn as_time(&self) -> Option<u64> {
         match self {
             AttrValue::Time(t) => Some(*t),
             _ => None,
@@ -565,7 +563,7 @@ impl AttrValue {
     }
 
     /// Total ordering within the same type; `None` across types.
-    pub fn partial_cmp_same_type(&self, other: &AttrValue) -> Option<std::cmp::Ordering> {
+    pub(crate) fn partial_cmp_same_type(&self, other: &AttrValue) -> Option<std::cmp::Ordering> {
         use AttrValue::*;
         match (self, other) {
             (String(a), String(b)) => Some(a.cmp(b)),
@@ -846,10 +844,10 @@ mod tests {
     #[test]
     fn interning_is_idempotent_and_the_seeded_symbols_are_fixed() {
         assert_eq!(AttrName::intern(ID_ATTR), Ok(AttrName::ID));
-        assert_eq!(AttrName::intern(TIME_ATTR), Ok(AttrName::TIME));
+        assert_eq!(AttrName::intern(TIME_ATTR), Ok(AttrName(1)));
         assert_eq!(AttrName::intern(ROLE_ATTR), Ok(AttrName::ROLE));
         assert_eq!(
-            [AttrName::ID, AttrName::TIME, AttrName::ROLE].map(|n| n.as_str()),
+            [AttrName::ID, AttrName(1), AttrName::ROLE].map(|n| n.as_str()),
             SEEDED
         );
         let dept = AttrName::intern("department").unwrap();

@@ -13,7 +13,7 @@
 //! single-valued per request for overlap purposes.
 
 use crate::glob::{glob_match, globs_may_overlap};
-use crate::policy::{CombiningAlg, Decision, Effect, Policy, PolicyId};
+use crate::policy::{CombiningAlg, Effect, Policy, PolicyId};
 use crate::target::{AttrMatch, MatchOp, Target};
 use std::collections::BTreeMap;
 
@@ -58,25 +58,6 @@ pub struct ConflictAnalysis {
     /// Number of rules whose targets were too complex to expand and were
     /// treated as overlapping everything (conservative).
     pub complex_rules: usize,
-}
-
-impl ConflictAnalysis {
-    /// Whether no potential conflicts were found.
-    pub fn is_conflict_free(&self) -> bool {
-        self.conflicts.is_empty()
-    }
-}
-
-/// Which decision wins for a conflicting (Permit, Deny) pair under a
-/// combining algorithm — the runtime resolution the paper describes.
-pub fn runtime_resolution(alg: CombiningAlg) -> Decision {
-    match alg {
-        CombiningAlg::DenyOverrides | CombiningAlg::PermitUnlessDeny => Decision::Deny,
-        CombiningAlg::PermitOverrides | CombiningAlg::DenyUnlessPermit => Decision::Permit,
-        // Order- and applicability-dependent: cannot be resolved
-        // statically.
-        CombiningAlg::FirstApplicable | CombiningAlg::OnlyOneApplicable => Decision::Indeterminate,
-    }
 }
 
 /// A conjunction of attribute matches (one DNF term of a target).
@@ -371,6 +352,21 @@ pub fn analyze<'a>(policies: impl IntoIterator<Item = &'a Policy>) -> ConflictAn
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::Decision;
+
+    /// Which decision wins for a conflicting (Permit, Deny) pair under a
+    /// combining algorithm — the runtime resolution the paper describes.
+    fn runtime_resolution(alg: CombiningAlg) -> Decision {
+        match alg {
+            CombiningAlg::DenyOverrides | CombiningAlg::PermitUnlessDeny => Decision::Deny,
+            CombiningAlg::PermitOverrides | CombiningAlg::DenyUnlessPermit => Decision::Permit,
+            // Order- and applicability-dependent: cannot be resolved
+            // statically.
+            CombiningAlg::FirstApplicable | CombiningAlg::OnlyOneApplicable => {
+                Decision::Indeterminate
+            }
+        }
+    }
     use crate::attr::AttributeId;
     use crate::policy::Rule;
 
@@ -396,7 +392,7 @@ mod tests {
             .with_rule(permit_rule("permit-doctors", vec![role("doctor")]))
             .with_rule(deny_rule("deny-interns", vec![role("intern")]));
         let analysis = analyze([&p]);
-        assert!(analysis.is_conflict_free(), "{:?}", analysis.conflicts);
+        assert!(analysis.conflicts.is_empty(), "{:?}", analysis.conflicts);
     }
 
     #[test]
@@ -431,7 +427,7 @@ mod tests {
             .with_rule(permit_rule("p", vec![resource_glob("ehr/*")]));
         let b = Policy::new("b", CombiningAlg::DenyOverrides)
             .with_rule(deny_rule("d", vec![resource_glob("lab/*")]));
-        assert!(analyze([&a, &b]).is_conflict_free());
+        assert!(analyze([&a, &b]).conflicts.is_empty());
     }
 
     #[test]
@@ -443,7 +439,7 @@ mod tests {
         ));
         let b = Policy::new("b", CombiningAlg::DenyOverrides)
             .with_rule(deny_rule("minors", vec![age(MatchOp::LessThan, 18)]));
-        assert!(analyze([&a, &b]).is_conflict_free());
+        assert!(analyze([&a, &b]).conflicts.is_empty());
 
         let c = Policy::new("c", CombiningAlg::DenyOverrides)
             .with_rule(deny_rule("under-21", vec![age(MatchOp::LessThan, 21)]));
@@ -460,7 +456,7 @@ mod tests {
         let b = Policy::new("b", CombiningAlg::DenyOverrides)
             .with_target(Target::all(vec![resource_glob("lab/*")]))
             .with_rule(deny_rule("d", vec![role("doctor")]));
-        assert!(analyze([&a, &b]).is_conflict_free());
+        assert!(analyze([&a, &b]).conflicts.is_empty());
     }
 
     #[test]
@@ -468,7 +464,7 @@ mod tests {
         let p = Policy::new("p", CombiningAlg::DenyOverrides)
             .with_rule(permit_rule("p1", vec![]))
             .with_rule(permit_rule("p2", vec![]));
-        assert!(analyze([&p]).is_conflict_free());
+        assert!(analyze([&p]).conflicts.is_empty());
     }
 
     #[test]

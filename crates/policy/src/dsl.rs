@@ -28,11 +28,8 @@
 //! ```
 
 use crate::attr::{AttrName, AttrValue, AttributeId, Category};
-use crate::eval::MAX_POLICY_DEPTH;
 use crate::expr::{Expr, Func, MAX_DEPTH};
-use crate::policy::{
-    CombiningAlg, Effect, ObligationExpr, Policy, PolicyElement, PolicyId, PolicySet, Rule,
-};
+use crate::policy::{CombiningAlg, Effect, ObligationExpr, Policy, PolicyId, Rule};
 use crate::target::{AllOf, AnyOf, AttrMatch, MatchOp, Target};
 use std::fmt::Write as _;
 
@@ -762,62 +759,6 @@ impl Parser {
         self.expect(Tok::RBrace)?;
         Ok(policy)
     }
-
-    /// A policy set sitting at level `depth`.
-    fn policy_set(&mut self, depth: u32) -> Result<PolicySet, ParseError> {
-        self.expect_ident("policyset")?;
-        let id = self.string()?;
-        let alg = self.combining()?;
-        self.expect(Tok::LBrace)?;
-        let mut set = PolicySet::new(PolicyId::new(id), alg);
-        while self.peek().tok != Tok::RBrace {
-            if self.peek_ident("target") {
-                set.target = self.target()?;
-            } else if self.peek_ident("obligation") {
-                set.obligations.push(self.obligation()?);
-            } else if self.peek_ident("issuer") {
-                self.next();
-                set.issuer = Some(self.string()?);
-                self.expect(Tok::Semi)?;
-            } else if (self.peek_ident("policyset") || self.peek_ident("policy"))
-                && depth >= MAX_POLICY_DEPTH
-            {
-                return Err(self.err(format!("policy set deeper than {MAX_POLICY_DEPTH} levels")));
-            } else if self.peek_ident("policyset") {
-                // `policyset ref "x";` or inline nested set.
-                if matches!(self.toks.get(self.pos + 1).map(|t| &t.tok), Some(Tok::Ident(s)) if s == "ref")
-                {
-                    self.next();
-                    self.next();
-                    let rid = self.string()?;
-                    self.expect(Tok::Semi)?;
-                    set.elements
-                        .push(PolicyElement::PolicySetRef(PolicyId::new(rid)));
-                } else {
-                    let nested = self.policy_set(depth + 1)?;
-                    set.elements
-                        .push(PolicyElement::PolicySet(Box::new(nested)));
-                }
-            } else if self.peek_ident("policy") {
-                if matches!(self.toks.get(self.pos + 1).map(|t| &t.tok), Some(Tok::Ident(s)) if s == "ref")
-                {
-                    self.next();
-                    self.next();
-                    let rid = self.string()?;
-                    self.expect(Tok::Semi)?;
-                    set.elements
-                        .push(PolicyElement::PolicyRef(PolicyId::new(rid)));
-                } else {
-                    let p = self.policy()?;
-                    set.elements.push(PolicyElement::Policy(p));
-                }
-            } else {
-                return Err(self.err(format!("unexpected {} in policyset body", self.peek().tok)));
-            }
-        }
-        self.expect(Tok::RBrace)?;
-        Ok(set)
-    }
 }
 
 /// Parses a single policy from DSL text.
@@ -831,32 +772,6 @@ pub fn parse_policy(input: &str) -> Result<Policy, ParseError> {
     let policy = p.policy()?;
     p.expect(Tok::Eof)?;
     Ok(policy)
-}
-
-/// Parses a single policy set from DSL text.
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] with source position on malformed input.
-pub fn parse_policy_set(input: &str) -> Result<PolicySet, ParseError> {
-    let toks = lex(input)?;
-    let mut p = Parser { toks, pos: 0 };
-    let set = p.policy_set(0)?;
-    p.expect(Tok::Eof)?;
-    Ok(set)
-}
-
-/// Parses a standalone expression (useful in tests and tooling).
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] with source position on malformed input.
-pub fn parse_expr(input: &str) -> Result<Expr, ParseError> {
-    let toks = lex(input)?;
-    let mut p = Parser { toks, pos: 0 };
-    let e = p.expr(0)?;
-    p.expect(Tok::Eof)?;
-    Ok(e)
 }
 
 // -------------------------------------------------------------- printer --
@@ -1015,46 +930,137 @@ fn print_policy_indent(p: &Policy, indent: &str, out: &mut String) {
     let _ = writeln!(out, "{indent}}}");
 }
 
-/// Pretty-prints a policy set in DSL syntax (round-trips through
-/// [`parse_policy_set`]).
-pub fn print_policy_set(ps: &PolicySet) -> String {
-    let mut out = String::new();
-    print_policy_set_indent(ps, "", &mut out);
-    out
-}
-
-fn print_policy_set_indent(ps: &PolicySet, indent: &str, out: &mut String) {
-    let _ = writeln!(
-        out,
-        "{indent}policyset {:?} {} {{",
-        ps.id.0, ps.policy_combining
-    );
-    let inner = format!("{indent}  ");
-    if let Some(issuer) = &ps.issuer {
-        let _ = writeln!(out, "{inner}issuer {issuer:?};");
-    }
-    print_target(&ps.target, &inner, out);
-    for el in &ps.elements {
-        match el {
-            PolicyElement::Policy(p) => print_policy_indent(p, &inner, out),
-            PolicyElement::PolicySet(nested) => print_policy_set_indent(nested, &inner, out),
-            PolicyElement::PolicyRef(id) => {
-                let _ = writeln!(out, "{inner}policy ref {:?};", id.0);
-            }
-            PolicyElement::PolicySetRef(id) => {
-                let _ = writeln!(out, "{inner}policyset ref {:?};", id.0);
-            }
-        }
-    }
-    for o in &ps.obligations {
-        print_obligation(o, &inner, out);
-    }
-    let _ = writeln!(out, "{indent}}}");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::MAX_POLICY_DEPTH;
+    use crate::policy::{PolicyElement, PolicySet};
+
+    impl Parser {
+        /// A policy set sitting at level `depth`.
+        fn policy_set(&mut self, depth: u32) -> Result<PolicySet, ParseError> {
+            self.expect_ident("policyset")?;
+            let id = self.string()?;
+            let alg = self.combining()?;
+            self.expect(Tok::LBrace)?;
+            let mut set = PolicySet::new(PolicyId::new(id), alg);
+            while self.peek().tok != Tok::RBrace {
+                if self.peek_ident("target") {
+                    set.target = self.target()?;
+                } else if self.peek_ident("obligation") {
+                    set.obligations.push(self.obligation()?);
+                } else if self.peek_ident("issuer") {
+                    self.next();
+                    set.issuer = Some(self.string()?);
+                    self.expect(Tok::Semi)?;
+                } else if (self.peek_ident("policyset") || self.peek_ident("policy"))
+                    && depth >= MAX_POLICY_DEPTH
+                {
+                    return Err(
+                        self.err(format!("policy set deeper than {MAX_POLICY_DEPTH} levels"))
+                    );
+                } else if self.peek_ident("policyset") {
+                    // `policyset ref "x";` or inline nested set.
+                    if matches!(self.toks.get(self.pos + 1).map(|t| &t.tok), Some(Tok::Ident(s)) if s == "ref")
+                    {
+                        self.next();
+                        self.next();
+                        let rid = self.string()?;
+                        self.expect(Tok::Semi)?;
+                        set.elements
+                            .push(PolicyElement::PolicySetRef(PolicyId::new(rid)));
+                    } else {
+                        let nested = self.policy_set(depth + 1)?;
+                        set.elements
+                            .push(PolicyElement::PolicySet(Box::new(nested)));
+                    }
+                } else if self.peek_ident("policy") {
+                    if matches!(self.toks.get(self.pos + 1).map(|t| &t.tok), Some(Tok::Ident(s)) if s == "ref")
+                    {
+                        self.next();
+                        self.next();
+                        let rid = self.string()?;
+                        self.expect(Tok::Semi)?;
+                        set.elements
+                            .push(PolicyElement::PolicyRef(PolicyId::new(rid)));
+                    } else {
+                        let p = self.policy()?;
+                        set.elements.push(PolicyElement::Policy(p));
+                    }
+                } else {
+                    return Err(
+                        self.err(format!("unexpected {} in policyset body", self.peek().tok))
+                    );
+                }
+            }
+            self.expect(Tok::RBrace)?;
+            Ok(set)
+        }
+    }
+
+    /// Parses a single policy set from DSL text.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ParseError`] with source position on malformed input.
+    fn parse_policy_set(input: &str) -> Result<PolicySet, ParseError> {
+        let toks = lex(input)?;
+        let mut p = Parser { toks, pos: 0 };
+        let set = p.policy_set(0)?;
+        p.expect(Tok::Eof)?;
+        Ok(set)
+    }
+
+    /// Parses a standalone expression (useful in tests and tooling).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ParseError`] with source position on malformed input.
+    fn parse_expr(input: &str) -> Result<Expr, ParseError> {
+        let toks = lex(input)?;
+        let mut p = Parser { toks, pos: 0 };
+        let e = p.expr(0)?;
+        p.expect(Tok::Eof)?;
+        Ok(e)
+    }
+
+    /// Pretty-prints a policy set in DSL syntax (round-trips through
+    /// [`parse_policy_set`]).
+    fn print_policy_set(ps: &PolicySet) -> String {
+        let mut out = String::new();
+        print_policy_set_indent(ps, "", &mut out);
+        out
+    }
+
+    fn print_policy_set_indent(ps: &PolicySet, indent: &str, out: &mut String) {
+        let _ = writeln!(
+            out,
+            "{indent}policyset {:?} {} {{",
+            ps.id.0, ps.policy_combining
+        );
+        let inner = format!("{indent}  ");
+        if let Some(issuer) = &ps.issuer {
+            let _ = writeln!(out, "{inner}issuer {issuer:?};");
+        }
+        print_target(&ps.target, &inner, out);
+        for el in &ps.elements {
+            match el {
+                PolicyElement::Policy(p) => print_policy_indent(p, &inner, out),
+                PolicyElement::PolicySet(nested) => print_policy_set_indent(nested, &inner, out),
+                PolicyElement::PolicyRef(id) => {
+                    let _ = writeln!(out, "{inner}policy ref {:?};", id.0);
+                }
+                PolicyElement::PolicySetRef(id) => {
+                    let _ = writeln!(out, "{inner}policyset ref {:?};", id.0);
+                }
+            }
+        }
+        for o in &ps.obligations {
+            print_obligation(o, &inner, out);
+        }
+        let _ = writeln!(out, "{indent}}}");
+    }
+
     use crate::eval::Evaluator;
     use crate::policy::Decision;
     use crate::request::RequestContext;

@@ -24,19 +24,6 @@ pub trait PolicyStore: Send + Sync {
     fn policy_set(&self, id: &PolicyId) -> Option<Arc<PolicySet>>;
 }
 
-/// A store with no policies (for evaluating self-contained trees).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EmptyStore;
-
-impl PolicyStore for EmptyStore {
-    fn policy(&self, _id: &PolicyId) -> Option<Arc<Policy>> {
-        None
-    }
-    fn policy_set(&self, _id: &PolicyId) -> Option<Arc<PolicySet>> {
-        None
-    }
-}
-
 /// A policy tree with its references resolved inline and its sets
 /// indexed by target: what [`resolve_references`] returns and
 /// [`Evaluator::evaluate_resolved`] evaluates. Immutable, so the index
@@ -114,8 +101,15 @@ impl std::error::Error for TreeError {}
 /// # Examples
 ///
 /// ```
-/// use dacs_policy::eval::{resolve_references, EmptyStore, TreeError, MAX_POLICY_DEPTH};
-/// use dacs_policy::policy::{CombiningAlg, PolicyElement, PolicySet};
+/// use dacs_policy::eval::{resolve_references, PolicyStore, TreeError, MAX_POLICY_DEPTH};
+/// use dacs_policy::policy::{CombiningAlg, Policy, PolicyElement, PolicyId, PolicySet};
+/// use std::sync::Arc;
+///
+/// struct EmptyStore;
+/// impl PolicyStore for EmptyStore {
+///     fn policy(&self, _: &PolicyId) -> Option<Arc<Policy>> { None }
+///     fn policy_set(&self, _: &PolicyId) -> Option<Arc<PolicySet>> { None }
+/// }
 ///
 /// let mut set = PolicySet::new("leaf", CombiningAlg::DenyOverrides).with_policy_ref("missing");
 /// for level in 0..MAX_POLICY_DEPTH {
@@ -602,6 +596,21 @@ fn indeterminate_status(decision: Decision, first_error: Option<String>) -> Stat
         Status::Error(first_error.unwrap_or_else(|| "indeterminate combination".into()))
     } else {
         Status::Ok
+    }
+}
+
+/// A store with no policies (for evaluating self-contained trees).
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct EmptyStore;
+
+#[cfg(test)]
+impl PolicyStore for EmptyStore {
+    fn policy(&self, _id: &PolicyId) -> Option<Arc<Policy>> {
+        None
+    }
+    fn policy_set(&self, _id: &PolicyId) -> Option<Arc<PolicySet>> {
+        None
     }
 }
 

@@ -3,7 +3,7 @@
 //! function library.
 //!
 //! Evaluation is strict about types (a type error yields an
-//! [`EvalError`], which the engine maps to `Indeterminate`), but
+//! `EvalError`, which the engine maps to `Indeterminate`), but
 //! ergonomic about bags: where a scalar is expected and a singleton bag
 //! is supplied, the single element is used (XACML's `one-and-only`
 //! applied implicitly).
@@ -294,11 +294,6 @@ impl Expr {
         Expr::apply(Func::Or, args)
     }
 
-    /// `not(a)` shorthand.
-    pub fn negate(a: Expr) -> Expr {
-        Expr::apply(Func::Not, vec![a])
-    }
-
     /// Number of nodes in the expression tree (complexity metric).
     pub fn node_count(&self) -> usize {
         match self {
@@ -310,7 +305,7 @@ impl Expr {
 
 /// Evaluation failure; the engine maps these to `Indeterminate`.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum EvalError {
+pub(crate) enum EvalError {
     /// A `must_be_present` attribute was absent.
     MissingAttribute(AttributeId),
     /// A function received a value of the wrong type.
@@ -376,7 +371,7 @@ impl std::error::Error for EvalError {}
 
 /// Result of evaluating an expression node.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Evaluated {
+pub(crate) enum Evaluated {
     /// A single value.
     Scalar(AttrValue),
     /// A bag of values.
@@ -419,7 +414,7 @@ fn boolean<'a>(b: bool) -> Val<'a> {
 /// # Errors
 ///
 /// Any [`EvalError`]; the policy engine maps these to `Indeterminate`.
-pub fn eval(
+pub(crate) fn eval(
     expr: &Expr,
     src: &dyn AttributeSource,
     stats: &mut ExprStats,
@@ -437,7 +432,7 @@ pub fn eval(
 ///
 /// [`EvalError::TypeMismatch`] if the expression does not produce a
 /// boolean, plus any error from evaluation itself.
-pub fn eval_condition(
+pub(crate) fn eval_condition(
     expr: &Expr,
     src: &dyn AttributeSource,
     stats: &mut ExprStats,
@@ -1142,7 +1137,7 @@ mod tests {
     fn depth_limit_enforced() {
         let mut e = Expr::val(true);
         for _ in 0..60 {
-            e = Expr::negate(Expr::negate(e));
+            e = Expr::apply(Func::Not, vec![Expr::apply(Func::Not, vec![e])]);
         }
         let mut stats = ExprStats::default();
         assert_eq!(eval(&e, &ctx(), &mut stats), Err(EvalError::DepthExceeded));
@@ -1165,7 +1160,10 @@ mod tests {
 
     #[test]
     fn node_count() {
-        let e = Expr::and(vec![Expr::val(true), Expr::negate(Expr::val(false))]);
+        let e = Expr::and(vec![
+            Expr::val(true),
+            Expr::apply(Func::Not, vec![Expr::val(false)]),
+        ]);
         assert_eq!(e.node_count(), 4);
     }
 }

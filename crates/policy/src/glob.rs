@@ -58,17 +58,7 @@ pub fn glob_match(pattern: &str, text: &str) -> bool {
 /// text the pattern matches starts with it, so a text that does not is
 /// ruled out without running the matcher — what conflict analysis and
 /// the evaluator's target index both rely on.
-///
-/// # Examples
-///
-/// ```
-/// use dacs_policy::glob::literal_prefix;
-///
-/// assert_eq!(literal_prefix("ehr/records/*"), "ehr/records/");
-/// assert_eq!(literal_prefix("*.pdf"), "");
-/// assert_eq!(literal_prefix("exact"), "exact");
-/// ```
-pub fn literal_prefix(pattern: &str) -> &str {
+pub(crate) fn literal_prefix(pattern: &str) -> &str {
     let end = pattern.find(['*', '?']).unwrap_or(pattern.len());
     &pattern[..end]
 }
@@ -96,6 +86,13 @@ pub fn globs_may_overlap(a: &str, b: &str) -> bool {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn literal_prefix_is_the_text_before_the_first_wildcard() {
+        assert_eq!(literal_prefix("ehr/records/*"), "ehr/records/");
+        assert_eq!(literal_prefix("*.pdf"), "");
+        assert_eq!(literal_prefix("exact"), "exact");
+    }
 
     /// The matcher as it was before it walked in place: both strings
     /// collected into `Vec<char>` and indexed. Kept as the oracle the

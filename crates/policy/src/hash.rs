@@ -79,12 +79,12 @@ impl WordHasher {
     /// than one byte string, or one that may end in zero bytes, feeds
     /// its length too.
     #[inline]
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
+    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
         self.write_joined(&[bytes]);
     }
 
     /// Feeds the concatenation of `parts`, carrying a partial word from
-    /// one part into the next: the same words [`WordHasher::write_bytes`]
+    /// one part into the next: the same words `WordHasher::write_bytes`
     /// feeds for the bytes spelled out in one slice.
     #[inline]
     pub fn write_joined(&mut self, parts: &[&[u8]]) {

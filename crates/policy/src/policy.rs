@@ -42,16 +42,11 @@ pub enum Decision {
 
 impl Decision {
     /// The decision corresponding to an effect.
-    pub fn from_effect(e: Effect) -> Decision {
+    pub(crate) fn from_effect(e: Effect) -> Decision {
         match e {
             Effect::Permit => Decision::Permit,
             Effect::Deny => Decision::Deny,
         }
-    }
-
-    /// Whether this decision is Permit.
-    pub fn is_permit(&self) -> bool {
-        matches!(self, Decision::Permit)
     }
 }
 
@@ -119,12 +114,6 @@ impl ObligationExpr {
             params: Vec::new(),
         }
     }
-
-    /// Adds a parameter expression (builder style).
-    pub fn with_param(mut self, name: impl Into<String>, expr: Expr) -> Self {
-        self.params.push((name.into(), expr));
-        self
-    }
 }
 
 /// A concrete obligation returned to the PEP with evaluated parameters.
@@ -179,12 +168,6 @@ impl Rule {
     /// Sets the condition (builder style).
     pub fn with_condition(mut self, condition: Expr) -> Self {
         self.condition = Some(condition);
-        self
-    }
-
-    /// Adds an obligation (builder style).
-    pub fn with_obligation(mut self, obligation: ObligationExpr) -> Self {
-        self.obligations.push(obligation);
         self
     }
 }
@@ -295,23 +278,6 @@ impl Policy {
         self.rules.push(rule);
         self
     }
-
-    /// Adds a policy-level obligation (builder style).
-    pub fn with_obligation(mut self, obligation: ObligationExpr) -> Self {
-        self.obligations.push(obligation);
-        self
-    }
-
-    /// Sets the issuer (builder style).
-    pub fn with_issuer(mut self, issuer: impl Into<String>) -> Self {
-        self.issuer = Some(issuer.into());
-        self
-    }
-
-    /// Total number of rules.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
-    }
 }
 
 /// A child of a policy set.
@@ -396,12 +362,6 @@ impl PolicySet {
         self
     }
 
-    /// Adds a set-level obligation (builder style).
-    pub fn with_obligation(mut self, obligation: ObligationExpr) -> Self {
-        self.obligations.push(obligation);
-        self
-    }
-
     /// Number of direct children.
     pub fn len(&self) -> usize {
         self.elements.len()
@@ -410,6 +370,42 @@ impl PolicySet {
     /// Whether the set has no children.
     pub fn is_empty(&self) -> bool {
         self.elements.is_empty()
+    }
+}
+
+#[cfg(test)]
+impl ObligationExpr {
+    /// Adds a parameter expression (builder style).
+    pub(crate) fn with_param(mut self, name: impl Into<String>, expr: Expr) -> Self {
+        self.params.push((name.into(), expr));
+        self
+    }
+}
+
+#[cfg(test)]
+impl Rule {
+    /// Adds an obligation (builder style).
+    pub(crate) fn with_obligation(mut self, obligation: ObligationExpr) -> Self {
+        self.obligations.push(obligation);
+        self
+    }
+}
+
+#[cfg(test)]
+impl Policy {
+    /// Adds a policy-level obligation (builder style).
+    pub(crate) fn with_obligation(mut self, obligation: ObligationExpr) -> Self {
+        self.obligations.push(obligation);
+        self
+    }
+}
+
+#[cfg(test)]
+impl PolicySet {
+    /// Adds a set-level obligation (builder style).
+    pub(crate) fn with_obligation(mut self, obligation: ObligationExpr) -> Self {
+        self.obligations.push(obligation);
+        self
     }
 }
 
@@ -434,10 +430,8 @@ mod tests {
                             .with_param("level", Expr::val("info")),
                     ),
             )
-            .with_rule(Rule::new("default-deny", Effect::Deny))
-            .with_issuer("pap.hospital-a");
-        assert_eq!(p.rule_count(), 2);
-        assert_eq!(p.issuer.as_deref(), Some("pap.hospital-a"));
+            .with_rule(Rule::new("default-deny", Effect::Deny));
+        assert_eq!(p.rules.len(), 2);
         assert_eq!(p.rules[0].obligations.len(), 1);
     }
 
@@ -464,8 +458,6 @@ mod tests {
         assert_eq!(Decision::from_effect(Effect::Permit), Decision::Permit);
         assert_eq!(Decision::from_effect(Effect::Deny), Decision::Deny);
         assert_eq!(Decision::Permit.to_string(), "Permit");
-        assert!(Decision::Permit.is_permit());
-        assert!(!Decision::Indeterminate.is_permit());
     }
 
     #[test]

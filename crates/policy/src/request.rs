@@ -17,7 +17,7 @@ use std::fmt::{self, Write};
 /// 32-byte `(id, bag)` entries in ascending id order. An id is 8 bytes
 /// (a category and an interned [`AttrName`]); a bag of one value, which
 /// is what nearly every attribute is, sits inline in its entry, and a
-/// string value of up to [`INLINE_LEN`](crate::attr::INLINE_LEN) bytes
+/// string value of up to `INLINE_LEN` bytes
 /// sits inline in the value. So a request of short single-valued
 /// attributes is one allocation — [`RequestContext::basic`] one of 96
 /// bytes — and so is its clone. A look-up is a binary search that

@@ -53,7 +53,7 @@ impl MatchOp {
 
 /// Result of evaluating a target against a request.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum MatchResult {
+pub(crate) enum MatchResult {
     /// The target applies to the request.
     Match,
     /// The target does not apply.
@@ -109,7 +109,7 @@ impl AttrMatch {
     /// A match succeeds if *any* value in the request's bag satisfies the
     /// operator (XACML match semantics). A missing attribute yields
     /// `NoMatch`; a type-incompatible comparison yields `Indeterminate`.
-    pub fn evaluate(&self, request: &RequestContext) -> MatchResult {
+    pub(crate) fn evaluate(&self, request: &RequestContext) -> MatchResult {
         let bag = request.bag(&self.attr);
         if bag.is_empty() {
             return MatchResult::NoMatch;
@@ -152,7 +152,7 @@ impl AttrMatch {
 
     /// Applies the operator to a single request value. `None` = type
     /// error.
-    pub fn matches_value(&self, request_value: &AttrValue) -> Option<bool> {
+    pub(crate) fn matches_value(&self, request_value: &AttrValue) -> Option<bool> {
         use std::cmp::Ordering;
         match self.op {
             MatchOp::Equals => Some(request_value == &self.value),
@@ -246,7 +246,7 @@ pub struct Target {
 
 impl Target {
     /// The empty target, which matches every request.
-    pub fn match_all() -> Self {
+    pub(crate) fn match_all() -> Self {
         Target::default()
     }
 
@@ -261,12 +261,12 @@ impl Target {
     }
 
     /// Whether this target matches everything trivially.
-    pub fn is_match_all(&self) -> bool {
+    pub(crate) fn is_match_all(&self) -> bool {
         self.any_ofs.is_empty()
     }
 
     /// Evaluates the target against a request.
-    pub fn evaluate(&self, request: &RequestContext) -> MatchResult {
+    pub(crate) fn evaluate(&self, request: &RequestContext) -> MatchResult {
         let mut result = MatchResult::Match;
         for any in &self.any_ofs {
             match any.evaluate(request) {
@@ -308,7 +308,7 @@ impl Target {
 
     /// All attribute matches mentioned anywhere in the target (used by
     /// conflict analysis and target indexing).
-    pub fn all_matches(&self) -> impl Iterator<Item = &AttrMatch> {
+    pub(crate) fn all_matches(&self) -> impl Iterator<Item = &AttrMatch> {
         self.any_ofs
             .iter()
             .flat_map(|any| any.all_ofs.iter())

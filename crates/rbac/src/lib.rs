@@ -9,14 +9,9 @@
 //! * users, roles, permissions (action + resource glob)
 //! * role hierarchies (a senior role inherits its juniors' permissions),
 //!   with cycle prevention
-//! * static separation of duty (SSD) enforced at assignment time
-//! * sessions with dynamic separation of duty (DSD) enforced at role
-//!   activation
-//! * access review (users-of-role, permissions-of-user)
 //!
-//! The [`Rbac::authorized_roles`] closure is what the PIP exposes to the
-//! policy engine as the `subject.role` attribute bag, bridging the model
-//! level to the policy level exactly as §2.2 describes.
+//! [`Rbac::check`] walks the user's role closure; E12 measures how it
+//! scales with the role hierarchy.
 //!
 //! # Examples
 //!
@@ -67,40 +62,7 @@ impl Permission {
     }
 }
 
-/// A separation-of-duty constraint over a role set.
-///
-/// At most `limit` roles from `roles` may be simultaneously assigned to
-/// one user (SSD) or activated in one session (DSD).
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub struct SodConstraint {
-    /// Constraint name, for diagnostics and audit.
-    pub name: String,
-    /// The mutually-constrained role set.
-    pub roles: BTreeSet<String>,
-    /// Maximum number of roles from the set one user/session may hold.
-    pub limit: usize,
-}
-
-impl SodConstraint {
-    /// Creates a constraint.
-    pub fn new(
-        name: impl Into<String>,
-        roles: impl IntoIterator<Item = String>,
-        limit: usize,
-    ) -> Self {
-        SodConstraint {
-            name: name.into(),
-            roles: roles.into_iter().collect(),
-            limit,
-        }
-    }
-
-    fn violated_by(&self, held: &BTreeSet<String>) -> bool {
-        held.intersection(&self.roles).count() > self.limit
-    }
-}
-
-/// Errors from RBAC administration and session operations.
+/// Errors from RBAC administration.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum RbacError {
     /// Referenced user does not exist.
@@ -114,23 +76,6 @@ pub enum RbacError {
         /// The proposed junior role.
         junior: String,
     },
-    /// Assignment would violate a static separation-of-duty constraint.
-    SsdViolation {
-        /// The violated constraint.
-        constraint: String,
-        /// The user affected.
-        user: String,
-    },
-    /// Activation would violate a dynamic separation-of-duty constraint.
-    DsdViolation {
-        /// The violated constraint.
-        constraint: String,
-    },
-    /// Session tried to activate a role the user is not authorized for.
-    RoleNotAuthorized {
-        /// The offending role.
-        role: String,
-    },
 }
 
 impl std::fmt::Display for RbacError {
@@ -141,34 +86,11 @@ impl std::fmt::Display for RbacError {
             RbacError::HierarchyCycle { senior, junior } => {
                 write!(f, "inheritance {senior} -> {junior} would create a cycle")
             }
-            RbacError::SsdViolation { constraint, user } => {
-                write!(
-                    f,
-                    "static separation-of-duty {constraint} violated for {user}"
-                )
-            }
-            RbacError::DsdViolation { constraint } => {
-                write!(f, "dynamic separation-of-duty {constraint} violated")
-            }
-            RbacError::RoleNotAuthorized { role } => {
-                write!(f, "role {role} is not authorized for this user")
-            }
         }
     }
 }
 
 impl std::error::Error for RbacError {}
-
-/// A user session with a set of activated roles (RBAC96 sessions).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Session {
-    /// Session id.
-    pub id: u64,
-    /// The owning user.
-    pub user: String,
-    /// Roles currently activated (closure not included; checks expand).
-    pub active_roles: BTreeSet<String>,
-}
 
 /// The RBAC model state for one administrative domain.
 #[derive(Debug, Default)]
@@ -179,9 +101,6 @@ pub struct Rbac {
     permissions: BTreeMap<String, BTreeSet<Permission>>,
     /// senior → direct juniors (senior inherits junior permissions).
     juniors: BTreeMap<String, BTreeSet<String>>,
-    ssd: Vec<SodConstraint>,
-    dsd: Vec<SodConstraint>,
-    next_session: u64,
     closure_cache: RwLock<Option<HashMap<String, Arc<BTreeSet<String>>>>>,
 }
 
@@ -267,45 +186,17 @@ impl Rbac {
         false
     }
 
-    /// Registers a static separation-of-duty constraint.
-    pub fn add_ssd(&mut self, constraint: SodConstraint) {
-        self.ssd.push(constraint);
-    }
-
-    /// Registers a dynamic separation-of-duty constraint.
-    pub fn add_dsd(&mut self, constraint: SodConstraint) {
-        self.dsd.push(constraint);
-    }
-
-    /// Assigns a role to a user, enforcing SSD over the *closure* of the
-    /// user's roles (inherited roles count).
+    /// Assigns a role to a user.
     ///
     /// # Errors
     ///
-    /// [`RbacError::UnknownUser`], [`RbacError::UnknownRole`] or
-    /// [`RbacError::SsdViolation`].
+    /// [`RbacError::UnknownUser`] or [`RbacError::UnknownRole`].
     pub fn assign(&mut self, user: &str, role: &str) -> Result<(), RbacError> {
         if !self.users.contains(user) {
             return Err(RbacError::UnknownUser(user.to_owned()));
         }
         if !self.roles.contains(role) {
             return Err(RbacError::UnknownRole(role.to_owned()));
-        }
-        let mut would_have: BTreeSet<String> =
-            self.assignments.get(user).cloned().unwrap_or_default();
-        would_have.insert(role.to_owned());
-        // Expand closure for SSD purposes.
-        let mut expanded = BTreeSet::new();
-        for r in &would_have {
-            expanded.extend(self.role_closure(r).iter().cloned());
-        }
-        for c in &self.ssd {
-            if c.violated_by(&expanded) {
-                return Err(RbacError::SsdViolation {
-                    constraint: c.name.clone(),
-                    user: user.to_owned(),
-                });
-            }
         }
         self.assignments
             .entry(user.to_owned())
@@ -322,7 +213,7 @@ impl Rbac {
     }
 
     /// The role plus every junior it transitively inherits.
-    pub fn role_closure(&self, role: &str) -> Arc<BTreeSet<String>> {
+    pub(crate) fn role_closure(&self, role: &str) -> Arc<BTreeSet<String>> {
         {
             let cache = self.closure_cache.read();
             if let Some(map) = cache.as_ref() {
@@ -352,7 +243,7 @@ impl Rbac {
     }
 
     /// All roles a user holds, directly or through inheritance.
-    pub fn authorized_roles(&self, user: &str) -> BTreeSet<String> {
+    pub(crate) fn authorized_roles(&self, user: &str) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
         if let Some(assigned) = self.assignments.get(user) {
             for r in assigned {
@@ -372,102 +263,6 @@ impl Rbac {
             }
         }
         false
-    }
-
-    /// Creates a session with an initial set of activated roles.
-    ///
-    /// # Errors
-    ///
-    /// [`RbacError::UnknownUser`], [`RbacError::RoleNotAuthorized`] or
-    /// [`RbacError::DsdViolation`].
-    pub fn create_session(
-        &mut self,
-        user: &str,
-        activate: impl IntoIterator<Item = String>,
-    ) -> Result<Session, RbacError> {
-        if !self.users.contains(user) {
-            return Err(RbacError::UnknownUser(user.to_owned()));
-        }
-        self.next_session += 1;
-        let mut session = Session {
-            id: self.next_session,
-            user: user.to_owned(),
-            active_roles: BTreeSet::new(),
-        };
-        for role in activate {
-            self.activate_role(&mut session, &role)?;
-        }
-        Ok(session)
-    }
-
-    /// Activates an additional role within a session, enforcing DSD.
-    ///
-    /// # Errors
-    ///
-    /// [`RbacError::RoleNotAuthorized`] or [`RbacError::DsdViolation`].
-    pub fn activate_role(&self, session: &mut Session, role: &str) -> Result<(), RbacError> {
-        let authorized = self.authorized_roles(&session.user);
-        if !authorized.contains(role) {
-            return Err(RbacError::RoleNotAuthorized {
-                role: role.to_owned(),
-            });
-        }
-        let mut would_be = session.active_roles.clone();
-        would_be.insert(role.to_owned());
-        // DSD over the closure of activated roles.
-        let mut expanded = BTreeSet::new();
-        for r in &would_be {
-            expanded.extend(self.role_closure(r).iter().cloned());
-        }
-        for c in &self.dsd {
-            if c.violated_by(&expanded) {
-                return Err(RbacError::DsdViolation {
-                    constraint: c.name.clone(),
-                });
-            }
-        }
-        session.active_roles = would_be;
-        Ok(())
-    }
-
-    /// Deactivates a role within a session (idempotent).
-    pub fn deactivate_role(&self, session: &mut Session, role: &str) {
-        session.active_roles.remove(role);
-    }
-
-    /// Whether the session's activated roles permit the access.
-    pub fn session_check(&self, session: &Session, action: &str, resource: &str) -> bool {
-        for role in &session.active_roles {
-            for r in self.role_closure(role).iter() {
-                if let Some(perms) = self.permissions.get(r) {
-                    if perms.iter().any(|p| p.covers(action, resource)) {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    /// Access review: every user authorized for `role` (directly or via
-    /// a senior role).
-    pub fn users_with_role(&self, role: &str) -> Vec<&str> {
-        self.assignments
-            .iter()
-            .filter(|(_, roles)| roles.iter().any(|r| self.role_closure(r).contains(role)))
-            .map(|(u, _)| u.as_str())
-            .collect()
-    }
-
-    /// Access review: the effective permission set of a user.
-    pub fn permissions_of(&self, user: &str) -> BTreeSet<Permission> {
-        let mut out = BTreeSet::new();
-        for role in self.authorized_roles(user) {
-            if let Some(perms) = self.permissions.get(&role) {
-                out.extend(perms.iter().cloned());
-            }
-        }
-        out
     }
 
     /// Numbers of users and roles (scale metrics).
@@ -554,103 +349,6 @@ mod tests {
             r.grant("wizard", Permission::new("a", "b")),
             Err(RbacError::UnknownRole("wizard".into()))
         );
-    }
-
-    #[test]
-    fn ssd_blocks_conflicting_assignment() {
-        let mut r = hospital();
-        r.add_ssd(SodConstraint::new(
-            "no-doctor-and-auditor",
-            ["doctor".to_string(), "auditor".to_string()],
-            1,
-        ));
-        r.assign("alice", "doctor").unwrap();
-        assert_eq!(
-            r.assign("alice", "auditor"),
-            Err(RbacError::SsdViolation {
-                constraint: "no-doctor-and-auditor".into(),
-                user: "alice".into()
-            })
-        );
-        // Other users unaffected.
-        r.assign("bob", "auditor").unwrap();
-    }
-
-    #[test]
-    fn ssd_counts_inherited_roles() {
-        let mut r = hospital();
-        r.add_ssd(SodConstraint::new(
-            "no-doctor-and-auditor",
-            ["doctor".to_string(), "auditor".to_string()],
-            1,
-        ));
-        // chief inherits doctor, so chief + auditor also violates.
-        r.assign("alice", "chief").unwrap();
-        assert!(matches!(
-            r.assign("alice", "auditor"),
-            Err(RbacError::SsdViolation { .. })
-        ));
-    }
-
-    #[test]
-    fn sessions_and_dsd() {
-        let mut r = hospital();
-        r.add_dsd(SodConstraint::new(
-            "not-both-at-once",
-            ["doctor".to_string(), "pharmacist".to_string()],
-            1,
-        ));
-        r.assign("alice", "doctor").unwrap();
-        r.assign("alice", "pharmacist").unwrap(); // SSD allows both
-        let mut s = r.create_session("alice", ["doctor".to_string()]).unwrap();
-        // Activating pharmacist in the same session violates DSD.
-        assert_eq!(
-            r.activate_role(&mut s, "pharmacist"),
-            Err(RbacError::DsdViolation {
-                constraint: "not-both-at-once".into()
-            })
-        );
-        // Deactivate, then it works.
-        r.deactivate_role(&mut s, "doctor");
-        r.activate_role(&mut s, "pharmacist").unwrap();
-    }
-
-    #[test]
-    fn session_checks_use_active_roles_only() {
-        let mut r = hospital();
-        r.assign("alice", "doctor").unwrap();
-        r.assign("alice", "auditor").unwrap();
-        let s = r.create_session("alice", ["auditor".to_string()]).unwrap();
-        assert!(r.session_check(&s, "read", "audit/log-1"));
-        // doctor not activated: least privilege.
-        assert!(!r.session_check(&s, "read", "ehr/42"));
-    }
-
-    #[test]
-    fn session_cannot_activate_unauthorized_role() {
-        let mut r = hospital();
-        r.assign("alice", "nurse").unwrap();
-        assert_eq!(
-            r.create_session("alice", ["doctor".to_string()])
-                .unwrap_err(),
-            RbacError::RoleNotAuthorized {
-                role: "doctor".into()
-            }
-        );
-    }
-
-    #[test]
-    fn access_review() {
-        let mut r = hospital();
-        r.assign("alice", "chief").unwrap();
-        r.assign("bob", "doctor").unwrap();
-        let mut users = r.users_with_role("doctor");
-        users.sort();
-        assert_eq!(users, vec!["alice", "bob"]); // chief inherits doctor
-        let perms = r.permissions_of("bob");
-        assert!(perms.contains(&Permission::new("read", "ehr/*")));
-        assert!(perms.contains(&Permission::new("read", "bulletin/*")));
-        assert!(!perms.contains(&Permission::new("approve", "ehr/*")));
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! *round trips* between distributed authorization components. A
 //! discrete-event simulation measures exactly those quantities
 //! reproducibly: virtual clock in microseconds, per-link latency /
-//! bandwidth / jitter / loss, seeded randomness, and per-link statistics.
+//! bandwidth / jitter / loss, seeded randomness, and network-wide
+//! message and byte counts.
 //!
 //! # Examples
 //!
@@ -120,17 +121,6 @@ pub struct Delivery<M> {
     pub payload: M,
 }
 
-/// Aggregate statistics for one direction of one link.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct LinkStats {
-    /// Messages accepted onto the link.
-    pub messages: u64,
-    /// Bytes accepted onto the link.
-    pub bytes: u64,
-    /// Messages lost.
-    pub dropped: u64,
-}
-
 /// Aggregate statistics for the whole network.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct NetStats {
@@ -182,7 +172,6 @@ pub struct Network<M> {
     rng: StdRng,
     next_msg: u64,
     next_seq: u64,
-    link_stats: HashMap<(NodeId, NodeId), LinkStats>,
     stats: NetStats,
 }
 
@@ -198,7 +187,6 @@ impl<M> Network<M> {
             rng: StdRng::seed_from_u64(seed),
             next_msg: 0,
             next_seq: 0,
-            link_stats: HashMap::new(),
             stats: NetStats::default(),
         }
     }
@@ -208,15 +196,6 @@ impl<M> Network<M> {
         let id = NodeId(self.names.len() as u32);
         self.names.push(name.into());
         id
-    }
-
-    /// The registered name of a node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node id was not created by this network.
-    pub fn node_name(&self, id: NodeId) -> &str {
-        &self.names[id.0 as usize]
     }
 
     /// Number of registered nodes.
@@ -250,11 +229,6 @@ impl<M> Network<M> {
         self.stats
     }
 
-    /// Statistics for the directed link `a → b`.
-    pub fn link_stats(&self, a: NodeId, b: NodeId) -> LinkStats {
-        self.link_stats.get(&(a, b)).copied().unwrap_or_default()
-    }
-
     /// Sends a message of `size` bytes; returns its id, or `None` if the
     /// link dropped it.
     pub fn send(&mut self, from: NodeId, to: NodeId, size: usize, payload: M) -> Option<u64> {
@@ -277,13 +251,9 @@ impl<M> Network<M> {
             .unwrap_or(self.default_link);
         self.stats.messages_sent += 1;
         self.stats.bytes_sent += size as u64;
-        let ls = self.link_stats.entry((from, to)).or_default();
-        ls.messages += 1;
-        ls.bytes += size as u64;
 
         if spec.loss > 0.0 && self.rng.gen::<f64>() < spec.loss {
             self.stats.messages_dropped += 1;
-            self.link_stats.entry((from, to)).or_default().dropped += 1;
             return None;
         }
 
@@ -323,11 +293,6 @@ impl<M> Network<M> {
         self.clock = ev.at;
         self.stats.messages_delivered += 1;
         Some(ev.delivery)
-    }
-
-    /// Number of messages still in flight.
-    pub fn in_flight(&self) -> usize {
-        self.queue.len()
     }
 
     /// Runs the event loop to completion: each delivery is handed to
@@ -452,9 +417,6 @@ mod tests {
         net.send(a, b, 200, 2);
         net.send(b, a, 50, 3);
         assert_eq!(net.stats().bytes_sent, 350);
-        assert_eq!(net.link_stats(a, b).messages, 2);
-        assert_eq!(net.link_stats(a, b).bytes, 300);
-        assert_eq!(net.link_stats(b, a).messages, 1);
     }
 
     #[test]
@@ -488,7 +450,7 @@ mod tests {
         net.run_until(2_000, |_net, d| seen.push(d.payload));
         assert_eq!(seen, vec![1]);
         assert_eq!(net.now(), 2_000);
-        assert_eq!(net.in_flight(), 1);
+        assert_eq!(net.queue.len(), 1);
     }
 
     #[test]
@@ -504,8 +466,7 @@ mod tests {
     #[test]
     fn node_names_retrievable() {
         let mut net: Network<u8> = Network::new(9);
-        let a = net.add_node("pep.hospital-a");
-        assert_eq!(net.node_name(a), "pep.hospital-a");
+        net.add_node("pep.hospital-a");
         assert_eq!(net.node_count(), 1);
     }
 

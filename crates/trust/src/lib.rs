@@ -39,7 +39,7 @@ pub enum ReleasePolicy {
 
 impl ReleasePolicy {
     /// Whether the condition holds against a set of disclosed ids.
-    pub fn satisfied(&self, disclosed: &BTreeSet<String>) -> bool {
+    pub(crate) fn satisfied(&self, disclosed: &BTreeSet<String>) -> bool {
         match self {
             ReleasePolicy::Unprotected => true,
             ReleasePolicy::RequiresAll(ids) => ids.iter().all(|i| disclosed.contains(i)),

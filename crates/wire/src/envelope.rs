@@ -34,28 +34,6 @@ impl<B> Envelope<B> {
             body,
         }
     }
-
-    /// Creates a response envelope correlated to `request`.
-    pub fn respond<A>(request: &Envelope<A>, msg_id: u64, body: B) -> Self {
-        Envelope {
-            from: request.to.clone(),
-            to: request.from.clone(),
-            msg_id,
-            correlation: Some(request.msg_id),
-            body,
-        }
-    }
-
-    /// Maps the body type, keeping headers.
-    pub fn map_body<C>(self, f: impl FnOnce(B) -> C) -> Envelope<C> {
-        Envelope {
-            from: self.from,
-            to: self.to,
-            msg_id: self.msg_id,
-            correlation: self.correlation,
-            body: f(self.body),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -63,26 +41,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn request_response_correlation() {
-        let req = Envelope::request("pep.a", "pdp.a", 1, "query".to_string());
-        let resp = Envelope::respond(&req, 2, "decision".to_string());
-        assert_eq!(resp.from, "pdp.a");
-        assert_eq!(resp.to, "pep.a");
-        assert_eq!(resp.correlation, Some(1));
-    }
-
-    #[test]
     fn codec_roundtrip() {
         let env = Envelope::request("a", "b", 7, vec![1u8, 2, 3]);
         let bytes = crate::codec::to_bytes(&env).unwrap();
         let back: Envelope<Vec<u8>> = crate::codec::from_bytes(&bytes).unwrap();
         assert_eq!(env, back);
-    }
-
-    #[test]
-    fn map_body_keeps_headers() {
-        let env = Envelope::request("a", "b", 7, 5u32).map_body(|n| n.to_string());
-        assert_eq!(env.body, "5");
-        assert_eq!(env.msg_id, 7);
     }
 }

@@ -308,7 +308,7 @@ impl<'a> ser::Serializer for &'a mut XmlSerializer {
 }
 
 /// Compound serialization state for the XML-ish encoder.
-pub struct Compound<'a> {
+pub(crate) struct Compound<'a> {
     ser: &'a mut XmlSerializer,
     closing: &'static str,
     item_tag: Option<&'static str>,
@@ -421,7 +421,7 @@ impl<'a> ser::SerializeStruct for Compound<'a> {
 }
 
 /// Compound with an extra outer tag (variants).
-pub struct CompoundOuter<'a> {
+pub(crate) struct CompoundOuter<'a> {
     inner: Compound<'a>,
     outer: &'static str,
 }

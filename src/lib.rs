@@ -12,8 +12,8 @@
 //! | [`crypto`] | `dacs-crypto` | SHA-256, HMAC, ChaCha20, hash-based signatures, certificates |
 //! | [`wire`] | `dacs-wire` | compact + XML-ish codecs, envelopes, message security |
 //! | [`simnet`] | `dacs-simnet` | deterministic event-driven network simulator |
-//! | [`rbac`] | `dacs-rbac` | RBAC96 with hierarchies, sessions, SSD/DSD |
-//! | [`mod@assert`] | `dacs-assert` | SAML-like assertions, capabilities, attribute certificates |
+//! | [`rbac`] | `dacs-rbac` | RBAC96 with role hierarchies |
+//! | [`mod@assert`] | `dacs-assert` | SAML-like signed assertions and capabilities |
 //! | [`capability`] | `dacs-capability` | signed capability fast path: HMAC tokens minted on permit, verified once at admission and rechecked per use, revoked by policy epoch |
 //! | [`pip`] | `dacs-pip` | attribute providers and resolution |
 //! | [`pap`] | `dacs-pap` | versioned repository, admin policies, delegation, epoch-stamped syndication with catch-up |

@@ -241,11 +241,6 @@ fn every_exposed_name_reads_its_owners_storage() {
         ),
         ("dacs_cluster_epoch_lag_last", m.epoch_lag_last),
         ("dacs_cluster_epoch_lag_max", m.epoch_lag_max),
-        ("dacs_cluster_audit_queries_total", m.audit_queries),
-        (
-            "dacs_cluster_audit_disagreements_total",
-            m.audit_disagreements,
-        ),
         ("dacs_cluster_batches_total", m.batches),
         ("dacs_cluster_batched_queries_total", m.batched_queries),
         ("dacs_cluster_coalesced_total", m.coalesced),
