@@ -26,9 +26,9 @@ pub struct AuthorityStats {
 }
 
 dacs_telemetry::counter_block! {
-    /// [`AuthorityStats`] as relaxed atomics: the one place the
-    /// counters live, shared with the registry's read-through samples.
-    struct AtomicAuthorityStats: AuthorityStats {
+    /// [`AuthorityStats`]: the one place the counters live, shared
+    /// with the registry's read-through samples.
+    struct AuthorityCounters: AuthorityStats {
         minted => "dacs_capability_minted_total",
         verified => "dacs_capability_verified_total",
         rejected => "dacs_capability_rejected_total",
@@ -48,7 +48,7 @@ pub struct CapabilityAuthority {
     key: CapabilityKey,
     ttl_ms: u64,
     epoch: AtomicU64,
-    stats: Arc<AtomicAuthorityStats>,
+    stats: Arc<AuthorityCounters>,
     /// Verify latency in ns, timed only with telemetry attached.
     verify_ns: Option<Arc<Histogram>>,
 }
@@ -108,7 +108,7 @@ impl CapabilityAuthority {
         now_ms: u64,
         epoch: PolicyEpoch,
     ) -> CapabilityToken {
-        self.stats.minted.fetch_add(1, Ordering::Relaxed);
+        self.stats.count(|c| c.minted += 1);
         CapabilityToken::mint(
             &self.key,
             subject,
@@ -227,18 +227,16 @@ impl CapabilityAuthority {
         admitted
             .check(now_ms, self.current_epoch())
             .map_err(|e| self.rejected(e))?;
-        self.stats.verified.fetch_add(1, Ordering::Relaxed);
+        self.stats.count(|c| c.verified += 1);
         Ok(())
     }
 
     /// Counts a rejection on its way out.
     fn rejected(&self, e: TokenError) -> TokenError {
-        self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-        if matches!(e, TokenError::StaleEpoch { .. }) {
-            self.stats
-                .rejected_stale_epoch
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        self.stats.count(|c| {
+            c.rejected += 1;
+            c.rejected_stale_epoch += matches!(e, TokenError::StaleEpoch { .. }) as u64;
+        });
         e
     }
 

@@ -1,7 +1,7 @@
 //! The cluster facade: router + replica groups + directory + metrics.
 
 use crate::fanout::{FanoutPool, SchedulerConfig};
-use crate::metrics::{add_rare, AtomicClusterMetrics, ClusterMetrics};
+use crate::metrics::{ClusterCounters, ClusterMetrics};
 use crate::quorum::QuorumMode;
 use crate::replica::{DecisionBackend, FanoutPlan, GroupOutcome, ReplicaGroup};
 use crate::shard::ShardRouter;
@@ -123,7 +123,8 @@ impl ClusterBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if no shard was added.
+    /// Panics if no shard was added, or if a shard has no replica or
+    /// more than [`MAX_REPLICAS`](crate::MAX_REPLICAS).
     pub fn build(self) -> PdpCluster {
         assert!(!self.shards.is_empty(), "cluster needs at least one shard");
         let directory = self
@@ -155,7 +156,7 @@ impl ClusterBuilder {
             };
             (pool, config)
         });
-        let metrics = Arc::new(AtomicClusterMetrics::default());
+        let metrics = Arc::new(ClusterCounters::default());
         // With a handle, the registry reads the metrics through.
         let batch_size = telemetry.as_ref().map(|t| {
             let exposed = Arc::clone(&metrics);
@@ -195,7 +196,7 @@ pub struct PdpCluster {
     telemetry: Option<Arc<Telemetry>>,
     /// Requests per [`PdpCluster::decide_batch`] call, with a handle.
     batch_size: Option<Arc<Histogram>>,
-    metrics: Arc<AtomicClusterMetrics>,
+    metrics: Arc<ClusterCounters>,
 }
 
 impl PdpCluster {
@@ -386,47 +387,44 @@ impl PdpCluster {
         }
     }
 
-    /// Books one served query. A common query pays for `queries`,
-    /// `replica_queries` and the `epoch_lag_last` store; the rest move
-    /// only when they have something to add.
+    /// Books one served query: one pass over the thread's row of the
+    /// cluster's counters, plus the `epoch_lag_last` store.
     fn account(&self, group: &ReplicaGroup, plan: &FanoutPlan<'_>, outcome: &GroupOutcome) {
         let m = &*self.metrics;
-        m.queries.fetch_add(1, Ordering::Relaxed);
-        m.replica_queries
-            .fetch_add(outcome.replicas_queried as u64, Ordering::Relaxed);
-        if plan.adaptive && self.quorum.fans_out() {
-            // Eligible replicas the adaptive quorum never had to query.
-            let eligible = outcome.healthy + outcome.stale_excluded;
-            let saved = eligible.saturating_sub(outcome.replicas_queried);
-            add_rare(&m.fanout_saved, saved as u64);
-        }
-        add_rare(&m.caller_evaluations, outcome.caller_evaluations as u64);
-        add_rare(&m.resyncs, outcome.readmitted as u64);
-        add_rare(&m.stale_decisions_avoided, outcome.stale_excluded as u64);
+        m.count(|c| {
+            c.queries += 1;
+            c.replica_queries += outcome.replicas_queried as u64;
+            if plan.adaptive && self.quorum.fans_out() {
+                // Eligible replicas the adaptive quorum never had to query.
+                let eligible = outcome.healthy + outcome.stale_excluded;
+                c.fanout_saved += eligible.saturating_sub(outcome.replicas_queried) as u64;
+            }
+            c.caller_evaluations += outcome.caller_evaluations as u64;
+            c.resyncs += outcome.readmitted as u64;
+            c.stale_decisions_avoided += outcome.stale_excluded as u64;
+            match &outcome.response {
+                None => c.unavailable += 1,
+                Some(_) => {
+                    c.degraded += (outcome.healthy < group.len()) as u64;
+                    c.disagreements += outcome.disagreement as u64;
+                    c.fail_closed_denies += outcome.fail_closed as u64;
+                }
+            }
+        });
         m.epoch_lag_last
             .store(outcome.max_epoch_lag, Ordering::Relaxed);
         if outcome.max_epoch_lag != 0 {
             m.epoch_lag_max
                 .fetch_max(outcome.max_epoch_lag, Ordering::Relaxed);
         }
-        match &outcome.response {
-            None => {
-                m.unavailable.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(_) => {
-                add_rare(&m.degraded, (outcome.healthy < group.len()) as u64);
-                add_rare(&m.disagreements, outcome.disagreement as u64);
-                add_rare(&m.fail_closed_denies, outcome.fail_closed as u64);
-            }
-        }
     }
 
     fn note_batch(&self, submitted: usize, coalesced: usize) {
-        let m = &*self.metrics;
-        m.batches.fetch_add(1, Ordering::Relaxed);
-        m.batched_queries
-            .fetch_add(submitted as u64, Ordering::Relaxed);
-        add_rare(&m.coalesced, coalesced as u64);
+        self.metrics.count(|c| {
+            c.batches += 1;
+            c.batched_queries += submitted as u64;
+            c.coalesced += coalesced as u64;
+        });
         if let Some(h) = &self.batch_size {
             h.record(submitted as u64);
         }

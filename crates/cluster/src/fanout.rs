@@ -153,8 +153,8 @@ struct PoolStats {
 }
 
 dacs_telemetry::counter_block! {
-    /// [`PoolStats`] as relaxed atomics: the one place the pool's
-    /// counters live, handle or no handle.
+    /// [`PoolStats`]: the one place the pool's counters live, handle
+    /// or no handle.
     struct PoolCounters: PoolStats {
         interactive_jobs => "dacs_sched_interactive_jobs_total",
         default_jobs => "dacs_sched_default_jobs_total",
@@ -163,10 +163,14 @@ dacs_telemetry::counter_block! {
     }
 }
 
-impl PoolCounters {
+impl PoolStats {
     /// The job counter of lane `lane` ([`Priority::lane`] order).
-    fn jobs(&self, lane: usize) -> &std::sync::atomic::AtomicU64 {
-        [&self.interactive_jobs, &self.default_jobs, &self.bulk_jobs][lane]
+    fn jobs(&mut self, lane: usize) -> &mut u64 {
+        match lane {
+            0 => &mut self.interactive_jobs,
+            1 => &mut self.default_jobs,
+            _ => &mut self.bulk_jobs,
+        }
     }
 }
 
@@ -387,11 +391,10 @@ fn worker_loop(shared: Arc<Shared>) {
         let Some((lane_job, now)) = popped else {
             return;
         };
-        let counters = &shared.counters;
-        counters.jobs(lane_job.lane).fetch_add(1, Ordering::Relaxed);
-        if lane_job.deadline.is_some_and(|d| now > d) {
-            counters.deadline_misses.fetch_add(1, Ordering::Relaxed);
-        }
+        shared.counters.count(|c| {
+            *c.jobs(lane_job.lane) += 1;
+            c.deadline_misses += lane_job.deadline.is_some_and(|d| now > d) as u64;
+        });
         if let Some(waits) = shared.waits.get() {
             let wait_ns = now.saturating_duration_since(lane_job.enqueued).as_nanos() as u64;
             waits.all.record(wait_ns);

@@ -75,7 +75,7 @@ pub use cluster::{ClusterBuilder, ClusterOutcome, PdpCluster};
 pub use fanout::SchedulerConfig;
 pub use metrics::ClusterMetrics;
 pub use quorum::QuorumMode;
-pub use replica::{DecisionBackend, StaticBackend};
+pub use replica::{DecisionBackend, StaticBackend, MAX_REPLICAS};
 pub use shard::ShardRouter;
 
 // Re-exported so cluster users can speak epochs without naming the PAP

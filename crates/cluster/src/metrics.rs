@@ -1,7 +1,5 @@
 //! Cluster-level dependability accounting.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 /// Work and dependability counters for one [`crate::PdpCluster`].
 ///
 /// `availability()` and `degraded_rate()` are the two numbers the
@@ -104,12 +102,11 @@ impl ClusterMetrics {
 }
 
 dacs_telemetry::counter_block! {
-    /// [`ClusterMetrics`] as relaxed atomics: the one place the
-    /// cluster's counters live (the two epoch-lag fields are gauges).
-    /// Concurrent deciders bump them without a shared lock;
-    /// [`crate::PdpCluster::metrics`] and, with telemetry attached, the
-    /// registry both read this block.
-    pub(crate) struct AtomicClusterMetrics: ClusterMetrics {
+    /// [`ClusterMetrics`]: the one place the cluster's counters live,
+    /// each deciding thread counting in cells of its own, and its two
+    /// epoch-lag gauges. [`crate::PdpCluster::metrics`] and, with
+    /// telemetry attached, the registry both read this block.
+    pub(crate) struct ClusterCounters: ClusterMetrics {
         queries => "dacs_cluster_queries_total",
         replica_queries => "dacs_cluster_replica_queries_total",
         unavailable => "dacs_cluster_unavailable_total",
@@ -119,21 +116,15 @@ dacs_telemetry::counter_block! {
         hedges => "dacs_cluster_hedges_total",
         resyncs => "dacs_cluster_resyncs_total",
         stale_decisions_avoided => "dacs_cluster_stale_decisions_avoided_total",
-        epoch_lag_last => "dacs_cluster_epoch_lag_last",
-        epoch_lag_max => "dacs_cluster_epoch_lag_max",
         batches => "dacs_cluster_batches_total",
         batched_queries => "dacs_cluster_batched_queries_total",
         coalesced => "dacs_cluster_coalesced_total",
         fanout_saved => "dacs_cluster_fanout_saved_total",
         caller_evaluations => "dacs_cluster_caller_evaluations_total",
     }
-}
-
-/// Adds `n` to a counter that rarely moves, skipping the atomic
-/// operation on the common zero.
-pub(crate) fn add_rare(counter: &AtomicU64, n: u64) {
-    if n != 0 {
-        counter.fetch_add(n, Ordering::Relaxed);
+    gauges {
+        epoch_lag_last => "dacs_cluster_epoch_lag_last",
+        epoch_lag_max => "dacs_cluster_epoch_lag_max",
     }
 }
 

@@ -78,7 +78,6 @@
 //! repo-level `ARCHITECTURE.md`.
 
 use dacs_policy::eval::Response;
-use dacs_policy::policy::Decision;
 
 /// How replica answers are combined.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -88,13 +87,16 @@ pub enum QuorumMode {
     FirstHealthy,
     /// All healthy replicas are queried; a strict majority on the
     /// decision wins. One wrong replica in three is outvoted. No
-    /// majority yields fail-closed [`Decision::Deny`].
+    /// majority yields a fail-closed
+    /// [`Decision::Deny`](dacs_policy::policy::Decision::Deny).
     Majority,
     /// All healthy replicas must agree **and** they must form a strict
     /// majority of the configured group; any disagreement — or a
     /// minority partition, where the surviving replicas could all be
-    /// the wrong ones — yields [`Decision::Deny`] (fail closed). A
-    /// wrong replica can cause false denies but never a false permit.
+    /// the wrong ones — yields
+    /// [`Decision::Deny`](dacs_policy::policy::Decision::Deny) (fail
+    /// closed). A wrong replica can cause false denies but never a
+    /// false permit.
     UnanimousFailClosed,
 }
 
@@ -138,13 +140,16 @@ pub struct Verdict {
     pub fail_closed: bool,
 }
 
-/// Combines fan-out responses under `mode`.
+/// Combines fan-out responses under `mode`: the independent oracle the
+/// collector's tally is checked against.
 ///
 /// `responses` must be non-empty; callers handle the no-healthy-replica
 /// case (that is an availability gap, not a quorum question). Votes are
-/// counted on the [`Decision`] alone; obligations are taken from the
+/// counted on the decision alone; obligations are taken from the
 /// first response that carried the winning decision.
-pub fn combine(mode: QuorumMode, responses: &[Response]) -> Verdict {
+#[cfg(test)]
+pub(crate) fn combine(mode: QuorumMode, responses: &[Response]) -> Verdict {
+    use dacs_policy::policy::Decision;
     assert!(!responses.is_empty(), "combine needs at least one response");
     let first = &responses[0];
     let disagreement = responses[1..].iter().any(|r| r.decision != first.decision);
@@ -198,6 +203,7 @@ pub fn combine(mode: QuorumMode, responses: &[Response]) -> Verdict {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dacs_policy::policy::Decision;
 
     fn resp(d: Decision) -> Response {
         Response::decision(d)

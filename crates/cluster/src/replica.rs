@@ -260,6 +260,13 @@ const POOL_HANDOFF_NS: u64 = 10_000;
 /// what a query costs would depend on what the host did to the last.
 const SAMPLE_CAP: u64 = 6;
 
+/// Most replicas one shard may hold. The collector keeps a query's
+/// roster and dispatch order in arrays of this size on its stack, so a
+/// quorum decision allocates nothing of its own;
+/// [`ClusterBuilder::build`](crate::ClusterBuilder::build) refuses a
+/// larger shard. The largest group in the repo has 7 replicas.
+pub const MAX_REPLICAS: usize = 16;
+
 /// What the pooled jobs of one query share — one request copy, one
 /// telemetry handle and the parent span — built at its first hand-off:
 /// a query the caller evaluates whole has none.
@@ -374,9 +381,14 @@ impl ReplicaGroup {
     ///
     /// # Panics
     ///
-    /// Panics if `replicas` is empty.
+    /// Panics if `replicas` is empty or holds more than
+    /// [`MAX_REPLICAS`].
     pub fn new(replicas: Vec<(Arc<dyn DecisionBackend>, Arc<PdpEndpoint>)>) -> Self {
         assert!(!replicas.is_empty(), "a replica group needs replicas");
+        assert!(
+            replicas.len() <= MAX_REPLICAS,
+            "a replica group holds at most {MAX_REPLICAS} replicas"
+        );
         let replicas = (0..)
             .zip(replicas)
             .map(|(slot, (backend, endpoint))| {
@@ -439,13 +451,13 @@ impl ReplicaGroup {
     /// queued are skipped at dequeue, and a pooled evaluation already
     /// under way runs to its end with its answer discarded.
     ///
-    /// Decision-equivalent to [`quorum::combine`] over every eligible
-    /// replica's answer: a majority winner holds `⌊e/2⌋+1` votes — an
-    /// absolute majority of *all* eligible replicas, which no straggler
-    /// can overturn — a unanimity short-circuit fires only once the
-    /// combined decision can only be deny, and when nothing settles
-    /// early `combine` itself runs over the answers in configured
-    /// replica order. What changes is cost: a majority stops evaluating
+    /// Decision-equivalent to combining every eligible replica's answer
+    /// in configured order (the unit tests' `quorum::combine` oracle): a
+    /// majority winner holds `⌊e/2⌋+1` votes — an absolute majority of
+    /// *all* eligible replicas, which no straggler can overturn — a
+    /// unanimity short-circuit fires only once the combined decision can
+    /// only be deny, and when nothing settles early the [`Tally`]
+    /// combines the answers as that oracle does. What changes is cost: a majority stops evaluating
     /// at quorum width, saving `e − ⌊e/2⌋ − 1` evaluations per query.
     /// One exception, over a lost vote: a first-healthy primary that
     /// panics is replaced by the *fastest* remaining replica (dispatch
@@ -468,85 +480,46 @@ impl ReplicaGroup {
         now_ms: u64,
         plan: &FanoutPlan<'_>,
     ) -> GroupOutcome {
-        let eligible: Vec<&Arc<Replica>> = self
-            .replicas
-            .iter()
-            .filter(|r| r.endpoint.is_healthy())
-            .collect();
-        let e = eligible.len();
+        let mut roster = [&self.replicas[0]; MAX_REPLICAS];
+        let mut e = 0;
+        for replica in self.replicas.iter().filter(|r| r.endpoint.is_healthy()) {
+            roster[e] = replica;
+            e += 1;
+        }
         let target = PolicyEpoch(self.target.load(Ordering::Acquire));
         if e == 0 {
             GroupOutcome::unanswered(0)
         } else if mode == QuorumMode::UnanimousFailClosed && e * 2 <= self.replicas.len() {
             GroupOutcome::floored(target, e)
         } else {
-            self.collect(mode, &eligible, request, now_ms, plan, target)
+            self.collect(mode, &roster[..e], request, now_ms, plan, target)
         }
     }
 
     /// `(latency estimate, index into eligible)` in dispatch order,
     /// each estimate read once: the first `pinned` stay in configured
-    /// order, the rest sort by ascending EWMA latency; unmeasured
-    /// replicas sort first — probing them is how they earn an estimate.
-    /// A returned replica's estimate predates its crash, so it counts
-    /// as unmeasured until its first vote at the target is counted.
-    fn ewma_order(eligible: &[&Arc<Replica>], pinned: usize) -> Vec<(Option<u64>, usize)> {
-        let estimates = eligible.iter().map(|r| {
+    /// order, the rest sort by ascending EWMA latency (ties in
+    /// configured order); unmeasured replicas sort first — probing them
+    /// is how they earn an estimate. A returned replica's estimate
+    /// predates its crash, so it counts as unmeasured until its first
+    /// vote at the target is counted. Only the first `eligible.len()`
+    /// entries are meaningful.
+    fn ewma_order(
+        eligible: &[&Arc<Replica>],
+        pinned: usize,
+    ) -> [(Option<u64>, usize); MAX_REPLICAS] {
+        let mut order = [(None, 0); MAX_REPLICAS];
+        for (i, r) in eligible.iter().enumerate() {
             let returned = r.returned.load(Ordering::Relaxed);
-            r.endpoint.latency_ewma_ns().filter(|_| !returned)
-        });
-        let mut order: Vec<_> = estimates.zip(0..).collect();
-        order[pinned..].sort_by_key(|&(estimate, _)| estimate);
+            order[i] = (r.endpoint.latency_ewma_ns().filter(|_| !returned), i);
+        }
+        // The index breaks ties, so the unstable sort is stable here.
+        order[pinned..eligible.len()].sort_unstable();
         order
     }
 
-    /// Whether the answers so far (newest last) already fix the
-    /// combined verdict under `mode`, whatever the stragglers say.
-    fn settled(
-        mode: QuorumMode,
-        needed: usize,
-        received: &[(usize, Response)],
-    ) -> Option<quorum::Verdict> {
-        let (_, newest) = received.last()?;
-        let disagreement = received.iter().any(|(_, r)| r.decision != newest.decision);
-        let verdict = |response: &Response, fail_closed| quorum::Verdict {
-            response: response.clone(),
-            disagreement,
-            fail_closed,
-        };
-        match mode {
-            QuorumMode::FirstHealthy => Some(verdict(newest, false)),
-            QuorumMode::Majority => {
-                let votes = || {
-                    received
-                        .iter()
-                        .filter(|(_, r)| r.decision == newest.decision)
-                };
-                if votes().count() < needed {
-                    return None;
-                }
-                // Deterministic tie-break, matching `quorum::combine`:
-                // the winning decision's response (and obligations)
-                // come from the lowest-index replica that voted for it,
-                // not from whichever answer happened to arrive first.
-                let (_, response) = votes().min_by_key(|(i, _)| *i)?;
-                Some(verdict(response, false))
-            }
-            // Any deny or any disagreement makes the combined decision
-            // deny regardless of the stragglers. `fail_closed` marks
-            // only forced denies (disagreement), not genuine all-deny
-            // verdicts — matching `quorum::combine`.
-            QuorumMode::UnanimousFailClosed if disagreement => {
-                Some(verdict(&Response::decision(Decision::Deny), true))
-            }
-            QuorumMode::UnanimousFailClosed => {
-                (newest.decision == Decision::Deny).then(|| verdict(newest, false))
-            }
-        }
-    }
-
     /// The one fan-out collector: dispatch an initial width of
-    /// replicas, take answers until [`ReplicaGroup::settled`] fixes the
+    /// replicas, take answers until [`Tally::settled`] fixes the
     /// verdict, escalating one replica at a time. The only per-mode
     /// inputs are data:
     ///
@@ -573,8 +546,10 @@ impl ReplicaGroup {
     /// voter). A vote behind `target` is withdrawn, and the majority to
     /// settle is counted over the replicas left. When every eligible
     /// replica has answered without settling, whatever was counted is
-    /// combined in configured replica order by [`quorum::combine`],
-    /// under unanimity only above the floor.
+    /// combined by [`Tally::combined`], under unanimity only above the
+    /// floor. The roster, the dispatch order and the tally live on the
+    /// stack: on the caller's thread a query allocates nothing of its
+    /// own.
     fn collect(
         &self,
         mode: QuorumMode,
@@ -643,10 +618,7 @@ impl ReplicaGroup {
             dispatch_next(&mut dispatched, &mut pooled, role);
         }
 
-        // Answers as (eligible-index, response): the index keeps winner
-        // selection deterministic in *configured* replica order even
-        // though arrival order is a thread-scheduling race.
-        let mut received: Vec<(usize, Response)> = Vec::with_capacity(e);
+        let mut tally = Tally::default();
         let mut answered = 0usize;
         // Votes withdrawn, the worst one's lag, and re-syncs counted.
         let (mut withdrawn, mut lag, mut readmitted) = (0usize, 0u64, 0usize);
@@ -683,12 +655,11 @@ impl ReplicaGroup {
                     if returned.load(Ordering::Relaxed) && returned.swap(false, Ordering::AcqRel) {
                         readmitted += 1;
                     }
-                    received.push((index, response));
+                    tally.add(index, response);
                 }
                 (_, None) => {}
             }
-            let settled = Self::settled(mode, (e - withdrawn) / 2 + 1, &received);
-            if let Some(verdict) = settled {
+            if let Some(verdict) = tally.settled(mode, (e - withdrawn) / 2 + 1) {
                 break Some(verdict);
             }
             if answered == dispatched {
@@ -710,7 +681,7 @@ impl ReplicaGroup {
             Some(verdict) => GroupOutcome::decided(verdict, dispatched, voters),
             // Every vote was lost (panicking backends) or withdrawn
             // (behind the target): an availability gap, not a decision.
-            None if received.is_empty() => GroupOutcome {
+            None if tally.is_empty() => GroupOutcome {
                 replicas_queried: dispatched,
                 ..GroupOutcome::unanswered(voters)
             },
@@ -722,11 +693,7 @@ impl ReplicaGroup {
                     ..GroupOutcome::floored(target, voters)
                 }
             }
-            None => {
-                received.sort_by_key(|(i, _)| *i);
-                let responses: Vec<Response> = received.into_iter().map(|(_, r)| r).collect();
-                GroupOutcome::decided(quorum::combine(mode, &responses), dispatched, voters)
-            }
+            None => GroupOutcome::decided(tally.combined(mode), dispatched, voters),
         };
         // A deny the quorum rule made up was judged at the target.
         if let Some(response) = &mut outcome.response {
@@ -738,6 +705,96 @@ impl ReplicaGroup {
             max_epoch_lag: lag,
             caller_evaluations,
             ..outcome
+        }
+    }
+}
+
+/// The votes one query has counted, per [`Decision`]: how many, and the
+/// response of the lowest-index voter. The index is the replica's
+/// position among the eligible, so the winner's response (and its
+/// obligations) is the same whatever order the answers arrived in.
+#[derive(Default)]
+struct Tally {
+    votes: [usize; 4],
+    first: [Option<(usize, Response)>; 4],
+    /// The decision of the vote counted last.
+    last: Option<Decision>,
+}
+
+impl Tally {
+    /// Counts the vote of the eligible replica at `index`.
+    fn add(&mut self, index: usize, response: Response) {
+        let d = response.decision as usize;
+        self.votes[d] += 1;
+        self.last = Some(response.decision);
+        if self.first[d].as_ref().is_none_or(|(held, _)| index < *held) {
+            self.first[d] = Some((index, response));
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.last.is_none()
+    }
+
+    /// Whether the votes name more than one decision.
+    fn disagreement(&self) -> bool {
+        self.votes.iter().filter(|&&v| v > 0).count() > 1
+    }
+
+    /// The verdict for decision `d` (one with votes), answered with its
+    /// lowest-index voter's response.
+    fn verdict(&mut self, d: usize) -> quorum::Verdict {
+        let disagreement = self.disagreement();
+        let (_, response) = self.first[d].take().expect("a decision with votes");
+        quorum::Verdict {
+            response,
+            disagreement,
+            fail_closed: false,
+        }
+    }
+
+    /// The fail-closed deny nobody may be trusted past.
+    fn fail_closed(&self) -> quorum::Verdict {
+        quorum::Verdict {
+            response: Response::decision(Decision::Deny),
+            disagreement: self.disagreement(),
+            fail_closed: true,
+        }
+    }
+
+    /// Whether the votes so far already fix the combined verdict under
+    /// `mode`, whatever the stragglers say; a majority takes `needed`.
+    /// Under unanimity `fail_closed` marks only a forced deny (a
+    /// disagreement), not a genuine all-deny verdict.
+    fn settled(&mut self, mode: QuorumMode, needed: usize) -> Option<quorum::Verdict> {
+        let last = self.last?;
+        let d = last as usize;
+        match mode {
+            QuorumMode::FirstHealthy => Some(self.verdict(d)),
+            QuorumMode::Majority => (self.votes[d] >= needed).then(|| self.verdict(d)),
+            QuorumMode::UnanimousFailClosed if self.disagreement() => Some(self.fail_closed()),
+            QuorumMode::UnanimousFailClosed => (last == Decision::Deny).then(|| self.verdict(d)),
+        }
+    }
+
+    /// The verdict once every eligible replica has answered and nothing
+    /// settled, over at least one vote: a strict majority of the votes
+    /// counted, or else a fail-closed deny; under unanimity a
+    /// disagreement's fail-closed deny; otherwise the lowest-index
+    /// vote.
+    fn combined(mut self, mode: QuorumMode) -> quorum::Verdict {
+        let total: usize = self.votes.iter().sum();
+        let winner = match mode {
+            QuorumMode::Majority => self.votes.iter().position(|&v| 2 * v > total),
+            QuorumMode::UnanimousFailClosed if self.disagreement() => None,
+            _ => (0..self.first.len())
+                .filter_map(|d| Some((self.first[d].as_ref()?.0, d)))
+                .min()
+                .map(|(_, d)| d),
+        };
+        match winner {
+            Some(d) => self.verdict(d),
+            None => self.fail_closed(),
         }
     }
 }

@@ -18,11 +18,10 @@ use dacs_capability::{CapabilityAuthority, CapabilityKey, CapabilityToken};
 use dacs_cluster::{ClusterBuilder, ClusterOutcome, DecisionBackend, PdpCluster, ReplicaPhase};
 use dacs_crypto::sign::{CryptoCtx, SigningKey};
 use dacs_pap::{Pap, PolicyEpoch, SyndicationTree};
-use dacs_pdp::{CacheConfig, DecisionClass, Pdp, PdpMetrics};
+use dacs_pdp::{CacheConfig, DecisionClass, Pdp};
 use dacs_pep::{DecisionSource, LogObligationHandler, MintingSource, NotifyObligationHandler, Pep};
-use dacs_pip::{EnvironmentProvider, PipRegistry, PipStats, StaticAttributes};
-use dacs_policy::eval::{EvalMetrics, Response};
-use dacs_policy::expr::ExprStats;
+use dacs_pip::{EnvironmentProvider, PipRegistry, StaticAttributes};
+use dacs_policy::eval::Response;
 use dacs_policy::policy::{CombiningAlg, Policy, PolicyElement, PolicyId, PolicySet};
 use dacs_policy::request::RequestContext;
 use parking_lot::Mutex;
@@ -320,57 +319,21 @@ pub(crate) fn home_domain(subject: &str) -> Option<&str> {
     subject.rsplit_once('@').map(|(_, d)| d)
 }
 
-/// Exposes every [`PdpMetrics`] field of `pdp` (evaluation work
-/// flattened) as `dacs_pdp_*`; a domain's PDPs share the names, so the
-/// registry reports their sum; without a registry there is nothing to
-/// do. The destructuring is exhaustive on purpose: a new field that is
-/// not exposed fails to compile.
+/// Exposes every [`Pdp::samples`] counter of `pdp` as `dacs_pdp_*`; a
+/// domain's PDPs share the names, so the registry reports their sum;
+/// without a registry there is nothing to do.
 fn expose_pdp(registry: Option<&dacs_telemetry::Registry>, pdp: &Arc<Pdp>) {
     let Some(registry) = registry else { return };
     let pdp = Arc::clone(pdp);
-    registry.expose(move || {
-        let PdpMetrics {
-            decisions,
-            eval:
-                EvalMetrics {
-                    rules_evaluated,
-                    policies_evaluated,
-                    policy_sets_evaluated,
-                    targets_checked,
-                    expr:
-                        ExprStats {
-                            functions_applied,
-                            attribute_lookups,
-                        },
-                },
-        } = pdp.metrics();
-        vec![
-            ("dacs_pdp_decisions_total", decisions),
-            ("dacs_pdp_rules_evaluated_total", rules_evaluated),
-            ("dacs_pdp_policies_evaluated_total", policies_evaluated),
-            (
-                "dacs_pdp_policy_sets_evaluated_total",
-                policy_sets_evaluated,
-            ),
-            ("dacs_pdp_targets_checked_total", targets_checked),
-            ("dacs_pdp_functions_applied_total", functions_applied),
-            ("dacs_pdp_attribute_lookups_total", attribute_lookups),
-        ]
-    });
+    registry.expose(move || pdp.samples());
 }
 
-/// Exposes the PIP chain's [`PipStats`] as `dacs_pip_*` (exhaustive
-/// destructuring, as in [`expose_pdp`]).
+/// Exposes the PIP chain's counters ([`PipRegistry::samples`]) as
+/// `dacs_pip_*`.
 fn expose_pips(registry: Option<&dacs_telemetry::Registry>, pips: &Arc<PipRegistry>) {
     let Some(registry) = registry else { return };
     let pips = Arc::clone(pips);
-    registry.expose(move || {
-        let PipStats { lookups, resolved } = pips.stats();
-        vec![
-            ("dacs_pip_lookups_total", lookups),
-            ("dacs_pip_resolved_total", resolved),
-        ]
-    });
+    registry.expose(move || pips.samples());
 }
 
 /// The decision-plane parts [`DomainBuilder::build`] assembles: the

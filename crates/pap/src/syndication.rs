@@ -126,12 +126,14 @@ struct TreeStats {
 }
 
 dacs_telemetry::counter_block! {
-    /// [`TreeStats`] as relaxed atomics: the one place the tree's
-    /// counters live, handle or no handle.
+    /// [`TreeStats`]: the one place the tree's counters live, handle
+    /// or no handle.
     struct TreeCounters: TreeStats {
         pushes => "dacs_syndication_pushes_total",
         offline_skips => "dacs_syndication_offline_skips_total",
         catch_ups => "dacs_syndication_catch_ups_total",
+    }
+    gauges {
         epoch => "dacs_syndication_epoch",
         offline_lag => "dacs_syndication_offline_lag",
     }
@@ -317,12 +319,11 @@ impl SyndicationTree {
                 }
             }
         }
-        let c = &self.counters;
-        c.pushes
-            .fetch_add(report.hops.len() as u64, Ordering::Relaxed);
-        c.offline_skips
-            .fetch_add(report.offline_skipped as u64, Ordering::Relaxed);
-        c.epoch.store(stamp.0, Ordering::Relaxed);
+        self.counters.count(|c| {
+            c.pushes += report.hops.len() as u64;
+            c.offline_skips += report.offline_skipped as u64;
+        });
+        self.counters.epoch.store(stamp.0, Ordering::Relaxed);
         self.record_offline_lag();
         report
     }
@@ -395,7 +396,7 @@ impl SyndicationTree {
                 filtered += 1;
             }
         }
-        self.counters.catch_ups.fetch_add(1, Ordering::Relaxed);
+        self.counters.count(|c| c.catch_ups += 1);
         if let Some(h) = &self.replayed {
             h.record(replayed as u64);
         }

@@ -10,7 +10,6 @@ use dacs_policy::expr::ExprStats;
 use dacs_policy::policy::PolicyElement;
 use dacs_policy::request::RequestContext;
 use parking_lot::RwLock;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Work counters for one PDP.
@@ -23,21 +22,35 @@ pub struct PdpMetrics {
     pub eval: EvalMetrics,
 }
 
-/// [`PdpMetrics`] as relaxed atomics: the one place the counters live.
+/// [`PdpMetrics`] flattened: what one decide adds to the counters.
 #[derive(Default)]
-struct AtomicPdpMetrics {
-    decisions: AtomicU64,
-    rules_evaluated: AtomicU64,
-    policies_evaluated: AtomicU64,
-    policy_sets_evaluated: AtomicU64,
-    targets_checked: AtomicU64,
-    functions_applied: AtomicU64,
-    attribute_lookups: AtomicU64,
+struct PdpCounts {
+    decisions: u64,
+    rules_evaluated: u64,
+    policies_evaluated: u64,
+    policy_sets_evaluated: u64,
+    targets_checked: u64,
+    functions_applied: u64,
+    attribute_lookups: u64,
 }
 
-impl AtomicPdpMetrics {
-    /// Folds one evaluation's work counters in: six relaxed adds.
-    fn absorb(&self, eval: &EvalMetrics) {
+dacs_telemetry::counter_block! {
+    /// [`PdpMetrics`]: the one place the counters live, each deciding
+    /// thread counting in cells of its own.
+    struct PdpCounters: PdpCounts {
+        decisions => "dacs_pdp_decisions_total",
+        rules_evaluated => "dacs_pdp_rules_evaluated_total",
+        policies_evaluated => "dacs_pdp_policies_evaluated_total",
+        policy_sets_evaluated => "dacs_pdp_policy_sets_evaluated_total",
+        targets_checked => "dacs_pdp_targets_checked_total",
+        functions_applied => "dacs_pdp_functions_applied_total",
+        attribute_lookups => "dacs_pdp_attribute_lookups_total",
+    }
+}
+
+impl PdpCounts {
+    /// Adds one evaluation's work counters.
+    fn absorb(&mut self, eval: &EvalMetrics) {
         let EvalMetrics {
             rules_evaluated,
             policies_evaluated,
@@ -49,30 +62,12 @@ impl AtomicPdpMetrics {
                     attribute_lookups,
                 },
         } = *eval;
-        let add = |counter: &AtomicU64, n: u64| counter.fetch_add(n, Ordering::Relaxed);
-        add(&self.rules_evaluated, rules_evaluated);
-        add(&self.policies_evaluated, policies_evaluated);
-        add(&self.policy_sets_evaluated, policy_sets_evaluated);
-        add(&self.targets_checked, targets_checked);
-        add(&self.functions_applied, functions_applied);
-        add(&self.attribute_lookups, attribute_lookups);
-    }
-
-    fn snapshot(&self) -> PdpMetrics {
-        let get = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-        PdpMetrics {
-            decisions: get(&self.decisions),
-            eval: EvalMetrics {
-                rules_evaluated: get(&self.rules_evaluated),
-                policies_evaluated: get(&self.policies_evaluated),
-                policy_sets_evaluated: get(&self.policy_sets_evaluated),
-                targets_checked: get(&self.targets_checked),
-                expr: ExprStats {
-                    functions_applied: get(&self.functions_applied),
-                    attribute_lookups: get(&self.attribute_lookups),
-                },
-            },
-        }
+        self.rules_evaluated += rules_evaluated;
+        self.policies_evaluated += policies_evaluated;
+        self.policy_sets_evaluated += policy_sets_evaluated;
+        self.targets_checked += targets_checked;
+        self.functions_applied += functions_applied;
+        self.attribute_lookups += attribute_lookups;
     }
 }
 
@@ -108,9 +103,9 @@ impl Snapshot {
 
 /// A Policy Decision Point bound to one PAP and one PIP registry.
 ///
-/// The read path is concurrent: every counter is a plain relaxed
-/// atomic, so `decide` takes no lock but a shared read of the snapshot
-/// pointer (and a write when the PAP has moved past it).
+/// The read path is concurrent: every counter sits in a cell the
+/// deciding thread owns, so `decide` takes no lock but a shared read of
+/// the snapshot pointer (and a write when the PAP has moved past it).
 ///
 /// Evaluation walks a per-epoch resolved snapshot of the root
 /// ([`resolve_references`]), not the PAP, and in each policy set of it
@@ -130,7 +125,7 @@ pub struct Pdp {
     root: PolicyElement,
     snapshot: RwLock<Arc<Snapshot>>,
     pips: Arc<PipRegistry>,
-    metrics: AtomicPdpMetrics,
+    metrics: PdpCounters,
 }
 
 impl Pdp {
@@ -149,7 +144,7 @@ impl Pdp {
             root,
             snapshot,
             pips,
-            metrics: AtomicPdpMetrics::default(),
+            metrics: PdpCounters::default(),
         }
     }
 
@@ -177,8 +172,6 @@ impl Pdp {
     /// Evaluates an authorization decision query, its answer stamped
     /// with the PAP's policy epoch ([`Response::epoch`]).
     pub fn decide(&self, request: &RequestContext, now_ms: u64) -> Response {
-        self.metrics.decisions.fetch_add(1, Ordering::Relaxed);
-
         // The stamp is read first and the mutation epoch that picks the
         // snapshot after it, so an answer is never labelled newer than
         // the policy that decided it.
@@ -190,10 +183,16 @@ impl Pdp {
                 let source = ResolvingSource::new(request, &self.pips, now_ms);
                 let mut evaluator = Evaluator::with_source(request, &source);
                 let decided = evaluator.evaluate_resolved(tree);
-                self.metrics.absorb(&evaluator.metrics);
+                self.metrics.count(|c| {
+                    c.decisions += 1;
+                    c.absorb(&evaluator.metrics);
+                });
                 decided
             }
-            Err(refused) => Response::indeterminate(refused.to_string()),
+            Err(refused) => {
+                self.metrics.count(|c| c.decisions += 1);
+                Response::indeterminate(refused.to_string())
+            }
         };
         Response {
             epoch: stamp,
@@ -220,11 +219,38 @@ impl Pdp {
         fresh
     }
 
-    /// Snapshot of work counters. Counters are relaxed atomics bumped
-    /// independently, so a snapshot taken while other threads decide is
-    /// consistent per counter but not a cross-counter instant.
+    /// Snapshot of work counters: exact per counter, not a
+    /// cross-counter instant while other threads decide.
     pub fn metrics(&self) -> PdpMetrics {
-        self.metrics.snapshot()
+        let PdpCounts {
+            decisions,
+            rules_evaluated,
+            policies_evaluated,
+            policy_sets_evaluated,
+            targets_checked,
+            functions_applied,
+            attribute_lookups,
+        } = self.metrics.snapshot();
+        PdpMetrics {
+            decisions,
+            eval: EvalMetrics {
+                rules_evaluated,
+                policies_evaluated,
+                policy_sets_evaluated,
+                targets_checked,
+                expr: ExprStats {
+                    functions_applied,
+                    attribute_lookups,
+                },
+            },
+        }
+    }
+
+    /// Every [`PdpMetrics`] field, evaluation work flattened, under its
+    /// exposition name (`dacs_pdp_*`), for
+    /// [`dacs_telemetry::Registry::expose`].
+    pub fn samples(&self) -> Vec<(&'static str, u64)> {
+        self.metrics.snapshot().samples()
     }
 }
 
@@ -403,7 +429,7 @@ policy "gate" deny-unless-permit {
             request: &RequestContext,
             now_ms: u64,
         ) -> Option<Vec<dacs_policy::attr::AttrValue>> {
-            if !self.pushed.swap(true, Ordering::Relaxed) {
+            if !self.pushed.swap(true, std::sync::atomic::Ordering::Relaxed) {
                 let lockdown = parse_policy(
                     r#"policy "gate" deny-unless-permit { rule "nobody" permit {
                          condition is-in("nobody", attr(subject, "role")) } }"#,

@@ -542,11 +542,12 @@ fn expose_cache<V: Clone + Send + 'static>(
 }
 
 dacs_telemetry::counter_block! {
-    /// [`EnforcementStats`] as independent relaxed atomics — the one
-    /// place these counters live — so concurrent enforcement threads
-    /// bump them without sharing a lock. [`Pep::stats`] and, with
-    /// telemetry attached, the registry both read this block.
-    struct AtomicEnforcementStats: EnforcementStats {
+    /// [`EnforcementStats`] in cells each enforcing thread owns — the
+    /// one place these counters live — so concurrent enforcement
+    /// threads count without sharing a lock or a cache line.
+    /// [`Pep::stats`] and, with telemetry attached, the registry both
+    /// read this block.
+    struct EnforcementCounters: EnforcementStats {
         allowed => "dacs_pep_allowed_total",
         denied => "dacs_pep_denied_total",
         failsafe_denials => "dacs_pep_failsafe_denials_total",
@@ -987,7 +988,7 @@ impl PepBuilder {
     /// Panics if no decision source was bound.
     pub fn build(self) -> Pep {
         let source = self.source.expect("PepBuilder needs a decision source");
-        let stats = Arc::new(AtomicEnforcementStats::default());
+        let stats = Arc::new(EnforcementCounters::default());
         let cache = self
             .cache
             .map(|cfg| Arc::new(HashedRequestCache::new(cfg.capacity, cfg.ttl_ms)));
@@ -1039,10 +1040,10 @@ impl PepBuilder {
 /// The read path is concurrent: decision and token caches are striped
 /// [`HashedRequestCache`]s keyed by the request's 64-bit canonical
 /// hash (computed once per enforcement, full-context verify on hit),
-/// enforcement counters are relaxed atomics, and the audit trail is a
-/// bounded ring — so parallel callers of [`Pep::serve`] contend only
-/// on the one cache stripe their request maps to, plus the audit ring
-/// lock for the final record append.
+/// enforcement counters sit in cells each thread owns, and the audit
+/// trail is a bounded ring — so parallel callers of [`Pep::serve`]
+/// contend only on the one cache stripe their request maps to, plus
+/// the audit ring lock for the final record append.
 pub struct Pep {
     name: String,
     /// The audience string capabilities must be issued for (usually the
@@ -1058,7 +1059,7 @@ pub struct Pep {
     /// Trusted capability issuers: name → verification key.
     trusted_issuers: HashMap<String, PublicKey>,
     audit: AuditRing,
-    stats: Arc<AtomicEnforcementStats>,
+    stats: Arc<EnforcementCounters>,
     telemetry: Option<Arc<Telemetry>>,
     capability: Option<PepCapability>,
 }
@@ -1200,7 +1201,7 @@ impl Pep {
                 }
             }
             if hits > 0 {
-                self.stats.cache_hits.fetch_add(hits, Ordering::Relaxed);
+                self.stats.count(|c| c.cache_hits += hits);
             }
             if let Some(s) = span.as_mut() {
                 s.set_note(phase_note(requests.len(), hits, None));
@@ -1333,12 +1334,12 @@ impl Pep {
             passed.is_ok()
         });
         if hit.is_some() {
-            self.stats.token_hits.fetch_add(1, Ordering::Relaxed);
+            self.stats.count(|c| c.token_hits += 1);
             return Ok(true);
         }
         match refused {
             Some(kind) => {
-                self.stats.token_rejects.fetch_add(1, Ordering::Relaxed);
+                self.stats.count(|c| c.token_rejects += 1);
                 Err(kind)
             }
             None => Ok(false),
@@ -1358,7 +1359,7 @@ impl Pep {
         token: &CapabilityToken,
         now_ms: u64,
     ) {
-        self.stats.tokens_minted.fetch_add(1, Ordering::Relaxed);
+        self.stats.count(|c| c.tokens_minted += 1);
         let ids = (
             request.subject_id(),
             request.resource_id(),
@@ -1371,7 +1372,7 @@ impl Pep {
         match admitted {
             Some(admitted) => cap.tokens.insert(hash, request, admitted, now_ms),
             None => {
-                self.stats.token_rejects.fetch_add(1, Ordering::Relaxed);
+                self.stats.count(|c| c.token_rejects += 1);
             }
         }
     }
@@ -1393,9 +1394,7 @@ impl Pep {
                 Some(h) => match h.fulfill(ob, request) {
                     Ok(()) => fulfilled.push(ob.id.clone()),
                     Err(e) => {
-                        self.stats
-                            .obligation_failures
-                            .fetch_add(1, Ordering::Relaxed);
+                        self.stats.count(|c| c.obligation_failures += 1);
                         return self.deny_failsafe(
                             request,
                             path,
@@ -1405,9 +1404,7 @@ impl Pep {
                     }
                 },
                 None => {
-                    self.stats
-                        .obligation_failures
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.stats.count(|c| c.obligation_failures += 1);
                     return self.deny_failsafe(
                         request,
                         path,
@@ -1427,11 +1424,11 @@ impl Pep {
             })
         };
         if grant {
-            self.stats.allowed.fetch_add(1, Ordering::Relaxed);
+            self.stats.count(|c| c.allowed += 1);
         } else if response.decision == Decision::Deny {
-            self.stats.denied.fetch_add(1, Ordering::Relaxed);
+            self.stats.count(|c| c.denied += 1);
         } else {
-            self.stats.failsafe_denials.fetch_add(1, Ordering::Relaxed);
+            self.stats.count(|c| c.failsafe_denials += 1);
         }
         self.record(request, grant, path, now_ms);
         EnforcementResult {
@@ -1449,7 +1446,7 @@ impl Pep {
         now_ms: u64,
         reason: String,
     ) -> EnforcementResult {
-        self.stats.failsafe_denials.fetch_add(1, Ordering::Relaxed);
+        self.stats.count(|c| c.failsafe_denials += 1);
         self.record(request, false, path, now_ms);
         EnforcementResult {
             allowed: false,
@@ -1464,9 +1461,7 @@ impl Pep {
             .map(|category| request.id_of(category).map_or(&b"?"[..], Str::as_bytes));
         let dropped = self.audit.push(at_ms, ids, allowed, path);
         if dropped > 0 {
-            self.stats
-                .audit_dropped
-                .fetch_add(dropped, Ordering::Relaxed);
+            self.stats.count(|c| c.audit_dropped += dropped);
         }
     }
 
@@ -1497,10 +1492,10 @@ impl Pep {
         self.audit.rings.lock().headers.len()
     }
 
-    /// Aggregate counters. Counters are relaxed atomics bumped
-    /// independently, so a snapshot taken during concurrent
-    /// enforcement is exact per counter but not a cross-counter
-    /// instant; quiesced, totals are exact.
+    /// Aggregate counters, summed over the enforcing threads' cells: a
+    /// snapshot taken during concurrent enforcement is exact per
+    /// counter but not a cross-counter instant; quiesced, totals are
+    /// exact.
     pub fn stats(&self) -> EnforcementStats {
         self.stats.snapshot()
     }

@@ -32,7 +32,6 @@ use dacs_policy::request::RequestContext;
 use parking_lot::RwLock;
 use std::cell::OnceCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A source of attribute values the PDP can consult.
@@ -179,12 +178,20 @@ pub struct PipStats {
     pub resolved: u64,
 }
 
+dacs_telemetry::counter_block! {
+    /// [`PipStats`]: the one place the chain's counters live, each
+    /// resolving thread counting in cells of its own.
+    struct PipCounters: PipStats {
+        lookups => "dacs_pip_lookups_total",
+        resolved => "dacs_pip_resolved_total",
+    }
+}
+
 /// An ordered chain of providers consulted in turn.
 #[derive(Default)]
 pub struct PipRegistry {
     providers: Vec<Arc<dyn AttributeProvider>>,
-    lookups: AtomicU64,
-    resolved: AtomicU64,
+    counters: PipCounters,
 }
 
 impl PipRegistry {
@@ -205,22 +212,26 @@ impl PipRegistry {
         request: &RequestContext,
         now_ms: u64,
     ) -> Option<Vec<AttrValue>> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        for p in &self.providers {
-            if let Some(bag) = p.provide(id, request, now_ms) {
-                self.resolved.fetch_add(1, Ordering::Relaxed);
-                return Some(bag);
-            }
-        }
-        None
+        let bag = self
+            .providers
+            .iter()
+            .find_map(|p| p.provide(id, request, now_ms));
+        self.counters.count(|c| {
+            c.lookups += 1;
+            c.resolved += bag.is_some() as u64;
+        });
+        bag
     }
 
     /// Current statistics.
     pub fn stats(&self) -> PipStats {
-        PipStats {
-            lookups: self.lookups.load(Ordering::Relaxed),
-            resolved: self.resolved.load(Ordering::Relaxed),
-        }
+        self.counters.snapshot()
+    }
+
+    /// Every [`PipStats`] field under its exposition name
+    /// (`dacs_pip_*`), for [`dacs_telemetry::Registry::expose`].
+    pub fn samples(&self) -> Vec<(&'static str, u64)> {
+        self.stats().samples()
     }
 
     /// Number of providers.

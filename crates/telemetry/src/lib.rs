@@ -37,9 +37,11 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod cells;
 mod registry;
 mod trace;
 
+pub use cells::Cells;
 pub use registry::{Histogram, Registry};
 pub use trace::{current, Note, SpanRecord, Stage};
 pub use trace::{Span, SpanCtx, SpanGuard, Tracer};

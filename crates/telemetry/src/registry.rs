@@ -7,29 +7,54 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Declares the one place a component's event counters live: `$block`,
-/// a relaxed-atomic mirror of its public stats struct `$stats`, with
-/// `$block::snapshot() -> $stats` and `$stats::samples()`, which pairs
-/// every field with its exposition name for [`Registry::expose`]. Both
-/// name every field of `$stats` (a struct literal, an exhaustive
-/// destructuring), so a field added to the stats struct and not listed
-/// here — not counted, not exposed — fails to compile.
+/// the counters of its public stats struct `$stats` in [`Cells`] —
+/// one row per counting thread — plus the gauges listed after
+/// `gauges`, each one shared relaxed atomic. It comes with
+/// `$block::count`, which adds the non-zero fields of a zeroed `$stats`
+/// that a closure filled in (`counters.count(|c| c.hits += 1)`) in one
+/// pass over the thread's row; `$block::snapshot() -> $stats`; and
+/// `$stats::samples()`, which pairs every field with its exposition
+/// name for [`Registry::expose`]. Both name every field of `$stats` (a
+/// struct literal, an exhaustive destructuring), so a field added to
+/// the stats struct and not listed here — not counted, not exposed —
+/// fails to compile.
+///
+/// [`Cells`]: crate::Cells
 #[macro_export]
 macro_rules! counter_block {
     ($(#[$meta:meta])* $vis:vis struct $block:ident: $stats:ident {
         $($field:ident => $name:literal),* $(,)?
-    }) => {
+    } $(gauges {
+        $($gauge:ident => $gauge_name:literal),* $(,)?
+    })?) => {
         $(#[$meta])*
         #[derive(Default)]
         $vis struct $block {
-            $($vis $field: ::std::sync::atomic::AtomicU64),*
+            cells: $crate::Cells<{ [$(stringify!($field)),*].len() }>,
+            $($($vis $gauge: ::std::sync::atomic::AtomicU64,)*)?
         }
 
         impl $block {
-            /// The counters now: exact per counter, not a cross-counter
-            /// instant while other threads count.
+            /// Counts one event: the counter fields `bump` sets in a
+            /// zeroed stats struct are added to this thread's row. Gauge
+            /// fields are stored, never counted, so `bump` leaves them.
+            #[inline]
+            $vis fn count(&self, bump: impl FnOnce(&mut $stats)) {
+                let mut delta = <$stats as ::std::default::Default>::default();
+                bump(&mut delta);
+                $($(debug_assert_eq!(delta.$gauge, 0, "a gauge is stored, not counted");)*)?
+                self.cells.add([$(delta.$field),*]);
+            }
+
+            /// The counters now, each summed over the threads' rows, and
+            /// the gauges: exact per counter, not a cross-counter
+            /// instant while other threads count; exact once they are
+            /// quiesced.
             $vis fn snapshot(&self) -> $stats {
+                let [$($field),*] = self.cells.sums();
                 $stats {
-                    $($field: self.$field.load(::std::sync::atomic::Ordering::Relaxed)),*
+                    $($field,)*
+                    $($($gauge: self.$gauge.load(::std::sync::atomic::Ordering::Relaxed),)*)?
                 }
             }
         }
@@ -37,8 +62,8 @@ macro_rules! counter_block {
         impl $stats {
             /// Every field under its exposition name.
             $vis fn samples(self) -> Vec<(&'static str, u64)> {
-                let $stats { $($field),* } = self;
-                vec![$(($name, $field)),*]
+                let $stats { $($field,)* $($($gauge,)*)? } = self;
+                vec![$(($name, $field),)* $($(($gauge_name, $gauge),)*)?]
             }
         }
     };
@@ -313,6 +338,8 @@ mod tests {
         /// The door's counters.
         struct DoorCounters: DoorStats {
             opened => "dacs_door_opened_total",
+        }
+        gauges {
             ajar => "dacs_door_ajar",
         }
     }
@@ -320,7 +347,7 @@ mod tests {
     #[test]
     fn counter_block_mirrors_and_names_every_field() {
         let block = Arc::new(DoorCounters::default());
-        block.opened.fetch_add(3, Ordering::Relaxed);
+        block.count(|c| c.opened += 3);
         block.ajar.store(1, Ordering::Relaxed);
         assert_eq!(block.snapshot(), DoorStats { opened: 3, ajar: 1 });
         let r = Registry::new();
@@ -328,6 +355,19 @@ mod tests {
         r.expose(move || exposed.snapshot().samples());
         assert_eq!(r.counter_value("dacs_door_opened_total"), Some(3));
         assert_eq!(r.gauge_value("dacs_door_ajar"), Some(1));
+    }
+
+    #[test]
+    fn a_gauge_keeps_the_last_store_and_the_max() {
+        let block = DoorCounters::default();
+        block.ajar.store(7, Ordering::Relaxed);
+        block.ajar.store(2, Ordering::Relaxed);
+        assert_eq!(block.snapshot().ajar, 2, "the last store, not a sum");
+        block.ajar.fetch_max(5, Ordering::Relaxed);
+        block.ajar.fetch_max(3, Ordering::Relaxed);
+        assert_eq!(block.snapshot().ajar, 5, "the max of what was offered");
+        block.count(|c| c.opened += 1);
+        assert_eq!(block.snapshot(), DoorStats { opened: 1, ajar: 5 });
     }
 
     #[test]

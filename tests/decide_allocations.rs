@@ -8,7 +8,7 @@
 //! counters beside it say the same of evaluation: a decide reaches the
 //! policies its request can apply to, however many the domain holds.
 //! The same goes one layer up: a quorum decision costs the decides its
-//! settle point needs plus a fixed handful, and a vote withdrawn as
+//! settle point needs and nothing more, and a vote withdrawn as
 //! behind the domain's epoch costs its decide and nothing more — with
 //! or without a scheduler, when its replicas
 //! are cheap enough for the collector to evaluate on the caller:
@@ -33,7 +33,8 @@
 //! claims.
 
 use dacs::cluster::{
-    ClusterBuilder, DecisionClass, QuorumMode, ReplicaPhase, SchedulerConfig, ShardRouter,
+    ClusterBuilder, DecisionBackend, DecisionClass, QuorumMode, ReplicaPhase, SchedulerConfig,
+    ShardRouter, StaticBackend, MAX_REPLICAS,
 };
 use dacs::core::scenario::alternating_lockdown_gate;
 use dacs::crypto::sign::CryptoCtx;
@@ -221,9 +222,10 @@ fn decide_reaches_the_policies_that_can_apply_whatever_the_policy_count() {
 /// decides when the collector evaluates the whole quorum on the caller
 /// — nothing per name looked up, per lock taken or per phase checked,
 /// and no channel, request copy, boxed job or shared cancel flag for a
-/// pool the query never reaches — and nothing to route it. Today it
-/// makes 3: the roster, the dispatch order and the vector of answers.
-const COLLECTOR_BUDGET: u64 = 4;
+/// pool the query never reaches — and nothing to route it. It makes
+/// none: the roster, the dispatch order and the tally of answers live
+/// on the collector's stack, and its counters in cells it owns.
+const COLLECTOR_BUDGET: u64 = 0;
 
 /// Every replica has been answering fast: whatever this build's decides
 /// cost, a scheduler's collector keeps them on the caller (an estimate
@@ -286,7 +288,7 @@ fn return_behind(domain: &Domain, slot: usize, warm_up: impl FnOnce()) {
 
 /// Everybody healthy: two agreeing votes settle a majority of three, so
 /// the decide costs two engine decides — the third replica is
-/// dispatched and never started — plus the fixed handful.
+/// dispatched and never started — and the collector nothing.
 #[test]
 fn quorum_decide_allocates_its_replicas_decides_plus_a_fixed_handful() {
     let domain = quorum_miss_domain();
@@ -311,7 +313,7 @@ fn quorum_decide_allocates_its_replicas_decides_plus_a_fixed_handful() {
         healthy <= 2 * DECIDE_BUDGET + COLLECTOR_BUDGET,
         "a 1x3 majority decide made {healthy} allocations"
     );
-    // A replica alone: one decide fewer, the same fixed handful.
+    // A replica alone: one decide fewer, the collector still nothing.
     (1..3).for_each(|slot| set_phase(&domain, slot, ReplicaPhase::Crashed));
     let alone = quorum_decide(2, 1, 1);
     (1..3).for_each(|slot| set_phase(&domain, slot, ReplicaPhase::Healthy));
@@ -346,6 +348,39 @@ fn quorum_decide_allocates_its_replicas_decides_plus_a_fixed_handful() {
         two_gated, one_gated,
         "a second withdrawn vote changed the cost"
     );
+}
+
+/// A shard at the replica cap fills the collector's stack arrays, and
+/// its decide still allocates nothing around the replicas' answers (a
+/// `StaticBackend`'s answer allocates nothing): there is no spill path
+/// for a large group. One replica more is refused when the cluster is
+/// built.
+#[test]
+fn a_shard_at_the_replica_cap_decides_without_allocating_and_one_more_is_refused() {
+    let shard = |replicas: usize| -> Vec<Arc<dyn DecisionBackend>> {
+        (0..replicas)
+            .map(|r| Arc::new(StaticBackend::new(format!("r{r}"), Decision::Permit)) as _)
+            .collect()
+    };
+    let cluster = ClusterBuilder::new("cap")
+        .quorum(QuorumMode::Majority)
+        .shard(shard(MAX_REPLICAS))
+        .build();
+    let request = RequestContext::basic("user-1@cap", "records/7", "read");
+    cluster.decide(&request, 0);
+    let asked = cluster.metrics().caller_evaluations;
+    let (count, outcome) = allocations_in(|| cluster.decide(&request, 1));
+    assert_eq!(outcome.replicas_queried, MAX_REPLICAS);
+    assert_eq!(outcome.response.unwrap().decision, Decision::Permit);
+    let settle = MAX_REPLICAS / 2 + 1;
+    assert_eq!(cluster.metrics().caller_evaluations - asked, settle as u64);
+    assert_eq!(count, COLLECTOR_BUDGET, "a full shard's decide allocated");
+    let over = std::panic::catch_unwind(|| {
+        ClusterBuilder::new("over")
+            .shard(shard(MAX_REPLICAS + 1))
+            .build()
+    });
+    assert!(over.is_err(), "a shard past MAX_REPLICAS was built");
 }
 
 /// What `PdpCluster::decide_batch` may allocate besides the decides,
@@ -430,10 +465,10 @@ fn a_batch_of_repeats_allocates_what_a_batch_of_one_does() {
 /// The `planned_quorum` shape: one shard, five replicas, adaptive
 /// majority behind a one-worker scheduler — with every replica's
 /// estimate under the hand-off constant, so the three-wide quorum is
-/// evaluated on the caller by the same loop for the same handful:
+/// evaluated on the caller by the same loop, which allocates nothing:
 /// before the collector could evaluate on the caller the same decide
 /// made 40 allocations on this thread (and its three decides' 21 on the
-/// worker's); today it makes 12.
+/// worker's); today it makes its three decides' 3.
 #[test]
 fn a_caller_evaluated_planned_decide_builds_nothing_for_the_pool() {
     let scheduler = SchedulerConfig::new(1).with_adaptive_fanout(true);
